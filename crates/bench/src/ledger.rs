@@ -38,7 +38,8 @@ pub struct LedgerRecord {
     pub mean_ns: u64,
     /// Median iteration, nanoseconds.
     pub median_ns: u64,
-    /// `git rev-parse --short HEAD` at run time, or `unknown`.
+    /// `git rev-parse --short HEAD` at run time (`-dirty` when the tree
+    /// differed from it), or `unknown`.
     pub git_rev: String,
     /// Whether `SIEVE_BENCH_SMOKE` was set (numbers are not comparable).
     pub smoke: bool,
@@ -176,19 +177,34 @@ fn duration_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// `git rev-parse --short HEAD` of the repo this crate was built from,
-/// or `unknown` when git is unavailable.
+/// `git rev-parse --short HEAD` of the repo this crate was built from —
+/// with a `-dirty` suffix when tracked files other than the ledgers
+/// themselves differ from it, so a row measured on uncommitted code is
+/// never read as a measurement of `HEAD` — or `unknown` when git is
+/// unavailable.
 fn git_rev() -> String {
-    Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"])
         .map(|rev| rev.trim().to_string())
         .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    else {
+        return "unknown".to_string();
+    };
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+        .is_some_and(|status| status.lines().any(|line| !line.contains("BENCH_")));
+    if dirty {
+        format!("{rev}-dirty")
+    } else {
+        rev
+    }
 }
 
 /// Escapes a string as a JSON string literal (quotes included).

@@ -12,7 +12,7 @@
 
 use crate::{ClusterError, Result};
 use sieve_exec::try_par_map_chunks;
-use sieve_timeseries::spectrum::{sbd_from_spectra, SeriesSpectrum, SpectrumBatch};
+use sieve_timeseries::spectrum::{sbd_oriented, SbdScratch, SeriesSpectrum, SpectrumBatch};
 
 /// A symmetric matrix of pairwise shape-based distances with a zero
 /// diagonal.
@@ -40,8 +40,13 @@ impl DistanceMatrix {
         // Row i computes the strict upper triangle i+1..n; rows come back in
         // input order, so assembly below is deterministic.
         let rows: Vec<Vec<f64>> = try_par_map_chunks(workers, &indices, |&i| {
+            let mut scratch = SbdScratch::default();
             ((i + 1)..n)
-                .map(|j| Ok(sbd_from_spectra(&spectra[i], &spectra[j])?.distance))
+                .map(|j| {
+                    Ok(sbd_oriented(&spectra[i], &spectra[j], &mut scratch)?
+                        .sbd
+                        .distance)
+                })
                 .collect::<Result<Vec<f64>>>()
         })?;
         let mut data = vec![0.0; n * n];

@@ -21,7 +21,8 @@ use crate::distance::compute_spectra;
 use crate::{ClusterError, Result};
 use sieve_timeseries::normalize::{z_normalize, z_normalize_into};
 use sieve_timeseries::sbd::{align_to, apply_shift, shape_based_distance};
-use sieve_timeseries::spectrum::{sbd_from_spectra, SeriesSpectrum};
+use sieve_timeseries::spectrum::{sbd_oriented, OrientedSbd, SbdScratch, SeriesSpectrum};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of a k-Shape run.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,9 +128,9 @@ impl KShapeResult {
 /// k selection fits the same series for every candidate `k`; building one
 /// cache and passing it to [`KShape::fit_cached`] for each `k` computes the
 /// n z-normalizations and n forward FFTs once instead of once per `k` — and
-/// within a fit, each assignment step computes one spectrum per *centroid*
-/// instead of re-running three FFTs per (series, centroid) pair.
-#[derive(Debug, Clone)]
+/// within a fit, each assignment step computes one spectrum per *changed
+/// centroid* instead of re-running three FFTs per (series, centroid) pair.
+#[derive(Debug)]
 pub struct KShapeSeriesCache {
     /// z-normalized copies of the input series, packed end to end in one
     /// contiguous columnar arena of `count × series_len` values. Series `i`
@@ -143,6 +144,9 @@ pub struct KShapeSeriesCache {
     count: usize,
     /// Spectra of the z-normalized copies.
     spectra: Vec<SeriesSpectrum>,
+    /// SBD evaluations (one inverse FFT each) issued by fits over this
+    /// cache; see [`KShapeSeriesCache::sbd_evaluations`].
+    sbd_evaluations: AtomicU64,
 }
 
 impl KShapeSeriesCache {
@@ -203,6 +207,7 @@ impl KShapeSeriesCache {
             series_len: m,
             count: refs.len(),
             spectra,
+            sbd_evaluations: AtomicU64::new(0),
         })
     }
 
@@ -230,6 +235,27 @@ impl KShapeSeriesCache {
     pub fn series(&self, i: usize) -> &[f64] {
         let start = i * self.series_len;
         &self.z_buffer[start..start + self.series_len]
+    }
+
+    /// Total number of shape-based distance evaluations — one inverse FFT
+    /// each — that [`KShape::fit_cached`] runs over this cache have issued
+    /// so far. A deterministic measure of the work a fit did: an iteration
+    /// that recomputed every alignment, orientation and distance column
+    /// would cost `n·k + 3n` of them; a unit test pins a converging fit
+    /// below `n·k` per iteration.
+    pub fn sbd_evaluations(&self) -> u64 {
+        self.sbd_evaluations.load(Ordering::Relaxed)
+    }
+
+    /// One counted SBD evaluation of `x` against `y`.
+    fn sbd(
+        &self,
+        x: &SeriesSpectrum,
+        y: &SeriesSpectrum,
+        scratch: &mut SbdScratch,
+    ) -> Result<OrientedSbd> {
+        self.sbd_evaluations.fetch_add(1, Ordering::Relaxed);
+        Ok(sbd_oriented(x, y, scratch)?)
     }
 }
 
@@ -365,14 +391,26 @@ impl KShape {
     /// Clusters the cached series, reusing the z-normalized copies and the
     /// per-series spectra in [`KShapeSeriesCache`].
     ///
-    /// This is the cached-engine counterpart of [`KShape::fit`]: instead of
-    /// re-z-normalizing and re-FFT-ing both operands of every shape-based
-    /// distance, the assignment step computes one spectrum per centroid and
-    /// pairs it with the cached series spectra, and centroid refinement
-    /// aligns members through the cached spectra as well. The result is
-    /// **bit-identical** to [`KShape::fit`] on the same series (asserted by
-    /// tests): both paths run the exact same float operations, the cached
-    /// path just runs each of them once.
+    /// This is the production counterpart of [`KShape::fit`], and it is
+    /// **bit-identical** to it on the same series (asserted by tests): every
+    /// float operation it performs is one `fit` performs too; it just never
+    /// performs one whose result it already holds. Three facts make that
+    /// exact rather than approximate:
+    ///
+    /// 1. *Alignment is the assignment step's own by-product.* Refining
+    ///    cluster `c` aligns its members to the current centroid — the same
+    ///    `SBD(centroid_c, series_i)` evaluation the previous assignment
+    ///    step made. An `n × k` table keeps each evaluation's
+    ///    `(distance, shift)`, and refinement reads the shifts from it.
+    /// 2. *A refined centroid is a pure function of its members and their
+    ///    shifts.* When a cluster's `(members, shifts)` pair repeats, the
+    ///    refinement would reproduce the centroid bit for bit, so it is
+    ///    skipped — and with the centroid unchanged, so is the recomputation
+    ///    of that cluster's column of the table.
+    /// 3. *Negating a centroid negates every NCC value exactly* (IEEE
+    ///    arithmetic is sign-symmetric), so the orientation check reads both
+    ///    candidate orientations' distances off one scan
+    ///    ([`OrientedSbd::flipped_distance`]).
     ///
     /// # Errors
     ///
@@ -397,55 +435,79 @@ impl KShape {
         let mut iterations = 0usize;
         let mut converged = false;
 
+        // `table[i * k + c]` is the (distance, shift) of series `i` against
+        // the *current* centroid `c`; 2.0 — the maximal distance — while
+        // that centroid is the zero vector, so an uninitialised/empty
+        // cluster only attracts members when every other option is worse.
+        let mut table: Vec<(f64, isize)> = vec![(2.0, 0); n * k];
+        // Per cluster, the (members, shifts) its current centroid was
+        // refined from.
+        let mut refined_from: Vec<(Vec<usize>, Vec<isize>)> = vec![Default::default(); k];
+        let mut scratch = SbdScratch::default();
+
         for iter in 0..self.config.max_iterations {
             iterations = iter + 1;
 
-            // Refinement: extract the shape of every cluster.
+            // Refinement: extract the shape of every cluster whose members
+            // or alignment changed.
             for (c, centroid) in centroids.iter_mut().enumerate() {
-                let members: Vec<usize> = assignments
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &a)| a == c)
-                    .map(|(i, _)| i)
-                    .collect();
+                let members: Vec<usize> = (0..n).filter(|&i| assignments[i] == c).collect();
                 if members.is_empty() {
                     continue; // keep the previous centroid
                 }
+                let shifts: Vec<isize> = if centroid.iter().all(|&v| v == 0.0) {
+                    // No centroid yet: align to the first member. `fit`
+                    // takes the spectrum of that member's z-normalized
+                    // copy as reference — exactly the cached one.
+                    let reference = &cache.spectra[members[0]];
+                    members
+                        .iter()
+                        .map(|&i| {
+                            cache
+                                .sbd(reference, &cache.spectra[i], &mut scratch)
+                                .map(|r| r.sbd.shift)
+                        })
+                        .collect::<Result<_>>()?
+                } else {
+                    members.iter().map(|&i| table[i * k + c].1).collect()
+                };
+                let inputs = (members, shifts);
+                if refined_from[c] == inputs {
+                    continue; // same inputs, same centroid
+                }
                 *centroid =
-                    extract_shape_cached(cache, &members, centroid, self.config.power_iterations)?;
+                    refine_centroid(cache, &inputs, self.config.power_iterations, &mut scratch)?;
+                refined_from[c] = inputs;
+
+                // The centroid changed, and with it this cluster's column of
+                // the table (no other is affected): one centroid spectrum
+                // serves all n series.
+                if centroid.iter().all(|&v| v == 0.0) {
+                    for i in 0..n {
+                        table[i * k + c] = (2.0, 0);
+                    }
+                    continue;
+                }
+                let centroid_spectrum = SeriesSpectrum::compute(centroid)?;
+                for (i, spectrum) in cache.spectra.iter().enumerate() {
+                    let r = cache.sbd(&centroid_spectrum, spectrum, &mut scratch)?.sbd;
+                    table[i * k + c] = (r.distance, r.shift);
+                }
             }
 
-            // Assignment: nearest centroid under SBD. One spectrum per
-            // non-empty centroid serves all n series this iteration.
-            let centroid_spectra: Vec<Option<SeriesSpectrum>> = centroids
-                .iter()
-                .map(|centroid| {
-                    if centroid.iter().all(|&v| v == 0.0) {
-                        Ok(None)
-                    } else {
-                        SeriesSpectrum::compute(centroid).map(Some)
-                    }
-                })
-                .collect::<std::result::Result<_, _>>()?;
+            // Assignment: nearest centroid under SBD, read off the table.
             let mut changed = false;
-            for (i, spectrum) in cache.spectra.iter().enumerate() {
-                let mut best_cluster = assignments[i];
+            for (assigned, row) in assignments.iter_mut().zip(table.chunks_exact(k)) {
+                let mut best_cluster = *assigned;
                 let mut best_dist = f64::INFINITY;
-                for (c, centroid_spectrum) in centroid_spectra.iter().enumerate() {
-                    let d = match centroid_spectrum {
-                        // Uninitialised/empty centroid: maximal distance so
-                        // it only attracts members when every other option
-                        // is worse.
-                        None => 2.0,
-                        Some(cs) => sbd_from_spectra(cs, spectrum)?.distance,
-                    };
+                for (c, &(d, _)) in row.iter().enumerate() {
                     if d < best_dist {
                         best_dist = d;
                         best_cluster = c;
                     }
                 }
-                if best_cluster != assignments[i] {
-                    assignments[i] = best_cluster;
+                if best_cluster != *assigned {
+                    *assigned = best_cluster;
                     changed = true;
                 }
             }
@@ -521,69 +583,52 @@ fn extract_shape(
     }
 }
 
-/// Cached-spectrum counterpart of [`extract_shape`], bit-identical to it:
-/// members are aligned through their cached spectra (one reference spectrum
-/// serves the whole cluster) and the orientation check computes each aligned
-/// member's spectrum once instead of once per candidate orientation.
+/// The cached counterpart of [`extract_shape`], bit-identical to it: the
+/// centroid of the cluster with the given `(members, shifts)`, the shifts
+/// being each member's alignment to the previous centroid (which therefore
+/// need not be passed).
 ///
 /// # Errors
 ///
 /// Propagates time-series errors from the spectrum computations (only
 /// possible for empty inputs, which callers exclude).
-fn extract_shape_cached(
+fn refine_centroid(
     cache: &KShapeSeriesCache,
-    members: &[usize],
-    previous_centroid: &[f64],
+    (members, shifts): &(Vec<usize>, Vec<isize>),
     power_iterations: usize,
+    scratch: &mut SbdScratch,
 ) -> Result<Vec<f64>> {
-    let m = cache.series_len();
+    // Align every member and z-normalize.
+    let aligned: Vec<Vec<f64>> = members
+        .iter()
+        .zip(shifts.iter())
+        .map(|(&i, &shift)| z_normalize(&apply_shift(cache.series(i), shift)))
+        .collect();
 
-    // Reference for alignment: previous centroid, or the first member if the
-    // centroid is still the zero vector.
-    let reference: Vec<f64> = if previous_centroid.iter().all(|&v| v == 0.0) {
-        cache.series(members[0]).to_vec()
-    } else {
-        previous_centroid.to_vec()
-    };
-    let reference_spectrum = SeriesSpectrum::compute(&reference)?;
-
-    // Align every member to the reference and z-normalize.
-    let mut aligned: Vec<Vec<f64>> = Vec::with_capacity(members.len());
-    for &i in members {
-        let r = sbd_from_spectra(&reference_spectrum, &cache.spectra[i])?;
-        aligned.push(z_normalize(&apply_shift(cache.series(i), r.shift)));
-    }
-
-    let candidate = match power_iterate_shape(&aligned, m, power_iterations) {
+    let centroid = match power_iterate_shape(&aligned, cache.series_len(), power_iterations) {
         ShapeCandidate::Degenerate(centroid) => return Ok(centroid),
         ShapeCandidate::Candidate(candidate) => candidate,
     };
 
     // The eigenvector's sign is arbitrary; pick the orientation closer to
-    // the cluster members. Each aligned member's spectrum is computed once
-    // and shared by both candidate orientations.
-    let centroid = candidate;
-    let flipped: Vec<f64> = centroid.iter().map(|x| -x).collect();
-    let aligned_spectra: Vec<SeriesSpectrum> = aligned
+    // the cluster members. One scan per member yields its distance to both
+    // orientations.
+    let centroid_spectrum = SeriesSpectrum::compute(&centroid)?;
+    let distances: Vec<OrientedSbd> = aligned
         .iter()
-        .map(|a| SeriesSpectrum::compute(a))
-        .collect::<std::result::Result<_, _>>()?;
-    let dist = |c: &[f64]| -> Result<f64> {
-        let cs = SeriesSpectrum::compute(c)?;
-        Ok(aligned_spectra
-            .iter()
-            .map(|a| sbd_from_spectra(&cs, a).map(|r| r.distance).unwrap_or(2.0))
-            .sum())
-    };
-    if dist(&flipped)? < dist(&centroid)? {
-        Ok(flipped)
+        .map(|a| cache.sbd(&centroid_spectrum, &SeriesSpectrum::compute(a)?, scratch))
+        .collect::<Result<_>>()?;
+    let upright: f64 = distances.iter().map(|d| d.sbd.distance).sum();
+    let flipped: f64 = distances.iter().map(|d| d.flipped_distance).sum();
+    if flipped < upright {
+        Ok(centroid.iter().map(|x| -x).collect())
     } else {
         Ok(centroid)
     }
 }
 
 /// Result of the power-iteration core shared by [`extract_shape`] and
-/// [`extract_shape_cached`].
+/// [`refine_centroid`].
 enum ShapeCandidate {
     /// Degenerate cluster (all members constant after normalization): the
     /// element-wise mean of the aligned members, already final.
@@ -843,6 +888,45 @@ mod tests {
         let direct = kshape.fit(&series).unwrap();
         let cached = kshape.fit_cached(&cache).unwrap();
         assert_eq!(direct, cached);
+    }
+
+    #[test]
+    fn memoised_iteration_issues_fewer_sbd_evaluations_than_n_times_k() {
+        let len = 48;
+        let mut series = noisy_family(&|i| ((i as f64) * 0.4).sin(), 6, len, 7);
+        series.extend(noisy_family(&|i| ((i as f64) * 0.15).sin(), 6, len, 3));
+        series.extend(noisy_family(&|i| i as f64 / 10.0, 6, len, 13));
+        series.extend(noisy_family(
+            &|i| if i % 12 == 0 { 4.0 } else { 0.0 },
+            6,
+            len,
+            29,
+        ));
+        let (n, k) = (series.len(), 6);
+
+        let cache = KShapeSeriesCache::new(&series).unwrap();
+        assert_eq!(cache.sbd_evaluations(), 0);
+        let kshape = KShape::new(KShapeConfig::new(k));
+        let result = kshape.fit_cached(&cache).unwrap();
+        assert_eq!(result, kshape.fit(&series).unwrap());
+        assert!(result.converged && result.iterations >= 3, "{result:?}");
+
+        // An iteration that recomputes everything costs n·k distance
+        // evaluations for the assignment plus 3n for alignment and the two
+        // orientation sums. Reading the alignment off the table, skipping
+        // clusters whose inputs repeat and scanning both orientations at
+        // once each remove part of that; only together do they bring the
+        // whole fit under n·k per iteration.
+        let evaluations = cache.sbd_evaluations() as usize;
+        assert!(
+            evaluations < result.iterations * n * k,
+            "{evaluations} evaluations over {} iterations of n={n}, k={k}",
+            result.iterations
+        );
+
+        // The counter accumulates over the cache's lifetime.
+        kshape.fit_cached(&cache).unwrap();
+        assert_eq!(cache.sbd_evaluations() as usize, 2 * evaluations);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use sieve_cluster::ami::{adjusted_mutual_information, normalized_mutual_information};
 use sieve_cluster::jaro::{jaro_similarity, pre_cluster_names};
-use sieve_cluster::kshape::{KShape, KShapeConfig};
+use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeSeriesCache};
 use sieve_cluster::silhouette::{euclidean, silhouette_score_with};
 
 /// Deterministic splitmix64 generator for test data.
@@ -148,4 +148,103 @@ fn kshape_assigns_every_series_to_a_valid_cluster() {
         assert!(result.assignments.iter().all(|&a| a < k), "seed {seed}");
         assert!(result.iterations >= 1, "seed {seed}");
     }
+}
+
+/// One random k-Shape input for the memoised-vs-recomputing comparison:
+/// a few shape families with per-member noise, salted with exact
+/// duplicates and constant series.
+fn kshape_stress_series(rng: &mut Rng, count: usize, len: usize) -> Vec<Vec<f64>> {
+    let mut series: Vec<Vec<f64>> = Vec::with_capacity(count);
+    for i in 0..count {
+        let pick = rng.usize_in(0, 9);
+        if pick == 0 {
+            series.push(vec![rng.range(-5.0, 5.0); len]); // constant
+        } else if pick == 1 && i > 0 {
+            let twin = rng.usize_in(0, i - 1);
+            series.push(series[twin].clone()); // exact duplicate
+        } else {
+            let family = rng.usize_in(0, 3);
+            let blend = rng.unit();
+            let (scale, offset) = (rng.range(0.5, 20.0), rng.range(-100.0, 100.0));
+            let (phase, noise) = (rng.usize_in(0, 6), rng.range(0.0, 2.0));
+            series.push(
+                (0..len)
+                    .map(|t| {
+                        let t = (t + phase) as f64;
+                        let shape = match family {
+                            0 => (t * 0.4).sin(),
+                            1 => t / len as f64,
+                            2 => f64::from(u8::from(t as usize % 7 == 0)),
+                            // Between two families: the ambiguous members
+                            // that keep assignments moving for a while.
+                            _ => blend * (t * 0.4).sin() + (1.0 - blend) * (t * 0.9).cos(),
+                        };
+                        scale * (shape + noise * rng.range(-1.0, 1.0)) + offset
+                    })
+                    .collect(),
+            );
+        }
+    }
+    series
+}
+
+#[test]
+fn memoised_fit_cached_is_bit_identical_to_fit_under_stress() {
+    let (mut not_converged, mut multi_iteration, mut with_empty_cluster) = (0, 0, 0);
+    for seed in 0..240u64 {
+        let mut rng = Rng::new(seed ^ 0x5EED_C0DE);
+        let len = [5usize, 33, 240][seed as usize % 3];
+        let count = rng.usize_in(2, if len == 240 { 9 } else { 16 });
+        let series = kshape_stress_series(&mut rng, count, len);
+        let k = match rng.usize_in(0, 7) {
+            0 => 1,
+            1 => count,
+            _ => rng.usize_in(2, count.min(5)),
+        };
+        let mut config = KShapeConfig::new(k).with_max_iterations(match rng.usize_in(0, 5) {
+            0 => 1,
+            1 => 2,
+            _ => 40,
+        });
+        config.power_iterations = [1, 10, 50][rng.usize_in(0, 2)];
+        // Warm starts draw labels from a prefix of the clusters, so the
+        // rest start empty (and may fill later); cold starts round-robin.
+        if rng.usize_in(0, 2) > 0 {
+            let used = if rng.usize_in(0, 1) == 0 {
+                k
+            } else {
+                rng.usize_in(1, k)
+            };
+            config = config.with_initial_assignment(rng.labels(used, count, count));
+        }
+
+        let kshape = KShape::new(config);
+        let direct = kshape.fit(&series).unwrap();
+        let cached = kshape
+            .fit_cached(&KShapeSeriesCache::new(&series).unwrap())
+            .unwrap();
+        let ctx = format!("seed {seed}: n={count} len={len} k={k}");
+        assert_eq!(direct.assignments, cached.assignments, "{ctx}");
+        assert_eq!(direct.iterations, cached.iterations, "{ctx}");
+        assert_eq!(direct.converged, cached.converged, "{ctx}");
+        for (dc, cc) in direct.centroids.iter().zip(cached.centroids.iter()) {
+            assert_eq!(dc.len(), cc.len(), "{ctx}");
+            for (a, b) in dc.iter().zip(cc.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{ctx}");
+            }
+        }
+        not_converged += usize::from(!direct.converged);
+        multi_iteration += usize::from(direct.iterations >= 3);
+        with_empty_cluster += usize::from(direct.non_empty_clusters() < k);
+    }
+    // The generator must actually reach the paths the memo could get wrong.
+    assert!(not_converged >= 10, "{not_converged} non-converged cases");
+    assert!(
+        multi_iteration >= 25,
+        "{multi_iteration} cases of 3+ iterations"
+    );
+    assert!(
+        with_empty_cluster >= 20,
+        "{with_empty_cluster} cases with an empty cluster"
+    );
 }

@@ -40,7 +40,7 @@ use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeResult, KShapeSeriesCach
 use sieve_cluster::silhouette::{silhouette_score_from_matrix, silhouette_score_sbd};
 use sieve_exec::Name;
 use sieve_timeseries::sbd::shape_based_distance;
-use sieve_timeseries::spectrum::{sbd_from_spectra, SeriesSpectrum};
+use sieve_timeseries::spectrum::{sbd_oriented, SbdScratch, SeriesSpectrum};
 use sieve_timeseries::stats::{mean, variance};
 use sieve_timeseries::{resample, SeriesView, TimeSeries};
 use std::sync::Arc;
@@ -232,13 +232,14 @@ fn sweep_cached(
     let (silhouette, result, chosen_k) = best.expect("at least one k was evaluated");
 
     let clusters = build_clusters(&result, chosen_k, kept, |centroid, members| {
-        // One centroid spectrum serves the whole cluster.
+        // One centroid spectrum and one scratch serve the whole cluster.
+        let mut scratch = SbdScratch::default();
         match SeriesSpectrum::compute(centroid) {
             Ok(cs) => members
                 .iter()
                 .map(|&idx| {
-                    sbd_from_spectra(&cs, &spectra[idx])
-                        .map(|r| r.distance)
+                    sbd_oriented(&cs, &spectra[idx], &mut scratch)
+                        .map(|r| r.sbd.distance)
                         .unwrap_or(2.0)
                 })
                 .collect(),

@@ -6,9 +6,8 @@
 //! Transformation"). We implement the transform from scratch so that the
 //! reproduction does not depend on external numerics crates.
 
-use std::collections::HashMap;
 use std::ops::{Add, Mul, Neg, Sub};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// A complex number with `f64` components.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -153,22 +152,23 @@ impl TwiddleTable {
     }
 }
 
-/// Process-wide cache of twiddle tables, keyed by FFT length.
+/// Process-wide cache of twiddle tables: one lazily built slot per
+/// power-of-two FFT length, indexed by `log2(n)`.
 ///
 /// A metric-reduction sweep runs thousands of same-length FFTs per
 /// component (every series of a component pads to the same power of two),
 /// so the table for each padded length is built once and shared via `Arc`
-/// across threads and call sites. The handful of distinct padded lengths a
-/// process ever sees keeps the cache tiny.
+/// across threads and call sites. After a slot's first use a lookup is one
+/// atomic load — no lock to contend on and no poison state to panic on.
+///
+/// # Panics
+///
+/// Panics if `n` is not a power of two.
 pub fn twiddle_table(n: usize) -> Arc<TwiddleTable> {
-    static TABLES: OnceLock<Mutex<HashMap<usize, Arc<TwiddleTable>>>> = OnceLock::new();
-    let tables = TABLES.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut guard = tables.lock().expect("twiddle cache poisoned");
-    Arc::clone(
-        guard
-            .entry(n)
-            .or_insert_with(|| Arc::new(TwiddleTable::new(n))),
-    )
+    const SLOTS: usize = usize::BITS as usize;
+    static TABLES: [OnceLock<Arc<TwiddleTable>>; SLOTS] = [const { OnceLock::new() }; SLOTS];
+    assert!(n.is_power_of_two(), "FFT length must be a power of two");
+    Arc::clone(TABLES[n.trailing_zeros() as usize].get_or_init(|| Arc::new(TwiddleTable::new(n))))
 }
 
 /// In-place iterative radix-2 FFT, driven by the process-wide twiddle cache.
@@ -365,10 +365,11 @@ pub fn cross_correlation(x: &[f64], y: &[f64]) -> Vec<f64> {
 /// into the linear shift layout.
 ///
 /// Both spectra must have been produced by [`fft_real`] at the *same* padded
-/// length `next_power_of_two(n + m - 1)` — [`cross_correlation`] funnels
-/// through this function, so a caller holding cached spectra (see
-/// [`crate::spectrum::SeriesSpectrum`]) obtains bit-identical results to the
-/// direct path.
+/// length `next_power_of_two(n + m - 1)`. [`cross_correlation`] funnels
+/// through this function; the cached-spectrum kernel
+/// ([`crate::spectrum::sbd_oriented`]) performs the same float operations
+/// per output value without materialising the sequence, which is what keeps
+/// it bit-identical to the direct path.
 ///
 /// # Panics
 ///

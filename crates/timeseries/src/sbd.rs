@@ -89,11 +89,26 @@ pub fn shape_based_distance(x: &[f64], y: &[f64]) -> Result<SbdResult> {
     Ok(peak_of_ncc(&ncc, y.len()))
 }
 
-/// Finds the NCC peak and converts it into an [`SbdResult`]; `m` is
-/// `y.len()`. Shared by the direct path above and the cached-spectrum path
-/// ([`crate::spectrum::sbd_from_spectra`]) so both produce bit-identical
-/// results.
-pub(crate) fn peak_of_ncc(ncc: &[f64], m: usize) -> SbdResult {
+impl SbdResult {
+    /// Converts an NCC peak — the first maximum `value` of the sequence, at
+    /// index `idx` in the linear shift layout — into a result; `m` is
+    /// `y.len()`. The one place the clamp and the index → shift conversion
+    /// live, shared by the direct path and the cached-spectrum kernel
+    /// ([`crate::spectrum::sbd_oriented`]).
+    pub(crate) fn from_peak(value: f64, idx: usize, m: usize) -> Self {
+        // Clamp tiny numerical overshoots.
+        let ncc = value.clamp(-1.0, 1.0);
+        Self {
+            distance: 1.0 - ncc,
+            shift: (m as isize - 1) - idx as isize,
+            ncc,
+        }
+    }
+}
+
+/// Finds the first NCC maximum and converts it into an [`SbdResult`]; `m`
+/// is `y.len()`.
+fn peak_of_ncc(ncc: &[f64], m: usize) -> SbdResult {
     let mut best_idx = 0usize;
     let mut best_val = f64::NEG_INFINITY;
     for (i, &v) in ncc.iter().enumerate() {
@@ -102,13 +117,7 @@ pub(crate) fn peak_of_ncc(ncc: &[f64], m: usize) -> SbdResult {
             best_idx = i;
         }
     }
-    // Clamp tiny numerical overshoots.
-    let best_val = best_val.clamp(-1.0, 1.0);
-    SbdResult {
-        distance: 1.0 - best_val,
-        shift: (m as isize - 1) - best_idx as isize,
-        ncc: best_val,
-    }
+    SbdResult::from_peak(best_val, best_idx, m)
 }
 
 /// Convenience wrapper returning just the distance.

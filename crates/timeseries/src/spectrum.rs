@@ -11,19 +11,20 @@
 //! product and one inverse FFT instead of two z-normalizations and three
 //! FFTs.
 //!
-//! The cached path is **bit-identical** to the naive one: it funnels
-//! through the same [`crate::fft::cross_correlation_from_ffts`] and NCC
-//! peak-scan code as [`crate::sbd::shape_based_distance`], and the cached
-//! forward FFT is produced by the same [`crate::fft::fft_real`] call the
-//! direct path performs internally. The pipeline's cached/naive model
-//! equality tests rely on this.
+//! The cached path is **bit-identical** to the naive one: the kernel
+//! ([`sbd_oriented`]) performs, per output value, the float operations of
+//! [`crate::fft::cross_correlation_from_ffts`] followed by the division and
+//! first-maximum scan of [`crate::sbd::shape_based_distance`] — it only
+//! stops materialising the intermediate vectors — and the cached forward
+//! FFT is produced by the same [`crate::fft::fft_real`] call the direct path
+//! performs internally. The pipeline's cached/naive model equality tests
+//! rely on this.
 
 use crate::fft::{
-    cross_correlation_from_ffts, fft_in_place_with, fft_real, next_power_of_two, twiddle_table,
-    Complex,
+    fft_in_place_with, fft_real, next_power_of_two, twiddle_table, Complex, TwiddleTable,
 };
 use crate::normalize::z_normalize;
-use crate::sbd::{peak_of_ncc, SbdResult};
+use crate::sbd::SbdResult;
 use crate::stats::sum_of_squares;
 use crate::{Result, TimeSeriesError};
 use std::sync::Arc;
@@ -207,9 +208,55 @@ impl SpectrumBatch {
     }
 }
 
-/// Computes the shape-based distance between two cached spectra,
-/// bit-identical to `shape_based_distance(x_values, y_values)` on the raw
-/// series the spectra were computed from.
+/// Caller-held working memory of the SBD kernel: the twiddle table of one
+/// padded length and one FFT buffer of that length.
+///
+/// A loop that evaluates many distances at one series length (a k-Shape
+/// fit, a distance-matrix row) creates one scratch and passes it to every
+/// [`sbd_oriented`] call; after the first call no evaluation allocates or
+/// looks a table up. A scratch adapts when handed spectra of another
+/// padded length, so any scratch works with any pair.
+#[derive(Debug, Default)]
+pub struct SbdScratch {
+    table: Option<Arc<TwiddleTable>>,
+    buf: Vec<Complex>,
+}
+
+impl SbdScratch {
+    /// The table and buffer for padded length `n`, (re)built when the
+    /// scratch last served a different length.
+    fn for_len(&mut self, n: usize) -> (&TwiddleTable, &mut [Complex]) {
+        if self.buf.len() != n {
+            self.table = None;
+            self.buf.resize(n, Complex::default());
+        }
+        let table = self.table.get_or_insert_with(|| twiddle_table(n));
+        (table, &mut self.buf)
+    }
+}
+
+/// What one scan of the normalized cross-correlation of `x` and `y` yields:
+/// the shape-based distance of the pair and, from the same scan's minimum,
+/// the distance of the pair with `x` negated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OrientedSbd {
+    /// `SBD(x, y)` with its alignment shift, from the sequence's first
+    /// maximum.
+    pub sbd: SbdResult,
+    /// `SBD(−x, y)`, from the sequence's minimum. IEEE add, subtract,
+    /// multiply and divide are sign-symmetric, so negating `x` negates
+    /// every NCC value exactly and `max_s NCC(−x, y)[s] = −min_s NCC(x, y)[s]`:
+    /// this is bit-equal to
+    /// `sbd_from_spectra(&SeriesSpectrum::compute(&neg_x)?, y)?.distance`
+    /// (asserted by tests) without a second FFT. k-Shape's centroid
+    /// orientation check reads it.
+    pub flipped_distance: f64,
+}
+
+/// The SBD kernel: spectrum product, one FFT against the scratch's twiddle
+/// table, and a single scan in shift order that divides by the norms and
+/// tracks the first maximum and the minimum. Nothing is allocated once the
+/// scratch has served this padded length.
 ///
 /// # Errors
 ///
@@ -218,7 +265,11 @@ impl SpectrumBatch {
 ///   `next_power_of_two(x.len + y.len - 1)` differs from the cached one —
 ///   both only possible for series of different lengths, which the pipeline
 ///   never compares.
-pub fn sbd_from_spectra(x: &SeriesSpectrum, y: &SeriesSpectrum) -> Result<SbdResult> {
+pub fn sbd_oriented(
+    x: &SeriesSpectrum,
+    y: &SeriesSpectrum,
+    scratch: &mut SbdScratch,
+) -> Result<OrientedSbd> {
     let required = next_power_of_two(x.len + y.len - 1);
     if x.padded_len != y.padded_len || x.padded_len != required {
         return Err(TimeSeriesError::LengthMismatch {
@@ -226,16 +277,54 @@ pub fn sbd_from_spectra(x: &SeriesSpectrum, y: &SeriesSpectrum) -> Result<SbdRes
             right: y.len,
         });
     }
-    let cc = cross_correlation_from_ffts(&x.fft, &y.fft, x.len, y.len);
     let denom = x.norm * y.norm;
-    let ncc: Vec<f64> = if denom == 0.0 {
-        // At least one series is constant: same convention as
-        // `ncc_sequence` — all-zero NCC, so SBD becomes 1.
-        vec![0.0; cc.len()]
-    } else {
-        cc.into_iter().map(|v| v / denom).collect()
-    };
-    Ok(peak_of_ncc(&ncc, y.len))
+    // First maximum (strict `>` in index order) and minimum of the NCC
+    // sequence. With a constant operand the sequence is defined as all
+    // zeros (same convention as `ncc_sequence`), so SBD becomes 1.
+    let (mut max, mut argmax, mut min) = (0.0, 0usize, 0.0);
+    if denom != 0.0 {
+        let n = x.padded_len;
+        let (table, buf) = scratch.for_len(n);
+        // The inverse transform as conj → forward FFT → conj·(1/n); only
+        // real parts are read below, so the trailing conj disappears.
+        for ((slot, a), b) in buf.iter_mut().zip(x.fft.iter()).zip(y.fft.iter()) {
+            *slot = (*a * b.conj()).conj();
+        }
+        fft_in_place_with(buf, table);
+        let scale = 1.0 / n as f64;
+        // The circular correlation holds shifts 0..x.len at the head and
+        // the negative shifts -(y.len-1)..0 at the tail; scanning tail then
+        // head visits them in the linear layout's index order.
+        let lags = buf[n - (y.len - 1)..].iter().chain(buf[..x.len].iter());
+        (max, min) = (f64::NEG_INFINITY, f64::INFINITY);
+        for (k, c) in lags.enumerate() {
+            let v = c.re * scale / denom;
+            if v > max {
+                max = v;
+                argmax = k;
+            }
+            if v < min {
+                min = v;
+            }
+        }
+    }
+    Ok(OrientedSbd {
+        sbd: SbdResult::from_peak(max, argmax, y.len),
+        flipped_distance: 1.0 - (-min).clamp(-1.0, 1.0),
+    })
+}
+
+/// Computes the shape-based distance between two cached spectra,
+/// bit-identical to `shape_based_distance(x_values, y_values)` on the raw
+/// series the spectra were computed from. A thin wrapper over
+/// [`sbd_oriented`] with a one-off scratch; loops should hold a
+/// [`SbdScratch`] and call the kernel directly.
+///
+/// # Errors
+///
+/// Same as [`sbd_oriented`].
+pub fn sbd_from_spectra(x: &SeriesSpectrum, y: &SeriesSpectrum) -> Result<SbdResult> {
+    Ok(sbd_oriented(x, y, &mut SbdScratch::default())?.sbd)
 }
 
 /// Convenience wrapper returning just the distance.
@@ -307,6 +396,42 @@ mod tests {
         assert_eq!(direct.distance.to_bits(), cached.distance.to_bits());
         assert_eq!(direct.shift, cached.shift);
         assert!((cached.distance - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn flipped_distance_is_bit_equal_to_the_distance_of_the_negated_series() {
+        let mut scratch = SbdScratch::default();
+        let mut check = |c: &[f64], a: &[f64], ctx: &str| {
+            let negated: Vec<f64> = c.iter().map(|v| -v).collect();
+            let sc = SeriesSpectrum::compute(c).unwrap();
+            let sa = SeriesSpectrum::compute(a).unwrap();
+            let oriented = sbd_oriented(&sc, &sa, &mut scratch).unwrap();
+            let flipped =
+                sbd_from_spectra(&SeriesSpectrum::compute(&negated).unwrap(), &sa).unwrap();
+            assert_eq!(
+                oriented.flipped_distance.to_bits(),
+                flipped.distance.to_bits(),
+                "{ctx}"
+            );
+            // A scratch reused across pairs and lengths yields what a fresh
+            // one does.
+            assert_eq!(oriented.sbd, sbd_from_spectra(&sc, &sa).unwrap(), "{ctx}");
+        };
+        for len in [1usize, 2, 5, 33, 100, 240] {
+            for seed in 0..12u64 {
+                let c = random_series(len, seed * 2 + 1);
+                let a = random_series(len, seed * 2 + 2);
+                check(&c, &a, &format!("random, len {len} seed {seed}"));
+                check(&c, &c, &format!("self, len {len} seed {seed}"));
+                check(&vec![3.5; len], &a, &format!("constant c, len {len}"));
+                check(&c, &vec![-2.0; len], &format!("constant a, len {len}"));
+            }
+            check(
+                &vec![1.0; len],
+                &vec![7.0; len],
+                &format!("both constant, len {len}"),
+            );
+        }
     }
 
     #[test]
