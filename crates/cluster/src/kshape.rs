@@ -22,7 +22,7 @@ use crate::{ClusterError, Result};
 use sieve_timeseries::normalize::{z_normalize, z_normalize_into};
 use sieve_timeseries::sbd::{align_to, apply_shift, shape_based_distance};
 use sieve_timeseries::spectrum::{sbd_oriented, OrientedSbd, SbdScratch, SeriesSpectrum};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 
 /// Configuration of a k-Shape run.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,15 +122,18 @@ impl KShapeResult {
     }
 }
 
-/// Precomputed per-series state shared across k-Shape runs: the z-normalized
-/// copy of every input series and the cached FFT spectrum of each copy.
+/// State shared across k-Shape runs over the same series: the z-normalized
+/// copy of every input series, the cached FFT spectrum of each copy, and a
+/// memo of every cluster refinement performed so far.
 ///
 /// k selection fits the same series for every candidate `k`; building one
 /// cache and passing it to [`KShape::fit_cached`] for each `k` computes the
-/// n z-normalizations and n forward FFTs once instead of once per `k` — and
-/// within a fit, each assignment step computes one spectrum per *changed
-/// centroid* instead of re-running three FFTs per (series, centroid) pair.
-#[derive(Debug)]
+/// n z-normalizations and n forward FFTs once instead of once per `k`, and
+/// refines each distinct `(members, shifts)` cluster once per sweep — a fit
+/// that cycles, or that meets a cluster an earlier `k` already refined, pays
+/// a map lookup. The memo holds one centroid and one n-cell column per
+/// refinement performed, and is dropped with the cache.
+#[derive(Debug, Clone)]
 pub struct KShapeSeriesCache {
     /// z-normalized copies of the input series, packed end to end in one
     /// contiguous columnar arena of `count × series_len` values. Series `i`
@@ -144,9 +147,24 @@ pub struct KShapeSeriesCache {
     count: usize,
     /// Spectra of the z-normalized copies.
     spectra: Vec<SeriesSpectrum>,
+    /// Every refinement fits over this cache have performed, keyed by its
+    /// whole input `(power_iterations, members, shifts)`.
+    refined: HashMap<(usize, Vec<usize>, Vec<isize>), Refinement>,
+    /// Refinements answered from `refined`; see
+    /// [`KShapeSeriesCache::refinements_reused`].
+    refinements_reused: u64,
     /// SBD evaluations (one inverse FFT each) issued by fits over this
     /// cache; see [`KShapeSeriesCache::sbd_evaluations`].
-    sbd_evaluations: AtomicU64,
+    sbd_evaluations: u64,
+}
+
+/// What refining one cluster produces.
+#[derive(Debug, Clone)]
+struct Refinement {
+    centroid: Vec<f64>,
+    /// `(distance, shift)` of every cached series against `centroid`; 2.0 —
+    /// the maximal distance — when the centroid is the zero vector.
+    column: Vec<(f64, isize)>,
 }
 
 impl KShapeSeriesCache {
@@ -207,7 +225,9 @@ impl KShapeSeriesCache {
             series_len: m,
             count: refs.len(),
             spectra,
-            sbd_evaluations: AtomicU64::new(0),
+            refined: HashMap::new(),
+            refinements_reused: 0,
+            sbd_evaluations: 0,
         })
     }
 
@@ -238,24 +258,43 @@ impl KShapeSeriesCache {
     }
 
     /// Total number of shape-based distance evaluations — one inverse FFT
-    /// each — that [`KShape::fit_cached`] runs over this cache have issued
-    /// so far. A deterministic measure of the work a fit did: an iteration
-    /// that recomputed every alignment, orientation and distance column
-    /// would cost `n·k + 3n` of them; a unit test pins a converging fit
-    /// below `n·k` per iteration.
+    /// each — that completed [`KShape::fit_cached`] runs over this cache
+    /// have issued. A deterministic measure of the work the fits did: an
+    /// iteration that recomputed every alignment, orientation and distance
+    /// column would cost `n·k + 3n` of them; a refinement actually performed
+    /// costs `n` plus its cluster's size, a reused one none.
     pub fn sbd_evaluations(&self) -> u64 {
-        self.sbd_evaluations.load(Ordering::Relaxed)
+        self.sbd_evaluations
     }
 
+    /// Number of cluster refinements (alignment, power iteration,
+    /// orientation check and distance column) performed over this cache —
+    /// one per distinct `(power_iterations, members, shifts)` input, which
+    /// is also the number of entries the memo holds.
+    pub fn refinements(&self) -> u64 {
+        self.refined.len() as u64
+    }
+
+    /// Number of refinements answered from the memo instead: the input had
+    /// already been refined by an earlier iteration of the same fit or by a
+    /// fit for another `k`.
+    pub fn refinements_reused(&self) -> u64 {
+        self.refinements_reused
+    }
+}
+
+/// The SBD kernel's scratch and a count of the evaluations run through it.
+#[derive(Default)]
+struct CountedSbd {
+    scratch: SbdScratch,
+    evaluations: u64,
+}
+
+impl CountedSbd {
     /// One counted SBD evaluation of `x` against `y`.
-    fn sbd(
-        &self,
-        x: &SeriesSpectrum,
-        y: &SeriesSpectrum,
-        scratch: &mut SbdScratch,
-    ) -> Result<OrientedSbd> {
-        self.sbd_evaluations.fetch_add(1, Ordering::Relaxed);
-        Ok(sbd_oriented(x, y, scratch)?)
+    fn eval(&mut self, x: &SeriesSpectrum, y: &SeriesSpectrum) -> Result<OrientedSbd> {
+        self.evaluations += 1;
+        Ok(sbd_oriented(x, y, &mut self.scratch)?)
     }
 }
 
@@ -388,8 +427,8 @@ impl KShape {
         })
     }
 
-    /// Clusters the cached series, reusing the z-normalized copies and the
-    /// per-series spectra in [`KShapeSeriesCache`].
+    /// Clusters the cached series, reusing the z-normalized copies, the
+    /// per-series spectra and the refinement memo in [`KShapeSeriesCache`].
     ///
     /// This is the production counterpart of [`KShape::fit`], and it is
     /// **bit-identical** to it on the same series (asserted by tests): every
@@ -402,15 +441,21 @@ impl KShape {
     ///    `SBD(centroid_c, series_i)` evaluation the previous assignment
     ///    step made. An `n × k` table keeps each evaluation's
     ///    `(distance, shift)`, and refinement reads the shifts from it.
-    /// 2. *A refined centroid is a pure function of its members and their
-    ///    shifts.* When a cluster's `(members, shifts)` pair repeats, the
-    ///    refinement would reproduce the centroid bit for bit, so it is
-    ///    skipped — and with the centroid unchanged, so is the recomputation
-    ///    of that cluster's column of the table.
+    /// 2. *A refined centroid is a pure function of which series are
+    ///    members, how each is shifted and the power-iteration count* — and
+    ///    its column of the table a pure function of the centroid. The cache
+    ///    keeps one map from that input to `(centroid, column)`, so whenever
+    ///    an input recurs — the previous step's (the commonest case), an
+    ///    earlier lap's of a fit that cycles, or another `k`'s fit over the
+    ///    same cache — both are read back instead of recomputed. The fit
+    ///    still runs the same iterations to the same verdict.
     /// 3. *Negating a centroid negates every NCC value exactly* (IEEE
     ///    arithmetic is sign-symmetric), so the orientation check reads both
     ///    candidate orientations' distances off one scan
     ///    ([`OrientedSbd::flipped_distance`]).
+    ///
+    /// The cache is taken by `&mut` for the memo and its counters; fits over
+    /// one cache run one after another (the k sweep does).
     ///
     /// # Errors
     ///
@@ -418,7 +463,7 @@ impl KShape {
     ///   the number of cached series.
     /// * [`ClusterError::InvalidInitialAssignment`] when a provided initial
     ///   assignment has the wrong length or out-of-range cluster indices.
-    pub fn fit_cached(&self, cache: &KShapeSeriesCache) -> Result<KShapeResult> {
+    pub fn fit_cached(&self, cache: &mut KShapeSeriesCache) -> Result<KShapeResult> {
         let n = cache.len();
         let k = self.config.k;
         if k == 0 || k > n {
@@ -440,16 +485,13 @@ impl KShape {
         // that centroid is the zero vector, so an uninitialised/empty
         // cluster only attracts members when every other option is worse.
         let mut table: Vec<(f64, isize)> = vec![(2.0, 0); n * k];
-        // Per cluster, the (members, shifts) its current centroid was
-        // refined from.
-        let mut refined_from: Vec<(Vec<usize>, Vec<isize>)> = vec![Default::default(); k];
-        let mut scratch = SbdScratch::default();
+        let mut sbd = CountedSbd::default();
 
         for iter in 0..self.config.max_iterations {
             iterations = iter + 1;
 
-            // Refinement: extract the shape of every cluster whose members
-            // or alignment changed.
+            // Refinement: the shape of every cluster and its column of the
+            // table, extracted unless the cache already holds them.
             for (c, centroid) in centroids.iter_mut().enumerate() {
                 let members: Vec<usize> = (0..n).filter(|&i| assignments[i] == c).collect();
                 if members.is_empty() {
@@ -462,36 +504,38 @@ impl KShape {
                     let reference = &cache.spectra[members[0]];
                     members
                         .iter()
-                        .map(|&i| {
-                            cache
-                                .sbd(reference, &cache.spectra[i], &mut scratch)
-                                .map(|r| r.sbd.shift)
-                        })
+                        .map(|&i| sbd.eval(reference, &cache.spectra[i]).map(|r| r.sbd.shift))
                         .collect::<Result<_>>()?
                 } else {
                     members.iter().map(|&i| table[i * k + c].1).collect()
                 };
-                let inputs = (members, shifts);
-                if refined_from[c] == inputs {
-                    continue; // same inputs, same centroid
-                }
-                *centroid =
-                    refine_centroid(cache, &inputs, self.config.power_iterations, &mut scratch)?;
-                refined_from[c] = inputs;
-
-                // The centroid changed, and with it this cluster's column of
-                // the table (no other is affected): one centroid spectrum
-                // serves all n series.
-                if centroid.iter().all(|&v| v == 0.0) {
-                    for i in 0..n {
-                        table[i * k + c] = (2.0, 0);
+                let input = (self.config.power_iterations, members, shifts);
+                let refinement = match cache.refined.get(&input) {
+                    Some(known) => {
+                        cache.refinements_reused += 1;
+                        known
                     }
-                    continue;
-                }
-                let centroid_spectrum = SeriesSpectrum::compute(centroid)?;
-                for (i, spectrum) in cache.spectra.iter().enumerate() {
-                    let r = cache.sbd(&centroid_spectrum, spectrum, &mut scratch)?.sbd;
-                    table[i * k + c] = (r.distance, r.shift);
+                    None => {
+                        let centroid = refine_centroid(cache, &input, &mut sbd)?;
+                        // One centroid spectrum serves all n series.
+                        let column = if centroid.iter().all(|&v| v == 0.0) {
+                            vec![(2.0, 0); n]
+                        } else {
+                            let centroid_spectrum = SeriesSpectrum::compute(&centroid)?;
+                            (cache.spectra.iter())
+                                .map(|spectrum| {
+                                    let r = sbd.eval(&centroid_spectrum, spectrum)?.sbd;
+                                    Ok((r.distance, r.shift))
+                                })
+                                .collect::<Result<_>>()?
+                        };
+                        let refinement = Refinement { centroid, column };
+                        cache.refined.entry(input).or_insert(refinement)
+                    }
+                };
+                centroid.clone_from(&refinement.centroid);
+                for (row, &cell) in table.chunks_exact_mut(k).zip(&refinement.column) {
+                    row[c] = cell;
                 }
             }
 
@@ -517,6 +561,7 @@ impl KShape {
                 break;
             }
         }
+        cache.sbd_evaluations += sbd.evaluations;
 
         Ok(KShapeResult {
             assignments,
@@ -584,9 +629,9 @@ fn extract_shape(
 }
 
 /// The cached counterpart of [`extract_shape`], bit-identical to it: the
-/// centroid of the cluster with the given `(members, shifts)`, the shifts
-/// being each member's alignment to the previous centroid (which therefore
-/// need not be passed).
+/// centroid of the cluster with the given `(power_iterations, members,
+/// shifts)`, the shifts being each member's alignment to the previous
+/// centroid (which therefore need not be passed).
 ///
 /// # Errors
 ///
@@ -594,9 +639,8 @@ fn extract_shape(
 /// possible for empty inputs, which callers exclude).
 fn refine_centroid(
     cache: &KShapeSeriesCache,
-    (members, shifts): &(Vec<usize>, Vec<isize>),
-    power_iterations: usize,
-    scratch: &mut SbdScratch,
+    (power_iterations, members, shifts): &(usize, Vec<usize>, Vec<isize>),
+    sbd: &mut CountedSbd,
 ) -> Result<Vec<f64>> {
     // Align every member and z-normalize.
     let aligned: Vec<Vec<f64>> = members
@@ -605,7 +649,7 @@ fn refine_centroid(
         .map(|(&i, &shift)| z_normalize(&apply_shift(cache.series(i), shift)))
         .collect();
 
-    let centroid = match power_iterate_shape(&aligned, cache.series_len(), power_iterations) {
+    let centroid = match power_iterate_shape(&aligned, cache.series_len(), *power_iterations) {
         ShapeCandidate::Degenerate(centroid) => return Ok(centroid),
         ShapeCandidate::Candidate(candidate) => candidate,
     };
@@ -616,7 +660,7 @@ fn refine_centroid(
     let centroid_spectrum = SeriesSpectrum::compute(&centroid)?;
     let distances: Vec<OrientedSbd> = aligned
         .iter()
-        .map(|a| cache.sbd(&centroid_spectrum, &SeriesSpectrum::compute(a)?, scratch))
+        .map(|a| sbd.eval(&centroid_spectrum, &SeriesSpectrum::compute(a)?))
         .collect::<Result<_>>()?;
     let upright: f64 = distances.iter().map(|d| d.sbd.distance).sum();
     let flipped: f64 = distances.iter().map(|d| d.flipped_distance).sum();
@@ -858,13 +902,13 @@ mod tests {
         series.extend(ramps);
         series.extend(spikes);
 
-        let cache = KShapeSeriesCache::new(&series).unwrap();
+        let mut cache = KShapeSeriesCache::new(&series).unwrap();
         assert_eq!(cache.len(), 14);
         assert_eq!(cache.series_len(), len);
         for k in 1..=4 {
             let kshape = KShape::new(KShapeConfig::new(k));
             let direct = kshape.fit(&series).unwrap();
-            let cached = kshape.fit_cached(&cache).unwrap();
+            let cached = kshape.fit_cached(&mut cache).unwrap();
             // Full structural equality: assignments, iteration counts and
             // every centroid value bit-for-bit.
             assert_eq!(direct.assignments, cached.assignments, "k = {k}");
@@ -883,10 +927,10 @@ mod tests {
         let mut series: Vec<Vec<f64>> = vec![vec![5.0; 20], vec![0.0; 20]];
         series.push((0..20).map(|i| i as f64).collect());
         series.push((0..20).map(|i| (20 - i) as f64).collect());
-        let cache = KShapeSeriesCache::new(&series).unwrap();
+        let mut cache = KShapeSeriesCache::new(&series).unwrap();
         let kshape = KShape::new(KShapeConfig::new(2));
         let direct = kshape.fit(&series).unwrap();
-        let cached = kshape.fit_cached(&cache).unwrap();
+        let cached = kshape.fit_cached(&mut cache).unwrap();
         assert_eq!(direct, cached);
     }
 
@@ -904,10 +948,10 @@ mod tests {
         ));
         let (n, k) = (series.len(), 6);
 
-        let cache = KShapeSeriesCache::new(&series).unwrap();
+        let mut cache = KShapeSeriesCache::new(&series).unwrap();
         assert_eq!(cache.sbd_evaluations(), 0);
         let kshape = KShape::new(KShapeConfig::new(k));
-        let result = kshape.fit_cached(&cache).unwrap();
+        let result = kshape.fit_cached(&mut cache).unwrap();
         assert_eq!(result, kshape.fit(&series).unwrap());
         assert!(result.converged && result.iterations >= 3, "{result:?}");
 
@@ -924,9 +968,64 @@ mod tests {
             result.iterations
         );
 
-        // The counter accumulates over the cache's lifetime.
-        kshape.fit_cached(&cache).unwrap();
-        assert_eq!(cache.sbd_evaluations() as usize, 2 * evaluations);
+        // A second identical fit looks up the same inputs as the first,
+        // finds every one in the cache's memo and refines nothing. All it
+        // evaluates again are the first iteration's alignments to each
+        // cluster's first member (n of them: every round-robin cluster
+        // starts non-empty), which it needs to form the memo keys.
+        let refinements = cache.refinements();
+        let reused = cache.refinements_reused();
+        assert_eq!(kshape.fit_cached(&mut cache).unwrap(), result);
+        assert_eq!(cache.refinements(), refinements);
+        assert_eq!(cache.refinements_reused(), refinements + 2 * reused);
+        assert_eq!(cache.sbd_evaluations() as usize, evaluations + n);
+    }
+
+    #[test]
+    fn cycling_fit_refines_each_distinct_input_once() {
+        // Counters that are exact multiples of one cumulative load — what
+        // `*_total` metrics of one component are. z-normalized they differ
+        // only in rounding, so two clusters of them get centroids a rounding
+        // error apart and members flip between the two until the cap.
+        let mut total = 0.0;
+        let cumulative: Vec<f64> = (0..240)
+            .map(|t| {
+                total += (50 + (t * 7) % 61) as f64;
+                total
+            })
+            .collect();
+        let series: Vec<Vec<f64>> = [12.0, 90.0, 240.0, 0.01, 1.0, 270.0]
+            .iter()
+            .map(|gain| cumulative.iter().map(|v| gain * v).collect())
+            .collect();
+        let n = series.len();
+        let mut init = vec![1; n];
+        init[0] = 0;
+        let kshape = KShape::new(
+            KShapeConfig::new(2)
+                .with_max_iterations(30)
+                .with_initial_assignment(init),
+        );
+
+        let mut cache = KShapeSeriesCache::new(&series).unwrap();
+        let result = kshape.fit_cached(&mut cache).unwrap();
+        assert_eq!(result, kshape.fit(&series).unwrap());
+        assert!(!result.converged && result.iterations == 30, "{result:?}");
+
+        // The fit still runs every iteration, but a lap of the cycle only
+        // revisits inputs the memo holds: SBD evaluations are paid per
+        // *distinct* refinement (n for its column, at most n for its
+        // orientation check) plus the first iteration's n alignments to
+        // each cluster's first member. Recomputing whenever the input
+        // differs from the previous step's costs several times this.
+        let refinements = cache.refinements() as usize;
+        let lookups = refinements + cache.refinements_reused() as usize;
+        assert!(lookups > 30 && 4 * refinements < lookups, "{refinements}");
+        let evaluations = cache.sbd_evaluations() as usize;
+        assert!(
+            evaluations <= refinements * 2 * n + n,
+            "{evaluations} evaluations for {refinements} distinct refinements of n={n}"
+        );
     }
 
     #[test]
@@ -944,19 +1043,19 @@ mod tests {
             KShapeSeriesCache::new(&ragged),
             Err(ClusterError::InconsistentLengths { .. })
         ));
-        let cache = KShapeSeriesCache::new(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
+        let mut cache = KShapeSeriesCache::new(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
         assert!(!cache.is_empty());
         assert!(matches!(
-            KShape::new(KShapeConfig::new(0)).fit_cached(&cache),
+            KShape::new(KShapeConfig::new(0)).fit_cached(&mut cache),
             Err(ClusterError::InvalidClusterCount { .. })
         ));
         assert!(matches!(
-            KShape::new(KShapeConfig::new(3)).fit_cached(&cache),
+            KShape::new(KShapeConfig::new(3)).fit_cached(&mut cache),
             Err(ClusterError::InvalidClusterCount { .. })
         ));
         let bad_init = KShapeConfig::new(2).with_initial_assignment(vec![0, 7]);
         assert!(matches!(
-            KShape::new(bad_init).fit_cached(&cache),
+            KShape::new(bad_init).fit_cached(&mut cache),
             Err(ClusterError::InvalidInitialAssignment { .. })
         ));
     }

@@ -11,12 +11,14 @@
 //! 3. the number of clusters is chosen by maximising the silhouette score
 //!    computed under the shape-based distance ([`silhouette`]).
 //!
-//! Because the k sweep re-evaluates the same pairwise distances for every
-//! candidate `k`, the hot path runs on a shared SBD engine: per-series
-//! spectra ([`sieve_timeseries::spectrum`]) cached in a
-//! [`kshape::KShapeSeriesCache`] and a pairwise [`distance::DistanceMatrix`]
-//! computed once and read by every silhouette evaluation — bit-identical to
-//! the direct path, just without the redundant FFTs.
+//! Because the k sweep re-evaluates the same pairwise distances — and, from
+//! one `k` to the next or around a cycle, re-refines the same clusters — for
+//! every candidate `k`, the hot path runs on a shared SBD engine: per-series
+//! spectra ([`sieve_timeseries::spectrum`]) and a memo of every cluster
+//! refinement performed, both held by one [`kshape::KShapeSeriesCache`] per
+//! sweep, and a pairwise [`distance::DistanceMatrix`] computed once and read
+//! by every silhouette evaluation — bit-identical to the direct path, just
+//! without the redundant FFTs and power iterations.
 //!
 //! The robustness evaluation of the paper (Figure 3) compares cluster
 //! assignments across measurement runs with the Adjusted Mutual Information

@@ -7,7 +7,7 @@
 
 use sieve_cluster::ami::{adjusted_mutual_information, normalized_mutual_information};
 use sieve_cluster::jaro::{jaro_similarity, pre_cluster_names};
-use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeSeriesCache};
+use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeResult, KShapeSeriesCache};
 use sieve_cluster::silhouette::{euclidean, silhouette_score_with};
 
 /// Deterministic splitmix64 generator for test data.
@@ -188,6 +188,20 @@ fn kshape_stress_series(rng: &mut Rng, count: usize, len: usize) -> Vec<Vec<f64>
     series
 }
 
+/// Asserts every assignment, the iteration count, the verdict and every
+/// centroid bit of two k-Shape results equal.
+fn assert_same_bits(direct: &KShapeResult, cached: &KShapeResult, ctx: &str) {
+    assert_eq!(direct.assignments, cached.assignments, "{ctx}");
+    assert_eq!(direct.iterations, cached.iterations, "{ctx}");
+    assert_eq!(direct.converged, cached.converged, "{ctx}");
+    for (dc, cc) in direct.centroids.iter().zip(cached.centroids.iter()) {
+        assert_eq!(dc.len(), cc.len(), "{ctx}");
+        for (a, b) in dc.iter().zip(cc.iter()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}");
+        }
+    }
+}
+
 #[test]
 fn memoised_fit_cached_is_bit_identical_to_fit_under_stress() {
     let (mut not_converged, mut multi_iteration, mut with_empty_cluster) = (0, 0, 0);
@@ -221,18 +235,10 @@ fn memoised_fit_cached_is_bit_identical_to_fit_under_stress() {
         let kshape = KShape::new(config);
         let direct = kshape.fit(&series).unwrap();
         let cached = kshape
-            .fit_cached(&KShapeSeriesCache::new(&series).unwrap())
+            .fit_cached(&mut KShapeSeriesCache::new(&series).unwrap())
             .unwrap();
         let ctx = format!("seed {seed}: n={count} len={len} k={k}");
-        assert_eq!(direct.assignments, cached.assignments, "{ctx}");
-        assert_eq!(direct.iterations, cached.iterations, "{ctx}");
-        assert_eq!(direct.converged, cached.converged, "{ctx}");
-        for (dc, cc) in direct.centroids.iter().zip(cached.centroids.iter()) {
-            assert_eq!(dc.len(), cc.len(), "{ctx}");
-            for (a, b) in dc.iter().zip(cc.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{ctx}");
-            }
-        }
+        assert_same_bits(&direct, &cached, &ctx);
         not_converged += usize::from(!direct.converged);
         multi_iteration += usize::from(direct.iterations >= 3);
         with_empty_cluster += usize::from(direct.non_empty_clusters() < k);
@@ -247,4 +253,80 @@ fn memoised_fit_cached_is_bit_identical_to_fit_under_stress() {
         with_empty_cluster >= 20,
         "{with_empty_cluster} cases with an empty cluster"
     );
+}
+
+/// The k sweep's use of the cache: ONE cache per input, every `k` fitted
+/// through it in order — so each fit meets a memo filled by the others — with
+/// two power-iteration counts interleaved on it, then the same fits through a
+/// second cache in reverse order. Every fit must equal a fresh `KShape::fit`.
+#[test]
+fn one_cache_shared_by_a_whole_k_sweep_is_bit_identical_to_fresh_fits() {
+    let (mut not_converged, mut capped, mut reused, mut refined) = (0, 0, 0, 0);
+    for seed in 0..24u64 {
+        let mut rng = Rng::new(seed ^ 0x05EE_D5EE);
+        let len = [5usize, 33, 240][seed as usize % 3];
+        let random = rng.usize_in(2, if len == 240 { 5 } else { 16 });
+        let mut series = kshape_stress_series(&mut rng, random, len);
+        if len == 240 {
+            // Counters that are exact multiples of one cumulative series:
+            // clusters of them sit a rounding error apart, which is what
+            // makes fits on monitoring data cycle.
+            let mut total = 0.0;
+            let cumulative: Vec<f64> = (series[0].iter())
+                .map(|v| {
+                    total += v.abs();
+                    total
+                })
+                .collect();
+            for gain in [12.0, 90.0, 0.01, 270.0] {
+                series.push(cumulative.iter().map(|v| gain * v).collect());
+            }
+        }
+        let count = series.len();
+        let max_iterations = [2, 12, 25][if len == 240 { 2 } else { rng.usize_in(0, 2) }];
+        let power_iterations = [[1, 10], [10, 50], [1, 50]][rng.usize_in(0, 2)];
+        let warm = rng.usize_in(0, 1) == 1;
+
+        let fits: Vec<(KShape, KShapeResult)> = (1..=count.min(7))
+            .flat_map(|k| power_iterations.map(|p| (k, p)))
+            .map(|(k, p)| {
+                let mut config = KShapeConfig::new(k).with_max_iterations(max_iterations);
+                config.power_iterations = p;
+                if warm {
+                    config = config.with_initial_assignment(rng.labels(k, count, count));
+                }
+                let kshape = KShape::new(config);
+                let direct = kshape.fit(&series).unwrap();
+                not_converged += usize::from(!direct.converged);
+                capped += usize::from(!direct.converged && direct.iterations == 25);
+                (kshape, direct)
+            })
+            .collect();
+
+        let mut in_order = KShapeSeriesCache::new(&series).unwrap();
+        for (kshape, direct) in &fits {
+            let cached = kshape.fit_cached(&mut in_order).unwrap();
+            let ctx = format!("seed {seed}, in order: n={count} {:?}", kshape.config());
+            assert_same_bits(direct, &cached, &ctx);
+        }
+        let mut reversed = KShapeSeriesCache::new(&series).unwrap();
+        for (kshape, direct) in fits.iter().rev() {
+            let cached = kshape.fit_cached(&mut reversed).unwrap();
+            let ctx = format!("seed {seed}, reversed: n={count} {:?}", kshape.config());
+            assert_same_bits(direct, &cached, &ctx);
+        }
+        // The same fits refine the same distinct inputs in either order.
+        assert_eq!(
+            in_order.refinements(),
+            reversed.refinements(),
+            "seed {seed}"
+        );
+        reused += in_order.refinements_reused();
+        refined += in_order.refinements();
+    }
+    // The generator must reach what a shared memo could get wrong: fits cut
+    // short or cycling to the cap, and a good share of lookups answered.
+    assert!(not_converged >= 10, "{not_converged} non-converged fits");
+    assert!(capped >= 3, "{capped} fits cycling to the 25-iteration cap");
+    assert!(2 * reused > refined, "{reused} reused vs {refined} refined");
 }

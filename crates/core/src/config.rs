@@ -126,8 +126,8 @@ impl SieveConfig {
     /// # Errors
     ///
     /// Returns [`crate::SieveError::InvalidConfig`] when the interval is
-    /// zero, the cluster range is empty, or the variance threshold is
-    /// negative.
+    /// zero, the cluster range is empty, the k-Shape iteration cap is zero
+    /// or the variance threshold is negative.
     pub fn validate(&self) -> crate::Result<()> {
         if self.interval_ms == 0 {
             return Err(crate::SieveError::InvalidConfig {
@@ -140,6 +140,13 @@ impl SieveConfig {
                     "invalid cluster range {}..={}",
                     self.min_clusters, self.max_clusters
                 ),
+            });
+        }
+        if self.kshape_max_iterations == 0 {
+            // Zero iterations would leave every centroid at zero and publish
+            // the name pre-clustering as if it were a shape clustering.
+            return Err(crate::SieveError::InvalidConfig {
+                reason: "kshape_max_iterations must be positive".into(),
             });
         }
         if self.variance_threshold < 0.0 {
@@ -230,5 +237,22 @@ mod tests {
             ..SieveConfig::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn zero_kshape_iterations_are_rejected() {
+        let one = SieveConfig {
+            kshape_max_iterations: 1,
+            ..SieveConfig::default()
+        };
+        assert!(one.validate().is_ok());
+        let zero = SieveConfig {
+            kshape_max_iterations: 0,
+            ..SieveConfig::default()
+        };
+        assert!(matches!(
+            zero.validate(),
+            Err(crate::SieveError::InvalidConfig { reason }) if reason.contains("kshape_max_iterations")
+        ));
     }
 }

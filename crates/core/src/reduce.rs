@@ -25,10 +25,13 @@
 //! copying.
 //!
 //! The k sweep itself runs on the shared SBD engine by default
-//! (`SieveConfig::use_sbd_cache`): per-series spectra and the pairwise
-//! distance matrix are computed once per component and reused by every
-//! candidate `k`, with the direct-SBD path kept as the bit-identical
-//! reference oracle.
+//! (`SieveConfig::use_sbd_cache`): per-series spectra, the pairwise
+//! distance matrix and one k-Shape cache — z-normalized copies, their
+//! spectra and a memo of every cluster refinement performed — are built once
+//! per component and shared by every candidate `k`, so a cluster one fit
+//! already refined (in an earlier iteration, or for another `k`) is never
+//! refined again. The direct-SBD path is kept as the bit-identical reference
+//! oracle.
 
 use crate::columnar::PreparedComponent;
 use crate::config::SieveConfig;
@@ -175,9 +178,9 @@ pub fn reduce_component(
     // 2. Try every k in the configured range and keep the best silhouette,
     // then 3. pick each cluster's representative. The cached path computes
     // every per-series spectrum and the full pairwise distance matrix once
-    // and reuses them across the whole sweep; the naive path recomputes
-    // every distance from scratch. Both are bit-identical (asserted by
-    // tests and the benches).
+    // and reuses them — and every cluster refinement — across the whole
+    // sweep; the naive path recomputes everything from scratch. Both are
+    // bit-identical (asserted by tests and the benches).
     let (silhouette, chosen_k, clusters) = if config.use_sbd_cache {
         sweep_cached(&data, &names, &kept_names, config)?
     } else {
@@ -196,8 +199,9 @@ pub fn reduce_component(
 
 /// The k sweep and representative selection on the shared SBD engine: one
 /// spectrum per kept series, one [`DistanceMatrix`] per component (built
-/// through `sieve_exec::par_map_chunks`), one [`KShapeSeriesCache`] shared
-/// by every `k`.
+/// through `sieve_exec::par_map_chunks`), one [`KShapeSeriesCache`] — and
+/// with it one refinement memo — passed through every `k`'s fit in turn and
+/// dropped when the component's sweep ends.
 fn sweep_cached(
     data: &[&[f64]],
     names: &[&str],
@@ -209,7 +213,7 @@ fn sweep_cached(
     // holds its own spectra of the z-normalized copies.
     let spectra = compute_spectra(data, config.parallelism)?;
     let matrix = DistanceMatrix::from_spectra(&spectra, config.parallelism)?;
-    let kshape_cache = KShapeSeriesCache::new_parallel(data, config.parallelism)?;
+    let mut kshape_cache = KShapeSeriesCache::new_parallel(data, config.parallelism)?;
 
     let max_k = config.max_clusters.min(data.len().saturating_sub(1)).max(1);
     let min_k = config.min_clusters.min(max_k);
@@ -219,7 +223,7 @@ fn sweep_cached(
         let kshape_config = KShapeConfig::new(k)
             .with_max_iterations(config.kshape_max_iterations)
             .with_initial_assignment(init);
-        let result = KShape::new(kshape_config).fit_cached(&kshape_cache)?;
+        let result = KShape::new(kshape_config).fit_cached(&mut kshape_cache)?;
         let score = silhouette_score_from_matrix(&matrix, &result.assignments)?;
         let better = match &best {
             None => true,
@@ -504,19 +508,89 @@ mod tests {
         series.push(named("flat", vec![9.0; len]));
 
         let base = SieveConfig::default().with_cluster_range(2, 5);
-        let prepared = PreparedComponent::from_named(&series);
-        let cached =
-            reduce_component("web", &prepared, &base.clone().with_sbd_cache(true)).unwrap();
-        let naive = reduce_component("web", &prepared, &base.with_sbd_cache(false)).unwrap();
-        // Full structural equality including every representative distance
-        // and silhouette value — the engine must not change a single bit.
-        assert_eq!(cached, naive);
-        assert_eq!(cached.silhouette.to_bits(), naive.silhouette.to_bits());
-        for (c, n) in cached.clusters.iter().zip(naive.clusters.iter()) {
-            assert_eq!(
-                c.representative_distance.to_bits(),
-                n.representative_distance.to_bits()
-            );
+        let parallelism = base.parallelism;
+        assert_cached_equals_naive(
+            &PreparedComponent::from_named(&series),
+            base,
+            &[parallelism],
+        );
+
+        // Second fixture: a fit that never converges. Counters that are exact
+        // multiples of one cumulative load differ only in rounding once
+        // z-normalized; the name pre-clustering splits them over several
+        // clusters, whose centroids then sit a rounding error apart, and
+        // members flip between them until the iteration cap — every lap
+        // served from the cached path's refinement memo.
+        let load: Vec<f64> = (0..240).map(|t| (50 + (t * 5) % 61) as f64).collect();
+        let mut total = 0.0;
+        let cumulative: Vec<f64> = (load.iter())
+            .map(|l| {
+                total += l;
+                total
+            })
+            .collect();
+        let mut series = Vec::new();
+        for (name, gain) in [
+            ("context_switches_total", 12.0),
+            ("disk_read_bytes_total", 90.0),
+            ("disk_write_bytes_total", 240.0),
+            ("frontend_errors_total", 0.01),
+            ("frontend_requests_total", 1.0),
+            ("net_bytes_recv_total", 270.0),
+            ("net_bytes_sent_total", 420.0),
+            ("net_packets_recv_total", 3.6),
+            ("net_packets_sent_total", 4.5),
+        ] {
+            series.push(named(name, cumulative.iter().map(|v| gain * v).collect()));
+        }
+        for (name, gain) in [
+            ("cpu_usage", 0.3),
+            ("cpu_usage_user", 0.2),
+            ("queue_depth", 1.0),
+        ] {
+            series.push(named(name, load.iter().map(|l| gain * l).collect()));
+        }
+        let base = SieveConfig {
+            kshape_max_iterations: 12,
+            ..SieveConfig::default().with_cluster_range(2, 5)
+        };
+        let data: Vec<&[f64]> = series.iter().map(|s| &s.values[..]).collect();
+        let names: Vec<&str> = series.iter().map(|s| s.name.as_str()).collect();
+        let mut cache = KShapeSeriesCache::new(&data).unwrap();
+        let capped = (2..=5).filter(|&k| {
+            let config = KShapeConfig::new(k)
+                .with_max_iterations(base.kshape_max_iterations)
+                .with_initial_assignment(pre_cluster_names(&names, k));
+            !KShape::new(config)
+                .fit_cached(&mut cache)
+                .unwrap()
+                .converged
+        });
+        assert!(capped.count() >= 2, "the sweep must hit the cap");
+        assert_cached_equals_naive(&PreparedComponent::from_named(&series), base, &[1, 4, 8]);
+    }
+
+    /// Reduces `prepared` on the naive path and, at each parallelism, on the
+    /// cached path, and asserts full structural equality including every
+    /// representative distance and silhouette bit — the engine must not
+    /// change a single one.
+    fn assert_cached_equals_naive(
+        prepared: &PreparedComponent,
+        base: SieveConfig,
+        parallelisms: &[usize],
+    ) {
+        let naive = reduce_component("web", prepared, &base.clone().with_sbd_cache(false)).unwrap();
+        for &parallelism in parallelisms {
+            let config = base.clone().with_parallelism(parallelism);
+            let cached = reduce_component("web", prepared, &config.with_sbd_cache(true)).unwrap();
+            assert_eq!(cached, naive);
+            assert_eq!(cached.silhouette.to_bits(), naive.silhouette.to_bits());
+            for (c, n) in cached.clusters.iter().zip(naive.clusters.iter()) {
+                assert_eq!(
+                    c.representative_distance.to_bits(),
+                    n.representative_distance.to_bits()
+                );
+            }
         }
     }
 
