@@ -4,9 +4,9 @@
 //! (direct and via cached spectra), k-Shape clustering (warm vs cold
 //! start, oracle `fit` and production `fit_cached`), silhouette scoring,
 //! Granger causality, AMI — plus two
-//! acceptance comparisons: the cached-distance k-sweep against the naive
-//! one, and the full `analyze` pipeline with the shared engines on
-//! against the engines-off path.
+//! acceptance comparisons: the cached-distance k-sweep against the
+//! direct-SBD oracle's, and the full `analyze` pipeline against
+//! `oracle::analyze`.
 //!
 //! Run with: `cargo bench -p sieve-bench --bench analysis`
 //!
@@ -27,6 +27,7 @@ use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeSeriesCache};
 use sieve_cluster::silhouette::silhouette_score_sbd;
 use sieve_core::columnar::PreparedComponent;
 use sieve_core::config::SieveConfig;
+use sieve_core::oracle;
 use sieve_core::pipeline::{load_application, Sieve};
 use sieve_core::reduce::reduce_component;
 use sieve_exec::Name;
@@ -231,7 +232,7 @@ fn sweep_traffic(data: &[Vec<f64>], names: &[String], config: &SieveConfig) -> S
 
 /// The acceptance comparison: one component's full k-sweep + silhouette
 /// stage (what `reduce_component` spends its time on) with the shared SBD
-/// engine versus the naive direct-SBD path. The engine must be at least
+/// engine versus the direct-SBD oracle. The engine must be at least
 /// 3.5x faster (measured 5.7x; 4.6x while the refinement memo only saw the
 /// previous step, 3.1x before the k-Shape iteration was memoised at all)
 /// while producing an identical clustering. Returns the ledger
@@ -246,19 +247,17 @@ fn bench_reduce_k_sweep_cached_vs_naive(runner: &mut Runner) -> String {
     );
     // parallelism = 1 so the comparison is purely algorithmic — the cached
     // path must win on FFT reuse alone, not on threads.
-    let base = SieveConfig::default()
+    let config = SieveConfig::default()
         .with_cluster_range(2, 6)
         .with_parallelism(1);
-    let cached_config = base.clone().with_sbd_cache(true);
-    let naive_config = base.with_sbd_cache(false);
     let note = format!(
         "30 series x 240, k=2..=6, parallelism=1: {}",
-        sweep_traffic(&data, &names, &cached_config)
+        sweep_traffic(&data, &names, &config)
     );
     println!("reduce_k_sweep: {note}");
 
-    let cached_model = reduce_component("bench", &prepared, &cached_config).unwrap();
-    let naive_model = reduce_component("bench", &prepared, &naive_config).unwrap();
+    let cached_model = reduce_component("bench", &prepared, &config).unwrap();
+    let naive_model = oracle::reduce_component("bench", &prepared, &config).unwrap();
     assert_eq!(
         cached_model, naive_model,
         "cached and naive reduction must produce identical clusterings"
@@ -266,10 +265,10 @@ fn bench_reduce_k_sweep_cached_vs_naive(runner: &mut Runner) -> String {
 
     let iters = if smoke_mode() { 1 } else { 5 };
     runner.bench("reduce_k_sweep/cached", iters, || {
-        reduce_component("bench", black_box(&prepared), &cached_config).unwrap()
+        reduce_component("bench", black_box(&prepared), &config).unwrap()
     });
     runner.bench("reduce_k_sweep/naive", iters, || {
-        reduce_component("bench", black_box(&prepared), &naive_config).unwrap()
+        oracle::reduce_component("bench", black_box(&prepared), &config).unwrap()
     });
     let cached = runner.measurement("reduce_k_sweep/cached").unwrap().min();
     let naive = runner.measurement("reduce_k_sweep/naive").unwrap().min();
@@ -287,29 +286,25 @@ fn bench_reduce_k_sweep_cached_vs_naive(runner: &mut Runner) -> String {
     note
 }
 
-/// The end-to-end acceptance comparison: the full `analyze` pipeline with
-/// the shared SBD and Granger engines on versus both engines off, on the
-/// same recorded store at parallelism 1. The models must be bit-identical
-/// and the engine path at least 1.2x faster on non-smoke multi-core
-/// hosts.
+/// The end-to-end acceptance comparison: the full `analyze` pipeline (shared
+/// SBD and Granger engines) versus `oracle::analyze` (neither), on the same
+/// recorded store at parallelism 1. The models must be bit-identical and
+/// the engine path at least 1.2x faster on non-smoke multi-core hosts.
 fn bench_full_analyze_cached_vs_naive(runner: &mut Runner) {
     let app = sharelatex::app_spec(MetricRichness::Minimal);
     let duration = if smoke_mode() { 30_000 } else { 120_000 };
     let (store, call_graph) =
         load_application(&app, &Workload::randomized(70.0, 3), 5, duration, 500).unwrap();
-    let base = SieveConfig::default().with_parallelism(1);
-    let cached_sieve = Sieve::new(base.clone().with_sbd_cache(true).with_granger_cache(true));
-    let naive_sieve = Sieve::new(base.with_sbd_cache(false).with_granger_cache(false));
+    let config = SieveConfig::default().with_parallelism(1);
+    let cached_sieve = Sieve::new(config.clone());
 
     let cached_model = cached_sieve
         .analyze("sharelatex", &store, &call_graph)
         .unwrap();
-    let naive_model = naive_sieve
-        .analyze("sharelatex", &store, &call_graph)
-        .unwrap();
+    let naive_model = oracle::analyze("sharelatex", &store, &call_graph, &config).unwrap();
     assert_eq!(
         cached_model, naive_model,
-        "engines on and off must produce bit-identical models"
+        "the engines and the oracle must produce bit-identical models"
     );
 
     let iters = if smoke_mode() { 1 } else { 3 };
@@ -319,9 +314,7 @@ fn bench_full_analyze_cached_vs_naive(runner: &mut Runner) {
             .unwrap()
     });
     runner.bench("analyze_full/engines-off", iters, || {
-        naive_sieve
-            .analyze("sharelatex", black_box(&store), &call_graph)
-            .unwrap()
+        oracle::analyze("sharelatex", black_box(&store), &call_graph, &config).unwrap()
     });
     let cached = runner.measurement("analyze_full/engines-on").unwrap().min();
     let naive = runner
@@ -330,8 +323,8 @@ fn bench_full_analyze_cached_vs_naive(runner: &mut Runner) {
         .min();
     let speedup = naive.as_secs_f64() / cached.as_secs_f64().max(1e-12);
     println!(
-        "analyze_full: engine-path speedup over engines-off (best of {iters}): \
-         {speedup:.2}x (off {naive:.3?}, on {cached:.3?})"
+        "analyze_full: engine-path speedup over the oracle (best of {iters}): \
+         {speedup:.2}x (oracle {naive:.3?}, engines {cached:.3?})"
     );
     if smoke_mode() {
         println!("analyze_full: smoke mode — wall-clock assertion skipped");
@@ -339,7 +332,7 @@ fn bench_full_analyze_cached_vs_naive(runner: &mut Runner) {
         assert!(
             speedup >= 1.2,
             "the full pipeline with engines on must be at least 1.2x faster \
-             than with engines off, got {speedup:.2}x"
+             than the oracle, got {speedup:.2}x"
         );
     } else {
         println!("analyze_full: single-core host — the ≥1.2x assertion runs on multi-core hosts");

@@ -1,8 +1,8 @@
 //! Benchmark of the dependency-identification stage (step 3): the shared
 //! causality engine (prepared per-series state, memoized restricted fits)
-//! against the naive per-pair Granger path, on the same recorded data and
-//! precomputed clusterings — plus the full-model equality assertions for
-//! the engine toggle across executor degrees.
+//! against the per-pair Granger oracle, on the same recorded data and
+//! precomputed clusterings — plus the full-model equality assertions
+//! against `oracle::analyze` across executor degrees.
 //!
 //! Run with: `cargo bench -p sieve-bench --bench dependencies`
 //!
@@ -14,6 +14,7 @@ use sieve_bench::harness::{smoke_mode, Runner};
 use sieve_bench::ledger::Ledger;
 use sieve_core::config::SieveConfig;
 use sieve_core::dependencies::identify_dependencies;
+use sieve_core::oracle;
 use sieve_core::pipeline::{load_application, Sieve};
 use sieve_simulator::workload::Workload;
 use std::hint::black_box;
@@ -25,43 +26,31 @@ fn main() {
     let (store, call_graph) =
         load_application(&app, &Workload::randomized(70.0, 3), 5, duration, 500).unwrap();
 
-    // Full-`SieveModel` equality: the engine toggle must not change a bit
-    // of the output at any executor degree.
-    let mut models = Vec::new();
-    for parallelism in [1usize, 4, 8] {
-        for use_cache in [true, false] {
-            let sieve = Sieve::new(
-                SieveConfig::default()
-                    .with_parallelism(parallelism)
-                    .with_granger_cache(use_cache),
-            );
-            models.push(sieve.analyze("sharelatex", &store, &call_graph).unwrap());
-        }
-    }
-    for m in &models[1..] {
-        assert_eq!(
-            &models[0], m,
-            "granger cache and parallelism must not change the model"
-        );
-    }
-
     // Isolate the stage: the prepared series and the clusterings are
     // computed once outside the timed region, parallelism = 1 so the
     // comparison is purely algorithmic — the engine must win on cached
     // ADF/differencing/restricted-fit reuse alone, not on threads.
-    let cached_config = SieveConfig::default()
-        .with_parallelism(1)
-        .with_granger_cache(true);
-    let naive_config = SieveConfig::default()
-        .with_parallelism(1)
-        .with_granger_cache(false);
-    let prepared = Sieve::new(cached_config.clone()).prepare(&store);
-    let clusterings = models[0].clusterings.clone();
+    let config = SieveConfig::default().with_parallelism(1);
+
+    // Full-`SieveModel` equality: the engines and the executor must not
+    // change a bit of the output at any degree.
+    let model = oracle::analyze("sharelatex", &store, &call_graph, &config).unwrap();
+    for parallelism in [1usize, 4, 8] {
+        let sieve = Sieve::new(config.clone().with_parallelism(parallelism));
+        assert_eq!(
+            sieve.analyze("sharelatex", &store, &call_graph).unwrap(),
+            model,
+            "engines and parallelism {parallelism} must not change the model"
+        );
+    }
+
+    let prepared = Sieve::new(config.clone()).prepare(&store);
+    let clusterings = model.clusterings;
 
     let cached_graph =
-        identify_dependencies(&prepared, &clusterings, &call_graph, &cached_config).unwrap();
+        identify_dependencies(&prepared, &clusterings, &call_graph, &config).unwrap();
     let naive_graph =
-        identify_dependencies(&prepared, &clusterings, &call_graph, &naive_config).unwrap();
+        oracle::identify_dependencies(&prepared, &clusterings, &call_graph, &config).unwrap();
     assert_eq!(
         cached_graph, naive_graph,
         "cached and naive dependency stages must produce identical graphs"
@@ -77,16 +66,16 @@ fn main() {
             black_box(&prepared),
             black_box(&clusterings),
             &call_graph,
-            &cached_config,
+            &config,
         )
         .unwrap()
     });
     runner.bench("dependencies/naive", iters, || {
-        identify_dependencies(
+        oracle::identify_dependencies(
             black_box(&prepared),
             black_box(&clusterings),
             &call_graph,
-            &naive_config,
+            &config,
         )
         .unwrap()
     });

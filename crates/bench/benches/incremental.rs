@@ -1,8 +1,7 @@
 //! Benchmark of the epoch-based incremental analysis path: an
 //! [`AnalysisSession`] absorbing a one-component delta against a full
 //! batch re-analysis of the same store — plus the full-model equality
-//! matrix (streamed == batch across parallelism 1/4/8 and the SBD/Granger
-//! engine toggles).
+//! sweep (streamed == batch == `oracle::analyze` at parallelism 1/4/8).
 //!
 //! Run with: `cargo bench -p sieve-bench --bench incremental`
 //!
@@ -13,6 +12,7 @@ use sieve_apps::{sharelatex, MetricRichness};
 use sieve_bench::harness::{smoke_mode, Runner};
 use sieve_bench::ledger::Ledger;
 use sieve_core::config::SieveConfig;
+use sieve_core::oracle;
 use sieve_core::pipeline::{load_application, Sieve};
 use sieve_core::session::AnalysisSession;
 use sieve_simulator::engine::{SimConfig, Simulation};
@@ -69,48 +69,39 @@ fn main() {
     let mut runner = Runner::new();
     let equality_duration = if smoke_mode() { 20_000 } else { 60_000 };
 
-    // Full-`SieveModel` equality matrix: streaming must not change a bit
-    // of the output at any executor degree, with either engine on or off.
-    // The batch reference is analysed per configuration, so this also
-    // re-checks the engine-toggle invariance end to end.
-    let mut models = Vec::new();
-    for parallelism in [1usize, 4, 8] {
-        for sbd_cache in [true, false] {
-            for granger_cache in [true, false] {
-                let config = SieveConfig::default()
-                    .with_parallelism(parallelism)
-                    .with_sbd_cache(sbd_cache)
-                    .with_granger_cache(granger_cache);
-                let streamed = stream_model(&config, equality_duration, 40);
-
-                let (store, call_graph) = load_application(
-                    &sharelatex::app_spec(MetricRichness::Minimal),
-                    &Workload::randomized(70.0, 3),
-                    5,
-                    equality_duration,
-                    500,
-                )
-                .unwrap();
-                let batch = Sieve::new(config)
-                    .analyze("sharelatex", &store, &call_graph)
-                    .unwrap();
-                assert_eq!(
-                    streamed, batch,
-                    "streamed and batch models must be bit-identical \
-                     (parallelism {parallelism}, sbd {sbd_cache}, granger {granger_cache})"
-                );
-                models.push(streamed);
-            }
-        }
-    }
+    // Full-`SieveModel` equality sweep: neither streaming nor the executor
+    // degree may change a bit of the output. One store, one oracle model;
+    // every streamed and every batch model must equal it.
+    let (store, call_graph) = load_application(
+        &sharelatex::app_spec(MetricRichness::Minimal),
+        &Workload::randomized(70.0, 3),
+        5,
+        equality_duration,
+        500,
+    )
+    .unwrap();
+    let reference =
+        oracle::analyze("sharelatex", &store, &call_graph, &SieveConfig::default()).unwrap();
     assert!(
-        models[0].dependency_graph.edge_count() > 0,
+        reference.dependency_graph.edge_count() > 0,
         "the workload must produce dependency edges"
     );
-    for m in &models[1..] {
-        assert_eq!(&models[0], m, "all twelve configurations must agree");
+    for parallelism in [1usize, 4, 8] {
+        let config = SieveConfig::default().with_parallelism(parallelism);
+        let streamed = stream_model(&config, equality_duration, 40);
+        let batch = Sieve::new(config)
+            .analyze("sharelatex", &store, &call_graph)
+            .unwrap();
+        assert_eq!(
+            streamed, reference,
+            "streamed model must equal the oracle (parallelism {parallelism})"
+        );
+        assert_eq!(
+            batch, reference,
+            "batch model must equal the oracle (parallelism {parallelism})"
+        );
     }
-    println!("incremental: 12/12 streamed==batch equality checks passed");
+    println!("incremental: 3/3 streamed==batch==oracle equality checks passed");
 
     // Timed comparison: one dirty component out of 15 vs a full batch
     // re-analysis. parallelism = 1 so the win is purely the dirty-tracking

@@ -1,8 +1,8 @@
 //! Benchmarks of the end-to-end pipeline stages on the application models:
 //! simulation throughput, per-component metric reduction, dependency
 //! identification, the RCA comparison, the serial-vs-parallel comparison of
-//! the shared executor on the OpenStack profile — and the cached-vs-naive
-//! comparison of the shared SBD distance engine, which must produce a
+//! the shared executor on the OpenStack profile — and the comparison of the
+//! production analysis against `oracle::analyze`, which must produce a
 //! bit-identical model.
 //!
 //! Run with: `cargo bench -p sieve-bench --bench pipeline`
@@ -15,6 +15,7 @@ use sieve_apps::{openstack, sharelatex, MetricRichness};
 use sieve_bench::harness::{smoke_mode, Runner};
 use sieve_bench::ledger::Ledger;
 use sieve_core::config::SieveConfig;
+use sieve_core::oracle;
 use sieve_core::pipeline::{load_application, Sieve};
 use sieve_core::reduce::{prepare_series, reduce_component};
 use sieve_rca::{RcaConfig, RcaEngine};
@@ -94,11 +95,11 @@ fn bench_full_pipeline(runner: &mut Runner) {
     );
 }
 
-/// The acceptance benchmark for the shared SBD engine: the same recorded
-/// data analysed with the cached distance path and the naive one. The
-/// models must be bit-identical; the cached path's win is asserted by the
-/// analysis bench's isolated k-sweep comparison, so here the speedup is
-/// reported informationally.
+/// The acceptance benchmark for the shared engines: the same recorded data
+/// analysed by the production pipeline and by `oracle::analyze`. The models
+/// must be bit-identical; the cached path's win is asserted by the analysis
+/// bench's isolated k-sweep comparison, so here the speedup is reported
+/// informationally.
 fn bench_cached_vs_naive_distance(runner: &mut Runner) {
     let app = sharelatex::app_spec(MetricRichness::Minimal);
     let (store, call_graph) = load_application(
@@ -109,38 +110,24 @@ fn bench_cached_vs_naive_distance(runner: &mut Runner) {
         500,
     )
     .unwrap();
-    let cached_sieve = Sieve::new(
-        SieveConfig::default()
-            .with_parallelism(1)
-            .with_sbd_cache(true),
-    );
-    let naive_sieve = Sieve::new(
-        SieveConfig::default()
-            .with_parallelism(1)
-            .with_sbd_cache(false),
-    );
+    let config = SieveConfig::default().with_parallelism(1);
+    let cached_sieve = Sieve::new(config.clone());
 
     let cached_model = cached_sieve
         .analyze("sharelatex", &store, &call_graph)
         .unwrap();
-    let naive_model = naive_sieve
+    let naive_model = oracle::analyze("sharelatex", &store, &call_graph, &config).unwrap();
+    assert_eq!(
+        cached_model, naive_model,
+        "the pipeline and the oracle must produce bit-identical models"
+    );
+    // And across executor degrees: cached parallel == oracle.
+    let cached_parallel = Sieve::new(config.clone().with_parallelism(8))
         .analyze("sharelatex", &store, &call_graph)
         .unwrap();
     assert_eq!(
-        cached_model, naive_model,
-        "cached and naive distance paths must produce bit-identical models"
-    );
-    // And across executor degrees: cached parallel == naive serial.
-    let cached_parallel = Sieve::new(
-        SieveConfig::default()
-            .with_parallelism(8)
-            .with_sbd_cache(true),
-    )
-    .analyze("sharelatex", &store, &call_graph)
-    .unwrap();
-    assert_eq!(
         cached_parallel, naive_model,
-        "cached parallel and naive serial models must be identical"
+        "parallel pipeline and oracle models must be identical"
     );
 
     runner.bench("pipeline_distance/cached", iters(5), || {
@@ -149,9 +136,13 @@ fn bench_cached_vs_naive_distance(runner: &mut Runner) {
             .unwrap()
     });
     runner.bench("pipeline_distance/naive", iters(5), || {
-        naive_sieve
-            .analyze("sharelatex", black_box(&store), black_box(&call_graph))
-            .unwrap()
+        oracle::analyze(
+            "sharelatex",
+            black_box(&store),
+            black_box(&call_graph),
+            &config,
+        )
+        .unwrap()
     });
     let cached = runner
         .measurement("pipeline_distance/cached")
@@ -160,8 +151,8 @@ fn bench_cached_vs_naive_distance(runner: &mut Runner) {
     let naive = runner.measurement("pipeline_distance/naive").unwrap().min();
     let speedup = naive.as_secs_f64() / cached.as_secs_f64().max(1e-12);
     println!(
-        "pipeline_distance: cached-distance speedup over naive (best of {}): \
-         {speedup:.2}x (naive {naive:.3?}, cached {cached:.3?})",
+        "pipeline_distance: pipeline speedup over the oracle (best of {}): \
+         {speedup:.2}x (oracle {naive:.3?}, pipeline {cached:.3?})",
         iters(5)
     );
 }

@@ -58,6 +58,30 @@ impl GrangerConfig {
         self.significance = significance;
         self
     }
+
+    /// Checks the parameters every test needs whatever its inputs: the
+    /// single rule behind both the per-test check and pipeline
+    /// configuration validation.
+    ///
+    /// # Errors
+    ///
+    /// [`CausalityError::InvalidParameter`] when `max_lag` is zero or the
+    /// significance level is outside `(0, 1)`.
+    pub fn validate(&self) -> Result<()> {
+        if self.max_lag == 0 {
+            return Err(CausalityError::InvalidParameter {
+                name: "max_lag",
+                reason: "must be at least 1".to_string(),
+            });
+        }
+        if !(self.significance > 0.0 && self.significance < 1.0) {
+            return Err(CausalityError::InvalidParameter {
+                name: "significance",
+                reason: format!("must be in (0, 1), got {}", self.significance),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Outcome of a Granger causality test of "X causes Y".
@@ -176,18 +200,7 @@ pub(crate) fn validate_inputs(x_len: usize, y_len: usize, config: &GrangerConfig
             right: y_len,
         });
     }
-    if config.max_lag == 0 {
-        return Err(CausalityError::InvalidParameter {
-            name: "max_lag",
-            reason: "must be at least 1".to_string(),
-        });
-    }
-    if !(config.significance > 0.0 && config.significance < 1.0) {
-        return Err(CausalityError::InvalidParameter {
-            name: "significance",
-            reason: format!("must be in (0, 1), got {}", config.significance),
-        });
-    }
+    config.validate()?;
     if x_len < config.min_observations {
         return Err(CausalityError::TooFewObservations {
             required: config.min_observations,

@@ -1,7 +1,6 @@
 //! Pipeline configuration.
 
-use sieve_causality::granger::GrangerConfig;
-
+pub use sieve_causality::granger::GrangerConfig;
 pub use sieve_simulator::store::RetentionPolicy;
 
 /// Configuration of the Sieve pipeline, defaulting to the values used in the
@@ -38,21 +37,6 @@ pub struct SieveConfig {
     /// serving layer's *cross-tenant* sweep fan-out is a separate knob,
     /// `ServeConfig::sweep_parallelism` in `sieve-serve`.)
     pub parallelism: usize,
-    /// Whether the metric-reduction step runs on the shared SBD engine
-    /// (cached per-series spectra plus a per-component pairwise distance
-    /// matrix reused across the whole k sweep) instead of recomputing every
-    /// shape-based distance from scratch. Both paths produce bit-identical
-    /// models; the naive path exists as the reference oracle for tests and
-    /// benchmarks. Defaults to `true`.
-    pub use_sbd_cache: bool,
-    /// Whether the dependency-identification step runs on the shared
-    /// causality engine (one prepared state per representative series —
-    /// cached ADF verdict, lazily differenced buffer, memoized restricted
-    /// AR fits — shared by every edge the series participates in) instead
-    /// of redoing the per-series work for every pair and direction. Both
-    /// paths produce bit-identical models; the naive path is the reference
-    /// oracle for tests and benchmarks. Defaults to `true`.
-    pub use_granger_cache: bool,
     /// How much raw history the metric store retains per series. Unbounded
     /// by default (the offline-experiment oracle mode); a bounded policy
     /// keeps each series' newest points in a fixed ring window and folds
@@ -74,8 +58,6 @@ impl Default for SieveConfig {
             kshape_max_iterations: 50,
             granger: GrangerConfig::default(),
             parallelism: sieve_exec::par::hardware_parallelism(),
-            use_sbd_cache: true,
-            use_granger_cache: true,
             retention: RetentionPolicy::unbounded(),
         }
     }
@@ -101,20 +83,6 @@ impl SieveConfig {
         self
     }
 
-    /// Builder-style setter for the SBD-engine toggle (`false` selects the
-    /// naive direct-SBD reference path).
-    pub fn with_sbd_cache(mut self, use_sbd_cache: bool) -> Self {
-        self.use_sbd_cache = use_sbd_cache;
-        self
-    }
-
-    /// Builder-style setter for the causality-engine toggle (`false`
-    /// selects the naive per-pair Granger reference path).
-    pub fn with_granger_cache(mut self, use_granger_cache: bool) -> Self {
-        self.use_granger_cache = use_granger_cache;
-        self
-    }
-
     /// Builder-style setter for the store retention policy.
     pub fn with_retention(mut self, retention: RetentionPolicy) -> Self {
         self.retention = retention;
@@ -126,8 +94,9 @@ impl SieveConfig {
     /// # Errors
     ///
     /// Returns [`crate::SieveError::InvalidConfig`] when the interval is
-    /// zero, the cluster range is empty, the k-Shape iteration cap is zero
-    /// or the variance threshold is negative.
+    /// zero, the cluster range is empty, the k-Shape iteration cap is zero,
+    /// the variance threshold is negative, or the Granger or retention
+    /// settings are out of range.
     pub fn validate(&self) -> crate::Result<()> {
         if self.interval_ms == 0 {
             return Err(crate::SieveError::InvalidConfig {
@@ -154,6 +123,13 @@ impl SieveConfig {
                 reason: "variance_threshold must be non-negative".into(),
             });
         }
+        if let Err(e) = self.granger.validate() {
+            // Every Granger test would fail the same check and be skipped,
+            // publishing an edgeless graph as if nothing were related.
+            return Err(crate::SieveError::InvalidConfig {
+                reason: format!("granger: {e}"),
+            });
+        }
         if let Err(reason) = self.retention.validate() {
             return Err(crate::SieveError::InvalidConfig { reason });
         }
@@ -172,11 +148,6 @@ mod tests {
         assert_eq!(c.variance_threshold, 0.002);
         assert_eq!(c.max_clusters, 7);
         assert_eq!(c.granger.significance, 0.05);
-        assert!(c.use_sbd_cache, "cached distance engine is the default");
-        assert!(
-            c.use_granger_cache,
-            "cached causality engine is the default"
-        );
         assert!(
             !c.retention.is_bounded(),
             "unbounded retention is the default"
@@ -218,11 +189,6 @@ mod tests {
         assert_eq!(c.min_clusters, 3);
         assert_eq!(c.parallelism, 1);
         assert!(c.validate().is_ok());
-        let naive = SieveConfig::default()
-            .with_sbd_cache(false)
-            .with_granger_cache(false);
-        assert!(!naive.use_sbd_cache);
-        assert!(!naive.use_granger_cache);
 
         assert!(SieveConfig::default()
             .with_interval_ms(0)
@@ -237,6 +203,32 @@ mod tests {
             ..SieveConfig::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn out_of_range_granger_settings_are_rejected() {
+        let with_granger = |max_lag: usize, significance: f64| SieveConfig {
+            granger: GrangerConfig::default()
+                .with_max_lag(max_lag)
+                .with_significance(significance),
+            ..SieveConfig::default()
+        };
+        for (max_lag, significance, field) in [
+            (0, 0.05, "max_lag"),
+            (3, 0.0, "significance"),
+            (3, 1.0, "significance"),
+            (3, 1.5, "significance"),
+            (3, f64::NAN, "significance"),
+        ] {
+            assert!(
+                matches!(
+                    with_granger(max_lag, significance).validate(),
+                    Err(crate::SieveError::InvalidConfig { reason }) if reason.contains(field)
+                ),
+                "max_lag {max_lag}, significance {significance}"
+            );
+        }
+        assert!(with_granger(1, 0.999).validate().is_ok());
     }
 
     #[test]

@@ -17,21 +17,21 @@
 //! prepared arenas; nothing on this path clones a string or a sample
 //! vector.
 //!
-//! By default (`SieveConfig::use_granger_cache`) the stage runs on the
-//! shared causality engine: every (component, metric) series referenced by
-//! the plan is turned into one [`PreparedGrangerSeries`] — ADF verdict and
-//! variance computed up front through the executor, differenced buffer and
-//! restricted AR fits cached on demand — and every edge test (both
-//! directions, including the pairs the bidirectional filter later drops)
-//! reuses that state instead of redoing the per-series work per pair. The
-//! naive per-pair path is kept as the bit-identical reference oracle.
+//! The stage runs on the shared causality engine: every (component, metric)
+//! series referenced by the plan is turned into one
+//! [`PreparedGrangerSeries`] — ADF verdict and variance computed up front
+//! through the executor, differenced buffer and restricted AR fits cached on
+//! demand — and every edge test (both directions, including the pairs the
+//! bidirectional filter later drops) reuses that state instead of redoing
+//! the per-series work per pair. The per-pair path it must stay
+//! bit-identical to is [`crate::oracle::identify_dependencies`].
 
 use crate::columnar::PreparedComponent;
 use crate::config::SieveConfig;
 use crate::model::ComponentClustering;
 use crate::Result;
 use sieve_causality::engine::{granger_causes_prepared, PreparedGrangerSeries};
-use sieve_causality::granger::{granger_causes, GrangerResult};
+use sieve_causality::granger::GrangerResult;
 use sieve_exec::{par_map_chunks, Name};
 use sieve_graph::{CallGraph, DependencyEdge, DependencyGraph};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -121,147 +121,16 @@ pub(crate) fn series_lookup(
 /// Runs every comparison of `plan` (both directions) and returns one
 /// candidate-edge list *per comparison*, in plan order — the unit the
 /// incremental session caches. [`identify_dependencies`] flattens this.
+///
+/// One [`PreparedGrangerSeries`] per (component, metric) referenced by the
+/// plan is built up front through the shared executor (each needed
+/// representative is copied out of the columnar arena exactly once, into
+/// the engine's own buffer), then every per-edge test in both directions
+/// reuses it. The per-series ADF verdicts and variances are computed
+/// exactly once, the differenced buffers and restricted fits at most once
+/// per (differenced, order) key — instead of once per edge the series
+/// participates in.
 pub(crate) fn candidate_edges_per_comparison(
-    plan: &[Comparison],
-    lookup: &HashMap<SeriesKey<'_>, &[f64]>,
-    config: &SieveConfig,
-) -> Vec<Vec<DependencyEdge>> {
-    if config.use_granger_cache {
-        cached_candidate_edges(plan, lookup, config)
-    } else {
-        naive_candidate_edges(plan, lookup, config)
-    }
-}
-
-/// Assembles the final graph from the clusterings, the call graph and the
-/// candidate edges (in plan order), applying the bidirectional filter —
-/// shared verbatim by the batch and incremental paths so both produce
-/// structurally identical graphs.
-pub(crate) fn assemble_graph(
-    clusterings: &BTreeMap<Name, ComponentClustering>,
-    call_graph: &CallGraph,
-    candidate_edges: impl IntoIterator<Item = DependencyEdge>,
-) -> DependencyGraph {
-    let mut graph = DependencyGraph::new();
-    for component in clusterings.keys() {
-        graph.add_component(component.clone());
-    }
-    for component in call_graph.components() {
-        graph.add_component(component);
-    }
-    for edge in candidate_edges {
-        graph.add_edge(edge);
-    }
-    graph.filter_bidirectional();
-    graph
-}
-
-/// Runs the Granger comparisons and assembles the dependency graph.
-///
-/// `series` maps each component to its prepared (resampled, columnar,
-/// `Arc`-shared) series arena — the same buffers the reduction step ran on.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the Granger tests; individual tests
-/// that fail because a series is too short or degenerate are simply skipped
-/// (no edge is produced).
-pub fn identify_dependencies(
-    series: &BTreeMap<Name, PreparedComponent>,
-    clusterings: &BTreeMap<Name, ComponentClustering>,
-    call_graph: &CallGraph,
-    config: &SieveConfig,
-) -> Result<DependencyGraph> {
-    let plan = comparison_plan(call_graph, clusterings);
-    let lookup = series_lookup(series);
-
-    // Each comparison is tested in both directions (the callee may drive the
-    // caller, e.g. back-pressure); the per-edge work runs through the shared
-    // executor and the candidate edges are concatenated in plan order. Both
-    // paths share the edge assembly, so the engine can only change *when*
-    // per-series work happens, never what an edge looks like.
-    let candidate_edges = candidate_edges_per_comparison(&plan, &lookup, config);
-    Ok(assemble_graph(
-        clusterings,
-        call_graph,
-        candidate_edges.into_iter().flatten(),
-    ))
-}
-
-/// Turns the two directed test outcomes of one comparison into candidate
-/// edges. `forward` is "source metric Granger-causes target metric";
-/// individual tests that failed (too short, degenerate) arrive as `None`
-/// and simply produce no edge.
-fn edges_for_comparison(
-    cmp: &Comparison,
-    forward: Option<GrangerResult>,
-    reverse: Option<GrangerResult>,
-    interval_ms: u64,
-) -> Vec<DependencyEdge> {
-    let mut edges = Vec::new();
-    if let Some(result) = forward {
-        if result.causal {
-            edges.push(DependencyEdge {
-                source_component: cmp.source_component.clone(),
-                source_metric: cmp.source_metric.clone(),
-                target_component: cmp.target_component.clone(),
-                target_metric: cmp.target_metric.clone(),
-                p_value: result.p_value,
-                f_statistic: result.f_statistic,
-                lag_ms: result.best_lag as u64 * interval_ms,
-            });
-        }
-    }
-    if let Some(result) = reverse {
-        if result.causal {
-            edges.push(DependencyEdge {
-                source_component: cmp.target_component.clone(),
-                source_metric: cmp.target_metric.clone(),
-                target_component: cmp.source_component.clone(),
-                target_metric: cmp.source_metric.clone(),
-                p_value: result.p_value,
-                f_statistic: result.f_statistic,
-                lag_ms: result.best_lag as u64 * interval_ms,
-            });
-        }
-    }
-    edges
-}
-
-/// The reference path: every pair re-runs the full Granger test on the raw
-/// slices, recomputing ADF/differencing/restricted fits per pair and per
-/// direction. Kept as the oracle the cached engine is equality-tested and
-/// benchmarked against.
-fn naive_candidate_edges(
-    plan: &[Comparison],
-    lookup: &HashMap<SeriesKey<'_>, &[f64]>,
-    config: &SieveConfig,
-) -> Vec<Vec<DependencyEdge>> {
-    let per_comparison = |cmp: &Comparison| -> Vec<DependencyEdge> {
-        let Some(source) = lookup.get(&(cmp.source_component.as_str(), cmp.source_metric.as_str()))
-        else {
-            return Vec::new();
-        };
-        let Some(target) = lookup.get(&(cmp.target_component.as_str(), cmp.target_metric.as_str()))
-        else {
-            return Vec::new();
-        };
-        let forward = granger_causes(source, target, &config.granger).ok();
-        let reverse = granger_causes(target, source, &config.granger).ok();
-        edges_for_comparison(cmp, forward, reverse, config.interval_ms)
-    };
-    par_map_chunks(config.parallelism, plan, per_comparison)
-}
-
-/// The engine path: one [`PreparedGrangerSeries`] per (component, metric)
-/// referenced by the plan, built up front through the shared executor (each
-/// needed representative is copied out of the columnar arena exactly once,
-/// into the engine's own buffer), then every per-edge test in both
-/// directions reuses it. The per-series ADF verdicts and variances are
-/// computed exactly once, the differenced buffers and restricted fits at
-/// most once per (differenced, order) key — instead of once per edge the
-/// series participates in.
-fn cached_candidate_edges(
     plan: &[Comparison],
     lookup: &HashMap<SeriesKey<'_>, &[f64]>,
     config: &SieveConfig,
@@ -301,6 +170,100 @@ fn cached_candidate_edges(
         edges_for_comparison(cmp, forward, reverse, config.interval_ms)
     };
     par_map_chunks(config.parallelism, plan, per_comparison)
+}
+
+/// Assembles the final graph from the clusterings, the call graph and the
+/// candidate edges (in plan order), applying the bidirectional filter —
+/// shared verbatim by the batch and incremental paths so both produce
+/// structurally identical graphs.
+pub(crate) fn assemble_graph(
+    clusterings: &BTreeMap<Name, ComponentClustering>,
+    call_graph: &CallGraph,
+    candidate_edges: impl IntoIterator<Item = DependencyEdge>,
+) -> DependencyGraph {
+    let mut graph = DependencyGraph::new();
+    for component in clusterings.keys() {
+        graph.add_component(component.clone());
+    }
+    for component in call_graph.components() {
+        graph.add_component(component);
+    }
+    for edge in candidate_edges {
+        graph.add_edge(edge);
+    }
+    graph.filter_bidirectional();
+    graph
+}
+
+/// Runs the Granger comparisons and assembles the dependency graph.
+///
+/// `series` maps each component to its prepared (resampled, columnar,
+/// `Arc`-shared) series arena — the same buffers the reduction step ran on.
+///
+/// # Errors
+///
+/// Rejects an invalid Granger configuration; individual tests that fail
+/// because a series is too short or degenerate are simply skipped (no edge
+/// is produced).
+pub fn identify_dependencies(
+    series: &BTreeMap<Name, PreparedComponent>,
+    clusterings: &BTreeMap<Name, ComponentClustering>,
+    call_graph: &CallGraph,
+    config: &SieveConfig,
+) -> Result<DependencyGraph> {
+    config.granger.validate()?;
+    let plan = comparison_plan(call_graph, clusterings);
+    let lookup = series_lookup(series);
+
+    // Each comparison is tested in both directions (the callee may drive the
+    // caller, e.g. back-pressure); the per-edge work runs through the shared
+    // executor and the candidate edges are concatenated in plan order.
+    let candidate_edges = candidate_edges_per_comparison(&plan, &lookup, config);
+    Ok(assemble_graph(
+        clusterings,
+        call_graph,
+        candidate_edges.into_iter().flatten(),
+    ))
+}
+
+/// Turns the two directed test outcomes of one comparison into candidate
+/// edges. `forward` is "source metric Granger-causes target metric";
+/// individual tests that failed (too short, degenerate) arrive as `None`
+/// and simply produce no edge.
+pub(crate) fn edges_for_comparison(
+    cmp: &Comparison,
+    forward: Option<GrangerResult>,
+    reverse: Option<GrangerResult>,
+    interval_ms: u64,
+) -> Vec<DependencyEdge> {
+    let mut edges = Vec::new();
+    if let Some(result) = forward {
+        if result.causal {
+            edges.push(DependencyEdge {
+                source_component: cmp.source_component.clone(),
+                source_metric: cmp.source_metric.clone(),
+                target_component: cmp.target_component.clone(),
+                target_metric: cmp.target_metric.clone(),
+                p_value: result.p_value,
+                f_statistic: result.f_statistic,
+                lag_ms: result.best_lag as u64 * interval_ms,
+            });
+        }
+    }
+    if let Some(result) = reverse {
+        if result.causal {
+            edges.push(DependencyEdge {
+                source_component: cmp.target_component.clone(),
+                source_metric: cmp.target_metric.clone(),
+                target_component: cmp.source_component.clone(),
+                target_metric: cmp.source_metric.clone(),
+                p_value: result.p_value,
+                f_statistic: result.f_statistic,
+                lag_ms: result.best_lag as u64 * interval_ms,
+            });
+        }
+    }
+    edges
 }
 
 #[cfg(test)]
@@ -436,32 +399,36 @@ mod tests {
 
     #[test]
     fn cached_and_naive_granger_paths_produce_identical_graphs() {
-        // The causality engine must be a pure caching policy: across every
-        // combination of engine toggle and executor degree the dependency
-        // graph is bit-identical (edges, order, p-values, F statistics,
-        // lags).
+        // The causality engine must be a pure caching policy: at every
+        // executor degree the dependency graph is bit-identical (edges,
+        // order, p-values, F statistics, lags) to the per-pair oracle's.
         let (series, clusterings, call_graph) = scenario();
-        let mut graphs = Vec::new();
+        let config = SieveConfig::default();
+        let reference =
+            crate::oracle::identify_dependencies(&series, &clusterings, &call_graph, &config)
+                .unwrap();
+        assert!(reference.edge_count() > 0, "scenario must produce edges");
         for parallelism in [1usize, 4, 8] {
-            for use_cache in [true, false] {
-                let config = SieveConfig::default()
-                    .with_parallelism(parallelism)
-                    .with_granger_cache(use_cache);
-                graphs.push(
-                    identify_dependencies(&series, &clusterings, &call_graph, &config).unwrap(),
-                );
+            let config = config.clone().with_parallelism(parallelism);
+            let graph = identify_dependencies(&series, &clusterings, &call_graph, &config).unwrap();
+            assert_eq!(reference, graph, "parallelism {parallelism}");
+            for (a, b) in reference.edges().iter().zip(graph.edges().iter()) {
+                assert_eq!(a.p_value.to_bits(), b.p_value.to_bits());
+                assert_eq!(a.f_statistic.to_bits(), b.f_statistic.to_bits());
+                assert_eq!(a.lag_ms, b.lag_ms);
             }
         }
-        let reference = &graphs[0];
-        assert!(reference.edge_count() > 0, "scenario must produce edges");
-        for g in &graphs[1..] {
-            assert_eq!(reference, g, "all six configurations must agree");
-        }
-        for (a, b) in reference.edges().iter().zip(graphs[1].edges().iter()) {
-            assert_eq!(a.p_value.to_bits(), b.p_value.to_bits());
-            assert_eq!(a.f_statistic.to_bits(), b.f_statistic.to_bits());
-            assert_eq!(a.lag_ms, b.lag_ms);
-        }
+    }
+
+    #[test]
+    fn invalid_granger_settings_are_an_error_not_an_empty_graph() {
+        let (series, clusterings, call_graph) = scenario();
+        let mut config = SieveConfig::default();
+        config.granger.significance = 1.5;
+        assert!(matches!(
+            identify_dependencies(&series, &clusterings, &call_graph, &config),
+            Err(crate::SieveError::Causality(_))
+        ));
     }
 
     #[test]
@@ -549,18 +516,10 @@ mod tests {
 
         // Sanity-check the setup: both directions really are significant
         // before filtering (otherwise this test would pass vacuously).
-        let forward = sieve_causality::granger::granger_causes(
-            series["a"].series(0),
-            series["b"].series(0),
-            &config.granger,
-        )
-        .unwrap();
-        let backward = sieve_causality::granger::granger_causes(
-            series["b"].series(0),
-            series["a"].series(0),
-            &config.granger,
-        )
-        .unwrap();
+        let x = PreparedGrangerSeries::prepare(series["a"].series(0));
+        let y = PreparedGrangerSeries::prepare(series["b"].series(0));
+        let forward = granger_causes_prepared(&x, &y, &config.granger).unwrap();
+        let backward = granger_causes_prepared(&y, &x, &config.granger).unwrap();
         assert!(
             forward.causal && backward.causal,
             "scenario must be bidirectionally causal (forward p={}, backward p={})",

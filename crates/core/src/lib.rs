@@ -27,7 +27,9 @@
 //! deltas and recomputes only what a delta dirties, while
 //! [`pipeline::Sieve::analyze`] is the batch special case (a fresh session
 //! with everything dirty) — so streaming and batch share one code path and
-//! emit bit-identical models.
+//! emit bit-identical models. What "identical" is measured against lives in
+//! [`oracle`]: the same analysis written serially and statelessly on the
+//! recomputing reference kernels.
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@ pub mod columnar;
 pub mod config;
 pub mod dependencies;
 pub mod model;
+pub mod oracle;
 pub mod pipeline;
 pub mod reduce;
 pub mod session;

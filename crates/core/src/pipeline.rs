@@ -93,18 +93,27 @@ pub(crate) fn prepare_components(
     config: &SieveConfig,
 ) -> Vec<PreparedComponent> {
     par_map_chunks(config.parallelism, components, |component| {
-        // Resample straight off the store's zero-copy window views — no
-        // per-series clone between the store and the resampler. The rows
-        // go through the same `prepare_row` rule as `prepare_series`, so
-        // this path stays bit-identical to preparing owned copies.
-        let mut rows: Vec<(Name, Vec<f64>)> = Vec::new();
-        store.for_each_series_of(component.as_str(), |id, view| {
-            if let Some(values) = prepare_row(view, config.interval_ms) {
-                rows.push((id.metric.clone(), values));
-            }
-        });
-        PreparedComponent::from_rows(rows)
+        prepare_component(store, component, config.interval_ms)
     })
+}
+
+/// Prepares one component's series: resampled straight off the store's
+/// zero-copy window views — no per-series clone between the store and the
+/// resampler. The rows go through the same `prepare_row` rule as
+/// `prepare_series`, so this path stays bit-identical to preparing owned
+/// copies.
+pub(crate) fn prepare_component(
+    store: &MetricStore,
+    component: &Name,
+    interval_ms: u64,
+) -> PreparedComponent {
+    let mut rows: Vec<(Name, Vec<f64>)> = Vec::new();
+    store.for_each_series_of(component.as_str(), |id, view| {
+        if let Some(values) = prepare_row(view, interval_ms) {
+            rows.push((id.metric.clone(), values));
+        }
+    });
+    PreparedComponent::from_rows(rows)
 }
 
 /// The Sieve analysis pipeline.
@@ -353,11 +362,14 @@ mod tests {
         let app = small_app();
         let (store, graph) =
             load_application(&app, &Workload::constant(10.0), 1, 60_000, 500).unwrap();
-        let sieve = Sieve::new(SieveConfig::default().with_interval_ms(0));
-        assert!(matches!(
-            sieve.analyze("small", &store, &graph),
-            Err(SieveError::InvalidConfig { .. })
-        ));
+        let mut edgeless = SieveConfig::default();
+        edgeless.granger.max_lag = 0;
+        for config in [SieveConfig::default().with_interval_ms(0), edgeless] {
+            assert!(matches!(
+                Sieve::new(config).analyze("small", &store, &graph),
+                Err(SieveError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
@@ -382,55 +394,22 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_naive_distance_paths_produce_identical_models() {
-        // The shared SBD engine (spectra + distance matrix) must be a pure
-        // optimisation: across the serial and parallel executor configs, the
-        // cached and naive reduction paths must emit bit-identical models.
-        let app = small_app();
-        let (store, graph) =
-            load_application(&app, &Workload::randomized(60.0, 1), 9, 90_000, 500).unwrap();
-        let mut models = Vec::new();
-        for parallelism in [1usize, 8] {
-            for use_cache in [true, false] {
-                let sieve = Sieve::new(
-                    fast_config()
-                        .with_parallelism(parallelism)
-                        .with_sbd_cache(use_cache),
-                );
-                models.push(sieve.analyze("small", &store, &graph).unwrap());
-            }
-        }
-        for m in &models[1..] {
-            assert_eq!(&models[0], m, "all four configurations must agree");
-        }
-    }
-
-    #[test]
     fn cached_and_naive_granger_paths_produce_identical_models() {
-        // The shared causality engine (prepared series + memoized
-        // restricted fits) must be a pure optimisation: across the serial
-        // and parallel executor configs, the cached and naive dependency
-        // paths must emit bit-identical models.
+        // The shared SBD and causality engines, the session's caches and
+        // the executor must be pure optimisations: at every parallelism the
+        // model is bit-identical to the stateless serial oracle's.
         let app = small_app();
         let (store, graph) =
             load_application(&app, &Workload::randomized(60.0, 1), 9, 90_000, 500).unwrap();
-        let mut models = Vec::new();
-        for parallelism in [1usize, 4, 8] {
-            for use_cache in [true, false] {
-                let sieve = Sieve::new(
-                    fast_config()
-                        .with_parallelism(parallelism)
-                        .with_granger_cache(use_cache),
-                );
-                models.push(sieve.analyze("small", &store, &graph).unwrap());
-            }
-        }
+        let reference = crate::oracle::analyze("small", &store, &graph, &fast_config()).unwrap();
         assert!(
-            models[0].dependency_graph.edge_count() > 0,
+            reference.dependency_graph.edge_count() > 0,
             "scenario must produce dependency edges"
         );
-        for m in &models[1..] {
-            assert_eq!(&models[0], m, "all six configurations must agree");
+        for parallelism in [1usize, 4, 8] {
+            let sieve = Sieve::new(fast_config().with_parallelism(parallelism));
+            let model = sieve.analyze("small", &store, &graph).unwrap();
+            assert_eq!(reference, model, "parallelism {parallelism}");
         }
     }
 

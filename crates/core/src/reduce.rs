@@ -24,14 +24,13 @@
 //! k-Shape/silhouette calls below borrow contiguous views of it without
 //! copying.
 //!
-//! The k sweep itself runs on the shared SBD engine by default
-//! (`SieveConfig::use_sbd_cache`): per-series spectra, the pairwise
-//! distance matrix and one k-Shape cache — z-normalized copies, their
-//! spectra and a memo of every cluster refinement performed — are built once
-//! per component and shared by every candidate `k`, so a cluster one fit
+//! The k sweep itself runs on the shared SBD engine: per-series spectra, the
+//! pairwise distance matrix and one k-Shape cache — z-normalized copies,
+//! their spectra and a memo of every cluster refinement performed — are built
+//! once per component and shared by every candidate `k`, so a cluster one fit
 //! already refined (in an earlier iteration, or for another `k`) is never
-//! refined again. The direct-SBD path is kept as the bit-identical reference
-//! oracle.
+//! refined again. The direct-SBD sweep it must stay bit-identical to is
+//! [`crate::oracle::reduce_component`].
 
 use crate::columnar::PreparedComponent;
 use crate::config::SieveConfig;
@@ -40,9 +39,8 @@ use crate::Result;
 use sieve_cluster::distance::{compute_spectra, DistanceMatrix};
 use sieve_cluster::jaro::pre_cluster_names;
 use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeResult, KShapeSeriesCache};
-use sieve_cluster::silhouette::{silhouette_score_from_matrix, silhouette_score_sbd};
+use sieve_cluster::silhouette::silhouette_score_from_matrix;
 use sieve_exec::Name;
-use sieve_timeseries::sbd::shape_based_distance;
 use sieve_timeseries::spectrum::{sbd_oriented, SbdScratch, SeriesSpectrum};
 use sieve_timeseries::stats::{mean, variance};
 use sieve_timeseries::{resample, SeriesView, TimeSeries};
@@ -129,7 +127,24 @@ pub fn reduce_component(
     prepared: &PreparedComponent,
     config: &SieveConfig,
 ) -> Result<ComponentClustering> {
-    let component = component.into();
+    reduce_component_with(component.into(), prepared, config, sweep)
+}
+
+/// Silhouette, chosen `k` and clusters of one component's kept series.
+pub(crate) type SweepOutcome = (f64, usize, Vec<MetricCluster>);
+
+/// The stage around the k sweep — variance filter, the zero- and one-series
+/// short-circuits, result assembly — with the sweep itself supplied by the
+/// caller: [`sweep`] in production, the direct-SBD sweep in
+/// [`crate::oracle`]. `sweep_kept` receives the kept series, their names as
+/// `&str` (for the name pre-clustering) and as interned names, in prepared
+/// order.
+pub(crate) fn reduce_component_with(
+    component: Name,
+    prepared: &PreparedComponent,
+    config: &SieveConfig,
+    sweep_kept: impl FnOnce(&[&[f64]], &[&str], &[&Name], &SieveConfig) -> Result<SweepOutcome>,
+) -> Result<ComponentClustering> {
     let total_metrics = prepared.len();
 
     // 1. Variance filter.
@@ -176,16 +191,8 @@ pub fn reduce_component(
     let names: Vec<&str> = kept_names.iter().map(|n| n.as_str()).collect();
 
     // 2. Try every k in the configured range and keep the best silhouette,
-    // then 3. pick each cluster's representative. The cached path computes
-    // every per-series spectrum and the full pairwise distance matrix once
-    // and reuses them — and every cluster refinement — across the whole
-    // sweep; the naive path recomputes everything from scratch. Both are
-    // bit-identical (asserted by tests and the benches).
-    let (silhouette, chosen_k, clusters) = if config.use_sbd_cache {
-        sweep_cached(&data, &names, &kept_names, config)?
-    } else {
-        sweep_naive(&data, &names, &kept_names, config)?
-    };
+    // then 3. pick each cluster's representative.
+    let (silhouette, chosen_k, clusters) = sweep_kept(&data, &names, &kept_names, config)?;
 
     Ok(ComponentClustering {
         component,
@@ -202,12 +209,12 @@ pub fn reduce_component(
 /// through `sieve_exec::par_map_chunks`), one [`KShapeSeriesCache`] — and
 /// with it one refinement memo — passed through every `k`'s fit in turn and
 /// dropped when the component's sweep ends.
-fn sweep_cached(
+fn sweep(
     data: &[&[f64]],
     names: &[&str],
     kept: &[&Name],
     config: &SieveConfig,
-) -> Result<(f64, usize, Vec<MetricCluster>)> {
+) -> Result<SweepOutcome> {
     // Spectra of the *raw* prepared series drive the silhouette matrix and
     // the centroid-to-member representative distances; the k-Shape cache
     // holds its own spectra of the z-normalized copies.
@@ -253,54 +260,12 @@ fn sweep_cached(
     Ok((silhouette, chosen_k, clusters))
 }
 
-/// The direct-SBD reference path: every distance re-z-normalizes and
-/// re-FFTs both operands. Kept as the oracle the cached path is benchmarked
-/// and equality-tested against.
-fn sweep_naive(
-    data: &[&[f64]],
-    names: &[&str],
-    kept: &[&Name],
-    config: &SieveConfig,
-) -> Result<(f64, usize, Vec<MetricCluster>)> {
-    let max_k = config.max_clusters.min(data.len().saturating_sub(1)).max(1);
-    let min_k = config.min_clusters.min(max_k);
-    let mut best: Option<(f64, KShapeResult, usize)> = None;
-    for k in min_k..=max_k {
-        let init = pre_cluster_names(names, k);
-        let kshape_config = KShapeConfig::new(k)
-            .with_max_iterations(config.kshape_max_iterations)
-            .with_initial_assignment(init);
-        let result = KShape::new(kshape_config).fit(data)?;
-        let score = silhouette_score_sbd(data, &result.assignments)?;
-        let better = match &best {
-            None => true,
-            Some((best_score, _, _)) => score > *best_score,
-        };
-        if better {
-            best = Some((score, result, k));
-        }
-    }
-    let (silhouette, result, chosen_k) = best.expect("at least one k was evaluated");
-
-    let clusters = build_clusters(&result, chosen_k, kept, |centroid, members| {
-        members
-            .iter()
-            .map(|&idx| {
-                shape_based_distance(centroid, data[idx])
-                    .map(|r| r.distance)
-                    .unwrap_or(2.0)
-            })
-            .collect()
-    });
-    Ok((silhouette, chosen_k, clusters))
-}
-
 /// Builds the final clusters, picking as each cluster's representative the
 /// member with the smallest centroid distance. `centroid_distances` is
 /// called once per non-zero centroid with the full member-index list so
 /// implementations can share per-centroid work (e.g. one spectrum per
 /// cluster) and must return one distance per member, in order.
-fn build_clusters(
+pub(crate) fn build_clusters(
     result: &KShapeResult,
     chosen_k: usize,
     kept: &[&Name],
@@ -520,7 +485,7 @@ mod tests {
         // z-normalized; the name pre-clustering splits them over several
         // clusters, whose centroids then sit a rounding error apart, and
         // members flip between them until the iteration cap — every lap
-        // served from the cached path's refinement memo.
+        // served from the production sweep's refinement memo.
         let load: Vec<f64> = (0..240).map(|t| (50 + (t * 5) % 61) as f64).collect();
         let mut total = 0.0;
         let cumulative: Vec<f64> = (load.iter())
@@ -570,19 +535,19 @@ mod tests {
         assert_cached_equals_naive(&PreparedComponent::from_named(&series), base, &[1, 4, 8]);
     }
 
-    /// Reduces `prepared` on the naive path and, at each parallelism, on the
-    /// cached path, and asserts full structural equality including every
-    /// representative distance and silhouette bit — the engine must not
-    /// change a single one.
+    /// Reduces `prepared` with the direct-SBD oracle and, at each
+    /// parallelism, with the production sweep, and asserts full structural
+    /// equality including every representative distance and silhouette bit
+    /// — the engine must not change a single one.
     fn assert_cached_equals_naive(
         prepared: &PreparedComponent,
         base: SieveConfig,
         parallelisms: &[usize],
     ) {
-        let naive = reduce_component("web", prepared, &base.clone().with_sbd_cache(false)).unwrap();
+        let naive = crate::oracle::reduce_component("web", prepared, &base).unwrap();
         for &parallelism in parallelisms {
             let config = base.clone().with_parallelism(parallelism);
-            let cached = reduce_component("web", prepared, &config.with_sbd_cache(true)).unwrap();
+            let cached = reduce_component("web", prepared, &config).unwrap();
             assert_eq!(cached, naive);
             assert_eq!(cached.silhouette.to_bits(), naive.silhouette.to_bits());
             for (c, n) in cached.clusters.iter().zip(naive.clusters.iter()) {

@@ -28,8 +28,8 @@
 //! result is the central guarantee of this module, asserted by tests,
 //! property tests and the `incremental` bench: a session that absorbed any
 //! sequence of deltas emits a [`SieveModel`] **bit-identical** to batch
-//! analysis of the final store — across parallelism degrees and with the
-//! SBD/Granger engines on or off.
+//! analysis of the final store — and to the stateless [`crate::oracle`] —
+//! across parallelism degrees.
 //!
 //! # Lifecycle
 //!
@@ -137,8 +137,8 @@ impl EdgeKey {
 }
 
 /// Fingerprint of the statistical configuration: every field that can
-/// change an analysis result. Parallelism and the SBD/Granger engine
-/// toggles are deliberately excluded — they are proven result-invariant.
+/// change an analysis result. Parallelism is deliberately excluded — it is
+/// proven result-invariant.
 fn config_fingerprint(config: &SieveConfig) -> u64 {
     let mut fp = mix(FINGERPRINT_SEED, config.interval_ms);
     fp = mix_f64(fp, config.variance_threshold);
@@ -798,16 +798,15 @@ mod tests {
 
     #[test]
     fn session_rejects_invalid_configuration() {
-        let result = AnalysisSession::new(
-            "x",
-            MetricStore::new(),
-            CallGraph::new(),
-            SieveConfig::default().with_interval_ms(0),
-        );
-        assert!(matches!(
-            result,
-            Err(crate::SieveError::InvalidConfig { .. })
-        ));
+        let mut edgeless = SieveConfig::default();
+        edgeless.granger.significance = 1.0;
+        for config in [SieveConfig::default().with_interval_ms(0), edgeless] {
+            let result = AnalysisSession::new("x", MetricStore::new(), CallGraph::new(), config);
+            assert!(matches!(
+                result,
+                Err(crate::SieveError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
@@ -822,18 +821,10 @@ mod tests {
             base,
             config_fingerprint(&SieveConfig::default().with_cluster_range(2, 5))
         );
-        // Parallelism and engine toggles are result-invariant.
+        // Parallelism is result-invariant.
         assert_eq!(
             base,
             config_fingerprint(&SieveConfig::default().with_parallelism(8))
-        );
-        assert_eq!(
-            base,
-            config_fingerprint(
-                &SieveConfig::default()
-                    .with_sbd_cache(false)
-                    .with_granger_cache(false)
-            )
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Randomized property tests for the epoch-based incremental analysis
 //! path: a session absorbing any sequence of deltas must emit the same
-//! `SieveModel` as batch-analyzing the final store — bit for bit, across
-//! executor degrees and engine toggles.
+//! `SieveModel` as batch-analyzing the final store and as the stateless
+//! `oracle` — bit for bit, across executor degrees.
 //!
 //! Deterministic splitmix64 case generation (the container has no registry
 //! access for `proptest`): every run checks the identical pseudo-random
@@ -171,9 +171,7 @@ fn random_delta_sequences_converge_to_the_batch_model() {
         let scenario = random_scenario(seed);
         let config = SieveConfig::default()
             .with_cluster_range(2, 3)
-            .with_parallelism(*rng.pick(&[1usize, 2, 4]))
-            .with_sbd_cache(*rng.pick(&[true, false]))
-            .with_granger_cache(*rng.pick(&[true, false]));
+            .with_parallelism(*rng.pick(&[1usize, 2, 4]));
 
         let store = MetricStore::new();
         let mut session = AnalysisSession::new(
@@ -194,62 +192,57 @@ fn random_delta_sequences_converge_to_the_batch_model() {
         }
         let streamed = streamed.unwrap();
 
-        let batch = Sieve::new(config)
+        let batch = Sieve::new(config.clone())
             .analyze("random", &store, &scenario.call_graph)
             .unwrap();
         assert_eq!(
             streamed, batch,
             "seed {seed}: streamed session must match batch analysis"
         );
+        let reference =
+            sieve_core::oracle::analyze("random", &store, &scenario.call_graph, &config).unwrap();
+        assert_eq!(streamed, reference, "seed {seed}: and the oracle");
     }
 }
 
 #[test]
-fn incremental_equals_batch_across_parallelism_and_engine_toggles() {
-    // The acceptance matrix: parallelism 1/4/8 x SBD cache on/off x
-    // Granger cache on/off, every streamed model and every batch model
-    // structurally equal. One fixed scenario, re-streamed per combination.
+fn incremental_and_batch_equal_the_oracle_across_parallelism() {
+    // The acceptance sweep: at parallelism 1/4/8 the streamed model and
+    // the batch model both equal the one oracle model of the final store.
+    // One fixed scenario, re-streamed per degree.
     let scenario = random_scenario(0xC0FFEE % 8);
-    let mut models = Vec::new();
+    let base = SieveConfig::default().with_cluster_range(2, 3);
+    let mut reference = None;
     for parallelism in [1usize, 4, 8] {
-        for sbd_cache in [true, false] {
-            for granger_cache in [true, false] {
-                let config = SieveConfig::default()
-                    .with_cluster_range(2, 3)
-                    .with_parallelism(parallelism)
-                    .with_sbd_cache(sbd_cache)
-                    .with_granger_cache(granger_cache);
-
-                let store = MetricStore::new();
-                let mut session = AnalysisSession::new(
-                    "matrix",
-                    store.clone(),
-                    scenario.call_graph.clone(),
-                    config.clone(),
-                )
-                .unwrap();
-                let mut clocks: BTreeMap<MetricId, usize> =
-                    scenario.series.keys().map(|id| (id.clone(), 0)).collect();
-                let mut streamed = None;
-                for epoch in &scenario.epochs {
-                    record_ticks(&store, &scenario, &mut clocks, epoch);
-                    streamed = Some(session.update(&store.drain_delta()).unwrap());
-                }
-                models.push(streamed.unwrap());
-
-                let batch = Sieve::new(config)
-                    .analyze("matrix", &store, &scenario.call_graph)
-                    .unwrap();
-                models.push(batch);
-            }
+        let config = base.clone().with_parallelism(parallelism);
+        let store = MetricStore::new();
+        let mut session = AnalysisSession::new(
+            "matrix",
+            store.clone(),
+            scenario.call_graph.clone(),
+            config.clone(),
+        )
+        .unwrap();
+        let mut clocks: BTreeMap<MetricId, usize> =
+            scenario.series.keys().map(|id| (id.clone(), 0)).collect();
+        let mut streamed = None;
+        for epoch in &scenario.epochs {
+            record_ticks(&store, &scenario, &mut clocks, epoch);
+            streamed = Some(session.update(&store.drain_delta()).unwrap());
         }
-    }
-    assert!(
-        models[0].dependency_graph.edge_count() > 0,
-        "the scenario must produce dependency edges"
-    );
-    for m in &models[1..] {
-        assert_eq!(&models[0], m, "all 24 models must be bit-identical");
+        let batch = Sieve::new(config)
+            .analyze("matrix", &store, &scenario.call_graph)
+            .unwrap();
+
+        let reference = reference.get_or_insert_with(|| {
+            sieve_core::oracle::analyze("matrix", &store, &scenario.call_graph, &base).unwrap()
+        });
+        assert!(
+            reference.dependency_graph.edge_count() > 0,
+            "the scenario must produce dependency edges"
+        );
+        assert_eq!(reference, &streamed.unwrap(), "parallelism {parallelism}");
+        assert_eq!(reference, &batch, "parallelism {parallelism}");
     }
 }
 

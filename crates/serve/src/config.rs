@@ -223,6 +223,12 @@ mod tests {
         let bad_analysis =
             ServeConfig::default().with_analysis(SieveConfig::default().with_interval_ms(0));
         assert!(bad_analysis.validate().is_err());
+        let mut edgeless = SieveConfig::default();
+        edgeless.granger.max_lag = 0;
+        assert!(ServeConfig::default()
+            .with_analysis(edgeless)
+            .validate()
+            .is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! descriptive `Err(String)` that the frame/snapshot layers convert into
 //! checksummed-corruption accounting.
 
-use sieve_core::config::SieveConfig;
+use sieve_core::config::{GrangerConfig, SieveConfig};
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{
     AggregateBucket, CostModel, MetricId, RetentionPolicy, SeriesState, StoreState, TierState,
@@ -214,53 +214,56 @@ pub fn take_cost_model(cur: &mut Cursor<'_>) -> DecodeResult<Option<CostModel>> 
 /// result-invariant field alike, so a recovered tenant analyses exactly
 /// as configured.
 pub fn put_sieve_config(buf: &mut Vec<u8>, config: &SieveConfig) {
-    put_u64(buf, config.interval_ms);
-    put_f64(buf, config.variance_threshold);
-    put_usize(buf, config.min_clusters);
-    put_usize(buf, config.max_clusters);
-    put_usize(buf, config.kshape_max_iterations);
-    put_usize(buf, config.granger.max_lag);
-    put_f64(buf, config.granger.significance);
-    put_bool(buf, config.granger.difference_non_stationary);
-    put_usize(buf, config.granger.min_observations);
-    put_usize(buf, config.parallelism);
-    put_bool(buf, config.use_sbd_cache);
-    put_bool(buf, config.use_granger_cache);
-    put_retention(buf, &config.retention);
+    // Destructured without `..`, and rebuilt from struct literals in
+    // `take_sieve_config`: a field added to either type and not persisted
+    // here fails to compile instead of resetting to its default on recovery.
+    let SieveConfig {
+        interval_ms,
+        variance_threshold,
+        min_clusters,
+        max_clusters,
+        kshape_max_iterations,
+        granger,
+        parallelism,
+        retention,
+    } = config;
+    let GrangerConfig {
+        max_lag,
+        significance,
+        difference_non_stationary,
+        min_observations,
+    } = granger;
+    put_u64(buf, *interval_ms);
+    put_f64(buf, *variance_threshold);
+    put_usize(buf, *min_clusters);
+    put_usize(buf, *max_clusters);
+    put_usize(buf, *kshape_max_iterations);
+    put_usize(buf, *max_lag);
+    put_f64(buf, *significance);
+    put_bool(buf, *difference_non_stationary);
+    put_usize(buf, *min_observations);
+    put_usize(buf, *parallelism);
+    put_retention(buf, retention);
 }
 
-/// Reads a full [`SieveConfig`].
+/// Reads a full [`SieveConfig`], in the field order of
+/// [`put_sieve_config`].
 pub fn take_sieve_config(cur: &mut Cursor<'_>) -> DecodeResult<SieveConfig> {
-    // Field order matches `put_sieve_config` exactly.
-    let interval_ms = cur.take_u64("interval_ms")?;
-    let variance_threshold = cur.take_f64("variance_threshold")?;
-    let min_clusters = cur.take_usize("min_clusters")?;
-    let max_clusters = cur.take_usize("max_clusters")?;
-    let kshape_max_iterations = cur.take_usize("kshape_max_iterations")?;
-    let granger_max_lag = cur.take_usize("granger max_lag")?;
-    let granger_significance = cur.take_f64("granger significance")?;
-    let granger_differencing = cur.take_bool("granger differencing")?;
-    let granger_min_observations = cur.take_usize("granger min_observations")?;
-    let parallelism = cur.take_usize("parallelism")?;
-    let use_sbd_cache = cur.take_bool("use_sbd_cache")?;
-    let use_granger_cache = cur.take_bool("use_granger_cache")?;
-    let retention = take_retention(cur)?;
-
-    let mut config = SieveConfig::default()
-        .with_interval_ms(interval_ms)
-        .with_parallelism(parallelism)
-        .with_sbd_cache(use_sbd_cache)
-        .with_granger_cache(use_granger_cache)
-        .with_retention(retention);
-    config.variance_threshold = variance_threshold;
-    config.min_clusters = min_clusters;
-    config.max_clusters = max_clusters;
-    config.kshape_max_iterations = kshape_max_iterations;
-    config.granger.max_lag = granger_max_lag;
-    config.granger.significance = granger_significance;
-    config.granger.difference_non_stationary = granger_differencing;
-    config.granger.min_observations = granger_min_observations;
-    Ok(config)
+    Ok(SieveConfig {
+        interval_ms: cur.take_u64("interval_ms")?,
+        variance_threshold: cur.take_f64("variance_threshold")?,
+        min_clusters: cur.take_usize("min_clusters")?,
+        max_clusters: cur.take_usize("max_clusters")?,
+        kshape_max_iterations: cur.take_usize("kshape_max_iterations")?,
+        granger: GrangerConfig {
+            max_lag: cur.take_usize("granger max_lag")?,
+            significance: cur.take_f64("granger significance")?,
+            difference_non_stationary: cur.take_bool("granger differencing")?,
+            min_observations: cur.take_usize("granger min_observations")?,
+        },
+        parallelism: cur.take_usize("parallelism")?,
+        retention: take_retention(cur)?,
+    })
 }
 
 /// Appends a [`CallGraph`] as its component list plus per-caller edge
@@ -469,11 +472,23 @@ mod tests {
 
     #[test]
     fn config_and_graph_roundtrip() {
-        let config = SieveConfig::default()
-            .with_interval_ms(250)
-            .with_cluster_range(2, 4)
-            .with_parallelism(3)
-            .with_retention(RetentionPolicy::windowed(128).with_tier_capacity(32));
+        // Every field differs from its default, so a field the codec
+        // forgot — or swapped with a neighbour — cannot round-trip.
+        let config = SieveConfig {
+            interval_ms: 250,
+            variance_threshold: 0.01,
+            min_clusters: 3,
+            max_clusters: 4,
+            kshape_max_iterations: 17,
+            granger: GrangerConfig {
+                max_lag: 5,
+                significance: 0.01,
+                difference_non_stationary: false,
+                min_observations: 41,
+            },
+            parallelism: SieveConfig::default().parallelism + 1,
+            retention: RetentionPolicy::windowed(128).with_tier_capacity(32),
+        };
         let mut buf = Vec::new();
         put_sieve_config(&mut buf, &config);
         let decoded = take_sieve_config(&mut Cursor::new(&buf)).unwrap();

@@ -70,7 +70,10 @@ pub enum WalEvent {
     },
 }
 
-const TAG_TENANT_CREATED: u8 = 1;
+/// Tag 1 is retired, not reused: it framed a tenant configuration two bytes
+/// longer, and logs carry no format version, so a frame written with it must
+/// fail as an unknown tag instead of decoding shifted.
+const TAG_TENANT_CREATED: u8 = 5;
 const TAG_CALL_GRAPH_REPLACED: u8 = 2;
 const TAG_RETENTION_CHANGED: u8 = 3;
 const TAG_INGEST_BATCH: u8 = 4;
@@ -328,6 +331,11 @@ mod tests {
     fn malformed_events_error_instead_of_panicking() {
         assert!(WalEvent::decode(&[]).is_err(), "empty input");
         assert!(WalEvent::decode(&[99]).is_err(), "unknown tag");
+        assert_eq!(
+            WalEvent::decode(&[1, 0, 0, 0, 0]).unwrap_err(),
+            "unknown event tag 1",
+            "the retired tenant-created layout"
+        );
 
         let mut buf = Vec::new();
         sample_events()[2].encode(&mut buf);

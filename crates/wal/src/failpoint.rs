@@ -121,23 +121,7 @@ impl WalMedia for FailpointFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
-
-    #[derive(Debug, Clone, Default)]
-    struct MemMedia {
-        bytes: Arc<Mutex<Vec<u8>>>,
-    }
-
-    impl WalMedia for MemMedia {
-        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-            self.bytes.lock().unwrap().extend_from_slice(bytes);
-            Ok(())
-        }
-
-        fn sync(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
+    use crate::writer::testing::MemMedia;
 
     #[test]
     fn transparent_without_configured_faults() {

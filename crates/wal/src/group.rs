@@ -1,10 +1,8 @@
 //! Cross-thread group commit: one leader write for many ingests.
 //!
-//! [`crate::writer::ShardWal`] group-commits within one caller — a burst
-//! of appends inside one serving operation becomes one write — but it
-//! lives behind a mutex, so *concurrent* callers serialize end to end
-//! and each pays its own write + fsync. [`GroupCommitLog`] lifts group
-//! commit across threads:
+//! A log behind a plain mutex makes *concurrent* callers serialize end to
+//! end, each paying its own write + fsync. [`GroupCommitLog`] coalesces
+//! them instead:
 //!
 //! 1. **Stage.** Every caller encodes its payload outside any lock, then
 //!    takes a short staging lock to get a sequence number, checksum the
@@ -22,20 +20,19 @@
 //!    watermark passes their sequence number. Their frames reach disk in
 //!    the leader's write — zero syscalls on their thread.
 //!
-//! The byte stream an interleaving of staged events produces is exactly
-//! what a [`ShardWal`] would have written for the same event order
-//! (asserted by unit test), so the frame format, the recovery scanner
-//! and every PR-8 crash-safety property are untouched.
+//! Whatever the interleaving, the byte stream on the media is the
+//! concatenation of [`frame::encode`]`(seq, event)` in sequence order
+//! (asserted by unit test) — exactly what [`crate::reader::scan_log`]
+//! reads back.
 //!
-//! **Failure semantics** mirror `ShardWal`: the staging buffer is
-//! drained *before* the write is attempted, so a failed media write
-//! drops the drained frames (recovery's checksum scan handles whatever
-//! fraction reached disk) and retrying an ingest is safe. A leader
-//! failure is reported to every rider of that write via a recorded
-//! failed-sequence range; the committed watermark still advances past
-//! the range, so later commits are not poisoned and no follower hangs.
+//! **Failure semantics**: the staging buffer is drained *before* the
+//! write is attempted, so a failed media write drops the drained frames
+//! (recovery's checksum scan handles whatever fraction reached disk) and
+//! retrying an ingest is safe. A leader failure is reported to every
+//! rider of that write via a recorded failed-sequence range; the
+//! committed watermark still advances past the range, so later commits
+//! are not poisoned and no follower hangs.
 //!
-//! [`ShardWal`]: crate::writer::ShardWal
 //! [`FsyncPolicy`]: crate::writer::FsyncPolicy
 
 use crate::event::WalEvent;
@@ -70,8 +67,7 @@ struct Staging {
 struct Committer {
     media: Box<dyn WalMedia>,
     /// Frames written since the last sync ([`FsyncPolicy::EveryN`]
-    /// counts across leader writes, exactly as `ShardWal` counts across
-    /// commits).
+    /// counts across leader writes).
     frames_since_sync: u64,
     fsync: FsyncPolicy,
     /// Recycled staging buffer: the leader swaps this (empty) vector in
@@ -299,7 +295,7 @@ impl GroupCommitLog {
             let mut progress = self.progress.lock().expect("wal progress poisoned");
             progress.drained_seq = progress.drained_seq.max(staged_through);
         }
-        let outcome = self.write_and_sync(committer, &bytes);
+        let outcome = self.write_and_sync(committer, &bytes, frames);
         self.leader_writes.fetch_add(1, Ordering::Relaxed);
         self.frames_committed.fetch_add(frames, Ordering::Relaxed);
         {
@@ -324,20 +320,16 @@ impl GroupCommitLog {
         committer.spare = bytes;
     }
 
-    /// The media half of a leader turn; mirrors `ShardWal::commit`.
-    fn write_and_sync(&self, committer: &mut Committer, bytes: &[u8]) -> std::io::Result<()> {
+    /// The media half of a leader turn: one append of the `frames` drained
+    /// frames in `bytes`, then a sync if the policy calls for one.
+    fn write_and_sync(
+        &self,
+        committer: &mut Committer,
+        bytes: &[u8],
+        frames: u64,
+    ) -> std::io::Result<()> {
         committer.media.append(bytes)?;
-        committer.frames_since_sync += {
-            let mut count = 0u64;
-            let mut pos = 0usize;
-            while pos < bytes.len() {
-                let len =
-                    u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-                pos += frame::HEADER_LEN + len;
-                count += 1;
-            }
-            count
-        };
+        committer.frames_since_sync += frames;
         let should_sync = match committer.fsync {
             FsyncPolicy::Always => true,
             FsyncPolicy::EveryN(n) => committer.frames_since_sync >= n.max(1),
@@ -379,72 +371,31 @@ impl GroupCommitLog {
 mod tests {
     use super::*;
     use crate::reader::scan_log;
-    use crate::writer::ShardWal;
-    use sieve_simulator::store::MetricId;
-    use std::io;
+    use crate::writer::testing::{ingest, MemMedia};
     use std::sync::{Arc, Barrier};
 
-    /// Shared in-memory media: same shape as the writer tests', plus a
-    /// failure latch.
-    #[derive(Debug, Clone, Default)]
-    struct MemMedia {
-        bytes: Arc<Mutex<Vec<u8>>>,
-        syncs: Arc<Mutex<u64>>,
-        appends: Arc<Mutex<u64>>,
-        fail_next_append: Arc<Mutex<bool>>,
-    }
-
-    impl WalMedia for MemMedia {
-        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-            let mut fail = self.fail_next_append.lock().unwrap();
-            if *fail {
-                *fail = false;
-                return Err(io::Error::other("injected append failure"));
-            }
-            drop(fail);
-            *self.appends.lock().unwrap() += 1;
-            self.bytes.lock().unwrap().extend_from_slice(bytes);
-            Ok(())
-        }
-
-        fn sync(&mut self) -> io::Result<()> {
-            *self.syncs.lock().unwrap() += 1;
-            Ok(())
-        }
-    }
-
-    fn ingest(t: u64) -> WalEvent {
-        WalEvent::IngestBatch {
-            tenant: "acme".into(),
-            points: vec![(MetricId::new("web", "cpu"), t, t as f64)],
-            watermarks: vec![(MetricId::new("web", "cpu"), t)],
-        }
-    }
-
     #[test]
-    fn byte_stream_equals_shard_wal_for_the_same_event_order() {
+    fn byte_stream_is_the_concatenation_of_the_frames_in_sequence_order() {
         let events: Vec<WalEvent> = (1..=5).map(|i| ingest(i * 500)).collect();
+        let expected: Vec<u8> = (1u64..)
+            .zip(&events)
+            .flat_map(|(seq, event)| frame::encode(seq, event))
+            .collect();
 
-        let serial = MemMedia::default();
-        let mut wal = ShardWal::new(Box::new(serial.clone()), 1, FsyncPolicy::Always);
-        for event in &events {
-            wal.append(event);
-        }
-        wal.commit().unwrap();
-
-        let grouped = MemMedia::default();
-        let log = GroupCommitLog::new(Box::new(grouped.clone()), 1, FsyncPolicy::Always);
+        let media = MemMedia::default();
+        let log = GroupCommitLog::new(Box::new(media.clone()), 1, FsyncPolicy::Always);
         let mut last = 0;
         for event in &events {
             last = log.stage(event);
         }
         log.commit_through(last).unwrap();
 
-        assert_eq!(
-            *grouped.bytes.lock().unwrap(),
-            *serial.bytes.lock().unwrap(),
-            "group commit must write the exact ShardWal byte stream"
-        );
+        let written = media.bytes.lock().unwrap().clone();
+        assert_eq!(written, expected);
+        let scanned = scan_log(&written);
+        assert!(scanned.corruption.is_none());
+        let replayed: Vec<WalEvent> = scanned.applied.into_iter().map(|(_, e)| e).collect();
+        assert_eq!(replayed, events);
     }
 
     #[test]
@@ -502,13 +453,15 @@ mod tests {
         assert_eq!(*media.syncs.lock().unwrap(), 2);
         assert_eq!(log.stats().fsync_calls, 2);
 
-        let never = MemMedia::default();
-        let log = GroupCommitLog::new(Box::new(never.clone()), 1, FsyncPolicy::Never);
-        for i in 1..=10u64 {
-            let seq = log.stage(&ingest(i * 500));
-            log.commit_through(seq).unwrap();
+        for (policy, expected_syncs) in [(FsyncPolicy::Always, 10), (FsyncPolicy::Never, 0)] {
+            let media = MemMedia::default();
+            let log = GroupCommitLog::new(Box::new(media.clone()), 1, policy);
+            for i in 1..=10u64 {
+                let seq = log.stage(&ingest(i * 500));
+                log.commit_through(seq).unwrap();
+            }
+            assert_eq!(*media.syncs.lock().unwrap(), expected_syncs, "{policy:?}");
         }
-        assert_eq!(*never.syncs.lock().unwrap(), 0);
     }
 
     #[test]
@@ -542,9 +495,17 @@ mod tests {
         assert_eq!(*media.appends.lock().unwrap(), 0);
         log.stage(&ingest(500));
         log.stage(&ingest(1000));
+        assert!(
+            media.bytes.lock().unwrap().is_empty(),
+            "nothing flushed yet"
+        );
         log.commit_all().unwrap();
         assert_eq!(log.last_seq(), 2);
         assert_eq!(*media.appends.lock().unwrap(), 1, "one write for both");
+        // With nothing newly staged a commit is free: no write, no sync.
+        log.commit_all().unwrap();
+        assert_eq!(*media.appends.lock().unwrap(), 1);
+        assert_eq!(*media.syncs.lock().unwrap(), 1);
     }
 
     #[test]
@@ -556,5 +517,6 @@ mod tests {
 
         let fresh = GroupCommitLog::new(Box::new(MemMedia::default()), 0, FsyncPolicy::Never);
         assert_eq!(fresh.next_seq(), 1);
+        assert_eq!(fresh.last_seq(), 0);
     }
 }

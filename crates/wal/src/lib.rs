@@ -57,7 +57,7 @@ pub use failpoint::FailpointFs;
 pub use group::{GroupCommitLog, GroupCommitStats};
 pub use reader::{scan_log, LogCorruption, ScannedLog};
 pub use snapshot::{ShardSnapshot, TenantSnapshot};
-pub use writer::{FsyncPolicy, ShardWal, WalMedia};
+pub use writer::{FsyncPolicy, WalMedia};
 
 /// Convenience alias for fallible WAL operations.
 pub type Result<T> = std::result::Result<T, WalError>;

@@ -27,8 +27,10 @@ use std::path::Path;
 
 /// Magic prefix of a snapshot file ("SIEVSNAP" in ASCII).
 const MAGIC: u64 = 0x5349_4556_534E_4150;
-/// Format version, bumped on incompatible layout changes.
-const VERSION: u32 = 1;
+/// Format version, bumped on incompatible layout changes. Any other
+/// version is rejected, never reinterpreted: version 1 carried two more
+/// bytes per tenant configuration.
+const VERSION: u32 = 2;
 
 /// One tenant's durable image inside a shard snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,6 +210,19 @@ mod tests {
                 "bit flip at byte {position} must not verify"
             );
         }
+        // An intact file of another format version: the checksum verifies,
+        // the layout is not ours.
+        let older = VERSION - 1;
+        let body = &bytes[20..];
+        let mut stale = Vec::new();
+        put_u64(&mut stale, MAGIC);
+        put_u32(&mut stale, older);
+        put_u64(&mut stale, checksum(MAGIC ^ u64::from(older), body));
+        stale.extend_from_slice(body);
+        assert_eq!(
+            ShardSnapshot::decode(&stale).unwrap_err(),
+            "unsupported snapshot version 1"
+        );
     }
 
     #[test]

@@ -1,20 +1,16 @@
-//! The append side: group-committed, fsync-policied shard logs.
+//! Where a shard log's bytes go and when they are forced to disk.
 //!
-//! A [`ShardWal`] frames events, buffers them in memory, and flushes the
-//! whole batch with one media write on [`ShardWal::commit`] — classic
-//! group commit, so a burst of per-tenant appends inside one serving
-//! operation costs one syscall, not one per event. The durability/latency
-//! trade-off is the [`FsyncPolicy`]: sync every commit, every N frames,
-//! or never (leaving flushing to the OS — crash-unsafe but fast, fine
-//! for tests and benchmarks).
+//! The one log writer, [`crate::group::GroupCommitLog`], flushes every
+//! batch of staged frames with one media write. The durability/latency
+//! trade-off is the [`FsyncPolicy`]: sync every write, every N frames, or
+//! never (leaving flushing to the OS — crash-unsafe but fast, fine for
+//! tests and benchmarks).
 //!
 //! All byte traffic goes through the [`WalMedia`] trait so the
 //! fault-injection harness ([`crate::failpoint::FailpointFs`]) can sit
 //! between the writer and the file and kill or corrupt the stream at a
 //! deterministic byte offset.
 
-use crate::event::WalEvent;
-use crate::frame;
 use crate::Result;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -23,7 +19,7 @@ use std::path::Path;
 /// When a shard log issues `fsync` after flushing buffered frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Sync on every commit: no acknowledged event is ever lost to a
+    /// Sync on every write: no acknowledged event is ever lost to a
     /// crash (torn *unacknowledged* tails remain possible, and recovery
     /// handles them).
     Always,
@@ -73,140 +69,16 @@ impl WalMedia for FileMedia {
     }
 }
 
-/// The append handle of one shard's log: frames events, assigns strictly
-/// increasing sequence numbers, group-commits buffered frames.
-#[derive(Debug)]
-pub struct ShardWal {
-    media: Box<dyn WalMedia>,
-    /// Sequence number the next appended event receives (starts at 1).
-    next_seq: u64,
-    /// Framed-but-not-yet-flushed bytes.
-    pending: Vec<u8>,
-    /// Frames flushed since the last sync, for [`FsyncPolicy::EveryN`].
-    frames_since_sync: u64,
-    fsync: FsyncPolicy,
-}
-
-impl ShardWal {
-    /// Wraps `media`, continuing the sequence at `next_seq` (1 for a
-    /// fresh log; recovery passes one past the last replayed frame).
-    pub fn new(media: Box<dyn WalMedia>, next_seq: u64, fsync: FsyncPolicy) -> Self {
-        Self {
-            media,
-            next_seq: next_seq.max(1),
-            pending: Vec::new(),
-            frames_since_sync: 0,
-            fsync,
-        }
-    }
-
-    /// Opens a file-backed shard log at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying open failure.
-    pub fn open(path: &Path, next_seq: u64, fsync: FsyncPolicy) -> Result<Self> {
-        Ok(Self::new(
-            Box::new(FileMedia::open_append(path)?),
-            next_seq,
-            fsync,
-        ))
-    }
-
-    /// Frames `event`, assigns it the next sequence number, and buffers
-    /// it for the next [`ShardWal::commit`]. Returns the assigned
-    /// sequence number. Nothing touches the media yet.
-    pub fn append(&mut self, event: &WalEvent) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.extend_from_slice(&frame::encode(seq, event));
-        seq
-    }
-
-    /// Flushes every buffered frame with one media write, then syncs
-    /// according to the [`FsyncPolicy`]. A commit with nothing pending is
-    /// free.
-    ///
-    /// # Errors
-    ///
-    /// Propagates media failures. The buffer is drained before the write
-    /// is attempted, so a failed commit does not double-write on retry —
-    /// recovery's checksum scan handles whatever fraction reached disk.
-    pub fn commit(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let frames = self.pending_frames();
-        let bytes = std::mem::take(&mut self.pending);
-        self.media.append(&bytes)?;
-        self.frames_since_sync += frames;
-        let should_sync = match self.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => self.frames_since_sync >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if should_sync {
-            self.media.sync()?;
-            self.frames_since_sync = 0;
-        }
-        Ok(())
-    }
-
-    /// Sequence number of the last appended event (0 if none yet).
-    pub fn last_seq(&self) -> u64 {
-        self.next_seq - 1
-    }
-
-    /// Sequence number the next appended event will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Number of buffered-but-uncommitted frames (for tests and stats).
-    fn pending_frames(&self) -> u64 {
-        // Frames are variable-length; count by walking the buffer. The
-        // buffer only ever holds frames this writer encoded, so header
-        // arithmetic is safe.
-        let mut count = 0u64;
-        let mut pos = 0usize;
-        while pos < self.pending.len() {
-            let len = u32::from_le_bytes(self.pending[pos..pos + 4].try_into().expect("4 bytes"))
-                as usize;
-            pos += frame::HEADER_LEN + len;
-            count += 1;
-        }
-        count
-    }
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::reader::scan_log;
+pub(crate) mod testing {
+    use super::WalMedia;
+    use crate::event::WalEvent;
     use sieve_simulator::store::MetricId;
+    use std::io;
     use std::sync::{Arc, Mutex};
 
-    /// Shared in-memory media for unit tests: the "disk" is a Vec the
-    /// test can inspect, and syncs are counted.
-    #[derive(Debug, Clone, Default)]
-    pub(crate) struct MemMedia {
-        pub bytes: Arc<Mutex<Vec<u8>>>,
-        pub syncs: Arc<Mutex<u64>>,
-    }
-
-    impl WalMedia for MemMedia {
-        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-            self.bytes.lock().unwrap().extend_from_slice(bytes);
-            Ok(())
-        }
-
-        fn sync(&mut self) -> std::io::Result<()> {
-            *self.syncs.lock().unwrap() += 1;
-            Ok(())
-        }
-    }
-
-    fn ingest(t: u64) -> WalEvent {
+    /// A one-point ingest batch stamped `t`.
+    pub(crate) fn ingest(t: u64) -> WalEvent {
         WalEvent::IngestBatch {
             tenant: "acme".into(),
             points: vec![(MetricId::new("web", "cpu"), t, t as f64)],
@@ -214,64 +86,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn group_commit_writes_all_buffered_frames_at_once() {
-        let media = MemMedia::default();
-        let mut wal = ShardWal::new(Box::new(media.clone()), 1, FsyncPolicy::Always);
-        assert_eq!(wal.append(&ingest(500)), 1);
-        assert_eq!(wal.append(&ingest(1000)), 2);
-        assert_eq!(wal.last_seq(), 2);
-        assert!(
-            media.bytes.lock().unwrap().is_empty(),
-            "nothing flushed yet"
-        );
-
-        wal.commit().unwrap();
-        let on_disk = media.bytes.lock().unwrap().clone();
-        let scanned = scan_log(&on_disk);
-        assert!(scanned.corruption.is_none());
-        assert_eq!(scanned.last_seq(), Some(2));
-        assert_eq!(*media.syncs.lock().unwrap(), 1);
-
-        // An empty commit is free: no write, no sync.
-        wal.commit().unwrap();
-        assert_eq!(*media.syncs.lock().unwrap(), 1);
+    /// Shared in-memory media for unit tests: the "disk" is a `Vec` the
+    /// test can inspect, syncs and successful appends are counted, and the
+    /// next append can be made to fail.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct MemMedia {
+        pub(crate) bytes: Arc<Mutex<Vec<u8>>>,
+        pub(crate) syncs: Arc<Mutex<u64>>,
+        pub(crate) appends: Arc<Mutex<u64>>,
+        pub(crate) fail_next_append: Arc<Mutex<bool>>,
     }
 
-    #[test]
-    fn fsync_policies_control_sync_cadence() {
-        for (policy, commits, expected_syncs) in [
-            (FsyncPolicy::Always, 3, 3),
-            (FsyncPolicy::EveryN(2), 3, 1),
-            (FsyncPolicy::Never, 3, 0),
-        ] {
-            let media = MemMedia::default();
-            let mut wal = ShardWal::new(Box::new(media.clone()), 1, policy);
-            for i in 0..commits {
-                wal.append(&ingest(500 * (i + 1)));
-                wal.commit().unwrap();
+    impl WalMedia for MemMedia {
+        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+            if std::mem::take(&mut *self.fail_next_append.lock().unwrap()) {
+                return Err(io::Error::other("injected append failure"));
             }
-            assert_eq!(
-                *media.syncs.lock().unwrap(),
-                expected_syncs,
-                "policy {policy:?}"
-            );
+            *self.appends.lock().unwrap() += 1;
+            self.bytes.lock().unwrap().extend_from_slice(bytes);
+            Ok(())
+        }
+
+        fn sync(&mut self) -> io::Result<()> {
+            *self.syncs.lock().unwrap() += 1;
+            Ok(())
         }
     }
+}
 
-    #[test]
-    fn recovery_sequence_continues_where_the_log_left_off() {
-        let media = MemMedia::default();
-        let mut wal = ShardWal::new(Box::new(media.clone()), 43, FsyncPolicy::Never);
-        assert_eq!(wal.last_seq(), 42);
-        assert_eq!(wal.append(&ingest(500)), 43);
-        assert_eq!(wal.next_seq(), 44);
-
-        // `new` clamps to 1: sequence numbers start at 1 by contract.
-        let fresh = ShardWal::new(Box::new(MemMedia::default()), 0, FsyncPolicy::Never);
-        assert_eq!(fresh.next_seq(), 1);
-        assert_eq!(fresh.last_seq(), 0);
-    }
+#[cfg(test)]
+mod tests {
+    use super::testing::ingest;
+    use super::*;
+    use crate::group::GroupCommitLog;
+    use crate::reader::scan_log;
 
     #[test]
     fn file_media_roundtrips_through_a_real_file() {
@@ -280,11 +128,11 @@ mod tests {
         let path = dir.join("wal-shard-0.log");
         let _ = std::fs::remove_file(&path);
 
-        let mut wal = ShardWal::open(&path, 1, FsyncPolicy::Always).unwrap();
-        wal.append(&ingest(500));
-        wal.append(&ingest(1000));
-        wal.commit().unwrap();
-        drop(wal);
+        let log = GroupCommitLog::open(&path, 1, FsyncPolicy::Always).unwrap();
+        log.stage(&ingest(500));
+        log.stage(&ingest(1000));
+        log.commit_all().unwrap();
+        drop(log);
 
         let bytes = std::fs::read(&path).unwrap();
         let scanned = scan_log(&bytes);

@@ -3,9 +3,9 @@
 //! randomized workload, and print the Granger-inferred dependency edges
 //! (step 3 of the paper, §3.3).
 //!
-//! The example also runs the naive per-pair reference path and verifies
-//! that the engine changed nothing but the work schedule — the inferred
-//! model is bit-identical.
+//! The example also runs the reference analysis (`sieve::core::oracle`,
+//! every Granger test re-run per pair) and verifies that the engine changed
+//! nothing but the work schedule — the inferred model is bit-identical.
 //!
 //! Run with:
 //!
@@ -15,6 +15,7 @@
 
 use sieve::core::config::SieveConfig;
 use sieve::core::dependencies::planned_comparison_count;
+use sieve::core::oracle;
 use sieve::core::pipeline::{load_application, Sieve};
 use sieve::prelude::*;
 
@@ -85,22 +86,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (store, call_graph) =
         load_application(&app, &Workload::randomized(80.0, 3), 0xD1CE, 120_000, 500)?;
 
-    // The default configuration runs the dependency stage on the cached
-    // causality engine: one prepared state (ADF verdict, differenced
-    // buffer, memoized restricted fits) per representative series.
-    let cached = Sieve::new(SieveConfig::default().with_granger_cache(true)).analyze(
-        &app.name,
-        &store,
-        &call_graph,
-    )?;
-    let naive = Sieve::new(SieveConfig::default().with_granger_cache(false)).analyze(
-        &app.name,
-        &store,
-        &call_graph,
-    )?;
+    // The pipeline runs the dependency stage on the cached causality
+    // engine: one prepared state (ADF verdict, differenced buffer, memoized
+    // restricted fits) per representative series. The oracle re-runs the
+    // full Granger test per pair and direction.
+    let config = SieveConfig::default();
+    let cached = Sieve::new(config.clone()).analyze(&app.name, &store, &call_graph)?;
+    let naive = oracle::analyze(&app.name, &store, &call_graph, &config)?;
     assert_eq!(
         cached, naive,
-        "the causality engine must not change the inferred model"
+        "the engines must not change the inferred model"
     );
 
     println!(
@@ -109,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "Inferred dependency graph: {} components, {} edges \
-         (cached engine == naive path: verified)",
+         (cached engines == oracle: verified)",
         cached.dependency_graph.component_count(),
         cached.dependency_graph.edge_count()
     );

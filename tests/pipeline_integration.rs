@@ -148,74 +148,45 @@ fn clustering_is_consistent_across_independent_runs() {
 }
 
 #[test]
-fn distance_matrix_backed_clustering_equals_direct_sbd_on_a_full_model() {
-    // Regression for the shared SBD engine: the DistanceMatrix/spectrum
-    // path and the direct-SBD path must produce bit-identical SieveModels
-    // on a full application run, under both the serial and the parallel
-    // executor.
-    let app = sharelatex::app_spec(MetricRichness::Minimal);
-    let (store, call_graph) =
-        load_application(&app, &Workload::randomized(80.0, 6), 0x51, 120_000, 500).unwrap();
-    let mut models = Vec::new();
-    for parallelism in [1usize, 4] {
-        for use_cache in [true, false] {
-            let config = fast_config()
-                .with_parallelism(parallelism)
-                .with_sbd_cache(use_cache);
-            models.push(
-                Sieve::new(config)
-                    .analyze("sharelatex", &store, &call_graph)
-                    .unwrap(),
-            );
-        }
-    }
-    let reference = &models[0];
-    for m in &models[1..] {
-        assert_eq!(reference.clusterings, m.clusterings);
-        assert_eq!(
-            reference.dependency_graph.edges(),
-            m.dependency_graph.edges()
-        );
-        assert_eq!(reference, m);
-    }
-}
-
-#[test]
 fn cached_granger_engine_equals_direct_path_on_a_full_model() {
-    // Regression for the shared causality engine: the prepared-series path
-    // (cached ADF verdicts, differenced buffers, memoized restricted fits)
-    // and the direct per-pair Granger path must produce bit-identical
-    // SieveModels on a full application run, under the serial and both
-    // parallel executor degrees.
+    // Regression for the shared SBD engine (spectra, distance matrix,
+    // memoised k-Shape), the shared causality engine (cached ADF verdicts,
+    // differenced buffers, memoized restricted fits), the session's caches
+    // and the executor at once: on two full application runs the production
+    // analysis at every executor degree must equal, bit for bit, the
+    // stateless serial oracle that recomputes every distance and every
+    // Granger test directly. (The two runs are independent and the oracle
+    // is serial, so each gets a thread.)
     let app = sharelatex::app_spec(MetricRichness::Minimal);
-    let (store, call_graph) =
-        load_application(&app, &Workload::randomized(80.0, 6), 0x52, 120_000, 500).unwrap();
-    let mut models = Vec::new();
-    for parallelism in [1usize, 4, 8] {
-        for use_cache in [true, false] {
-            let config = fast_config()
-                .with_parallelism(parallelism)
-                .with_granger_cache(use_cache);
-            models.push(
-                Sieve::new(config)
-                    .analyze("sharelatex", &store, &call_graph)
-                    .unwrap(),
+    let check = |seed: u64| {
+        let (store, call_graph) =
+            load_application(&app, &Workload::randomized(80.0, 6), seed, 120_000, 500).unwrap();
+        let reference =
+            sieve::core::oracle::analyze("sharelatex", &store, &call_graph, &fast_config())
+                .unwrap();
+        assert!(
+            reference.dependency_graph.edge_count() > 0,
+            "the run must infer dependency edges"
+        );
+        for parallelism in [1usize, 4, 8] {
+            let model = Sieve::new(fast_config().with_parallelism(parallelism))
+                .analyze("sharelatex", &store, &call_graph)
+                .unwrap();
+            assert_eq!(reference.clusterings, model.clusterings);
+            assert_eq!(
+                reference.dependency_graph.edges(),
+                model.dependency_graph.edges()
+            );
+            assert_eq!(
+                reference, model,
+                "seed {seed:#x}, parallelism {parallelism}"
             );
         }
-    }
-    let reference = &models[0];
-    assert!(
-        reference.dependency_graph.edge_count() > 0,
-        "the run must infer dependency edges"
-    );
-    for m in &models[1..] {
-        assert_eq!(reference.clusterings, m.clusterings);
-        assert_eq!(
-            reference.dependency_graph.edges(),
-            m.dependency_graph.edges()
-        );
-        assert_eq!(reference, m);
-    }
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| check(0x51));
+        check(0x52);
+    });
 }
 
 #[test]
