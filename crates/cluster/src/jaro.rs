@@ -72,97 +72,157 @@ pub fn jaro_distance(a: &str, b: &str) -> f64 {
     1.0 - jaro_similarity(a, b)
 }
 
-/// Groups metric names into exactly `k` initial clusters by name similarity.
+/// The part of the name pre-clustering that does not depend on `k`: the
+/// greedy leader grouping of one component's metric names.
 ///
-/// A greedy leader algorithm first forms groups of names whose Jaro
-/// similarity to the group leader exceeds `threshold` (default 0.8 via
-/// [`pre_cluster_names`]). The groups are then adjusted to exactly `k`
-/// clusters: surplus groups are merged into their most-similar retained
-/// group, and missing clusters are created by splitting the largest groups.
+/// A greedy leader algorithm forms groups of names whose Jaro similarity to
+/// the group leader is at least the threshold (0.8 by default). That pass —
+/// one similarity per name and leader — is nearly the whole cost of a
+/// pre-clustering and is the same for every `k`, so the k sweep builds one
+/// `NameGroups` per component and asks it for each `k`'s
+/// [`assignment`](NameGroups::assignment), which only merges or splits a
+/// copy of the groups.
+#[derive(Debug, Clone)]
+pub struct NameGroups<'a> {
+    names: &'a [&'a str],
+    /// Index of each group's leader in `names`, in order of appearance.
+    leaders: Vec<usize>,
+    /// Member indices of each group, leader first.
+    groups: Vec<Vec<usize>>,
+    /// Group indices, largest group first (ties in order of appearance).
+    by_size: Vec<usize>,
+    /// `leader_similarity[g * leaders.len() + b]` is
+    /// `jaro_similarity(names[leaders[g]], names[leaders[b]])`, evaluated
+    /// when a merge first asks for it. A cell is only ever filled from its
+    /// own argument order (a merge compares a surplus group against a larger
+    /// one, never the reverse), so nothing rests on the similarity being
+    /// symmetric bit for bit.
+    leader_similarity: Vec<Option<f64>>,
+}
+
+impl<'a> NameGroups<'a> {
+    /// Groups `names` with the default similarity threshold of `0.8`.
+    pub fn new(names: &'a [&'a str]) -> Self {
+        Self::with_threshold(names, 0.8)
+    }
+
+    /// Groups `names`: each name joins the group whose leader it is most
+    /// similar to (the first such group on ties) if that similarity is at
+    /// least `threshold`, and otherwise leads a new group.
+    pub fn with_threshold(names: &'a [&'a str], threshold: f64) -> Self {
+        let mut leaders: Vec<usize> = Vec::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, name) in names.iter().enumerate() {
+            let mut best: Option<(usize, f64)> = None;
+            for (g, &leader) in leaders.iter().enumerate() {
+                let sim = jaro_similarity(name, names[leader]);
+                if sim >= threshold && best.map_or(true, |(_, b)| sim > b) {
+                    best = Some((g, sim));
+                }
+            }
+            match best {
+                Some((g, _)) => groups[g].push(i),
+                None => {
+                    leaders.push(i);
+                    groups.push(vec![i]);
+                }
+            }
+        }
+        let mut by_size: Vec<usize> = (0..groups.len()).collect();
+        by_size.sort_by_key(|&g| std::cmp::Reverse(groups[g].len()));
+        let leader_similarity = vec![None; leaders.len() * leaders.len()];
+        Self {
+            names,
+            leaders,
+            groups,
+            by_size,
+            leader_similarity,
+        }
+    }
+
+    /// Adjusts the groups to exactly `k` initial clusters: surplus groups
+    /// are merged into their most-similar retained group (the `k` largest
+    /// are retained, compared by leader similarity), and missing clusters
+    /// are created by splitting the largest groups.
+    ///
+    /// Returns one cluster index in `0..k` per name (`k` capped at the
+    /// number of names). Returns an empty vector when there are no names or
+    /// `k == 0`. The stored groups are not changed: any order of calls
+    /// yields what a fresh grouping would.
+    pub fn assignment(&mut self, k: usize) -> Vec<usize> {
+        if self.names.is_empty() || k == 0 {
+            return Vec::new();
+        }
+        let k = k.min(self.names.len());
+
+        // Too many groups: keep the k largest as bases, merge the rest into
+        // the most-similar base (by leader similarity).
+        let mut groups: Vec<Vec<usize>> = if self.groups.len() > k {
+            let (bases, surplus) = self.by_size.split_at(k);
+            let mut merged: Vec<Vec<usize>> =
+                bases.iter().map(|&g| self.groups[g].clone()).collect();
+            let width = self.leaders.len();
+            for &g in surplus {
+                let mut best = 0usize;
+                let mut best_sim = f64::NEG_INFINITY;
+                for (bi, &b) in bases.iter().enumerate() {
+                    let sim = *self.leader_similarity[g * width + b].get_or_insert_with(|| {
+                        jaro_similarity(self.names[self.leaders[g]], self.names[self.leaders[b]])
+                    });
+                    if sim > best_sim {
+                        best_sim = sim;
+                        best = bi;
+                    }
+                }
+                merged[best].extend_from_slice(&self.groups[g]);
+            }
+            merged
+        } else {
+            self.groups.clone()
+        };
+
+        // Too few groups: split the largest group until we have k.
+        while groups.len() < k {
+            let (largest_idx, _) = groups
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, g)| g.len())
+                .expect("at least one group");
+            if groups[largest_idx].len() < 2 {
+                // Cannot split further; duplicate an empty group (will be fixed
+                // by the k-Shape iterations).
+                groups.push(Vec::new());
+                continue;
+            }
+            let half = groups[largest_idx].len() / 2;
+            let tail = groups[largest_idx].split_off(half);
+            groups.push(tail);
+        }
+
+        let mut assignment = vec![0usize; self.names.len()];
+        for (cluster, group) in groups.iter().enumerate() {
+            for &idx in group {
+                assignment[idx] = cluster;
+            }
+        }
+        assignment
+    }
+}
+
+/// Groups metric names into exactly `k` initial clusters by name similarity:
+/// [`NameGroups::with_threshold`] asked for one `k`. A caller that needs
+/// several `k` over the same names builds the [`NameGroups`] once.
 ///
 /// Returns one cluster index in `0..k` per input name. Returns an empty
 /// vector when `names` is empty or `k == 0`.
 pub fn pre_cluster_names_with_threshold(names: &[&str], k: usize, threshold: f64) -> Vec<usize> {
-    if names.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let k = k.min(names.len());
-
-    // Greedy leader clustering.
-    let mut leaders: Vec<usize> = Vec::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, name) in names.iter().enumerate() {
-        let mut best: Option<(usize, f64)> = None;
-        for (g, &leader) in leaders.iter().enumerate() {
-            let sim = jaro_similarity(name, names[leader]);
-            if sim >= threshold && best.map_or(true, |(_, b)| sim > b) {
-                best = Some((g, sim));
-            }
-        }
-        match best {
-            Some((g, _)) => groups[g].push(i),
-            None => {
-                leaders.push(i);
-                groups.push(vec![i]);
-            }
-        }
-    }
-
-    // Too many groups: keep the k largest as bases, merge the rest into the
-    // most-similar base (by leader similarity).
-    if groups.len() > k {
-        let mut order: Vec<usize> = (0..groups.len()).collect();
-        order.sort_by_key(|&g| std::cmp::Reverse(groups[g].len()));
-        let bases: Vec<usize> = order[..k].to_vec();
-        let mut merged: Vec<Vec<usize>> = bases.iter().map(|&g| groups[g].clone()).collect();
-        for &g in &order[k..] {
-            let leader = leaders[g];
-            let mut best = 0usize;
-            let mut best_sim = f64::NEG_INFINITY;
-            for (bi, &b) in bases.iter().enumerate() {
-                let sim = jaro_similarity(names[leader], names[leaders[b]]);
-                if sim > best_sim {
-                    best_sim = sim;
-                    best = bi;
-                }
-            }
-            let members = groups[g].clone();
-            merged[best].extend(members);
-        }
-        groups = merged;
-    }
-
-    // Too few groups: split the largest group until we have k.
-    while groups.len() < k {
-        let (largest_idx, _) = groups
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, g)| g.len())
-            .expect("at least one group");
-        if groups[largest_idx].len() < 2 {
-            // Cannot split further; duplicate an empty group (will be fixed
-            // by the k-Shape iterations).
-            groups.push(Vec::new());
-            continue;
-        }
-        let half = groups[largest_idx].len() / 2;
-        let tail = groups[largest_idx].split_off(half);
-        groups.push(tail);
-    }
-
-    let mut assignment = vec![0usize; names.len()];
-    for (cluster, group) in groups.iter().enumerate() {
-        for &idx in group {
-            assignment[idx] = cluster;
-        }
-    }
-    assignment
+    NameGroups::with_threshold(names, threshold).assignment(k)
 }
 
 /// [`pre_cluster_names_with_threshold`] with the default similarity
 /// threshold of `0.8`.
 pub fn pre_cluster_names(names: &[&str], k: usize) -> Vec<usize> {
-    pre_cluster_names_with_threshold(names, k, 0.8)
+    NameGroups::new(names).assignment(k)
 }
 
 #[cfg(test)]
@@ -260,5 +320,172 @@ mod tests {
     fn pre_cluster_empty_input() {
         assert!(pre_cluster_names(&[], 3).is_empty());
         assert!(pre_cluster_names(&["a"], 0).is_empty());
+    }
+
+    /// The pre-clustering as it was before the `k`-independent part moved
+    /// into [`NameGroups`]: one function, everything recomputed per call.
+    /// Kept verbatim as the reference the split version must equal.
+    fn reference_pre_cluster(names: &[&str], k: usize, threshold: f64) -> Vec<usize> {
+        if names.is_empty() || k == 0 {
+            return Vec::new();
+        }
+        let k = k.min(names.len());
+
+        // Greedy leader clustering.
+        let mut leaders: Vec<usize> = Vec::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, name) in names.iter().enumerate() {
+            let mut best: Option<(usize, f64)> = None;
+            for (g, &leader) in leaders.iter().enumerate() {
+                let sim = jaro_similarity(name, names[leader]);
+                if sim >= threshold && best.map_or(true, |(_, b)| sim > b) {
+                    best = Some((g, sim));
+                }
+            }
+            match best {
+                Some((g, _)) => groups[g].push(i),
+                None => {
+                    leaders.push(i);
+                    groups.push(vec![i]);
+                }
+            }
+        }
+
+        // Too many groups: keep the k largest as bases, merge the rest into the
+        // most-similar base (by leader similarity).
+        if groups.len() > k {
+            let mut order: Vec<usize> = (0..groups.len()).collect();
+            order.sort_by_key(|&g| std::cmp::Reverse(groups[g].len()));
+            let bases: Vec<usize> = order[..k].to_vec();
+            let mut merged: Vec<Vec<usize>> = bases.iter().map(|&g| groups[g].clone()).collect();
+            for &g in &order[k..] {
+                let leader = leaders[g];
+                let mut best = 0usize;
+                let mut best_sim = f64::NEG_INFINITY;
+                for (bi, &b) in bases.iter().enumerate() {
+                    let sim = jaro_similarity(names[leader], names[leaders[b]]);
+                    if sim > best_sim {
+                        best_sim = sim;
+                        best = bi;
+                    }
+                }
+                let members = groups[g].clone();
+                merged[best].extend(members);
+            }
+            groups = merged;
+        }
+
+        // Too few groups: split the largest group until we have k.
+        while groups.len() < k {
+            let (largest_idx, _) = groups
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, g)| g.len())
+                .expect("at least one group");
+            if groups[largest_idx].len() < 2 {
+                // Cannot split further; duplicate an empty group (will be fixed
+                // by the k-Shape iterations).
+                groups.push(Vec::new());
+                continue;
+            }
+            let half = groups[largest_idx].len() / 2;
+            let tail = groups[largest_idx].split_off(half);
+            groups.push(tail);
+        }
+
+        let mut assignment = vec![0usize; names.len()];
+        for (cluster, group) in groups.iter().enumerate() {
+            for &idx in group {
+                assignment[idx] = cluster;
+            }
+        }
+        assignment
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+
+    /// 1..=40 metric-like names: a few shared prefixes, short tails over a
+    /// small alphabet (so matches and transpositions are common), duplicates
+    /// and empty strings.
+    fn random_names(seed: u64) -> Vec<String> {
+        const PREFIXES: [&str; 6] = ["cpu_", "net_bytes_", "disk_io_", "http_req_", "", "ab"];
+        const ALPHABET: [char; 6] = ['a', 'b', 'c', '_', '0', '1'];
+        let mut s = seed;
+        let count = 1 + (splitmix(&mut s) % 40) as usize;
+        let mut names: Vec<String> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let name = match splitmix(&mut s) % 10 {
+                0 => String::new(),
+                1 if !names.is_empty() => {
+                    names[(splitmix(&mut s) % names.len() as u64) as usize].clone()
+                }
+                _ => {
+                    let mut name = PREFIXES[(splitmix(&mut s) % 6) as usize].to_string();
+                    for _ in 0..splitmix(&mut s) % 7 {
+                        name.push(ALPHABET[(splitmix(&mut s) % 6) as usize]);
+                    }
+                    name
+                }
+            };
+            names.push(name);
+        }
+        names
+    }
+
+    #[test]
+    fn one_name_grouping_asked_for_every_k_equals_the_per_k_reference() {
+        let (mut merges, mut splits) = (0usize, 0usize);
+        for seed in 0..240u64 {
+            let names = random_names(seed);
+            let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+            let n = refs.len();
+            for threshold in [0.0, 0.8, 1.0] {
+                let expected: Vec<Vec<usize>> = (0..=n + 1)
+                    .map(|k| reference_pre_cluster(&refs, k, threshold))
+                    .collect();
+                let mut ascending = NameGroups::with_threshold(&refs, threshold);
+                let mut descending = ascending.clone();
+                let stored = ascending.groups.clone();
+                for (k, expected) in expected.iter().enumerate() {
+                    let ctx = format!("seed {seed} threshold {threshold} k {k}");
+                    assert_eq!(&ascending.assignment(k), expected, "ascending, {ctx}");
+                    merges += usize::from(stored.len() > k && k > 0);
+                    splits += usize::from(stored.len() < k.min(n));
+                }
+                for (k, expected) in expected.iter().enumerate().rev() {
+                    let ctx = format!("seed {seed} threshold {threshold} k {k}");
+                    assert_eq!(&descending.assignment(k), expected, "descending, {ctx}");
+                }
+                assert_eq!(
+                    ascending.groups, stored,
+                    "seed {seed}: stored groups changed"
+                );
+            }
+        }
+        assert!(
+            merges >= 2000 && splits >= 2000,
+            "{merges} merges, {splits} splits"
+        );
+    }
+
+    #[test]
+    fn wrappers_are_one_grouping_asked_once() {
+        let names = ["cpu_usage", "cpu_usage_user", "net_rx", "net_tx", "heap"];
+        for k in 0..=6 {
+            assert_eq!(
+                pre_cluster_names(&names, k),
+                reference_pre_cluster(&names, k, 0.8)
+            );
+            assert_eq!(
+                pre_cluster_names_with_threshold(&names, k, 0.95),
+                reference_pre_cluster(&names, k, 0.95)
+            );
+        }
     }
 }

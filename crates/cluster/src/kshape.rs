@@ -22,7 +22,7 @@ use crate::{ClusterError, Result};
 use sieve_timeseries::normalize::{z_normalize, z_normalize_into};
 use sieve_timeseries::sbd::{align_to, apply_shift, shape_based_distance};
 use sieve_timeseries::spectrum::{sbd_oriented, OrientedSbd, SbdScratch, SeriesSpectrum};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Configuration of a k-Shape run.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,16 +123,24 @@ impl KShapeResult {
 }
 
 /// State shared across k-Shape runs over the same series: the z-normalized
-/// copy of every input series, the cached FFT spectrum of each copy, and a
-/// memo of every cluster refinement performed so far.
+/// copy of every input series, the cached FFT spectrum of each copy, and
+/// three memos of what fits over the cache have computed so far — every
+/// cluster refinement, every first-member alignment shift, and every
+/// aligned member with its spectrum.
 ///
 /// k selection fits the same series for every candidate `k`; building one
 /// cache and passing it to [`KShape::fit_cached`] for each `k` computes the
 /// n z-normalizations and n forward FFTs once instead of once per `k`, and
 /// refines each distinct `(members, shifts)` cluster once per sweep — a fit
 /// that cycles, or that meets a cluster an earlier `k` already refined, pays
-/// a map lookup. The memo holds one centroid and one n-cell column per
-/// refinement performed, and is dropped with the cache.
+/// a map lookup. The refinements that *are* performed share their pieces:
+/// a fit's first iteration aligns each cluster to its first member, and the
+/// pair `(first member, member)` recurs across `k` and across clusters; a
+/// member shifted by `s` and z-normalized is the same vector, with the same
+/// spectrum, in every cluster and iteration that aligns it so. The memos
+/// hold one centroid and one n-cell column per refinement performed, one
+/// `n × n` table of shifts, and one series-length copy plus spectrum per
+/// distinct `(series, shift)`; all are dropped with the cache.
 #[derive(Debug, Clone)]
 pub struct KShapeSeriesCache {
     /// z-normalized copies of the input series, packed end to end in one
@@ -156,6 +164,18 @@ pub struct KShapeSeriesCache {
     /// SBD evaluations (one inverse FFT each) issued by fits over this
     /// cache; see [`KShapeSeriesCache::sbd_evaluations`].
     sbd_evaluations: u64,
+    /// `first_shifts[r * count + i]` is the shift aligning series `i` to
+    /// series `r`, once a fit's first iteration has evaluated it.
+    first_shifts: Vec<Option<isize>>,
+    /// First-member alignments answered from `first_shifts`.
+    alignments_reused: u64,
+    /// Every `(series, shift)` a refinement has aligned.
+    aligned: HashMap<(usize, isize), AlignedMember>,
+    /// Aligned members answered from `aligned`.
+    aligned_spectra_reused: u64,
+    /// Power-iteration steps refinements over this cache have taken; see
+    /// [`KShapeSeriesCache::power_steps`].
+    power_steps: u64,
 }
 
 /// What refining one cluster produces.
@@ -165,6 +185,15 @@ struct Refinement {
     /// `(distance, shift)` of every cached series against `centroid`; 2.0 —
     /// the maximal distance — when the centroid is the zero vector.
     column: Vec<(f64, isize)>,
+}
+
+/// One cached series shifted and z-normalized again — a row of a
+/// refinement's aligned-member matrix — with the spectrum the orientation
+/// check compares the candidate centroid against.
+#[derive(Debug, Clone)]
+struct AlignedMember {
+    values: Vec<f64>,
+    spectrum: SeriesSpectrum,
 }
 
 impl KShapeSeriesCache {
@@ -228,6 +257,11 @@ impl KShapeSeriesCache {
             refined: HashMap::new(),
             refinements_reused: 0,
             sbd_evaluations: 0,
+            first_shifts: vec![None; refs.len() * refs.len()],
+            alignments_reused: 0,
+            aligned: HashMap::new(),
+            aligned_spectra_reused: 0,
+            power_steps: 0,
         })
     }
 
@@ -262,7 +296,8 @@ impl KShapeSeriesCache {
     /// have issued. A deterministic measure of the work the fits did: an
     /// iteration that recomputed every alignment, orientation and distance
     /// column would cost `n·k + 3n` of them; a refinement actually performed
-    /// costs `n` plus its cluster's size, a reused one none.
+    /// costs `n` plus its cluster's size, a reused one none, and a
+    /// first-member alignment one the first time its pair is met.
     pub fn sbd_evaluations(&self) -> u64 {
         self.sbd_evaluations
     }
@@ -280,6 +315,39 @@ impl KShapeSeriesCache {
     /// fit for another `k`.
     pub fn refinements_reused(&self) -> u64 {
         self.refinements_reused
+    }
+
+    /// Number of distinct first-member alignments `(first member, member)`
+    /// evaluated — what a fit's first iteration needs to form the memo key
+    /// of each cluster that has no centroid yet.
+    pub fn alignments(&self) -> u64 {
+        self.first_shifts.iter().flatten().count() as u64
+    }
+
+    /// Number of first-member alignments read back instead: the pair had
+    /// been aligned for another cluster or another `k`.
+    pub fn alignments_reused(&self) -> u64 {
+        self.alignments_reused
+    }
+
+    /// Number of distinct `(series, shift)` aligned members — one shifted,
+    /// z-normalized copy and one forward FFT each — refinements over this
+    /// cache have built.
+    pub fn aligned_spectra(&self) -> u64 {
+        self.aligned.len() as u64
+    }
+
+    /// Number of aligned members a refinement read back instead of
+    /// building.
+    pub fn aligned_spectra_reused(&self) -> u64 {
+        self.aligned_spectra_reused
+    }
+
+    /// Total power-iteration steps the refinements performed over this
+    /// cache have taken. A refinement may take `power_iterations` of them;
+    /// it takes fewer when its iterate recurs (see [`KShape::fit_cached`]).
+    pub fn power_steps(&self) -> u64 {
+        self.power_steps
     }
 }
 
@@ -453,6 +521,20 @@ impl KShape {
     ///    arithmetic is sign-symmetric), so the orientation check reads both
     ///    candidate orientations' distances off one scan
     ///    ([`OrientedSbd::flipped_distance`]).
+    /// 4. *The pieces of a refinement are pure functions too*: the shift
+    ///    aligning series `i` to series `r` (a fit's first iteration aligns
+    ///    each cluster to its first member), and the aligned copy of series
+    ///    `i` under shift `s` with its spectrum. The cache keeps both, so a
+    ///    refinement that must be performed builds only the rows it is the
+    ///    first to need, and a second identical fit issues no SBD
+    ///    evaluation at all.
+    /// 5. *A power-iteration step is a pure function of its iterate*, so
+    ///    once an iterate equals an earlier one bit for bit the remaining
+    ///    steps only walk that cycle; the production power iteration
+    ///    returns the element the walk would end on instead of walking it.
+    ///    The oracle keeps the plain loop ([`KShape::fit`] through
+    ///    `extract_shape`), which is what makes every `fit_cached == fit`
+    ///    assert a differential test of the early exit.
     ///
     /// The cache is taken by `&mut` for the memo and its counters; fits over
     /// one cache run one after another (the k sweep does).
@@ -501,11 +583,23 @@ impl KShape {
                     // No centroid yet: align to the first member. `fit`
                     // takes the spectrum of that member's z-normalized
                     // copy as reference — exactly the cached one.
-                    let reference = &cache.spectra[members[0]];
-                    members
-                        .iter()
-                        .map(|&i| sbd.eval(reference, &cache.spectra[i]).map(|r| r.sbd.shift))
-                        .collect::<Result<_>>()?
+                    let first = members[0];
+                    let mut shifts = Vec::with_capacity(members.len());
+                    for &i in &members {
+                        let known = &mut cache.first_shifts[first * n + i];
+                        shifts.push(match *known {
+                            Some(shift) => {
+                                cache.alignments_reused += 1;
+                                shift
+                            }
+                            None => {
+                                let evaluated =
+                                    sbd.eval(&cache.spectra[first], &cache.spectra[i])?;
+                                *known.insert(evaluated.sbd.shift)
+                            }
+                        });
+                    }
+                    shifts
                 } else {
                     members.iter().map(|&i| table[i * k + c].1).collect()
                 };
@@ -516,12 +610,13 @@ impl KShape {
                         known
                     }
                     None => {
-                        let centroid = refine_centroid(cache, &input, &mut sbd)?;
-                        // One centroid spectrum serves all n series.
+                        let (centroid, centroid_spectrum) =
+                            refine_centroid(cache, &input, &mut sbd)?;
+                        // One centroid spectrum — the one the orientation
+                        // check already used — serves all n series.
                         let column = if centroid.iter().all(|&v| v == 0.0) {
                             vec![(2.0, 0); n]
                         } else {
-                            let centroid_spectrum = SeriesSpectrum::compute(&centroid)?;
                             (cache.spectra.iter())
                                 .map(|spectrum| {
                                     let r = sbd.eval(&centroid_spectrum, spectrum)?.sbd;
@@ -631,26 +726,42 @@ fn extract_shape(
 /// The cached counterpart of [`extract_shape`], bit-identical to it: the
 /// centroid of the cluster with the given `(power_iterations, members,
 /// shifts)`, the shifts being each member's alignment to the previous
-/// centroid (which therefore need not be passed).
+/// centroid (which therefore need not be passed), and the centroid's
+/// spectrum, which the caller's distance column needs next.
 ///
 /// # Errors
 ///
 /// Propagates time-series errors from the spectrum computations (only
 /// possible for empty inputs, which callers exclude).
 fn refine_centroid(
-    cache: &KShapeSeriesCache,
+    cache: &mut KShapeSeriesCache,
     (power_iterations, members, shifts): &(usize, Vec<usize>, Vec<isize>),
     sbd: &mut CountedSbd,
-) -> Result<Vec<f64>> {
-    // Align every member and z-normalize.
-    let aligned: Vec<Vec<f64>> = members
-        .iter()
-        .zip(shifts.iter())
-        .map(|(&i, &shift)| z_normalize(&apply_shift(cache.series(i), shift)))
+) -> Result<(Vec<f64>, SeriesSpectrum)> {
+    // Align every member and z-normalize — unless a refinement over this
+    // cache already has.
+    for (&i, &shift) in members.iter().zip(shifts.iter()) {
+        if cache.aligned.contains_key(&(i, shift)) {
+            cache.aligned_spectra_reused += 1;
+        } else {
+            let values = z_normalize(&apply_shift(cache.series(i), shift));
+            let spectrum = SeriesSpectrum::compute(&values)?;
+            let member = AlignedMember { values, spectrum };
+            cache.aligned.insert((i, shift), member);
+        }
+    }
+    let aligned: Vec<&AlignedMember> = (members.iter().zip(shifts.iter()))
+        .map(|(&i, &shift)| &cache.aligned[&(i, shift)])
         .collect();
+    let rows: Vec<&[f64]> = aligned.iter().map(|a| &a.values[..]).collect();
 
-    let centroid = match power_iterate_shape(&aligned, cache.series_len(), *power_iterations) {
-        ShapeCandidate::Degenerate(centroid) => return Ok(centroid),
+    let (shape, steps) = power_iterate_until_recurrence(&rows, cache.series_len, *power_iterations);
+    cache.power_steps += steps as u64;
+    let centroid = match shape {
+        ShapeCandidate::Degenerate(centroid) => {
+            let spectrum = SeriesSpectrum::compute(&centroid)?;
+            return Ok((centroid, spectrum));
+        }
         ShapeCandidate::Candidate(candidate) => candidate,
     };
 
@@ -660,18 +771,21 @@ fn refine_centroid(
     let centroid_spectrum = SeriesSpectrum::compute(&centroid)?;
     let distances: Vec<OrientedSbd> = aligned
         .iter()
-        .map(|a| sbd.eval(&centroid_spectrum, &SeriesSpectrum::compute(a)?))
+        .map(|a| sbd.eval(&centroid_spectrum, &a.spectrum))
         .collect::<Result<_>>()?;
     let upright: f64 = distances.iter().map(|d| d.sbd.distance).sum();
     let flipped: f64 = distances.iter().map(|d| d.flipped_distance).sum();
     if flipped < upright {
-        Ok(centroid.iter().map(|x| -x).collect())
+        let centroid: Vec<f64> = centroid.iter().map(|x| -x).collect();
+        let spectrum = SeriesSpectrum::compute(&centroid)?;
+        Ok((centroid, spectrum))
     } else {
-        Ok(centroid)
+        Ok((centroid, centroid_spectrum))
     }
 }
 
-/// Result of the power-iteration core shared by [`extract_shape`] and
+/// Result of a power iteration: [`power_iterate_shape`] for
+/// [`extract_shape`], [`power_iterate_until_recurrence`] for
 /// [`refine_centroid`].
 enum ShapeCandidate {
     /// Degenerate cluster (all members constant after normalization): the
@@ -725,6 +839,120 @@ fn power_iterate_shape(aligned: &[Vec<f64>], m: usize, power_iterations: usize) 
         v = new_v;
     }
     ShapeCandidate::Candidate(z_normalize(&v))
+}
+
+/// How many of its latest iterates [`power_iterate_until_recurrence`] keeps
+/// to recognise a recurrence: cycles of up to this period are cut short.
+const RECURRENCE_WINDOW: usize = 8;
+
+/// The production power iteration: bit-identical to [`power_iterate_shape`]
+/// (the oracle's, which [`extract_shape`] keeps calling), returned with the
+/// number of steps actually taken. It performs the same float operations in
+/// the same per-value order and differs in two ways only:
+///
+/// * *Independent chains side by side.* A step's dot products `a_i · Qv`
+///   are independent, latency-bound serial sums; they are taken four (then
+///   two, then one) members at a time over one pass of the index, each
+///   accumulator starting where `Iterator::sum` starts and adding its
+///   products in index order.
+/// * *It stops when an iterate recurs.* A step is a pure function of the
+///   iterate, so when the new iterate equals one of the last
+///   [`RECURRENCE_WINDOW`] bit for bit, every remaining step only walks
+///   that cycle — whose members all passed the degenerate-norm check as
+///   inputs already — and the result is the cycle element the walk would
+///   end on. Period 1 is the plain fixpoint.
+fn power_iterate_until_recurrence(
+    rows: &[&[f64]],
+    m: usize,
+    power_iterations: usize,
+) -> (ShapeCandidate, usize) {
+    let center = |v: &[f64]| -> Vec<f64> {
+        let mean = v.iter().sum::<f64>() / v.len() as f64;
+        v.iter().map(|x| x - mean).collect()
+    };
+
+    // Deterministic, non-degenerate start vector.
+    let mut v: Vec<f64> = (0..m)
+        .map(|i| ((i as f64) * 0.754877 + 0.1).sin() + 0.01)
+        .collect();
+    normalize_vec(&mut v);
+
+    // The latest iterates, oldest first; the last one is the current `v`.
+    let mut iterates: VecDeque<Vec<f64>> = VecDeque::with_capacity(RECURRENCE_WINDOW);
+    iterates.push_back(v);
+    let mut dots = vec![0.0; rows.len()];
+    let steps = power_iterations.max(1);
+    for step in 0..steps {
+        let qv = center(iterates.back().expect("the window is never empty"));
+        dot_products(rows, &qv, &mut dots);
+        let mut sv = vec![0.0; m];
+        for (a, &dot) in rows.iter().zip(dots.iter()) {
+            for (s, &ai) in sv.iter_mut().zip(a.iter()) {
+                *s += ai * dot;
+            }
+        }
+        let mut new_v = center(&sv);
+        let norm = new_v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm < 1e-12 {
+            // Fall back to the element-wise mean of aligned members.
+            let mut mean = vec![0.0; m];
+            for a in rows {
+                for (mu, &ai) in mean.iter_mut().zip(a.iter()) {
+                    *mu += ai / rows.len() as f64;
+                }
+            }
+            return (ShapeCandidate::Degenerate(z_normalize(&mean)), step + 1);
+        }
+        for x in new_v.iter_mut() {
+            *x /= norm;
+        }
+        let same_bits = |old: &Vec<f64>| {
+            (old.iter().zip(new_v.iter())).all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        if let Some(recurred) = iterates.iter().rposition(same_bits) {
+            let period = iterates.len() - recurred;
+            let remaining = steps - 1 - step;
+            let last = &iterates[recurred + remaining % period];
+            return (ShapeCandidate::Candidate(z_normalize(last)), step + 1);
+        }
+        if iterates.len() == RECURRENCE_WINDOW {
+            iterates.pop_front();
+        }
+        iterates.push_back(new_v);
+    }
+    let last = iterates.back().expect("the window is never empty");
+    (ShapeCandidate::Candidate(z_normalize(last)), steps)
+}
+
+/// `dots[i] = rows[i] · qv`, each exactly the serial
+/// `zip(..).map(|(x, y)| x * y).sum::<f64>()` of the oracle, taken four (then
+/// two, then one) rows at a time so the independent addition chains overlap.
+fn dot_products(rows: &[&[f64]], qv: &[f64], dots: &mut [f64]) {
+    let mut at = dot_blocks::<4>(rows, qv, dots);
+    at += dot_blocks::<2>(&rows[at..], qv, &mut dots[at..]);
+    dot_blocks::<1>(&rows[at..], qv, &mut dots[at..]);
+}
+
+/// Fills `dots` for as many whole blocks of `B` rows as `rows` holds, one
+/// pass of the index per block, and returns how many rows that was.
+fn dot_blocks<const B: usize>(rows: &[&[f64]], qv: &[f64], dots: &mut [f64]) -> usize {
+    // Whatever `Iterator::sum::<f64>()` starts from on this toolchain (the
+    // neutral element has been both `0.0` and `-0.0`).
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    for (block, out) in rows.chunks_exact(B).zip(dots.chunks_exact_mut(B)) {
+        // Slicing every operand to the common length first lets the indexed
+        // loop run without bounds checks; with them the blocking gains
+        // nothing.
+        let block: [&[f64]; B] = std::array::from_fn(|b| &block[b][..qv.len()]);
+        let mut sums = [zero; B];
+        for (j, &q) in qv.iter().enumerate() {
+            for (sum, row) in sums.iter_mut().zip(block.iter()) {
+                *sum += row[j] * q;
+            }
+        }
+        out.copy_from_slice(&sums);
+    }
+    rows.len() / B * B
 }
 
 fn normalize_vec(v: &mut [f64]) {
@@ -968,17 +1196,36 @@ mod tests {
             result.iterations
         );
 
-        // A second identical fit looks up the same inputs as the first,
-        // finds every one in the cache's memo and refines nothing. All it
-        // evaluates again are the first iteration's alignments to each
-        // cluster's first member (n of them: every round-robin cluster
-        // starts non-empty), which it needs to form the memo keys.
+        // What the first fit left in the cache beside the refinements: the
+        // n first-member alignments of its first iteration (every
+        // round-robin cluster starts non-empty, no pair twice), one aligned
+        // copy and spectrum per distinct (series, shift) its refinements
+        // met, and the power steps those refinements took of the
+        // 50 each they might have.
         let refinements = cache.refinements();
         let reused = cache.refinements_reused();
+        assert_eq!((cache.alignments(), cache.alignments_reused()), (24, 0));
+        assert_eq!(
+            (cache.aligned_spectra(), cache.aligned_spectra_reused()),
+            (36, 36)
+        );
+        assert_eq!((refinements, cache.power_steps()), (12, 434));
+
+        // A second identical fit looks up the same inputs as the first and
+        // finds every one: the first iteration's alignments in the shift
+        // table (which is what forms its memo keys), every refinement in
+        // the memo. It evaluates no distance, aligns no member and takes no
+        // power step.
         assert_eq!(kshape.fit_cached(&mut cache).unwrap(), result);
         assert_eq!(cache.refinements(), refinements);
         assert_eq!(cache.refinements_reused(), refinements + 2 * reused);
-        assert_eq!(cache.sbd_evaluations() as usize, evaluations + n);
+        assert_eq!(cache.sbd_evaluations() as usize, evaluations);
+        assert_eq!((cache.alignments(), cache.alignments_reused()), (24, 24));
+        assert_eq!(
+            (cache.aligned_spectra(), cache.aligned_spectra_reused()),
+            (36, 36)
+        );
+        assert_eq!(cache.power_steps(), 434);
     }
 
     #[test]
@@ -1014,17 +1261,106 @@ mod tests {
 
         // The fit still runs every iteration, but a lap of the cycle only
         // revisits inputs the memo holds: SBD evaluations are paid per
-        // *distinct* refinement (n for its column, at most n for its
-        // orientation check) plus the first iteration's n alignments to
-        // each cluster's first member. Recomputing whenever the input
-        // differs from the previous step's costs several times this.
+        // *distinct* refinement — n for its column, one per member for its
+        // orientation check — plus one per distinct first-member alignment
+        // (n here: one fit, no pair twice). Exactly that, no more.
+        // Recomputing whenever the input differs from the previous step's
+        // costs several times this.
         let refinements = cache.refinements() as usize;
         let lookups = refinements + cache.refinements_reused() as usize;
         assert!(lookups > 30 && 4 * refinements < lookups, "{refinements}");
-        let evaluations = cache.sbd_evaluations() as usize;
+        let evaluations = cache.sbd_evaluations();
+        let per_refinement: usize = (cache.refined.keys())
+            .map(|(_, members, _)| n + members.len())
+            .sum();
+        assert_eq!(cache.alignments(), n as u64);
+        assert_eq!(evaluations, per_refinement as u64 + cache.alignments());
+
+        // The members that flip are aligned the same way lap after lap
+        // (6 aligned copies serve 24 rows), and power iterations over
+        // proportional counters are the ones that recur at once: 38 steps
+        // of the 7 × 50 a plain loop takes.
+        assert_eq!(
+            (cache.aligned_spectra(), cache.aligned_spectra_reused()),
+            (6, 18)
+        );
+        assert_eq!((refinements, cache.power_steps()), (7, 38));
+
+        // Fitting again pays none of it: the alignment term goes too.
+        assert_eq!(kshape.fit_cached(&mut cache).unwrap(), result);
+        assert_eq!(cache.sbd_evaluations(), evaluations);
+        assert_eq!(cache.alignments_reused(), n as u64);
+    }
+
+    /// Both power iterations' outcome down to the bits.
+    fn shape_bits(shape: &ShapeCandidate) -> (bool, Vec<u64>) {
+        let (degenerate, values) = match shape {
+            ShapeCandidate::Degenerate(values) => (true, values),
+            ShapeCandidate::Candidate(values) => (false, values),
+        };
+        (degenerate, values.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn production_power_iteration_is_bit_identical_to_the_oracles_at_every_exit() {
+        let len = 60;
+        // Proportional counters: exact multiples of one cumulative load.
+        let mut total = 0.0;
+        let cumulative: Vec<f64> = (0..len)
+            .map(|t| {
+                total += (50 + (t * 7) % 61) as f64;
+                total
+            })
+            .collect();
+        let gains = [12.0, 90.0, 240.0, 0.01, 1.0, 270.0, 420.0, 3.6, 4.5];
+        // (fixpoints, longer cycles, runs to the cap, degenerate exits)
+        let mut exits = (0usize, 0usize, 0usize, 0usize);
+        for count in 1..=9usize {
+            let counters: Vec<Vec<f64>> = (gains[..count].iter())
+                .map(|gain| cumulative.iter().map(|v| gain * v).collect())
+                .collect();
+            let one_shape = noisy_family(&|i| ((i as f64) * 0.4).sin(), count, len, 7);
+            // Two shapes in equal measure: a small eigengap, slow to settle.
+            let two_shapes: Vec<Vec<f64>> = (0..count)
+                .map(|c| {
+                    let base: &dyn Fn(usize) -> f64 = if c % 2 == 0 {
+                        &|i| ((i as f64) * 0.4).sin()
+                    } else {
+                        &|i| ((i as f64) * 0.4).cos()
+                    };
+                    noisy_family(base, 1, len, c as u64 + 31).remove(0)
+                })
+                .collect();
+            let constants: Vec<Vec<f64>> = (0..count).map(|c| vec![c as f64; len]).collect();
+            for family in [&counters, &one_shape, &two_shapes, &constants] {
+                let aligned: Vec<Vec<f64>> = family.iter().map(|s| z_normalize(s)).collect();
+                let rows: Vec<&[f64]> = aligned.iter().map(|a| &a[..]).collect();
+                for cap in [1usize, 2, 3, 7, 8, 9, 10, 49, 50, 51, 100] {
+                    let expected = power_iterate_shape(&aligned, len, cap);
+                    let (shape, steps) = power_iterate_until_recurrence(&rows, len, cap);
+                    assert_eq!(
+                        shape_bits(&shape),
+                        shape_bits(&expected),
+                        "{count} members, {cap} power iterations"
+                    );
+                    assert!((1..=cap).contains(&steps));
+                    if matches!(shape, ShapeCandidate::Degenerate(_)) {
+                        exits.3 += 1;
+                    } else if steps == cap {
+                        exits.2 += 1;
+                    } else if shape_bits(&power_iterate_shape(&aligned, len, cap + 1))
+                        == shape_bits(&expected)
+                    {
+                        exits.0 += 1;
+                    } else {
+                        exits.1 += 1;
+                    }
+                }
+            }
+        }
         assert!(
-            evaluations <= refinements * 2 * n + n,
-            "{evaluations} evaluations for {refinements} distinct refinements of n={n}"
+            exits.0 >= 50 && exits.1 >= 30 && exits.2 >= 100 && exits.3 >= 99,
+            "(fixpoint, cycle, cap, degenerate) = {exits:?}"
         );
     }
 

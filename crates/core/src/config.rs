@@ -118,9 +118,11 @@ impl SieveConfig {
                 reason: "kshape_max_iterations must be positive".into(),
             });
         }
-        if self.variance_threshold < 0.0 {
+        // NaN passes `< 0.0`; `is_unvarying` then compares `<= NaN`, false for
+        // every series, and the variance filter would silently be off.
+        if !self.variance_threshold.is_finite() || self.variance_threshold < 0.0 {
             return Err(crate::SieveError::InvalidConfig {
-                reason: "variance_threshold must be non-negative".into(),
+                reason: "variance_threshold must be finite and non-negative".into(),
             });
         }
         if let Err(e) = self.granger.validate() {
@@ -198,11 +200,18 @@ mod tests {
             .with_cluster_range(5, 2)
             .validate()
             .is_err());
-        let bad = SieveConfig {
-            variance_threshold: -1.0,
+        for variance_threshold in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = SieveConfig {
+                variance_threshold,
+                ..SieveConfig::default()
+            };
+            assert!(bad.validate().is_err(), "{variance_threshold}");
+        }
+        let keep_everything = SieveConfig {
+            variance_threshold: 0.0,
             ..SieveConfig::default()
         };
-        assert!(bad.validate().is_err());
+        assert!(keep_everything.validate().is_ok());
     }
 
     #[test]

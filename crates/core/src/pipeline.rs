@@ -364,7 +364,15 @@ mod tests {
             load_application(&app, &Workload::constant(10.0), 1, 60_000, 500).unwrap();
         let mut edgeless = SieveConfig::default();
         edgeless.granger.max_lag = 0;
-        for config in [SieveConfig::default().with_interval_ms(0), edgeless] {
+        let unfiltered = SieveConfig {
+            variance_threshold: f64::NAN,
+            ..SieveConfig::default()
+        };
+        for config in [
+            SieveConfig::default().with_interval_ms(0),
+            edgeless,
+            unfiltered,
+        ] {
             assert!(matches!(
                 Sieve::new(config).analyze("small", &store, &graph),
                 Err(SieveError::InvalidConfig { .. })

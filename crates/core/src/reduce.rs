@@ -25,11 +25,11 @@
 //! copying.
 //!
 //! The k sweep itself runs on the shared SBD engine: per-series spectra, the
-//! pairwise distance matrix and one k-Shape cache — z-normalized copies,
-//! their spectra and a memo of every cluster refinement performed — are built
-//! once per component and shared by every candidate `k`, so a cluster one fit
-//! already refined (in an earlier iteration, or for another `k`) is never
-//! refined again. The direct-SBD sweep it must stay bit-identical to is
+//! pairwise distance matrix, the name grouping behind every warm start and
+//! one k-Shape cache — z-normalized copies, their spectra and a memo of every
+//! cluster refinement performed — are built once per component and shared by
+//! every candidate `k`, so a cluster one fit already refined (in an earlier
+//! iteration, or for another `k`) is never refined again. The direct-SBD sweep it must stay bit-identical to is
 //! [`crate::oracle::reduce_component`].
 
 use crate::columnar::PreparedComponent;
@@ -37,7 +37,7 @@ use crate::config::SieveConfig;
 use crate::model::{ComponentClustering, MetricCluster};
 use crate::Result;
 use sieve_cluster::distance::{compute_spectra, DistanceMatrix};
-use sieve_cluster::jaro::pre_cluster_names;
+use sieve_cluster::jaro::NameGroups;
 use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeResult, KShapeSeriesCache};
 use sieve_cluster::silhouette::silhouette_score_from_matrix;
 use sieve_exec::Name;
@@ -206,9 +206,11 @@ pub(crate) fn reduce_component_with(
 
 /// The k sweep and representative selection on the shared SBD engine: one
 /// spectrum per kept series, one [`DistanceMatrix`] per component (built
-/// through `sieve_exec::par_map_chunks`), one [`KShapeSeriesCache`] — and
-/// with it one refinement memo — passed through every `k`'s fit in turn and
-/// dropped when the component's sweep ends.
+/// through `sieve_exec::par_map_chunks`), one [`NameGroups`] every `k`'s warm
+/// start is cut from, and one [`KShapeSeriesCache`] — and with it the memos
+/// of refinements, first-member alignments and aligned members — passed
+/// through every `k`'s fit in turn and dropped when the component's sweep
+/// ends.
 fn sweep(
     data: &[&[f64]],
     names: &[&str],
@@ -221,12 +223,14 @@ fn sweep(
     let spectra = compute_spectra(data, config.parallelism)?;
     let matrix = DistanceMatrix::from_spectra(&spectra, config.parallelism)?;
     let mut kshape_cache = KShapeSeriesCache::new_parallel(data, config.parallelism)?;
+    // The name grouping every k's warm start is cut from.
+    let mut name_groups = NameGroups::new(names);
 
     let max_k = config.max_clusters.min(data.len().saturating_sub(1)).max(1);
     let min_k = config.min_clusters.min(max_k);
     let mut best: Option<(f64, KShapeResult, usize)> = None;
     for k in min_k..=max_k {
-        let init = pre_cluster_names(names, k);
+        let init = name_groups.assignment(k);
         let kshape_config = KShapeConfig::new(k)
             .with_max_iterations(config.kshape_max_iterations)
             .with_initial_assignment(init);
@@ -307,6 +311,7 @@ pub(crate) fn build_clusters(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sieve_cluster::jaro::pre_cluster_names;
 
     fn named(name: &str, values: Vec<f64>) -> NamedSeries {
         NamedSeries::new(name, values)

@@ -800,7 +800,15 @@ mod tests {
     fn session_rejects_invalid_configuration() {
         let mut edgeless = SieveConfig::default();
         edgeless.granger.significance = 1.0;
-        for config in [SieveConfig::default().with_interval_ms(0), edgeless] {
+        let unfiltered = SieveConfig {
+            variance_threshold: f64::NAN,
+            ..SieveConfig::default()
+        };
+        for config in [
+            SieveConfig::default().with_interval_ms(0),
+            edgeless,
+            unfiltered,
+        ] {
             let result = AnalysisSession::new("x", MetricStore::new(), CallGraph::new(), config);
             assert!(matches!(
                 result,

@@ -229,6 +229,14 @@ mod tests {
             .with_analysis(edgeless)
             .validate()
             .is_err());
+        let unfiltered = SieveConfig {
+            variance_threshold: f64::NAN,
+            ..SieveConfig::default()
+        };
+        assert!(ServeConfig::default()
+            .with_analysis(unfiltered)
+            .validate()
+            .is_err());
     }
 
     #[test]

@@ -103,10 +103,17 @@ pub fn next_power_of_two(n: usize) -> usize {
 /// All stages are flattened into one buffer; stage `len` starts at offset
 /// `len/2 - 1` (the stage sizes `1 + 2 + … + len/4` telescope), for `n - 1`
 /// factors in total.
+///
+/// Beside the twiddles the table holds the other thing that depends on `n`
+/// alone: the bit-reversal permutation of `0..n` the transform opens with,
+/// built by the very carry-chain loop [`fft_in_place_naive`] runs per
+/// transform, so the two cannot disagree.
 #[derive(Debug)]
 pub struct TwiddleTable {
     n: usize,
     factors: Vec<Complex>,
+    /// `bit_reversal[i]` is `i` with its `log2(n)` bits reversed.
+    bit_reversal: Vec<u32>,
 }
 
 impl TwiddleTable {
@@ -130,7 +137,23 @@ impl TwiddleTable {
             }
             len <<= 1;
         }
-        Self { n, factors }
+        // Same carry chain as the seed FFT's permutation loop, run once.
+        let mut bit_reversal = vec![0u32; n];
+        let mut j = 0usize;
+        for slot in bit_reversal.iter_mut().skip(1) {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            *slot = u32::try_from(j).expect("an FFT length whose twiddles fit in memory");
+        }
+        Self {
+            n,
+            factors,
+            bit_reversal,
+        }
     }
 
     /// The FFT length this table serves.
@@ -149,6 +172,13 @@ impl TwiddleTable {
     #[inline]
     fn stage(&self, len: usize) -> &[Complex] {
         &self.factors[len / 2 - 1..len - 1]
+    }
+
+    /// The bit-reversal permutation of `0..self.len()` (an involution):
+    /// where input element `i` sits when the butterfly passes start.
+    #[inline]
+    pub(crate) fn bit_reversal(&self) -> &[u32] {
+        &self.bit_reversal
     }
 }
 
@@ -202,21 +232,24 @@ pub fn fft_in_place_with(data: &mut [Complex], table: &TwiddleTable) {
     if n <= 1 {
         return;
     }
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
+    // Bit-reversal permutation, read off the table.
+    for (i, &j) in table.bit_reversal().iter().enumerate() {
+        let j = j as usize;
         if i < j {
             data.swap(i, j);
         }
     }
-    // Butterfly passes: identical float operations to the seed FFT, with the
-    // per-butterfly `w = w * wlen` recurrence replaced by a table load.
+    butterflies(data, table);
+}
+
+/// The butterfly passes of the transform, over data already in bit-reversed
+/// order: identical float operations to the seed FFT, with the per-butterfly
+/// `w = w * wlen` recurrence replaced by a table load. A caller that writes
+/// its input straight to the permuted slots ([`crate::spectrum::sbd_oriented`])
+/// skips the swap pass.
+pub(crate) fn butterflies(data: &mut [Complex], table: &TwiddleTable) {
+    let n = data.len();
+    assert_eq!(n, table.len(), "FFT length must match the twiddle table");
     let mut len = 2;
     while len <= n {
         let half = len / 2;
@@ -569,6 +602,39 @@ mod tests {
                 w = w * wlen;
             }
             len <<= 1;
+        }
+    }
+
+    #[test]
+    fn tabled_bit_reversal_is_the_seed_loops_permutation_and_an_involution() {
+        for exp in 0..=12usize {
+            let n = 1usize << exp;
+            let table = TwiddleTable::new(n);
+            let tabled = table.bit_reversal();
+            assert_eq!(tabled.len(), n);
+            // What the seed FFT's swap loop does to the identity sequence.
+            let mut looped: Vec<usize> = (0..n).collect();
+            let mut j = 0usize;
+            for i in 1..n {
+                let mut bit = n >> 1;
+                while j & bit != 0 {
+                    j ^= bit;
+                    bit >>= 1;
+                }
+                j |= bit;
+                if i < j {
+                    looped.swap(i, j);
+                }
+            }
+            for (i, &r) in tabled.iter().enumerate() {
+                let r = r as usize;
+                assert_eq!(r, looped[i], "n={n} i={i}");
+                assert_eq!(tabled[r] as usize, i, "n={n} i={i}: not an involution");
+                if exp > 0 {
+                    let reversed = i.reverse_bits() >> (usize::BITS as usize - exp);
+                    assert_eq!(r, reversed, "n={n} i={i}");
+                }
+            }
         }
     }
 

@@ -21,7 +21,8 @@
 //! rely on this.
 
 use crate::fft::{
-    fft_in_place_with, fft_real, next_power_of_two, twiddle_table, Complex, TwiddleTable,
+    butterflies, fft_in_place_with, fft_real, next_power_of_two, twiddle_table, Complex,
+    TwiddleTable,
 };
 use crate::normalize::z_normalize;
 use crate::sbd::SbdResult;
@@ -253,9 +254,10 @@ pub struct OrientedSbd {
     pub flipped_distance: f64,
 }
 
-/// The SBD kernel: spectrum product, one FFT against the scratch's twiddle
-/// table, and a single scan in shift order that divides by the norms and
-/// tracks the first maximum and the minimum. Nothing is allocated once the
+/// The SBD kernel: spectrum product scattered into bit-reversed order, the
+/// butterfly passes against the scratch's twiddle table, and a single scan
+/// in shift order that divides by the norms and tracks the first maximum
+/// and the minimum. Nothing is allocated once the
 /// scratch has served this padded length.
 ///
 /// # Errors
@@ -286,11 +288,14 @@ pub fn sbd_oriented(
         let n = x.padded_len;
         let (table, buf) = scratch.for_len(n);
         // The inverse transform as conj → forward FFT → conj·(1/n); only
-        // real parts are read below, so the trailing conj disappears.
-        for ((slot, a), b) in buf.iter_mut().zip(x.fft.iter()).zip(y.fft.iter()) {
-            *slot = (*a * b.conj()).conj();
+        // real parts are read below, so the trailing conj disappears. Each
+        // product goes straight to its bit-reversed slot, so the transform
+        // is the butterfly passes alone.
+        let products = x.fft.iter().zip(y.fft.iter());
+        for ((a, b), &slot) in products.zip(table.bit_reversal()) {
+            buf[slot as usize] = (*a * b.conj()).conj();
         }
-        fft_in_place_with(buf, table);
+        butterflies(buf, table);
         let scale = 1.0 / n as f64;
         // The circular correlation holds shifts 0..x.len at the head and
         // the negative shifts -(y.len-1)..0 at the tail; scanning tail then
