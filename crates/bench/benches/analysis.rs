@@ -542,5 +542,5 @@ fn main() {
         };
         ledger.record(m, note);
     }
-    println!("analysis: ledger appended to {}", ledger.path().display());
+    println!("analysis: {}", ledger.outcome());
 }

@@ -105,8 +105,5 @@ fn main() {
         runner.measurements(),
         "sharelatex minimal, isolated stage, parallelism=1",
     );
-    println!(
-        "dependencies: ledger appended to {}",
-        ledger.path().display()
-    );
+    println!("dependencies: {}", ledger.outcome());
 }

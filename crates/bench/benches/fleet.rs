@@ -361,5 +361,5 @@ fn main() {
         &config_note,
     );
     ledger.record(&dirty, &config_note);
-    println!("fleet: ledger appended to {}", ledger.path().display());
+    println!("fleet: {}", ledger.outcome());
 }

@@ -200,8 +200,5 @@ fn main() {
         runner.measurements(),
         "sharelatex minimal, one dirty component of 15, parallelism=1",
     );
-    println!(
-        "incremental: ledger appended to {}",
-        ledger.path().display()
-    );
+    println!("incremental: {}", ledger.outcome());
 }

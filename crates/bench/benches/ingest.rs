@@ -259,5 +259,5 @@ fn main() {
         runner.measurements(),
         "8 tenants, 4 shards, concurrent sweeps; writers x fsync grid vs serialized baseline",
     );
-    println!("ingest: ledger appended to {}", ledger.path().display());
+    println!("ingest: {}", ledger.outcome());
 }

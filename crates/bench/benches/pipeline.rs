@@ -284,5 +284,5 @@ fn main() {
         runner.measurements(),
         "sharelatex minimal + openstack profiles, end-to-end stages",
     );
-    println!("pipeline: ledger appended to {}", ledger.path().display());
+    println!("pipeline: {}", ledger.outcome());
 }

@@ -199,7 +199,7 @@ fn main() {
         runner.measurements(),
         "per-shard WAL replay vs snapshot+tail, fsync=never",
     );
-    println!("recovery: ledger appended to {}", ledger.path().display());
+    println!("recovery: {}", ledger.outcome());
 
     for dir in copies.iter().chain(&snap_copies) {
         let _ = std::fs::remove_dir_all(dir);

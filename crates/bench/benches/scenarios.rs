@@ -92,5 +92,5 @@ fn main() {
         runner.measurements(),
         "root-cause chaos scenario: generate, streamed 8-epoch analysis, scoring",
     );
-    println!("scenarios: ledger appended to {}", ledger.path().display());
+    println!("scenarios: {}", ledger.outcome());
 }

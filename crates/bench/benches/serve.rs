@@ -228,5 +228,5 @@ fn main() {
         runner.measurements(),
         "many-small tenant fleet, sweep parallelism=8",
     );
-    println!("serve: ledger appended to {}", ledger.path().display());
+    println!("serve: {}", ledger.outcome());
 }

@@ -7,12 +7,11 @@
 //! revisions — the project's performance history, reconstructed from the
 //! persisted records without re-running anything.
 //!
-//! It is also the CI regression gate: for every benchmark whose *latest*
-//! run is a real measurement (not a `SIEVE_BENCH_SMOKE` run), the latest
-//! median is compared against the best prior non-smoke median. A slowdown
+//! It is also the CI regression gate: for every benchmark, the latest
+//! revision's median is compared against the best prior median. A slowdown
 //! of more than 20% exits nonzero and names the offending benchmarks.
-//! Smoke runs are listed but never participate in the comparison — their
-//! numbers measure a shrunken workload and would poison the curve.
+//! (`SIEVE_BENCH_SMOKE` runs measure a shrunken workload; the ledger never
+//! records them, so none can poison the curve.)
 //!
 //! Usage: `cargo run -p sieve-bench --bin trajectory [ledger-dir]`
 //! (the directory defaults to the repository root).
@@ -22,12 +21,12 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// A regression is a latest non-smoke median more than 20% above the best
-/// prior non-smoke median of the same benchmark.
+/// A regression is a latest median more than 20% above the best prior
+/// median of the same benchmark.
 const REGRESSION_FACTOR: f64 = 1.20;
 
-/// One revision's aggregate for a benchmark: the best (lowest) non-smoke
-/// median observed at that revision, in chronological first-seen order.
+/// One revision's aggregate for a benchmark: the best (lowest) median
+/// observed at that revision, in chronological first-seen order.
 #[derive(Debug)]
 struct RevPoint {
     rev: String,
@@ -73,11 +72,11 @@ fn load_groups(dir: &Path) -> BTreeMap<(String, String), Vec<LedgerRecord>> {
     groups
 }
 
-/// Folds a group's non-smoke runs into one point per revision (first-seen
-/// order, best median per revision).
+/// Folds a group's runs into one point per revision (first-seen order,
+/// best median per revision).
 fn rev_points(runs: &[LedgerRecord]) -> Vec<RevPoint> {
     let mut points: Vec<RevPoint> = Vec::new();
-    for run in runs.iter().filter(|r| !r.smoke && r.median_ns > 0) {
+    for run in runs.iter().filter(|r| r.median_ns > 0) {
         match points.iter_mut().find(|p| p.rev == run.git_rev) {
             Some(point) => point.best_median_ns = point.best_median_ns.min(run.median_ns),
             None => points.push(RevPoint {
@@ -102,11 +101,10 @@ fn evaluate(groups: &BTreeMap<(String, String), Vec<LedgerRecord>>) -> Vec<Strin
             println!("ledger {bench} (BENCH_{bench}.json)");
             current_bench = bench.clone();
         }
-        let smoke_runs = runs.iter().filter(|r| r.smoke).count();
         let points = rev_points(runs);
-        println!("  {name} ({} run(s), {smoke_runs} smoke)", runs.len());
+        println!("  {name} ({} run(s))", runs.len());
         let Some(baseline) = points.first() else {
-            println!("    no non-smoke runs — nothing to compare");
+            println!("    no timed runs — nothing to compare");
             continue;
         };
         for point in &points {
@@ -130,7 +128,7 @@ fn evaluate(groups: &BTreeMap<(String, String), Vec<LedgerRecord>>) -> Vec<Strin
         if ratio > REGRESSION_FACTOR {
             regressions.push(format!(
                 "{bench}/{name}: latest median {} at {} is {:.0}% above the best \
-                 prior non-smoke median {}",
+                 prior median {}",
                 format_ns(latest.best_median_ns),
                 latest.rev,
                 (ratio - 1.0) * 100.0,
@@ -169,7 +167,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn record(name: &str, rev: &str, median_ns: u64, smoke: bool, unix_s: u64) -> LedgerRecord {
+    fn record(name: &str, rev: &str, median_ns: u64, unix_s: u64) -> LedgerRecord {
         LedgerRecord {
             bench: "unit".to_string(),
             name: name.to_string(),
@@ -179,7 +177,6 @@ mod tests {
             mean_ns: median_ns,
             median_ns,
             git_rev: rev.to_string(),
-            smoke,
             unix_s,
         }
     }
@@ -199,15 +196,15 @@ mod tests {
     fn regression_fires_only_beyond_twenty_percent() {
         // 100µs → 115µs: within tolerance.
         let ok = groups_of(vec![
-            record("a", "r1", 100_000, false, 1),
-            record("a", "r2", 115_000, false, 2),
+            record("a", "r1", 100_000, 1),
+            record("a", "r2", 115_000, 2),
         ]);
         assert!(evaluate(&ok).is_empty());
 
         // 100µs → 130µs: 30% above the best prior — a regression.
         let bad = groups_of(vec![
-            record("a", "r1", 100_000, false, 1),
-            record("a", "r2", 130_000, false, 2),
+            record("a", "r1", 100_000, 1),
+            record("a", "r2", 130_000, 2),
         ]);
         let regressions = evaluate(&bad);
         assert_eq!(regressions.len(), 1);
@@ -218,33 +215,21 @@ mod tests {
     fn comparison_is_against_the_best_prior_revision() {
         // The best prior is r1 (80µs), not the immediately preceding r2.
         let groups = groups_of(vec![
-            record("a", "r1", 80_000, false, 1),
-            record("a", "r2", 95_000, false, 2),
-            record("a", "r3", 100_000, false, 3),
+            record("a", "r1", 80_000, 1),
+            record("a", "r2", 95_000, 2),
+            record("a", "r3", 100_000, 3),
         ]);
         let regressions = evaluate(&groups);
         assert_eq!(regressions.len(), 1, "100µs vs best prior 80µs is +25%");
     }
 
     #[test]
-    fn smoke_runs_never_participate() {
-        let groups = groups_of(vec![
-            record("a", "r1", 100_000, false, 1),
-            // A smoke run with a wild number must not trip the gate...
-            record("a", "r2", 900_000, true, 2),
-            // ...nor can a smoke-only group produce a comparison.
-            record("b", "r1", 1, true, 3),
-        ]);
-        assert!(evaluate(&groups).is_empty());
-    }
-
-    #[test]
     fn repeated_revisions_keep_their_best_median() {
         let groups = groups_of(vec![
-            record("a", "r1", 100_000, false, 1),
-            record("a", "r2", 140_000, false, 2),
+            record("a", "r1", 100_000, 1),
+            record("a", "r2", 140_000, 2),
             // A second, faster run at r2 rescues the revision.
-            record("a", "r2", 105_000, false, 3),
+            record("a", "r2", 105_000, 3),
         ]);
         assert!(evaluate(&groups).is_empty());
         let points = rev_points(&groups[&("unit".to_string(), "a".to_string())]);
@@ -258,9 +243,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_unit.json");
         let lines = [
-            record("a", "r1", 100_000, false, 1).to_json_line(),
+            record("a", "r1", 100_000, 1).to_json_line(),
             "not json".to_string(),
-            record("a", "r2", 110_000, false, 2).to_json_line(),
+            record("a", "r2", 110_000, 2).to_json_line(),
         ]
         .join("\n");
         std::fs::write(&path, lines).unwrap();

@@ -4,9 +4,10 @@
 //! `BENCH_<bench>.json` at the repository root — one object per line, so
 //! the file is both valid JSON-lines and trivially greppable. Records
 //! carry the measured numbers (min/mean/median nanoseconds per
-//! iteration), the workload note, the git revision and whether the run
-//! was a CI smoke run, so regressions can be traced across commits
-//! without re-running anything.
+//! iteration), the workload note and the git revision, so regressions can
+//! be traced across commits without re-running anything. A CI smoke run
+//! (`SIEVE_BENCH_SMOKE`) measures a shrunken workload whose numbers compare
+//! with nothing: it is printed and never recorded.
 //!
 //! The container this repo builds in has no access to crates.io, so both
 //! the writer and the read-back parser below are dependency-free; the
@@ -41,8 +42,6 @@ pub struct LedgerRecord {
     /// `git rev-parse --short HEAD` at run time (`-dirty` when the tree
     /// differed from it), or `unknown`.
     pub git_rev: String,
-    /// Whether `SIEVE_BENCH_SMOKE` was set (numbers are not comparable).
-    pub smoke: bool,
     /// Seconds since the Unix epoch at record time.
     pub unix_s: u64,
 }
@@ -52,7 +51,7 @@ impl LedgerRecord {
     pub fn to_json_line(&self) -> String {
         format!(
             "{{\"bench\":{},\"name\":{},\"config\":{},\"iters\":{},\"min_ns\":{},\
-             \"mean_ns\":{},\"median_ns\":{},\"git_rev\":{},\"smoke\":{},\"unix_s\":{}}}",
+             \"mean_ns\":{},\"median_ns\":{},\"git_rev\":{},\"unix_s\":{}}}",
             escape_json(&self.bench),
             escape_json(&self.name),
             escape_json(&self.config),
@@ -61,7 +60,6 @@ impl LedgerRecord {
             self.mean_ns,
             self.median_ns,
             escape_json(&self.git_rev),
-            self.smoke,
             self.unix_s
         )
     }
@@ -77,10 +75,6 @@ impl LedgerRecord {
             JsonValue::Num(v) if *v >= 0.0 => Some(*v as u64),
             _ => None,
         };
-        let b = |key: &str| match fields.get(key)? {
-            JsonValue::Bool(v) => Some(*v),
-            _ => None,
-        };
         Some(Self {
             bench: s("bench")?,
             name: s("name")?,
@@ -90,7 +84,6 @@ impl LedgerRecord {
             mean_ns: n("mean_ns")?,
             median_ns: n("median_ns")?,
             git_rev: s("git_rev")?,
-            smoke: b("smoke")?,
             unix_s: n("unix_s")?,
         })
     }
@@ -128,6 +121,17 @@ impl Ledger {
         &self.path
     }
 
+    /// What became of the runs handed to this ledger, for a bench's last
+    /// line of output.
+    pub fn outcome(&self) -> String {
+        let path = self.path.display();
+        if self.smoke {
+            format!("smoke run, nothing appended to {path}")
+        } else {
+            format!("ledger appended to {path}")
+        }
+    }
+
     /// Builds a record for `measurement` without writing it.
     pub fn make_record(&self, measurement: &Measurement, config: &str) -> LedgerRecord {
         LedgerRecord {
@@ -139,7 +143,6 @@ impl Ledger {
             mean_ns: duration_ns(measurement.mean()),
             median_ns: duration_ns(measurement.median()),
             git_rev: self.git_rev.clone(),
-            smoke: self.smoke,
             unix_s: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_secs())
@@ -147,12 +150,17 @@ impl Ledger {
         }
     }
 
-    /// Appends one run to the ledger file. Benches treat the ledger as
-    /// best-effort: an unwritable file prints a warning instead of
-    /// failing the measurement.
+    /// Appends one run to the ledger file — or, in smoke mode, prints it
+    /// and appends nothing. Benches treat the ledger as best-effort: an
+    /// unwritable file prints a warning instead of failing the
+    /// measurement.
     pub fn record(&self, measurement: &Measurement, config: &str) {
         let record = self.make_record(measurement, config);
         let line = record.to_json_line();
+        if self.smoke {
+            println!("ledger: smoke run, not recorded: {line}");
+            return;
+        }
         let appended = OpenOptions::new()
             .create(true)
             .append(true)
@@ -390,7 +398,6 @@ mod tests {
             mean_ns: 456,
             median_ns: 234,
             git_rev: "abc1234".to_string(),
-            smoke: true,
             unix_s: 1_700_000_000,
         };
         let parsed = LedgerRecord::from_json_line(&record.to_json_line()).unwrap();

@@ -26,7 +26,10 @@ pub struct ServeConfig {
     /// tenant lands on the same shard in every process and across
     /// restarts. More shards mean less lock contention between tenants
     /// that happen to hash together; 16 is plenty below a few thousand
-    /// tenants.
+    /// tenants. A durable directory belongs to the shard count that wrote
+    /// it, because routing depends on the count:
+    /// [`crate::service::SieveService::recover`] refuses any other, and
+    /// only a *new* service (which wipes the directory) can change it.
     pub shard_count: usize,
     /// Worker threads of the cross-tenant [`refresh_dirty`] sweep (one
     /// dirty tenant is one work item). Defaults to the hardware degree

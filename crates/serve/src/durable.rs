@@ -1,0 +1,284 @@
+//! The durability glue: one logged shard per registry shard, the one path
+//! a tenant mutation takes to become durable, the snapshot cadence and
+//! the one snapshot writer.
+//!
+//! The dataplane's lock order is this module's code rather than a
+//! convention its callers keep: [`SieveService::mutate`] is the only
+//! function that takes a shard's `admin` lock around a tenant's
+//! apply-order lock, and the only one that stages a frame — so a frame
+//! staged outside the apply-order lock, or a cadence bump with `admin`
+//! still held, cannot be written.
+
+use crate::config::DurabilityConfig;
+use crate::registry::ShardedRegistry;
+use crate::service::SieveService;
+use crate::stats::ServiceStats;
+use crate::tenant::{IngestScratch, Tenant};
+use crate::Result;
+use sieve_exec::hash::shard_index;
+use sieve_wal::{
+    log_file_name, snapshot_file_name, GroupCommitLog, ShardSnapshot, TenantSnapshot, WalError,
+};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
+
+/// One shard's durable state: a cross-thread group-commit log, the
+/// admin/snapshot coordination lock and the snapshot-cadence counter.
+///
+/// Concurrency layout: ingest and single-tenant admin mutations hold
+/// `admin` for *read* across apply-to-memory + stage-to-log + commit, so
+/// many writers proceed in parallel and group-commit through one
+/// leader's write. Tenant creation and shard snapshots hold `admin` for
+/// *write*: they observe a quiesced shard whose in-memory stores match
+/// the staged log exactly. Per-tenant apply order — the shard log's
+/// per-tenant frame order must equal the store's apply order, which is
+/// what replay verification checks — is protected by the finer
+/// [`Tenant::apply_order`] lock, not by this one.
+#[derive(Debug)]
+struct DurableShard {
+    log: GroupCommitLog,
+    admin: RwLock<()>,
+    events_since_snapshot: AtomicU64,
+}
+
+/// The durability side of a service: one logged shard per registry shard
+/// (same deterministic routing hash, so "log shard" and "registry shard"
+/// are the same partition of the tenant space).
+#[derive(Debug)]
+pub(crate) struct DurableLog {
+    config: DurabilityConfig,
+    shards: Vec<DurableShard>,
+}
+
+/// How a mutation holds its shard's `admin` lock.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Admin {
+    /// For *read*: in parallel with the shard's other writers.
+    Shared,
+    /// For *write*: alone on a quiesced shard. Tenant creation — between
+    /// registering the tenant and staging its creation record, no
+    /// snapshot may list the shard's tenants and no ingest may stage a
+    /// frame for the new name ahead of the record that introduces it.
+    Creating,
+}
+
+impl SieveService {
+    /// The one path by which a tenant mutation is applied and, on a
+    /// durable service, logged: *admin → the tenant's apply-order lock →
+    /// `apply` → stage → release apply-order → commit → release admin →
+    /// cadence*.
+    ///
+    /// On a service without durability `apply` receives `None` and runs
+    /// under no lock at all (the memory-only ingest fast path). Otherwise
+    /// it receives the tenant's scratch with an empty `payload`, and
+    /// encodes the event to log into it (leaving it empty logs nothing);
+    /// staging that payload is done here, so a closure cannot stage
+    /// outside the apply-order lock — it cannot stage at all. What `apply`
+    /// does to the store or the session and the frame that records it
+    /// therefore happen atomically per tenant: the shard log's per-tenant
+    /// frame order equals the apply order replay verifies against, and a
+    /// snapshot (which takes `admin` for write) never observes an event
+    /// that is applied but not yet staged. The commit wait comes after the
+    /// apply-order lock is released, so concurrent writers of one shard
+    /// group-commit together.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::ServeError::Wal`] when the commit (or a snapshot the
+    /// cadence tripped) fails: the mutation *is* applied in memory but not
+    /// durable.
+    pub(crate) fn mutate<R>(
+        &self,
+        tenant: &Tenant,
+        admin: Admin,
+        apply: impl FnOnce(Option<&mut IngestScratch>) -> R,
+    ) -> Result<R> {
+        let Some(durable) = &self.durable else {
+            return Ok(apply(None));
+        };
+        let shard = shard_index(tenant.name.as_str(), durable.shards.len());
+        let dshard = &durable.shards[shard];
+        let held = match admin {
+            Admin::Shared => (Some(dshard.admin.read().expect(ADMIN_POISONED)), None),
+            Admin::Creating => (None, Some(dshard.admin.write().expect(ADMIN_POISONED))),
+        };
+        let (result, staged) = {
+            let mut scratch = tenant.apply_order();
+            scratch.payload.clear();
+            let result = apply(Some(&mut scratch));
+            let payload = &scratch.payload;
+            let staged = (!payload.is_empty()).then(|| dshard.log.stage_encoded(payload));
+            (result, staged)
+        };
+        if let Some(seq) = staged {
+            dshard.log.commit_through(seq)?;
+            // A creation record does not carry store content, so an adopted
+            // pre-loaded store is only durable once snapshotted.
+            let preloaded = matches!(admin, Admin::Creating) && tenant.store.series_count() > 0;
+            // The cadence takes `admin` for write when it trips.
+            drop(held);
+            durable.note_logged_event(&self.registry, shard, preloaded)?;
+        }
+        Ok(result)
+    }
+}
+
+const ADMIN_POISONED: &str = "shard admin lock poisoned";
+
+impl DurableLog {
+    /// Creates a fresh durable directory for a *new* service: every shard
+    /// file of a previous incarnation is wiped, whatever shard count wrote
+    /// it (a new service must not inherit a predecessor's tenants — that's
+    /// what [`SieveService::recover`] is for).
+    pub(crate) fn create(durability: &DurabilityConfig, shard_count: usize) -> Result<Self> {
+        std::fs::create_dir_all(&durability.dir).map_err(WalError::from)?;
+        for (_, path) in shard_files(&durability.dir)? {
+            std::fs::remove_file(path).map_err(WalError::from)?;
+        }
+        Self::open(durability, std::iter::repeat(1).take(shard_count))
+    }
+
+    /// Re-anchors a recovered directory at the tenants in `registry`: per
+    /// shard a writer continuing at the recovered sequence, one fresh
+    /// snapshot and an empty log — a corrupt tail is physically gone.
+    pub(crate) fn reanchor(
+        durability: &DurabilityConfig,
+        registry: &ShardedRegistry,
+        next_seqs: impl IntoIterator<Item = u64>,
+    ) -> Result<Self> {
+        let durable = Self::open(durability, next_seqs)?;
+        // Nothing else can reach `durable` yet: every shard is quiesced.
+        for shard in 0..durable.shards.len() {
+            durable.snapshot_quiesced_shard(registry, shard)?;
+        }
+        Ok(durable)
+    }
+
+    /// Opens shard `i`'s log for appending at the `i`-th sequence number.
+    fn open(
+        durability: &DurabilityConfig,
+        next_seqs: impl IntoIterator<Item = u64>,
+    ) -> Result<Self> {
+        let mut shards = Vec::new();
+        for (shard, next_seq) in next_seqs.into_iter().enumerate() {
+            let path = durability.dir.join(log_file_name(shard));
+            shards.push(DurableShard {
+                log: GroupCommitLog::open(&path, next_seq, durability.fsync)?,
+                admin: RwLock::new(()),
+                events_since_snapshot: AtomicU64::new(0),
+            });
+        }
+        Ok(Self {
+            config: durability.clone(),
+            shards,
+        })
+    }
+
+    /// Counts one committed event towards the shard's snapshot cadence
+    /// and snapshots the shard when it trips, or regardless when `force`d.
+    /// Must be called with no shard admin guard held: tripping acquires
+    /// the admin lock for *write* to quiesce the shard first.
+    fn note_logged_event(
+        &self,
+        registry: &ShardedRegistry,
+        shard: usize,
+        force: bool,
+    ) -> Result<()> {
+        let dshard = &self.shards[shard];
+        let due =
+            |since_snapshot: u64| force || since_snapshot >= self.config.snapshot_every_events;
+        let counter = &dshard.events_since_snapshot;
+        if due(counter.fetch_add(1, Ordering::AcqRel) + 1) {
+            let _quiesced = dshard.admin.write().expect(ADMIN_POISONED);
+            // Several writers can trip the cadence at once; whoever gets
+            // the write lock first snapshots (resetting the counter), the
+            // rest find the counter already settled and do nothing.
+            if due(counter.load(Ordering::Acquire)) {
+                self.snapshot_quiesced_shard(registry, shard)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes an atomic snapshot of every tenant of `shard` (frozen store
+    /// image, session config, call graph, covering the log watermark
+    /// `last_seq`) and truncates the shard log — replay work after a
+    /// crash is bounded by the snapshot cadence, not by service uptime.
+    ///
+    /// The caller holds the shard's admin lock for *write*: no ingest or
+    /// admin mutation is mid-flight between a store and the log, so after
+    /// the quiesce below the snapshot is consistent with exactly the log
+    /// prefix it claims to cover.
+    fn snapshot_quiesced_shard(&self, registry: &ShardedRegistry, shard: usize) -> Result<()> {
+        let dshard = &self.shards[shard];
+        // Quiesce the log: every staged frame is on media (or reported
+        // failed to its writer) before the snapshot claims to cover it.
+        dshard.log.commit_all()?;
+        let snapshot = ShardSnapshot {
+            shard,
+            last_seq: dshard.log.last_seq(),
+            tenants: registry
+                .all_in_shard(shard)
+                .iter()
+                .map(|tenant| {
+                    let session = tenant.session();
+                    TenantSnapshot {
+                        tenant: tenant.name.to_string(),
+                        config: Box::new(session.config().clone()),
+                        call_graph: session.call_graph().clone(),
+                        store: tenant.store.freeze(),
+                    }
+                })
+                .collect(),
+        };
+        snapshot.write_atomic(&self.config.dir.join(snapshot_file_name(shard)))?;
+        // The snapshot covers every committed frame: drop them. (A crash
+        // between the rename above and this truncation is benign — the
+        // leftover frames carry sequence numbers at or below the
+        // snapshot's `last_seq` and recovery skips them.) `create`
+        // truncates the file in place, and the shard's append-mode log
+        // handle keeps working: `O_APPEND` writes land at the new end of
+        // file.
+        std::fs::File::create(self.config.dir.join(log_file_name(shard)))
+            .and_then(|log| log.sync_data())
+            .map_err(WalError::from)?;
+        dshard.events_since_snapshot.store(0, Ordering::Release);
+        Ok(())
+    }
+
+    /// Folds the shard logs' group-commit counters into `stats`.
+    pub(crate) fn absorb_commit_stats(&self, stats: &mut ServiceStats) {
+        for shard in &self.shards {
+            let log = shard.log.stats();
+            stats.commits_coalesced += log.commits_coalesced;
+            stats.fsync_calls += log.fsync_calls;
+            stats.commit_wait_ns_total += log.commit_wait_ns_total;
+        }
+    }
+}
+
+/// Every shard file (`wal-shard-<i>.log`, `.snap` or `.snap.tmp`) directly
+/// inside `dir`, with the shard index `i` its name carries.
+fn shard_files(dir: &Path) -> Result<Vec<(usize, PathBuf)>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(WalError::from)? {
+        let path = entry.map_err(WalError::from)?.path();
+        let index = path.file_name().and_then(|name| {
+            let (index, extension) = name.to_str()?.strip_prefix("wal-shard-")?.split_once('.')?;
+            matches!(extension, "log" | "snap" | "snap.tmp").then(|| index.parse().ok())?
+        });
+        if let Some(index) = index {
+            files.push((index, path));
+        }
+    }
+    Ok(files)
+}
+
+/// The shard count that wrote the durable directory `dir` (0 for an empty
+/// one): every shard's log exists from the moment a service runs, so it
+/// is one past the highest shard index a file in `dir` carries.
+pub(crate) fn written_shard_count(dir: &Path) -> Result<usize> {
+    let indices = shard_files(dir)?.into_iter().map(|(index, _)| index + 1);
+    Ok(indices.max().unwrap_or(0))
+}

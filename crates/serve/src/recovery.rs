@@ -9,8 +9,25 @@
 //! boots. "Never a panic, never a silently wrong model": a tenant either
 //! republishes a bit-identical model for its intact prefix or tells you
 //! exactly how many events and points it lost.
+//!
+//! The read half of recovery lives here next to its report:
+//! `recover_shard` turns one shard's snapshot and log into a
+//! [`ShardRecovery`] and the tenants it could restore, without changing a
+//! byte on disk.
 
+use crate::registry::ShardedRegistry;
+use crate::tenant::Tenant;
+use crate::{Result, ServeError};
+use sieve_core::config::SieveConfig;
+use sieve_core::session::AnalysisSession;
+use sieve_exec::hash::shard_index;
+use sieve_exec::Name;
+use sieve_graph::CallGraph;
+use sieve_simulator::store::MetricStore;
+use sieve_wal::{log_file_name, scan_log, snapshot_file_name, ShardSnapshot, WalError, WalEvent};
 use std::collections::BTreeMap;
+use std::path::Path;
+use std::sync::Arc;
 
 /// The per-tenant outcome of a recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,6 +221,210 @@ impl std::fmt::Display for RecoveryReport {
             Ok(())
         }
     }
+}
+
+/// The refusal for a directory that a different `shard_count` wrote: tenant
+/// routing depends on the count, so recovering under another one would
+/// lose tenants (or route their new frames to a log whose snapshot does
+/// not hold them) while reporting a clean recovery.
+pub(crate) fn shard_count_mismatch(shard_count: usize, found: String) -> ServeError {
+    ServeError::InvalidConfig {
+        reason: format!(
+            "shard_count is {shard_count} but the durable directory holds {found}: \
+             recover a directory with the shard count that wrote it"
+        ),
+    }
+}
+
+/// One tenant mid-replay: what recovery knows about it so far. The
+/// default is a phantom — a name no creation record introduced, reported
+/// but never restored.
+#[derive(Default)]
+struct Replaying {
+    /// The tenant's store, analysis configuration and call graph; `None`
+    /// when the tenant is known only by name from orphaned frames (its
+    /// creation record was lost).
+    state: Option<(MetricStore, SieveConfig, CallGraph)>,
+    points_replayed: u64,
+    /// Once anything is lost the tenant is degraded: no further event of
+    /// it is applied — every later one joins the lost suffix (applying
+    /// events after a gap would order history differently than the
+    /// watermarks were computed against).
+    lost: LostSuffix,
+}
+
+impl Replaying {
+    fn restored(store: MetricStore, config: SieveConfig, graph: CallGraph) -> Self {
+        Self {
+            state: Some((store, config, graph)),
+            ..Self::default()
+        }
+    }
+
+    /// `event` cannot be applied: it joins the lost suffix.
+    fn lose(&mut self, event: &WalEvent) {
+        self.lost.events += 1;
+        self.lost.points += event.point_count() as u64;
+    }
+
+    fn outcome(&self) -> TenantRecovery {
+        if self.lost.events > 0 {
+            TenantRecovery::Recovered {
+                points_replayed: self.points_replayed,
+                lost_suffix: self.lost,
+            }
+        } else {
+            TenantRecovery::Clean {
+                points_replayed: self.points_replayed,
+            }
+        }
+    }
+}
+
+/// Replays one log frame into the shard state. A frame of the log's
+/// `intact` prefix is applied if it still can be; a frame the scanner
+/// resynchronized after a corrupt region is structurally sound but unsafe
+/// to apply (the events before it are gone), so it goes straight to its
+/// tenant's lost suffix. Ingest batches are verified *before* being
+/// applied: the batch's fingerprint watermarks are recomputed over the
+/// current store state ([`MetricStore::preview_watermarks`], side-effect
+/// free) and compared with the logged ones — a mismatch means replay would
+/// diverge from what the live service applied, so the tenant degrades
+/// instead of silently rebuilding a wrong model.
+fn replay_event(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent, intact: bool) {
+    if let WalEvent::TenantCreated {
+        config, call_graph, ..
+    } = event
+    {
+        // Only an intact creation record may introduce a name; any other
+        // event of an unknown name makes it a phantom.
+        if intact && !replaying.contains_key(event.tenant()) {
+            let store = MetricStore::with_retention(config.retention);
+            let restored = Replaying::restored(store, (**config).clone(), call_graph.clone());
+            replaying.insert(event.tenant().to_string(), restored);
+            return;
+        }
+    }
+    let tenant = replaying.entry(event.tenant().to_string()).or_default();
+    let appliable = intact && tenant.lost.events == 0;
+    let Some((store, _, graph)) = tenant.state.as_mut().filter(|_| appliable) else {
+        return tenant.lose(event);
+    };
+    match event {
+        // A duplicate creation record means the log and snapshot
+        // disagree: degrade rather than guess.
+        WalEvent::TenantCreated { .. } => tenant.lose(event),
+        WalEvent::CallGraphReplaced { call_graph, .. } => *graph = call_graph.clone(),
+        WalEvent::RetentionChanged { retention, .. } => store.set_retention(*retention),
+        WalEvent::IngestBatch {
+            points, watermarks, ..
+        } => {
+            let batch = || points.iter().map(|(id, ts, value)| (id, *ts, *value));
+            if store.preview_watermarks(batch()) == *watermarks {
+                tenant.points_replayed += store.record_batch(batch()) as u64;
+            } else {
+                tenant.lose(event);
+            }
+        }
+    }
+}
+
+/// Reads shard `shard` of the durable directory `dir`: the snapshot is
+/// restored, the log's intact prefix past the snapshot watermark is
+/// replayed through the ordinary store machinery, and every tenant whose
+/// creation record survived enters `registry` with a rehydrated session.
+/// Nothing on disk changes — re-anchoring the directory is the caller's
+/// second step, taken only once every shard has been read.
+///
+/// # Errors
+///
+/// [`ServeError::InvalidConfig`] when the shard's files were written under
+/// a different shard count, [`ServeError::Wal`] on I/O failures,
+/// [`ServeError::Analysis`] when a tenant's session cannot be rebuilt.
+pub(crate) fn recover_shard(
+    dir: &Path,
+    shard: usize,
+    shard_count: usize,
+    registry: &ShardedRegistry,
+) -> Result<ShardRecovery> {
+    let (snapshot, snapshot_corrupt) =
+        match ShardSnapshot::read(&dir.join(snapshot_file_name(shard))) {
+            Ok(snapshot) => (snapshot, false),
+            Err(WalError::Corrupt { .. }) => (None, true),
+            Err(error) => return Err(error.into()),
+        };
+    let mut snapshot_last_seq = 0;
+    let mut replaying: BTreeMap<String, Replaying> = BTreeMap::new();
+    if let Some(snapshot) = snapshot {
+        if snapshot.shard != shard {
+            let found = format!(
+                "a snapshot of shard {} in shard {shard}'s file",
+                snapshot.shard
+            );
+            return Err(shard_count_mismatch(shard_count, found));
+        }
+        snapshot_last_seq = snapshot.last_seq;
+        for tenant in snapshot.tenants {
+            let store = MetricStore::restore(tenant.store);
+            let restored = Replaying::restored(store, *tenant.config, tenant.call_graph);
+            replaying.insert(tenant.tenant, restored);
+        }
+    }
+
+    let bytes = match std::fs::read(dir.join(log_file_name(shard))) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(WalError::from(e).into()),
+    };
+    let scanned = scan_log(&bytes);
+    let past_snapshot = |(seq, _): &&(u64, WalEvent)| *seq > snapshot_last_seq;
+    let mut frames_replayed = 0u64;
+    let mut recovered_through_seq = snapshot_last_seq;
+    for (seq, event) in scanned.applied.iter().filter(past_snapshot) {
+        frames_replayed += 1;
+        recovered_through_seq = *seq;
+        replay_event(&mut replaying, event, true);
+    }
+    let resynced = scanned.corruption.iter().flat_map(|c| &c.resynced);
+    for (_, event) in resynced.filter(past_snapshot) {
+        replay_event(&mut replaying, event, false);
+    }
+
+    let mut report_tenants = BTreeMap::new();
+    for (name, tenant) in replaying {
+        let routed = shard_index(&name, shard_count);
+        if routed != shard {
+            let found =
+                format!("tenant `{name}` in shard {shard}, which it routes to shard {routed}");
+            return Err(shard_count_mismatch(shard_count, found));
+        }
+        report_tenants.insert(name.clone(), tenant.outcome());
+        // Without its creation record (corrupt snapshot plus truncated
+        // log) a tenant is reported but cannot be re-registered.
+        let Some((store, config, graph)) = tenant.state else {
+            continue;
+        };
+        let name = Name::from(name);
+        let session = AnalysisSession::rehydrated(name.as_str(), store.clone(), graph, config)
+            .map_err(|source| ServeError::Analysis {
+                tenant: name.clone(),
+                source,
+            })?;
+        registry.insert(Arc::new(Tenant::new(name, store, session)))?;
+    }
+    Ok(ShardRecovery {
+        shard,
+        snapshot_last_seq,
+        snapshot_corrupt,
+        recovered_through_seq,
+        frames_replayed,
+        corruption: scanned.corruption.map(|corruption| CorruptionSummary {
+            offset: corruption.offset,
+            reason: corruption.reason,
+            lost_bytes: corruption.lost_bytes,
+        }),
+        tenants: report_tenants,
+    })
 }
 
 #[cfg(test)]

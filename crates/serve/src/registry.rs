@@ -23,12 +23,12 @@ pub(crate) struct ShardedRegistry {
     shards: Box<[Shard]>,
     /// Cached result of [`ShardedRegistry::all_sorted`]. Every sweep and
     /// every `stats()` call needs the full sorted tenant list, but the
-    /// list only changes on admin operations — so the sort (and the N
-    /// `Arc` clones behind it) runs once per admin change instead of once
-    /// per sweep. Invalidated by [`ShardedRegistry::insert`] and, via
-    /// [`ShardedRegistry::invalidate_sorted`], by admin mutations that
-    /// change what a sweep must observe about a tenant (today: retention
-    /// changes).
+    /// list only changes when a tenant is registered — so the sort (and
+    /// the N `Arc` clones behind it) runs once per
+    /// [`ShardedRegistry::insert`] instead of once per sweep. Nothing else
+    /// invalidates it: the list holds `Arc<Tenant>` handles, and everything
+    /// a sweep observes about a tenant (store, retention, session) is read
+    /// live through them.
     sorted: RwLock<Option<Arc<Vec<Arc<Tenant>>>>>,
     /// Bumped on every invalidation (under the `sorted` write lock). A
     /// rebuild records the version before reading the shard maps and
@@ -76,16 +76,12 @@ impl ShardedRegistry {
         }
         shard.insert(tenant.name.clone(), tenant);
         drop(shard);
-        self.invalidate_sorted();
-        Ok(())
-    }
-
-    /// Drops the cached sorted tenant snapshot; the next
-    /// [`ShardedRegistry::all_sorted`] rebuilds it from the live shards.
-    pub(crate) fn invalidate_sorted(&self) {
+        // Drop the cached sorted snapshot; the next
+        // [`ShardedRegistry::all_sorted`] rebuilds it from the live shards.
         let mut cache = self.sorted.write().expect("registry sort cache poisoned");
         self.sorted_version.fetch_add(1, Ordering::Relaxed);
         *cache = None;
+        Ok(())
     }
 
     /// Looks a tenant up by name.
@@ -135,8 +131,8 @@ impl ShardedRegistry {
     /// `parallelism = N` process identical work lists.
     ///
     /// The snapshot is cached behind an `Arc` and rebuilt only after an
-    /// admin change invalidated it, so per-sweep cost is one read lock
-    /// and one reference-count bump.
+    /// insert invalidated it, so per-sweep cost is one read lock and one
+    /// reference-count bump.
     pub(crate) fn all_sorted(&self) -> Arc<Vec<Arc<Tenant>>> {
         if let Some(cached) = self
             .sorted

@@ -1,9 +1,8 @@
 //! The multi-tenant analysis service.
 
-use crate::config::{DurabilityConfig, ServeConfig};
-use crate::recovery::{
-    CorruptionSummary, LostSuffix, RecoveryReport, ShardRecovery, TenantRecovery,
-};
+use crate::config::ServeConfig;
+use crate::durable::{written_shard_count, Admin, DurableLog};
+use crate::recovery::{recover_shard, shard_count_mismatch, RecoveryReport};
 use crate::registry::ShardedRegistry;
 use crate::stats::ServiceStats;
 use crate::tenant::{MetricPoint, Tenant};
@@ -11,97 +10,12 @@ use crate::{Result, ServeError};
 use sieve_core::config::SieveConfig;
 use sieve_core::model::SieveModel;
 use sieve_core::session::{AnalysisSession, SessionStats};
-use sieve_exec::hash::shard_index;
-use sieve_exec::{par_map_chunks, Name};
+use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricStore, RetentionPolicy};
-use sieve_wal::{
-    log_file_name, scan_log, snapshot_file_name, GroupCommitLog, ShardSnapshot, TenantSnapshot,
-    WalError, WalEvent,
-};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// One shard's durable state: a cross-thread group-commit log, the
-/// admin/snapshot coordination lock and the snapshot-cadence counter.
-///
-/// Concurrency layout: ingest and single-tenant admin mutations hold
-/// `admin` for *read* across apply-to-memory + stage-to-log + commit, so
-/// many writers proceed in parallel and group-commit through one
-/// leader's write. Tenant creation and shard snapshots hold `admin` for
-/// *write*: they observe a quiesced shard whose in-memory stores match
-/// the staged log exactly. Per-tenant apply order — the shard log's
-/// per-tenant frame order must equal the store's apply order, which is
-/// what replay verification checks — is protected by the finer
-/// `Tenant::ingest` lock, not by this one.
-#[derive(Debug)]
-struct DurableShard {
-    log: GroupCommitLog,
-    admin: RwLock<()>,
-    events_since_snapshot: AtomicU64,
-}
-
-/// The durability side of a service: one logged shard per registry shard
-/// (same deterministic routing hash, so "log shard" and "registry shard"
-/// are the same partition of the tenant space).
-#[derive(Debug)]
-struct DurableLog {
-    dir: PathBuf,
-    snapshot_every_events: u64,
-    shards: Vec<DurableShard>,
-}
-
-impl DurableLog {
-    /// Creates a fresh durable directory for a *new* service: any
-    /// previous incarnation's logs and snapshots are wiped (a new service
-    /// must not inherit a predecessor's tenants — that's what
-    /// [`SieveService::recover`] is for).
-    fn create(durability: &DurabilityConfig, shard_count: usize) -> Result<Self> {
-        std::fs::create_dir_all(&durability.dir).map_err(WalError::from)?;
-        let mut shards = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            remove_if_present(&durability.dir.join(snapshot_file_name(shard)))?;
-            let log_path = durability.dir.join(log_file_name(shard));
-            remove_if_present(&log_path)?;
-            shards.push(DurableShard {
-                log: GroupCommitLog::open(&log_path, 1, durability.fsync)?,
-                admin: RwLock::new(()),
-                events_since_snapshot: AtomicU64::new(0),
-            });
-        }
-        Ok(Self {
-            dir: durability.dir.clone(),
-            snapshot_every_events: durability.snapshot_every_events,
-            shards,
-        })
-    }
-}
-
-/// Removes a file, treating "not found" as success.
-fn remove_if_present(path: &Path) -> Result<()> {
-    match std::fs::remove_file(path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(WalError::from(e).into()),
-    }
-}
-
-/// Truncates a shard log file to `len` bytes in place. The shard's
-/// append-mode [`GroupCommitLog`] handle keeps working: `O_APPEND`
-/// writes land at the new end of file.
-fn truncate_log_file(path: &Path, len: u64) -> Result<()> {
-    let file = std::fs::OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)
-        .map_err(WalError::from)?;
-    file.set_len(len).map_err(WalError::from)?;
-    file.sync_data().map_err(WalError::from)?;
-    Ok(())
-}
+use sieve_wal::{WalError, WalEvent};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 /// A multi-tenant Sieve analysis service.
 ///
@@ -115,7 +29,7 @@ fn truncate_log_file(path: &Path, len: u64) -> Result<()> {
 ///
 /// 1. [`SieveService::ingest`] appends batches of points to a tenant's
 ///    store; every accepted point advances the series' content fingerprint
-///    and marks it touched (the PR-4 delta API).
+///    and marks it touched.
 /// 2. [`SieveService::refresh_dirty`] drains every tenant's
 ///    [`StoreDelta`](sieve_simulator::store::StoreDelta) and runs
 ///    `session.update` for all dirty tenants
@@ -133,23 +47,24 @@ fn truncate_log_file(path: &Path, len: u64) -> Result<()> {
 /// degrees by the `serve` bench and property tests.
 #[derive(Debug)]
 pub struct SieveService {
-    config: ServeConfig,
-    registry: ShardedRegistry,
+    pub(crate) config: ServeConfig,
+    pub(crate) registry: ShardedRegistry,
     /// Present iff the configuration enables durability: per-shard logs
-    /// plus snapshot state under `config.durability.dir`.
-    durable: Option<DurableLog>,
+    /// plus snapshot state under `config.durability.dir`. Consulted by
+    /// [`SieveService::mutate`], the one path every tenant mutation takes.
+    pub(crate) durable: Option<DurableLog>,
     /// Monotone sweep counter ([`SieveService::refresh_dirty`] and
     /// [`SieveService::refresh_all`] both count); the time base of the
     /// per-tenant failure backoff.
-    sweeps: AtomicU64,
+    pub(crate) sweeps: AtomicU64,
     /// Cumulative tenant-refresh failures since service start.
-    refresh_failures: AtomicU64,
+    pub(crate) refresh_failures: AtomicU64,
     /// Test-only fault injection: tenants whose refresh is forced to fail,
     /// so the backoff machinery can be exercised deterministically (the
     /// analysis pipeline itself degrades gracefully on any valid input and
     /// offers no data-driven way to make a refresh error).
     #[cfg(test)]
-    refresh_failpoint: std::sync::RwLock<std::collections::HashSet<String>>,
+    pub(crate) refresh_failpoint: std::sync::RwLock<std::collections::HashSet<String>>,
 }
 
 impl SieveService {
@@ -157,9 +72,10 @@ impl SieveService {
     ///
     /// When [`ServeConfig::durability`] is set, the durable directory is
     /// created (if absent) and **wiped of any previous service's logs and
-    /// snapshots** — a new service starts empty by definition. To resume
-    /// a previous incarnation's tenants from its durable state, use
-    /// [`SieveService::recover`] instead.
+    /// snapshots** — every shard file in it, whatever shard count the
+    /// previous service ran with: a new service starts empty by
+    /// definition. To resume a previous incarnation's tenants from its
+    /// durable state, use [`SieveService::recover`] instead.
     ///
     /// # Errors
     ///
@@ -173,7 +89,17 @@ impl SieveService {
             Some(durability) => Some(DurableLog::create(durability, config.shard_count)?),
             None => None,
         };
-        Ok(Self {
+        Ok(Self::assemble(config, registry, durable))
+    }
+
+    /// The service over a registry and its durable half, however the two
+    /// came to be (created empty, or recovered).
+    fn assemble(
+        config: ServeConfig,
+        registry: ShardedRegistry,
+        durable: Option<DurableLog>,
+    ) -> Self {
+        Self {
             config,
             registry,
             durable,
@@ -181,7 +107,7 @@ impl SieveService {
             refresh_failures: AtomicU64::new(0),
             #[cfg(test)]
             refresh_failpoint: std::sync::RwLock::default(),
-        })
+        }
     }
 
     /// The service configuration.
@@ -262,47 +188,33 @@ impl SieveService {
         config: SieveConfig,
     ) -> Result<()> {
         let name = name.into();
-        // The durable creation record must reproduce the store being
-        // adopted: its retention governs future evictions (and therefore
-        // the fingerprint chains replay verifies against), so the logged
-        // config carries the store's actual policy even when the session
-        // config was built from the service default.
-        let mut logged_config = config.clone();
-        logged_config.retention = store.retention();
-        let logged_graph = call_graph.clone();
-        let preloaded = store.series_count() > 0;
         let session = AnalysisSession::new(name.as_str(), store.clone(), call_graph, config)
             .map_err(|source| ServeError::Analysis {
                 tenant: name.clone(),
                 source,
             })?;
-        let Some(durable) = &self.durable else {
-            return self
-                .registry
-                .insert(Arc::new(Tenant::new(name, store, session)));
-        };
-        let shard = shard_index(name.as_str(), self.config.shard_count);
-        let dshard = &durable.shards[shard];
-        // Write-held: creation changes the shard's tenant set, which a
-        // concurrent snapshot (`all_in_shard`) must see either fully
-        // registered *and* staged, or not at all.
-        let admin = dshard.admin.write().expect("shard admin lock poisoned");
-        self.registry
-            .insert(Arc::new(Tenant::new(name.clone(), store, session)))?;
-        let seq = dshard.log.stage(&WalEvent::TenantCreated {
-            tenant: name,
-            config: Box::new(logged_config),
-            call_graph: logged_graph,
-        });
-        dshard.log.commit_through(seq)?;
-        if preloaded {
-            // The creation event does not carry store content, so an
-            // adopted pre-loaded store is only durable once snapshotted.
-            self.snapshot_shard_locked(durable, shard)
-        } else {
-            drop(admin);
-            self.note_logged_events(durable, shard, 1)
-        }
+        let tenant = Arc::new(Tenant::new(name, store, session));
+        self.mutate(&tenant, Admin::Creating, |scratch| {
+            self.registry.insert(Arc::clone(&tenant))?;
+            if let Some(scratch) = scratch {
+                let session = tenant.session();
+                // The durable creation record must reproduce the store
+                // being adopted: its retention governs future evictions
+                // (and therefore the fingerprint chains replay verifies
+                // against), so the logged config carries the store's
+                // actual policy even when the session config was built
+                // from the service default.
+                let mut config = session.config().clone();
+                config.retention = tenant.store.retention();
+                let created = WalEvent::TenantCreated {
+                    tenant: tenant.name.clone(),
+                    config: Box::new(config),
+                    call_graph: session.call_graph().clone(),
+                };
+                created.encode(&mut scratch.payload);
+            }
+            Ok(())
+        })?
     }
 
     /// Number of registered tenants.
@@ -351,37 +263,20 @@ impl SieveService {
     /// [`ServeError::Wal`] when the durable commit fails.
     pub fn ingest(&self, tenant: &str, points: &[MetricPoint]) -> Result<usize> {
         let tenant = self.registry.get(tenant)?;
-        let Some(durable) = &self.durable else {
-            return Ok(tenant.store.record_batch(
-                points
-                    .iter()
-                    .map(|point| (&point.id, point.timestamp_ms, point.value)),
-            ));
+        let batch = || {
+            points
+                .iter()
+                .map(|point| (&point.id, point.timestamp_ms, point.value))
         };
-        let shard = shard_index(tenant.name.as_str(), self.config.shard_count);
-        let dshard = &durable.shards[shard];
-        // Read-held across apply + stage + commit: concurrent ingests of
-        // the shard proceed in parallel and group-commit together, while
-        // a snapshot (write) never observes a batch that is applied to a
-        // store but not yet staged to the log.
-        let admin = dshard.admin.read().expect("shard admin lock poisoned");
-        let (accepted, staged_seq) = {
-            // The tenant's apply-order lock: store-apply and WAL-stage
-            // happen atomically per tenant, so the log's per-tenant frame
-            // order equals the apply order replay verifies against.
-            let mut scratch = tenant.ingest.lock().expect("tenant ingest lock poisoned");
-            let scratch = &mut *scratch;
-            tenant.store.record_batch_detailed_into(
-                &mut scratch.outcome,
-                points
-                    .iter()
-                    .map(|point| (&point.id, point.timestamp_ms, point.value)),
-            );
+        self.mutate(&tenant, Admin::Shared, |scratch| {
+            let Some(scratch) = scratch else {
+                return tenant.store.record_batch(batch());
+            };
+            tenant
+                .store
+                .record_batch_detailed_into(&mut scratch.outcome, batch());
             let accepted = scratch.outcome.accepted;
-            if accepted == 0 {
-                (0, None)
-            } else {
-                scratch.payload.clear();
+            if accepted > 0 {
                 // `rejected` is in ascending batch order: one forward
                 // merge skips exactly the rejected indices.
                 let mut rejected = scratch
@@ -403,15 +298,9 @@ impl SieveService {
                     }),
                     &scratch.outcome.watermarks,
                 );
-                (accepted, Some(dshard.log.stage_encoded(&scratch.payload)))
             }
-        };
-        if let Some(seq) = staged_seq {
-            dshard.log.commit_through(seq)?;
-            drop(admin);
-            self.note_logged_events(durable, shard, 1)?;
-        }
-        Ok(accepted)
+            accepted
+        })
     }
 
     /// Replaces a tenant's call graph (topologies grow while an
@@ -427,37 +316,17 @@ impl SieveService {
     /// [`ServeError::Wal`] when the durable commit fails.
     pub fn set_call_graph(&self, tenant: &str, call_graph: CallGraph) -> Result<()> {
         let tenant = self.registry.get(tenant)?;
-        let Some(durable) = &self.durable else {
-            tenant
-                .session
-                .lock()
-                .expect("tenant session poisoned")
-                .set_call_graph(call_graph);
+        self.mutate(&tenant, Admin::Shared, |scratch| {
+            if let Some(scratch) = scratch {
+                let replaced = WalEvent::CallGraphReplaced {
+                    tenant: tenant.name.clone(),
+                    call_graph: call_graph.clone(),
+                };
+                replaced.encode(&mut scratch.payload);
+            }
+            tenant.session().set_call_graph(call_graph);
             tenant.request_refresh();
-            return Ok(());
-        };
-        let shard = shard_index(tenant.name.as_str(), self.config.shard_count);
-        let dshard = &durable.shards[shard];
-        let admin = dshard.admin.read().expect("shard admin lock poisoned");
-        let seq = {
-            // Apply + stage under the tenant's apply-order lock, like
-            // ingest: two graph replacements (or a replacement and a
-            // batch) for one tenant must hit the log in apply order.
-            let _apply_order = tenant.ingest.lock().expect("tenant ingest lock poisoned");
-            tenant
-                .session
-                .lock()
-                .expect("tenant session poisoned")
-                .set_call_graph(call_graph.clone());
-            tenant.request_refresh();
-            dshard.log.stage(&WalEvent::CallGraphReplaced {
-                tenant: tenant.name.clone(),
-                call_graph,
-            })
-        };
-        dshard.log.commit_through(seq)?;
-        drop(admin);
-        self.note_logged_events(durable, shard, 1)
+        })
     }
 
     /// Replaces a tenant's store retention budget at runtime. Tightening
@@ -475,30 +344,16 @@ impl SieveService {
     /// [`ServeError::Wal`] when the durable commit fails.
     pub fn set_retention(&self, tenant: &str, retention: RetentionPolicy) -> Result<()> {
         let tenant = self.registry.get(tenant)?;
-        let Some(durable) = &self.durable else {
+        self.mutate(&tenant, Admin::Shared, |scratch| {
             tenant.store.set_retention(retention);
-            self.registry.invalidate_sorted();
-            return Ok(());
-        };
-        let shard = shard_index(tenant.name.as_str(), self.config.shard_count);
-        let dshard = &durable.shards[shard];
-        let admin = dshard.admin.read().expect("shard admin lock poisoned");
-        let seq = {
-            // Apply + stage under the tenant's apply-order lock: the
-            // retention change must hit the log exactly between the
-            // ingest batches it applied between, or the replayed
-            // eviction (and the fingerprints downstream of it) diverges.
-            let _apply_order = tenant.ingest.lock().expect("tenant ingest lock poisoned");
-            tenant.store.set_retention(retention);
-            dshard.log.stage(&WalEvent::RetentionChanged {
-                tenant: tenant.name.clone(),
-                retention,
-            })
-        };
-        dshard.log.commit_through(seq)?;
-        drop(admin);
-        self.registry.invalidate_sorted();
-        self.note_logged_events(durable, shard, 1)
+            if let Some(scratch) = scratch {
+                let changed = WalEvent::RetentionChanged {
+                    tenant: tenant.name.clone(),
+                    retention,
+                };
+                changed.encode(&mut scratch.payload);
+            }
+        })
     }
 
     /// A tenant's current store retention budget.
@@ -547,41 +402,12 @@ impl SieveService {
     /// refreshed contribute nothing.
     pub fn stats(&self) -> ServiceStats {
         let tenants = self.registry.all_sorted();
-        let mut stats = ServiceStats {
-            tenants_total: tenants.len(),
-            ..ServiceStats::default()
-        };
-        for tenant in tenants.iter() {
-            stats.absorb_retention(&tenant.store);
-            if tenant.model().is_some() {
-                stats.absorb(&tenant.last_stats());
-            }
+        let mut stats = ServiceStats::default();
+        for tenant in tenants.iter().filter(|t| t.model().is_some()) {
+            stats.absorb(&tenant.last_stats());
         }
-        stats.refresh_failures = self.refresh_failures.load(Ordering::Relaxed);
-        stats.tenants_degraded = tenants
-            .iter()
-            .filter(|tenant| tenant.failure_streak() > 0)
-            .count();
-        self.absorb_dataplane(&mut stats);
+        self.fleet_gauges(&tenants, &mut stats);
         stats
-    }
-
-    /// Folds the dataplane counters — per-shard group-commit traffic and
-    /// the process-wide executor pool — into `stats`. All monotone
-    /// since-start counters (the pool is shared by the whole process, so
-    /// its numbers can include other services' work too).
-    fn absorb_dataplane(&self, stats: &mut ServiceStats) {
-        if let Some(durable) = &self.durable {
-            for shard in &durable.shards {
-                let log = shard.log.stats();
-                stats.commits_coalesced += log.commits_coalesced;
-                stats.fsync_calls += log.fsync_calls;
-                stats.commit_wait_ns_total += log.commit_wait_ns_total;
-            }
-        }
-        let pool = sieve_exec::pool::pool_stats();
-        stats.pool_workers_spawned = pool.workers_spawned;
-        stats.pool_tasks_executed = pool.tasks_executed;
     }
 
     /// Drains every tenant's delta and refreshes all dirty tenants through
@@ -666,43 +492,7 @@ impl SieveService {
     /// # Ok::<(), sieve_serve::ServeError>(())
     /// ```
     pub fn refresh_dirty(&self) -> Result<ServiceStats> {
-        let sweep = self.sweeps.fetch_add(1, Ordering::Relaxed) + 1;
-        let tenants = self.registry.all_sorted();
-
-        // Drain every tenant's delta (cheap: one store lock each), absorb
-        // it into the session — so the epoch watermark stays current even
-        // for clean tenants — and decide who needs work. The session's own
-        // pending-dirt flag is the source of truth: it covers this delta,
-        // deltas absorbed by a previously *failed* refresh, and nothing
-        // else; a replaced call graph is tracked separately because it
-        // changes the comparison plan without dirtying any series.
-        let mut work: Vec<Arc<Tenant>> = Vec::new();
-        for tenant in tenants.iter() {
-            // Tenants waiting out a failure backoff are skipped entirely:
-            // their delta stays in the store and their force-refresh flag
-            // stays set, so the deferred work is all still there when the
-            // backoff window ends.
-            if tenant.in_backoff(sweep) {
-                continue;
-            }
-            let delta = tenant.store.drain_delta();
-            let replanned = tenant.take_refresh_request();
-            let never_published = tenant.model().is_none();
-            let pending = {
-                let mut session = tenant.session.lock().expect("tenant session poisoned");
-                session.apply_delta(&delta);
-                session.has_pending_dirty()
-            };
-            // An empty store has nothing to analyse: the tenant stays
-            // unpublished until its first accepted point arrives.
-            if tenant.store.series_count() == 0 {
-                continue;
-            }
-            if pending || replanned || never_published {
-                work.push(Arc::clone(tenant));
-            }
-        }
-        self.run_sweep(&tenants, &work, sweep)
+        self.sweep(false)
     }
 
     /// Marks every component of every tenant dirty and refreshes the whole
@@ -716,173 +506,7 @@ impl SieveService {
     ///
     /// Same as [`SieveService::refresh_dirty`].
     pub fn refresh_all(&self) -> Result<ServiceStats> {
-        let sweep = self.sweeps.fetch_add(1, Ordering::Relaxed) + 1;
-        let tenants = self.registry.all_sorted();
-        let mut work: Vec<Arc<Tenant>> = Vec::new();
-        for tenant in tenants.iter() {
-            tenant.take_refresh_request();
-            let delta = tenant.store.drain_delta();
-            {
-                let mut session = tenant.session.lock().expect("tenant session poisoned");
-                session.apply_delta(&delta);
-                session.mark_all_dirty();
-            }
-            // Same empty-store rule as `refresh_dirty`.
-            if tenant.store.series_count() > 0 {
-                work.push(Arc::clone(tenant));
-            }
-        }
-        self.run_sweep(&tenants, &work, sweep)
-    }
-
-    /// The shared fan-out of both sweeps: refreshes every tenant in `work`
-    /// (deltas already absorbed into the sessions) through the executor
-    /// and aggregates the statistics. Each work item locks only its own
-    /// tenant's session, so workers never contend; the executor returns
-    /// results in input (sorted-tenant) order, and the earliest failing
-    /// tenant wins error reporting deterministically. Retention counters
-    /// are read from *every* registered tenant's store (not just the dirty
-    /// ones) — the fleet's memory footprint is a property of the stores,
-    /// not of the sweep.
-    fn run_sweep(
-        &self,
-        tenants: &[Arc<Tenant>],
-        work: &[Arc<Tenant>],
-        sweep: u64,
-    ) -> Result<ServiceStats> {
-        let mut stats = ServiceStats {
-            tenants_total: tenants.len(),
-            ..ServiceStats::default()
-        };
-        for tenant in tenants {
-            stats.absorb_retention(&tenant.store);
-        }
-        // Every tenant is attempted (an early failure must not starve the
-        // later tenants of the same sweep), every outcome is recorded for
-        // the backoff machinery, and only then is the earliest failure in
-        // sorted order — deterministic, whatever the thread timing —
-        // reported to the caller.
-        let outcomes: Vec<Result<SessionStats>> =
-            par_map_chunks(self.config.sweep_parallelism, work, |tenant| {
-                #[cfg(test)]
-                if self
-                    .refresh_failpoint
-                    .read()
-                    .expect("failpoint lock poisoned")
-                    .contains(tenant.name.as_str())
-                {
-                    return Err(ServeError::Analysis {
-                        tenant: tenant.name.clone(),
-                        source: sieve_core::SieveError::NoMetrics {
-                            scope: "injected refresh failure".to_string(),
-                        },
-                    });
-                }
-                let mut session = tenant.session.lock().expect("tenant session poisoned");
-                let model = session
-                    .refresh_shared()
-                    .map_err(|source| ServeError::Analysis {
-                        tenant: tenant.name.clone(),
-                        source,
-                    })?;
-                let session_stats = session.last_stats();
-                // Publish while still holding the session lock: if two
-                // sweeps ever race on one tenant, the lock serialises
-                // refresh+publish as a unit, so the newest refresh is
-                // always the last publish and a stale model can never win.
-                tenant.publish(model, session_stats);
-                Ok(session_stats)
-            });
-        let mut first_error = None;
-        for (tenant, outcome) in work.iter().zip(outcomes) {
-            match outcome {
-                Ok(session_stats) => {
-                    tenant.record_refresh_success();
-                    stats.absorb(&session_stats);
-                }
-                Err(error) => {
-                    self.refresh_failures.fetch_add(1, Ordering::Relaxed);
-                    tenant.record_refresh_failure(sweep);
-                    if first_error.is_none() {
-                        first_error = Some(error);
-                    }
-                }
-            }
-        }
-        stats.refresh_failures = self.refresh_failures.load(Ordering::Relaxed);
-        stats.tenants_degraded = tenants
-            .iter()
-            .filter(|tenant| tenant.failure_streak() > 0)
-            .count();
-        self.absorb_dataplane(&mut stats);
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok(stats),
-        }
-    }
-
-    /// Bumps the shard's snapshot-cadence counter after `count` committed
-    /// events and snapshots the shard when the cadence trips. Must be
-    /// called with no shard admin guard held: tripping acquires the
-    /// admin lock for *write* to quiesce the shard first.
-    fn note_logged_events(&self, durable: &DurableLog, shard: usize, count: u64) -> Result<()> {
-        let dshard = &durable.shards[shard];
-        let events = dshard
-            .events_since_snapshot
-            .fetch_add(count, Ordering::AcqRel)
-            + count;
-        if events >= durable.snapshot_every_events {
-            let _admin = dshard.admin.write().expect("shard admin lock poisoned");
-            // Several writers can trip the cadence at once; whoever gets
-            // the write lock first snapshots (resetting the counter), the
-            // rest find the counter already settled and do nothing.
-            if dshard.events_since_snapshot.load(Ordering::Acquire) >= durable.snapshot_every_events
-            {
-                self.snapshot_shard_locked(durable, shard)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes an atomic snapshot of every tenant of `shard` (frozen store
-    /// image, session config, call graph, covering the log watermark
-    /// `last_seq`) and truncates the shard log — replay work after a
-    /// crash is bounded by the snapshot cadence, not by service uptime.
-    ///
-    /// The caller must hold the shard's admin lock for *write*: no
-    /// ingest or admin mutation is mid-flight between a store and the
-    /// log, so after the quiesce below the snapshot is consistent with
-    /// exactly the log prefix it claims to cover.
-    fn snapshot_shard_locked(&self, durable: &DurableLog, shard: usize) -> Result<()> {
-        let dshard = &durable.shards[shard];
-        // Quiesce the log: every staged frame is on media (or reported
-        // failed to its writer) before the snapshot claims to cover it.
-        dshard.log.commit_all()?;
-        let tenants = self.registry.all_in_shard(shard);
-        let snapshot = ShardSnapshot {
-            shard,
-            last_seq: dshard.log.last_seq(),
-            tenants: tenants
-                .iter()
-                .map(|tenant| {
-                    let session = tenant.session.lock().expect("tenant session poisoned");
-                    TenantSnapshot {
-                        tenant: tenant.name.to_string(),
-                        config: Box::new(session.config().clone()),
-                        call_graph: session.call_graph().clone(),
-                        store: tenant.store.freeze(),
-                    }
-                })
-                .collect(),
-        };
-        snapshot.write_atomic(&durable.dir.join(snapshot_file_name(shard)))?;
-        // The snapshot covers every committed frame: drop them. (A crash
-        // between the rename above and this truncation is benign — the
-        // leftover frames carry sequence numbers at or below the
-        // snapshot's `last_seq` and recovery skips them.)
-        truncate_log_file(&durable.dir.join(log_file_name(shard)), 0)?;
-        dshard.events_since_snapshot.store(0, Ordering::Release);
-        Ok(())
+        self.sweep(true)
     }
 
     /// Rebuilds a service from the durable directory of a crashed (or
@@ -896,7 +520,7 @@ impl SieveService {
     /// Corruption never poisons recovery: a torn or bit-flipped frame
     /// truncates that shard's replay at the last intact frame, the
     /// affected tenants are reported as
-    /// [`TenantRecovery::Recovered`] with their exact lost suffix
+    /// [`crate::TenantRecovery::Recovered`] with their exact lost suffix
     /// (resynchronized later frames are counted, never applied), and a
     /// replayed batch whose fingerprint watermarks do not reproduce the
     /// logged ones degrades just that tenant. A corrupt snapshot falls
@@ -904,935 +528,50 @@ impl SieveService {
     /// re-snapshotted and the logs are truncated, so the corrupt tail is
     /// physically gone and a second recovery is clean by construction.
     ///
+    /// `config.shard_count` must be the shard count the directory was
+    /// written with — tenant routing depends on it. Shard files beyond the
+    /// count, a snapshot in another shard's file, or a tenant found in a
+    /// shard its name does not route to are refused, never recovered
+    /// "clean" with tenants missing or misrouted. Every shard is read
+    /// before anything is written, so a refusal (or a tenant whose session
+    /// cannot be rebuilt) leaves the directory untouched.
+    ///
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] when `config` has no durability
-    /// section (or is otherwise invalid), [`ServeError::Wal`] on I/O
-    /// failures, [`ServeError::Analysis`] when a recovered tenant's
-    /// session cannot be rebuilt.
+    /// section (or is otherwise invalid) or the directory was written
+    /// with a different shard count, [`ServeError::Wal`] on I/O failures,
+    /// [`ServeError::Analysis`] when a recovered tenant's session cannot
+    /// be rebuilt.
     pub fn recover(config: ServeConfig) -> Result<(Self, RecoveryReport)> {
         config.validate()?;
-        let durability = config
-            .durability
-            .clone()
-            .ok_or_else(|| ServeError::InvalidConfig {
+        let shard_count = config.shard_count;
+        let Some(durability) = config.durability.clone() else {
+            return Err(ServeError::InvalidConfig {
                 reason: "recover requires a durability configuration".to_string(),
-            })?;
-        std::fs::create_dir_all(&durability.dir).map_err(WalError::from)?;
-        let registry = ShardedRegistry::new(config.shard_count);
-        let mut shards = Vec::with_capacity(config.shard_count);
-        let mut shard_logs = Vec::with_capacity(config.shard_count);
-        for shard in 0..config.shard_count {
-            let snapshot_path = durability.dir.join(snapshot_file_name(shard));
-            let (snapshot, snapshot_corrupt) = match ShardSnapshot::read(&snapshot_path) {
-                Ok(snapshot) => (snapshot, false),
-                Err(WalError::Corrupt { .. }) => (None, true),
-                Err(error) => return Err(error.into()),
-            };
-            let mut snapshot_last_seq = 0;
-            let mut replaying: BTreeMap<String, Replaying> = BTreeMap::new();
-            if let Some(snapshot) = snapshot {
-                snapshot_last_seq = snapshot.last_seq;
-                for tenant in snapshot.tenants {
-                    replaying.insert(
-                        tenant.tenant,
-                        Replaying::restored(
-                            MetricStore::restore(tenant.store),
-                            *tenant.config,
-                            tenant.call_graph,
-                        ),
-                    );
-                }
-            }
-
-            let log_path = durability.dir.join(log_file_name(shard));
-            let bytes = match std::fs::read(&log_path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(WalError::from(e).into()),
-            };
-            let scanned = scan_log(&bytes);
-            let mut frames_replayed = 0u64;
-            let mut recovered_through = snapshot_last_seq;
-            for (seq, event) in &scanned.applied {
-                if *seq <= snapshot_last_seq {
-                    continue;
-                }
-                frames_replayed += 1;
-                recovered_through = *seq;
-                replay_event(&mut replaying, event);
-            }
-            // Frames the scanner resynchronized after a corrupt region
-            // are structurally intact but unsafe to apply (the events
-            // before them are gone); they become the per-tenant lost
-            // suffix.
-            if let Some(corruption) = &scanned.corruption {
-                for (seq, event) in &corruption.resynced {
-                    if *seq <= snapshot_last_seq {
-                        continue;
-                    }
-                    let tenant = replaying
-                        .entry(event.tenant().to_string())
-                        .or_insert_with(Replaying::phantom);
-                    tenant.degraded = true;
-                    tenant.lost.events += 1;
-                    tenant.lost.points += event.point_count() as u64;
-                }
-            }
-
-            // Re-anchor the directory at the recovered state: one fresh
-            // snapshot, an empty log, and a writer continuing the
-            // sequence — the corrupt tail is physically gone.
-            let snapshot = ShardSnapshot {
-                shard,
-                last_seq: recovered_through,
-                tenants: replaying
-                    .iter()
-                    .filter_map(|(name, tenant)| {
-                        Some(TenantSnapshot {
-                            tenant: name.clone(),
-                            config: Box::new(tenant.config.clone()?),
-                            call_graph: tenant.graph.clone()?,
-                            store: tenant.store.as_ref()?.freeze(),
-                        })
-                    })
-                    .collect(),
-            };
-            snapshot.write_atomic(&snapshot_path)?;
-            truncate_log_file(&log_path, 0)?;
-            shard_logs.push(DurableShard {
-                log: GroupCommitLog::open(&log_path, recovered_through + 1, durability.fsync)?,
-                admin: RwLock::new(()),
-                events_since_snapshot: AtomicU64::new(0),
             });
-
-            let mut report_tenants = BTreeMap::new();
-            for (name, tenant) in replaying {
-                report_tenants.insert(name.clone(), tenant.outcome());
-                let (Some(store), Some(tenant_config), Some(graph)) =
-                    (tenant.store, tenant.config, tenant.graph)
-                else {
-                    // The tenant's creation record is gone (corrupt
-                    // snapshot plus truncated log): it is reported but
-                    // cannot be re-registered.
-                    continue;
-                };
-                let session =
-                    AnalysisSession::rehydrated(name.clone(), store.clone(), graph, tenant_config)
-                        .map_err(|source| ServeError::Analysis {
-                            tenant: Name::from(name.as_str()),
-                            source,
-                        })?;
-                registry.insert(Arc::new(Tenant::new(
-                    Name::from(name.as_str()),
-                    store,
-                    session,
-                )))?;
-            }
-            shards.push(ShardRecovery {
-                shard,
-                snapshot_last_seq,
-                snapshot_corrupt,
-                recovered_through_seq: recovered_through,
-                frames_replayed,
-                corruption: scanned.corruption.map(|corruption| CorruptionSummary {
-                    offset: corruption.offset,
-                    reason: corruption.reason,
-                    lost_bytes: corruption.lost_bytes,
-                }),
-                tenants: report_tenants,
-            });
-        }
-        let service = Self {
-            config,
-            registry,
-            durable: Some(DurableLog {
-                dir: durability.dir.clone(),
-                snapshot_every_events: durability.snapshot_every_events,
-                shards: shard_logs,
-            }),
-            sweeps: AtomicU64::new(0),
-            refresh_failures: AtomicU64::new(0),
-            #[cfg(test)]
-            refresh_failpoint: std::sync::RwLock::default(),
         };
+        let dir = &durability.dir;
+        std::fs::create_dir_all(dir).map_err(WalError::from)?;
+        let written = written_shard_count(dir)?;
+        if written > shard_count {
+            let found = format!("the files of {written} shards");
+            return Err(shard_count_mismatch(shard_count, found));
+        }
+        // Read every shard before changing anything on disk: a refusal
+        // (or a tenant whose session cannot be rebuilt) leaves the
+        // directory exactly as it was found.
+        let mut shards = Vec::with_capacity(shard_count);
+        let registry = ShardedRegistry::new(shard_count);
+        for shard in 0..shard_count {
+            shards.push(recover_shard(dir, shard, shard_count, &registry)?);
+        }
+        let next_seqs = shards.iter().map(|shard| shard.recovered_through_seq + 1);
+        let durable = DurableLog::reanchor(&durability, &registry, next_seqs)?;
+        let service = Self::assemble(config, registry, Some(durable));
         Ok((service, RecoveryReport { shards }))
     }
 }
 
-/// One tenant mid-replay: what recovery knows about it so far.
-struct Replaying {
-    /// `None` when the tenant is known only by name from orphaned frames
-    /// (its creation record was lost).
-    store: Option<MetricStore>,
-    config: Option<SieveConfig>,
-    graph: Option<CallGraph>,
-    points_replayed: u64,
-    lost: LostSuffix,
-    /// Once degraded, no further event of the tenant is applied — every
-    /// later one joins the lost suffix (applying events after a gap
-    /// would order history differently than the watermarks were computed
-    /// against).
-    degraded: bool,
-}
-
-impl Replaying {
-    fn restored(store: MetricStore, config: SieveConfig, graph: CallGraph) -> Self {
-        Self {
-            store: Some(store),
-            config: Some(config),
-            graph: Some(graph),
-            points_replayed: 0,
-            lost: LostSuffix::default(),
-            degraded: false,
-        }
-    }
-
-    fn phantom() -> Self {
-        Self {
-            store: None,
-            config: None,
-            graph: None,
-            points_replayed: 0,
-            lost: LostSuffix::default(),
-            degraded: true,
-        }
-    }
-
-    fn outcome(&self) -> TenantRecovery {
-        if self.degraded || self.lost.events > 0 {
-            TenantRecovery::Recovered {
-                points_replayed: self.points_replayed,
-                lost_suffix: self.lost,
-            }
-        } else {
-            TenantRecovery::Clean {
-                points_replayed: self.points_replayed,
-            }
-        }
-    }
-}
-
-/// Applies one intact log frame to the replaying shard state. Ingest
-/// batches are verified *before* being applied: the batch's fingerprint
-/// watermarks are recomputed over the current store state
-/// ([`MetricStore::preview_watermarks`], side-effect free) and compared
-/// with the logged ones — a mismatch means replay would diverge from
-/// what the live service applied, so the tenant degrades instead of
-/// silently rebuilding a wrong model.
-fn replay_event(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent) {
-    match event {
-        WalEvent::TenantCreated {
-            tenant,
-            config,
-            call_graph,
-        } => {
-            match replaying.entry(tenant.to_string()) {
-                std::collections::btree_map::Entry::Vacant(entry) => {
-                    entry.insert(Replaying::restored(
-                        MetricStore::with_retention(config.retention),
-                        (**config).clone(),
-                        call_graph.clone(),
-                    ));
-                }
-                std::collections::btree_map::Entry::Occupied(mut entry) => {
-                    // A duplicate creation record means the log and
-                    // snapshot disagree: degrade rather than guess.
-                    let tenant = entry.get_mut();
-                    tenant.degraded = true;
-                    tenant.lost.events += 1;
-                }
-            }
-        }
-        WalEvent::CallGraphReplaced { tenant, call_graph } => {
-            let tenant = replaying
-                .entry(tenant.to_string())
-                .or_insert_with(Replaying::phantom);
-            if tenant.degraded {
-                tenant.lost.events += 1;
-            } else {
-                tenant.graph = Some(call_graph.clone());
-            }
-        }
-        WalEvent::RetentionChanged { tenant, retention } => {
-            let tenant = replaying
-                .entry(tenant.to_string())
-                .or_insert_with(Replaying::phantom);
-            match (&tenant.store, tenant.degraded) {
-                (Some(store), false) => store.set_retention(*retention),
-                _ => {
-                    tenant.degraded = true;
-                    tenant.lost.events += 1;
-                }
-            }
-        }
-        WalEvent::IngestBatch {
-            tenant,
-            points,
-            watermarks,
-        } => {
-            let tenant = replaying
-                .entry(tenant.to_string())
-                .or_insert_with(Replaying::phantom);
-            let verified = match (&tenant.store, tenant.degraded) {
-                (Some(store), false) => {
-                    let preview = store
-                        .preview_watermarks(points.iter().map(|(id, ts, value)| (id, *ts, *value)));
-                    preview == *watermarks
-                }
-                _ => false,
-            };
-            if verified {
-                let store = tenant.store.as_ref().expect("verified batch has a store");
-                let accepted =
-                    store.record_batch(points.iter().map(|(id, ts, value)| (id, *ts, *value)));
-                tenant.points_replayed += accepted as u64;
-            } else {
-                tenant.degraded = true;
-                tenant.lost.events += 1;
-                tenant.lost.points += points.len() as u64;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use sieve_core::pipeline::Sieve;
-
-    fn tiny_config() -> ServeConfig {
-        ServeConfig::default()
-            .with_shard_count(4)
-            .with_sweep_parallelism(2)
-            .with_analysis(
-                SieveConfig::default()
-                    .with_cluster_range(2, 2)
-                    .with_parallelism(1),
-            )
-    }
-
-    fn ingest_wave(service: &SieveService, tenant: &str, ticks: std::ops::Range<u64>, bias: f64) {
-        let points: Vec<MetricPoint> = ticks
-            .flat_map(|t| {
-                let x = t as f64 * 0.17 + bias;
-                [
-                    MetricPoint::new("web", "requests", t * 500, x.sin() * 4.0),
-                    MetricPoint::new("web", "latency", t * 500, x.cos() * 9.0),
-                    MetricPoint::new("db", "queries", t * 500, (x * 0.5).sin() * 2.0),
-                    MetricPoint::new("db", "io_wait", t * 500, (x * 0.5).cos()),
-                ]
-            })
-            .collect();
-        service.ingest(tenant, &points).unwrap();
-    }
-
-    fn web_db_graph() -> CallGraph {
-        let mut graph = CallGraph::new();
-        graph.record_calls("web", "db", 100);
-        graph
-    }
-
-    #[test]
-    fn tenants_are_isolated_and_models_match_batch_analysis() {
-        let service = SieveService::new(tiny_config()).unwrap();
-        service.create_tenant("alpha", web_db_graph()).unwrap();
-        service.create_tenant("beta", web_db_graph()).unwrap();
-        assert_eq!(service.tenant_count(), 2);
-        assert_eq!(service.tenants(), vec!["alpha", "beta"]);
-
-        ingest_wave(&service, "alpha", 0..80, 0.0);
-        ingest_wave(&service, "beta", 0..80, 1.3);
-        let stats = service.refresh_dirty().unwrap();
-        assert_eq!(stats.tenants_total, 2);
-        assert_eq!(stats.tenants_refreshed, 2);
-
-        // Each tenant's published model equals a from-scratch batch
-        // analysis of its own store — and the two differ from each other
-        // (different data, no cross-tenant bleed).
-        let sieve = Sieve::new(service.config().analysis.clone());
-        let alpha = service.model("alpha").unwrap().unwrap();
-        let beta = service.model("beta").unwrap().unwrap();
-        let alpha_batch = sieve
-            .analyze("alpha", &service.store("alpha").unwrap(), &web_db_graph())
-            .unwrap();
-        let beta_batch = sieve
-            .analyze("beta", &service.store("beta").unwrap(), &web_db_graph())
-            .unwrap();
-        assert_eq!(*alpha, alpha_batch);
-        assert_eq!(*beta, beta_batch);
-        assert_ne!(alpha.clusterings, beta.clusterings);
-    }
-
-    #[test]
-    fn refresh_dirty_touches_only_dirty_tenants() {
-        let service = SieveService::new(tiny_config()).unwrap();
-        for tenant in ["a", "b", "c"] {
-            service.create_tenant(tenant, web_db_graph()).unwrap();
-            ingest_wave(&service, tenant, 0..80, 0.0);
-        }
-        assert_eq!(service.refresh_dirty().unwrap().tenants_refreshed, 3);
-
-        // Only `b` receives new points.
-        ingest_wave(&service, "b", 80..90, 0.0);
-        let stats = service.refresh_dirty().unwrap();
-        assert_eq!(stats.tenants_refreshed, 1);
-        assert!(stats.components_prepared >= 1);
-        assert_eq!(service.last_stats("a").unwrap().epoch, 1);
-        assert_eq!(service.last_stats("b").unwrap().epoch, 2);
-
-        // Aggregate stats cover all tenants' last refreshes.
-        let agg = service.stats();
-        assert_eq!(agg.tenants_total, 3);
-        assert_eq!(agg.tenants_refreshed, 3);
-        assert_eq!(agg.epoch_high_watermark, 2);
-    }
-
-    #[test]
-    fn model_snapshots_survive_later_refreshes() {
-        let service = SieveService::new(tiny_config()).unwrap();
-        service.create_tenant("acme", web_db_graph()).unwrap();
-        ingest_wave(&service, "acme", 0..80, 0.0);
-        service.refresh_dirty().unwrap();
-        let first = service.model("acme").unwrap().unwrap();
-        let first_copy = (*first).clone();
-
-        ingest_wave(&service, "acme", 80..120, 0.4);
-        service.refresh_dirty().unwrap();
-        let second = service.model("acme").unwrap().unwrap();
-        assert!(!Arc::ptr_eq(&first, &second), "a refresh swaps the Arc");
-        assert_eq!(*first, first_copy, "old snapshots are never mutated");
-    }
-
-    #[test]
-    fn adopt_tenant_analyses_preloaded_stores_on_the_first_sweep() {
-        let service = SieveService::new(tiny_config()).unwrap();
-        let store = MetricStore::new();
-        for t in 0..80u64 {
-            let x = t as f64 * 0.2;
-            store.record(
-                &sieve_simulator::store::MetricId::new("web", "requests"),
-                t * 500,
-                x.sin(),
-            );
-            store.record(
-                &sieve_simulator::store::MetricId::new("web", "latency"),
-                t * 500,
-                x.cos(),
-            );
-        }
-        service
-            .adopt_tenant("legacy", store.clone(), CallGraph::new())
-            .unwrap();
-        let stats = service.refresh_dirty().unwrap();
-        assert_eq!(stats.tenants_refreshed, 1);
-        let model = service.model("legacy").unwrap().unwrap();
-        assert_eq!(model.total_metric_count(), 2);
-    }
-
-    #[test]
-    fn empty_tenants_stay_unpublished_until_data_arrives() {
-        let service = SieveService::new(tiny_config()).unwrap();
-        service.create_tenant("acme", web_db_graph()).unwrap();
-        // No data yet: a sweep publishes nothing (batch analysis of an
-        // empty store is an error, so an empty model would break the
-        // served==batch guarantee).
-        let stats = service.refresh_dirty().unwrap();
-        assert_eq!(stats.tenants_refreshed, 0);
-        assert!(service.model("acme").unwrap().is_none());
-
-        ingest_wave(&service, "acme", 0..80, 0.0);
-        assert_eq!(service.refresh_dirty().unwrap().tenants_refreshed, 1);
-        assert!(service.model("acme").unwrap().is_some());
-    }
-
-    #[test]
-    fn replacing_the_call_graph_refreshes_the_tenant_without_new_ingest() {
-        let service = SieveService::new(tiny_config()).unwrap();
-        // Start with no topology: the first model has no comparison plan.
-        service.create_tenant("acme", CallGraph::new()).unwrap();
-        ingest_wave(&service, "acme", 0..80, 0.0);
-        service.refresh_dirty().unwrap();
-        assert_eq!(service.last_stats("acme").unwrap().comparisons_planned, 0);
-
-        // Replace the topology; no series changes, but the next sweep must
-        // still re-plan so the published model catches up.
-        service.set_call_graph("acme", web_db_graph()).unwrap();
-        let stats = service.refresh_dirty().unwrap();
-        assert_eq!(stats.tenants_refreshed, 1, "replanned tenant is swept");
-        assert!(
-            service.last_stats("acme").unwrap().comparisons_planned > 0,
-            "the new topology produced a comparison plan"
-        );
-        // And the request is consumed: the next sweep is a no-op again.
-        assert_eq!(service.refresh_dirty().unwrap().tenants_refreshed, 0);
-    }
-
-    #[test]
-    fn unknown_and_duplicate_tenants_error() {
-        let service = SieveService::new(tiny_config()).unwrap();
-        service.create_tenant("acme", CallGraph::new()).unwrap();
-        assert!(matches!(
-            service.create_tenant("acme", CallGraph::new()),
-            Err(ServeError::DuplicateTenant { .. })
-        ));
-        assert!(matches!(
-            service.ingest("ghost", &[]),
-            Err(ServeError::UnknownTenant { .. })
-        ));
-        assert!(matches!(
-            service.model("ghost"),
-            Err(ServeError::UnknownTenant { .. })
-        ));
-        assert!(matches!(
-            service.set_call_graph("ghost", CallGraph::new()),
-            Err(ServeError::UnknownTenant { .. })
-        ));
-    }
-
-    #[test]
-    fn ingest_reports_accepted_points_only() {
-        let service = SieveService::new(tiny_config()).unwrap();
-        service.create_tenant("acme", CallGraph::new()).unwrap();
-        let accepted = service
-            .ingest(
-                "acme",
-                &[
-                    MetricPoint::new("web", "cpu", 1000, 1.0),
-                    // Out of order: dropped by the store.
-                    MetricPoint::new("web", "cpu", 500, 2.0),
-                    MetricPoint::new("web", "cpu", 1500, 3.0),
-                ],
-            )
-            .unwrap();
-        assert_eq!(accepted, 2);
-    }
-
-    #[test]
-    fn sweep_parallelism_does_not_change_published_models() {
-        let build = |sweep_parallelism: usize| {
-            let service =
-                SieveService::new(tiny_config().with_sweep_parallelism(sweep_parallelism)).unwrap();
-            for (i, tenant) in ["a", "b", "c", "d", "e"].iter().enumerate() {
-                service.create_tenant(*tenant, web_db_graph()).unwrap();
-                ingest_wave(&service, tenant, 0..80, i as f64 * 0.7);
-            }
-            service.refresh_dirty().unwrap();
-            // A second, interleaved wave exercises the incremental path.
-            for (i, tenant) in ["b", "d"].iter().enumerate() {
-                ingest_wave(&service, tenant, 80..100, i as f64 * 0.3);
-            }
-            service.refresh_dirty().unwrap();
-            service
-        };
-        let serial = build(1);
-        let parallel = build(8);
-        for tenant in ["a", "b", "c", "d", "e"] {
-            let s = serial.model(tenant).unwrap().unwrap();
-            let p = parallel.model(tenant).unwrap().unwrap();
-            assert_eq!(*s, *p, "tenant {tenant} differs across sweep degrees");
-        }
-    }
-
-    #[test]
-    fn retention_budgets_bound_tenant_stores_and_surface_in_stats() {
-        let service =
-            SieveService::new(tiny_config().with_retention(RetentionPolicy::windowed(40))).unwrap();
-        // `bounded` inherits the service default; `oracle` overrides it.
-        service.create_tenant("bounded", web_db_graph()).unwrap();
-        service
-            .create_tenant_with_retention("oracle", web_db_graph(), RetentionPolicy::unbounded())
-            .unwrap();
-        ingest_wave(&service, "bounded", 0..80, 0.0);
-        ingest_wave(&service, "oracle", 0..80, 0.0);
-
-        let stats = service.refresh_dirty().unwrap();
-        assert_eq!(stats.tenants_refreshed, 2);
-        // 4 series x 80 points per tenant; the bounded tenant keeps 40 each.
-        assert_eq!(stats.points_retained, 4 * 40 + 4 * 80);
-        assert_eq!(stats.points_evicted, 4 * 40);
-        assert_eq!(stats.bytes_evicted, 4 * 40 * 12);
-        assert_eq!(service.stats().points_evicted, 4 * 40);
-        assert_eq!(
-            service.store("bounded").unwrap().retained_point_count(),
-            4 * 40
-        );
-
-        // The bounded tenant's published model is the batch analysis of
-        // its retained window — served==batch holds under eviction.
-        let sieve = Sieve::new(service.config().analysis.clone());
-        let model = service.model("bounded").unwrap().unwrap();
-        let batch = sieve
-            .analyze(
-                "bounded",
-                &service.store("bounded").unwrap(),
-                &web_db_graph(),
-            )
-            .unwrap();
-        assert_eq!(*model, batch);
-    }
-
-    #[test]
-    fn set_retention_dirties_the_tenant_for_the_next_sweep() {
-        let service = SieveService::new(tiny_config()).unwrap();
-        service.create_tenant("acme", web_db_graph()).unwrap();
-        ingest_wave(&service, "acme", 0..80, 0.0);
-        service.refresh_dirty().unwrap();
-        let wide = service.model("acme").unwrap().unwrap();
-
-        // Tighten the budget: points are evicted immediately and the
-        // tenant is dirty again without any new ingest.
-        service
-            .set_retention("acme", RetentionPolicy::windowed(40))
-            .unwrap();
-        assert_eq!(
-            service.retention("acme").unwrap(),
-            RetentionPolicy::windowed(40)
-        );
-        let stats = service.refresh_dirty().unwrap();
-        assert_eq!(stats.tenants_refreshed, 1, "eviction counts as dirt");
-        assert_eq!(stats.points_evicted, 4 * 40);
-        let narrow = service.model("acme").unwrap().unwrap();
-        assert!(!Arc::ptr_eq(&wide, &narrow), "the sweep republished");
-
-        // The republished model is the batch analysis of the narrow window.
-        let sieve = Sieve::new(service.config().analysis.clone());
-        let batch = sieve
-            .analyze("acme", &service.store("acme").unwrap(), &web_db_graph())
-            .unwrap();
-        assert_eq!(*narrow, batch);
-
-        assert!(matches!(
-            service.set_retention("ghost", RetentionPolicy::unbounded()),
-            Err(ServeError::UnknownTenant { .. })
-        ));
-        assert!(matches!(
-            service.retention("ghost"),
-            Err(ServeError::UnknownTenant { .. })
-        ));
-    }
-
-    /// A unique temp directory per test (tests run in parallel).
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("sieve-serve-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn durable_config(dir: &std::path::Path) -> ServeConfig {
-        tiny_config().with_durability(crate::DurabilityConfig::new(dir))
-    }
-
-    #[test]
-    fn durable_service_recovers_bit_identical_models() {
-        let dir = temp_dir("clean-recovery");
-        let service = SieveService::new(durable_config(&dir)).unwrap();
-        service.create_tenant("alpha", web_db_graph()).unwrap();
-        service
-            .create_tenant_with_retention("beta", web_db_graph(), RetentionPolicy::windowed(60))
-            .unwrap();
-        ingest_wave(&service, "alpha", 0..80, 0.0);
-        ingest_wave(&service, "beta", 0..90, 1.3);
-        service.refresh_dirty().unwrap();
-        // Admin events are durable too.
-        service
-            .set_retention("beta", RetentionPolicy::windowed(40))
-            .unwrap();
-        service.set_call_graph("alpha", CallGraph::new()).unwrap();
-        ingest_wave(&service, "alpha", 80..100, 0.2);
-        service.refresh_dirty().unwrap();
-        let live_alpha = service.model("alpha").unwrap().unwrap();
-        let live_beta = service.model("beta").unwrap().unwrap();
-        drop(service); // "crash": nothing flushed beyond what committed
-
-        let (recovered, report) = SieveService::recover(durable_config(&dir)).unwrap();
-        assert!(report.is_clean(), "{report}");
-        assert_eq!(recovered.tenants(), vec!["alpha", "beta"]);
-        assert_eq!(
-            recovered.retention("beta").unwrap(),
-            RetentionPolicy::windowed(40),
-            "replayed admin event"
-        );
-        // Recovered tenants republish on the first sweep, bit-identical
-        // to the pre-crash live models.
-        recovered.refresh_dirty().unwrap();
-        assert_eq!(*recovered.model("alpha").unwrap().unwrap(), *live_alpha);
-        assert_eq!(*recovered.model("beta").unwrap().unwrap(), *live_beta);
-
-        // And the service re-converges: post-recovery ingest behaves like
-        // an uncrashed service fed the same stream.
-        ingest_wave(&recovered, "beta", 90..110, 1.3);
-        recovered.refresh_dirty().unwrap();
-        let sieve = Sieve::new(recovered.config().analysis.clone());
-        let batch = sieve
-            .analyze("beta", &recovered.store("beta").unwrap(), &web_db_graph())
-            .unwrap();
-        assert_eq!(*recovered.model("beta").unwrap().unwrap(), batch);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recovery_truncates_at_the_torn_tail_and_reports_the_lost_suffix() {
-        let dir = temp_dir("torn-tail");
-        // A huge snapshot cadence keeps everything in the log so the test
-        // can tear it.
-        let config = tiny_config().with_durability(
-            crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000),
-        );
-        let service = SieveService::new(config.clone()).unwrap();
-        service.create_tenant("acme", web_db_graph()).unwrap();
-        for round in 0..6u64 {
-            ingest_wave(&service, "acme", round * 10..(round + 1) * 10, 0.0);
-        }
-        drop(service);
-
-        // Tear the last 5 bytes off the shard log: the final ingest frame
-        // is torn, everything before it is intact.
-        let shard = sieve_exec::hash::shard_index("acme", config.shard_count);
-        let log_path = dir.join(sieve_wal::log_file_name(shard));
-        let bytes = std::fs::read(&log_path).unwrap();
-        std::fs::write(&log_path, &bytes[..bytes.len() - 5]).unwrap();
-
-        let (recovered, report) = SieveService::recover(config.clone()).unwrap();
-        assert!(!report.is_clean());
-        // A torn *final* frame is unreadable, so nobody can say which
-        // tenant it belonged to: the loss is accounted at the shard level
-        // in bytes, and the tenant is clean for its surviving prefix — no
-        // readable event of it was dropped.
-        let shard_report = report.shards.iter().find(|s| s.shard == shard).unwrap();
-        let corruption = shard_report.corruption.as_ref().unwrap();
-        assert!(corruption.lost_bytes > 0, "{corruption:?}");
-        match report.tenant("acme").unwrap() {
-            TenantRecovery::Clean { points_replayed } => {
-                // 5 intact waves of 40 points; the 6th wave's frame is torn.
-                assert_eq!(*points_replayed, 5 * 40);
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        // The recovered model for the intact prefix equals an uncrashed
-        // oracle fed only the surviving waves.
-        recovered.refresh_dirty().unwrap();
-        let oracle = SieveService::new(tiny_config()).unwrap();
-        oracle.create_tenant("acme", web_db_graph()).unwrap();
-        for round in 0..5u64 {
-            ingest_wave(&oracle, "acme", round * 10..(round + 1) * 10, 0.0);
-        }
-        oracle.refresh_dirty().unwrap();
-        assert_eq!(
-            *recovered.model("acme").unwrap().unwrap(),
-            *oracle.model("acme").unwrap().unwrap(),
-            "recovered prefix model must equal the uncrashed oracle"
-        );
-
-        // Recovery re-anchored the directory: a second recovery is clean
-        // and the loss is not double-reported.
-        drop(recovered);
-        let (again, second) = SieveService::recover(config).unwrap();
-        assert!(second.is_clean(), "{second}");
-        again.refresh_dirty().unwrap();
-        assert_eq!(
-            *again.model("acme").unwrap().unwrap(),
-            *oracle.model("acme").unwrap().unwrap()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_bit_flip_mid_log_degrades_only_the_affected_tenant() {
-        let dir = temp_dir("bit-flip");
-        let config = tiny_config().with_durability(
-            crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000),
-        );
-        // Two tenants in different WAL shards: the flip lands in a shard
-        // hosting exactly one of them. Beta's history is many small
-        // frames, so a mid-file flip kills one frame and the frames after
-        // it resync — a per-tenant accountable lost suffix.
-        let service = SieveService::new(config.clone()).unwrap();
-        service.create_tenant("alpha", web_db_graph()).unwrap();
-        service.create_tenant("beta", web_db_graph()).unwrap();
-        ingest_wave(&service, "alpha", 0..80, 0.0);
-        for round in 0..6u64 {
-            ingest_wave(&service, "beta", round * 10..(round + 1) * 10, 1.1);
-        }
-        drop(service);
-
-        let alpha_shard = sieve_exec::hash::shard_index("alpha", config.shard_count);
-        let beta_shard = sieve_exec::hash::shard_index("beta", config.shard_count);
-        assert_ne!(alpha_shard, beta_shard, "tenants picked to hash apart");
-        let log_path = dir.join(sieve_wal::log_file_name(beta_shard));
-        let mut bytes = std::fs::read(&log_path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&log_path, &bytes).unwrap();
-
-        let (recovered, report) = SieveService::recover(config).unwrap();
-        assert!(report.tenant("alpha").unwrap().is_clean());
-        let (survived_waves, lost) = match report.tenant("beta").unwrap() {
-            TenantRecovery::Recovered {
-                points_replayed,
-                lost_suffix,
-            } => {
-                // Whole 40-point waves survive or are lost — never a
-                // partially applied frame.
-                assert_eq!(points_replayed % 40, 0);
-                (points_replayed / 40, *lost_suffix)
-            }
-            other => panic!("expected a lost suffix, got {other:?}"),
-        };
-        assert!(lost.events >= 1, "{lost:?}");
-        assert!(survived_waves < 6);
-        recovered.refresh_dirty().unwrap();
-        // Alpha is untouched by beta's corruption, and beta's model is the
-        // one an uncrashed service would publish for the surviving prefix.
-        let oracle = SieveService::new(tiny_config()).unwrap();
-        oracle.create_tenant("alpha", web_db_graph()).unwrap();
-        oracle.create_tenant("beta", web_db_graph()).unwrap();
-        ingest_wave(&oracle, "alpha", 0..80, 0.0);
-        for round in 0..survived_waves {
-            ingest_wave(&oracle, "beta", round * 10..(round + 1) * 10, 1.1);
-        }
-        oracle.refresh_dirty().unwrap();
-        assert_eq!(
-            *recovered.model("alpha").unwrap().unwrap(),
-            *oracle.model("alpha").unwrap().unwrap()
-        );
-        assert_eq!(
-            *recovered.model("beta").unwrap().unwrap(),
-            *oracle.model("beta").unwrap().unwrap()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn snapshots_bound_replay_and_recovery_reads_snapshot_plus_tail() {
-        let dir = temp_dir("snapshot-cadence");
-        let config = tiny_config()
-            .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(3));
-        let service = SieveService::new(config.clone()).unwrap();
-        service.create_tenant("acme", web_db_graph()).unwrap(); // event 1
-        for round in 0..5u64 {
-            // Events 2..=6: snapshots fire after events 3 and 6, each
-            // truncating the log.
-            ingest_wave(&service, "acme", round * 10..(round + 1) * 10, 0.0);
-        }
-        service.refresh_dirty().unwrap();
-        let live = service.model("acme").unwrap().unwrap();
-        drop(service);
-
-        let (recovered, report) = SieveService::recover(config).unwrap();
-        assert!(report.is_clean(), "{report}");
-        let shard = sieve_exec::hash::shard_index("acme", 4);
-        let shard_report = report.shards.iter().find(|s| s.shard == shard).unwrap();
-        assert_eq!(
-            shard_report.snapshot_last_seq, 6,
-            "recovery restored from the latest snapshot"
-        );
-        assert_eq!(
-            shard_report.frames_replayed, 0,
-            "the snapshot covered the whole history, nothing to replay"
-        );
-        recovered.refresh_dirty().unwrap();
-        assert_eq!(*recovered.model("acme").unwrap().unwrap(), *live);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_new_durable_service_wipes_the_previous_incarnation() {
-        let dir = temp_dir("wipe");
-        let first = SieveService::new(durable_config(&dir)).unwrap();
-        first.create_tenant("acme", web_db_graph()).unwrap();
-        ingest_wave(&first, "acme", 0..40, 0.0);
-        drop(first);
-
-        // `new` starts fresh: the old tenant is gone from disk too.
-        let second = SieveService::new(durable_config(&dir)).unwrap();
-        assert_eq!(second.tenant_count(), 0);
-        drop(second);
-        let (recovered, report) = SieveService::recover(durable_config(&dir)).unwrap();
-        assert_eq!(recovered.tenant_count(), 0);
-        assert!(report.is_clean());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn failing_tenants_back_off_exponentially_and_heal() {
-        let service = SieveService::new(tiny_config().with_sweep_parallelism(1)).unwrap();
-        service.create_tenant("bad", web_db_graph()).unwrap();
-        service.create_tenant("good", web_db_graph()).unwrap();
-        ingest_wave(&service, "bad", 0..80, 0.0);
-        ingest_wave(&service, "good", 0..80, 0.3);
-        service
-            .refresh_failpoint
-            .write()
-            .unwrap()
-            .insert("bad".to_string());
-
-        // Sweep 1: the bad tenant fails (the error is surfaced), the good
-        // tenant still publishes.
-        let err = service.refresh_dirty().unwrap_err();
-        assert!(matches!(err, ServeError::Analysis { ref tenant, .. } if tenant == "bad"));
-        assert!(service.model("good").unwrap().is_some());
-        assert!(service.model("bad").unwrap().is_none());
-        let stats = service.stats();
-        assert_eq!(stats.refresh_failures, 1);
-        assert_eq!(stats.tenants_degraded, 1);
-
-        // Sweep 2: streak 1 delays by 1 sweep, so the tenant is retried —
-        // and fails again (streak 2, delay 2).
-        assert!(service.refresh_dirty().is_err());
-        assert_eq!(service.stats().refresh_failures, 2);
-        // Sweep 3: inside the backoff window — skipped, so the sweep is
-        // clean and cheap.
-        let stats = service.refresh_dirty().unwrap();
-        assert_eq!(stats.tenants_refreshed, 0);
-        assert_eq!(stats.tenants_degraded, 1);
-        // Sweep 4: window over, retried, fails (streak 3, delay 4).
-        assert!(service.refresh_dirty().is_err());
-        assert_eq!(service.stats().refresh_failures, 3);
-
-        // Heal the tenant. It is still in backoff for sweeps 5..=7 — the
-        // deferred work survives the wait — and succeeds at sweep 8.
-        service.refresh_failpoint.write().unwrap().clear();
-        for _ in 0..3 {
-            assert_eq!(service.refresh_dirty().unwrap().tenants_refreshed, 0);
-        }
-        let stats = service.refresh_dirty().unwrap();
-        assert_eq!(stats.tenants_refreshed, 1, "healed tenant republished");
-        assert_eq!(stats.tenants_degraded, 0, "backoff reset on success");
-        assert_eq!(stats.refresh_failures, 3, "cumulative count remains");
-        assert!(service.model("bad").unwrap().is_some());
-    }
-
-    #[test]
-    fn refresh_all_ignores_backoff() {
-        let service = SieveService::new(tiny_config().with_sweep_parallelism(1)).unwrap();
-        service.create_tenant("bad", web_db_graph()).unwrap();
-        ingest_wave(&service, "bad", 0..80, 0.0);
-        service
-            .refresh_failpoint
-            .write()
-            .unwrap()
-            .insert("bad".to_string());
-        assert!(service.refresh_dirty().is_err()); // streak 1
-        assert!(service.refresh_dirty().is_err()); // streak 2 → backoff 2
-                                                   // refresh_dirty would skip the tenant now; refresh_all retries it
-                                                   // anyway and surfaces the failure.
-        assert!(service.refresh_all().is_err());
-        assert_eq!(service.stats().refresh_failures, 3);
-    }
-
-    #[test]
-    fn refresh_all_matches_refresh_dirty_results() {
-        let service = SieveService::new(tiny_config()).unwrap();
-        service.create_tenant("acme", web_db_graph()).unwrap();
-        ingest_wave(&service, "acme", 0..80, 0.0);
-        service.refresh_dirty().unwrap();
-        let dirty_model = service.model("acme").unwrap().unwrap();
-
-        let stats = service.refresh_all().unwrap();
-        assert_eq!(stats.tenants_refreshed, 1);
-        let all_model = service.model("acme").unwrap().unwrap();
-        assert_eq!(*dirty_model, *all_model);
-    }
-}
+mod tests;

@@ -1,0 +1,737 @@
+//! Tests of [`SieveService`] through its public methods. Each drives the
+//! whole service — ingest, sweeps, durability, recovery — so they stay
+//! together under `service` rather than next to one of the modules
+//! (`durable`, `sweep`, `recovery`) a given test happens to lean on most.
+
+use super::*;
+use crate::TenantRecovery;
+use sieve_core::pipeline::Sieve;
+
+fn tiny_config() -> ServeConfig {
+    ServeConfig::default()
+        .with_shard_count(4)
+        .with_sweep_parallelism(2)
+        .with_analysis(
+            SieveConfig::default()
+                .with_cluster_range(2, 2)
+                .with_parallelism(1),
+        )
+}
+
+fn ingest_wave(service: &SieveService, tenant: &str, ticks: std::ops::Range<u64>, bias: f64) {
+    let points: Vec<MetricPoint> = ticks
+        .flat_map(|t| {
+            let x = t as f64 * 0.17 + bias;
+            [
+                MetricPoint::new("web", "requests", t * 500, x.sin() * 4.0),
+                MetricPoint::new("web", "latency", t * 500, x.cos() * 9.0),
+                MetricPoint::new("db", "queries", t * 500, (x * 0.5).sin() * 2.0),
+                MetricPoint::new("db", "io_wait", t * 500, (x * 0.5).cos()),
+            ]
+        })
+        .collect();
+    service.ingest(tenant, &points).unwrap();
+}
+
+fn web_db_graph() -> CallGraph {
+    let mut graph = CallGraph::new();
+    graph.record_calls("web", "db", 100);
+    graph
+}
+
+#[test]
+fn tenants_are_isolated_and_models_match_batch_analysis() {
+    let service = SieveService::new(tiny_config()).unwrap();
+    service.create_tenant("alpha", web_db_graph()).unwrap();
+    service.create_tenant("beta", web_db_graph()).unwrap();
+    assert_eq!(service.tenant_count(), 2);
+    assert_eq!(service.tenants(), vec!["alpha", "beta"]);
+
+    ingest_wave(&service, "alpha", 0..80, 0.0);
+    ingest_wave(&service, "beta", 0..80, 1.3);
+    let stats = service.refresh_dirty().unwrap();
+    assert_eq!(stats.tenants_total, 2);
+    assert_eq!(stats.tenants_refreshed, 2);
+
+    // Each tenant's published model equals a from-scratch batch
+    // analysis of its own store — and the two differ from each other
+    // (different data, no cross-tenant bleed).
+    let sieve = Sieve::new(service.config().analysis.clone());
+    let alpha = service.model("alpha").unwrap().unwrap();
+    let beta = service.model("beta").unwrap().unwrap();
+    let alpha_batch = sieve
+        .analyze("alpha", &service.store("alpha").unwrap(), &web_db_graph())
+        .unwrap();
+    let beta_batch = sieve
+        .analyze("beta", &service.store("beta").unwrap(), &web_db_graph())
+        .unwrap();
+    assert_eq!(*alpha, alpha_batch);
+    assert_eq!(*beta, beta_batch);
+    assert_ne!(alpha.clusterings, beta.clusterings);
+}
+
+#[test]
+fn refresh_dirty_touches_only_dirty_tenants() {
+    let service = SieveService::new(tiny_config()).unwrap();
+    for tenant in ["a", "b", "c"] {
+        service.create_tenant(tenant, web_db_graph()).unwrap();
+        ingest_wave(&service, tenant, 0..80, 0.0);
+    }
+    assert_eq!(service.refresh_dirty().unwrap().tenants_refreshed, 3);
+
+    // Only `b` receives new points.
+    ingest_wave(&service, "b", 80..90, 0.0);
+    let stats = service.refresh_dirty().unwrap();
+    assert_eq!(stats.tenants_refreshed, 1);
+    assert!(stats.components_prepared >= 1);
+    assert_eq!(service.last_stats("a").unwrap().epoch, 1);
+    assert_eq!(service.last_stats("b").unwrap().epoch, 2);
+
+    // Aggregate stats cover all tenants' last refreshes.
+    let agg = service.stats();
+    assert_eq!(agg.tenants_total, 3);
+    assert_eq!(agg.tenants_refreshed, 3);
+    assert_eq!(agg.epoch_high_watermark, 2);
+}
+
+#[test]
+fn model_snapshots_survive_later_refreshes() {
+    let service = SieveService::new(tiny_config()).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap();
+    ingest_wave(&service, "acme", 0..80, 0.0);
+    service.refresh_dirty().unwrap();
+    let first = service.model("acme").unwrap().unwrap();
+    let first_copy = (*first).clone();
+
+    ingest_wave(&service, "acme", 80..120, 0.4);
+    service.refresh_dirty().unwrap();
+    let second = service.model("acme").unwrap().unwrap();
+    assert!(!Arc::ptr_eq(&first, &second), "a refresh swaps the Arc");
+    assert_eq!(*first, first_copy, "old snapshots are never mutated");
+}
+
+#[test]
+fn adopt_tenant_analyses_preloaded_stores_on_the_first_sweep() {
+    let dir = temp_dir("adopt-preloaded");
+    // Memory-only, then durable: there the creation record does not carry
+    // the store's content, so adoption must snapshot the shard at once.
+    for config in [tiny_config(), durable_config(&dir)] {
+        let service = SieveService::new(config.clone()).unwrap();
+        let store = MetricStore::new();
+        for t in 0..80u64 {
+            let x = t as f64 * 0.2;
+            store.record(
+                &sieve_simulator::store::MetricId::new("web", "requests"),
+                t * 500,
+                x.sin(),
+            );
+            store.record(
+                &sieve_simulator::store::MetricId::new("web", "latency"),
+                t * 500,
+                x.cos(),
+            );
+        }
+        service
+            .adopt_tenant("legacy", store.clone(), CallGraph::new())
+            .unwrap();
+        let stats = service.refresh_dirty().unwrap();
+        assert_eq!(stats.tenants_refreshed, 1);
+        let model = service.model("legacy").unwrap().unwrap();
+        assert_eq!(model.total_metric_count(), 2);
+        if config.durability.is_none() {
+            continue;
+        }
+        drop(service);
+        let (recovered, report) = SieveService::recover(config).unwrap();
+        assert!(report.is_clean(), "{report}");
+        let shard = sieve_exec::hash::shard_index("legacy", 4);
+        assert_eq!(report.shards[shard].snapshot_last_seq, 1, "{report}");
+        recovered.refresh_dirty().unwrap();
+        assert_eq!(*recovered.model("legacy").unwrap().unwrap(), *model);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn empty_tenants_stay_unpublished_until_data_arrives() {
+    let service = SieveService::new(tiny_config()).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap();
+    // No data yet: a sweep publishes nothing (batch analysis of an
+    // empty store is an error, so an empty model would break the
+    // served==batch guarantee).
+    let stats = service.refresh_dirty().unwrap();
+    assert_eq!(stats.tenants_refreshed, 0);
+    assert!(service.model("acme").unwrap().is_none());
+
+    ingest_wave(&service, "acme", 0..80, 0.0);
+    assert_eq!(service.refresh_dirty().unwrap().tenants_refreshed, 1);
+    assert!(service.model("acme").unwrap().is_some());
+}
+
+#[test]
+fn replacing_the_call_graph_refreshes_the_tenant_without_new_ingest() {
+    let service = SieveService::new(tiny_config()).unwrap();
+    // Start with no topology: the first model has no comparison plan.
+    service.create_tenant("acme", CallGraph::new()).unwrap();
+    ingest_wave(&service, "acme", 0..80, 0.0);
+    service.refresh_dirty().unwrap();
+    assert_eq!(service.last_stats("acme").unwrap().comparisons_planned, 0);
+
+    // Replace the topology; no series changes, but the next sweep must
+    // still re-plan so the published model catches up.
+    service.set_call_graph("acme", web_db_graph()).unwrap();
+    let stats = service.refresh_dirty().unwrap();
+    assert_eq!(stats.tenants_refreshed, 1, "replanned tenant is swept");
+    assert!(
+        service.last_stats("acme").unwrap().comparisons_planned > 0,
+        "the new topology produced a comparison plan"
+    );
+    // And the request is consumed: the next sweep is a no-op again.
+    assert_eq!(service.refresh_dirty().unwrap().tenants_refreshed, 0);
+}
+
+#[test]
+fn unknown_and_duplicate_tenants_error() {
+    let service = SieveService::new(tiny_config()).unwrap();
+    service.create_tenant("acme", CallGraph::new()).unwrap();
+    assert!(matches!(
+        service.create_tenant("acme", CallGraph::new()),
+        Err(ServeError::DuplicateTenant { .. })
+    ));
+    assert!(matches!(
+        service.ingest("ghost", &[]),
+        Err(ServeError::UnknownTenant { .. })
+    ));
+    assert!(matches!(
+        service.model("ghost"),
+        Err(ServeError::UnknownTenant { .. })
+    ));
+    assert!(matches!(
+        service.set_call_graph("ghost", CallGraph::new()),
+        Err(ServeError::UnknownTenant { .. })
+    ));
+}
+
+#[test]
+fn ingest_reports_accepted_points_only() {
+    let service = SieveService::new(tiny_config()).unwrap();
+    service.create_tenant("acme", CallGraph::new()).unwrap();
+    let accepted = service
+        .ingest(
+            "acme",
+            &[
+                MetricPoint::new("web", "cpu", 1000, 1.0),
+                // Out of order: dropped by the store.
+                MetricPoint::new("web", "cpu", 500, 2.0),
+                MetricPoint::new("web", "cpu", 1500, 3.0),
+            ],
+        )
+        .unwrap();
+    assert_eq!(accepted, 2);
+}
+
+#[test]
+fn sweep_parallelism_does_not_change_published_models() {
+    let build = |sweep_parallelism: usize| {
+        let service =
+            SieveService::new(tiny_config().with_sweep_parallelism(sweep_parallelism)).unwrap();
+        for (i, tenant) in ["a", "b", "c", "d", "e"].iter().enumerate() {
+            service.create_tenant(*tenant, web_db_graph()).unwrap();
+            ingest_wave(&service, tenant, 0..80, i as f64 * 0.7);
+        }
+        service.refresh_dirty().unwrap();
+        // A second, interleaved wave exercises the incremental path.
+        for (i, tenant) in ["b", "d"].iter().enumerate() {
+            ingest_wave(&service, tenant, 80..100, i as f64 * 0.3);
+        }
+        service.refresh_dirty().unwrap();
+        service
+    };
+    let serial = build(1);
+    let parallel = build(8);
+    for tenant in ["a", "b", "c", "d", "e"] {
+        let s = serial.model(tenant).unwrap().unwrap();
+        let p = parallel.model(tenant).unwrap().unwrap();
+        assert_eq!(*s, *p, "tenant {tenant} differs across sweep degrees");
+    }
+}
+
+#[test]
+fn retention_budgets_bound_tenant_stores_and_surface_in_stats() {
+    let service =
+        SieveService::new(tiny_config().with_retention(RetentionPolicy::windowed(40))).unwrap();
+    // `bounded` inherits the service default; `oracle` overrides it.
+    service.create_tenant("bounded", web_db_graph()).unwrap();
+    service
+        .create_tenant_with_retention("oracle", web_db_graph(), RetentionPolicy::unbounded())
+        .unwrap();
+    ingest_wave(&service, "bounded", 0..80, 0.0);
+    ingest_wave(&service, "oracle", 0..80, 0.0);
+
+    let stats = service.refresh_dirty().unwrap();
+    assert_eq!(stats.tenants_refreshed, 2);
+    // 4 series x 80 points per tenant; the bounded tenant keeps 40 each.
+    assert_eq!(stats.points_retained, 4 * 40 + 4 * 80);
+    assert_eq!(stats.points_evicted, 4 * 40);
+    assert_eq!(stats.bytes_evicted, 4 * 40 * 12);
+    assert_eq!(service.stats().points_evicted, 4 * 40);
+    assert_eq!(
+        service.store("bounded").unwrap().retained_point_count(),
+        4 * 40
+    );
+    // A sweep's gauges are the ones `stats()` reports right after it —
+    // and so is the rest when the sweep refreshed every tenant. (The
+    // executor pool is process-wide: other tests move its counters.)
+    let without_pool = |stats: ServiceStats| ServiceStats {
+        pool_workers_spawned: 0,
+        pool_tasks_executed: 0,
+        ..stats
+    };
+    assert_eq!(without_pool(service.stats()), without_pool(stats));
+    let stats = service.refresh_all().unwrap();
+    assert_eq!(stats.points_evicted, 4 * 40);
+    assert_eq!(without_pool(service.stats()), without_pool(stats));
+
+    // The bounded tenant's published model is the batch analysis of
+    // its retained window — served==batch holds under eviction.
+    let sieve = Sieve::new(service.config().analysis.clone());
+    let model = service.model("bounded").unwrap().unwrap();
+    let batch = sieve
+        .analyze(
+            "bounded",
+            &service.store("bounded").unwrap(),
+            &web_db_graph(),
+        )
+        .unwrap();
+    assert_eq!(*model, batch);
+}
+
+#[test]
+fn set_retention_dirties_the_tenant_for_the_next_sweep() {
+    let service = SieveService::new(tiny_config()).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap();
+    ingest_wave(&service, "acme", 0..80, 0.0);
+    service.refresh_dirty().unwrap();
+    let wide = service.model("acme").unwrap().unwrap();
+
+    // Tighten the budget: points are evicted immediately and the
+    // tenant is dirty again without any new ingest.
+    service
+        .set_retention("acme", RetentionPolicy::windowed(40))
+        .unwrap();
+    assert_eq!(
+        service.retention("acme").unwrap(),
+        RetentionPolicy::windowed(40)
+    );
+    let stats = service.refresh_dirty().unwrap();
+    assert_eq!(stats.tenants_refreshed, 1, "eviction counts as dirt");
+    assert_eq!(stats.points_evicted, 4 * 40);
+    let narrow = service.model("acme").unwrap().unwrap();
+    assert!(!Arc::ptr_eq(&wide, &narrow), "the sweep republished");
+
+    // The republished model is the batch analysis of the narrow window.
+    let sieve = Sieve::new(service.config().analysis.clone());
+    let batch = sieve
+        .analyze("acme", &service.store("acme").unwrap(), &web_db_graph())
+        .unwrap();
+    assert_eq!(*narrow, batch);
+
+    assert!(matches!(
+        service.set_retention("ghost", RetentionPolicy::unbounded()),
+        Err(ServeError::UnknownTenant { .. })
+    ));
+    assert!(matches!(
+        service.retention("ghost"),
+        Err(ServeError::UnknownTenant { .. })
+    ));
+}
+
+/// A unique temp directory per test (tests run in parallel).
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sieve-serve-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn durable_config(dir: &std::path::Path) -> ServeConfig {
+    tiny_config().with_durability(crate::DurabilityConfig::new(dir))
+}
+
+#[test]
+fn durable_service_recovers_bit_identical_models() {
+    let dir = temp_dir("clean-recovery");
+    let service = SieveService::new(durable_config(&dir)).unwrap();
+    service.create_tenant("alpha", web_db_graph()).unwrap();
+    service
+        .create_tenant_with_retention("beta", web_db_graph(), RetentionPolicy::windowed(60))
+        .unwrap();
+    ingest_wave(&service, "alpha", 0..80, 0.0);
+    ingest_wave(&service, "beta", 0..90, 1.3);
+    service.refresh_dirty().unwrap();
+    // Admin events are durable too.
+    service
+        .set_retention("beta", RetentionPolicy::windowed(40))
+        .unwrap();
+    service.set_call_graph("alpha", CallGraph::new()).unwrap();
+    ingest_wave(&service, "alpha", 80..100, 0.2);
+    service.refresh_dirty().unwrap();
+    let live_alpha = service.model("alpha").unwrap().unwrap();
+    let live_beta = service.model("beta").unwrap().unwrap();
+    drop(service); // "crash": nothing flushed beyond what committed
+
+    let (recovered, report) = SieveService::recover(durable_config(&dir)).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(recovered.tenants(), vec!["alpha", "beta"]);
+    assert_eq!(
+        recovered.retention("beta").unwrap(),
+        RetentionPolicy::windowed(40),
+        "replayed admin event"
+    );
+    // Recovered tenants republish on the first sweep, bit-identical
+    // to the pre-crash live models.
+    recovered.refresh_dirty().unwrap();
+    assert_eq!(*recovered.model("alpha").unwrap().unwrap(), *live_alpha);
+    assert_eq!(*recovered.model("beta").unwrap().unwrap(), *live_beta);
+
+    // And the service re-converges: post-recovery ingest behaves like
+    // an uncrashed service fed the same stream.
+    ingest_wave(&recovered, "beta", 90..110, 1.3);
+    recovered.refresh_dirty().unwrap();
+    let sieve = Sieve::new(recovered.config().analysis.clone());
+    let batch = sieve
+        .analyze("beta", &recovered.store("beta").unwrap(), &web_db_graph())
+        .unwrap();
+    assert_eq!(*recovered.model("beta").unwrap().unwrap(), batch);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_truncates_at_the_torn_tail_and_reports_the_lost_suffix() {
+    let dir = temp_dir("torn-tail");
+    // A huge snapshot cadence keeps everything in the log so the test
+    // can tear it.
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000));
+    let service = SieveService::new(config.clone()).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap();
+    for round in 0..6u64 {
+        ingest_wave(&service, "acme", round * 10..(round + 1) * 10, 0.0);
+    }
+    drop(service);
+
+    // Tear the last 5 bytes off the shard log: the final ingest frame
+    // is torn, everything before it is intact.
+    let shard = sieve_exec::hash::shard_index("acme", config.shard_count);
+    let log_path = dir.join(sieve_wal::log_file_name(shard));
+    let bytes = std::fs::read(&log_path).unwrap();
+    std::fs::write(&log_path, &bytes[..bytes.len() - 5]).unwrap();
+
+    let (recovered, report) = SieveService::recover(config.clone()).unwrap();
+    assert!(!report.is_clean());
+    // A torn *final* frame is unreadable, so nobody can say which
+    // tenant it belonged to: the loss is accounted at the shard level
+    // in bytes, and the tenant is clean for its surviving prefix — no
+    // readable event of it was dropped.
+    let shard_report = report.shards.iter().find(|s| s.shard == shard).unwrap();
+    let corruption = shard_report.corruption.as_ref().unwrap();
+    assert!(corruption.lost_bytes > 0, "{corruption:?}");
+    match report.tenant("acme").unwrap() {
+        TenantRecovery::Clean { points_replayed } => {
+            // 5 intact waves of 40 points; the 6th wave's frame is torn.
+            assert_eq!(*points_replayed, 5 * 40);
+        }
+        other => panic!("unexpected outcome {other:?}"),
+    }
+    // The recovered model for the intact prefix equals an uncrashed
+    // oracle fed only the surviving waves.
+    recovered.refresh_dirty().unwrap();
+    let oracle = SieveService::new(tiny_config()).unwrap();
+    oracle.create_tenant("acme", web_db_graph()).unwrap();
+    for round in 0..5u64 {
+        ingest_wave(&oracle, "acme", round * 10..(round + 1) * 10, 0.0);
+    }
+    oracle.refresh_dirty().unwrap();
+    assert_eq!(
+        *recovered.model("acme").unwrap().unwrap(),
+        *oracle.model("acme").unwrap().unwrap(),
+        "recovered prefix model must equal the uncrashed oracle"
+    );
+
+    // Recovery re-anchored the directory: a second recovery is clean
+    // and the loss is not double-reported.
+    drop(recovered);
+    let (again, second) = SieveService::recover(config).unwrap();
+    assert!(second.is_clean(), "{second}");
+    again.refresh_dirty().unwrap();
+    assert_eq!(
+        *again.model("acme").unwrap().unwrap(),
+        *oracle.model("acme").unwrap().unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_bit_flip_mid_log_degrades_only_the_affected_tenant() {
+    let dir = temp_dir("bit-flip");
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000));
+    // Two tenants in different WAL shards: the flip lands in a shard
+    // hosting exactly one of them. Beta's history is many small
+    // frames, so a mid-file flip kills one frame and the frames after
+    // it resync — a per-tenant accountable lost suffix.
+    let service = SieveService::new(config.clone()).unwrap();
+    service.create_tenant("alpha", web_db_graph()).unwrap();
+    service.create_tenant("beta", web_db_graph()).unwrap();
+    ingest_wave(&service, "alpha", 0..80, 0.0);
+    for round in 0..6u64 {
+        ingest_wave(&service, "beta", round * 10..(round + 1) * 10, 1.1);
+    }
+    drop(service);
+
+    let alpha_shard = sieve_exec::hash::shard_index("alpha", config.shard_count);
+    let beta_shard = sieve_exec::hash::shard_index("beta", config.shard_count);
+    assert_ne!(alpha_shard, beta_shard, "tenants picked to hash apart");
+    let log_path = dir.join(sieve_wal::log_file_name(beta_shard));
+    let mut bytes = std::fs::read(&log_path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&log_path, &bytes).unwrap();
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    assert!(report.tenant("alpha").unwrap().is_clean());
+    let (survived_waves, lost) = match report.tenant("beta").unwrap() {
+        TenantRecovery::Recovered {
+            points_replayed,
+            lost_suffix,
+        } => {
+            // Whole 40-point waves survive or are lost — never a
+            // partially applied frame.
+            assert_eq!(points_replayed % 40, 0);
+            (points_replayed / 40, *lost_suffix)
+        }
+        other => panic!("expected a lost suffix, got {other:?}"),
+    };
+    assert!(lost.events >= 1, "{lost:?}");
+    assert!(survived_waves < 6);
+    recovered.refresh_dirty().unwrap();
+    // Alpha is untouched by beta's corruption, and beta's model is the
+    // one an uncrashed service would publish for the surviving prefix.
+    let oracle = SieveService::new(tiny_config()).unwrap();
+    oracle.create_tenant("alpha", web_db_graph()).unwrap();
+    oracle.create_tenant("beta", web_db_graph()).unwrap();
+    ingest_wave(&oracle, "alpha", 0..80, 0.0);
+    for round in 0..survived_waves {
+        ingest_wave(&oracle, "beta", round * 10..(round + 1) * 10, 1.1);
+    }
+    oracle.refresh_dirty().unwrap();
+    assert_eq!(
+        *recovered.model("alpha").unwrap().unwrap(),
+        *oracle.model("alpha").unwrap().unwrap()
+    );
+    assert_eq!(
+        *recovered.model("beta").unwrap().unwrap(),
+        *oracle.model("beta").unwrap().unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshots_bound_replay_and_recovery_reads_snapshot_plus_tail() {
+    let dir = temp_dir("snapshot-cadence");
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(3));
+    let service = SieveService::new(config.clone()).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap(); // event 1
+    for event in 2..=6u64 {
+        // Events 2..=6, one of every mutation kind: each is exactly one
+        // cadence event, so snapshots fire after events 3 and 6, each
+        // truncating the log.
+        match event {
+            3 => service.set_call_graph("acme", CallGraph::new()).unwrap(),
+            5 => service
+                .set_retention("acme", RetentionPolicy::windowed(30))
+                .unwrap(),
+            _ => ingest_wave(&service, "acme", event * 20..(event + 1) * 20, 0.0),
+        }
+    }
+    service.refresh_dirty().unwrap();
+    let live = service.model("acme").unwrap().unwrap();
+    drop(service);
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    assert!(report.is_clean(), "{report}");
+    let shard = sieve_exec::hash::shard_index("acme", 4);
+    let shard_report = report.shards.iter().find(|s| s.shard == shard).unwrap();
+    assert_eq!(
+        shard_report.snapshot_last_seq, 6,
+        "recovery restored from the latest snapshot"
+    );
+    assert_eq!(
+        shard_report.frames_replayed, 0,
+        "the snapshot covered the whole history, nothing to replay"
+    );
+    recovered.refresh_dirty().unwrap();
+    assert_eq!(*recovered.model("acme").unwrap().unwrap(), *live);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file of a durable directory with its bytes, sorted by name.
+fn dir_bytes(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .map(|entry| (entry.file_name(), std::fs::read(entry.path()).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Asserts that recovering `dir` under `config` is refused with a reason
+/// containing `expected`, and that the refusal changed no byte on disk.
+fn assert_recover_refuses(dir: &std::path::Path, config: ServeConfig, expected: &str) {
+    let before = dir_bytes(dir);
+    match SieveService::recover(config) {
+        Err(ServeError::InvalidConfig { reason }) => {
+            assert!(reason.contains(expected), "{reason}");
+        }
+        other => panic!(
+            "expected a refusal naming `{expected}`, got {:?}",
+            other.map(|(_, report)| report.to_string())
+        ),
+    }
+    assert_eq!(
+        dir_bytes(dir),
+        before,
+        "a refusal leaves the directory as found"
+    );
+}
+
+#[test]
+fn a_new_durable_service_wipes_the_previous_incarnation() {
+    let dir = temp_dir("wipe");
+    let with_shards = |shard_count: usize| durable_config(&dir).with_shard_count(shard_count);
+    let first = SieveService::new(with_shards(8)).unwrap();
+    for i in 0..16 {
+        let name = format!("tenant-{i}");
+        first.create_tenant(name.as_str(), web_db_graph()).unwrap();
+        ingest_wave(&first, &name, 0..40, 0.0);
+    }
+    drop(first);
+
+    // A directory is recovered under the shard count that wrote it, or
+    // not at all. A smaller count would leave the shard files beyond it
+    // unread; a larger one routes tenants away from the shard whose files
+    // hold them — both used to come back "clean".
+    assert_recover_refuses(&dir, with_shards(2), "shard_count is 2");
+    assert_recover_refuses(&dir, with_shards(2), "the files of 8 shards");
+    assert_recover_refuses(&dir, with_shards(16), "shard_count is 16");
+    let (same, report) = SieveService::recover(with_shards(8)).unwrap();
+    assert_eq!(same.tenant_count(), 16);
+    assert!(report.is_clean(), "{report}");
+    drop(same);
+    // That recovery re-anchored every shard with a snapshot; one sitting
+    // in another shard's file is refused too.
+    let misplaced = dir.join(sieve_wal::snapshot_file_name(1));
+    let own = std::fs::read(&misplaced).unwrap();
+    std::fs::copy(dir.join(sieve_wal::snapshot_file_name(0)), &misplaced).unwrap();
+    assert_recover_refuses(
+        &dir,
+        with_shards(8),
+        "a snapshot of shard 0 in shard 1's file",
+    );
+    std::fs::write(&misplaced, own).unwrap();
+
+    // `new` starts fresh: the old tenants are gone from disk too — from
+    // all 8 shards, though the new service only has 2 of its own.
+    let second = SieveService::new(with_shards(2)).unwrap();
+    assert_eq!(second.tenant_count(), 0);
+    drop(second);
+    for shard_count in [2, 8] {
+        let (recovered, report) = SieveService::recover(with_shards(shard_count)).unwrap();
+        assert_eq!(recovered.tenant_count(), 0, "under {shard_count} shards");
+        assert!(report.is_clean());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failing_tenants_back_off_exponentially_and_heal() {
+    let service = SieveService::new(tiny_config().with_sweep_parallelism(1)).unwrap();
+    service.create_tenant("bad", web_db_graph()).unwrap();
+    service.create_tenant("good", web_db_graph()).unwrap();
+    ingest_wave(&service, "bad", 0..80, 0.0);
+    ingest_wave(&service, "good", 0..80, 0.3);
+    service
+        .refresh_failpoint
+        .write()
+        .unwrap()
+        .insert("bad".to_string());
+
+    // Sweep 1: the bad tenant fails (the error is surfaced), the good
+    // tenant still publishes.
+    let err = service.refresh_dirty().unwrap_err();
+    assert!(matches!(err, ServeError::Analysis { ref tenant, .. } if tenant == "bad"));
+    assert!(service.model("good").unwrap().is_some());
+    assert!(service.model("bad").unwrap().is_none());
+    let stats = service.stats();
+    assert_eq!(stats.refresh_failures, 1);
+    assert_eq!(stats.tenants_degraded, 1);
+
+    // Sweep 2: streak 1 delays by 1 sweep, so the tenant is retried —
+    // and fails again (streak 2, delay 2).
+    assert!(service.refresh_dirty().is_err());
+    assert_eq!(service.stats().refresh_failures, 2);
+    // Sweep 3: inside the backoff window — skipped, so the sweep is
+    // clean and cheap.
+    let stats = service.refresh_dirty().unwrap();
+    assert_eq!(stats.tenants_refreshed, 0);
+    assert_eq!(stats.tenants_degraded, 1);
+    // Sweep 4: window over, retried, fails (streak 3, delay 4).
+    assert!(service.refresh_dirty().is_err());
+    assert_eq!(service.stats().refresh_failures, 3);
+
+    // Heal the tenant. It is still in backoff for sweeps 5..=7 — the
+    // deferred work survives the wait — and succeeds at sweep 8.
+    service.refresh_failpoint.write().unwrap().clear();
+    for _ in 0..3 {
+        assert_eq!(service.refresh_dirty().unwrap().tenants_refreshed, 0);
+    }
+    let stats = service.refresh_dirty().unwrap();
+    assert_eq!(stats.tenants_refreshed, 1, "healed tenant republished");
+    assert_eq!(stats.tenants_degraded, 0, "backoff reset on success");
+    assert_eq!(stats.refresh_failures, 3, "cumulative count remains");
+    assert!(service.model("bad").unwrap().is_some());
+}
+
+#[test]
+fn refresh_all_ignores_backoff() {
+    let service = SieveService::new(tiny_config().with_sweep_parallelism(1)).unwrap();
+    service.create_tenant("bad", web_db_graph()).unwrap();
+    ingest_wave(&service, "bad", 0..80, 0.0);
+    service
+        .refresh_failpoint
+        .write()
+        .unwrap()
+        .insert("bad".to_string());
+    assert!(service.refresh_dirty().is_err()); // streak 1
+    assert!(service.refresh_dirty().is_err()); // streak 2 → backoff 2
+                                               // refresh_dirty would skip the tenant now; refresh_all retries it
+                                               // anyway and surfaces the failure.
+    assert!(service.refresh_all().is_err());
+    assert_eq!(service.stats().refresh_failures, 3);
+}
+
+#[test]
+fn refresh_all_matches_refresh_dirty_results() {
+    let service = SieveService::new(tiny_config()).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap();
+    ingest_wave(&service, "acme", 0..80, 0.0);
+    service.refresh_dirty().unwrap();
+    let dirty_model = service.model("acme").unwrap().unwrap();
+
+    let stats = service.refresh_all().unwrap();
+    assert_eq!(stats.tenants_refreshed, 1);
+    let all_model = service.model("acme").unwrap().unwrap();
+    assert_eq!(*dirty_model, *all_model);
+}

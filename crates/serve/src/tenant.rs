@@ -6,7 +6,7 @@ use sieve_core::session::{AnalysisSession, SessionStats};
 use sieve_exec::Name;
 use sieve_simulator::store::{BatchOutcome, MetricId, MetricStore};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 /// Longest refresh-failure backoff, in sweeps. A tenant that keeps
 /// failing is still retried at least once every this many sweeps — the
@@ -50,18 +50,20 @@ impl MetricPoint {
     }
 }
 
-/// Reusable per-tenant buffers for the durable ingest hot path: the
-/// batch outcome (rejections + watermarks) and the encoded WAL payload.
-/// Both keep their capacity across batches, so a steady-state ingest
-/// allocates nothing. The `Mutex` around this scratch doubles as the
-/// tenant's *apply order* lock: holding it across
-/// store-apply + WAL-stage keeps the tenant's log order equal to its
-/// apply order, which is what replay verification checks.
+/// Reusable per-tenant buffers for the durable mutation path: the batch
+/// outcome (rejections + watermarks) of an ingest and the encoded WAL
+/// payload of whatever mutation is in flight. Both keep their capacity
+/// across mutations, so a steady-state ingest allocates nothing. The
+/// `Mutex` around this scratch doubles as the tenant's *apply order* lock:
+/// holding it across store-apply + WAL-stage keeps the tenant's log order
+/// equal to its apply order, which is what replay verification checks.
 #[derive(Debug, Default)]
 pub(crate) struct IngestScratch {
     /// Last batch's detailed outcome (vectors recycled).
     pub(crate) outcome: BatchOutcome,
-    /// Encoded `WalEvent::IngestBatch` payload (buffer recycled).
+    /// The encoded `WalEvent` of the mutation in flight (buffer recycled):
+    /// `SieveService::mutate` hands it out empty and stages what the
+    /// mutation encoded into it.
     pub(crate) payload: Vec<u8>,
 }
 
@@ -70,11 +72,11 @@ pub(crate) struct IngestScratch {
 /// lock) at the end of a refresh, so readers either see the previous
 /// complete model or the new complete model, never a half-updated one.
 #[derive(Debug, Default)]
-pub(crate) struct Published {
+struct Published {
     /// The latest analysis model, `None` until the first refresh.
-    pub(crate) model: Option<Arc<SieveModel>>,
+    model: Option<Arc<SieveModel>>,
     /// Statistics of the refresh that produced `model`.
-    pub(crate) stats: SessionStats,
+    stats: SessionStats,
 }
 
 /// The complete state of one tenant.
@@ -84,7 +86,8 @@ pub(crate) struct Published {
 /// refresh sweep takes, and the published snapshot is behind a `RwLock`
 /// that writers hold just long enough to swap an `Arc` — so ingest for
 /// tenant A, a model read for tenant B and a refresh of tenant C never
-/// contend on shared state.
+/// contend on shared state. The locks are reached only through the
+/// accessors below, which own the poison messages.
 #[derive(Debug)]
 pub(crate) struct Tenant {
     /// The tenant's name (also its registry key).
@@ -93,13 +96,13 @@ pub(crate) struct Tenant {
     /// stream: nothing else may call `drain_delta` on it.
     pub(crate) store: MetricStore,
     /// Durable-ingest scratch buffers + the tenant's apply-order lock
-    /// (see [`IngestScratch`]). Only the durable ingest and admin paths
-    /// take it; non-durable ingest goes straight to the store.
-    pub(crate) ingest: Mutex<IngestScratch>,
+    /// (see [`IngestScratch`]). Only durable mutations take it;
+    /// non-durable ingest goes straight to the store.
+    apply_order: Mutex<IngestScratch>,
     /// The tenant's long-lived incremental analysis session.
-    pub(crate) session: Mutex<AnalysisSession>,
+    session: Mutex<AnalysisSession>,
     /// The last published model + stats, swapped at the end of a refresh.
-    pub(crate) published: RwLock<Published>,
+    published: RwLock<Published>,
     /// Set when something outside the store's delta stream invalidated
     /// the published model — today: a call-graph replacement, which
     /// changes the comparison plan without touching any series. Consumed
@@ -118,13 +121,25 @@ impl Tenant {
         Self {
             name,
             store,
-            ingest: Mutex::new(IngestScratch::default()),
+            apply_order: Mutex::new(IngestScratch::default()),
             session: Mutex::new(session),
             published: RwLock::new(Published::default()),
             force_refresh: AtomicBool::new(false),
             failure_streak: AtomicU32::new(0),
             retry_at_sweep: AtomicU64::new(0),
         }
+    }
+
+    /// Locks the tenant's analysis session.
+    pub(crate) fn session(&self) -> MutexGuard<'_, AnalysisSession> {
+        self.session.lock().expect("tenant session poisoned")
+    }
+
+    /// Locks the tenant's apply order (and with it the ingest scratch).
+    pub(crate) fn apply_order(&self) -> MutexGuard<'_, IngestScratch> {
+        self.apply_order
+            .lock()
+            .expect("tenant apply-order lock poisoned")
     }
 
     /// Records a successful refresh: the tenant is healthy again and any
@@ -166,21 +181,21 @@ impl Tenant {
         self.force_refresh.swap(false, Ordering::AcqRel)
     }
 
-    /// The tenant's published model snapshot, if any refresh has completed.
-    pub(crate) fn model(&self) -> Option<Arc<SieveModel>> {
+    /// What the tenant last published, under a momentary read lock.
+    fn published(&self) -> RwLockReadGuard<'_, Published> {
         self.published
             .read()
             .expect("tenant snapshot lock poisoned")
-            .model
-            .clone()
+    }
+
+    /// The tenant's published model snapshot, if any refresh has completed.
+    pub(crate) fn model(&self) -> Option<Arc<SieveModel>> {
+        self.published().model.clone()
     }
 
     /// Statistics of the tenant's last completed refresh.
     pub(crate) fn last_stats(&self) -> SessionStats {
-        self.published
-            .read()
-            .expect("tenant snapshot lock poisoned")
-            .stats
+        self.published().stats
     }
 
     /// Publishes a freshly refreshed model + stats (one short write lock).
