@@ -1,9 +1,9 @@
 //! Benchmarks of the end-to-end pipeline stages on the application models:
 //! simulation throughput, per-component metric reduction, dependency
-//! identification, the RCA comparison, the serial-vs-parallel comparison of
-//! the shared executor on the OpenStack profile — and the comparison of the
-//! production analysis against `oracle::analyze`, which must produce a
-//! bit-identical model.
+//! identification, the RCA comparison and the serial-vs-parallel comparison
+//! of the shared executor on the OpenStack profile. (Production against
+//! `oracle::analyze` is timed once, by the `analysis` bench's
+//! `analyze_full/*` rows.)
 //!
 //! Run with: `cargo bench -p sieve-bench --bench pipeline`
 //!
@@ -15,7 +15,6 @@ use sieve_apps::{openstack, sharelatex, MetricRichness};
 use sieve_bench::harness::{smoke_mode, Runner};
 use sieve_bench::ledger::Ledger;
 use sieve_core::config::SieveConfig;
-use sieve_core::oracle;
 use sieve_core::pipeline::{load_application, Sieve};
 use sieve_core::reduce::{prepare_series, reduce_component};
 use sieve_rca::{RcaConfig, RcaEngine};
@@ -92,68 +91,6 @@ fn bench_full_pipeline(runner: &mut Runner) {
                 .analyze("sharelatex", black_box(&store), black_box(&call_graph))
                 .unwrap()
         },
-    );
-}
-
-/// The acceptance benchmark for the shared engines: the same recorded data
-/// analysed by the production pipeline and by `oracle::analyze`. The models
-/// must be bit-identical; the cached path's win is asserted by the analysis
-/// bench's isolated k-sweep comparison, so here the speedup is reported
-/// informationally.
-fn bench_cached_vs_naive_distance(runner: &mut Runner) {
-    let app = sharelatex::app_spec(MetricRichness::Minimal);
-    let (store, call_graph) = load_application(
-        &app,
-        &Workload::randomized(70.0, 3),
-        5,
-        load_duration(120_000),
-        500,
-    )
-    .unwrap();
-    let config = SieveConfig::default().with_parallelism(1);
-    let cached_sieve = Sieve::new(config.clone());
-
-    let cached_model = cached_sieve
-        .analyze("sharelatex", &store, &call_graph)
-        .unwrap();
-    let naive_model = oracle::analyze("sharelatex", &store, &call_graph, &config).unwrap();
-    assert_eq!(
-        cached_model, naive_model,
-        "the pipeline and the oracle must produce bit-identical models"
-    );
-    // And across executor degrees: cached parallel == oracle.
-    let cached_parallel = Sieve::new(config.clone().with_parallelism(8))
-        .analyze("sharelatex", &store, &call_graph)
-        .unwrap();
-    assert_eq!(
-        cached_parallel, naive_model,
-        "parallel pipeline and oracle models must be identical"
-    );
-
-    runner.bench("pipeline_distance/cached", iters(5), || {
-        cached_sieve
-            .analyze("sharelatex", black_box(&store), black_box(&call_graph))
-            .unwrap()
-    });
-    runner.bench("pipeline_distance/naive", iters(5), || {
-        oracle::analyze(
-            "sharelatex",
-            black_box(&store),
-            black_box(&call_graph),
-            &config,
-        )
-        .unwrap()
-    });
-    let cached = runner
-        .measurement("pipeline_distance/cached")
-        .unwrap()
-        .min();
-    let naive = runner.measurement("pipeline_distance/naive").unwrap().min();
-    let speedup = naive.as_secs_f64() / cached.as_secs_f64().max(1e-12);
-    println!(
-        "pipeline_distance: pipeline speedup over the oracle (best of {}): \
-         {speedup:.2}x (oracle {naive:.3?}, pipeline {cached:.3?})",
-        iters(5)
     );
 }
 
@@ -275,7 +212,6 @@ fn main() {
     bench_simulator_throughput(&mut runner);
     bench_reduce_component(&mut runner);
     bench_full_pipeline(&mut runner);
-    bench_cached_vs_naive_distance(&mut runner);
     bench_openstack_parallelism(&mut runner);
     bench_rca_compare(&mut runner);
 

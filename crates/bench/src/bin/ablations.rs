@@ -1,4 +1,5 @@
-//! Ablation experiments for the design choices called out in `DESIGN.md`:
+//! Ablation experiments for the design choices called out in
+//! `docs/ARCHITECTURE.md`:
 //!
 //! * Jaro name-similarity warm start vs random initial assignment for
 //!   k-Shape (convergence iterations, §3.2's "this adjustment is only for

@@ -2,21 +2,23 @@
 //!
 //! Every bench binary appends machine-readable runs to `BENCH_<bench>.json`
 //! at the repository root (see [`sieve_bench::ledger`]). This tool reads
-//! *all* of those ledgers, groups the runs by benchmark name and git
-//! revision, and prints the speedup curve of each benchmark across
+//! *all* of those ledgers, groups the runs by benchmark name, measuring
+//! host (its core count — rows from different hosts are never compared) and
+//! git revision, and prints the speedup curve of each benchmark across
 //! revisions — the project's performance history, reconstructed from the
 //! persisted records without re-running anything.
 //!
-//! It is also the CI regression gate: for every benchmark, the latest
-//! revision's median is compared against the best prior median. A slowdown
-//! of more than 20% exits nonzero and names the offending benchmarks.
+//! It is also the CI regression gate: for every benchmark and host, the
+//! latest revision's median is compared against the best prior median. A
+//! slowdown of more than 20% exits nonzero and names the offending
+//! benchmarks.
 //! (`SIEVE_BENCH_SMOKE` runs measure a shrunken workload; the ledger never
 //! records them, so none can poison the curve.)
 //!
 //! Usage: `cargo run -p sieve-bench --bin trajectory [ledger-dir]`
 //! (the directory defaults to the repository root).
 
-use sieve_bench::ledger::LedgerRecord;
+use sieve_bench::ledger::{ledger_files, LedgerRecord};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -33,27 +35,21 @@ struct RevPoint {
     best_median_ns: u64,
 }
 
-/// All `BENCH_*.json` files directly inside `dir`, sorted by name.
-fn ledger_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .into_iter()
-        .flatten()
-        .flatten()
-        .map(|entry| entry.path())
-        .filter(|path| {
-            path.file_name()
-                .and_then(|name| name.to_str())
-                .is_some_and(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
-        })
-        .collect();
-    files.sort();
-    files
+/// What makes two runs comparable: the bench, the benchmark name within it
+/// and the core count of the host that measured them (`None`: a row from
+/// before the ledger recorded it).
+type GroupKey = (String, String, Option<u64>);
+
+type Groups = BTreeMap<GroupKey, Vec<LedgerRecord>>;
+
+fn group_key(record: &LedgerRecord) -> GroupKey {
+    (record.bench.clone(), record.name.clone(), record.cores)
 }
 
-/// Parses every ledger line of every file, grouped by (bench, benchmark
-/// name) and kept in append order within each group.
-fn load_groups(dir: &Path) -> BTreeMap<(String, String), Vec<LedgerRecord>> {
-    let mut groups: BTreeMap<(String, String), Vec<LedgerRecord>> = BTreeMap::new();
+/// Parses every ledger line of every file, grouped by [`GroupKey`] and kept
+/// in append order within each group.
+fn load_groups(dir: &Path) -> Groups {
+    let mut groups = Groups::new();
     for file in ledger_files(dir) {
         let Ok(contents) = std::fs::read_to_string(&file) else {
             eprintln!("trajectory: cannot read {}", file.display());
@@ -61,10 +57,7 @@ fn load_groups(dir: &Path) -> BTreeMap<(String, String), Vec<LedgerRecord>> {
         };
         for line in contents.lines().filter(|l| !l.trim().is_empty()) {
             match LedgerRecord::from_json_line(line) {
-                Some(record) => groups
-                    .entry((record.bench.clone(), record.name.clone()))
-                    .or_default()
-                    .push(record),
+                Some(record) => groups.entry(group_key(&record)).or_default().push(record),
                 None => eprintln!("trajectory: skipping malformed line in {}", file.display()),
             }
         }
@@ -93,16 +86,20 @@ fn format_ns(ns: u64) -> String {
 }
 
 /// Prints every benchmark's speedup curve and returns the regressions.
-fn evaluate(groups: &BTreeMap<(String, String), Vec<LedgerRecord>>) -> Vec<String> {
+fn evaluate(groups: &Groups) -> Vec<String> {
     let mut regressions = Vec::new();
     let mut current_bench = String::new();
-    for ((bench, name), runs) in groups {
+    for ((bench, name, cores), runs) in groups {
         if *bench != current_bench {
             println!("ledger {bench} (BENCH_{bench}.json)");
             current_bench = bench.clone();
         }
         let points = rev_points(runs);
-        println!("  {name} ({} run(s))", runs.len());
+        let host = cores.map_or_else(
+            || "host not recorded".to_string(),
+            |cores| format!("{cores} cores"),
+        );
+        println!("  {name} [{host}] ({} run(s))", runs.len());
         let Some(baseline) = points.first() else {
             println!("    no timed runs — nothing to compare");
             continue;
@@ -127,8 +124,8 @@ fn evaluate(groups: &BTreeMap<(String, String), Vec<LedgerRecord>>) -> Vec<Strin
         let ratio = latest.best_median_ns as f64 / best_prior as f64;
         if ratio > REGRESSION_FACTOR {
             regressions.push(format!(
-                "{bench}/{name}: latest median {} at {} is {:.0}% above the best \
-                 prior median {}",
+                "{bench}/{name} [{host}]: latest median {} at {} is {:.0}% above the \
+                 best prior median {}",
                 format_ns(latest.best_median_ns),
                 latest.rev,
                 (ratio - 1.0) * 100.0,
@@ -178,18 +175,20 @@ mod tests {
             median_ns,
             git_rev: rev.to_string(),
             unix_s,
+            cores: None,
         }
     }
 
-    fn groups_of(records: Vec<LedgerRecord>) -> BTreeMap<(String, String), Vec<LedgerRecord>> {
-        let mut groups: BTreeMap<(String, String), Vec<LedgerRecord>> = BTreeMap::new();
+    fn groups_of(records: Vec<LedgerRecord>) -> Groups {
+        let mut groups = Groups::new();
         for r in records {
-            groups
-                .entry((r.bench.clone(), r.name.clone()))
-                .or_default()
-                .push(r);
+            groups.entry(group_key(&r)).or_default().push(r);
         }
         groups
+    }
+
+    fn unit_a() -> GroupKey {
+        ("unit".to_string(), "a".to_string(), None)
     }
 
     #[test]
@@ -232,9 +231,32 @@ mod tests {
             record("a", "r2", 105_000, 3),
         ]);
         assert!(evaluate(&groups).is_empty());
-        let points = rev_points(&groups[&("unit".to_string(), "a".to_string())]);
+        let points = rev_points(&groups[&unit_a()]);
         assert_eq!(points.len(), 2);
         assert_eq!(points[1].best_median_ns, 105_000);
+    }
+
+    #[test]
+    fn rows_from_different_hosts_are_never_compared() {
+        // 100µs where the host was not recorded, then 130µs on two cores:
+        // +30% across hosts says nothing about the code.
+        let two_cores = LedgerRecord {
+            cores: Some(2),
+            ..record("a", "r2", 130_000, 2)
+        };
+        let groups = groups_of(vec![record("a", "r1", 100_000, 1), two_cores.clone()]);
+        assert_eq!(groups.len(), 2);
+        assert!(evaluate(&groups).is_empty());
+
+        // Inside one host's group the gate is what it was.
+        let slower = LedgerRecord {
+            git_rev: "r3".to_string(),
+            median_ns: 169_000,
+            ..two_cores.clone()
+        };
+        let regressions = evaluate(&groups_of(vec![two_cores, slower]));
+        assert_eq!(regressions.len(), 1);
+        assert!(regressions[0].contains("[2 cores]"), "{}", regressions[0]);
     }
 
     #[test]
@@ -254,7 +276,7 @@ mod tests {
         assert_eq!(ledger_files(&dir), vec![path.clone()]);
         let groups = load_groups(&dir);
         assert_eq!(groups.len(), 1);
-        assert_eq!(groups[&("unit".to_string(), "a".to_string())].len(), 2);
+        assert_eq!(groups[&unit_a()].len(), 2);
         assert!(
             evaluate(&groups).is_empty(),
             "10% slower is not a regression"

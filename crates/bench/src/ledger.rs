@@ -4,8 +4,9 @@
 //! `BENCH_<bench>.json` at the repository root — one object per line, so
 //! the file is both valid JSON-lines and trivially greppable. Records
 //! carry the measured numbers (min/mean/median nanoseconds per
-//! iteration), the workload note and the git revision, so regressions can
-//! be traced across commits without re-running anything. A CI smoke run
+//! iteration), the workload note, the git revision and the measuring host's
+//! core count, so regressions can be traced across commits — between rows
+//! from like hosts — without re-running anything. A CI smoke run
 //! (`SIEVE_BENCH_SMOKE`) measures a shrunken workload whose numbers compare
 //! with nothing: it is printed and never recorded.
 //!
@@ -15,6 +16,7 @@
 //! exists so tests (and tools) can round-trip the ledger.
 
 use crate::harness::{smoke_mode, Measurement};
+use sieve_exec::par::hardware_parallelism;
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::Write as _;
@@ -44,14 +46,21 @@ pub struct LedgerRecord {
     pub git_rev: String,
     /// Seconds since the Unix epoch at record time.
     pub unix_s: u64,
+    /// Hardware parallelism of the host that measured the run; `None` in
+    /// rows written before the ledger recorded it. Timings from hosts that
+    /// differ here are never compared.
+    pub cores: Option<u64>,
 }
 
 impl LedgerRecord {
     /// Serializes the record as one flat JSON object (no trailing newline).
     pub fn to_json_line(&self) -> String {
+        let cores = self
+            .cores
+            .map_or_else(String::new, |cores| format!(",\"cores\":{cores}"));
         format!(
             "{{\"bench\":{},\"name\":{},\"config\":{},\"iters\":{},\"min_ns\":{},\
-             \"mean_ns\":{},\"median_ns\":{},\"git_rev\":{},\"unix_s\":{}}}",
+             \"mean_ns\":{},\"median_ns\":{},\"git_rev\":{},\"unix_s\":{}{cores}}}",
             escape_json(&self.bench),
             escape_json(&self.name),
             escape_json(&self.config),
@@ -85,6 +94,10 @@ impl LedgerRecord {
             median_ns: n("median_ns")?,
             git_rev: s("git_rev")?,
             unix_s: n("unix_s")?,
+            cores: match fields.get("cores") {
+                None => None,
+                Some(_) => Some(n("cores")?),
+            },
         })
     }
 }
@@ -95,6 +108,7 @@ pub struct Ledger {
     bench: String,
     path: PathBuf,
     git_rev: String,
+    cores: u64,
     smoke: bool,
 }
 
@@ -112,6 +126,7 @@ impl Ledger {
             bench: bench.to_string(),
             path: dir.join(format!("BENCH_{bench}.json")),
             git_rev: git_rev(),
+            cores: hardware_parallelism() as u64,
             smoke: smoke_mode(),
         }
     }
@@ -147,6 +162,7 @@ impl Ledger {
                 .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
+            cores: Some(self.cores),
         }
     }
 
@@ -178,6 +194,23 @@ impl Ledger {
             self.record(m, config);
         }
     }
+}
+
+/// All `BENCH_*.json` files directly inside `dir`, sorted by name.
+pub fn ledger_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| {
+            path.file_name()
+                .and_then(|name| name.to_str())
+                .is_some_and(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 /// Nanoseconds of a duration, saturated to `u64` (≈ 584 years).
@@ -347,6 +380,7 @@ fn parse_scalar(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::time::Duration;
 
     fn measurement() -> Measurement {
@@ -382,6 +416,7 @@ mod tests {
             assert_eq!(record.mean_ns, 1_533);
             assert!(!record.git_rev.is_empty());
             assert!(record.unix_s > 0);
+            assert_eq!(record.cores, Some(hardware_parallelism() as u64));
         }
         let _ = std::fs::remove_file(ledger.path());
         let _ = std::fs::remove_dir(&dir);
@@ -399,9 +434,67 @@ mod tests {
             median_ns: 234,
             git_rev: "abc1234".to_string(),
             unix_s: 1_700_000_000,
+            cores: None,
         };
-        let parsed = LedgerRecord::from_json_line(&record.to_json_line()).unwrap();
-        assert_eq!(parsed, record);
+        // Without the host fact (every row committed before it existed: the
+        // line is byte for byte what the ledger used to write) and with it.
+        for cores in [None, Some(2)] {
+            let record = LedgerRecord {
+                cores,
+                ..record.clone()
+            };
+            let line = record.to_json_line();
+            assert_eq!(line.contains("\"cores\""), cores.is_some(), "{line}");
+            assert_eq!(LedgerRecord::from_json_line(&line), Some(record));
+        }
+    }
+
+    /// The `[[bench]]` target names declared in this crate's manifest.
+    fn bench_targets() -> BTreeSet<String> {
+        let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+        let manifest = std::fs::read_to_string(manifest).unwrap();
+        manifest
+            .split("[[bench]]")
+            .skip(1)
+            .map(|table| {
+                let name = table.lines().find_map(|l| l.strip_prefix("name = "));
+                name.expect("a [[bench]] table names its target")
+                    .trim_matches('"')
+                    .to_string()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_bench_has_a_ledger_with_a_curve_and_every_ledger_a_bench() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let ledgers: BTreeSet<String> = ledger_files(&root)
+            .iter()
+            .filter_map(|path| path.file_stem()?.to_str()?.strip_prefix("BENCH_"))
+            .map(str::to_string)
+            .collect();
+        let benches = bench_targets();
+        assert!(!benches.is_empty());
+        assert_eq!(
+            ledgers, benches,
+            "BENCH_<name>.json at the repo root vs [[bench]] targets"
+        );
+
+        for bench in &benches {
+            let contents =
+                std::fs::read_to_string(root.join(format!("BENCH_{bench}.json"))).unwrap();
+            let mut revisions = BTreeSet::new();
+            for (index, line) in contents.lines().enumerate() {
+                let record = LedgerRecord::from_json_line(line)
+                    .unwrap_or_else(|| panic!("BENCH_{bench}.json:{}: not a record", index + 1));
+                assert_eq!(record.bench, *bench, "BENCH_{bench}.json:{}", index + 1);
+                revisions.insert(record.git_rev);
+            }
+            assert!(
+                revisions.len() >= 2,
+                "BENCH_{bench}.json holds {revisions:?}: `trajectory` needs two revisions to gate"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Shared helpers for the experiment harness.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation (see `DESIGN.md` for the index); the functions here run the
-//! common heavy lifting — loading an application, running the Sieve
-//! analysis, producing correct/faulty OpenStack model pairs — and provide
-//! small formatting utilities so that each binary prints rows comparable to
-//! the paper's.
+//! evaluation (the README's "Reproducing the paper's evaluation" lists them,
+//! `docs/REPRODUCTION.md` sets their output beside the paper's numbers); the
+//! functions here run the common heavy lifting — loading an application,
+//! running the Sieve analysis, producing correct/faulty OpenStack model
+//! pairs — and provide small formatting utilities so that each binary prints
+//! rows comparable to the paper's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

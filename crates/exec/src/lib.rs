@@ -19,8 +19,8 @@
 //! * [`hash`] — the deterministic splitmix64-based content-fingerprint
 //!   helpers behind the store's per-series fingerprints and the analysis
 //!   session's dirty-tracking cache keys.
-//! * [`mem`] — procfs-based RSS introspection used by the bounded-memory
-//!   fleet benchmark to assert flat memory under sustained ingest.
+//! * [`mem`] — procfs-based RSS introspection used by the repo benchmark
+//!   (`rss_mb`) to show flat memory under sustained ingest.
 
 // `deny`, not `forbid`: the worker pool's lifetime-erased job pointer
 // needs two narrowly-scoped, documented `unsafe` items (see `pool`);

@@ -1,10 +1,11 @@
-//! Process-memory introspection for the bounded-memory benchmarks.
+//! Process-memory introspection for the bounded-memory measurements.
 //!
-//! The fleet bench and the bounded-memory example need to assert that RSS
-//! stays flat while a windowed `MetricStore` ingests indefinitely. This
-//! module reads the resident set size straight from `/proc/self/status`
-//! with no external dependencies; on platforms without procfs it simply
-//! reports `None` and callers skip their RSS assertions.
+//! The repo benchmark (`rss_mb` of every `benchmark/run.sh` workload) and
+//! the bounded-memory example need to show that RSS stays flat while a
+//! windowed `MetricStore` ingests indefinitely. This module reads the
+//! resident set size straight from `/proc/self/status` with no external
+//! dependencies; on platforms without procfs it simply reports `None` and
+//! callers skip their RSS readings.
 
 /// Returns the current resident set size of this process in kilobytes, if
 /// the platform exposes it.

@@ -26,7 +26,7 @@
 //!   [`sieve_exec::par_map_chunks`] fan-out in sorted tenant order —
 //!   deterministic across sweep parallelism degrees, and bit-identical to
 //!   per-tenant batch analysis (the incremental-session guarantee,
-//!   asserted by the `serve` bench and property tests).
+//!   asserted by the `service_property` test and the unit tests).
 //! * **Model snapshots** ([`service::SieveService::model`]): each refresh
 //!   publishes an `Arc<SieveModel>` swap; readers clone the `Arc` under a
 //!   momentary read lock and never block (or get blocked by) writers.

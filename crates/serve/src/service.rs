@@ -44,7 +44,7 @@ use std::sync::Arc;
 /// Every published model is bit-identical to a from-scratch
 /// [`sieve_core::pipeline::Sieve::analyze`] of the same tenant's store —
 /// the incremental-session guarantee, asserted across sweep parallelism
-/// degrees by the `serve` bench and property tests.
+/// degrees by the `service_property` test and the unit tests.
 #[derive(Debug)]
 pub struct SieveService {
     pub(crate) config: ServeConfig,
@@ -432,8 +432,8 @@ impl SieveService {
     /// [`sieve_exec::par_map_chunks`] with
     /// [`ServeConfig::sweep_parallelism`] workers; each tenant's refresh is
     /// itself deterministic, so sweep parallelism 1 and N publish
-    /// bit-identical models (asserted by the `serve` bench and the
-    /// property tests).
+    /// bit-identical models (asserted by the `service_property` test and
+    /// the unit tests).
     ///
     /// # Failure backoff
     ///

@@ -4,7 +4,7 @@
 //! (ShareLatex on EC2/Rancher and OpenStack Kolla), loaded with Locust/Rally,
 //! traced with sysdig and monitored with Telegraf + InfluxDB. None of that
 //! infrastructure is available to a library reproduction, so this crate
-//! provides the behaviour-preserving substitute documented in `DESIGN.md`:
+//! provides the behaviour-preserving substitute (`docs/ARCHITECTURE.md`):
 //!
 //! * [`app`] — declarative application models: components, their metrics and
 //!   the RPC topology connecting them;
