@@ -24,7 +24,7 @@ use sieve_exec::hash::shard_index;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::MetricStore;
-use sieve_wal::{log_file_name, scan_log, snapshot_file_name, ShardSnapshot, WalError, WalEvent};
+use sieve_wal::{log_file_name, snapshot_file_name, LogFrames, ShardSnapshot, WalError, WalEvent};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -286,11 +286,11 @@ impl Replaying {
 /// resynchronized after a corrupt region is structurally sound but unsafe
 /// to apply (the events before it are gone), so it goes straight to its
 /// tenant's lost suffix. Ingest batches are verified *before* being
-/// applied: the batch's fingerprint watermarks are recomputed over the
-/// current store state ([`MetricStore::preview_watermarks`], side-effect
-/// free) and compared with the logged ones — a mismatch means replay would
-/// diverge from what the live service applied, so the tenant degrades
-/// instead of silently rebuilding a wrong model.
+/// applied ([`MetricStore::record_batch_verified`]): the store writes a
+/// batch only if that reproduces the fingerprint watermarks logged next to
+/// it — a mismatch means replay would diverge from what the live service
+/// applied, so the tenant degrades instead of silently rebuilding a wrong
+/// model.
 fn replay_event(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent, intact: bool) {
     if let WalEvent::TenantCreated {
         config, call_graph, ..
@@ -305,7 +305,11 @@ fn replay_event(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent, i
             return;
         }
     }
-    let tenant = replaying.entry(event.tenant().to_string()).or_default();
+    // The name is copied only the first time it is seen.
+    let tenant = match replaying.get_mut(event.tenant()) {
+        Some(tenant) => tenant,
+        None => replaying.entry(event.tenant().to_string()).or_default(),
+    };
     let appliable = intact && tenant.lost.events == 0;
     let Some((store, _, graph)) = tenant.state.as_mut().filter(|_| appliable) else {
         return tenant.lose(event);
@@ -319,11 +323,10 @@ fn replay_event(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent, i
         WalEvent::IngestBatch {
             points, watermarks, ..
         } => {
-            let batch = || points.iter().map(|(id, ts, value)| (id, *ts, *value));
-            if store.preview_watermarks(batch()) == *watermarks {
-                tenant.points_replayed += store.record_batch(batch()) as u64;
-            } else {
-                tenant.lose(event);
+            let batch = points.iter().map(|(id, ts, value)| (id, *ts, *value));
+            match store.record_batch_verified(batch, watermarks) {
+                Some(accepted) => tenant.points_replayed += accepted as u64,
+                None => tenant.lose(event),
             }
         }
     }
@@ -376,17 +379,19 @@ pub(crate) fn recover_shard(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(WalError::from(e).into()),
     };
-    let scanned = scan_log(&bytes);
-    let past_snapshot = |(seq, _): &&(u64, WalEvent)| *seq > snapshot_last_seq;
+    // Each intact frame is decoded, applied and dropped in turn: the
+    // decoded log is never resident.
+    let mut frames = LogFrames::new(&bytes);
     let mut frames_replayed = 0u64;
     let mut recovered_through_seq = snapshot_last_seq;
-    for (seq, event) in scanned.applied.iter().filter(past_snapshot) {
+    for (seq, event) in frames.by_ref().filter(|(seq, _)| *seq > snapshot_last_seq) {
         frames_replayed += 1;
-        recovered_through_seq = *seq;
-        replay_event(&mut replaying, event, true);
+        recovered_through_seq = seq;
+        replay_event(&mut replaying, &event, true);
     }
-    let resynced = scanned.corruption.iter().flat_map(|c| &c.resynced);
-    for (_, event) in resynced.filter(past_snapshot) {
+    let corruption = frames.finish();
+    let resynced = corruption.iter().flat_map(|c| &c.resynced);
+    for (_, event) in resynced.filter(|(seq, _)| *seq > snapshot_last_seq) {
         replay_event(&mut replaying, event, false);
     }
 
@@ -418,7 +423,7 @@ pub(crate) fn recover_shard(
         snapshot_corrupt,
         recovered_through_seq,
         frames_replayed,
-        corruption: scanned.corruption.map(|corruption| CorruptionSummary {
+        corruption: corruption.map(|corruption| CorruptionSummary {
             offset: corruption.offset,
             reason: corruption.reason,
             lost_bytes: corruption.lost_bytes,

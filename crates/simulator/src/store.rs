@@ -460,6 +460,18 @@ impl StoreInner {
         self.record_one_stamped(id, timestamp_ms, value, 0).0
     }
 
+    /// [`StoreInner::record_one`] over a batch; returns how many points
+    /// were accepted.
+    fn record_all<'a>(&mut self, points: impl Iterator<Item = (&'a MetricId, u64, f64)>) -> usize {
+        let mut accepted = 0;
+        for (id, timestamp_ms, value) in points {
+            if self.record_one(id, timestamp_ms, value).is_none() {
+                accepted += 1;
+            }
+        }
+        accepted
+    }
+
     /// [`StoreInner::record_one`] plus per-batch first-touch detection:
     /// on acceptance, the second return is `true` iff this is the first
     /// accepted point of the series under `stamp` — the detailed batch
@@ -476,7 +488,11 @@ impl StoreInner {
             return (Some(RejectReason::NonFiniteValue), false);
         }
         let retention = self.retention;
-        let series = self.series.entry(id.clone()).or_default();
+        // The id is cloned only for a series' first point.
+        let series = match self.series.get_mut(id) {
+            Some(series) => series,
+            None => self.series.entry(id.clone()).or_default(),
+        };
         if !series.push(timestamp_ms, value) {
             return (Some(RejectReason::NonMonotoneTimestamp), false);
         }
@@ -805,14 +821,7 @@ impl MetricStore {
         &self,
         points: impl IntoIterator<Item = (&'a MetricId, u64, f64)>,
     ) -> usize {
-        let mut guard = self.write();
-        let mut accepted = 0;
-        for (id, timestamp_ms, value) in points {
-            if guard.record_one(id, timestamp_ms, value).is_none() {
-                accepted += 1;
-            }
-        }
-        accepted
+        self.write().record_all(points.into_iter())
     }
 
     /// Like [`MetricStore::record_batch`], but reports the per-point
@@ -825,7 +834,7 @@ impl MetricStore {
     /// than it did live) together with the watermarks, which let recovery
     /// prove — before applying — that a logged batch is being replayed
     /// against the same store state it was written against (see
-    /// [`MetricStore::preview_watermarks`]).
+    /// [`MetricStore::record_batch_verified`]).
     pub fn record_batch_detailed<'a>(
         &self,
         points: impl IntoIterator<Item = (&'a MetricId, u64, f64)>,
@@ -879,32 +888,75 @@ impl MetricStore {
         }
     }
 
-    /// Computes the watermarks that [`MetricStore::record_batch_detailed`]
-    /// *would* report for `points`, without mutating the store.
+    /// Applies `points` only if doing so reproduces `expected` — the
+    /// watermarks [`MetricStore::record_batch_detailed`] reported when the
+    /// batch was first applied — and returns how many points were accepted;
+    /// `None`, with the store untouched, if it would not.
     ///
-    /// The preview simulates the full acceptance pipeline — the non-finite
-    /// and monotone-timestamp gates, the per-point fingerprint chain, and
-    /// the eviction tags the current retention policy would mix in —
-    /// starting from each series' live state. Recovery uses it to verify a
-    /// logged batch *before* applying it: if the preview disagrees with
-    /// the watermarks logged next to the batch, this store has diverged
-    /// from the one the log was written against, and applying the batch
-    /// would silently corrupt the tenant instead of loudly degrading it.
-    pub fn preview_watermarks<'a>(
+    /// Recovery replays every logged batch through this call: if the
+    /// watermarks logged next to a batch cannot be reproduced, this store
+    /// has diverged from the one the log was written against, and applying
+    /// the batch would silently corrupt the tenant instead of loudly
+    /// degrading it.
+    ///
+    /// Both phases run under one write-lock hold. The first simulates the
+    /// full acceptance pipeline — the non-finite and monotone-timestamp
+    /// gates, the per-point fingerprint chain, and the eviction tags the
+    /// current retention policy would mix in — starting from each series'
+    /// live state, into one slot per entry of `expected` (a point usually
+    /// belongs to the slot after the previous point's; otherwise the slot
+    /// is found by binary search). An accepted point of a series `expected`
+    /// does not list, a listed series that accepts nothing or ends on
+    /// another fingerprint, or an `expected` not strictly ascending by
+    /// [`MetricId`] is a mismatch. Only when every slot matches does the
+    /// second phase apply the points, exactly as
+    /// [`MetricStore::record_batch`] would. `Some` is returned precisely
+    /// when `record_batch_detailed(points).watermarks == expected`
+    /// (property-tested against a copy of the store).
+    pub fn record_batch_verified<'a>(
         &self,
-        points: impl IntoIterator<Item = (&'a MetricId, u64, f64)>,
-    ) -> Vec<(MetricId, u64)> {
+        points: impl IntoIterator<Item = (&'a MetricId, u64, f64), IntoIter: Clone>,
+        expected: &[(MetricId, u64)],
+    ) -> Option<usize> {
+        /// One listed series mid-simulation.
+        #[derive(Clone, Copy)]
         struct Sim {
             last_ts: Option<u64>,
             fingerprint: u64,
             window_len: usize,
             accepted: bool,
         }
-        let inner = self.read();
+        if !expected.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            return None;
+        }
+        let points = points.into_iter();
+        let mut inner = self.write();
         let cap = inner.retention.raw_capacity;
-        let mut sims: BTreeMap<&'a MetricId, Sim> = BTreeMap::new();
-        for (id, timestamp_ms, value) in points {
-            let sim = sims.entry(id).or_insert_with(|| {
+        // A slot stays `None` until a finite point of its series loads the
+        // live state.
+        let mut slots: Vec<Option<Sim>> = vec![None; expected.len()];
+        let mut guess = 0;
+        for (id, timestamp_ms, value) in points.clone() {
+            if !value.is_finite() {
+                continue;
+            }
+            let slot = if expected.get(guess).is_some_and(|(listed, _)| listed == id) {
+                Some(guess)
+            } else {
+                expected.binary_search_by(|(listed, _)| listed.cmp(id)).ok()
+            };
+            let Some(slot) = slot else {
+                // An unlisted series must accept nothing: all its points
+                // stale against the live state.
+                let live = inner.series.get(id);
+                let last = live.and_then(|series| series.timestamps_ms.last());
+                if last.is_some_and(|&last| timestamp_ms <= last) {
+                    continue;
+                }
+                return None;
+            };
+            guess = slot + 1;
+            let sim = slots[slot].get_or_insert_with(|| {
                 let series = inner.series.get(id);
                 Sim {
                     last_ts: series.and_then(|s| s.timestamps_ms.last().copied()),
@@ -913,24 +965,25 @@ impl MetricStore {
                     accepted: false,
                 }
             });
-            if !value.is_finite() || sim.last_ts.is_some_and(|last| timestamp_ms <= last) {
+            if sim.last_ts.is_some_and(|last| timestamp_ms <= last) {
                 continue;
             }
             sim.last_ts = Some(timestamp_ms);
             sim.fingerprint = extend_fingerprint(sim.fingerprint, timestamp_ms, value);
             sim.window_len += 1;
             sim.accepted = true;
-            if let Some(cap) = cap {
-                if sim.window_len > cap {
-                    sim.fingerprint = mix(sim.fingerprint, EVICTION_TAG);
-                    sim.window_len -= 1;
-                }
+            if cap.is_some_and(|cap| sim.window_len > cap) {
+                sim.fingerprint = mix(sim.fingerprint, EVICTION_TAG);
+                sim.window_len -= 1;
             }
         }
-        sims.into_iter()
-            .filter(|(_, sim)| sim.accepted)
-            .map(|(id, sim)| (id.clone(), sim.fingerprint))
-            .collect()
+        let reproduced = slots.iter().zip(expected).all(|(sim, (_, fingerprint))| {
+            sim.is_some_and(|sim| sim.accepted && sim.fingerprint == *fingerprint)
+        });
+        if !reproduced {
+            return None;
+        }
+        Some(inner.record_all(points))
     }
 
     /// The current epoch watermark: the number of deltas drained so far.
@@ -1708,10 +1761,15 @@ mod tests {
     }
 
     #[test]
-    fn preview_matches_detailed_watermarks_on_random_batches() {
+    fn verified_apply_agrees_with_the_detailed_oracle_for_any_expected_list() {
         use sieve_exec::hash::splitmix64;
-        // Property: preview == apply, across retention policies, repeated
-        // batches, eviction boundaries, and rejection interleavings.
+        // Property: `record_batch_verified(points, expected)` applies iff
+        // `record_batch_detailed(points)` on a copy of the store reports
+        // exactly `expected` — across retention policies, repeated series,
+        // stale timestamps, non-finite values and eviction boundaries, for
+        // the true list and five kinds of wrong one.
+        const KINDS: usize = 6;
+        let (mut applied, mut refused) = ([0usize; KINDS], [0usize; KINDS]);
         for (round, policy) in [
             RetentionPolicy::unbounded(),
             RetentionPolicy::windowed(7),
@@ -1725,32 +1783,90 @@ mod tests {
                 MetricId::new("web", "cpu"),
                 MetricId::new("web", "mem"),
                 MetricId::new("db", "cpu"),
+                MetricId::new("db", "mem"),
             ];
             let mut state = 0x9E37_79B9 + round as u64;
             let mut rand = move || {
                 state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
                 splitmix64(state)
             };
-            for _ in 0..12 {
+            for step in 0..120 {
                 let mut batch = Vec::new();
                 for _ in 0..(rand() % 20) {
-                    let id = &ids[(rand() % 3) as usize];
-                    let t = rand() % 40 * 500;
-                    let v = if rand() % 11 == 0 {
-                        f64::NAN
-                    } else {
-                        (rand() % 1000) as f64 / 10.0
+                    let id = &ids[(rand() % 4) as usize];
+                    // Half a batch's span overlaps the previous batch's.
+                    let t = (step * 5 + rand() % 10) * 500;
+                    let v = match rand() % 11 {
+                        0 => f64::NAN,
+                        1 => f64::NEG_INFINITY,
+                        _ => (rand() % 1000) as f64 / 10.0,
                     };
                     batch.push((id, t, v));
                 }
-                let preview = store.preview_watermarks(batch.iter().copied());
-                let outcome = store.record_batch_detailed(batch.iter().copied());
+                let before = store.freeze();
+                let copy = MetricStore::restore(before.clone());
+                let outcome = copy.record_batch_detailed(batch.iter().copied());
+                let truth = outcome.watermarks;
+
+                let kind = (step % KINDS as u64) as usize;
+                let at = |r: u64, len: usize| (r % len.max(1) as u64) as usize;
+                let mut expected = truth.clone();
+                match kind {
+                    0 => {}
+                    1 if !expected.is_empty() => {
+                        let entry = at(rand(), expected.len());
+                        expected[entry].1 ^= 1 << (rand() % 64);
+                    }
+                    2 if !expected.is_empty() => {
+                        expected.remove(at(rand(), expected.len()));
+                    }
+                    3 => {
+                        // A series the batch leaves alone, in sorted place
+                        // with its live fingerprint.
+                        let unlisted = ids.iter().find(|id| truth.iter().all(|(t, _)| t != *id));
+                        if let Some(id) = unlisted {
+                            let fingerprint = store.fingerprint(id).unwrap_or(FINGERPRINT_SEED);
+                            expected.push((id.clone(), fingerprint));
+                            expected.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                        }
+                    }
+                    4 if expected.len() > 1 => {
+                        let entry = at(rand(), expected.len() - 1);
+                        expected.swap(entry, entry + 1);
+                    }
+                    5 if !expected.is_empty() => {
+                        let entry = at(rand(), expected.len());
+                        expected.insert(entry, expected[entry].clone());
+                    }
+                    _ => {}
+                }
+
+                let verdict = store.record_batch_verified(batch.iter().copied(), &expected);
                 assert_eq!(
-                    preview, outcome.watermarks,
-                    "preview must equal the applied watermarks"
+                    verdict.is_some(),
+                    expected == truth,
+                    "round {round} step {step} kind {kind}: {expected:?} vs {truth:?}"
                 );
+                match verdict {
+                    Some(accepted) => {
+                        applied[kind] += 1;
+                        assert_eq!(accepted, outcome.accepted);
+                    }
+                    None => {
+                        refused[kind] += 1;
+                        assert_eq!(store.freeze(), before, "a refusal leaves no trace");
+                        // Keep the stream moving: the true list applies.
+                        let accepted = store.record_batch_verified(batch.iter().copied(), &truth);
+                        assert_eq!(accepted, Some(outcome.accepted));
+                    }
+                }
+                assert_eq!(store.freeze(), copy.freeze(), "verified apply == detailed");
             }
         }
+        // Not vacuous: the true list always applies, and every kind of wrong
+        // list was refused many times.
+        assert_eq!((applied[0], refused[0]), (60, 0));
+        assert!(refused[1..].iter().all(|&n| n >= 30), "{refused:?}");
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! checksummed-corruption accounting.
 
 use sieve_core::config::{GrangerConfig, SieveConfig};
+use sieve_exec::hash::splitmix64;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{
     AggregateBucket, CostModel, MetricId, RetentionPolicy, SeriesState, StoreState, TierState,
 };
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Decode-side cursor over an immutable byte slice.
 #[derive(Debug)]
@@ -97,11 +100,90 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Reads a `u32`-length-prefixed UTF-8 string.
-    pub fn take_str(&mut self, what: &str) -> DecodeResult<String> {
+    /// Reads the bytes of a `u32`-length-prefixed string, unvalidated.
+    fn take_prefixed(&mut self, what: &str) -> DecodeResult<&'a [u8]> {
         let len = self.take_u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| format!("{what}: invalid utf-8"))
+        self.take(len, what)
+    }
+
+    /// Reads a `u32`-length-prefixed UTF-8 string, validated and borrowed
+    /// from the input: a caller that keeps it interns or copies it.
+    pub fn take_str(&mut self, what: &str) -> DecodeResult<&'a str> {
+        utf8(self.take_prefixed(what)?, what)
+    }
+}
+
+fn utf8<'a>(bytes: &'a [u8], what: &str) -> DecodeResult<&'a str> {
+    std::str::from_utf8(bytes).map_err(|_| format!("{what}: invalid utf-8"))
+}
+
+/// Feeds `bytes` to `fold` as little-endian 64-bit words, a short last
+/// word zero-padded.
+pub(crate) fn le_words(bytes: &[u8], mut fold: impl FnMut(u64)) {
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        fold(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        fold(u64::from_le_bytes(word));
+    }
+}
+
+/// Word-wise hasher of [`IdMemo`]'s keys: one multiply-rotate step per
+/// eight bytes, finished through [`splitmix64`]. Not keyed — the memo
+/// hashes bytes of this process's own checksummed log, and whoever can
+/// forge that log can already forge the tenants in it.
+#[derive(Debug, Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        le_words(bytes, |word| {
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        });
+    }
+
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
+}
+
+/// The [`MetricId`]s one decode pass has already seen, keyed by their
+/// encoded bytes.
+///
+/// A shard log names the same few hundred series once per point and once
+/// more per watermark. Without the memo every one of those sights copies
+/// two strings and takes the process-wide interner lock twice; with it the
+/// first sight of an id validates its UTF-8 and interns it through
+/// [`MetricId::new`], and every later sight is one lookup in this map and
+/// a reference-count bump. The key is the id's *whole* encoded range —
+/// `[len][component][len][metric]`, borrowed from the buffer being
+/// decoded — so `("ab", "c")` and `("a", "bc")` are different keys, and an
+/// entry exists only for bytes that decoded: invalid UTF-8 is rejected at
+/// every sight. A memoised decode therefore equals a decode through a
+/// fresh memo, for any input (property-tested).
+///
+/// One memo serves one buffer: a [`crate::reader::LogFrames`] owns the one
+/// for its log, [`crate::ShardSnapshot::decode`] makes one per snapshot.
+#[derive(Debug, Default)]
+pub struct IdMemo<'a> {
+    ids: HashMap<&'a [u8], MetricId, BuildHasherDefault<WordHasher>>,
+    decoded: u64,
+}
+
+impl IdMemo<'_> {
+    /// Metric ids read through this memo, repeats included.
+    pub fn decoded(&self) -> u64 {
+        self.decoded
+    }
+
+    /// Of those, the ones interned through [`MetricId::new`]: one per
+    /// distinct id, which is also the number of entries the memo holds.
+    pub fn interned(&self) -> u64 {
+        self.ids.len() as u64
     }
 }
 
@@ -147,11 +229,23 @@ pub fn put_metric_id(buf: &mut Vec<u8>, id: &MetricId) {
     put_str(buf, id.metric.as_str());
 }
 
-/// Reads a [`MetricId`].
-pub fn take_metric_id(cur: &mut Cursor<'_>) -> DecodeResult<MetricId> {
-    let component = cur.take_str("metric id component")?;
-    let metric = cur.take_str("metric id metric")?;
-    Ok(MetricId::new(component, metric))
+/// Reads a [`MetricId`], interning it only if `memo` has not seen its
+/// encoded bytes before.
+pub fn take_metric_id<'a>(cur: &mut Cursor<'a>, memo: &mut IdMemo<'a>) -> DecodeResult<MetricId> {
+    let start = cur.pos;
+    let component = cur.take_prefixed("metric id component")?;
+    let metric = cur.take_prefixed("metric id metric")?;
+    let encoded = &cur.bytes[start..cur.pos];
+    memo.decoded += 1;
+    if let Some(id) = memo.ids.get(encoded) {
+        return Ok(id.clone());
+    }
+    let id = MetricId::new(
+        utf8(component, "metric id component")?,
+        utf8(metric, "metric id metric")?,
+    );
+    memo.ids.insert(encoded, id.clone());
+    Ok(id)
 }
 
 /// Appends a [`RetentionPolicy`].
@@ -367,8 +461,8 @@ fn put_series(buf: &mut Vec<u8>, series: &SeriesState) {
     put_tier(buf, &series.tier2);
 }
 
-fn take_series(cur: &mut Cursor<'_>) -> DecodeResult<SeriesState> {
-    let id = take_metric_id(cur)?;
+fn take_series<'a>(cur: &mut Cursor<'a>, memo: &mut IdMemo<'a>) -> DecodeResult<SeriesState> {
+    let id = take_metric_id(cur, memo)?;
     let len = cur.take_usize("series point count")?;
     let mut timestamps_ms = Vec::with_capacity(len.min(65_536));
     for _ in 0..len {
@@ -404,7 +498,10 @@ pub fn put_store_state(buf: &mut Vec<u8>, state: &StoreState) {
 }
 
 /// Reads a complete frozen store image.
-pub fn take_store_state(cur: &mut Cursor<'_>) -> DecodeResult<StoreState> {
+pub fn take_store_state<'a>(
+    cur: &mut Cursor<'a>,
+    memo: &mut IdMemo<'a>,
+) -> DecodeResult<StoreState> {
     let retention = take_retention(cur)?;
     let cost_model = take_cost_model(cur)?;
     let epoch = cur.take_u64("store epoch")?;
@@ -414,7 +511,7 @@ pub fn take_store_state(cur: &mut Cursor<'_>) -> DecodeResult<StoreState> {
     let series_len = cur.take_usize("store series count")?;
     let mut series = Vec::with_capacity(series_len.min(4096));
     for _ in 0..series_len {
-        series.push(take_series(cur)?);
+        series.push(take_series(cur, memo)?);
     }
     Ok(StoreState {
         retention,
@@ -517,7 +614,7 @@ mod tests {
         let state = store.freeze();
         let mut buf = Vec::new();
         put_store_state(&mut buf, &state);
-        let decoded = take_store_state(&mut Cursor::new(&buf)).unwrap();
+        let decoded = take_store_state(&mut Cursor::new(&buf), &mut IdMemo::default()).unwrap();
         assert_eq!(decoded, state);
         assert_eq!(
             MetricStore::restore(decoded).freeze(),

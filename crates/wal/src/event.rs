@@ -10,14 +10,15 @@
 //! Ingest batches carry only the *accepted* sub-batch (the store's
 //! detailed batch API reports rejections before logging) plus the
 //! post-apply fingerprint watermark of each touched series. Replay
-//! verifies the watermarks against a non-mutating preview *before*
-//! applying, so a batch logged against a store state that no longer
-//! matches degrades the tenant loudly instead of corrupting it silently.
+//! applies a batch only if it would reproduce those watermarks (the
+//! store's `record_batch_verified` checks before it writes), so a batch
+//! logged against a store state that no longer matches degrades the tenant
+//! loudly instead of corrupting it silently.
 
 use crate::codec::{
     put_call_graph, put_metric_id, put_retention, put_sieve_config, put_str, put_u64, put_u8,
     put_usize, take_call_graph, take_metric_id, take_retention, take_sieve_config, Cursor,
-    DecodeResult,
+    DecodeResult, IdMemo,
 };
 use sieve_core::config::SieveConfig;
 use sieve_exec::Name;
@@ -182,12 +183,14 @@ impl WalEvent {
     }
 
     /// Decodes one event from `bytes`; the whole slice must be consumed.
+    /// Metric ids resolve through `memo`, which may have seen any other
+    /// part of the buffer `bytes` is a slice of.
     ///
     /// # Errors
     ///
     /// Returns a descriptive reason for truncated, malformed, or
     /// trailing-garbage input (the frame layer attaches the file offset).
-    pub fn decode(bytes: &[u8]) -> DecodeResult<Self> {
+    pub fn decode<'a>(bytes: &'a [u8], memo: &mut IdMemo<'a>) -> DecodeResult<Self> {
         let mut cur = Cursor::new(bytes);
         let event = match cur.take_u8("event tag")? {
             TAG_TENANT_CREATED => Self::TenantCreated {
@@ -204,11 +207,11 @@ impl WalEvent {
                 retention: take_retention(&mut cur)?,
             },
             TAG_INGEST_BATCH => {
-                let tenant: Name = cur.take_str("tenant name")?.into();
+                let tenant = Name::new(cur.take_str("tenant name")?);
                 let point_count = cur.take_usize("point count")?;
                 let mut points = Vec::with_capacity(point_count.min(65_536));
                 for _ in 0..point_count {
-                    let id = take_metric_id(&mut cur)?;
+                    let id = take_metric_id(&mut cur, memo)?;
                     let timestamp_ms = cur.take_u64("point timestamp")?;
                     let value = f64::from_bits(cur.take_u64("point value")?);
                     points.push((id, timestamp_ms, value));
@@ -216,7 +219,7 @@ impl WalEvent {
                 let watermark_count = cur.take_usize("watermark count")?;
                 let mut watermarks = Vec::with_capacity(watermark_count.min(65_536));
                 for _ in 0..watermark_count {
-                    let id = take_metric_id(&mut cur)?;
+                    let id = take_metric_id(&mut cur, memo)?;
                     let fingerprint = cur.take_u64("watermark fingerprint")?;
                     watermarks.push((id, fingerprint));
                 }
@@ -241,6 +244,11 @@ impl WalEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes through a fresh memo.
+    fn decode(bytes: &[u8]) -> DecodeResult<WalEvent> {
+        WalEvent::decode(bytes, &mut IdMemo::default())
+    }
 
     fn sample_events() -> Vec<WalEvent> {
         let mut graph = CallGraph::new();
@@ -278,7 +286,7 @@ mod tests {
         for event in sample_events() {
             let mut buf = Vec::new();
             event.encode(&mut buf);
-            assert_eq!(WalEvent::decode(&buf).unwrap(), event);
+            assert_eq!(decode(&buf).unwrap(), event);
         }
     }
 
@@ -324,15 +332,15 @@ mod tests {
             &watermarks,
         );
         assert_eq!(streamed, materialised);
-        assert_eq!(WalEvent::decode(&streamed).unwrap(), event);
+        assert_eq!(decode(&streamed).unwrap(), event);
     }
 
     #[test]
     fn malformed_events_error_instead_of_panicking() {
-        assert!(WalEvent::decode(&[]).is_err(), "empty input");
-        assert!(WalEvent::decode(&[99]).is_err(), "unknown tag");
+        assert!(decode(&[]).is_err(), "empty input");
+        assert!(decode(&[99]).is_err(), "unknown tag");
         assert_eq!(
-            WalEvent::decode(&[1, 0, 0, 0, 0]).unwrap_err(),
+            decode(&[1, 0, 0, 0, 0]).unwrap_err(),
             "unknown event tag 1",
             "the retired tenant-created layout"
         );
@@ -340,10 +348,123 @@ mod tests {
         let mut buf = Vec::new();
         sample_events()[2].encode(&mut buf);
         buf.push(0); // trailing garbage
-        assert!(WalEvent::decode(&buf).unwrap_err().contains("trailing"));
+        assert!(decode(&buf).unwrap_err().contains("trailing"));
         // Every truncation of a valid encoding is rejected cleanly.
         for len in 0..buf.len() - 1 {
-            assert!(WalEvent::decode(&buf[..len]).is_err(), "truncated at {len}");
+            assert!(decode(&buf[..len]).is_err(), "truncated at {len}");
         }
+    }
+
+    /// Encodes `events` back to back into one buffer, as in a log (a memo's
+    /// keys borrow from it), with the byte range of each.
+    fn encode_log(events: &[WalEvent]) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
+        let mut log = Vec::new();
+        let ranges = events
+            .iter()
+            .map(|event| {
+                let start = log.len();
+                event.encode(&mut log);
+                start..log.len()
+            })
+            .collect();
+        (log, ranges)
+    }
+
+    /// A random event over a small pool of ids, so sequences repeat them.
+    fn random_event(rand: &mut impl FnMut() -> u64, ids: &[MetricId]) -> WalEvent {
+        let tenant: Name = ["acme", "globex", "initech"][(rand() % 3) as usize].into();
+        match rand() % 8 {
+            0 => WalEvent::RetentionChanged {
+                tenant,
+                retention: RetentionPolicy::windowed((rand() % 64) as usize + 1),
+            },
+            1 => {
+                let mut call_graph = CallGraph::new();
+                call_graph.record_calls("ab", "a", rand() % 9 + 1);
+                WalEvent::CallGraphReplaced { tenant, call_graph }
+            }
+            _ => {
+                let pick = |r: u64| ids[(r % ids.len() as u64) as usize].clone();
+                WalEvent::IngestBatch {
+                    tenant,
+                    points: (0..rand() % 6)
+                        .map(|_| (pick(rand()), rand() % 9 * 500, (rand() % 100) as f64 / 4.0))
+                        .collect(),
+                    watermarks: (0..rand() % 4).map(|_| (pick(rand()), rand())).collect(),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_decode_equals_a_fresh_memo_decode() {
+        use sieve_exec::hash::splitmix64;
+        // ("ab", "c") and ("a", "bc") concatenate to the same bytes: only a
+        // key that covers the length prefixes tells them apart.
+        let ids = [
+            MetricId::new("ab", "c"),
+            MetricId::new("a", "bc"),
+            MetricId::new("web", "cpu"),
+            MetricId::new("web", "mem ♥"),
+            MetricId::new("", ""),
+        ];
+        let mut state = 0xA11CE_u64;
+        let mut rand = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            splitmix64(state)
+        };
+        for _ in 0..200 {
+            let events: Vec<WalEvent> = (0..rand() % 12 + 1)
+                .map(|_| random_event(&mut rand, &ids))
+                .collect();
+            let (log, ranges) = encode_log(&events);
+            let mut memo = IdMemo::default();
+            for (event, range) in events.iter().zip(ranges) {
+                let memoised = WalEvent::decode(&log[range.clone()], &mut memo).unwrap();
+                assert_eq!(memoised, decode(&log[range]).unwrap());
+                assert_eq!(memoised, *event);
+            }
+            assert!(memo.interned() <= ids.len() as u64);
+        }
+    }
+
+    #[test]
+    fn an_id_with_invalid_utf8_is_rejected_at_every_sight_and_never_memoised() {
+        let good = MetricId::new("web", "cpu");
+        let mut buf = Vec::new();
+        WalEvent::encode_ingest_batch_into(&mut buf, "acme", 1, [(&good, 500, 1.5)], &[]);
+        let at = buf.windows(3).position(|w| w == b"web").unwrap();
+        buf[at] = 0xFF;
+
+        let mut memo = IdMemo::default();
+        for sight in 0..2 {
+            let err = WalEvent::decode(&buf, &mut memo).unwrap_err();
+            assert!(err.contains("invalid utf-8"), "sight {sight}: {err}");
+            assert_eq!(memo.interned(), 0, "sight {sight}");
+        }
+        assert_eq!(memo.decoded(), 2, "both sights went through the memo");
+    }
+
+    #[test]
+    fn the_memo_interns_each_id_once_however_often_it_is_read() {
+        // F events of P points and P watermarks over D = P distinct ids.
+        let (events, points) = (7u64, 5u64);
+        let ids: Vec<MetricId> = (0..points)
+            .map(|i| MetricId::new("web", format!("metric-{i}")))
+            .collect();
+        let batches: Vec<WalEvent> = (1..=events)
+            .map(|tick| WalEvent::IngestBatch {
+                tenant: "acme".into(),
+                points: ids.iter().map(|id| (id.clone(), tick * 500, 1.0)).collect(),
+                watermarks: ids.iter().map(|id| (id.clone(), tick)).collect(),
+            })
+            .collect();
+        let (log, ranges) = encode_log(&batches);
+        let mut memo = IdMemo::default();
+        for range in ranges {
+            WalEvent::decode(&log[range], &mut memo).unwrap();
+        }
+        assert_eq!(memo.decoded(), 2 * events * points);
+        assert_eq!(memo.interned(), points);
     }
 }

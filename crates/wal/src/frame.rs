@@ -14,7 +14,7 @@
 //! present, its length is plausible, its checksum verifies, *and* its
 //! payload decodes as a [`WalEvent`] with no trailing bytes.
 
-use crate::codec::{put_u32, put_u64};
+use crate::codec::{le_words, put_u32, put_u64, IdMemo};
 use crate::event::WalEvent;
 use sieve_exec::hash::mix;
 
@@ -34,11 +34,7 @@ const CHECKSUM_SEED: u64 = 0x5349_4556_5741_4C46;
 /// chunk zero-padded).
 pub fn checksum(seq: u64, payload: &[u8]) -> u64 {
     let mut fp = mix(mix(CHECKSUM_SEED, seq), payload.len() as u64);
-    for chunk in payload.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        fp = mix(fp, u64::from_le_bytes(word));
-    }
+    le_words(payload, |word| fp = mix(fp, word));
     fp
 }
 
@@ -81,12 +77,14 @@ pub enum Parsed {
     },
 }
 
-/// Attempts to parse one frame starting at `offset`.
+/// Attempts to parse one frame starting at `offset`, resolving metric ids
+/// through `memo` (one memo per `bytes`, whatever offsets it is asked
+/// about).
 ///
 /// Never panics on any input; every malformation — torn header, torn
 /// payload, implausible length, checksum mismatch, undecodable payload —
 /// comes back as [`Parsed::Bad`].
-pub fn parse_at(bytes: &[u8], offset: usize) -> Parsed {
+pub fn parse_at<'a>(bytes: &'a [u8], offset: usize, memo: &mut IdMemo<'a>) -> Parsed {
     if offset == bytes.len() {
         return Parsed::Eof;
     }
@@ -121,7 +119,7 @@ pub fn parse_at(bytes: &[u8], offset: usize) -> Parsed {
             reason: format!("checksum mismatch in frame seq {seq}"),
         };
     }
-    match WalEvent::decode(payload) {
+    match WalEvent::decode(payload, memo) {
         Ok(event) => Parsed::Frame { seq, event, end },
         Err(reason) => Parsed::Bad {
             reason: format!("checksummed payload failed to decode: {reason}"),
@@ -132,7 +130,15 @@ pub fn parse_at(bytes: &[u8], offset: usize) -> Parsed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sieve_core::config::{GrangerConfig, SieveConfig};
+    use sieve_exec::hash::splitmix64;
+    use sieve_graph::CallGraph;
     use sieve_simulator::store::{MetricId, RetentionPolicy};
+
+    /// Parses through a fresh memo.
+    fn parse(bytes: &[u8], offset: usize) -> Parsed {
+        parse_at(bytes, offset, &mut IdMemo::default())
+    }
 
     fn event() -> WalEvent {
         WalEvent::IngestBatch {
@@ -145,7 +151,7 @@ mod tests {
     #[test]
     fn frames_roundtrip_and_checksums_are_order_sensitive() {
         let frame = encode(7, &event());
-        match parse_at(&frame, 0) {
+        match parse(&frame, 0) {
             Parsed::Frame {
                 seq,
                 event: decoded,
@@ -161,7 +167,7 @@ mod tests {
         // different checksum — a frame cannot be replayed out of place.
         let other = encode(8, &event());
         assert_ne!(frame[12..20], other[12..20]);
-        assert!(matches!(parse_at(&frame, frame.len()), Parsed::Eof));
+        assert!(matches!(parse(&frame, frame.len()), Parsed::Eof));
     }
 
     #[test]
@@ -172,7 +178,7 @@ mod tests {
                 let mut torn = frame.clone();
                 torn[byte] ^= 1 << bit;
                 assert!(
-                    matches!(parse_at(&torn, 0), Parsed::Bad { .. }),
+                    matches!(parse(&torn, 0), Parsed::Bad { .. }),
                     "flip of byte {byte} bit {bit} must not verify"
                 );
             }
@@ -184,10 +190,10 @@ mod tests {
         let frame = encode(3, &event());
         // Truncation to zero bytes is a clean EOF (an empty log is valid);
         // every other prefix is a torn frame.
-        assert!(matches!(parse_at(&frame[..0], 0), Parsed::Eof));
+        assert!(matches!(parse(&frame[..0], 0), Parsed::Eof));
         for len in 1..frame.len() {
             assert!(
-                matches!(parse_at(&frame[..len], 0), Parsed::Bad { .. }),
+                matches!(parse(&frame[..len], 0), Parsed::Bad { .. }),
                 "truncation to {len} bytes must not verify"
             );
         }
@@ -197,7 +203,7 @@ mod tests {
     fn implausible_length_prefix_is_rejected() {
         let mut frame = encode(1, &event());
         frame[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        match parse_at(&frame, 0) {
+        match parse(&frame, 0) {
             Parsed::Bad { reason } => assert!(reason.contains("implausible"), "{reason}"),
             other => panic!("expected Bad, got {other:?}"),
         }
@@ -210,6 +216,135 @@ mod tests {
             retention: RetentionPolicy::windowed(32),
         };
         let frame = encode(1, &admin);
-        assert!(matches!(parse_at(&frame, 0), Parsed::Frame { seq: 1, .. }));
+        assert!(matches!(parse(&frame, 0), Parsed::Frame { seq: 1, .. }));
+    }
+
+    /// One frame per event kind, sequence numbers 1..=4, as the encoder
+    /// wrote them before the decoder was rewritten around borrowed strings
+    /// and the id memo (commit 8310c95). These bytes are the on-disk
+    /// format: a change that makes this test fail strands every existing
+    /// durable directory.
+    const GOLDEN_FRAMES: [&str; 4] = [
+        "9f0000000100000000000000c4d18ed086779983050400000061636d65fa000000000000007b14ae47e17a843f\
+         03000000000000000400000000000000110000000000000005000000000000007b14ae47e17a843f0029000000\
+         00000000030000000000000001800000000000000020000000000000000300000000000000020000006462060000\
+         006c6f6e656c79030000007765620100000000000000030000007765620200000064620c00000000000000",
+        "4500000002000000000000005c55f27383411102020400000061636d650300000000000000020000006462060000\
+         006c6f6e656c79030000007765620100000000000000030000007765620200000064620c00000000000000",
+        "1a0000000300000000000000000ad867bc2c8396030400000061636d650140000000000000000800000000000000",
+        "7f00000004000000000000007afaa0c037951bbb040400000061636d6502000000000000000300000077656203\
+         000000637075f401000000000000000000000000f83f020000006462030000006d656df40100000000000000000000\
+         00000ac00200000000000000020000006462030000006d656dcdab000000000000030000007765620300000063\
+         70753412000000000000",
+    ];
+
+    /// The events [`GOLDEN_FRAMES`] encode. Every configuration field is
+    /// spelled out: a default would follow the host's core count.
+    fn golden_events() -> [WalEvent; 4] {
+        let mut graph = CallGraph::new();
+        graph.add_component("lonely");
+        graph.record_calls("web", "db", 12);
+        let config = SieveConfig {
+            interval_ms: 250,
+            variance_threshold: 0.01,
+            min_clusters: 3,
+            max_clusters: 4,
+            kshape_max_iterations: 17,
+            granger: GrangerConfig {
+                max_lag: 5,
+                significance: 0.01,
+                difference_non_stationary: false,
+                min_observations: 41,
+            },
+            parallelism: 3,
+            retention: RetentionPolicy::windowed(128).with_tier_capacity(32),
+        };
+        [
+            WalEvent::TenantCreated {
+                tenant: "acme".into(),
+                config: Box::new(config),
+                call_graph: graph.clone(),
+            },
+            WalEvent::CallGraphReplaced {
+                tenant: "acme".into(),
+                call_graph: graph,
+            },
+            WalEvent::RetentionChanged {
+                tenant: "acme".into(),
+                retention: RetentionPolicy::windowed(64).with_tier_capacity(8),
+            },
+            WalEvent::IngestBatch {
+                tenant: "acme".into(),
+                points: vec![
+                    (MetricId::new("web", "cpu"), 500, 1.5),
+                    (MetricId::new("db", "mem"), 500, -3.25),
+                ],
+                watermarks: vec![
+                    (MetricId::new("db", "mem"), 0xABCD),
+                    (MetricId::new("web", "cpu"), 0x1234),
+                ],
+            },
+        ]
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|at| u8::from_str_radix(&hex[at..at + 2], 16).expect("two hex digits"))
+            .collect()
+    }
+
+    #[test]
+    fn golden_frames_decode_to_their_events_and_reencode_to_the_same_bytes() {
+        for (index, (hex, event)) in GOLDEN_FRAMES.iter().zip(golden_events()).enumerate() {
+            let golden = unhex(hex);
+            let seq = index as u64 + 1;
+            match parse(&golden, 0) {
+                Parsed::Frame {
+                    seq: parsed,
+                    event: decoded,
+                    end,
+                } => {
+                    assert_eq!(parsed, seq);
+                    assert_eq!(decoded, event, "frame {seq} decodes to its event");
+                    assert_eq!(end, golden.len());
+                }
+                other => panic!("golden frame {seq} no longer parses: {other:?}"),
+            }
+            assert_eq!(encode(seq, &event), golden, "frame {seq} re-encodes");
+        }
+    }
+
+    /// [`checksum`] as it was before it folded whole words without a copy,
+    /// verbatim.
+    fn checksum_reference(seq: u64, payload: &[u8]) -> u64 {
+        let mut fp = mix(mix(CHECKSUM_SEED, seq), payload.len() as u64);
+        for chunk in payload.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            fp = mix(fp, u64::from_le_bytes(word));
+        }
+        fp
+    }
+
+    #[test]
+    fn checksum_equals_the_chunk_copy_loop_it_replaced() {
+        let mut state = 0x5EED_u64;
+        let mut rand = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            splitmix64(state)
+        };
+        let lengths: Vec<usize> = (0..=17)
+            .chain((0..200).map(|_| (rand() % 600) as usize))
+            .collect();
+        for len in lengths {
+            let payload: Vec<u8> = (0..len).map(|_| rand() as u8).collect();
+            let seq = rand();
+            assert_eq!(
+                checksum(seq, &payload),
+                checksum_reference(seq, &payload),
+                "payload of {len} bytes"
+            );
+        }
     }
 }

@@ -24,7 +24,7 @@
 //!
 //! A crash can tear the last frame, and disks can flip bits. Every frame
 //! carries a [`hash::splitmix64`]-mixed checksum over its sequence number
-//! and payload; [`reader::scan_log`] stops at the first frame that fails
+//! and payload; [`reader::LogFrames`] stops at the first frame that fails
 //! verification and then *resynchronizes* — scanning forward for valid
 //! frame headers — so the events lost to a mid-file corruption are
 //! counted per tenant instead of silently discarded. Recovery applies
@@ -55,7 +55,7 @@ pub use error::WalError;
 pub use event::WalEvent;
 pub use failpoint::FailpointFs;
 pub use group::{GroupCommitLog, GroupCommitStats};
-pub use reader::{scan_log, LogCorruption, ScannedLog};
+pub use reader::{scan_log, LogCorruption, LogFrames, ScannedLog};
 pub use snapshot::{ShardSnapshot, TenantSnapshot};
 pub use writer::{FsyncPolicy, WalMedia};
 

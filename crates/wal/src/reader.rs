@@ -1,6 +1,6 @@
 //! Log scanning: the read half of crash recovery.
 //!
-//! [`scan_log`] walks a shard log byte-for-byte and splits it into the
+//! [`LogFrames`] walks a shard log byte-for-byte and splits it into the
 //! *intact prefix* — the longest run of checksum-verified frames with
 //! strictly increasing sequence numbers from the start of the file — and,
 //! after the first bad frame, the *resynchronized suffix*: frames the
@@ -11,6 +11,7 @@
 //! so recovery can report *exactly* which tenants lost *how many* events
 //! and points, instead of a vague "the tail is gone".
 
+use crate::codec::IdMemo;
 use crate::event::WalEvent;
 use crate::frame::{parse_at, Parsed};
 
@@ -50,49 +51,89 @@ pub struct LogCorruption {
     pub lost_bytes: u64,
 }
 
-/// Scans a shard log into its intact prefix and (if corrupt) the
-/// accounted loss. Never fails and never panics: arbitrary garbage input
-/// degrades to an empty prefix with everything accounted as lost.
-pub fn scan_log(bytes: &[u8]) -> ScannedLog {
-    let mut applied: Vec<(u64, WalEvent)> = Vec::new();
-    let mut offset = 0usize;
-    loop {
-        match parse_at(bytes, offset) {
-            Parsed::Eof => {
-                return ScannedLog {
-                    applied,
-                    corruption: None,
-                }
-            }
-            Parsed::Frame { seq, event, end } => {
-                let monotone = applied.last().map_or(true, |&(last, _)| seq > last);
-                if monotone {
-                    applied.push((seq, event));
-                    offset = end;
-                    continue;
-                }
-                let corruption = resync(
-                    bytes,
-                    offset,
-                    format!(
-                        "non-monotone sequence {seq} after {}",
-                        applied.last().map(|&(last, _)| last).unwrap_or(0)
-                    ),
-                    applied.last().map(|&(last, _)| last),
-                );
-                return ScannedLog {
-                    applied,
-                    corruption: Some(corruption),
-                };
-            }
-            Parsed::Bad { reason } => {
-                let corruption = resync(bytes, offset, reason, applied.last().map(|&(s, _)| s));
-                return ScannedLog {
-                    applied,
-                    corruption: Some(corruption),
-                };
-            }
+/// The intact prefix of a shard log, one decoded frame at a time.
+///
+/// Iterating yields the checksum-verified frames with strictly increasing
+/// sequence numbers from the start of `bytes`, in log order — the frames
+/// that are safe to replay — and ends at a clean end of file or at the
+/// first frame that is not one of them. A caller that applies each frame
+/// as it arrives (recovery does) never holds more than one decoded event;
+/// [`scan_log`] is the collector for callers that want them all at once.
+/// [`LogFrames::finish`] then reports how the log ended.
+///
+/// Every frame decodes through one [`IdMemo`] over `bytes`, so a metric id
+/// is interned on its first sight in the log and looked up thereafter.
+/// Never fails and never panics: arbitrary garbage is an empty prefix with
+/// everything accounted as lost.
+#[derive(Debug)]
+pub struct LogFrames<'a> {
+    bytes: &'a [u8],
+    offset: usize,
+    last_seq: Option<u64>,
+    memo: IdMemo<'a>,
+    /// Set once the prefix has ended anywhere but at a clean end of file.
+    corruption: Option<LogCorruption>,
+}
+
+impl<'a> LogFrames<'a> {
+    /// Starts at the first byte of a shard log.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            offset: 0,
+            last_seq: None,
+            memo: IdMemo::default(),
+            corruption: None,
         }
+    }
+
+    /// How the log ended after its intact prefix: `None` at a clean end of
+    /// file, otherwise the corrupt region with the frames resynchronized
+    /// past it. Frames of the prefix not yet yielded are skipped.
+    pub fn finish(mut self) -> Option<LogCorruption> {
+        self.by_ref().for_each(drop);
+        self.corruption
+    }
+}
+
+impl Iterator for LogFrames<'_> {
+    type Item = (u64, WalEvent);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.corruption.is_some() {
+            return None;
+        }
+        let reason = match parse_at(self.bytes, self.offset, &mut self.memo) {
+            Parsed::Eof => return None,
+            Parsed::Frame { seq, event, end } => match self.last_seq {
+                Some(last) if seq <= last => format!("non-monotone sequence {seq} after {last}"),
+                _ => {
+                    self.last_seq = Some(seq);
+                    self.offset = end;
+                    return Some((seq, event));
+                }
+            },
+            Parsed::Bad { reason } => reason,
+        };
+        self.corruption = Some(resync(
+            self.bytes,
+            self.offset,
+            reason,
+            self.last_seq,
+            &mut self.memo,
+        ));
+        None
+    }
+}
+
+/// Scans a shard log into its intact prefix and (if corrupt) the
+/// accounted loss: [`LogFrames`], collected.
+pub fn scan_log(bytes: &[u8]) -> ScannedLog {
+    let mut frames = LogFrames::new(bytes);
+    let applied = frames.by_ref().collect();
+    ScannedLog {
+        applied,
+        corruption: frames.finish(),
     }
 }
 
@@ -100,17 +141,18 @@ pub fn scan_log(bytes: &[u8]) -> ScannedLog {
 /// later frame that still verifies and keeps the sequence strictly
 /// monotone. The slide resumes after each recovered frame, so several
 /// corrupt regions still account most of the surviving frames.
-fn resync(
-    bytes: &[u8],
+fn resync<'a>(
+    bytes: &'a [u8],
     corrupt_at: usize,
     reason: String,
     mut last_seq: Option<u64>,
+    memo: &mut IdMemo<'a>,
 ) -> LogCorruption {
     let mut resynced: Vec<(u64, WalEvent)> = Vec::new();
     let mut resynced_bytes = 0usize;
     let mut pos = corrupt_at + 1;
     while pos < bytes.len() {
-        match parse_at(bytes, pos) {
+        match parse_at(bytes, pos, memo) {
             Parsed::Frame { seq, event, end } if last_seq.map_or(true, |last| seq > last) => {
                 resynced.push((seq, event));
                 resynced_bytes += end - pos;
@@ -255,5 +297,129 @@ mod tests {
         let corruption = scanned.corruption.expect("prefix is garbage");
         assert_eq!(corruption.resynced.len(), 1);
         assert_eq!(corruption.lost_bytes, 13);
+    }
+
+    /// `scan_log` as it was when it materialised the log itself, verbatim
+    /// but for the memo argument: a fresh one per parse, so no id is ever
+    /// answered from memory.
+    fn scan_log_reference(bytes: &[u8]) -> ScannedLog {
+        let parse = |offset| parse_at(bytes, offset, &mut IdMemo::default());
+        let mut applied: Vec<(u64, WalEvent)> = Vec::new();
+        let mut offset = 0usize;
+        let (corrupt_at, reason) = loop {
+            match parse(offset) {
+                Parsed::Eof => {
+                    return ScannedLog {
+                        applied,
+                        corruption: None,
+                    }
+                }
+                Parsed::Frame { seq, event, end } => {
+                    let monotone = applied.last().map_or(true, |&(last, _)| seq > last);
+                    if monotone {
+                        applied.push((seq, event));
+                        offset = end;
+                        continue;
+                    }
+                    let last = applied.last().map(|&(last, _)| last).unwrap_or(0);
+                    break (offset, format!("non-monotone sequence {seq} after {last}"));
+                }
+                Parsed::Bad { reason } => break (offset, reason),
+            }
+        };
+        let mut last_seq = applied.last().map(|&(seq, _)| seq);
+        let mut resynced: Vec<(u64, WalEvent)> = Vec::new();
+        let mut resynced_bytes = 0usize;
+        let mut pos = corrupt_at + 1;
+        while pos < bytes.len() {
+            match parse(pos) {
+                Parsed::Frame { seq, event, end } if last_seq.map_or(true, |last| seq > last) => {
+                    resynced.push((seq, event));
+                    resynced_bytes += end - pos;
+                    last_seq = Some(seq);
+                    pos = end;
+                }
+                _ => pos += 1,
+            }
+        }
+        ScannedLog {
+            applied,
+            corruption: Some(LogCorruption {
+                offset: corrupt_at as u64,
+                reason,
+                resynced,
+                lost_bytes: (bytes.len() - corrupt_at - resynced_bytes) as u64,
+            }),
+        }
+    }
+
+    type CorruptionView<'a> = Option<(u64, &'a str, &'a [(u64, WalEvent)], u64)>;
+
+    fn view(corruption: &Option<LogCorruption>) -> CorruptionView<'_> {
+        let c = corruption.as_ref()?;
+        Some((c.offset, &c.reason, &c.resynced, c.lost_bytes))
+    }
+
+    /// Streams `bytes` one frame at a time — each event dropped before the
+    /// next is decoded, as recovery consumes a log — and checks prefix and
+    /// corruption report against both the reference and the collector.
+    fn assert_streamed_equals_scanned(bytes: &[u8], what: &str) {
+        let reference = scan_log_reference(bytes);
+        let mut frames = LogFrames::new(bytes);
+        let mut streamed = 0;
+        for frame in frames.by_ref() {
+            assert_eq!(Some(&frame), reference.applied.get(streamed), "{what}");
+            streamed += 1;
+        }
+        assert_eq!(streamed, reference.applied.len(), "{what}");
+        assert!(frames.next().is_none(), "{what}: exhausted stays exhausted");
+        let corruption = frames.finish();
+        assert_eq!(view(&corruption), view(&reference.corruption), "{what}");
+
+        let scanned = scan_log(bytes);
+        assert_eq!(scanned.applied, reference.applied, "{what}");
+        assert_eq!(
+            view(&scanned.corruption),
+            view(&reference.corruption),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn streamed_frames_equal_the_materialised_scan_under_every_truncation_and_bit_flip() {
+        let admin = |tenant: &str| WalEvent::RetentionChanged {
+            tenant: tenant.into(),
+            retention: RetentionPolicy::windowed(8),
+        };
+        let log = log_of(&[
+            (1, ingest("a", 500)),
+            (2, ingest("b", 500)),
+            (3, admin("c")),
+            (5, ingest("a", 1000)),
+            (6, ingest("c", 500)),
+            (9, ingest("b", 1000)),
+        ]);
+        assert_streamed_equals_scanned(&log, "intact");
+        for len in 0..log.len() {
+            assert_streamed_equals_scanned(&log[..len], &format!("truncated to {len}"));
+        }
+        let mut flipped = log.clone();
+        for byte in 0..log.len() {
+            for bit in 0..8 {
+                flipped[byte] ^= 1 << bit;
+                assert_streamed_equals_scanned(&flipped, &format!("byte {byte} bit {bit}"));
+                flipped[byte] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn finish_before_exhaustion_still_reports_how_the_log_ended() {
+        let mut bytes = log_of(&[(1, ingest("a", 500)), (2, ingest("a", 1000))]);
+        bytes.extend_from_slice(&[0xFF; 5]);
+        let mut frames = LogFrames::new(&bytes);
+        assert_eq!(frames.next().map(|(seq, _)| seq), Some(1));
+        let corruption = frames.finish().expect("the tail is garbage");
+        assert_eq!(corruption.lost_bytes, 5);
     }
 }
