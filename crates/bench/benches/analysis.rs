@@ -73,11 +73,11 @@ fn metric_family(count: usize, len: usize) -> (Vec<Vec<f64>>, Vec<String>) {
 }
 
 /// The batched-FFT kernel acceptance comparison: one pass over a packed
-/// `64 × 1024` arena with the shared twiddle table versus transforming
-/// every series independently through the naive seed oracle. Spectra
-/// must match bit for bit, and the batched path must win by ≥ 1.3x on
-/// non-smoke hosts (the comparison is serial, so core count is
-/// irrelevant).
+/// `64 × 1024` split-complex arena (`re[]`, `im[]`) with the shared twiddle
+/// table versus transforming every series independently through the naive
+/// interleaved seed oracle. Spectra must match bit for bit, and the batched
+/// path must win by ≥ 1.3x on non-smoke hosts (the comparison is serial, so
+/// core count is irrelevant).
 fn bench_fft_kernels(runner: &mut Runner) {
     let n = 1024usize;
     let count = if smoke_mode() { 8 } else { 64 };
@@ -88,16 +88,20 @@ fn bench_fft_kernels(runner: &mut Runner) {
                 .collect()
         })
         .collect();
+    // The same real signals, packed end to end for the split transform.
+    let packed_re: Vec<f64> = signals.iter().flatten().map(|c| c.re).collect();
 
     // Bitwise oracle: the batched transform equals the seed FFT per series.
-    let mut batch_buf: Vec<Complex> = signals.concat();
-    fft_batch(&mut batch_buf, n);
+    let (mut batch_re, mut batch_im) = (packed_re.clone(), vec![0.0; count * n]);
+    fft_batch(&mut batch_re, &mut batch_im, n);
     for (c, signal) in signals.iter().enumerate() {
         let mut single = signal.clone();
         fft_in_place_naive(&mut single);
-        for (a, b) in batch_buf[c * n..(c + 1) * n].iter().zip(&single) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "series {c} re");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "series {c} im");
+        let chunk = c * n..(c + 1) * n;
+        let parts = batch_re[chunk.clone()].iter().zip(&batch_im[chunk]);
+        for ((re, im), b) in parts.zip(&single) {
+            assert_eq!(re.to_bits(), b.re.to_bits(), "series {c} re");
+            assert_eq!(im.to_bits(), b.im.to_bits(), "series {c} im");
         }
     }
 
@@ -112,9 +116,10 @@ fn bench_fft_kernels(runner: &mut Runner) {
         black_box(checksum)
     });
     runner.bench(&format!("fft/batch_{count}x{n}"), iters, || {
-        let mut buf = signals.concat();
-        fft_batch(&mut buf, n);
-        black_box(buf[0].re)
+        batch_re.copy_from_slice(&packed_re);
+        batch_im.fill(0.0);
+        fft_batch(&mut batch_re, &mut batch_im, n);
+        black_box(batch_re[0])
     });
     let naive = runner
         .measurement(&format!("fft/naive_per_series_{count}x{n}"))

@@ -848,7 +848,7 @@ const RECURRENCE_WINDOW: usize = 8;
 /// The production power iteration: bit-identical to [`power_iterate_shape`]
 /// (the oracle's, which [`extract_shape`] keeps calling), returned with the
 /// number of steps actually taken. It performs the same float operations in
-/// the same per-value order and differs in two ways only:
+/// the same per-value order and differs in three ways only:
 ///
 /// * *Independent chains side by side.* A step's dot products `a_i · Qv`
 ///   are independent, latency-bound serial sums; they are taken four (then
@@ -861,14 +861,20 @@ const RECURRENCE_WINDOW: usize = 8;
 ///   that cycle — whose members all passed the degenerate-norm check as
 ///   inputs already — and the result is the cycle element the walk would
 ///   end on. Period 1 is the plain fixpoint.
+/// * *It owns its working vectors.* `Qv`, `S·Qv` and the next iterate are
+///   written in place into buffers the call allocates once; the iterate
+///   that leaves the recurrence window becomes the next step's buffer.
 fn power_iterate_until_recurrence(
     rows: &[&[f64]],
     m: usize,
     power_iterations: usize,
 ) -> (ShapeCandidate, usize) {
-    let center = |v: &[f64]| -> Vec<f64> {
+    // `out = Q v`, value for value what the oracle's `center` collects.
+    let center_into = |v: &[f64], out: &mut [f64]| {
         let mean = v.iter().sum::<f64>() / v.len() as f64;
-        v.iter().map(|x| x - mean).collect()
+        for (o, x) in out.iter_mut().zip(v.iter()) {
+            *o = x - mean;
+        }
     };
 
     // Deterministic, non-degenerate start vector.
@@ -881,17 +887,18 @@ fn power_iterate_until_recurrence(
     let mut iterates: VecDeque<Vec<f64>> = VecDeque::with_capacity(RECURRENCE_WINDOW);
     iterates.push_back(v);
     let mut dots = vec![0.0; rows.len()];
+    let (mut qv, mut sv, mut new_v) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
     let steps = power_iterations.max(1);
     for step in 0..steps {
-        let qv = center(iterates.back().expect("the window is never empty"));
+        center_into(iterates.back().expect("the window is never empty"), &mut qv);
         dot_products(rows, &qv, &mut dots);
-        let mut sv = vec![0.0; m];
+        sv.fill(0.0);
         for (a, &dot) in rows.iter().zip(dots.iter()) {
             for (s, &ai) in sv.iter_mut().zip(a.iter()) {
                 *s += ai * dot;
             }
         }
-        let mut new_v = center(&sv);
+        center_into(&sv, &mut new_v);
         let norm = new_v.iter().map(|x| x * x).sum::<f64>().sqrt();
         if norm < 1e-12 {
             // Fall back to the element-wise mean of aligned members.
@@ -915,10 +922,13 @@ fn power_iterate_until_recurrence(
             let last = &iterates[recurred + remaining % period];
             return (ShapeCandidate::Candidate(z_normalize(last)), step + 1);
         }
-        if iterates.len() == RECURRENCE_WINDOW {
-            iterates.pop_front();
-        }
-        iterates.push_back(new_v);
+        // The iterate leaving the window is the next step's buffer.
+        let recycled = if iterates.len() == RECURRENCE_WINDOW {
+            iterates.pop_front().expect("a full window")
+        } else {
+            vec![0.0; m]
+        };
+        iterates.push_back(std::mem::replace(&mut new_v, recycled));
     }
     let last = iterates.back().expect("the window is never empty");
     (ShapeCandidate::Candidate(z_normalize(last)), steps)

@@ -5,6 +5,14 @@
 //! (§3.2: "Cross correlation is calculated using Fast Fourier
 //! Transformation"). We implement the transform from scratch so that the
 //! reproduction does not depend on external numerics crates.
+//!
+//! There is one production transform and one oracle. The production one
+//! ([`fft_in_place`] and the functions built on it) reads its twiddles and
+//! its bit-reversal from a cached [`TwiddleTable`] and works on
+//! *split-complex* data: real parts in one `f64` slice, imaginary parts in
+//! another. The oracle ([`fft_in_place_naive`]) is the seed's, on interleaved
+//! [`Complex`] values. Both perform the same IEEE operations on every value
+//! in the same order, so they agree bit for bit.
 
 use std::ops::{Add, Mul, Neg, Sub};
 use std::sync::{Arc, OnceLock};
@@ -100,9 +108,10 @@ pub fn next_power_of_two(n: usize) -> usize {
 /// the recomputing oracle [`fft_in_place_naive`] — which is what keeps every
 /// cached==naive model-equality assert in the workspace bitwise.
 ///
-/// All stages are flattened into one buffer; stage `len` starts at offset
-/// `len/2 - 1` (the stage sizes `1 + 2 + … + len/4` telescope), for `n - 1`
-/// factors in total.
+/// All stages are flattened into one buffer per part — the factors are
+/// stored split, real parts in `re[]` and imaginary parts in `im[]`, like
+/// the data they multiply; stage `len` starts at offset `len/2 - 1` (the
+/// stage sizes `1 + 2 + … + len/4` telescope), for `n - 1` factors in total.
 ///
 /// Beside the twiddles the table holds the other thing that depends on `n`
 /// alone: the bit-reversal permutation of `0..n` the transform opens with,
@@ -111,7 +120,8 @@ pub fn next_power_of_two(n: usize) -> usize {
 #[derive(Debug)]
 pub struct TwiddleTable {
     n: usize,
-    factors: Vec<Complex>,
+    re: Vec<f64>,
+    im: Vec<f64>,
     /// `bit_reversal[i]` is `i` with its `log2(n)` bits reversed.
     bit_reversal: Vec<u32>,
 }
@@ -124,7 +134,8 @@ impl TwiddleTable {
     /// Panics if `n` is not a power of two.
     pub fn new(n: usize) -> Self {
         assert!(n.is_power_of_two(), "FFT length must be a power of two");
-        let mut factors = Vec::with_capacity(n.saturating_sub(1));
+        let mut re = Vec::with_capacity(n.saturating_sub(1));
+        let mut im = Vec::with_capacity(n.saturating_sub(1));
         let mut len = 2;
         while len <= n {
             // Same per-stage recurrence as the seed FFT's inner loop.
@@ -132,7 +143,8 @@ impl TwiddleTable {
             let wlen = Complex::from_polar_unit(ang);
             let mut w = Complex::from_real(1.0);
             for _ in 0..len / 2 {
-                factors.push(w);
+                re.push(w.re);
+                im.push(w.im);
                 w = w * wlen;
             }
             len <<= 1;
@@ -151,7 +163,8 @@ impl TwiddleTable {
         }
         Self {
             n,
-            factors,
+            re,
+            im,
             bit_reversal,
         }
     }
@@ -164,14 +177,15 @@ impl TwiddleTable {
     /// Whether the table is for the trivial length-1 transform (which has no
     /// twiddle factors at all).
     pub fn is_empty(&self) -> bool {
-        self.factors.is_empty()
+        self.re.is_empty()
     }
 
     /// The twiddles of the stage with butterfly span `len` (a power of two
-    /// in `2..=self.len()`).
+    /// in `2..=self.len()`): `len / 2` real parts and as many imaginary parts.
     #[inline]
-    fn stage(&self, len: usize) -> &[Complex] {
-        &self.factors[len / 2 - 1..len - 1]
+    fn stage(&self, len: usize) -> (&[f64], &[f64]) {
+        let stage = len / 2 - 1..len - 1;
+        (&self.re[stage.clone()], &self.im[stage])
     }
 
     /// The bit-reversal permutation of `0..self.len()` (an involution):
@@ -201,23 +215,25 @@ pub fn twiddle_table(n: usize) -> Arc<TwiddleTable> {
     Arc::clone(TABLES[n.trailing_zeros() as usize].get_or_init(|| Arc::new(TwiddleTable::new(n))))
 }
 
-/// In-place iterative radix-2 FFT, driven by the process-wide twiddle cache.
+/// In-place iterative radix-2 FFT of the split-complex signal `re[] + i·im[]`,
+/// driven by the process-wide twiddle cache.
 ///
-/// Bit-identical to the recomputing oracle [`fft_in_place_naive`]: the cached
-/// table is produced by the same recurrence the oracle evaluates inline.
+/// Bit-identical to the recomputing oracle [`fft_in_place_naive`] on the same
+/// values interleaved: the cached table is produced by the same recurrence
+/// the oracle evaluates inline, and a butterfly performs the oracle's float
+/// operations in the oracle's order. The layout is the only difference — with
+/// real and imaginary parts in separate slices a complex multiply needs no
+/// shuffle, so the butterfly loop vectorises at whatever width the target
+/// has, and no vector width changes what one lane computes.
 ///
 /// # Panics
 ///
-/// Panics if `data.len()` is not a power of two (use [`next_power_of_two`]
-/// and zero-padding to prepare inputs).
-pub fn fft_in_place(data: &mut [Complex]) {
-    let n = data.len();
+/// Panics if the slices differ in length or the length is not a power of
+/// two (use [`next_power_of_two`] and zero-padding to prepare inputs).
+pub fn fft_in_place(re: &mut [f64], im: &mut [f64]) {
+    let n = re.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
-    if n <= 1 {
-        return;
-    }
-    let table = twiddle_table(n);
-    fft_in_place_with(data, &table);
+    fft_in_place_with(re, im, &twiddle_table(n));
 }
 
 /// In-place FFT against a caller-held twiddle table (one lock-free lookup
@@ -225,21 +241,17 @@ pub fn fft_in_place(data: &mut [Complex]) {
 ///
 /// # Panics
 ///
-/// Panics if `data.len()` differs from the table's length.
-pub fn fft_in_place_with(data: &mut [Complex], table: &TwiddleTable) {
-    let n = data.len();
-    assert_eq!(n, table.len(), "FFT length must match the twiddle table");
-    if n <= 1 {
-        return;
-    }
+/// Panics if `re.len()` or `im.len()` differs from the table's length.
+pub fn fft_in_place_with(re: &mut [f64], im: &mut [f64], table: &TwiddleTable) {
     // Bit-reversal permutation, read off the table.
     for (i, &j) in table.bit_reversal().iter().enumerate() {
         let j = j as usize;
         if i < j {
-            data.swap(i, j);
+            re.swap(i, j);
+            im.swap(i, j);
         }
     }
-    butterflies(data, table);
+    butterflies(re, im, table);
 }
 
 /// The butterfly passes of the transform, over data already in bit-reversed
@@ -247,32 +259,54 @@ pub fn fft_in_place_with(data: &mut [Complex], table: &TwiddleTable) {
 /// `w = w * wlen` recurrence replaced by a table load. A caller that writes
 /// its input straight to the permuted slots ([`crate::spectrum::sbd_oriented`])
 /// skips the swap pass.
-pub(crate) fn butterflies(data: &mut [Complex], table: &TwiddleTable) {
-    let n = data.len();
-    assert_eq!(n, table.len(), "FFT length must match the twiddle table");
+pub(crate) fn butterflies(re: &mut [f64], im: &mut [f64], table: &TwiddleTable) {
+    let n = table.len();
+    assert_eq!(re.len(), n, "FFT length must match the twiddle table");
+    assert_eq!(im.len(), n, "FFT length must match the twiddle table");
     let mut len = 2;
     while len <= n {
         let half = len / 2;
-        let twiddles = table.stage(len);
-        let mut i = 0;
-        while i < n {
-            let (lo, hi) = data[i..i + len].split_at_mut(half);
-            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles.iter()) {
-                let u = *a;
-                let v = *b * w;
-                *a = u + v;
-                *b = u - v;
-            }
-            i += len;
+        let (wr, wi) = table.stage(len);
+        for (re, im) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
+            let ((ar, br), (ai, bi)) = (re.split_at_mut(half), im.split_at_mut(half));
+            butterfly_span(ar, ai, br, bi, wr, wi);
         }
         len <<= 1;
     }
 }
 
+/// One span of butterflies, `(a, b) ← (a + b·w, a − b·w)` value by value.
+/// Six slices cut to one length up front, so the loop carries no bounds
+/// check, and taken as parameters, so it knows they do not overlap: the two
+/// things that let it vectorise.
+#[inline]
+fn butterfly_span(
+    ar: &mut [f64],
+    ai: &mut [f64],
+    br: &mut [f64],
+    bi: &mut [f64],
+    wr: &[f64],
+    wi: &[f64],
+) {
+    let half = ar.len();
+    let (ai, br, bi) = (&mut ai[..half], &mut br[..half], &mut bi[..half]);
+    let (wr, wi) = (&wr[..half], &wi[..half]);
+    for k in 0..half {
+        let vr = br[k] * wr[k] - bi[k] * wi[k];
+        let vi = br[k] * wi[k] + bi[k] * wr[k];
+        (ar[k], br[k]) = (ar[k] + vr, ar[k] - vr);
+        (ai[k], bi[k]) = (ai[k] + vi, ai[k] - vi);
+    }
+}
+
 /// The seed in-place radix-2 FFT, recomputing twiddles on the fly via the
-/// per-stage recurrence. Kept as the reference oracle: property tests assert
-/// [`fft_in_place`] is **bitwise** equal to this across random lengths, and
-/// the `analysis` bench measures the twiddle-cached/batched paths against it.
+/// per-stage recurrence, on interleaved [`Complex`] values — the layout and
+/// the arithmetic the reproduction started from, deliberately left as it was
+/// so that the split transform is checked against code it shares nothing
+/// with. Kept as the reference oracle: property tests assert
+/// [`fft_in_place`] is **bitwise** equal to this across every length and on
+/// hostile input, and the `analysis` bench measures the batched path against
+/// it.
 ///
 /// # Panics
 ///
@@ -317,8 +351,9 @@ pub fn fft_in_place_naive(data: &mut [Complex]) {
     }
 }
 
-/// Batched in-place FFT: transforms every consecutive `n`-chunk of `data`
-/// with a single twiddle-table fetch, streaming one contiguous buffer.
+/// Batched in-place FFT: transforms every consecutive `n`-chunk of
+/// `re[] + i·im[]` with a single twiddle-table fetch, streaming two
+/// contiguous buffers.
 ///
 /// Bit-identical to running [`fft_in_place`] on each chunk separately — the
 /// batch shares the table and the memory layout, not the summation order —
@@ -326,116 +361,93 @@ pub fn fft_in_place_naive(data: &mut [Complex]) {
 ///
 /// # Panics
 ///
-/// Panics if `n` is not a power of two or `data.len()` is not a multiple of
-/// `n`.
-pub fn fft_batch(data: &mut [Complex], n: usize) {
+/// Panics if `n` is not a power of two, the slices differ in length, or
+/// their length is not a multiple of `n`.
+pub fn fft_batch(re: &mut [f64], im: &mut [f64], n: usize) {
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
+    assert_eq!(re.len(), im.len(), "one imaginary part per real part");
     assert_eq!(
-        data.len() % n,
+        re.len() % n,
         0,
         "batch buffer must be a whole number of length-{n} transforms"
     );
-    if n <= 1 {
-        return;
-    }
     let table = twiddle_table(n);
-    for chunk in data.chunks_exact_mut(n) {
-        fft_in_place_with(chunk, &table);
+    for (re, im) in re.chunks_exact_mut(n).zip(im.chunks_exact_mut(n)) {
+        fft_in_place_with(re, im, &table);
     }
 }
 
-/// In-place inverse FFT (including the `1/n` scaling).
+/// In-place inverse FFT (including the `1/n` scaling), as conjugate →
+/// forward transform → conjugate.
 ///
 /// # Panics
 ///
-/// Panics if `data.len()` is not a power of two.
-pub fn ifft_in_place(data: &mut [Complex]) {
-    let n = data.len();
-    for v in data.iter_mut() {
-        *v = v.conj();
+/// Same as [`fft_in_place`].
+pub fn ifft_in_place(re: &mut [f64], im: &mut [f64]) {
+    for v in im.iter_mut() {
+        *v = -*v;
     }
-    fft_in_place(data);
-    let scale = 1.0 / n as f64;
-    for v in data.iter_mut() {
-        *v = Complex::new(v.re * scale, -v.im * scale);
+    fft_in_place(re, im);
+    let scale = 1.0 / re.len() as f64;
+    for (r, i) in re.iter_mut().zip(im.iter_mut()) {
+        (*r, *i) = (*r * scale, -*i * scale);
     }
 }
 
 /// Forward FFT of a real signal, zero-padded to `padded_len` (which must be a
-/// power of two at least as large as the signal).
+/// power of two at least as large as the signal): the spectrum's real and
+/// imaginary parts.
 ///
 /// # Panics
 ///
 /// Panics if `padded_len` is smaller than `signal.len()` or not a power of
 /// two.
-pub fn fft_real(signal: &[f64], padded_len: usize) -> Vec<Complex> {
+pub fn fft_real(signal: &[f64], padded_len: usize) -> (Vec<f64>, Vec<f64>) {
     assert!(padded_len >= signal.len(), "padded length too small");
-    let mut buf: Vec<Complex> = signal.iter().map(|&v| Complex::from_real(v)).collect();
-    buf.resize(padded_len, Complex::default());
-    fft_in_place(&mut buf);
-    buf
+    let mut re = signal.to_vec();
+    re.resize(padded_len, 0.0);
+    let mut im = vec![0.0; padded_len];
+    fft_in_place(&mut re, &mut im);
+    (re, im)
 }
 
-/// Full (linear) cross-correlation of `x` and `y` computed via FFT.
+/// Full (linear) cross-correlation of `x` and `y` computed via FFT: the
+/// product of `x`'s spectrum with the conjugate of `y`'s, inverted, and the
+/// circular result rearranged into the linear shift layout.
 ///
 /// The result has length `x.len() + y.len() - 1`. Index `k` corresponds to a
 /// shift of `k - (y.len() - 1)` of `x` relative to `y`, i.e. the centre of
 /// the output is the zero-shift correlation — the same layout as the CC
-/// sequence in the k-Shape paper.
+/// sequence in the k-Shape paper. The cached-spectrum kernel
+/// ([`crate::spectrum::sbd_oriented`]) performs the same float operations
+/// per output value without materialising the sequence, which is what keeps
+/// it bit-identical to this direct path.
 pub fn cross_correlation(x: &[f64], y: &[f64]) -> Vec<f64> {
     if x.is_empty() || y.is_empty() {
         return Vec::new();
     }
-    let out_len = x.len() + y.len() - 1;
-    let fft_len = next_power_of_two(out_len);
-    let fx = fft_real(x, fft_len);
-    let fy = fft_real(y, fft_len);
-    cross_correlation_from_ffts(&fx, &fy, x.len(), y.len())
-}
-
-/// The back half of [`cross_correlation`]: multiplies two precomputed
-/// forward spectra, inverts the product and rearranges the circular result
-/// into the linear shift layout.
-///
-/// Both spectra must have been produced by [`fft_real`] at the *same* padded
-/// length `next_power_of_two(n + m - 1)`. [`cross_correlation`] funnels
-/// through this function; the cached-spectrum kernel
-/// ([`crate::spectrum::sbd_oriented`]) performs the same float operations
-/// per output value without materialising the sequence, which is what keeps
-/// it bit-identical to the direct path.
-///
-/// # Panics
-///
-/// Panics if the spectra have different lengths or are shorter than
-/// `n + m - 1`.
-pub fn cross_correlation_from_ffts(fx: &[Complex], fy: &[Complex], n: usize, m: usize) -> Vec<f64> {
-    let out_len = n + m - 1;
-    let fft_len = fx.len();
-    assert_eq!(fft_len, fy.len(), "spectra must share the padded length");
-    assert!(
-        fft_len >= out_len,
-        "spectra too short for the output length"
-    );
-    let mut prod: Vec<Complex> = fx
-        .iter()
-        .zip(fy.iter())
-        .map(|(a, b)| *a * b.conj())
-        .collect();
-    ifft_in_place(&mut prod);
+    let (n, m) = (x.len(), y.len());
+    let fft_len = next_power_of_two(n + m - 1);
+    let (xr, xi) = fft_real(x, fft_len);
+    let (yr, yi) = fft_real(y, fft_len);
+    let (mut re, mut im): (Vec<f64>, Vec<f64>) = (0..fft_len)
+        .map(|k| spectrum_product(xr[k], xi[k], yr[k], yi[k]))
+        .unzip();
+    ifft_in_place(&mut re, &mut im);
     // The circular correlation places non-negative shifts at the head and
     // negative shifts at the tail; rearrange so the output runs from shift
     // -(m-1) .. (n-1) like a linear correlation.
-    let mut out = Vec::with_capacity(out_len);
-    for k in 0..out_len {
-        let shift = k as isize - (m as isize - 1);
-        let idx = if shift >= 0 {
-            shift as usize
-        } else {
-            fft_len - shift.unsigned_abs()
-        };
-        out.push(prod[idx].re);
-    }
+    let mut out = re[fft_len - (m - 1)..].to_vec();
+    out.extend_from_slice(&re[..n]);
     out
+}
+
+/// One value of a cross-correlation's spectrum: `a · conj(b)`, written out
+/// as the interleaved seed's `Complex` multiply evaluated it.
+#[inline]
+pub(crate) fn spectrum_product(ar: f64, ai: f64, br: f64, bi: f64) -> (f64, f64) {
+    let bi = -bi;
+    (ar * br - ai * bi, ar * bi + ai * br)
 }
 
 /// Naive O(n²) cross-correlation used as a test oracle and for very short
@@ -465,14 +477,19 @@ pub fn cross_correlation_naive(x: &[f64], y: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    /// Splits interleaved values into the transform's `re[]` / `im[]` layout.
+    fn split(data: &[Complex]) -> (Vec<f64>, Vec<f64>) {
+        data.iter().map(|c| (c.re, c.im)).unzip()
+    }
+
     #[test]
     fn fft_of_impulse_is_flat() {
-        let mut data = vec![Complex::default(); 8];
-        data[0] = Complex::from_real(1.0);
-        fft_in_place(&mut data);
-        for c in data {
-            assert!((c.re - 1.0).abs() < 1e-12);
-            assert!(c.im.abs() < 1e-12);
+        let (mut re, mut im) = (vec![0.0; 8], vec![0.0; 8]);
+        re[0] = 1.0;
+        fft_in_place(&mut re, &mut im);
+        for (r, i) in re.iter().zip(im.iter()) {
+            assert!((r - 1.0).abs() < 1e-12);
+            assert!(i.abs() < 1e-12);
         }
     }
 
@@ -481,21 +498,24 @@ mod tests {
         let original: Vec<Complex> = (0..16)
             .map(|i| Complex::new(i as f64, (i * i) as f64 * 0.1))
             .collect();
-        let mut data = original.clone();
-        fft_in_place(&mut data);
-        ifft_in_place(&mut data);
-        for (a, b) in data.iter().zip(original.iter()) {
-            assert!((a.re - b.re).abs() < 1e-9);
-            assert!((a.im - b.im).abs() < 1e-9);
+        let (mut re, mut im) = split(&original);
+        fft_in_place(&mut re, &mut im);
+        ifft_in_place(&mut re, &mut im);
+        for ((r, i), b) in re.iter().zip(im.iter()).zip(original.iter()) {
+            assert!((r - b.re).abs() < 1e-9);
+            assert!((i - b.im).abs() < 1e-9);
         }
     }
 
     #[test]
     fn fft_parseval_energy_is_preserved() {
         let signal: Vec<f64> = (0..32).map(|i| ((i as f64) * 0.7).sin()).collect();
-        let spectrum = fft_real(&signal, 32);
+        let (re, im) = fft_real(&signal, 32);
         let time_energy: f64 = signal.iter().map(|v| v * v).sum();
-        let freq_energy: f64 = spectrum.iter().map(|c| c.abs().powi(2)).sum::<f64>() / 32.0;
+        let freq_energy: f64 = (re.iter().zip(im.iter()))
+            .map(|(&r, &i)| Complex::new(r, i).abs().powi(2))
+            .sum::<f64>()
+            / 32.0;
         assert!((time_energy - freq_energy).abs() < 1e-9);
     }
 
@@ -559,28 +579,64 @@ mod tests {
             .collect()
     }
 
-    fn assert_bitwise_eq(a: &[Complex], b: &[Complex], ctx: &str) {
-        assert_eq!(a.len(), b.len(), "{ctx}");
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "{ctx}: re[{i}]");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "{ctx}: im[{i}]");
+    /// Transforms `original` through the split production path and through
+    /// the interleaved oracle and demands the same bits in every part. A NaN
+    /// must meet a NaN: IEEE 754 does not say which operand's sign and
+    /// payload an operation on two NaNs keeps, so those bits belong to the
+    /// instruction selection, not to the algorithm.
+    fn assert_split_equals_oracle(original: Vec<Complex>, ctx: &str) {
+        let (mut re, mut im) = split(&original);
+        let mut naive = original;
+        fft_in_place(&mut re, &mut im);
+        fft_in_place_naive(&mut naive);
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        for (i, c) in naive.iter().enumerate() {
+            assert!(same(re[i], c.re), "{ctx}: re[{i}] {} vs {}", re[i], c.re);
+            assert!(same(im[i], c.im), "{ctx}: im[{i}] {} vs {}", im[i], c.im);
         }
     }
 
     #[test]
     fn twiddle_cached_fft_is_bitwise_equal_to_seed_fft() {
-        // Property: across random power-of-two lengths and random inputs, the
-        // table-driven FFT performs the exact float operations of the seed's
-        // recomputing FFT — bitwise, not approximately.
+        // Property: at every power-of-two length and on random inputs, the
+        // table-driven split FFT performs the exact float operations of the
+        // seed's recomputing interleaved FFT — bitwise, not approximately.
         for exp in 0..=11usize {
             let n = 1usize << exp;
             for seed in 0..4u64 {
                 let original = random_complex(n, seed.wrapping_mul(0x9E37) + exp as u64 + 1);
-                let mut cached = original.clone();
-                let mut naive = original;
-                fft_in_place(&mut cached);
-                fft_in_place_naive(&mut naive);
-                assert_bitwise_eq(&cached, &naive, &format!("n={n} seed={seed}"));
+                assert_split_equals_oracle(original, &format!("n={n} seed={seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn split_fft_equals_seed_fft_on_hostile_input() {
+        // Values a scrape can deliver or an upstream division can produce;
+        // every length sees each of them in a real and an imaginary part.
+        let hostile = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 1024.0,
+            f64::MAX,
+        ];
+        for exp in 0..=11usize {
+            let n = 1usize << exp;
+            for (h, &value) in hostile.iter().enumerate() {
+                let mut planted = random_complex(n, (exp * 16 + h) as u64 + 99);
+                planted[h % n].re = value;
+                planted[(3 * h + 1) % n].im = value;
+                assert_split_equals_oracle(planted, &format!("n={n} planted {value:e}"));
+                // The tiny and the signed-zero ends of the range, everywhere.
+                let mut faint = random_complex(n, (exp * 16 + h) as u64 + 7);
+                for (i, c) in faint.iter_mut().enumerate() {
+                    let tiny = f64::MIN_POSITIVE * c.re / 64.0;
+                    *c = Complex::new(tiny, if i % 3 == 0 { -0.0 } else { value * 0.0 });
+                }
+                assert_split_equals_oracle(faint, &format!("n={n} faint around {value:e}"));
             }
         }
     }
@@ -596,9 +652,11 @@ mod tests {
             let ang = -2.0 * std::f64::consts::PI / len as f64;
             let wlen = Complex::from_polar_unit(ang);
             let mut w = Complex::from_real(1.0);
-            for (k, &t) in table.stage(len).iter().enumerate() {
-                assert_eq!(t.re.to_bits(), w.re.to_bits(), "len={len} k={k}");
-                assert_eq!(t.im.to_bits(), w.im.to_bits(), "len={len} k={k}");
+            let (re, im) = table.stage(len);
+            assert_eq!((re.len(), im.len()), (len / 2, len / 2));
+            for (k, (tr, ti)) in re.iter().zip(im.iter()).enumerate() {
+                assert_eq!(tr.to_bits(), w.re.to_bits(), "len={len} k={k}");
+                assert_eq!(ti.to_bits(), w.im.to_bits(), "len={len} k={k}");
                 w = w * wlen;
             }
             len <<= 1;
@@ -650,21 +708,19 @@ mod tests {
     #[test]
     fn fft_batch_is_bitwise_equal_to_per_series_ffts() {
         for (count, n) in [(1usize, 8usize), (3, 64), (7, 128), (16, 32)] {
-            let mut batch: Vec<Complex> = Vec::with_capacity(count * n);
-            let mut singles: Vec<Vec<Complex>> = Vec::with_capacity(count);
-            for series in 0..count {
-                let data = random_complex(n, series as u64 * 31 + 7);
-                batch.extend_from_slice(&data);
-                singles.push(data);
-            }
-            fft_batch(&mut batch, n);
-            for (series, single) in singles.iter_mut().enumerate() {
-                fft_in_place(single);
-                assert_bitwise_eq(
-                    &batch[series * n..(series + 1) * n],
-                    single,
-                    &format!("count={count} n={n} series={series}"),
-                );
+            let singles: Vec<(Vec<f64>, Vec<f64>)> = (0..count)
+                .map(|series| split(&random_complex(n, series as u64 * 31 + 7)))
+                .collect();
+            let mut batch_re: Vec<f64> = singles.iter().flat_map(|s| s.0.clone()).collect();
+            let mut batch_im: Vec<f64> = singles.iter().flat_map(|s| s.1.clone()).collect();
+            fft_batch(&mut batch_re, &mut batch_im, n);
+            for (series, (mut re, mut im)) in singles.into_iter().enumerate() {
+                fft_in_place(&mut re, &mut im);
+                let chunk = series * n..(series + 1) * n;
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let ctx = format!("count={count} n={n} series={series}");
+                assert_eq!(bits(&batch_re[chunk.clone()]), bits(&re), "{ctx}: re");
+                assert_eq!(bits(&batch_im[chunk]), bits(&im), "{ctx}: im");
             }
         }
     }
@@ -672,8 +728,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole number")]
     fn fft_batch_rejects_ragged_buffers() {
-        let mut data = vec![Complex::default(); 12];
-        fft_batch(&mut data, 8);
+        fft_batch(&mut [0.0; 12], &mut [0.0; 12], 8);
     }
 
     #[test]

@@ -13,15 +13,18 @@
 //!
 //! The cached path is **bit-identical** to the naive one: the kernel
 //! ([`sbd_oriented`]) performs, per output value, the float operations of
-//! [`crate::fft::cross_correlation_from_ffts`] followed by the division and
+//! [`crate::fft::cross_correlation`] followed by the division and
 //! first-maximum scan of [`crate::sbd::shape_based_distance`] — it only
 //! stops materialising the intermediate vectors — and the cached forward
-//! FFT is produced by the same [`crate::fft::fft_real`] call the direct path
-//! performs internally. The pipeline's cached/naive model equality tests
-//! rely on this.
+//! FFT is the transform [`crate::fft::fft_real`] runs for the direct path.
+//! The pipeline's cached/naive model equality tests rely on this.
+//!
+//! Everything here is in the transform's split-complex layout — real parts
+//! in one slice, imaginary parts in another — so the spectrum product, the
+//! butterflies and the scan each stream plain `f64` lanes.
 
 use crate::fft::{
-    butterflies, fft_in_place_with, fft_real, next_power_of_two, twiddle_table, Complex,
+    butterflies, fft_in_place_with, next_power_of_two, spectrum_product, twiddle_table,
     TwiddleTable,
 };
 use crate::normalize::z_normalize;
@@ -43,8 +46,10 @@ pub struct SeriesSpectrum {
     z: Arc<[f64]>,
     /// L2 norm of the z-normalized values.
     norm: f64,
-    /// Forward FFT of the z-normalized values, zero-padded to `padded_len`.
-    fft: Arc<[Complex]>,
+    /// Forward FFT of the z-normalized values, zero-padded to `padded_len`:
+    /// the `padded_len` real parts, then the `padded_len` imaginary parts, in
+    /// one allocation.
+    fft: Arc<[f64]>,
     /// The power-of-two FFT length: `next_power_of_two(2 * len - 1)`.
     padded_len: usize,
 }
@@ -64,20 +69,37 @@ impl SeriesSpectrum {
         if values.is_empty() {
             return Err(TimeSeriesError::Empty);
         }
-        let len = values.len();
+        let padded_len = next_power_of_two(2 * values.len() - 1);
+        Ok(Self::with_table(values, &twiddle_table(padded_len)))
+    }
+
+    /// The spectrum of the non-empty `values`, transformed against `table`
+    /// (of length `next_power_of_two(2 * values.len() - 1)`).
+    fn with_table(values: &[f64], table: &TwiddleTable) -> Self {
+        let padded_len = table.len();
         let z = z_normalize(values);
-        // Same chunked kernel as the direct SBD path and the batched path, so
-        // all three stay bitwise interchangeable.
+        // Same chunked kernel as the direct SBD path, so the two stay
+        // bitwise interchangeable.
         let norm = sum_of_squares(&z).sqrt();
-        let padded_len = next_power_of_two(2 * len - 1);
-        let fft = fft_real(&z, padded_len);
-        Ok(Self {
-            len,
+        // Built in place in its final allocation: zeros, the signal over the
+        // head of the real half, one transform.
+        let mut fft: Arc<[f64]> = std::iter::repeat(0.0).take(2 * padded_len).collect();
+        let block = Arc::get_mut(&mut fft).expect("a spectrum nobody else holds yet");
+        let (re, im) = block.split_at_mut(padded_len);
+        re[..z.len()].copy_from_slice(&z);
+        fft_in_place_with(re, im, table);
+        Self {
+            len: values.len(),
             z: z.into(),
             norm,
-            fft: fft.into(),
+            fft,
             padded_len,
-        })
+        }
+    }
+
+    /// The cached spectrum's real and imaginary parts.
+    fn fft(&self) -> (&[f64], &[f64]) {
+        self.fft.split_at(self.padded_len)
     }
 
     /// Original series length.
@@ -107,19 +129,16 @@ impl SeriesSpectrum {
     }
 }
 
-/// All spectra of one component, computed in a single pass over one
-/// contiguous FFT arena.
+/// All spectra of one component, computed against one twiddle table.
 ///
 /// The pipeline's prepared series are truncated to a common length per
 /// component, so every spectrum of a component shares one padded FFT
-/// length. The batch exploits that: it fetches the twiddle table once,
-/// packs every z-normalized series into one contiguous `Complex` buffer and
-/// transforms the chunks back to back — one allocation and one table fetch
-/// for the whole component instead of one of each per series.
+/// length. The batch checks that once and fetches the table once; each
+/// series is then transformed in place in the allocation its spectrum keeps.
 ///
 /// The result is **bitwise identical** to calling
 /// [`SeriesSpectrum::compute`] per series (asserted by property tests): the
-/// batch changes memory layout and table reuse, never the float operations.
+/// batch shares the table, never the float operations.
 #[derive(Debug, Clone)]
 pub struct SpectrumBatch {
     spectra: Vec<SeriesSpectrum>,
@@ -156,34 +175,9 @@ impl SpectrumBatch {
                 return Err(TimeSeriesError::Empty);
             }
         }
-        let padded_len = next_power_of_two(2 * len - 1);
-        let table = twiddle_table(padded_len);
-        // One contiguous arena for every transform of the component.
-        let mut arena = vec![Complex::default(); series.len() * padded_len];
-        let mut zs: Vec<Vec<f64>> = Vec::with_capacity(series.len());
-        for (chunk, s) in arena.chunks_exact_mut(padded_len).zip(series.iter()) {
-            let z = z_normalize(s.as_ref());
-            for (slot, &v) in chunk.iter_mut().zip(z.iter()) {
-                *slot = Complex::from_real(v);
-            }
-            zs.push(z);
-        }
-        for chunk in arena.chunks_exact_mut(padded_len) {
-            fft_in_place_with(chunk, &table);
-        }
-        let spectra = zs
-            .into_iter()
-            .zip(arena.chunks_exact(padded_len))
-            .map(|(z, fft)| {
-                let norm = sum_of_squares(&z).sqrt();
-                SeriesSpectrum {
-                    len,
-                    z: z.into(),
-                    norm,
-                    fft: fft.into(),
-                    padded_len,
-                }
-            })
+        let table = twiddle_table(next_power_of_two(2 * len - 1));
+        let spectra = (series.iter())
+            .map(|s| SeriesSpectrum::with_table(s.as_ref(), &table))
             .collect();
         Ok(Self { spectra })
     }
@@ -210,7 +204,7 @@ impl SpectrumBatch {
 }
 
 /// Caller-held working memory of the SBD kernel: the twiddle table of one
-/// padded length and one FFT buffer of that length.
+/// padded length and one split-complex FFT buffer of that length.
 ///
 /// A loop that evaluates many distances at one series length (a k-Shape
 /// fit, a distance-matrix row) creates one scratch and passes it to every
@@ -220,19 +214,21 @@ impl SpectrumBatch {
 #[derive(Debug, Default)]
 pub struct SbdScratch {
     table: Option<Arc<TwiddleTable>>,
-    buf: Vec<Complex>,
+    /// `n` real parts, then `n` imaginary parts.
+    buf: Vec<f64>,
 }
 
 impl SbdScratch {
-    /// The table and buffer for padded length `n`, (re)built when the
-    /// scratch last served a different length.
-    fn for_len(&mut self, n: usize) -> (&TwiddleTable, &mut [Complex]) {
-        if self.buf.len() != n {
+    /// The table and the `re[]` / `im[]` buffers for padded length `n`,
+    /// (re)built when the scratch last served a different length.
+    fn for_len(&mut self, n: usize) -> (&TwiddleTable, &mut [f64], &mut [f64]) {
+        if self.buf.len() != 2 * n {
             self.table = None;
-            self.buf.resize(n, Complex::default());
+            self.buf.resize(2 * n, 0.0);
         }
         let table = self.table.get_or_insert_with(|| twiddle_table(n));
-        (table, &mut self.buf)
+        let (re, im) = self.buf.split_at_mut(n);
+        (table, re, im)
     }
 }
 
@@ -286,24 +282,26 @@ pub fn sbd_oriented(
     let (mut max, mut argmax, mut min) = (0.0, 0usize, 0.0);
     if denom != 0.0 {
         let n = x.padded_len;
-        let (table, buf) = scratch.for_len(n);
+        let (table, re, im) = scratch.for_len(n);
         // The inverse transform as conj → forward FFT → conj·(1/n); only
         // real parts are read below, so the trailing conj disappears. Each
         // product goes straight to its bit-reversed slot, so the transform
         // is the butterfly passes alone.
-        let products = x.fft.iter().zip(y.fft.iter());
-        for ((a, b), &slot) in products.zip(table.bit_reversal()) {
-            buf[slot as usize] = (*a * b.conj()).conj();
+        let ((xr, xi), (yr, yi)) = (x.fft(), y.fft());
+        let operands = xr.iter().zip(xi).zip(yr.iter().zip(yi));
+        for (((&ar, &ai), (&br, &bi)), &slot) in operands.zip(table.bit_reversal()) {
+            let (pr, pi) = spectrum_product(ar, ai, br, bi);
+            (re[slot as usize], im[slot as usize]) = (pr, -pi);
         }
-        butterflies(buf, table);
+        butterflies(re, im, table);
         let scale = 1.0 / n as f64;
         // The circular correlation holds shifts 0..x.len at the head and
         // the negative shifts -(y.len-1)..0 at the tail; scanning tail then
         // head visits them in the linear layout's index order.
-        let lags = buf[n - (y.len - 1)..].iter().chain(buf[..x.len].iter());
+        let lags = re[n - (y.len - 1)..].iter().chain(re[..x.len].iter());
         (max, min) = (f64::NEG_INFINITY, f64::INFINITY);
-        for (k, c) in lags.enumerate() {
-            let v = c.re * scale / denom;
+        for (k, &c) in lags.enumerate() {
+            let v = c * scale / denom;
             if v > max {
                 max = v;
                 argmax = k;
@@ -360,6 +358,10 @@ mod tests {
     fn random_series(len: usize, seed: u64) -> Vec<f64> {
         let mut s = seed;
         (0..len).map(|_| 100.0 * splitmix(&mut s)).collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -439,6 +441,87 @@ mod tests {
         }
     }
 
+    /// The benchmark's window: 240 samples, padded to 512.
+    const WINDOW: usize = 240;
+
+    #[test]
+    fn kernel_equals_direct_path_bitwise_at_the_benchmark_window() {
+        assert_eq!(next_power_of_two(2 * WINDOW - 1), 512);
+        let mut scratch = SbdScratch::default();
+        let mut check = |x: &[f64], y: &[f64], ctx: &str| {
+            let direct = shape_based_distance(x, y).unwrap();
+            let sx = SeriesSpectrum::compute(x).unwrap();
+            let sy = SeriesSpectrum::compute(y).unwrap();
+            let kernel = sbd_oriented(&sx, &sy, &mut scratch).unwrap();
+            assert_eq!(
+                kernel.sbd.distance.to_bits(),
+                direct.distance.to_bits(),
+                "{ctx}"
+            );
+            assert_eq!(kernel.sbd.shift, direct.shift, "{ctx}");
+            assert_eq!(kernel.sbd.ncc.to_bits(), direct.ncc.to_bits(), "{ctx}");
+            let negated: Vec<f64> = x.iter().map(|v| -v).collect();
+            let flipped = shape_based_distance(&negated, y).unwrap();
+            assert_eq!(
+                kernel.flipped_distance.to_bits(),
+                flipped.distance.to_bits(),
+                "{ctx}: flipped"
+            );
+            kernel
+        };
+        for seed in 0..16u64 {
+            let x = random_series(WINDOW, seed * 2 + 1);
+            let y = random_series(WINDOW, seed * 2 + 2);
+            let r = check(&x, &y, &format!("random, seed {seed}"));
+            assert!(r.sbd.distance > 0.0 && r.sbd.distance < 2.0);
+            let own = check(&x, &x, &format!("self, seed {seed}"));
+            assert_eq!(own.sbd.shift, 0);
+        }
+        let x = random_series(WINDOW, 77);
+        // A constant operand: the NCC sequence is all zeros by convention.
+        for (a, b) in [(&vec![4.25; WINDOW], &x), (&x, &vec![-1.0; WINDOW])] {
+            let r = check(a, b, "constant operand");
+            assert_eq!((r.sbd.distance, r.sbd.shift), (1.0, WINDOW as isize - 1));
+            assert_eq!(r.flipped_distance, 1.0);
+        }
+        // A non-finite sample poisons the operand's mean, hence every z
+        // value, its norm and every NCC value: no value beats the scan's
+        // starting points, so both orientations report the maximal distance
+        // at the first index — a stated result, not a panic and not a NaN.
+        for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = x.clone();
+            poisoned[WINDOW / 3] = hostile;
+            let y = random_series(WINDOW, 78);
+            for (a, b) in [(&poisoned, &y), (&y, &poisoned)] {
+                let r = check(a, b, &format!("operand containing {hostile}"));
+                assert_eq!((r.sbd.distance, r.sbd.shift), (2.0, WINDOW as isize - 1));
+                assert_eq!(r.flipped_distance, 2.0);
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_reused_across_padded_lengths_yields_what_fresh_scratches_do() {
+        // 16 → 512 → 16: the scratch grows, shrinks, and must neither keep a
+        // stale table nor read the longer run's leftovers.
+        let mut reused = SbdScratch::default();
+        for (round, len) in [8usize, WINDOW, 8, WINDOW, 5].into_iter().enumerate() {
+            let x = SeriesSpectrum::compute(&random_series(len, round as u64 + 40)).unwrap();
+            let y = SeriesSpectrum::compute(&random_series(len, round as u64 + 50)).unwrap();
+            let fresh = sbd_oriented(&x, &y, &mut SbdScratch::default()).unwrap();
+            let again = sbd_oriented(&x, &y, &mut reused).unwrap();
+            assert_eq!(again.sbd.distance.to_bits(), fresh.sbd.distance.to_bits());
+            assert_eq!(again.sbd.shift, fresh.sbd.shift, "round {round}");
+            assert_eq!(
+                again.flipped_distance.to_bits(),
+                fresh.flipped_distance.to_bits(),
+                "round {round}"
+            );
+            assert_eq!(reused.buf.len(), 2 * x.padded_len(), "round {round}");
+            assert_eq!(reused.table.as_ref().unwrap().len(), x.padded_len());
+        }
+    }
+
     #[test]
     fn batch_is_bitwise_equal_to_per_series_spectra() {
         // The documented contract is "within epsilon"; the implementation is
@@ -465,10 +548,10 @@ mod tests {
                     for (a, c) in b.z_values().iter().zip(s.z_values().iter()) {
                         assert_eq!(a.to_bits(), c.to_bits(), "{ctx}: z");
                     }
-                    for (a, c) in b.fft.iter().zip(s.fft.iter()) {
-                        assert_eq!(a.re.to_bits(), c.re.to_bits(), "{ctx}: fft re");
-                        assert_eq!(a.im.to_bits(), c.im.to_bits(), "{ctx}: fft im");
-                    }
+                    let ((br, bi), (sr, si)) = (b.fft(), s.fft());
+                    assert_eq!(br.len(), b.padded_len(), "{ctx}");
+                    assert_eq!(bits(br), bits(sr), "{ctx}: fft re");
+                    assert_eq!(bits(bi), bits(si), "{ctx}: fft im");
                 }
             }
         }
@@ -535,6 +618,12 @@ mod tests {
         let c = s.clone();
         assert!(std::sync::Arc::ptr_eq(&c.z, &s.z));
         assert!(std::sync::Arc::ptr_eq(&c.fft, &s.fft));
+        // The split spectrum is one allocation of the interleaved one's
+        // size — two `f64` per padded sample — and no second copy is kept.
+        assert_eq!(s.fft.len(), 2 * s.padded_len());
+        assert_eq!(std::sync::Arc::strong_count(&s.fft), 2);
+        let (re, im) = s.fft();
+        assert_eq!((re.len(), im.len()), (32, 32));
     }
 
     #[test]
