@@ -21,7 +21,10 @@ use crate::distance::compute_spectra;
 use crate::{ClusterError, Result};
 use sieve_timeseries::normalize::{z_normalize, z_normalize_into};
 use sieve_timeseries::sbd::{align_to, apply_shift, shape_based_distance};
-use sieve_timeseries::spectrum::{sbd_oriented, OrientedSbd, SbdScratch, SeriesSpectrum};
+use sieve_timeseries::spectrum::{
+    sbd_lower_bound, sbd_oriented, OrientedSbd, SbdScratch, SeriesSpectrum,
+};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// Configuration of a k-Shape run.
@@ -141,6 +144,10 @@ impl KShapeResult {
 /// hold one centroid and one n-cell column per refinement performed, one
 /// `n × n` table of shifts, and one series-length copy plus spectrum per
 /// distinct `(series, shift)`; all are dropped with the cache.
+///
+/// A refinement's column is *lazy*: each cell starts as a spectral lower
+/// bound on its distance and becomes the kernel's `(distance, shift)` only
+/// when an assignment step cannot rule it out (see [`KShape::fit_cached`]).
 #[derive(Debug, Clone)]
 pub struct KShapeSeriesCache {
     /// z-normalized copies of the input series, packed end to end in one
@@ -155,22 +162,34 @@ pub struct KShapeSeriesCache {
     count: usize,
     /// Spectra of the z-normalized copies.
     spectra: Vec<SeriesSpectrum>,
-    /// Every refinement fits over this cache have performed, keyed by its
-    /// whole input `(power_iterations, members, shifts)`.
-    refined: HashMap<(usize, Vec<usize>, Vec<isize>), Refinement>,
+    /// [`SeriesSpectrum::unit_magnitudes`] of every entry of `spectra`,
+    /// packed end to end like `z_buffer`: what a new refinement bounds its
+    /// column from.
+    magnitudes: Vec<f64>,
+    /// Every refinement fits over this cache have performed, in the order
+    /// they were; a running fit names its current centroids by index.
+    refinements: Vec<Refinement>,
+    /// The index in `refinements` of each one's whole input
+    /// `(power_iterations, members, shifts)`.
+    refined: HashMap<(usize, Vec<usize>, Vec<isize>), usize>,
     /// Refinements answered from `refined`; see
     /// [`KShapeSeriesCache::refinements_reused`].
     refinements_reused: u64,
     /// SBD evaluations (one inverse FFT each) issued by fits over this
     /// cache; see [`KShapeSeriesCache::sbd_evaluations`].
     sbd_evaluations: u64,
+    /// Spectral lower bounds computed for new columns; see
+    /// [`KShapeSeriesCache::bounds_computed`].
+    bounds_computed: u64,
     /// `first_shifts[r * count + i]` is the shift aligning series `i` to
     /// series `r`, once a fit's first iteration has evaluated it.
     first_shifts: Vec<Option<isize>>,
     /// First-member alignments answered from `first_shifts`.
     alignments_reused: u64,
-    /// Every `(series, shift)` a refinement has aligned.
-    aligned: HashMap<(usize, isize), AlignedMember>,
+    /// Every aligned member refinements have built, in the order they did.
+    aligned: Vec<AlignedMember>,
+    /// The index in `aligned` of each `(series, shift)`.
+    aligned_index: HashMap<(usize, isize), usize>,
     /// Aligned members answered from `aligned`.
     aligned_spectra_reused: u64,
     /// Power-iteration steps refinements over this cache have taken; see
@@ -182,9 +201,48 @@ pub struct KShapeSeriesCache {
 #[derive(Debug, Clone)]
 struct Refinement {
     centroid: Vec<f64>,
-    /// `(distance, shift)` of every cached series against `centroid`; 2.0 —
-    /// the maximal distance — when the centroid is the zero vector.
-    column: Vec<(f64, isize)>,
+    /// What is known of every cached series' distance to `centroid`. `None`
+    /// when the centroid is the zero vector: every distance to it is the
+    /// constant 2.0 — the maximal one — and no shift is ever read from it.
+    column: Option<Vec<Cell>>,
+}
+
+/// One cell of a refinement's distance column: the shape-based distance of
+/// one cached series to the refinement's centroid, as far as a fit has
+/// needed to know it. A cell only ever moves from `AtLeast` to `Exact`, both
+/// are pure functions of the pair, and the memo keeps them for every later
+/// iteration and every other `k`.
+#[derive(Debug, Clone, Copy)]
+enum Cell {
+    /// Not evaluated: the distance is at least this
+    /// ([`sbd_lower_bound`], up to rounding — see [`BOUND_MARGIN`]). Every
+    /// assignment step so far has ruled the cell out on that alone.
+    AtLeast(f64),
+    /// The kernel's `(distance, shift)`.
+    Exact(f64, isize),
+}
+
+/// How far above a row's best distance a cell's lower bound must lie for
+/// the assignment step to skip the cell. The bound and the kernel's
+/// distance are each within ~1e-13 of the real numbers they stand for (a
+/// 257-term dot product on one side, a 512-point transform on the other;
+/// the bound is seen above the distance only where both are ≈ 0 — a series
+/// against its own multiple — and then by ~1e-15), so a skipped cell's
+/// distance is strictly greater than the best and could neither win the
+/// `argmin` nor tie it. A constant, not a setting: no input needs another
+/// value.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// A running fit's hold on one cluster's current centroid.
+struct CurrentCentroid {
+    /// Index into [`KShapeSeriesCache::refinements`].
+    refinement: usize,
+    /// The centroid's spectrum, for the cells the fit still evaluates: the
+    /// refinement that computed it hands it over, a memo hit rebuilds it
+    /// (same input, same bits) if and when a cell needs the kernel. Held
+    /// per running fit, not per memoised refinement — `k` spectra, not one
+    /// for each of a sweep's thousand refinements.
+    spectrum: Option<SeriesSpectrum>,
 }
 
 /// One cached series shifted and z-normalized again — a row of a
@@ -249,17 +307,22 @@ impl KShapeSeriesCache {
         let z_buffer = packed.concat();
         let views: Vec<&[f64]> = z_buffer.chunks_exact(m).collect();
         let spectra = compute_spectra(&views, workers)?;
+        let magnitudes = spectra.iter().flat_map(|s| s.unit_magnitudes()).collect();
         Ok(Self {
             z_buffer,
             series_len: m,
             count: refs.len(),
             spectra,
+            magnitudes,
+            refinements: Vec::new(),
             refined: HashMap::new(),
             refinements_reused: 0,
             sbd_evaluations: 0,
+            bounds_computed: 0,
             first_shifts: vec![None; refs.len() * refs.len()],
             alignments_reused: 0,
-            aligned: HashMap::new(),
+            aligned: Vec::new(),
+            aligned_index: HashMap::new(),
             aligned_spectra_reused: 0,
             power_steps: 0,
         })
@@ -296,10 +359,34 @@ impl KShapeSeriesCache {
     /// have issued. A deterministic measure of the work the fits did: an
     /// iteration that recomputed every alignment, orientation and distance
     /// column would cost `n·k + 3n` of them; a refinement actually performed
-    /// costs `n` plus its cluster's size, a reused one none, and a
-    /// first-member alignment one the first time its pair is met.
+    /// costs its cluster's size plus the cells of its `n`-cell column the
+    /// spectral bound could not rule out
+    /// (`n −` its share of [`KShapeSeriesCache::cells_ruled_out`]), a reused
+    /// one none, and a first-member alignment one the first time its pair
+    /// is met.
     pub fn sbd_evaluations(&self) -> u64 {
         self.sbd_evaluations
+    }
+
+    /// Number of spectral lower bounds ([`sbd_lower_bound`], ~90 ns against
+    /// an evaluation's microseconds) computed: one per cell of every
+    /// non-zero centroid's column, when its refinement is performed — never
+    /// again for that `(refinement, series)`, whatever the iteration or `k`.
+    pub fn bounds_computed(&self) -> u64 {
+        self.bounds_computed
+    }
+
+    /// Number of column cells, over all refinements performed, that still
+    /// hold only their bound: every assignment step that met one ruled it
+    /// out without the kernel. Evaluating every cell, as [`KShape::fit`]
+    /// does, would have cost exactly this many more
+    /// [`KShapeSeriesCache::sbd_evaluations`].
+    pub fn cells_ruled_out(&self) -> u64 {
+        let columns = self.refinements.iter().filter_map(|r| r.column.as_ref());
+        columns
+            .flatten()
+            .filter(|cell| matches!(cell, Cell::AtLeast(_)))
+            .count() as u64
     }
 
     /// Number of cluster refinements (alignment, power iteration,
@@ -348,6 +435,43 @@ impl KShapeSeriesCache {
     /// it takes fewer when its iterate recurs (see [`KShape::fit_cached`]).
     pub fn power_steps(&self) -> u64 {
         self.power_steps
+    }
+
+    /// The distance of series `i` to a cluster's `current` centroid — or
+    /// `None` when the cell's lower bound lies more than [`BOUND_MARGIN`]
+    /// above `best`, so the distance cannot be the row's minimum and is not
+    /// evaluated. A cell evaluated here is exact from now on. A NaN bound
+    /// (a constant or non-finite operand) compares false and is evaluated.
+    fn distance_unless_ruled_out(
+        &mut self,
+        current: &mut Option<CurrentCentroid>,
+        i: usize,
+        best: f64,
+        sbd: &mut CountedSbd,
+    ) -> Result<Option<f64>> {
+        // The zero vector, as initialised or as refined: maximal distance,
+        // so the cluster only attracts members when every other option is
+        // worse.
+        let Some(current) = current else {
+            return Ok(Some(2.0));
+        };
+        let Refinement { centroid, column } = &mut self.refinements[current.refinement];
+        let Some(column) = column else {
+            return Ok(Some(2.0));
+        };
+        match column[i] {
+            Cell::Exact(distance, _) => Ok(Some(distance)),
+            Cell::AtLeast(bound) if bound > best + BOUND_MARGIN => Ok(None),
+            Cell::AtLeast(_) => {
+                let spectrum = match &mut current.spectrum {
+                    Some(held) => held,
+                    vacant => vacant.insert(SeriesSpectrum::compute(centroid)?),
+                };
+                let evaluated = sbd.eval(spectrum, &self.spectra[i])?.sbd;
+                column[i] = Cell::Exact(evaluated.distance, evaluated.shift);
+                Ok(Some(evaluated.distance))
+            }
+        }
     }
 }
 
@@ -500,23 +624,26 @@ impl KShape {
     ///
     /// This is the production counterpart of [`KShape::fit`], and it is
     /// **bit-identical** to it on the same series (asserted by tests): every
-    /// float operation it performs is one `fit` performs too; it just never
-    /// performs one whose result it already holds. Three facts make that
-    /// exact rather than approximate:
+    /// float operation that reaches its result is one `fit` performs too; it
+    /// just never performs one whose result it already holds. The one
+    /// exception is the spectral lower bounds of fact 6, which `fit` never
+    /// computes — they decide which distances are evaluated and never
+    /// reach a result. Six facts make that exact rather than approximate:
     ///
     /// 1. *Alignment is the assignment step's own by-product.* Refining
     ///    cluster `c` aligns its members to the current centroid — the same
     ///    `SBD(centroid_c, series_i)` evaluation the previous assignment
-    ///    step made. An `n × k` table keeps each evaluation's
+    ///    step made. The centroid's column keeps each evaluation's
     ///    `(distance, shift)`, and refinement reads the shifts from it.
     /// 2. *A refined centroid is a pure function of which series are
     ///    members, how each is shifted and the power-iteration count* — and
-    ///    its column of the table a pure function of the centroid. The cache
-    ///    keeps one map from that input to `(centroid, column)`, so whenever
-    ///    an input recurs — the previous step's (the commonest case), an
-    ///    earlier lap's of a fit that cycles, or another `k`'s fit over the
-    ///    same cache — both are read back instead of recomputed. The fit
-    ///    still runs the same iterations to the same verdict.
+    ///    each cell of its distance column a pure function of the centroid
+    ///    and one series. The cache keeps one map from that input to
+    ///    `(centroid, column)`, so whenever an input recurs — the previous
+    ///    step's (the commonest case), an earlier lap's of a fit that
+    ///    cycles, or another `k`'s fit over the same cache — both are read
+    ///    back instead of recomputed. The fit still runs the same
+    ///    iterations to the same verdict.
     /// 3. *Negating a centroid negates every NCC value exactly* (IEEE
     ///    arithmetic is sign-symmetric), so the orientation check reads both
     ///    candidate orientations' distances off one scan
@@ -535,6 +662,19 @@ impl KShape {
     ///    The oracle keeps the plain loop ([`KShape::fit`] through
     ///    `extract_shape`), which is what makes every `fit_cached == fit`
     ///    assert a differential test of the early exit.
+    /// 6. *The assignment step needs each row's minimum, not each cell.*
+    ///    `SBD(x, y) ≥ 1 − Σ_k |X_k||Y_k| / (N‖x‖‖y‖)` ([`sbd_lower_bound`]),
+    ///    so a column starts as `n` bounds and a series asks the kernel for
+    ///    its own cluster's cell first, then only for cells whose bound is
+    ///    not more than a fixed margin (1e-9, for the rounding of either
+    ///    side) above the best distance so far. A
+    ///    cell ruled out is strictly greater than the row's minimum: it
+    ///    could neither win nor tie, so the first-index `argmin` over the
+    ///    evaluated cells is the `argmin` over all of them — and the
+    ///    members of the next refinement, each its row's minimum, always
+    ///    find their shifts evaluated. `fit` evaluates every cell, which
+    ///    makes every `fit_cached == fit` assert a differential test of
+    ///    the bound.
     ///
     /// The cache is taken by `&mut` for the memo and its counters; fits over
     /// one cache run one after another (the k sweep does).
@@ -558,94 +698,114 @@ impl KShape {
 
         let mut assignments = self.config.initial_labels(n)?;
 
-        let mut centroids: Vec<Vec<f64>> = vec![vec![0.0; m]; k];
+        // The refinement behind each cluster's current centroid; `None`
+        // while that is still the zero vector every cluster starts with.
+        let mut current: Vec<Option<CurrentCentroid>> = (0..k).map(|_| None).collect();
         let mut iterations = 0usize;
         let mut converged = false;
-
-        // `table[i * k + c]` is the (distance, shift) of series `i` against
-        // the *current* centroid `c`; 2.0 — the maximal distance — while
-        // that centroid is the zero vector, so an uninitialised/empty
-        // cluster only attracts members when every other option is worse.
-        let mut table: Vec<(f64, isize)> = vec![(2.0, 0); n * k];
         let mut sbd = CountedSbd::default();
 
         for iter in 0..self.config.max_iterations {
             iterations = iter + 1;
 
-            // Refinement: the shape of every cluster and its column of the
-            // table, extracted unless the cache already holds them.
-            for (c, centroid) in centroids.iter_mut().enumerate() {
+            // Refinement: the shape of every cluster and its distance
+            // column, extracted unless the cache already holds them.
+            for (c, slot) in current.iter_mut().enumerate() {
                 let members: Vec<usize> = (0..n).filter(|&i| assignments[i] == c).collect();
                 if members.is_empty() {
                     continue; // keep the previous centroid
                 }
-                let shifts: Vec<isize> = if centroid.iter().all(|&v| v == 0.0) {
+                let column = (slot.as_ref())
+                    .and_then(|held| cache.refinements[held.refinement].column.as_ref());
+                let shifts: Vec<isize> = match column {
+                    // Each member was assigned here as its row's minimum,
+                    // which is always an evaluated cell.
+                    Some(column) => (members.iter())
+                        .map(|&i| match column[i] {
+                            Cell::Exact(_, shift) => shift,
+                            Cell::AtLeast(_) => unreachable!("a member's cell was evaluated"),
+                        })
+                        .collect(),
                     // No centroid yet: align to the first member. `fit`
                     // takes the spectrum of that member's z-normalized
                     // copy as reference — exactly the cached one.
-                    let first = members[0];
-                    let mut shifts = Vec::with_capacity(members.len());
-                    for &i in &members {
-                        let known = &mut cache.first_shifts[first * n + i];
-                        shifts.push(match *known {
-                            Some(shift) => {
-                                cache.alignments_reused += 1;
-                                shift
-                            }
-                            None => {
-                                let evaluated =
-                                    sbd.eval(&cache.spectra[first], &cache.spectra[i])?;
-                                *known.insert(evaluated.sbd.shift)
-                            }
-                        });
+                    None => {
+                        let first = members[0];
+                        let mut shifts = Vec::with_capacity(members.len());
+                        for &i in &members {
+                            let known = &mut cache.first_shifts[first * n + i];
+                            shifts.push(match *known {
+                                Some(shift) => {
+                                    cache.alignments_reused += 1;
+                                    shift
+                                }
+                                None => {
+                                    let evaluated =
+                                        sbd.eval(&cache.spectra[first], &cache.spectra[i])?;
+                                    *known.insert(evaluated.sbd.shift)
+                                }
+                            });
+                        }
+                        shifts
                     }
-                    shifts
-                } else {
-                    members.iter().map(|&i| table[i * k + c].1).collect()
                 };
                 let input = (self.config.power_iterations, members, shifts);
-                let refinement = match cache.refined.get(&input) {
-                    Some(known) => {
+                *slot = Some(match cache.refined.get(&input) {
+                    Some(&refinement) => {
                         cache.refinements_reused += 1;
-                        known
+                        CurrentCentroid {
+                            refinement,
+                            spectrum: None,
+                        }
                     }
                     None => {
-                        let (centroid, centroid_spectrum) =
-                            refine_centroid(cache, &input, &mut sbd)?;
                         // One centroid spectrum — the one the orientation
-                        // check already used — serves all n series.
+                        // check already used — bounds all n cells now and
+                        // serves the ones evaluated later.
+                        let (centroid, spectrum) = refine_centroid(cache, &input, &mut sbd)?;
                         let column = if centroid.iter().all(|&v| v == 0.0) {
-                            vec![(2.0, 0); n]
+                            None
                         } else {
-                            (cache.spectra.iter())
-                                .map(|spectrum| {
-                                    let r = sbd.eval(&centroid_spectrum, spectrum)?.sbd;
-                                    Ok((r.distance, r.shift))
-                                })
-                                .collect::<Result<_>>()?
+                            let centroid_magnitudes = spectrum.unit_magnitudes();
+                            cache.bounds_computed += n as u64;
+                            let bounds = (cache.magnitudes)
+                                .chunks_exact(centroid_magnitudes.len())
+                                .map(|series| {
+                                    Cell::AtLeast(sbd_lower_bound(&centroid_magnitudes, series))
+                                });
+                            Some(bounds.collect())
                         };
-                        let refinement = Refinement { centroid, column };
-                        cache.refined.entry(input).or_insert(refinement)
+                        let refinement = cache.refinements.len();
+                        cache.refinements.push(Refinement { centroid, column });
+                        cache.refined.insert(input, refinement);
+                        CurrentCentroid {
+                            refinement,
+                            spectrum: Some(spectrum),
+                        }
                     }
-                };
-                centroid.clone_from(&refinement.centroid);
-                for (row, &cell) in table.chunks_exact_mut(k).zip(&refinement.column) {
-                    row[c] = cell;
-                }
+                });
             }
 
-            // Assignment: nearest centroid under SBD, read off the table.
+            // Assignment: nearest centroid under SBD, first index on a tie.
+            // Each series asks for its own cluster's cell first — whatever
+            // the bound says, so the row has a minimum — then for the
+            // others in index order; a cell ruled out is strictly above the
+            // best so far, hence above the row's minimum, and the nearest
+            // of the cells evaluated is the nearest of them all.
             let mut changed = false;
-            for (assigned, row) in assignments.iter_mut().zip(table.chunks_exact(k)) {
-                let mut best_cluster = *assigned;
-                let mut best_dist = f64::INFINITY;
-                for (c, &(d, _)) in row.iter().enumerate() {
-                    if d < best_dist {
+            for (i, assigned) in assignments.iter_mut().enumerate() {
+                let own = *assigned;
+                let (mut best_dist, mut best_cluster) = (f64::INFINITY, own);
+                for c in std::iter::once(own).chain((0..k).filter(|&c| c != own)) {
+                    let cell =
+                        cache.distance_unless_ruled_out(&mut current[c], i, best_dist, &mut sbd)?;
+                    let Some(d) = cell else { continue };
+                    if d < best_dist || (d == best_dist && c < best_cluster) {
                         best_dist = d;
                         best_cluster = c;
                     }
                 }
-                if best_cluster != *assigned {
+                if best_cluster != own {
                     *assigned = best_cluster;
                     changed = true;
                 }
@@ -658,6 +818,12 @@ impl KShape {
         }
         cache.sbd_evaluations += sbd.evaluations;
 
+        let centroids = (current.iter())
+            .map(|slot| match slot {
+                Some(held) => cache.refinements[held.refinement].centroid.clone(),
+                None => vec![0.0; m],
+            })
+            .collect();
         Ok(KShapeResult {
             assignments,
             centroids,
@@ -740,19 +906,23 @@ fn refine_centroid(
 ) -> Result<(Vec<f64>, SeriesSpectrum)> {
     // Align every member and z-normalize — unless a refinement over this
     // cache already has.
+    let mut held = Vec::with_capacity(members.len());
     for (&i, &shift) in members.iter().zip(shifts.iter()) {
-        if cache.aligned.contains_key(&(i, shift)) {
-            cache.aligned_spectra_reused += 1;
-        } else {
-            let values = z_normalize(&apply_shift(cache.series(i), shift));
-            let spectrum = SeriesSpectrum::compute(&values)?;
-            let member = AlignedMember { values, spectrum };
-            cache.aligned.insert((i, shift), member);
-        }
+        held.push(match cache.aligned_index.entry((i, shift)) {
+            Entry::Occupied(known) => {
+                cache.aligned_spectra_reused += 1;
+                *known.get()
+            }
+            Entry::Vacant(new) => {
+                let series = &cache.z_buffer[i * cache.series_len..][..cache.series_len];
+                let values = z_normalize(&apply_shift(series, shift));
+                let spectrum = SeriesSpectrum::compute(&values)?;
+                cache.aligned.push(AlignedMember { values, spectrum });
+                *new.insert(cache.aligned.len() - 1)
+            }
+        });
     }
-    let aligned: Vec<&AlignedMember> = (members.iter().zip(shifts.iter()))
-        .map(|(&i, &shift)| &cache.aligned[&(i, shift)])
-        .collect();
+    let aligned: Vec<&AlignedMember> = held.iter().map(|&a| &cache.aligned[a]).collect();
     let rows: Vec<&[f64]> = aligned.iter().map(|a| &a.values[..]).collect();
 
     let (shape, steps) = power_iterate_until_recurrence(&rows, cache.series_len, *power_iterations);
@@ -1300,6 +1470,97 @@ mod tests {
         assert_eq!(kshape.fit_cached(&mut cache).unwrap(), result);
         assert_eq!(cache.sbd_evaluations(), evaluations);
         assert_eq!(cache.alignments_reused(), n as u64);
+    }
+
+    /// A `KShapeResult` down to the bits.
+    fn result_bits(result: &KShapeResult) -> (Vec<usize>, Vec<Vec<u64>>, usize, bool) {
+        let centroids = (result.centroids.iter())
+            .map(|c| c.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        let assignments = result.assignments.clone();
+        (assignments, centroids, result.iterations, result.converged)
+    }
+
+    #[test]
+    fn spectral_bound_rules_cells_out_and_changes_no_result_bit() {
+        let len = 96;
+        let mut series = noisy_family(&|i| ((i as f64) * 0.4).sin(), 8, len, 7);
+        series.extend(noisy_family(&|i| i as f64 / 10.0, 8, len, 13));
+        series.extend(noisy_family(
+            &|i| if i % 12 == 0 { 4.0 } else { 0.0 },
+            8,
+            len,
+            29,
+        ));
+        let n = series.len();
+        // What evaluating every column cell costs: the formula
+        // `cycling_fit_refines_each_distinct_input_once` pins with `==`.
+        let every_cell = |cache: &KShapeSeriesCache| {
+            let per_refinement: usize = (cache.refined.keys())
+                .map(|(_, members, _)| n + members.len())
+                .sum();
+            per_refinement as u64 + cache.alignments()
+        };
+
+        let mut cache = KShapeSeriesCache::new(&series).unwrap();
+        let kshape = KShape::new(KShapeConfig::new(3));
+        let oracle = kshape.fit(&series).unwrap();
+        let result = kshape.fit_cached(&mut cache).unwrap();
+        assert_eq!(result_bits(&result), result_bits(&oracle));
+        assert!(result.converged && result.non_empty_clusters() == 3);
+
+        // Once the clusters are the families, a series is ruled out of the
+        // other two's by the bound alone (the round-robin start's mixed
+        // clusters rule out less); every cell is either evaluated or ruled
+        // out, none twice.
+        let (evaluations, ruled_out) = (cache.sbd_evaluations(), cache.cells_ruled_out());
+        assert_eq!(evaluations + ruled_out, every_cell(&cache));
+        assert_eq!(cache.bounds_computed(), cache.refinements() * n as u64);
+        assert!(3 * ruled_out > cache.bounds_computed(), "{ruled_out}");
+        assert!(evaluations < every_cell(&cache));
+
+        // A second identical fit reads every cell it needs — exact or
+        // ruled out — from the memo.
+        assert_eq!(
+            result_bits(&kshape.fit_cached(&mut cache).unwrap()),
+            result_bits(&result)
+        );
+        assert_eq!(cache.sbd_evaluations(), evaluations);
+        assert_eq!(cache.cells_ruled_out(), ruled_out);
+        assert_eq!(cache.bounds_computed(), cache.refinements() * n as u64);
+
+        // Which cells a fit finds evaluated depends on the fits before it;
+        // what it returns does not: sweeping k up or down over one cache
+        // yields the oracle's bits either way.
+        let ks = [1usize, 2, 3, 4, 5, 6];
+        let oracles: Vec<_> = (ks.iter())
+            .map(|&k| result_bits(&KShape::new(KShapeConfig::new(k)).fit(&series).unwrap()))
+            .collect();
+        let mut ascending = KShapeSeriesCache::new(&series).unwrap();
+        let mut descending = KShapeSeriesCache::new(&series).unwrap();
+        for (&k, expected) in ks.iter().zip(&oracles) {
+            let fitted = KShape::new(KShapeConfig::new(k)).fit_cached(&mut ascending);
+            assert_eq!(
+                &result_bits(&fitted.unwrap()),
+                expected,
+                "ascending, k = {k}"
+            );
+        }
+        for (&k, expected) in ks.iter().zip(&oracles).rev() {
+            let fitted = KShape::new(KShapeConfig::new(k)).fit_cached(&mut descending);
+            assert_eq!(
+                &result_bits(&fitted.unwrap()),
+                expected,
+                "descending, k = {k}"
+            );
+        }
+        for cache in [&ascending, &descending] {
+            assert_eq!(
+                cache.sbd_evaluations() + cache.cells_ruled_out(),
+                every_cell(cache)
+            );
+            assert!(cache.cells_ruled_out() > 0);
+        }
     }
 
     /// Both power iterations' outcome down to the bits.
