@@ -465,7 +465,7 @@ impl KShapeSeriesCache {
             Cell::AtLeast(_) => {
                 let spectrum = match &mut current.spectrum {
                     Some(held) => held,
-                    vacant => vacant.insert(SeriesSpectrum::compute(centroid)?),
+                    vacant => vacant.insert(sbd.spectrum(centroid)?),
                 };
                 let evaluated = sbd.eval(spectrum, &self.spectra[i])?.sbd;
                 column[i] = Cell::Exact(evaluated.distance, evaluated.shift);
@@ -483,6 +483,12 @@ struct CountedSbd {
 }
 
 impl CountedSbd {
+    /// The spectrum of `values`, built in the kernel's scratch (not counted:
+    /// no distance is evaluated).
+    fn spectrum(&mut self, values: &[f64]) -> Result<SeriesSpectrum> {
+        Ok(SeriesSpectrum::compute_with(values, &mut self.scratch)?)
+    }
+
     /// One counted SBD evaluation of `x` against `y`.
     fn eval(&mut self, x: &SeriesSpectrum, y: &SeriesSpectrum) -> Result<OrientedSbd> {
         self.evaluations += 1;
@@ -916,7 +922,7 @@ fn refine_centroid(
             Entry::Vacant(new) => {
                 let series = &cache.z_buffer[i * cache.series_len..][..cache.series_len];
                 let values = z_normalize(&apply_shift(series, shift));
-                let spectrum = SeriesSpectrum::compute(&values)?;
+                let spectrum = sbd.spectrum(&values)?;
                 cache.aligned.push(AlignedMember { values, spectrum });
                 *new.insert(cache.aligned.len() - 1)
             }
@@ -929,7 +935,7 @@ fn refine_centroid(
     cache.power_steps += steps as u64;
     let centroid = match shape {
         ShapeCandidate::Degenerate(centroid) => {
-            let spectrum = SeriesSpectrum::compute(&centroid)?;
+            let spectrum = sbd.spectrum(&centroid)?;
             return Ok((centroid, spectrum));
         }
         ShapeCandidate::Candidate(candidate) => candidate,
@@ -938,7 +944,7 @@ fn refine_centroid(
     // The eigenvector's sign is arbitrary; pick the orientation closer to
     // the cluster members. One scan per member yields its distance to both
     // orientations.
-    let centroid_spectrum = SeriesSpectrum::compute(&centroid)?;
+    let centroid_spectrum = sbd.spectrum(&centroid)?;
     let distances: Vec<OrientedSbd> = aligned
         .iter()
         .map(|a| sbd.eval(&centroid_spectrum, &a.spectrum))
@@ -947,7 +953,7 @@ fn refine_centroid(
     let flipped: f64 = distances.iter().map(|d| d.flipped_distance).sum();
     if flipped < upright {
         let centroid: Vec<f64> = centroid.iter().map(|x| -x).collect();
-        let spectrum = SeriesSpectrum::compute(&centroid)?;
+        let spectrum = sbd.spectrum(&centroid)?;
         Ok((centroid, spectrum))
     } else {
         Ok((centroid, centroid_spectrum))
@@ -1105,10 +1111,12 @@ fn power_iterate_until_recurrence(
 }
 
 /// `dots[i] = rows[i] · qv`, each exactly the serial
-/// `zip(..).map(|(x, y)| x * y).sum::<f64>()` of the oracle, taken four (then
-/// two, then one) rows at a time so the independent addition chains overlap.
+/// `zip(..).map(|(x, y)| x * y).sum::<f64>()` of the oracle, taken eight (then
+/// four, two, one) rows at a time so the independent addition chains overlap:
+/// an add has four cycles of latency and two ports to issue on.
 fn dot_products(rows: &[&[f64]], qv: &[f64], dots: &mut [f64]) {
-    let mut at = dot_blocks::<4>(rows, qv, dots);
+    let mut at = dot_blocks::<8>(rows, qv, dots);
+    at += dot_blocks::<4>(&rows[at..], qv, &mut dots[at..]);
     at += dot_blocks::<2>(&rows[at..], qv, &mut dots[at..]);
     dot_blocks::<1>(&rows[at..], qv, &mut dots[at..]);
 }

@@ -13,6 +13,16 @@
 //! another. The oracle ([`fft_in_place_naive`]) is the seed's, on interleaved
 //! [`Complex`] values. Both perform the same IEEE operations on every value
 //! in the same order, so they agree bit for bit.
+//!
+//! What differs is *where in memory* a stage finds its operands. The oracle
+//! permutes first and then runs every stage on bit-reversed data, where the
+//! stages of span 2, 4 and 8 are butterflies one, two and four values long.
+//! The production transform runs those three stages *before* the
+//! permutation, on natural-order data, where each is a few long contiguous
+//! runs against one twiddle (`head_stages`); then it permutes — in place,
+//! or as a gather into a second buffer (`fft_gather`) — and runs spans
+//! 16…n where the oracle does. Same butterflies, same operands, same order
+//! within each multiply and add.
 
 use std::ops::{Add, Mul, Sub};
 use std::sync::{Arc, OnceLock};
@@ -223,6 +233,7 @@ pub fn fft_in_place(re: &mut [f64], im: &mut [f64]) {
 ///
 /// Panics if `re.len()` or `im.len()` differs from the table's length.
 pub fn fft_in_place_with(re: &mut [f64], im: &mut [f64], table: &TwiddleTable) {
+    let first_len = head_stages(re, im, table);
     // Bit-reversal permutation, read off the table.
     for (i, &j) in table.bit_reversal().iter().enumerate() {
         let j = j as usize;
@@ -231,22 +242,116 @@ pub fn fft_in_place_with(re: &mut [f64], im: &mut [f64], table: &TwiddleTable) {
             im.swap(i, j);
         }
     }
-    butterflies(re, im, table);
+    butterflies_from(re, im, table, first_len, Parts::Both);
 }
 
-/// The butterfly passes of the transform, over data already in bit-reversed
-/// order: identical float operations to the seed FFT, with the per-butterfly
-/// `w = w * wlen` recurrence replaced by a table load. A caller that writes
-/// its input straight to the permuted slots ([`crate::spectrum::sbd_oriented`])
-/// skips the swap pass.
-pub(crate) fn butterflies(re: &mut [f64], im: &mut [f64], table: &TwiddleTable) {
+/// A split-complex buffer: real parts, imaginary parts.
+pub(crate) type SplitMut<'a> = (&'a mut [f64], &'a mut [f64]);
+
+/// The transform of the natural-order `src`, left in `dst`: the same
+/// stages as [`fft_in_place_with`] with the permutation done as a gather
+/// (indexed loads into sequential stores, cheaper than swapping in place). `src` is working memory — it holds the head stages'
+/// output afterwards. With [`Parts::RealOnly`] only `dst_re` is meaningful
+/// on return.
+///
+/// # Panics
+///
+/// Panics if any slice's length differs from the table's.
+pub(crate) fn fft_gather(
+    (src_re, src_im): SplitMut<'_>,
+    (dst_re, dst_im): SplitMut<'_>,
+    table: &TwiddleTable,
+    parts: Parts,
+) {
+    let first_len = head_stages(src_re, src_im, table);
+    let n = table.len();
+    assert_eq!(dst_re.len(), n, "FFT length must match the twiddle table");
+    assert_eq!(dst_im.len(), n, "FFT length must match the twiddle table");
+    if n == 1 {
+        (dst_re[0], dst_im[0]) = (src_re[0], src_im[0]);
+        return;
+    }
+    // The source's top index bit is the destination's bottom one: slots
+    // `2i` and `2i + 1` take `src[j]` and `src[j + n/2]`, so each pair of
+    // loads fills one two-value store (stores are what this pass is bound
+    // by) and only the even half of the permutation is read.
+    let ((lo_re, hi_re), (lo_im, hi_im)) = (src_re.split_at(n / 2), src_im.split_at(n / 2));
+    let slots = dst_re.chunks_exact_mut(2).zip(dst_im.chunks_exact_mut(2));
+    for ((re, im), pair) in slots.zip(table.bit_reversal().chunks_exact(2)) {
+        let j = pair[0] as usize;
+        (re[0], re[1]) = (lo_re[j], hi_re[j]);
+        (im[0], im[1]) = (lo_im[j], hi_im[j]);
+    }
+    butterflies_from(dst_re, dst_im, table, first_len, parts);
+}
+
+/// Which parts of the transform's output the caller reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Parts {
+    /// Real and imaginary parts.
+    Both,
+    /// Real parts only (the correlation kernel's inverse transform): the
+    /// last stage's imaginary outputs are neither computed nor stored.
+    RealOnly,
+}
+
+/// The stages of span 2, 4 and 8, over data still in *natural* order;
+/// returns the span of the first stage left to run once the data is
+/// bit-reversed (2 when the transform is shorter than 8 and has no head).
+///
+/// Bit reversal sends position `8g + s` to `rev(8g) + rev(s)`, and
+/// `rev(s)` for `s < 8` is a multiple of `n/8` while `rev(8g) < n/8`: the
+/// eight values of a bit-reversed group sit at one offset in each of eight
+/// contiguous runs of `n/8`. So the stage of span `2^t`, which in
+/// bit-reversed order pairs positions `2^(t-1)` apart under twiddle `k =
+/// s mod 2^(t-1)`, here splits the data into `2^(t-1)` chunks and pairs
+/// each chunk's two halves, value by value, under *one* twiddle —
+/// `k` being the chunk's index bit-reversed. The same butterflies as
+/// [`fft_in_place_naive`] runs after its permutation, each on the same two
+/// operands; only the loop over them is long and contiguous instead of
+/// one, two or four values at a time.
+fn head_stages(re: &mut [f64], im: &mut [f64], table: &TwiddleTable) -> usize {
     let n = table.len();
     assert_eq!(re.len(), n, "FFT length must match the twiddle table");
     assert_eq!(im.len(), n, "FFT length must match the twiddle table");
-    let mut len = 2;
+    if n < 8 {
+        return 2;
+    }
+    // Span, and the twiddle of each chunk in memory order.
+    const STAGES: [(usize, &[usize]); 3] = [(2, &[0]), (4, &[0, 1]), (8, &[0, 2, 1, 3])];
+    for (len, twiddles) in STAGES {
+        let (wr, wi) = table.stage(len);
+        let chunk = 2 * n / len;
+        let chunks = re.chunks_exact_mut(chunk).zip(im.chunks_exact_mut(chunk));
+        for ((re, im), &k) in chunks.zip(twiddles) {
+            let ((ar, br), (ai, bi)) = (re.split_at_mut(chunk / 2), im.split_at_mut(chunk / 2));
+            butterfly_run(ar, ai, br, bi, wr[k], wi[k]);
+        }
+    }
+    16
+}
+
+/// The stages of span `first_len`, `2·first_len`, …, `n` over bit-reversed
+/// data that has been through every shorter stage: identical float
+/// operations to the seed FFT, with the per-butterfly `w = w * wlen`
+/// recurrence replaced by a table load.
+fn butterflies_from(
+    re: &mut [f64],
+    im: &mut [f64],
+    table: &TwiddleTable,
+    first_len: usize,
+    parts: Parts,
+) {
+    let n = table.len();
+    let mut len = first_len;
     while len <= n {
         let half = len / 2;
         let (wr, wi) = table.stage(len);
+        if len == n && parts == Parts::RealOnly {
+            let (ar, br) = re.split_at_mut(half);
+            butterfly_span_real(ar, br, &im[half..], wr, wi);
+            return;
+        }
         for (re, im) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
             let ((ar, br), (ai, bi)) = (re.split_at_mut(half), im.split_at_mut(half));
             butterfly_span(ar, ai, br, bi, wr, wi);
@@ -276,6 +381,33 @@ fn butterfly_span(
         let vi = br[k] * wi[k] + bi[k] * wr[k];
         (ar[k], br[k]) = (ar[k] + vr, ar[k] - vr);
         (ai[k], bi[k]) = (ai[k] + vi, ai[k] - vi);
+    }
+}
+
+/// [`butterfly_span`] for a head stage: every butterfly of the run shares
+/// the twiddle `wr + i·wi`.
+#[inline]
+fn butterfly_run(ar: &mut [f64], ai: &mut [f64], br: &mut [f64], bi: &mut [f64], wr: f64, wi: f64) {
+    let half = ar.len();
+    let (ai, br, bi) = (&mut ai[..half], &mut br[..half], &mut bi[..half]);
+    for k in 0..half {
+        let vr = br[k] * wr - bi[k] * wi;
+        let vi = br[k] * wi + bi[k] * wr;
+        (ar[k], br[k]) = (ar[k] + vr, ar[k] - vr);
+        (ai[k], bi[k]) = (ai[k] + vi, ai[k] - vi);
+    }
+}
+
+/// The real half of [`butterfly_span`]: `vr` and the two real outputs,
+/// computed exactly as there; `vi` and the imaginary outputs dropped.
+#[inline]
+fn butterfly_span_real(ar: &mut [f64], br: &mut [f64], bi: &[f64], wr: &[f64], wi: &[f64]) {
+    let half = ar.len();
+    let (br, bi) = (&mut br[..half], &bi[..half]);
+    let (wr, wi) = (&wr[..half], &wi[..half]);
+    for k in 0..half {
+        let vr = br[k] * wr[k] - bi[k] * wi[k];
+        (ar[k], br[k]) = (ar[k] + vr, ar[k] - vr);
     }
 }
 
@@ -559,33 +691,60 @@ mod tests {
             .collect()
     }
 
-    /// Transforms `original` through the split production path and through
-    /// the interleaved oracle and demands the same bits in every part. A NaN
-    /// must meet a NaN: IEEE 754 does not say which operand's sign and
-    /// payload an operation on two NaNs keeps, so those bits belong to the
-    /// instruction selection, not to the algorithm.
+    /// Transforms `original` through the split production path — in place,
+    /// gathered into a second buffer, and gathered with a real-only last
+    /// stage — and through the interleaved oracle, and demands the same bits
+    /// in every part the production form promises. A NaN must meet a NaN:
+    /// IEEE 754 does not say which operand's sign and payload an operation
+    /// on two NaNs keeps, so those bits belong to the instruction selection,
+    /// not to the algorithm.
     fn assert_split_equals_oracle(original: Vec<Complex>, ctx: &str) {
+        let n = original.len();
         let (mut re, mut im) = split(&original);
-        let mut naive = original;
+        let mut naive = original.clone();
         fft_in_place(&mut re, &mut im);
         fft_in_place_naive(&mut naive);
+        let table = twiddle_table(n);
+        let gathered = |parts: Parts| {
+            let (mut src_re, mut src_im) = split(&original);
+            // Stale values the gather must overwrite, every one.
+            let (mut dst_re, mut dst_im) = (vec![f64::NAN; n], vec![7.0; n]);
+            let (src, dst) = (
+                (&mut src_re[..], &mut src_im[..]),
+                (&mut dst_re[..], &mut dst_im[..]),
+            );
+            fft_gather(src, dst, &table, parts);
+            (dst_re, dst_im)
+        };
+        let ((both_re, both_im), (real_re, _)) = (gathered(Parts::Both), gathered(Parts::RealOnly));
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
         for (i, c) in naive.iter().enumerate() {
             assert!(same(re[i], c.re), "{ctx}: re[{i}] {} vs {}", re[i], c.re);
             assert!(same(im[i], c.im), "{ctx}: im[{i}] {} vs {}", im[i], c.im);
+            assert!(same(both_re[i], c.re), "{ctx}: gathered re[{i}]");
+            assert!(same(both_im[i], c.im), "{ctx}: gathered im[{i}]");
+            assert!(same(real_re[i], c.re), "{ctx}: real-only re[{i}]");
         }
     }
 
     #[test]
     fn twiddle_cached_fft_is_bitwise_equal_to_seed_fft() {
-        // Property: at every power-of-two length and on random inputs, the
-        // table-driven split FFT performs the exact float operations of the
-        // seed's recomputing interleaved FFT — bitwise, not approximately.
-        for exp in 0..=11usize {
+        // Property: at every power-of-two length — 1, 2 and 4 have no head
+        // stages, at 8 the head is the whole transform — and on random
+        // inputs, the table-driven split FFT performs the exact float
+        // operations of the seed's recomputing interleaved FFT — bitwise,
+        // not approximately.
+        for exp in 0..=12usize {
             let n = 1usize << exp;
             for seed in 0..4u64 {
                 let original = random_complex(n, seed.wrapping_mul(0x9E37) + exp as u64 + 1);
+                // The forward transform's shape too: a real signal over the
+                // head, zeros behind it and in every imaginary part.
+                let padded_real = (original.iter().enumerate())
+                    .map(|(i, c)| Complex::from_real(if i <= n / 2 { c.re } else { 0.0 }))
+                    .collect();
                 assert_split_equals_oracle(original, &format!("n={n} seed={seed}"));
+                assert_split_equals_oracle(padded_real, &format!("n={n} seed={seed}, real"));
             }
         }
     }
@@ -603,7 +762,7 @@ mod tests {
             -f64::MIN_POSITIVE / 1024.0,
             f64::MAX,
         ];
-        for exp in 0..=11usize {
+        for exp in 0..=12usize {
             let n = 1usize << exp;
             for (h, &value) in hostile.iter().enumerate() {
                 let mut planted = random_complex(n, (exp * 16 + h) as u64 + 99);

@@ -1,9 +1,9 @@
 //! Cached series spectra: the shared SBD computation engine.
 //!
-//! Every shape-based distance evaluation needs the same three ingredients
-//! per series — its z-normalized values, their L2 norm, and the forward FFT
+//! Every shape-based distance evaluation needs the same two ingredients
+//! per series — the L2 norm of its z-normalized values and the forward FFT
 //! of the z-normalized signal at the padded power-of-two length. The naive
-//! [`crate::sbd::shape_based_distance`] recomputes all three for *both*
+//! [`crate::sbd::shape_based_distance`] recomputes them for *both*
 //! operands on every call; k-Shape fit, centroid refinement and
 //! silhouette-based k selection together issue O(n²·k·iterations) such
 //! calls per component. A [`SeriesSpectrum`] computes the ingredients once
@@ -24,26 +24,24 @@
 //! butterflies and the scan each stream plain `f64` lanes.
 
 use crate::fft::{
-    butterflies, fft_in_place_with, next_power_of_two, spectrum_product, twiddle_table,
-    TwiddleTable,
+    fft_gather, next_power_of_two, spectrum_product, twiddle_table, Parts, SplitMut, TwiddleTable,
 };
-use crate::normalize::z_normalize;
+use crate::normalize::z_normalize_into;
 use crate::sbd::SbdResult;
 use crate::stats::{dot, sum_of_squares};
 use crate::{Result, TimeSeriesError};
 use std::sync::Arc;
 
-/// The per-series state of the SBD engine: z-normalized values, their L2
-/// norm and the forward FFT at the padded power-of-two length.
+/// The per-series state of the SBD engine: the L2 norm of the series'
+/// z-normalized values and their forward FFT at the padded power-of-two
+/// length.
 ///
-/// The buffers live behind `Arc`s, so cloning a spectrum (e.g. to share it
+/// The spectrum lives behind an `Arc`, so cloning one (e.g. to share it
 /// between a distance matrix and a k-Shape run) is a refcount bump.
 #[derive(Debug, Clone)]
 pub struct SeriesSpectrum {
     /// Original series length.
     len: usize,
-    /// z-normalized copy of the input series.
-    z: Arc<[f64]>,
     /// L2 norm of the z-normalized values.
     norm: f64,
     /// Forward FFT of the z-normalized values, zero-padded to `padded_len`:
@@ -66,35 +64,42 @@ impl SeriesSpectrum {
     ///
     /// * [`TimeSeriesError::Empty`] for an empty input.
     pub fn compute(values: &[f64]) -> Result<Self> {
+        Self::compute_with(values, &mut SbdScratch::default())
+    }
+
+    /// [`SeriesSpectrum::compute`] with the transform's working memory and
+    /// twiddle table taken from `scratch`: what a loop that builds many
+    /// spectra of one length (a batch, a k-Shape sweep) calls. Same bits.
+    ///
+    /// # Errors
+    ///
+    /// * [`TimeSeriesError::Empty`] for an empty input.
+    pub fn compute_with(values: &[f64], scratch: &mut SbdScratch) -> Result<Self> {
         if values.is_empty() {
             return Err(TimeSeriesError::Empty);
         }
-        let padded_len = next_power_of_two(2 * values.len() - 1);
-        Ok(Self::with_table(values, &twiddle_table(padded_len)))
-    }
-
-    /// The spectrum of the non-empty `values`, transformed against `table`
-    /// (of length `next_power_of_two(2 * values.len() - 1)`).
-    fn with_table(values: &[f64], table: &TwiddleTable) -> Self {
-        let padded_len = table.len();
-        let z = z_normalize(values);
+        let len = values.len();
+        let padded_len = next_power_of_two(2 * len - 1);
+        let (table, (zr, zi), _) = scratch.for_len(padded_len);
+        // The z-normalized signal over the head of the real half, zeros
+        // everywhere else.
+        let (z, padding) = zr.split_at_mut(len);
+        z_normalize_into(values, z);
         // Same chunked kernel as the direct SBD path, so the two stay
         // bitwise interchangeable.
-        let norm = sum_of_squares(&z).sqrt();
-        // Built in place in its final allocation: zeros, the signal over the
-        // head of the real half, one transform.
+        let norm = sum_of_squares(z).sqrt();
+        padding.fill(0.0);
+        zi.fill(0.0);
+        // Transformed into its final allocation.
         let mut fft: Arc<[f64]> = std::iter::repeat(0.0).take(2 * padded_len).collect();
         let block = Arc::get_mut(&mut fft).expect("a spectrum nobody else holds yet");
-        let (re, im) = block.split_at_mut(padded_len);
-        re[..z.len()].copy_from_slice(&z);
-        fft_in_place_with(re, im, table);
-        Self {
-            len: values.len(),
-            z: z.into(),
+        fft_gather((zr, zi), block.split_at_mut(padded_len), table, Parts::Both);
+        Ok(Self {
+            len,
             norm,
             fft,
             padded_len,
-        }
+        })
     }
 
     /// The cached spectrum's real and imaginary parts.
@@ -111,11 +116,6 @@ impl SeriesSpectrum {
     /// spectrum; provided for API completeness).
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The z-normalized values the spectrum was computed from.
-    pub fn z_values(&self) -> &[f64] {
-        &self.z
     }
 
     /// L2 norm of the z-normalized values (0 for a constant series).
@@ -158,8 +158,9 @@ impl SeriesSpectrum {
 ///
 /// The pipeline's prepared series are truncated to a common length per
 /// component, so every spectrum of a component shares one padded FFT
-/// length. The batch checks that once and fetches the table once; each
-/// series is then transformed in place in the allocation its spectrum keeps.
+/// length. The batch checks that once and holds one [`SbdScratch`] — one
+/// table fetch, one working buffer — for all of them; each series is
+/// transformed into the allocation its spectrum keeps.
 ///
 /// The result is **bitwise identical** to calling
 /// [`SeriesSpectrum::compute`] per series (asserted by property tests): the
@@ -197,10 +198,10 @@ impl SpectrumBatch {
                 });
             }
         }
-        let table = twiddle_table(next_power_of_two(2 * len - 1));
+        let mut scratch = SbdScratch::default();
         let spectra = (series.iter())
-            .map(|s| SeriesSpectrum::with_table(s.as_ref(), &table))
-            .collect();
+            .map(|s| SeriesSpectrum::compute_with(s.as_ref(), &mut scratch))
+            .collect::<Result<_>>()?;
         Ok(Self { spectra })
     }
 
@@ -225,32 +226,37 @@ impl SpectrumBatch {
     }
 }
 
-/// Caller-held working memory of the SBD kernel: the twiddle table of one
-/// padded length and one split-complex FFT buffer of that length.
+/// Caller-held working memory of the SBD engine: the twiddle table of one
+/// padded length and the split-complex FFT buffers of that length.
 ///
-/// A loop that evaluates many distances at one series length (a k-Shape
-/// fit, a distance-matrix row) creates one scratch and passes it to every
-/// [`sbd_oriented`] call; after the first call no evaluation allocates or
-/// looks a table up. A scratch adapts when handed spectra of another
-/// padded length, so any scratch works with any pair.
+/// A loop that evaluates many distances or builds many spectra at one
+/// series length (a k-Shape fit, a distance-matrix row, a batch) creates
+/// one scratch and passes it to every [`sbd_oriented`] /
+/// [`SeriesSpectrum::compute_with`] call; after the first call none
+/// allocates working memory or looks a table up. A scratch adapts when
+/// handed another padded length, so any scratch works with any input.
 #[derive(Debug, Default)]
 pub struct SbdScratch {
     table: Option<Arc<TwiddleTable>>,
-    /// `n` real parts, then `n` imaginary parts.
+    /// Four runs of `n`: the real and imaginary parts of a transform's
+    /// input in natural order, where its head stages run, then those of the
+    /// bit-reversed buffer the kernel's transform finishes in (a forward
+    /// transform finishes in the spectrum's own allocation).
     buf: Vec<f64>,
 }
 
 impl SbdScratch {
-    /// The table and the `re[]` / `im[]` buffers for padded length `n`,
-    /// (re)built when the scratch last served a different length.
-    fn for_len(&mut self, n: usize) -> (&TwiddleTable, &mut [f64], &mut [f64]) {
-        if self.buf.len() != 2 * n {
+    /// The table, the natural-order buffer and the finishing buffer for
+    /// padded length `n`, (re)built when the scratch last served a
+    /// different length.
+    fn for_len(&mut self, n: usize) -> (&TwiddleTable, SplitMut<'_>, SplitMut<'_>) {
+        if self.buf.len() != 4 * n {
             self.table = None;
-            self.buf.resize(2 * n, 0.0);
+            self.buf.resize(4 * n, 0.0);
         }
         let table = self.table.get_or_insert_with(|| twiddle_table(n));
-        let (re, im) = self.buf.split_at_mut(n);
-        (table, re, im)
+        let (natural, finished) = self.buf.split_at_mut(2 * n);
+        (table, natural.split_at_mut(n), finished.split_at_mut(n))
     }
 }
 
@@ -272,11 +278,12 @@ pub struct OrientedSbd {
     pub flipped_distance: f64,
 }
 
-/// The SBD kernel: spectrum product scattered into bit-reversed order, the
-/// butterfly passes against the scratch's twiddle table, and a single scan
-/// in shift order that divides by the norms and tracks the first maximum
-/// and the minimum. Nothing is allocated once the
-/// scratch has served this padded length.
+/// The SBD kernel: the spectrum product written in natural order, one
+/// transform against the scratch's twiddle table that computes real parts
+/// only in its last stage, and a scan in shift order for the first maximum
+/// and the minimum of the correlation divided by the norms (`scan_peaks`:
+/// two divisions, not one per shift). Nothing is allocated once the scratch
+/// has served this padded length.
 ///
 /// # Errors
 ///
@@ -304,39 +311,109 @@ pub fn sbd_oriented(
     let (mut max, mut argmax, mut min) = (0.0, 0usize, 0.0);
     if denom != 0.0 {
         let n = x.padded_len;
-        let (table, re, im) = scratch.for_len(n);
+        let (table, (pr, pi), (re, im)) = scratch.for_len(n);
         // The inverse transform as conj → forward FFT → conj·(1/n); only
-        // real parts are read below, so the trailing conj disappears. Each
-        // product goes straight to its bit-reversed slot, so the transform
-        // is the butterfly passes alone.
+        // real parts are read below, so the trailing conj disappears and
+        // the last stage's imaginary half with it.
         let ((xr, xi), (yr, yi)) = (x.fft(), y.fft());
         let operands = xr.iter().zip(xi).zip(yr.iter().zip(yi));
-        for (((&ar, &ai), (&br, &bi)), &slot) in operands.zip(table.bit_reversal()) {
-            let (pr, pi) = spectrum_product(ar, ai, br, bi);
-            (re[slot as usize], im[slot as usize]) = (pr, -pi);
+        for ((pr, pi), ((&ar, &ai), (&br, &bi))) in pr.iter_mut().zip(pi.iter_mut()).zip(operands) {
+            let (r, i) = spectrum_product(ar, ai, br, bi);
+            (*pr, *pi) = (r, -i);
         }
-        butterflies(re, im, table);
-        let scale = 1.0 / n as f64;
+        fft_gather((pr, pi), (re, im), table, Parts::RealOnly);
         // The circular correlation holds shifts 0..x.len at the head and
         // the negative shifts -(y.len-1)..0 at the tail; scanning tail then
         // head visits them in the linear layout's index order.
-        let lags = re[n - (y.len - 1)..].iter().chain(re[..x.len].iter());
-        (max, min) = (f64::NEG_INFINITY, f64::INFINITY);
-        for (k, &c) in lags.enumerate() {
-            let v = c * scale / denom;
-            if v > max {
-                max = v;
-                argmax = k;
-            }
-            if v < min {
-                min = v;
-            }
-        }
+        let (tail, head) = (&re[n - (y.len - 1)..], &re[..x.len]);
+        (max, argmax, min) = scan_peaks(tail, head, 1.0 / n as f64, denom);
     }
     Ok(OrientedSbd {
         sbd: SbdResult::from_peak(max, argmax, y.len),
         flipped_distance: 1.0 - (-min).clamp(-1.0, 1.0),
     })
+}
+
+/// How far below the raw maximum, relatively, a correlation value may lie
+/// and still share the maximum's quotient ([`scan_peaks`]). Two values
+/// whose quotients by one positive `denom` round to the same *normal*
+/// `f64` differ by at most one part in 2⁵² ≈ 2.3e-16 of it; 1e-15 leaves
+/// a factor of four. Not a setting: a smaller guard down to that limit
+/// finds the same indices, a larger one only inspects more candidates.
+const TIE_GUARD: f64 = 1e-15;
+
+/// First maximum (with its index) and minimum of `c · scale / denom` over
+/// `tail` then `head`, where `scale` is a power of two — bit for bit what
+/// [`scan_peaks_dividing`] returns, with two divisions instead of one per
+/// value.
+///
+/// `c ↦ fl(fl(c · scale) / denom)` is monotone for `denom > 0` (rounding
+/// is monotone, and `c · scale` is exact), so the largest and smallest
+/// quotients are the quotients of the largest and smallest `c`, which a
+/// division-free pass in four independent lanes finds (maximum and minimum
+/// are exactly associative; a NaN compares false in every lane as it does
+/// in the plain loop). The *first* index holding the maximum may belong to
+/// a slightly smaller `c` whose quotient rounds to the same value: it is
+/// the first `c` within [`TIE_GUARD`] of the raw maximum whose quotient
+/// equals the maximum's — a handful of divisions, normally one.
+///
+/// That argument needs quotients to keep their full precision and equal
+/// quotients to be identical: whenever `denom` is not positive, or the
+/// scaled raw maximum or either extreme quotient is not a finite *normal*
+/// number (an all-NaN sequence, ±∞, a zero or underflowing correlation,
+/// where ±0 compare equal and many `c` collapse onto one subnormal), the
+/// plain loop answers instead.
+fn scan_peaks(tail: &[f64], head: &[f64], scale: f64, denom: f64) -> (f64, usize, f64) {
+    let (mut hi, mut lo) = ([f64::NEG_INFINITY; 4], [f64::INFINITY; 4]);
+    // One lane per position in a block of four; a slice's leftover values
+    // go to the first lanes. Two loops on purpose: folded into one (a
+    // closure over the block, or `chunks(4)`) the block loop is no longer
+    // vectorised and the pass takes 2-3x as long.
+    let widen = |hi: &mut f64, lo: &mut f64, c: f64| {
+        *hi = if c > *hi { c } else { *hi };
+        *lo = if c < *lo { c } else { *lo };
+    };
+    for values in [tail, head] {
+        let blocks = values.chunks_exact(4);
+        let rest = blocks.remainder();
+        for block in blocks {
+            for ((hi, lo), &c) in hi.iter_mut().zip(lo.iter_mut()).zip(block) {
+                widen(hi, lo, c);
+            }
+        }
+        for ((hi, lo), &c) in hi.iter_mut().zip(lo.iter_mut()).zip(rest) {
+            widen(hi, lo, c);
+        }
+    }
+    let cmax = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    let cmin = lo.into_iter().fold(f64::INFINITY, f64::min);
+    let (vmax, vmin) = (cmax * scale / denom, cmin * scale / denom);
+    if !(denom > 0.0 && (cmax * scale).is_normal() && vmax.is_normal() && vmin.is_normal()) {
+        return scan_peaks_dividing(tail, head, scale, denom);
+    }
+    let guard = cmax - cmax.abs() * TIE_GUARD;
+    let argmax = (tail.iter().chain(head))
+        .position(|&c| c >= guard && c * scale / denom == vmax)
+        .expect("the raw maximum is a candidate and its quotient is the maximum");
+    (vmax, argmax, vmin)
+}
+
+/// The plain scan: every value divided, the first maximum (strict `>` in
+/// index order, so a NaN never wins) and the minimum tracked. What
+/// [`scan_peaks`] falls back to, and the reference it is tested against.
+fn scan_peaks_dividing(tail: &[f64], head: &[f64], scale: f64, denom: f64) -> (f64, usize, f64) {
+    let (mut max, mut argmax, mut min) = (f64::NEG_INFINITY, 0usize, f64::INFINITY);
+    for (k, &c) in tail.iter().chain(head).enumerate() {
+        let v = c * scale / denom;
+        if v > max {
+            max = v;
+            argmax = k;
+        }
+        if v < min {
+            min = v;
+        }
+    }
+    (max, argmax, min)
 }
 
 /// A lower bound on the shape-based distance of two series of one length,
@@ -415,14 +492,17 @@ mod tests {
 
     #[test]
     fn cached_path_is_bit_identical_to_direct_path() {
-        for len in [1usize, 2, 3, 7, 16, 33, 100, 256] {
-            for seed in 0..8u64 {
+        // Every series length to 300: padded lengths 1, 4 (no head stages),
+        // 8 (nothing but head stages) … 1024, through one scratch.
+        let mut scratch = SbdScratch::default();
+        for len in 1..=300usize {
+            for seed in 0..3u64 {
                 let x = random_series(len, seed * 2 + 1);
                 let y = random_series(len, seed * 2 + 2);
                 let direct = shape_based_distance(&x, &y).unwrap();
-                let sx = SeriesSpectrum::compute(&x).unwrap();
-                let sy = SeriesSpectrum::compute(&y).unwrap();
-                let cached = sbd_from_spectra(&sx, &sy).unwrap();
+                let sx = SeriesSpectrum::compute_with(&x, &mut scratch).unwrap();
+                let sy = SeriesSpectrum::compute_with(&y, &mut scratch).unwrap();
+                let cached = sbd_oriented(&sx, &sy, &mut scratch).unwrap().sbd;
                 // Bitwise equality, not approximate: both paths must run the
                 // exact same float operations.
                 assert_eq!(
@@ -549,6 +629,169 @@ mod tests {
         }
     }
 
+    /// The neighbours of a positive normal `f64` (`f64::next_down` /
+    /// `next_up` are newer than the workspace's minimum toolchain).
+    fn float_below(v: f64) -> f64 {
+        f64::from_bits(v.to_bits() - 1)
+    }
+
+    fn float_above(v: f64) -> f64 {
+        f64::from_bits(v.to_bits() + 1)
+    }
+
+    /// `scan_peaks` on the sequence, checked bit for bit against the plain
+    /// dividing loop.
+    fn scanned(tail: &[f64], head: &[f64], scale: f64, denom: f64) -> (f64, usize, f64) {
+        let fast = scan_peaks(tail, head, scale, denom);
+        let plain = scan_peaks_dividing(tail, head, scale, denom);
+        assert_eq!(
+            (fast.0.to_bits(), fast.1, fast.2.to_bits()),
+            (plain.0.to_bits(), plain.1, plain.2.to_bits()),
+            "tail {tail:?} head {head:?} scale {scale} denom {denom}: {fast:?} vs {plain:?}"
+        );
+        fast
+    }
+
+    #[test]
+    fn division_free_scan_equals_the_dividing_loop_on_sequences_built_to_break_it() {
+        let (scale, denom) = (1.0 / 16.0, 3.7);
+        // Exact ties of the raw maximum: within the tail, across tail and
+        // head, within the head — the first index wins.
+        let (_, at, _) = scanned(&[1.0, 5.0, 2.0, 5.0, -3.0], &[5.0, 0.5], scale, denom);
+        assert_eq!(at, 1);
+        let (_, at, _) = scanned(&[1.0, 2.0, -3.0], &[0.5, 5.0, 5.0, 1.0, 5.0], scale, denom);
+        assert_eq!(at, 4);
+        // The maximum at the first and at the last index, the minimum at
+        // the other end.
+        let (_, at, _) = scanned(&[9.0, 1.0, 2.0], &[3.0, 4.0, -9.5], scale, denom);
+        assert_eq!(at, 0);
+        let (_, at, _) = scanned(&[-9.5, 1.0, 2.0], &[3.0, 4.0, 9.0], scale, denom);
+        assert_eq!(at, 5);
+        // An empty tail (series of length 1) and every value equal.
+        assert_eq!(scanned(&[], &[2.5], 1.0, denom).1, 0);
+        assert_eq!(scanned(&[-2.5; 7], &[-2.5; 8], scale, denom).1, 0);
+
+        // A raw value one float below the raw maximum, *before* it, whose
+        // quotient rounds to the maximum's: the earlier index holds the
+        // first maximum although its raw value is smaller.
+        let near_tie = (0..64u64)
+            .map(|k| f64::from_bits(15.92f64.to_bits() + k))
+            .find(|&c| float_below(c) * 0.125 / 1.9 == c * 0.125 / 1.9)
+            .expect("about half of all neighbours share a quotient here");
+        let below = float_below(near_tie);
+        let (_, at, _) = scanned(&[1.0, below, 2.0], &[near_tie, 3.0], 0.125, 1.9);
+        assert_eq!(at, 1, "tail before head");
+        let (_, at, _) = scanned(&[1.0], &[0.0, below, near_tie, below], 0.125, 1.9);
+        assert_eq!(at, 2, "within the head");
+        // ... and negative, where the guard lies further from zero: here
+        // `-below` is the raw maximum.
+        let (_, at, _) = scanned(&[-20.0, -near_tie], &[-below, -27.0], 0.125, 1.9);
+        assert_eq!(at, 1, "negative, the near tie first");
+        let (_, at, _) = scanned(&[-20.0, -27.0], &[-below, -near_tie], 0.125, 1.9);
+        assert_eq!(at, 2, "negative, the raw maximum first");
+
+        // NaN: everywhere (nothing beats the starting points), and
+        // interleaved with finite values in every lane position.
+        let (max, at, min) = scanned(&[f64::NAN; 5], &[f64::NAN; 6], scale, denom);
+        assert_eq!((max, at, min), (f64::NEG_INFINITY, 0, f64::INFINITY));
+        for nan_at in 0..9 {
+            let mut values = [3.0, -1.0, 4.0, 1.5, -5.0, 9.0, 2.0, 6.0, 5.0];
+            values[nan_at] = f64::NAN;
+            values[(nan_at + 4) % 9] = f64::NAN;
+            let (max, _, min) = scanned(&values[..4], &values[4..], scale, denom);
+            assert!(max.is_finite() && min.is_finite());
+        }
+        // Infinities in the sequence.
+        for infinite in [f64::INFINITY, f64::NEG_INFINITY] {
+            scanned(&[1.0, infinite, 2.0], &[-3.0, 0.5], scale, denom);
+            scanned(&[1.0, 2.0], &[infinite, -infinite, infinite], scale, denom);
+            scanned(&[infinite; 3], &[infinite; 2], scale, denom);
+        }
+        // Zeros: equal as numbers, distinct as bits — the first one seen is
+        // the one reported, whatever its sign, as extreme of either kind.
+        for values in [
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0],
+            [0.0, -0.0, 0.0, -0.0, -0.0, 0.0],
+            [-1.0, -1.0, 0.0, -1.0, -1.0, -0.0],
+            [-1.0, 0.0, -0.0, -1.0, -1.0, -1.0],
+            [-1.0, -0.0, 0.0, -1.0, -0.0, 0.0],
+            [1.0, -0.0, 0.0, 1.0, 0.0, -0.0],
+            [1.0, 0.0, -0.0, 1.0, 1.0, 1.0],
+        ] {
+            scanned(&values[..2], &values[2..], scale, denom);
+            scanned(&values[..5], &values[5..], scale, denom);
+        }
+        // Quotients that underflow: raw values far more than the guard
+        // apart collapse onto one subnormal, or onto zero.
+        let (max, at, _) = scanned(&[-1e-10], &[1e-10, 1e-10 * (1.0 + 1e-12), 0.0], 1.0, 1e305);
+        assert!(max > 0.0 && !max.is_normal());
+        assert_eq!(at, 1);
+        scanned(&[-3e-320, 2e-320], &[2.5e-320, 1e-320], 0.25, 2.0);
+        scanned(&[-1e-200, 1e-200], &[2e-200, 1.5e-200], scale, 1e200);
+        // A normal quotient of a scaled value that is not: the scaling
+        // already merged the two raw values.
+        let (tiny, scale_40) = (1e-300, 1.0 / (1u64 << 40) as f64);
+        let merged = tiny * (1.0 + 1e-13);
+        assert!(merged > tiny && merged * scale_40 == tiny * scale_40);
+        let (max, at, _) = scanned(&[0.0, tiny], &[merged, -tiny], scale_40, 1e-305);
+        assert!(max.is_normal());
+        assert_eq!(at, 1);
+        // The scaled maximum at the edge of the normal range.
+        let edge = f64::MIN_POSITIVE * 16.0;
+        scanned(&[float_below(edge), edge], &[edge, -edge], scale, 0.75);
+        scanned(
+            &[float_above(edge), edge],
+            &[float_above(edge), -edge],
+            scale,
+            1.0,
+        );
+        // Quotients that overflow.
+        scanned(&[1e300, -1e300], &[2e300, 3e300], 1.0, 1e-10);
+        // Denominators no norm product should be, answered like the loop.
+        let unusual = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE / 8.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            0.0,
+            -0.0,
+            -3.7,
+            f64::NEG_INFINITY,
+        ];
+        for denom in unusual {
+            scanned(&[1.0, 5.0, 2.0], &[5.0, -3.0, 0.5], scale, denom);
+            scanned(
+                &[1.0, f64::INFINITY],
+                &[f64::NEG_INFINITY, 0.0],
+                scale,
+                denom,
+            );
+        }
+    }
+
+    #[test]
+    fn division_free_scan_equals_the_dividing_loop_on_seeded_sequences() {
+        // Noise at the kernel's own shape (239 + 240 values) and at every
+        // short length, quantised so that exact ties of the extremes occur.
+        let mut state = 0x5EED_u64;
+        for round in 0..400usize {
+            let (tail_len, head_len) = match round % 4 {
+                0 => (WINDOW - 1, WINDOW),
+                _ => (round % 23, 1 + round % 17),
+            };
+            let levels = [1e9, 64.0, 8.0][round % 3];
+            let mut draw = |len: usize| -> Vec<f64> {
+                let quantised = |v: f64| (v * levels).round() / levels;
+                (0..len).map(|_| quantised(splitmix(&mut state))).collect()
+            };
+            let (tail, head) = (draw(tail_len), draw(head_len));
+            let denom = 0.01 + 300.0 * (0.5 + splitmix(&mut state));
+            scanned(&tail, &head, 1.0 / 512.0, denom);
+        }
+    }
+
     /// `1 − dot(unit magnitudes)` of the pair, and the kernel's verdict on it.
     fn bound_and_kernel(x: &[f64], y: &[f64], scratch: &mut SbdScratch) -> (f64, OrientedSbd) {
         let sx = SeriesSpectrum::compute(x).unwrap();
@@ -660,7 +903,7 @@ mod tests {
                 fresh.flipped_distance.to_bits(),
                 "round {round}"
             );
-            assert_eq!(reused.buf.len(), 2 * x.padded_len(), "round {round}");
+            assert_eq!(reused.buf.len(), 4 * x.padded_len(), "round {round}");
             assert_eq!(reused.table.as_ref().unwrap().len(), x.padded_len());
         }
     }
@@ -688,9 +931,6 @@ mod tests {
                     assert_eq!(b.len(), s.len(), "{ctx}");
                     assert_eq!(b.padded_len(), s.padded_len(), "{ctx}");
                     assert_eq!(b.norm().to_bits(), s.norm().to_bits(), "{ctx}");
-                    for (a, c) in b.z_values().iter().zip(s.z_values().iter()) {
-                        assert_eq!(a.to_bits(), c.to_bits(), "{ctx}: z");
-                    }
                     let ((br, bi), (sr, si)) = (b.fft(), s.fft());
                     assert_eq!(br.len(), b.padded_len(), "{ctx}");
                     assert_eq!(bits(br), bits(sr), "{ctx}: fft re");
@@ -755,18 +995,20 @@ mod tests {
         assert_eq!(s.len(), 10);
         assert!(!s.is_empty());
         assert_eq!(s.padded_len(), 32);
-        assert_eq!(s.z_values().len(), 10);
-        assert!(s.norm() > 0.0);
-        // Clone shares the buffers.
+        // Ten z-normalized values: population variance 1, so ‖z‖² = 10.
+        assert!((s.norm() * s.norm() - 10.0).abs() < 1e-9);
+        // Clone shares the buffer.
         let c = s.clone();
-        assert!(std::sync::Arc::ptr_eq(&c.z, &s.z));
         assert!(std::sync::Arc::ptr_eq(&c.fft, &s.fft));
         // The split spectrum is one allocation of the interleaved one's
-        // size — two `f64` per padded sample — and no second copy is kept.
+        // size — two `f64` per padded sample — and nothing else is kept.
         assert_eq!(s.fft.len(), 2 * s.padded_len());
         assert_eq!(std::sync::Arc::strong_count(&s.fft), 2);
         let (re, im) = s.fft();
         assert_eq!((re.len(), im.len()), (32, 32));
+        // ... holding the transform the direct path runs on the same values.
+        let (direct_re, direct_im) = crate::fft::fft_real(&crate::normalize::z_normalize(&x), 32);
+        assert_eq!((bits(re), bits(im)), (bits(&direct_re), bits(&direct_im)));
     }
 
     #[test]
