@@ -120,17 +120,8 @@ impl ScalingRule {
 /// dependency graph (§4.1, step 1). Returns `None` when the graph has no
 /// edges.
 pub fn select_guiding_metric(model: &SieveModel) -> Option<MetricId> {
-    let metric = model.dependency_graph.most_connected_metric()?;
-    // Find which component exports that metric (edge endpoints know it).
-    for edge in model.dependency_graph.edges() {
-        if edge.source_metric == metric {
-            return Some(MetricId::new(edge.source_component.clone(), metric));
-        }
-        if edge.target_metric == metric {
-            return Some(MetricId::new(edge.target_component.clone(), metric));
-        }
-    }
-    None
+    let hub = model.dependency_graph.most_connected_metric();
+    hub.map(|(component, metric)| MetricId::new(component, metric))
 }
 
 #[cfg(test)]

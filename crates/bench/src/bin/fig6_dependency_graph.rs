@@ -41,11 +41,17 @@ fn main() {
     }
 
     println!("\nMetrics appearing most often in the relations:");
-    for (metric, count) in graph.metric_appearance_counts().into_iter().take(8) {
-        println!("  {:<44} {:>3} relations", metric, count);
+    for ((component, metric), count) in graph.metric_appearance_counts().into_iter().take(8) {
+        println!(
+            "  {:<44} {count:>3} relations",
+            format!("{component}/{metric}")
+        );
     }
-    if let Some(best) = graph.most_connected_metric() {
-        println!("\nGuiding-metric candidate (paper: http-requests_Project_id_GET_mean): {best}");
+    if let Some((component, metric)) = graph.most_connected_metric() {
+        println!(
+            "\nGuiding-metric candidate (paper: web/http-requests_Project_id_GET_mean): \
+             {component}/{metric}"
+        );
     }
 
     println!("\nGraphviz DOT output:\n");

@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release -p sieve-bench --bin table3_monitoring_gains`
 
 use sieve_apps::MetricRichness;
+use sieve_bench::table3::monitoring_overhead;
 use sieve_bench::{experiment_config, load_sharelatex, percent_reduction, print_header};
 use sieve_core::pipeline::Sieve;
 use sieve_simulator::store::MetricId;
@@ -29,8 +30,8 @@ fn main() {
         .collect();
     let reduced = store.retain_only(&keep);
 
-    let before = store.resource_usage();
-    let after = reduced.resource_usage();
+    let before = monitoring_overhead(store.point_count(), store.series_count());
+    let after = monitoring_overhead(reduced.point_count(), reduced.series_count());
 
     println!(
         "Metric series: {} -> {} ({}x reduction)",
@@ -42,33 +43,8 @@ fn main() {
         "\n{:<22} {:>14} {:>14} {:>12} {:>14}",
         "Metric", "Before", "After", "Reduction", "Paper"
     );
-    let rows = [
-        (
-            "CPU time [s]",
-            before.cpu_time_s,
-            after.cpu_time_s,
-            "81.2 %",
-        ),
-        (
-            "DB size [KB]",
-            before.db_size_kb,
-            after.db_size_kb,
-            "93.8 %",
-        ),
-        (
-            "Network in [MB]",
-            before.network_in_mb,
-            after.network_in_mb,
-            "79.3 %",
-        ),
-        (
-            "Network out [KB]",
-            before.network_out_kb,
-            after.network_out_kb,
-            "50.7 %",
-        ),
-    ];
-    for (label, b, a, paper) in rows {
+    let paper = ["81.2 %", "93.8 %", "79.3 %", "50.7 %"];
+    for (((label, b), (_, a)), paper) in before.into_iter().zip(after).zip(paper) {
         println!(
             "{:<22} {:>14.3} {:>14.3} {:>12} {:>14}",
             label,

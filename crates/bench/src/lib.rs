@@ -14,6 +14,7 @@
 pub mod harness;
 pub mod ledger;
 pub mod noise;
+pub mod table3;
 
 use sieve_apps::{openstack, sharelatex, MetricRichness};
 use sieve_core::config::SieveConfig;
@@ -151,6 +152,20 @@ mod tests {
         assert_eq!(percent_change(0.0, 1.0), "n/a");
         assert_eq!(percent_reduction(200.0, 20.0), "90.0%");
         assert_eq!(percent_reduction(0.0, 1.0), "n/a");
+    }
+
+    #[test]
+    fn table3_rows_are_linear_in_points_and_series() {
+        // The full and the reduced ShareLatex run of `table3_monitoring_gains`
+        // (437 and 53 series of 300 points), as that binary prints them.
+        let before = table3::monitoring_overhead(437 * 300, 437);
+        let after = table3::monitoring_overhead(53 * 300, 53);
+        let printed = |rows: [(&str, f64); 4]| rows.map(|(_, value)| format!("{value:.3}"));
+        assert_eq!(printed(before), ["3.278", "1792.383", "15.003", "1024.219"]);
+        assert_eq!(printed(after), ["0.398", "217.383", "1.820", "124.219"]);
+        for ((row, b), (_, a)) in before.into_iter().zip(after) {
+            assert_eq!(percent_reduction(b, a), "87.9%", "{row}: one number");
+        }
     }
 
     #[test]

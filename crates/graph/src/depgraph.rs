@@ -140,27 +140,33 @@ impl DependencyGraph {
         before - self.edges.len()
     }
 
-    /// Counts, per metric name, in how many edges (either endpoint) the
-    /// metric participates — the statistic Sieve's autoscaling case study
-    /// uses to pick the guiding metric ("We pick a metric m that appears the
-    /// most in Granger Causality relations between components", §4.1).
-    /// Returns the counts sorted descending by count, then by name.
-    pub fn metric_appearance_counts(&self) -> Vec<(Name, usize)> {
-        let mut counts: BTreeMap<Name, usize> = BTreeMap::new();
+    /// Counts, per `(component, metric)`, in how many edges (either
+    /// endpoint) the metric participates — the statistic Sieve's autoscaling
+    /// case study uses to pick the guiding metric ("We pick a metric m that
+    /// appears the most in Granger Causality relations between components",
+    /// §4.1). A name several components export is several metrics: each
+    /// counts on its own. Returns the counts sorted descending by count,
+    /// then by component and name.
+    pub fn metric_appearance_counts(&self) -> Vec<((Name, Name), usize)> {
+        let mut counts: BTreeMap<(Name, Name), usize> = BTreeMap::new();
         for e in &self.edges {
-            *counts.entry(e.source_metric.clone()).or_insert(0) += 1;
-            *counts.entry(e.target_metric.clone()).or_insert(0) += 1;
+            let source = (e.source_component.clone(), e.source_metric.clone());
+            let target = (e.target_component.clone(), e.target_metric.clone());
+            *counts.entry(source).or_insert(0) += 1;
+            *counts.entry(target).or_insert(0) += 1;
         }
-        let mut out: Vec<(Name, usize)> = counts.into_iter().collect();
+        let mut out: Vec<_> = counts.into_iter().collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
     }
 
-    /// The metric that appears most often in dependency relations, if any.
-    pub fn most_connected_metric(&self) -> Option<Name> {
+    /// The `(component, metric)` that appears most often in dependency
+    /// relations, if any.
+    pub fn most_connected_metric(&self) -> Option<(Name, Name)> {
         self.metric_appearance_counts()
-            .first()
-            .map(|(m, _)| m.clone())
+            .into_iter()
+            .next()
+            .map(|(id, _)| id)
     }
 
     /// Component-level out-degree (number of distinct target components).
@@ -294,9 +300,31 @@ mod tests {
     fn metric_appearance_counts_rank_the_hub_metric_first() {
         let g = sample();
         let counts = g.metric_appearance_counts();
-        assert_eq!(counts[0].0, "http_requests_mean");
-        assert_eq!(counts[0].1, 3);
-        assert_eq!(g.most_connected_metric().unwrap(), "http_requests_mean");
+        let hub: (Name, Name) = ("web".into(), "http_requests_mean".into());
+        // haproxy exports a metric of the same name: it counts separately.
+        assert_eq!(counts[0], (hub.clone(), 2));
+        assert_eq!(g.most_connected_metric(), Some(hub));
+    }
+
+    #[test]
+    fn a_name_every_component_exports_does_not_outvote_a_real_hub() {
+        // `gc_pause_ms` sits on four edge endpoints, but as two metrics of
+        // two components with two each; `web/requests` sits on three.
+        let mut g = DependencyGraph::new();
+        g.add_edge(edge("web", "requests", "db", "queries", 0.01, 500));
+        g.add_edge(edge("web", "requests", "cache", "ops", 0.01, 500));
+        g.add_edge(edge("web", "requests", "db", "gc_pause_ms", 0.01, 500));
+        g.add_edge(edge("cache", "gc_pause_ms", "db", "gc_pause_ms", 0.01, 500));
+        g.add_edge(edge("cache", "gc_pause_ms", "db", "connections", 0.01, 500));
+        let counts = g.metric_appearance_counts();
+        assert_eq!(counts[0], (("web".into(), "requests".into()), 3));
+        // Ties order by component, then name.
+        assert_eq!(counts[1], (("cache".into(), "gc_pause_ms".into()), 2));
+        assert_eq!(counts[2], (("db".into(), "gc_pause_ms".into()), 2));
+        assert_eq!(
+            g.most_connected_metric(),
+            Some(("web".into(), "requests".into()))
+        );
     }
 
     #[test]

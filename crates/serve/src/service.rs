@@ -152,7 +152,7 @@ impl SieveService {
     }
 
     /// Registers a new tenant over an existing store handle (for example
-    /// one recorded by a `sieve_simulator::engine::Simulation`).
+    /// one a simulation run recorded into).
     ///
     /// The service takes over the store's single-consumer delta stream:
     /// after adoption, nothing else may call

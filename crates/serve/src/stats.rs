@@ -40,10 +40,6 @@ pub struct ServiceStats {
     /// stores since service start (each one folded into the 10x/100x
     /// downsample tiers before being dropped).
     pub points_evicted: u64,
-    /// Cumulative bytes reclaimed by eviction across all tenants' stores,
-    /// under each store's cost model
-    /// ([`sieve_simulator::store::MetricStore::evicted_bytes`]).
-    pub bytes_evicted: u64,
     /// Cumulative tenant-refresh failures since service start. A failing
     /// tenant keeps its previous snapshot and is retried with capped
     /// exponential backoff (see
@@ -94,7 +90,6 @@ impl ServiceStats {
     pub fn absorb_retention(&mut self, store: &sieve_simulator::store::MetricStore) {
         self.points_retained += store.retained_point_count();
         self.points_evicted += store.evicted_point_count();
-        self.bytes_evicted += store.evicted_bytes();
     }
 }
 
@@ -104,7 +99,7 @@ impl std::fmt::Display for ServiceStats {
             f,
             "{} of {} tenants refreshed (epoch {}): prepared {} components, \
              re-clustered {}, re-tested {}/{} comparisons; \
-             {} points retained, {} evicted ({} bytes reclaimed); \
+             {} points retained, {} evicted; \
              {} degraded, {} refresh failures to date; \
              {} commits coalesced, {} fsyncs, {} ns commit wait; \
              pool: {} workers spawned, {} tasks run",
@@ -117,7 +112,6 @@ impl std::fmt::Display for ServiceStats {
             self.comparisons_planned,
             self.points_retained,
             self.points_evicted,
-            self.bytes_evicted,
             self.tenants_degraded,
             self.refresh_failures,
             self.commits_coalesced,
@@ -178,7 +172,6 @@ mod tests {
         agg.absorb_retention(&store);
         assert_eq!(agg.points_retained, 4);
         assert_eq!(agg.points_evicted, 6);
-        assert_eq!(agg.bytes_evicted, 72, "6 points at 12 bytes each");
-        assert!(agg.to_string().contains("6 evicted (72 bytes reclaimed)"));
+        assert!(agg.to_string().contains("4 points retained, 6 evicted;"));
     }
 }

@@ -17,10 +17,12 @@
 //!   series;
 //! * [`tracer`] — the call-graph recorder, with the relative overhead model
 //!   for native/sysdig/tcpdump tracing used by Figure 5;
-//! * [`store`] — the in-memory metric store with the resource-accounting
-//!   model (CPU, storage, network) used by Table 3, and the bounded-memory
-//!   retention layer (ring windows + tiered mean/min/max downsampling)
-//!   that lets long-running services ingest forever with flat memory;
+//! * [`store`] — the in-memory metric store: series, content
+//!   fingerprints, the epoch/delta API, and the bounded-memory retention
+//!   layer (ring windows + tiered mean/min/max downsampling) that lets
+//!   long-running services ingest forever with flat memory (Table 3's cost
+//!   model is not here: `sieve_bench::table3` prices the store's point and
+//!   series counts);
 //! * [`fault`] — fault injection used by the RCA case study to produce a
 //!   "faulty version" of an application.
 //!

@@ -1,11 +1,8 @@
-//! The metric store: the simulator's InfluxDB/Telegraf stand-in.
-//!
-//! Besides holding every recorded time series, the store keeps a resource
-//! accounting model (CPU time, database size, network traffic per reported
-//! point) so that the monitoring-overhead comparison of Table 3 — "Sieve
-//! reduces the monitoring overhead for computation, storage and network by
-//! 80%, 90% and 50%" — can be regenerated by re-playing a run with the full
-//! and the reduced metric set.
+//! The metric store: the InfluxDB/Telegraf stand-in that holds every
+//! recorded time series, and nothing else. What monitoring *costs* (Table 3)
+//! is not the store's business: the experiment prices
+//! [`MetricStore::point_count`] and [`MetricStore::series_count`] in
+//! `sieve_bench::table3`.
 //!
 //! Series are keyed by [`MetricId`], a pair of interned [`Name`]s: the hot
 //! ingestion path (`record` runs once per metric per simulation tick) clones
@@ -80,72 +77,6 @@ impl MetricId {
 impl std::fmt::Display for MetricId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}/{}", self.component, self.metric)
-    }
-}
-
-/// Resource usage accounted by the store, mirroring the rows of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ResourceUsage {
-    /// CPU time spent ingesting and indexing points, in seconds.
-    pub cpu_time_s: f64,
-    /// On-disk database size, in kilobytes.
-    pub db_size_kb: f64,
-    /// Network traffic into the store (agent → DB), in megabytes.
-    pub network_in_mb: f64,
-    /// Network traffic out of the store (DB → dashboards), in kilobytes.
-    pub network_out_kb: f64,
-}
-
-impl ResourceUsage {
-    /// Relative reduction (in percent) of each resource from `self` to
-    /// `after`, as reported in Table 3.
-    pub fn reduction_percent(&self, after: &ResourceUsage) -> ResourceUsage {
-        fn pct(before: f64, after: f64) -> f64 {
-            if before <= 0.0 {
-                0.0
-            } else {
-                (1.0 - after / before) * 100.0
-            }
-        }
-        ResourceUsage {
-            cpu_time_s: pct(self.cpu_time_s, after.cpu_time_s),
-            db_size_kb: pct(self.db_size_kb, after.db_size_kb),
-            network_in_mb: pct(self.network_in_mb, after.network_in_mb),
-            network_out_kb: pct(self.network_out_kb, after.network_out_kb),
-        }
-    }
-}
-
-/// Per-point ingestion costs of the store.
-///
-/// The defaults are calibrated so that a full ShareLatex-like run produces
-/// overheads of the same order as Table 3 of the paper; only the *relative*
-/// savings matter for the reproduction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// CPU seconds consumed per ingested point.
-    pub cpu_s_per_point: f64,
-    /// Storage bytes consumed per ingested point (after compression).
-    pub bytes_per_point: f64,
-    /// Network bytes transferred into the store per ingested point
-    /// (line protocol is more verbose than the stored form).
-    pub network_in_bytes_per_point: f64,
-    /// Network bytes transferred out of the store per point that is read by
-    /// dashboards/queries.
-    pub network_out_bytes_per_point: f64,
-    /// Fixed per-series overhead in bytes (schema, index).
-    pub bytes_per_series: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            cpu_s_per_point: 25e-6,
-            bytes_per_point: 12.0,
-            network_in_bytes_per_point: 120.0,
-            network_out_bytes_per_point: 8.0,
-            bytes_per_series: 600.0,
-        }
     }
 }
 
@@ -275,7 +206,7 @@ pub enum DownsampleTier {
 
 /// Why the ingestion path dropped a point.
 ///
-/// The detailed batch API ([`MetricStore::record_batch_detailed`]) reports
+/// The detailed batch API ([`MetricStore::record_batch_detailed_into`]) reports
 /// one of these per rejected point, so a durability layer can log exactly
 /// the accepted sub-batch — a replay of the log then applies bit-identically
 /// (rejected points never reach the log, so they can never replay
@@ -300,7 +231,7 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// What one [`MetricStore::record_batch_detailed`] call did, point by
+/// What one [`MetricStore::record_batch_detailed_into`] call did, point by
 /// point: how many points were accepted, why each rejected point was
 /// dropped (by batch index), and the post-apply content fingerprint of
 /// every series that accepted at least one point.
@@ -370,22 +301,18 @@ pub struct SeriesState {
 ///
 /// The image is exact: a restored store continues bit-identically to the
 /// frozen one — same fingerprints, same epoch watermark, same pending
-/// dirt, same tier contents, same accounting counters. This is what a
+/// dirt, same tier contents, same written/evicted counters. This is what a
 /// durability snapshot persists per tenant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreState {
     /// Retention policy at freeze time.
     pub retention: RetentionPolicy,
-    /// Cost model at freeze time (`None` if the store never had one).
-    pub cost_model: Option<CostModel>,
     /// Epoch watermark at freeze time.
     pub epoch: u64,
     /// Cumulative accepted-point count.
     pub points_written: u64,
     /// Cumulative evicted-point count.
     pub points_evicted: u64,
-    /// Cumulative read-point count.
-    pub points_read: u64,
     /// Every stored series, sorted by [`MetricId`].
     pub series: Vec<SeriesState>,
 }
@@ -419,8 +346,8 @@ impl StoreDelta {
     }
 }
 
-/// An in-memory, thread-safe time-series store with resource accounting and
-/// an optional bounded-memory [`RetentionPolicy`].
+/// An in-memory, thread-safe time-series store with an optional
+/// bounded-memory [`RetentionPolicy`].
 ///
 /// Cloning the store is cheap (it is backed by an `Arc`); clones share the
 /// same underlying data, like handles to one database. The epoch/delta
@@ -436,11 +363,9 @@ struct StoreInner {
     series: BTreeMap<MetricId, StoredSeries>,
     /// Monotone watermark: the number of deltas drained so far.
     epoch: u64,
-    cost_model: Option<CostModel>,
     retention: RetentionPolicy,
     points_written: u64,
     points_evicted: u64,
-    points_read: u64,
     /// Monotone stamp handed to each detailed batch, so per-batch
     /// "first touch of this series" detection is a field compare instead
     /// of a set insertion (transient — never serialized).
@@ -728,26 +653,20 @@ fn extend_fingerprint(fp: u64, timestamp_ms: u64, value: f64) -> u64 {
 const EVICTION_TAG: u64 = 0x5749_4E44_4F57_4544;
 
 impl MetricStore {
-    /// Creates an empty, unbounded store with the default cost model.
+    /// Creates an empty, unbounded store.
     pub fn new() -> Self {
-        let store = Self::default();
-        store.write().cost_model = Some(CostModel::default());
-        store
+        Self::default()
     }
 
-    /// Creates an empty store with a custom cost model.
-    pub fn with_cost_model(cost_model: CostModel) -> Self {
-        let store = Self::default();
-        store.write().cost_model = Some(cost_model);
-        store
-    }
-
-    /// Creates an empty store with the default cost model and the given
-    /// retention policy.
+    /// Creates an empty store with the given retention policy.
     pub fn with_retention(policy: RetentionPolicy) -> Self {
-        let store = Self::new();
-        store.write().retention = policy;
-        store
+        let inner = StoreInner {
+            retention: policy,
+            ..StoreInner::default()
+        };
+        Self {
+            inner: Arc::new(RwLock::new(inner)),
+        }
     }
 
     fn read(&self) -> std::sync::RwLockReadGuard<'_, StoreInner> {
@@ -816,7 +735,7 @@ impl MetricStore {
     /// layer's `ingest`): a collector forwarding hundreds of points per
     /// observation round pays one lock round-trip instead of one per
     /// point. Callers that need to know *which* points were dropped and
-    /// why use [`MetricStore::record_batch_detailed`].
+    /// why use [`MetricStore::record_batch_detailed_into`].
     pub fn record_batch<'a>(
         &self,
         points: impl IntoIterator<Item = (&'a MetricId, u64, f64)>,
@@ -824,10 +743,10 @@ impl MetricStore {
         self.write().record_all(points.into_iter())
     }
 
-    /// Like [`MetricStore::record_batch`], but reports the per-point
-    /// [`RejectReason`] of every dropped point and the post-apply
-    /// fingerprint watermark of every series that accepted at least one
-    /// point.
+    /// Like [`MetricStore::record_batch`], but reports into a caller-owned
+    /// [`BatchOutcome`] the per-point [`RejectReason`] of every dropped
+    /// point and the post-apply fingerprint watermark of every series that
+    /// accepted at least one point.
     ///
     /// This is the durability entry point: a write-ahead log persists only
     /// the accepted sub-batch (so replaying it can never apply differently
@@ -835,25 +754,14 @@ impl MetricStore {
     /// prove — before applying — that a logged batch is being replayed
     /// against the same store state it was written against (see
     /// [`MetricStore::record_batch_verified`]).
-    pub fn record_batch_detailed<'a>(
-        &self,
-        points: impl IntoIterator<Item = (&'a MetricId, u64, f64)>,
-    ) -> BatchOutcome {
-        let mut outcome = BatchOutcome::default();
-        self.record_batch_detailed_into(&mut outcome, points);
-        outcome
-    }
-
-    /// [`MetricStore::record_batch_detailed`] into a caller-owned
-    /// [`BatchOutcome`], reusing its buffers.
     ///
-    /// This is the zero-allocation form behind the serving layer's ingest
-    /// hot path: the outcome's vectors are cleared but keep their
-    /// capacity, a fully-accepted batch (the overwhelmingly common case)
-    /// pushes nothing to `rejected`, and first-touch detection is a
-    /// per-series stamp compare instead of a per-call `BTreeSet` — so a
-    /// warm scratch outcome makes the whole call allocation-free apart
-    /// from the store's own series growth.
+    /// The serving layer's ingest hot path allocates nothing here: the
+    /// outcome's vectors are cleared but keep their capacity, a
+    /// fully-accepted batch (the overwhelmingly common case) pushes nothing
+    /// to `rejected`, and first-touch detection is a per-series stamp
+    /// compare instead of a per-call `BTreeSet` — so a warm scratch outcome
+    /// makes the whole call allocation-free apart from the store's own
+    /// series growth.
     pub fn record_batch_detailed_into<'a>(
         &self,
         outcome: &mut BatchOutcome,
@@ -889,7 +797,7 @@ impl MetricStore {
     }
 
     /// Applies `points` only if doing so reproduces `expected` — the
-    /// watermarks [`MetricStore::record_batch_detailed`] reported when the
+    /// watermarks [`MetricStore::record_batch_detailed_into`] reported when the
     /// batch was first applied — and returns how many points were accepted;
     /// `None`, with the store untouched, if it would not.
     ///
@@ -911,7 +819,7 @@ impl MetricStore {
     /// [`MetricId`] is a mismatch. Only when every slot matches does the
     /// second phase apply the points, exactly as
     /// [`MetricStore::record_batch`] would. `Some` is returned precisely
-    /// when `record_batch_detailed(points).watermarks == expected`
+    /// when `record_batch_detailed_into` on `points` reports `expected`
     /// (property-tested against a copy of the store).
     pub fn record_batch_verified<'a>(
         &self,
@@ -1037,12 +945,7 @@ impl MetricStore {
     /// present.
     pub fn series(&self, id: &MetricId) -> Option<TimeSeries> {
         let inner = self.read();
-        let found = inner.series.get(id).map(|s| s.window().to_series());
-        if let Some(s) = &found {
-            drop(inner);
-            self.write().points_read += s.len() as u64;
-        }
-        found
+        inner.series.get(id).map(|s| s.window().to_series())
     }
 
     /// The closed buckets of one downsampled tier of the series for `id`,
@@ -1111,27 +1014,19 @@ impl MetricStore {
     /// without copying any series. Each view observes **only the retained
     /// window** of its series — under a bounded [`RetentionPolicy`] that is
     /// the newest `raw_capacity` points, not the full history (older points
-    /// survive only as [`MetricStore::downsampled`] aggregates). Visited
-    /// points count towards the read-traffic accounting exactly like
-    /// [`MetricStore::series`]. The lock is held for the whole traversal,
-    /// so the callback must not call back into this store.
+    /// survive only as [`MetricStore::downsampled`] aggregates). The read
+    /// lock is held for the whole traversal, so the callback must not call
+    /// back into this store.
     pub fn for_each_series_of(
         &self,
         component: &str,
         mut f: impl FnMut(&MetricId, SeriesView<'_>),
     ) {
-        let mut visited_points = 0u64;
-        {
-            let inner = self.read();
-            for (id, series) in &inner.series {
-                if id.component == component {
-                    visited_points += series.window_len() as u64;
-                    f(id, series.window());
-                }
+        let inner = self.read();
+        for (id, series) in &inner.series {
+            if id.component == component {
+                f(id, series.window());
             }
-        }
-        if visited_points > 0 {
-            self.write().points_read += visited_points;
         }
     }
 
@@ -1139,27 +1034,18 @@ impl MetricStore {
     /// components, sorted by component) without copying any series. Each
     /// view observes **only the retained window** of its series — under a
     /// bounded [`RetentionPolicy`] that is the newest `raw_capacity`
-    /// points, not the full history. Visited points count towards the
-    /// read-traffic accounting exactly like [`MetricStore::series`]. The
-    /// lock is held for the whole traversal, so the callback must not call
-    /// back into this store.
+    /// points, not the full history. The read lock is held for the whole
+    /// traversal, so the callback must not call back into this store.
     pub fn for_each_series_named(
         &self,
         metric: &str,
         mut f: impl FnMut(&MetricId, SeriesView<'_>),
     ) {
-        let mut visited_points = 0u64;
-        {
-            let inner = self.read();
-            for (id, series) in &inner.series {
-                if id.metric == metric {
-                    visited_points += series.window_len() as u64;
-                    f(id, series.window());
-                }
+        let inner = self.read();
+        for (id, series) in &inner.series {
+            if id.metric == metric {
+                f(id, series.window());
             }
-        }
-        if visited_points > 0 {
-            self.write().points_read += visited_points;
         }
     }
 
@@ -1188,14 +1074,6 @@ impl MetricStore {
         self.read().points_evicted
     }
 
-    /// Storage bytes reclaimed by eviction so far, under the store's cost
-    /// model.
-    pub fn evicted_bytes(&self) -> u64 {
-        let inner = self.read();
-        let cost = inner.cost_model.unwrap_or_default();
-        (inner.points_evicted as f64 * cost.bytes_per_point) as u64
-    }
-
     /// Exports the retained window of every series as a map (used by the
     /// Sieve pipeline).
     pub fn export(&self) -> BTreeMap<MetricId, TimeSeries> {
@@ -1206,37 +1084,10 @@ impl MetricStore {
             .collect()
     }
 
-    /// Resource usage of everything ingested so far under the store's cost
-    /// model. CPU and network-in are cumulative ingest costs; the database
-    /// size reflects what is currently held (retained raw points plus
-    /// closed aggregate buckets, each bucket costing three stored values).
-    pub fn resource_usage(&self) -> ResourceUsage {
-        let inner = self.read();
-        let cost = inner.cost_model.unwrap_or_default();
-        let points = inner.points_written as f64;
-        let retained = (inner.points_written - inner.points_evicted) as f64;
-        let buckets: usize = inner
-            .series
-            .values()
-            .map(|s| s.tier1.closed.len() + s.tier2.closed.len())
-            .sum();
-        let series = inner.series.len() as f64;
-        let read_points = inner.points_read.max(inner.points_written) as f64;
-        ResourceUsage {
-            cpu_time_s: points * cost.cpu_s_per_point,
-            db_size_kb: (retained * cost.bytes_per_point
-                + buckets as f64 * 3.0 * cost.bytes_per_point
-                + series * cost.bytes_per_series)
-                / 1024.0,
-            network_in_mb: points * cost.network_in_bytes_per_point / (1024.0 * 1024.0),
-            network_out_kb: read_points * cost.network_out_bytes_per_point / 1024.0,
-        }
-    }
-
     /// Captures a complete serializable image of the store: every series'
     /// retained window, fingerprint, touched mark and downsample tiers,
-    /// plus the epoch watermark, retention policy, cost model and
-    /// accounting counters.
+    /// plus the epoch watermark, retention policy and written/evicted
+    /// counters.
     ///
     /// Freezing holds the read lock for the duration of the copy; the
     /// image is start-normalized (window offsets are not preserved, only
@@ -1245,11 +1096,9 @@ impl MetricStore {
         let inner = self.read();
         StoreState {
             retention: inner.retention,
-            cost_model: inner.cost_model,
             epoch: inner.epoch,
             points_written: inner.points_written,
             points_evicted: inner.points_evicted,
-            points_read: inner.points_read,
             series: inner
                 .series
                 .iter()
@@ -1269,7 +1118,7 @@ impl MetricStore {
     /// Revives a store from a [`StoreState`] image. The restored store
     /// continues bit-identically to the frozen one: identical
     /// fingerprints, epoch watermark, pending dirt, tier contents and
-    /// accounting under any subsequent sequence of operations.
+    /// counters under any subsequent sequence of operations.
     pub fn restore(state: StoreState) -> MetricStore {
         let mut series = BTreeMap::new();
         for s in state.series {
@@ -1291,36 +1140,24 @@ impl MetricStore {
             inner: Arc::new(RwLock::new(StoreInner {
                 series,
                 epoch: state.epoch,
-                cost_model: state.cost_model,
                 retention: state.retention,
                 points_written: state.points_written,
                 points_evicted: state.points_evicted,
-                points_read: state.points_read,
                 batch_stamp: 0,
             })),
         }
     }
 
     /// Builds a new store containing only the series whose identifiers are
-    /// in `keep`, re-ingesting their retained windows under the same cost
-    /// model and retention policy. This is how the Table 3 experiment
-    /// simulates "a run with the reduced metrics".
+    /// in `keep`, re-ingesting their retained windows under the same
+    /// retention policy. This is how the Table 3 experiment simulates "a
+    /// run with the reduced metrics".
     pub fn retain_only(&self, keep: &[MetricId]) -> MetricStore {
-        let (cost, retention) = {
-            let inner = self.read();
-            (inner.cost_model.unwrap_or_default(), inner.retention)
-        };
-        let reduced = MetricStore::with_cost_model(cost);
-        reduced.write().retention = retention;
+        let inner = self.read();
+        let reduced = MetricStore::with_retention(inner.retention);
         for id in keep {
-            let window = {
-                let inner = self.read();
-                inner.series.get(id).map(|s| s.window().to_series())
-            };
-            if let Some(series) = window {
-                for (t, v) in series.iter() {
-                    reduced.record(id, t, v);
-                }
+            if let Some(series) = inner.series.get(id) {
+                reduced.record_batch(series.window().iter().map(|(t, v)| (id, t, v)));
             }
         }
         reduced
@@ -1342,6 +1179,15 @@ mod tests {
             }
         }
         store
+    }
+
+    fn detailed<'a>(
+        store: &MetricStore,
+        points: impl IntoIterator<Item = (&'a MetricId, u64, f64)>,
+    ) -> BatchOutcome {
+        let mut outcome = BatchOutcome::default();
+        store.record_batch_detailed_into(&mut outcome, points);
+        outcome
     }
 
     #[test]
@@ -1406,39 +1252,6 @@ mod tests {
         assert_eq!(store.metric_ids_of("web").len(), 3);
         assert_eq!(store.components(), vec!["db", "web"]);
         assert_eq!(store.metric_ids().len(), 6);
-    }
-
-    #[test]
-    fn resource_usage_scales_with_points() {
-        let store = populated();
-        let usage = store.resource_usage();
-        assert!(usage.cpu_time_s > 0.0);
-        assert!(usage.db_size_kb > 0.0);
-        assert!(usage.network_in_mb > 0.0);
-
-        // A store with half the metrics uses roughly half the resources.
-        let keep: Vec<MetricId> = store
-            .metric_ids()
-            .into_iter()
-            .filter(|id| id.metric != "cpu" && id.metric != "mem")
-            .collect();
-        let reduced = store.retain_only(&keep);
-        let reduced_usage = reduced.resource_usage();
-        assert!(reduced_usage.cpu_time_s < usage.cpu_time_s);
-        let savings = usage.reduction_percent(&reduced_usage);
-        assert!(
-            savings.cpu_time_s > 60.0,
-            "cpu saving {}",
-            savings.cpu_time_s
-        );
-        assert!(savings.db_size_kb > 50.0);
-    }
-
-    #[test]
-    fn reduction_percent_handles_zero_baseline() {
-        let zero = ResourceUsage::default();
-        let r = zero.reduction_percent(&zero);
-        assert_eq!(r.cpu_time_s, 0.0);
     }
 
     #[test]
@@ -1578,7 +1391,6 @@ mod tests {
         assert_eq!(store.point_count(), 25, "accepted count is cumulative");
         assert_eq!(store.retained_point_count(), 10);
         assert_eq!(store.evicted_point_count(), 15);
-        assert!(store.evicted_bytes() > 0);
         // The retained window equals the exact tail of an unbounded oracle.
         let oracle = MetricStore::new();
         for t in 0..25u64 {
@@ -1729,13 +1541,16 @@ mod tests {
         let b = MetricId::new("db", "mem");
         let store = MetricStore::new();
         store.record(&a, 0, 1.0);
-        let outcome = store.record_batch_detailed([
-            (&a, 500, 2.0),
-            (&a, 250, 9.0),    // non-monotone
-            (&b, 0, f64::NAN), // non-finite
-            (&b, 0, 3.0),
-            (&a, 500, 4.0), // duplicate timestamp
-        ]);
+        let outcome = detailed(
+            &store,
+            [
+                (&a, 500, 2.0),
+                (&a, 250, 9.0),    // non-monotone
+                (&b, 0, f64::NAN), // non-finite
+                (&b, 0, 3.0),
+                (&a, 500, 4.0), // duplicate timestamp
+            ],
+        );
         assert_eq!(outcome.accepted, 2);
         assert_eq!(
             outcome.rejected,
@@ -1755,7 +1570,7 @@ mod tests {
         );
 
         // A batch with no accepted points reports no watermarks.
-        let empty = store.record_batch_detailed([(&a, 100, 1.0)]);
+        let empty = detailed(&store, [(&a, 100, 1.0)]);
         assert_eq!(empty.accepted, 0);
         assert!(empty.watermarks.is_empty());
     }
@@ -1764,7 +1579,7 @@ mod tests {
     fn verified_apply_agrees_with_the_detailed_oracle_for_any_expected_list() {
         use sieve_exec::hash::splitmix64;
         // Property: `record_batch_verified(points, expected)` applies iff
-        // `record_batch_detailed(points)` on a copy of the store reports
+        // `record_batch_detailed_into` on a copy of the store reports
         // exactly `expected` — across retention policies, repeated series,
         // stale timestamps, non-finite values and eviction boundaries, for
         // the true list and five kinds of wrong one.
@@ -1805,7 +1620,7 @@ mod tests {
                 }
                 let before = store.freeze();
                 let copy = MetricStore::restore(before.clone());
-                let outcome = copy.record_batch_detailed(batch.iter().copied());
+                let outcome = detailed(&copy, batch.iter().copied());
                 let truth = outcome.watermarks;
 
                 let kind = (step % KINDS as u64) as usize;
@@ -1920,14 +1735,59 @@ mod tests {
     fn windowed_db_size_is_flat_under_sustained_ingest() {
         let store = MetricStore::with_retention(RetentionPolicy::windowed(16));
         let id = MetricId::new("web", "cpu");
+        // What the store holds: retained raw points plus closed buckets.
+        let held = |store: &MetricStore| {
+            (
+                store.retained_point_count(),
+                store.downsampled(&id, DownsampleTier::TenX).len(),
+                store.downsampled(&id, DownsampleTier::HundredX).len(),
+            )
+        };
         for t in 0..2_000u64 {
             store.record(&id, t, t as f64);
         }
-        let mid = store.resource_usage().db_size_kb;
+        let mid = held(&store);
+        assert_eq!(mid, (16, 16, 16), "window and both tier rings are full");
         for t in 2_000..4_000u64 {
             store.record(&id, t, t as f64);
         }
-        let later = store.resource_usage().db_size_kb;
-        assert_eq!(mid, later, "retained + tier footprint reaches steady state");
+        assert_eq!(held(&store), mid, "retained + tier footprint stays flat");
+    }
+
+    #[test]
+    fn a_reader_never_waits_for_another_reader() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        // One thread sits inside a `for_each_component` callback (read guard
+        // held) until a second thread has finished every copying and
+        // visiting read. A read that took the write lock for any reason
+        // would wait for the callback to return.
+        let store = &populated();
+        let id = MetricId::new("web", "cpu");
+        let (inside_tx, inside_rx) = channel();
+        let (done_tx, done_rx) = channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut finished_in_time = None;
+                store.for_each_component(|_| {
+                    finished_in_time.get_or_insert_with(|| {
+                        inside_tx.send(()).unwrap();
+                        done_rx.recv_timeout(Duration::from_secs(10)).is_ok()
+                    });
+                });
+                assert_eq!(
+                    finished_in_time,
+                    Some(true),
+                    "the reads blocked behind a held read guard"
+                );
+            });
+            inside_rx.recv().unwrap();
+            let mut visited = 0;
+            store.for_each_series_of("web", |_, series| visited += series.len());
+            store.for_each_series_named("cpu", |_, series| visited += series.len());
+            visited += store.series(&id).unwrap().len();
+            assert_eq!(visited, 300 + 200 + 100);
+            done_tx.send(()).unwrap();
+        });
     }
 }

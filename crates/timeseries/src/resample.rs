@@ -11,9 +11,6 @@ use crate::interpolate::{linear_interpolate, CubicSpline};
 use crate::series::SeriesView;
 use crate::{Result, TimeSeries, TimeSeriesError};
 
-/// The sampling interval Sieve uses when discretizing metrics (500 ms).
-pub const DEFAULT_INTERVAL_MS: u64 = 500;
-
 /// Resamples `series` onto a regular grid of `interval_ms` covering the
 /// original time span.
 ///
@@ -78,15 +75,6 @@ pub fn resample_view(series: SeriesView<'_>, interval_ms: u64) -> Result<TimeSer
             .collect()
     };
     TimeSeries::from_parts(grid, values)
-}
-
-/// Resamples onto the default 500 ms grid.
-///
-/// # Errors
-///
-/// Same as [`resample`].
-pub fn resample_default(series: &TimeSeries) -> Result<TimeSeries> {
-    resample(series, DEFAULT_INTERVAL_MS)
 }
 
 /// Aligns two series onto a shared regular grid spanning the overlap of

@@ -16,7 +16,7 @@ use sieve_core::config::{GrangerConfig, SieveConfig};
 use sieve_exec::hash::splitmix64;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{
-    AggregateBucket, CostModel, MetricId, RetentionPolicy, SeriesState, StoreState, TierState,
+    AggregateBucket, MetricId, RetentionPolicy, SeriesState, StoreState, TierState,
 };
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -274,36 +274,6 @@ pub fn take_retention(cur: &mut Cursor<'_>) -> DecodeResult<RetentionPolicy> {
     })
 }
 
-/// Appends an optional [`CostModel`].
-pub fn put_cost_model(buf: &mut Vec<u8>, cost: &Option<CostModel>) {
-    match cost {
-        None => put_u8(buf, 0),
-        Some(c) => {
-            put_u8(buf, 1);
-            put_f64(buf, c.cpu_s_per_point);
-            put_f64(buf, c.bytes_per_point);
-            put_f64(buf, c.network_in_bytes_per_point);
-            put_f64(buf, c.network_out_bytes_per_point);
-            put_f64(buf, c.bytes_per_series);
-        }
-    }
-}
-
-/// Reads an optional [`CostModel`].
-pub fn take_cost_model(cur: &mut Cursor<'_>) -> DecodeResult<Option<CostModel>> {
-    match cur.take_u8("cost model tag")? {
-        0 => Ok(None),
-        1 => Ok(Some(CostModel {
-            cpu_s_per_point: cur.take_f64("cpu_s_per_point")?,
-            bytes_per_point: cur.take_f64("bytes_per_point")?,
-            network_in_bytes_per_point: cur.take_f64("network_in_bytes_per_point")?,
-            network_out_bytes_per_point: cur.take_f64("network_out_bytes_per_point")?,
-            bytes_per_series: cur.take_f64("bytes_per_series")?,
-        })),
-        other => Err(format!("cost model tag: invalid byte {other}")),
-    }
-}
-
 /// Appends a full [`SieveConfig`], every result-affecting and
 /// result-invariant field alike, so a recovered tenant analyses exactly
 /// as configured.
@@ -486,11 +456,9 @@ fn take_series<'a>(cur: &mut Cursor<'a>, memo: &mut IdMemo<'a>) -> DecodeResult<
 /// Appends a complete frozen store image.
 pub fn put_store_state(buf: &mut Vec<u8>, state: &StoreState) {
     put_retention(buf, &state.retention);
-    put_cost_model(buf, &state.cost_model);
     put_u64(buf, state.epoch);
     put_u64(buf, state.points_written);
     put_u64(buf, state.points_evicted);
-    put_u64(buf, state.points_read);
     put_usize(buf, state.series.len());
     for series in &state.series {
         put_series(buf, series);
@@ -498,16 +466,32 @@ pub fn put_store_state(buf: &mut Vec<u8>, state: &StoreState) {
 }
 
 /// Reads a complete frozen store image.
+///
+/// Version-2 snapshots carried two more fields per store, which
+/// `with_accounting` steps over: an optional cost model (a tag byte, then
+/// five `f64`s) after the retention policy, and a read counter after the
+/// evicted counter.
 pub fn take_store_state<'a>(
     cur: &mut Cursor<'a>,
     memo: &mut IdMemo<'a>,
+    with_accounting: bool,
 ) -> DecodeResult<StoreState> {
     let retention = take_retention(cur)?;
-    let cost_model = take_cost_model(cur)?;
+    if with_accounting {
+        match cur.take_u8("v2 cost model tag")? {
+            0 => {}
+            1 => {
+                cur.take(40, "v2 cost model")?;
+            }
+            other => return Err(format!("v2 cost model tag: invalid byte {other}")),
+        }
+    }
     let epoch = cur.take_u64("store epoch")?;
     let points_written = cur.take_u64("store points_written")?;
     let points_evicted = cur.take_u64("store points_evicted")?;
-    let points_read = cur.take_u64("store points_read")?;
+    if with_accounting {
+        cur.take_u64("v2 read counter")?;
+    }
     let series_len = cur.take_usize("store series count")?;
     let mut series = Vec::with_capacity(series_len.min(4096));
     for _ in 0..series_len {
@@ -515,13 +499,20 @@ pub fn take_store_state<'a>(
     }
     Ok(StoreState {
         retention,
-        cost_model,
         epoch,
         points_written,
         points_evicted,
-        points_read,
         series,
     })
+}
+
+/// The bytes a golden fixture spells in hex.
+#[cfg(test)]
+pub(crate) fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|at| u8::from_str_radix(&hex[at..at + 2], 16).expect("two hex digits"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -614,7 +605,8 @@ mod tests {
         let state = store.freeze();
         let mut buf = Vec::new();
         put_store_state(&mut buf, &state);
-        let decoded = take_store_state(&mut Cursor::new(&buf), &mut IdMemo::default()).unwrap();
+        let decoded =
+            take_store_state(&mut Cursor::new(&buf), &mut IdMemo::default(), false).unwrap();
         assert_eq!(decoded, state);
         assert_eq!(
             MetricStore::restore(decoded).freeze(),

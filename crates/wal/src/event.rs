@@ -127,21 +127,15 @@ impl WalEvent {
                 tenant,
                 points,
                 watermarks,
-            } => {
-                put_u8(buf, TAG_INGEST_BATCH);
-                put_str(buf, tenant);
-                put_usize(buf, points.len());
-                for (id, timestamp_ms, value) in points {
-                    put_metric_id(buf, id);
-                    put_u64(buf, *timestamp_ms);
-                    put_u64(buf, value.to_bits());
-                }
-                put_usize(buf, watermarks.len());
-                for (id, fingerprint) in watermarks {
-                    put_metric_id(buf, id);
-                    put_u64(buf, *fingerprint);
-                }
-            }
+            } => Self::encode_ingest_batch_into(
+                buf,
+                tenant,
+                points.len(),
+                points
+                    .iter()
+                    .map(|(id, timestamp_ms, value)| (id, *timestamp_ms, *value)),
+                watermarks,
+            ),
         }
     }
 
@@ -151,10 +145,9 @@ impl WalEvent {
     /// caller's point buffer (skipping rejected indices) instead of
     /// cloning them into a `Vec`.
     ///
-    /// Byte-identical to [`WalEvent::encode`] of the equivalent
-    /// `IngestBatch` — asserted by unit test — so replay cannot tell the
-    /// two paths apart. `accepted` must equal the number of triples the
-    /// iterator yields.
+    /// [`WalEvent::encode`] of the equivalent `IngestBatch` calls this, so
+    /// there is one encoder and replay cannot tell the two paths apart.
+    /// `accepted` must equal the number of triples the iterator yields.
     pub fn encode_ingest_batch_into<'a, I>(
         buf: &mut Vec<u8>,
         tenant: &str,

@@ -130,6 +130,7 @@ pub fn parse_at<'a>(bytes: &'a [u8], offset: usize, memo: &mut IdMemo<'a>) -> Pa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::unhex;
     use sieve_core::config::{GrangerConfig, SieveConfig};
     use sieve_exec::hash::splitmix64;
     use sieve_graph::CallGraph;
@@ -285,13 +286,6 @@ mod tests {
                 ],
             },
         ]
-    }
-
-    fn unhex(hex: &str) -> Vec<u8> {
-        (0..hex.len())
-            .step_by(2)
-            .map(|at| u8::from_str_radix(&hex[at..at + 2], 16).expect("two hex digits"))
-            .collect()
     }
 
     #[test]

@@ -27,10 +27,12 @@ use std::path::Path;
 
 /// Magic prefix of a snapshot file ("SIEVSNAP" in ASCII).
 const MAGIC: u64 = 0x5349_4556_534E_4150;
-/// Format version, bumped on incompatible layout changes. Any other
+/// Format version written, bumped on layout changes. Version 2 — the same
+/// layout plus two accounting fields per store — is still read; any other
 /// version is rejected, never reinterpreted: version 1 carried two more
 /// bytes per tenant configuration.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
+const VERSION_WITH_ACCOUNTING: u32 = 2;
 
 /// One tenant's durable image inside a shard snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +44,7 @@ pub struct TenantSnapshot {
     /// The call graph the tenant's session plans comparisons over.
     pub call_graph: CallGraph,
     /// The frozen metric store (retained windows, tiers, fingerprints,
-    /// epoch watermark, accounting).
+    /// epoch watermark, written/evicted counters).
     pub store: StoreState,
 }
 
@@ -95,7 +97,7 @@ impl ShardSnapshot {
             return Err(format!("bad snapshot magic {magic:#x}"));
         }
         let version = cur.take_u32("snapshot version")?;
-        if version != VERSION {
+        if version != VERSION && version != VERSION_WITH_ACCOUNTING {
             return Err(format!("unsupported snapshot version {version}"));
         }
         let stored = cur.take_u64("snapshot checksum")?;
@@ -113,7 +115,7 @@ impl ShardSnapshot {
                 tenant: cur.take_str("tenant name")?.to_string(),
                 config: Box::new(take_sieve_config(&mut cur)?),
                 call_graph: take_call_graph(&mut cur)?,
-                store: take_store_state(&mut cur, &mut memo)?,
+                store: take_store_state(&mut cur, &mut memo, version == VERSION_WITH_ACCOUNTING)?,
             });
         }
         if !cur.is_empty() {
@@ -164,7 +166,8 @@ impl ShardSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sieve_simulator::store::{MetricId, MetricStore, RetentionPolicy};
+    use crate::codec::unhex;
+    use sieve_simulator::store::{DownsampleTier, MetricId, MetricStore, RetentionPolicy};
 
     fn sample() -> ShardSnapshot {
         let store = MetricStore::with_retention(RetentionPolicy::windowed(4));
@@ -211,19 +214,129 @@ mod tests {
                 "bit flip at byte {position} must not verify"
             );
         }
-        // An intact file of another format version: the checksum verifies,
-        // the layout is not ours.
-        let older = VERSION - 1;
-        let body = &bytes[20..];
-        let mut stale = Vec::new();
-        put_u64(&mut stale, MAGIC);
-        put_u32(&mut stale, older);
-        put_u64(&mut stale, checksum(MAGIC ^ u64::from(older), body));
-        stale.extend_from_slice(body);
-        assert_eq!(
-            ShardSnapshot::decode(&stale).unwrap_err(),
-            "unsupported snapshot version 1"
-        );
+        // An intact file of a format version we neither write nor still
+        // read: the checksum verifies, the layout is not ours.
+        for other in [1, VERSION + 1] {
+            let body = &bytes[20..];
+            let mut stale = Vec::new();
+            put_u64(&mut stale, MAGIC);
+            put_u32(&mut stale, other);
+            put_u64(&mut stale, checksum(MAGIC ^ u64::from(other), body));
+            stale.extend_from_slice(body);
+            assert_eq!(
+                ShardSnapshot::decode(&stale).unwrap_err(),
+                format!("unsupported snapshot version {other}")
+            );
+        }
+    }
+
+    /// `ShardSnapshot::encode` of [`golden_v2_snapshot`] as commit 4bb2761
+    /// wrote it: format version 2, the store carrying a default cost model
+    /// (41 bytes) and a read counter of 3 (8 bytes). Directories written
+    /// before version 3 hold files like this one.
+    const GOLDEN_V2_SNAPSHOT: &str =
+        "50414e5356454953020000005f5a8d037aea11ee01000000000000000700000000000000010000000000000004000000\
+         61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
+         000000007b14ae47e17a843f002900000000000000030000000000000001030000000000000002000000000000000200\
+         000000000000020000006462030000007765620100000000000000030000007765620200000064620300000000000000\
+         0103000000000000000200000000000000012d431cebe236fa3e00000000000028400000000000005e40000000000000\
+         20400000000000c08240010000000000000011000000000000000c000000000000000300000000000000020000000000\
+         0000020000006462030000006d656d02000000000000000000000000000000f401000000000000000000000000f43f00\
+         000000000004c00d131ea9e317bdb2000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000003000000776562030000006370750300\
+         00000000000070170000000000006419000000000000581b000000000000000000000000004000000000000002400000\
+         000000000440fe4082463203469f010100000000000000000000000000000094110000000000000a0000000000000000\
+         00c03f000000000000f0bf000000000000f43f02000000020000000000000000000a40000000000000f83f0000000000\
+         00fc3f88130000000000007c150000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000";
+
+    /// What [`GOLDEN_V2_SNAPSHOT`] encodes, with the live store behind it: a
+    /// window of 3 that has evicted 12 points of `web/cpu` (one closed 10x
+    /// bucket, two points in the open one), one drained epoch, and a point
+    /// accepted since — so `web/cpu` is frozen dirty.
+    fn golden_v2_snapshot() -> (ShardSnapshot, MetricStore) {
+        let policy = RetentionPolicy::windowed(3).with_tier_capacity(2);
+        let store = MetricStore::with_retention(policy);
+        let (cpu, mem) = (MetricId::new("web", "cpu"), MetricId::new("db", "mem"));
+        for t in 0..14u64 {
+            store.record(&cpu, t * 500, t as f64 * 0.25 - 1.0);
+        }
+        store.record(&mem, 0, 1.25);
+        store.record(&mem, 500, -2.5);
+        store.drain_delta();
+        store.record(&cpu, 14 * 500, 2.5);
+        let mut graph = CallGraph::new();
+        graph.record_calls("web", "db", 3);
+        // Every configuration field spelled out: a default would follow the
+        // host's core count.
+        let config = SieveConfig {
+            interval_ms: 250,
+            variance_threshold: 0.01,
+            min_clusters: 3,
+            max_clusters: 4,
+            kshape_max_iterations: 17,
+            granger: sieve_core::config::GrangerConfig {
+                max_lag: 5,
+                significance: 0.01,
+                difference_non_stationary: false,
+                min_observations: 41,
+            },
+            parallelism: 3,
+            retention: policy,
+        };
+        let snapshot = ShardSnapshot {
+            shard: 1,
+            last_seq: 7,
+            tenants: vec![TenantSnapshot {
+                tenant: "acme".into(),
+                config: Box::new(config),
+                call_graph: graph,
+                store: store.freeze(),
+            }],
+        };
+        (snapshot, store)
+    }
+
+    #[test]
+    fn a_version_2_snapshot_still_decodes_and_its_store_continues_bit_identically() {
+        let golden = unhex(GOLDEN_V2_SNAPSHOT);
+        let decoded = ShardSnapshot::decode(&golden).unwrap();
+        let (expected, live) = golden_v2_snapshot();
+        assert_eq!(decoded, expected, "series, tiers, dirt, epoch, counters");
+
+        // The same facts as the parent commit printed them, so the equality
+        // above is not two copies of one mistake.
+        let (cpu, mem) = (MetricId::new("web", "cpu"), MetricId::new("db", "mem"));
+        let restored = MetricStore::restore(decoded.tenants[0].store.clone());
+        assert_eq!(restored.epoch(), 1);
+        assert_eq!(restored.point_count(), 17);
+        assert_eq!(restored.evicted_point_count(), 12);
+        assert_eq!(restored.fingerprint(&cpu), Some(0x9f46_0332_4682_40fe));
+        assert_eq!(restored.fingerprint(&mem), Some(0xb2bd_17e3_a91e_130d));
+        assert_eq!(restored.downsampled(&cpu, DownsampleTier::TenX).len(), 1);
+
+        // The frozen dirty mark survives, and the stream continues on the
+        // restored store exactly as it does on the live one.
+        let delta = restored.drain_delta();
+        assert_eq!((delta.epoch, &delta.touched), (2, &vec![cpu.clone()]));
+        assert_eq!(live.drain_delta(), delta);
+        for t in 15..40u64 {
+            for store in [&restored, &live] {
+                store.record(&cpu, t * 500, (t % 7) as f64 * 0.5);
+                store.record(&mem, t * 500, (t % 5) as f64);
+            }
+        }
+        assert_eq!(restored.fingerprint(&cpu), Some(0xff39_ff0e_6796_481c));
+        assert_eq!(restored.fingerprint(&mem), Some(0x4907_5a54_4892_c63d));
+        assert_eq!(restored.freeze(), live.freeze());
+
+        // Written back, the same snapshot is version 3 and the two
+        // accounting fields shorter.
+        let rewritten = decoded.encode();
+        assert_eq!(rewritten[8..12], VERSION.to_le_bytes());
+        assert_eq!(rewritten.len(), golden.len() - 41 - 8);
+        assert_eq!(ShardSnapshot::decode(&rewritten).unwrap(), decoded);
     }
 
     #[test]

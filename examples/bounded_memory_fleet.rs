@@ -107,9 +107,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stats = service.refresh_dirty()?;
         let rss = current_rss_kb().map_or_else(|| "n/a".to_string(), |kb| format!("{kb} kB"));
         println!(
-            "round {round:>2}: {forwarded:>6} points in | retained {:>6}, evicted {:>6} \
-             ({:>8} bytes reclaimed) | rss {rss}",
-            stats.points_retained, stats.points_evicted, stats.bytes_evicted
+            "round {round:>2}: {forwarded:>6} points in | retained {:>6}, evicted {:>6} | rss {rss}",
+            stats.points_retained, stats.points_evicted
         );
     }
 

@@ -71,8 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    if let Some(metric) = model.dependency_graph.most_connected_metric() {
-        println!("\nMost connected metric (autoscaling candidate): {metric}");
+    if let Some((component, metric)) = model.dependency_graph.most_connected_metric() {
+        println!("\nMost connected metric (autoscaling candidate): {component}/{metric}");
     }
 
     // The graph can be exported to Graphviz DOT for visual inspection

@@ -46,7 +46,8 @@ fn guiding_metric_selection_comes_from_the_dependency_graph() {
     );
     // It is the metric that appears most often in dependency relations.
     let counts = model.dependency_graph.metric_appearance_counts();
-    assert_eq!(counts.first().map(|(m, _)| m.clone()), Some(guiding.metric));
+    let ((component, metric), _) = counts[0].clone();
+    assert_eq!(MetricId::new(component, metric), guiding);
 }
 
 #[test]

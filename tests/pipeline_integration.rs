@@ -6,6 +6,12 @@ use sieve::core::pipeline::{load_application, Sieve};
 use sieve::prelude::*;
 use sieve_apps::sharelatex;
 
+// Table 3's cost model lives with the experiment harness; the umbrella crate
+// has no `sieve-bench` edge, and the file imports nothing.
+#[path = "../crates/bench/src/table3.rs"]
+mod table3;
+use table3::monitoring_overhead;
+
 fn fast_config() -> SieveConfig {
     SieveConfig::default()
         .with_cluster_range(2, 5)
@@ -206,22 +212,10 @@ fn monitoring_cost_drops_after_reduction() {
         .map(|(component, metric)| MetricId::new(component, metric))
         .collect();
     let reduced = store.retain_only(&keep);
-    let before = store.resource_usage();
-    let after = reduced.resource_usage();
-    let savings = before.reduction_percent(&after);
-    assert!(
-        savings.cpu_time_s > 50.0,
-        "cpu savings {:.1}%",
-        savings.cpu_time_s
-    );
-    assert!(
-        savings.db_size_kb > 50.0,
-        "storage savings {:.1}%",
-        savings.db_size_kb
-    );
-    assert!(
-        savings.network_in_mb > 50.0,
-        "network savings {:.1}%",
-        savings.network_in_mb
-    );
+    let before = monitoring_overhead(store.point_count(), store.series_count());
+    let after = monitoring_overhead(reduced.point_count(), reduced.series_count());
+    for ((row, before), (_, after)) in before.into_iter().zip(after) {
+        let savings = (1.0 - after / before) * 100.0;
+        assert!(savings > 50.0, "{row}: savings {savings:.1}%");
+    }
 }
