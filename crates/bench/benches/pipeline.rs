@@ -16,7 +16,7 @@ use sieve_bench::harness::{smoke_mode, Runner};
 use sieve_bench::ledger::Ledger;
 use sieve_core::config::SieveConfig;
 use sieve_core::pipeline::{load_application, Sieve};
-use sieve_core::reduce::{prepare_series, reduce_component};
+use sieve_core::reduce::reduce_component;
 use sieve_rca::{RcaConfig, RcaEngine};
 use sieve_simulator::engine::{SimConfig, Simulation};
 use sieve_simulator::workload::Workload;
@@ -60,13 +60,11 @@ fn bench_reduce_component(runner: &mut Runner) {
         500,
     )
     .unwrap();
-    let raw: Vec<_> = store
-        .metric_ids_of("web")
-        .into_iter()
-        .filter_map(|id| store.series(&id).map(|s| (id.metric, s)))
-        .collect();
-    let prepared = prepare_series(&raw, 500);
     let config = SieveConfig::default();
+    let prepared = Sieve::new(config.clone())
+        .prepare(&store)
+        .remove("web")
+        .expect("the web component has metrics");
     runner.bench("pipeline_reduce/reduce_web_component", iters(10), || {
         reduce_component("web", black_box(&prepared), &config).unwrap()
     });

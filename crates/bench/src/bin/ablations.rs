@@ -19,7 +19,7 @@ use sieve_cluster::kshape::{KShape, KShapeConfig};
 use sieve_cluster::silhouette::silhouette_score_sbd;
 use sieve_core::dependencies::{naive_comparison_count, planned_comparison_count};
 use sieve_core::pipeline::Sieve;
-use sieve_core::reduce::{is_unvarying, prepare_series};
+use sieve_core::reduce::is_unvarying;
 
 fn main() {
     print_header("Ablations: warm start, k selection, variance filter, call-graph restriction");
@@ -28,12 +28,10 @@ fn main() {
 
     // Prepare the web component's series once.
     let component = "web";
-    let raw: Vec<_> = store
-        .metric_ids_of(component)
-        .into_iter()
-        .filter_map(|id| store.series(&id).map(|s| (id.metric, s)))
-        .collect();
-    let prepared = prepare_series(&raw, config.interval_ms);
+    let prepared = Sieve::new(config.clone())
+        .prepare(&store)
+        .remove(component)
+        .expect("the web component has metrics");
     let varying: Vec<usize> = (0..prepared.len())
         .filter(|&i| !is_unvarying(prepared.series(i), config.variance_threshold))
         .collect();

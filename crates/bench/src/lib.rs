@@ -20,7 +20,7 @@ use sieve_apps::{openstack, sharelatex, MetricRichness};
 use sieve_core::config::SieveConfig;
 use sieve_core::model::{ComponentClustering, SieveModel};
 use sieve_core::pipeline::{load_application, Sieve};
-use sieve_core::reduce::{prepare_series, reduce_component};
+use sieve_core::reduce::reduce_component;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::MetricStore;
@@ -77,18 +77,14 @@ pub fn sharelatex_clusterings(
 ) -> BTreeMap<Name, ComponentClustering> {
     let (store, _) = load_sharelatex(richness, seed, workload_seed);
     let config = experiment_config();
-    let mut out = BTreeMap::new();
-    for component in store.components() {
-        let mut raw = Vec::new();
-        store.for_each_series_of(&component, |id, series| {
-            raw.push((id.metric.clone(), series.to_series()));
-        });
-        let prepared = prepare_series(&raw, config.interval_ms);
-        let clustering =
-            reduce_component(component.clone(), &prepared, &config).expect("clustering succeeds");
-        out.insert(component, clustering);
-    }
-    out
+    let sieve = Sieve::new(config.clone());
+    (sieve.prepare(&store).into_iter())
+        .map(|(component, prepared)| {
+            let clustering = reduce_component(component.clone(), &prepared, &config)
+                .expect("clustering succeeds");
+            (component, clustering)
+        })
+        .collect()
 }
 
 /// Runs the Sieve analysis of the correct and faulty OpenStack versions.

@@ -8,41 +8,19 @@
 //!
 //! The test regresses `Δy_t` on `y_{t-1}`, a constant and `p` lagged
 //! differences, and compares the t-statistic of the `y_{t-1}` coefficient
-//! against MacKinnon's critical values for the constant-only specification.
+//! against MacKinnon's 5% critical value for the constant-only
+//! specification. The regression is an [`ols::Design`] of contiguous
+//! slices of the series and its first difference, fitted like every Granger
+//! model.
 
-use crate::ols;
+use crate::ols::{self, Design};
 use crate::{CausalityError, Result};
 use sieve_timeseries::diff::first_difference;
 
-/// MacKinnon approximate critical values of the ADF t-statistic for the
-/// model with a constant (no trend), asymptotic (large-n) case.
-pub const CRITICAL_1PCT: f64 = -3.43;
-/// 5% critical value (constant, no trend).
+/// MacKinnon's approximate 5% critical value of the ADF t-statistic for the
+/// model with a constant (no trend), asymptotic (large-n) case — the level
+/// Sieve tests at.
 pub const CRITICAL_5PCT: f64 = -2.86;
-/// 10% critical value (constant, no trend).
-pub const CRITICAL_10PCT: f64 = -2.57;
-
-/// Significance levels at which the unit-root null can be assessed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignificanceLevel {
-    /// 1% level.
-    OnePercent,
-    /// 5% level (Sieve's default).
-    FivePercent,
-    /// 10% level.
-    TenPercent,
-}
-
-impl SignificanceLevel {
-    /// The critical t-value for this level.
-    pub fn critical_value(self) -> f64 {
-        match self {
-            SignificanceLevel::OnePercent => CRITICAL_1PCT,
-            SignificanceLevel::FivePercent => CRITICAL_5PCT,
-            SignificanceLevel::TenPercent => CRITICAL_10PCT,
-        }
-    }
-}
 
 /// Outcome of an ADF test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,10 +34,10 @@ pub struct AdfResult {
 }
 
 impl AdfResult {
-    /// Whether the unit-root null hypothesis is rejected (i.e. the series is
-    /// considered stationary) at the given significance level.
-    pub fn is_stationary(&self, level: SignificanceLevel) -> bool {
-        self.statistic < level.critical_value()
+    /// Whether the unit-root null hypothesis is rejected at the 5% level
+    /// (i.e. the series is considered stationary).
+    pub fn is_stationary(&self) -> bool {
+        self.statistic < CRITICAL_5PCT
     }
 }
 
@@ -93,35 +71,26 @@ pub fn adf_test(series: &[f64], lags: usize) -> Result<AdfResult> {
         });
     }
 
+    // One row per t in lags..n-1:
+    //   dy[t] = alpha + gamma * y[t] + sum_j beta_j * dy[t-j] + e
+    // so every regressor is a contiguous slice.
     let dy = first_difference(series);
-    // Regression rows: for t in (lags+1)..n (index into the original series),
-    //   dy[t-1] = alpha + gamma * y[t-1] + sum_j beta_j * dy[t-1-j] + e
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut targets: Vec<f64> = Vec::new();
-    for t in (lags + 1)..n {
-        let mut row = Vec::with_capacity(1 + lags);
-        row.push(series[t - 1]);
-        for j in 1..=lags {
-            row.push(dy[t - 1 - j]);
-        }
-        rows.push(row);
-        targets.push(dy[t - 1]);
+    let mut design = Design::new();
+    design.reset(n - 1 - lags);
+    design.push_intercept();
+    design.push_column(&series[lags..n - 1])?;
+    for j in 1..=lags {
+        design.push_column(&dy[lags - j..n - 1 - j])?;
     }
-
-    let fit = ols::fit(&rows, &targets, true)?;
     // The coefficient of y_{t-1} is at index 1 (after the intercept).
-    let gamma = fit.coefficients[1];
-
-    // Standard error of gamma: sqrt(residual_variance * [(X'X)^{-1}]_{11}).
-    // We obtain the diagonal entry by solving (X'X) e_1 = unit vector.
-    let se = standard_error(&rows, &fit, 1)?;
+    let (fit, se) = ols::fit_with_standard_error(&design, &dy[lags..], 1)?;
     if se == 0.0 {
         return Err(CausalityError::SingularMatrix);
     }
     Ok(AdfResult {
-        statistic: gamma / se,
+        statistic: fit.coefficients[1] / se,
         lags,
-        n_observations: targets.len(),
+        n_observations: fit.n_observations,
     })
 }
 
@@ -156,35 +125,7 @@ pub fn adf_test_auto(series: &[f64]) -> Result<AdfResult> {
 /// series that is too short or degenerate (constant) is reported as
 /// non-stationary, matching Sieve's conservative first-difference fallback.
 pub fn is_stationary(series: &[f64]) -> bool {
-    match adf_test_auto(series) {
-        Ok(r) => r.is_stationary(SignificanceLevel::FivePercent),
-        Err(_) => false,
-    }
-}
-
-/// Computes the standard error of the coefficient at `index` in the design
-/// produced from `rows` (with intercept prepended as column 0).
-fn standard_error(rows: &[Vec<f64>], fit: &ols::OlsFit, index: usize) -> Result<f64> {
-    use crate::linalg::{solve, Matrix};
-    let k = fit.n_parameters;
-    // Rebuild X'X for the design with intercept.
-    let design: Vec<Vec<f64>> = rows
-        .iter()
-        .map(|r| {
-            let mut row = Vec::with_capacity(k);
-            row.push(1.0);
-            row.extend_from_slice(r);
-            row
-        })
-        .collect();
-    let x = Matrix::from_rows(&design)?;
-    let xtx = x.transpose().matmul(&x)?;
-    // Solve X'X * col = e_index to get the column of the inverse.
-    let mut unit = vec![0.0; k];
-    unit[index] = 1.0;
-    let col = solve(&xtx, &unit)?;
-    let var = fit.residual_variance() * col[index];
-    Ok(var.max(0.0).sqrt())
+    adf_test_auto(series).is_ok_and(|r| r.is_stationary())
 }
 
 #[cfg(test)]
@@ -211,11 +152,7 @@ mod tests {
             y.push(0.3 * prev + noise(i, 42));
         }
         let r = adf_test(&y, 2).unwrap();
-        assert!(
-            r.is_stationary(SignificanceLevel::FivePercent),
-            "statistic {}",
-            r.statistic
-        );
+        assert!(r.is_stationary(), "statistic {}", r.statistic);
     }
 
     #[test]
@@ -227,11 +164,7 @@ mod tests {
             y.push(prev + noise(i, 7));
         }
         let r = adf_test(&y, 2).unwrap();
-        assert!(
-            !r.is_stationary(SignificanceLevel::FivePercent),
-            "statistic {}",
-            r.statistic
-        );
+        assert!(!r.is_stationary(), "statistic {}", r.statistic);
     }
 
     #[test]
@@ -281,16 +214,89 @@ mod tests {
         assert!(default_lag_order(30) <= 10);
     }
 
+    /// The ADF statistic as the parent computed it: the fit on the same
+    /// regression, and the standard error from a second Gram matrix summed
+    /// observation row by observation row, in order (the seed's
+    /// `transpose().matmul()` over rows with the intercept prepended),
+    /// solved against `e_1`.
+    fn sequential_gram_statistic(series: &[f64], lags: usize) -> Result<f64> {
+        use crate::linalg::{solve_with, Matrix, SolveScratch};
+        let n = series.len();
+        let dy = first_difference(series);
+        let k = lags + 2;
+        let mut design = Design::new();
+        design.reset(n - 1 - lags);
+        design.push_intercept();
+        design.push_column(&series[lags..n - 1])?;
+        for j in 1..=lags {
+            design.push_column(&dy[lags - j..n - 1 - j])?;
+        }
+        let fit = ols::fit_design(&design, &dy[lags..])?;
+        let mut xtx = Matrix::zeros(k, k);
+        let mut row = vec![0.0; k];
+        for t in lags + 1..n {
+            row[0] = 1.0;
+            row[1] = series[t - 1];
+            for j in 1..=lags {
+                row[1 + j] = dy[t - 1 - j];
+            }
+            for i in 0..k {
+                for j in 0..k {
+                    xtx.set(i, j, xtx.get(i, j) + row[i] * row[j]);
+                }
+            }
+        }
+        let mut unit = vec![0.0; k];
+        unit[1] = 1.0;
+        let inverse = solve_with(&xtx, &unit, &mut SolveScratch::new())?;
+        let se = (fit.residual_variance() * inverse[1]).max(0.0).sqrt();
+        Ok(fit.coefficients[1] / se)
+    }
+
     #[test]
-    fn significance_levels_are_ordered() {
-        assert!(
-            SignificanceLevel::OnePercent.critical_value()
-                < SignificanceLevel::FivePercent.critical_value()
-        );
-        assert!(
-            SignificanceLevel::FivePercent.critical_value()
-                < SignificanceLevel::TenPercent.critical_value()
-        );
+    fn blocked_gram_standard_error_matches_sequential_oracle_within_epsilon() {
+        // Epsilon tier: the standard error now reads the blocked Gram matrix
+        // the fit already formed; the parent's sequential Gram is the
+        // oracle. Statistics agree within 1e-9 relative, verdicts exactly.
+        let mut compared = 0;
+        for seed in 0..100u64 {
+            let n = 40 + (seed as usize * 37) % 261;
+            let e = |i: usize| noise(i, seed);
+            let ar1 = |phi: f64| {
+                let mut y = vec![0.0];
+                for i in 1..n {
+                    y.push(phi * y[i - 1] + e(i));
+                }
+                y
+            };
+            let mut acc = 0.0;
+            let counter: Vec<f64> = (0..n)
+                .map(|i| {
+                    acc += 1.0 + 0.3 * e(i).abs();
+                    acc
+                })
+                .collect();
+            let omega = 0.1 + 0.05 * (seed % 13) as f64;
+            let sinusoid: Vec<f64> = (0..n)
+                .map(|i| 3.0 * (i as f64 * omega).sin() + 0.2 * e(i))
+                .collect();
+            let phis = [0.0, 0.5, 0.9, 0.97, 1.0];
+            let series = phis.map(ar1).into_iter().chain([counter, sinusoid]);
+            for (kind, y) in series.enumerate() {
+                for lags in [0, 1, 3, default_lag_order(n)] {
+                    let ctx = format!("seed {seed} kind {kind} n {n} lags {lags}");
+                    let Ok(blocked) = adf_test(&y, lags) else {
+                        continue;
+                    };
+                    let oracle = sequential_gram_statistic(&y, lags).expect(&ctx);
+                    let gap = (blocked.statistic - oracle).abs();
+                    assert!(gap <= 1e-9 * oracle.abs(), "{ctx}: {blocked:?} vs {oracle}");
+                    assert_eq!(blocked.is_stationary(), oracle < CRITICAL_5PCT, "{ctx}");
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared >= 2000, "{compared} cases compared");
     }
 
     #[test]

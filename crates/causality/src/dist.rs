@@ -2,10 +2,10 @@
 //!
 //! The F-test at the heart of the Granger causality check needs the
 //! cumulative distribution function of the F distribution, which in turn is
-//! a regularized incomplete beta function. The ADF test reports Student-t
-//! style statistics. All of it is implemented here: log-gamma (Lanczos
-//! approximation), the regularized incomplete beta function (continued
-//! fraction), the F and Student-t CDFs, and the standard normal CDF.
+//! a regularized incomplete beta function. All of it is implemented here:
+//! log-gamma (Lanczos approximation), the regularized incomplete beta
+//! function (continued fraction) and the F distribution's CDF and survival
+//! function.
 
 /// Natural logarithm of the gamma function (Lanczos approximation, g = 7).
 ///
@@ -138,36 +138,6 @@ pub fn f_sf(f: f64, d1: f64, d2: f64) -> f64 {
     1.0 - f_cdf(f, d1, d2)
 }
 
-/// CDF of Student's t distribution with `df` degrees of freedom.
-///
-/// Non-positive `df` yields `NaN`.
-pub fn t_cdf(t: f64, df: f64) -> f64 {
-    if df <= 0.0 {
-        return f64::NAN;
-    }
-    let x = df / (df + t * t);
-    let p = 0.5 * incomplete_beta(df / 2.0, 0.5, x);
-    if t > 0.0 {
-        1.0 - p
-    } else {
-        p
-    }
-}
-
-/// CDF of the standard normal distribution (via `erf`-style rational
-/// approximation with ~1e-7 absolute error).
-pub fn normal_cdf(z: f64) -> f64 {
-    // Abramowitz & Stegun 7.1.26 applied to erf.
-    let x = z / std::f64::consts::SQRT_2;
-    let t = 1.0 / (1.0 + 0.3275911 * x.abs());
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    let erf = 1.0 - poly * (-x * x).exp();
-    let erf = if x >= 0.0 { erf } else { -erf };
-    0.5 * (1.0 + erf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,35 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn t_cdf_matches_reference_values() {
-        close(t_cdf(0.0, 10.0), 0.5, 1e-10);
-        // Standard t table: P(T <= 1.812) = 0.95 for df = 10.
-        close(t_cdf(1.8124611, 10.0), 0.95, 1e-5);
-        close(t_cdf(-1.8124611, 10.0), 0.05, 1e-5);
-        // Large df approaches the normal distribution.
-        close(t_cdf(1.959964, 100000.0), 0.975, 1e-4);
-    }
-
-    #[test]
-    fn normal_cdf_matches_reference_values() {
-        close(normal_cdf(0.0), 0.5, 1e-7);
-        close(normal_cdf(1.959964), 0.975, 1e-5);
-        close(normal_cdf(-1.959964), 0.025, 1e-5);
-        close(normal_cdf(3.0), 0.998650, 1e-5);
-    }
-
-    #[test]
     fn cdfs_are_monotone() {
         let mut prev = 0.0;
         for i in 0..100 {
             let f = i as f64 * 0.2;
             let v = f_cdf(f, 3.0, 12.0);
-            assert!(v >= prev - 1e-12);
-            prev = v;
-        }
-        let mut prev = 0.0;
-        for i in -50..50 {
-            let v = t_cdf(i as f64 * 0.2, 7.0);
             assert!(v >= prev - 1e-12);
             prev = v;
         }

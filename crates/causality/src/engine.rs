@@ -19,18 +19,17 @@
 //!
 //! [`granger_causes_prepared`] is **bit-identical** to
 //! [`crate::granger::granger_causes`]: both funnel through the same flat
-//! column-major [`Design`] fits, the same F-test and the same lag-order
+//! column-major [`Design`] fits, the same F-test and the one lag-order
 //! reduction loop; the prepared path merely serves the per-series pieces
-//! from the cache. The pipeline's cached/naive model-equality tests rely on
-//! this.
+//! from the cache. The pipeline's production/oracle model-equality tests
+//! rely on this.
 
 use crate::adf::is_stationary;
-use crate::ftest::{f_test, FTestResult};
 use crate::granger::{
-    fit_restricted, fit_unrestricted, strongest_lag, validate_inputs, GrangerConfig, GrangerResult,
+    fit_restricted, test_reducing_lag_order, validate_inputs, GrangerConfig, GrangerResult,
 };
 use crate::ols::{Design, OlsFit};
-use crate::{CausalityError, Result};
+use crate::Result;
 use sieve_timeseries::diff::first_difference;
 use sieve_timeseries::stats::variance;
 use std::collections::HashMap;
@@ -188,91 +187,18 @@ pub fn granger_causes_prepared(
         (x.values(), y.values())
     };
 
-    // Same order-reduction loop as the direct path; the restricted fit at
-    // each candidate order comes from the target's memo.
-    let mut scratch = Design::new();
-    let mut order = config.max_lag;
-    let test = loop {
-        match test_at_lag_memoized(xs, ys, order, y, differenced, &mut scratch) {
-            Ok(result) => break Some(result),
-            Err(CausalityError::SingularMatrix)
-            | Err(CausalityError::TooFewObservations { .. })
-                if order > 1 =>
-            {
-                order -= 1;
-            }
-            Err(CausalityError::SingularMatrix)
-            | Err(CausalityError::TooFewObservations { .. }) => break None,
-            Err(e) => return Err(e),
-        }
-    };
-
-    match test {
-        Some(result) => {
-            let causal = result.p_value < config.significance;
-            let best_lag = if causal {
-                strongest_lag(xs, ys, order)
-            } else {
-                0
-            };
-            Ok(GrangerResult {
-                causal,
-                p_value: result.p_value,
-                f_statistic: result.f_statistic,
-                best_lag,
-                differenced,
-            })
-        }
-        None => Ok(GrangerResult::not_causal(differenced)),
-    }
-}
-
-/// Tests both directions on prepared state, `(x_causes_y, y_causes_x)` —
-/// the engine-backed counterpart of
-/// [`crate::granger::granger_bidirectional`].
-///
-/// # Errors
-///
-/// Same as [`granger_causes_prepared`].
-pub fn granger_bidirectional_prepared(
-    x: &PreparedGrangerSeries,
-    y: &PreparedGrangerSeries,
-    config: &GrangerConfig,
-) -> Result<(GrangerResult, GrangerResult)> {
-    Ok((
-        granger_causes_prepared(x, y, config)?,
-        granger_causes_prepared(y, x, config)?,
-    ))
-}
-
-/// The restricted/unrestricted comparison at a fixed lag order, with the
-/// restricted fit served from the target's memo. Mirrors the direct
-/// `test_at_lag` exactly — including the observation check that drives the
-/// order-reduction loop.
-fn test_at_lag_memoized(
-    xs: &[f64],
-    ys: &[f64],
-    lag: usize,
-    target: &PreparedGrangerSeries,
-    differenced: bool,
-    scratch: &mut Design,
-) -> Result<FTestResult> {
-    let n = ys.len();
-    if n <= lag * 2 + 2 {
-        return Err(CausalityError::TooFewObservations {
-            required: lag * 2 + 3,
-            actual: n,
-        });
-    }
-    let restricted = target.restricted_fit(differenced, lag)?;
-    let unrestricted = fit_unrestricted(scratch, xs, ys, lag)?;
-    f_test(&restricted, &unrestricted)
+    // The direct path's order-reduction loop; the restricted fit at each
+    // candidate order comes from the target's memo.
+    test_reducing_lag_order(xs, ys, differenced, config, |_, lag| {
+        y.restricted_fit(differenced, lag)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::granger::granger_causes;
+    use crate::CausalityError;
 
     fn noise(i: usize, seed: u64) -> f64 {
         let mut s =
@@ -399,7 +325,9 @@ mod tests {
         let config = GrangerConfig::default().with_max_lag(3);
         let px = PreparedGrangerSeries::prepare(x.as_slice());
         let py = PreparedGrangerSeries::prepare(y.as_slice());
-        let (forward, backward) = granger_bidirectional_prepared(&px, &py, &config).unwrap();
+        // One prepared state per series serves both directions.
+        let forward = granger_causes_prepared(&px, &py, &config).unwrap();
+        let backward = granger_causes_prepared(&py, &px, &config).unwrap();
         assert_same(&forward, &granger_causes(&x, &y, &config).unwrap());
         assert_same(&backward, &granger_causes(&y, &x, &config).unwrap());
     }

@@ -24,13 +24,6 @@ pub struct FTestResult {
     pub df_denominator: usize,
 }
 
-impl FTestResult {
-    /// Whether the null hypothesis is rejected at significance level `alpha`.
-    pub fn rejects_null(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// Compares two nested OLS fits on the *same* observations.
 ///
 /// `restricted` must have fewer parameters than `unrestricted`.
@@ -98,7 +91,7 @@ pub fn f_test(restricted: &OlsFit, unrestricted: &OlsFit) -> Result<FTestResult>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ols;
+    use crate::ols::{fit_design, Design};
 
     /// Deterministic pseudo-noise in [-0.5, 0.5].
     fn noise(i: usize, seed: u64) -> f64 {
@@ -112,6 +105,17 @@ mod tests {
         ((s >> 11) as f64) / ((1u64 << 53) as f64) - 0.5
     }
 
+    /// Fits `y ~ const + columns`.
+    fn fit(columns: &[&[f64]], y: &[f64]) -> OlsFit {
+        let mut design = Design::new();
+        design.reset(y.len());
+        design.push_intercept();
+        for column in columns {
+            design.push_column(column).unwrap();
+        }
+        fit_design(&design, y).unwrap()
+    }
+
     #[test]
     fn informative_extra_regressor_is_detected() {
         // y depends on both x1 and x2; the restricted model omits x2.
@@ -121,18 +125,9 @@ mod tests {
         let y: Vec<f64> = (0..n)
             .map(|i| 1.0 + 2.0 * x1[i] + 1.5 * x2[i] + 0.1 * noise(i, 1))
             .collect();
-        let restricted_rows: Vec<Vec<f64>> = x1.iter().map(|&v| vec![v]).collect();
-        let unrestricted_rows: Vec<Vec<f64>> = x1
-            .iter()
-            .zip(x2.iter())
-            .map(|(&a, &b)| vec![a, b])
-            .collect();
-        let r = ols::fit(&restricted_rows, &y, true).unwrap();
-        let u = ols::fit(&unrestricted_rows, &y, true).unwrap();
-        let test = f_test(&r, &u).unwrap();
+        let test = f_test(&fit(&[&x1], &y), &fit(&[&x1, &x2], &y)).unwrap();
         assert!(test.f_statistic > 10.0);
         assert!(test.p_value < 0.001);
-        assert!(test.rejects_null(0.05));
         assert_eq!(test.df_numerator, 1);
     }
 
@@ -143,29 +138,19 @@ mod tests {
         let x1: Vec<f64> = (0..n).map(|i| (i as f64 * 0.25).sin()).collect();
         let x2: Vec<f64> = (0..n).map(|i| noise(i, 99)).collect();
         let y: Vec<f64> = (0..n).map(|i| 2.0 * x1[i] + 0.3 * noise(i, 7)).collect();
-        let restricted_rows: Vec<Vec<f64>> = x1.iter().map(|&v| vec![v]).collect();
-        let unrestricted_rows: Vec<Vec<f64>> = x1
-            .iter()
-            .zip(x2.iter())
-            .map(|(&a, &b)| vec![a, b])
-            .collect();
-        let r = ols::fit(&restricted_rows, &y, true).unwrap();
-        let u = ols::fit(&unrestricted_rows, &y, true).unwrap();
-        let test = f_test(&r, &u).unwrap();
+        let test = f_test(&fit(&[&x1], &y), &fit(&[&x1, &x2], &y)).unwrap();
         assert!(
             test.p_value > 0.05,
             "p-value {} should not be significant",
             test.p_value
         );
-        assert!(!test.rejects_null(0.05));
     }
 
     #[test]
     fn rejects_non_nested_models() {
         let x: Vec<f64> = (0..30).map(|i| i as f64).collect();
         let y: Vec<f64> = x.iter().map(|v| v * 2.0 + noise(*v as usize, 3)).collect();
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let a = ols::fit(&rows, &y, true).unwrap();
+        let a = fit(&[&x], &y);
         // Same number of parameters -> not nested.
         assert!(f_test(&a, &a).is_err());
     }
@@ -174,14 +159,9 @@ mod tests {
     fn rejects_models_on_different_samples() {
         let x: Vec<f64> = (0..30).map(|i| i as f64).collect();
         let y: Vec<f64> = x.iter().map(|v| v * 2.0 + 1.0).collect();
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let rows2: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|r| vec![r[0], r[0] * r[0]])
-            .take(20)
-            .collect();
-        let a = ols::fit(&rows, &y, true).unwrap();
-        let b = ols::fit(&rows2, &y[..20], true).unwrap();
+        let squares: Vec<f64> = x.iter().map(|v| v * v).collect();
+        let a = fit(&[&x], &y);
+        let b = fit(&[&x[..20], &squares[..20]], &y[..20]);
         assert!(f_test(&a, &b).is_err());
     }
 
@@ -191,17 +171,7 @@ mod tests {
         let x2: Vec<f64> = (0..40).map(|i| (i as f64 * 0.9).cos()).collect();
         // y depends exactly on x1 and x2, with zero residual.
         let y: Vec<f64> = (0..40).map(|i| x1[i] + 4.0 * x2[i]).collect();
-        let r = ols::fit(&x1.iter().map(|&v| vec![v]).collect::<Vec<_>>(), &y, true).unwrap();
-        let u = ols::fit(
-            &x1.iter()
-                .zip(x2.iter())
-                .map(|(&a, &b)| vec![a, b])
-                .collect::<Vec<_>>(),
-            &y,
-            true,
-        )
-        .unwrap();
-        let t = f_test(&r, &u).unwrap();
+        let t = f_test(&fit(&[&x1], &y), &fit(&[&x1, &x2], &y)).unwrap();
         assert!(t.f_statistic.is_infinite());
         assert_eq!(t.p_value, 0.0);
     }

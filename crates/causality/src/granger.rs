@@ -12,13 +12,12 @@
 //! (detected with the ADF test), mirroring Sieve's handling of counters.
 
 use crate::adf::is_stationary;
-use crate::engine::PreparedGrangerSeries;
-use crate::ftest::{f_test, FTestResult};
+use crate::ftest::f_test;
 use crate::ols::{self, Design};
 use crate::{CausalityError, Result};
 use sieve_timeseries::diff::first_difference;
 use sieve_timeseries::stats::variance;
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
 /// Configuration of a Granger causality test.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,47 +147,10 @@ pub fn granger_causes(x: &[f64], y: &[f64], config: &GrangerConfig) -> Result<Gr
         return Ok(GrangerResult::not_causal(differenced));
     }
 
-    // The autoregressive order is the configured maximum lag. Using the full
-    // order for the restricted model matters: with too few own-lags a smooth
-    // metric is under-fitted and the other metric becomes significant merely
-    // as a proxy for the missing own-lags, which would flip harmless
-    // downstream metrics into apparent causes. If the sample is too short
-    // (or the design collinear) the order is reduced until the test runs.
-    let mut scratch = Design::new();
-    let mut order = config.max_lag;
-    let test = loop {
-        match test_at_lag(&xs, &ys, order, &mut scratch) {
-            Ok(result) => break Some(result),
-            Err(CausalityError::SingularMatrix)
-            | Err(CausalityError::TooFewObservations { .. })
-                if order > 1 =>
-            {
-                order -= 1;
-            }
-            Err(CausalityError::SingularMatrix)
-            | Err(CausalityError::TooFewObservations { .. }) => break None,
-            Err(e) => return Err(e),
-        }
-    };
-
-    match test {
-        Some(result) => {
-            let causal = result.p_value < config.significance;
-            let best_lag = if causal {
-                strongest_lag(&xs, &ys, order)
-            } else {
-                0
-            };
-            Ok(GrangerResult {
-                causal,
-                p_value: result.p_value,
-                f_statistic: result.f_statistic,
-                best_lag,
-                differenced,
-            })
-        }
-        None => Ok(GrangerResult::not_causal(differenced)),
-    }
+    // Fresh restricted fits, one per candidate order, in the shared design.
+    test_reducing_lag_order(&xs, &ys, differenced, config, |design, lag| {
+        fit_restricted(design, &ys, lag)
+    })
 }
 
 /// Shared input validation of [`granger_causes`] and the prepared-state
@@ -215,7 +177,7 @@ pub(crate) fn validate_inputs(x_len: usize, y_len: usize, config: &GrangerConfig
 ///
 /// The lagged pair set at lag `l` is just the sub-slice pair
 /// `(x[..n-l], y[l..])`, so no per-lag buffers are materialized.
-pub(crate) fn strongest_lag(x: &[f64], y: &[f64], max_lag: usize) -> usize {
+fn strongest_lag(x: &[f64], y: &[f64], max_lag: usize) -> usize {
     use sieve_timeseries::stats::pearson;
     let n = x.len().min(y.len());
     let mut best_lag = 1;
@@ -231,33 +193,6 @@ pub(crate) fn strongest_lag(x: &[f64], y: &[f64], max_lag: usize) -> usize {
         }
     }
     best_lag
-}
-
-/// Tests both directions and reports them as a pair `(x_causes_y, y_causes_x)`.
-///
-/// Sieve filters out *bidirectional* relations as likely spurious (both
-/// metrics depending on a hidden third variable, §3.3); callers can use this
-/// helper to detect that situation.
-///
-/// Both directions share one [`PreparedGrangerSeries`] per input, so the
-/// ADF stationarity tests and the first-differencing run once per series
-/// instead of once per direction. The results are bit-identical to two
-/// independent [`granger_causes`] calls.
-///
-/// # Errors
-///
-/// Same as [`granger_causes`].
-pub fn granger_bidirectional(
-    x: &[f64],
-    y: &[f64],
-    config: &GrangerConfig,
-) -> Result<(GrangerResult, GrangerResult)> {
-    let px = PreparedGrangerSeries::prepare(x);
-    let py = PreparedGrangerSeries::prepare(y);
-    Ok((
-        crate::engine::granger_causes_prepared(&px, &py, config)?,
-        crate::engine::granger_causes_prepared(&py, &px, config)?,
-    ))
 }
 
 /// Fits the restricted autoregressive model `y_t ~ const + y_{t-1..t-p}`
@@ -279,12 +214,7 @@ pub(crate) fn fit_restricted(design: &mut Design, y: &[f64], lag: usize) -> Resu
 /// into the reusable `design` scratch.
 ///
 /// The caller must guarantee `x.len() == y.len() > lag`.
-pub(crate) fn fit_unrestricted(
-    design: &mut Design,
-    x: &[f64],
-    y: &[f64],
-    lag: usize,
-) -> Result<ols::OlsFit> {
+fn fit_unrestricted(design: &mut Design, x: &[f64], y: &[f64], lag: usize) -> Result<ols::OlsFit> {
     let n = y.len();
     design.reset(n - lag);
     design.push_intercept();
@@ -297,19 +227,70 @@ pub(crate) fn fit_unrestricted(
     ols::fit_design(design, &y[lag..])
 }
 
-/// Runs the restricted/unrestricted comparison at a fixed lag order,
-/// reusing `scratch` for both design matrices.
-fn test_at_lag(x: &[f64], y: &[f64], lag: usize, scratch: &mut Design) -> Result<FTestResult> {
-    let n = y.len();
-    if n <= lag * 2 + 2 {
-        return Err(CausalityError::TooFewObservations {
-            required: lag * 2 + 3,
-            actual: n,
-        });
+/// The lag-order reduction loop behind both Granger paths, on inputs that
+/// are already differenced (or not) and checked for variance.
+///
+/// The autoregressive order is the configured maximum lag. Using the full
+/// order for the restricted model matters: with too few own-lags a smooth
+/// metric is under-fitted and the other metric becomes significant merely as
+/// a proxy for the missing own-lags, which would flip harmless downstream
+/// metrics into apparent causes. If the sample is too short (or the design
+/// collinear) the order is reduced until the test runs.
+///
+/// `restricted(design, lag)` supplies the restricted fit of `ys` at `lag`:
+/// a fresh [`fit_restricted`] into the loop's reusable `design` for
+/// [`granger_causes`], the target's memo for the prepared engine. The
+/// unrestricted fit is always computed here, into the same `design`.
+pub(crate) fn test_reducing_lag_order<R: Borrow<ols::OlsFit>>(
+    xs: &[f64],
+    ys: &[f64],
+    differenced: bool,
+    config: &GrangerConfig,
+    mut restricted: impl FnMut(&mut Design, usize) -> Result<R>,
+) -> Result<GrangerResult> {
+    let n = ys.len();
+    let mut design = Design::new();
+    let mut order = config.max_lag;
+    loop {
+        let test = if n <= order * 2 + 2 {
+            Err(CausalityError::TooFewObservations {
+                required: order * 2 + 3,
+                actual: n,
+            })
+        } else {
+            restricted(&mut design, order).and_then(|restricted| {
+                let unrestricted = fit_unrestricted(&mut design, xs, ys, order)?;
+                f_test(restricted.borrow(), &unrestricted)
+            })
+        };
+        match test {
+            Ok(result) => {
+                let causal = result.p_value < config.significance;
+                return Ok(GrangerResult {
+                    causal,
+                    p_value: result.p_value,
+                    f_statistic: result.f_statistic,
+                    best_lag: if causal {
+                        strongest_lag(xs, ys, order)
+                    } else {
+                        0
+                    },
+                    differenced,
+                });
+            }
+            Err(CausalityError::SingularMatrix)
+            | Err(CausalityError::TooFewObservations { .. })
+                if order > 1 =>
+            {
+                order -= 1;
+            }
+            Err(CausalityError::SingularMatrix)
+            | Err(CausalityError::TooFewObservations { .. }) => {
+                return Ok(GrangerResult::not_causal(differenced))
+            }
+            Err(e) => return Err(e),
+        }
     }
-    let restricted = fit_restricted(scratch, y, lag)?;
-    let unrestricted = fit_unrestricted(scratch, x, y, lag)?;
-    f_test(&restricted, &unrestricted)
 }
 
 #[cfg(test)]
@@ -377,7 +358,8 @@ mod tests {
     fn reverse_direction_is_weaker_than_forward() {
         let (x, y) = driven_pair(400, 2, 1.2);
         let cfg = GrangerConfig::default().with_max_lag(3);
-        let (forward, backward) = granger_bidirectional(&x, &y, &cfg).unwrap();
+        let forward = granger_causes(&x, &y, &cfg).unwrap();
+        let backward = granger_causes(&y, &x, &cfg).unwrap();
         assert!(forward.causal);
         assert!(
             forward.p_value <= backward.p_value,

@@ -9,14 +9,18 @@
 //! counters) are detected with the Augmented Dickey-Fuller test and
 //! first-differenced before testing, to avoid spurious regressions.
 //!
-//! Everything is implemented from first principles:
+//! Everything is implemented from first principles, and every regression
+//! runs through one path:
 //!
-//! * dense linear algebra and least squares ([`linalg`], [`ols`]),
-//! * the gamma/beta special functions and the F and Student-t distributions
-//!   ([`dist`]),
+//! * a Gaussian-elimination solver for the normal equations ([`linalg`]),
+//! * least squares on a column-major design of contiguous slices, whose
+//!   Gram matrix is formed in exactly one place ([`ols`]),
+//! * the gamma/beta special functions and the F distribution ([`dist`]),
 //! * the F-test for nested models ([`ftest`]),
-//! * the Augmented Dickey-Fuller unit-root test ([`adf`]),
-//! * the Granger causality test itself ([`granger`]), and
+//! * the Augmented Dickey-Fuller unit-root test at the 5% level, regressed
+//!   on the same kind of design ([`adf`]),
+//! * the Granger causality test itself and its one lag-order reduction
+//!   loop ([`granger`]), and
 //! * the shared causality engine ([`engine`]): per-series prepared state
 //!   (cached ADF verdict, lazily differenced buffer, memoized restricted
 //!   fits) that lets a pipeline test one series against many others without

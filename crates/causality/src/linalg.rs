@@ -22,33 +22,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix from nested row vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CausalityError::DimensionMismatch`] when rows have different
-    /// lengths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
-        if rows.is_empty() {
-            return Ok(Self::zeros(0, 0));
-        }
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for (i, r) in rows.iter().enumerate() {
-            if r.len() != cols {
-                return Err(CausalityError::DimensionMismatch {
-                    context: format!("row {i} has {} columns, expected {cols}", r.len()),
-                });
-            }
-            data.extend_from_slice(r);
-        }
-        Ok(Self {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -79,48 +52,6 @@ impl Matrix {
         self.data[r * self.cols + c] = value;
     }
 
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CausalityError::DimensionMismatch`] when the inner
-    /// dimensions differ.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(CausalityError::DimensionMismatch {
-                context: format!(
-                    "{}x{} * {}x{}",
-                    self.rows, self.cols, other.rows, other.cols
-                ),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(r, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..other.cols {
-                    let v = out.get(r, c) + a * other.get(k, c);
-                    out.set(r, c, v);
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Reshapes the matrix in place to `rows x cols`, zeroing every element
     /// but keeping the backing allocation — the OLS scratch arena resets its
     /// normal-equations matrix this way on every fit instead of allocating a
@@ -130,29 +61,6 @@ impl Matrix {
         self.cols = cols;
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CausalityError::DimensionMismatch`] when `v.len()` differs
-    /// from the number of columns.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(CausalityError::DimensionMismatch {
-                context: format!("{}x{} * vec[{}]", self.rows, self.cols, v.len()),
-            });
-        }
-        let mut out = vec![0.0; self.rows];
-        for (r, slot) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (c, value) in v.iter().enumerate() {
-                acc += self.get(r, c) * value;
-            }
-            *slot = acc;
-        }
-        Ok(out)
     }
 }
 
@@ -175,9 +83,10 @@ impl SolveScratch {
 }
 
 /// Solves the linear system `A x = b` with Gaussian elimination and partial
-/// pivoting. `A` must be square.
-///
-/// Allocates a fresh workspace per call; loops should prefer [`solve_with`].
+/// pivoting, in a caller-held workspace. The elimination runs the exact
+/// float operations of the seed implementation — only the storage layout of
+/// the augmented matrix changed (flat rows instead of per-row `Vec`s) — so
+/// results are bitwise identical regardless of scratch reuse.
 ///
 /// # Errors
 ///
@@ -185,18 +94,6 @@ impl SolveScratch {
 ///   the wrong length.
 /// * [`CausalityError::SingularMatrix`] if the matrix is (numerically)
 ///   singular.
-pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    solve_with(a, b, &mut SolveScratch::new())
-}
-
-/// [`solve`] against a caller-held workspace. The elimination runs the exact
-/// float operations of the seed implementation — only the storage layout of
-/// the augmented matrix changed (flat rows instead of per-row `Vec`s) — so
-/// results are bitwise identical regardless of scratch reuse.
-///
-/// # Errors
-///
-/// Same as [`solve`].
 pub fn solve_with(a: &Matrix, b: &[f64], scratch: &mut SolveScratch) -> Result<Vec<f64>> {
     let n = a.rows();
     if a.cols() != n {
@@ -276,9 +173,24 @@ pub fn solve_with(a: &Matrix, b: &[f64], scratch: &mut SolveScratch) -> Result<V
 mod tests {
     use super::*;
 
+    /// Builds a matrix from nested rows through the public setters.
+    fn from_rows(rows: &[&[f64]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), rows.first().map_or(0, |r| r.len()));
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                m.set(r, c, v);
+            }
+        }
+        m
+    }
+
+    fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+        solve_with(a, b, &mut SolveScratch::new())
+    }
+
     #[test]
     fn from_rows_and_accessors() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let m = from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 2);
         assert_eq!(m.get(1, 0), 3.0);
@@ -288,49 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_rejects_ragged_input() {
-        assert!(Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]).is_err());
-    }
-
-    #[test]
-    fn transpose_swaps_dimensions() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.get(2, 1), 6.0);
-    }
-
-    #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.get(0, 0), 19.0);
-        assert_eq!(c.get(0, 1), 22.0);
-        assert_eq!(c.get(1, 0), 43.0);
-        assert_eq!(c.get(1, 1), 50.0);
-    }
-
-    #[test]
-    fn matmul_rejects_mismatched_dimensions() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn matvec_works() {
-        let a = Matrix::from_rows(&[vec![1.0, 0.0, 2.0], vec![0.0, 3.0, -1.0]]).unwrap();
-        let v = a.matvec(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(v, vec![7.0, 3.0]);
-        assert!(a.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
     fn solve_simple_system() {
         // x + y = 3, x - y = 1 => x = 2, y = 1.
-        let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, -1.0]]).unwrap();
+        let a = from_rows(&[&[1.0, 1.0], &[1.0, -1.0]]);
         let x = solve(&a, &[3.0, 1.0]).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((x[1] - 1.0).abs() < 1e-12);
@@ -339,7 +211,7 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Leading zero forces a row swap.
-        let a = Matrix::from_rows(&[vec![0.0, 2.0], vec![1.0, 1.0]]).unwrap();
+        let a = from_rows(&[&[0.0, 2.0], &[1.0, 1.0]]);
         let x = solve(&a, &[4.0, 3.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
@@ -347,7 +219,7 @@ mod tests {
 
     #[test]
     fn solve_detects_singular_matrix() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
+        let a = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert_eq!(
             solve(&a, &[1.0, 2.0]).unwrap_err(),
             CausalityError::SingularMatrix
@@ -358,18 +230,13 @@ mod tests {
     fn solve_rejects_non_square_or_bad_rhs() {
         let a = Matrix::zeros(2, 3);
         assert!(solve(&a, &[1.0, 2.0]).is_err());
-        let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
+        let a = from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         assert!(solve(&a, &[1.0]).is_err());
     }
 
     #[test]
     fn solve_with_reused_scratch_is_bitwise_equal_to_fresh_solves() {
-        let a = Matrix::from_rows(&[
-            vec![4.0, 1.0, 0.5],
-            vec![1.0, 5.0, 2.0],
-            vec![0.5, 2.0, 6.0],
-        ])
-        .unwrap();
+        let a = from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 5.0, 2.0], &[0.5, 2.0, 6.0]]);
         let b1 = vec![1.0, 2.0, 3.0];
         let b2 = vec![-1.0, 0.25, 7.0];
         let mut scratch = SolveScratch::new();
@@ -382,14 +249,14 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits());
         }
         // Scratch also survives a size change (2x2 after 3x3).
-        let small = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, -1.0]]).unwrap();
+        let small = from_rows(&[&[1.0, 1.0], &[1.0, -1.0]]);
         let r = solve_with(&small, &[3.0, 1.0], &mut scratch).unwrap();
         assert!((r[0] - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn reshape_zeroed_clears_and_resizes() {
-        let mut m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let mut m = from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         m.reshape_zeroed(3, 3);
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 3);
@@ -403,18 +270,17 @@ mod tests {
     #[test]
     fn solve_larger_well_conditioned_system() {
         // Diagonally dominant 4x4 system; verify A x = b.
-        let a = Matrix::from_rows(&[
-            vec![10.0, 1.0, 0.0, 2.0],
-            vec![1.0, 12.0, 3.0, 0.0],
-            vec![0.0, 3.0, 9.0, 1.0],
-            vec![2.0, 0.0, 1.0, 11.0],
-        ])
-        .unwrap();
+        let rows: [&[f64]; 4] = [
+            &[10.0, 1.0, 0.0, 2.0],
+            &[1.0, 12.0, 3.0, 0.0],
+            &[0.0, 3.0, 9.0, 1.0],
+            &[2.0, 0.0, 1.0, 11.0],
+        ];
         let b = vec![1.0, 2.0, 3.0, 4.0];
-        let x = solve(&a, &b).unwrap();
-        let back = a.matvec(&x).unwrap();
-        for (bi, yi) in b.iter().zip(back.iter()) {
-            assert!((bi - yi).abs() < 1e-9);
+        let x = solve(&from_rows(&rows), &b).unwrap();
+        for (row, bi) in rows.iter().zip(b.iter()) {
+            let back: f64 = row.iter().zip(x.iter()).map(|(a, v)| a * v).sum();
+            assert!((bi - back).abs() < 1e-9);
         }
     }
 }

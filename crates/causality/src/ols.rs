@@ -1,16 +1,15 @@
 //! Ordinary least squares regression.
 //!
 //! Sieve "built two linear models using the ordinary least-square method"
-//! (§3.3) — the restricted and unrestricted models of the Granger test. This
-//! module fits such models by solving the normal equations
-//! `(X^T X) β = X^T y`.
+//! (§3.3) — the restricted and unrestricted models of the Granger test. The
+//! ADF regression that decides which series get first-differenced is the
+//! same kind of fit. This module fits such models by solving the normal
+//! equations `(X^T X) β = X^T y`.
 //!
-//! The fitting core works on a [`Design`]: one flat column-major buffer
-//! holding the full design matrix, built without any per-row allocation and
-//! reusable across fits (the Granger order-reduction loop resets the same
-//! buffer for every candidate lag). The row-oriented [`fit`] entry point is
-//! kept for callers that naturally produce observation rows (the ADF test)
-//! and funnels into the same [`fit_design`] numerics.
+//! Every fit works on a [`Design`]: one flat column-major buffer holding the
+//! full design matrix, built from contiguous slices without any per-row
+//! allocation and reusable across fits (the Granger order-reduction loop
+//! resets the same buffer for every candidate lag).
 
 use crate::linalg::{solve_with, Matrix, SolveScratch};
 use crate::{CausalityError, Result};
@@ -23,10 +22,6 @@ pub struct OlsFit {
     /// Estimated coefficients, in the column order of the design matrix
     /// (the intercept is the first coefficient when one was requested).
     pub coefficients: Vec<f64>,
-    /// Fitted values `X β`.
-    pub fitted: Vec<f64>,
-    /// Residuals `y - X β`.
-    pub residuals: Vec<f64>,
     /// Residual sum of squares.
     pub rss: f64,
     /// Total sum of squares of the centred response.
@@ -38,17 +33,6 @@ pub struct OlsFit {
 }
 
 impl OlsFit {
-    /// Coefficient of determination R².
-    ///
-    /// Returns `1.0` when the response is constant and perfectly fitted,
-    /// `0.0` when the response is constant but not fitted.
-    pub fn r_squared(&self) -> f64 {
-        if self.tss == 0.0 {
-            return if self.rss < 1e-12 { 1.0 } else { 0.0 };
-        }
-        1.0 - self.rss / self.tss
-    }
-
     /// Residual degrees of freedom, `n - k`.
     pub fn degrees_of_freedom(&self) -> usize {
         self.n_observations.saturating_sub(self.n_parameters)
@@ -128,13 +112,6 @@ impl Design {
         Ok(())
     }
 
-    /// Appends a column produced element-wise by `f(row_index)`.
-    pub fn push_column_with(&mut self, mut f: impl FnMut(usize) -> f64) {
-        for t in 0..self.n_rows {
-            self.data.push(f(t));
-        }
-    }
-
     /// The contiguous storage of column `c`.
     ///
     /// # Panics
@@ -145,16 +122,16 @@ impl Design {
     }
 }
 
-/// Reusable per-thread workspace of [`fit_design`]: the normal-equations
-/// matrix `X^T X`, the right-hand side `X^T y` and the solver's augmented
-/// buffer. A Granger sweep fits two models per candidate lag per edge —
-/// with the arena, the only allocations left per fit are the
-/// fitted/residual/coefficient vectors that escape in the returned
-/// [`OlsFit`].
+/// Reusable per-thread workspace of every fit: the normal-equations matrix
+/// `X^T X`, the right-hand side `X^T y`, the residuals and the solver's
+/// augmented buffer. A Granger sweep fits two models per candidate lag per
+/// edge — with the arena, the only allocation left per fit is the
+/// coefficient vector that escapes in the returned [`OlsFit`].
 #[derive(Debug, Clone, Default)]
 struct FitScratch {
     xtx: Matrix,
     xty: Vec<f64>,
+    residual: Vec<f64>,
     solve: SolveScratch,
 }
 
@@ -169,8 +146,8 @@ thread_local! {
 
 /// Fits `y ~ design` by ordinary least squares on a flat column-major
 /// design matrix. This is the single numeric core behind every OLS fit in
-/// the crate — the cached and naive Granger paths, the ADF regressions and
-/// [`fit_line`] all share it, so their float operations are identical.
+/// the crate — the cached and naive Granger paths and the ADF regression
+/// all share it, so their float operations are identical.
 ///
 /// The normal equations accumulate through the chunked
 /// [`sieve_timeseries::stats::dot`] kernel (4-lane blocked summation, the
@@ -185,6 +162,41 @@ thread_local! {
 ///   observations than parameters (or none at all).
 /// * [`CausalityError::SingularMatrix`] when the design is collinear.
 pub fn fit_design(design: &Design, y: &[f64]) -> Result<OlsFit> {
+    FIT_SCRATCH.with(|scratch| fit_in(&mut scratch.borrow_mut(), design, y))
+}
+
+/// [`fit_design`] plus the standard error of coefficient `index`,
+/// `sqrt(σ² · [(X^T X)^{-1}]_{index,index})`: the diagonal entry comes from
+/// solving the fit's own Gram matrix against the unit vector `e_index`, so
+/// the ADF t-statistic reads the same `X^T X` its coefficients came from.
+///
+/// # Errors
+///
+/// Same as [`fit_design`].
+///
+/// # Panics
+///
+/// Panics when `index` is not a column of `design`.
+pub(crate) fn fit_with_standard_error(
+    design: &Design,
+    y: &[f64],
+    index: usize,
+) -> Result<(OlsFit, f64)> {
+    FIT_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let fit = fit_in(scratch, design, y)?;
+        // `X^T y` is spent once β is solved; its buffer becomes `e_index`.
+        let unit = &mut scratch.xty;
+        unit.fill(0.0);
+        unit[index] = 1.0;
+        let column = solve_with(&scratch.xtx, unit, &mut scratch.solve)?;
+        let variance = fit.residual_variance() * column[index];
+        Ok((fit, variance.max(0.0).sqrt()))
+    })
+}
+
+/// The fit itself, leaving the design's Gram matrix in `scratch.xtx`.
+fn fit_in(scratch: &mut FitScratch, design: &Design, y: &[f64]) -> Result<OlsFit> {
     let n = design.n_rows();
     let k = design.n_cols();
     if n != y.len() {
@@ -206,163 +218,124 @@ pub fn fit_design(design: &Design, y: &[f64]) -> Result<OlsFit> {
         });
     }
 
-    FIT_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        // Normal equations from column dot products: X^T X and X^T y fall
-        // out of pairwise column products via the blocked dot kernel. X^T X
-        // is symmetric, so only the upper triangle is computed and mirrored.
-        let xtx = &mut scratch.xtx;
-        xtx.reshape_zeroed(k, k);
-        let xty = &mut scratch.xty;
-        xty.clear();
-        xty.resize(k, 0.0);
-        for (i, xty_slot) in xty.iter_mut().enumerate() {
-            let ci = design.column(i);
-            for j in i..k {
-                let dot = stats::dot(ci, design.column(j));
-                xtx.set(i, j, dot);
-                if i != j {
-                    xtx.set(j, i, dot);
-                }
-            }
-            *xty_slot = stats::dot(ci, y);
-        }
-        let beta = if k == 0 {
-            Vec::new()
-        } else {
-            solve_with(xtx, xty, &mut scratch.solve)?
-        };
+    normal_equations(design, y, &mut scratch.xtx, &mut scratch.xty);
+    let beta = if k == 0 {
+        Vec::new()
+    } else {
+        solve_with(&scratch.xtx, &scratch.xty, &mut scratch.solve)?
+    };
 
-        // Fitted values accumulate column contributions in column order —
-        // the same association as a row-major `X β` product.
-        let mut fitted = vec![0.0; n];
-        for (c, b) in beta.iter().enumerate() {
-            for (slot, v) in fitted.iter_mut().zip(design.column(c).iter()) {
-                *slot += v * b;
-            }
+    // Fitted values accumulate column contributions in column order — the
+    // same association as a row-major `X β` product — and are then turned
+    // into residuals in place.
+    let residual = &mut scratch.residual;
+    residual.clear();
+    residual.resize(n, 0.0);
+    for (c, b) in beta.iter().enumerate() {
+        for (slot, v) in residual.iter_mut().zip(design.column(c).iter()) {
+            *slot += v * b;
         }
-        let residuals: Vec<f64> = y.iter().zip(fitted.iter()).map(|(a, b)| a - b).collect();
-        let rss = stats::sum_of_squares(&residuals);
-        let mean_y = stats::mean(y);
-        let tss = stats::centered_sum_of_squares(y, mean_y);
+    }
+    for (slot, target) in residual.iter_mut().zip(y.iter()) {
+        *slot = target - *slot;
+    }
+    let rss = stats::sum_of_squares(residual);
+    let tss = stats::centered_sum_of_squares(y, stats::mean(y));
 
-        Ok(OlsFit {
-            coefficients: beta,
-            fitted,
-            residuals,
-            rss,
-            tss,
-            n_observations: n,
-            n_parameters: k,
-        })
+    Ok(OlsFit {
+        coefficients: beta,
+        rss,
+        tss,
+        n_observations: n,
+        n_parameters: k,
     })
 }
 
-/// Fits `y ~ X` by ordinary least squares.
-///
-/// Each element of `rows` is one observation's regressor values; when
-/// `intercept` is true a constant column is prepended. Internally the rows
-/// are gathered into a flat [`Design`] and fitted by [`fit_design`].
-///
-/// # Errors
-///
-/// * [`CausalityError::LengthMismatch`] when `rows` and `y` differ in length.
-/// * [`CausalityError::TooFewObservations`] when there are fewer observations
-///   than parameters.
-/// * [`CausalityError::DimensionMismatch`] when the rows are ragged.
-/// * [`CausalityError::SingularMatrix`] when the design matrix is collinear.
-pub fn fit(rows: &[Vec<f64>], y: &[f64], intercept: bool) -> Result<OlsFit> {
-    if rows.len() != y.len() {
-        return Err(CausalityError::LengthMismatch {
-            left: rows.len(),
-            right: y.len(),
-        });
-    }
-    let n = rows.len();
-    if n == 0 {
-        return Err(CausalityError::TooFewObservations {
-            required: 1,
-            actual: 0,
-        });
-    }
-    let base_cols = rows[0].len();
-    let k = base_cols + usize::from(intercept);
-    if n < k {
-        return Err(CausalityError::TooFewObservations {
-            required: k,
-            actual: n,
-        });
-    }
-    for (i, r) in rows.iter().enumerate() {
-        if r.len() != base_cols {
-            return Err(CausalityError::DimensionMismatch {
-                context: format!("row {i} has {} columns, expected {base_cols}", r.len()),
-            });
+/// `X^T X` and `X^T y` from pairwise column products through the blocked
+/// dot kernel — the one place the crate forms a Gram matrix. `X^T X` is
+/// symmetric, so only the upper triangle is computed and mirrored.
+fn normal_equations(design: &Design, y: &[f64], xtx: &mut Matrix, xty: &mut Vec<f64>) {
+    let k = design.n_cols();
+    xtx.reshape_zeroed(k, k);
+    xty.clear();
+    xty.resize(k, 0.0);
+    for (i, xty_slot) in xty.iter_mut().enumerate() {
+        let ci = design.column(i);
+        for j in i..k {
+            let dot = stats::dot(ci, design.column(j));
+            xtx.set(i, j, dot);
+            if i != j {
+                xtx.set(j, i, dot);
+            }
         }
+        *xty_slot = stats::dot(ci, y);
     }
-
-    let mut design = Design::new();
-    design.reset(n);
-    if intercept {
-        design.push_intercept();
-    }
-    (0..base_cols).for_each(|c| design.push_column_with(|t| rows[t][c]));
-    fit_design(&design, y)
-}
-
-/// Convenience helper: fits a univariate regression `y ~ a + b·x` and returns
-/// `(a, b)`.
-///
-/// # Errors
-///
-/// Same as [`fit`].
-pub fn fit_line(x: &[f64], y: &[f64]) -> Result<(f64, f64)> {
-    let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-    let fitted = fit(&rows, y, true)?;
-    Ok((fitted.coefficients[0], fitted.coefficients[1]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A design of the given columns, with an intercept first if asked.
+    fn design(intercept: bool, columns: &[&[f64]]) -> Design {
+        let mut design = Design::new();
+        design.reset(columns.first().map_or(0, |c| c.len()));
+        if intercept {
+            design.push_intercept();
+        }
+        for column in columns {
+            design.push_column(column).unwrap();
+        }
+        design
+    }
+
+    /// `y - X β`, recomputed from the fit's coefficients.
+    fn residuals(design: &Design, y: &[f64], fit: &OlsFit) -> Vec<f64> {
+        (0..y.len())
+            .map(|t| {
+                let prediction: f64 = (fit.coefficients.iter().enumerate())
+                    .map(|(c, b)| design.column(c)[t] * b)
+                    .sum();
+                y[t] - prediction
+            })
+            .collect()
+    }
+
     #[test]
     fn recovers_exact_linear_relationship() {
         let x: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let y: Vec<f64> = x.iter().map(|v| 3.0 * v + 7.0).collect();
-        let (a, b) = fit_line(&x, &y).unwrap();
-        assert!((a - 7.0).abs() < 1e-9);
-        assert!((b - 3.0).abs() < 1e-9);
+        let f = fit_design(&design(true, &[&x]), &y).unwrap();
+        assert!((f.coefficients[0] - 7.0).abs() < 1e-9);
+        assert!((f.coefficients[1] - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn r_squared_is_one_for_perfect_fit_and_low_for_noise() {
+        let r_squared = |f: &OlsFit| 1.0 - f.rss / f.tss;
         let x: Vec<f64> = (0..100).map(|i| i as f64 * 0.1).collect();
         let y_perfect: Vec<f64> = x.iter().map(|v| 2.0 * v - 1.0).collect();
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let fit_perfect = fit(&rows, &y_perfect, true).unwrap();
-        assert!(fit_perfect.r_squared() > 0.999999);
+        let d = design(true, &[&x]);
+        let fit_perfect = fit_design(&d, &y_perfect).unwrap();
+        assert!(r_squared(&fit_perfect) > 0.999999);
 
         // Deterministic "noise" unrelated to x.
         let y_noise: Vec<f64> = (0..100)
             .map(|i| ((i * 2654435761_usize) % 97) as f64)
             .collect();
-        let fit_noise = fit(&rows, &y_noise, true).unwrap();
-        assert!(fit_noise.r_squared() < 0.2);
+        let fit_noise = fit_design(&d, &y_noise).unwrap();
+        assert!(r_squared(&fit_noise) < 0.2);
     }
 
     #[test]
     fn multivariate_regression_recovers_coefficients() {
         // y = 1 + 2*x1 - 3*x2
-        let mut rows = Vec::new();
-        let mut y = Vec::new();
-        for i in 0..60 {
-            let x1 = (i as f64 * 0.37).sin() * 4.0;
-            let x2 = (i as f64 * 0.11).cos() * 2.0 + i as f64 * 0.01;
-            rows.push(vec![x1, x2]);
-            y.push(1.0 + 2.0 * x1 - 3.0 * x2);
-        }
-        let f = fit(&rows, &y, true).unwrap();
+        let x1: Vec<f64> = (0..60).map(|i| (i as f64 * 0.37).sin() * 4.0).collect();
+        let x2: Vec<f64> = (0..60)
+            .map(|i| (i as f64 * 0.11).cos() * 2.0 + i as f64 * 0.01)
+            .collect();
+        let y: Vec<f64> = (0..60).map(|i| 1.0 + 2.0 * x1[i] - 3.0 * x2[i]).collect();
+        let f = fit_design(&design(true, &[&x1, &x2]), &y).unwrap();
         assert!((f.coefficients[0] - 1.0).abs() < 1e-7);
         assert!((f.coefficients[1] - 2.0).abs() < 1e-7);
         assert!((f.coefficients[2] + 3.0).abs() < 1e-7);
@@ -375,69 +348,71 @@ mod tests {
     fn without_intercept_the_constant_column_is_absent() {
         let x: Vec<f64> = (1..30).map(|i| i as f64).collect();
         let y: Vec<f64> = x.iter().map(|v| 5.0 * v).collect();
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let f = fit(&rows, &y, false).unwrap();
+        let f = fit_design(&design(false, &[&x]), &y).unwrap();
         assert_eq!(f.coefficients.len(), 1);
         assert!((f.coefficients[0] - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(fit(&[], &[], true).is_err());
-        assert!(fit(&[vec![1.0]], &[1.0, 2.0], true).is_err());
+        assert!(fit_design(&design(true, &[]), &[]).is_err());
+        assert!(fit_design(&design(true, &[&[1.0]]), &[1.0, 2.0]).is_err());
+        // A ragged column never enters a design.
+        let mut ragged = design(true, &[&[1.0, 2.0]]);
+        assert!(matches!(
+            ragged.push_column(&[1.0]),
+            Err(CausalityError::DimensionMismatch { .. })
+        ));
         // Two observations, three parameters.
         assert!(matches!(
-            fit(&[vec![1.0, 2.0], vec![2.0, 3.0]], &[1.0, 2.0], true),
+            fit_design(&design(true, &[&[1.0, 2.0], &[2.0, 3.0]]), &[1.0, 2.0]),
             Err(CausalityError::TooFewObservations { .. })
         ));
     }
 
     #[test]
     fn collinear_regressors_are_singular() {
-        let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
-        let y: Vec<f64> = (0..20).map(|i| i as f64).collect();
+        let x: Vec<f64> = (0..20).map(|i| i as f64).collect();
+        let doubled: Vec<f64> = x.iter().map(|v| 2.0 * v).collect();
         assert_eq!(
-            fit(&rows, &y, true).unwrap_err(),
+            fit_design(&design(true, &[&x, &doubled]), &x).unwrap_err(),
             CausalityError::SingularMatrix
         );
     }
 
     #[test]
     fn design_fit_matches_row_fit_bitwise() {
-        // The row-oriented entry point gathers into the same flat buffer,
-        // so a hand-built column-major design must agree bit for bit.
+        // The ADF regression used to gather observation rows into a design
+        // column by column; it now pushes contiguous slices. A fit depends
+        // only on the column values, so both constructions agree bit for
+        // bit.
         let n = 50;
         let x1: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
         let x2: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).cos() * 2.0).collect();
         let y: Vec<f64> = (0..n)
             .map(|i| 0.5 + 1.2 * x1[i] - 0.7 * x2[i] + (i as f64 * 0.9).sin() * 0.1)
             .collect();
-        let rows: Vec<Vec<f64>> = x1
-            .iter()
-            .zip(x2.iter())
-            .map(|(&a, &b)| vec![a, b])
-            .collect();
-        let via_rows = fit(&rows, &y, true).unwrap();
+        let rows: Vec<[f64; 2]> = (0..n).map(|t| [x1[t], x2[t]]).collect();
+        let mut gathered = Design::new();
+        gathered.reset(n);
+        gathered.push_intercept();
+        for c in 0..2 {
+            let column: Vec<f64> = rows.iter().map(|row| row[c]).collect();
+            gathered.push_column(&column).unwrap();
+        }
+        let via_rows = fit_design(&gathered, &y).unwrap();
 
-        let mut design = Design::new();
-        design.reset(n);
-        design.push_intercept();
-        design.push_column(&x1).unwrap();
-        design.push_column(&x2).unwrap();
-        assert_eq!(design.n_rows(), n);
-        assert_eq!(design.n_cols(), 3);
-        let via_design = fit_design(&design, &y).unwrap();
+        let sliced = design(true, &[&x1, &x2]);
+        assert_eq!(sliced.n_rows(), n);
+        assert_eq!(sliced.n_cols(), 3);
+        let via_slices = fit_design(&sliced, &y).unwrap();
 
-        assert_eq!(via_rows.n_parameters, via_design.n_parameters);
-        for (a, b) in via_rows
-            .coefficients
-            .iter()
-            .zip(via_design.coefficients.iter())
-        {
+        assert_eq!(via_rows.n_parameters, via_slices.n_parameters);
+        for (a, b) in (via_rows.coefficients.iter()).zip(via_slices.coefficients.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(via_rows.rss.to_bits(), via_design.rss.to_bits());
-        assert_eq!(via_rows.tss.to_bits(), via_design.tss.to_bits());
+        assert_eq!(via_rows.rss.to_bits(), via_slices.rss.to_bits());
+        assert_eq!(via_rows.tss.to_bits(), via_slices.tss.to_bits());
     }
 
     #[test]
@@ -510,7 +485,7 @@ mod tests {
             }
             *target = ci.iter().zip(y.iter()).fold(0.0, |acc, (a, b)| acc + a * b);
         }
-        let beta = crate::linalg::solve(&xtx, &xty).unwrap();
+        let beta = solve_with(&xtx, &xty, &mut SolveScratch::new()).unwrap();
         for (b, o) in blocked.coefficients.iter().zip(beta.iter()) {
             assert!(
                 (b - o).abs() <= 1e-9 * 1.0_f64.max(o.abs()),
@@ -564,10 +539,11 @@ mod tests {
 
     #[test]
     fn residuals_sum_to_zero_with_intercept() {
-        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![(i as f64 * 0.3).sin()]).collect();
+        let x: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin()).collect();
         let y: Vec<f64> = (0..40).map(|i| (i as f64 * 0.21).cos() + 0.5).collect();
-        let f = fit(&rows, &y, true).unwrap();
-        let sum: f64 = f.residuals.iter().sum();
+        let d = design(true, &[&x]);
+        let f = fit_design(&d, &y).unwrap();
+        let sum: f64 = residuals(&d, &y, &f).iter().sum();
         assert!(sum.abs() < 1e-8);
     }
 }

@@ -204,26 +204,6 @@ fn same_partition(u: &[usize], v: &[usize]) -> bool {
     true
 }
 
-/// Normalized Mutual Information, `MI / max(H(U), H(V))`; a simpler
-/// (non-chance-adjusted) agreement score useful for comparison and tests.
-///
-/// # Errors
-///
-/// Same as [`adjusted_mutual_information`].
-pub fn normalized_mutual_information(u: &[usize], v: &[usize]) -> Result<f64> {
-    let c = contingency(u, v)?;
-    let hu = entropy(&c.a, c.n);
-    let hv = entropy(&c.b, c.n);
-    if hu == 0.0 && hv == 0.0 {
-        return Ok(1.0);
-    }
-    let denom = hu.max(hv);
-    if denom == 0.0 {
-        return Ok(0.0);
-    }
-    Ok(mutual_information(u, v)? / denom)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +236,10 @@ mod tests {
         // Many small clusters vs. few: NMI is inflated by chance, AMI less so.
         let a: Vec<usize> = (0..30).map(|i| i % 3).collect();
         let b: Vec<usize> = (0..30).map(|i| i % 10).collect();
-        let nmi = normalized_mutual_information(&a, &b).unwrap();
+        // Normalized MI, `MI / max(H(U), H(V))`: the score without the
+        // chance adjustment.
+        let c = contingency(&a, &b).unwrap();
+        let nmi = mutual_information(&a, &b).unwrap() / entropy(&c.a, c.n).max(entropy(&c.b, c.n));
         let ami = adjusted_mutual_information(&a, &b).unwrap();
         assert!(ami <= nmi + 1e-9);
     }
@@ -281,7 +264,6 @@ mod tests {
     fn both_trivial_labelings_are_identical() {
         let a = vec![0, 0, 0];
         assert_eq!(adjusted_mutual_information(&a, &a).unwrap(), 1.0);
-        assert_eq!(normalized_mutual_information(&a, &a).unwrap(), 1.0);
     }
 
     #[test]

@@ -67,18 +67,17 @@ pub fn jaro_similarity(a: &str, b: &str) -> f64 {
     (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
 }
 
-/// Jaro distance: `1 - jaro_similarity`.
-pub fn jaro_distance(a: &str, b: &str) -> f64 {
-    1.0 - jaro_similarity(a, b)
-}
+/// The Jaro similarity at or above which a name joins a group's leader —
+/// the one value every caller of the pre-clustering has used.
+const NAME_SIMILARITY_THRESHOLD: f64 = 0.8;
 
 /// The part of the name pre-clustering that does not depend on `k`: the
 /// greedy leader grouping of one component's metric names.
 ///
 /// A greedy leader algorithm forms groups of names whose Jaro similarity to
-/// the group leader is at least the threshold (0.8 by default). That pass —
-/// one similarity per name and leader — is nearly the whole cost of a
-/// pre-clustering and is the same for every `k`, so the k sweep builds one
+/// the group leader is at least 0.8. That pass — one similarity per name and
+/// leader — is nearly the whole cost of a pre-clustering and is the same
+/// for every `k`, so the k sweep builds one
 /// `NameGroups` per component and asks it for each `k`'s
 /// [`assignment`](NameGroups::assignment), which only merges or splits a
 /// copy of the groups.
@@ -101,22 +100,17 @@ pub struct NameGroups<'a> {
 }
 
 impl<'a> NameGroups<'a> {
-    /// Groups `names` with the default similarity threshold of `0.8`.
-    pub fn new(names: &'a [&'a str]) -> Self {
-        Self::with_threshold(names, 0.8)
-    }
-
     /// Groups `names`: each name joins the group whose leader it is most
     /// similar to (the first such group on ties) if that similarity is at
-    /// least `threshold`, and otherwise leads a new group.
-    pub fn with_threshold(names: &'a [&'a str], threshold: f64) -> Self {
+    /// least 0.8, and otherwise leads a new group.
+    pub fn new(names: &'a [&'a str]) -> Self {
         let mut leaders: Vec<usize> = Vec::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, name) in names.iter().enumerate() {
             let mut best: Option<(usize, f64)> = None;
             for (g, &leader) in leaders.iter().enumerate() {
                 let sim = jaro_similarity(name, names[leader]);
-                if sim >= threshold && best.map_or(true, |(_, b)| sim > b) {
+                if sim >= NAME_SIMILARITY_THRESHOLD && best.map_or(true, |(_, b)| sim > b) {
                     best = Some((g, sim));
                 }
             }
@@ -210,17 +204,11 @@ impl<'a> NameGroups<'a> {
 }
 
 /// Groups metric names into exactly `k` initial clusters by name similarity:
-/// [`NameGroups::with_threshold`] asked for one `k`. A caller that needs
-/// several `k` over the same names builds the [`NameGroups`] once.
+/// a [`NameGroups`] asked for one `k`. A caller that needs several `k` over
+/// the same names builds the [`NameGroups`] once.
 ///
 /// Returns one cluster index in `0..k` per input name. Returns an empty
 /// vector when `names` is empty or `k == 0`.
-pub fn pre_cluster_names_with_threshold(names: &[&str], k: usize, threshold: f64) -> Vec<usize> {
-    NameGroups::with_threshold(names, threshold).assignment(k)
-}
-
-/// [`pre_cluster_names_with_threshold`] with the default similarity
-/// threshold of `0.8`.
 pub fn pre_cluster_names(names: &[&str], k: usize) -> Vec<usize> {
     NameGroups::new(names).assignment(k)
 }
@@ -232,7 +220,7 @@ mod tests {
     #[test]
     fn identical_strings_have_similarity_one() {
         assert_eq!(jaro_similarity("mongodb_queries", "mongodb_queries"), 1.0);
-        assert_eq!(jaro_distance("x", "x"), 0.0);
+        assert_eq!(jaro_similarity("x", "x"), 1.0);
     }
 
     #[test]
@@ -325,7 +313,7 @@ mod tests {
     /// The pre-clustering as it was before the `k`-independent part moved
     /// into [`NameGroups`]: one function, everything recomputed per call.
     /// Kept verbatim as the reference the split version must equal.
-    fn reference_pre_cluster(names: &[&str], k: usize, threshold: f64) -> Vec<usize> {
+    fn reference_pre_cluster(names: &[&str], k: usize) -> Vec<usize> {
         if names.is_empty() || k == 0 {
             return Vec::new();
         }
@@ -338,7 +326,7 @@ mod tests {
             let mut best: Option<(usize, f64)> = None;
             for (g, &leader) in leaders.iter().enumerate() {
                 let sim = jaro_similarity(name, names[leader]);
-                if sim >= threshold && best.map_or(true, |(_, b)| sim > b) {
+                if sim >= 0.8 && best.map_or(true, |(_, b)| sim > b) {
                     best = Some((g, sim));
                 }
             }
@@ -441,32 +429,30 @@ mod tests {
     #[test]
     fn one_name_grouping_asked_for_every_k_equals_the_per_k_reference() {
         let (mut merges, mut splits) = (0usize, 0usize);
-        for seed in 0..240u64 {
+        for seed in 0..720u64 {
             let names = random_names(seed);
             let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
             let n = refs.len();
-            for threshold in [0.0, 0.8, 1.0] {
-                let expected: Vec<Vec<usize>> = (0..=n + 1)
-                    .map(|k| reference_pre_cluster(&refs, k, threshold))
-                    .collect();
-                let mut ascending = NameGroups::with_threshold(&refs, threshold);
-                let mut descending = ascending.clone();
-                let stored = ascending.groups.clone();
-                for (k, expected) in expected.iter().enumerate() {
-                    let ctx = format!("seed {seed} threshold {threshold} k {k}");
-                    assert_eq!(&ascending.assignment(k), expected, "ascending, {ctx}");
-                    merges += usize::from(stored.len() > k && k > 0);
-                    splits += usize::from(stored.len() < k.min(n));
-                }
-                for (k, expected) in expected.iter().enumerate().rev() {
-                    let ctx = format!("seed {seed} threshold {threshold} k {k}");
-                    assert_eq!(&descending.assignment(k), expected, "descending, {ctx}");
-                }
-                assert_eq!(
-                    ascending.groups, stored,
-                    "seed {seed}: stored groups changed"
-                );
+            let expected: Vec<Vec<usize>> = (0..=n + 1)
+                .map(|k| reference_pre_cluster(&refs, k))
+                .collect();
+            let mut ascending = NameGroups::new(&refs);
+            let mut descending = ascending.clone();
+            let stored = ascending.groups.clone();
+            for (k, expected) in expected.iter().enumerate() {
+                let ctx = format!("seed {seed} k {k}");
+                assert_eq!(&ascending.assignment(k), expected, "ascending, {ctx}");
+                merges += usize::from(stored.len() > k && k > 0);
+                splits += usize::from(stored.len() < k.min(n));
             }
+            for (k, expected) in expected.iter().enumerate().rev() {
+                let ctx = format!("seed {seed} k {k}");
+                assert_eq!(&descending.assignment(k), expected, "descending, {ctx}");
+            }
+            assert_eq!(
+                ascending.groups, stored,
+                "seed {seed}: stored groups changed"
+            );
         }
         assert!(
             merges >= 2000 && splits >= 2000,
@@ -480,11 +466,7 @@ mod tests {
         for k in 0..=6 {
             assert_eq!(
                 pre_cluster_names(&names, k),
-                reference_pre_cluster(&names, k, 0.8)
-            );
-            assert_eq!(
-                pre_cluster_names_with_threshold(&names, k, 0.95),
-                reference_pre_cluster(&names, k, 0.95)
+                reference_pre_cluster(&names, k)
             );
         }
     }

@@ -113,16 +113,6 @@ impl KShapeResult {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Number of non-empty clusters.
-    pub fn non_empty_clusters(&self) -> usize {
-        let k = self.centroids.len();
-        let mut used = vec![false; k];
-        for &a in &self.assignments {
-            used[a] = true;
-        }
-        used.iter().filter(|&&u| u).count()
-    }
 }
 
 /// State shared across k-Shape runs over the same series: the z-normalized
@@ -1156,6 +1146,14 @@ fn normalize_vec(v: &mut [f64]) {
 mod tests {
     use super::*;
 
+    /// Number of clusters at least one series is assigned to.
+    fn non_empty_clusters(result: &KShapeResult) -> usize {
+        let mut used = result.assignments.clone();
+        used.sort_unstable();
+        used.dedup();
+        used.len()
+    }
+
     /// Builds `count` noisy copies of a base shape, each scaled and offset
     /// differently (k-Shape must be invariant to that).
     fn noisy_family(
@@ -1212,7 +1210,7 @@ mod tests {
             .collect();
         let result = KShape::new(KShapeConfig::new(1)).fit(&series).unwrap();
         assert!(result.assignments.iter().all(|&a| a == 0));
-        assert_eq!(result.non_empty_clusters(), 1);
+        assert_eq!(non_empty_clusters(&result), 1);
     }
 
     #[test]
@@ -1515,7 +1513,7 @@ mod tests {
         let oracle = kshape.fit(&series).unwrap();
         let result = kshape.fit_cached(&mut cache).unwrap();
         assert_eq!(result_bits(&result), result_bits(&oracle));
-        assert!(result.converged && result.non_empty_clusters() == 3);
+        assert!(result.converged && non_empty_clusters(&result) == 3);
 
         // Once the clusters are the families, a series is ruled out of the
         // other two's by the bound alone (the round-robin start's mixed

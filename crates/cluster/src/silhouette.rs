@@ -119,22 +119,6 @@ where
     Ok(score_from_pairwise(labels, |i, j| dist[i][j]))
 }
 
-/// Computes the mean silhouette score of a labeling of `data` under an
-/// arbitrary (infallible) distance function. See
-/// [`try_silhouette_score_with`] for the conventions.
-///
-/// # Errors
-///
-/// * [`ClusterError::NoData`] for empty input.
-/// * [`ClusterError::LabelLengthMismatch`] when `labels` and `data` differ in length.
-pub fn silhouette_score_with<S, D>(data: &[S], labels: &[usize], mut distance: D) -> Result<f64>
-where
-    S: AsRef<[f64]>,
-    D: FnMut(&[f64], &[f64]) -> f64,
-{
-    try_silhouette_score_with(data, labels, |a, b| Ok(distance(a, b)))
-}
-
 /// Silhouette score under the shape-based distance, the configuration Sieve
 /// uses ("We use the SBD as a distance measure in the silhouette
 /// computation", §3.2).
@@ -177,19 +161,15 @@ pub fn silhouette_score_from_matrix(matrix: &DistanceMatrix, labels: &[usize]) -
     Ok(score_from_pairwise(labels, |i, j| matrix.get(i, j)))
 }
 
-/// Euclidean distance between equal-length vectors (extra elements of the
-/// longer one are ignored); exposed for tests and non-shape use cases.
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y).powi(2))
-        .sum::<f64>()
-        .sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Euclidean distance, in the scorer's fallible signature.
+    fn euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
+        let squares: f64 = a.iter().zip(b.iter()).map(|(x, y)| (x - y).powi(2)).sum();
+        Ok(squares.sqrt())
+    }
 
     #[test]
     fn well_separated_clusters_score_high() {
@@ -203,7 +183,7 @@ mod tests {
             vec![10.05, 9.95],
         ];
         let labels = vec![0, 0, 0, 1, 1, 1];
-        let s = silhouette_score_with(&data, &labels, euclidean).unwrap();
+        let s = try_silhouette_score_with(&data, &labels, euclidean).unwrap();
         assert!(s > 0.9, "score {s}");
     }
 
@@ -215,8 +195,8 @@ mod tests {
             vec![10.0, 10.0],
             vec![10.2, 10.1],
         ];
-        let good = silhouette_score_with(&data, &[0, 0, 1, 1], euclidean).unwrap();
-        let bad = silhouette_score_with(&data, &[0, 1, 0, 1], euclidean).unwrap();
+        let good = try_silhouette_score_with(&data, &[0, 0, 1, 1], euclidean).unwrap();
+        let bad = try_silhouette_score_with(&data, &[0, 1, 0, 1], euclidean).unwrap();
         assert!(good > bad);
         assert!(
             bad < 0.0,
@@ -228,7 +208,7 @@ mod tests {
     fn single_cluster_scores_zero() {
         let data = vec![vec![1.0], vec![2.0], vec![3.0]];
         assert_eq!(
-            silhouette_score_with(&data, &[0, 0, 0], euclidean).unwrap(),
+            try_silhouette_score_with(&data, &[0, 0, 0], euclidean).unwrap(),
             0.0
         );
     }
@@ -236,7 +216,7 @@ mod tests {
     #[test]
     fn singleton_clusters_contribute_zero() {
         let data = vec![vec![0.0], vec![0.1], vec![9.0]];
-        let s = silhouette_score_with(&data, &[0, 0, 1], euclidean).unwrap();
+        let s = try_silhouette_score_with(&data, &[0, 0, 1], euclidean).unwrap();
         // The two members of cluster 0 are very close compared to cluster 1,
         // so the average over 3 samples is about 2/3 * ~1.0.
         assert!(s > 0.6 && s < 0.7, "score {s}");
@@ -244,10 +224,10 @@ mod tests {
 
     #[test]
     fn errors_on_bad_input() {
-        assert!(silhouette_score_with::<Vec<f64>, _>(&[], &[], euclidean).is_err());
+        assert!(try_silhouette_score_with::<Vec<f64>, _>(&[], &[], euclidean).is_err());
         let data = vec![vec![1.0], vec![2.0]];
         assert!(matches!(
-            silhouette_score_with(&data, &[0], euclidean),
+            try_silhouette_score_with(&data, &[0], euclidean),
             Err(ClusterError::LabelLengthMismatch { .. })
         ));
     }

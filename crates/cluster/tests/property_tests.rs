@@ -5,10 +5,10 @@
 //! splitmix64 case generator — every run checks the identical set of
 //! pseudo-random inputs, which also makes failures trivially reproducible.
 
-use sieve_cluster::ami::{adjusted_mutual_information, normalized_mutual_information};
+use sieve_cluster::ami::adjusted_mutual_information;
 use sieve_cluster::jaro::{jaro_similarity, pre_cluster_names};
 use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeResult, KShapeSeriesCache};
-use sieve_cluster::silhouette::{euclidean, silhouette_score_with};
+use sieve_cluster::silhouette::try_silhouette_score_with;
 
 /// Deterministic splitmix64 generator for test data.
 struct Rng(u64);
@@ -110,8 +110,6 @@ fn ami_is_at_most_one() {
         let n = a.len().min(b.len());
         let ami = adjusted_mutual_information(&a[..n], &b[..n]).unwrap();
         assert!(ami <= 1.0 + 1e-9, "seed {seed}");
-        let nmi = normalized_mutual_information(&a[..n], &b[..n]).unwrap();
-        assert!((0.0..=1.0 + 1e-9).contains(&nmi), "seed {seed}");
     }
 }
 
@@ -125,7 +123,14 @@ fn silhouette_is_bounded() {
             .collect();
         let labels = rng.labels(3, 4, 19);
         let n = data.len().min(labels.len());
-        let s = silhouette_score_with(&data[..n], &labels[..n], euclidean).unwrap();
+        let euclidean = |a: &[f64], b: &[f64]| {
+            Ok(a.iter()
+                .zip(b)
+                .map(|(x, y)| (x - y).powi(2))
+                .sum::<f64>()
+                .sqrt())
+        };
+        let s = try_silhouette_score_with(&data[..n], &labels[..n], euclidean).unwrap();
         assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&s), "seed {seed}");
     }
 }
@@ -188,6 +193,14 @@ fn kshape_stress_series(rng: &mut Rng, count: usize, len: usize) -> Vec<Vec<f64>
     series
 }
 
+/// Number of clusters at least one series is assigned to.
+fn non_empty_clusters(result: &KShapeResult) -> usize {
+    let mut used = result.assignments.clone();
+    used.sort_unstable();
+    used.dedup();
+    used.len()
+}
+
 /// Asserts every assignment, the iteration count, the verdict and every
 /// centroid bit of two k-Shape results equal.
 fn assert_same_bits(direct: &KShapeResult, cached: &KShapeResult, ctx: &str) {
@@ -241,7 +254,7 @@ fn memoised_fit_cached_is_bit_identical_to_fit_under_stress() {
         assert_same_bits(&direct, &cached, &ctx);
         not_converged += usize::from(!direct.converged);
         multi_iteration += usize::from(direct.iterations >= 3);
-        with_empty_cluster += usize::from(direct.non_empty_clusters() < k);
+        with_empty_cluster += usize::from(non_empty_clusters(&direct) < k);
     }
     // The generator must actually reach the paths the memo could get wrong.
     assert!(not_converged >= 10, "{not_converged} non-converged cases");

@@ -1,6 +1,6 @@
 //! Columnar storage for a component's prepared metric series.
 //!
-//! Preparation (resample + truncate, [`crate::reduce::prepare_series`])
+//! Preparation (resample + truncate, [`crate::pipeline::Sieve::prepare`])
 //! yields a *rectangular* set of series per component: every kept metric
 //! ends up with exactly `series_len` samples. A [`PreparedComponent`] packs
 //! those samples end to end into **one** `Arc`-shared backing buffer instead

@@ -14,7 +14,6 @@
 use crate::columnar::PreparedComponent;
 use crate::config::SieveConfig;
 use crate::model::SieveModel;
-use crate::reduce::prepare_row;
 use crate::session::AnalysisSession;
 use crate::{Result, SieveError};
 use sieve_exec::{par_map_chunks, Name};
@@ -23,6 +22,7 @@ use sieve_simulator::app::AppSpec;
 use sieve_simulator::engine::{SimConfig, Simulation};
 use sieve_simulator::store::{MetricStore, RetentionPolicy};
 use sieve_simulator::workload::Workload;
+use sieve_timeseries::resample::resample_view;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -97,11 +97,11 @@ pub(crate) fn prepare_components(
     })
 }
 
-/// Prepares one component's series: resampled straight off the store's
-/// zero-copy window views — no per-series clone between the store and the
-/// resampler. The rows go through the same `prepare_row` rule as
-/// `prepare_series`, so this path stays bit-identical to preparing owned
-/// copies.
+/// Prepares one component's series: each is resampled onto the common grid
+/// straight off the store's zero-copy window view — no per-series clone
+/// between the store and the resampler — and the rows are packed,
+/// truncated to the shortest, into one columnar arena. Series too short to
+/// resample (fewer than two points) are skipped.
 pub(crate) fn prepare_component(
     store: &MetricStore,
     component: &Name,
@@ -109,8 +109,11 @@ pub(crate) fn prepare_component(
 ) -> PreparedComponent {
     let mut rows: Vec<(Name, Vec<f64>)> = Vec::new();
     store.for_each_series_of(component.as_str(), |id, view| {
-        if let Some(values) = prepare_row(view, interval_ms) {
-            rows.push((id.metric.clone(), values));
+        if view.len() < 2 {
+            return;
+        }
+        if let Ok(resampled) = resample_view(view, interval_ms) {
+            rows.push((id.metric.clone(), resampled.into_parts().1));
         }
     });
     PreparedComponent::from_rows(rows)

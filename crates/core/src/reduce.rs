@@ -43,7 +43,6 @@ use sieve_cluster::silhouette::silhouette_score_from_matrix;
 use sieve_exec::Name;
 use sieve_timeseries::spectrum::{sbd_oriented, SbdScratch, SeriesSpectrum};
 use sieve_timeseries::stats::{mean, variance};
-use sieve_timeseries::{resample, SeriesView, TimeSeries};
 use std::sync::Arc;
 
 /// A named, resampled metric series ready for clustering.
@@ -67,36 +66,6 @@ impl NamedSeries {
             values: values.into(),
         }
     }
-}
-
-/// Resamples one raw series onto the common grid, returning the grid
-/// values; `None` for series too short to resample (fewer than two
-/// points).
-///
-/// This is the single preparation rule shared by [`prepare_series`]
-/// (owned series) and the pipeline's zero-copy read of store windows, so
-/// both paths are bit-identical by construction.
-pub(crate) fn prepare_row(series: SeriesView<'_>, interval_ms: u64) -> Option<Vec<f64>> {
-    if series.len() < 2 {
-        return None;
-    }
-    let resampled = resample::resample_view(series, interval_ms).ok()?;
-    Some(resampled.into_parts().1)
-}
-
-/// Resamples a set of raw metric series of one component onto the common
-/// grid and packs them, truncated to a common length, into one columnar
-/// [`PreparedComponent`] arena.
-///
-/// Series that are empty or too short to resample are skipped.
-pub fn prepare_series(raw: &[(Name, TimeSeries)], interval_ms: u64) -> PreparedComponent {
-    let resampled: Vec<(Name, Vec<f64>)> = raw
-        .iter()
-        .filter_map(|(name, series)| Some((name.clone(), prepare_row(series.view(), interval_ms)?)))
-        .collect();
-    // `from_rows` truncates every row to the shortest one, which is exactly
-    // the rectangularisation rule this step has always applied.
-    PreparedComponent::from_rows(resampled)
 }
 
 /// Scale-free variance used by the unvarying-metric filter.
@@ -311,7 +280,10 @@ pub(crate) fn build_clusters(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Sieve;
     use sieve_cluster::jaro::pre_cluster_names;
+    use sieve_simulator::store::{MetricId, MetricStore};
+    use std::collections::BTreeMap;
 
     fn named(name: &str, values: Vec<f64>) -> NamedSeries {
         NamedSeries::new(name, values)
@@ -349,42 +321,44 @@ mod tests {
         assert!(!is_unvarying(&varying, 0.002));
     }
 
+    /// Records each `(metric, interval_ms, values)` as a series of
+    /// component `c` starting at 0 and prepares the store on the default
+    /// 500 ms grid.
+    fn prepare(series: &[(&str, u64, Vec<f64>)]) -> BTreeMap<Name, PreparedComponent> {
+        let store = MetricStore::new();
+        for (metric, interval_ms, values) in series {
+            let id = MetricId::new("c", *metric);
+            for (i, &value) in values.iter().enumerate() {
+                store.record(&id, i as u64 * interval_ms, value);
+            }
+        }
+        Sieve::new(SieveConfig::default()).prepare(&store)
+    }
+
     #[test]
     fn prepare_series_aligns_lengths() {
-        let a = TimeSeries::from_values(0, 500, (0..40).map(|i| i as f64).collect());
-        let b = TimeSeries::from_values(0, 1000, (0..30).map(|i| i as f64).collect());
-        let short = TimeSeries::from_values(0, 500, vec![1.0]);
-        let prepared = prepare_series(
-            &[
-                (Name::new("a"), a),
-                (Name::new("b"), b),
-                (Name::new("tiny"), short),
-            ],
-            500,
-        );
+        let prepared = &prepare(&[
+            ("a", 500, (0..40).map(|i| i as f64).collect()),
+            ("b", 1000, (0..30).map(|i| i as f64).collect()),
+            ("tiny", 500, vec![1.0]),
+        ])["c"];
         assert_eq!(prepared.len(), 2, "too-short series are skipped");
         assert_eq!(prepared.series(0).len(), prepared.series(1).len());
     }
 
     #[test]
     fn prepare_series_handles_empty_input() {
-        let prepared = prepare_series(&[], 500);
-        assert!(prepared.is_empty());
+        assert!(prepare(&[]).is_empty());
     }
 
     #[test]
     fn prepare_series_skips_single_point_and_empty_series() {
-        let single = TimeSeries::from_values(0, 500, vec![7.0]);
-        let empty = TimeSeries::new();
-        let ok = TimeSeries::from_values(0, 500, (0..20).map(|i| i as f64).collect());
-        let prepared = prepare_series(
-            &[
-                (Name::new("single"), single),
-                (Name::new("empty"), empty),
-                (Name::new("ok"), ok),
-            ],
-            500,
-        );
+        // A store holds no empty series; a single point is too short to
+        // resample.
+        let prepared = &prepare(&[
+            ("single", 500, vec![7.0]),
+            ("ok", 500, (0..20).map(|i| i as f64).collect()),
+        ])["c"];
         assert_eq!(prepared.len(), 1);
         assert_eq!(prepared.name(0), "ok");
         assert_eq!(prepared.series(0).len(), 20);
@@ -394,12 +368,10 @@ mod tests {
     fn prepare_series_truncates_mixed_lengths_to_the_shortest() {
         // 80 points at 500 ms vs 10 points at 500 ms: everything is cut to
         // the shorter grid so the clustering inputs stay rectangular.
-        let long = TimeSeries::from_values(0, 500, (0..80).map(|i| (i as f64).sin()).collect());
-        let short = TimeSeries::from_values(0, 500, (0..10).map(|i| i as f64).collect());
-        let prepared = prepare_series(
-            &[(Name::new("long"), long), (Name::new("short"), short)],
-            500,
-        );
+        let prepared = &prepare(&[
+            ("long", 500, (0..80).map(|i| (i as f64).sin()).collect()),
+            ("short", 500, (0..10).map(|i| i as f64).collect()),
+        ])["c"];
         assert_eq!(prepared.len(), 2);
         assert_eq!(prepared.series_len(), 10);
         assert!(prepared.iter().all(|(_, values)| values.len() == 10));
@@ -407,8 +379,7 @@ mod tests {
 
     #[test]
     fn prepared_series_share_buffers_on_clone() {
-        let ts = TimeSeries::from_values(0, 500, (0..20).map(|i| i as f64).collect());
-        let prepared = prepare_series(&[(Name::new("m"), ts)], 500);
+        let prepared = &prepare(&[("m", 500, (0..20).map(|i| i as f64).collect())])["c"];
         let copy = prepared.clone();
         assert!(Arc::ptr_eq(copy.buffer(), prepared.buffer()));
     }

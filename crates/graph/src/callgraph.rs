@@ -158,11 +158,6 @@ impl CallGraph {
             self.record_calls(from, to, count);
         }
     }
-
-    /// Total number of recorded calls over all edges.
-    pub fn total_calls(&self) -> u64 {
-        self.edges().map(|(_, _, c)| c).sum()
-    }
 }
 
 impl FromIterator<(String, String)> for CallGraph {
@@ -207,7 +202,7 @@ mod tests {
         assert_eq!(g.edge_count(), 5);
         assert!(g.has_edge("haproxy", "web"));
         assert!(!g.has_edge("web", "haproxy"));
-        assert_eq!(g.total_calls(), 5);
+        assert_eq!(g.edges().map(|(_, _, calls)| calls).sum::<u64>(), 5);
     }
 
     #[test]

@@ -97,14 +97,6 @@ impl DependencyGraph {
         self.edges.len()
     }
 
-    /// Edges whose source or target component is `component`.
-    pub fn edges_of(&self, component: &str) -> Vec<&DependencyEdge> {
-        self.edges
-            .iter()
-            .filter(|e| e.source_component == component || e.target_component == component)
-            .collect()
-    }
-
     /// Edges from `source` to `target` (component level).
     pub fn edges_between(&self, source: &str, target: &str) -> Vec<&DependencyEdge> {
         self.edges
@@ -169,16 +161,6 @@ impl DependencyGraph {
             .map(|(id, _)| id)
     }
 
-    /// Component-level out-degree (number of distinct target components).
-    pub fn out_degree(&self, component: &str) -> usize {
-        self.edges
-            .iter()
-            .filter(|e| e.source_component == component)
-            .map(|e| e.target_component.clone())
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-
     /// Edges present in `self` but not in `other` (compared by full metric
     /// key, ignoring the statistical attributes).
     pub fn edges_not_in<'a>(&'a self, other: &DependencyGraph) -> Vec<&'a DependencyEdge> {
@@ -187,28 +169,6 @@ impl DependencyGraph {
             .iter()
             .filter(|e| !other_keys.contains(&e.metric_key()))
             .collect()
-    }
-
-    /// Edges present in both graphs whose lag differs by more than
-    /// `tolerance_ms`; returned as `(self_edge, other_edge)` pairs. The RCA
-    /// engine treats lag changes between versions as anomaly indicators.
-    pub fn lag_changes<'a>(
-        &'a self,
-        other: &'a DependencyGraph,
-        tolerance_ms: u64,
-    ) -> Vec<(&'a DependencyEdge, &'a DependencyEdge)> {
-        let mut out = Vec::new();
-        let other_by_key: BTreeMap<_, &DependencyEdge> =
-            other.edges.iter().map(|e| (e.metric_key(), e)).collect();
-        for e in &self.edges {
-            if let Some(o) = other_by_key.get(&e.metric_key()) {
-                let diff = e.lag_ms.abs_diff(o.lag_ms);
-                if diff > tolerance_ms {
-                    out.push((e, *o));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -271,10 +231,9 @@ mod tests {
         let g = sample();
         assert!(g.has_component_edge("haproxy", "web"));
         assert!(!g.has_component_edge("web", "haproxy"));
-        assert_eq!(g.edges_of("web").len(), 3);
         assert_eq!(g.edges_between("web", "redis").len(), 1);
-        assert_eq!(g.out_degree("web"), 2);
-        assert_eq!(g.out_degree("spelling"), 0);
+        assert_eq!(g.edges_between("web", "mongodb").len(), 1);
+        assert!(g.edges_between("spelling", "web").is_empty());
     }
 
     #[test]
@@ -348,16 +307,6 @@ mod tests {
         assert_eq!(new_edges.len(), 1);
         assert_eq!(new_edges[0].source_component, "nova_api");
         assert!(correct.edges_not_in(&faulty).is_empty());
-    }
-
-    #[test]
-    fn lag_changes_are_detected_with_tolerance() {
-        let a = sample();
-        let mut b = sample();
-        // Change the lag of one edge by 1500 ms.
-        b.edges[2].lag_ms = 2500;
-        assert_eq!(a.lag_changes(&b, 500).len(), 1);
-        assert!(a.lag_changes(&b, 2000).is_empty());
     }
 
     #[test]

@@ -1,29 +1,10 @@
-//! Graphviz DOT rendering of call and dependency graphs.
+//! Graphviz DOT rendering of dependency graphs.
 //!
 //! Useful for reproducing visualisations such as Figure 6 of the paper (the
 //! ShareLatex dependency graph).
 
-use crate::{CallGraph, DependencyGraph};
+use crate::DependencyGraph;
 use std::fmt::Write as _;
-
-/// Renders a call graph as a DOT digraph. Edge labels carry call counts.
-pub fn call_graph_to_dot(graph: &CallGraph) -> String {
-    let mut out = String::from("digraph callgraph {\n");
-    for component in graph.components() {
-        let _ = writeln!(out, "    \"{}\";", escape(&component));
-    }
-    for (from, to, count) in graph.edges() {
-        let _ = writeln!(
-            out,
-            "    \"{}\" -> \"{}\" [label=\"{}\"];",
-            escape(from),
-            escape(to),
-            count
-        );
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Renders a dependency graph as a DOT digraph. Edges are labelled with the
 /// causing/affected metrics and the detected lag.
@@ -56,47 +37,37 @@ mod tests {
     use super::*;
     use crate::depgraph::DependencyEdge;
 
-    #[test]
-    fn call_graph_dot_contains_nodes_and_edges() {
-        let mut g = CallGraph::new();
-        g.record_calls("haproxy", "web", 3);
-        let dot = call_graph_to_dot(&g);
-        assert!(dot.starts_with("digraph callgraph {"));
-        assert!(dot.contains("\"haproxy\" -> \"web\" [label=\"3\"]"));
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn dependency_graph_dot_labels_metrics_and_lag() {
+    fn graph_with_edge(source: &str, target: &str) -> DependencyGraph {
         let mut g = DependencyGraph::new();
         g.add_edge(DependencyEdge {
-            source_component: "web".into(),
+            source_component: source.into(),
             source_metric: "http_requests_mean".into(),
-            target_component: "mongodb".into(),
+            target_component: target.into(),
             target_metric: "queries".into(),
             p_value: 0.01,
             f_statistic: 12.0,
             lag_ms: 500,
         });
-        let dot = dependency_graph_to_dot(&g);
+        g
+    }
+
+    #[test]
+    fn dependency_graph_dot_labels_metrics_and_lag() {
+        let dot = dependency_graph_to_dot(&graph_with_edge("web", "mongodb"));
+        assert!(dot.starts_with("digraph dependencies {"));
         assert!(dot.contains("\"web\" -> \"mongodb\""));
         assert!(dot.contains("http_requests_mean => queries (500 ms)"));
+        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]
     fn quotes_in_names_are_escaped() {
-        let mut g = CallGraph::new();
-        g.record_call("a\"b", "c");
-        let dot = call_graph_to_dot(&g);
+        let dot = dependency_graph_to_dot(&graph_with_edge("a\"b", "c"));
         assert!(dot.contains("a\\\"b"));
     }
 
     #[test]
     fn empty_graphs_render_valid_dot() {
-        assert_eq!(
-            call_graph_to_dot(&CallGraph::new()),
-            "digraph callgraph {\n}\n"
-        );
         assert_eq!(
             dependency_graph_to_dot(&DependencyGraph::new()),
             "digraph dependencies {\n}\n"

@@ -9,9 +9,9 @@
 //!   edges connect *representative metrics* of neighbouring components and
 //!   carry the causality direction, p-value and time lag ([`depgraph`]).
 //!
-//! Both can be rendered to Graphviz DOT ([`dot`]) for the kind of
-//! visualisation shown in Figure 6 of the paper, and the dependency graph
-//! supports the structural diffing the RCA engine builds on.
+//! The dependency graph can be rendered to Graphviz DOT ([`dot`]) for the
+//! kind of visualisation shown in Figure 6 of the paper, and supports the
+//! structural diffing the RCA engine builds on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,8 @@
-//! Differencing and lagging transforms.
+//! First differencing.
 //!
 //! Non-stationary series (e.g. monotonically increasing counters) would make
 //! Sieve's Granger F-tests find spurious regressions; the paper takes the
-//! first difference of those series (§3.3). The Granger tests also compare a
-//! metric against the *time-lagged* version of another metric, so lag/shift
-//! helpers live here too.
-
-use crate::TimeSeries;
+//! first difference of those series (§3.3).
 
 /// First difference of `data`: `d[i] = data[i+1] - data[i]`.
 ///
@@ -20,71 +16,6 @@ pub fn first_difference(data: &[f64]) -> Vec<f64> {
         return Vec::new();
     }
     data.windows(2).map(|w| w[1] - w[0]).collect()
-}
-
-/// Applies [`first_difference`] `order` times.
-pub fn difference(data: &[f64], order: usize) -> Vec<f64> {
-    let mut out = data.to_vec();
-    for _ in 0..order {
-        out = first_difference(&out);
-    }
-    out
-}
-
-/// First difference of a [`TimeSeries`], keeping the later timestamp of each
-/// pair so that causality ordering is preserved.
-pub fn difference_series(series: &TimeSeries) -> TimeSeries {
-    if series.len() < 2 {
-        return TimeSeries::new();
-    }
-    let ts = series.timestamps()[1..].to_vec();
-    let vals = first_difference(series.values());
-    TimeSeries::from_parts(ts, vals).expect("differenced series keeps ordering")
-}
-
-/// Shifts `data` forward by `lag` positions, filling the head with the first
-/// observed value (used to build the "time-lagged version" of a metric).
-pub fn shift_forward(data: &[f64], lag: usize) -> Vec<f64> {
-    if data.is_empty() {
-        return Vec::new();
-    }
-    if lag == 0 {
-        return data.to_vec();
-    }
-    let fill = data[0];
-    let mut out = Vec::with_capacity(data.len());
-    for i in 0..data.len() {
-        if i < lag {
-            out.push(fill);
-        } else {
-            out.push(data[i - lag]);
-        }
-    }
-    out
-}
-
-/// Builds a lagged design matrix: row `t` contains
-/// `[y[t-1], y[t-2], ..., y[t-p]]` for `t` in `p..n`. Returns the rows and
-/// the corresponding targets `y[t]`.
-///
-/// This is the autoregressive part shared by the restricted and unrestricted
-/// models of the Granger test.
-pub fn lagged_matrix(y: &[f64], p: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let n = y.len();
-    if p == 0 || n <= p {
-        return (Vec::new(), Vec::new());
-    }
-    let mut rows = Vec::with_capacity(n - p);
-    let mut targets = Vec::with_capacity(n - p);
-    for t in p..n {
-        let mut row = Vec::with_capacity(p);
-        for k in 1..=p {
-            row.push(y[t - k]);
-        }
-        rows.push(row);
-        targets.push(y[t]);
-    }
-    (rows, targets)
 }
 
 #[cfg(test)]
@@ -106,47 +37,8 @@ mod tests {
     #[test]
     fn second_difference_removes_linear_trend() {
         let data: Vec<f64> = (0..10).map(|i| 3.0 * i as f64 + 7.0).collect();
-        let d2 = difference(&data, 2);
+        let d2 = first_difference(&first_difference(&data));
         assert_eq!(d2.len(), 8);
         assert!(d2.iter().all(|v| v.abs() < 1e-12));
-    }
-
-    #[test]
-    fn difference_series_shifts_timestamps() {
-        let ts = TimeSeries::from_values(0, 500, vec![1.0, 3.0, 6.0]);
-        let d = difference_series(&ts);
-        assert_eq!(d.timestamps(), &[500, 1000]);
-        assert_eq!(d.values(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn difference_of_single_point_series_is_empty() {
-        let ts = TimeSeries::from_values(0, 500, vec![42.0]);
-        assert!(difference_series(&ts).is_empty());
-    }
-
-    #[test]
-    fn shift_forward_pads_with_first_value() {
-        assert_eq!(shift_forward(&[1.0, 2.0, 3.0], 1), vec![1.0, 1.0, 2.0]);
-        assert_eq!(shift_forward(&[1.0, 2.0, 3.0], 0), vec![1.0, 2.0, 3.0]);
-        assert!(shift_forward(&[], 2).is_empty());
-    }
-
-    #[test]
-    fn lagged_matrix_shapes_are_consistent() {
-        let y = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let (rows, targets) = lagged_matrix(&y, 2);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(targets, vec![3.0, 4.0, 5.0]);
-        assert_eq!(rows[0], vec![2.0, 1.0]);
-        assert_eq!(rows[2], vec![4.0, 3.0]);
-    }
-
-    #[test]
-    fn lagged_matrix_degenerate_cases() {
-        let (rows, targets) = lagged_matrix(&[1.0, 2.0], 5);
-        assert!(rows.is_empty() && targets.is_empty());
-        let (rows, _) = lagged_matrix(&[1.0, 2.0, 3.0], 0);
-        assert!(rows.is_empty());
     }
 }

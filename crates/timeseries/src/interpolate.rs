@@ -147,41 +147,6 @@ pub fn linear_interpolate(xs: &[f64], ys: &[f64], x: f64) -> Option<f64> {
     Some(ys[ys.len() - 1])
 }
 
-/// Fills missing values (`None`) in `samples` by interpolating over the
-/// present ones: cubic spline when at least three observations are present,
-/// linear for two, constant for one. All-missing input yields all zeros.
-pub fn fill_gaps(samples: &[Option<f64>]) -> Vec<f64> {
-    let known: Vec<(f64, f64)> = samples
-        .iter()
-        .enumerate()
-        .filter_map(|(i, v)| v.map(|v| (i as f64, v)))
-        .collect();
-    if known.is_empty() {
-        return vec![0.0; samples.len()];
-    }
-    if known.len() == 1 {
-        return vec![known[0].1; samples.len()];
-    }
-    let xs: Vec<f64> = known.iter().map(|(x, _)| *x).collect();
-    let ys: Vec<f64> = known.iter().map(|(_, y)| *y).collect();
-    if known.len() >= 3 {
-        if let Ok(spline) = CubicSpline::fit(&xs, &ys) {
-            return (0..samples.len())
-                .map(|i| match samples[i] {
-                    Some(v) => v,
-                    None => spline.evaluate(i as f64),
-                })
-                .collect();
-        }
-    }
-    (0..samples.len())
-        .map(|i| match samples[i] {
-            Some(v) => v,
-            None => linear_interpolate(&xs, &ys, i as f64).unwrap_or(0.0),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,28 +206,5 @@ mod tests {
             linear_interpolate(&[0.0, 2.0], &[0.0, 10.0], 5.0),
             Some(10.0)
         );
-    }
-
-    #[test]
-    fn fill_gaps_recovers_smooth_signal() {
-        // Quadratic signal with two holes.
-        let truth: Vec<f64> = (0..10).map(|i| (i as f64).powi(2)).collect();
-        let mut samples: Vec<Option<f64>> = truth.iter().copied().map(Some).collect();
-        samples[3] = None;
-        samples[7] = None;
-        let filled = fill_gaps(&samples);
-        assert!((filled[3] - 9.0).abs() < 0.5);
-        assert!((filled[7] - 49.0).abs() < 0.5);
-        // Present samples are untouched.
-        assert_eq!(filled[0], 0.0);
-        assert_eq!(filled[9], 81.0);
-    }
-
-    #[test]
-    fn fill_gaps_handles_degenerate_inputs() {
-        assert_eq!(fill_gaps(&[None, None]), vec![0.0, 0.0]);
-        assert_eq!(fill_gaps(&[None, Some(5.0), None]), vec![5.0, 5.0, 5.0]);
-        let two = fill_gaps(&[Some(0.0), None, Some(2.0)]);
-        assert!((two[1] - 1.0).abs() < 1e-9);
     }
 }

@@ -4,14 +4,18 @@
 //! machinery that the Sieve pipeline (Thalheim et al., Middleware 2017)
 //! relies on:
 //!
-//! * a [`TimeSeries`] container with millisecond timestamps,
-//! * descriptive statistics ([`stats`]),
+//! * a [`TimeSeries`] container with millisecond timestamps and its
+//!   zero-copy [`SeriesView`],
+//! * the descriptive statistics and chunked reduction kernels the variance
+//!   filter, the Granger lag search and the OLS normal equations read
+//!   ([`stats`]),
 //! * z-normalization ([`normalize`]) as required by k-Shape,
 //! * natural cubic-spline interpolation for gap reconstruction
 //!   ([`interpolate`], §3.2 of the paper),
-//! * resampling/discretization to a fixed 500 ms grid ([`resample`]),
-//! * first-differencing and lagging for the Granger causality tests
-//!   ([`diff`]),
+//! * resampling/discretization to a fixed 500 ms grid through those
+//!   splines ([`resample`]),
+//! * first-differencing of non-stationary series for the Granger causality
+//!   tests ([`diff`]),
 //! * a radix-2 FFT ([`fft`]) used to compute the normalized
 //!   cross-correlation,
 //! * the shape-based distance (SBD) of the k-Shape algorithm ([`sbd`]), and

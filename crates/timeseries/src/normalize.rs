@@ -31,22 +31,6 @@ pub fn z_normalize(data: &[f64]) -> Vec<f64> {
     data.iter().map(|v| (v - m) * inv).collect()
 }
 
-/// In-place z-normalization. Identical float operations to [`z_normalize`].
-pub fn z_normalize_in_place(data: &mut [f64]) {
-    let m = stats::mean(data);
-    let s = stats::std_dev(data);
-    if s == 0.0 {
-        for v in data.iter_mut() {
-            *v = 0.0;
-        }
-        return;
-    }
-    let inv = 1.0 / s;
-    for v in data.iter_mut() {
-        *v = (*v - m) * inv;
-    }
-}
-
 /// z-normalizes `data` into the caller-provided `out` slice — the columnar
 /// series caches use this to fill one contiguous arena without a temporary
 /// allocation per series. Identical float operations to [`z_normalize`].
@@ -68,18 +52,6 @@ pub fn z_normalize_into(data: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Min-max normalization into `[0, 1]`. A constant series maps to all zeros.
-pub fn min_max_normalize(data: &[f64]) -> Vec<f64> {
-    let (Some(lo), Some(hi)) = (stats::min(data), stats::max(data)) else {
-        return Vec::new();
-    };
-    let range = hi - lo;
-    if range == 0.0 {
-        return vec![0.0; data.len()];
-    }
-    data.iter().map(|v| (v - lo) / range).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,17 +69,6 @@ mod tests {
     fn z_normalize_constant_series_is_all_zero() {
         let z = z_normalize(&[4.0, 4.0, 4.0]);
         assert_eq!(z, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn z_normalize_in_place_matches_copy_version() {
-        let data = [3.0, 1.0, 4.0, 1.0, 5.0];
-        let copy = z_normalize(&data);
-        let mut inplace = data.to_vec();
-        z_normalize_in_place(&mut inplace);
-        for (a, b) in copy.iter().zip(inplace.iter()) {
-            assert!((a - b).abs() < 1e-15);
-        }
     }
 
     #[test]
@@ -133,17 +94,5 @@ mod tests {
         let mut zeros = vec![f64::NAN; 3];
         z_normalize_into(&[2.0, 2.0, 2.0], &mut zeros);
         assert_eq!(zeros, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn min_max_maps_to_unit_interval() {
-        let n = min_max_normalize(&[10.0, 20.0, 15.0]);
-        assert_eq!(n, vec![0.0, 1.0, 0.5]);
-    }
-
-    #[test]
-    fn min_max_of_constant_is_zero() {
-        assert_eq!(min_max_normalize(&[7.0, 7.0]), vec![0.0, 0.0]);
-        assert!(min_max_normalize(&[]).is_empty());
     }
 }

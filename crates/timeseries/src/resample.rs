@@ -5,7 +5,7 @@
 //! causality testing (§3.2: "we discretize using 500ms instead of the
 //! original 2s used in the original k-Shape paper"). This module resamples a
 //! [`TimeSeries`] onto such a grid using cubic-spline (or linear)
-//! interpolation and aligns pairs of series onto a shared grid.
+//! interpolation.
 
 use crate::interpolate::{linear_interpolate, CubicSpline};
 use crate::series::SeriesView;
@@ -75,89 +75,6 @@ pub fn resample_view(series: SeriesView<'_>, interval_ms: u64) -> Result<TimeSer
             .collect()
     };
     TimeSeries::from_parts(grid, values)
-}
-
-/// Aligns two series onto a shared regular grid spanning the overlap of
-/// their time ranges, returning `(grid_timestamps, a_values, b_values)`.
-///
-/// # Errors
-///
-/// * [`TimeSeriesError::Empty`] if either series is empty or the series do
-///   not overlap in time.
-/// * [`TimeSeriesError::InvalidParameter`] when `interval_ms` is zero.
-pub fn align(
-    a: &TimeSeries,
-    b: &TimeSeries,
-    interval_ms: u64,
-) -> Result<(Vec<u64>, Vec<f64>, Vec<f64>)> {
-    if a.is_empty() || b.is_empty() {
-        return Err(TimeSeriesError::Empty);
-    }
-    if interval_ms == 0 {
-        return Err(TimeSeriesError::InvalidParameter {
-            name: "interval_ms",
-            reason: "must be positive".to_string(),
-        });
-    }
-    let start = a.start_ms().unwrap().max(b.start_ms().unwrap());
-    let end = a.end_ms().unwrap().min(b.end_ms().unwrap());
-    if end < start {
-        return Err(TimeSeriesError::Empty);
-    }
-    let ra = resample(a, interval_ms)?;
-    let rb = resample(b, interval_ms)?;
-    let wa = ra.window(start, end + 1);
-    let wb = rb.window(start, end + 1);
-    let n = wa.len().min(wb.len());
-    Ok((
-        wa.timestamps()[..n].to_vec(),
-        wa.values()[..n].to_vec(),
-        wb.values()[..n].to_vec(),
-    ))
-}
-
-/// Downsamples by averaging consecutive non-overlapping buckets of
-/// `bucket_ms` width; useful for coarse visualisation and the monitoring
-/// cost model.
-///
-/// # Errors
-///
-/// * [`TimeSeriesError::Empty`] for an empty input.
-/// * [`TimeSeriesError::InvalidParameter`] when `bucket_ms` is zero.
-pub fn downsample_mean(series: &TimeSeries, bucket_ms: u64) -> Result<TimeSeries> {
-    if series.is_empty() {
-        return Err(TimeSeriesError::Empty);
-    }
-    if bucket_ms == 0 {
-        return Err(TimeSeriesError::InvalidParameter {
-            name: "bucket_ms",
-            reason: "must be positive".to_string(),
-        });
-    }
-    let start = series.start_ms().unwrap();
-    let mut out_ts = Vec::new();
-    let mut out_vals = Vec::new();
-    let mut bucket_start = start;
-    let mut acc = 0.0;
-    let mut count = 0usize;
-    for (t, v) in series.iter() {
-        while t >= bucket_start + bucket_ms {
-            if count > 0 {
-                out_ts.push(bucket_start);
-                out_vals.push(acc / count as f64);
-            }
-            bucket_start += bucket_ms;
-            acc = 0.0;
-            count = 0;
-        }
-        acc += v;
-        count += 1;
-    }
-    if count > 0 {
-        out_ts.push(bucket_start);
-        out_vals.push(acc / count as f64);
-    }
-    TimeSeries::from_parts(out_ts, out_vals)
 }
 
 #[cfg(test)]
@@ -238,40 +155,5 @@ mod tests {
         let tail = SeriesView::new(&ts.timestamps()[1..], &ts.values()[1..]);
         let tail_resampled = resample_view(tail, 500).unwrap();
         assert_eq!(tail_resampled.start_ms(), Some(600));
-    }
-
-    #[test]
-    fn align_intersects_time_ranges() {
-        let a = TimeSeries::from_values(0, 500, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        let b = TimeSeries::from_values(1000, 500, vec![10.0, 11.0, 12.0, 13.0]);
-        let (grid, va, vb) = align(&a, &b, 500).unwrap();
-        assert_eq!(grid.first().copied(), Some(1000));
-        assert_eq!(va.len(), vb.len());
-        assert_eq!(va.len(), 4);
-        assert!((va[0] - 2.0).abs() < 1e-9);
-        assert!((vb[0] - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn align_fails_without_overlap() {
-        let a = TimeSeries::from_values(0, 100, vec![1.0, 2.0]);
-        let b = TimeSeries::from_values(10_000, 100, vec![1.0, 2.0]);
-        assert!(align(&a, &b, 100).is_err());
-    }
-
-    #[test]
-    fn downsample_mean_averages_buckets() {
-        let ts = TimeSeries::from_values(0, 100, vec![1.0, 3.0, 5.0, 7.0]);
-        let d = downsample_mean(&ts, 200).unwrap();
-        assert_eq!(d.len(), 2);
-        assert!((d.values()[0] - 2.0).abs() < 1e-9);
-        assert!((d.values()[1] - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn downsample_handles_sparse_series() {
-        let ts = TimeSeries::from_parts(vec![0, 1000, 5000], vec![1.0, 2.0, 3.0]).unwrap();
-        let d = downsample_mean(&ts, 1000).unwrap();
-        assert_eq!(d.len(), 3);
     }
 }

@@ -170,21 +170,6 @@ impl TimeSeries {
             values: self.values.iter().map(|&v| f(v)).collect(),
         }
     }
-
-    /// Checks that every value is finite.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TimeSeriesError::NonFiniteValue`] with the index of the
-    /// first NaN or infinite value.
-    pub fn check_finite(&self) -> Result<()> {
-        for (i, v) in self.values.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(TimeSeriesError::NonFiniteValue { index: i });
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A borrowed, zero-copy view of a contiguous run of observations:
@@ -356,15 +341,6 @@ mod tests {
         let doubled = ts.map(|v| v * 2.0);
         assert_eq!(doubled.values(), &[2.0, 4.0]);
         assert_eq!(doubled.timestamps(), ts.timestamps());
-    }
-
-    #[test]
-    fn check_finite_detects_nan() {
-        let ts = TimeSeries::from_values(0, 100, vec![1.0, f64::NAN]);
-        assert_eq!(
-            ts.check_finite().unwrap_err(),
-            TimeSeriesError::NonFiniteValue { index: 1 }
-        );
     }
 
     #[test]

@@ -111,16 +111,6 @@ pub fn variance(data: &[f64]) -> f64 {
     chunked_sum_with(data, |v| (v - m) * (v - m)) / data.len() as f64
 }
 
-/// Sample variance (divides by `n - 1`). Returns `0.0` for fewer than two
-/// observations.
-pub fn sample_variance(data: &[f64]) -> f64 {
-    if data.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(data);
-    chunked_sum_with(data, |v| (v - m) * (v - m)) / (data.len() - 1) as f64
-}
-
 /// Population standard deviation.
 pub fn std_dev(data: &[f64]) -> f64 {
     variance(data).sqrt()
@@ -167,30 +157,6 @@ pub fn percentile(data: &[f64], p: f64) -> Option<f64> {
 /// Median (50th percentile).
 pub fn median(data: &[f64]) -> Option<f64> {
     percentile(data, 50.0)
-}
-
-/// Population covariance of two equally long slices; `0.0` if the slices are
-/// shorter than two observations or have different lengths.
-pub fn covariance(x: &[f64], y: &[f64]) -> f64 {
-    if x.len() != y.len() || x.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(x);
-    let my = mean(y);
-    let x_chunks = x.chunks_exact(LANES);
-    let x_rem = x_chunks.remainder();
-    let y_rem = &y[y.len() - x_rem.len()..];
-    let mut acc = [0.0f64; LANES];
-    for (xc, yc) in x_chunks.zip(y.chunks_exact(LANES)) {
-        for ((a, &xv), &yv) in acc.iter_mut().zip(xc.iter()).zip(yc.iter()) {
-            *a += (xv - mx) * (yv - my);
-        }
-    }
-    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (&xv, &yv) in x_rem.iter().zip(y_rem.iter()) {
-        total += (xv - mx) * (yv - my);
-    }
-    total / x.len() as f64
 }
 
 /// Pearson correlation coefficient; `0.0` when either series is constant or
@@ -240,52 +206,9 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     (txy / n) / (sx * sy)
 }
 
-/// Autocorrelation of `data` at a given `lag` (biased estimator, normalised
-/// by the lag-0 autocovariance). Returns `0.0` when it is not defined.
-pub fn autocorrelation(data: &[f64], lag: usize) -> f64 {
-    let n = data.len();
-    if n < 2 || lag >= n {
-        return 0.0;
-    }
-    let m = mean(data);
-    let denom: f64 = data.iter().map(|v| (v - m).powi(2)).sum();
-    if denom == 0.0 {
-        return 0.0;
-    }
-    let num: f64 = (0..n - lag)
-        .map(|i| (data[i] - m) * (data[i + lag] - m))
-        .sum();
-    num / denom
-}
-
 /// Sum of squared values.
 pub fn sum_of_squares(data: &[f64]) -> f64 {
     chunked_sum_with(data, |v| v * v)
-}
-
-/// Residual sum of squares between observations and fitted values.
-///
-/// Both slices must have equal length; extra elements in the longer slice are
-/// ignored.
-pub fn residual_sum_of_squares(observed: &[f64], fitted: &[f64]) -> f64 {
-    let len = observed.len().min(fitted.len());
-    let (observed, fitted) = (&observed[..len], &fitted[..len]);
-    let o_chunks = observed.chunks_exact(LANES);
-    let o_rem = o_chunks.remainder();
-    let f_rem = &fitted[len - o_rem.len()..];
-    let mut acc = [0.0f64; LANES];
-    for (oc, fc) in o_chunks.zip(fitted.chunks_exact(LANES)) {
-        for ((a, &o), &f) in acc.iter_mut().zip(oc.iter()).zip(fc.iter()) {
-            let d = o - f;
-            *a += d * d;
-        }
-    }
-    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (&o, &f) in o_rem.iter().zip(f_rem.iter()) {
-        let d = o - f;
-        total += d * d;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -307,13 +230,6 @@ mod tests {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_close(variance(&data), 4.0, 1e-12);
         assert_close(std_dev(&data), 2.0, 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_uses_n_minus_one() {
-        let data = [1.0, 2.0, 3.0];
-        assert_close(variance(&data), 2.0 / 3.0, 1e-12);
-        assert_close(sample_variance(&data), 1.0, 1e-12);
     }
 
     #[test]
@@ -359,20 +275,6 @@ mod tests {
         let x = [1.0, 1.0, 1.0];
         let y = [1.0, 2.0, 3.0];
         assert_eq!(pearson(&x, &y), 0.0);
-    }
-
-    #[test]
-    fn autocorrelation_is_one_at_lag_zero() {
-        let data = [1.0, 3.0, 2.0, 5.0, 4.0];
-        assert_close(autocorrelation(&data, 0), 1.0, 1e-12);
-    }
-
-    #[test]
-    fn autocorrelation_of_alternating_series_is_negative_at_lag_one() {
-        let data: Vec<f64> = (0..50)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!(autocorrelation(&data, 1) < -0.9);
     }
 
     /// Deterministic pseudo-noise for the kernel-oracle tests.
@@ -432,13 +334,7 @@ mod tests {
                         / len as f64;
                     let seq_pearson = cov / (std_dev(&x) * std_dev(&y));
                     close(pearson(&x, &y), seq_pearson, "pearson");
-                    close(covariance(&x, &y), cov, "covariance");
                 }
-                close(
-                    residual_sum_of_squares(&x, &y),
-                    x.iter().zip(y.iter()).map(|(o, f)| (o - f).powi(2)).sum(),
-                    "rss",
-                );
             }
         }
     }
@@ -454,12 +350,5 @@ mod tests {
     #[should_panic(expected = "equal lengths")]
     fn dot_rejects_mismatched_lengths() {
         dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn rss_of_perfect_fit_is_zero() {
-        let obs = [1.0, 2.0, 3.0];
-        assert_eq!(residual_sum_of_squares(&obs, &obs), 0.0);
-        assert_close(residual_sum_of_squares(&obs, &[1.0, 2.0, 4.0]), 1.0, 1e-12);
     }
 }

@@ -74,7 +74,6 @@ fn variance_is_non_negative() {
     for seed in 0..CASES {
         let data = Rng::new(seed).finite_vec(0, 100);
         assert!(stats::variance(&data) >= 0.0, "seed {seed}");
-        assert!(stats::sample_variance(&data) >= 0.0, "seed {seed}");
     }
 }
 
