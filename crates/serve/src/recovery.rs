@@ -120,6 +120,15 @@ pub struct ShardRecovery {
     pub frames_replayed: u64,
     /// The corrupt region of the log, if the log did not end cleanly.
     pub corruption: Option<CorruptionSummary>,
+    /// Metric ids read from the log: one per point and one per watermark
+    /// of every ingest frame decoded, resynchronized frames included.
+    pub ids_decoded: u64,
+    /// Of those, the distinct ids, each interned once.
+    pub ids_interned: u64,
+    /// Of those, the ids found by hashing because the id read before them
+    /// did not predict them (first sights included); the rest were
+    /// predicted.
+    pub ids_hashed: u64,
     /// Per-tenant outcomes, keyed by tenant name. A tenant present here
     /// but absent from [`crate::service::SieveService::tenants`] lost its
     /// creation record entirely (corrupt snapshot plus truncated log) and
@@ -323,7 +332,9 @@ fn replay_event(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent, i
         WalEvent::IngestBatch {
             points, watermarks, ..
         } => {
-            let batch = points.iter().map(|(id, ts, value)| (id, *ts, *value));
+            let batch = points
+                .iter()
+                .map(|&(slot, ts, value)| (&watermarks[slot as usize].0, ts, value));
             match store.record_batch_verified(batch, watermarks) {
                 Some(accepted) => tenant.points_replayed += accepted as u64,
                 None => tenant.lose(event),
@@ -389,6 +400,8 @@ pub(crate) fn recover_shard(
         recovered_through_seq = seq;
         replay_event(&mut replaying, &event, true);
     }
+    let ids = frames.ids();
+    let (ids_decoded, ids_interned, ids_hashed) = (ids.decoded(), ids.interned(), ids.hashed());
     let corruption = frames.finish();
     let resynced = corruption.iter().flat_map(|c| &c.resynced);
     for (_, event) in resynced.filter(|(seq, _)| *seq > snapshot_last_seq) {
@@ -428,6 +441,9 @@ pub(crate) fn recover_shard(
             reason: corruption.reason,
             lost_bytes: corruption.lost_bytes,
         }),
+        ids_decoded,
+        ids_interned,
+        ids_hashed,
         tenants: report_tenants,
     })
 }
@@ -466,6 +482,9 @@ mod tests {
                     reason: "checksum mismatch in frame seq 18".to_string(),
                     lost_bytes: 96,
                 }),
+                ids_decoded: 0,
+                ids_interned: 0,
+                ids_hashed: 0,
                 tenants,
             }],
         }

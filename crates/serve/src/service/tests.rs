@@ -536,6 +536,157 @@ fn a_bit_flip_mid_log_degrades_only_the_affected_tenant() {
 }
 
 #[test]
+fn a_batch_whose_watermark_list_repeats_a_series_degrades_only_its_tenant() {
+    let dir = temp_dir("repeated-watermark");
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000));
+    let service = SieveService::new(config.clone()).unwrap();
+    service.create_tenant("alpha", web_db_graph()).unwrap();
+    service.create_tenant("beta", web_db_graph()).unwrap();
+    ingest_wave(&service, "alpha", 0..40, 0.0);
+    ingest_wave(&service, "beta", 0..40, 1.3);
+    service.refresh_dirty().unwrap();
+    let live_alpha = service.model("alpha").unwrap().unwrap();
+    let live_beta = service.model("beta").unwrap().unwrap();
+    drop(service);
+
+    // Live ingest never writes this frame: its checksum verifies and it
+    // decodes (each point maps to the first slot listing its series), but
+    // the watermark list names `web/requests` twice.
+    let shard = sieve_exec::hash::shard_index("beta", config.shard_count);
+    let log_path = dir.join(sieve_wal::log_file_name(shard));
+    let mut bytes = std::fs::read(&log_path).unwrap();
+    let last_seq = sieve_wal::scan_log(&bytes).last_seq().unwrap();
+    let requests = sieve_simulator::store::MetricId::new("web", "requests");
+    let batch = WalEvent::IngestBatch {
+        tenant: "beta".into(),
+        points: vec![(0, 40 * 500, 1.0), (1, 41 * 500, 2.0), (0, 42 * 500, 3.0)],
+        watermarks: vec![(requests.clone(), 1), (requests, 2)],
+    };
+    bytes.extend_from_slice(&sieve_wal::frame::encode(last_seq + 1, &batch));
+    std::fs::write(&log_path, &bytes).unwrap();
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    let shard_report = report.shards.iter().find(|s| s.shard == shard).unwrap();
+    assert!(
+        shard_report.corruption.is_none(),
+        "the log itself is intact"
+    );
+    assert!(report.tenant("alpha").unwrap().is_clean());
+    assert_eq!(
+        report.tenant("beta"),
+        Some(&TenantRecovery::Recovered {
+            points_replayed: 160,
+            lost_suffix: crate::LostSuffix {
+                events: 1,
+                points: 3
+            },
+        })
+    );
+    recovered.refresh_dirty().unwrap();
+    assert_eq!(*recovered.model("alpha").unwrap().unwrap(), *live_alpha);
+    assert_eq!(*recovered.model("beta").unwrap().unwrap(), *live_beta);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_torn_snapshot_costs_only_its_shard_and_names_the_tenants_it_held() {
+    let dir = temp_dir("torn-snapshot");
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(3));
+    let shard = |name: &str| sieve_exec::hash::shard_index(name, config.shard_count);
+    let tenants = ["alpha", "beta", "epsilon", "gamma"];
+    assert_eq!(
+        tenants.map(shard),
+        [0, 1, 1, 3],
+        "tenants picked to share shard 1"
+    );
+    let service = SieveService::new(config.clone()).unwrap();
+    for name in tenants {
+        service.create_tenant(name, web_db_graph()).unwrap();
+    }
+    // Shard 1's third event, beta's first wave, trips its snapshot; the
+    // two waves after it are the log tail. Alpha's shard snapshots after
+    // its second wave and keeps one in its tail; gamma's never snapshots.
+    ingest_wave(&service, "beta", 0..10, 0.3);
+    ingest_wave(&service, "alpha", 0..20, 0.0);
+    ingest_wave(&service, "alpha", 20..40, 0.0);
+    ingest_wave(&service, "epsilon", 0..10, 0.7);
+    ingest_wave(&service, "beta", 10..20, 0.3);
+    ingest_wave(&service, "gamma", 0..40, 1.1);
+    ingest_wave(&service, "alpha", 40..60, 0.0);
+    service.refresh_dirty().unwrap();
+    let live_alpha = service.model("alpha").unwrap().unwrap();
+    let live_gamma = service.model("gamma").unwrap().unwrap();
+    drop(service);
+
+    // One byte of the body, past the 20-byte magic, version and checksum.
+    let snapshot_path = dir.join(sieve_wal::snapshot_file_name(1));
+    let mut bytes = std::fs::read(&snapshot_path).unwrap();
+    let at = 20 + (bytes.len() - 20) / 2;
+    bytes[at] ^= 0x04;
+    std::fs::write(&snapshot_path, &bytes).unwrap();
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    let corrupt: Vec<usize> = report
+        .shards
+        .iter()
+        .filter(|s| s.snapshot_corrupt)
+        .map(|s| s.shard)
+        .collect();
+    assert_eq!(corrupt, vec![1]);
+    // Beta and epsilon were created inside the lost snapshot: each tail
+    // wave is an event of a name no surviving record introduces.
+    let one_wave_lost = TenantRecovery::Recovered {
+        points_replayed: 0,
+        lost_suffix: crate::LostSuffix {
+            events: 1,
+            points: 40,
+        },
+    };
+    assert_eq!(report.tenant("beta"), Some(&one_wave_lost));
+    assert_eq!(report.tenant("epsilon"), Some(&one_wave_lost));
+    assert_eq!(report.degraded_tenants(), vec!["beta", "epsilon"]);
+    assert_eq!(recovered.tenants(), vec!["alpha", "gamma"]);
+    recovered.refresh_dirty().unwrap();
+    assert_eq!(*recovered.model("alpha").unwrap().unwrap(), *live_alpha);
+    assert_eq!(*recovered.model("gamma").unwrap().unwrap(), *live_gamma);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_counts_the_metric_ids_it_decodes_interns_and_hashes() {
+    let dir = temp_dir("id-counts");
+    // One shard: a single log holding three tenants' batches, interleaved.
+    let config = tiny_config()
+        .with_shard_count(1)
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000));
+    let service = SieveService::new(config.clone()).unwrap();
+    for name in ["alpha", "beta", "gamma"] {
+        service.create_tenant(name, web_db_graph()).unwrap();
+    }
+    for round in 0..3u64 {
+        for (bias, name) in ["alpha", "beta", "gamma"].into_iter().enumerate() {
+            ingest_wave(&service, name, round * 10..(round + 1) * 10, bias as f64);
+        }
+    }
+    service.set_call_graph("beta", CallGraph::new()).unwrap();
+    drop(service);
+
+    let (_, report) = SieveService::recover(config).unwrap();
+    assert!(report.is_clean(), "{report}");
+    let shard = &report.shards[0];
+    // Nine batches of 40 points and 4 watermarks over the same 4 series.
+    assert_eq!(shard.ids_decoded, 9 * (40 + 4));
+    assert_eq!(shard.ids_interned, 4);
+    // Every batch names the series in one order, so only the first batch
+    // (4 + 4 sights) and the first sight of the next tick and of the next
+    // watermark list (whose predecessor has no successor yet) are hashed.
+    assert_eq!(shard.ids_hashed, 10);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn snapshots_bound_replay_and_recovery_reads_snapshot_plus_tail() {
     let dir = temp_dir("snapshot-cadence");
     let config = tiny_config()

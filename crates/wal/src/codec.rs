@@ -151,6 +151,15 @@ impl Hasher for WordHasher {
     }
 }
 
+/// The section of an ingest batch a metric id is read from. Points arrive
+/// in record order and watermarks in id order, so [`IdMemo`] predicts each
+/// section's next id from that section's history alone.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Section {
+    Points = 0,
+    Watermarks = 1,
+}
+
 /// The [`MetricId`]s one decode pass has already seen, keyed by their
 /// encoded bytes.
 ///
@@ -158,23 +167,49 @@ impl Hasher for WordHasher {
 /// more per watermark. Without the memo every one of those sights copies
 /// two strings and takes the process-wide interner lock twice; with it the
 /// first sight of an id validates its UTF-8 and interns it through
-/// [`MetricId::new`], and every later sight is one lookup in this map and
-/// a reference-count bump. The key is the id's *whole* encoded range —
+/// [`MetricId::new`], and every later sight resolves to the entry holding
+/// it. The key is the id's *whole* encoded range —
 /// `[len][component][len][metric]`, borrowed from the buffer being
 /// decoded — so `("ab", "c")` and `("a", "bc")` are different keys, and an
 /// entry exists only for bytes that decoded: invalid UTF-8 is rejected at
 /// every sight. A memoised decode therefore equals a decode through a
 /// fresh memo, for any input (property-tested).
 ///
+/// Most sights are answered without hashing. Each entry remembers, per
+/// section of a batch, the entry sighted right after it last time; a sight
+/// whose bytes equal that predicted entry's key is that entry. Batches
+/// that repeat one id order — a scraper's, tick after tick — are predicted
+/// at nearly every sight; a miss (the first batch, a new series, a
+/// reordered batch) falls back to the map and re-links the predecessor.
+///
 /// One memo serves one buffer: a [`crate::reader::LogFrames`] owns the one
 /// for its log, [`crate::ShardSnapshot::decode`] makes one per snapshot.
 #[derive(Debug, Default)]
 pub struct IdMemo<'a> {
-    ids: HashMap<&'a [u8], MetricId, BuildHasherDefault<WordHasher>>,
+    index: HashMap<&'a [u8], u32, BuildHasherDefault<WordHasher>>,
+    entries: Vec<MemoEntry<'a>>,
+    /// Per section, the entry sighted last.
+    last: [Option<u32>; 2],
+    /// Stamp of the watermark list being read (see `MemoEntry::slot`).
+    listing: u64,
     decoded: u64,
+    hashed: u64,
 }
 
-impl IdMemo<'_> {
+/// One distinct id of an [`IdMemo`].
+#[derive(Debug)]
+struct MemoEntry<'a> {
+    key: &'a [u8],
+    id: MetricId,
+    /// Per section, the entry sighted right after this one last time.
+    next: [Option<u32>; 2],
+    /// The first slot of the watermark list stamped `listed` that names
+    /// this id; stale under any other stamp.
+    slot: u32,
+    listed: u64,
+}
+
+impl<'a> IdMemo<'a> {
     /// Metric ids read through this memo, repeats included.
     pub fn decoded(&self) -> u64 {
         self.decoded
@@ -183,7 +218,87 @@ impl IdMemo<'_> {
     /// Of those, the ones interned through [`MetricId::new`]: one per
     /// distinct id, which is also the number of entries the memo holds.
     pub fn interned(&self) -> u64 {
-        self.ids.len() as u64
+        self.entries.len() as u64
+    }
+
+    /// Of those, the sights the map answered: every sight the previous
+    /// id's successor link did not predict, first sights included.
+    pub fn hashed(&self) -> u64 {
+        self.hashed
+    }
+
+    /// Reads one encoded [`MetricId`] from `section` and returns the index
+    /// of its entry, interning it on its first sight.
+    pub(crate) fn sight(&mut self, cur: &mut Cursor<'a>, section: Section) -> DecodeResult<u32> {
+        let start = cur.pos;
+        let component = cur.take_prefixed("metric id component")?;
+        let metric = cur.take_prefixed("metric id metric")?;
+        let key = &cur.bytes[start..cur.pos];
+        self.decoded += 1;
+        let lane = section as usize;
+        let last = self.last[lane];
+        let predicted = last.and_then(|last| self.entries[last as usize].next[lane]);
+        let entry = match predicted {
+            Some(entry) if self.entries[entry as usize].key == key => entry,
+            _ => {
+                self.hashed += 1;
+                let entry = match self.index.get(key) {
+                    Some(&entry) => entry,
+                    None => self.intern(key, component, metric)?,
+                };
+                if let Some(last) = last {
+                    self.entries[last as usize].next[lane] = Some(entry);
+                }
+                entry
+            }
+        };
+        self.last[lane] = Some(entry);
+        Ok(entry)
+    }
+
+    fn intern(&mut self, key: &'a [u8], component: &[u8], metric: &[u8]) -> DecodeResult<u32> {
+        let id = MetricId::new(
+            utf8(component, "metric id component")?,
+            utf8(metric, "metric id metric")?,
+        );
+        let entry = u32::try_from(self.entries.len())
+            .map_err(|_| "more distinct metric ids than the memo indexes".to_string())?;
+        self.entries.push(MemoEntry {
+            key,
+            id,
+            next: [None; 2],
+            slot: 0,
+            listed: 0,
+        });
+        self.index.insert(key, entry);
+        Ok(entry)
+    }
+
+    /// The id of `entry`.
+    pub(crate) fn id(&self, entry: u32) -> &MetricId {
+        &self.entries[entry as usize].id
+    }
+
+    /// Starts a new watermark list: no entry is listed in it yet.
+    pub(crate) fn begin_listing(&mut self) {
+        self.listing += 1;
+    }
+
+    /// Lists `entry` at `slot` of the current watermark list, unless an
+    /// earlier slot already names it; returns its id.
+    pub(crate) fn list(&mut self, entry: u32, slot: u32) -> &MetricId {
+        let entry = &mut self.entries[entry as usize];
+        if entry.listed != self.listing {
+            entry.listed = self.listing;
+            entry.slot = slot;
+        }
+        &entry.id
+    }
+
+    /// The first slot of the current watermark list that names `entry`.
+    pub(crate) fn slot(&self, entry: u32) -> Option<u32> {
+        let entry = &self.entries[entry as usize];
+        (entry.listed == self.listing).then_some(entry.slot)
     }
 }
 
@@ -230,22 +345,11 @@ pub fn put_metric_id(buf: &mut Vec<u8>, id: &MetricId) {
 }
 
 /// Reads a [`MetricId`], interning it only if `memo` has not seen its
-/// encoded bytes before.
+/// encoded bytes before. A frozen store lists its series in id order, as a
+/// batch lists its watermarks.
 pub fn take_metric_id<'a>(cur: &mut Cursor<'a>, memo: &mut IdMemo<'a>) -> DecodeResult<MetricId> {
-    let start = cur.pos;
-    let component = cur.take_prefixed("metric id component")?;
-    let metric = cur.take_prefixed("metric id metric")?;
-    let encoded = &cur.bytes[start..cur.pos];
-    memo.decoded += 1;
-    if let Some(id) = memo.ids.get(encoded) {
-        return Ok(id.clone());
-    }
-    let id = MetricId::new(
-        utf8(component, "metric id component")?,
-        utf8(metric, "metric id metric")?,
-    );
-    memo.ids.insert(encoded, id.clone());
-    Ok(id)
+    let entry = memo.sight(cur, Section::Watermarks)?;
+    Ok(memo.id(entry).clone())
 }
 
 /// Appends a [`RetentionPolicy`].

@@ -14,11 +14,18 @@
 //! store's `record_batch_verified` checks before it writes), so a batch
 //! logged against a store state that no longer matches degrades the tenant
 //! loudly instead of corrupting it silently.
+//!
+//! Every accepted point's series has a watermark, so in memory a batch
+//! names each series once: a point holds the *slot* of its series in the
+//! watermark list, and the encoder writes that slot's id in the point's
+//! place. Decoding maps each point's id back to the first slot listing it;
+//! a checksummed batch with a point whose series no watermark names is
+//! malformed.
 
 use crate::codec::{
     put_call_graph, put_metric_id, put_retention, put_sieve_config, put_str, put_u64, put_u8,
-    put_usize, take_call_graph, take_metric_id, take_retention, take_sieve_config, Cursor,
-    DecodeResult, IdMemo,
+    put_usize, take_call_graph, take_retention, take_sieve_config, Cursor, DecodeResult, IdMemo,
+    Section,
 };
 use sieve_core::config::SieveConfig;
 use sieve_exec::Name;
@@ -62,8 +69,9 @@ pub enum WalEvent {
         /// Tenant name (interned — staging an event never clones the
         /// string).
         tenant: Name,
-        /// The accepted `(id, timestamp, value)` points, in apply order.
-        points: Vec<(MetricId, u64, f64)>,
+        /// The accepted `(slot, timestamp, value)` points, in apply order;
+        /// the point's series is `watermarks[slot].0`.
+        points: Vec<(u32, u64, f64)>,
         /// Post-apply content fingerprint of every series the batch
         /// touched, sorted by [`MetricId`] — the replay verification
         /// anchor.
@@ -131,9 +139,9 @@ impl WalEvent {
                 buf,
                 tenant,
                 points.len(),
-                points
-                    .iter()
-                    .map(|(id, timestamp_ms, value)| (id, *timestamp_ms, *value)),
+                points.iter().map(|&(slot, timestamp_ms, value)| {
+                    (&watermarks[slot as usize].0, timestamp_ms, value)
+                }),
                 watermarks,
             ),
         }
@@ -202,19 +210,28 @@ impl WalEvent {
             TAG_INGEST_BATCH => {
                 let tenant = Name::new(cur.take_str("tenant name")?);
                 let point_count = cur.take_usize("point count")?;
+                // A point holds its id's memo entry until the watermark
+                // list has given every entry its slot.
                 let mut points = Vec::with_capacity(point_count.min(65_536));
                 for _ in 0..point_count {
-                    let id = take_metric_id(&mut cur, memo)?;
+                    let entry = memo.sight(&mut cur, Section::Points)?;
                     let timestamp_ms = cur.take_u64("point timestamp")?;
                     let value = f64::from_bits(cur.take_u64("point value")?);
-                    points.push((id, timestamp_ms, value));
+                    points.push((entry, timestamp_ms, value));
                 }
                 let watermark_count = cur.take_usize("watermark count")?;
                 let mut watermarks = Vec::with_capacity(watermark_count.min(65_536));
-                for _ in 0..watermark_count {
-                    let id = take_metric_id(&mut cur, memo)?;
+                memo.begin_listing();
+                for slot in 0..watermark_count {
+                    let entry = memo.sight(&mut cur, Section::Watermarks)?;
                     let fingerprint = cur.take_u64("watermark fingerprint")?;
-                    watermarks.push((id, fingerprint));
+                    let slot = u32::try_from(slot).map_err(|_| "watermark count overflows u32")?;
+                    watermarks.push((memo.list(entry, slot).clone(), fingerprint));
+                }
+                for point in &mut points {
+                    point.0 = memo.slot(point.0).ok_or_else(|| {
+                        format!("a point of {} has no watermark", memo.id(point.0))
+                    })?;
                 }
                 Self::IngestBatch {
                     tenant,
@@ -262,10 +279,7 @@ mod tests {
             },
             WalEvent::IngestBatch {
                 tenant: "acme".into(),
-                points: vec![
-                    (MetricId::new("web", "cpu"), 500, 1.5),
-                    (MetricId::new("db", "mem"), 500, -3.25),
-                ],
+                points: vec![(1, 500, 1.5), (0, 500, -3.25)],
                 watermarks: vec![
                     (MetricId::new("db", "mem"), 0xABCD),
                     (MetricId::new("web", "cpu"), 0x1234),
@@ -298,14 +312,13 @@ mod tests {
             (MetricId::new("web", "mem"), 500, f64::NAN), // rejected live
             (MetricId::new("db", "mem"), 1000, -3.25),
         ];
-        let accepted: Vec<(MetricId, u64, f64)> = vec![points[0].clone(), points[2].clone()];
         let watermarks = vec![
             (MetricId::new("db", "mem"), 0xABCD),
             (MetricId::new("web", "cpu"), 0x1234),
         ];
         let event = WalEvent::IngestBatch {
             tenant: "acme".into(),
-            points: accepted.clone(),
+            points: vec![(1, 500, 1.5), (0, 1000, -3.25)],
             watermarks: watermarks.clone(),
         };
         let mut materialised = Vec::new();
@@ -364,6 +377,9 @@ mod tests {
     }
 
     /// A random event over a small pool of ids, so sequences repeat them.
+    /// A batch's watermark list may repeat an id and need not be sorted;
+    /// its points draw their series from it in random order, each naming
+    /// the first slot that lists it, so the memo's predictions also miss.
     fn random_event(rand: &mut impl FnMut() -> u64, ids: &[MetricId]) -> WalEvent {
         let tenant: Name = ["acme", "globex", "initech"][(rand() % 3) as usize].into();
         match rand() % 8 {
@@ -378,12 +394,28 @@ mod tests {
             }
             _ => {
                 let pick = |r: u64| ids[(r % ids.len() as u64) as usize].clone();
+                let watermarks: Vec<(MetricId, u64)> =
+                    (0..rand() % 4).map(|_| (pick(rand()), rand())).collect();
+                let first_listing = |r: u64| {
+                    let id = &watermarks[(r % watermarks.len() as u64) as usize].0;
+                    watermarks
+                        .iter()
+                        .position(|(listed, _)| listed == id)
+                        .unwrap() as u32
+                };
+                let points = match watermarks.len() {
+                    0 => Vec::new(),
+                    _ => (0..rand() % 6)
+                        .map(|_| {
+                            let slot = first_listing(rand());
+                            (slot, rand() % 9 * 500, (rand() % 100) as f64 / 4.0)
+                        })
+                        .collect(),
+                };
                 WalEvent::IngestBatch {
                     tenant,
-                    points: (0..rand() % 6)
-                        .map(|_| (pick(rand()), rand() % 9 * 500, (rand() % 100) as f64 / 4.0))
-                        .collect(),
-                    watermarks: (0..rand() % 4).map(|_| (pick(rand()), rand())).collect(),
+                    points,
+                    watermarks,
                 }
             }
         }
@@ -448,7 +480,9 @@ mod tests {
         let batches: Vec<WalEvent> = (1..=events)
             .map(|tick| WalEvent::IngestBatch {
                 tenant: "acme".into(),
-                points: ids.iter().map(|id| (id.clone(), tick * 500, 1.0)).collect(),
+                points: (0..points as u32)
+                    .map(|slot| (slot, tick * 500, 1.0))
+                    .collect(),
                 watermarks: ids.iter().map(|id| (id.clone(), tick)).collect(),
             })
             .collect();
@@ -459,5 +493,9 @@ mod tests {
         }
         assert_eq!(memo.decoded(), 2 * events * points);
         assert_eq!(memo.interned(), points);
+        // Each section hashes its first batch and the first id of its
+        // second (the link back from the last id); every later sight is
+        // predicted.
+        assert_eq!(memo.hashed(), 2 * (points + 1));
     }
 }

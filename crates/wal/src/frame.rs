@@ -13,6 +13,13 @@
 //! no second hashing scheme. A frame is accepted only if it is fully
 //! present, its length is plausible, its checksum verifies, *and* its
 //! payload decodes as a [`WalEvent`] with no trailing bytes.
+//!
+//! Judging a frame is three steps — parse the header, verify the
+//! checksum, decode the payload — that [`parse_at`] takes in turn for one
+//! offset. A scan of a whole log verifies a few frames at a time instead:
+//! [`checksums`] steps several independent chains in lockstep, which keeps
+//! the processor's multipliers busy where one chain would wait on its own
+//! previous step.
 
 use crate::codec::{le_words, put_u32, put_u64, IdMemo};
 use crate::event::WalEvent;
@@ -33,9 +40,30 @@ const CHECKSUM_SEED: u64 = 0x5349_4556_5741_4C46;
 /// length, folded over the payload in 8-byte LE chunks (the final partial
 /// chunk zero-padded).
 pub fn checksum(seq: u64, payload: &[u8]) -> u64 {
-    let mut fp = mix(mix(CHECKSUM_SEED, seq), payload.len() as u64);
-    le_words(payload, |word| fp = mix(fp, word));
+    let [fp] = checksums([(seq, payload)]);
     fp
+}
+
+/// [`checksum`] of `N` frames at once: the `N` chains step in lockstep
+/// over the words every payload has, then each folds its own tail.
+pub fn checksums<const N: usize>(frames: [(u64, &[u8]); N]) -> [u64; N] {
+    let mut fps = frames.map(|(seq, payload)| mix(mix(CHECKSUM_SEED, seq), payload.len() as u64));
+    let common = frames
+        .iter()
+        .map(|(_, payload)| payload.len() / 8)
+        .min()
+        .unwrap_or(0)
+        * 8;
+    for at in (0..common).step_by(8) {
+        for (fp, (_, payload)) in fps.iter_mut().zip(&frames) {
+            let word = payload[at..at + 8].try_into().expect("8 bytes");
+            *fp = mix(*fp, u64::from_le_bytes(word));
+        }
+    }
+    for (fp, (_, payload)) in fps.iter_mut().zip(&frames) {
+        le_words(&payload[common..], |word| *fp = mix(*fp, word));
+    }
+    fps
 }
 
 /// Encodes one event as a complete frame with sequence number `seq`.
@@ -77,6 +105,79 @@ pub enum Parsed {
     },
 }
 
+/// A complete frame header with a plausible length, its payload present.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Header {
+    pub(crate) seq: u64,
+    /// The checksum the frame carries.
+    pub(crate) stored: u64,
+    payload_start: usize,
+    /// Byte offset one past the frame's last byte.
+    pub(crate) end: usize,
+}
+
+impl Header {
+    /// Reads the frame header at `offset`: `Ok(None)` exactly at the end
+    /// of the log, the reason for a torn header, an implausible length or
+    /// a torn payload.
+    pub(crate) fn at(bytes: &[u8], offset: usize) -> Result<Option<Self>, String> {
+        if offset == bytes.len() {
+            return Ok(None);
+        }
+        if offset + HEADER_LEN > bytes.len() {
+            return Err(format!(
+                "torn frame header: {} bytes present, {HEADER_LEN} needed",
+                bytes.len() - offset
+            ));
+        }
+        let len =
+            u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
+        if len > MAX_PAYLOAD {
+            return Err(format!("implausible payload length {len}"));
+        }
+        let seq = u64::from_le_bytes(bytes[offset + 4..offset + 12].try_into().expect("8 bytes"));
+        let stored =
+            u64::from_le_bytes(bytes[offset + 12..offset + 20].try_into().expect("8 bytes"));
+        let payload_start = offset + HEADER_LEN;
+        let Some(end) = payload_start.checked_add(len).filter(|&e| e <= bytes.len()) else {
+            return Err(format!(
+                "torn frame payload: {} of {len} bytes present",
+                bytes.len() - payload_start
+            ));
+        };
+        Ok(Some(Self {
+            seq,
+            stored,
+            payload_start,
+            end,
+        }))
+    }
+
+    /// The frame's payload within `bytes`, the log the header was read
+    /// from.
+    pub(crate) fn payload<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+        &bytes[self.payload_start..self.end]
+    }
+}
+
+/// Decodes the frame `header` describes, whose checksum has verified.
+pub(crate) fn decode_verified<'a>(
+    bytes: &'a [u8],
+    header: Header,
+    memo: &mut IdMemo<'a>,
+) -> Parsed {
+    match WalEvent::decode(header.payload(bytes), memo) {
+        Ok(event) => Parsed::Frame {
+            seq: header.seq,
+            event,
+            end: header.end,
+        },
+        Err(reason) => Parsed::Bad {
+            reason: format!("checksummed payload failed to decode: {reason}"),
+        },
+    }
+}
+
 /// Attempts to parse one frame starting at `offset`, resolving metric ids
 /// through `memo` (one memo per `bytes`, whatever offsets it is asked
 /// about).
@@ -85,46 +186,17 @@ pub enum Parsed {
 /// payload, implausible length, checksum mismatch, undecodable payload —
 /// comes back as [`Parsed::Bad`].
 pub fn parse_at<'a>(bytes: &'a [u8], offset: usize, memo: &mut IdMemo<'a>) -> Parsed {
-    if offset == bytes.len() {
-        return Parsed::Eof;
-    }
-    if offset + HEADER_LEN > bytes.len() {
-        return Parsed::Bad {
-            reason: format!(
-                "torn frame header: {} bytes present, {HEADER_LEN} needed",
-                bytes.len() - offset
-            ),
-        };
-    }
-    let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_PAYLOAD {
-        return Parsed::Bad {
-            reason: format!("implausible payload length {len}"),
-        };
-    }
-    let seq = u64::from_le_bytes(bytes[offset + 4..offset + 12].try_into().expect("8 bytes"));
-    let stored = u64::from_le_bytes(bytes[offset + 12..offset + 20].try_into().expect("8 bytes"));
-    let payload_start = offset + HEADER_LEN;
-    let Some(end) = payload_start.checked_add(len).filter(|&e| e <= bytes.len()) else {
-        return Parsed::Bad {
-            reason: format!(
-                "torn frame payload: {} of {len} bytes present",
-                bytes.len() - payload_start
-            ),
-        };
+    let header = match Header::at(bytes, offset) {
+        Ok(Some(header)) => header,
+        Ok(None) => return Parsed::Eof,
+        Err(reason) => return Parsed::Bad { reason },
     };
-    let payload = &bytes[payload_start..end];
-    if checksum(seq, payload) != stored {
+    if checksum(header.seq, header.payload(bytes)) != header.stored {
         return Parsed::Bad {
-            reason: format!("checksum mismatch in frame seq {seq}"),
+            reason: format!("checksum mismatch in frame seq {}", header.seq),
         };
     }
-    match WalEvent::decode(payload, memo) {
-        Ok(event) => Parsed::Frame { seq, event, end },
-        Err(reason) => Parsed::Bad {
-            reason: format!("checksummed payload failed to decode: {reason}"),
-        },
-    }
+    decode_verified(bytes, header, memo)
 }
 
 #[cfg(test)]
@@ -144,7 +216,7 @@ mod tests {
     fn event() -> WalEvent {
         WalEvent::IngestBatch {
             tenant: "acme".into(),
-            points: vec![(MetricId::new("web", "cpu"), 500, 1.5)],
+            points: vec![(0, 500, 1.5)],
             watermarks: vec![(MetricId::new("web", "cpu"), 0x1234)],
         }
     }
@@ -276,10 +348,7 @@ mod tests {
             },
             WalEvent::IngestBatch {
                 tenant: "acme".into(),
-                points: vec![
-                    (MetricId::new("web", "cpu"), 500, 1.5),
-                    (MetricId::new("db", "mem"), 500, -3.25),
-                ],
+                points: vec![(1, 500, 1.5), (0, 500, -3.25)],
                 watermarks: vec![
                     (MetricId::new("db", "mem"), 0xABCD),
                     (MetricId::new("web", "cpu"), 0x1234),
@@ -339,6 +408,57 @@ mod tests {
                 checksum_reference(seq, &payload),
                 "payload of {len} bytes"
             );
+        }
+    }
+
+    #[test]
+    fn four_lane_checksums_equal_one_chain_per_frame() {
+        let mut state = 0x1A4E5_u64;
+        let mut rand = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            splitmix64(state)
+        };
+        // Unequal lanes of 0..600 bytes, then quads whose shortest lane has
+        // fewer than 8 bytes: no common word, every lane all tail.
+        for quad in 0..260 {
+            let cap = if quad < 200 { 600 } else { 8 };
+            let payloads: Vec<Vec<u8>> = (0..4)
+                .map(|_| (0..rand() % cap).map(|_| rand() as u8).collect())
+                .collect();
+            let seqs = [rand(), rand(), rand(), rand()];
+            let lanes = std::array::from_fn(|lane| (seqs[lane], payloads[lane].as_slice()));
+            let sums = checksums::<4>(lanes);
+            for (lane, sum) in sums.into_iter().enumerate() {
+                let (seq, payload) = lanes[lane];
+                let what = format!("quad {quad} lane {lane}: {} bytes", payload.len());
+                assert_eq!(sum, checksum(seq, payload), "{what}");
+                assert_eq!(sum, checksum_reference(seq, payload), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_point_of_a_series_without_a_watermark_is_a_bad_frame() {
+        let (listed, unlisted) = (MetricId::new("web", "cpu"), MetricId::new("db", "mem"));
+        let mut payload = Vec::new();
+        WalEvent::encode_ingest_batch_into(
+            &mut payload,
+            "acme",
+            2,
+            [(&listed, 500, 1.5), (&unlisted, 500, 2.5)],
+            &[(listed.clone(), 0x1234)],
+        );
+        let mut frame = Vec::new();
+        put_u32(&mut frame, payload.len() as u32);
+        put_u64(&mut frame, 1);
+        put_u64(&mut frame, checksum(1, &payload));
+        frame.extend_from_slice(&payload);
+        match parse(&frame, 0) {
+            Parsed::Bad { reason } => assert_eq!(
+                reason,
+                "checksummed payload failed to decode: a point of db/mem has no watermark"
+            ),
+            other => panic!("expected Bad, got {other:?}"),
         }
     }
 }

@@ -10,10 +10,22 @@
 //! ordering the fingerprint watermarks were computed against); they exist
 //! so recovery can report *exactly* which tenants lost *how many* events
 //! and points, instead of a vague "the tail is gone".
+//!
+//! The intact prefix is read four frames at a time: their headers are
+//! parsed and their checksums computed in one [`crate::frame::checksums`]
+//! call, then each verified frame is decoded as it is yielded. A frame
+//! outside such a verified run — a torn or implausible header, a checksum
+//! mismatch — is judged alone by [`parse_at`], after every frame before it
+//! has been yielded, so the prefix and the corruption report are those of
+//! a frame-by-frame scan. Resynchronization stays byte-by-byte.
 
 use crate::codec::IdMemo;
 use crate::event::WalEvent;
-use crate::frame::{parse_at, Parsed};
+use crate::frame::{checksums, decode_verified, parse_at, Header, Parsed};
+use std::collections::VecDeque;
+
+/// Frames whose checksums [`LogFrames`] computes in one call.
+const READ_AHEAD: usize = 4;
 
 /// The outcome of scanning one shard log.
 #[derive(Debug)]
@@ -71,6 +83,9 @@ pub struct LogFrames<'a> {
     offset: usize,
     last_seq: Option<u64>,
     memo: IdMemo<'a>,
+    /// Headers of the frames from `offset` on whose checksums verified,
+    /// not yet decoded.
+    verified: VecDeque<Header>,
     /// Set once the prefix has ended anywhere but at a clean end of file.
     corruption: Option<LogCorruption>,
 }
@@ -83,6 +98,7 @@ impl<'a> LogFrames<'a> {
             offset: 0,
             last_seq: None,
             memo: IdMemo::default(),
+            verified: VecDeque::with_capacity(READ_AHEAD),
             corruption: None,
         }
     }
@@ -94,6 +110,45 @@ impl<'a> LogFrames<'a> {
         self.by_ref().for_each(drop);
         self.corruption
     }
+
+    /// The memo the frames decode through: its counts cover every frame
+    /// decoded so far, and the whole log, resynchronized frames included,
+    /// once iteration has ended.
+    pub fn ids(&self) -> &IdMemo<'a> {
+        &self.memo
+    }
+
+    /// Parses up to [`READ_AHEAD`] complete headers from `offset` on,
+    /// checksums their frames in one call, and keeps the run that verifies
+    /// up to the first that does not.
+    fn read_ahead(&mut self) {
+        let mut headers = [Header::default(); READ_AHEAD];
+        let mut found = 0;
+        let mut at = self.offset;
+        while found < READ_AHEAD {
+            let Ok(Some(header)) = Header::at(self.bytes, at) else {
+                break;
+            };
+            headers[found] = header;
+            at = header.end;
+            found += 1;
+        }
+        if found == 0 {
+            return;
+        }
+        // Lanes past the last header repeat it, so the words stepped in
+        // lockstep are still those of the shortest real frame; the repeated
+        // sums are ignored.
+        let sums = checksums::<READ_AHEAD>(std::array::from_fn(|lane| {
+            let header = headers[lane.min(found - 1)];
+            (header.seq, header.payload(self.bytes))
+        }));
+        let run = headers[..found].iter().zip(sums);
+        self.verified.extend(
+            run.take_while(|(header, sum)| header.stored == *sum)
+                .map(|(header, _)| *header),
+        );
+    }
 }
 
 impl Iterator for LogFrames<'_> {
@@ -103,7 +158,14 @@ impl Iterator for LogFrames<'_> {
         if self.corruption.is_some() {
             return None;
         }
-        let reason = match parse_at(self.bytes, self.offset, &mut self.memo) {
+        if self.verified.is_empty() {
+            self.read_ahead();
+        }
+        let parsed = match self.verified.pop_front() {
+            Some(header) => decode_verified(self.bytes, header, &mut self.memo),
+            None => parse_at(self.bytes, self.offset, &mut self.memo),
+        };
+        let reason = match parsed {
             Parsed::Eof => return None,
             Parsed::Frame { seq, event, end } => match self.last_seq {
                 Some(last) if seq <= last => format!("non-monotone sequence {seq} after {last}"),
@@ -179,8 +241,23 @@ mod tests {
     fn ingest(tenant: &str, t: u64) -> WalEvent {
         WalEvent::IngestBatch {
             tenant: tenant.into(),
-            points: vec![(MetricId::new("web", "cpu"), t, t as f64)],
+            points: vec![(0, t, t as f64)],
             watermarks: vec![(MetricId::new("web", "cpu"), t ^ 0xABCD)],
+        }
+    }
+
+    /// A batch of `ticks` points over two series: a frame of another
+    /// length than the one-point batches around it.
+    fn wide_ingest(tenant: &str, t: u64, ticks: u64) -> WalEvent {
+        WalEvent::IngestBatch {
+            tenant: tenant.into(),
+            points: (0..ticks)
+                .map(|i| ((i % 2) as u32, t + i / 2 * 500, i as f64 * 0.5))
+                .collect(),
+            watermarks: vec![
+                (MetricId::new("db", "mem"), t ^ 0x1234),
+                (MetricId::new("web", "cpu"), t ^ 0xABCD),
+            ],
         }
     }
 
@@ -391,13 +468,19 @@ mod tests {
             tenant: tenant.into(),
             retention: RetentionPolicy::windowed(8),
         };
+        // Ten frames of five sizes, so every truncation and flip lands at
+        // every position of a four-frame read-ahead window.
         let log = log_of(&[
             (1, ingest("a", 500)),
-            (2, ingest("b", 500)),
+            (2, wide_ingest("b", 500, 3)),
             (3, admin("c")),
             (5, ingest("a", 1000)),
-            (6, ingest("c", 500)),
+            (6, wide_ingest("c", 500, 1)),
             (9, ingest("b", 1000)),
+            (10, admin("a")),
+            (11, wide_ingest("a", 1500, 4)),
+            (12, ingest("c", 1000)),
+            (14, ingest("b", 1500)),
         ]);
         assert_streamed_equals_scanned(&log, "intact");
         for len in 0..log.len() {

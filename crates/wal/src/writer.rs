@@ -81,7 +81,7 @@ pub(crate) mod testing {
     pub(crate) fn ingest(t: u64) -> WalEvent {
         WalEvent::IngestBatch {
             tenant: "acme".into(),
-            points: vec![(MetricId::new("web", "cpu"), t, t as f64)],
+            points: vec![(0, t, t as f64)],
             watermarks: vec![(MetricId::new("web", "cpu"), t)],
         }
     }
