@@ -9,7 +9,7 @@
 //! communicate.
 //!
 //! Components are identified by interned [`Name`]s: recording a call interns
-//! the endpoint names once, and every later lookup, merge or comparison is a
+//! the endpoint names once, and every later lookup or comparison is a
 //! pointer-fast operation instead of a `String` clone-and-compare.
 
 use sieve_exec::Name;
@@ -107,33 +107,6 @@ impl CallGraph {
             .unwrap_or_default()
     }
 
-    /// Components that directly call `callee`, sorted by name.
-    pub fn callers(&self, callee: &str) -> Vec<Name> {
-        self.edges
-            .iter()
-            .filter(|(_, callees)| callees.contains_key(callee))
-            .map(|(from, _)| from.clone())
-            .collect()
-    }
-
-    /// Components adjacent to `component` in either direction (no
-    /// duplicates, sorted).
-    pub fn neighbours(&self, component: &str) -> Vec<Name> {
-        let mut set: BTreeSet<Name> = BTreeSet::new();
-        for (from, callees) in &self.edges {
-            for to in callees.keys() {
-                if from == component {
-                    set.insert(to.clone());
-                }
-                if to == component {
-                    set.insert(from.clone());
-                }
-            }
-        }
-        set.remove(component);
-        set.into_iter().collect()
-    }
-
     /// Iterator over `(caller, callee, call_count)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (&Name, &Name, u64)> + '_ {
         self.edges
@@ -147,16 +120,6 @@ impl CallGraph {
         self.edges()
             .map(|(from, to, _)| (from.clone(), to.clone()))
             .collect()
-    }
-
-    /// Merges another call graph into this one (summing call counts).
-    pub fn merge(&mut self, other: &CallGraph) {
-        for name in &other.components {
-            self.components.insert(name.clone());
-        }
-        for (from, to, count) in other.edges() {
-            self.record_calls(from, to, count);
-        }
     }
 }
 
@@ -218,38 +181,19 @@ mod tests {
     fn callees_and_callers_are_directional() {
         let g = sample();
         assert_eq!(g.callees("web"), vec!["docstore", "mongodb", "redis"]);
-        assert_eq!(g.callers("mongodb"), vec!["docstore", "web"]);
+        assert_eq!(g.callees("docstore"), vec!["mongodb"]);
+        assert!(g.callees("mongodb").is_empty(), "an edge is one-way");
         assert!(g.callees("spelling").is_empty());
-    }
-
-    #[test]
-    fn neighbours_are_undirected_and_deduplicated() {
-        let g = sample();
-        assert_eq!(
-            g.neighbours("web"),
-            vec!["docstore", "haproxy", "mongodb", "redis"]
-        );
-        assert_eq!(g.neighbours("spelling"), Vec::<Name>::new());
     }
 
     #[test]
     fn isolated_component_appears_without_edges() {
         let g = sample();
         assert!(g.components().iter().any(|c| c == "spelling"));
-        assert!(g.neighbours("spelling").is_empty());
-    }
-
-    #[test]
-    fn merge_sums_counts_and_unions_components() {
-        let mut a = CallGraph::new();
-        a.record_calls("x", "y", 2);
-        let mut b = CallGraph::new();
-        b.record_calls("x", "y", 3);
-        b.record_call("y", "z");
-        a.merge(&b);
-        assert_eq!(a.call_count("x", "y"), 5);
-        assert!(a.has_edge("y", "z"));
-        assert_eq!(a.component_count(), 3);
+        assert!(g.callees("spelling").is_empty());
+        assert!(g
+            .edges()
+            .all(|(from, to, _)| from != "spelling" && to != "spelling"));
     }
 
     #[test]
@@ -272,8 +216,8 @@ mod tests {
         let mut g = CallGraph::new();
         g.record_call("worker", "worker");
         assert!(g.has_edge("worker", "worker"));
-        // A self-loop does not make the component its own neighbour.
-        assert!(g.neighbours("worker").is_empty());
+        assert_eq!(g.callees("worker"), vec!["worker"]);
+        assert_eq!(g.component_count(), 1);
     }
 
     #[test]

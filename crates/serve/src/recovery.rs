@@ -24,10 +24,13 @@ use sieve_exec::hash::shard_index;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::MetricStore;
-use sieve_wal::{log_file_name, snapshot_file_name, LogFrames, ShardSnapshot, WalError, WalEvent};
+use sieve_wal::{
+    log_file_name, snapshot_file_name, Frame, LogFrames, ShardSnapshot, WalError, WalEvent,
+};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The per-tenant outcome of a recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,6 +132,17 @@ pub struct ShardRecovery {
     /// did not predict them (first sights included); the rest were
     /// predicted.
     pub ids_hashed: u64,
+    /// Wall time spent reading the snapshot and restoring its stores, in
+    /// nanoseconds.
+    pub snapshot_ns: u64,
+    /// Wall time spent reading the log file.
+    pub log_read_ns: u64,
+    /// Wall time spent walking the log — checksums, decode, verified apply
+    /// — and accounting the resynchronized frames.
+    pub replay_ns: u64,
+    /// Wall time spent rebuilding the recovered tenants' sessions and
+    /// registering them.
+    pub rehydrate_ns: u64,
     /// Per-tenant outcomes, keyed by tenant name. A tenant present here
     /// but absent from [`crate::service::SieveService::tenants`] lost its
     /// creation record entirely (corrupt snapshot plus truncated log) and
@@ -141,6 +155,10 @@ pub struct ShardRecovery {
 pub struct RecoveryReport {
     /// One entry per registry shard, in shard order.
     pub shards: Vec<ShardRecovery>,
+    /// Wall time spent re-anchoring the directory once every shard was
+    /// read — one fresh snapshot and an emptied log per shard — in
+    /// nanoseconds.
+    pub reanchor_ns: u64,
 }
 
 impl RecoveryReport {
@@ -270,10 +288,11 @@ impl Replaying {
         }
     }
 
-    /// `event` cannot be applied: it joins the lost suffix.
-    fn lose(&mut self, event: &WalEvent) {
+    /// An event of `points` points cannot be applied: it joins the lost
+    /// suffix.
+    fn lose(&mut self, points: usize) {
         self.lost.events += 1;
-        self.lost.points += event.point_count() as u64;
+        self.lost.points += points as u64;
     }
 
     fn outcome(&self) -> TenantRecovery {
@@ -290,57 +309,73 @@ impl Replaying {
     }
 }
 
-/// Replays one log frame into the shard state. A frame of the log's
-/// `intact` prefix is applied if it still can be; a frame the scanner
-/// resynchronized after a corrupt region is structurally sound but unsafe
-/// to apply (the events before it are gone), so it goes straight to its
-/// tenant's lost suffix. Ingest batches are verified *before* being
-/// applied ([`MetricStore::record_batch_verified`]): the store writes a
-/// batch only if that reproduces the fingerprint watermarks logged next to
-/// it — a mismatch means replay would diverge from what the live service
-/// applied, so the tenant degrades instead of silently rebuilding a wrong
-/// model.
-fn replay_event(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent, intact: bool) {
-    if let WalEvent::TenantCreated {
-        config, call_graph, ..
-    } = event
+/// Replays one frame of the log's intact prefix into the shard state, if
+/// it still can be applied. Ingest batches are verified *before* being
+/// applied ([`MetricStore::record_batch_verified`]), straight from the
+/// buffers the frame is lent from: the store writes a batch only if that
+/// reproduces the fingerprint watermarks logged next to it — a mismatch
+/// means replay would diverge from what the live service applied, so the
+/// tenant degrades instead of silently rebuilding a wrong model.
+fn replay(replaying: &mut BTreeMap<String, Replaying>, frame: Frame<'_>) {
+    if let Frame::Admin(WalEvent::TenantCreated {
+        tenant,
+        config,
+        call_graph,
+    }) = &frame
     {
         // Only an intact creation record may introduce a name; any other
         // event of an unknown name makes it a phantom.
-        if intact && !replaying.contains_key(event.tenant()) {
+        if !replaying.contains_key(tenant.as_str()) {
             let store = MetricStore::with_retention(config.retention);
             let restored = Replaying::restored(store, (**config).clone(), call_graph.clone());
-            replaying.insert(event.tenant().to_string(), restored);
+            replaying.insert(tenant.to_string(), restored);
             return;
         }
     }
     // The name is copied only the first time it is seen.
-    let tenant = match replaying.get_mut(event.tenant()) {
+    let tenant = match replaying.get_mut(frame.tenant()) {
         Some(tenant) => tenant,
-        None => replaying.entry(event.tenant().to_string()).or_default(),
+        None => replaying.entry(frame.tenant().to_string()).or_default(),
     };
-    let appliable = intact && tenant.lost.events == 0;
+    let appliable = tenant.lost.events == 0;
     let Some((store, _, graph)) = tenant.state.as_mut().filter(|_| appliable) else {
-        return tenant.lose(event);
+        return tenant.lose(frame.point_count());
     };
-    match event {
+    let points = frame.point_count();
+    let applied = match frame {
+        Frame::Ingest(batch) => store.record_batch_verified(batch.points(), batch.watermarks()),
         // A duplicate creation record means the log and snapshot
         // disagree: degrade rather than guess.
-        WalEvent::TenantCreated { .. } => tenant.lose(event),
-        WalEvent::CallGraphReplaced { call_graph, .. } => *graph = call_graph.clone(),
-        WalEvent::RetentionChanged { retention, .. } => store.set_retention(*retention),
-        WalEvent::IngestBatch {
-            points, watermarks, ..
-        } => {
-            let batch = points
-                .iter()
-                .map(|&(slot, ts, value)| (&watermarks[slot as usize].0, ts, value));
-            match store.record_batch_verified(batch, watermarks) {
-                Some(accepted) => tenant.points_replayed += accepted as u64,
-                None => tenant.lose(event),
-            }
+        Frame::Admin(WalEvent::TenantCreated { .. }) => None,
+        Frame::Admin(WalEvent::CallGraphReplaced { call_graph, .. }) => {
+            *graph = call_graph;
+            Some(0)
         }
+        Frame::Admin(WalEvent::RetentionChanged { retention, .. }) => {
+            store.set_retention(retention);
+            Some(0)
+        }
+        Frame::Admin(WalEvent::IngestBatch { .. }) => {
+            unreachable!("`LogFrames` lends every ingest batch")
+        }
+    };
+    match applied {
+        Some(accepted) => tenant.points_replayed += accepted as u64,
+        None => tenant.lose(points),
     }
+}
+
+/// A frame the scanner resynchronized after a corrupt region is
+/// structurally sound but never applied (the events before it are gone):
+/// it joins its tenant's lost suffix.
+fn lose(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent) {
+    let tenant = replaying.entry(event.tenant().to_string()).or_default();
+    tenant.lose(event.point_count());
+}
+
+/// Nanoseconds since `start`.
+pub(crate) fn ns_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Reads shard `shard` of the durable directory `dir`: the snapshot is
@@ -348,7 +383,9 @@ fn replay_event(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent, i
 /// replayed through the ordinary store machinery, and every tenant whose
 /// creation record survived enters `registry` with a rehydrated session.
 /// Nothing on disk changes — re-anchoring the directory is the caller's
-/// second step, taken only once every shard has been read.
+/// second step, taken only once every shard has been read. Each of the
+/// four stages the report times reads the clock twice, however long the
+/// log.
 ///
 /// # Errors
 ///
@@ -361,6 +398,7 @@ pub(crate) fn recover_shard(
     shard_count: usize,
     registry: &ShardedRegistry,
 ) -> Result<ShardRecovery> {
+    let started = Instant::now();
     let (snapshot, snapshot_corrupt) =
         match ShardSnapshot::read(&dir.join(snapshot_file_name(shard))) {
             Ok(snapshot) => (snapshot, false),
@@ -384,30 +422,39 @@ pub(crate) fn recover_shard(
             replaying.insert(tenant.tenant, restored);
         }
     }
+    let snapshot_ns = ns_since(started);
 
+    let started = Instant::now();
     let bytes = match std::fs::read(dir.join(log_file_name(shard))) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(WalError::from(e).into()),
     };
-    // Each intact frame is decoded, applied and dropped in turn: the
-    // decoded log is never resident.
+    let log_read_ns = ns_since(started);
+
+    // Each intact frame is decoded into the walk's buffers, applied and
+    // released in turn: the decoded log is never resident.
+    let started = Instant::now();
     let mut frames = LogFrames::new(&bytes);
     let mut frames_replayed = 0u64;
     let mut recovered_through_seq = snapshot_last_seq;
-    for (seq, event) in frames.by_ref().filter(|(seq, _)| *seq > snapshot_last_seq) {
-        frames_replayed += 1;
-        recovered_through_seq = seq;
-        replay_event(&mut replaying, &event, true);
+    while let Some((seq, frame)) = frames.next() {
+        if seq > snapshot_last_seq {
+            frames_replayed += 1;
+            recovered_through_seq = seq;
+            replay(&mut replaying, frame);
+        }
     }
     let ids = frames.ids();
     let (ids_decoded, ids_interned, ids_hashed) = (ids.decoded(), ids.interned(), ids.hashed());
     let corruption = frames.finish();
     let resynced = corruption.iter().flat_map(|c| &c.resynced);
     for (_, event) in resynced.filter(|(seq, _)| *seq > snapshot_last_seq) {
-        replay_event(&mut replaying, event, false);
+        lose(&mut replaying, event);
     }
+    let replay_ns = ns_since(started);
 
+    let started = Instant::now();
     let mut report_tenants = BTreeMap::new();
     for (name, tenant) in replaying {
         let routed = shard_index(&name, shard_count);
@@ -430,6 +477,7 @@ pub(crate) fn recover_shard(
             })?;
         registry.insert(Arc::new(Tenant::new(name, store, session)))?;
     }
+    let rehydrate_ns = ns_since(started);
     Ok(ShardRecovery {
         shard,
         snapshot_last_seq,
@@ -444,6 +492,10 @@ pub(crate) fn recover_shard(
         ids_decoded,
         ids_interned,
         ids_hashed,
+        snapshot_ns,
+        log_read_ns,
+        replay_ns,
+        rehydrate_ns,
         tenants: report_tenants,
     })
 }
@@ -485,8 +537,13 @@ mod tests {
                 ids_decoded: 0,
                 ids_interned: 0,
                 ids_hashed: 0,
+                snapshot_ns: 0,
+                log_read_ns: 0,
+                replay_ns: 0,
+                rehydrate_ns: 0,
                 tenants,
             }],
+            reanchor_ns: 0,
         }
     }
 
@@ -509,7 +566,10 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("lost 3 events (9 points)"), "{text}");
 
-        let clean = RecoveryReport { shards: vec![] };
+        let clean = RecoveryReport {
+            shards: vec![],
+            reanchor_ns: 0,
+        };
         assert!(clean.is_clean());
         assert!(clean.to_string().contains("clean"));
     }

@@ -2,7 +2,7 @@
 
 use crate::config::ServeConfig;
 use crate::durable::{written_shard_count, Admin, DurableLog};
-use crate::recovery::{recover_shard, shard_count_mismatch, RecoveryReport};
+use crate::recovery::{ns_since, recover_shard, shard_count_mismatch, RecoveryReport};
 use crate::registry::ShardedRegistry;
 use crate::stats::ServiceStats;
 use crate::tenant::{MetricPoint, Tenant};
@@ -567,9 +567,15 @@ impl SieveService {
             shards.push(recover_shard(dir, shard, shard_count, &registry)?);
         }
         let next_seqs = shards.iter().map(|shard| shard.recovered_through_seq + 1);
+        let started = std::time::Instant::now();
         let durable = DurableLog::reanchor(&durability, &registry, next_seqs)?;
+        let reanchor_ns = ns_since(started);
         let service = Self::assemble(config, registry, Some(durable));
-        Ok((service, RecoveryReport { shards }))
+        let report = RecoveryReport {
+            shards,
+            reanchor_ns,
+        };
+        Ok((service, report))
     }
 }
 

@@ -687,6 +687,38 @@ fn recovery_counts_the_metric_ids_it_decodes_interns_and_hashes() {
 }
 
 #[test]
+fn recovery_times_its_stages_within_its_own_elapsed_time() {
+    let dir = temp_dir("stage-times");
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000));
+    let service = SieveService::new(config.clone()).unwrap();
+    for (bias, name) in ["alpha", "beta", "gamma"].into_iter().enumerate() {
+        service.create_tenant(name, web_db_graph()).unwrap();
+        ingest_wave(&service, name, 0..40, bias as f64);
+    }
+    drop(service);
+
+    let started = std::time::Instant::now();
+    let (_, report) = SieveService::recover(config).unwrap();
+    let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert!(report.shards.iter().any(|shard| shard.frames_replayed > 0));
+    let mut staged = report.reanchor_ns;
+    for shard in &report.shards {
+        if shard.frames_replayed > 0 {
+            assert!(shard.replay_ns > 0, "shard {}", shard.shard);
+        }
+        staged += shard.snapshot_ns + shard.log_read_ns + shard.replay_ns + shard.rehydrate_ns;
+    }
+    assert!(report.reanchor_ns > 0);
+    assert!(
+        staged <= elapsed,
+        "the stages sum to {staged} ns of the call's {elapsed} ns"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn snapshots_bound_replay_and_recovery_reads_snapshot_plus_tail() {
     let dir = temp_dir("snapshot-cadence");
     let config = tiny_config()

@@ -210,6 +210,20 @@ fn surviving_batches(
     survived
 }
 
+/// `report` with its stage timings zeroed: what two recoveries of one
+/// directory must agree on.
+fn untimed(report: &sieve_serve::RecoveryReport) -> sieve_serve::RecoveryReport {
+    let mut report = report.clone();
+    report.reanchor_ns = 0;
+    for shard in &mut report.shards {
+        shard.snapshot_ns = 0;
+        shard.log_read_ns = 0;
+        shard.replay_ns = 0;
+        shard.rehydrate_ns = 0;
+    }
+    report
+}
+
 fn models_of(
     service: &SieveService,
 ) -> BTreeMap<&'static str, Option<sieve_core::model::SieveModel>> {
@@ -326,7 +340,11 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
     // Property 2: sweep parallelism changes nothing.
     for (other, other_report, _) in &per_parallelism[1..] {
         assert_eq!(models_of(other), recovered_models, "scenario {index}");
-        assert_eq!(other_report, report, "scenario {index}: reports diverge");
+        assert_eq!(
+            untimed(other_report),
+            untimed(report),
+            "scenario {index}: reports diverge"
+        );
     }
 
     // Property 3: the recovered service re-converges once ingest resumes —

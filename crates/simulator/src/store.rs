@@ -53,6 +53,7 @@ use sieve_exec::hash::{mix, mix_f64, FINGERPRINT_SEED};
 use sieve_exec::Name;
 use sieve_timeseries::{SeriesView, TimeSeries};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 use std::sync::{Arc, RwLock};
 
 /// Identifies one metric of one component.
@@ -370,6 +371,50 @@ struct StoreInner {
     /// "first touch of this series" detection is a field compare instead
     /// of a set insertion (transient — never serialized).
     batch_stamp: u64,
+    /// Working space of [`MetricStore::record_batch_verified`], kept so a
+    /// replayed batch allocates nothing once it is warm (transient — never
+    /// serialized).
+    verify: VerifyScratch,
+}
+
+/// What [`MetricStore::record_batch_verified`] knows about one listed
+/// series mid-batch: its live state advanced by the points accepted so far,
+/// and the chain of those points.
+#[derive(Debug, Clone, Copy)]
+struct Sim {
+    last_ts: Option<u64>,
+    fingerprint: u64,
+    window_len: usize,
+    accepted: usize,
+    /// Whether the store holds the series yet.
+    stored: bool,
+    /// The first and the last accepted point (batch indices); the points
+    /// between are linked through [`VerifyScratch::next`].
+    first: Option<usize>,
+    last: Option<usize>,
+}
+
+impl Sim {
+    /// The state of `series` before the batch (a new series when `None`).
+    fn load(series: Option<&StoredSeries>) -> Self {
+        Self {
+            last_ts: series.and_then(|s| s.timestamps_ms.last().copied()),
+            fingerprint: series.map_or(FINGERPRINT_SEED, |s| s.fingerprint),
+            window_len: series.map_or(0, StoredSeries::window_len),
+            accepted: 0,
+            stored: series.is_some(),
+            first: None,
+            last: None,
+        }
+    }
+}
+
+#[derive(Debug, Default)]
+struct VerifyScratch {
+    /// One per listed series, in list order.
+    slots: Vec<Sim>,
+    /// Per point of the batch, the next accepted point of its slot.
+    next: Vec<Option<usize>>,
 }
 
 impl StoreInner {
@@ -383,18 +428,6 @@ impl StoreInner {
     /// rejected first point never materializes an empty series.
     fn record_one(&mut self, id: &MetricId, timestamp_ms: u64, value: f64) -> Option<RejectReason> {
         self.record_one_stamped(id, timestamp_ms, value, 0).0
-    }
-
-    /// [`StoreInner::record_one`] over a batch; returns how many points
-    /// were accepted.
-    fn record_all<'a>(&mut self, points: impl Iterator<Item = (&'a MetricId, u64, f64)>) -> usize {
-        let mut accepted = 0;
-        for (id, timestamp_ms, value) in points {
-            if self.record_one(id, timestamp_ms, value).is_none() {
-                accepted += 1;
-            }
-        }
-        accepted
     }
 
     /// [`StoreInner::record_one`] plus per-batch first-touch detection:
@@ -426,12 +459,8 @@ impl StoreInner {
         series.fingerprint = extend_fingerprint(series.fingerprint, timestamp_ms, value);
         series.touched = true;
         self.points_written += 1;
-        if let Some(cap) = retention.raw_capacity {
-            if series.window_len() > cap {
-                series.evict_oldest(retention.tier_capacity);
-                series.compact_if_due(cap);
-                self.points_evicted += 1;
-            }
+        if series.evict_overflow(retention) {
+            self.points_evicted += 1;
         }
         (None, first_touch)
     }
@@ -529,6 +558,20 @@ impl StoredSeries {
                 tier_capacity,
             );
         }
+    }
+
+    /// Evicts the oldest retained point if the window has outgrown
+    /// `retention`'s raw capacity; returns whether it did.
+    fn evict_overflow(&mut self, retention: RetentionPolicy) -> bool {
+        let Some(cap) = retention
+            .raw_capacity
+            .filter(|&cap| self.window_len() > cap)
+        else {
+            return false;
+        };
+        self.evict_oldest(retention.tier_capacity);
+        self.compact_if_due(cap);
+        true
     }
 
     /// Drains the dead prefix once it has grown to the raw capacity, so
@@ -740,7 +783,13 @@ impl MetricStore {
         &self,
         points: impl IntoIterator<Item = (&'a MetricId, u64, f64)>,
     ) -> usize {
-        self.write().record_all(points.into_iter())
+        let mut inner = self.write();
+        points
+            .into_iter()
+            .filter(|&(id, timestamp_ms, value)| {
+                inner.record_one(id, timestamp_ms, value).is_none()
+            })
+            .count()
     }
 
     /// Like [`MetricStore::record_batch`], but reports into a caller-owned
@@ -796,102 +845,144 @@ impl MetricStore {
         }
     }
 
-    /// Applies `points` only if doing so reproduces `expected` — the
-    /// watermarks [`MetricStore::record_batch_detailed_into`] reported when the
-    /// batch was first applied — and returns how many points were accepted;
-    /// `None`, with the store untouched, if it would not.
+    /// Applies a logged batch only if doing so reproduces `expected` — the
+    /// watermarks [`MetricStore::record_batch_detailed_into`] reported when
+    /// the batch was first applied — and returns how many points were
+    /// accepted; `None`, with the store untouched, if it would not.
     ///
-    /// Recovery replays every logged batch through this call: if the
-    /// watermarks logged next to a batch cannot be reproduced, this store
-    /// has diverged from the one the log was written against, and applying
-    /// the batch would silently corrupt the tenant instead of loudly
-    /// degrading it.
+    /// The batch is in the log's form: each point is `(slot, timestamp,
+    /// value)`, and its series is the id of the `slot`-th entry of
+    /// `expected`. Recovery replays every logged batch through this call:
+    /// if the watermarks logged next to a batch cannot be reproduced, this
+    /// store has diverged from the one the log was written against, and
+    /// applying the batch would silently corrupt the tenant instead of
+    /// loudly degrading it.
     ///
-    /// Both phases run under one write-lock hold. The first simulates the
-    /// full acceptance pipeline — the non-finite and monotone-timestamp
-    /// gates, the per-point fingerprint chain, and the eviction tags the
-    /// current retention policy would mix in — starting from each series'
-    /// live state, into one slot per entry of `expected` (a point usually
-    /// belongs to the slot after the previous point's; otherwise the slot
-    /// is found by binary search). An accepted point of a series `expected`
-    /// does not list, a listed series that accepts nothing or ends on
+    /// Everything runs under one write-lock hold. The stored series from
+    /// the first listed id to the last are walked in step with the list,
+    /// once to load each listed series' live state and once to apply. One
+    /// pass over the points runs the full acceptance pipeline on those
+    /// states — the non-finite and monotone-timestamp gates, the
+    /// fingerprint chain, and the eviction tags the current retention
+    /// policy would mix in — and chains each slot's accepted points. A slot
+    /// out of range, a listed series that accepts nothing or ends on
     /// another fingerprint, or an `expected` not strictly ascending by
     /// [`MetricId`] is a mismatch. Only when every slot matches does the
-    /// second phase apply the points, exactly as
-    /// [`MetricStore::record_batch`] would. `Some` is returned precisely
-    /// when `record_batch_detailed_into` on `points` reports `expected`
-    /// (property-tested against a copy of the store).
+    /// apply walk each slot's chain, pushing and evicting exactly as
+    /// [`MetricStore::record_batch`] would, and store the fingerprint the
+    /// simulation reached. `Some` is returned precisely when
+    /// `record_batch_detailed_into` on `(expected[slot].0, timestamp,
+    /// value)` reports `expected` (property-tested against a copy of the
+    /// store).
+    ///
+    /// # Cost
+    ///
+    /// O(p + s + w) for `p` points and `s` listed series, where `w` is the
+    /// number of stored series whose ids lie between the first and the
+    /// last listed one. A batch naming a run of adjacent ids — every series
+    /// of a scrape, or of one component — pays for no series it does not
+    /// name, and each step of the walk meets the interned key it is looking
+    /// for. A sparse batch pays for every stored series between its ends:
+    /// two series at opposite ends of a 4,096-series store cost a walk over
+    /// all 4,096.
     pub fn record_batch_verified<'a>(
         &self,
-        points: impl IntoIterator<Item = (&'a MetricId, u64, f64), IntoIter: Clone>,
-        expected: &[(MetricId, u64)],
+        points: &[(u32, u64, f64)],
+        expected: impl IntoIterator<Item = (&'a MetricId, u64), IntoIter: Clone>,
     ) -> Option<usize> {
-        /// One listed series mid-simulation.
-        #[derive(Clone, Copy)]
-        struct Sim {
-            last_ts: Option<u64>,
-            fingerprint: u64,
-            window_len: usize,
-            accepted: bool,
-        }
-        if !expected.windows(2).all(|pair| pair[0].0 < pair[1].0) {
-            return None;
-        }
-        let points = points.into_iter();
-        let mut inner = self.write();
-        let cap = inner.retention.raw_capacity;
-        // A slot stays `None` until a finite point of its series loads the
-        // live state.
-        let mut slots: Vec<Option<Sim>> = vec![None; expected.len()];
-        let mut guess = 0;
-        for (id, timestamp_ms, value) in points.clone() {
-            if !value.is_finite() {
-                continue;
-            }
-            let slot = if expected.get(guess).is_some_and(|(listed, _)| listed == id) {
-                Some(guess)
-            } else {
-                expected.binary_search_by(|(listed, _)| listed.cmp(id)).ok()
-            };
-            let Some(slot) = slot else {
-                // An unlisted series must accept nothing: all its points
-                // stale against the live state.
-                let live = inner.series.get(id);
-                let last = live.and_then(|series| series.timestamps_ms.last());
-                if last.is_some_and(|&last| timestamp_ms <= last) {
-                    continue;
-                }
+        let expected = expected.into_iter();
+        let mut guard = self.write();
+        let StoreInner {
+            series,
+            retention,
+            points_written,
+            points_evicted,
+            verify,
+            ..
+        } = &mut *guard;
+        let mut last: Option<&MetricId> = None;
+        for (id, _) in expected.clone() {
+            if last.is_some_and(|last| last >= id) {
                 return None;
-            };
-            guess = slot + 1;
-            let sim = slots[slot].get_or_insert_with(|| {
-                let series = inner.series.get(id);
-                Sim {
-                    last_ts: series.and_then(|s| s.timestamps_ms.last().copied()),
-                    fingerprint: series.map_or(FINGERPRINT_SEED, |s| s.fingerprint),
-                    window_len: series.map_or(0, StoredSeries::window_len),
-                    accepted: false,
-                }
-            });
-            if sim.last_ts.is_some_and(|last| timestamp_ms <= last) {
+            }
+            last = Some(id);
+        }
+        let span = match (expected.clone().next(), last) {
+            (Some((first, _)), Some(last)) => (Bound::Included(first), Bound::Included(last)),
+            _ => (Bound::Unbounded, Bound::Unbounded),
+        };
+        verify.slots.clear();
+        let mut walk = series.range::<MetricId, _>(span);
+        let mut at = walk.next();
+        for (id, _) in expected.clone() {
+            while at.is_some_and(|(key, _)| key < id) {
+                at = walk.next();
+            }
+            let live = at.filter(|(key, _)| *key == id).map(|(_, live)| live);
+            verify.slots.push(Sim::load(live));
+        }
+
+        let cap = retention.raw_capacity;
+        verify.next.clear();
+        verify.next.resize(points.len(), None);
+        for (point, &(slot, timestamp_ms, value)) in points.iter().enumerate() {
+            let sim = verify.slots.get_mut(slot as usize)?;
+            if !value.is_finite() || sim.last_ts.is_some_and(|last| timestamp_ms <= last) {
                 continue;
             }
             sim.last_ts = Some(timestamp_ms);
             sim.fingerprint = extend_fingerprint(sim.fingerprint, timestamp_ms, value);
             sim.window_len += 1;
-            sim.accepted = true;
+            sim.accepted += 1;
             if cap.is_some_and(|cap| sim.window_len > cap) {
                 sim.fingerprint = mix(sim.fingerprint, EVICTION_TAG);
                 sim.window_len -= 1;
             }
+            match sim.last.replace(point) {
+                Some(before) => verify.next[before] = Some(point),
+                None => sim.first = Some(point),
+            }
         }
-        let reproduced = slots.iter().zip(expected).all(|(sim, (_, fingerprint))| {
-            sim.is_some_and(|sim| sim.accepted && sim.fingerprint == *fingerprint)
-        });
+        let reproduced = verify
+            .slots
+            .iter()
+            .zip(expected.clone())
+            .all(|(sim, (_, fingerprint))| sim.accepted > 0 && sim.fingerprint == fingerprint);
         if !reproduced {
             return None;
         }
-        Some(inner.record_all(points))
+
+        // A new series is stored first, so the walk meets every listed one.
+        for (sim, (id, _)) in verify.slots.iter().zip(expected.clone()) {
+            if !sim.stored {
+                series.insert(id.clone(), StoredSeries::default());
+            }
+        }
+        let mut accepted = 0;
+        let mut walk = series.range_mut::<MetricId, _>(span);
+        for (sim, (id, _)) in verify.slots.iter().zip(expected) {
+            let stored = loop {
+                let (key, stored) = walk.next().expect("every listed series is stored");
+                if key == id {
+                    break stored;
+                }
+            };
+            let mut chain = sim.first;
+            while let Some(point) = chain {
+                let (_, timestamp_ms, value) = points[point];
+                let pushed = stored.push(timestamp_ms, value);
+                debug_assert!(pushed, "the simulation accepted the point");
+                if stored.evict_overflow(*retention) {
+                    *points_evicted += 1;
+                }
+                chain = verify.next[point];
+            }
+            stored.fingerprint = sim.fingerprint;
+            stored.touched = true;
+            accepted += sim.accepted;
+        }
+        *points_written += accepted as u64;
+        Some(accepted)
     }
 
     /// The current epoch watermark: the number of deltas drained so far.
@@ -1144,6 +1235,7 @@ impl MetricStore {
                 points_written: state.points_written,
                 points_evicted: state.points_evicted,
                 batch_stamp: 0,
+                verify: VerifyScratch::default(),
             })),
         }
     }
@@ -1575,14 +1667,40 @@ mod tests {
         assert!(empty.watermarks.is_empty());
     }
 
+    /// `record_batch_verified` with `expected` as a list.
+    fn verified(
+        store: &MetricStore,
+        points: &[(u32, u64, f64)],
+        expected: &[(MetricId, u64)],
+    ) -> Option<usize> {
+        store.record_batch_verified(points, expected.iter().map(|(id, fp)| (id, *fp)))
+    }
+
+    /// `batch` in the log's form against `listed`: each point names the
+    /// first slot listing its series. A point of an unlisted series is left
+    /// out (a log holds none).
+    fn slotted(
+        batch: &[(&MetricId, u64, f64)],
+        listed: &[(MetricId, u64)],
+    ) -> Vec<(u32, u64, f64)> {
+        batch
+            .iter()
+            .filter_map(|&(id, timestamp_ms, value)| {
+                let slot = listed.iter().position(|(listed, _)| listed == id)?;
+                Some((slot as u32, timestamp_ms, value))
+            })
+            .collect()
+    }
+
     #[test]
     fn verified_apply_agrees_with_the_detailed_oracle_for_any_expected_list() {
         use sieve_exec::hash::splitmix64;
         // Property: `record_batch_verified(points, expected)` applies iff
-        // `record_batch_detailed_into` on a copy of the store reports
-        // exactly `expected` — across retention policies, repeated series,
-        // stale timestamps, non-finite values and eviction boundaries, for
-        // the true list and five kinds of wrong one.
+        // `record_batch_detailed_into` of the triples `(expected[slot].0,
+        // timestamp, value)`, on a copy of the store, reports exactly
+        // `expected` — across retention policies, repeated series, stale
+        // timestamps, non-finite values and eviction boundaries, for the
+        // true list and five kinds of wrong one.
         const KINDS: usize = 6;
         let (mut applied, mut refused) = ([0usize; KINDS], [0usize; KINDS]);
         for (round, policy) in [
@@ -1619,26 +1737,47 @@ mod tests {
                     batch.push((id, t, v));
                 }
                 let before = store.freeze();
-                let copy = MetricStore::restore(before.clone());
-                let outcome = detailed(&copy, batch.iter().copied());
-                let truth = outcome.watermarks;
+                let live = MetricStore::restore(before.clone());
+                let truth = detailed(&live, batch.iter().copied());
+                let true_points = slotted(&batch, &truth.watermarks);
 
                 let kind = (step % KINDS as u64) as usize;
                 let at = |r: u64, len: usize| (r % len.max(1) as u64) as usize;
-                let mut expected = truth.clone();
+                let (mut expected, mut points) = (truth.watermarks.clone(), true_points.clone());
                 match kind {
                     0 => {}
                     1 if !expected.is_empty() => {
                         let entry = at(rand(), expected.len());
                         expected[entry].1 ^= 1 << (rand() % 64);
                     }
-                    2 if !expected.is_empty() => {
-                        expected.remove(at(rand(), expected.len()));
+                    2 if expected.len() > 1 => {
+                        // A point the store accepts, re-slotted to another
+                        // listed series.
+                        let mut last: Vec<Option<u64>> = expected
+                            .iter()
+                            .map(|(id, _)| store.last_value(id).map(|(t, _)| t))
+                            .collect();
+                        let accepted: Vec<usize> = (0..points.len())
+                            .filter(|&point| {
+                                let (slot, t, v) = points[point];
+                                let last = &mut last[slot as usize];
+                                let accepts = v.is_finite() && last.map_or(true, |last| t > last);
+                                if accepts {
+                                    *last = Some(t);
+                                }
+                                accepts
+                            })
+                            .collect();
+                        if let Some(&point) = accepted.get(at(rand(), accepted.len())) {
+                            let shift = 1 + at(rand(), expected.len() - 1) as u32;
+                            points[point].0 = (points[point].0 + shift) % expected.len() as u32;
+                        }
                     }
                     3 => {
                         // A series the batch leaves alone, in sorted place
                         // with its live fingerprint.
-                        let unlisted = ids.iter().find(|id| truth.iter().all(|(t, _)| t != *id));
+                        let listed = &truth.watermarks;
+                        let unlisted = ids.iter().find(|id| listed.iter().all(|(t, _)| t != *id));
                         if let Some(id) = unlisted {
                             let fingerprint = store.fingerprint(id).unwrap_or(FINGERPRINT_SEED);
                             expected.push((id.clone(), fingerprint));
@@ -1655,33 +1794,121 @@ mod tests {
                     }
                     _ => {}
                 }
+                if matches!(kind, 3..=5) {
+                    // The points still name their own series.
+                    points = slotted(&batch, &expected);
+                }
 
-                let verdict = store.record_batch_verified(batch.iter().copied(), &expected);
+                let oracle_store = MetricStore::restore(before.clone());
+                let oracle = detailed(
+                    &oracle_store,
+                    points
+                        .iter()
+                        .map(|&(slot, t, v)| (&expected[slot as usize].0, t, v)),
+                );
+                let verdict = verified(&store, &points, &expected);
                 assert_eq!(
                     verdict.is_some(),
-                    expected == truth,
-                    "round {round} step {step} kind {kind}: {expected:?} vs {truth:?}"
+                    expected == oracle.watermarks,
+                    "round {round} step {step} kind {kind}: {expected:?} vs {:?}",
+                    oracle.watermarks
                 );
                 match verdict {
                     Some(accepted) => {
                         applied[kind] += 1;
-                        assert_eq!(accepted, outcome.accepted);
+                        assert_eq!(accepted, oracle.accepted);
+                        let oracle = oracle_store.freeze();
+                        assert_eq!(store.freeze(), oracle, "verified apply == detailed");
                     }
                     None => {
                         refused[kind] += 1;
                         assert_eq!(store.freeze(), before, "a refusal leaves no trace");
                         // Keep the stream moving: the true list applies.
-                        let accepted = store.record_batch_verified(batch.iter().copied(), &truth);
-                        assert_eq!(accepted, Some(outcome.accepted));
+                        let accepted = verified(&store, &true_points, &truth.watermarks);
+                        assert_eq!(accepted, Some(truth.accepted));
+                        assert_eq!(store.freeze(), live.freeze(), "verified apply == detailed");
                     }
                 }
-                assert_eq!(store.freeze(), copy.freeze(), "verified apply == detailed");
             }
         }
         // Not vacuous: the true list always applies, and every kind of wrong
         // list was refused many times.
         assert_eq!((applied[0], refused[0]), (60, 0));
         assert!(refused[1..].iter().all(|&n| n >= 30), "{refused:?}");
+    }
+
+    #[test]
+    fn a_batch_naming_one_of_4096_series_applies_as_the_detailed_path_does() {
+        let store = MetricStore::with_retention(RetentionPolicy::windowed(3));
+        let ids: Vec<MetricId> = (0..4096)
+            .map(|i| MetricId::new(format!("c{:02}", i % 64), format!("m{i:04}")))
+            .collect();
+        store.record_batch(
+            ids.iter()
+                .flat_map(|id| (0..4u64).map(move |t| (id, t * 500, t as f64))),
+        );
+        let new = MetricId::new("c31", "m2048a");
+        // One series of 4,096; a series the store does not hold yet; and the
+        // store's first and last series, whose walk spans all 4,096.
+        let named: [&[&MetricId]; 3] = [&[&ids[2049]], &[&new], &[&ids[0], &ids[4095]]];
+        for (case, named) in named.into_iter().enumerate() {
+            let before = store.freeze();
+            let batch: Vec<(&MetricId, u64, f64)> = named
+                .iter()
+                .flat_map(|&id| {
+                    [
+                        (id, 2000, 1.5),
+                        (id, 1500, 9.0), // stale
+                        (id, 2500, f64::NAN),
+                        (id, 3000, -2.0),
+                    ]
+                })
+                .collect();
+            let copy = MetricStore::restore(before.clone());
+            let outcome = detailed(&copy, batch.iter().copied());
+            assert_eq!(outcome.watermarks.len(), named.len(), "case {case}");
+
+            // A slot past the listed series names nothing.
+            let past = named.len() as u32;
+            assert_eq!(
+                verified(&store, &[(past, 3500, 1.0)], &outcome.watermarks),
+                None
+            );
+            assert_eq!(store.freeze(), before, "case {case}");
+            let points = slotted(&batch, &outcome.watermarks);
+            let accepted = verified(&store, &points, &outcome.watermarks);
+            assert_eq!(accepted, Some(outcome.accepted), "case {case}");
+            assert_eq!(store.freeze(), copy.freeze(), "case {case}");
+        }
+    }
+
+    #[test]
+    fn a_list_naming_a_series_twice_is_refused_even_if_each_slot_reproduces() {
+        let id = MetricId::new("web", "cpu");
+        for stored in [false, true] {
+            let store = MetricStore::new();
+            if stored {
+                store.record(&id, 0, 0.5);
+            }
+            // Each slot's watermark is what its own point alone would leave.
+            let alone = |t: u64, v: f64| {
+                let copy = MetricStore::restore(store.freeze());
+                copy.record(&id, t, v);
+                copy.fingerprint(&id).unwrap()
+            };
+            let expected = [
+                (id.clone(), alone(500, 1.0)),
+                (id.clone(), alone(1000, 2.0)),
+            ];
+            let before = store.freeze();
+            let points = [(0, 500, 1.0), (1, 1000, 2.0)];
+            assert_eq!(
+                verified(&store, &points, &expected),
+                None,
+                "stored {stored}"
+            );
+            assert_eq!(store.freeze(), before);
+        }
     }
 
     #[test]

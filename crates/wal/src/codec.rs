@@ -285,14 +285,13 @@ impl<'a> IdMemo<'a> {
     }
 
     /// Lists `entry` at `slot` of the current watermark list, unless an
-    /// earlier slot already names it; returns its id.
-    pub(crate) fn list(&mut self, entry: u32, slot: u32) -> &MetricId {
+    /// earlier slot already names it.
+    pub(crate) fn list(&mut self, entry: u32, slot: u32) {
         let entry = &mut self.entries[entry as usize];
         if entry.listed != self.listing {
             entry.listed = self.listing;
             entry.slot = slot;
         }
-        &entry.id
     }
 
     /// The first slot of the current watermark list that names `entry`.

@@ -21,6 +21,12 @@
 //! place. Decoding maps each point's id back to the first slot listing it;
 //! a checksummed batch with a point whose series no watermark names is
 //! malformed.
+//!
+//! Those rules live in one ingest decoder, which writes into reused
+//! buffers. [`WalEvent::decode`] materialises its output as an owned event;
+//! the log reader lends it instead, as an [`IngestRef`] whose watermark ids
+//! are read through the log's id memo, so replaying a batch allocates,
+//! interns and reference-counts nothing.
 
 use crate::codec::{
     put_call_graph, put_metric_id, put_retention, put_sieve_config, put_str, put_u64, put_u8,
@@ -192,53 +198,37 @@ impl WalEvent {
     /// Returns a descriptive reason for truncated, malformed, or
     /// trailing-garbage input (the frame layer attaches the file offset).
     pub fn decode<'a>(bytes: &'a [u8], memo: &mut IdMemo<'a>) -> DecodeResult<Self> {
+        let mut ingest = IngestBuf::default();
+        Ok(match Self::decode_into(bytes, memo, &mut ingest)? {
+            Decoded::Admin(event) => event,
+            Decoded::Ingest(tenant) => IngestRef::new(tenant, &ingest, memo).to_event(),
+        })
+    }
+
+    /// [`WalEvent::decode`] without materialising an ingest batch: its
+    /// points and watermarks land in `ingest`, and only the tenant, borrowed
+    /// from `bytes`, comes back. An admin event is decoded owned.
+    pub(crate) fn decode_into<'a>(
+        bytes: &'a [u8],
+        memo: &mut IdMemo<'a>,
+        ingest: &mut IngestBuf,
+    ) -> DecodeResult<Decoded<'a>> {
         let mut cur = Cursor::new(bytes);
-        let event = match cur.take_u8("event tag")? {
-            TAG_TENANT_CREATED => Self::TenantCreated {
+        let decoded = match cur.take_u8("event tag")? {
+            TAG_TENANT_CREATED => Decoded::Admin(Self::TenantCreated {
                 tenant: cur.take_str("tenant name")?.into(),
                 config: Box::new(take_sieve_config(&mut cur)?),
                 call_graph: take_call_graph(&mut cur)?,
-            },
-            TAG_CALL_GRAPH_REPLACED => Self::CallGraphReplaced {
+            }),
+            TAG_CALL_GRAPH_REPLACED => Decoded::Admin(Self::CallGraphReplaced {
                 tenant: cur.take_str("tenant name")?.into(),
                 call_graph: take_call_graph(&mut cur)?,
-            },
-            TAG_RETENTION_CHANGED => Self::RetentionChanged {
+            }),
+            TAG_RETENTION_CHANGED => Decoded::Admin(Self::RetentionChanged {
                 tenant: cur.take_str("tenant name")?.into(),
                 retention: take_retention(&mut cur)?,
-            },
-            TAG_INGEST_BATCH => {
-                let tenant = Name::new(cur.take_str("tenant name")?);
-                let point_count = cur.take_usize("point count")?;
-                // A point holds its id's memo entry until the watermark
-                // list has given every entry its slot.
-                let mut points = Vec::with_capacity(point_count.min(65_536));
-                for _ in 0..point_count {
-                    let entry = memo.sight(&mut cur, Section::Points)?;
-                    let timestamp_ms = cur.take_u64("point timestamp")?;
-                    let value = f64::from_bits(cur.take_u64("point value")?);
-                    points.push((entry, timestamp_ms, value));
-                }
-                let watermark_count = cur.take_usize("watermark count")?;
-                let mut watermarks = Vec::with_capacity(watermark_count.min(65_536));
-                memo.begin_listing();
-                for slot in 0..watermark_count {
-                    let entry = memo.sight(&mut cur, Section::Watermarks)?;
-                    let fingerprint = cur.take_u64("watermark fingerprint")?;
-                    let slot = u32::try_from(slot).map_err(|_| "watermark count overflows u32")?;
-                    watermarks.push((memo.list(entry, slot).clone(), fingerprint));
-                }
-                for point in &mut points {
-                    point.0 = memo.slot(point.0).ok_or_else(|| {
-                        format!("a point of {} has no watermark", memo.id(point.0))
-                    })?;
-                }
-                Self::IngestBatch {
-                    tenant,
-                    points,
-                    watermarks,
-                }
-            }
+            }),
+            TAG_INGEST_BATCH => Decoded::Ingest(decode_ingest(&mut cur, memo, ingest)?),
             other => return Err(format!("unknown event tag {other}")),
         };
         if !cur.is_empty() {
@@ -247,7 +237,130 @@ impl WalEvent {
                 cur.position()
             ));
         }
-        Ok(event)
+        Ok(decoded)
+    }
+}
+
+/// What [`WalEvent::decode_into`] read: an admin event, or the tenant of an
+/// ingest batch whose body is in the [`IngestBuf`] it was given.
+#[derive(Debug)]
+pub(crate) enum Decoded<'a> {
+    Admin(WalEvent),
+    Ingest(&'a str),
+}
+
+/// The buffers an ingest body decodes into, reused from batch to batch: a
+/// warm pair takes every batch of a log without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct IngestBuf {
+    /// `(slot, timestamp, value)` of every point, as in
+    /// [`WalEvent::IngestBatch`].
+    points: Vec<(u32, u64, f64)>,
+    /// `(memo entry, fingerprint)` of every watermark, in log order.
+    watermarks: Vec<(u32, u64)>,
+}
+
+/// Reads an ingest body (everything after the tag) into `buf` and returns
+/// its tenant, borrowed from the log. Each point's id is mapped to the
+/// first watermark slot that lists it; a point of an unlisted series is an
+/// error.
+pub(crate) fn decode_ingest<'a>(
+    cur: &mut Cursor<'a>,
+    memo: &mut IdMemo<'a>,
+    buf: &mut IngestBuf,
+) -> DecodeResult<&'a str> {
+    let tenant = cur.take_str("tenant name")?;
+    let point_count = cur.take_usize("point count")?;
+    buf.points.clear();
+    buf.points.reserve(point_count.min(65_536));
+    // A point holds its id's memo entry until the watermark list has given
+    // every entry its slot.
+    for _ in 0..point_count {
+        let entry = memo.sight(cur, Section::Points)?;
+        let timestamp_ms = cur.take_u64("point timestamp")?;
+        let value = f64::from_bits(cur.take_u64("point value")?);
+        buf.points.push((entry, timestamp_ms, value));
+    }
+    let watermark_count = cur.take_usize("watermark count")?;
+    buf.watermarks.clear();
+    buf.watermarks.reserve(watermark_count.min(65_536));
+    memo.begin_listing();
+    for slot in 0..watermark_count {
+        let entry = memo.sight(cur, Section::Watermarks)?;
+        let fingerprint = cur.take_u64("watermark fingerprint")?;
+        let slot = u32::try_from(slot).map_err(|_| "watermark count overflows u32")?;
+        memo.list(entry, slot);
+        buf.watermarks.push((entry, fingerprint));
+    }
+    for point in &mut buf.points {
+        point.0 = memo
+            .slot(point.0)
+            .ok_or_else(|| format!("a point of {} has no watermark", memo.id(point.0)))?;
+    }
+    Ok(tenant)
+}
+
+/// An ingest batch lent by the buffers it was decoded into: the fields of
+/// [`WalEvent::IngestBatch`], with nothing allocated, interned or
+/// reference-counted to read them.
+#[derive(Clone, Copy)]
+pub struct IngestRef<'f> {
+    tenant: &'f str,
+    points: &'f [(u32, u64, f64)],
+    watermarks: &'f [(u32, u64)],
+    memo: &'f IdMemo<'f>,
+}
+
+impl<'f> IngestRef<'f> {
+    pub(crate) fn new(tenant: &'f str, buf: &'f IngestBuf, memo: &'f IdMemo<'f>) -> Self {
+        Self {
+            tenant,
+            points: &buf.points,
+            watermarks: &buf.watermarks,
+            memo,
+        }
+    }
+
+    /// The tenant the batch was ingested for.
+    pub fn tenant(&self) -> &'f str {
+        self.tenant
+    }
+
+    /// The accepted `(slot, timestamp, value)` points, in apply order; the
+    /// point's series is the `slot`-th of [`IngestRef::watermarks`].
+    pub fn points(&self) -> &'f [(u32, u64, f64)] {
+        self.points
+    }
+
+    /// The post-apply fingerprint of every series the batch touched, in
+    /// log order (sorted by [`MetricId`] when the live store wrote it).
+    pub fn watermarks(&self) -> impl ExactSizeIterator<Item = (&'f MetricId, u64)> + Clone + 'f {
+        let memo = self.memo;
+        self.watermarks
+            .iter()
+            .map(move |&(entry, fingerprint)| (memo.id(entry), fingerprint))
+    }
+
+    /// The owned [`WalEvent::IngestBatch`] this batch decodes to.
+    pub fn to_event(&self) -> WalEvent {
+        WalEvent::IngestBatch {
+            tenant: Name::new(self.tenant),
+            points: self.points.to_vec(),
+            watermarks: self
+                .watermarks()
+                .map(|(id, fingerprint)| (id.clone(), fingerprint))
+                .collect(),
+        }
+    }
+}
+
+impl std::fmt::Debug for IngestRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IngestRef")
+            .field("tenant", &self.tenant)
+            .field("points", &self.points)
+            .field("watermarks", &self.watermarks().collect::<Vec<_>>())
+            .finish()
     }
 }
 

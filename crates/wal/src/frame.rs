@@ -21,7 +21,7 @@
 //! the processor's multipliers busy where one chain would wait on its own
 //! previous step.
 
-use crate::codec::{le_words, put_u32, put_u64, IdMemo};
+use crate::codec::{le_words, put_u32, put_u64, DecodeResult, IdMemo};
 use crate::event::WalEvent;
 use sieve_exec::hash::mix;
 
@@ -83,15 +83,16 @@ pub fn encode(seq: u64, event: &WalEvent) -> Vec<u8> {
     frame
 }
 
-/// What [`parse_at`] found at a given byte offset.
+/// What [`parse_at`] found at a given byte offset; `E` is what the payload
+/// decoded to.
 #[derive(Debug)]
-pub enum Parsed {
+pub enum Parsed<E = WalEvent> {
     /// A complete, checksum-verified, fully-decoded frame ending at `end`.
     Frame {
         /// The frame's sequence number.
         seq: u64,
         /// The decoded event.
-        event: WalEvent,
+        event: E,
         /// Byte offset one past the frame's last byte.
         end: usize,
     },
@@ -160,13 +161,14 @@ impl Header {
     }
 }
 
-/// Decodes the frame `header` describes, whose checksum has verified.
-pub(crate) fn decode_verified<'a>(
+/// Decodes with `decode` the payload of the frame `header` describes, whose
+/// checksum has verified.
+pub(crate) fn decode_verified<'a, E>(
     bytes: &'a [u8],
     header: Header,
-    memo: &mut IdMemo<'a>,
-) -> Parsed {
-    match WalEvent::decode(header.payload(bytes), memo) {
+    decode: impl FnOnce(&'a [u8]) -> DecodeResult<E>,
+) -> Parsed<E> {
+    match decode(header.payload(bytes)) {
         Ok(event) => Parsed::Frame {
             seq: header.seq,
             event,
@@ -178,14 +180,13 @@ pub(crate) fn decode_verified<'a>(
     }
 }
 
-/// Attempts to parse one frame starting at `offset`, resolving metric ids
-/// through `memo` (one memo per `bytes`, whatever offsets it is asked
-/// about).
-///
-/// Never panics on any input; every malformation — torn header, torn
-/// payload, implausible length, checksum mismatch, undecodable payload —
-/// comes back as [`Parsed::Bad`].
-pub fn parse_at<'a>(bytes: &'a [u8], offset: usize, memo: &mut IdMemo<'a>) -> Parsed {
+/// [`parse_at`] with the payload decoder `decode`: the log reader's walk
+/// passes one that lends ingest batches instead of materialising them.
+pub(crate) fn judge_at<'a, E>(
+    bytes: &'a [u8],
+    offset: usize,
+    decode: impl FnOnce(&'a [u8]) -> DecodeResult<E>,
+) -> Parsed<E> {
     let header = match Header::at(bytes, offset) {
         Ok(Some(header)) => header,
         Ok(None) => return Parsed::Eof,
@@ -196,7 +197,18 @@ pub fn parse_at<'a>(bytes: &'a [u8], offset: usize, memo: &mut IdMemo<'a>) -> Pa
             reason: format!("checksum mismatch in frame seq {}", header.seq),
         };
     }
-    decode_verified(bytes, header, memo)
+    decode_verified(bytes, header, decode)
+}
+
+/// Attempts to parse one frame starting at `offset`, resolving metric ids
+/// through `memo` (one memo per `bytes`, whatever offsets it is asked
+/// about).
+///
+/// Never panics on any input; every malformation — torn header, torn
+/// payload, implausible length, checksum mismatch, undecodable payload —
+/// comes back as [`Parsed::Bad`].
+pub fn parse_at<'a>(bytes: &'a [u8], offset: usize, memo: &mut IdMemo<'a>) -> Parsed {
+    judge_at(bytes, offset, |payload| WalEvent::decode(payload, memo))
 }
 
 #[cfg(test)]

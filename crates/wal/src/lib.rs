@@ -52,10 +52,10 @@ pub mod snapshot;
 pub mod writer;
 
 pub use error::WalError;
-pub use event::WalEvent;
+pub use event::{IngestRef, WalEvent};
 pub use failpoint::FailpointFs;
 pub use group::{GroupCommitLog, GroupCommitStats};
-pub use reader::{scan_log, LogCorruption, LogFrames, ScannedLog};
+pub use reader::{scan_log, Frame, LogCorruption, LogFrames, ScannedLog};
 pub use snapshot::{ShardSnapshot, TenantSnapshot};
 pub use writer::{FsyncPolicy, WalMedia};
 

@@ -13,15 +13,21 @@
 //!
 //! The intact prefix is read four frames at a time: their headers are
 //! parsed and their checksums computed in one [`crate::frame::checksums`]
-//! call, then each verified frame is decoded as it is yielded. A frame
+//! call, then each verified frame is decoded as it is lent. A frame
 //! outside such a verified run — a torn or implausible header, a checksum
-//! mismatch — is judged alone by [`parse_at`], after every frame before it
-//! has been yielded, so the prefix and the corruption report are those of
-//! a frame-by-frame scan. Resynchronization stays byte-by-byte.
+//! mismatch — is judged alone by [`parse_at`]'s rules, after every frame
+//! before it has been lent, so the prefix and the corruption report are
+//! those of a frame-by-frame scan. Resynchronization stays byte-by-byte.
+//!
+//! The walk lends rather than yields: an ingest frame, nearly every frame
+//! of a log, is decoded into buffers the walk reuses and handed out as a
+//! [`Frame::Ingest`] borrowing them until the next call, so replaying a log
+//! allocates nothing per batch. [`scan_log`] materialises the same walk
+//! into owned events.
 
 use crate::codec::IdMemo;
-use crate::event::WalEvent;
-use crate::frame::{checksums, decode_verified, parse_at, Header, Parsed};
+use crate::event::{Decoded, IngestBuf, IngestRef, WalEvent};
+use crate::frame::{checksums, decode_verified, judge_at, parse_at, Header, Parsed};
 use std::collections::VecDeque;
 
 /// Frames whose checksums [`LogFrames`] computes in one call.
@@ -65,29 +71,69 @@ pub struct LogCorruption {
 
 /// The intact prefix of a shard log, one decoded frame at a time.
 ///
-/// Iterating yields the checksum-verified frames with strictly increasing
-/// sequence numbers from the start of `bytes`, in log order — the frames
-/// that are safe to replay — and ends at a clean end of file or at the
-/// first frame that is not one of them. A caller that applies each frame
-/// as it arrives (recovery does) never holds more than one decoded event;
-/// [`scan_log`] is the collector for callers that want them all at once.
-/// [`LogFrames::finish`] then reports how the log ended.
+/// [`LogFrames::next`] lends the checksum-verified frames with strictly
+/// increasing sequence numbers from the start of `bytes`, in log order —
+/// the frames that are safe to replay — and ends at a clean end of file or
+/// at the first frame that is not one of them. A caller that applies each
+/// frame as it arrives (recovery does) never holds more than one decoded
+/// frame; [`scan_log`] is the collector for callers that want them all at
+/// once, owned. [`LogFrames::finish`] then reports how the log ended.
 ///
 /// Every frame decodes through one [`IdMemo`] over `bytes`, so a metric id
-/// is interned on its first sight in the log and looked up thereafter.
-/// Never fails and never panics: arbitrary garbage is an empty prefix with
-/// everything accounted as lost.
+/// is interned on its first sight in the log and looked up thereafter, and
+/// every ingest frame into one pair of reused buffers. Never fails and
+/// never panics: arbitrary garbage is an empty prefix with everything
+/// accounted as lost.
 #[derive(Debug)]
 pub struct LogFrames<'a> {
     bytes: &'a [u8],
     offset: usize,
     last_seq: Option<u64>,
     memo: IdMemo<'a>,
+    /// What the last ingest frame decoded to.
+    ingest: IngestBuf,
     /// Headers of the frames from `offset` on whose checksums verified,
     /// not yet decoded.
     verified: VecDeque<Header>,
     /// Set once the prefix has ended anywhere but at a clean end of file.
     corruption: Option<LogCorruption>,
+}
+
+/// One intact frame, as [`LogFrames::next`] lends it.
+#[derive(Debug)]
+pub enum Frame<'f> {
+    /// A tenant-admin event — creation, call graph, retention — decoded
+    /// owned: the three kinds are rare. Never an ingest batch.
+    Admin(WalEvent),
+    /// An ingest batch, borrowed from the walk's buffers until its next
+    /// call.
+    Ingest(IngestRef<'f>),
+}
+
+impl Frame<'_> {
+    /// The tenant the frame's event mutates.
+    pub fn tenant(&self) -> &str {
+        match self {
+            Self::Admin(event) => event.tenant(),
+            Self::Ingest(batch) => batch.tenant(),
+        }
+    }
+
+    /// Number of ingest points the frame carries (0 for admin events).
+    pub fn point_count(&self) -> usize {
+        match self {
+            Self::Admin(event) => event.point_count(),
+            Self::Ingest(batch) => batch.points().len(),
+        }
+    }
+
+    /// The owned event the frame decodes to.
+    pub fn into_event(self) -> WalEvent {
+        match self {
+            Self::Admin(event) => event,
+            Self::Ingest(batch) => batch.to_event(),
+        }
+    }
 }
 
 impl<'a> LogFrames<'a> {
@@ -98,22 +144,69 @@ impl<'a> LogFrames<'a> {
             offset: 0,
             last_seq: None,
             memo: IdMemo::default(),
+            ingest: IngestBuf::default(),
             verified: VecDeque::with_capacity(READ_AHEAD),
             corruption: None,
         }
     }
 
+    /// The next frame of the intact prefix with its sequence number, or
+    /// `None` once the prefix has ended (and on every call after that).
+    // A lending walk, which `Iterator` cannot express: an ingest frame
+    // borrows the buffers the next call overwrites.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Option<(u64, Frame<'_>)> {
+        if self.corruption.is_some() {
+            return None;
+        }
+        if self.verified.is_empty() {
+            self.read_ahead();
+        }
+        let (memo, ingest) = (&mut self.memo, &mut self.ingest);
+        let decode = |payload| WalEvent::decode_into(payload, memo, ingest);
+        let parsed = match self.verified.pop_front() {
+            Some(header) => decode_verified(self.bytes, header, decode),
+            None => judge_at(self.bytes, self.offset, decode),
+        };
+        let reason = match parsed {
+            Parsed::Eof => return None,
+            Parsed::Frame { seq, event, end } => match self.last_seq {
+                Some(last) if seq <= last => format!("non-monotone sequence {seq} after {last}"),
+                _ => {
+                    self.last_seq = Some(seq);
+                    self.offset = end;
+                    let frame = match event {
+                        Decoded::Admin(event) => Frame::Admin(event),
+                        Decoded::Ingest(tenant) => {
+                            Frame::Ingest(IngestRef::new(tenant, &self.ingest, &self.memo))
+                        }
+                    };
+                    return Some((seq, frame));
+                }
+            },
+            Parsed::Bad { reason } => reason,
+        };
+        self.corruption = Some(resync(
+            self.bytes,
+            self.offset,
+            reason,
+            self.last_seq,
+            &mut self.memo,
+        ));
+        None
+    }
+
     /// How the log ended after its intact prefix: `None` at a clean end of
     /// file, otherwise the corrupt region with the frames resynchronized
-    /// past it. Frames of the prefix not yet yielded are skipped.
+    /// past it. Frames of the prefix not yet lent are skipped.
     pub fn finish(mut self) -> Option<LogCorruption> {
-        self.by_ref().for_each(drop);
+        while self.next().is_some() {}
         self.corruption
     }
 
     /// The memo the frames decode through: its counts cover every frame
     /// decoded so far, and the whole log, resynchronized frames included,
-    /// once iteration has ended.
+    /// once the walk has ended.
     pub fn ids(&self) -> &IdMemo<'a> {
         &self.memo
     }
@@ -151,48 +244,14 @@ impl<'a> LogFrames<'a> {
     }
 }
 
-impl Iterator for LogFrames<'_> {
-    type Item = (u64, WalEvent);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.corruption.is_some() {
-            return None;
-        }
-        if self.verified.is_empty() {
-            self.read_ahead();
-        }
-        let parsed = match self.verified.pop_front() {
-            Some(header) => decode_verified(self.bytes, header, &mut self.memo),
-            None => parse_at(self.bytes, self.offset, &mut self.memo),
-        };
-        let reason = match parsed {
-            Parsed::Eof => return None,
-            Parsed::Frame { seq, event, end } => match self.last_seq {
-                Some(last) if seq <= last => format!("non-monotone sequence {seq} after {last}"),
-                _ => {
-                    self.last_seq = Some(seq);
-                    self.offset = end;
-                    return Some((seq, event));
-                }
-            },
-            Parsed::Bad { reason } => reason,
-        };
-        self.corruption = Some(resync(
-            self.bytes,
-            self.offset,
-            reason,
-            self.last_seq,
-            &mut self.memo,
-        ));
-        None
-    }
-}
-
 /// Scans a shard log into its intact prefix and (if corrupt) the
-/// accounted loss: [`LogFrames`], collected.
+/// accounted loss: [`LogFrames`], collected into owned events.
 pub fn scan_log(bytes: &[u8]) -> ScannedLog {
     let mut frames = LogFrames::new(bytes);
-    let applied = frames.by_ref().collect();
+    let mut applied = Vec::new();
+    while let Some((seq, frame)) = frames.next() {
+        applied.push((seq, frame.into_event()));
+    }
     ScannedLog {
         applied,
         corruption: frames.finish(),
@@ -437,15 +496,17 @@ mod tests {
         Some((c.offset, &c.reason, &c.resynced, c.lost_bytes))
     }
 
-    /// Streams `bytes` one frame at a time — each event dropped before the
-    /// next is decoded, as recovery consumes a log — and checks prefix and
-    /// corruption report against both the reference and the collector.
+    /// Walks `bytes` one lent frame at a time — each materialised and
+    /// dropped before the next is decoded into the same buffers, as
+    /// recovery consumes a log — and checks prefix and corruption report
+    /// against both the reference and the collector.
     fn assert_streamed_equals_scanned(bytes: &[u8], what: &str) {
         let reference = scan_log_reference(bytes);
         let mut frames = LogFrames::new(bytes);
         let mut streamed = 0;
-        for frame in frames.by_ref() {
-            assert_eq!(Some(&frame), reference.applied.get(streamed), "{what}");
+        while let Some((seq, frame)) = frames.next() {
+            let lent = (seq, frame.into_event());
+            assert_eq!(Some(&lent), reference.applied.get(streamed), "{what}");
             streamed += 1;
         }
         assert_eq!(streamed, reference.applied.len(), "{what}");

@@ -62,24 +62,26 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    /// Encodes the snapshot: magic, version, body, trailing checksum over
-    /// the body.
+    /// Encodes the snapshot: magic, version, checksum over the body, body.
+    /// The body is written in place behind the header, whose checksum is
+    /// filled in last.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        put_usize(&mut body, self.shard);
-        put_u64(&mut body, self.last_seq);
-        put_usize(&mut body, self.tenants.len());
-        for tenant in &self.tenants {
-            put_str(&mut body, &tenant.tenant);
-            put_sieve_config(&mut body, &tenant.config);
-            put_call_graph(&mut body, &tenant.call_graph);
-            put_store_state(&mut body, &tenant.store);
-        }
-        let mut bytes = Vec::with_capacity(body.len() + 28);
+        let mut bytes = Vec::new();
         put_u64(&mut bytes, MAGIC);
         put_u32(&mut bytes, VERSION);
-        put_u64(&mut bytes, checksum(MAGIC ^ u64::from(VERSION), &body));
-        bytes.extend_from_slice(&body);
+        put_u64(&mut bytes, 0);
+        let body_start = bytes.len();
+        put_usize(&mut bytes, self.shard);
+        put_u64(&mut bytes, self.last_seq);
+        put_usize(&mut bytes, self.tenants.len());
+        for tenant in &self.tenants {
+            put_str(&mut bytes, &tenant.tenant);
+            put_sieve_config(&mut bytes, &tenant.config);
+            put_call_graph(&mut bytes, &tenant.call_graph);
+            put_store_state(&mut bytes, &tenant.store);
+        }
+        let sum = checksum(MAGIC ^ u64::from(VERSION), &bytes[body_start..]);
+        bytes[body_start - 8..body_start].copy_from_slice(&sum.to_le_bytes());
         bytes
     }
 
@@ -337,6 +339,33 @@ mod tests {
         assert_eq!(rewritten[8..12], VERSION.to_le_bytes());
         assert_eq!(rewritten.len(), golden.len() - 41 - 8);
         assert_eq!(ShardSnapshot::decode(&rewritten).unwrap(), decoded);
+    }
+
+    /// `ShardSnapshot::encode` of [`golden_v2_snapshot`]'s snapshot as
+    /// commit 432bd7b wrote it, format version 3: the bytes a directory
+    /// written today holds.
+    const GOLDEN_V3_SNAPSHOT: &str =
+        "50414e535645495303000000ab592b978c5f55cd01000000000000000700000000000000010000000000000004000000\
+         61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
+         000000007b14ae47e17a843f002900000000000000030000000000000001030000000000000002000000000000000200\
+         000000000000020000006462030000007765620100000000000000030000007765620200000064620300000000000000\
+         0103000000000000000200000000000000010000000000000011000000000000000c0000000000000002000000000000\
+         00020000006462030000006d656d02000000000000000000000000000000f401000000000000000000000000f43f0000\
+         0000000004c00d131ea9e317bdb200000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000300000077656203000000637075030000\
+         000000000070170000000000006419000000000000581b00000000000000000000000000400000000000000240000000\
+         0000000440fe4082463203469f010100000000000000000000000000000094110000000000000a000000000000000000\
+         c03f000000000000f0bf000000000000f43f02000000020000000000000000000a40000000000000f83f000000000000\
+         fc3f88130000000000007c15000000000000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000";
+
+    #[test]
+    fn a_version_3_snapshot_encodes_to_its_golden_bytes_and_decodes_back() {
+        let (snapshot, _) = golden_v2_snapshot();
+        let golden = unhex(GOLDEN_V3_SNAPSHOT);
+        assert_eq!(snapshot.encode(), golden);
+        assert_eq!(ShardSnapshot::decode(&golden).unwrap(), snapshot);
     }
 
     #[test]
