@@ -36,6 +36,17 @@ pub enum ServeError {
         /// The underlying write-ahead-log error.
         source: sieve_wal::WalError,
     },
+    /// Recovery met a whole, checksum-verified log frame whose event tag
+    /// this build does not read: another build wrote it. The directory is
+    /// left as found rather than truncated at a frame that is not corrupt.
+    UnknownEventTag {
+        /// The shard whose log holds the frame.
+        shard: usize,
+        /// Byte offset of the frame in that log.
+        offset: u64,
+        /// The event tag it carries.
+        tag: u8,
+    },
 }
 
 impl From<sieve_wal::WalError> for ServeError {
@@ -60,6 +71,12 @@ impl std::fmt::Display for ServeError {
             Self::Wal { source } => {
                 write!(f, "durability layer failure: {source}")
             }
+            Self::UnknownEventTag { shard, offset, tag } => write!(
+                f,
+                "shard {shard}'s log holds a verified frame of event tag {tag} at byte \
+                 {offset}, which this build does not read: recover the directory with the \
+                 build that wrote it"
+            ),
         }
     }
 }
@@ -92,5 +109,15 @@ mod tests {
         };
         assert!(e.to_string().contains("acme"));
         assert!(std::error::Error::source(&e).is_some());
+        let e = ServeError::UnknownEventTag {
+            shard: 3,
+            offset: 4096,
+            tag: 7,
+        };
+        assert!(
+            e.to_string()
+                .starts_with("shard 3's log holds a verified frame of event tag 7 at byte 4096"),
+            "{e}"
+        );
     }
 }

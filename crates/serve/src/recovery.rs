@@ -123,8 +123,12 @@ pub struct ShardRecovery {
     pub frames_replayed: u64,
     /// The corrupt region of the log, if the log did not end cleanly.
     pub corruption: Option<CorruptionSummary>,
-    /// Metric ids read from the log: one per point and one per watermark
-    /// of every ingest frame decoded, resynchronized frames included.
+    /// Bytes of log read: the length of the shard's log file (0 when there
+    /// was none).
+    pub log_bytes: u64,
+    /// Metric ids read from the log: one per watermark of every ingest
+    /// frame decoded, resynchronized frames included, and one more per
+    /// point of a frame written before points named their series by slot.
     pub ids_decoded: u64,
     /// Of those, the distinct ids, each interned once.
     pub ids_interned: u64,
@@ -390,7 +394,8 @@ pub(crate) fn ns_since(start: Instant) -> u64 {
 /// # Errors
 ///
 /// [`ServeError::InvalidConfig`] when the shard's files were written under
-/// a different shard count, [`ServeError::Wal`] on I/O failures,
+/// a different shard count, [`ServeError::UnknownEventTag`] when its log
+/// holds a frame another build wrote, [`ServeError::Wal`] on I/O failures,
 /// [`ServeError::Analysis`] when a tenant's session cannot be rebuilt.
 pub(crate) fn recover_shard(
     dir: &Path,
@@ -448,6 +453,12 @@ pub(crate) fn recover_shard(
     let ids = frames.ids();
     let (ids_decoded, ids_interned, ids_hashed) = (ids.decoded(), ids.interned(), ids.hashed());
     let corruption = frames.finish();
+    if let Some(corruption) = &corruption {
+        if let Some(tag) = corruption.unknown_tag {
+            let offset = corruption.offset;
+            return Err(ServeError::UnknownEventTag { shard, offset, tag });
+        }
+    }
     let resynced = corruption.iter().flat_map(|c| &c.resynced);
     for (_, event) in resynced.filter(|(seq, _)| *seq > snapshot_last_seq) {
         lose(&mut replaying, event);
@@ -489,6 +500,7 @@ pub(crate) fn recover_shard(
             reason: corruption.reason,
             lost_bytes: corruption.lost_bytes,
         }),
+        log_bytes: bytes.len() as u64,
         ids_decoded,
         ids_interned,
         ids_hashed,
@@ -534,6 +546,7 @@ mod tests {
                     reason: "checksum mismatch in frame seq 18".to_string(),
                     lost_bytes: 96,
                 }),
+                log_bytes: 0,
                 ids_decoded: 0,
                 ids_interned: 0,
                 ids_hashed: 0,

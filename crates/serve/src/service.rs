@@ -540,7 +540,9 @@ impl SieveService {
     ///
     /// [`ServeError::InvalidConfig`] when `config` has no durability
     /// section (or is otherwise invalid) or the directory was written
-    /// with a different shard count, [`ServeError::Wal`] on I/O failures,
+    /// with a different shard count, [`ServeError::UnknownEventTag`] when a
+    /// log holds a checksum-verified frame of an event tag this build does
+    /// not read (another build wrote it), [`ServeError::Wal`] on I/O failures,
     /// [`ServeError::Analysis`] when a recovered tenant's session cannot
     /// be rebuilt.
     pub fn recover(config: ServeConfig) -> Result<(Self, RecoveryReport)> {

@@ -551,8 +551,8 @@ fn a_batch_whose_watermark_list_repeats_a_series_degrades_only_its_tenant() {
     drop(service);
 
     // Live ingest never writes this frame: its checksum verifies and it
-    // decodes (each point maps to the first slot listing its series), but
-    // the watermark list names `web/requests` twice.
+    // decodes (every slot is within the list), but the watermark list
+    // names `web/requests` twice.
     let shard = sieve_exec::hash::shard_index("beta", config.shard_count);
     let log_path = dir.join(sieve_wal::log_file_name(shard));
     let mut bytes = std::fs::read(&log_path).unwrap();
@@ -672,17 +672,112 @@ fn recovery_counts_the_metric_ids_it_decodes_interns_and_hashes() {
     }
     service.set_call_graph("beta", CallGraph::new()).unwrap();
     drop(service);
+    let log_len = std::fs::metadata(dir.join(sieve_wal::log_file_name(0)))
+        .unwrap()
+        .len();
 
     let (_, report) = SieveService::recover(config).unwrap();
     assert!(report.is_clean(), "{report}");
     let shard = &report.shards[0];
-    // Nine batches of 40 points and 4 watermarks over the same 4 series.
-    assert_eq!(shard.ids_decoded, 9 * (40 + 4));
+    assert_eq!(shard.log_bytes, log_len, "the whole log was read");
+    // Nine batches of 40 points and 4 watermarks over the same 4 series:
+    // one id per watermark, none per point, which names its series by
+    // slot.
+    assert_eq!(shard.ids_decoded, 9 * 4);
     assert_eq!(shard.ids_interned, 4);
-    // Every batch names the series in one order, so only the first batch
-    // (4 + 4 sights) and the first sight of the next tick and of the next
-    // watermark list (whose predecessor has no successor yet) are hashed.
-    assert_eq!(shard.ids_hashed, 10);
+    // Every list names the series in one order, so only the first list's
+    // 4 sights and the first sight of the second (whose predecessor has no
+    // successor yet) are hashed.
+    assert_eq!(shard.ids_hashed, 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Appends to the log of `tenant`'s shard a whole frame, checksum and all,
+/// whose payload is `payload`, numbered after the log's last frame; returns
+/// the shard and the frame's offset.
+fn append_verified_frame(
+    dir: &std::path::Path,
+    config: &ServeConfig,
+    tenant: &str,
+    payload: &[u8],
+) -> (usize, u64) {
+    use sieve_wal::codec::{put_u32, put_u64};
+    let shard = sieve_exec::hash::shard_index(tenant, config.shard_count);
+    let log_path = dir.join(sieve_wal::log_file_name(shard));
+    let mut bytes = std::fs::read(&log_path).unwrap();
+    let offset = bytes.len() as u64;
+    let seq = sieve_wal::scan_log(&bytes).last_seq().unwrap() + 1;
+    put_u32(&mut bytes, payload.len() as u32);
+    put_u64(&mut bytes, seq);
+    put_u64(&mut bytes, sieve_wal::frame::checksum(seq, payload));
+    bytes.extend_from_slice(payload);
+    std::fs::write(&log_path, &bytes).unwrap();
+    (shard, offset)
+}
+
+/// Asserts that recovering `dir` is refused as another build's frame of
+/// `tag` at the given shard and offset, and that the refusal changed no
+/// byte on disk.
+fn assert_recover_refuses_tag(
+    dir: &std::path::Path,
+    config: ServeConfig,
+    (shard, offset): (usize, u64),
+    tag: u8,
+) {
+    let before = dir_bytes(dir);
+    match SieveService::recover(config) {
+        Err(ServeError::UnknownEventTag {
+            shard: found_shard,
+            offset: found_offset,
+            tag: found_tag,
+        }) => assert_eq!((found_shard, found_offset, found_tag), (shard, offset, tag)),
+        other => panic!(
+            "expected tag {tag} refused, got {:?}",
+            other.map(|(_, report)| report.to_string())
+        ),
+    }
+    assert_eq!(
+        dir_bytes(dir),
+        before,
+        "a refusal leaves the directory as found"
+    );
+}
+
+/// A durable directory of two tenants whose logs end in ingest frames.
+fn directory_to_extend(dir: &std::path::Path) -> ServeConfig {
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(dir).with_snapshot_every_events(1_000_000));
+    let service = SieveService::new(config.clone()).unwrap();
+    for name in ["alpha", "beta"] {
+        service.create_tenant(name, web_db_graph()).unwrap();
+        ingest_wave(&service, name, 0..20, 0.5);
+    }
+    config
+}
+
+#[test]
+fn a_verified_frame_of_an_unknown_tag_is_refused_not_truncated() {
+    let dir = temp_dir("unknown-tag-7");
+    let config = directory_to_extend(&dir);
+    // A tag no build has written yet, with a body this build cannot judge.
+    let at = append_verified_frame(&dir, &config, "beta", &[7, 0xA5, 0x5A, 0x00]);
+    assert_recover_refuses_tag(&dir, config, at, 7);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_verified_frame_of_the_retired_tag_1_is_refused_not_truncated() {
+    let dir = temp_dir("unknown-tag-1");
+    let config = directory_to_extend(&dir);
+    // A tenant-created record in the layout tag 1 framed: a configuration
+    // two bytes longer than today's.
+    let mut payload = vec![1];
+    sieve_wal::codec::put_str(&mut payload, "gamma");
+    sieve_wal::codec::put_sieve_config(&mut payload, &config.analysis);
+    payload.extend_from_slice(&[0, 0]);
+    sieve_wal::codec::put_call_graph(&mut payload, &web_db_graph());
+    let at = append_verified_frame(&dir, &config, "alpha", &payload);
+    assert_recover_refuses_tag(&dir, config, at, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

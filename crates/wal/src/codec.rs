@@ -47,6 +47,11 @@ impl<'a> Cursor<'a> {
         self.pos == self.bytes.len()
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize, what: &str) -> DecodeResult<&'a [u8]> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
         match end {
@@ -78,6 +83,29 @@ impl<'a> Cursor<'a> {
     pub fn take_u64(&mut self, what: &str) -> DecodeResult<u64> {
         let b = self.take(8, what)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    }
+
+    /// Reads a `u32` persisted by [`put_varint`]. Only the canonical
+    /// encoding is accepted — an overlong one (a zero last byte after the
+    /// first) or one past `u32::MAX` is an error — so every value has
+    /// exactly one spelling on disk.
+    pub fn take_varint(&mut self, what: &str) -> DecodeResult<u32> {
+        let (mut value, mut shift) = (0u32, 0);
+        loop {
+            let byte = self.take_u8(what)?;
+            // The fifth byte carries the top four bits and ends the varint.
+            if shift == 28 && byte > 0x0F {
+                return Err(format!("{what}: varint overflows u32"));
+            }
+            value |= u32::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(format!("{what}: overlong varint"));
+                }
+                return Ok(value);
+            }
+            shift += 7;
+        }
     }
 
     /// Reads a `usize` persisted as a little-endian `u64`.
@@ -156,16 +184,22 @@ impl Hasher for WordHasher {
 /// section's next id from that section's history alone.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Section {
+    /// The points of a tag-4 batch, which spelled out every point's id.
+    /// A batch written today names its points' series by slot, so only
+    /// logs written before that read this lane.
     Points = 0,
+    /// Watermark lists, and the series of a frozen store.
     Watermarks = 1,
 }
 
 /// The [`MetricId`]s one decode pass has already seen, keyed by their
 /// encoded bytes.
 ///
-/// A shard log names the same few hundred series once per point and once
-/// more per watermark. Without the memo every one of those sights copies
-/// two strings and takes the process-wide interner lock twice; with it the
+/// A shard log names the same few hundred series once per watermark of
+/// every batch (and, in tag-4 batches written before points named their
+/// series by slot, once more per point). Without the memo every one of
+/// those sights copies two strings and takes the process-wide interner
+/// lock twice; with it the
 /// first sight of an id validates its UTF-8 and interns it through
 /// [`MetricId::new`], and every later sight resolves to the entry holding
 /// it. The key is the id's *whole* encoded range —
@@ -177,7 +211,8 @@ pub(crate) enum Section {
 ///
 /// Most sights are answered without hashing. Each entry remembers, per
 /// section of a batch, the entry sighted right after it last time; a sight
-/// whose bytes equal that predicted entry's key is that entry. Batches
+/// whose bytes begin with that predicted entry's key is that entry (the
+/// key is self-delimiting), and is read without parsing it. Batches
 /// that repeat one id order — a scraper's, tick after tick — are predicted
 /// at nearly every sight; a miss (the first batch, a new series, a
 /// reordered batch) falls back to the map and re-links the predecessor.
@@ -190,7 +225,8 @@ pub struct IdMemo<'a> {
     entries: Vec<MemoEntry<'a>>,
     /// Per section, the entry sighted last.
     last: [Option<u32>; 2],
-    /// Stamp of the watermark list being read (see `MemoEntry::slot`).
+    /// Stamp of the tag-4 watermark list being read (see
+    /// `MemoEntry::slot`).
     listing: u64,
     decoded: u64,
     hashed: u64,
@@ -204,7 +240,8 @@ struct MemoEntry<'a> {
     /// Per section, the entry sighted right after this one last time.
     next: [Option<u32>; 2],
     /// The first slot of the watermark list stamped `listed` that names
-    /// this id; stale under any other stamp.
+    /// this id; stale under any other stamp. Only a tag-4 batch, whose
+    /// points spell out their ids, maps ids to slots.
     slot: u32,
     listed: u64,
 }
@@ -230,28 +267,33 @@ impl<'a> IdMemo<'a> {
     /// Reads one encoded [`MetricId`] from `section` and returns the index
     /// of its entry, interning it on its first sight.
     pub(crate) fn sight(&mut self, cur: &mut Cursor<'a>, section: Section) -> DecodeResult<u32> {
+        let lane = section as usize;
+        let last = self.last[lane];
+        let predicted = last.and_then(|last| self.entries[last as usize].next[lane]);
+        // The encoding is self-delimiting, so bytes that begin with the
+        // predicted key are that key: no length prefix needs parsing.
+        if let Some(entry) = predicted {
+            let key = self.entries[entry as usize].key;
+            if cur.bytes[cur.pos..].starts_with(key) {
+                cur.pos += key.len();
+                self.decoded += 1;
+                self.last[lane] = Some(entry);
+                return Ok(entry);
+            }
+        }
         let start = cur.pos;
         let component = cur.take_prefixed("metric id component")?;
         let metric = cur.take_prefixed("metric id metric")?;
         let key = &cur.bytes[start..cur.pos];
         self.decoded += 1;
-        let lane = section as usize;
-        let last = self.last[lane];
-        let predicted = last.and_then(|last| self.entries[last as usize].next[lane]);
-        let entry = match predicted {
-            Some(entry) if self.entries[entry as usize].key == key => entry,
-            _ => {
-                self.hashed += 1;
-                let entry = match self.index.get(key) {
-                    Some(&entry) => entry,
-                    None => self.intern(key, component, metric)?,
-                };
-                if let Some(last) = last {
-                    self.entries[last as usize].next[lane] = Some(entry);
-                }
-                entry
-            }
+        self.hashed += 1;
+        let entry = match self.index.get(key) {
+            Some(&entry) => entry,
+            None => self.intern(key, component, metric)?,
         };
+        if let Some(last) = last {
+            self.entries[last as usize].next[lane] = Some(entry);
+        }
         self.last[lane] = Some(entry);
         Ok(entry)
     }
@@ -279,13 +321,14 @@ impl<'a> IdMemo<'a> {
         &self.entries[entry as usize].id
     }
 
-    /// Starts a new watermark list: no entry is listed in it yet.
+    /// Starts a new watermark list of a tag-4 batch: no entry is listed in
+    /// it yet.
     pub(crate) fn begin_listing(&mut self) {
         self.listing += 1;
     }
 
-    /// Lists `entry` at `slot` of the current watermark list, unless an
-    /// earlier slot already names it.
+    /// Lists `entry` at `slot` of the current tag-4 watermark list, unless
+    /// an earlier slot already names it.
     pub(crate) fn list(&mut self, entry: u32, slot: u32) {
         let entry = &mut self.entries[entry as usize];
         if entry.listed != self.listing {
@@ -314,6 +357,17 @@ pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
 /// Appends a little-endian `u64`.
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u32` as a canonical LEB128 varint: seven bits a byte, low
+/// bits first, the high bit set on every byte but the last, in the fewest
+/// bytes — one byte below 128, two below 16,384.
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
 /// Appends a `usize` as a little-endian `u64`.
@@ -643,6 +697,40 @@ mod tests {
         assert!(cur.take_bool("f").unwrap());
         assert_eq!(cur.take_str("g").unwrap(), "wal ♥");
         assert!(cur.is_empty());
+    }
+
+    #[test]
+    fn varints_take_the_fewest_bytes_and_only_those_decode() {
+        let cases: [(u32, &[u8]); 7] = [
+            (0, &[0x00]),
+            (1, &[0x01]),
+            (127, &[0x7F]),
+            (128, &[0x80, 0x01]),
+            (129, &[0x81, 0x01]),
+            (16_383, &[0xFF, 0x7F]),
+            (u32::MAX, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+        ];
+        for (value, bytes) in cases {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, value);
+            assert_eq!(buf, bytes, "{value}");
+            let mut cur = Cursor::new(&buf);
+            assert_eq!(cur.take_varint("slot").unwrap(), value);
+            assert!(cur.is_empty());
+        }
+        let refused = |bytes: &[u8]| Cursor::new(bytes).take_varint("slot").unwrap_err();
+        assert_eq!(refused(&[0x80, 0x00]), "slot: overlong varint");
+        assert_eq!(refused(&[0xFF, 0x80, 0x00]), "slot: overlong varint");
+        assert_eq!(
+            refused(&[0x80, 0x80, 0x80, 0x80, 0x10]),
+            "slot: varint overflows u32"
+        );
+        assert_eq!(
+            refused(&[0x80, 0x80, 0x80, 0x80, 0x80]),
+            "slot: varint overflows u32"
+        );
+        assert!(refused(&[0x80]).starts_with("truncated slot"));
+        assert!(refused(&[]).starts_with("truncated slot"));
     }
 
     #[test]

@@ -15,28 +15,44 @@
 //! logged against a store state that no longer matches degrades the tenant
 //! loudly instead of corrupting it silently.
 //!
-//! Every accepted point's series has a watermark, so in memory a batch
-//! names each series once: a point holds the *slot* of its series in the
-//! watermark list, and the encoder writes that slot's id in the point's
-//! place. Decoding maps each point's id back to the first slot listing it;
-//! a checksummed batch with a point whose series no watermark names is
-//! malformed.
+//! Every accepted point's series has a watermark, so a batch names each
+//! series once, in memory and on disk: a point holds the *slot* of its
+//! series in the watermark list. A slotted ingest payload (event tag 6, the
+//! only ingest layout this build writes) is
 //!
-//! Those rules live in one ingest decoder, which writes into reused
-//! buffers. [`WalEvent::decode`] materialises its output as an owned event;
-//! the log reader lends it instead, as an [`IngestRef`] whose watermark ids
-//! are read through the log's id memo, so replaying a batch allocates,
-//! interns and reference-counts nothing.
+//! ```text
+//! [6][tenant: u32 len + UTF-8][watermark count: u64]
+//!    watermark count × [component: u32 len + UTF-8][metric: u32 len + UTF-8][fingerprint: u64]
+//!    [point count: u64]
+//!    point count × [slot: LEB128 varint][timestamp: u64][value bits: u64]
+//! ```
+//!
+//! every integer little-endian, the watermarks sorted by [`MetricId`]. A
+//! slot takes one byte below 128 watermarks and two below 16,384, where the
+//! id it replaces took about thirty. Decoding refuses a slot at or past the
+//! watermark count, a varint that is not the shortest spelling of its value,
+//! and a point count the bytes left cannot hold.
+//!
+//! Logs written before slots spell each point's id out in full, ahead of
+//! the watermark list (event tag 4). That layout is still read, never
+//! written: each point's id maps back to the first slot listing it, and a
+//! checksummed batch with a point whose series no watermark names is
+//! malformed. Both layouts decode into the same reused buffers, in the same
+//! `(slot, timestamp, value)` form. [`WalEvent::decode`] materialises them
+//! as an owned event; the log reader lends them instead, as an
+//! [`IngestRef`] whose watermark ids are read through the log's id memo, so
+//! replaying a batch allocates, interns and reference-counts nothing.
 
 use crate::codec::{
     put_call_graph, put_metric_id, put_retention, put_sieve_config, put_str, put_u64, put_u8,
-    put_usize, take_call_graph, take_retention, take_sieve_config, Cursor, DecodeResult, IdMemo,
-    Section,
+    put_usize, put_varint, take_call_graph, take_retention, take_sieve_config, Cursor,
+    DecodeResult, IdMemo, Section,
 };
 use sieve_core::config::SieveConfig;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricId, RetentionPolicy};
+use std::cell::Cell;
 
 /// One durable, replayable mutation of one tenant.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,13 +101,30 @@ pub enum WalEvent {
     },
 }
 
-/// Tag 1 is retired, not reused: it framed a tenant configuration two bytes
-/// longer, and logs carry no format version, so a frame written with it must
-/// fail as an unknown tag instead of decoding shifted.
+/// The event tag versions a frame: a layout change takes a new tag, and an
+/// old tag is either still read or retired, never reused. Tag 1 is retired:
+/// it framed a tenant configuration two bytes longer, so a frame written
+/// with it must fail as an unknown tag instead of decoding shifted.
 const TAG_TENANT_CREATED: u8 = 5;
 const TAG_CALL_GRAPH_REPLACED: u8 = 2;
 const TAG_RETENTION_CHANGED: u8 = 3;
-const TAG_INGEST_BATCH: u8 = 4;
+/// An ingest batch whose points name their series by slot.
+const TAG_INGEST_BATCH: u8 = 6;
+/// An ingest batch whose points spell out their ids: read, not written.
+const TAG_INGEST_BATCH_BY_ID: u8 = 4;
+
+/// Whether this build decodes events of `tag`. A checksum-verified frame of
+/// any other tag was written by another build.
+pub(crate) fn reads_tag(tag: u8) -> bool {
+    matches!(
+        tag,
+        TAG_TENANT_CREATED
+            | TAG_CALL_GRAPH_REPLACED
+            | TAG_RETENTION_CHANGED
+            | TAG_INGEST_BATCH
+            | TAG_INGEST_BATCH_BY_ID
+    )
+}
 
 impl WalEvent {
     /// The tenant this event mutates.
@@ -141,15 +174,21 @@ impl WalEvent {
                 tenant,
                 points,
                 watermarks,
-            } => Self::encode_ingest_batch_into(
-                buf,
-                tenant,
-                points.len(),
-                points.iter().map(|&(slot, timestamp_ms, value)| {
-                    (&watermarks[slot as usize].0, timestamp_ms, value)
-                }),
-                watermarks,
-            ),
+            } => {
+                debug_assert!(
+                    points
+                        .iter()
+                        .all(|&(slot, ..)| (slot as usize) < watermarks.len()),
+                    "every point's slot indexes the watermark list"
+                );
+                put_ingest(
+                    buf,
+                    tenant,
+                    watermarks,
+                    points.len(),
+                    points.iter().copied(),
+                );
+            }
         }
     }
 
@@ -159,9 +198,20 @@ impl WalEvent {
     /// caller's point buffer (skipping rejected indices) instead of
     /// cloning them into a `Vec`.
     ///
-    /// [`WalEvent::encode`] of the equivalent `IngestBatch` calls this, so
-    /// there is one encoder and replay cannot tell the two paths apart.
-    /// `accepted` must equal the number of triples the iterator yields.
+    /// Each point is written as the slot of its id in `watermarks`, the
+    /// bytes [`WalEvent::encode`] writes for the equivalent `IngestBatch`.
+    /// The slot is found without a search: the list is indexed by the
+    /// addresses of its ids' interned names, which a point's id shares
+    /// because the store's watermarks are clones of the ids it was given.
+    /// The index lives in a per-thread table reused from batch to batch, so
+    /// a warm ingest thread encodes without allocating.
+    ///
+    /// `accepted` must equal the number of triples the iterator yields,
+    /// and every point's id must be listed in `watermarks` (live ingest
+    /// lists every accepted point's series). An unlisted id is a caller bug:
+    /// it fails a debug assertion, and a release build writes it as slot
+    /// `watermarks.len()`, which decoding refuses — never another series'
+    /// slot.
     pub fn encode_ingest_batch_into<'a, I>(
         buf: &mut Vec<u8>,
         tenant: &str,
@@ -171,22 +221,15 @@ impl WalEvent {
     ) where
         I: IntoIterator<Item = (&'a MetricId, u64, f64)>,
     {
-        put_u8(buf, TAG_INGEST_BATCH);
-        put_str(buf, tenant);
-        put_usize(buf, accepted);
-        let mut written = 0usize;
-        for (id, timestamp_ms, value) in points {
-            put_metric_id(buf, id);
-            put_u64(buf, timestamp_ms);
-            put_u64(buf, value.to_bits());
-            written += 1;
-        }
-        debug_assert_eq!(written, accepted, "accepted count must match the stream");
-        put_usize(buf, watermarks.len());
-        for (id, fingerprint) in watermarks {
-            put_metric_id(buf, id);
-            put_u64(buf, *fingerprint);
-        }
+        // Taken rather than borrowed: nothing the caller's iterator does can
+        // make this panic, and the table goes back warm.
+        let mut index = SLOT_INDEX.take();
+        index.build(watermarks);
+        let points = points
+            .into_iter()
+            .map(|(id, timestamp_ms, value)| (index.slot(id), timestamp_ms, value));
+        put_ingest(buf, tenant, watermarks, accepted, points);
+        SLOT_INDEX.set(index);
     }
 
     /// Decodes one event from `bytes`; the whole slice must be consumed.
@@ -229,6 +272,7 @@ impl WalEvent {
                 retention: take_retention(&mut cur)?,
             }),
             TAG_INGEST_BATCH => Decoded::Ingest(decode_ingest(&mut cur, memo, ingest)?),
+            TAG_INGEST_BATCH_BY_ID => Decoded::Ingest(decode_ingest_by_id(&mut cur, memo, ingest)?),
             other => return Err(format!("unknown event tag {other}")),
         };
         if !cur.is_empty() {
@@ -260,11 +304,188 @@ pub(crate) struct IngestBuf {
     watermarks: Vec<(u32, u64)>,
 }
 
-/// Reads an ingest body (everything after the tag) into `buf` and returns
-/// its tenant, borrowed from the log. Each point's id is mapped to the
-/// first watermark slot that lists it; a point of an unlisted series is an
-/// error.
+/// Appends a slotted ingest payload (tag 6): the one ingest encoder, fed
+/// `(slot, timestamp, value)` points by both [`WalEvent::encode`] and
+/// [`WalEvent::encode_ingest_batch_into`].
+fn put_ingest(
+    buf: &mut Vec<u8>,
+    tenant: &str,
+    watermarks: &[(MetricId, u64)],
+    accepted: usize,
+    points: impl Iterator<Item = (u32, u64, f64)>,
+) {
+    put_u8(buf, TAG_INGEST_BATCH);
+    put_str(buf, tenant);
+    put_usize(buf, watermarks.len());
+    for (id, fingerprint) in watermarks {
+        put_metric_id(buf, id);
+        put_u64(buf, *fingerprint);
+    }
+    put_usize(buf, accepted);
+    buf.reserve(accepted * MIN_POINT_LEN);
+    let mut written = 0usize;
+    for (slot, timestamp_ms, value) in points {
+        put_varint(buf, slot);
+        put_u64(buf, timestamp_ms);
+        put_u64(buf, value.to_bits());
+        written += 1;
+    }
+    debug_assert_eq!(written, accepted, "accepted count must match the stream");
+}
+
+/// Bytes of the shortest slotted point: a one-byte slot, a timestamp and a
+/// value.
+const MIN_POINT_LEN: usize = 1 + 8 + 8;
+
+thread_local! {
+    /// The slot index [`WalEvent::encode_ingest_batch_into`] reuses.
+    static SLOT_INDEX: Cell<SlotIndex> = const {
+        Cell::new(SlotIndex {
+            cells: Vec::new(),
+            mask: 0,
+            shift: 0,
+            stamp: 0,
+            listed: 0,
+        })
+    };
+}
+
+/// A batch's watermark list, indexed by the addresses of each id's two
+/// interned names: open addressing with linear probing, at most half full.
+/// Interning gives each distinct name one allocation, so equal addresses
+/// are equal ids and a point's id — a clone of the one its watermark was
+/// cloned from — is found in one or two probes, without comparing a byte
+/// of either name.
+#[derive(Default)]
+struct SlotIndex {
+    /// The first `mask + 1` cells index the current list. A cell is in it
+    /// only if it carries the list's `stamp`, so a new list clears nothing.
+    cells: Vec<SlotCell>,
+    mask: usize,
+    /// 64 less the bits of `mask`.
+    shift: u32,
+    stamp: u32,
+    /// The current list's length: the slot an unlisted id is written as.
+    listed: u32,
+}
+
+/// A listed id's name addresses and slot, valid under one stamp.
+#[derive(Clone, Copy, Default)]
+struct SlotCell {
+    key: (usize, usize),
+    slot: u32,
+    stamp: u32,
+}
+
+impl SlotIndex {
+    /// The addresses that key `id`.
+    fn key(id: &MetricId) -> (usize, usize) {
+        (
+            id.component.as_str().as_ptr() as usize,
+            id.metric.as_str().as_ptr() as usize,
+        )
+    }
+
+    /// The first cell to probe for `key`: the top bits of a multiplicative
+    /// hash, which every address bit reaches (allocations share their low
+    /// and high bits, so those alone would collide).
+    fn home(&self, (component, metric): (usize, usize)) -> usize {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mixed = ((component as u64).wrapping_mul(K) ^ metric as u64).wrapping_mul(K);
+        (mixed >> self.shift) as usize & self.mask
+    }
+
+    /// Indexes `watermarks`; an id listed twice keeps its first slot.
+    fn build(&mut self, watermarks: &[(MetricId, u64)]) {
+        let cells = (2 * watermarks.len()).next_power_of_two().max(8);
+        if self.cells.len() < cells {
+            self.cells.resize(cells, SlotCell::default());
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Every 2^32 lists, cells of the list stamped 0 come due.
+            self.cells.fill(SlotCell::default());
+            self.stamp = 1;
+        }
+        self.mask = cells - 1;
+        self.shift = 64 - cells.trailing_zeros();
+        self.listed = watermarks.len() as u32;
+        for (slot, (id, _)) in (0u32..).zip(watermarks) {
+            let key = Self::key(id);
+            let mut at = self.home(key);
+            loop {
+                let cell = &mut self.cells[at];
+                if cell.stamp != self.stamp {
+                    *cell = SlotCell {
+                        key,
+                        slot,
+                        stamp: self.stamp,
+                    };
+                    break;
+                }
+                if cell.key == key {
+                    break;
+                }
+                at = (at + 1) & self.mask;
+            }
+        }
+    }
+
+    /// The slot of `id` in the list last built; the list's length for an
+    /// id it does not name.
+    fn slot(&self, id: &MetricId) -> u32 {
+        let key = Self::key(id);
+        let mut at = self.home(key);
+        loop {
+            let cell = self.cells[at];
+            if cell.stamp != self.stamp {
+                debug_assert!(false, "a point of {id} has no watermark");
+                return self.listed;
+            }
+            if cell.key == key {
+                return cell.slot;
+            }
+            at = (at + 1) & self.mask;
+        }
+    }
+}
+
+/// Reads a slotted ingest body (everything after tag 6) into `buf` and
+/// returns its tenant, borrowed from the log.
 pub(crate) fn decode_ingest<'a>(
+    cur: &mut Cursor<'a>,
+    memo: &mut IdMemo<'a>,
+    buf: &mut IngestBuf,
+) -> DecodeResult<&'a str> {
+    let tenant = cur.take_str("tenant name")?;
+    take_watermarks(cur, memo, buf)?;
+    let slots = buf.watermarks.len();
+    let point_count = cur.take_usize("point count")?;
+    if point_count > cur.remaining() / MIN_POINT_LEN {
+        return Err(format!(
+            "point count {point_count} runs past the end: {} bytes left",
+            cur.remaining()
+        ));
+    }
+    buf.points.clear();
+    buf.points.reserve(point_count);
+    for _ in 0..point_count {
+        let slot = cur.take_varint("point slot")?;
+        if slot as usize >= slots {
+            return Err(format!("point slot {slot} is past the {slots} watermarks"));
+        }
+        let timestamp_ms = cur.take_u64("point timestamp")?;
+        let value = cur.take_f64("point value")?;
+        buf.points.push((slot, timestamp_ms, value));
+    }
+    Ok(tenant)
+}
+
+/// Reads a tag-4 ingest body, whose points spell out their ids ahead of the
+/// watermark list, into `buf` and returns its tenant. Each point's id is
+/// mapped to the first watermark slot that lists it; a point of an
+/// unlisted series is an error.
+fn decode_ingest_by_id<'a>(
     cur: &mut Cursor<'a>,
     memo: &mut IdMemo<'a>,
     buf: &mut IngestBuf,
@@ -281,16 +502,10 @@ pub(crate) fn decode_ingest<'a>(
         let value = f64::from_bits(cur.take_u64("point value")?);
         buf.points.push((entry, timestamp_ms, value));
     }
-    let watermark_count = cur.take_usize("watermark count")?;
-    buf.watermarks.clear();
-    buf.watermarks.reserve(watermark_count.min(65_536));
+    take_watermarks(cur, memo, buf)?;
     memo.begin_listing();
-    for slot in 0..watermark_count {
-        let entry = memo.sight(cur, Section::Watermarks)?;
-        let fingerprint = cur.take_u64("watermark fingerprint")?;
-        let slot = u32::try_from(slot).map_err(|_| "watermark count overflows u32")?;
+    for (slot, &(entry, _)) in (0u32..).zip(&buf.watermarks) {
         memo.list(entry, slot);
-        buf.watermarks.push((entry, fingerprint));
     }
     for point in &mut buf.points {
         point.0 = memo
@@ -298,6 +513,24 @@ pub(crate) fn decode_ingest<'a>(
             .ok_or_else(|| format!("a point of {} has no watermark", memo.id(point.0)))?;
     }
     Ok(tenant)
+}
+
+/// Reads a watermark list, its count first, into `buf`.
+fn take_watermarks<'a>(
+    cur: &mut Cursor<'a>,
+    memo: &mut IdMemo<'a>,
+    buf: &mut IngestBuf,
+) -> DecodeResult<()> {
+    let count = cur.take_usize("watermark count")?;
+    u32::try_from(count).map_err(|_| "watermark count overflows u32")?;
+    buf.watermarks.clear();
+    buf.watermarks.reserve(count.min(65_536));
+    for _ in 0..count {
+        let entry = memo.sight(cur, Section::Watermarks)?;
+        let fingerprint = cur.take_u64("watermark fingerprint")?;
+        buf.watermarks.push((entry, fingerprint));
+    }
+    Ok(())
 }
 
 /// An ingest batch lent by the buffers it was decoded into: the fields of
@@ -364,13 +597,69 @@ impl std::fmt::Debug for IngestRef<'_> {
     }
 }
 
+/// Appends `event` as builds before slotted points wrote it: an ingest
+/// batch in the tag-4 layout through [`encode_by_id`], any other event as
+/// today (its layout has not changed).
+#[cfg(test)]
+pub(crate) fn encode_legacy(event: &WalEvent, buf: &mut Vec<u8>) {
+    match event {
+        WalEvent::IngestBatch {
+            tenant,
+            points,
+            watermarks,
+        } => {
+            let points = points.iter().map(|&(slot, timestamp_ms, value)| {
+                (&watermarks[slot as usize].0, timestamp_ms, value)
+            });
+            encode_by_id(buf, tenant, points, watermarks);
+        }
+        admin => admin.encode(buf),
+    }
+}
+
+/// Appends a tag-4 ingest payload: the points, each spelling out its id,
+/// then the watermark list. Nothing but tests writes this layout any more;
+/// a point may name a series the list does not, which no encoder of today
+/// can be made to write.
+#[cfg(test)]
+pub(crate) fn encode_by_id<'a>(
+    buf: &mut Vec<u8>,
+    tenant: &str,
+    points: impl ExactSizeIterator<Item = (&'a MetricId, u64, f64)>,
+    watermarks: &[(MetricId, u64)],
+) {
+    put_u8(buf, TAG_INGEST_BATCH_BY_ID);
+    put_str(buf, tenant);
+    put_usize(buf, points.len());
+    for (id, timestamp_ms, value) in points {
+        put_metric_id(buf, id);
+        put_u64(buf, timestamp_ms);
+        put_u64(buf, value.to_bits());
+    }
+    put_usize(buf, watermarks.len());
+    for (id, fingerprint) in watermarks {
+        put_metric_id(buf, id);
+        put_u64(buf, *fingerprint);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sieve_exec::hash::splitmix64;
 
     /// Decodes through a fresh memo.
     fn decode(bytes: &[u8]) -> DecodeResult<WalEvent> {
         WalEvent::decode(bytes, &mut IdMemo::default())
+    }
+
+    /// A deterministic stream of pseudo-random words.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            splitmix64(state)
+        }
     }
 
     fn sample_events() -> Vec<WalEvent> {
@@ -407,6 +696,9 @@ mod tests {
             let mut buf = Vec::new();
             event.encode(&mut buf);
             assert_eq!(decode(&buf).unwrap(), event);
+            let mut legacy = Vec::new();
+            encode_legacy(&event, &mut legacy);
+            assert_eq!(decode(&legacy).unwrap(), event, "the layout before slots");
         }
     }
 
@@ -474,15 +766,250 @@ mod tests {
         }
     }
 
+    /// A slotted payload built by hand: one watermark for each of
+    /// `watermarks` ids, the point count, then `points` verbatim.
+    fn slotted(watermarks: usize, point_count: u64, points: &[u8]) -> Vec<u8> {
+        let mut buf = vec![TAG_INGEST_BATCH];
+        put_str(&mut buf, "acme");
+        put_usize(&mut buf, watermarks);
+        for i in 0..watermarks {
+            put_metric_id(&mut buf, &MetricId::new("web", format!("m{i}")));
+            put_u64(&mut buf, i as u64);
+        }
+        put_u64(&mut buf, point_count);
+        buf.extend_from_slice(points);
+        buf
+    }
+
+    /// A point's bytes after its slot: timestamp 500, value 1.5.
+    fn point_tail() -> Vec<u8> {
+        let mut tail = Vec::new();
+        put_u64(&mut tail, 500);
+        put_u64(&mut tail, 1.5f64.to_bits());
+        tail
+    }
+
+    #[test]
+    fn a_slotted_batch_is_refused_for_each_rule_it_breaks() {
+        let point = |slot: &[u8]| [slot, &point_tail()].concat();
+        let refusal = |bytes: Vec<u8>| decode(&bytes).unwrap_err();
+
+        // Well formed: two watermarks, one point of slot 1.
+        let good = slotted(2, 1, &point(&[1]));
+        let WalEvent::IngestBatch { points, .. } = decode(&good).unwrap() else {
+            panic!("an ingest batch");
+        };
+        assert_eq!(points, vec![(1, 500, 1.5)]);
+
+        // A slot at or past the watermark count, short or long.
+        assert_eq!(
+            refusal(slotted(2, 1, &point(&[2]))),
+            "point slot 2 is past the 2 watermarks"
+        );
+        assert_eq!(
+            refusal(slotted(0, 1, &point(&[0]))),
+            "point slot 0 is past the 0 watermarks"
+        );
+        assert_eq!(
+            refusal(slotted(2, 1, &point(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]))),
+            "point slot 4294967295 is past the 2 watermarks"
+        );
+        // A varint that is not the shortest spelling of its value.
+        assert_eq!(
+            refusal(slotted(2, 1, &point(&[0x81, 0x00]))),
+            "point slot: overlong varint"
+        );
+        assert_eq!(
+            refusal(slotted(2, 1, &point(&[0x80, 0x80, 0x00]))),
+            "point slot: overlong varint"
+        );
+        // One past 32 bits.
+        assert_eq!(
+            refusal(slotted(2, 1, &point(&[0xFF, 0xFF, 0xFF, 0xFF, 0x10]))),
+            "point slot: varint overflows u32"
+        );
+        // A point count the bytes left cannot hold, small or absurd.
+        assert_eq!(
+            refusal(slotted(2, 2, &point(&[1]))),
+            "point count 2 runs past the end: 17 bytes left"
+        );
+        assert_eq!(
+            refusal(slotted(2, u64::MAX, &point(&[1]))),
+            "point count 18446744073709551615 runs past the end: 17 bytes left"
+        );
+        // A slot past the end. The count allows 17 bytes a point, but
+        // seventeen points of slot 129 take 18 bytes each: the eighteenth
+        // point's slot is where the bytes run out.
+        let wide = point(&[0x81, 0x01]).repeat(17);
+        assert!(refusal(slotted(130, 18, &wide)).starts_with("truncated point slot"));
+        assert_eq!(
+            refusal(slotted(130, 18, &wide[..wide.len() - 1])),
+            "point count 18 runs past the end: 305 bytes left"
+        );
+        // Trailing garbage after the last point.
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(refusal(trailing).starts_with("trailing garbage after event"));
+    }
+
+    /// A batch of `series` distinct series, sorted as the store lists them,
+    /// whose points draw their slots at random.
+    fn random_batch(rand: &mut impl FnMut() -> u64, series: usize) -> WalEvent {
+        let mut watermarks: Vec<(MetricId, u64)> = (0..series)
+            .map(|i| {
+                (
+                    MetricId::new(format!("c{}", i % 7), format!("m{i}")),
+                    rand(),
+                )
+            })
+            .collect();
+        watermarks.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let points = match series {
+            0 => Vec::new(),
+            _ => (0..rand() % 300)
+                .map(|_| {
+                    let slot = (rand() % series as u64) as u32;
+                    (slot, rand(), f64::from_bits(rand()))
+                })
+                .collect(),
+        };
+        WalEvent::IngestBatch {
+            tenant: "acme".into(),
+            points,
+            watermarks,
+        }
+    }
+
+    #[test]
+    fn random_slotted_batches_roundtrip_through_both_encoders() {
+        let mut rand = rng(0x5107);
+        // 129 and more series make slots of two bytes.
+        let mut sizes = vec![0, 1, 2, 127, 128, 129, 300];
+        sizes.extend((0..60).map(|_| (rand() % 200) as usize));
+        for series in sizes {
+            let event = random_batch(&mut rand, series);
+            let WalEvent::IngestBatch {
+                points, watermarks, ..
+            } = &event
+            else {
+                unreachable!()
+            };
+            let mut encoded = Vec::new();
+            event.encode(&mut encoded);
+            let decoded = decode(&encoded).unwrap();
+            // Values are random bit patterns, NaNs among them: compare bits.
+            let mut again = Vec::new();
+            decoded.encode(&mut again);
+            assert_eq!(again, encoded, "{series} series");
+            assert_eq!(decoded.point_count(), points.len());
+
+            let mut streamed = Vec::new();
+            let triples = points.iter().map(|&(slot, timestamp_ms, value)| {
+                (&watermarks[slot as usize].0, timestamp_ms, value)
+            });
+            WalEvent::encode_ingest_batch_into(
+                &mut streamed,
+                "acme",
+                points.len(),
+                triples,
+                watermarks,
+            );
+            assert_eq!(streamed, encoded, "{series} series, streamed");
+
+            // Tag, tenant, the two counts; each watermark's id and
+            // fingerprint; each point's slot, one byte below 128 and two
+            // from there, then 16 bytes.
+            let listed: usize = watermarks
+                .iter()
+                .map(|(id, _)| 4 + id.component.len() + 4 + id.metric.len() + 8)
+                .sum();
+            let slots: usize = points
+                .iter()
+                .map(|&(slot, ..)| 1 + usize::from(slot >= 128))
+                .sum();
+            assert_eq!(
+                encoded.len(),
+                1 + (4 + 4) + 8 + listed + 8 + slots + 16 * points.len(),
+                "{series} series"
+            );
+        }
+    }
+
+    #[test]
+    fn a_point_of_an_unlisted_series_is_written_as_a_slot_decoding_refuses() {
+        let (listed, unlisted) = (MetricId::new("web", "cpu"), MetricId::new("db", "mem"));
+        let encoded = std::panic::catch_unwind(|| {
+            let mut buf = Vec::new();
+            WalEvent::encode_ingest_batch_into(
+                &mut buf,
+                "acme",
+                2,
+                [(&listed, 500, 1.5), (&unlisted, 500, 2.5)],
+                &[(listed.clone(), 0x1234)],
+            );
+            buf
+        });
+        if cfg!(debug_assertions) {
+            assert!(encoded.is_err(), "a debug build asserts");
+        } else {
+            assert_eq!(
+                decode(&encoded.unwrap()).unwrap_err(),
+                "point slot 1 is past the 1 watermarks"
+            );
+        }
+        // The thread's slot index is intact either way.
+        let mut buf = Vec::new();
+        WalEvent::encode_ingest_batch_into(
+            &mut buf,
+            "acme",
+            1,
+            [(&listed, 500, 1.5)],
+            &[(listed.clone(), 0x1234)],
+        );
+        assert_eq!(decode(&buf).unwrap().point_count(), 1);
+    }
+
+    #[test]
+    fn the_slot_index_holds_only_the_last_list_across_its_stamp_wrapping() {
+        let list = |names: &[&str]| -> Vec<(MetricId, u64)> {
+            names
+                .iter()
+                .map(|name| (MetricId::new("web", *name), 0))
+                .collect()
+        };
+        let (first, second) = (list(&["a", "b", "c"]), list(&["d", "b", "e", "f"]));
+        let mut index = SlotIndex {
+            stamp: u32::MAX - 3,
+            ..SlotIndex::default()
+        };
+        for (round, listed) in [&first, &second, &first, &second].into_iter().enumerate() {
+            index.build(listed);
+            for (slot, (id, _)) in (0u32..).zip(listed) {
+                assert_eq!(index.slot(id), slot, "round {round}, {id}");
+            }
+            let current = index.cells.iter().filter(|c| c.stamp == index.stamp);
+            assert_eq!(current.count(), listed.len(), "round {round}");
+        }
+        assert_eq!(index.stamp, 1, "the last list wrapped the stamp past zero");
+    }
+
     /// Encodes `events` back to back into one buffer, as in a log (a memo's
-    /// keys borrow from it), with the byte range of each.
-    fn encode_log(events: &[WalEvent]) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
+    /// keys borrow from it), each ingest batch in the layout `legacy`
+    /// picks for it, with the byte range of each.
+    fn encode_log(
+        events: &[WalEvent],
+        mut legacy: impl FnMut() -> bool,
+    ) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
         let mut log = Vec::new();
         let ranges = events
             .iter()
             .map(|event| {
                 let start = log.len();
-                event.encode(&mut log);
+                if legacy() {
+                    encode_legacy(event, &mut log);
+                } else {
+                    event.encode(&mut log);
+                }
                 start..log.len()
             })
             .collect();
@@ -492,7 +1019,8 @@ mod tests {
     /// A random event over a small pool of ids, so sequences repeat them.
     /// A batch's watermark list may repeat an id and need not be sorted;
     /// its points draw their series from it in random order, each naming
-    /// the first slot that lists it, so the memo's predictions also miss.
+    /// the first slot that lists it (the slot a tag-4 point decodes to), so
+    /// the memo's predictions also miss.
     fn random_event(rand: &mut impl FnMut() -> u64, ids: &[MetricId]) -> WalEvent {
         let tenant: Name = ["acme", "globex", "initech"][(rand() % 3) as usize].into();
         match rand() % 8 {
@@ -536,7 +1064,6 @@ mod tests {
 
     #[test]
     fn memoised_decode_equals_a_fresh_memo_decode() {
-        use sieve_exec::hash::splitmix64;
         // ("ab", "c") and ("a", "bc") concatenate to the same bytes: only a
         // key that covers the length prefixes tells them apart.
         let ids = [
@@ -546,16 +1073,15 @@ mod tests {
             MetricId::new("web", "mem ♥"),
             MetricId::new("", ""),
         ];
-        let mut state = 0xA11CE_u64;
-        let mut rand = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            splitmix64(state)
-        };
+        let mut rand = rng(0xA11CE);
         for _ in 0..200 {
             let events: Vec<WalEvent> = (0..rand() % 12 + 1)
                 .map(|_| random_event(&mut rand, &ids))
                 .collect();
-            let (log, ranges) = encode_log(&events);
+            // Both layouts, interleaved in one log as a log written across
+            // an upgrade holds them.
+            let mut coin = rng(rand());
+            let (log, ranges) = encode_log(&events, || coin() % 2 == 0);
             let mut memo = IdMemo::default();
             for (event, range) in events.iter().zip(ranges) {
                 let memoised = WalEvent::decode(&log[range.clone()], &mut memo).unwrap();
@@ -570,7 +1096,13 @@ mod tests {
     fn an_id_with_invalid_utf8_is_rejected_at_every_sight_and_never_memoised() {
         let good = MetricId::new("web", "cpu");
         let mut buf = Vec::new();
-        WalEvent::encode_ingest_batch_into(&mut buf, "acme", 1, [(&good, 500, 1.5)], &[]);
+        WalEvent::encode_ingest_batch_into(
+            &mut buf,
+            "acme",
+            1,
+            [(&good, 500, 1.5)],
+            &[(good.clone(), 7)],
+        );
         let at = buf.windows(3).position(|w| w == b"web").unwrap();
         buf[at] = 0xFF;
 
@@ -599,16 +1131,20 @@ mod tests {
                 watermarks: ids.iter().map(|id| (id.clone(), tick)).collect(),
             })
             .collect();
-        let (log, ranges) = encode_log(&batches);
-        let mut memo = IdMemo::default();
-        for range in ranges {
-            WalEvent::decode(&log[range], &mut memo).unwrap();
+        for (legacy, sections) in [(false, 1), (true, 2)] {
+            let (log, ranges) = encode_log(&batches, || legacy);
+            let mut memo = IdMemo::default();
+            for range in ranges {
+                WalEvent::decode(&log[range], &mut memo).unwrap();
+            }
+            // A slotted batch reads an id per watermark; a tag-4 batch one
+            // more per point.
+            assert_eq!(memo.decoded(), sections * events * points, "{legacy}");
+            assert_eq!(memo.interned(), points, "{legacy}");
+            // Each section hashes its first batch and the first id of its
+            // second (the link back from the last id); every later sight
+            // is predicted.
+            assert_eq!(memo.hashed(), sections * (points + 1), "{legacy}");
         }
-        assert_eq!(memo.decoded(), 2 * events * points);
-        assert_eq!(memo.interned(), points);
-        // Each section hashes its first batch and the first id of its
-        // second (the link back from the last id); every later sight is
-        // predicted.
-        assert_eq!(memo.hashed(), 2 * (points + 1));
     }
 }

@@ -22,7 +22,7 @@
 //! previous step.
 
 use crate::codec::{le_words, put_u32, put_u64, DecodeResult, IdMemo};
-use crate::event::WalEvent;
+use crate::event::{reads_tag, WalEvent};
 use sieve_exec::hash::mix;
 
 /// Fixed byte length of a frame header (length + sequence + checksum).
@@ -70,6 +70,11 @@ pub fn checksums<const N: usize>(frames: [(u64, &[u8]); N]) -> [u64; N] {
 pub fn encode(seq: u64, event: &WalEvent) -> Vec<u8> {
     let mut payload = Vec::new();
     event.encode(&mut payload);
+    frame_payload(seq, &payload)
+}
+
+/// Wraps an encoded event in a frame with sequence number `seq`.
+pub(crate) fn frame_payload(seq: u64, payload: &[u8]) -> Vec<u8> {
     assert!(
         payload.len() <= MAX_PAYLOAD,
         "event payload of {} bytes exceeds the frame cap",
@@ -78,8 +83,8 @@ pub fn encode(seq: u64, event: &WalEvent) -> Vec<u8> {
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
     put_u32(&mut frame, payload.len() as u32);
     put_u64(&mut frame, seq);
-    put_u64(&mut frame, checksum(seq, &payload));
-    frame.extend_from_slice(&payload);
+    put_u64(&mut frame, checksum(seq, payload));
+    frame.extend_from_slice(payload);
     frame
 }
 
@@ -200,6 +205,16 @@ pub(crate) fn judge_at<'a, E>(
     decode_verified(bytes, header, decode)
 }
 
+/// The event tag of the frame at `offset` when the frame is whole and its
+/// checksum verifies but this build reads no event of that tag: a frame
+/// another build wrote, not a torn or flipped one.
+pub(crate) fn unknown_tag_at(bytes: &[u8], offset: usize) -> Option<u8> {
+    let header = Header::at(bytes, offset).ok()??;
+    let payload = header.payload(bytes);
+    let tag = *payload.first()?;
+    (!reads_tag(tag) && checksum(header.seq, payload) == header.stored).then_some(tag)
+}
+
 /// Attempts to parse one frame starting at `offset`, resolving metric ids
 /// through `memo` (one memo per `bytes`, whatever offsets it is asked
 /// about).
@@ -306,9 +321,10 @@ mod tests {
 
     /// One frame per event kind, sequence numbers 1..=4, as the encoder
     /// wrote them before the decoder was rewritten around borrowed strings
-    /// and the id memo (commit 8310c95). These bytes are the on-disk
-    /// format: a change that makes this test fail strands every existing
-    /// durable directory.
+    /// and the id memo (commit 8310c95), the ingest batch in the tag-4
+    /// layout every build before slotted points wrote. Directories written
+    /// by those builds hold these bytes: a change that makes one of them
+    /// stop decoding to its event strands them.
     const GOLDEN_FRAMES: [&str; 4] = [
         "9f0000000100000000000000c4d18ed086779983050400000061636d65fa000000000000007b14ae47e17a843f\
          03000000000000000400000000000000110000000000000005000000000000007b14ae47e17a843f0029000000\
@@ -369,25 +385,64 @@ mod tests {
         ]
     }
 
+    /// `encode(4, &golden_events()[3])` today: the ingest batch of
+    /// [`GOLDEN_FRAMES`] as a slotted frame (tag 6), each point a one-byte
+    /// slot where the tag-4 frame spelled out its id. This is what a
+    /// directory written today holds.
+    const GOLDEN_SLOTTED_FRAME: &str =
+        "6600000004000000000000006e38267d87d701ce060400000061636d650200000000000000020000006462030000\
+         006d656dcdab00000000000003000000776562030000006370753412000000000000020000000000000001f40100\
+         0000000000000000000000f83f00f4010000000000000000000000000ac0";
+
+    /// Asserts that `golden` is one whole frame of sequence `seq` that
+    /// decodes to `event`.
+    fn assert_decodes_to(golden: &[u8], seq: u64, event: &WalEvent) {
+        match parse(golden, 0) {
+            Parsed::Frame {
+                seq: parsed,
+                event: decoded,
+                end,
+            } => {
+                assert_eq!(parsed, seq);
+                assert_eq!(decoded, *event, "frame {seq} decodes to its event");
+                assert_eq!(end, golden.len());
+            }
+            other => panic!("golden frame {seq} no longer parses: {other:?}"),
+        }
+    }
+
     #[test]
-    fn golden_frames_decode_to_their_events_and_reencode_to_the_same_bytes() {
+    fn golden_frames_decode_to_their_events_and_reencode_as_written_today() {
         for (index, (hex, event)) in GOLDEN_FRAMES.iter().zip(golden_events()).enumerate() {
             let golden = unhex(hex);
             let seq = index as u64 + 1;
-            match parse(&golden, 0) {
-                Parsed::Frame {
-                    seq: parsed,
-                    event: decoded,
-                    end,
-                } => {
-                    assert_eq!(parsed, seq);
-                    assert_eq!(decoded, event, "frame {seq} decodes to its event");
-                    assert_eq!(end, golden.len());
-                }
-                other => panic!("golden frame {seq} no longer parses: {other:?}"),
-            }
-            assert_eq!(encode(seq, &event), golden, "frame {seq} re-encodes");
+            assert_decodes_to(&golden, seq, &event);
+            // The three admin layouts are unchanged; the ingest batch is
+            // written slotted.
+            let today = match event {
+                WalEvent::IngestBatch { .. } => unhex(GOLDEN_SLOTTED_FRAME),
+                _ => golden.clone(),
+            };
+            assert_eq!(encode(seq, &event), today, "frame {seq} re-encodes");
+            // The tests' tag-4 encoder writes the bytes those builds wrote.
+            let mut legacy = Vec::new();
+            crate::event::encode_legacy(&event, &mut legacy);
+            assert_eq!(frame_payload(seq, &legacy), golden, "frame {seq}");
         }
+    }
+
+    #[test]
+    fn a_slotted_golden_frame_encodes_from_and_decodes_to_its_event() {
+        let golden = unhex(GOLDEN_SLOTTED_FRAME);
+        let event = golden_events()[3].clone();
+        assert_eq!(golden[HEADER_LEN], 6, "event tag");
+        assert_eq!(encode(4, &event), golden);
+        assert_decodes_to(&golden, 4, &event);
+        assert_eq!(
+            unhex(GOLDEN_FRAMES[3]).len() - golden.len(),
+            (14 + 13) - 2,
+            "the two points' ids, web/cpu and db/mem, become a byte each"
+        );
     }
 
     /// [`checksum`] as it was before it folded whole words without a copy,
@@ -451,20 +506,17 @@ mod tests {
 
     #[test]
     fn a_point_of_a_series_without_a_watermark_is_a_bad_frame() {
+        // Only the tag-4 layout can name an unlisted series; today's
+        // encoder writes a slot no list holds (an `event` test).
         let (listed, unlisted) = (MetricId::new("web", "cpu"), MetricId::new("db", "mem"));
         let mut payload = Vec::new();
-        WalEvent::encode_ingest_batch_into(
+        crate::event::encode_by_id(
             &mut payload,
             "acme",
-            2,
-            [(&listed, 500, 1.5), (&unlisted, 500, 2.5)],
+            [(&listed, 500, 1.5), (&unlisted, 500, 2.5)].into_iter(),
             &[(listed.clone(), 0x1234)],
         );
-        let mut frame = Vec::new();
-        put_u32(&mut frame, payload.len() as u32);
-        put_u64(&mut frame, 1);
-        put_u64(&mut frame, checksum(1, &payload));
-        frame.extend_from_slice(&payload);
+        let frame = frame_payload(1, &payload);
         match parse(&frame, 0) {
             Parsed::Bad { reason } => assert_eq!(
                 reason,

@@ -19,6 +19,11 @@
 //! before it has been lent, so the prefix and the corruption report are
 //! those of a frame-by-frame scan. Resynchronization stays byte-by-byte.
 //!
+//! A first bad frame that is whole and verifies its checksum but carries
+//! an event tag this build does not read is no torn write: another build
+//! wrote it. [`LogCorruption::unknown_tag`] names the tag, so recovery can
+//! refuse the log instead of truncating what it cannot judge.
+//!
 //! The walk lends rather than yields: an ingest frame, nearly every frame
 //! of a log, is decoded into buffers the walk reuses and handed out as a
 //! [`Frame::Ingest`] borrowing them until the next call, so replaying a log
@@ -27,7 +32,9 @@
 
 use crate::codec::IdMemo;
 use crate::event::{Decoded, IngestBuf, IngestRef, WalEvent};
-use crate::frame::{checksums, decode_verified, judge_at, parse_at, Header, Parsed};
+use crate::frame::{
+    checksums, decode_verified, judge_at, parse_at, unknown_tag_at, Header, Parsed,
+};
 use std::collections::VecDeque;
 
 /// Frames whose checksums [`LogFrames`] computes in one call.
@@ -67,6 +74,11 @@ pub struct LogCorruption {
     /// Bytes of the corrupt region not accounted for by resynchronized
     /// frames (the unparseable wreckage itself).
     pub lost_bytes: u64,
+    /// Set when the first bad frame is whole and its checksum verifies but
+    /// it carries an event tag this build does not read: the frame was
+    /// written by another build, and what follows it is not corruption but
+    /// a format this build cannot judge.
+    pub unknown_tag: Option<u8>,
 }
 
 /// The intact prefix of a shard log, one decoded frame at a time.
@@ -288,13 +300,14 @@ fn resync<'a>(
         reason,
         resynced,
         lost_bytes: (bytes.len() - corrupt_at - resynced_bytes) as u64,
+        unknown_tag: unknown_tag_at(bytes, corrupt_at),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::encode;
+    use crate::frame::{encode, frame_payload, HEADER_LEN};
     use sieve_simulator::store::{MetricId, RetentionPolicy};
 
     fn ingest(tenant: &str, t: u64) -> WalEvent {
@@ -324,6 +337,18 @@ mod tests {
         let mut bytes = Vec::new();
         for (seq, event) in events {
             bytes.extend_from_slice(&encode(*seq, event));
+        }
+        bytes
+    }
+
+    /// A log of `events` as a build before slotted points wrote it: every
+    /// ingest batch in the tag-4 layout.
+    fn legacy_log_of(events: &[(u64, WalEvent)]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (seq, event) in events {
+            let mut payload = Vec::new();
+            crate::event::encode_legacy(event, &mut payload);
+            bytes.extend_from_slice(&frame_payload(*seq, &payload));
         }
         bytes
     }
@@ -478,6 +503,11 @@ mod tests {
                 _ => pos += 1,
             }
         }
+        // A frame whose checksum verified and whose payload then failed on
+        // its tag, read back from the reason `parse_at` gives.
+        let unknown_tag = reason
+            .strip_prefix("checksummed payload failed to decode: unknown event tag ")
+            .map(|tag| tag.parse().expect("a tag byte"));
         ScannedLog {
             applied,
             corruption: Some(LogCorruption {
@@ -485,15 +515,22 @@ mod tests {
                 reason,
                 resynced,
                 lost_bytes: (bytes.len() - corrupt_at - resynced_bytes) as u64,
+                unknown_tag,
             }),
         }
     }
 
-    type CorruptionView<'a> = Option<(u64, &'a str, &'a [(u64, WalEvent)], u64)>;
+    type CorruptionView<'a> = Option<(u64, &'a str, &'a [(u64, WalEvent)], u64, Option<u8>)>;
 
     fn view(corruption: &Option<LogCorruption>) -> CorruptionView<'_> {
         let c = corruption.as_ref()?;
-        Some((c.offset, &c.reason, &c.resynced, c.lost_bytes))
+        Some((
+            c.offset,
+            &c.reason,
+            &c.resynced,
+            c.lost_bytes,
+            c.unknown_tag,
+        ))
     }
 
     /// Walks `bytes` one lent frame at a time — each materialised and
@@ -529,20 +566,29 @@ mod tests {
             tenant: tenant.into(),
             retention: RetentionPolicy::windowed(8),
         };
-        // Ten frames of five sizes, so every truncation and flip lands at
-        // every position of a four-frame read-ahead window.
-        let log = log_of(&[
+        // Ten frames of seven sizes, so every truncation and flip lands at
+        // every position of a four-frame read-ahead window. A build that
+        // reads this log may have written its second half, after one that
+        // spelled out every point's id wrote the first: the tag-4 and tag-6
+        // forms of one batch alternate.
+        let mut log = legacy_log_of(&[
             (1, ingest("a", 500)),
             (2, wide_ingest("b", 500, 3)),
             (3, admin("c")),
             (5, ingest("a", 1000)),
+        ]);
+        log.extend(log_of(&[
             (6, wide_ingest("c", 500, 1)),
             (9, ingest("b", 1000)),
+        ]));
+        log.extend(legacy_log_of(&[
             (10, admin("a")),
             (11, wide_ingest("a", 1500, 4)),
+        ]));
+        log.extend(log_of(&[
             (12, ingest("c", 1000)),
-            (14, ingest("b", 1500)),
-        ]);
+            (14, wide_ingest("b", 1500, 3)),
+        ]));
         assert_streamed_equals_scanned(&log, "intact");
         for len in 0..log.len() {
             assert_streamed_equals_scanned(&log[..len], &format!("truncated to {len}"));
@@ -555,6 +601,33 @@ mod tests {
                 flipped[byte] ^= 1 << bit;
             }
         }
+    }
+
+    #[test]
+    fn a_verified_frame_of_a_tag_this_build_does_not_read_is_named() {
+        let events = vec![(1, ingest("a", 500)), (2, ingest("a", 1000))];
+        let mut bytes = log_of(&events);
+        let offset = bytes.len() as u64;
+        let foreign = frame_payload(3, &[7, 0xAB, 0xCD]);
+        bytes.extend_from_slice(&foreign);
+        bytes.extend_from_slice(&encode(4, &ingest("b", 500)));
+        let scanned = scan_log(&bytes);
+        assert_eq!(scanned.applied, events);
+        let corruption = scanned.corruption.expect("tag 7 ends the prefix");
+        assert_eq!(
+            (corruption.offset, corruption.unknown_tag),
+            (offset, Some(7))
+        );
+        // Resynchronization is what it always was.
+        assert_eq!(corruption.resynced, vec![(4, ingest("b", 500))]);
+        assert_eq!(corruption.lost_bytes, foreign.len() as u64);
+
+        // A flipped bit is corruption, whatever tag it leaves behind.
+        let at = offset as usize + HEADER_LEN + 1;
+        bytes[at] ^= 0x01;
+        let corruption = scan_log(&bytes).corruption.expect("flipped");
+        assert_eq!(corruption.unknown_tag, None);
+        assert!(corruption.reason.contains("checksum mismatch"));
     }
 
     #[test]

@@ -9,17 +9,29 @@
 //!
 //! Snapshots are written atomically: encode to `<path>.tmp`, `fsync`,
 //! then `rename` over the final path. A crash mid-write leaves either the
-//! old snapshot or none — never a half-written one — and the whole file
-//! carries a trailing checksum so a bit-flipped snapshot is detected and
+//! old snapshot or none — never a half-written one — and the header
+//! carries a checksum of the body so a bit-flipped snapshot is detected and
 //! treated as absent (recovery then falls back to pure log replay).
+//!
+//! ```text
+//! [magic: u64 LE][version: u32 LE][body checksum: u64 LE][body]
+//! ```
+//!
+//! This build writes version 4, whose checksum runs four lanes, and still
+//! reads versions 3 and 2. The version field sits outside what the
+//! checksum covers (it seeds it instead), so a snapshot of a version this
+//! build does not read — a newer build's, or this build's with the field
+//! flipped — is rejected as unsupported either way: the two cannot be
+//! told apart, and both fall back to the log.
 
 use crate::codec::{
     put_call_graph, put_sieve_config, put_store_state, put_str, put_u32, put_u64, put_usize,
     take_call_graph, take_sieve_config, take_store_state, Cursor, DecodeResult, IdMemo,
 };
-use crate::frame::checksum;
+use crate::frame::{checksum, checksums};
 use crate::{Result, WalError};
 use sieve_core::config::SieveConfig;
+use sieve_exec::hash::mix;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::StoreState;
 use std::io::Write;
@@ -27,12 +39,40 @@ use std::path::Path;
 
 /// Magic prefix of a snapshot file ("SIEVSNAP" in ASCII).
 const MAGIC: u64 = 0x5349_4556_534E_4150;
-/// Format version written, bumped on layout changes. Version 2 — the same
-/// layout plus two accounting fields per store — is still read; any other
-/// version is rejected, never reinterpreted: version 1 carried two more
-/// bytes per tenant configuration.
-const VERSION: u32 = 3;
+/// Format version written, bumped on layout changes: version 4 checksums
+/// its body in four lanes ([`body_checksum`]). Versions 3 (the same body
+/// under one checksum chain) and 2 (that, plus two accounting fields per
+/// store) are still read; any other version is rejected, never
+/// reinterpreted: version 1 carried two more bytes per tenant
+/// configuration.
+const VERSION: u32 = 4;
+const VERSION_ONE_CHAIN: u32 = 3;
 const VERSION_WITH_ACCOUNTING: u32 = 2;
+
+/// The header checksum of a snapshot body of format `version`.
+///
+/// Version 4 cuts the body into quarters at multiples of eight bytes (the
+/// last quarter takes the remainder) and checksums them as four frames do,
+/// with [`checksums`]: four mix chains in lockstep, each seeded with its
+/// lane, so equal quarters sum apart. The four sums are then folded, in
+/// lane order, into one word. Older versions run one chain over the whole
+/// body.
+fn body_checksum(version: u32, body: &[u8]) -> u64 {
+    let seed = MAGIC ^ u64::from(version);
+    if version < VERSION {
+        return checksum(seed, body);
+    }
+    let quarter = body.len() / 32 * 8;
+    let lanes = std::array::from_fn(|lane| {
+        let end = if lane == 3 {
+            body.len()
+        } else {
+            (lane + 1) * quarter
+        };
+        (seed.wrapping_add(lane as u64), &body[lane * quarter..end])
+    });
+    checksums::<4>(lanes).into_iter().fold(seed, mix)
+}
 
 /// One tenant's durable image inside a shard snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +120,7 @@ impl ShardSnapshot {
             put_call_graph(&mut bytes, &tenant.call_graph);
             put_store_state(&mut bytes, &tenant.store);
         }
-        let sum = checksum(MAGIC ^ u64::from(VERSION), &bytes[body_start..]);
+        let sum = body_checksum(VERSION, &bytes[body_start..]);
         bytes[body_start - 8..body_start].copy_from_slice(&sum.to_le_bytes());
         bytes
     }
@@ -99,12 +139,15 @@ impl ShardSnapshot {
             return Err(format!("bad snapshot magic {magic:#x}"));
         }
         let version = cur.take_u32("snapshot version")?;
-        if version != VERSION && version != VERSION_WITH_ACCOUNTING {
+        if !matches!(
+            version,
+            VERSION | VERSION_ONE_CHAIN | VERSION_WITH_ACCOUNTING
+        ) {
             return Err(format!("unsupported snapshot version {version}"));
         }
         let stored = cur.take_u64("snapshot checksum")?;
         let body = &bytes[cur.position()..];
-        if checksum(MAGIC ^ u64::from(version), body) != stored {
+        if body_checksum(version, body) != stored {
             return Err("snapshot checksum mismatch".to_string());
         }
         let shard = cur.take_usize("snapshot shard")?;
@@ -333,7 +376,7 @@ mod tests {
         assert_eq!(restored.fingerprint(&mem), Some(0x4907_5a54_4892_c63d));
         assert_eq!(restored.freeze(), live.freeze());
 
-        // Written back, the same snapshot is version 3 and the two
+        // Written back, the same snapshot is today's version and the two
         // accounting fields shorter.
         let rewritten = decoded.encode();
         assert_eq!(rewritten[8..12], VERSION.to_le_bytes());
@@ -342,8 +385,9 @@ mod tests {
     }
 
     /// `ShardSnapshot::encode` of [`golden_v2_snapshot`]'s snapshot as
-    /// commit 432bd7b wrote it, format version 3: the bytes a directory
-    /// written today holds.
+    /// commit 432bd7b wrote it, format version 3: its body checksummed by
+    /// one chain. Directories written before four-lane checksums hold
+    /// files like this one.
     const GOLDEN_V3_SNAPSHOT: &str =
         "50414e535645495303000000ab592b978c5f55cd01000000000000000700000000000000010000000000000004000000\
          61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
@@ -360,12 +404,78 @@ mod tests {
          fc3f88130000000000007c15000000000000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000";
 
+    /// `ShardSnapshot::encode` of [`golden_v2_snapshot`]'s snapshot today,
+    /// format version 4: [`GOLDEN_V3_SNAPSHOT`]'s body under a four-lane
+    /// checksum. The bytes a directory written today holds.
+    const GOLDEN_V4_SNAPSHOT: &str =
+        "50414e535645495304000000bc221d9a94c754b001000000000000000700000000000000010000000000000004000000\
+         61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
+         000000007b14ae47e17a843f002900000000000000030000000000000001030000000000000002000000000000000200\
+         000000000000020000006462030000007765620100000000000000030000007765620200000064620300000000000000\
+         0103000000000000000200000000000000010000000000000011000000000000000c0000000000000002000000000000\
+         00020000006462030000006d656d02000000000000000000000000000000f401000000000000000000000000f43f0000\
+         0000000004c00d131ea9e317bdb200000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000300000077656203000000637075030000\
+         000000000070170000000000006419000000000000581b00000000000000000000000000400000000000000240000000\
+         0000000440fe4082463203469f010100000000000000000000000000000094110000000000000a000000000000000000\
+         c03f000000000000f0bf000000000000f43f02000000020000000000000000000a40000000000000f83f000000000000\
+         fc3f88130000000000007c15000000000000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000";
+
     #[test]
-    fn a_version_3_snapshot_encodes_to_its_golden_bytes_and_decodes_back() {
+    fn a_version_3_snapshot_decodes_to_the_snapshot_the_v4_golden_encodes() {
         let (snapshot, _) = golden_v2_snapshot();
         let golden = unhex(GOLDEN_V3_SNAPSHOT);
+        let decoded = ShardSnapshot::decode(&golden).unwrap();
+        assert_eq!(decoded, snapshot);
+        assert_eq!(decoded.encode(), unhex(GOLDEN_V4_SNAPSHOT));
+    }
+
+    #[test]
+    fn a_version_4_snapshot_encodes_to_its_golden_bytes_and_decodes_back() {
+        let (snapshot, _) = golden_v2_snapshot();
+        let golden = unhex(GOLDEN_V4_SNAPSHOT);
         assert_eq!(snapshot.encode(), golden);
         assert_eq!(ShardSnapshot::decode(&golden).unwrap(), snapshot);
+        // Only the version and the checksum differ from version 3.
+        let v3 = unhex(GOLDEN_V3_SNAPSHOT);
+        assert_eq!((&golden[..8], &golden[20..]), (&v3[..8], &v3[20..]));
+        assert_eq!(golden[8..12], VERSION.to_le_bytes());
+    }
+
+    #[test]
+    fn the_four_lane_checksum_catches_what_one_chain_catches() {
+        let bytes = sample().encode();
+        let body = &bytes[20..];
+        let stored = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+        assert_eq!(body_checksum(VERSION, body), stored);
+        // Every single bit flip of the body, in every lane and the tail.
+        for at in 0..body.len() {
+            for bit in 0..8 {
+                let mut flipped = body.to_vec();
+                flipped[at] ^= 1 << bit;
+                assert_ne!(
+                    body_checksum(VERSION, &flipped),
+                    stored,
+                    "byte {at} bit {bit}"
+                );
+            }
+        }
+        // Swapping two whole quarters moves bytes between lanes.
+        let quarter = body.len() / 32 * 8;
+        let mut swapped = body.to_vec();
+        swapped[..2 * quarter].rotate_left(quarter);
+        assert_ne!(swapped, body, "the first two quarters differ");
+        assert_ne!(body_checksum(VERSION, &swapped), stored);
+        // Bodies shorter than a lane's word, and empty, still checksum.
+        for len in 0..40 {
+            let short = vec![0xA5; len];
+            assert_ne!(
+                body_checksum(VERSION, &short),
+                body_checksum(VERSION_ONE_CHAIN, &short)
+            );
+        }
     }
 
     #[test]
