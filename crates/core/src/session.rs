@@ -192,6 +192,13 @@ impl AnalysisSession {
     /// performs a full analysis — which is exactly what
     /// [`crate::pipeline::Sieve::analyze`] does.
     ///
+    /// The epoch watermark starts at the store's: 0 for a fresh store, and
+    /// for one revived from a durability snapshot (`MetricStore::restore`)
+    /// the epoch the frozen session had reached, so stats continue from
+    /// where it stopped. Because models are pure functions of store
+    /// content, the first refresh over a revived store publishes the model
+    /// the frozen session would have published over the same content.
+    ///
     /// # Errors
     ///
     /// Returns [`crate::SieveError::InvalidConfig`] for invalid
@@ -207,6 +214,7 @@ impl AnalysisSession {
             config_fp: config_fingerprint(&config),
             config,
             application: application.into(),
+            last_epoch: store.epoch(),
             store,
             call_graph,
             prepared: BTreeMap::new(),
@@ -215,36 +223,10 @@ impl AnalysisSession {
             edge_cache: HashMap::new(),
             generation: 0,
             dirty: BTreeSet::new(),
-            last_epoch: 0,
             stats: SessionStats::default(),
             last_model: None,
         };
         session.mark_all_dirty();
-        Ok(session)
-    }
-
-    /// Like [`AnalysisSession::new`], but for a store revived from a
-    /// durability snapshot (`MetricStore::restore`): the session's epoch
-    /// watermark is fast-forwarded to the store's current epoch, so stats
-    /// and sweep bookkeeping continue from where the frozen session
-    /// stopped instead of restarting at zero. Everything is marked dirty,
-    /// so the first refresh performs a full analysis — and because models
-    /// are pure functions of store content, that refresh publishes a model
-    /// bit-identical to the one the original session served over the same
-    /// store content.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::SieveError::InvalidConfig`] for invalid
-    /// configurations.
-    pub fn rehydrated(
-        application: impl Into<String>,
-        store: MetricStore,
-        call_graph: CallGraph,
-        config: SieveConfig,
-    ) -> Result<Self> {
-        let mut session = Self::new(application, store, call_graph, config)?;
-        session.last_epoch = session.store.epoch();
         Ok(session)
     }
 
@@ -766,10 +748,10 @@ mod tests {
             AnalysisSession::new("chain", store.clone(), graph.clone(), fast_config()).unwrap();
         let live_model = live.update_shared(&store.drain_delta()).unwrap();
 
-        // Freeze the store, revive it, and rehydrate a fresh session over
-        // it — the recovery boot path.
+        // Freeze the store, revive it, and open a fresh session over it —
+        // the recovery boot path.
         let revived = sieve_simulator::store::MetricStore::restore(store.freeze());
-        let mut recovered = AnalysisSession::rehydrated(
+        let mut recovered = AnalysisSession::new(
             "chain",
             revived.clone(),
             live.call_graph().clone(),
@@ -794,6 +776,46 @@ mod tests {
         let next_live = live.update_shared(&store.drain_delta()).unwrap();
         let next_recovered = recovered.update_shared(&revived.drain_delta()).unwrap();
         assert_eq!(*next_recovered, *next_live);
+    }
+
+    #[test]
+    fn a_session_over_a_revived_store_continues_the_frozen_one() {
+        let app = chain_app(3);
+        let (store, graph) =
+            load_application(&app, &Workload::randomized(50.0, 6), 17, 60_000, 500).unwrap();
+        // The live session absorbs two observation rounds without
+        // refreshing, then fresh samples arrive and stay undrained.
+        let mut live =
+            AnalysisSession::new("chain", store.clone(), graph.clone(), fast_config()).unwrap();
+        live.apply_delta(&store.drain_delta());
+        live.apply_delta(&store.drain_delta());
+        for metric in ["svc2_requests_per_second", "svc2_latency_ms"] {
+            let id = sieve_simulator::store::MetricId::new("svc2", metric);
+            let last = store.series(&id).unwrap().end_ms().unwrap();
+            store.record(&id, last + 500, 5.0);
+        }
+
+        // A session opened over the revived store starts at its epoch, with
+        // the same pending dirt.
+        let revived = MetricStore::restore(store.freeze());
+        let mut recovered =
+            AnalysisSession::new("chain", revived.clone(), graph, fast_config()).unwrap();
+        assert_eq!(revived.epoch(), 2);
+        assert!(live.has_pending_dirty() && recovered.has_pending_dirty());
+        let live_model = live.refresh_shared().unwrap();
+        let recovered_model = recovered.refresh_shared().unwrap();
+        assert_eq!(*recovered_model, *live_model);
+        assert_eq!(recovered.last_stats(), live.last_stats());
+        assert_eq!(recovered.last_stats().epoch, 2);
+
+        // The pending samples drain as the same delta on both sides.
+        let delta = store.drain_delta();
+        assert_eq!(revived.drain_delta(), delta);
+        let next_live = live.update_shared(&delta).unwrap();
+        let next_recovered = recovered.update_shared(&delta).unwrap();
+        assert_eq!(*next_recovered, *next_live);
+        assert_eq!(recovered.last_stats(), live.last_stats());
+        assert_eq!(live.last_stats().epoch, 3);
     }
 
     #[test]

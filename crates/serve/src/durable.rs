@@ -13,15 +13,16 @@ use crate::config::DurabilityConfig;
 use crate::registry::ShardedRegistry;
 use crate::service::SieveService;
 use crate::stats::ServiceStats;
-use crate::tenant::{IngestScratch, Tenant};
+use crate::tenant::{Mutation, Tenant};
 use crate::Result;
 use sieve_exec::hash::shard_index;
 use sieve_wal::{
     log_file_name, snapshot_file_name, GroupCommitLog, ShardSnapshot, TenantSnapshot, WalError,
+    WalEvent,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// One shard's durable state: a cross-thread group-commit log, the
 /// admin/snapshot coordination lock and the snapshot-cadence counter.
@@ -51,76 +52,72 @@ pub(crate) struct DurableLog {
     shards: Vec<DurableShard>,
 }
 
-/// How a mutation holds its shard's `admin` lock.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Admin {
-    /// For *read*: in parallel with the shard's other writers.
-    Shared,
-    /// For *write*: alone on a quiesced shard. Tenant creation — between
-    /// registering the tenant and staging its creation record, no
-    /// snapshot may list the shard's tenants and no ingest may stage a
-    /// frame for the new name ahead of the record that introduces it.
-    Creating,
-}
-
 impl SieveService {
     /// The one path by which a tenant mutation is applied and, on a
     /// durable service, logged: *admin → the tenant's apply-order lock →
-    /// `apply` → stage → release apply-order → commit → release admin →
-    /// cadence*.
+    /// [`Tenant::apply`] → stage → release apply-order → commit → release
+    /// admin → cadence*. Returns the ingest points the mutation accepted.
     ///
-    /// On a service without durability `apply` receives `None` and runs
-    /// under no lock at all (the memory-only ingest fast path). Otherwise
-    /// it receives the tenant's scratch with an empty `payload`, and
-    /// encodes the event to log into it (leaving it empty logs nothing);
-    /// staging that payload is done here, so a closure cannot stage
-    /// outside the apply-order lock — it cannot stage at all. What `apply`
-    /// does to the store or the session and the frame that records it
-    /// therefore happen atomically per tenant: the shard log's per-tenant
-    /// frame order equals the apply order replay verifies against, and a
-    /// snapshot (which takes `admin` for write) never observes an event
-    /// that is applied but not yet staged. The commit wait comes after the
+    /// A `TenantCreated` record registers `tenant` before it is applied,
+    /// holding `admin` for *write*: between registering the tenant and
+    /// staging its creation record, no snapshot may list the shard's tenants and no
+    /// ingest may stage a frame for the new name ahead of the record that
+    /// introduces it. Every other mutation holds it for *read*, in
+    /// parallel with the shard's other writers.
+    ///
+    /// On a service without durability the mutation is applied under no
+    /// lock at all (the memory-only ingest fast path). Otherwise `apply`
+    /// encodes the event into the tenant's scratch `payload`, and staging
+    /// it is done here, under the apply-order lock: what a mutation does
+    /// to the store or the session and the frame that records it happen
+    /// atomically per tenant, so the shard log's per-tenant frame order
+    /// equals the apply order replay verifies against, and a snapshot
+    /// (which takes `admin` for write) never observes an event that is
+    /// applied but not yet staged. The commit wait comes after the
     /// apply-order lock is released, so concurrent writers of one shard
     /// group-commit together.
     ///
     /// # Errors
     ///
-    /// [`crate::ServeError::Wal`] when the commit (or a snapshot the
-    /// cadence tripped) fails: the mutation *is* applied in memory but not
-    /// durable.
-    pub(crate) fn mutate<R>(
-        &self,
-        tenant: &Tenant,
-        admin: Admin,
-        apply: impl FnOnce(Option<&mut IngestScratch>) -> R,
-    ) -> Result<R> {
+    /// [`crate::ServeError::DuplicateTenant`] when a created tenant's name
+    /// is taken; [`crate::ServeError::Wal`] when the commit (or a snapshot
+    /// the cadence tripped) fails: the mutation *is* applied in memory but
+    /// not durable.
+    pub(crate) fn mutate(&self, tenant: &Arc<Tenant>, mutation: Mutation<'_>) -> Result<usize> {
+        let creating = matches!(mutation, Mutation::Admin(WalEvent::TenantCreated { .. }));
+        // `apply` returns `None` only for a replayed batch, which never
+        // comes this way.
         let Some(durable) = &self.durable else {
-            return Ok(apply(None));
+            if creating {
+                self.registry.insert(Arc::clone(tenant))?;
+            }
+            return Ok(tenant.apply(mutation, None).unwrap_or_default());
         };
         let shard = shard_index(tenant.name.as_str(), durable.shards.len());
         let dshard = &durable.shards[shard];
-        let held = match admin {
-            Admin::Shared => (Some(dshard.admin.read().expect(ADMIN_POISONED)), None),
-            Admin::Creating => (None, Some(dshard.admin.write().expect(ADMIN_POISONED))),
-        };
-        let (result, staged) = {
+        let shared = (!creating).then(|| dshard.admin.read().expect(ADMIN_POISONED));
+        let exclusive = creating.then(|| dshard.admin.write().expect(ADMIN_POISONED));
+        let (accepted, staged) = {
             let mut scratch = tenant.apply_order();
+            if creating {
+                self.registry.insert(Arc::clone(tenant))?;
+            }
             scratch.payload.clear();
-            let result = apply(Some(&mut scratch));
+            let accepted = tenant.apply(mutation, Some(&mut scratch));
             let payload = &scratch.payload;
             let staged = (!payload.is_empty()).then(|| dshard.log.stage_encoded(payload));
-            (result, staged)
+            (accepted.unwrap_or_default(), staged)
         };
         if let Some(seq) = staged {
             dshard.log.commit_through(seq)?;
             // A creation record does not carry store content, so an adopted
             // pre-loaded store is only durable once snapshotted.
-            let preloaded = matches!(admin, Admin::Creating) && tenant.store.series_count() > 0;
+            let preloaded = creating && tenant.store.series_count() > 0;
             // The cadence takes `admin` for write when it trips.
-            drop(held);
+            drop((shared, exclusive));
             durable.note_logged_event(&self.registry, shard, preloaded)?;
         }
-        Ok(result)
+        Ok(accepted)
     }
 }
 

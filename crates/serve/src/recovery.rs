@@ -16,13 +16,10 @@
 //! byte on disk.
 
 use crate::registry::ShardedRegistry;
-use crate::tenant::Tenant;
+use crate::tenant::{Mutation, Tenant};
 use crate::{Result, ServeError};
-use sieve_core::config::SieveConfig;
-use sieve_core::session::AnalysisSession;
 use sieve_exec::hash::shard_index;
 use sieve_exec::Name;
-use sieve_graph::CallGraph;
 use sieve_simulator::store::MetricStore;
 use sieve_wal::{
     log_file_name, snapshot_file_name, Frame, LogFrames, ShardSnapshot, WalError, WalEvent,
@@ -136,16 +133,18 @@ pub struct ShardRecovery {
     /// did not predict them (first sights included); the rest were
     /// predicted.
     pub ids_hashed: u64,
-    /// Wall time spent reading the snapshot and restoring its stores, in
-    /// nanoseconds.
+    /// Wall time spent reading the snapshot and restoring its tenants —
+    /// stores and sessions — in nanoseconds.
     pub snapshot_ns: u64,
     /// Wall time spent reading the log file.
     pub log_read_ns: u64,
-    /// Wall time spent walking the log — checksums, decode, verified apply
-    /// — and accounting the resynchronized frames.
+    /// Wall time spent walking the log — checksums, decode, opening the
+    /// tenants creation records introduce, applying every other frame —
+    /// and accounting the resynchronized frames.
     pub replay_ns: u64,
-    /// Wall time spent rebuilding the recovered tenants' sessions and
-    /// registering them.
+    /// Wall time spent checking that every tenant the shard holds routes
+    /// to it and registering the recovered ones (their sessions were built
+    /// when the snapshot or a creation record introduced them).
     pub rehydrate_ns: u64,
     /// Per-tenant outcomes, keyed by tenant name. A tenant present here
     /// but absent from [`crate::service::SieveService::tenants`] lost its
@@ -272,10 +271,9 @@ pub(crate) fn shard_count_mismatch(shard_count: usize, found: String) -> ServeEr
 /// but never restored.
 #[derive(Default)]
 struct Replaying {
-    /// The tenant's store, analysis configuration and call graph; `None`
-    /// when the tenant is known only by name from orphaned frames (its
-    /// creation record was lost).
-    state: Option<(MetricStore, SieveConfig, CallGraph)>,
+    /// The tenant, `None` when it is known only by name from orphaned
+    /// frames (its creation record was lost).
+    tenant: Option<Arc<Tenant>>,
     points_replayed: u64,
     /// Once anything is lost the tenant is degraded: no further event of
     /// it is applied — every later one joins the lost suffix (applying
@@ -285,13 +283,6 @@ struct Replaying {
 }
 
 impl Replaying {
-    fn restored(store: MetricStore, config: SieveConfig, graph: CallGraph) -> Self {
-        Self {
-            state: Some((store, config, graph)),
-            ..Self::default()
-        }
-    }
-
     /// An event of `points` points cannot be applied: it joins the lost
     /// suffix.
     fn lose(&mut self, points: usize) {
@@ -314,59 +305,55 @@ impl Replaying {
 }
 
 /// Replays one frame of the log's intact prefix into the shard state, if
-/// it still can be applied. Ingest batches are verified *before* being
-/// applied ([`MetricStore::record_batch_verified`]), straight from the
-/// buffers the frame is lent from: the store writes a batch only if that
-/// reproduces the fingerprint watermarks logged next to it — a mismatch
-/// means replay would diverge from what the live service applied, so the
-/// tenant degrades instead of silently rebuilding a wrong model.
-fn replay(replaying: &mut BTreeMap<String, Replaying>, frame: Frame<'_>) {
-    if let Frame::Admin(WalEvent::TenantCreated {
-        tenant,
-        config,
-        call_graph,
-    }) = &frame
-    {
-        // Only an intact creation record may introduce a name; any other
-        // event of an unknown name makes it a phantom.
-        if !replaying.contains_key(tenant.as_str()) {
-            let store = MetricStore::with_retention(config.retention);
-            let restored = Replaying::restored(store, (**config).clone(), call_graph.clone());
-            replaying.insert(tenant.to_string(), restored);
-            return;
-        }
-    }
-    // The name is copied only the first time it is seen.
-    let tenant = match replaying.get_mut(frame.tenant()) {
-        Some(tenant) => tenant,
-        None => replaying.entry(frame.tenant().to_string()).or_default(),
-    };
-    let appliable = tenant.lost.events == 0;
-    let Some((store, _, graph)) = tenant.state.as_mut().filter(|_| appliable) else {
-        return tenant.lose(frame.point_count());
-    };
+/// it still can be applied: a creation record of a new name opens the
+/// tenant, any other frame is applied to it as the [`Mutation`] the live
+/// service applied. An ingest batch is verified *before* being applied,
+/// straight from the buffers the frame is lent from: the store writes it
+/// only if that reproduces the fingerprint watermarks logged next to it —
+/// a mismatch means replay would diverge from what the live service
+/// applied, so the tenant degrades instead of silently rebuilding a
+/// wrong model.
+///
+/// # Errors
+///
+/// [`ServeError::Analysis`] when a creation record's session cannot be
+/// built.
+fn replay(replaying: &mut BTreeMap<String, Replaying>, frame: Frame<'_>) -> Result<()> {
     let points = frame.point_count();
-    let applied = match frame {
-        Frame::Ingest(batch) => store.record_batch_verified(batch.points(), batch.watermarks()),
-        // A duplicate creation record means the log and snapshot
+    let Some(replayed) = replaying.get_mut(frame.tenant()) else {
+        // Only an intact creation record may introduce a name; any other
+        // event of an unknown name makes it a phantom. The name is copied
+        // only the first time it is seen.
+        let name = frame.tenant().to_string();
+        let mut introduced = Replaying::default();
+        match frame {
+            Frame::Admin(WalEvent::TenantCreated {
+                tenant,
+                config,
+                call_graph,
+            }) => {
+                let store = MetricStore::with_retention(config.retention);
+                introduced.tenant = Some(Tenant::open(tenant, store, call_graph, *config)?);
+            }
+            _ => introduced.lose(points),
+        }
+        replaying.insert(name, introduced);
+        return Ok(());
+    };
+    let applied = match (&replayed.tenant, frame) {
+        // A degraded tenant applies nothing more.
+        _ if replayed.lost.events > 0 => None,
+        // A second creation record means the log and the snapshot
         // disagree: degrade rather than guess.
-        Frame::Admin(WalEvent::TenantCreated { .. }) => None,
-        Frame::Admin(WalEvent::CallGraphReplaced { call_graph, .. }) => {
-            *graph = call_graph;
-            Some(0)
-        }
-        Frame::Admin(WalEvent::RetentionChanged { retention, .. }) => {
-            store.set_retention(retention);
-            Some(0)
-        }
-        Frame::Admin(WalEvent::IngestBatch { .. }) => {
-            unreachable!("`LogFrames` lends every ingest batch")
-        }
+        (_, Frame::Admin(WalEvent::TenantCreated { .. })) | (None, _) => None,
+        (Some(tenant), Frame::Admin(event)) => tenant.apply(Mutation::Admin(event), None),
+        (Some(tenant), Frame::Ingest(batch)) => tenant.apply(Mutation::Replay(batch), None),
     };
     match applied {
-        Some(accepted) => tenant.points_replayed += accepted as u64,
-        None => tenant.lose(points),
+        Some(accepted) => replayed.points_replayed += accepted as u64,
+        None => replayed.lose(points),
     }
+    Ok(())
 }
 
 /// A frame the scanner resynchronized after a corrupt region is
@@ -382,14 +369,14 @@ pub(crate) fn ns_since(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Reads shard `shard` of the durable directory `dir`: the snapshot is
-/// restored, the log's intact prefix past the snapshot watermark is
-/// replayed through the ordinary store machinery, and every tenant whose
-/// creation record survived enters `registry` with a rehydrated session.
-/// Nothing on disk changes — re-anchoring the directory is the caller's
-/// second step, taken only once every shard has been read. Each of the
-/// four stages the report times reads the clock twice, however long the
-/// log.
+/// Reads shard `shard` of the durable directory `dir`: the snapshot's
+/// tenants are opened, the log's intact prefix past the snapshot watermark
+/// is replayed through [`Tenant::apply`], the fold the live service
+/// applies, and every tenant whose creation record survived enters
+/// `registry`. Nothing on disk changes — re-anchoring the directory is the
+/// caller's second step, taken only once every shard has been read. Each
+/// of the four stages the report times reads the clock twice, however long
+/// the log.
 ///
 /// # Errors
 ///
@@ -423,7 +410,12 @@ pub(crate) fn recover_shard(
         snapshot_last_seq = snapshot.last_seq;
         for tenant in snapshot.tenants {
             let store = MetricStore::restore(tenant.store);
-            let restored = Replaying::restored(store, *tenant.config, tenant.call_graph);
+            let name = Name::new(&tenant.tenant);
+            let opened = Tenant::open(name, store, tenant.call_graph, *tenant.config)?;
+            let restored = Replaying {
+                tenant: Some(opened),
+                ..Replaying::default()
+            };
             replaying.insert(tenant.tenant, restored);
         }
     }
@@ -447,7 +439,7 @@ pub(crate) fn recover_shard(
         if seq > snapshot_last_seq {
             frames_replayed += 1;
             recovered_through_seq = seq;
-            replay(&mut replaying, frame);
+            replay(&mut replaying, frame)?;
         }
     }
     let ids = frames.ids();
@@ -467,26 +459,19 @@ pub(crate) fn recover_shard(
 
     let started = Instant::now();
     let mut report_tenants = BTreeMap::new();
-    for (name, tenant) in replaying {
+    for (name, replayed) in replaying {
         let routed = shard_index(&name, shard_count);
         if routed != shard {
             let found =
                 format!("tenant `{name}` in shard {shard}, which it routes to shard {routed}");
             return Err(shard_count_mismatch(shard_count, found));
         }
-        report_tenants.insert(name.clone(), tenant.outcome());
+        report_tenants.insert(name, replayed.outcome());
         // Without its creation record (corrupt snapshot plus truncated
         // log) a tenant is reported but cannot be re-registered.
-        let Some((store, config, graph)) = tenant.state else {
-            continue;
-        };
-        let name = Name::from(name);
-        let session = AnalysisSession::rehydrated(name.as_str(), store.clone(), graph, config)
-            .map_err(|source| ServeError::Analysis {
-                tenant: name.clone(),
-                source,
-            })?;
-        registry.insert(Arc::new(Tenant::new(name, store, session)))?;
+        if let Some(tenant) = replayed.tenant {
+            registry.insert(tenant)?;
+        }
     }
     let rehydrate_ns = ns_since(started);
     Ok(ShardRecovery {

@@ -1,15 +1,15 @@
 //! The multi-tenant analysis service.
 
 use crate::config::ServeConfig;
-use crate::durable::{written_shard_count, Admin, DurableLog};
+use crate::durable::{written_shard_count, DurableLog};
 use crate::recovery::{ns_since, recover_shard, shard_count_mismatch, RecoveryReport};
 use crate::registry::ShardedRegistry;
 use crate::stats::ServiceStats;
-use crate::tenant::{MetricPoint, Tenant};
+use crate::tenant::{MetricPoint, Mutation, Tenant};
 use crate::{Result, ServeError};
 use sieve_core::config::SieveConfig;
 use sieve_core::model::SieveModel;
-use sieve_core::session::{AnalysisSession, SessionStats};
+use sieve_core::session::SessionStats;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricStore, RetentionPolicy};
@@ -145,7 +145,6 @@ impl SieveService {
         call_graph: CallGraph,
         retention: RetentionPolicy,
     ) -> Result<()> {
-        let name = name.into();
         let config = self.config.analysis.clone().with_retention(retention);
         let store = MetricStore::with_retention(retention);
         self.adopt_tenant_with_config(name, store, call_graph, config)
@@ -188,33 +187,18 @@ impl SieveService {
         config: SieveConfig,
     ) -> Result<()> {
         let name = name.into();
-        let session = AnalysisSession::new(name.as_str(), store.clone(), call_graph, config)
-            .map_err(|source| ServeError::Analysis {
-                tenant: name.clone(),
-                source,
-            })?;
-        let tenant = Arc::new(Tenant::new(name, store, session));
-        self.mutate(&tenant, Admin::Creating, |scratch| {
-            self.registry.insert(Arc::clone(&tenant))?;
-            if let Some(scratch) = scratch {
-                let session = tenant.session();
-                // The durable creation record must reproduce the store
-                // being adopted: its retention governs future evictions
-                // (and therefore the fingerprint chains replay verifies
-                // against), so the logged config carries the store's
-                // actual policy even when the session config was built
-                // from the service default.
-                let mut config = session.config().clone();
-                config.retention = tenant.store.retention();
-                let created = WalEvent::TenantCreated {
-                    tenant: tenant.name.clone(),
-                    config: Box::new(config),
-                    call_graph: session.call_graph().clone(),
-                };
-                created.encode(&mut scratch.payload);
-            }
-            Ok(())
-        })?
+        // The creation record must reproduce the store being adopted: its
+        // retention governs future evictions (and therefore the
+        // fingerprint chains replay verifies against), so the logged config
+        // carries the store's actual policy even when the session config
+        // was built from the service default.
+        let created = WalEvent::TenantCreated {
+            tenant: name.clone(),
+            config: Box::new(config.clone().with_retention(store.retention())),
+            call_graph: call_graph.clone(),
+        };
+        let tenant = Tenant::open(name, store, call_graph, config)?;
+        self.mutate(&tenant, Mutation::Admin(created)).map(drop)
     }
 
     /// Number of registered tenants.
@@ -237,8 +221,7 @@ impl SieveService {
     ///
     /// This is the hot path: it takes the tenant's shard lock only to look
     /// the tenant up, then appends the whole batch under a single
-    /// acquisition of the store's own lock
-    /// ([`MetricStore::record_batch`]) — ingest for two tenants never
+    /// acquisition of the store's own lock — ingest for two tenants never
     /// serialises, whatever the analysis threads do.
     ///
     /// On a durable service, the accepted subset of the batch (rejected
@@ -263,44 +246,7 @@ impl SieveService {
     /// [`ServeError::Wal`] when the durable commit fails.
     pub fn ingest(&self, tenant: &str, points: &[MetricPoint]) -> Result<usize> {
         let tenant = self.registry.get(tenant)?;
-        let batch = || {
-            points
-                .iter()
-                .map(|point| (&point.id, point.timestamp_ms, point.value))
-        };
-        self.mutate(&tenant, Admin::Shared, |scratch| {
-            let Some(scratch) = scratch else {
-                return tenant.store.record_batch(batch());
-            };
-            tenant
-                .store
-                .record_batch_detailed_into(&mut scratch.outcome, batch());
-            let accepted = scratch.outcome.accepted;
-            if accepted > 0 {
-                // `rejected` is in ascending batch order: one forward
-                // merge skips exactly the rejected indices.
-                let mut rejected = scratch
-                    .outcome
-                    .rejected
-                    .iter()
-                    .map(|&(index, _)| index)
-                    .peekable();
-                WalEvent::encode_ingest_batch_into(
-                    &mut scratch.payload,
-                    &tenant.name,
-                    accepted,
-                    points.iter().enumerate().filter_map(|(index, point)| {
-                        if rejected.peek() == Some(&index) {
-                            rejected.next();
-                            return None;
-                        }
-                        Some((&point.id, point.timestamp_ms, point.value))
-                    }),
-                    &scratch.outcome.watermarks,
-                );
-            }
-            accepted
-        })
+        self.mutate(&tenant, Mutation::Ingest(points))
     }
 
     /// Replaces a tenant's call graph (topologies grow while an
@@ -316,17 +262,11 @@ impl SieveService {
     /// [`ServeError::Wal`] when the durable commit fails.
     pub fn set_call_graph(&self, tenant: &str, call_graph: CallGraph) -> Result<()> {
         let tenant = self.registry.get(tenant)?;
-        self.mutate(&tenant, Admin::Shared, |scratch| {
-            if let Some(scratch) = scratch {
-                let replaced = WalEvent::CallGraphReplaced {
-                    tenant: tenant.name.clone(),
-                    call_graph: call_graph.clone(),
-                };
-                replaced.encode(&mut scratch.payload);
-            }
-            tenant.session().set_call_graph(call_graph);
-            tenant.request_refresh();
-        })
+        let replaced = WalEvent::CallGraphReplaced {
+            tenant: tenant.name.clone(),
+            call_graph,
+        };
+        self.mutate(&tenant, Mutation::Admin(replaced)).map(drop)
     }
 
     /// Replaces a tenant's store retention budget at runtime. Tightening
@@ -340,20 +280,20 @@ impl SieveService {
     ///
     /// # Errors
     ///
+    /// [`ServeError::InvalidConfig`] when the policy is out of range (a
+    /// zero raw or tier capacity), before anything is applied or logged;
     /// [`ServeError::UnknownTenant`] when `tenant` is not registered;
     /// [`ServeError::Wal`] when the durable commit fails.
     pub fn set_retention(&self, tenant: &str, retention: RetentionPolicy) -> Result<()> {
+        retention
+            .validate()
+            .map_err(|reason| ServeError::InvalidConfig { reason })?;
         let tenant = self.registry.get(tenant)?;
-        self.mutate(&tenant, Admin::Shared, |scratch| {
-            tenant.store.set_retention(retention);
-            if let Some(scratch) = scratch {
-                let changed = WalEvent::RetentionChanged {
-                    tenant: tenant.name.clone(),
-                    retention,
-                };
-                changed.encode(&mut scratch.payload);
-            }
-        })
+        let changed = WalEvent::RetentionChanged {
+            tenant: tenant.name.clone(),
+            retention,
+        };
+        self.mutate(&tenant, Mutation::Admin(changed)).map(drop)
     }
 
     /// A tenant's current store retention budget.

@@ -6,6 +6,7 @@
 use super::*;
 use crate::TenantRecovery;
 use sieve_core::pipeline::Sieve;
+use sieve_wal::WalEvent;
 
 fn tiny_config() -> ServeConfig {
     ServeConfig::default()
@@ -343,6 +344,54 @@ fn set_retention_dirties_the_tenant_for_the_next_sweep() {
         service.retention("ghost"),
         Err(ServeError::UnknownTenant { .. })
     ));
+}
+
+#[test]
+fn set_retention_refuses_an_out_of_range_policy() {
+    let dir = temp_dir("refused-retention");
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000));
+    let service = SieveService::new(config.clone()).unwrap();
+    service
+        .create_tenant_with_retention("acme", web_db_graph(), RetentionPolicy::windowed(60))
+        .unwrap();
+    ingest_wave(&service, "acme", 0..40, 0.0);
+    let log = dir.join(sieve_wal::log_file_name(sieve_exec::hash::shard_index(
+        "acme", 4,
+    )));
+    let logged = std::fs::metadata(&log).unwrap().len();
+
+    // The fields are public, so a policy that would evict every point it
+    // accepts can be built: neither the store nor the log may see it.
+    let zero_window = RetentionPolicy {
+        raw_capacity: Some(0),
+        ..RetentionPolicy::windowed(60)
+    };
+    let zero_tiers = RetentionPolicy {
+        tier_capacity: 0,
+        ..RetentionPolicy::windowed(60)
+    };
+    for refused in [zero_window, zero_tiers] {
+        assert!(matches!(
+            service.set_retention("acme", refused),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+    }
+    assert_eq!(
+        service.retention("acme").unwrap(),
+        RetentionPolicy::windowed(60)
+    );
+    assert_eq!(service.store("acme").unwrap().point_count(), 4 * 40);
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), logged);
+    drop(service);
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(
+        recovered.retention("acme").unwrap(),
+        RetentionPolicy::windowed(60)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A unique temp directory per test (tests run in parallel).

@@ -1,10 +1,16 @@
 //! Per-tenant state: a metric store, an analysis session and the published
-//! model snapshot.
+//! model snapshot — and the one fold every accepted event goes through,
+//! live or replayed: [`Tenant::open`] builds a tenant, [`Tenant::apply`]
+//! applies each later mutation to it.
 
+use crate::{Result, ServeError};
+use sieve_core::config::SieveConfig;
 use sieve_core::model::SieveModel;
 use sieve_core::session::{AnalysisSession, SessionStats};
 use sieve_exec::Name;
+use sieve_graph::CallGraph;
 use sieve_simulator::store::{BatchOutcome, MetricId, MetricStore};
+use sieve_wal::{IngestRef, WalEvent};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
@@ -67,6 +73,23 @@ pub(crate) struct IngestScratch {
     pub(crate) payload: Vec<u8>,
 }
 
+/// One mutation of a tenant, live or replayed: what [`Tenant::apply`]
+/// folds into its state. A tenant's model is a pure function of the
+/// sequence of these it accepted, so the live service and crash replay
+/// apply them through the same function.
+#[derive(Debug)]
+pub(crate) enum Mutation<'a> {
+    /// An admin event, applied as it is logged: a creation record (which
+    /// [`Tenant::open`] already applied), a call-graph swap or a retention
+    /// change.
+    Admin(WalEvent),
+    /// A live ingest batch: the store reports the watermarks it produced.
+    Ingest(&'a [MetricPoint]),
+    /// A logged ingest batch: the store applies it only if it reproduces
+    /// the watermarks logged next to it.
+    Replay(IngestRef<'a>),
+}
+
 /// What a tenant last published: the model snapshot and the statistics of
 /// the refresh that produced it. Swapped atomically (under a short write
 /// lock) at the end of a refresh, so readers either see the previous
@@ -117,8 +140,26 @@ pub(crate) struct Tenant {
 }
 
 impl Tenant {
-    pub(crate) fn new(name: Name, store: MetricStore, session: AnalysisSession) -> Self {
-        Self {
+    /// The one constructor: a tenant over `store`, with a session that
+    /// plans comparisons over `call_graph` under `config`. Live creation
+    /// and adoption, a restored snapshot and a replayed creation record
+    /// all build their tenant here.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Analysis`] when the session rejects `config`.
+    pub(crate) fn open(
+        name: Name,
+        store: MetricStore,
+        call_graph: CallGraph,
+        config: SieveConfig,
+    ) -> Result<Arc<Self>> {
+        let session = AnalysisSession::new(name.as_str(), store.clone(), call_graph, config)
+            .map_err(|source| ServeError::Analysis {
+                tenant: name.clone(),
+                source,
+            })?;
+        Ok(Arc::new(Self {
             name,
             store,
             apply_order: Mutex::new(IngestScratch::default()),
@@ -127,7 +168,79 @@ impl Tenant {
             force_refresh: AtomicBool::new(false),
             failure_streak: AtomicU32::new(0),
             retry_at_sweep: AtomicU64::new(0),
+        }))
+    }
+
+    /// Applies `mutation` and returns the ingest points it accepted (0 for
+    /// an admin event); `None` when a replayed batch does not reproduce its
+    /// logged watermarks, with the store untouched. With a `log`, the
+    /// [`WalEvent`] that records the mutation is encoded into its
+    /// `payload`: an admin event is the one being applied, an ingest batch
+    /// the accepted subset of the points with the watermarks they
+    /// produced. Replay passes no `log`.
+    pub(crate) fn apply(
+        &self,
+        mutation: Mutation<'_>,
+        log: Option<&mut IngestScratch>,
+    ) -> Option<usize> {
+        let event = match mutation {
+            Mutation::Admin(event) => event,
+            Mutation::Ingest(points) => return Some(self.ingest(points, log)),
+            Mutation::Replay(batch) => {
+                return self
+                    .store
+                    .record_batch_verified(batch.points(), batch.watermarks())
+            }
+        };
+        if let Some(log) = log {
+            event.encode(&mut log.payload);
         }
+        match event {
+            // `Tenant::open` built what the record describes.
+            WalEvent::TenantCreated { .. } => {}
+            WalEvent::CallGraphReplaced { call_graph, .. } => {
+                self.session().set_call_graph(call_graph);
+                self.request_refresh();
+            }
+            WalEvent::RetentionChanged { retention, .. } => self.store.set_retention(retention),
+            // Ingest is lent to replay, never owned: a batch in this form
+            // is not applied.
+            WalEvent::IngestBatch { .. } => return None,
+        }
+        Some(0)
+    }
+
+    /// [`Mutation::Ingest`]: memory-only, the store counts what it
+    /// accepted; logged, it reports which points it rejected and the
+    /// watermarks of the rest, which are framed together.
+    fn ingest(&self, points: &[MetricPoint], log: Option<&mut IngestScratch>) -> usize {
+        let batch = points
+            .iter()
+            .map(|point| (&point.id, point.timestamp_ms, point.value));
+        let Some(log) = log else {
+            return self.store.record_batch(batch);
+        };
+        self.store
+            .record_batch_detailed_into(&mut log.outcome, batch.clone());
+        let accepted = log.outcome.accepted;
+        if accepted > 0 {
+            // `rejected` is in ascending batch order: one forward merge
+            // skips exactly the rejected indices.
+            let rejected = log.outcome.rejected.iter();
+            let mut rejected = rejected.map(|&(index, _)| index).peekable();
+            let logged = batch
+                .enumerate()
+                .filter(|&(index, _)| rejected.next_if_eq(&index).is_none())
+                .map(|(_, point)| point);
+            WalEvent::encode_ingest_batch_into(
+                &mut log.payload,
+                &self.name,
+                accepted,
+                logged,
+                &log.outcome.watermarks,
+            );
+        }
+        accepted
     }
 
     /// Locks the tenant's analysis session.

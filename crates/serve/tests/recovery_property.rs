@@ -1,8 +1,9 @@
 //! Randomized crash-recovery property test.
 //!
 //! Each scenario drives a durable [`SieveService`] through a
-//! splitmix64-generated interleaving of tenant-admin and ingest
-//! operations, "crashes" it (drops the service and, depending on the
+//! splitmix64-generated interleaving of ingest batches with call-graph
+//! swaps and retention changes (tightenings over windows that are already
+//! full among them), "crashes" it (drops the service and, depending on the
 //! scenario, truncates a shard log at a random offset or flips a random
 //! bit in it), and then recovers the directory at sweep parallelism 1, 4
 //! and 8. The properties checked:
@@ -11,15 +12,17 @@
 //!   every recovered tenant's published model is **bit-identical** to the
 //!   one an uncrashed oracle service publishes when fed exactly the
 //!   surviving operation prefix.
-//! * Loss is frame-atomic: a tenant survives whole ingest batches or
-//!   loses them entirely — `points_replayed` always lands on a batch
-//!   boundary of the original operation stream.
+//! * Loss is frame-atomic: a tenant survives whole operations or loses
+//!   them entirely — `points_replayed` always lands on a batch boundary
+//!   of the original operation stream, and equals what the operations
+//!   whose frames end before the corrupt byte accepted.
 //! * The sweep parallelism of the recovered service changes nothing: all
 //!   three recoveries publish identical models.
 //! * Degraded tenants re-converge: after recovery, resumed ingest brings
 //!   the recovered service and the oracle to identical models again.
 
 use sieve_core::config::{RetentionPolicy, SieveConfig};
+use sieve_exec::hash::shard_index;
 use sieve_graph::CallGraph;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, MetricPoint, ServeConfig, SieveService};
 use std::collections::BTreeMap;
@@ -108,13 +111,27 @@ fn graph_v2() -> CallGraph {
     graph
 }
 
+/// One operation of the randomized phase, as issued to the live service.
+enum Op {
+    Ingest(Vec<MetricPoint>),
+    CallGraph(CallGraph),
+    Retention(RetentionPolicy),
+}
+
+/// An issued operation with what it did: the points the live service
+/// accepted (0 for admin operations) and the length of the tenant's shard
+/// log once it returned — the end of the frame that recorded it.
+struct Issued {
+    op: Op,
+    accepted: u64,
+    log_end: u64,
+}
+
 /// The deterministic operation history of one scenario, so the oracle can
 /// replay exactly the surviving prefix.
 struct History {
-    /// Per-tenant accepted point count of each ingest batch, in order.
-    accepted: BTreeMap<&'static str, Vec<u64>>,
-    /// Per-tenant raw batches, in order (the oracle re-ingests these).
-    batches: BTreeMap<&'static str, Vec<Vec<MetricPoint>>>,
+    /// Per-tenant operations, in issue order.
+    ops: BTreeMap<&'static str, Vec<Issued>>,
     /// Per-tenant tick cursor, for resumed ingest after recovery.
     next_tick: BTreeMap<&'static str, u64>,
 }
@@ -133,32 +150,56 @@ fn run_setup(service: &SieveService) {
         .unwrap();
 }
 
-/// Runs the randomized ingest phase, recording what each tenant accepted.
-fn run_ingest(service: &SieveService, seed: u64, rounds: usize) -> History {
+/// Issues `op` for `tenant` and returns the points it accepted.
+fn issue(service: &SieveService, tenant: &str, op: &Op) -> u64 {
+    match op {
+        Op::Ingest(points) => service.ingest(tenant, points).unwrap() as u64,
+        Op::CallGraph(graph) => service
+            .set_call_graph(tenant, graph.clone())
+            .map(|_| 0)
+            .unwrap(),
+        Op::Retention(policy) => service.set_retention(tenant, *policy).map(|_| 0).unwrap(),
+    }
+}
+
+/// Runs the randomized phase: mostly ingest, with about one operation in
+/// four a call-graph swap or a retention change, recording what each
+/// tenant's operations did.
+fn run_ops(service: &SieveService, dir: &Path, seed: u64, rounds: usize) -> History {
     let mut history = History {
-        accepted: BTreeMap::new(),
-        batches: BTreeMap::new(),
+        ops: BTreeMap::new(),
         next_tick: TENANTS.iter().map(|t| (*t, 0u64)).collect(),
     };
     let mut rng = seed;
     for _ in 0..rounds {
         let tenant = TENANTS[(splitmix64(&mut rng) % TENANTS.len() as u64) as usize];
-        let bias = tenant.len() as f64 * 0.7;
-        let tick = history.next_tick.get_mut(tenant).unwrap();
-        let points = batch(bias, tick, &mut rng);
-        let accepted = service.ingest(tenant, &points).unwrap();
-        history
-            .accepted
-            .entry(tenant)
-            .or_default()
-            .push(accepted as u64);
-        history.batches.entry(tenant).or_default().push(points);
+        let op = match splitmix64(&mut rng) % 8 {
+            0 if splitmix64(&mut rng) % 2 == 0 => Op::CallGraph(graph_v1()),
+            0 => Op::CallGraph(graph_v2()),
+            1 => Op::Retention(match splitmix64(&mut rng) % 4 {
+                0 => RetentionPolicy::unbounded(),
+                window => RetentionPolicy::windowed(20 * window as usize),
+            }),
+            _ => {
+                let bias = tenant.len() as f64 * 0.7;
+                let tick = history.next_tick.get_mut(tenant).unwrap();
+                Op::Ingest(batch(bias, tick, &mut rng))
+            }
+        };
+        let accepted = issue(service, tenant, &op);
+        let log = dir.join(sieve_wal::log_file_name(shard_index(tenant, 4)));
+        let log_end = std::fs::metadata(log).unwrap().len();
+        history.ops.entry(tenant).or_default().push(Issued {
+            op,
+            accepted,
+            log_end,
+        });
     }
     history
 }
 
 /// Builds the uncrashed oracle: a purely in-memory service fed the setup
-/// phase plus each tenant's surviving batch prefix.
+/// phase plus each tenant's surviving operation prefix.
 fn oracle_for(history: &History, survived: &BTreeMap<&str, usize>) -> SieveService {
     let config = ServeConfig::default()
         .with_shard_count(4)
@@ -166,48 +207,69 @@ fn oracle_for(history: &History, survived: &BTreeMap<&str, usize>) -> SieveServi
         .with_analysis(analysis_config());
     let oracle = SieveService::new(config).unwrap();
     run_setup(&oracle);
-    for tenant in TENANTS {
-        let keep = survived.get(tenant).copied().unwrap_or(0);
-        if let Some(batches) = history.batches.get(tenant) {
-            for points in batches.iter().take(keep) {
-                oracle.ingest(tenant, points).unwrap();
-            }
+    for (tenant, ops) in &history.ops {
+        for issued in ops.iter().take(survived[tenant]) {
+            issue(&oracle, tenant, &issued.op);
         }
     }
     oracle.refresh_all().unwrap();
     oracle
 }
 
-/// Maps each tenant's replayed point count back to a batch-boundary prefix
-/// of its ingest history — panics if the count does not land exactly on a
-/// boundary (loss must be frame-atomic).
-fn surviving_batches(
+/// Each tenant's surviving operation prefix: the operations whose frames
+/// end at or before the first corrupt byte of the corrupted shard (all of
+/// them in other shards, or when nothing was corrupted).
+fn surviving_ops(history: &History, cut: Option<(usize, u64)>) -> BTreeMap<&'static str, usize> {
+    let mut survived = BTreeMap::new();
+    for (tenant, ops) in &history.ops {
+        let count = match cut {
+            Some((shard, cut)) if shard == shard_index(tenant, 4) => ops
+                .iter()
+                .take_while(|issued| issued.log_end <= cut)
+                .count(),
+            _ => ops.len(),
+        };
+        survived.insert(*tenant, count);
+    }
+    survived
+}
+
+/// Asserts that loss is frame-atomic on a recovery that replayed every
+/// logged point (no snapshot covered any): each tenant's replayed point
+/// count lands exactly on a batch boundary of its history, and is what its
+/// surviving operations accepted.
+fn assert_frame_atomic(
     history: &History,
     report: &sieve_serve::RecoveryReport,
-) -> BTreeMap<&'static str, usize> {
-    let mut survived = BTreeMap::new();
-    for tenant in TENANTS {
+    survived: &BTreeMap<&str, usize>,
+) {
+    for (tenant, ops) in &history.ops {
         let replayed = report
             .tenant(tenant)
-            .map(sieve_serve::TenantRecovery::points_replayed)
-            .unwrap_or(0);
-        let sizes = history.accepted.get(tenant).cloned().unwrap_or_default();
+            .map_or(0, sieve_serve::TenantRecovery::points_replayed);
+        let sizes: Vec<u64> = ops
+            .iter()
+            .filter(|issued| matches!(issued.op, Op::Ingest(_)))
+            .map(|issued| issued.accepted)
+            .collect();
         let mut sum = 0u64;
-        let mut count = 0usize;
         for size in &sizes {
-            if sum == replayed {
+            if sum >= replayed {
                 break;
             }
             sum += size;
-            count += 1;
         }
         assert_eq!(
             sum, replayed,
             "{tenant}: {replayed} replayed points do not land on a batch boundary of {sizes:?}"
         );
-        survived.insert(tenant, count);
+        let count = survived[tenant];
+        let prefix: u64 = ops[..count].iter().map(|issued| issued.accepted).sum();
+        assert_eq!(
+            prefix, replayed,
+            "{tenant}: the first {count} operations accepted {prefix} points, {replayed} replayed"
+        );
     }
-    survived
 }
 
 /// `report` with its stage timings zeroed: what two recoveries of one
@@ -241,9 +303,15 @@ enum Corruption {
 
 /// Corrupts one shard log at a random offset strictly after the setup
 /// phase (so tenant creation records always survive and the surviving
-/// prefix stays oracle-computable). Returns false if no shard had any
-/// post-setup bytes to corrupt.
-fn corrupt(dir: &Path, setup_sizes: &[u64], kind: &Corruption, rng: &mut u64) -> bool {
+/// prefix stays oracle-computable). Returns the corrupted shard and the
+/// offset of its first corrupt byte — every frame ending at or before it
+/// is intact — or `None` if no shard had any post-setup bytes to corrupt.
+fn corrupt(
+    dir: &Path,
+    setup_sizes: &[u64],
+    kind: &Corruption,
+    rng: &mut u64,
+) -> Option<(usize, u64)> {
     let candidates: Vec<(usize, u64, u64)> = (0..setup_sizes.len())
         .filter_map(|shard| {
             let path = dir.join(sieve_wal::log_file_name(shard));
@@ -251,22 +319,25 @@ fn corrupt(dir: &Path, setup_sizes: &[u64], kind: &Corruption, rng: &mut u64) ->
             (len > setup_sizes[shard]).then_some((shard, setup_sizes[shard], len))
         })
         .collect();
-    let Some(&(shard, setup_len, len)) = candidates
+    let &(shard, setup_len, len) = candidates
         .get((splitmix64(rng) % candidates.len().max(1) as u64) as usize)
-        .or(candidates.first())
-    else {
-        return false;
-    };
+        .or(candidates.first())?;
     let path = dir.join(sieve_wal::log_file_name(shard));
     let offset = setup_len + 1 + splitmix64(rng) % (len - setup_len - 1).max(1);
     let mut bytes = std::fs::read(&path).unwrap();
-    match kind {
-        Corruption::None => return true,
-        Corruption::TruncateTail => bytes.truncate(offset as usize),
-        Corruption::BitFlip => bytes[offset as usize - 1] ^= 1 << (splitmix64(rng) % 8),
-    }
+    let cut = match kind {
+        Corruption::None => return None,
+        Corruption::TruncateTail => {
+            bytes.truncate(offset as usize);
+            offset
+        }
+        Corruption::BitFlip => {
+            bytes[offset as usize - 1] ^= 1 << (splitmix64(rng) % 8);
+            offset - 1
+        }
+    };
     std::fs::write(&path, &bytes).unwrap();
-    true
+    Some((shard, cut))
 }
 
 fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
@@ -283,18 +354,15 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
                 .unwrap_or(0)
         })
         .collect();
-    let mut history = run_ingest(&service, seed, 12);
+    let mut history = run_ops(&service, &dir, seed, 16);
     service.refresh_all().unwrap();
     let live = models_of(&service);
     drop(service);
 
+    // `None` when there was nothing to corrupt (everything landed in
+    // snapshots) — still a valid clean-recovery scenario.
     let mut rng = seed ^ 0xC0FF_EE00;
-    if !matches!(corruption, Corruption::None)
-        && !corrupt(&dir, &setup_sizes, &corruption, &mut rng)
-    {
-        // Nothing to corrupt (all ingest landed in snapshots) — still a
-        // valid clean-recovery scenario.
-    }
+    let cut = corrupt(&dir, &setup_sizes, &corruption, &mut rng);
 
     // Recover the same crashed directory at every parallelism degree.
     // `recover` re-anchors the directory (fresh snapshot, truncated log),
@@ -310,15 +378,12 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
     }
 
     let (recovered, report, _) = &per_parallelism[0];
-    let survived = if matches!(corruption, Corruption::None) {
+    let survived = surviving_ops(&history, cut);
+    if matches!(corruption, Corruption::None) {
         assert!(report.is_clean(), "scenario {index}: {report}");
-        TENANTS
-            .iter()
-            .map(|t| (*t, history.batches.get(t).map_or(0, Vec::len)))
-            .collect()
     } else {
-        surviving_batches(&history, report)
-    };
+        assert_frame_atomic(&history, report, &survived);
+    }
 
     // Property 1: bit-identical to the uncrashed oracle of the surviving
     // prefix (for clean scenarios that oracle saw everything, so this also
