@@ -534,7 +534,7 @@ mod tests {
     fn scenario_matches_documented_symptoms() {
         let scenario = ovs_agent_crash_scenario();
         assert_eq!(scenario.name, "neutron-ovs-agent-crash");
-        assert!(scenario.fault_count() >= 10);
+        assert!(scenario.faults.len() >= 10);
     }
 
     #[test]

@@ -27,15 +27,6 @@ impl SlaCondition {
     pub fn is_violated_by(&self, latency_ms: f64) -> bool {
         latency_ms > self.threshold_ms
     }
-
-    /// Whether a window of latency samples violates the condition (its
-    /// configured percentile exceeds the bound).
-    pub fn is_violated_by_window(&self, latencies_ms: &[f64]) -> bool {
-        match sieve_timeseries::stats::percentile(latencies_ms, self.percentile) {
-            Some(p) => p > self.threshold_ms,
-            None => false,
-        }
-    }
 }
 
 /// A threshold-based scaling rule on one guiding metric.
@@ -130,24 +121,10 @@ mod tests {
     use sieve_graph::{DependencyEdge, DependencyGraph};
 
     #[test]
-    fn sla_condition_checks_samples_and_windows() {
+    fn sla_condition_checks_samples() {
         let sla = SlaCondition::default();
         assert!(!sla.is_violated_by(900.0));
         assert!(sla.is_violated_by(1100.0));
-        // 10 samples, one slow: p90 sits right at the boundary region.
-        let mut window = vec![200.0; 9];
-        window.push(5000.0);
-        assert!(!SlaCondition {
-            percentile: 50.0,
-            threshold_ms: 1000.0
-        }
-        .is_violated_by_window(&window));
-        assert!(SlaCondition {
-            percentile: 99.0,
-            threshold_ms: 1000.0
-        }
-        .is_violated_by_window(&window));
-        assert!(!sla.is_violated_by_window(&[]));
     }
 
     #[test]

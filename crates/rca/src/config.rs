@@ -30,12 +30,6 @@ impl RcaConfig {
         self.similarity_threshold = threshold;
         self
     }
-
-    /// Builder-style setter for the novelty threshold.
-    pub fn with_novelty_threshold(mut self, threshold: usize) -> Self {
-        self.novelty_threshold = threshold;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -52,10 +46,7 @@ mod tests {
 
     #[test]
     fn builders_set_thresholds() {
-        let c = RcaConfig::default()
-            .with_similarity_threshold(0.7)
-            .with_novelty_threshold(3);
+        let c = RcaConfig::default().with_similarity_threshold(0.7);
         assert_eq!(c.similarity_threshold, 0.7);
-        assert_eq!(c.novelty_threshold, 3);
     }
 }

@@ -78,11 +78,6 @@ impl RcaReport {
             .iter()
             .any(|c| c.component == component && c.metrics.iter().any(|m| m == metric))
     }
-
-    /// Total number of metrics across the final ranking's metric lists.
-    pub fn implicated_metric_count(&self) -> usize {
-        self.final_ranking.iter().map(|c| c.metrics.len()).sum()
-    }
 }
 
 /// The root cause analysis engine.
@@ -299,7 +294,8 @@ mod tests {
         // The error/down metrics are in the metric lists.
         assert!(report.implicates_metric("nova-api", "instances_error"));
         assert!(report.implicates_metric("neutron", "ports_down"));
-        assert!(report.implicated_metric_count() >= 4);
+        let implicated: usize = report.final_ranking.iter().map(|c| c.metrics.len()).sum();
+        assert!(implicated >= 4);
     }
 
     #[test]
@@ -326,7 +322,7 @@ mod tests {
         assert_eq!(report.edge_novelty.new, 0);
         assert_eq!(report.edge_novelty.discarded, 0);
         assert_eq!(report.surviving_scope, (0, 0, 0));
-        assert_eq!(report.implicated_metric_count(), 0);
+        assert!(report.final_ranking.iter().all(|c| c.metrics.is_empty()));
     }
 
     #[test]

@@ -99,15 +99,6 @@ impl DriftScore {
     pub fn all_tracked_within(&self, m: usize) -> bool {
         self.outcomes.iter().all(|o| o.tracked_within(m))
     }
-
-    /// The worst detection lag, if every flip was detected.
-    pub fn worst_lag(&self) -> Option<usize> {
-        self.outcomes
-            .iter()
-            .map(DriftOutcome::lag_epochs)
-            .collect::<Option<Vec<_>>>()
-            .map(|lags| lags.into_iter().max().unwrap_or(0))
-    }
 }
 
 /// The component pairs connected (in either direction) by at least one
@@ -215,15 +206,6 @@ impl ClusterScore {
             .sum();
         total as f64 / self.per_component.len() as f64
     }
-
-    /// Number of components whose chosen `k` is within `tolerance` of the
-    /// true count.
-    pub fn within_tolerance(&self, tolerance: usize) -> usize {
-        self.per_component
-            .iter()
-            .filter(|(_, true_k, chosen)| chosen.is_some_and(|k| k.abs_diff(*true_k) <= tolerance))
-            .count()
-    }
 }
 
 /// Grades cluster-count selection against the true per-component family
@@ -315,7 +297,6 @@ mod tests {
         assert_eq!(score.outcomes[0].lag_epochs(), Some(1));
         assert!(score.all_tracked_within(1));
         assert!(!score.all_tracked_within(0));
-        assert_eq!(score.worst_lag(), Some(1));
     }
 
     #[test]
@@ -334,7 +315,6 @@ mod tests {
         let down = score.outcomes.iter().find(|o| !o.up).unwrap();
         // The down-flip at epoch 3 is immediately consistent.
         assert_eq!(down.detected_epoch, Some(3));
-        assert!(score.worst_lag().is_none());
     }
 
     #[test]
@@ -375,6 +355,5 @@ mod tests {
         assert_eq!(score.per_component.len(), 2);
         // |2-3| = 1 for a; b missing counts as 2. Mean = 1.5.
         assert!((score.mean_abs_error() - 1.5).abs() < 1e-12);
-        assert_eq!(score.within_tolerance(1), 1);
     }
 }

@@ -14,7 +14,7 @@ use crate::registry::ShardedRegistry;
 use crate::service::SieveService;
 use crate::stats::ServiceStats;
 use crate::tenant::{Mutation, Tenant};
-use crate::Result;
+use crate::{Result, ServeError};
 use sieve_exec::hash::shard_index;
 use sieve_wal::{
     log_file_name, snapshot_file_name, GroupCommitLog, ShardSnapshot, TenantSnapshot, WalError,
@@ -133,12 +133,18 @@ impl DurableLog {
         for (_, path) in shard_files(&durability.dir)? {
             std::fs::remove_file(path).map_err(WalError::from)?;
         }
-        Self::open(durability, std::iter::repeat(1).take(shard_count))
+        let durable = Self::open(durability, std::iter::repeat(1).take(shard_count))?;
+        // The fresh logs' entries are on disk before a frame is committed
+        // into them.
+        sync_dir(&durability.dir)?;
+        Ok(durable)
     }
 
     /// Re-anchors a recovered directory at the tenants in `registry`: per
     /// shard a writer continuing at the recovered sequence, one fresh
-    /// snapshot and an empty log — a corrupt tail is physically gone.
+    /// snapshot and an empty log — a corrupt tail is physically gone. Every
+    /// snapshot is renamed into place and the directory synced once before
+    /// any log is truncated.
     pub(crate) fn reanchor(
         durability: &DurabilityConfig,
         registry: &ShardedRegistry,
@@ -147,7 +153,11 @@ impl DurableLog {
         let durable = Self::open(durability, next_seqs)?;
         // Nothing else can reach `durable` yet: every shard is quiesced.
         for shard in 0..durable.shards.len() {
-            durable.snapshot_quiesced_shard(registry, shard)?;
+            durable.write_snapshot(registry, shard)?;
+        }
+        sync_dir(&durability.dir)?;
+        for shard in 0..durable.shards.len() {
+            durable.truncate_log(shard)?;
         }
         Ok(durable)
     }
@@ -198,16 +208,28 @@ impl DurableLog {
         Ok(())
     }
 
-    /// Writes an atomic snapshot of every tenant of `shard` (frozen store
-    /// image, session config, call graph, covering the log watermark
-    /// `last_seq`) and truncates the shard log — replay work after a
-    /// crash is bounded by the snapshot cadence, not by service uptime.
+    /// Writes an atomic snapshot of every tenant of `shard`, syncs the
+    /// directory so the snapshot's rename is durable, then truncates the
+    /// shard log — replay work after a crash is bounded by the snapshot
+    /// cadence, not by service uptime. Without the directory sync, a crash
+    /// could persist the truncation but not the rename, leaving the old
+    /// snapshot (or none) beside an empty log.
     ///
     /// The caller holds the shard's admin lock for *write*: no ingest or
     /// admin mutation is mid-flight between a store and the log, so after
-    /// the quiesce below the snapshot is consistent with exactly the log
-    /// prefix it claims to cover.
+    /// the quiesce in [`DurableLog::write_snapshot`] the snapshot is
+    /// consistent with exactly the log prefix it claims to cover.
     fn snapshot_quiesced_shard(&self, registry: &ShardedRegistry, shard: usize) -> Result<()> {
+        self.write_snapshot(registry, shard)?;
+        sync_dir(&self.config.dir)?;
+        self.truncate_log(shard)
+    }
+
+    /// Writes an atomic snapshot of every tenant of the quiesced `shard`
+    /// (frozen store image, session config, call graph, covering the log
+    /// watermark `last_seq`): it is renamed into place, but its directory
+    /// entry is durable only once the directory is synced.
+    fn write_snapshot(&self, registry: &ShardedRegistry, shard: usize) -> Result<()> {
         let dshard = &self.shards[shard];
         // Quiesce the log: every staged frame is on media (or reported
         // failed to its writer) before the snapshot claims to cover it.
@@ -230,17 +252,22 @@ impl DurableLog {
                 .collect(),
         };
         snapshot.write_atomic(&self.config.dir.join(snapshot_file_name(shard)))?;
-        // The snapshot covers every committed frame: drop them. (A crash
-        // between the rename above and this truncation is benign — the
-        // leftover frames carry sequence numbers at or below the
-        // snapshot's `last_seq` and recovery skips them.) `create`
-        // truncates the file in place, and the shard's append-mode log
-        // handle keeps working: `O_APPEND` writes land at the new end of
-        // file.
+        Ok(())
+    }
+
+    /// Empties `shard`'s log, whose frames a snapshot made durable covers.
+    /// (A crash between the snapshot's directory sync and this truncation
+    /// is benign — the leftover frames carry sequence numbers at or below
+    /// the snapshot's `last_seq` and recovery skips them.) `create`
+    /// truncates the file in place, and the shard's append-mode log handle
+    /// keeps working: `O_APPEND` writes land at the new end of file.
+    fn truncate_log(&self, shard: usize) -> Result<()> {
         std::fs::File::create(self.config.dir.join(log_file_name(shard)))
             .and_then(|log| log.sync_data())
             .map_err(WalError::from)?;
-        dshard.events_since_snapshot.store(0, Ordering::Release);
+        self.shards[shard]
+            .events_since_snapshot
+            .store(0, Ordering::Release);
         Ok(())
     }
 
@@ -275,7 +302,28 @@ fn shard_files(dir: &Path) -> Result<Vec<(usize, PathBuf)>> {
 /// The shard count that wrote the durable directory `dir` (0 for an empty
 /// one): every shard's log exists from the moment a service runs, so it
 /// is one past the highest shard index a file in `dir` carries.
+///
+/// # Errors
+///
+/// [`ServeError::InvalidConfig`], naming the file, when a shard file's
+/// index is `usize::MAX`: no shard count is one past it.
 pub(crate) fn written_shard_count(dir: &Path) -> Result<usize> {
-    let indices = shard_files(dir)?.into_iter().map(|(index, _)| index + 1);
-    Ok(indices.max().unwrap_or(0))
+    let mut count = 0;
+    for (index, path) in shard_files(dir)? {
+        let Some(past) = index.checked_add(1) else {
+            let reason = format!("{} names a shard past any shard count", path.display());
+            return Err(ServeError::InvalidConfig { reason });
+        };
+        count = count.max(past);
+    }
+    Ok(count)
+}
+
+/// Syncs the directory `dir` itself, so the entries created, renamed or
+/// removed in it so far survive a crash.
+fn sync_dir(dir: &Path) -> Result<()> {
+    std::fs::File::open(dir)
+        .and_then(|dir| dir.sync_all())
+        .map_err(WalError::from)?;
+    Ok(())
 }

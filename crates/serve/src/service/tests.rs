@@ -982,6 +982,21 @@ fn a_new_durable_service_wipes_the_previous_incarnation() {
 }
 
 #[test]
+fn a_shard_file_past_every_shard_count_is_refused_by_name() {
+    let dir = temp_dir("stray-shard");
+    let service = SieveService::new(durable_config(&dir)).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap();
+    ingest_wave(&service, "acme", 0..20, 0.0);
+    drop(service);
+    // One past this index is no shard count: counting the directory's
+    // shards must refuse the file, not overflow.
+    let stray = format!("wal-shard-{}.log", usize::MAX);
+    std::fs::write(dir.join(&stray), b"").unwrap();
+    assert_recover_refuses(&dir, durable_config(&dir), &stray);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn failing_tenants_back_off_exponentially_and_heal() {
     let service = SieveService::new(tiny_config().with_sweep_parallelism(1)).unwrap();
     service.create_tenant("bad", web_db_graph()).unwrap();

@@ -21,14 +21,23 @@
 //! the tick loop never touches the interner or clones a `String`.
 
 use crate::app::AppSpec;
-use crate::metrics::MetricState;
+use crate::metrics::{MetricBehavior, MetricState};
 use crate::store::{MetricId, MetricStore, RetentionPolicy};
-use crate::tracer::{Tracer, TracingMode};
+use crate::tracer::Tracer;
 use crate::workload::Workload;
 use crate::{Result, SimulatorError};
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// What tracing the call graph with sysdig costs every request end to end:
+/// the paper's Figure 5 measures +22 % over no tracing. A constant of the
+/// latency model, not a measurement.
+const SYSDIG_OVERHEAD: f64 = 1.22;
+
+/// A component's base processing latency when it exports no latency
+/// metric, in milliseconds.
+const DEFAULT_LATENCY_BASE_MS: f64 = 10.0;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,9 +49,6 @@ pub struct SimConfig {
     pub tick_ms: u64,
     /// Total simulated duration in milliseconds.
     pub duration_ms: u64,
-    /// How the call graph is captured (affects the modelled tracing
-    /// overhead only, never the recorded graph).
-    pub tracing_mode: TracingMode,
     /// How much history the simulation's metric store retains per series
     /// (unbounded by default — the offline-experiment oracle mode).
     pub retention: RetentionPolicy,
@@ -56,7 +62,6 @@ impl SimConfig {
             seed,
             tick_ms: 500,
             duration_ms: 120_000,
-            tracing_mode: TracingMode::Sysdig,
             retention: RetentionPolicy::unbounded(),
         }
     }
@@ -163,7 +168,6 @@ impl Simulation {
 
         let mut metric_states = BTreeMap::new();
         let mut instances = BTreeMap::new();
-        let mut latency_base_ms = BTreeMap::new();
         let mut tracer = Tracer::new();
         for (ci, component) in spec.components().enumerate() {
             let component_name = Name::new(&component.name);
@@ -186,26 +190,9 @@ impl Simulation {
                 .collect();
             metric_states.insert(component_name.clone(), states);
             instances.insert(component_name.clone(), component.instances.max(1));
-            // Base processing latency: derived from an exported latency
-            // metric when present, otherwise a 10 ms default.
-            let base = component
-                .metrics
-                .iter()
-                .find_map(|m| match &m.behavior {
-                    crate::metrics::MetricBehavior::Latency { base_ms, .. } => Some(*base_ms),
-                    _ => None,
-                })
-                .unwrap_or(10.0);
-            latency_base_ms.insert(component_name.clone(), base);
             tracer.register_component(component_name);
         }
-
-        let call_edges: Vec<(Name, Name)> = spec
-            .calls()
-            .iter()
-            .map(|c| (Name::new(&c.caller), Name::new(&c.callee)))
-            .collect();
-        let reachable = reachable_from(&spec, &spec.entrypoint);
+        let (call_edges, latency_base_ms, reachable) = spec_tables(&spec);
 
         Ok(Self {
             request_history: metric_states
@@ -267,11 +254,6 @@ impl Simulation {
     /// Current instance count of a component (0 if unknown).
     pub fn instances(&self, component: &str) -> usize {
         self.instances.get(component).copied().unwrap_or(0)
-    }
-
-    /// Total instances across all components.
-    pub fn total_instances(&self) -> usize {
-        self.instances.values().sum()
     }
 
     /// Changes the instance count of a component (autoscaling). Counts are
@@ -442,16 +424,7 @@ impl Simulation {
                     ),
                 })
                 .collect();
-            self.metric_states.insert(component_name.clone(), states);
-            let base = component
-                .metrics
-                .iter()
-                .find_map(|m| match &m.behavior {
-                    crate::metrics::MetricBehavior::Latency { base_ms, .. } => Some(*base_ms),
-                    _ => None,
-                })
-                .unwrap_or(10.0);
-            self.latency_base_ms.insert(component_name, base);
+            self.metric_states.insert(component_name, states);
         }
 
         let old_enabled: BTreeMap<(Name, Name), bool> = self
@@ -460,17 +433,12 @@ impl Simulation {
             .cloned()
             .zip(self.call_enabled.iter().copied())
             .collect();
-        self.call_edges = new_spec
-            .calls()
-            .iter()
-            .map(|c| (Name::new(&c.caller), Name::new(&c.callee)))
-            .collect();
+        (self.call_edges, self.latency_base_ms, self.reachable) = spec_tables(&new_spec);
         self.call_enabled = self
             .call_edges
             .iter()
             .map(|edge| old_enabled.get(edge).copied().unwrap_or(true))
             .collect();
-        self.reachable = reachable_from(&new_spec, &new_spec.entrypoint);
         self.spec = new_spec;
         Ok(())
     }
@@ -625,12 +593,13 @@ impl Simulation {
                 .component(component)
                 .map(|c| c.capacity_per_instance)
                 .unwrap_or(100.0);
-            let base = self.latency_base_ms.get(component).copied().unwrap_or(10.0);
+            // `spec_tables` gives every component of the validated spec a
+            // base, and a reachable component is one of them.
+            let base = self.latency_base_ms[component];
             let utilisation = load / capacity.max(1e-9);
             latency += base * (1.0 + utilisation * utilisation);
         }
-        // The tracing overhead applies to every request end-to-end.
-        latency *= self.config.tracing_mode.overhead_factor().clamp(1.0, 1.25);
+        latency *= SYSDIG_OVERHEAD;
         self.latency_samples.push(latency);
 
         self.current_tick += 1;
@@ -692,10 +661,33 @@ fn chaos_metric_seed(base: u64, component: &str, metric: &str) -> u64 {
     h
 }
 
-/// Components reachable from `start` along call edges (including `start`).
-fn reachable_from(spec: &AppSpec, start: &str) -> BTreeSet<Name> {
+/// The tables the engine derives from a spec's topology: the interned
+/// `(caller, callee)` of each call edge (index-aligned with `spec.calls()`),
+/// each component's base processing latency (its exported latency metric's
+/// `base_ms`, else [`DEFAULT_LATENCY_BASE_MS`]), and the components
+/// reachable from the entrypoint along call edges (the entrypoint included).
+type SpecTables = (Vec<(Name, Name)>, BTreeMap<Name, f64>, BTreeSet<Name>);
+
+/// Derives a spec's [`SpecTables`], at construction and after every fault.
+fn spec_tables(spec: &AppSpec) -> SpecTables {
+    let call_edges = spec
+        .calls()
+        .iter()
+        .map(|c| (Name::new(&c.caller), Name::new(&c.callee)))
+        .collect();
+    let latency_base_ms = spec
+        .components()
+        .map(|component| {
+            let base = component.metrics.iter().find_map(|m| match &m.behavior {
+                MetricBehavior::Latency { base_ms, .. } => Some(*base_ms),
+                _ => None,
+            });
+            let base = base.unwrap_or(DEFAULT_LATENCY_BASE_MS);
+            (Name::new(&component.name), base)
+        })
+        .collect();
     let mut visited: BTreeSet<Name> = BTreeSet::new();
-    let mut stack = vec![Name::new(start)];
+    let mut stack = vec![Name::new(&spec.entrypoint)];
     while let Some(node) = stack.pop() {
         if !visited.insert(node.clone()) {
             continue;
@@ -706,7 +698,7 @@ fn reachable_from(spec: &AppSpec, start: &str) -> BTreeSet<Name> {
             }
         }
     }
-    visited
+    (call_edges, latency_base_ms, visited)
 }
 
 #[cfg(test)]
@@ -831,7 +823,30 @@ mod tests {
             / unscaled.latency_samples().len() as f64;
         assert!(scaled_mean < unscaled_mean);
         assert_eq!(scaled.instances("web"), 8);
-        assert_eq!(scaled.total_instances(), 17);
+        let total: usize = ["lb", "web", "db"]
+            .iter()
+            .map(|c| scaled.instances(c))
+            .sum();
+        assert_eq!(total, 17);
+    }
+
+    #[test]
+    fn modelled_latency_carries_the_sysdig_factor_bit_for_bit() {
+        // One component, no latency metric (so the 10 ms base), capacity
+        // 80 per instance, offered 30 requests per tick.
+        let mut app = AppSpec::new("solo", "solo");
+        app.add_component(
+            ComponentSpec::new("solo")
+                .with_capacity(80.0)
+                .with_metric(MetricSpec::gauge("cpu", MetricBehavior::cpu_like(1.0))),
+        );
+        let config = SimConfig::new(3).with_duration_ms(5_000);
+        let mut sim = Simulation::new(app, Workload::constant(30.0), config).unwrap();
+        let u: f64 = 30.0 / 80.0;
+        let expected = 10.0 * (1.0 + u * u) * 1.22;
+        while let Some(snap) = sim.step() {
+            assert_eq!(snap.end_to_end_latency_ms.to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

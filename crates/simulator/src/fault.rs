@@ -88,11 +88,6 @@ impl FaultScenario {
         self
     }
 
-    /// Number of faults in the scenario.
-    pub fn fault_count(&self) -> usize {
-        self.faults.len()
-    }
-
     /// Applies every fault to `spec`, producing the "faulty version" of the
     /// application.
     ///
@@ -269,7 +264,7 @@ mod tests {
         let agent = faulty.component("agent").unwrap();
         assert_eq!(agent.metrics.len(), 1);
         assert_eq!(agent.metrics[0].name, "ports_down");
-        assert_eq!(scenario.fault_count(), 2);
+        assert_eq!(scenario.faults.len(), 2);
         // The original spec is untouched.
         assert_eq!(
             app().component("agent").unwrap().metrics[0].name,

@@ -15,8 +15,8 @@
 //! * [`engine`] — the discrete-time simulation that propagates load along
 //!   the call graph (with per-edge lag) and emits every metric as a time
 //!   series;
-//! * [`tracer`] — the call-graph recorder, with the relative overhead model
-//!   for native/sysdig/tcpdump tracing used by Figure 5;
+//! * [`tracer`] — the call-graph recorder (sysdig's overhead is a constant
+//!   factor on the engine's modelled latency);
 //! * [`store`] — the in-memory metric store: series, content
 //!   fingerprints, the epoch/delta API, and the bounded-memory retention
 //!   layer (ring windows + tiered mean/min/max downsampling) that lets

@@ -377,14 +377,65 @@ struct StoreInner {
     verify: VerifyScratch,
 }
 
-/// What [`MetricStore::record_batch_verified`] knows about one listed
-/// series mid-batch: its live state advanced by the points accepted so far,
-/// and the chain of those points.
+/// What the store's acceptance rule reads and advances of one series: its
+/// newest timestamp, its content fingerprint and its retained window's
+/// length.
 #[derive(Debug, Clone, Copy)]
-struct Sim {
+struct Head {
     last_ts: Option<u64>,
     fingerprint: u64,
     window_len: usize,
+}
+
+impl Head {
+    /// The head of a series that holds no point yet.
+    const EMPTY: Self = Self {
+        last_ts: None,
+        fingerprint: FINGERPRINT_SEED,
+        window_len: 0,
+    };
+
+    /// The store's one acceptance rule, which live ingest and the
+    /// simulation inside [`MetricStore::record_batch_verified`] both run: a
+    /// non-finite value is refused, then a timestamp not strictly newer than
+    /// the last; an accepted point extends the fingerprint and the window,
+    /// and a window that outgrows `raw_capacity` evicts its oldest point.
+    fn accept(
+        &mut self,
+        timestamp_ms: u64,
+        value: f64,
+        raw_capacity: Option<usize>,
+    ) -> Result<(), RejectReason> {
+        if !value.is_finite() {
+            return Err(RejectReason::NonFiniteValue);
+        }
+        if self.last_ts.is_some_and(|last| timestamp_ms <= last) {
+            return Err(RejectReason::NonMonotoneTimestamp);
+        }
+        self.last_ts = Some(timestamp_ms);
+        self.fingerprint = extend_fingerprint(self.fingerprint, timestamp_ms, value);
+        self.window_len += 1;
+        if raw_capacity.is_some_and(|cap| self.window_len > cap) {
+            self.evict();
+        }
+        Ok(())
+    }
+
+    /// What evicting the window's oldest point does to the head, on ingest
+    /// and on a retention trim alike: the fingerprint mixes in the eviction
+    /// tag and the window shrinks by one.
+    fn evict(&mut self) {
+        self.fingerprint = mix(self.fingerprint, EVICTION_TAG);
+        self.window_len -= 1;
+    }
+}
+
+/// What [`MetricStore::record_batch_verified`] knows about one listed
+/// series mid-batch: its head advanced by the points accepted so far, and
+/// the chain of those points.
+#[derive(Debug, Clone, Copy)]
+struct Sim {
+    head: Head,
     accepted: usize,
     /// Whether the store holds the series yet.
     stored: bool,
@@ -392,21 +443,6 @@ struct Sim {
     /// between are linked through [`VerifyScratch::next`].
     first: Option<usize>,
     last: Option<usize>,
-}
-
-impl Sim {
-    /// The state of `series` before the batch (a new series when `None`).
-    fn load(series: Option<&StoredSeries>) -> Self {
-        Self {
-            last_ts: series.and_then(|s| s.timestamps_ms.last().copied()),
-            fingerprint: series.map_or(FINGERPRINT_SEED, |s| s.fingerprint),
-            window_len: series.map_or(0, StoredSeries::window_len),
-            accepted: 0,
-            stored: series.is_some(),
-            first: None,
-            last: None,
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -418,48 +454,43 @@ struct VerifyScratch {
 }
 
 impl StoreInner {
-    /// The one ingestion path: appends an observation, advancing the
-    /// fingerprint and touched mark on acceptance and enforcing the
-    /// retention policy (evicting exactly the oldest retained point when
-    /// the window overflows). Returns why the point was dropped, or `None`
-    /// on acceptance.
+    /// The one ingestion path: runs the acceptance step on the series'
+    /// head and, on acceptance, appends the observation, stores the head's
+    /// fingerprint, sets the touched mark and evicts exactly the oldest
+    /// retained point when the window overflows. Returns why the point was
+    /// dropped, or `None` on acceptance.
     ///
-    /// The non-finite gate runs before the series entry is created, so a
-    /// rejected first point never materializes an empty series.
-    fn record_one(&mut self, id: &MetricId, timestamp_ms: u64, value: f64) -> Option<RejectReason> {
-        self.record_one_stamped(id, timestamp_ms, value, 0).0
-    }
-
-    /// [`StoreInner::record_one`] plus per-batch first-touch detection:
-    /// on acceptance, the second return is `true` iff this is the first
+    /// A series entry is created only for an accepted point, so a rejected
+    /// first point never materializes an empty series.
+    ///
+    /// On acceptance, the second return is `true` iff this is the first
     /// accepted point of the series under `stamp` — the detailed batch
     /// path uses it to collect watermark entries with one map lookup per
-    /// point and no per-call set allocation.
-    fn record_one_stamped(
+    /// point and no per-call set allocation (the other paths pass 0).
+    fn record_one(
         &mut self,
         id: &MetricId,
         timestamp_ms: u64,
         value: f64,
         stamp: u64,
     ) -> (Option<RejectReason>, bool) {
-        if !value.is_finite() {
-            return (Some(RejectReason::NonFiniteValue), false);
-        }
         let retention = self.retention;
+        let stored = self.series.get_mut(id);
+        let mut head = stored.as_deref().map_or(Head::EMPTY, StoredSeries::head);
+        if let Err(reason) = head.accept(timestamp_ms, value, retention.raw_capacity) {
+            return (Some(reason), false);
+        }
         // The id is cloned only for a series' first point.
-        let series = match self.series.get_mut(id) {
+        let series = match stored {
             Some(series) => series,
             None => self.series.entry(id.clone()).or_default(),
         };
-        if !series.push(timestamp_ms, value) {
-            return (Some(RejectReason::NonMonotoneTimestamp), false);
-        }
         let first_touch = series.last_batch != stamp;
         series.last_batch = stamp;
-        series.fingerprint = extend_fingerprint(series.fingerprint, timestamp_ms, value);
+        series.fingerprint = head.fingerprint;
         series.touched = true;
         self.points_written += 1;
-        if series.evict_overflow(retention) {
+        if series.append(timestamp_ms, value, retention) {
             self.points_evicted += 1;
         }
         (None, first_touch)
@@ -511,16 +542,30 @@ impl Default for StoredSeries {
 }
 
 impl StoredSeries {
-    /// Appends an observation if its timestamp is strictly newer than the
-    /// last accepted one.
-    fn push(&mut self, timestamp_ms: u64, value: f64) -> bool {
-        if let Some(&last) = self.timestamps_ms.last() {
-            if timestamp_ms <= last {
-                return false;
-            }
+    /// What the acceptance step reads of this series.
+    fn head(&self) -> Head {
+        Head {
+            last_ts: self.timestamps_ms.last().copied(),
+            fingerprint: self.fingerprint,
+            window_len: self.window_len(),
         }
+    }
+
+    /// Appends a point the acceptance step took and, when the window has
+    /// outgrown `retention`'s raw capacity (as the step's head did), evicts
+    /// the oldest retained point; returns whether it did. The fingerprint
+    /// is the caller's to store: the head it reached carries it.
+    fn append(&mut self, timestamp_ms: u64, value: f64, retention: RetentionPolicy) -> bool {
         self.timestamps_ms.push(timestamp_ms);
         self.values.push(value);
+        let Some(cap) = retention
+            .raw_capacity
+            .filter(|&cap| self.window_len() > cap)
+        else {
+            return false;
+        };
+        self.evict_oldest(retention.tier_capacity);
+        self.compact_if_due(cap);
         true
     }
 
@@ -538,13 +583,12 @@ impl StoredSeries {
     }
 
     /// Evicts the oldest retained point: folds it into the downsampled
-    /// tiers, advances the fingerprint with the eviction tag, and moves the
-    /// window start forward.
+    /// tiers and moves the window start forward. The eviction tag is
+    /// [`Head::evict`]'s to mix in.
     fn evict_oldest(&mut self, tier_capacity: usize) {
         let t = self.timestamps_ms[self.start];
         let v = self.values[self.start];
         self.start += 1;
-        self.fingerprint = mix(self.fingerprint, EVICTION_TAG);
         if let Some(full) = self.tier1.feed(t, t, 1, v, v, v, tier_capacity) {
             // A full tier-1 bucket fell off the ring: cascade it into
             // tier 2. A bucket falling off tier 2 is forgotten for good.
@@ -558,20 +602,6 @@ impl StoredSeries {
                 tier_capacity,
             );
         }
-    }
-
-    /// Evicts the oldest retained point if the window has outgrown
-    /// `retention`'s raw capacity; returns whether it did.
-    fn evict_overflow(&mut self, retention: RetentionPolicy) -> bool {
-        let Some(cap) = retention
-            .raw_capacity
-            .filter(|&cap| self.window_len() > cap)
-        else {
-            return false;
-        };
-        self.evict_oldest(retention.tier_capacity);
-        self.compact_if_due(cap);
-        true
     }
 
     /// Drains the dead prefix once it has grown to the raw capacity, so
@@ -742,14 +772,18 @@ impl MetricStore {
         let mut evicted = 0u64;
         for series in inner.series.values_mut() {
             let excess = series.window_len().saturating_sub(cap);
+            if excess == 0 {
+                continue;
+            }
+            let mut head = series.head();
             for _ in 0..excess {
+                head.evict();
                 series.evict_oldest(policy.tier_capacity);
             }
-            if excess > 0 {
-                series.touched = true;
-                series.compact_if_due(cap);
-                evicted += excess as u64;
-            }
+            series.fingerprint = head.fingerprint;
+            series.touched = true;
+            series.compact_if_due(cap);
+            evicted += excess as u64;
         }
         inner.points_evicted += evicted;
     }
@@ -766,7 +800,10 @@ impl MetricStore {
     /// [`RetentionPolicy`], a point that overflows the window also evicts
     /// the oldest retained point into the downsampled tiers.
     pub fn record(&self, id: &MetricId, timestamp_ms: u64, value: f64) -> bool {
-        self.write().record_one(id, timestamp_ms, value).is_none()
+        self.write()
+            .record_one(id, timestamp_ms, value, 0)
+            .0
+            .is_none()
     }
 
     /// Appends a batch of observations under a single write-lock
@@ -787,7 +824,7 @@ impl MetricStore {
         points
             .into_iter()
             .filter(|&(id, timestamp_ms, value)| {
-                inner.record_one(id, timestamp_ms, value).is_none()
+                inner.record_one(id, timestamp_ms, value, 0).0.is_none()
             })
             .count()
     }
@@ -823,7 +860,7 @@ impl MetricStore {
         guard.batch_stamp += 1;
         let stamp = guard.batch_stamp;
         for (index, (id, timestamp_ms, value)) in points.into_iter().enumerate() {
-            match guard.record_one_stamped(id, timestamp_ms, value, stamp) {
+            match guard.record_one(id, timestamp_ms, value, stamp) {
                 (None, first_touch) => {
                     outcome.accepted += 1;
                     if first_touch {
@@ -860,11 +897,11 @@ impl MetricStore {
     ///
     /// Everything runs under one write-lock hold. The stored series from
     /// the first listed id to the last are walked in step with the list,
-    /// once to load each listed series' live state and once to apply. One
-    /// pass over the points runs the full acceptance pipeline on those
-    /// states — the non-finite and monotone-timestamp gates, the
-    /// fingerprint chain, and the eviction tags the current retention
-    /// policy would mix in — and chains each slot's accepted points. A slot
+    /// once to load each listed series' head and once to apply. One pass
+    /// over the points runs the acceptance step live ingest runs — the
+    /// non-finite and monotone-timestamp gates, the fingerprint chain, and
+    /// the eviction tags the current retention policy would mix in — on
+    /// those heads, and chains each slot's accepted points. A slot
     /// out of range, a listed series that accepts nothing or ends on
     /// another fingerprint, or an `expected` not strictly ascending by
     /// [`MetricId`] is a mismatch. Only when every slot matches does the
@@ -919,25 +956,27 @@ impl MetricStore {
                 at = walk.next();
             }
             let live = at.filter(|(key, _)| *key == id).map(|(_, live)| live);
-            verify.slots.push(Sim::load(live));
+            verify.slots.push(Sim {
+                head: live.map_or(Head::EMPTY, StoredSeries::head),
+                accepted: 0,
+                stored: live.is_some(),
+                first: None,
+                last: None,
+            });
         }
 
-        let cap = retention.raw_capacity;
         verify.next.clear();
         verify.next.resize(points.len(), None);
         for (point, &(slot, timestamp_ms, value)) in points.iter().enumerate() {
             let sim = verify.slots.get_mut(slot as usize)?;
-            if !value.is_finite() || sim.last_ts.is_some_and(|last| timestamp_ms <= last) {
+            if sim
+                .head
+                .accept(timestamp_ms, value, retention.raw_capacity)
+                .is_err()
+            {
                 continue;
             }
-            sim.last_ts = Some(timestamp_ms);
-            sim.fingerprint = extend_fingerprint(sim.fingerprint, timestamp_ms, value);
-            sim.window_len += 1;
             sim.accepted += 1;
-            if cap.is_some_and(|cap| sim.window_len > cap) {
-                sim.fingerprint = mix(sim.fingerprint, EVICTION_TAG);
-                sim.window_len -= 1;
-            }
             match sim.last.replace(point) {
                 Some(before) => verify.next[before] = Some(point),
                 None => sim.first = Some(point),
@@ -947,7 +986,7 @@ impl MetricStore {
             .slots
             .iter()
             .zip(expected.clone())
-            .all(|(sim, (_, fingerprint))| sim.accepted > 0 && sim.fingerprint == fingerprint);
+            .all(|(sim, (_, fingerprint))| sim.accepted > 0 && sim.head.fingerprint == fingerprint);
         if !reproduced {
             return None;
         }
@@ -970,14 +1009,12 @@ impl MetricStore {
             let mut chain = sim.first;
             while let Some(point) = chain {
                 let (_, timestamp_ms, value) = points[point];
-                let pushed = stored.push(timestamp_ms, value);
-                debug_assert!(pushed, "the simulation accepted the point");
-                if stored.evict_overflow(*retention) {
+                if stored.append(timestamp_ms, value, *retention) {
                     *points_evicted += 1;
                 }
                 chain = verify.next[point];
             }
-            stored.fingerprint = sim.fingerprint;
+            stored.fingerprint = sim.head.fingerprint;
             stored.touched = true;
             accepted += sim.accepted;
         }
@@ -1061,13 +1098,6 @@ impl MetricStore {
         self.read().series.keys().cloned().collect()
     }
 
-    /// Metric identifiers belonging to one component.
-    pub fn metric_ids_of(&self, component: &str) -> Vec<MetricId> {
-        let mut out = Vec::new();
-        self.for_each_metric_id_of(component, |id| out.push(id.clone()));
-        out
-    }
-
     /// Names of all components that have at least one stored series.
     pub fn components(&self) -> Vec<Name> {
         let mut names = Vec::new();
@@ -1085,18 +1115,6 @@ impl MetricStore {
             if last != Some(&id.component) {
                 f(&id.component);
                 last = Some(&id.component);
-            }
-        }
-    }
-
-    /// Visits the metric identifiers of one component in sorted order
-    /// without building a `Vec`. The read lock is held for the whole
-    /// traversal, so the callback must not call back into this store.
-    pub fn for_each_metric_id_of(&self, component: &str, mut f: impl FnMut(&MetricId)) {
-        let inner = self.read();
-        for id in inner.series.keys() {
-            if id.component == component {
-                f(id);
             }
         }
     }
@@ -1341,7 +1359,11 @@ mod tests {
     #[test]
     fn metric_ids_are_filtered_by_component() {
         let store = populated();
-        assert_eq!(store.metric_ids_of("web").len(), 3);
+        let web = store
+            .metric_ids()
+            .into_iter()
+            .filter(|id| id.component == "web");
+        assert_eq!(web.count(), 3);
         assert_eq!(store.components(), vec!["db", "web"]);
         assert_eq!(store.metric_ids().len(), 6);
     }
@@ -1452,11 +1474,6 @@ mod tests {
         let mut visited = Vec::new();
         store.for_each_component(|c| visited.push(c.clone()));
         assert_eq!(visited, store.components());
-
-        let mut ids = Vec::new();
-        store.for_each_metric_id_of("db", |id| ids.push(id.clone()));
-        assert_eq!(ids, store.metric_ids_of("db"));
-        assert_eq!(ids.len(), 3);
 
         let mut seen = 0;
         store.for_each_series_of("web", |id, series| {
@@ -1692,6 +1709,28 @@ mod tests {
             .collect()
     }
 
+    /// The acceptance rule written out apart from `Head`: advances each
+    /// series' (last timestamp, fingerprint, window length) in `heads` by
+    /// the points a store under `policy` would accept.
+    fn reference_heads<'a>(
+        heads: &mut BTreeMap<MetricId, (u64, u64, usize)>,
+        policy: RetentionPolicy,
+        points: impl IntoIterator<Item = (&'a MetricId, u64, f64)>,
+    ) {
+        for (id, t, v) in points {
+            let head = heads.get(id).copied();
+            if !v.is_finite() || head.is_some_and(|(last, ..)| t <= last) {
+                continue;
+            }
+            let (_, fingerprint, len) = head.unwrap_or((0, FINGERPRINT_SEED, 0));
+            let mut next = (t, mix_f64(mix(fingerprint, t), v), len + 1);
+            if policy.raw_capacity.is_some_and(|cap| next.2 > cap) {
+                next = (t, mix(next.1, EVICTION_TAG), next.2 - 1);
+            }
+            heads.insert(id.clone(), next);
+        }
+    }
+
     #[test]
     fn verified_apply_agrees_with_the_detailed_oracle_for_any_expected_list() {
         use sieve_exec::hash::splitmix64;
@@ -1723,6 +1762,7 @@ mod tests {
                 state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
                 splitmix64(state)
             };
+            let mut heads = BTreeMap::new();
             for step in 0..120 {
                 let mut batch = Vec::new();
                 for _ in 0..(rand() % 20) {
@@ -1819,6 +1859,10 @@ mod tests {
                         assert_eq!(accepted, oracle.accepted);
                         let oracle = oracle_store.freeze();
                         assert_eq!(store.freeze(), oracle, "verified apply == detailed");
+                        let triples = points
+                            .iter()
+                            .map(|&(slot, t, v)| (&expected[slot as usize].0, t, v));
+                        reference_heads(&mut heads, policy, triples);
                     }
                     None => {
                         refused[kind] += 1;
@@ -1827,7 +1871,12 @@ mod tests {
                         let accepted = verified(&store, &true_points, &truth.watermarks);
                         assert_eq!(accepted, Some(truth.accepted));
                         assert_eq!(store.freeze(), live.freeze(), "verified apply == detailed");
+                        reference_heads(&mut heads, policy, batch.iter().copied());
                     }
+                }
+                // Both paths follow the rule as written out apart from them.
+                for (id, &(_, fingerprint, _)) in &heads {
+                    assert_eq!(store.fingerprint(id), Some(fingerprint), "step {step}");
                 }
             }
         }

@@ -1,71 +1,18 @@
-//! Call-graph tracing and the tracing-overhead model.
+//! Call-graph tracing.
 //!
 //! Sieve obtains the component call graph by observing network-related
-//! system calls with sysdig, and the paper compares the overhead of doing so
-//! against tcpdump and against no tracing at all (Figure 5: completing 10k
-//! HTTP requests takes ~7% longer under tcpdump and ~22% longer under sysdig
-//! than natively). The simulator's tracer records RPC edges exactly and
-//! models those relative overheads so the Figure 5 experiment can be
-//! regenerated.
+//! system calls with sysdig. The simulator's tracer records RPC edges
+//! exactly; what tracing costs is a constant factor on the engine's
+//! modelled latency (the paper's Figure 5 measures sysdig at +22 %), an
+//! input to the simulation rather than something it measures.
 
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
-
-/// How the call graph is captured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TracingMode {
-    /// No tracing (baseline).
-    Native,
-    /// Kernel-module based system-call stream (what Sieve uses).
-    Sysdig,
-    /// Packet capture on every host.
-    Tcpdump,
-}
-
-impl TracingMode {
-    /// Relative per-request overhead factor of this tracing mode, calibrated
-    /// to the measurements of Figure 5 (native = 1.00).
-    pub fn overhead_factor(self) -> f64 {
-        match self {
-            TracingMode::Native => 1.0,
-            TracingMode::Sysdig => 1.22,
-            TracingMode::Tcpdump => 1.07,
-        }
-    }
-
-    /// Whether this mode can attribute traffic to the component (process)
-    /// that generated it — the reason Sieve picks sysdig despite its higher
-    /// overhead.
-    pub fn provides_process_context(self) -> bool {
-        matches!(self, TracingMode::Sysdig)
-    }
-
-    /// All modes, for iteration in experiments.
-    pub fn all() -> [TracingMode; 3] {
-        [
-            TracingMode::Native,
-            TracingMode::Sysdig,
-            TracingMode::Tcpdump,
-        ]
-    }
-}
-
-impl std::fmt::Display for TracingMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            TracingMode::Native => "native",
-            TracingMode::Sysdig => "sysdig",
-            TracingMode::Tcpdump => "tcpdump",
-        };
-        f.write_str(name)
-    }
-}
 
 /// Records component-to-component calls during a simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     graph: CallGraph,
-    events: u64,
 }
 
 impl Tracer {
@@ -82,7 +29,6 @@ impl Tracer {
             return;
         }
         self.graph.record_calls(caller, callee, count);
-        self.events += count;
     }
 
     /// Registers a component that may never communicate.
@@ -99,20 +45,6 @@ impl Tracer {
     pub fn into_call_graph(self) -> CallGraph {
         self.graph
     }
-
-    /// Total number of call events recorded.
-    pub fn event_count(&self) -> u64 {
-        self.events
-    }
-}
-
-/// Models the wall-clock time to complete `requests` HTTP requests against a
-/// lightweight static-file server under the given tracing mode — the Figure 5
-/// microbenchmark. `base_request_us` is the native per-request service time
-/// in microseconds (the paper's Nginx setup completes 10k requests in ~0.35 s
-/// natively, i.e. ~35 µs per request).
-pub fn completion_time_s(requests: u64, base_request_us: f64, mode: TracingMode) -> f64 {
-    requests as f64 * base_request_us * mode.overhead_factor() / 1e6
 }
 
 #[cfg(test)]
@@ -126,8 +58,11 @@ mod tests {
         t.record("web", "mongodb", 3);
         t.record("web", "mongodb", 2);
         t.register_component("spelling");
-        assert_eq!(t.event_count(), 10);
         let g = t.call_graph();
+        assert_eq!(
+            g.call_count("haproxy", "web") + g.call_count("web", "mongodb"),
+            10
+        );
         assert_eq!(g.call_count("web", "mongodb"), 5);
         assert!(g.components().iter().any(|c| c == "spelling"));
         let owned = t.into_call_graph();
@@ -138,34 +73,6 @@ mod tests {
     fn zero_count_records_are_ignored() {
         let mut t = Tracer::new();
         t.record("a", "b", 0);
-        assert_eq!(t.event_count(), 0);
         assert_eq!(t.call_graph().edge_count(), 0);
-    }
-
-    #[test]
-    fn overhead_ordering_matches_figure_5() {
-        // native < tcpdump < sysdig
-        let native = completion_time_s(10_000, 35.0, TracingMode::Native);
-        let tcpdump = completion_time_s(10_000, 35.0, TracingMode::Tcpdump);
-        let sysdig = completion_time_s(10_000, 35.0, TracingMode::Sysdig);
-        assert!(native < tcpdump && tcpdump < sysdig);
-        // Roughly 7% and 22% overhead respectively.
-        assert!(((tcpdump / native) - 1.07).abs() < 1e-9);
-        assert!(((sysdig / native) - 1.22).abs() < 1e-9);
-    }
-
-    #[test]
-    fn only_sysdig_provides_process_context() {
-        assert!(TracingMode::Sysdig.provides_process_context());
-        assert!(!TracingMode::Tcpdump.provides_process_context());
-        assert!(!TracingMode::Native.provides_process_context());
-    }
-
-    #[test]
-    fn display_names_are_lowercase() {
-        assert_eq!(TracingMode::Native.to_string(), "native");
-        assert_eq!(TracingMode::Sysdig.to_string(), "sysdig");
-        assert_eq!(TracingMode::Tcpdump.to_string(), "tcpdump");
-        assert_eq!(TracingMode::all().len(), 3);
     }
 }

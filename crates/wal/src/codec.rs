@@ -179,19 +179,6 @@ impl Hasher for WordHasher {
     }
 }
 
-/// The section of an ingest batch a metric id is read from. Points arrive
-/// in record order and watermarks in id order, so [`IdMemo`] predicts each
-/// section's next id from that section's history alone.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Section {
-    /// The points of a tag-4 batch, which spelled out every point's id.
-    /// A batch written today names its points' series by slot, so only
-    /// logs written before that read this lane.
-    Points = 0,
-    /// Watermark lists, and the series of a frozen store.
-    Watermarks = 1,
-}
-
 /// The [`MetricId`]s one decode pass has already seen, keyed by their
 /// encoded bytes.
 ///
@@ -209,13 +196,14 @@ pub(crate) enum Section {
 /// every sight. A memoised decode therefore equals a decode through a
 /// fresh memo, for any input (property-tested).
 ///
-/// Most sights are answered without hashing. Each entry remembers, per
-/// section of a batch, the entry sighted right after it last time; a sight
-/// whose bytes begin with that predicted entry's key is that entry (the
-/// key is self-delimiting), and is read without parsing it. Batches
-/// that repeat one id order — a scraper's, tick after tick — are predicted
-/// at nearly every sight; a miss (the first batch, a new series, a
-/// reordered batch) falls back to the map and re-links the predecessor.
+/// Most sights are answered without hashing. Each entry remembers the
+/// entry sighted right after it last time; a sight whose bytes begin with
+/// that predicted entry's key is that entry (the key is self-delimiting),
+/// and is read without parsing it. Batches that repeat one id order — a
+/// scraper's, tick after tick — are predicted at nearly every sight; a miss
+/// (the first batch, a new series, a reordered batch) falls back to the map
+/// and re-links the predecessor. Every sight runs through this one lane: a
+/// tag-4 batch's point ids and its watermarks, and a frozen store's series.
 ///
 /// One memo serves one buffer: a [`crate::reader::LogFrames`] owns the one
 /// for its log, [`crate::ShardSnapshot::decode`] makes one per snapshot.
@@ -223,11 +211,8 @@ pub(crate) enum Section {
 pub struct IdMemo<'a> {
     index: HashMap<&'a [u8], u32, BuildHasherDefault<WordHasher>>,
     entries: Vec<MemoEntry<'a>>,
-    /// Per section, the entry sighted last.
-    last: [Option<u32>; 2],
-    /// Stamp of the tag-4 watermark list being read (see
-    /// `MemoEntry::slot`).
-    listing: u64,
+    /// The entry sighted last.
+    last: Option<u32>,
     decoded: u64,
     hashed: u64,
 }
@@ -237,13 +222,8 @@ pub struct IdMemo<'a> {
 struct MemoEntry<'a> {
     key: &'a [u8],
     id: MetricId,
-    /// Per section, the entry sighted right after this one last time.
-    next: [Option<u32>; 2],
-    /// The first slot of the watermark list stamped `listed` that names
-    /// this id; stale under any other stamp. Only a tag-4 batch, whose
-    /// points spell out their ids, maps ids to slots.
-    slot: u32,
-    listed: u64,
+    /// The entry sighted right after this one last time.
+    next: Option<u32>,
 }
 
 impl<'a> IdMemo<'a> {
@@ -264,12 +244,11 @@ impl<'a> IdMemo<'a> {
         self.hashed
     }
 
-    /// Reads one encoded [`MetricId`] from `section` and returns the index
-    /// of its entry, interning it on its first sight.
-    pub(crate) fn sight(&mut self, cur: &mut Cursor<'a>, section: Section) -> DecodeResult<u32> {
-        let lane = section as usize;
-        let last = self.last[lane];
-        let predicted = last.and_then(|last| self.entries[last as usize].next[lane]);
+    /// Reads one encoded [`MetricId`] and returns the index of its entry,
+    /// interning it on its first sight.
+    pub(crate) fn sight(&mut self, cur: &mut Cursor<'a>) -> DecodeResult<u32> {
+        let last = self.last;
+        let predicted = last.and_then(|last| self.entries[last as usize].next);
         // The encoding is self-delimiting, so bytes that begin with the
         // predicted key are that key: no length prefix needs parsing.
         if let Some(entry) = predicted {
@@ -277,7 +256,7 @@ impl<'a> IdMemo<'a> {
             if cur.bytes[cur.pos..].starts_with(key) {
                 cur.pos += key.len();
                 self.decoded += 1;
-                self.last[lane] = Some(entry);
+                self.last = Some(entry);
                 return Ok(entry);
             }
         }
@@ -292,9 +271,9 @@ impl<'a> IdMemo<'a> {
             None => self.intern(key, component, metric)?,
         };
         if let Some(last) = last {
-            self.entries[last as usize].next[lane] = Some(entry);
+            self.entries[last as usize].next = Some(entry);
         }
-        self.last[lane] = Some(entry);
+        self.last = Some(entry);
         Ok(entry)
     }
 
@@ -308,9 +287,7 @@ impl<'a> IdMemo<'a> {
         self.entries.push(MemoEntry {
             key,
             id,
-            next: [None; 2],
-            slot: 0,
-            listed: 0,
+            next: None,
         });
         self.index.insert(key, entry);
         Ok(entry)
@@ -319,28 +296,6 @@ impl<'a> IdMemo<'a> {
     /// The id of `entry`.
     pub(crate) fn id(&self, entry: u32) -> &MetricId {
         &self.entries[entry as usize].id
-    }
-
-    /// Starts a new watermark list of a tag-4 batch: no entry is listed in
-    /// it yet.
-    pub(crate) fn begin_listing(&mut self) {
-        self.listing += 1;
-    }
-
-    /// Lists `entry` at `slot` of the current tag-4 watermark list, unless
-    /// an earlier slot already names it.
-    pub(crate) fn list(&mut self, entry: u32, slot: u32) {
-        let entry = &mut self.entries[entry as usize];
-        if entry.listed != self.listing {
-            entry.listed = self.listing;
-            entry.slot = slot;
-        }
-    }
-
-    /// The first slot of the current watermark list that names `entry`.
-    pub(crate) fn slot(&self, entry: u32) -> Option<u32> {
-        let entry = &self.entries[entry as usize];
-        (entry.listed == self.listing).then_some(entry.slot)
     }
 }
 
@@ -401,7 +356,7 @@ pub fn put_metric_id(buf: &mut Vec<u8>, id: &MetricId) {
 /// encoded bytes before. A frozen store lists its series in id order, as a
 /// batch lists its watermarks.
 pub fn take_metric_id<'a>(cur: &mut Cursor<'a>, memo: &mut IdMemo<'a>) -> DecodeResult<MetricId> {
-    let entry = memo.sight(cur, Section::Watermarks)?;
+    let entry = memo.sight(cur)?;
     Ok(memo.id(entry).clone())
 }
 

@@ -46,7 +46,7 @@
 use crate::codec::{
     put_call_graph, put_metric_id, put_retention, put_sieve_config, put_str, put_u64, put_u8,
     put_usize, put_varint, take_call_graph, take_retention, take_sieve_config, Cursor,
-    DecodeResult, IdMemo, Section,
+    DecodeResult, IdMemo,
 };
 use sieve_core::config::SieveConfig;
 use sieve_exec::Name;
@@ -294,7 +294,7 @@ pub(crate) enum Decoded<'a> {
 }
 
 /// The buffers an ingest body decodes into, reused from batch to batch: a
-/// warm pair takes every batch of a log without allocating.
+/// warm set takes every batch of a log without allocating.
 #[derive(Debug, Default)]
 pub(crate) struct IngestBuf {
     /// `(slot, timestamp, value)` of every point, as in
@@ -302,7 +302,14 @@ pub(crate) struct IngestBuf {
     points: Vec<(u32, u64, f64)>,
     /// `(memo entry, fingerprint)` of every watermark, in log order.
     watermarks: Vec<(u32, u64)>,
+    /// Per memo entry, the first slot of a tag-4 batch's watermark list
+    /// naming it while that batch decodes; [`UNLISTED`] otherwise.
+    first_slot: Vec<u32>,
 }
+
+/// A [`IngestBuf::first_slot`] cell no watermark of the batch fills: no slot
+/// is `u32::MAX`, since a watermark count must fit in a `u32`.
+const UNLISTED: u32 = u32::MAX;
 
 /// Appends a slotted ingest payload (tag 6): the one ingest encoder, fed
 /// `(slot, timestamp, value)` points by both [`WalEvent::encode`] and
@@ -483,8 +490,9 @@ pub(crate) fn decode_ingest<'a>(
 
 /// Reads a tag-4 ingest body, whose points spell out their ids ahead of the
 /// watermark list, into `buf` and returns its tenant. Each point's id is
-/// mapped to the first watermark slot that lists it; a point of an
-/// unlisted series is an error.
+/// mapped to the first watermark slot that lists it, through
+/// [`IngestBuf::first_slot`] (O(points + watermarks), no allocation once
+/// the map covers the memo); a point of an unlisted series is an error.
 fn decode_ingest_by_id<'a>(
     cur: &mut Cursor<'a>,
     memo: &mut IdMemo<'a>,
@@ -497,22 +505,33 @@ fn decode_ingest_by_id<'a>(
     // A point holds its id's memo entry until the watermark list has given
     // every entry its slot.
     for _ in 0..point_count {
-        let entry = memo.sight(cur, Section::Points)?;
+        let entry = memo.sight(cur)?;
         let timestamp_ms = cur.take_u64("point timestamp")?;
         let value = f64::from_bits(cur.take_u64("point value")?);
         buf.points.push((entry, timestamp_ms, value));
     }
     take_watermarks(cur, memo, buf)?;
-    memo.begin_listing();
-    for (slot, &(entry, _)) in (0u32..).zip(&buf.watermarks) {
-        memo.list(entry, slot);
+    let first_slot = &mut buf.first_slot;
+    let entries = (memo.interned() as usize).max(first_slot.len());
+    first_slot.resize(entries, UNLISTED);
+    // Filled last slot first, so an id listed twice keeps its first.
+    for (slot, &(entry, _)) in buf.watermarks.iter().enumerate().rev() {
+        first_slot[entry as usize] = slot as u32;
     }
+    let mut unlisted = None;
     for point in &mut buf.points {
-        point.0 = memo
-            .slot(point.0)
-            .ok_or_else(|| format!("a point of {} has no watermark", memo.id(point.0)))?;
+        match first_slot[point.0 as usize] {
+            UNLISTED => unlisted = unlisted.or(Some(point.0)),
+            slot => point.0 = slot,
+        }
     }
-    Ok(tenant)
+    for &(entry, _) in &buf.watermarks {
+        first_slot[entry as usize] = UNLISTED;
+    }
+    match unlisted {
+        Some(entry) => Err(format!("a point of {} has no watermark", memo.id(entry))),
+        None => Ok(tenant),
+    }
 }
 
 /// Reads a watermark list, its count first, into `buf`.
@@ -526,7 +545,7 @@ fn take_watermarks<'a>(
     buf.watermarks.clear();
     buf.watermarks.reserve(count.min(65_536));
     for _ in 0..count {
-        let entry = memo.sight(cur, Section::Watermarks)?;
+        let entry = memo.sight(cur)?;
         let fingerprint = cur.take_u64("watermark fingerprint")?;
         buf.watermarks.push((entry, fingerprint));
     }
@@ -1141,10 +1160,14 @@ mod tests {
             // more per point.
             assert_eq!(memo.decoded(), sections * events * points, "{legacy}");
             assert_eq!(memo.interned(), points, "{legacy}");
-            // Each section hashes its first batch and the first id of its
-            // second (the link back from the last id); every later sight
-            // is predicted.
-            assert_eq!(memo.hashed(), sections * (points + 1), "{legacy}");
+            // One lane reads ids 0..P in order, once per section of every
+            // batch. The first P sights are new and hashed. The next one
+            // (id 0 again: the second batch's, or this batch's watermarks
+            // after its points) follows id P-1, which has no successor yet,
+            // so it is hashed too and links P-1 -> 0. From then on every
+            // sight is its predecessor's successor: P + 1 hashes in either
+            // layout.
+            assert_eq!(memo.hashed(), points + 1, "{legacy}");
         }
     }
 }
