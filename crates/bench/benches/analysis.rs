@@ -221,7 +221,7 @@ fn sweep_traffic(components: &[SweepInput], config: &SieveConfig) -> (String, f6
     let (mut fits, mut unconverged) = (0u64, 0u64);
     // refinements, first-member alignments, aligned spectra: (performed, reused)
     let mut memo = [(0u64, 0u64); 3];
-    let (mut evaluations, mut power_steps, mut peak_aligned) = (0, 0, 0);
+    let (mut evaluations, mut power_steps, mut peak_aligned, mut spectra) = (0, 0, 0, 0);
     let (mut ruled_out, mut bounds) = (0, 0);
     for (data, names) in components {
         let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
@@ -250,6 +250,7 @@ fn sweep_traffic(components: &[SweepInput], config: &SieveConfig) -> (String, f6
         ruled_out += cache.cells_ruled_out();
         bounds += cache.bounds_computed();
         power_steps += cache.power_steps();
+        spectra += cache.spectra_computed();
         peak_aligned = peak_aligned.max(cache.aligned_spectra());
     }
     let [refinements, alignments, aligned] = memo;
@@ -258,7 +259,8 @@ fn sweep_traffic(components: &[SweepInput], config: &SieveConfig) -> (String, f6
         "{fits} fits, {unconverged} unconverged at the {}-iteration cap; {} refinements \
          performed, {} reused from the sweep-wide memo; first-member alignments {} evaluated, \
          {} reused; aligned spectra {} computed (at most {peak_aligned} held by one component), \
-         {} reused; {power_steps} power steps taken of {} possible; {evaluations} SBD evaluations \
+         {} reused; {power_steps} power steps taken of {} possible; {spectra} forward transforms; \
+         {evaluations} SBD evaluations \
          of the {} evaluating every column cell costs, {ruled_out} cells ruled out / {bounds} \
          bounds computed",
         config.kshape_max_iterations,

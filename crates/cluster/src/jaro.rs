@@ -15,56 +15,105 @@
 /// assert_eq!(sieve_cluster::jaro::jaro_similarity("abc", "abc"), 1.0);
 /// ```
 pub fn jaro_similarity(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let match_window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut a_matched = vec![false; a.len()];
-    let mut b_matched = vec![false; b.len()];
-    let mut matches = 0usize;
+    Decoded::new(a).similarity(&Decoded::new(b))
+}
 
-    for (i, ca) in a.iter().enumerate() {
+/// A name as Jaro compares it, decoded once: its bytes when it is ASCII
+/// (one byte per character), its `char`s otherwise.
+#[derive(Debug, Clone)]
+enum Decoded<'a> {
+    Ascii(&'a [u8]),
+    Chars(Vec<char>),
+}
+
+impl<'a> Decoded<'a> {
+    fn new(name: &'a str) -> Self {
+        if name.is_ascii() {
+            Self::Ascii(name.as_bytes())
+        } else {
+            Self::Chars(name.chars().collect())
+        }
+    }
+
+    /// Number of characters.
+    fn len(&self) -> usize {
+        match self {
+            Self::Ascii(bytes) => bytes.len(),
+            Self::Chars(chars) => chars.len(),
+        }
+    }
+
+    /// `jaro_similarity(self, other)` over the decoded characters.
+    fn similarity(&self, other: &Decoded<'_>) -> f64 {
+        let (a_len, b_len) = (self.len(), other.len());
+        if a_len == 0 && b_len == 0 {
+            return 1.0;
+        }
+        if a_len == 0 || b_len == 0 {
+            return 0.0;
+        }
+        let (matches, mismatched) = match (self, other) {
+            (Self::Ascii(a), Decoded::Ascii(b)) => matching(a, b),
+            (Self::Ascii(a), Decoded::Chars(b)) => matching(a, b),
+            (Self::Chars(a), Decoded::Ascii(b)) => matching(a, b),
+            (Self::Chars(a), Decoded::Chars(b)) => matching(a, b),
+        };
+        if matches == 0 {
+            return 0.0;
+        }
+        let m = matches as f64;
+        let transpositions = mismatched / 2;
+        (m / a_len as f64 + m / b_len as f64 + (m - transpositions as f64) / m) / 3.0
+    }
+}
+
+/// The Jaro matching of two non-empty character sequences: the number of
+/// matching characters, and how many of the matched characters of `a`
+/// differ from the matched character of `b` of the same rank (the
+/// transpositions are half of that, rounded down). Each `a[i]` in turn
+/// matches the first unmatched `b[j]` holding the same character within
+/// the match window.
+///
+/// The matched flags are bits in words on the stack (heap words only for
+/// names whose flags need more than eight words together), so a call
+/// allocates nothing.
+fn matching<A: Copy + Into<char>, B: Copy + Into<char>>(a: &[A], b: &[B]) -> (usize, usize) {
+    let (a_words, b_words) = (a.len().div_ceil(64), b.len().div_ceil(64));
+    let mut stack = [0u64; 8];
+    let mut heap = Vec::new();
+    let words = if a_words + b_words <= stack.len() {
+        &mut stack[..a_words + b_words]
+    } else {
+        heap.resize(a_words + b_words, 0u64);
+        &mut heap[..]
+    };
+    let (a_matched, b_matched) = words.split_at_mut(a_words);
+    let is_set = |flags: &[u64], i: usize| flags[i / 64] >> (i % 64) & 1 == 1;
+    let set = |flags: &mut [u64], i: usize| flags[i / 64] |= 1 << (i % 64);
+
+    let match_window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    let mut matches = 0usize;
+    for (i, &ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(match_window);
         let hi = (i + match_window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_matched[j] && b[j] == *ca {
-                a_matched[i] = true;
-                b_matched[j] = true;
+        for (j, &cb) in b.iter().enumerate().take(hi).skip(lo) {
+            if cb.into() == ca.into() && !is_set(b_matched, j) {
+                set(a_matched, i);
+                set(b_matched, j);
                 matches += 1;
                 break;
             }
         }
     }
-    if matches == 0 {
-        return 0.0;
+    let mut b_matches = (0..b.len()).filter(|&j| is_set(b_matched, j));
+    let mut mismatched = 0usize;
+    for (i, &ca) in a.iter().enumerate() {
+        if is_set(a_matched, i) {
+            let j = b_matches.next().expect("as many matched in b as in a");
+            mismatched += usize::from(b[j].into() != ca.into());
+        }
     }
-    // Count transpositions among matched characters.
-    let a_match_chars: Vec<char> = a
-        .iter()
-        .zip(a_matched.iter())
-        .filter(|(_, &m)| m)
-        .map(|(c, _)| *c)
-        .collect();
-    let b_match_chars: Vec<char> = b
-        .iter()
-        .zip(b_matched.iter())
-        .filter(|(_, &m)| m)
-        .map(|(c, _)| *c)
-        .collect();
-    let transpositions = a_match_chars
-        .iter()
-        .zip(b_match_chars.iter())
-        .filter(|(x, y)| x != y)
-        .count()
-        / 2;
-
-    let m = matches as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    (matches, mismatched)
 }
 
 /// The Jaro similarity at or above which a name joins a group's leader —
@@ -83,7 +132,8 @@ const NAME_SIMILARITY_THRESHOLD: f64 = 0.8;
 /// copy of the groups.
 #[derive(Debug, Clone)]
 pub struct NameGroups<'a> {
-    names: &'a [&'a str],
+    /// Every name, decoded once for all the similarities it takes part in.
+    names: Vec<Decoded<'a>>,
     /// Index of each group's leader in `names`, in order of appearance.
     leaders: Vec<usize>,
     /// Member indices of each group, leader first.
@@ -103,13 +153,14 @@ impl<'a> NameGroups<'a> {
     /// Groups `names`: each name joins the group whose leader it is most
     /// similar to (the first such group on ties) if that similarity is at
     /// least 0.8, and otherwise leads a new group.
-    pub fn new(names: &'a [&'a str]) -> Self {
+    pub fn new(names: &[&'a str]) -> Self {
+        let names: Vec<Decoded<'a>> = names.iter().map(|name| Decoded::new(name)).collect();
         let mut leaders: Vec<usize> = Vec::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, name) in names.iter().enumerate() {
             let mut best: Option<(usize, f64)> = None;
             for (g, &leader) in leaders.iter().enumerate() {
-                let sim = jaro_similarity(name, names[leader]);
+                let sim = name.similarity(&names[leader]);
                 if sim >= NAME_SIMILARITY_THRESHOLD && best.map_or(true, |(_, b)| sim > b) {
                     best = Some((g, sim));
                 }
@@ -161,7 +212,7 @@ impl<'a> NameGroups<'a> {
                 let mut best_sim = f64::NEG_INFINITY;
                 for (bi, &b) in bases.iter().enumerate() {
                     let sim = *self.leader_similarity[g * width + b].get_or_insert_with(|| {
-                        jaro_similarity(self.names[self.leaders[g]], self.names[self.leaders[b]])
+                        self.names[self.leaders[g]].similarity(&self.names[self.leaders[b]])
                     });
                     if sim > best_sim {
                         best_sim = sim;
@@ -458,6 +509,104 @@ mod tests {
             merges >= 2000 && splits >= 2000,
             "{merges} merges, {splits} splits"
         );
+    }
+
+    /// Jaro as it was before names were decoded once: both names collected
+    /// into `char` vectors, flags and matched characters in four more.
+    /// Kept verbatim as the reference the allocation-free version must
+    /// equal bit for bit.
+    fn reference_jaro(a: &str, b: &str) -> f64 {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let match_window = (a.len().max(b.len()) / 2).saturating_sub(1);
+        let mut a_matched = vec![false; a.len()];
+        let mut b_matched = vec![false; b.len()];
+        let mut matches = 0usize;
+
+        for (i, ca) in a.iter().enumerate() {
+            let lo = i.saturating_sub(match_window);
+            let hi = (i + match_window + 1).min(b.len());
+            for j in lo..hi {
+                if !b_matched[j] && b[j] == *ca {
+                    a_matched[i] = true;
+                    b_matched[j] = true;
+                    matches += 1;
+                    break;
+                }
+            }
+        }
+        if matches == 0 {
+            return 0.0;
+        }
+        let a_match_chars: Vec<char> = a
+            .iter()
+            .zip(a_matched.iter())
+            .filter(|(_, &m)| m)
+            .map(|(c, _)| *c)
+            .collect();
+        let b_match_chars: Vec<char> = b
+            .iter()
+            .zip(b_matched.iter())
+            .filter(|(_, &m)| m)
+            .map(|(c, _)| *c)
+            .collect();
+        let transpositions = a_match_chars
+            .iter()
+            .zip(b_match_chars.iter())
+            .filter(|(x, y)| x != y)
+            .count()
+            / 2;
+
+        let m = matches as f64;
+        (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    }
+
+    #[test]
+    fn decoded_jaro_equals_the_char_based_reference_bit_for_bit() {
+        // A small alphabet, so matches and transpositions are common, with
+        // characters of every UTF-8 width.
+        const ALPHABET: [char; 10] = ['a', 'b', 'c', '_', '0', '1', 'é', 'ß', '中', '🙂'];
+        let mut s = 0x7A60_u64;
+        let name = |s: &mut u64, ascii: bool| -> String {
+            let len = match splitmix(s) % 8 {
+                0 => 0,
+                1 => 60 + (splitmix(s) % 80) as usize,
+                2 => 250 + (splitmix(s) % 400) as usize,
+                _ => (splitmix(s) % 24) as usize,
+            };
+            let letters = if ascii { 6 } else { ALPHABET.len() };
+            (0..len)
+                .map(|_| ALPHABET[(splitmix(s) % letters as u64) as usize])
+                .collect()
+        };
+        let (mut kinds, mut long) = ([0usize; 4], 0usize);
+        for round in 0..6000u64 {
+            let a = name(&mut s, round % 3 != 0);
+            let b = if round % 7 == 0 {
+                a.clone()
+            } else {
+                name(&mut s, round % 5 != 0)
+            };
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                assert_eq!(
+                    jaro_similarity(x, y).to_bits(),
+                    reference_jaro(x, y).to_bits(),
+                    "{x:?} vs {y:?}"
+                );
+            }
+            kinds[usize::from(a.is_ascii()) * 2 + usize::from(b.is_ascii())] += 1;
+            long += usize::from(a.len() > 64 && b.len() > 64);
+        }
+        // Every pairing of ASCII and non-ASCII names, and pairs of long
+        // names (whose flags spill off the stack beyond 512 characters).
+        assert!(kinds.iter().all(|&n| n >= 400), "{kinds:?}");
+        assert!(long >= 100, "{long}");
     }
 
     #[test]

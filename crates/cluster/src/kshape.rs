@@ -161,7 +161,7 @@ pub struct KShapeSeriesCache {
     refinements: Vec<Refinement>,
     /// The index in `refinements` of each one's whole input
     /// `(power_iterations, members, shifts)`.
-    refined: HashMap<(usize, Vec<usize>, Vec<isize>), usize>,
+    refined: HashMap<RefinementInput, usize>,
     /// Refinements answered from `refined`; see
     /// [`KShapeSeriesCache::refinements_reused`].
     refinements_reused: u64,
@@ -185,7 +185,22 @@ pub struct KShapeSeriesCache {
     /// Power-iteration steps refinements over this cache have taken; see
     /// [`KShapeSeriesCache::power_steps`].
     power_steps: u64,
+    /// Forward transforms fits over this cache have issued; see
+    /// [`KShapeSeriesCache::spectra_computed`].
+    spectra_computed: u64,
+    /// Of those, the centroid spectra rebuilt: a fit that takes a centroid
+    /// from the memo holds no spectrum for it, and transforms it again the
+    /// first time one of its cells needs the kernel.
+    spectra_rebuilt: u64,
+    /// The power iteration's deterministic start vector at this series
+    /// length, built once for every refinement over the cache.
+    start: Vec<f64>,
 }
+
+/// The whole input of one cluster refinement: the power-iteration count,
+/// the members, and each member's shift aligning it to the previous
+/// centroid.
+type RefinementInput = (usize, Vec<usize>, Vec<isize>);
 
 /// What refining one cluster produces.
 #[derive(Debug, Clone)]
@@ -315,6 +330,9 @@ impl KShapeSeriesCache {
             aligned_index: HashMap::new(),
             aligned_spectra_reused: 0,
             power_steps: 0,
+            spectra_computed: 0,
+            spectra_rebuilt: 0,
+            start: start_vector(m),
         })
     }
 
@@ -427,6 +445,19 @@ impl KShapeSeriesCache {
         self.power_steps
     }
 
+    /// Number of forward transforms completed fits over this cache have
+    /// issued: one per aligned member built
+    /// ([`KShapeSeriesCache::aligned_spectra`]), one per refinement
+    /// performed for its centroid — a centroid the orientation check flips
+    /// takes the upright spectrum negated ([`SeriesSpectrum::negated`]),
+    /// not a second transform — and one per centroid spectrum a memo hit
+    /// rebuilt: a fit that takes a centroid from the memo holds no spectrum
+    /// for it, and transforms it again the first time one of its cells needs
+    /// the kernel.
+    pub fn spectra_computed(&self) -> u64 {
+        self.spectra_computed
+    }
+
     /// The distance of series `i` to a cluster's `current` centroid — or
     /// `None` when the cell's lower bound lies more than [`BOUND_MARGIN`]
     /// above `best`, so the distance cannot be the row's minimum and is not
@@ -455,7 +486,10 @@ impl KShapeSeriesCache {
             Cell::AtLeast(_) => {
                 let spectrum = match &mut current.spectrum {
                     Some(held) => held,
-                    vacant => vacant.insert(sbd.spectrum(centroid)?),
+                    vacant => {
+                        sbd.rebuilds += 1;
+                        vacant.insert(sbd.spectrum(centroid)?)
+                    }
                 };
                 let evaluated = sbd.eval(spectrum, &self.spectra[i])?.sbd;
                 column[i] = Cell::Exact(evaluated.distance, evaluated.shift);
@@ -465,17 +499,22 @@ impl KShapeSeriesCache {
     }
 }
 
-/// The SBD kernel's scratch and a count of the evaluations run through it.
+/// The SBD kernel's scratch and counts of the evaluations and forward
+/// transforms run through it.
 #[derive(Default)]
 struct CountedSbd {
     scratch: SbdScratch,
     evaluations: u64,
+    spectra: u64,
+    /// Of `spectra`, the centroid spectra rebuilt for memo hits.
+    rebuilds: u64,
 }
 
 impl CountedSbd {
-    /// The spectrum of `values`, built in the kernel's scratch (not counted:
-    /// no distance is evaluated).
+    /// The spectrum of `values`, built in the kernel's scratch: one counted
+    /// forward transform.
     fn spectrum(&mut self, values: &[f64]) -> Result<SeriesSpectrum> {
+        self.spectra += 1;
         Ok(SeriesSpectrum::compute_with(values, &mut self.scratch)?)
     }
 
@@ -643,7 +682,9 @@ impl KShape {
     /// 3. *Negating a centroid negates every NCC value exactly* (IEEE
     ///    arithmetic is sign-symmetric), so the orientation check reads both
     ///    candidate orientations' distances off one scan
-    ///    ([`OrientedSbd::flipped_distance`]).
+    ///    ([`OrientedSbd::flipped_distance`]), and a flipped centroid's
+    ///    spectrum is the upright one negated bin by bin
+    ///    ([`SeriesSpectrum::negated`]), not a second transform.
     /// 4. *The pieces of a refinement are pure functions too*: the shift
     ///    aligning series `i` to series `r` (a fit's first iteration aligns
     ///    each cluster to its first member), and the aligned copy of series
@@ -657,7 +698,10 @@ impl KShape {
     ///    returns the element the walk would end on instead of walking it.
     ///    The oracle keeps the plain loop ([`KShape::fit`] through
     ///    `extract_shape`), which is what makes every `fit_cached == fit`
-    ///    assert a differential test of the early exit.
+    ///    assert a differential test of the early exit. Each iteration
+    ///    looks all its clusters up in the memo first and refines the
+    ///    misses together, their power iterations advancing in lockstep,
+    ///    each doing exactly its own float operations.
     /// 6. *The assignment step needs each row's minimum, not each cell.*
     ///    `SBD(x, y) ≥ 1 − Σ_k |X_k||Y_k| / (N‖x‖‖y‖)` ([`sbd_lower_bound`]),
     ///    so a column starts as `n` bounds and a series asks the kernel for
@@ -705,7 +749,10 @@ impl KShape {
             iterations = iter + 1;
 
             // Refinement: the shape of every cluster and its distance
-            // column, extracted unless the cache already holds them.
+            // column. Every cluster is looked up in the memo first; the
+            // misses are then refined together, so their power iterations
+            // can advance in lockstep.
+            let mut misses: Vec<(usize, RefinementInput)> = Vec::new();
             for (c, slot) in current.iter_mut().enumerate() {
                 let members: Vec<usize> = (0..n).filter(|&i| assignments[i] == c).collect();
                 if members.is_empty() {
@@ -746,39 +793,42 @@ impl KShape {
                     }
                 };
                 let input = (self.config.power_iterations, members, shifts);
-                *slot = Some(match cache.refined.get(&input) {
+                match cache.refined.get(&input) {
                     Some(&refinement) => {
                         cache.refinements_reused += 1;
-                        CurrentCentroid {
+                        *slot = Some(CurrentCentroid {
                             refinement,
                             spectrum: None,
-                        }
+                        });
                     }
-                    None => {
-                        // One centroid spectrum — the one the orientation
-                        // check already used — bounds all n cells now and
-                        // serves the ones evaluated later.
-                        let (centroid, spectrum) = refine_centroid(cache, &input, &mut sbd)?;
-                        let column = if centroid.iter().all(|&v| v == 0.0) {
-                            None
-                        } else {
-                            let centroid_magnitudes = spectrum.unit_magnitudes();
-                            cache.bounds_computed += n as u64;
-                            let bounds = (cache.magnitudes)
-                                .chunks_exact(centroid_magnitudes.len())
-                                .map(|series| {
-                                    Cell::AtLeast(sbd_lower_bound(&centroid_magnitudes, series))
-                                });
-                            Some(bounds.collect())
-                        };
-                        let refinement = cache.refinements.len();
-                        cache.refinements.push(Refinement { centroid, column });
-                        cache.refined.insert(input, refinement);
-                        CurrentCentroid {
-                            refinement,
-                            spectrum: Some(spectrum),
-                        }
-                    }
+                    None => misses.push((c, input)),
+                }
+            }
+            // An iteration's clusters have disjoint members, so no two
+            // misses share an input: refining them together fills the memo
+            // exactly as refining each on its own turn would.
+            let inputs: Vec<&RefinementInput> = misses.iter().map(|(_, input)| input).collect();
+            let refined = refine_centroids(cache, &inputs, &mut sbd)?;
+            for ((c, input), (centroid, spectrum)) in misses.into_iter().zip(refined) {
+                // One centroid spectrum — the one the orientation check
+                // already used — bounds all n cells now and serves the ones
+                // evaluated later.
+                let column = if centroid.iter().all(|&v| v == 0.0) {
+                    None
+                } else {
+                    let centroid_magnitudes = spectrum.unit_magnitudes();
+                    cache.bounds_computed += n as u64;
+                    let bounds = (cache.magnitudes)
+                        .chunks_exact(centroid_magnitudes.len())
+                        .map(|series| Cell::AtLeast(sbd_lower_bound(&centroid_magnitudes, series)));
+                    Some(bounds.collect())
+                };
+                let refinement = cache.refinements.len();
+                cache.refinements.push(Refinement { centroid, column });
+                cache.refined.insert(input, refinement);
+                current[c] = Some(CurrentCentroid {
+                    refinement,
+                    spectrum: Some(spectrum),
                 });
             }
 
@@ -813,6 +863,8 @@ impl KShape {
             }
         }
         cache.sbd_evaluations += sbd.evaluations;
+        cache.spectra_computed += sbd.spectra;
+        cache.spectra_rebuilt += sbd.rebuilds;
 
         let centroids = (current.iter())
             .map(|slot| match slot {
@@ -885,74 +937,88 @@ fn extract_shape(
     }
 }
 
-/// The cached counterpart of [`extract_shape`], bit-identical to it: the
-/// centroid of the cluster with the given `(power_iterations, members,
-/// shifts)`, the shifts being each member's alignment to the previous
-/// centroid (which therefore need not be passed), and the centroid's
-/// spectrum, which the caller's distance column needs next.
+/// The cached counterpart of [`extract_shape`], bit-identical to it, for
+/// every input an iteration's memo lookups missed: the centroid of each
+/// cluster with the given `(power_iterations, members, shifts)`, the shifts
+/// being each member's alignment to the previous centroid (which therefore
+/// need not be passed), and the centroid's spectrum, which the caller's
+/// distance column needs next. The inputs' power iterations run together
+/// ([`power_iterate_lockstep`]).
 ///
 /// # Errors
 ///
 /// Propagates time-series errors from the spectrum computations (only
 /// possible for empty inputs, which callers exclude).
-fn refine_centroid(
+fn refine_centroids(
     cache: &mut KShapeSeriesCache,
-    (power_iterations, members, shifts): &(usize, Vec<usize>, Vec<isize>),
+    inputs: &[&RefinementInput],
     sbd: &mut CountedSbd,
-) -> Result<(Vec<f64>, SeriesSpectrum)> {
+) -> Result<Vec<(Vec<f64>, SeriesSpectrum)>> {
     // Align every member and z-normalize — unless a refinement over this
     // cache already has.
-    let mut held = Vec::with_capacity(members.len());
-    for (&i, &shift) in members.iter().zip(shifts.iter()) {
-        held.push(match cache.aligned_index.entry((i, shift)) {
-            Entry::Occupied(known) => {
-                cache.aligned_spectra_reused += 1;
-                *known.get()
+    let mut held: Vec<Vec<usize>> = Vec::with_capacity(inputs.len());
+    for (_, members, shifts) in inputs {
+        let mut rows = Vec::with_capacity(members.len());
+        for (&i, &shift) in members.iter().zip(shifts.iter()) {
+            rows.push(match cache.aligned_index.entry((i, shift)) {
+                Entry::Occupied(known) => {
+                    cache.aligned_spectra_reused += 1;
+                    *known.get()
+                }
+                Entry::Vacant(new) => {
+                    let series = &cache.z_buffer[i * cache.series_len..][..cache.series_len];
+                    let values = z_normalize(&apply_shift(series, shift));
+                    let spectrum = sbd.spectrum(&values)?;
+                    cache.aligned.push(AlignedMember { values, spectrum });
+                    *new.insert(cache.aligned.len() - 1)
+                }
+            });
+        }
+        held.push(rows);
+    }
+
+    let rows: Vec<Vec<&[f64]>> = (held.iter())
+        .map(|rows| rows.iter().map(|&a| &cache.aligned[a].values[..]).collect())
+        .collect();
+    let walks: Vec<(&[&[f64]], usize)> = (rows.iter().zip(inputs))
+        .map(|(rows, (power_iterations, _, _))| (&rows[..], *power_iterations))
+        .collect();
+    let shapes = power_iterate_lockstep(&walks, &cache.start);
+
+    let mut refined = Vec::with_capacity(inputs.len());
+    for (rows, (shape, steps)) in held.iter().zip(shapes) {
+        cache.power_steps += steps as u64;
+        let centroid = match shape {
+            ShapeCandidate::Degenerate(centroid) => {
+                let spectrum = sbd.spectrum(&centroid)?;
+                refined.push((centroid, spectrum));
+                continue;
             }
-            Entry::Vacant(new) => {
-                let series = &cache.z_buffer[i * cache.series_len..][..cache.series_len];
-                let values = z_normalize(&apply_shift(series, shift));
-                let spectrum = sbd.spectrum(&values)?;
-                cache.aligned.push(AlignedMember { values, spectrum });
-                *new.insert(cache.aligned.len() - 1)
-            }
+            ShapeCandidate::Candidate(candidate) => candidate,
+        };
+        // The eigenvector's sign is arbitrary; pick the orientation closer
+        // to the cluster members. One scan per member yields its distance
+        // to both orientations, and the flipped centroid's spectrum is the
+        // upright one negated: no SBD output can tell it from a transform
+        // of the flipped values.
+        let centroid_spectrum = sbd.spectrum(&centroid)?;
+        let distances: Vec<OrientedSbd> = (rows.iter())
+            .map(|&a| sbd.eval(&centroid_spectrum, &cache.aligned[a].spectrum))
+            .collect::<Result<_>>()?;
+        let upright: f64 = distances.iter().map(|d| d.sbd.distance).sum();
+        let flipped: f64 = distances.iter().map(|d| d.flipped_distance).sum();
+        refined.push(if flipped < upright {
+            let centroid: Vec<f64> = centroid.iter().map(|x| -x).collect();
+            (centroid, centroid_spectrum.negated())
+        } else {
+            (centroid, centroid_spectrum)
         });
     }
-    let aligned: Vec<&AlignedMember> = held.iter().map(|&a| &cache.aligned[a]).collect();
-    let rows: Vec<&[f64]> = aligned.iter().map(|a| &a.values[..]).collect();
-
-    let (shape, steps) = power_iterate_until_recurrence(&rows, cache.series_len, *power_iterations);
-    cache.power_steps += steps as u64;
-    let centroid = match shape {
-        ShapeCandidate::Degenerate(centroid) => {
-            let spectrum = sbd.spectrum(&centroid)?;
-            return Ok((centroid, spectrum));
-        }
-        ShapeCandidate::Candidate(candidate) => candidate,
-    };
-
-    // The eigenvector's sign is arbitrary; pick the orientation closer to
-    // the cluster members. One scan per member yields its distance to both
-    // orientations.
-    let centroid_spectrum = sbd.spectrum(&centroid)?;
-    let distances: Vec<OrientedSbd> = aligned
-        .iter()
-        .map(|a| sbd.eval(&centroid_spectrum, &a.spectrum))
-        .collect::<Result<_>>()?;
-    let upright: f64 = distances.iter().map(|d| d.sbd.distance).sum();
-    let flipped: f64 = distances.iter().map(|d| d.flipped_distance).sum();
-    if flipped < upright {
-        let centroid: Vec<f64> = centroid.iter().map(|x| -x).collect();
-        let spectrum = sbd.spectrum(&centroid)?;
-        Ok((centroid, spectrum))
-    } else {
-        Ok((centroid, centroid_spectrum))
-    }
+    Ok(refined)
 }
 
 /// Result of a power iteration: [`power_iterate_shape`] for
-/// [`extract_shape`], [`power_iterate_until_recurrence`] for
-/// [`refine_centroid`].
+/// [`extract_shape`], [`power_iterate_lockstep`] for [`refine_centroids`].
 enum ShapeCandidate {
     /// Degenerate cluster (all members constant after normalization): the
     /// element-wise mean of the aligned members, already final.
@@ -1007,130 +1073,341 @@ fn power_iterate_shape(aligned: &[Vec<f64>], m: usize, power_iterations: usize) 
     ShapeCandidate::Candidate(z_normalize(&v))
 }
 
-/// How many of its latest iterates [`power_iterate_until_recurrence`] keeps
-/// to recognise a recurrence: cycles of up to this period are cut short.
+/// How many of its latest iterates a walk of [`power_iterate_lockstep`]
+/// keeps to recognise a recurrence: cycles of up to this period are cut
+/// short.
 const RECURRENCE_WINDOW: usize = 8;
 
-/// The production power iteration: bit-identical to [`power_iterate_shape`]
-/// (the oracle's, which [`extract_shape`] keeps calling), returned with the
-/// number of steps actually taken. It performs the same float operations in
-/// the same per-value order and differs in three ways only:
+/// How many walks [`power_iterate_lockstep`] advances side by side.
+const LOCKSTEP: usize = 4;
+
+/// How many of a walk's rows share one pass of the index in a step's dot
+/// products and in its `S·Qv` accumulation.
+const ROW_BLOCK: usize = 8;
+
+/// The production power iteration: for every `(rows, power_iterations)`
+/// walk, bit-identical to [`power_iterate_shape`] (the oracle's, which
+/// [`extract_shape`] keeps calling) over those rows, returned with the
+/// number of steps the walk actually took. Each walk performs the oracle's
+/// float operations in the oracle's per-value order and differs in four
+/// ways only:
 ///
-/// * *Independent chains side by side.* A step's dot products `a_i · Qv`
-///   are independent, latency-bound serial sums; they are taken four (then
-///   two, then one) members at a time over one pass of the index, each
-///   accumulator starting where `Iterator::sum` starts and adding its
-///   products in index order.
-/// * *It stops when an iterate recurs.* A step is a pure function of the
-///   iterate, so when the new iterate equals one of the last
+/// * *Walks advance in lockstep.* Up to [`LOCKSTEP`] walks take their steps
+///   side by side, and a walk that ends hands its place to the next one
+///   waiting. A step's serial reductions — the mean of `v`, the mean of
+///   `S·Qv` and the squared norm — are latency-bound chains of adds, so the
+///   walks' chains are interleaved in one pass of the index, each chain its
+///   own walk's, starting where `Iterator::sum` starts and adding in index
+///   order. A walk alone is the one-walk case of the same code.
+/// * *Rows in blocks.* The dot products `a_i · Qv` are serial sums too;
+///   they are taken [`ROW_BLOCK`] rows per pass of the index, from a copy
+///   of the rows the walk interleaves once, so a pass reads one block's
+///   values in memory order. `S·Qv` gains the same blocks' terms one block
+///   per pass, each value still summed from `0.0` in row order.
+/// * *A walk stops when an iterate recurs.* A step is a pure function of
+///   the iterate, so when the new iterate equals one of the last
 ///   [`RECURRENCE_WINDOW`] bit for bit, every remaining step only walks
 ///   that cycle — whose members all passed the degenerate-norm check as
 ///   inputs already — and the result is the cycle element the walk would
 ///   end on. Period 1 is the plain fixpoint.
-/// * *It owns its working vectors.* `Qv`, `S·Qv` and the next iterate are
-///   written in place into buffers the call allocates once; the iterate
-///   that leaves the recurrence window becomes the next step's buffer.
-fn power_iterate_until_recurrence(
-    rows: &[&[f64]],
-    m: usize,
-    power_iterations: usize,
-) -> (ShapeCandidate, usize) {
-    // `out = Q v`, value for value what the oracle's `center` collects.
-    let center_into = |v: &[f64], out: &mut [f64]| {
-        let mean = v.iter().sum::<f64>() / v.len() as f64;
-        for (o, x) in out.iter_mut().zip(v.iter()) {
-            *o = x - mean;
+/// * *It owns its working vectors.* `Qv`, the dot products, `S·Qv` and
+///   the next iterate are written in place into buffers each walk
+///   allocates once; the iterate that leaves the recurrence window becomes
+///   the next step's buffer. The start vector is the caller's (built once
+///   per [`KShapeSeriesCache`]), copied.
+fn power_iterate_lockstep(
+    walks: &[(&[&[f64]], usize)],
+    start: &[f64],
+) -> Vec<(ShapeCandidate, usize)> {
+    let mut outcomes: Vec<Option<(ShapeCandidate, usize)>> = walks.iter().map(|_| None).collect();
+    let mut waiting = walks.iter().enumerate();
+    let mut active: Vec<Walk<'_>> = Vec::with_capacity(LOCKSTEP);
+    loop {
+        while active.len() < LOCKSTEP {
+            let Some((index, &(rows, power_iterations))) = waiting.next() else {
+                break;
+            };
+            active.push(Walk::new(index, rows, power_iterations, start));
         }
-    };
+        if active.is_empty() {
+            break;
+        }
+        step_lockstep(&mut active);
+        active.retain_mut(|walk| match walk.outcome.take() {
+            Some(outcome) => {
+                outcomes[walk.index] = Some(outcome);
+                false
+            }
+            None => true,
+        });
+    }
+    (outcomes.into_iter())
+        .map(|outcome| outcome.expect("every walk ends"))
+        .collect()
+}
 
-    // Deterministic, non-degenerate start vector.
+/// One power iteration in flight in [`power_iterate_lockstep`].
+struct Walk<'a> {
+    /// The walk's position in the caller's list.
+    index: usize,
+    /// The aligned, z-normalized cluster members.
+    rows: &'a [&'a [f64]],
+    /// The same rows [`interleave`]d, for the dot products.
+    interleaved: Vec<f64>,
+    /// Steps the oracle takes: `power_iterations.max(1)`.
+    steps: usize,
+    /// Steps taken so far.
+    taken: usize,
+    /// The latest iterates, oldest first; the last one is the current `v`.
+    iterates: VecDeque<Vec<f64>>,
+    /// `Q v`, each row's dot product with it, `S·Qv` and the next iterate
+    /// of the step being taken.
+    qv: Vec<f64>,
+    dots: Vec<f64>,
+    sv: Vec<f64>,
+    new_v: Vec<f64>,
+    /// Set by the step that ends the walk.
+    outcome: Option<(ShapeCandidate, usize)>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(index: usize, rows: &'a [&'a [f64]], power_iterations: usize, start: &[f64]) -> Self {
+        let m = start.len();
+        let mut iterates = VecDeque::with_capacity(RECURRENCE_WINDOW);
+        iterates.push_back(start.to_vec());
+        Self {
+            index,
+            rows,
+            interleaved: interleave(rows, m),
+            steps: power_iterations.max(1),
+            taken: 0,
+            iterates,
+            qv: vec![0.0; m],
+            dots: vec![0.0; rows.len()],
+            sv: vec![0.0; m],
+            new_v: vec![0.0; m],
+            outcome: None,
+        }
+    }
+
+    /// The current iterate `v`.
+    fn current(&self) -> &[f64] {
+        self.iterates.back().expect("the window is never empty")
+    }
+
+    /// Ends the step whose `S·Qv`, centred, is in `new_v` and whose norm is
+    /// `norm`: the degenerate fallback, a recurrence, the cap, or the next
+    /// iterate.
+    fn finish_step(&mut self, norm: f64) {
+        self.taken += 1;
+        if norm < 1e-12 {
+            // Fall back to the element-wise mean of aligned members.
+            let mut mean = vec![0.0; self.new_v.len()];
+            for a in self.rows {
+                for (mu, &ai) in mean.iter_mut().zip(a.iter()) {
+                    *mu += ai / self.rows.len() as f64;
+                }
+            }
+            self.outcome = Some((ShapeCandidate::Degenerate(z_normalize(&mean)), self.taken));
+            return;
+        }
+        for x in self.new_v.iter_mut() {
+            *x /= norm;
+        }
+        let new_v = &self.new_v;
+        let same_bits = |old: &Vec<f64>| {
+            (old.iter().zip(new_v.iter())).all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        if let Some(recurred) = self.iterates.iter().rposition(same_bits) {
+            let period = self.iterates.len() - recurred;
+            let remaining = self.steps - self.taken;
+            let last = &self.iterates[recurred + remaining % period];
+            self.outcome = Some((ShapeCandidate::Candidate(z_normalize(last)), self.taken));
+            return;
+        }
+        // The iterate leaving the window is the next step's buffer.
+        let recycled = if self.iterates.len() == RECURRENCE_WINDOW {
+            self.iterates.pop_front().expect("a full window")
+        } else {
+            vec![0.0; self.new_v.len()]
+        };
+        self.iterates
+            .push_back(std::mem::replace(&mut self.new_v, recycled));
+        if self.taken == self.steps {
+            let last = z_normalize(self.current());
+            self.outcome = Some((ShapeCandidate::Candidate(last), self.steps));
+        }
+    }
+}
+
+/// One power-iteration step of every walk in `walks` (at most
+/// [`LOCKSTEP`] of them).
+fn step_lockstep(walks: &mut [Walk<'_>]) {
+    // `Q v`, value for value what the oracle's `center` collects.
+    let sums = serial_sums(walks.iter().map(Walk::current), |x| x);
+    for (walk, sum) in walks.iter_mut().zip(sums) {
+        let v = walk.iterates.back().expect("the window is never empty");
+        centre_into(v, sum, &mut walk.qv);
+    }
+    // `a_i · Qv`, then `S·Qv = Σ_i a_i (a_i · Qv)`.
+    for walk in walks.iter_mut() {
+        dot_products(&walk.interleaved, &walk.qv, &mut walk.dots);
+        accumulate_rows(walk.rows, &walk.dots, &mut walk.sv);
+    }
+    let sums = serial_sums(walks.iter().map(|walk| &walk.sv[..]), |x| x);
+    for (walk, sum) in walks.iter_mut().zip(sums) {
+        centre_into(&walk.sv, sum, &mut walk.new_v);
+    }
+    let squares = serial_sums(walks.iter().map(|walk| &walk.new_v[..]), |x| x * x);
+    for (walk, sum) in walks.iter_mut().zip(squares) {
+        walk.finish_step(sum.sqrt());
+    }
+}
+
+/// `out = v − mean(v)`, the mean being `sum / v.len()`.
+fn centre_into(v: &[f64], sum: f64, out: &mut [f64]) {
+    let mean = sum / v.len() as f64;
+    for (o, x) in out.iter_mut().zip(v.iter()) {
+        *o = x - mean;
+    }
+}
+
+/// Whatever `Iterator::sum::<f64>()` starts from on this toolchain (the
+/// neutral element has been both `0.0` and `-0.0`).
+fn sum_start() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// `Iterator::sum` of `term` over each of up to [`LOCKSTEP`] slices of one
+/// length, the chains interleaved in one pass of the index: each starts
+/// where `Iterator::sum` does and adds its own terms in index order, so each
+/// result is bit for bit the serial sum.
+fn serial_sums<'s>(
+    slices: impl Iterator<Item = &'s [f64]>,
+    term: impl Fn(f64) -> f64 + Copy,
+) -> [f64; LOCKSTEP] {
+    let mut lanes: [&[f64]; LOCKSTEP] = [&[]; LOCKSTEP];
+    let mut count = 0;
+    for (lane, slice) in lanes.iter_mut().zip(slices) {
+        *lane = slice;
+        count += 1;
+    }
+    match count {
+        1 => interleaved_sums::<1>(&lanes, term),
+        2 => interleaved_sums::<2>(&lanes, term),
+        3 => interleaved_sums::<3>(&lanes, term),
+        _ => interleaved_sums::<LOCKSTEP>(&lanes, term),
+    }
+}
+
+/// [`serial_sums`] over the first `W` lanes.
+fn interleaved_sums<const W: usize>(
+    lanes: &[&[f64]; LOCKSTEP],
+    term: impl Fn(f64) -> f64,
+) -> [f64; LOCKSTEP] {
+    let m = lanes[0].len();
+    // Cut to one length, so the indexed loop runs without bounds checks.
+    let lanes: [&[f64]; W] = std::array::from_fn(|w| &lanes[w][..m]);
+    let mut sums = [sum_start(); W];
+    for j in 0..m {
+        for (sum, lane) in sums.iter_mut().zip(lanes.iter()) {
+            *sum += term(lane[j]);
+        }
+    }
+    let mut all = [sum_start(); LOCKSTEP];
+    all[..W].copy_from_slice(&sums);
+    all
+}
+
+/// `dots[i] = rows[i] · qv`, each exactly the serial
+/// `zip(..).map(|(x, y)| x * y).sum::<f64>()` of the oracle, the rows read
+/// from their [`interleave`]d copy: one pass of the index per block of up
+/// to [`ROW_BLOCK`] rows, the block's independent addition chains side by
+/// side, each row's value loaded next to its neighbours'.
+fn dot_products(interleaved: &[f64], qv: &[f64], dots: &mut [f64]) {
+    let blocks = interleaved.chunks(ROW_BLOCK * qv.len());
+    for (block, out) in blocks.zip(dots.chunks_mut(ROW_BLOCK)) {
+        match out.len() {
+            1 => dot_block::<1>(block, qv, out),
+            2 => dot_block::<2>(block, qv, out),
+            3 => dot_block::<3>(block, qv, out),
+            4 => dot_block::<4>(block, qv, out),
+            5 => dot_block::<5>(block, qv, out),
+            6 => dot_block::<6>(block, qv, out),
+            7 => dot_block::<7>(block, qv, out),
+            _ => dot_block::<ROW_BLOCK>(block, qv, out),
+        }
+    }
+}
+
+/// [`dot_products`] of one interleaved block of `B` rows.
+fn dot_block<const B: usize>(block: &[f64], qv: &[f64], out: &mut [f64]) {
+    let mut sums = [sum_start(); B];
+    for (values, &q) in block.chunks_exact(B).zip(qv.iter()) {
+        let values: &[f64; B] = values.try_into().expect("a whole chunk");
+        for (sum, &value) in sums.iter_mut().zip(values.iter()) {
+            *sum += value * q;
+        }
+    }
+    out.copy_from_slice(&sums);
+}
+
+/// The rows in blocks of [`ROW_BLOCK`] (the last one shorter), each block
+/// stored index by index — `block[j * B + b]` is row `b`'s value at `j` —
+/// so that a pass over one block reads memory in order.
+fn interleave(rows: &[&[f64]], m: usize) -> Vec<f64> {
+    let mut interleaved = Vec::with_capacity(rows.len() * m);
+    for block in rows.chunks(ROW_BLOCK) {
+        for j in 0..m {
+            interleaved.extend(block.iter().map(|row| row[j]));
+        }
+    }
+    interleaved
+}
+
+/// `sv = Σ_i rows[i] · dots[i]`, each value summed from `0.0` in row
+/// order as the oracle's row-by-row accumulation sums it; one pass of the
+/// index per block of up to [`ROW_BLOCK`] rows instead of one per row.
+fn accumulate_rows(rows: &[&[f64]], dots: &[f64], sv: &mut [f64]) {
+    sv.fill(0.0);
+    for (block, dots) in rows.chunks(ROW_BLOCK).zip(dots.chunks(ROW_BLOCK)) {
+        match block.len() {
+            1 => add_rows::<1>(block, dots, sv),
+            2 => add_rows::<2>(block, dots, sv),
+            3 => add_rows::<3>(block, dots, sv),
+            4 => add_rows::<4>(block, dots, sv),
+            5 => add_rows::<5>(block, dots, sv),
+            6 => add_rows::<6>(block, dots, sv),
+            7 => add_rows::<7>(block, dots, sv),
+            _ => add_rows::<ROW_BLOCK>(block, dots, sv),
+        }
+    }
+}
+
+/// [`accumulate_rows`] for one block of `B` rows: `sv[j]` gains each row's
+/// term in row order.
+fn add_rows<const B: usize>(rows: &[&[f64]], dots: &[f64], sv: &mut [f64]) {
+    // Cut to one length, so the indexed loop runs without bounds checks.
+    let rows: [&[f64]; B] = std::array::from_fn(|b| &rows[b][..sv.len()]);
+    let dots: [f64; B] = std::array::from_fn(|b| dots[b]);
+    for (j, s) in sv.iter_mut().enumerate() {
+        let mut value = *s;
+        for (row, &dot) in rows.iter().zip(dots.iter()) {
+            value += row[j] * dot;
+        }
+        *s = value;
+    }
+}
+
+/// The power iteration's deterministic, non-degenerate start vector: the
+/// one [`power_iterate_shape`] builds, built once per
+/// [`KShapeSeriesCache`].
+fn start_vector(m: usize) -> Vec<f64> {
     let mut v: Vec<f64> = (0..m)
         .map(|i| ((i as f64) * 0.754877 + 0.1).sin() + 0.01)
         .collect();
     normalize_vec(&mut v);
-
-    // The latest iterates, oldest first; the last one is the current `v`.
-    let mut iterates: VecDeque<Vec<f64>> = VecDeque::with_capacity(RECURRENCE_WINDOW);
-    iterates.push_back(v);
-    let mut dots = vec![0.0; rows.len()];
-    let (mut qv, mut sv, mut new_v) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
-    let steps = power_iterations.max(1);
-    for step in 0..steps {
-        center_into(iterates.back().expect("the window is never empty"), &mut qv);
-        dot_products(rows, &qv, &mut dots);
-        sv.fill(0.0);
-        for (a, &dot) in rows.iter().zip(dots.iter()) {
-            for (s, &ai) in sv.iter_mut().zip(a.iter()) {
-                *s += ai * dot;
-            }
-        }
-        center_into(&sv, &mut new_v);
-        let norm = new_v.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if norm < 1e-12 {
-            // Fall back to the element-wise mean of aligned members.
-            let mut mean = vec![0.0; m];
-            for a in rows {
-                for (mu, &ai) in mean.iter_mut().zip(a.iter()) {
-                    *mu += ai / rows.len() as f64;
-                }
-            }
-            return (ShapeCandidate::Degenerate(z_normalize(&mean)), step + 1);
-        }
-        for x in new_v.iter_mut() {
-            *x /= norm;
-        }
-        let same_bits = |old: &Vec<f64>| {
-            (old.iter().zip(new_v.iter())).all(|(a, b)| a.to_bits() == b.to_bits())
-        };
-        if let Some(recurred) = iterates.iter().rposition(same_bits) {
-            let period = iterates.len() - recurred;
-            let remaining = steps - 1 - step;
-            let last = &iterates[recurred + remaining % period];
-            return (ShapeCandidate::Candidate(z_normalize(last)), step + 1);
-        }
-        // The iterate leaving the window is the next step's buffer.
-        let recycled = if iterates.len() == RECURRENCE_WINDOW {
-            iterates.pop_front().expect("a full window")
-        } else {
-            vec![0.0; m]
-        };
-        iterates.push_back(std::mem::replace(&mut new_v, recycled));
-    }
-    let last = iterates.back().expect("the window is never empty");
-    (ShapeCandidate::Candidate(z_normalize(last)), steps)
-}
-
-/// `dots[i] = rows[i] · qv`, each exactly the serial
-/// `zip(..).map(|(x, y)| x * y).sum::<f64>()` of the oracle, taken eight (then
-/// four, two, one) rows at a time so the independent addition chains overlap:
-/// an add has four cycles of latency and two ports to issue on.
-fn dot_products(rows: &[&[f64]], qv: &[f64], dots: &mut [f64]) {
-    let mut at = dot_blocks::<8>(rows, qv, dots);
-    at += dot_blocks::<4>(&rows[at..], qv, &mut dots[at..]);
-    at += dot_blocks::<2>(&rows[at..], qv, &mut dots[at..]);
-    dot_blocks::<1>(&rows[at..], qv, &mut dots[at..]);
-}
-
-/// Fills `dots` for as many whole blocks of `B` rows as `rows` holds, one
-/// pass of the index per block, and returns how many rows that was.
-fn dot_blocks<const B: usize>(rows: &[&[f64]], qv: &[f64], dots: &mut [f64]) -> usize {
-    // Whatever `Iterator::sum::<f64>()` starts from on this toolchain (the
-    // neutral element has been both `0.0` and `-0.0`).
-    let zero: f64 = std::iter::empty::<f64>().sum();
-    for (block, out) in rows.chunks_exact(B).zip(dots.chunks_exact_mut(B)) {
-        // Slicing every operand to the common length first lets the indexed
-        // loop run without bounds checks; with them the blocking gains
-        // nothing.
-        let block: [&[f64]; B] = std::array::from_fn(|b| &block[b][..qv.len()]);
-        let mut sums = [zero; B];
-        for (j, &q) in qv.iter().enumerate() {
-            for (sum, row) in sums.iter_mut().zip(block.iter()) {
-                *sum += row[j] * q;
-            }
-        }
-        out.copy_from_slice(&sums);
-    }
-    rows.len() / B * B
+    v
 }
 
 fn normalize_vec(v: &mut [f64]) {
@@ -1590,8 +1867,17 @@ mod tests {
             })
             .collect();
         let gains = [12.0, 90.0, 240.0, 0.01, 1.0, 270.0, 420.0, 3.6, 4.5];
-        // (fixpoints, longer cycles, runs to the cap, degenerate exits)
-        let mut exits = (0usize, 0usize, 0usize, 0usize);
+        // How a walk ends: a fixpoint, a longer cycle, the cap, degenerate.
+        const FIXPOINT: usize = 0;
+        const CYCLE: usize = 1;
+        const CAP: usize = 2;
+        const DEGENERATE: usize = 3;
+        let mut exits = [0usize; 4];
+        // Every (family, cap) walk: its rows, cap and exit, and the bits and
+        // step count it returns alone.
+        type Case = (Vec<Vec<f64>>, usize, usize, ((bool, Vec<u64>), usize));
+        let mut cases: Vec<Case> = Vec::new();
+        let start = start_vector(len);
         for count in 1..=9usize {
             let counters: Vec<Vec<f64>> = (gains[..count].iter())
                 .map(|gain| cumulative.iter().map(|v| gain * v).collect())
@@ -1614,31 +1900,116 @@ mod tests {
                 let rows: Vec<&[f64]> = aligned.iter().map(|a| &a[..]).collect();
                 for cap in [1usize, 2, 3, 7, 8, 9, 10, 49, 50, 51, 100] {
                     let expected = power_iterate_shape(&aligned, len, cap);
-                    let (shape, steps) = power_iterate_until_recurrence(&rows, len, cap);
+                    let (shape, steps) = power_iterate_lockstep(&[(&rows, cap)], &start).remove(0);
                     assert_eq!(
                         shape_bits(&shape),
                         shape_bits(&expected),
                         "{count} members, {cap} power iterations"
                     );
                     assert!((1..=cap).contains(&steps));
-                    if matches!(shape, ShapeCandidate::Degenerate(_)) {
-                        exits.3 += 1;
+                    let exit = if matches!(shape, ShapeCandidate::Degenerate(_)) {
+                        DEGENERATE
                     } else if steps == cap {
-                        exits.2 += 1;
+                        CAP
                     } else if shape_bits(&power_iterate_shape(&aligned, len, cap + 1))
                         == shape_bits(&expected)
                     {
-                        exits.0 += 1;
+                        FIXPOINT
                     } else {
-                        exits.1 += 1;
-                    }
+                        CYCLE
+                    };
+                    exits[exit] += 1;
+                    cases.push((aligned.clone(), cap, exit, (shape_bits(&shape), steps)));
                 }
             }
         }
         assert!(
-            exits.0 >= 50 && exits.1 >= 30 && exits.2 >= 100 && exits.3 >= 99,
+            exits[FIXPOINT] >= 50
+                && exits[CYCLE] >= 30
+                && exits[CAP] >= 100
+                && exits[DEGENERATE] >= 99,
             "(fixpoint, cycle, cap, degenerate) = {exits:?}"
         );
+
+        // The same walks in lockstep groups of one to six — past `LOCKSTEP`
+        // a walk that ends hands its place to the next — mixing member
+        // counts, caps and exits: each walk returns its solo bits and steps.
+        let order = (0..cases.len()).map(|i| i * 97 % cases.len());
+        let order: Vec<usize> = order.collect();
+        let (mut at, mut mixed) = (0, [0usize; 2]);
+        for size in (1..=6).cycle() {
+            if at == order.len() {
+                break;
+            }
+            let group = &order[at..(at + size).min(order.len())];
+            at += group.len();
+            let rows: Vec<Vec<&[f64]>> = (group.iter())
+                .map(|&g| cases[g].0.iter().map(|a| &a[..]).collect())
+                .collect();
+            let walks: Vec<(&[&[f64]], usize)> = (rows.iter().zip(group))
+                .map(|(rows, &g)| (&rows[..], cases[g].1))
+                .collect();
+            for (&g, (shape, steps)) in group.iter().zip(power_iterate_lockstep(&walks, &start)) {
+                assert_eq!(
+                    (shape_bits(&shape), steps),
+                    cases[g].3,
+                    "case {g} in {group:?}"
+                );
+            }
+            let has = |exit: usize| group.iter().any(|&g| cases[g].2 == exit);
+            mixed[0] += usize::from(has(DEGENERATE) && has(CAP));
+            mixed[1] += usize::from(has(FIXPOINT) && has(CYCLE));
+        }
+        assert!(mixed[0] >= 20 && mixed[1] >= 5, "{mixed:?}");
+    }
+
+    #[test]
+    fn flipped_centroids_take_no_forward_transform() {
+        let len = 48;
+        let mut series = noisy_family(&|i| ((i as f64) * 0.4).sin(), 6, len, 7);
+        series.extend(noisy_family(&|i| i as f64 / 10.0, 6, len, 13));
+        series.extend(noisy_family(
+            &|i| if i % 12 == 0 { 4.0 } else { 0.0 },
+            6,
+            len,
+            29,
+        ));
+        // Sweeps like `reduce_component`'s over one cache, k descending and
+        // warm started from runs of six and of three series, so later fits
+        // meet earlier fits' refinements in the memo.
+        let mut cache = KShapeSeriesCache::new(&series).unwrap();
+        for (k, run) in (1..=6).rev().flat_map(|k| [(k, 6), (k, 3)]) {
+            let init = (0..series.len()).map(|i| i / run % k).collect();
+            let kshape = KShape::new(KShapeConfig::new(k).with_initial_assignment(init));
+            let fitted = kshape.fit_cached(&mut cache).unwrap();
+            assert_eq!(
+                result_bits(&fitted),
+                result_bits(&kshape.fit(&series).unwrap())
+            );
+        }
+        // A refinement flipped its candidate when the centroid it kept is
+        // the negation of what the power iteration returned.
+        let flipped = |((power_iterations, members, shifts), &r): (&RefinementInput, &usize)| {
+            let aligned: Vec<Vec<f64>> = (members.iter().zip(shifts))
+                .map(|(&i, &shift)| z_normalize(&apply_shift(cache.series(i), shift)))
+                .collect();
+            match power_iterate_shape(&aligned, len, *power_iterations) {
+                ShapeCandidate::Candidate(candidate) => {
+                    let kept = &cache.refinements[r].centroid;
+                    candidate != *kept && (candidate.iter().zip(kept)).all(|(c, k)| -c == *k)
+                }
+                ShapeCandidate::Degenerate(_) => false,
+            }
+        };
+        let flips = cache.refined.iter().filter(|&entry| flipped(entry)).count();
+        assert!(flips >= 3, "{flips} flips");
+        // One transform per aligned member, per refinement and per memo
+        // hit's rebuilt centroid spectrum — and none per flip.
+        assert_eq!(
+            cache.spectra_computed(),
+            cache.aligned_spectra() + cache.refinements() + cache.spectra_rebuilt
+        );
+        assert!(cache.spectra_rebuilt > 0, "{}", cache.spectra_rebuilt);
     }
 
     #[test]

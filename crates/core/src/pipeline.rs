@@ -343,8 +343,8 @@ mod tests {
         assert!(model.total_representative_count() < model.total_metric_count());
         assert!(model.overall_reduction_factor() > 1.0);
         // Dependencies follow the call graph topology: lb -> api and api -> db.
-        assert!(model.dependency_graph.has_component_edge("lb", "api"));
-        assert!(model.dependency_graph.has_component_edge("api", "db"));
+        assert!(!model.dependency_graph.edges_between("lb", "api").is_empty());
+        assert!(!model.dependency_graph.edges_between("api", "db").is_empty());
         // No fabricated edge between components that never communicate.
         assert!(model.dependency_graph.edges_between("lb", "db").is_empty());
     }
@@ -390,7 +390,7 @@ mod tests {
             load_application(&app, &Workload::constant(20.0), 5, 60_000, 500).unwrap();
         assert_eq!(store.series_count(), app.total_metric_count());
         assert_eq!(graph.component_count(), 3);
-        assert!(graph.has_edge("api", "db"));
+        assert!(graph.callees("api").iter().any(|c| c == "db"));
         // 120 ticks of 500 ms.
         assert_eq!(
             store

@@ -105,11 +105,6 @@ impl DependencyGraph {
             .collect()
     }
 
-    /// Whether any metric-level edge connects `source` to `target`.
-    pub fn has_component_edge(&self, source: &str, target: &str) -> bool {
-        !self.edges_between(source, target).is_empty()
-    }
-
     /// Removes *bidirectional metric pairs*: when metric A Granger-causes
     /// metric B **and** B Granger-causes A, both edges are dropped, because
     /// such relations usually indicate a hidden common cause ("an indicator
@@ -229,8 +224,8 @@ mod tests {
     #[test]
     fn edge_queries_work() {
         let g = sample();
-        assert!(g.has_component_edge("haproxy", "web"));
-        assert!(!g.has_component_edge("web", "haproxy"));
+        assert!(!g.edges_between("haproxy", "web").is_empty());
+        assert!(g.edges_between("web", "haproxy").is_empty());
         assert_eq!(g.edges_between("web", "redis").len(), 1);
         assert_eq!(g.edges_between("web", "mongodb").len(), 1);
         assert!(g.edges_between("spelling", "web").is_empty());
@@ -245,7 +240,7 @@ mod tests {
         let removed = g.filter_bidirectional();
         assert_eq!(removed, 2);
         assert_eq!(g.edge_count(), 1);
-        assert!(g.has_component_edge("a", "c"));
+        assert!(!g.edges_between("a", "c").is_empty());
     }
 
     #[test]

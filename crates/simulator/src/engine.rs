@@ -765,12 +765,17 @@ mod tests {
     fn call_graph_matches_the_topology() {
         let sim = run_sim(Workload::constant(30.0), 20_000, 2);
         let g = sim.call_graph();
-        assert!(g.has_edge("lb", "web"));
-        assert!(g.has_edge("web", "db"));
-        assert!(!g.has_edge("db", "web"));
+        assert!(g.callees("lb").iter().any(|c| c == "web"));
+        assert!(g.callees("web").iter().any(|c| c == "db"));
+        assert!(!g.callees("db").iter().any(|c| c == "web"));
         assert_eq!(g.component_count(), 3);
+        let calls = |from: &str, to: &str| {
+            (g.edges()
+                .find(|&(caller, callee, _)| caller == from && callee == to))
+            .map_or(0, |(_, _, calls)| calls)
+        };
         assert!(
-            g.call_count("web", "db") > g.call_count("lb", "web"),
+            calls("web", "db") > calls("lb", "web"),
             "fanout 2 doubles calls"
         );
     }

@@ -102,6 +102,35 @@ impl SeriesSpectrum {
         })
     }
 
+    /// The spectrum of the negated series `−x`, by negating every bin
+    /// instead of running a second forward transform.
+    ///
+    /// z-normalization, the norm and every butterfly are sums, differences
+    /// and products, and IEEE arithmetic is sign-symmetric in those, so a
+    /// transform of `−x` holds the bins of `x` negated — except where a bin
+    /// (or a z value on the way to it) is an exact zero: a fresh transform
+    /// writes `+0.0` there, the negation `−0.0`. Nothing else differs; the
+    /// norm is the same bits.
+    ///
+    /// No output of [`sbd_oriented`] can see those zero signs, in either
+    /// argument position. From the spectrum product to the scan the kernel
+    /// only adds, subtracts and multiplies bins, and on such values a zero's
+    /// sign decides only the sign of a zero result (`y ± 0 = y` for
+    /// `y ≠ 0`, `0 · y = ±0`); the one division is by the norms, which do
+    /// not change. So both correlation sequences are equal value for value
+    /// as numbers. The scan only compares values (`>`, `<`, `==`, for which
+    /// `+0 == −0`), so it finds the same shift. An extreme that is a zero
+    /// gives `1 − (±0) = 1` for both `distance` and `flipped_distance`.
+    /// Only [`SbdResult::ncc`] can then carry the other zero's sign.
+    pub fn negated(&self) -> Self {
+        Self {
+            len: self.len,
+            norm: self.norm,
+            fft: self.fft.iter().map(|v| -v).collect(),
+            padded_len: self.padded_len,
+        }
+    }
+
     /// The cached spectrum's real and imaginary parts.
     fn fft(&self) -> (&[f64], &[f64]) {
         self.fft.split_at(self.padded_len)
@@ -568,6 +597,95 @@ mod tests {
                 &format!("both constant, len {len}"),
             );
         }
+    }
+
+    #[test]
+    fn negated_spectrum_answers_the_kernel_like_a_transform_of_the_negated_series() {
+        let mut scratch = SbdScratch::default();
+        let (mut cases, mut zero_signs_differ) = (0usize, 0usize);
+        let mut check = |c: &[f64], y: &[f64], ctx: &str| {
+            let negated: Vec<f64> = c.iter().map(|v| -v).collect();
+            let fresh = SeriesSpectrum::compute(&negated).unwrap();
+            let flipped = SeriesSpectrum::compute(c).unwrap().negated();
+            assert_eq!(flipped.norm().to_bits(), fresh.norm().to_bits(), "{ctx}");
+            assert_eq!(flipped.padded_len(), fresh.padded_len(), "{ctx}");
+            // Equal as numbers, bin for bin; at most a zero's sign differs.
+            for (a, b) in flipped.fft.iter().zip(fresh.fft.iter()) {
+                assert!(a == b || (a.is_nan() && b.is_nan()), "{ctx}: {a} vs {b}");
+            }
+            zero_signs_differ += usize::from(bits(&flipped.fft) != bits(&fresh.fft));
+            let sy = SeriesSpectrum::compute(y).unwrap();
+            let outputs = |r: OrientedSbd| {
+                let bits = (r.sbd.distance.to_bits(), r.flipped_distance.to_bits());
+                (bits, r.sbd.shift)
+            };
+            for (by_negation, by_transform) in [
+                (
+                    sbd_oriented(&flipped, &sy, &mut scratch).unwrap(),
+                    sbd_oriented(&fresh, &sy, &mut scratch).unwrap(),
+                ),
+                (
+                    sbd_oriented(&sy, &flipped, &mut scratch).unwrap(),
+                    sbd_oriented(&sy, &fresh, &mut scratch).unwrap(),
+                ),
+            ] {
+                assert_eq!(outputs(by_negation), outputs(by_transform), "{ctx}");
+            }
+            cases += 1;
+        };
+        for len in [1usize, 2, 3, 5, 33, 100, WINDOW] {
+            for seed in 0..50u64 {
+                let ctx = format!("len {len} seed {seed}");
+                let c = random_series(len, seed * 2 + 1);
+                let y = random_series(len, seed * 2 + 2);
+                check(&c, &y, &format!("random, {ctx}"));
+                let minus_c: Vec<f64> = c.iter().map(|v| -v).collect();
+                check(&c, &c, &format!("y = c, {ctx}"));
+                check(&c, &minus_c, &format!("y = -c, {ctx}"));
+                // Samples equal to the mean: a symmetric series around an
+                // exactly representable mean, so those z values are zeros.
+                let symmetric: Vec<f64> = (0..len)
+                    .map(|i| match i % 4 {
+                        0 | 2 => 8.0,
+                        1 => 8.0 + c[i].round(),
+                        _ => 8.0 - c[i - 2].round(),
+                    })
+                    .collect();
+                check(&symmetric, &y, &format!("samples at the mean, {ctx}"));
+                check(&y, &symmetric, &format!("samples at the mean as y, {ctx}"));
+                // Runs of exact zeros between a few spikes.
+                let spiky: Vec<f64> = (0..len)
+                    .map(|i| {
+                        if i % 17 == seed as usize % 17 {
+                            c[i]
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                check(&spiky, &y, &format!("zero runs, {ctx}"));
+                check(
+                    &spiky,
+                    &spiky,
+                    &format!("zero runs against themselves, {ctx}"),
+                );
+                // Subnormal samples: the smallest steps the format has.
+                let subnormal: Vec<f64> = (0..len)
+                    .map(|i| f64::from_bits((c[i].to_bits() % 1024) * (i as u64 % 3)))
+                    .collect();
+                check(&subnormal, &y, &format!("subnormals, {ctx}"));
+                check(&y, &subnormal, &format!("subnormals as y, {ctx}"));
+            }
+            check(&vec![2.5; len], &random_series(len, 9), "constant c");
+            check(&vec![0.0; len], &vec![0.0; len], "all zeros");
+        }
+        assert!(cases >= 3000, "{cases}");
+        // The negation is not the fresh transform's bits: the two differ in
+        // zero signs (bin 0's imaginary part at least) almost everywhere.
+        assert!(
+            2 * zero_signs_differ > cases,
+            "{zero_signs_differ} of {cases}"
+        );
     }
 
     /// The benchmark's window: 240 samples, padded to 512.

@@ -39,10 +39,13 @@ fn loading_records_all_metrics_and_the_call_graph() {
     assert_eq!(store.series_count(), app.total_metric_count());
     // The observed call graph matches the modelled topology.
     assert_eq!(call_graph.component_count(), 15);
-    assert!(call_graph.has_edge("haproxy", "web"));
-    assert!(call_graph.has_edge("web", "mongodb"));
-    assert!(call_graph.has_edge("doc-updater", "redis"));
-    assert!(!call_graph.has_edge("mongodb", "web"));
+    assert!(call_graph.callees("haproxy").iter().any(|c| c == "web"));
+    assert!(call_graph.callees("web").iter().any(|c| c == "mongodb"));
+    assert!(call_graph
+        .callees("doc-updater")
+        .iter()
+        .any(|c| c == "redis"));
+    assert!(!call_graph.callees("mongodb").iter().any(|c| c == "web"));
 }
 
 #[test]
@@ -102,7 +105,8 @@ fn dependency_graph_follows_the_call_topology() {
     }
     // The front of the application is connected to the web tier.
     assert!(
-        graph.has_component_edge("haproxy", "web") || graph.has_component_edge("web", "haproxy"),
+        !graph.edges_between("haproxy", "web").is_empty()
+            || !graph.edges_between("web", "haproxy").is_empty(),
         "no dependency between haproxy and web"
     );
 }
