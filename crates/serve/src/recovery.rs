@@ -25,6 +25,8 @@ use sieve_wal::{
     log_file_name, snapshot_file_name, Frame, LogFrames, ShardSnapshot, WalError, WalEvent,
 };
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -136,11 +138,13 @@ pub struct ShardRecovery {
     /// Wall time spent reading the snapshot and restoring its tenants —
     /// stores and sessions — in nanoseconds.
     pub snapshot_ns: u64,
-    /// Wall time spent reading the log file.
+    /// Wall time spent inside the log file's `read` calls: the refills of
+    /// the window the walk reads the log through.
     pub log_read_ns: u64,
-    /// Wall time spent walking the log — checksums, decode, opening the
-    /// tenants creation records introduce, applying every other frame —
-    /// and accounting the resynchronized frames.
+    /// Wall time spent walking the log, its reads aside — opening the file,
+    /// checksums, decode, opening the tenants creation records introduce,
+    /// applying every other frame — and accounting the resynchronized
+    /// frames.
     pub replay_ns: u64,
     /// Wall time spent checking that every tenant the shard holds routes
     /// to it and registering the recovered ones (their sessions were built
@@ -375,8 +379,8 @@ pub(crate) fn ns_since(start: Instant) -> u64 {
 /// applies, and every tenant whose creation record survived enters
 /// `registry`. Nothing on disk changes — re-anchoring the directory is the
 /// caller's second step, taken only once every shard has been read. Each
-/// of the four stages the report times reads the clock twice, however long
-/// the log.
+/// of the four stages the report times reads the clock twice; the log walk
+/// reads it twice more per refill of its window, not per frame.
 ///
 /// # Errors
 ///
@@ -421,18 +425,16 @@ pub(crate) fn recover_shard(
     }
     let snapshot_ns = ns_since(started);
 
+    // The log is read through the walk's window: each intact frame is
+    // decoded into the walk's buffers, applied and released in turn, so
+    // neither the log nor its decoded events are ever resident whole.
     let started = Instant::now();
-    let bytes = match std::fs::read(dir.join(log_file_name(shard))) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+    let log: Box<dyn Read> = match File::open(dir.join(log_file_name(shard))) {
+        Ok(file) => Box::new(file),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Box::new(std::io::empty()),
         Err(e) => return Err(WalError::from(e).into()),
     };
-    let log_read_ns = ns_since(started);
-
-    // Each intact frame is decoded into the walk's buffers, applied and
-    // released in turn: the decoded log is never resident.
-    let started = Instant::now();
-    let mut frames = LogFrames::new(&bytes);
+    let mut frames = LogFrames::new(log);
     let mut frames_replayed = 0u64;
     let mut recovered_through_seq = snapshot_last_seq;
     while let Some((seq, frame)) = frames.next() {
@@ -444,7 +446,8 @@ pub(crate) fn recover_shard(
     }
     let ids = frames.ids();
     let (ids_decoded, ids_interned, ids_hashed) = (ids.decoded(), ids.interned(), ids.hashed());
-    let corruption = frames.finish();
+    let (log_bytes, log_read_ns) = (frames.bytes_read(), frames.read_ns());
+    let corruption = frames.finish().map_err(WalError::from)?;
     if let Some(corruption) = &corruption {
         if let Some(tag) = corruption.unknown_tag {
             let offset = corruption.offset;
@@ -455,7 +458,7 @@ pub(crate) fn recover_shard(
     for (_, event) in resynced.filter(|(seq, _)| *seq > snapshot_last_seq) {
         lose(&mut replaying, event);
     }
-    let replay_ns = ns_since(started);
+    let replay_ns = ns_since(started).saturating_sub(log_read_ns);
 
     let started = Instant::now();
     let mut report_tenants = BTreeMap::new();
@@ -485,7 +488,7 @@ pub(crate) fn recover_shard(
             reason: corruption.reason,
             lost_bytes: corruption.lost_bytes,
         }),
-        log_bytes: bytes.len() as u64,
+        log_bytes,
         ids_decoded,
         ids_interned,
         ids_hashed,

@@ -190,11 +190,11 @@ impl Hasher for WordHasher {
 /// first sight of an id validates its UTF-8 and interns it through
 /// [`MetricId::new`], and every later sight resolves to the entry holding
 /// it. The key is the id's *whole* encoded range —
-/// `[len][component][len][metric]`, borrowed from the buffer being
-/// decoded — so `("ab", "c")` and `("a", "bc")` are different keys, and an
-/// entry exists only for bytes that decoded: invalid UTF-8 is rejected at
-/// every sight. A memoised decode therefore equals a decode through a
-/// fresh memo, for any input (property-tested).
+/// `[len][component][len][metric]`, copied once, on that first sight — so
+/// `("ab", "c")` and `("a", "bc")` are different keys, and an entry exists
+/// only for bytes that decoded: invalid UTF-8 is rejected at every sight.
+/// A memoised decode therefore equals a decode through a fresh memo, for
+/// any input (property-tested).
 ///
 /// Most sights are answered without hashing. Each entry remembers the
 /// entry sighted right after it last time; a sight whose bytes begin with
@@ -205,12 +205,14 @@ impl Hasher for WordHasher {
 /// and re-links the predecessor. Every sight runs through this one lane: a
 /// tag-4 batch's point ids and its watermarks, and a frozen store's series.
 ///
-/// One memo serves one buffer: a [`crate::reader::LogFrames`] owns the one
-/// for its log, [`crate::ShardSnapshot::decode`] makes one per snapshot.
+/// Owning its keys, one memo outlives the bytes it read: a
+/// [`crate::reader::LogFrames`] owns the one for its whole log across every
+/// refill of its window, [`crate::ShardSnapshot::decode`] makes one per
+/// snapshot.
 #[derive(Debug, Default)]
-pub struct IdMemo<'a> {
-    index: HashMap<&'a [u8], u32, BuildHasherDefault<WordHasher>>,
-    entries: Vec<MemoEntry<'a>>,
+pub struct IdMemo {
+    index: HashMap<Box<[u8]>, u32, BuildHasherDefault<WordHasher>>,
+    entries: Vec<MemoEntry>,
     /// The entry sighted last.
     last: Option<u32>,
     decoded: u64,
@@ -219,14 +221,14 @@ pub struct IdMemo<'a> {
 
 /// One distinct id of an [`IdMemo`].
 #[derive(Debug)]
-struct MemoEntry<'a> {
-    key: &'a [u8],
+struct MemoEntry {
+    key: Box<[u8]>,
     id: MetricId,
     /// The entry sighted right after this one last time.
     next: Option<u32>,
 }
 
-impl<'a> IdMemo<'a> {
+impl IdMemo {
     /// Metric ids read through this memo, repeats included.
     pub fn decoded(&self) -> u64 {
         self.decoded
@@ -246,13 +248,13 @@ impl<'a> IdMemo<'a> {
 
     /// Reads one encoded [`MetricId`] and returns the index of its entry,
     /// interning it on its first sight.
-    pub(crate) fn sight(&mut self, cur: &mut Cursor<'a>) -> DecodeResult<u32> {
+    pub(crate) fn sight(&mut self, cur: &mut Cursor<'_>) -> DecodeResult<u32> {
         let last = self.last;
         let predicted = last.and_then(|last| self.entries[last as usize].next);
         // The encoding is self-delimiting, so bytes that begin with the
         // predicted key are that key: no length prefix needs parsing.
         if let Some(entry) = predicted {
-            let key = self.entries[entry as usize].key;
+            let key = &self.entries[entry as usize].key;
             if cur.bytes[cur.pos..].starts_with(key) {
                 cur.pos += key.len();
                 self.decoded += 1;
@@ -277,7 +279,7 @@ impl<'a> IdMemo<'a> {
         Ok(entry)
     }
 
-    fn intern(&mut self, key: &'a [u8], component: &[u8], metric: &[u8]) -> DecodeResult<u32> {
+    fn intern(&mut self, key: &[u8], component: &[u8], metric: &[u8]) -> DecodeResult<u32> {
         let id = MetricId::new(
             utf8(component, "metric id component")?,
             utf8(metric, "metric id metric")?,
@@ -285,11 +287,11 @@ impl<'a> IdMemo<'a> {
         let entry = u32::try_from(self.entries.len())
             .map_err(|_| "more distinct metric ids than the memo indexes".to_string())?;
         self.entries.push(MemoEntry {
-            key,
+            key: key.into(),
             id,
             next: None,
         });
-        self.index.insert(key, entry);
+        self.index.insert(key.into(), entry);
         Ok(entry)
     }
 
@@ -355,7 +357,7 @@ pub fn put_metric_id(buf: &mut Vec<u8>, id: &MetricId) {
 /// Reads a [`MetricId`], interning it only if `memo` has not seen its
 /// encoded bytes before. A frozen store lists its series in id order, as a
 /// batch lists its watermarks.
-pub fn take_metric_id<'a>(cur: &mut Cursor<'a>, memo: &mut IdMemo<'a>) -> DecodeResult<MetricId> {
+pub fn take_metric_id(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<MetricId> {
     let entry = memo.sight(cur)?;
     Ok(memo.id(entry).clone())
 }
@@ -543,7 +545,7 @@ fn put_series(buf: &mut Vec<u8>, series: &SeriesState) {
     put_tier(buf, &series.tier2);
 }
 
-fn take_series<'a>(cur: &mut Cursor<'a>, memo: &mut IdMemo<'a>) -> DecodeResult<SeriesState> {
+fn take_series(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<SeriesState> {
     let id = take_metric_id(cur, memo)?;
     let len = cur.take_usize("series point count")?;
     let mut timestamps_ms = Vec::with_capacity(len.min(65_536));
@@ -583,9 +585,9 @@ pub fn put_store_state(buf: &mut Vec<u8>, state: &StoreState) {
 /// `with_accounting` steps over: an optional cost model (a tag byte, then
 /// five `f64`s) after the retention policy, and a read counter after the
 /// evicted counter.
-pub fn take_store_state<'a>(
-    cur: &mut Cursor<'a>,
-    memo: &mut IdMemo<'a>,
+pub fn take_store_state(
+    cur: &mut Cursor<'_>,
+    memo: &mut IdMemo,
     with_accounting: bool,
 ) -> DecodeResult<StoreState> {
     let retention = take_retention(cur)?;

@@ -233,29 +233,29 @@ impl WalEvent {
     }
 
     /// Decodes one event from `bytes`; the whole slice must be consumed.
-    /// Metric ids resolve through `memo`, which may have seen any other
-    /// part of the buffer `bytes` is a slice of.
+    /// Metric ids resolve through `memo`, which may have read any other
+    /// event of the same log first.
     ///
     /// # Errors
     ///
     /// Returns a descriptive reason for truncated, malformed, or
     /// trailing-garbage input (the frame layer attaches the file offset).
-    pub fn decode<'a>(bytes: &'a [u8], memo: &mut IdMemo<'a>) -> DecodeResult<Self> {
+    pub fn decode(bytes: &[u8], memo: &mut IdMemo) -> DecodeResult<Self> {
         let mut ingest = IngestBuf::default();
         Ok(match Self::decode_into(bytes, memo, &mut ingest)? {
             Decoded::Admin(event) => event,
-            Decoded::Ingest(tenant) => IngestRef::new(tenant, &ingest, memo).to_event(),
+            Decoded::Ingest => IngestRef::new(&ingest, memo).to_event(),
         })
     }
 
     /// [`WalEvent::decode`] without materialising an ingest batch: its
-    /// points and watermarks land in `ingest`, and only the tenant, borrowed
-    /// from `bytes`, comes back. An admin event is decoded owned.
-    pub(crate) fn decode_into<'a>(
-        bytes: &'a [u8],
-        memo: &mut IdMemo<'a>,
+    /// tenant, points and watermarks land in `ingest`. An admin event is
+    /// decoded owned.
+    pub(crate) fn decode_into(
+        bytes: &[u8],
+        memo: &mut IdMemo,
         ingest: &mut IngestBuf,
-    ) -> DecodeResult<Decoded<'a>> {
+    ) -> DecodeResult<Decoded> {
         let mut cur = Cursor::new(bytes);
         let decoded = match cur.take_u8("event tag")? {
             TAG_TENANT_CREATED => Decoded::Admin(Self::TenantCreated {
@@ -271,8 +271,14 @@ impl WalEvent {
                 tenant: cur.take_str("tenant name")?.into(),
                 retention: take_retention(&mut cur)?,
             }),
-            TAG_INGEST_BATCH => Decoded::Ingest(decode_ingest(&mut cur, memo, ingest)?),
-            TAG_INGEST_BATCH_BY_ID => Decoded::Ingest(decode_ingest_by_id(&mut cur, memo, ingest)?),
+            TAG_INGEST_BATCH => {
+                decode_ingest(&mut cur, memo, ingest)?;
+                Decoded::Ingest
+            }
+            TAG_INGEST_BATCH_BY_ID => {
+                decode_ingest_by_id(&mut cur, memo, ingest)?;
+                Decoded::Ingest
+            }
             other => return Err(format!("unknown event tag {other}")),
         };
         if !cur.is_empty() {
@@ -285,18 +291,21 @@ impl WalEvent {
     }
 }
 
-/// What [`WalEvent::decode_into`] read: an admin event, or the tenant of an
-/// ingest batch whose body is in the [`IngestBuf`] it was given.
+/// What [`WalEvent::decode_into`] read: an admin event, or an ingest batch
+/// now in the [`IngestBuf`] it was given.
 #[derive(Debug)]
-pub(crate) enum Decoded<'a> {
+pub(crate) enum Decoded {
     Admin(WalEvent),
-    Ingest(&'a str),
+    Ingest,
 }
 
 /// The buffers an ingest body decodes into, reused from batch to batch: a
 /// warm set takes every batch of a log without allocating.
 #[derive(Debug, Default)]
 pub(crate) struct IngestBuf {
+    /// The tenant the batch was ingested for, copied out of the bytes it
+    /// was read from, which may be refilled before the batch is applied.
+    tenant: String,
     /// `(slot, timestamp, value)` of every point, as in
     /// [`WalEvent::IngestBatch`].
     points: Vec<(u32, u64, f64)>,
@@ -305,6 +314,17 @@ pub(crate) struct IngestBuf {
     /// Per memo entry, the first slot of a tag-4 batch's watermark list
     /// naming it while that batch decodes; [`UNLISTED`] otherwise.
     first_slot: Vec<u32>,
+}
+
+impl IngestBuf {
+    /// Reads the batch's tenant name into [`IngestBuf::tenant`], whose
+    /// capacity is kept from batch to batch.
+    fn set_tenant(&mut self, cur: &mut Cursor<'_>) -> DecodeResult<()> {
+        let tenant = cur.take_str("tenant name")?;
+        self.tenant.clear();
+        self.tenant.push_str(tenant);
+        Ok(())
+    }
 }
 
 /// A [`IngestBuf::first_slot`] cell no watermark of the batch fills: no slot
@@ -457,14 +477,9 @@ impl SlotIndex {
     }
 }
 
-/// Reads a slotted ingest body (everything after tag 6) into `buf` and
-/// returns its tenant, borrowed from the log.
-pub(crate) fn decode_ingest<'a>(
-    cur: &mut Cursor<'a>,
-    memo: &mut IdMemo<'a>,
-    buf: &mut IngestBuf,
-) -> DecodeResult<&'a str> {
-    let tenant = cur.take_str("tenant name")?;
+/// Reads a slotted ingest body (everything after tag 6) into `buf`.
+fn decode_ingest(cur: &mut Cursor<'_>, memo: &mut IdMemo, buf: &mut IngestBuf) -> DecodeResult<()> {
+    buf.set_tenant(cur)?;
     take_watermarks(cur, memo, buf)?;
     let slots = buf.watermarks.len();
     let point_count = cur.take_usize("point count")?;
@@ -485,20 +500,20 @@ pub(crate) fn decode_ingest<'a>(
         let value = cur.take_f64("point value")?;
         buf.points.push((slot, timestamp_ms, value));
     }
-    Ok(tenant)
+    Ok(())
 }
 
 /// Reads a tag-4 ingest body, whose points spell out their ids ahead of the
-/// watermark list, into `buf` and returns its tenant. Each point's id is
+/// watermark list, into `buf`. Each point's id is
 /// mapped to the first watermark slot that lists it, through
 /// [`IngestBuf::first_slot`] (O(points + watermarks), no allocation once
 /// the map covers the memo); a point of an unlisted series is an error.
-fn decode_ingest_by_id<'a>(
-    cur: &mut Cursor<'a>,
-    memo: &mut IdMemo<'a>,
+fn decode_ingest_by_id(
+    cur: &mut Cursor<'_>,
+    memo: &mut IdMemo,
     buf: &mut IngestBuf,
-) -> DecodeResult<&'a str> {
-    let tenant = cur.take_str("tenant name")?;
+) -> DecodeResult<()> {
+    buf.set_tenant(cur)?;
     let point_count = cur.take_usize("point count")?;
     buf.points.clear();
     buf.points.reserve(point_count.min(65_536));
@@ -530,14 +545,14 @@ fn decode_ingest_by_id<'a>(
     }
     match unlisted {
         Some(entry) => Err(format!("a point of {} has no watermark", memo.id(entry))),
-        None => Ok(tenant),
+        None => Ok(()),
     }
 }
 
 /// Reads a watermark list, its count first, into `buf`.
-fn take_watermarks<'a>(
-    cur: &mut Cursor<'a>,
-    memo: &mut IdMemo<'a>,
+fn take_watermarks(
+    cur: &mut Cursor<'_>,
+    memo: &mut IdMemo,
     buf: &mut IngestBuf,
 ) -> DecodeResult<()> {
     let count = cur.take_usize("watermark count")?;
@@ -560,13 +575,13 @@ pub struct IngestRef<'f> {
     tenant: &'f str,
     points: &'f [(u32, u64, f64)],
     watermarks: &'f [(u32, u64)],
-    memo: &'f IdMemo<'f>,
+    memo: &'f IdMemo,
 }
 
 impl<'f> IngestRef<'f> {
-    pub(crate) fn new(tenant: &'f str, buf: &'f IngestBuf, memo: &'f IdMemo<'f>) -> Self {
+    pub(crate) fn new(buf: &'f IngestBuf, memo: &'f IdMemo) -> Self {
         Self {
-            tenant,
+            tenant: &buf.tenant,
             points: &buf.points,
             watermarks: &buf.watermarks,
             memo,
@@ -1012,9 +1027,9 @@ mod tests {
         assert_eq!(index.stamp, 1, "the last list wrapped the stamp past zero");
     }
 
-    /// Encodes `events` back to back into one buffer, as in a log (a memo's
-    /// keys borrow from it), each ingest batch in the layout `legacy`
-    /// picks for it, with the byte range of each.
+    /// Encodes `events` back to back into one buffer, as in a log, each
+    /// ingest batch in the layout `legacy` picks for it, with the byte
+    /// range of each.
     fn encode_log(
         events: &[WalEvent],
         mut legacy: impl FnMut() -> bool,

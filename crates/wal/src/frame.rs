@@ -166,6 +166,15 @@ impl Header {
     }
 }
 
+/// The payload length the frame header at `offset` states, when the header
+/// is whole and the length plausible: how far a reader holding only part
+/// of a log must read before the frame can be judged.
+pub(crate) fn stated_len(bytes: &[u8], offset: usize) -> Option<usize> {
+    let header = bytes.get(offset..)?.get(..HEADER_LEN)?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    (len <= MAX_PAYLOAD).then_some(len)
+}
+
 /// Decodes with `decode` the payload of the frame `header` describes, whose
 /// checksum has verified.
 pub(crate) fn decode_verified<'a, E>(
@@ -216,13 +225,12 @@ pub(crate) fn unknown_tag_at(bytes: &[u8], offset: usize) -> Option<u8> {
 }
 
 /// Attempts to parse one frame starting at `offset`, resolving metric ids
-/// through `memo` (one memo per `bytes`, whatever offsets it is asked
-/// about).
+/// through `memo` (one memo per log, whatever offsets it is asked about).
 ///
 /// Never panics on any input; every malformation — torn header, torn
 /// payload, implausible length, checksum mismatch, undecodable payload —
 /// comes back as [`Parsed::Bad`].
-pub fn parse_at<'a>(bytes: &'a [u8], offset: usize, memo: &mut IdMemo<'a>) -> Parsed {
+pub fn parse_at(bytes: &[u8], offset: usize, memo: &mut IdMemo) -> Parsed {
     judge_at(bytes, offset, |payload| WalEvent::decode(payload, memo))
 }
 

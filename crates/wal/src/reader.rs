@@ -11,6 +11,15 @@
 //! so recovery can report *exactly* which tenants lost *how many* events
 //! and points, instead of a vague "the tail is gone".
 //!
+//! The walk reads the log through one reused window of 1 MiB, refilled
+//! from any [`Read`] straight into its spare capacity, so each byte is
+//! copied once and the log is never resident whole. The window grows only
+//! when a single frame does not fit in it, and then to that frame. A frame
+//! is judged only once it is held whole, or once the log is known to end
+//! inside it, so every verdict — the prefix, the corruption report — is
+//! the one a walk over the whole log in memory reaches, wherever the
+//! refills fall.
+//!
 //! The intact prefix is read four frames at a time: their headers are
 //! parsed and their checksums computed in one [`crate::frame::checksums`]
 //! call, then each verified frame is decoded as it is lent. A frame
@@ -28,17 +37,24 @@
 //! of a log, is decoded into buffers the walk reuses and handed out as a
 //! [`Frame::Ingest`] borrowing them until the next call, so replaying a log
 //! allocates nothing per batch. [`scan_log`] materialises the same walk
-//! into owned events.
+//! over a log held in memory into owned events.
 
 use crate::codec::IdMemo;
 use crate::event::{Decoded, IngestBuf, IngestRef, WalEvent};
 use crate::frame::{
-    checksums, decode_verified, judge_at, parse_at, unknown_tag_at, Header, Parsed,
+    checksums, decode_verified, judge_at, parse_at, stated_len, unknown_tag_at, Header, Parsed,
+    HEADER_LEN,
 };
 use std::collections::VecDeque;
+use std::io::{self, Read};
+use std::time::Instant;
 
 /// Frames whose checksums [`LogFrames`] computes in one call.
 const READ_AHEAD: usize = 4;
+
+/// Bytes of a log [`LogFrames`] holds and refills at once, unless a single
+/// frame is longer.
+const WINDOW: usize = 1 << 20;
 
 /// The outcome of scanning one shard log.
 #[derive(Debug)]
@@ -81,34 +97,116 @@ pub struct LogCorruption {
     pub unknown_tag: Option<u8>,
 }
 
+/// The stretch of a log a [`LogFrames`] holds: the bytes from log offset
+/// `base` on, read from `log` into the spare capacity of one reused buffer.
+#[derive(Debug)]
+struct Window<R> {
+    log: R,
+    bytes: Vec<u8>,
+    /// Log offset of `bytes[0]`.
+    base: usize,
+    /// Set once a read returned nothing: `bytes` ends where the log does.
+    ended: bool,
+    /// Nanoseconds spent reading `log`.
+    read_ns: u64,
+}
+
+impl<R: Read> Window<R> {
+    fn new(log: R, capacity: usize) -> Self {
+        Self {
+            log,
+            bytes: Vec::with_capacity(capacity),
+            base: 0,
+            ended: false,
+            read_ns: 0,
+        }
+    }
+
+    /// Log offset one past the last byte held.
+    fn end(&self) -> usize {
+        self.base + self.bytes.len()
+    }
+
+    /// Holds the log's bytes up to offset `end`, or all of them to the
+    /// log's end if that comes first, and answers whether it does. With
+    /// `may_move`, the bytes before offset `keep` may be dropped to make
+    /// room and the window may grow; without, it only reads into the room
+    /// it has, so every offset into it stays valid, and answers `false`
+    /// when that room is too small.
+    fn hold(&mut self, keep: usize, end: usize, may_move: bool) -> io::Result<bool> {
+        while self.end() < end && !self.ended {
+            let capacity = self.bytes.capacity();
+            if end - self.base > capacity {
+                if !may_move {
+                    return Ok(false);
+                }
+                self.bytes.drain(..keep - self.base);
+                self.base = keep;
+                if end - keep > capacity {
+                    // At most doubling per refill: a length prefix that
+                    // garbage spells is believed only as far as the log
+                    // actually goes.
+                    let grown = (end - keep).min(2 * capacity.max(1));
+                    self.bytes.reserve_exact(grown - self.bytes.len());
+                }
+            }
+            let room = self.bytes.capacity() - self.bytes.len();
+            let started = Instant::now();
+            let read = (&mut self.log)
+                .take(room as u64)
+                .read_to_end(&mut self.bytes)?;
+            self.read_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.ended = read == 0;
+        }
+        Ok(true)
+    }
+
+    /// [`Window::hold`] for the frame at log offset `at`: its header, then
+    /// the payload the header states, if the length is plausible — what
+    /// judging the frame reads.
+    fn hold_frame(&mut self, keep: usize, at: usize, may_move: bool) -> io::Result<bool> {
+        if !self.hold(keep, at + HEADER_LEN, may_move)? {
+            return Ok(false);
+        }
+        match stated_len(&self.bytes, at - self.base) {
+            Some(len) => self.hold(keep, at + HEADER_LEN + len, may_move),
+            None => Ok(true),
+        }
+    }
+}
+
 /// The intact prefix of a shard log, one decoded frame at a time.
 ///
 /// [`LogFrames::next`] lends the checksum-verified frames with strictly
-/// increasing sequence numbers from the start of `bytes`, in log order —
-/// the frames that are safe to replay — and ends at a clean end of file or
-/// at the first frame that is not one of them. A caller that applies each
-/// frame as it arrives (recovery does) never holds more than one decoded
-/// frame; [`scan_log`] is the collector for callers that want them all at
-/// once, owned. [`LogFrames::finish`] then reports how the log ended.
+/// increasing sequence numbers from the start of the log, in log order —
+/// the frames that are safe to replay — and ends at a clean end of file, at
+/// the first frame that is not one of them, or at a failed read.
+/// A caller that applies each frame as it arrives (recovery does) never
+/// holds more than one decoded frame, nor more of the log than the window;
+/// [`scan_log`] is the collector for callers that want them all at once,
+/// owned. [`LogFrames::finish`] then reports how the log ended.
 ///
-/// Every frame decodes through one [`IdMemo`] over `bytes`, so a metric id
-/// is interned on its first sight in the log and looked up thereafter, and
-/// every ingest frame into one pair of reused buffers. Never fails and
-/// never panics: arbitrary garbage is an empty prefix with everything
-/// accounted as lost.
+/// Every frame decodes through one [`IdMemo`], so a metric id is interned
+/// on its first sight in the log and looked up thereafter, and every
+/// ingest frame into one pair of reused buffers. Never panics: arbitrary
+/// garbage is an empty prefix with everything accounted as lost.
 #[derive(Debug)]
-pub struct LogFrames<'a> {
-    bytes: &'a [u8],
+pub struct LogFrames<R> {
+    window: Window<R>,
+    /// Log offset of the first frame not yet lent.
     offset: usize,
     last_seq: Option<u64>,
-    memo: IdMemo<'a>,
+    memo: IdMemo,
     /// What the last ingest frame decoded to.
     ingest: IngestBuf,
     /// Headers of the frames from `offset` on whose checksums verified,
-    /// not yet decoded.
+    /// not yet decoded. Their positions are the window's, which does not
+    /// move while any is queued.
     verified: VecDeque<Header>,
     /// Set once the prefix has ended anywhere but at a clean end of file.
     corruption: Option<LogCorruption>,
+    /// The read that failed, ending the walk.
+    failed: Option<io::Error>,
 }
 
 /// One intact frame, as [`LogFrames::next`] lends it.
@@ -148,17 +246,19 @@ impl Frame<'_> {
     }
 }
 
-impl<'a> LogFrames<'a> {
-    /// Starts at the first byte of a shard log.
-    pub fn new(bytes: &'a [u8]) -> Self {
+impl<R: Read> LogFrames<R> {
+    /// Starts at the first byte of a shard log, which `log` reads from the
+    /// start.
+    pub fn new(log: R) -> Self {
         Self {
-            bytes,
+            window: Window::new(log, WINDOW),
             offset: 0,
             last_seq: None,
             memo: IdMemo::default(),
             ingest: IngestBuf::default(),
             verified: VecDeque::with_capacity(READ_AHEAD),
             corruption: None,
+            failed: None,
         }
     }
 
@@ -168,17 +268,21 @@ impl<'a> LogFrames<'a> {
     // borrows the buffers the next call overwrites.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(u64, Frame<'_>)> {
-        if self.corruption.is_some() {
+        if self.corruption.is_some() || self.failed.is_some() {
             return None;
         }
         if self.verified.is_empty() {
-            self.read_ahead();
+            if let Err(error) = self.read_ahead() {
+                self.failed = Some(error);
+                return None;
+            }
         }
+        let (bytes, base) = (&self.window.bytes[..], self.window.base);
         let (memo, ingest) = (&mut self.memo, &mut self.ingest);
         let decode = |payload| WalEvent::decode_into(payload, memo, ingest);
         let parsed = match self.verified.pop_front() {
-            Some(header) => decode_verified(self.bytes, header, decode),
-            None => judge_at(self.bytes, self.offset, decode),
+            Some(header) => decode_verified(bytes, header, decode),
+            None => judge_at(bytes, self.offset - base, decode),
         };
         let reason = match parsed {
             Parsed::Eof => return None,
@@ -186,78 +290,128 @@ impl<'a> LogFrames<'a> {
                 Some(last) if seq <= last => format!("non-monotone sequence {seq} after {last}"),
                 _ => {
                     self.last_seq = Some(seq);
-                    self.offset = end;
+                    self.offset = base + end;
                     let frame = match event {
                         Decoded::Admin(event) => Frame::Admin(event),
-                        Decoded::Ingest(tenant) => {
-                            Frame::Ingest(IngestRef::new(tenant, &self.ingest, &self.memo))
-                        }
+                        Decoded::Ingest => Frame::Ingest(IngestRef::new(&self.ingest, &self.memo)),
                     };
                     return Some((seq, frame));
                 }
             },
             Parsed::Bad { reason } => reason,
         };
-        self.corruption = Some(resync(
-            self.bytes,
-            self.offset,
-            reason,
-            self.last_seq,
-            &mut self.memo,
-        ));
+        match self.resync(reason) {
+            Ok(corruption) => self.corruption = Some(corruption),
+            Err(error) => self.failed = Some(error),
+        }
         None
     }
 
     /// How the log ended after its intact prefix: `None` at a clean end of
     /// file, otherwise the corrupt region with the frames resynchronized
     /// past it. Frames of the prefix not yet lent are skipped.
-    pub fn finish(mut self) -> Option<LogCorruption> {
+    ///
+    /// # Errors
+    ///
+    /// The error of a failed read: the walk then judged nothing past it.
+    pub fn finish(mut self) -> io::Result<Option<LogCorruption>> {
         while self.next().is_some() {}
-        self.corruption
+        match self.failed {
+            Some(error) => Err(error),
+            None => Ok(self.corruption),
+        }
     }
 
     /// The memo the frames decode through: its counts cover every frame
     /// decoded so far, and the whole log, resynchronized frames included,
     /// once the walk has ended.
-    pub fn ids(&self) -> &IdMemo<'a> {
+    pub fn ids(&self) -> &IdMemo {
         &self.memo
     }
 
-    /// Parses up to [`READ_AHEAD`] complete headers from `offset` on,
+    /// Bytes of the log read so far: its length once the walk has ended.
+    pub fn bytes_read(&self) -> u64 {
+        self.window.end() as u64
+    }
+
+    /// Nanoseconds spent reading the log so far, the window's refills.
+    pub fn read_ns(&self) -> u64 {
+        self.window.read_ns
+    }
+
+    /// Holds the frame at `offset` whole — or the log to its end — then
+    /// parses up to [`READ_AHEAD`] complete headers from `offset` on,
     /// checksums their frames in one call, and keeps the run that verifies
-    /// up to the first that does not.
-    fn read_ahead(&mut self) {
+    /// up to the first that does not. Only the first frame may move the
+    /// window; the run ends at a frame that does not fit in it.
+    fn read_ahead(&mut self) -> io::Result<()> {
         let mut headers = [Header::default(); READ_AHEAD];
         let mut found = 0;
         let mut at = self.offset;
-        while found < READ_AHEAD {
-            let Ok(Some(header)) = Header::at(self.bytes, at) else {
+        while found < READ_AHEAD && self.window.hold_frame(self.offset, at, found == 0)? {
+            let Ok(Some(header)) = Header::at(&self.window.bytes, at - self.window.base) else {
                 break;
             };
             headers[found] = header;
-            at = header.end;
+            at = self.window.base + header.end;
             found += 1;
         }
         if found == 0 {
-            return;
+            return Ok(());
         }
         // Lanes past the last header repeat it, so the words stepped in
         // lockstep are still those of the shortest real frame; the repeated
         // sums are ignored.
+        let bytes = &self.window.bytes;
         let sums = checksums::<READ_AHEAD>(std::array::from_fn(|lane| {
             let header = headers[lane.min(found - 1)];
-            (header.seq, header.payload(self.bytes))
+            (header.seq, header.payload(bytes))
         }));
         let run = headers[..found].iter().zip(sums);
         self.verified.extend(
             run.take_while(|(header, sum)| header.stored == *sum)
                 .map(|(header, _)| *header),
         );
+        Ok(())
+    }
+
+    /// Slides forward from one byte past the first bad frame, at `offset`
+    /// and held whole, collecting every later frame that still verifies
+    /// and keeps the sequence strictly monotone. The slide resumes after
+    /// each recovered frame, so several corrupt regions still account most
+    /// of the surviving frames.
+    fn resync(&mut self, reason: String) -> io::Result<LogCorruption> {
+        let corrupt_at = self.offset;
+        let unknown_tag = unknown_tag_at(&self.window.bytes, corrupt_at - self.window.base);
+        let mut last_seq = self.last_seq;
+        let mut resynced: Vec<(u64, WalEvent)> = Vec::new();
+        let mut resynced_bytes = 0usize;
+        let mut pos = corrupt_at + 1;
+        while self.window.hold_frame(pos, pos, true)? && pos < self.window.end() {
+            let base = self.window.base;
+            match parse_at(&self.window.bytes, pos - base, &mut self.memo) {
+                Parsed::Frame { seq, event, end } if last_seq.map_or(true, |last| seq > last) => {
+                    resynced.push((seq, event));
+                    resynced_bytes += base + end - pos;
+                    last_seq = Some(seq);
+                    pos = base + end;
+                }
+                _ => pos += 1,
+            }
+        }
+        Ok(LogCorruption {
+            offset: corrupt_at as u64,
+            reason,
+            resynced,
+            lost_bytes: (self.window.end() - corrupt_at - resynced_bytes) as u64,
+            unknown_tag,
+        })
     }
 }
 
-/// Scans a shard log into its intact prefix and (if corrupt) the
-/// accounted loss: [`LogFrames`], collected into owned events.
+/// Scans a shard log held in memory into its intact prefix and (if
+/// corrupt) the accounted loss: [`LogFrames`] over the bytes, collected
+/// into owned events.
 pub fn scan_log(bytes: &[u8]) -> ScannedLog {
     let mut frames = LogFrames::new(bytes);
     let mut applied = Vec::new();
@@ -266,48 +420,14 @@ pub fn scan_log(bytes: &[u8]) -> ScannedLog {
     }
     ScannedLog {
         applied,
-        corruption: frames.finish(),
-    }
-}
-
-/// Slides forward from one byte past the corruption, collecting every
-/// later frame that still verifies and keeps the sequence strictly
-/// monotone. The slide resumes after each recovered frame, so several
-/// corrupt regions still account most of the surviving frames.
-fn resync<'a>(
-    bytes: &'a [u8],
-    corrupt_at: usize,
-    reason: String,
-    mut last_seq: Option<u64>,
-    memo: &mut IdMemo<'a>,
-) -> LogCorruption {
-    let mut resynced: Vec<(u64, WalEvent)> = Vec::new();
-    let mut resynced_bytes = 0usize;
-    let mut pos = corrupt_at + 1;
-    while pos < bytes.len() {
-        match parse_at(bytes, pos, memo) {
-            Parsed::Frame { seq, event, end } if last_seq.map_or(true, |last| seq > last) => {
-                resynced.push((seq, event));
-                resynced_bytes += end - pos;
-                last_seq = Some(seq);
-                pos = end;
-            }
-            _ => pos += 1,
-        }
-    }
-    LogCorruption {
-        offset: corrupt_at as u64,
-        reason,
-        resynced,
-        lost_bytes: (bytes.len() - corrupt_at - resynced_bytes) as u64,
-        unknown_tag: unknown_tag_at(bytes, corrupt_at),
+        corruption: frames.finish().expect("reading a byte slice never fails"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode, frame_payload, HEADER_LEN};
+    use crate::frame::{encode, frame_payload};
     use sieve_simulator::store::{MetricId, RetentionPolicy};
 
     fn ingest(tenant: &str, t: u64) -> WalEvent {
@@ -533,23 +653,39 @@ mod tests {
         ))
     }
 
+    impl<R: Read> LogFrames<R> {
+        /// The walk with a window of `window` bytes instead of [`WINDOW`],
+        /// so refills fall inside headers, checksums, payloads and resync
+        /// regions of a short log.
+        fn with_window(log: R, window: usize) -> Self {
+            let mut frames = Self::new(log);
+            frames.window.bytes = Vec::with_capacity(window);
+            frames
+        }
+    }
+
     /// Walks `bytes` one lent frame at a time — each materialised and
     /// dropped before the next is decoded into the same buffers, as
-    /// recovery consumes a log — and checks prefix and corruption report
-    /// against both the reference and the collector.
-    fn assert_streamed_equals_scanned(bytes: &[u8], what: &str) {
+    /// recovery consumes a log — through a window of each size in
+    /// `windows`, read a few bytes at a time, and checks prefix and
+    /// corruption report against both the reference and the collector.
+    fn assert_streamed_equals_scanned(bytes: &[u8], windows: &[usize], what: &str) {
         let reference = scan_log_reference(bytes);
-        let mut frames = LogFrames::new(bytes);
-        let mut streamed = 0;
-        while let Some((seq, frame)) = frames.next() {
-            let lent = (seq, frame.into_event());
-            assert_eq!(Some(&lent), reference.applied.get(streamed), "{what}");
-            streamed += 1;
+        for &window in windows {
+            let what = format!("{what}, window {window}");
+            let mut frames = LogFrames::with_window(Trickle(bytes), window);
+            let mut streamed = 0;
+            while let Some((seq, frame)) = frames.next() {
+                let lent = (seq, frame.into_event());
+                assert_eq!(Some(&lent), reference.applied.get(streamed), "{what}");
+                streamed += 1;
+            }
+            assert_eq!(streamed, reference.applied.len(), "{what}");
+            assert!(frames.next().is_none(), "{what}: exhausted stays exhausted");
+            assert_eq!(frames.bytes_read(), bytes.len() as u64, "{what}");
+            let corruption = frames.finish().unwrap();
+            assert_eq!(view(&corruption), view(&reference.corruption), "{what}");
         }
-        assert_eq!(streamed, reference.applied.len(), "{what}");
-        assert!(frames.next().is_none(), "{what}: exhausted stays exhausted");
-        let corruption = frames.finish();
-        assert_eq!(view(&corruption), view(&reference.corruption), "{what}");
 
         let scanned = scan_log(bytes);
         assert_eq!(scanned.applied, reference.applied, "{what}");
@@ -558,6 +694,19 @@ mod tests {
             view(&reference.corruption),
             "{what}"
         );
+    }
+
+    /// A reader that hands out at most five bytes per call, as a pipe or a
+    /// slow disk may: a refill then takes several reads.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(5);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
     }
 
     #[test]
@@ -589,15 +738,28 @@ mod tests {
             (12, ingest("c", 1000)),
             (14, wide_ingest("b", 1500, 3)),
         ]));
-        assert_streamed_equals_scanned(&log, "intact");
+        // Windows that refill inside a header, right after one, a frame
+        // short of or past the longest frame, and the default.
+        let longest = encode(11, &wide_ingest("a", 1500, 4)).len();
+        let windows = [
+            1,
+            7,
+            HEADER_LEN,
+            HEADER_LEN + 1,
+            longest - 1,
+            longest + 1,
+            WINDOW,
+        ];
+        assert_streamed_equals_scanned(&log, &windows, "intact");
         for len in 0..log.len() {
-            assert_streamed_equals_scanned(&log[..len], &format!("truncated to {len}"));
+            assert_streamed_equals_scanned(&log[..len], &windows, &format!("truncated to {len}"));
         }
         let mut flipped = log.clone();
         for byte in 0..log.len() {
             for bit in 0..8 {
                 flipped[byte] ^= 1 << bit;
-                assert_streamed_equals_scanned(&flipped, &format!("byte {byte} bit {bit}"));
+                let what = format!("byte {byte} bit {bit}");
+                assert_streamed_equals_scanned(&flipped, &windows, &what);
                 flipped[byte] ^= 1 << bit;
             }
         }
@@ -630,13 +792,56 @@ mod tests {
         assert!(corruption.reason.contains("checksum mismatch"));
     }
 
+    /// A reader that fails once `left` bytes are read.
+    struct Failing<'a> {
+        bytes: &'a [u8],
+        left: usize,
+    }
+
+    impl Read for Failing<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("the disk went away"));
+            }
+            let n = buf.len().min(self.bytes.len()).min(self.left);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.left -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_failed_read_ends_the_walk_as_an_error_never_as_corruption() {
+        let events = vec![(1, ingest("a", 500)), (2, ingest("a", 1000))];
+        let bytes = log_of(&events);
+        let first = encode(1, &events[0].1).len();
+        // Failing inside the second frame, at its first byte, and at the
+        // end of the log: the frames before the failure are lent, and
+        // nothing is judged after it.
+        for left in [first + 9, first, bytes.len()] {
+            let log = Failing {
+                bytes: &bytes,
+                left,
+            };
+            let mut frames = LogFrames::with_window(log, HEADER_LEN);
+            assert_eq!(frames.next().map(|(seq, _)| seq), Some(1), "{left}");
+            if left == bytes.len() {
+                assert_eq!(frames.next().map(|(seq, _)| seq), Some(2));
+            }
+            assert!(frames.next().is_none(), "{left}");
+            let error = frames.finish().expect_err("the read failed");
+            assert_eq!(error.to_string(), "the disk went away");
+        }
+    }
+
     #[test]
     fn finish_before_exhaustion_still_reports_how_the_log_ended() {
         let mut bytes = log_of(&[(1, ingest("a", 500)), (2, ingest("a", 1000))]);
         bytes.extend_from_slice(&[0xFF; 5]);
-        let mut frames = LogFrames::new(&bytes);
+        let mut frames = LogFrames::new(&bytes[..]);
         assert_eq!(frames.next().map(|(seq, _)| seq), Some(1));
-        let corruption = frames.finish().expect("the tail is garbage");
+        let corruption = frames.finish().unwrap().expect("the tail is garbage");
         assert_eq!(corruption.lost_bytes, 5);
     }
 }
