@@ -80,6 +80,16 @@ pub fn shard_index(key: &str, shard_count: usize) -> usize {
     (hash_str(key) & (shard_count as u64 - 1)) as usize
 }
 
+/// Hashes a pair of [`Name::addr`](crate::Name::addr) keys for an
+/// open-addressing table: a multiplicative hash whose *top* bits every
+/// address bit reaches, so a table of `2^b` cells takes the top `b` bits
+/// (allocations share their low and high bits, so those alone would
+/// collide). Not deterministic across processes — addresses are not.
+pub fn addr_pair_hash(first: usize, second: usize) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    ((first as u64).wrapping_mul(K) ^ second as u64).wrapping_mul(K)
+}
+
 /// Fingerprints a whole `f64` slice (length-prefixed, order-sensitive),
 /// starting from [`FINGERPRINT_SEED`].
 pub fn fingerprint_f64s(values: &[f64]) -> u64 {

@@ -82,6 +82,22 @@ impl Name {
         &self.0
     }
 
+    /// The address of the interned string: a key that identifies the name
+    /// without reading a byte of it.
+    ///
+    /// Two live names have equal addresses exactly when they are equal.
+    /// The pool hands out one allocation per distinct string for as long
+    /// as any [`Name`] holds it (a sweep drops only entries nothing else
+    /// refers to), so equal live names share one allocation; and two live
+    /// allocations never share an address, so unequal live names differ.
+    /// A table keyed by addresses is therefore sound as long as it keeps
+    /// the names it was keyed with alive — then any name probing it with an
+    /// equal address *is* the stored name, and an address that matches
+    /// nothing stored is a name the table does not hold.
+    pub fn addr(&self) -> usize {
+        self.0.as_ptr() as usize
+    }
+
     /// Number of distinct strings currently interned (diagnostics only).
     pub fn interned_count() -> usize {
         pool().lock().expect("interner poisoned").entries.len()

@@ -2,7 +2,9 @@
 //! nothing once the service is warm.
 //!
 //! A durable ingest applies the batch through the tenant's reused outcome
-//! buffers, encodes its frame into the tenant's reused payload — finding
+//! buffers (each point finds its series by one probe of the store's
+//! address index, and the store collects the touched series in a reused
+//! list), encodes its frame into the tenant's reused payload — finding
 //! each point's slot in a per-thread index that outlives the batch — and
 //! stages and commits it through the shard log's reused buffers; a
 //! windowed store with small tiers, once full, holds a bounded window. So

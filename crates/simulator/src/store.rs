@@ -4,10 +4,11 @@
 //! [`MetricStore::point_count`] and [`MetricStore::series_count`] in
 //! `sieve_bench::table3`.
 //!
-//! Series are keyed by [`MetricId`], a pair of interned [`Name`]s: the hot
-//! ingestion path (`record` runs once per metric per simulation tick) clones
-//! reference counts instead of strings, and key comparisons inside the map
-//! hit the interner's pointer-identity fast path.
+//! Series are keyed by [`MetricId`], a pair of interned [`Name`]s, and held
+//! once each, in id order. The hot ingestion path (`record` runs once per
+//! metric per simulation tick) finds a point's series by one probe keyed on
+//! the addresses of its two names ([`Name::addr`]) and compares no string:
+//! only placing a new series does, once.
 //!
 //! # Epochs and deltas
 //!
@@ -49,11 +50,10 @@
 //! analysis results; they diverge — deterministically — only once the
 //! analysis window no longer fits inside retention.
 
-use sieve_exec::hash::{mix, mix_f64, FINGERPRINT_SEED};
+use sieve_exec::hash::{addr_pair_hash, mix, mix_f64, FINGERPRINT_SEED};
 use sieve_exec::Name;
 use sieve_timeseries::{SeriesView, TimeSeries};
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound;
 use std::sync::{Arc, RwLock};
 
 /// Identifies one metric of one component.
@@ -361,7 +361,11 @@ pub struct MetricStore {
 
 #[derive(Debug, Default)]
 struct StoreInner {
-    series: BTreeMap<MetricId, StoredSeries>,
+    /// Every stored series, in [`MetricId`] order: the ordered readers walk
+    /// it as it is.
+    series: Vec<StoredSeries>,
+    /// The position of each stored series in `series`.
+    index: SeriesIndex,
     /// Monotone watermark: the number of deltas drained so far.
     epoch: u64,
     retention: RetentionPolicy,
@@ -371,10 +375,103 @@ struct StoreInner {
     /// "first touch of this series" detection is a field compare instead
     /// of a set insertion (transient — never serialized).
     batch_stamp: u64,
+    /// The positions of the series the current detailed batch touched,
+    /// empty between batches (transient — never serialized).
+    batch_touched: Vec<usize>,
     /// Working space of [`MetricStore::record_batch_verified`], kept so a
     /// replayed batch allocates nothing once it is warm (transient — never
     /// serialized).
     verify: VerifyScratch,
+}
+
+/// The store's one lookup rule: the position of each series in the
+/// id-ordered `Vec`, keyed by the [`Name::addr`] of its id's two names —
+/// open addressing with linear probing, at most half full.
+///
+/// The store keeps every id it keyed alive, so by [`Name::addr`]'s
+/// argument a probe with an id equal to a stored one meets that series'
+/// cell, and a probe that meets an empty cell first names a series the
+/// store does not hold. Either way no byte of a name is compared.
+#[derive(Debug, Default)]
+struct SeriesIndex {
+    /// A power of two in length once anything is stored. An empty cell's
+    /// component address is zero, which no allocation has.
+    cells: Vec<IndexCell>,
+    /// 64 less the bits of the cell count.
+    shift: u32,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct IndexCell {
+    key: (usize, usize),
+    at: usize,
+}
+
+impl SeriesIndex {
+    fn key(id: &MetricId) -> (usize, usize) {
+        (id.component.addr(), id.metric.addr())
+    }
+
+    /// The position of `id`'s series, if the store holds one.
+    fn get(&self, id: &MetricId) -> Option<usize> {
+        if self.cells.is_empty() {
+            return None;
+        }
+        let key = Self::key(id);
+        let mut probe = self.home(key);
+        loop {
+            let cell = self.cells[probe];
+            if cell.key == key {
+                return Some(cell.at);
+            }
+            if cell.key.0 == 0 {
+                return None;
+            }
+            probe = (probe + 1) & (self.cells.len() - 1);
+        }
+    }
+
+    /// Indexes `series[at]`, just inserted there: the series after it
+    /// each moved one place on.
+    fn insert(&mut self, series: &[StoredSeries], at: usize) {
+        if 2 * series.len() > self.cells.len() {
+            self.rebuild(series);
+            return;
+        }
+        if at + 1 < series.len() {
+            // An empty cell's `at` is never read, so it may move too.
+            for cell in &mut self.cells {
+                cell.at += usize::from(cell.at >= at);
+            }
+        }
+        self.put(Self::key(&series[at].id), at);
+    }
+
+    /// Re-indexes all of `series` in a table twice its length (rounded up
+    /// to a power of two).
+    fn rebuild(&mut self, series: &[StoredSeries]) {
+        let cells = (2 * series.len()).next_power_of_two().max(8);
+        self.cells.clear();
+        self.cells.resize(cells, IndexCell::default());
+        self.shift = 64 - cells.trailing_zeros();
+        for (at, stored) in series.iter().enumerate() {
+            self.put(Self::key(&stored.id), at);
+        }
+    }
+
+    /// Writes `key` into the first empty cell of its probe sequence.
+    fn put(&mut self, key: (usize, usize), at: usize) {
+        let mut probe = self.home(key);
+        while self.cells[probe].key.0 != 0 {
+            probe = (probe + 1) & (self.cells.len() - 1);
+        }
+        self.cells[probe] = IndexCell { key, at };
+    }
+
+    /// The first cell to probe for `key`.
+    fn home(&self, (component, metric): (usize, usize)) -> usize {
+        (addr_pair_hash(component, metric) >> self.shift) as usize
+    }
 }
 
 /// What the store's acceptance rule reads and advances of one series: its
@@ -437,8 +534,8 @@ impl Head {
 struct Sim {
     head: Head,
     accepted: usize,
-    /// Whether the store holds the series yet.
-    stored: bool,
+    /// The series' position in the store, if the store holds it yet.
+    at: Option<usize>,
     /// The first and the last accepted point (batch indices); the points
     /// between are linked through [`VerifyScratch::next`].
     first: Option<usize>,
@@ -454,51 +551,65 @@ struct VerifyScratch {
 }
 
 impl StoreInner {
-    /// The one ingestion path: runs the acceptance step on the series'
-    /// head and, on acceptance, appends the observation, stores the head's
-    /// fingerprint, sets the touched mark and evicts exactly the oldest
-    /// retained point when the window overflows. Returns why the point was
-    /// dropped, or `None` on acceptance.
+    /// The one ingestion path: finds the point's series by one probe of
+    /// the address index (a miss means a new series), runs the acceptance
+    /// step on its head and, on acceptance, appends the observation, stores
+    /// the head's fingerprint, sets the touched mark and evicts exactly the
+    /// oldest retained point when the window overflows. Returns the
+    /// series' position, or why the point was dropped.
     ///
     /// A series entry is created only for an accepted point, so a rejected
     /// first point never materializes an empty series.
-    ///
-    /// On acceptance, the second return is `true` iff this is the first
-    /// accepted point of the series under `stamp` — the detailed batch
-    /// path uses it to collect watermark entries with one map lookup per
-    /// point and no per-call set allocation (the other paths pass 0).
     fn record_one(
         &mut self,
         id: &MetricId,
         timestamp_ms: u64,
         value: f64,
-        stamp: u64,
-    ) -> (Option<RejectReason>, bool) {
+    ) -> Result<usize, RejectReason> {
         let retention = self.retention;
-        let stored = self.series.get_mut(id);
-        let mut head = stored.as_deref().map_or(Head::EMPTY, StoredSeries::head);
-        if let Err(reason) = head.accept(timestamp_ms, value, retention.raw_capacity) {
-            return (Some(reason), false);
-        }
+        let found = self.index.get(id);
+        let mut head = found.map_or(Head::EMPTY, |at| self.series[at].head());
+        head.accept(timestamp_ms, value, retention.raw_capacity)?;
         // The id is cloned only for a series' first point.
-        let series = match stored {
-            Some(series) => series,
-            None => self.series.entry(id.clone()).or_default(),
-        };
-        let first_touch = series.last_batch != stamp;
-        series.last_batch = stamp;
+        let at = found.unwrap_or_else(|| self.insert(StoredSeries::new(id.clone())));
+        let series = &mut self.series[at];
         series.fingerprint = head.fingerprint;
         series.touched = true;
         self.points_written += 1;
         if series.append(timestamp_ms, value, retention) {
             self.points_evicted += 1;
         }
-        (None, first_touch)
+        Ok(at)
+    }
+
+    /// The series of `id`, if the store holds one.
+    fn get(&self, id: &MetricId) -> Option<&StoredSeries> {
+        self.index.get(id).map(|at| &self.series[at])
+    }
+
+    /// Stores `series`, whose id the store does not hold, at its place in
+    /// id order and returns that place. The series after it each move one
+    /// place on, in the index and in the current detailed batch alike. This
+    /// is the one step that compares names, once per new series.
+    fn insert(&mut self, series: StoredSeries) -> usize {
+        let at = match self.series.last() {
+            Some(last) if last.id > series.id => {
+                self.series.partition_point(|stored| stored.id < series.id)
+            }
+            _ => self.series.len(),
+        };
+        self.series.insert(at, series);
+        self.index.insert(&self.series, at);
+        for touched in &mut self.batch_touched {
+            *touched += usize::from(*touched >= at);
+        }
+        at
     }
 }
 
-/// One stored series with its incremental-analysis bookkeeping co-located,
-/// so the per-point ingestion path pays a single map lookup.
+/// One stored series — its id, its points and its incremental-analysis
+/// bookkeeping — co-located, so the per-point ingestion path pays a single
+/// index probe.
 ///
 /// The raw points live in plain vectors with a logical `start` offset: the
 /// retained window is always the contiguous suffix `[start..]`, so reads
@@ -507,6 +618,7 @@ impl StoreInner {
 /// compaction, bounding physical memory at twice the capacity.
 #[derive(Debug)]
 struct StoredSeries {
+    id: MetricId,
     timestamps_ms: Vec<u64>,
     values: Vec<f64>,
     /// Physical index of the first retained point.
@@ -526,9 +638,11 @@ struct StoredSeries {
     last_batch: u64,
 }
 
-impl Default for StoredSeries {
-    fn default() -> Self {
+impl StoredSeries {
+    /// A series of `id` that holds no point yet.
+    fn new(id: MetricId) -> Self {
         Self {
+            id,
             timestamps_ms: Vec::new(),
             values: Vec::new(),
             start: 0,
@@ -539,9 +653,7 @@ impl Default for StoredSeries {
             last_batch: 0,
         }
     }
-}
 
-impl StoredSeries {
     /// What the acceptance step reads of this series.
     fn head(&self) -> Head {
         Head {
@@ -770,7 +882,7 @@ impl MetricStore {
             return;
         };
         let mut evicted = 0u64;
-        for series in inner.series.values_mut() {
+        for series in &mut inner.series {
             let excess = series.window_len().saturating_sub(cap);
             if excess == 0 {
                 continue;
@@ -800,10 +912,7 @@ impl MetricStore {
     /// [`RetentionPolicy`], a point that overflows the window also evicts
     /// the oldest retained point into the downsampled tiers.
     pub fn record(&self, id: &MetricId, timestamp_ms: u64, value: f64) -> bool {
-        self.write()
-            .record_one(id, timestamp_ms, value, 0)
-            .0
-            .is_none()
+        self.write().record_one(id, timestamp_ms, value).is_ok()
     }
 
     /// Appends a batch of observations under a single write-lock
@@ -823,9 +932,7 @@ impl MetricStore {
         let mut inner = self.write();
         points
             .into_iter()
-            .filter(|&(id, timestamp_ms, value)| {
-                inner.record_one(id, timestamp_ms, value, 0).0.is_none()
-            })
+            .filter(|&(id, timestamp_ms, value)| inner.record_one(id, timestamp_ms, value).is_ok())
             .count()
     }
 
@@ -848,6 +955,14 @@ impl MetricStore {
     /// compare instead of a per-call `BTreeSet` — so a warm scratch outcome
     /// makes the whole call allocation-free apart from the store's own
     /// series growth.
+    ///
+    /// Nor does it compare a name, except to place a new series: each point
+    /// finds its series by one probe of the store's address index, the
+    /// batch collects the positions of the series it touched, and the
+    /// watermarks are those series in position order — which is id order.
+    /// An id is cloned only for an entry whose place held another series in
+    /// the outcome's previous list, so a batch naming the series its
+    /// predecessor named moves no reference count.
     pub fn record_batch_detailed_into<'a>(
         &self,
         outcome: &mut BatchOutcome,
@@ -855,30 +970,37 @@ impl MetricStore {
     ) {
         outcome.accepted = 0;
         outcome.rejected.clear();
-        outcome.watermarks.clear();
         let mut guard = self.write();
-        guard.batch_stamp += 1;
-        let stamp = guard.batch_stamp;
+        let inner = &mut *guard;
+        inner.batch_stamp += 1;
+        let stamp = inner.batch_stamp;
         for (index, (id, timestamp_ms, value)) in points.into_iter().enumerate() {
-            match guard.record_one(id, timestamp_ms, value, stamp) {
-                (None, first_touch) => {
+            match inner.record_one(id, timestamp_ms, value) {
+                Ok(at) => {
                     outcome.accepted += 1;
-                    if first_touch {
-                        // Fingerprint placeholder — filled in below, once
-                        // the batch's last write to the series is in.
-                        outcome.watermarks.push((id.clone(), 0));
+                    let series = &mut inner.series[at];
+                    if series.last_batch != stamp {
+                        series.last_batch = stamp;
+                        inner.batch_touched.push(at);
                     }
                 }
-                (Some(reason), _) => outcome.rejected.push((index, reason)),
+                Err(reason) => outcome.rejected.push((index, reason)),
             }
         }
-        outcome.watermarks.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (id, fingerprint) in &mut outcome.watermarks {
-            *fingerprint = guard
-                .series
-                .get(id)
-                .expect("series exists after accepting a point")
-                .fingerprint;
+        inner.batch_touched.sort_unstable();
+        // The list is rewritten in place: an entry that names the same
+        // series as the previous outcome's entry in its place keeps its id.
+        let watermarks = &mut outcome.watermarks;
+        watermarks.truncate(inner.batch_touched.len());
+        for (entry, at) in inner.batch_touched.drain(..).enumerate() {
+            let series = &inner.series[at];
+            match watermarks.get_mut(entry) {
+                Some((id, fingerprint)) if SeriesIndex::key(id) == SeriesIndex::key(&series.id) => {
+                    *fingerprint = series.fingerprint;
+                }
+                Some(stale) => *stale = (series.id.clone(), series.fingerprint),
+                None => watermarks.push((series.id.clone(), series.fingerprint)),
+            }
         }
     }
 
@@ -895,33 +1017,29 @@ impl MetricStore {
     /// applying the batch would silently corrupt the tenant instead of
     /// loudly degrading it.
     ///
-    /// Everything runs under one write-lock hold. The stored series from
-    /// the first listed id to the last are walked in step with the list,
-    /// once to load each listed series' head and once to apply. One pass
-    /// over the points runs the acceptance step live ingest runs — the
-    /// non-finite and monotone-timestamp gates, the fingerprint chain, and
-    /// the eviction tags the current retention policy would mix in — on
-    /// those heads, and chains each slot's accepted points. A slot
-    /// out of range, a listed series that accepts nothing or ends on
-    /// another fingerprint, or an `expected` not strictly ascending by
-    /// [`MetricId`] is a mismatch. Only when every slot matches does the
-    /// apply walk each slot's chain, pushing and evicting exactly as
-    /// [`MetricStore::record_batch`] would, and store the fingerprint the
-    /// simulation reached. `Some` is returned precisely when
-    /// `record_batch_detailed_into` on `(expected[slot].0, timestamp,
+    /// Everything runs under one write-lock hold. Each listed id finds its
+    /// series by one probe of the store's address index, which loads the
+    /// series' head. One pass over the points runs the acceptance step live
+    /// ingest runs — the non-finite and monotone-timestamp gates, the
+    /// fingerprint chain, and the eviction tags the current retention
+    /// policy would mix in — on those heads, and chains each slot's
+    /// accepted points. A slot out of range, a listed series that accepts
+    /// nothing or ends on another fingerprint, or an `expected` not
+    /// strictly ascending by [`MetricId`] is a mismatch. Only when every
+    /// slot matches does the apply walk each slot's chain, pushing and
+    /// evicting exactly as [`MetricStore::record_batch`] would, and store
+    /// the fingerprint the simulation reached. `Some` is returned precisely
+    /// when `record_batch_detailed_into` on `(expected[slot].0, timestamp,
     /// value)` reports `expected` (property-tested against a copy of the
     /// store).
     ///
     /// # Cost
     ///
-    /// O(p + s + w) for `p` points and `s` listed series, where `w` is the
-    /// number of stored series whose ids lie between the first and the
-    /// last listed one. A batch naming a run of adjacent ids — every series
-    /// of a scrape, or of one component — pays for no series it does not
-    /// name, and each step of the walk meets the interned key it is looking
-    /// for. A sparse batch pays for every stored series between its ends:
-    /// two series at opposite ends of a 4,096-series store cost a walk over
-    /// all 4,096.
+    /// O(p + s) for `p` points and `s` listed series, whatever else the
+    /// store holds: one probe per listed id, and no name compared between
+    /// two listed series the store already holds. A listed series the store
+    /// does not hold yet also pays to be placed — a binary search over the
+    /// stored ids and a move of every series after it.
     pub fn record_batch_verified<'a>(
         &self,
         points: &[(u32, u64, f64)],
@@ -929,42 +1047,32 @@ impl MetricStore {
     ) -> Option<usize> {
         let expected = expected.into_iter();
         let mut guard = self.write();
-        let StoreInner {
-            series,
-            retention,
-            points_written,
-            points_evicted,
-            verify,
-            ..
-        } = &mut *guard;
-        let mut last: Option<&MetricId> = None;
+        let inner = &mut *guard;
+        let retention = inner.retention;
+        inner.verify.slots.clear();
+        let mut previous: Option<(&MetricId, Option<usize>)> = None;
         for (id, _) in expected.clone() {
-            if last.is_some_and(|last| last >= id) {
-                return None;
+            let at = inner.index.get(id);
+            if let Some((before, before_at)) = previous {
+                let ascending = match (before_at, at) {
+                    (Some(before_at), Some(at)) => before_at < at,
+                    _ => before < id,
+                };
+                if !ascending {
+                    return None;
+                }
             }
-            last = Some(id);
-        }
-        let span = match (expected.clone().next(), last) {
-            (Some((first, _)), Some(last)) => (Bound::Included(first), Bound::Included(last)),
-            _ => (Bound::Unbounded, Bound::Unbounded),
-        };
-        verify.slots.clear();
-        let mut walk = series.range::<MetricId, _>(span);
-        let mut at = walk.next();
-        for (id, _) in expected.clone() {
-            while at.is_some_and(|(key, _)| key < id) {
-                at = walk.next();
-            }
-            let live = at.filter(|(key, _)| *key == id).map(|(_, live)| live);
-            verify.slots.push(Sim {
-                head: live.map_or(Head::EMPTY, StoredSeries::head),
+            previous = Some((id, at));
+            inner.verify.slots.push(Sim {
+                head: at.map_or(Head::EMPTY, |at| inner.series[at].head()),
                 accepted: 0,
-                stored: live.is_some(),
+                at,
                 first: None,
                 last: None,
             });
         }
 
+        let verify = &mut inner.verify;
         verify.next.clear();
         verify.next.resize(points.len(), None);
         for (point, &(slot, timestamp_ms, value)) in points.iter().enumerate() {
@@ -991,34 +1099,34 @@ impl MetricStore {
             return None;
         }
 
-        // A new series is stored first, so the walk meets every listed one.
-        for (sim, (id, _)) in verify.slots.iter().zip(expected.clone()) {
-            if !sim.stored {
-                series.insert(id.clone(), StoredSeries::default());
-            }
-        }
+        // The list ascends, so every series created so far was placed
+        // before the listed series that come after it.
+        let mut created = 0;
         let mut accepted = 0;
-        let mut walk = series.range_mut::<MetricId, _>(span);
-        for (sim, (id, _)) in verify.slots.iter().zip(expected) {
-            let stored = loop {
-                let (key, stored) = walk.next().expect("every listed series is stored");
-                if key == id {
-                    break stored;
+        for (slot, (id, _)) in expected.enumerate() {
+            let sim = inner.verify.slots[slot];
+            let at = match sim.at {
+                Some(at) => at + created,
+                None => {
+                    created += 1;
+                    inner.insert(StoredSeries::new(id.clone()))
                 }
             };
+            let stored = &mut inner.series[at];
+            debug_assert!(stored.id == *id, "slot {slot} resolved to another series");
             let mut chain = sim.first;
             while let Some(point) = chain {
                 let (_, timestamp_ms, value) = points[point];
-                if stored.append(timestamp_ms, value, *retention) {
-                    *points_evicted += 1;
+                if stored.append(timestamp_ms, value, retention) {
+                    inner.points_evicted += 1;
                 }
-                chain = verify.next[point];
+                chain = inner.verify.next[point];
             }
             stored.fingerprint = sim.head.fingerprint;
             stored.touched = true;
             accepted += sim.accepted;
         }
-        *points_written += accepted as u64;
+        inner.points_written += accepted as u64;
         Some(accepted)
     }
 
@@ -1038,10 +1146,10 @@ impl MetricStore {
         inner.epoch += 1;
         let epoch = inner.epoch;
         let mut touched = Vec::new();
-        for (id, series) in inner.series.iter_mut() {
+        for series in &mut inner.series {
             if series.touched {
                 series.touched = false;
-                touched.push(id.clone());
+                touched.push(series.id.clone());
             }
         }
         StoreDelta { epoch, touched }
@@ -1053,7 +1161,7 @@ impl MetricStore {
     /// collisions); any accepted point — and any eviction — changes the
     /// fingerprint.
     pub fn fingerprint(&self, id: &MetricId) -> Option<u64> {
-        self.read().series.get(id).map(|s| s.fingerprint)
+        self.read().get(id).map(|s| s.fingerprint)
     }
 
     /// Returns the most recent `(timestamp_ms, value)` observation of the
@@ -1063,7 +1171,7 @@ impl MetricStore {
     /// point, so this is retention-independent.
     pub fn last_value(&self, id: &MetricId) -> Option<(u64, f64)> {
         let inner = self.read();
-        let series = inner.series.get(id)?;
+        let series = inner.get(id)?;
         let t = *series.timestamps_ms.last()?;
         let v = *series.values.last()?;
         Some((t, v))
@@ -1073,7 +1181,7 @@ impl MetricStore {
     /// present.
     pub fn series(&self, id: &MetricId) -> Option<TimeSeries> {
         let inner = self.read();
-        inner.series.get(id).map(|s| s.window().to_series())
+        inner.get(id).map(|s| s.window().to_series())
     }
 
     /// The closed buckets of one downsampled tier of the series for `id`,
@@ -1081,7 +1189,7 @@ impl MetricStore {
     /// has not yet evicted enough points to close a bucket.
     pub fn downsampled(&self, id: &MetricId, tier: DownsampleTier) -> Vec<AggregateBucket> {
         let inner = self.read();
-        match inner.series.get(id) {
+        match inner.get(id) {
             None => Vec::new(),
             Some(series) => {
                 let ring = match tier {
@@ -1095,7 +1203,7 @@ impl MetricStore {
 
     /// All metric identifiers currently stored, sorted.
     pub fn metric_ids(&self) -> Vec<MetricId> {
-        self.read().series.keys().cloned().collect()
+        self.read().series.iter().map(|s| s.id.clone()).collect()
     }
 
     /// Names of all components that have at least one stored series.
@@ -1111,10 +1219,11 @@ impl MetricStore {
     pub fn for_each_component(&self, mut f: impl FnMut(&Name)) {
         let inner = self.read();
         let mut last: Option<&Name> = None;
-        for id in inner.series.keys() {
-            if last != Some(&id.component) {
-                f(&id.component);
-                last = Some(&id.component);
+        for series in &inner.series {
+            let component = &series.id.component;
+            if last != Some(component) {
+                f(component);
+                last = Some(component);
             }
         }
     }
@@ -1132,10 +1241,16 @@ impl MetricStore {
         mut f: impl FnMut(&MetricId, SeriesView<'_>),
     ) {
         let inner = self.read();
-        for (id, series) in &inner.series {
-            if id.component == component {
-                f(id, series.window());
-            }
+        // Ids sort by component first, so the component's series are one
+        // run.
+        let first = inner
+            .series
+            .partition_point(|series| series.id.component.as_str() < component);
+        for series in inner.series[first..]
+            .iter()
+            .take_while(|series| series.id.component == component)
+        {
+            f(&series.id, series.window());
         }
     }
 
@@ -1151,10 +1266,12 @@ impl MetricStore {
         mut f: impl FnMut(&MetricId, SeriesView<'_>),
     ) {
         let inner = self.read();
-        for (id, series) in &inner.series {
-            if id.metric == metric {
-                f(id, series.window());
-            }
+        for series in inner
+            .series
+            .iter()
+            .filter(|series| series.id.metric == metric)
+        {
+            f(&series.id, series.window());
         }
     }
 
@@ -1189,7 +1306,7 @@ impl MetricStore {
         self.read()
             .series
             .iter()
-            .map(|(id, s)| (id.clone(), s.window().to_series()))
+            .map(|s| (s.id.clone(), s.window().to_series()))
             .collect()
     }
 
@@ -1211,8 +1328,8 @@ impl MetricStore {
             series: inner
                 .series
                 .iter()
-                .map(|(id, s)| SeriesState {
-                    id: id.clone(),
+                .map(|s| SeriesState {
+                    id: s.id.clone(),
                     timestamps_ms: s.timestamps_ms[s.start..].to_vec(),
                     values: s.values[s.start..].to_vec(),
                     fingerprint: s.fingerprint,
@@ -1229,32 +1346,37 @@ impl MetricStore {
     /// fingerprints, epoch watermark, pending dirt, tier contents and
     /// counters under any subsequent sequence of operations.
     pub fn restore(state: StoreState) -> MetricStore {
-        let mut series = BTreeMap::new();
+        let mut inner = StoreInner {
+            series: Vec::with_capacity(state.series.len()),
+            epoch: state.epoch,
+            retention: state.retention,
+            points_written: state.points_written,
+            points_evicted: state.points_evicted,
+            ..StoreInner::default()
+        };
         for s in state.series {
-            series.insert(
-                s.id,
-                StoredSeries {
-                    timestamps_ms: s.timestamps_ms,
-                    values: s.values,
-                    start: 0,
-                    fingerprint: s.fingerprint,
-                    touched: s.touched,
-                    tier1: TierRing::thaw(s.tier1),
-                    tier2: TierRing::thaw(s.tier2),
-                    last_batch: 0,
-                },
-            );
+            let series = StoredSeries {
+                id: s.id,
+                timestamps_ms: s.timestamps_ms,
+                values: s.values,
+                start: 0,
+                fingerprint: s.fingerprint,
+                touched: s.touched,
+                tier1: TierRing::thaw(s.tier1),
+                tier2: TierRing::thaw(s.tier2),
+                last_batch: 0,
+            };
+            // An image lists each id once, in order, so this appends; an id
+            // listed twice keeps its last image.
+            match inner.index.get(&series.id) {
+                Some(at) => inner.series[at] = series,
+                None => {
+                    inner.insert(series);
+                }
+            }
         }
         MetricStore {
-            inner: Arc::new(RwLock::new(StoreInner {
-                series,
-                epoch: state.epoch,
-                retention: state.retention,
-                points_written: state.points_written,
-                points_evicted: state.points_evicted,
-                batch_stamp: 0,
-                verify: VerifyScratch::default(),
-            })),
+            inner: Arc::new(RwLock::new(inner)),
         }
     }
 
@@ -1266,7 +1388,7 @@ impl MetricStore {
         let inner = self.read();
         let reduced = MetricStore::with_retention(inner.retention);
         for id in keep {
-            if let Some(series) = inner.series.get(id) {
+            if let Some(series) = inner.get(id) {
                 reduced.record_batch(series.window().iter().map(|(t, v)| (id, t, v)));
             }
         }
@@ -1295,7 +1417,13 @@ mod tests {
         store: &MetricStore,
         points: impl IntoIterator<Item = (&'a MetricId, u64, f64)>,
     ) -> BatchOutcome {
-        let mut outcome = BatchOutcome::default();
+        // An outcome a previous batch used: the call rewrites all of it.
+        let stale = (MetricId::new("stale", "entry"), 1);
+        let mut outcome = BatchOutcome {
+            accepted: 7,
+            rejected: vec![(0, RejectReason::NonFiniteValue)],
+            watermarks: vec![stale; 3],
+        };
         store.record_batch_detailed_into(&mut outcome, points);
         outcome
     }
@@ -1614,7 +1742,7 @@ mod tests {
             store.record(&id, t, t as f64);
         }
         let inner = store.read();
-        let series = inner.series.get(&id).unwrap();
+        let series = inner.get(&id).unwrap();
         assert!(
             series.start < 8,
             "start {} must stay below cap",
@@ -1897,8 +2025,8 @@ mod tests {
                 .flat_map(|id| (0..4u64).map(move |t| (id, t * 500, t as f64))),
         );
         let new = MetricId::new("c31", "m2048a");
-        // One series of 4,096; a series the store does not hold yet; and the
-        // store's first and last series, whose walk spans all 4,096.
+        // One series of 4,096; a series the store does not hold yet, placed
+        // mid-store; and the store's first and last series.
         let named: [&[&MetricId]; 3] = [&[&ids[2049]], &[&new], &[&ids[0], &ids[4095]]];
         for (case, named) in named.into_iter().enumerate() {
             let before = store.freeze();
@@ -1958,6 +2086,112 @@ mod tests {
             );
             assert_eq!(store.freeze(), before);
         }
+    }
+
+    /// One batch of `round` as owned strings: a point of each of `series`
+    /// series, newest component first, so the batch is not in id order.
+    fn owned_batch(round: u64, series: u64) -> Vec<(String, String, u64, f64)> {
+        (0..series)
+            .rev()
+            .map(|i| {
+                let value = ((round * 17 + i * 5) % 23) as f64;
+                (
+                    format!("c{}", i % 3),
+                    format!("m{i:02}"),
+                    round * 500,
+                    value,
+                )
+            })
+            .collect()
+    }
+
+    /// A store fed `points` in one go, through ids built once per series.
+    fn reference_store(
+        retention: RetentionPolicy,
+        points: &[(String, String, u64, f64)],
+    ) -> MetricStore {
+        let store = MetricStore::with_retention(retention);
+        let ids: BTreeMap<(&str, &str), MetricId> = points
+            .iter()
+            .map(|(c, m, ..)| ((c.as_str(), m.as_str()), MetricId::new(c, m)))
+            .collect();
+        for (c, m, t, v) in points {
+            store.record(&ids[&(c.as_str(), m.as_str())], *t, *v);
+        }
+        store
+    }
+
+    #[test]
+    fn ids_built_from_fresh_strings_land_in_the_series_the_first_batch_created() {
+        let retention = RetentionPolicy::windowed(8);
+        let store = MetricStore::with_retention(retention);
+        let mut fed = Vec::new();
+        let mut outcome = BatchOutcome::default();
+        for round in 0..20 {
+            // Every id of every batch is interned anew from a fresh
+            // `String`, so only the interner ties it to the stored one.
+            let batch = owned_batch(round, 12);
+            let ids: Vec<MetricId> = batch
+                .iter()
+                .map(|(c, m, ..)| MetricId::new(c.clone(), m.clone()))
+                .collect();
+            store.record_batch_detailed_into(
+                &mut outcome,
+                ids.iter().zip(&batch).map(|(id, (.., t, v))| (id, *t, *v)),
+            );
+            assert_eq!(outcome.accepted, 12, "round {round}");
+            assert_eq!(store.series_count(), 12, "round {round}");
+            let live: Vec<(MetricId, u64)> = store
+                .metric_ids()
+                .into_iter()
+                .map(|id| {
+                    let fingerprint = store.fingerprint(&id).unwrap();
+                    (id, fingerprint)
+                })
+                .collect();
+            assert_eq!(outcome.watermarks, live, "round {round}");
+            fed.extend(batch);
+        }
+        assert_eq!(store.freeze(), reference_store(retention, &fed).freeze());
+    }
+
+    #[test]
+    fn an_interner_sweep_between_batches_moves_no_point_to_another_series() {
+        let retention = RetentionPolicy::unbounded();
+        let store = MetricStore::with_retention(retention);
+        let mut fed = Vec::new();
+        let mut churned = 0usize;
+        for round in 0..4 {
+            let mut batch = owned_batch(round, 6);
+            // A series first seen this round, named after the churn freed
+            // the allocations it could reuse.
+            batch.push((format!("new{round}"), "m".to_string(), round * 500, 1.0));
+            let ids: Vec<MetricId> = batch
+                .iter()
+                .map(|(c, m, ..)| MetricId::new(c.as_str(), m.as_str()))
+                .collect();
+            store.record_batch(ids.iter().zip(&batch).map(|(id, (.., t, v))| (id, *t, *v)));
+            fed.extend(batch);
+            drop(ids);
+
+            // Churn throwaway names — each probed against the store and
+            // dropped — until the interner has swept, and at least twice
+            // its sweep floor (1,024) of them.
+            let mut swept = false;
+            let mut this_round = 0usize;
+            while !(swept && this_round > 2 * 1024) {
+                assert!(this_round < 1 << 20, "the interner never swept");
+                let before = Name::interned_count();
+                let throwaway = MetricId::new(format!("churn{churned}"), "m");
+                assert_eq!(store.fingerprint(&throwaway), None);
+                drop(throwaway);
+                swept |= Name::interned_count() <= before;
+                churned += 1;
+                this_round += 1;
+            }
+        }
+        assert_eq!(store.series_count(), 6 + 4);
+        assert_eq!(store.freeze(), reference_store(retention, &fed).freeze());
     }
 
     #[test]

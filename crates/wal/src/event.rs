@@ -49,6 +49,7 @@ use crate::codec::{
     DecodeResult, IdMemo,
 };
 use sieve_core::config::SieveConfig;
+use sieve_exec::hash::addr_pair_hash;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricId, RetentionPolicy};
@@ -379,8 +380,8 @@ thread_local! {
 
 /// A batch's watermark list, indexed by the addresses of each id's two
 /// interned names: open addressing with linear probing, at most half full.
-/// Interning gives each distinct name one allocation, so equal addresses
-/// are equal ids and a point's id — a clone of the one its watermark was
+/// The list keeps its ids alive, so equal addresses are equal ids (see
+/// [`Name::addr`]) and a point's id — a clone of the one its watermark was
 /// cloned from — is found in one or two probes, without comparing a byte
 /// of either name.
 #[derive(Default)]
@@ -407,19 +408,13 @@ struct SlotCell {
 impl SlotIndex {
     /// The addresses that key `id`.
     fn key(id: &MetricId) -> (usize, usize) {
-        (
-            id.component.as_str().as_ptr() as usize,
-            id.metric.as_str().as_ptr() as usize,
-        )
+        (id.component.addr(), id.metric.addr())
     }
 
-    /// The first cell to probe for `key`: the top bits of a multiplicative
-    /// hash, which every address bit reaches (allocations share their low
-    /// and high bits, so those alone would collide).
+    /// The first cell to probe for `key`: the top bits of its
+    /// [`addr_pair_hash`].
     fn home(&self, (component, metric): (usize, usize)) -> usize {
-        const K: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mixed = ((component as u64).wrapping_mul(K) ^ metric as u64).wrapping_mul(K);
-        (mixed >> self.shift) as usize & self.mask
+        (addr_pair_hash(component, metric) >> self.shift) as usize & self.mask
     }
 
     /// Indexes `watermarks`; an id listed twice keeps its first slot.

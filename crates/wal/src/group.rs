@@ -87,6 +87,10 @@ struct Progress {
     /// Inclusive `(first, last, reason)` ranges whose media write
     /// failed. `committed_seq` advances past them (non-sticky).
     failed: Vec<(u64, u64, String)>,
+    /// Followers blocked on the condvar right now. A leader wakes them only
+    /// when there are any: a `notify_all` nobody waits for still costs a
+    /// futex call on Linux, and a lone writer would pay it on every commit.
+    parked: usize,
 }
 
 impl Progress {
@@ -150,6 +154,7 @@ impl GroupCommitLog {
                 committed_seq: next_seq - 1,
                 drained_seq: next_seq - 1,
                 failed: Vec::new(),
+                parked: 0,
             }),
             committed: Condvar::new(),
             frames_committed: AtomicU64::new(0),
@@ -243,10 +248,12 @@ impl GroupCommitLog {
                 && progress.failure_for(seq).is_none()
                 && progress.drained_seq >= seq
             {
+                progress.parked += 1;
                 progress = self
                     .committed
                     .wait(progress)
                     .expect("wal progress poisoned");
+                progress.parked -= 1;
             }
             drop(progress);
             let waited = started.elapsed().as_nanos() as u64;
@@ -314,7 +321,11 @@ impl GroupCommitLog {
             // drained frames are gone either way, and followers of later
             // writes must not block behind a dead range.
             progress.committed_seq = staged_through;
-            self.committed.notify_all();
+            // A follower counts itself parked under this lock before it
+            // waits, so none can be missed here.
+            if progress.parked > 0 {
+                self.committed.notify_all();
+            }
         }
         bytes.clear();
         committer.spare = bytes;
