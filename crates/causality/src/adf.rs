@@ -43,11 +43,15 @@ impl AdfResult {
 
 /// Default number of lagged differences, Schwert's rule of thumb
 /// `floor(12 * (n/100)^0.25)` capped to keep enough observations.
+///
+/// The fourth root is two square roots: `sqrt` is correctly rounded on
+/// every IEEE host, where `powf` is the platform libm's. The floored lag
+/// agrees with the `powf` form for every `n` up to 2^24 (tested).
 pub fn default_lag_order(n: usize) -> usize {
     if n < 10 {
         return 0;
     }
-    let schwert = (12.0 * (n as f64 / 100.0).powf(0.25)).floor() as usize;
+    let schwert = (12.0 * (n as f64 / 100.0).sqrt().sqrt()).floor() as usize;
     schwert.min(n / 3)
 }
 
@@ -212,6 +216,14 @@ mod tests {
         assert!(default_lag_order(1000) > default_lag_order(100));
         // Never uses more than a third of the data.
         assert!(default_lag_order(30) <= 10);
+    }
+
+    #[test]
+    fn default_lag_order_floors_like_the_powf_form() {
+        for n in 10..=1usize << 24 {
+            let powf = ((12.0 * (n as f64 / 100.0).powf(0.25)).floor() as usize).min(n / 3);
+            assert_eq!(default_lag_order(n), powf, "n = {n}");
+        }
     }
 
     /// The ADF statistic as the parent computed it: the fit on the same

@@ -4,10 +4,18 @@
 //! names through every layer: the simulator's store, the call graph, the
 //! per-component clusterings and the dependency graph. Keying all of those
 //! by `String` means every hand-off clones heap data and every map lookup
-//! compares bytes. [`Name`] replaces that with a process-wide interned
-//! `Arc<str>`: cloning is a reference-count bump, and equality tests hit the
-//! pointer-identity fast path (two interned names are equal iff they share
-//! the same allocation).
+//! compares bytes. [`Name`] replaces that with a handle to a process-wide
+//! interned string: cloning is a reference-count bump, and equality tests
+//! hit the pointer-identity fast path (two interned names are equal iff
+//! they share the same allocation).
+//!
+//! The handle is one word. It is an `Arc<Box<str>>` rather than a fat
+//! `Arc<str>` (pointer plus length), so a `(component, metric)` id is two
+//! words, and the names inside every point, series key and batch entry
+//! take half the space fat pointers did. The price is a second allocation
+//! (the `Box<str>` behind the `Arc`), paid once per distinct string when
+//! it is interned, and one more pointer hop when the bytes are read — which
+//! the pointer-identity fast paths mostly avoid.
 //!
 //! Determinism matters for the pipeline (serial and parallel runs must
 //! produce identical models), so [`Name`] deliberately orders and hashes by
@@ -33,14 +41,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// assert_eq!(a.as_str(), "web");
 /// ```
 #[derive(Clone)]
-pub struct Name(Arc<str>);
+pub struct Name(Arc<Box<str>>);
 
 /// The pool sweeps dead entries whenever it has doubled since the last
 /// sweep (with this floor, so small working sets never pay for sweeps).
 const SWEEP_FLOOR: usize = 1024;
 
 struct Pool {
-    entries: HashSet<Arc<str>>,
+    /// One `Name` per distinct string. `Name` hashes and compares by
+    /// content and borrows as `str`, so the pool answers `&str` lookups.
+    entries: HashSet<Name>,
     /// Pool size right after the previous sweep; growth is measured
     /// against this.
     last_sweep_len: usize,
@@ -61,7 +71,7 @@ impl Name {
     pub fn new(s: &str) -> Self {
         let mut pool = pool().lock().expect("interner poisoned");
         if let Some(existing) = pool.entries.get(s) {
-            return Name(existing.clone());
+            return existing.clone();
         }
         // Amortised garbage collection: once the pool has doubled since the
         // last sweep, drop entries no live `Name` refers to any more. This
@@ -69,12 +79,12 @@ impl Name {
         // churns (per-instance ids, per-run labels), at O(1) amortised cost
         // per intern.
         if pool.entries.len() >= pool.last_sweep_len.max(SWEEP_FLOOR) * 2 {
-            pool.entries.retain(|entry| Arc::strong_count(entry) > 1);
+            pool.entries.retain(|entry| Arc::strong_count(&entry.0) > 1);
             pool.last_sweep_len = pool.entries.len();
         }
-        let arc: Arc<str> = Arc::from(s);
-        pool.entries.insert(arc.clone());
-        Name(arc)
+        let name = Name(Arc::new(Box::from(s)));
+        pool.entries.insert(name.clone());
+        name
     }
 
     /// The interned string.
@@ -82,8 +92,8 @@ impl Name {
         &self.0
     }
 
-    /// The address of the interned string: a key that identifies the name
-    /// without reading a byte of it.
+    /// The address of the interned allocation: a key that identifies the
+    /// name without reading a byte of it.
     ///
     /// Two live names have equal addresses exactly when they are equal.
     /// The pool hands out one allocation per distinct string for as long
@@ -95,7 +105,7 @@ impl Name {
     /// equal address *is* the stored name, and an address that matches
     /// nothing stored is a name the table does not hold.
     pub fn addr(&self) -> usize {
-        self.0.as_ptr() as usize
+        Arc::as_ptr(&self.0) as usize
     }
 
     /// Number of distinct strings currently interned (diagnostics only).
@@ -253,7 +263,19 @@ mod tests {
         let a = Name::new("intern_dedup_test_key");
         let b = Name::new("intern_dedup_test_key");
         assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(a.addr(), b.addr());
         assert_eq!(a, b);
+        let other = Name::new("intern_dedup_test_other_key");
+        assert_ne!(a.addr(), other.addr());
+        assert_ne!(a, other);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_name_is_one_word() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Name>(), size_of::<usize>());
+        assert_eq!(size_of::<Option<Name>>(), size_of::<usize>());
     }
 
     #[test]
@@ -303,6 +325,7 @@ mod tests {
         let a = Name::new("cheap_clone_test");
         let b = a.clone();
         assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(a.addr(), b.addr());
     }
 
     #[test]
@@ -323,5 +346,9 @@ mod tests {
         // same allocation.
         let again = Name::new("sweep_test_live_name");
         assert!(Arc::ptr_eq(&live.0, &again.0));
+        assert_eq!(live.addr(), again.addr());
+        // A name interned after the sweeps is a distinct live allocation.
+        let fresh = Name::new("sweep_test_fresh_name");
+        assert_ne!(live.addr(), fresh.addr());
     }
 }

@@ -34,6 +34,14 @@ fn ingest_wave(service: &SieveService, tenant: &str, ticks: std::ops::Range<u64>
     service.ingest(tenant, &points).unwrap();
 }
 
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn a_metric_point_is_four_words() {
+    // Two one-word names, the timestamp and the value: buffered batches
+    // cost 32 bytes a point.
+    assert_eq!(std::mem::size_of::<MetricPoint>(), 32);
+}
+
 fn web_db_graph() -> CallGraph {
     let mut graph = CallGraph::new();
     graph.record_calls("web", "db", 100);

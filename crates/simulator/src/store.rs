@@ -1429,6 +1429,12 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_metric_id_is_two_words() {
+        assert_eq!(std::mem::size_of::<MetricId>(), 16);
+    }
+
+    #[test]
     fn record_and_query_roundtrip() {
         let store = populated();
         assert_eq!(store.series_count(), 6);
