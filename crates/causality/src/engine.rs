@@ -174,8 +174,7 @@ pub fn granger_causes_prepared(
     // Cached ADF verdicts replace the two per-pair ADF runs; the cached
     // differenced buffers (with their variances) replace the per-pair
     // `first_difference` allocations and variance re-checks.
-    let differenced =
-        config.difference_non_stationary && (!x.is_stationary() || !y.is_stationary());
+    let differenced = !x.is_stationary() || !y.is_stationary();
     let (xs, ys) = if differenced {
         let (dx, vx) = x.differenced();
         let (dy, vy) = y.differenced();

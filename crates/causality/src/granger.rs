@@ -27,20 +27,16 @@ pub struct GrangerConfig {
     pub max_lag: usize,
     /// Significance level for rejecting the "does not Granger-cause" null.
     pub significance: f64,
-    /// Whether to first-difference series that fail the ADF stationarity
-    /// test (Sieve always does).
-    pub difference_non_stationary: bool,
-    /// Minimum number of observations required to attempt the test.
-    pub min_observations: usize,
 }
+
+/// Minimum number of observations a test needs before it is attempted.
+pub const MIN_OBSERVATIONS: usize = 30;
 
 impl Default for GrangerConfig {
     fn default() -> Self {
         Self {
             max_lag: 3,
             significance: 0.05,
-            difference_non_stationary: true,
-            min_observations: 30,
         }
     }
 }
@@ -120,7 +116,7 @@ impl GrangerResult {
 ///
 /// * [`CausalityError::LengthMismatch`] when the series differ in length.
 /// * [`CausalityError::TooFewObservations`] when fewer than
-///   `config.min_observations` samples are available.
+///   [`MIN_OBSERVATIONS`] samples are available.
 /// * [`CausalityError::InvalidParameter`] when `max_lag` is zero or the
 ///   significance level is outside `(0, 1)`.
 pub fn granger_causes(x: &[f64], y: &[f64], config: &GrangerConfig) -> Result<GrangerResult> {
@@ -134,7 +130,7 @@ pub fn granger_causes(x: &[f64], y: &[f64], config: &GrangerConfig) -> Result<Gr
     // Difference when either series is non-stationary (as Sieve does for
     // counters); both are differenced to keep them aligned. Stationary
     // inputs are tested in place — no copy is taken.
-    let differenced = config.difference_non_stationary && (!is_stationary(x) || !is_stationary(y));
+    let differenced = !is_stationary(x) || !is_stationary(y);
     let (xs, ys): (Cow<'_, [f64]>, Cow<'_, [f64]>) = if differenced {
         (first_difference(x).into(), first_difference(y).into())
     } else {
@@ -163,9 +159,9 @@ pub(crate) fn validate_inputs(x_len: usize, y_len: usize, config: &GrangerConfig
         });
     }
     config.validate()?;
-    if x_len < config.min_observations {
+    if x_len < MIN_OBSERVATIONS {
         return Err(CausalityError::TooFewObservations {
-            required: config.min_observations,
+            required: MIN_OBSERVATIONS,
             actual: x_len,
         });
     }
@@ -449,7 +445,7 @@ mod tests {
     fn default_config_matches_paper_choices() {
         let cfg = GrangerConfig::default();
         assert_eq!(cfg.significance, 0.05);
-        assert!(cfg.difference_non_stationary);
+        assert_eq!(MIN_OBSERVATIONS, 30);
         assert!(cfg.max_lag >= 1);
     }
 }

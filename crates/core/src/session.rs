@@ -146,9 +146,7 @@ fn config_fingerprint(config: &SieveConfig) -> u64 {
     fp = mix(fp, config.max_clusters as u64);
     fp = mix(fp, config.kshape_max_iterations as u64);
     fp = mix(fp, config.granger.max_lag as u64);
-    fp = mix_f64(fp, config.granger.significance);
-    fp = mix(fp, u64::from(config.granger.difference_non_stationary));
-    mix(fp, config.granger.min_observations as u64)
+    mix_f64(fp, config.granger.significance)
 }
 
 /// A long-lived, dirty-tracking analysis of one application.

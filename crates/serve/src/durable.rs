@@ -17,8 +17,8 @@ use crate::tenant::{Mutation, Tenant};
 use crate::{Result, ServeError};
 use sieve_exec::hash::shard_index;
 use sieve_wal::{
-    log_file_name, snapshot_file_name, GroupCommitLog, ShardSnapshot, TenantSnapshot, WalError,
-    WalEvent,
+    log_file_name, read_format, snapshot_file_name, write_format, GroupCommitLog, ShardSnapshot,
+    TenantSnapshot, WalError, WalEvent, FORMAT,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,9 +133,10 @@ impl DurableLog {
         for (_, path) in shard_files(&durability.dir)? {
             std::fs::remove_file(path).map_err(WalError::from)?;
         }
+        write_format(&durability.dir)?;
         let durable = Self::open(durability, std::iter::repeat(1).take(shard_count))?;
-        // The fresh logs' entries are on disk before a frame is committed
-        // into them.
+        // The format record's and the fresh logs' entries are on disk
+        // before a frame is committed into them.
         sync_dir(&durability.dir)?;
         Ok(durable)
     }
@@ -317,6 +318,23 @@ pub(crate) fn written_shard_count(dir: &Path) -> Result<usize> {
         count = count.max(past);
     }
     Ok(count)
+}
+
+/// Refuses the durable directory `dir`, which holds shard files, unless its
+/// format record names this build's format. Reads the record's fixed-size
+/// header and changes nothing.
+///
+/// # Errors
+///
+/// [`ServeError::FormatTooOld`] when there is no record or it names an
+/// older format, [`ServeError::FormatTooNew`] when it names a newer one,
+/// [`ServeError::Wal`] when it cannot be read or is not a format record.
+pub(crate) fn check_format(dir: &Path) -> Result<()> {
+    match read_format(dir)? {
+        Some(FORMAT) => Ok(()),
+        Some(found) if found > FORMAT => Err(ServeError::FormatTooNew { found }),
+        found => Err(ServeError::FormatTooOld { found }),
+    }
 }
 
 /// Syncs the directory `dir` itself, so the entries created, renamed or

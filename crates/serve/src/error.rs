@@ -36,6 +36,22 @@ pub enum ServeError {
         /// The underlying write-ahead-log error.
         source: sieve_wal::WalError,
     },
+    /// Recovery met a durable directory of an older on-disk format than
+    /// this build's ([`sieve_wal::FORMAT`]): shard files with no format
+    /// record (every build before format records), or a record naming a
+    /// lower number. This build has no reader for it; the directory is
+    /// left as found.
+    FormatTooOld {
+        /// The number the record names, `None` when there is no record.
+        found: Option<u32>,
+    },
+    /// Recovery met a durable directory whose format record names a newer
+    /// format than this build's ([`sieve_wal::FORMAT`]): a later build
+    /// wrote it. The directory is left as found.
+    FormatTooNew {
+        /// The number the record names.
+        found: u32,
+    },
     /// Recovery met a whole, checksum-verified log frame whose event tag
     /// this build does not read: another build wrote it. The directory is
     /// left as found rather than truncated at a frame that is not corrupt.
@@ -71,6 +87,24 @@ impl std::fmt::Display for ServeError {
             Self::Wal { source } => {
                 write!(f, "durability layer failure: {source}")
             }
+            Self::FormatTooOld { found } => {
+                match found {
+                    Some(found) => write!(f, "the durable directory is of format {found}")?,
+                    None => write!(f, "the durable directory has no format record")?,
+                }
+                write!(
+                    f,
+                    ", older than this build's format {}: recover it with the build that \
+                     wrote it",
+                    sieve_wal::FORMAT
+                )
+            }
+            Self::FormatTooNew { found } => write!(
+                f,
+                "the durable directory is of format {found}, newer than this build's format \
+                 {}: recover it with the build that wrote it",
+                sieve_wal::FORMAT
+            ),
             Self::UnknownEventTag { shard, offset, tag } => write!(
                 f,
                 "shard {shard}'s log holds a verified frame of event tag {tag} at byte \
@@ -117,6 +151,18 @@ mod tests {
         assert!(
             e.to_string()
                 .starts_with("shard 3's log holds a verified frame of event tag 7 at byte 4096"),
+            "{e}"
+        );
+        let e = ServeError::FormatTooOld { found: None };
+        assert!(
+            e.to_string()
+                .starts_with("the durable directory has no format record, older than"),
+            "{e}"
+        );
+        let e = ServeError::FormatTooNew { found: 9 };
+        assert!(
+            e.to_string()
+                .starts_with("the durable directory is of format 9, newer than"),
             "{e}"
         );
     }

@@ -126,8 +126,7 @@ pub struct ShardRecovery {
     /// was none).
     pub log_bytes: u64,
     /// Metric ids read from the log: one per watermark of every ingest
-    /// frame decoded, resynchronized frames included, and one more per
-    /// point of a frame written before points named their series by slot.
+    /// frame decoded, resynchronized frames included.
     pub ids_decoded: u64,
     /// Of those, the distinct ids, each interned once.
     pub ids_interned: u64,

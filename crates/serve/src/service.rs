@@ -1,7 +1,7 @@
 //! The multi-tenant analysis service.
 
 use crate::config::ServeConfig;
-use crate::durable::{written_shard_count, DurableLog};
+use crate::durable::{check_format, written_shard_count, DurableLog};
 use crate::recovery::{ns_since, recover_shard, shard_count_mismatch, RecoveryReport};
 use crate::registry::ShardedRegistry;
 use crate::stats::ServiceStats;
@@ -13,7 +13,7 @@ use sieve_core::session::SessionStats;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricStore, RetentionPolicy};
-use sieve_wal::{WalError, WalEvent};
+use sieve_wal::{write_format, WalError, WalEvent};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -74,7 +74,8 @@ impl SieveService {
     /// created (if absent) and **wiped of any previous service's logs and
     /// snapshots** — every shard file in it, whatever shard count the
     /// previous service ran with: a new service starts empty by
-    /// definition. To resume a previous incarnation's tenants from its
+    /// definition. It then names this build's on-disk format in its
+    /// format record. To resume a previous incarnation's tenants from its
     /// durable state, use [`SieveService::recover`] instead.
     ///
     /// # Errors
@@ -468,6 +469,16 @@ impl SieveService {
     /// re-snapshotted and the logs are truncated, so the corrupt tail is
     /// physically gone and a second recovery is clean by construction.
     ///
+    /// The directory must be of this build's on-disk format
+    /// ([`sieve_wal::FORMAT`]), which its format record names: each
+    /// structure in it then has one layout and one reader. A directory with
+    /// shard files and no record, or a record naming an older format, is
+    /// refused as [`ServeError::FormatTooOld`]; one naming a newer format as
+    /// [`ServeError::FormatTooNew`]. Both refusals come before anything
+    /// else is read, with the directory left byte for byte as found, and
+    /// neither is corruption. A directory with no shard files is fresh,
+    /// whatever it holds besides.
+    ///
     /// `config.shard_count` must be the shard count the directory was
     /// written with — tenant routing depends on it. Shard files beyond the
     /// count, a snapshot in another shard's file, or a tenant found in a
@@ -478,6 +489,8 @@ impl SieveService {
     ///
     /// # Errors
     ///
+    /// [`ServeError::FormatTooOld`] and [`ServeError::FormatTooNew`] when
+    /// the directory is of another on-disk format,
     /// [`ServeError::InvalidConfig`] when `config` has no durability
     /// section (or is otherwise invalid) or the directory was written
     /// with a different shard count, [`ServeError::UnknownEventTag`] when a
@@ -496,6 +509,9 @@ impl SieveService {
         let dir = &durability.dir;
         std::fs::create_dir_all(dir).map_err(WalError::from)?;
         let written = written_shard_count(dir)?;
+        if written > 0 {
+            check_format(dir)?;
+        }
         if written > shard_count {
             let found = format!("the files of {written} shards");
             return Err(shard_count_mismatch(shard_count, found));
@@ -510,6 +526,12 @@ impl SieveService {
         }
         let next_seqs = shards.iter().map(|shard| shard.recovered_through_seq + 1);
         let started = std::time::Instant::now();
+        // A directory that held no shard file is stamped with this build's
+        // format before its re-anchor creates some (the re-anchor's
+        // directory sync covers the record); any other already names it.
+        if written == 0 {
+            write_format(dir)?;
+        }
         let durable = DurableLog::reanchor(&durability, &registry, next_seqs)?;
         let reanchor_ns = ns_since(started);
         let service = Self::assemble(config, registry, Some(durable));

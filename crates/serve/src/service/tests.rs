@@ -826,8 +826,8 @@ fn a_verified_frame_of_an_unknown_tag_is_refused_not_truncated() {
 fn a_verified_frame_of_the_retired_tag_1_is_refused_not_truncated() {
     let dir = temp_dir("unknown-tag-1");
     let config = directory_to_extend(&dir);
-    // A tenant-created record in the layout tag 1 framed: a configuration
-    // two bytes longer than today's.
+    // A tenant-created record in tag 1's framing: a configuration with
+    // two bytes more.
     let mut payload = vec![1];
     sieve_wal::codec::put_str(&mut payload, "gamma");
     sieve_wal::codec::put_sieve_config(&mut payload, &config.analysis);
@@ -835,6 +835,118 @@ fn a_verified_frame_of_the_retired_tag_1_is_refused_not_truncated() {
     sieve_wal::codec::put_call_graph(&mut payload, &web_db_graph());
     let at = append_verified_frame(&dir, &config, "alpha", &payload);
     assert_recover_refuses_tag(&dir, config, at, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts that recovering `dir` is refused as being of another on-disk
+/// format, as `expected` names it, and that the refusal changed no byte on
+/// disk.
+fn assert_recover_refuses_format(dir: &std::path::Path, config: ServeConfig, expected: &str) {
+    let before = dir_bytes(dir);
+    match SieveService::recover(config) {
+        Err(error @ (ServeError::FormatTooOld { .. } | ServeError::FormatTooNew { .. })) => {
+            assert_eq!(format!("{error:?}"), expected);
+        }
+        other => panic!(
+            "expected {expected}, got {:?}",
+            other.map(|(_, report)| report.to_string())
+        ),
+    }
+    assert_eq!(
+        dir_bytes(dir),
+        before,
+        "a refusal leaves the directory as found"
+    );
+}
+
+#[test]
+fn a_directory_of_another_format_is_refused_and_left_untouched() {
+    let dir = temp_dir("other-format");
+    let config = directory_to_extend(&dir);
+    let record = dir.join(sieve_wal::FORMAT_FILE_NAME);
+    let ours = std::fs::read(&record).unwrap();
+    assert_eq!(ours[8..], sieve_wal::FORMAT.to_le_bytes());
+    // The record names the number after its eight-byte magic.
+    let naming = |format: u32| [&ours[..8], &format.to_le_bytes()].concat();
+
+    // Shard files beside no record: every build before format records.
+    std::fs::remove_file(&record).unwrap();
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: None }");
+    std::fs::write(&record, naming(sieve_wal::FORMAT - 1)).unwrap();
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: Some(4) }");
+    // The next format: a later build wrote the directory, and rolling back
+    // to this one refuses it rather than reading its snapshots as corrupt.
+    std::fs::write(&record, naming(sieve_wal::FORMAT + 1)).unwrap();
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooNew { found: 6 }");
+
+    // Named right again, the same directory recovers clean.
+    std::fs::write(&record, &ours).unwrap();
+    let (recovered, report) = SieveService::recover(config.clone()).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(recovered.tenants(), vec!["alpha", "beta"]);
+    drop(recovered);
+
+    // A directory without shard files is fresh, whatever record it holds,
+    // and recovering it writes this build's record.
+    for (name, _) in dir_bytes(&dir) {
+        if name.to_string_lossy().starts_with("wal-shard-") {
+            std::fs::remove_file(dir.join(name)).unwrap();
+        }
+    }
+    std::fs::write(&record, naming(sieve_wal::FORMAT + 1)).unwrap();
+    let (fresh, report) = SieveService::recover(config).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(fresh.tenant_count(), 0);
+    assert_eq!(std::fs::read(&record).unwrap(), ours);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_snapshot_version_other_than_the_directory_s_format_is_corruption() {
+    let dir = temp_dir("snapshot-version");
+    // One shard, snapshotted after its third event: `acme`'s creation and
+    // two waves are in the snapshot, the third wave is the log tail.
+    let config = tiny_config()
+        .with_shard_count(1)
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(3));
+    let service = SieveService::new(config.clone()).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap();
+    for round in 0..3u64 {
+        ingest_wave(&service, "acme", round * 10..(round + 1) * 10, 0.0);
+    }
+    drop(service);
+    let crashed = dir_bytes(&dir);
+    let path = dir.join(sieve_wal::snapshot_file_name(0));
+    let ours = std::fs::read(&path).unwrap();
+    assert_eq!(ours[8..12], sieve_wal::FORMAT.to_le_bytes());
+
+    // The directory names this build's format, so a snapshot that names
+    // another is damaged, not foreign: a flipped bit of the field, or the
+    // next format's number. Recovery falls back to the log, which no
+    // longer holds `acme`'s creation record.
+    for version in [sieve_wal::FORMAT ^ 1, sieve_wal::FORMAT + 1] {
+        let mut flipped = ours.clone();
+        flipped[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &flipped).unwrap();
+        let (recovered, report) = SieveService::recover(config.clone()).unwrap();
+        let shard = &report.shards[0];
+        assert!(shard.snapshot_corrupt, "version {version}");
+        assert_eq!(shard.snapshot_last_seq, 0, "version {version}");
+        assert_eq!(recovered.tenant_count(), 0, "version {version}");
+        assert_eq!(
+            report.tenant("acme").and_then(|t| t.lost_suffix()).copied(),
+            Some(crate::LostSuffix {
+                events: 1,
+                points: 40
+            }),
+            "version {version}: the tail wave of a tenant no record introduces"
+        );
+        drop(recovered);
+        // Recovery re-anchored the directory; put the crashed one back.
+        for (name, bytes) in &crashed {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -183,10 +183,8 @@ impl Hasher for WordHasher {
 /// encoded bytes.
 ///
 /// A shard log names the same few hundred series once per watermark of
-/// every batch (and, in tag-4 batches written before points named their
-/// series by slot, once more per point). Without the memo every one of
-/// those sights copies two strings and takes the process-wide interner
-/// lock twice; with it the
+/// every batch. Without the memo every one of those sights copies two
+/// strings and takes the process-wide interner lock twice; with it the
 /// first sight of an id validates its UTF-8 and interns it through
 /// [`MetricId::new`], and every later sight resolves to the entry holding
 /// it. The key is the id's *whole* encoded range —
@@ -203,7 +201,7 @@ impl Hasher for WordHasher {
 /// scraper's, tick after tick — are predicted at nearly every sight; a miss
 /// (the first batch, a new series, a reordered batch) falls back to the map
 /// and re-links the predecessor. Every sight runs through this one lane: a
-/// tag-4 batch's point ids and its watermarks, and a frozen store's series.
+/// batch's watermarks, and a frozen store's series.
 ///
 /// Owning its keys, one memo outlives the bytes it read: a
 /// [`crate::reader::LogFrames`] owns the one for its whole log across every
@@ -408,8 +406,6 @@ pub fn put_sieve_config(buf: &mut Vec<u8>, config: &SieveConfig) {
     let GrangerConfig {
         max_lag,
         significance,
-        difference_non_stationary,
-        min_observations,
     } = granger;
     put_u64(buf, *interval_ms);
     put_f64(buf, *variance_threshold);
@@ -418,8 +414,6 @@ pub fn put_sieve_config(buf: &mut Vec<u8>, config: &SieveConfig) {
     put_usize(buf, *kshape_max_iterations);
     put_usize(buf, *max_lag);
     put_f64(buf, *significance);
-    put_bool(buf, *difference_non_stationary);
-    put_usize(buf, *min_observations);
     put_usize(buf, *parallelism);
     put_retention(buf, retention);
 }
@@ -436,8 +430,6 @@ pub fn take_sieve_config(cur: &mut Cursor<'_>) -> DecodeResult<SieveConfig> {
         granger: GrangerConfig {
             max_lag: cur.take_usize("granger max_lag")?,
             significance: cur.take_f64("granger significance")?,
-            difference_non_stationary: cur.take_bool("granger differencing")?,
-            min_observations: cur.take_usize("granger min_observations")?,
         },
         parallelism: cur.take_usize("parallelism")?,
         retention: take_retention(cur)?,
@@ -580,32 +572,11 @@ pub fn put_store_state(buf: &mut Vec<u8>, state: &StoreState) {
 }
 
 /// Reads a complete frozen store image.
-///
-/// Version-2 snapshots carried two more fields per store, which
-/// `with_accounting` steps over: an optional cost model (a tag byte, then
-/// five `f64`s) after the retention policy, and a read counter after the
-/// evicted counter.
-pub fn take_store_state(
-    cur: &mut Cursor<'_>,
-    memo: &mut IdMemo,
-    with_accounting: bool,
-) -> DecodeResult<StoreState> {
+pub fn take_store_state(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<StoreState> {
     let retention = take_retention(cur)?;
-    if with_accounting {
-        match cur.take_u8("v2 cost model tag")? {
-            0 => {}
-            1 => {
-                cur.take(40, "v2 cost model")?;
-            }
-            other => return Err(format!("v2 cost model tag: invalid byte {other}")),
-        }
-    }
     let epoch = cur.take_u64("store epoch")?;
     let points_written = cur.take_u64("store points_written")?;
     let points_evicted = cur.take_u64("store points_evicted")?;
-    if with_accounting {
-        cur.take_u64("v2 read counter")?;
-    }
     let series_len = cur.take_usize("store series count")?;
     let mut series = Vec::with_capacity(series_len.min(4096));
     for _ in 0..series_len {
@@ -719,8 +690,6 @@ mod tests {
             granger: GrangerConfig {
                 max_lag: 5,
                 significance: 0.01,
-                difference_non_stationary: false,
-                min_observations: 41,
             },
             parallelism: SieveConfig::default().parallelism + 1,
             retention: RetentionPolicy::windowed(128).with_tier_capacity(32),
@@ -753,8 +722,7 @@ mod tests {
         let state = store.freeze();
         let mut buf = Vec::new();
         put_store_state(&mut buf, &state);
-        let decoded =
-            take_store_state(&mut Cursor::new(&buf), &mut IdMemo::default(), false).unwrap();
+        let decoded = take_store_state(&mut Cursor::new(&buf), &mut IdMemo::default()).unwrap();
         assert_eq!(decoded, state);
         assert_eq!(
             MetricStore::restore(decoded).freeze(),

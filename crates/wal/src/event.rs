@@ -17,8 +17,7 @@
 //!
 //! Every accepted point's series has a watermark, so a batch names each
 //! series once, in memory and on disk: a point holds the *slot* of its
-//! series in the watermark list. A slotted ingest payload (event tag 6, the
-//! only ingest layout this build writes) is
+//! series in the watermark list. An ingest payload (event tag 6) is
 //!
 //! ```text
 //! [6][tenant: u32 len + UTF-8][watermark count: u64]
@@ -28,20 +27,19 @@
 //! ```
 //!
 //! every integer little-endian, the watermarks sorted by [`MetricId`]. A
-//! slot takes one byte below 128 watermarks and two below 16,384, where the
-//! id it replaces took about thirty. Decoding refuses a slot at or past the
-//! watermark count, a varint that is not the shortest spelling of its value,
-//! and a point count the bytes left cannot hold.
+//! slot takes one byte below 128 watermarks and two below 16,384. Decoding
+//! refuses a slot at or past the watermark count, a varint that is not the
+//! shortest spelling of its value, and a point count the bytes left cannot
+//! hold.
 //!
-//! Logs written before slots spell each point's id out in full, ahead of
-//! the watermark list (event tag 4). That layout is still read, never
-//! written: each point's id maps back to the first slot listing it, and a
-//! checksummed batch with a point whose series no watermark names is
-//! malformed. Both layouts decode into the same reused buffers, in the same
-//! `(slot, timestamp, value)` form. [`WalEvent::decode`] materialises them
-//! as an owned event; the log reader lends them instead, as an
-//! [`IngestRef`] whose watermark ids are read through the log's id memo, so
-//! replaying a batch allocates, interns and reference-counts nothing.
+//! Each event kind has one layout, the one of the directory's format
+//! number ([`crate::format::FORMAT`]): a layout change bumps that number,
+//! not the tag, and tags only name event kinds. An ingest body decodes into
+//! reused buffers, in the `(slot, timestamp, value)` form.
+//! [`WalEvent::decode`] materialises it as an owned event; the log reader
+//! lends it instead, as an [`IngestRef`] whose watermark ids are read
+//! through the log's id memo, so replaying a batch allocates, interns and
+//! reference-counts nothing.
 
 use crate::codec::{
     put_call_graph, put_metric_id, put_retention, put_sieve_config, put_str, put_u64, put_u8,
@@ -102,28 +100,23 @@ pub enum WalEvent {
     },
 }
 
-/// The event tag versions a frame: a layout change takes a new tag, and an
-/// old tag is either still read or retired, never reused. Tag 1 is retired:
-/// it framed a tenant configuration two bytes longer, so a frame written
-/// with it must fail as an unknown tag instead of decoding shifted.
+/// The event tag names an event kind; its layout is the directory's
+/// format's. A tag no longer written is retired, never reused, so a frame
+/// carrying it fails as an unknown tag: tag 1 (a tenant creation record
+/// two bytes longer) and tag 4 (an ingest batch whose points spelled out
+/// their ids) are retired.
 const TAG_TENANT_CREATED: u8 = 5;
 const TAG_CALL_GRAPH_REPLACED: u8 = 2;
 const TAG_RETENTION_CHANGED: u8 = 3;
 /// An ingest batch whose points name their series by slot.
 const TAG_INGEST_BATCH: u8 = 6;
-/// An ingest batch whose points spell out their ids: read, not written.
-const TAG_INGEST_BATCH_BY_ID: u8 = 4;
 
 /// Whether this build decodes events of `tag`. A checksum-verified frame of
 /// any other tag was written by another build.
 pub(crate) fn reads_tag(tag: u8) -> bool {
     matches!(
         tag,
-        TAG_TENANT_CREATED
-            | TAG_CALL_GRAPH_REPLACED
-            | TAG_RETENTION_CHANGED
-            | TAG_INGEST_BATCH
-            | TAG_INGEST_BATCH_BY_ID
+        TAG_TENANT_CREATED | TAG_CALL_GRAPH_REPLACED | TAG_RETENTION_CHANGED | TAG_INGEST_BATCH
     )
 }
 
@@ -276,10 +269,6 @@ impl WalEvent {
                 decode_ingest(&mut cur, memo, ingest)?;
                 Decoded::Ingest
             }
-            TAG_INGEST_BATCH_BY_ID => {
-                decode_ingest_by_id(&mut cur, memo, ingest)?;
-                Decoded::Ingest
-            }
             other => return Err(format!("unknown event tag {other}")),
         };
         if !cur.is_empty() {
@@ -312,27 +301,9 @@ pub(crate) struct IngestBuf {
     points: Vec<(u32, u64, f64)>,
     /// `(memo entry, fingerprint)` of every watermark, in log order.
     watermarks: Vec<(u32, u64)>,
-    /// Per memo entry, the first slot of a tag-4 batch's watermark list
-    /// naming it while that batch decodes; [`UNLISTED`] otherwise.
-    first_slot: Vec<u32>,
 }
 
-impl IngestBuf {
-    /// Reads the batch's tenant name into [`IngestBuf::tenant`], whose
-    /// capacity is kept from batch to batch.
-    fn set_tenant(&mut self, cur: &mut Cursor<'_>) -> DecodeResult<()> {
-        let tenant = cur.take_str("tenant name")?;
-        self.tenant.clear();
-        self.tenant.push_str(tenant);
-        Ok(())
-    }
-}
-
-/// A [`IngestBuf::first_slot`] cell no watermark of the batch fills: no slot
-/// is `u32::MAX`, since a watermark count must fit in a `u32`.
-const UNLISTED: u32 = u32::MAX;
-
-/// Appends a slotted ingest payload (tag 6): the one ingest encoder, fed
+/// Appends an ingest payload (tag 6): the one ingest encoder, fed
 /// `(slot, timestamp, value)` points by both [`WalEvent::encode`] and
 /// [`WalEvent::encode_ingest_batch_into`].
 fn put_ingest(
@@ -472,11 +443,21 @@ impl SlotIndex {
     }
 }
 
-/// Reads a slotted ingest body (everything after tag 6) into `buf`.
+/// Reads an ingest body (everything after tag 6) into `buf`, whose
+/// buffers keep their capacity from batch to batch.
 fn decode_ingest(cur: &mut Cursor<'_>, memo: &mut IdMemo, buf: &mut IngestBuf) -> DecodeResult<()> {
-    buf.set_tenant(cur)?;
-    take_watermarks(cur, memo, buf)?;
-    let slots = buf.watermarks.len();
+    let tenant = cur.take_str("tenant name")?;
+    buf.tenant.clear();
+    buf.tenant.push_str(tenant);
+    let slots = cur.take_usize("watermark count")?;
+    u32::try_from(slots).map_err(|_| "watermark count overflows u32")?;
+    buf.watermarks.clear();
+    buf.watermarks.reserve(slots.min(65_536));
+    for _ in 0..slots {
+        let entry = memo.sight(cur)?;
+        let fingerprint = cur.take_u64("watermark fingerprint")?;
+        buf.watermarks.push((entry, fingerprint));
+    }
     let point_count = cur.take_usize("point count")?;
     if point_count > cur.remaining() / MIN_POINT_LEN {
         return Err(format!(
@@ -494,70 +475,6 @@ fn decode_ingest(cur: &mut Cursor<'_>, memo: &mut IdMemo, buf: &mut IngestBuf) -
         let timestamp_ms = cur.take_u64("point timestamp")?;
         let value = cur.take_f64("point value")?;
         buf.points.push((slot, timestamp_ms, value));
-    }
-    Ok(())
-}
-
-/// Reads a tag-4 ingest body, whose points spell out their ids ahead of the
-/// watermark list, into `buf`. Each point's id is
-/// mapped to the first watermark slot that lists it, through
-/// [`IngestBuf::first_slot`] (O(points + watermarks), no allocation once
-/// the map covers the memo); a point of an unlisted series is an error.
-fn decode_ingest_by_id(
-    cur: &mut Cursor<'_>,
-    memo: &mut IdMemo,
-    buf: &mut IngestBuf,
-) -> DecodeResult<()> {
-    buf.set_tenant(cur)?;
-    let point_count = cur.take_usize("point count")?;
-    buf.points.clear();
-    buf.points.reserve(point_count.min(65_536));
-    // A point holds its id's memo entry until the watermark list has given
-    // every entry its slot.
-    for _ in 0..point_count {
-        let entry = memo.sight(cur)?;
-        let timestamp_ms = cur.take_u64("point timestamp")?;
-        let value = f64::from_bits(cur.take_u64("point value")?);
-        buf.points.push((entry, timestamp_ms, value));
-    }
-    take_watermarks(cur, memo, buf)?;
-    let first_slot = &mut buf.first_slot;
-    let entries = (memo.interned() as usize).max(first_slot.len());
-    first_slot.resize(entries, UNLISTED);
-    // Filled last slot first, so an id listed twice keeps its first.
-    for (slot, &(entry, _)) in buf.watermarks.iter().enumerate().rev() {
-        first_slot[entry as usize] = slot as u32;
-    }
-    let mut unlisted = None;
-    for point in &mut buf.points {
-        match first_slot[point.0 as usize] {
-            UNLISTED => unlisted = unlisted.or(Some(point.0)),
-            slot => point.0 = slot,
-        }
-    }
-    for &(entry, _) in &buf.watermarks {
-        first_slot[entry as usize] = UNLISTED;
-    }
-    match unlisted {
-        Some(entry) => Err(format!("a point of {} has no watermark", memo.id(entry))),
-        None => Ok(()),
-    }
-}
-
-/// Reads a watermark list, its count first, into `buf`.
-fn take_watermarks(
-    cur: &mut Cursor<'_>,
-    memo: &mut IdMemo,
-    buf: &mut IngestBuf,
-) -> DecodeResult<()> {
-    let count = cur.take_usize("watermark count")?;
-    u32::try_from(count).map_err(|_| "watermark count overflows u32")?;
-    buf.watermarks.clear();
-    buf.watermarks.reserve(count.min(65_536));
-    for _ in 0..count {
-        let entry = memo.sight(cur)?;
-        let fingerprint = cur.take_u64("watermark fingerprint")?;
-        buf.watermarks.push((entry, fingerprint));
     }
     Ok(())
 }
@@ -626,52 +543,6 @@ impl std::fmt::Debug for IngestRef<'_> {
     }
 }
 
-/// Appends `event` as builds before slotted points wrote it: an ingest
-/// batch in the tag-4 layout through [`encode_by_id`], any other event as
-/// today (its layout has not changed).
-#[cfg(test)]
-pub(crate) fn encode_legacy(event: &WalEvent, buf: &mut Vec<u8>) {
-    match event {
-        WalEvent::IngestBatch {
-            tenant,
-            points,
-            watermarks,
-        } => {
-            let points = points.iter().map(|&(slot, timestamp_ms, value)| {
-                (&watermarks[slot as usize].0, timestamp_ms, value)
-            });
-            encode_by_id(buf, tenant, points, watermarks);
-        }
-        admin => admin.encode(buf),
-    }
-}
-
-/// Appends a tag-4 ingest payload: the points, each spelling out its id,
-/// then the watermark list. Nothing but tests writes this layout any more;
-/// a point may name a series the list does not, which no encoder of today
-/// can be made to write.
-#[cfg(test)]
-pub(crate) fn encode_by_id<'a>(
-    buf: &mut Vec<u8>,
-    tenant: &str,
-    points: impl ExactSizeIterator<Item = (&'a MetricId, u64, f64)>,
-    watermarks: &[(MetricId, u64)],
-) {
-    put_u8(buf, TAG_INGEST_BATCH_BY_ID);
-    put_str(buf, tenant);
-    put_usize(buf, points.len());
-    for (id, timestamp_ms, value) in points {
-        put_metric_id(buf, id);
-        put_u64(buf, timestamp_ms);
-        put_u64(buf, value.to_bits());
-    }
-    put_usize(buf, watermarks.len());
-    for (id, fingerprint) in watermarks {
-        put_metric_id(buf, id);
-        put_u64(buf, *fingerprint);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,9 +596,6 @@ mod tests {
             let mut buf = Vec::new();
             event.encode(&mut buf);
             assert_eq!(decode(&buf).unwrap(), event);
-            let mut legacy = Vec::new();
-            encode_legacy(&event, &mut legacy);
-            assert_eq!(decode(&legacy).unwrap(), event, "the layout before slots");
         }
     }
 
@@ -779,11 +647,13 @@ mod tests {
     fn malformed_events_error_instead_of_panicking() {
         assert!(decode(&[]).is_err(), "empty input");
         assert!(decode(&[99]).is_err(), "unknown tag");
-        assert_eq!(
-            decode(&[1, 0, 0, 0, 0]).unwrap_err(),
-            "unknown event tag 1",
-            "the retired tenant-created layout"
-        );
+        for retired in [1, 4] {
+            assert_eq!(
+                decode(&[retired, 0, 0, 0, 0]).unwrap_err(),
+                format!("unknown event tag {retired}"),
+                "tags 1 and 4 are retired, never reused"
+            );
+        }
 
         let mut buf = Vec::new();
         sample_events()[2].encode(&mut buf);
@@ -1022,23 +892,15 @@ mod tests {
         assert_eq!(index.stamp, 1, "the last list wrapped the stamp past zero");
     }
 
-    /// Encodes `events` back to back into one buffer, as in a log, each
-    /// ingest batch in the layout `legacy` picks for it, with the byte
-    /// range of each.
-    fn encode_log(
-        events: &[WalEvent],
-        mut legacy: impl FnMut() -> bool,
-    ) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
+    /// Encodes `events` back to back into one buffer, as in a log, with
+    /// the byte range of each.
+    fn encode_log(events: &[WalEvent]) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
         let mut log = Vec::new();
         let ranges = events
             .iter()
             .map(|event| {
                 let start = log.len();
-                if legacy() {
-                    encode_legacy(event, &mut log);
-                } else {
-                    event.encode(&mut log);
-                }
+                event.encode(&mut log);
                 start..log.len()
             })
             .collect();
@@ -1047,9 +909,8 @@ mod tests {
 
     /// A random event over a small pool of ids, so sequences repeat them.
     /// A batch's watermark list may repeat an id and need not be sorted;
-    /// its points draw their series from it in random order, each naming
-    /// the first slot that lists it (the slot a tag-4 point decodes to), so
-    /// the memo's predictions also miss.
+    /// its points draw their slots from it in random order, so the memo's
+    /// predictions also miss.
     fn random_event(rand: &mut impl FnMut() -> u64, ids: &[MetricId]) -> WalEvent {
         let tenant: Name = ["acme", "globex", "initech"][(rand() % 3) as usize].into();
         match rand() % 8 {
@@ -1066,18 +927,11 @@ mod tests {
                 let pick = |r: u64| ids[(r % ids.len() as u64) as usize].clone();
                 let watermarks: Vec<(MetricId, u64)> =
                     (0..rand() % 4).map(|_| (pick(rand()), rand())).collect();
-                let first_listing = |r: u64| {
-                    let id = &watermarks[(r % watermarks.len() as u64) as usize].0;
-                    watermarks
-                        .iter()
-                        .position(|(listed, _)| listed == id)
-                        .unwrap() as u32
-                };
                 let points = match watermarks.len() {
                     0 => Vec::new(),
-                    _ => (0..rand() % 6)
+                    listed => (0..rand() % 6)
                         .map(|_| {
-                            let slot = first_listing(rand());
+                            let slot = (rand() % listed as u64) as u32;
                             (slot, rand() % 9 * 500, (rand() % 100) as f64 / 4.0)
                         })
                         .collect(),
@@ -1107,10 +961,7 @@ mod tests {
             let events: Vec<WalEvent> = (0..rand() % 12 + 1)
                 .map(|_| random_event(&mut rand, &ids))
                 .collect();
-            // Both layouts, interleaved in one log as a log written across
-            // an upgrade holds them.
-            let mut coin = rng(rand());
-            let (log, ranges) = encode_log(&events, || coin() % 2 == 0);
+            let (log, ranges) = encode_log(&events);
             let mut memo = IdMemo::default();
             for (event, range) in events.iter().zip(ranges) {
                 let memoised = WalEvent::decode(&log[range.clone()], &mut memo).unwrap();
@@ -1160,24 +1011,19 @@ mod tests {
                 watermarks: ids.iter().map(|id| (id.clone(), tick)).collect(),
             })
             .collect();
-        for (legacy, sections) in [(false, 1), (true, 2)] {
-            let (log, ranges) = encode_log(&batches, || legacy);
-            let mut memo = IdMemo::default();
-            for range in ranges {
-                WalEvent::decode(&log[range], &mut memo).unwrap();
-            }
-            // A slotted batch reads an id per watermark; a tag-4 batch one
-            // more per point.
-            assert_eq!(memo.decoded(), sections * events * points, "{legacy}");
-            assert_eq!(memo.interned(), points, "{legacy}");
-            // One lane reads ids 0..P in order, once per section of every
-            // batch. The first P sights are new and hashed. The next one
-            // (id 0 again: the second batch's, or this batch's watermarks
-            // after its points) follows id P-1, which has no successor yet,
-            // so it is hashed too and links P-1 -> 0. From then on every
-            // sight is its predecessor's successor: P + 1 hashes in either
-            // layout.
-            assert_eq!(memo.hashed(), points + 1, "{legacy}");
+        let (log, ranges) = encode_log(&batches);
+        let mut memo = IdMemo::default();
+        for range in ranges {
+            WalEvent::decode(&log[range], &mut memo).unwrap();
         }
+        // A batch reads an id per watermark.
+        assert_eq!(memo.decoded(), events * points);
+        assert_eq!(memo.interned(), points);
+        // One lane reads ids 0..P in order, once per batch. The first P
+        // sights are new and hashed. The next one (id 0 again, the second
+        // batch's) follows id P-1, which has no successor yet, so it is
+        // hashed too and links P-1 -> 0. From then on every sight is its
+        // predecessor's successor: P + 1 hashes.
+        assert_eq!(memo.hashed(), points + 1);
     }
 }

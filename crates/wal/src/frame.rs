@@ -327,28 +327,27 @@ mod tests {
         assert!(matches!(parse(&frame, 0), Parsed::Frame { seq: 1, .. }));
     }
 
-    /// One frame per event kind, sequence numbers 1..=4, as the encoder
-    /// wrote them before the decoder was rewritten around borrowed strings
-    /// and the id memo (commit 8310c95), the ingest batch in the tag-4
-    /// layout every build before slotted points wrote. Directories written
-    /// by those builds hold these bytes: a change that makes one of them
-    /// stop decoding to its event strands them.
-    const GOLDEN_FRAMES: [&str; 4] = [
-        "9f0000000100000000000000c4d18ed086779983050400000061636d65fa000000000000007b14ae47e17a843f\
-         03000000000000000400000000000000110000000000000005000000000000007b14ae47e17a843f0029000000\
-         00000000030000000000000001800000000000000020000000000000000300000000000000020000006462060000\
-         006c6f6e656c79030000007765620100000000000000030000007765620200000064620c00000000000000",
+    /// The admin frames of [`golden_events`], sequence numbers 1..=3, as
+    /// this build writes them. The call-graph (tag 2) and retention (tag 3)
+    /// frames are the bytes every build since the decoder was rewritten
+    /// around borrowed strings (commit 8310c95) wrote; the tenant-created
+    /// frame (tag 5) is format 5's, its configuration without the two
+    /// Granger constants. A change that makes one of them stop decoding to
+    /// its event, or encode differently, strands the directories holding
+    /// them.
+    const GOLDEN_FRAMES: [&str; 3] = [
+        "960000000100000000000000b2f0e68cfc03fe34050400000061636d65fa000000000000007b14ae47e17a843f03\
+         000000000000000400000000000000110000000000000005000000000000007b14ae47e17a843f03000000000000\
+         0001800000000000000020000000000000000300000000000000020000006462060000006c6f6e656c7903000000\
+         7765620100000000000000030000007765620200000064620c00000000000000",
         "4500000002000000000000005c55f27383411102020400000061636d650300000000000000020000006462060000\
          006c6f6e656c79030000007765620100000000000000030000007765620200000064620c00000000000000",
         "1a0000000300000000000000000ad867bc2c8396030400000061636d650140000000000000000800000000000000",
-        "7f00000004000000000000007afaa0c037951bbb040400000061636d6502000000000000000300000077656203\
-         000000637075f401000000000000000000000000f83f020000006462030000006d656df40100000000000000000000\
-         00000ac00200000000000000020000006462030000006d656dcdab000000000000030000007765620300000063\
-         70753412000000000000",
     ];
 
-    /// The events [`GOLDEN_FRAMES`] encode. Every configuration field is
-    /// spelled out: a default would follow the host's core count.
+    /// The events [`GOLDEN_FRAMES`] and [`GOLDEN_SLOTTED_FRAME`] encode.
+    /// Every configuration field is spelled out: a default would follow the
+    /// host's core count.
     fn golden_events() -> [WalEvent; 4] {
         let mut graph = CallGraph::new();
         graph.add_component("lonely");
@@ -362,8 +361,6 @@ mod tests {
             granger: GrangerConfig {
                 max_lag: 5,
                 significance: 0.01,
-                difference_non_stationary: false,
-                min_observations: 41,
             },
             parallelism: 3,
             retention: RetentionPolicy::windowed(128).with_tier_capacity(32),
@@ -393,10 +390,10 @@ mod tests {
         ]
     }
 
-    /// `encode(4, &golden_events()[3])` today: the ingest batch of
-    /// [`GOLDEN_FRAMES`] as a slotted frame (tag 6), each point a one-byte
-    /// slot where the tag-4 frame spelled out its id. This is what a
-    /// directory written today holds.
+    /// `encode(4, &golden_events()[3])`: the ingest batch as a slotted
+    /// frame (tag 6), each point a one-byte slot. This is what a directory
+    /// written today holds, byte for byte as the build that introduced
+    /// slots wrote it.
     const GOLDEN_SLOTTED_FRAME: &str =
         "6600000004000000000000006e38267d87d701ce060400000061636d650200000000000000020000006462030000\
          006d656dcdab00000000000003000000776562030000006370753412000000000000020000000000000001f40100\
@@ -421,21 +418,12 @@ mod tests {
 
     #[test]
     fn golden_frames_decode_to_their_events_and_reencode_as_written_today() {
-        for (index, (hex, event)) in GOLDEN_FRAMES.iter().zip(golden_events()).enumerate() {
-            let golden = unhex(hex);
+        let goldens = GOLDEN_FRAMES.iter().chain([&GOLDEN_SLOTTED_FRAME]);
+        for (index, (hex, event)) in goldens.zip(golden_events()).enumerate() {
             let seq = index as u64 + 1;
+            let golden = unhex(hex);
+            assert_eq!(encode(seq, &event), golden, "frame {seq} encodes");
             assert_decodes_to(&golden, seq, &event);
-            // The three admin layouts are unchanged; the ingest batch is
-            // written slotted.
-            let today = match event {
-                WalEvent::IngestBatch { .. } => unhex(GOLDEN_SLOTTED_FRAME),
-                _ => golden.clone(),
-            };
-            assert_eq!(encode(seq, &event), today, "frame {seq} re-encodes");
-            // The tests' tag-4 encoder writes the bytes those builds wrote.
-            let mut legacy = Vec::new();
-            crate::event::encode_legacy(&event, &mut legacy);
-            assert_eq!(frame_payload(seq, &legacy), golden, "frame {seq}");
         }
     }
 
@@ -446,11 +434,6 @@ mod tests {
         assert_eq!(golden[HEADER_LEN], 6, "event tag");
         assert_eq!(encode(4, &event), golden);
         assert_decodes_to(&golden, 4, &event);
-        assert_eq!(
-            unhex(GOLDEN_FRAMES[3]).len() - golden.len(),
-            (14 + 13) - 2,
-            "the two points' ids, web/cpu and db/mem, become a byte each"
-        );
     }
 
     /// [`checksum`] as it was before it folded whole words without a copy,
@@ -509,28 +492,6 @@ mod tests {
                 assert_eq!(sum, checksum(seq, payload), "{what}");
                 assert_eq!(sum, checksum_reference(seq, payload), "{what}");
             }
-        }
-    }
-
-    #[test]
-    fn a_point_of_a_series_without_a_watermark_is_a_bad_frame() {
-        // Only the tag-4 layout can name an unlisted series; today's
-        // encoder writes a slot no list holds (an `event` test).
-        let (listed, unlisted) = (MetricId::new("web", "cpu"), MetricId::new("db", "mem"));
-        let mut payload = Vec::new();
-        crate::event::encode_by_id(
-            &mut payload,
-            "acme",
-            [(&listed, 500, 1.5), (&unlisted, 500, 2.5)].into_iter(),
-            &[(listed.clone(), 0x1234)],
-        );
-        let frame = frame_payload(1, &payload);
-        match parse(&frame, 0) {
-            Parsed::Bad { reason } => assert_eq!(
-                reason,
-                "checksummed payload failed to decode: a point of db/mem has no watermark"
-            ),
-            other => panic!("expected Bad, got {other:?}"),
         }
     }
 }

@@ -20,6 +20,11 @@
 //! it covers. Snapshots are written atomically (temp file + fsync +
 //! rename) and let the log be truncated, bounding replay work.
 //!
+//! Beside them sits one format record (`wal-format`, [`mod@format`]) naming
+//! the directory's format number: every structure in the directory has
+//! that number's layout and one decoder, and a directory of another number
+//! is refused rather than read.
+//!
 //! # Torn writes and corruption
 //!
 //! A crash can tear the last frame, and disks can flip bits. Every frame
@@ -45,6 +50,7 @@ pub mod codec;
 pub mod error;
 pub mod event;
 pub mod failpoint;
+pub mod format;
 pub mod frame;
 pub mod group;
 pub mod reader;
@@ -54,6 +60,7 @@ pub mod writer;
 pub use error::WalError;
 pub use event::{IngestRef, WalEvent};
 pub use failpoint::FailpointFs;
+pub use format::{read_format, write_format, FORMAT, FORMAT_FILE_NAME};
 pub use group::{GroupCommitLog, GroupCommitStats};
 pub use reader::{scan_log, Frame, LogCorruption, LogFrames, ScannedLog};
 pub use snapshot::{ShardSnapshot, TenantSnapshot};

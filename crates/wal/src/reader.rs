@@ -461,18 +461,6 @@ mod tests {
         bytes
     }
 
-    /// A log of `events` as a build before slotted points wrote it: every
-    /// ingest batch in the tag-4 layout.
-    fn legacy_log_of(events: &[(u64, WalEvent)]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        for (seq, event) in events {
-            let mut payload = Vec::new();
-            crate::event::encode_legacy(event, &mut payload);
-            bytes.extend_from_slice(&frame_payload(*seq, &payload));
-        }
-        bytes
-    }
-
     #[test]
     fn clean_log_scans_fully() {
         let events = vec![
@@ -715,29 +703,20 @@ mod tests {
             tenant: tenant.into(),
             retention: RetentionPolicy::windowed(8),
         };
-        // Ten frames of seven sizes, so every truncation and flip lands at
-        // every position of a four-frame read-ahead window. A build that
-        // reads this log may have written its second half, after one that
-        // spelled out every point's id wrote the first: the tag-4 and tag-6
-        // forms of one batch alternate.
-        let mut log = legacy_log_of(&[
+        // Ten frames of several sizes, so every truncation and flip lands at
+        // every position of a four-frame read-ahead window.
+        let log = log_of(&[
             (1, ingest("a", 500)),
             (2, wide_ingest("b", 500, 3)),
             (3, admin("c")),
             (5, ingest("a", 1000)),
-        ]);
-        log.extend(log_of(&[
             (6, wide_ingest("c", 500, 1)),
             (9, ingest("b", 1000)),
-        ]));
-        log.extend(legacy_log_of(&[
             (10, admin("a")),
             (11, wide_ingest("a", 1500, 4)),
-        ]));
-        log.extend(log_of(&[
             (12, ingest("c", 1000)),
             (14, wide_ingest("b", 1500, 3)),
-        ]));
+        ]);
         // Windows that refill inside a header, right after one, a frame
         // short of or past the longest frame, and the default.
         let longest = encode(11, &wide_ingest("a", 1500, 4)).len();
