@@ -321,8 +321,8 @@ fn bench_paper_application_sweeps(runner: &mut Runner) -> String {
         components.len(),
     );
     println!("reduce_k_sweep/paper_apps: {note}");
-    // A ratio, not a count: the exact counts follow libm's twiddles from
-    // host to host. 0.551 when the bound went in (16,405 of 29,768).
+    // A ratio, not a count: the exact counts follow the simulated series,
+    // which libm shapes, from host to host. 0.551 when the bound went in (16,405 of 29,768).
     if !smoke_mode() {
         assert!(
             evaluated_share <= 0.70,

@@ -40,12 +40,24 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 pub(crate) type SeriesKey<'a> = (&'a str, &'a str);
 
 /// One Granger comparison that should be executed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Comparison {
     pub(crate) source_component: Name,
     pub(crate) source_metric: Name,
     pub(crate) target_component: Name,
     pub(crate) target_metric: Name,
+}
+
+impl Comparison {
+    /// The source series' lookup key.
+    pub(crate) fn source(&self) -> SeriesKey<'_> {
+        (self.source_component.as_str(), self.source_metric.as_str())
+    }
+
+    /// The target series' lookup key.
+    pub(crate) fn target(&self) -> SeriesKey<'_> {
+        (self.target_component.as_str(), self.target_metric.as_str())
+    }
 }
 
 /// Builds the list of metric pairs to test from the call graph and the
@@ -121,6 +133,8 @@ pub(crate) fn series_lookup(
 /// Runs every comparison of `plan` (both directions) and returns one
 /// candidate-edge list *per comparison*, in plan order — the unit the
 /// incremental session caches. [`identify_dependencies`] flattens this.
+/// `values` finds a prepared series (`None`: no such series, no edge), so
+/// each caller keeps its own lookup map.
 ///
 /// One [`PreparedGrangerSeries`] per (component, metric) referenced by the
 /// plan is built up front through the shared executor (each needed
@@ -130,38 +144,28 @@ pub(crate) fn series_lookup(
 /// exactly once, the differenced buffers and restricted fits at most once
 /// per (differenced, order) key — instead of once per edge the series
 /// participates in.
-pub(crate) fn candidate_edges_per_comparison(
-    plan: &[Comparison],
-    lookup: &HashMap<SeriesKey<'_>, &[f64]>,
+pub(crate) fn candidate_edges_per_comparison<'p, 'v>(
+    plan: &'p [Comparison],
+    values: impl Fn(SeriesKey<'p>) -> Option<&'v [f64]>,
     config: &SieveConfig,
 ) -> Vec<Vec<DependencyEdge>> {
     let needed: BTreeSet<SeriesKey<'_>> = plan
         .iter()
-        .flat_map(|cmp| {
-            [
-                (cmp.source_component.as_str(), cmp.source_metric.as_str()),
-                (cmp.target_component.as_str(), cmp.target_metric.as_str()),
-            ]
-        })
+        .flat_map(|cmp| [cmp.source(), cmp.target()])
         .collect();
     let entries: Vec<(SeriesKey<'_>, &[f64])> = needed
         .into_iter()
-        .filter_map(|key| lookup.get(&key).map(|values| (key, *values)))
+        .filter_map(|key| values(key).map(|series| (key, series)))
         .collect();
-    let states = par_map_chunks(config.parallelism, &entries, |(_, values)| {
-        PreparedGrangerSeries::prepare(*values)
+    let states = par_map_chunks(config.parallelism, &entries, |(_, series)| {
+        PreparedGrangerSeries::prepare(*series)
     });
     let prepared: HashMap<SeriesKey<'_>, PreparedGrangerSeries> =
         entries.iter().map(|(key, _)| *key).zip(states).collect();
 
     let per_comparison = |cmp: &Comparison| -> Vec<DependencyEdge> {
-        let Some(source) =
-            prepared.get(&(cmp.source_component.as_str(), cmp.source_metric.as_str()))
-        else {
-            return Vec::new();
-        };
-        let Some(target) =
-            prepared.get(&(cmp.target_component.as_str(), cmp.target_metric.as_str()))
+        let (Some(source), Some(target)) =
+            (prepared.get(&cmp.source()), prepared.get(&cmp.target()))
         else {
             return Vec::new();
         };
@@ -218,7 +222,8 @@ pub fn identify_dependencies(
     // Each comparison is tested in both directions (the callee may drive the
     // caller, e.g. back-pressure); the per-edge work runs through the shared
     // executor and the candidate edges are concatenated in plan order.
-    let candidate_edges = candidate_edges_per_comparison(&plan, &lookup, config);
+    let values = |key| lookup.get(&key).copied();
+    let candidate_edges = candidate_edges_per_comparison(&plan, values, config);
     Ok(assemble_graph(
         clusterings,
         call_graph,

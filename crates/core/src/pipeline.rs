@@ -206,7 +206,7 @@ impl Sieve {
             call_graph.clone(),
             self.config.clone(),
         )?;
-        let model = session.refresh_shared()?;
+        let model = session.refresh()?;
         // Dropping the throwaway session releases its snapshot reference,
         // so the batch path takes ownership of the model without paying
         // for a deep clone.

@@ -33,6 +33,10 @@
 //!
 //! # Lifecycle
 //!
+//! [`AnalysisSession::apply_delta`] and [`AnalysisSession::set_call_graph`]
+//! only queue work; [`AnalysisSession::refresh`] runs one step of named
+//! phases over it, and [`AnalysisSession::update_shared`] does both:
+//!
 //! ```no_run
 //! use sieve_core::config::SieveConfig;
 //! use sieve_core::session::AnalysisSession;
@@ -54,7 +58,7 @@
 //!         break;
 //!     }
 //!     session.set_call_graph(sim.call_graph());
-//!     let model = session.update(&delta).unwrap();
+//!     let model = session.update_shared(&delta).unwrap();
 //!     println!("epoch {}: {} edges", delta.epoch, model.dependency_graph.edge_count());
 //! }
 //! ```
@@ -70,14 +74,15 @@ use crate::reduce::reduce_component;
 use crate::Result;
 use sieve_exec::hash::{fingerprint_f64s, mix, mix_f64, mix_str, FINGERPRINT_SEED};
 use sieve_exec::{try_par_map_chunks, Name};
-use sieve_graph::{CallGraph, DependencyEdge};
+use sieve_graph::{CallGraph, DependencyEdge, DependencyGraph};
 use sieve_simulator::store::{MetricStore, StoreDelta};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// What one [`AnalysisSession::refresh`] actually recomputed — the
 /// observable behind the "only dirty work is redone" guarantee, asserted
-/// by the incremental tests and reported by the bench.
+/// by the incremental tests and reported by the bench. The refresh's
+/// `record` phase is its one writer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Epoch watermark of the last delta applied (0 before the first).
@@ -113,27 +118,25 @@ struct PreparedEntry {
 /// inputs and settings that produced it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct EdgeKey {
-    source_component: Name,
-    source_metric: Name,
-    target_component: Name,
-    target_metric: Name,
+    comparison: Comparison,
     source_fp: u64,
     target_fp: u64,
     config_fp: u64,
 }
 
-impl EdgeKey {
-    fn new(cmp: &Comparison, source_fp: u64, target_fp: u64, config_fp: u64) -> Self {
-        Self {
-            source_component: cmp.source_component.clone(),
-            source_metric: cmp.source_metric.clone(),
-            target_component: cmp.target_component.clone(),
-            target_metric: cmp.target_metric.clone(),
-            source_fp,
-            target_fp,
-            config_fp,
-        }
-    }
+/// What the `absorb` phase took out of the session for one refresh: the
+/// components to re-prepare, the pending re-plan and the epoch the refresh
+/// records. A failed refresh puts the first two back.
+struct Absorbed {
+    dirty: Vec<Name>,
+    replan: bool,
+    epoch: u64,
+}
+
+/// The counts the `plan_and_test` phase hands to `record`.
+struct Tested {
+    comparisons_planned: usize,
+    comparisons_tested: usize,
 }
 
 /// Fingerprint of the statistical configuration: every field that can
@@ -152,7 +155,7 @@ fn config_fingerprint(config: &SieveConfig) -> u64 {
 /// A long-lived, dirty-tracking analysis of one application.
 ///
 /// The session holds a handle to the (shared, append-only) [`MetricStore`]
-/// and absorbs [`StoreDelta`]s: [`AnalysisSession::update`] re-prepares
+/// and absorbs [`StoreDelta`]s: [`AnalysisSession::refresh`] re-prepares
 /// only touched components, re-clusters only components whose prepared
 /// content changed, re-tests only comparisons with a changed endpoint, and
 /// assembles a full [`SieveModel`] from cached plus fresh state. See the
@@ -176,19 +179,23 @@ pub struct AnalysisSession {
     generation: u64,
     /// Components that must be re-prepared at the next refresh.
     dirty: BTreeSet<Name>,
+    /// Set by a call-graph swap, cleared by the next successful refresh.
+    replan: bool,
     last_epoch: u64,
     stats: SessionStats,
     /// The model produced by the last successful refresh, shared so a
     /// serving layer can hand out read-only snapshots without cloning.
     last_model: Option<Arc<SieveModel>>,
+    /// An error the next `reduce` phase returns, once.
+    #[cfg(test)]
+    reduce_failpoint: Option<crate::SieveError>,
 }
 
 impl AnalysisSession {
     /// Creates a session over the given store handle and call graph. All
     /// components already in the store are marked dirty, so the first
-    /// [`AnalysisSession::refresh`] (or [`AnalysisSession::update`])
-    /// performs a full analysis — which is exactly what
-    /// [`crate::pipeline::Sieve::analyze`] does.
+    /// [`AnalysisSession::refresh`] performs a full analysis — which is
+    /// exactly what [`crate::pipeline::Sieve::analyze`] does.
     ///
     /// The epoch watermark starts at the store's: 0 for a fresh store, and
     /// for one revived from a durability snapshot (`MetricStore::restore`)
@@ -221,8 +228,11 @@ impl AnalysisSession {
             edge_cache: HashMap::new(),
             generation: 0,
             dirty: BTreeSet::new(),
+            replan: false,
             stats: SessionStats::default(),
             last_model: None,
+            #[cfg(test)]
+            reduce_failpoint: None,
         };
         session.mark_all_dirty();
         Ok(session)
@@ -260,9 +270,11 @@ impl AnalysisSession {
 
     /// Replaces the call graph (it grows while a simulation streams).
     /// Topology changes alter the comparison *plan*, never a cached
-    /// verdict, so nothing is dirtied.
+    /// verdict, so nothing is dirtied; the re-plan stays pending
+    /// ([`AnalysisSession::needs_refresh`]) until a refresh succeeds.
     pub fn set_call_graph(&mut self, call_graph: CallGraph) {
         self.call_graph = call_graph;
+        self.replan = true;
     }
 
     /// The call graph the session currently plans comparisons over. A
@@ -282,14 +294,13 @@ impl AnalysisSession {
         self.last_epoch = self.last_epoch.max(delta.epoch);
     }
 
-    /// Whether absorbed-but-not-yet-refreshed dirt is pending: `true`
-    /// after [`AnalysisSession::apply_delta`] of a non-empty delta (or
-    /// [`AnalysisSession::mark_all_dirty`]) until the next *successful*
-    /// refresh — a failed refresh keeps its dirty set, so a caller polling
-    /// this flag retries exactly the outstanding work. The serving layer's
-    /// dirty sweep uses this to decide which tenants need a refresh.
-    pub fn has_pending_dirty(&self) -> bool {
-        !self.dirty.is_empty()
+    /// Whether the next [`AnalysisSession::refresh`] has work: dirty
+    /// components, a re-plan queued by [`AnalysisSession::set_call_graph`],
+    /// or no model yet. Only a *successful* refresh clears it, so a caller
+    /// polling this (as the serving layer's sweep does) retries exactly
+    /// the outstanding work.
+    pub fn needs_refresh(&self) -> bool {
+        !self.dirty.is_empty() || self.replan || self.last_model.is_none()
     }
 
     /// Marks every component of the store dirty (full recomputation at the
@@ -302,16 +313,9 @@ impl AnalysisSession {
         });
     }
 
-    /// Absorbs one delta and recomputes the model: the streaming
-    /// counterpart of one full `Sieve::analyze` pass. The result is
-    /// bit-identical to batch-analysing the store's current content,
-    /// whatever sequence of deltas led here.
-    ///
-    /// The returned model is an owned deep copy (on top of the snapshot
-    /// the session retains for [`AnalysisSession::snapshot`]); callers on
-    /// a streaming hot path should prefer
-    /// [`AnalysisSession::update_shared`], which hands out the retained
-    /// `Arc` without cloning the model.
+    /// [`AnalysisSession::apply_delta`], then [`AnalysisSession::refresh`]:
+    /// the streaming counterpart of one `Sieve::analyze` pass, bit-identical
+    /// to batch-analysing the store whatever sequence of deltas led here.
     ///
     /// # Errors
     ///
@@ -341,70 +345,67 @@ impl AnalysisSession {
     ///
     /// // Stream one more epoch: touch a series, drain the delta, update.
     /// store.record(&MetricId::new("web", "requests"), 60 * 500, 1.0);
-    /// let model = session.update(&store.drain_delta())?;
+    /// let model = session.update_shared(&store.drain_delta())?;
     ///
     /// // The incremental model matches a from-scratch batch analysis.
     /// let batch = Sieve::new(config).analyze("shop", &store, &CallGraph::new())?;
-    /// assert_eq!(model, batch);
+    /// assert_eq!(*model, batch);
     /// assert_eq!(session.last_stats().components_prepared, 1);
     /// # Ok::<(), sieve_core::SieveError>(())
     /// ```
-    pub fn update(&mut self, delta: &StoreDelta) -> Result<SieveModel> {
-        self.update_shared(delta).map(|model| (*model).clone())
-    }
-
-    /// Like [`AnalysisSession::update`], but returns the model as a shared
-    /// [`Arc`] snapshot (also retrievable later via
-    /// [`AnalysisSession::snapshot`]) instead of a fresh clone — the form
-    /// the multi-tenant serving layer publishes to readers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates clustering and causality errors, like the batch path.
     pub fn update_shared(&mut self, delta: &StoreDelta) -> Result<Arc<SieveModel>> {
         self.apply_delta(delta);
-        self.refresh_shared()
+        self.refresh()
     }
 
-    /// Recomputes everything currently dirty and assembles the model.
+    /// Recomputes everything outstanding and publishes the model as a
+    /// shared [`Arc`] snapshot — the same one [`AnalysisSession::snapshot`]
+    /// returns until the next refresh; a caller that wants an owned model
+    /// clones it. The phases run in order: *absorb → prepare → reduce →
+    /// plan and test → publish → record*. On error everything `absorb`
+    /// took is put back and the previous snapshot and stats stay in place.
     ///
     /// # Errors
     ///
     /// Propagates clustering and causality errors, like the batch path.
-    pub fn refresh(&mut self) -> Result<SieveModel> {
-        self.refresh_shared().map(|model| (*model).clone())
+    pub fn refresh(&mut self) -> Result<Arc<SieveModel>> {
+        let absorbed = self.absorb();
+        self.prepare(&absorbed.dirty);
+        let components_reclustered = self.reduce().inspect_err(|_| {
+            // The one rollback. Re-preparation is idempotent and `reduce`
+            // compares content keys, so the retry reaches the state and the
+            // record of a refresh that never failed.
+            self.dirty.extend(absorbed.dirty.iter().cloned());
+            self.replan |= absorbed.replan;
+        })?;
+        let (dependency_graph, tested) = self.plan_and_test();
+        let model = self.publish(dependency_graph);
+        self.record(&absorbed, components_reclustered, tested);
+        Ok(model)
     }
 
-    /// Like [`AnalysisSession::refresh`], but returns the model as a shared
-    /// [`Arc`] snapshot. On success the same snapshot becomes available via
-    /// [`AnalysisSession::snapshot`]; on error the previous snapshot is left
-    /// in place.
-    ///
-    /// # Errors
-    ///
-    /// Propagates clustering and causality errors, like the batch path.
-    pub fn refresh_shared(&mut self) -> Result<Arc<SieveModel>> {
-        // Components that appeared in the store without a delta being
-        // applied (e.g. a session created over a pre-loaded store) are
-        // picked up here, so a refresh never analyses a stale world.
+    /// Takes the outstanding work, plus the components the store has but
+    /// the session never prepared (e.g. a session created over a pre-loaded
+    /// store), so a refresh never analyses a stale world.
+    fn absorb(&mut self) -> Absorbed {
         let (prepared, dirty) = (&self.prepared, &mut self.dirty);
         self.store.for_each_component(|c| {
             if !prepared.contains_key(c) {
                 dirty.insert(c.clone());
             }
         });
-
-        let mut stats = SessionStats {
+        Absorbed {
+            dirty: std::mem::take(&mut self.dirty).into_iter().collect(),
+            replan: std::mem::take(&mut self.replan),
             epoch: self.last_epoch,
-            ..SessionStats::default()
-        };
+        }
+    }
 
-        // 1. Re-prepare the dirty components (in parallel, component order
-        //    preserved by the executor).
-        let dirty_components: Vec<Name> = std::mem::take(&mut self.dirty).into_iter().collect();
-        stats.components_prepared = dirty_components.len();
-        let freshly_prepared = prepare_components(&self.store, &dirty_components, &self.config);
-        for (component, prepared) in dirty_components.iter().zip(freshly_prepared) {
+    /// Re-prepares the `dirty` components (in parallel, component order
+    /// preserved by the executor) and fingerprints what came out.
+    fn prepare(&mut self, dirty: &[Name]) {
+        let freshly_prepared = prepare_components(&self.store, dirty, &self.config);
+        for (component, prepared) in dirty.iter().zip(freshly_prepared) {
             let series_fps: Vec<u64> = (0..prepared.len())
                 .map(|i| fingerprint_f64s(prepared.series(i)))
                 .collect();
@@ -412,23 +413,24 @@ impl AnalysisSession {
                 mix(self.config_fp, prepared.len() as u64),
                 |acc, (name, &fp)| mix(mix_str(acc, name.as_str()), fp),
             );
-            self.prepared.insert(
-                component.clone(),
-                PreparedEntry {
-                    prepared,
-                    series_fps,
-                    clustering_key,
-                },
-            );
+            let entry = PreparedEntry {
+                prepared,
+                series_fps,
+                clustering_key,
+            };
+            self.prepared.insert(component.clone(), entry);
         }
-        stats.components_total = self.prepared.len();
+    }
 
-        // 2. Re-cluster every component whose cached clustering no longer
-        //    matches its prepared content (again in parallel, order
-        //    preserved). Scanning all prepared components instead of just
-        //    the dirty list costs one key comparison per component and
-        //    makes the step self-healing: if a previous refresh failed
-        //    after re-preparing, the key mismatch is still visible here.
+    /// Re-clusters (in parallel, order preserved) and counts every
+    /// component whose clustering key no longer matches its prepared
+    /// content — all of them, not just the dirty list, so content a failed
+    /// refresh re-prepared is still a mismatch here.
+    fn reduce(&mut self) -> Result<usize> {
+        #[cfg(test)]
+        if let Some(error) = self.reduce_failpoint.take() {
+            return Err(error);
+        }
         let to_recluster: Vec<(&Name, &PreparedEntry)> = self
             .prepared
             .iter()
@@ -436,106 +438,103 @@ impl AnalysisSession {
                 self.clustering_keys.get(*component) != Some(&pc.clustering_key)
             })
             .collect();
-        stats.components_reclustered = to_recluster.len();
         let reclustered =
-            match try_par_map_chunks(self.config.parallelism, &to_recluster, |(component, pc)| {
+            try_par_map_chunks(self.config.parallelism, &to_recluster, |(component, pc)| {
                 reduce_component((*component).clone(), &pc.prepared, &self.config)
                     .map(|clustering| ((*component).clone(), pc.clustering_key, clustering))
-            }) {
-                Ok(reclustered) => reclustered,
-                Err(e) => {
-                    // Put the taken dirty set back so a failed refresh
-                    // leaves the outstanding work observable
-                    // ([`AnalysisSession::has_pending_dirty`]) and a retry
-                    // redoes it. (Re-preparation is idempotent, and the
-                    // re-cluster scan above is keyed by content, so the
-                    // retry converges to the same state.)
-                    self.dirty.extend(dirty_components);
-                    return Err(e);
-                }
-            };
+            })?;
         for (component, key, clustering) in reclustered {
             self.clusterings.insert(component.clone(), clustering);
             self.clustering_keys.insert(component, key);
         }
+        Ok(to_recluster.len())
+    }
 
-        // 3. Re-test the comparisons with a changed endpoint; everything
-        //    else is served from the edge cache.
+    /// Plans the comparisons over the call graph and the representatives,
+    /// re-tests those with a changed endpoint, serves the rest from the
+    /// edge cache, prunes what the plan no longer reaches (so the cache
+    /// stays bounded by the plan) and assembles the dependency graph.
+    fn plan_and_test(&mut self) -> (DependencyGraph, Tested) {
         self.generation += 1;
         let generation = self.generation;
         let plan = comparison_plan(&self.call_graph, &self.clusterings);
-        stats.comparisons_planned = plan.len();
 
-        // (fingerprint, values) per prepared series, borrowed from the
-        // columnar arenas — nothing on this path copies a sample.
+        // (fingerprint, values) per prepared series, lent by the arenas.
         let mut lookup: HashMap<SeriesKey<'_>, (u64, &[f64])> = HashMap::new();
         for (component, pc) in &self.prepared {
             for ((name, values), &fp) in pc.prepared.iter().zip(&pc.series_fps) {
                 lookup.insert((component.as_str(), name.as_str()), (fp, values));
             }
         }
+        let fingerprint = |key| lookup.get(&key).map(|&(fp, _)| fp);
 
-        let mut per_comparison: Vec<Option<Vec<DependencyEdge>>> = vec![None; plan.len()];
-        let mut keys: Vec<Option<EdgeKey>> = Vec::with_capacity(plan.len());
-        let mut miss_indices: Vec<usize> = Vec::new();
+        let mut per_comparison: Vec<Vec<DependencyEdge>> = vec![Vec::new(); plan.len()];
+        let mut misses: Vec<(usize, EdgeKey)> = Vec::new();
         for (i, cmp) in plan.iter().enumerate() {
-            let source = lookup.get(&(cmp.source_component.as_str(), cmp.source_metric.as_str()));
-            let target = lookup.get(&(cmp.target_component.as_str(), cmp.target_metric.as_str()));
-            match (source, target) {
-                (Some(&(source_fp, _)), Some(&(target_fp, _))) => {
-                    let key = EdgeKey::new(cmp, source_fp, target_fp, self.config_fp);
-                    if let Some((stamp, edges)) = self.edge_cache.get_mut(&key) {
-                        *stamp = generation;
-                        per_comparison[i] = Some(edges.clone());
-                        keys.push(None);
-                    } else {
-                        miss_indices.push(i);
-                        keys.push(Some(key));
-                    }
+            // A representative without a prepared series produces no
+            // edges on the batch path either; nothing worth caching.
+            let (Some(source_fp), Some(target_fp)) =
+                (fingerprint(cmp.source()), fingerprint(cmp.target()))
+            else {
+                continue;
+            };
+            let key = EdgeKey {
+                comparison: cmp.clone(),
+                source_fp,
+                target_fp,
+                config_fp: self.config_fp,
+            };
+            match self.edge_cache.get_mut(&key) {
+                Some((stamp, edges)) => {
+                    *stamp = generation;
+                    per_comparison[i] = edges.clone();
                 }
-                // A representative without a prepared series produces no
-                // edges on the batch path either; nothing worth caching.
-                _ => {
-                    per_comparison[i] = Some(Vec::new());
-                    keys.push(None);
-                }
+                None => misses.push((i, key)),
             }
         }
 
-        stats.comparisons_tested = miss_indices.len();
-        if !miss_indices.is_empty() {
-            let miss_plan: Vec<Comparison> =
-                miss_indices.iter().map(|&i| plan[i].clone()).collect();
-            let values_lookup: HashMap<SeriesKey<'_>, &[f64]> = lookup
-                .iter()
-                .map(|(key, &(_, values))| (*key, values))
-                .collect();
-            let computed = candidate_edges_per_comparison(&miss_plan, &values_lookup, &self.config);
-            for (&i, edges) in miss_indices.iter().zip(computed) {
-                let key = keys[i].take().expect("miss indices carry their key");
-                self.edge_cache.insert(key, (generation, edges.clone()));
-                per_comparison[i] = Some(edges);
-            }
+        let comparisons_tested = misses.len();
+        let miss_plan: Vec<Comparison> = misses.iter().map(|(i, _)| plan[*i].clone()).collect();
+        let values = |key| lookup.get(&key).map(|&(_, values)| values);
+        let computed = candidate_edges_per_comparison(&miss_plan, values, &self.config);
+        for ((i, key), edges) in misses.into_iter().zip(computed) {
+            self.edge_cache.insert(key, (generation, edges.clone()));
+            per_comparison[i] = edges;
         }
+        self.edge_cache.retain(|_, (stamp, _)| *stamp == generation);
 
         let dependency_graph = assemble_graph(
             &self.clusterings,
             &self.call_graph,
-            per_comparison.into_iter().flatten().flatten(),
+            per_comparison.into_iter().flatten(),
         );
+        let tested = Tested {
+            comparisons_planned: plan.len(),
+            comparisons_tested,
+        };
+        (dependency_graph, tested)
+    }
 
-        // Prune cache entries no longer reachable from the plan so the
-        // cache stays bounded even under churning representative sets.
-        self.edge_cache.retain(|_, (stamp, _)| *stamp == generation);
-
-        self.stats = stats;
+    /// Swaps in the new model snapshot and returns it.
+    fn publish(&mut self, dependency_graph: DependencyGraph) -> Arc<SieveModel> {
         let model = Arc::new(SieveModel {
             application: self.application.clone(),
             clusterings: self.clusterings.clone(),
             dependency_graph,
         });
-        self.last_model = Some(Arc::clone(&model));
-        Ok(model)
+        Arc::clone(self.last_model.insert(model))
+    }
+
+    /// Records what this refresh recomputed: the one write of the stats.
+    fn record(&mut self, absorbed: &Absorbed, components_reclustered: usize, tested: Tested) {
+        self.stats = SessionStats {
+            epoch: absorbed.epoch,
+            components_total: self.prepared.len(),
+            components_prepared: absorbed.dirty.len(),
+            components_reclustered,
+            comparisons_planned: tested.comparisons_planned,
+            comparisons_tested: tested.comparisons_tested,
+        };
     }
 }
 
@@ -603,14 +602,14 @@ mod tests {
                 break;
             }
             session.set_call_graph(sim.call_graph());
-            streamed = Some(session.update(&delta).unwrap());
+            streamed = Some(session.update_shared(&delta).unwrap());
         }
         let streamed = streamed.expect("at least one epoch ran");
 
         let batch = Sieve::new(fast_config())
             .analyze("chain", sim.store(), &sim.call_graph())
             .unwrap();
-        assert_eq!(streamed, batch);
+        assert_eq!(*streamed, batch);
     }
 
     #[test]
@@ -642,7 +641,7 @@ mod tests {
         let delta = store.drain_delta();
         assert_eq!(delta.touched_components(), vec!["svc3"]);
 
-        let updated = session.update(&delta).unwrap();
+        let updated = session.update_shared(&delta).unwrap();
         let stats = session.last_stats();
         assert_eq!(stats.components_prepared, 1, "only svc3 is re-prepared");
         assert_eq!(stats.components_reclustered, 1, "only svc3 is re-clustered");
@@ -659,10 +658,10 @@ mod tests {
         let batch = Sieve::new(fast_config())
             .analyze("chain", &store, &graph)
             .unwrap();
-        assert_eq!(updated, batch);
+        assert_eq!(*updated, batch);
 
         // An empty delta re-tests nothing and returns the same model.
-        let noop = session.update(&store.drain_delta()).unwrap();
+        let noop = session.update_shared(&store.drain_delta()).unwrap();
         let noop_stats = session.last_stats();
         assert_eq!(noop_stats.components_prepared, 0);
         assert_eq!(noop_stats.comparisons_tested, 0);
@@ -702,7 +701,7 @@ mod tests {
         let id = sieve_simulator::store::MetricId::new("web", "a");
         store.record(&id, 100 * 500, 1.0);
         let delta = store.drain_delta();
-        session.update(&delta).unwrap();
+        session.update_shared(&delta).unwrap();
         let stats = session.last_stats();
         assert_eq!(stats.components_prepared, 1, "web is re-prepared");
         assert_eq!(
@@ -720,7 +719,7 @@ mod tests {
             AnalysisSession::new("chain", store.clone(), graph, fast_config()).unwrap();
         assert!(session.snapshot().is_none(), "no model before a refresh");
 
-        let first = session.refresh_shared().unwrap();
+        let first = session.refresh().unwrap();
         let snap = session.snapshot().unwrap();
         assert!(Arc::ptr_eq(&first, &snap), "snapshot is the same Arc");
 
@@ -761,7 +760,7 @@ mod tests {
             store.epoch(),
             "the watermark survives the freeze"
         );
-        let recovered_model = recovered.refresh_shared().unwrap();
+        let recovered_model = recovered.refresh().unwrap();
         assert_eq!(*recovered_model, *live_model);
         assert_eq!(recovered.last_stats().epoch, live.last_stats().epoch);
 
@@ -799,9 +798,9 @@ mod tests {
         let mut recovered =
             AnalysisSession::new("chain", revived.clone(), graph, fast_config()).unwrap();
         assert_eq!(revived.epoch(), 2);
-        assert!(live.has_pending_dirty() && recovered.has_pending_dirty());
-        let live_model = live.refresh_shared().unwrap();
-        let recovered_model = recovered.refresh_shared().unwrap();
+        assert!(live.needs_refresh() && recovered.needs_refresh());
+        let live_model = live.refresh().unwrap();
+        let recovered_model = recovered.refresh().unwrap();
         assert_eq!(*recovered_model, *live_model);
         assert_eq!(recovered.last_stats(), live.last_stats());
         assert_eq!(recovered.last_stats().epoch, 2);
@@ -814,6 +813,58 @@ mod tests {
         assert_eq!(*next_recovered, *next_live);
         assert_eq!(recovered.last_stats(), live.last_stats());
         assert_eq!(live.last_stats().epoch, 3);
+    }
+
+    #[test]
+    fn a_failed_refresh_puts_back_what_it_absorbed() {
+        let app = chain_app(3);
+        let (store, graph) =
+            load_application(&app, &Workload::randomized(50.0, 3), 19, 60_000, 500).unwrap();
+        // The twin sees the same data and never fails.
+        let twin_store = MetricStore::restore(store.freeze());
+        let open = |store: &MetricStore| {
+            let mut session =
+                AnalysisSession::new("chain", store.clone(), CallGraph::new(), fast_config())
+                    .unwrap();
+            session.update_shared(&store.drain_delta()).unwrap();
+            session
+        };
+        let (mut session, mut twin) = (open(&store), open(&twin_store));
+
+        // Round 0 only re-plans over a new call graph; round 1 also brings
+        // new samples, so dirty components must survive the failure too.
+        for round in 0..2 {
+            for (session, store) in [(&mut session, &store), (&mut twin, &twin_store)] {
+                if round == 1 {
+                    let id = sieve_simulator::store::MetricId::new("svc1", "svc1_latency_ms");
+                    let last = store.series(&id).unwrap().end_ms().unwrap();
+                    store.record(&id, last + 500, 99.0);
+                }
+                session.set_call_graph(graph.clone());
+                session.apply_delta(&store.drain_delta());
+            }
+            let (before, stats_before) = (session.snapshot().unwrap(), session.last_stats());
+            session.reduce_failpoint = Some(crate::SieveError::NoMetrics {
+                scope: "injected reduce failure".to_string(),
+            });
+            assert!(
+                matches!(session.refresh(), Err(crate::SieveError::NoMetrics { .. })),
+                "round {round}: the error surfaces"
+            );
+            assert!(Arc::ptr_eq(&session.snapshot().unwrap(), &before));
+            assert_eq!(session.last_stats(), stats_before);
+            assert!(session.needs_refresh(), "round {round}: the work is back");
+
+            let retried = session.refresh().unwrap();
+            let batch = Sieve::new(fast_config())
+                .analyze("chain", &store, &graph)
+                .unwrap();
+            assert_eq!(*retried, batch, "round {round}");
+            twin.refresh().unwrap();
+            assert_eq!(session.last_stats(), twin.last_stats(), "round {round}");
+            assert!(session.last_stats().comparisons_planned > 0);
+            assert!(!session.needs_refresh());
+        }
     }
 
     #[test]

@@ -188,7 +188,7 @@ fn random_delta_sequences_converge_to_the_batch_model() {
         for epoch in &scenario.epochs {
             record_ticks(&store, &scenario, &mut clocks, epoch);
             let delta = store.drain_delta();
-            streamed = Some(session.update(&delta).unwrap());
+            streamed = Some(session.update_shared(&delta).unwrap());
         }
         let streamed = streamed.unwrap();
 
@@ -196,12 +196,12 @@ fn random_delta_sequences_converge_to_the_batch_model() {
             .analyze("random", &store, &scenario.call_graph)
             .unwrap();
         assert_eq!(
-            streamed, batch,
+            *streamed, batch,
             "seed {seed}: streamed session must match batch analysis"
         );
         let reference =
             sieve_core::oracle::analyze("random", &store, &scenario.call_graph, &config).unwrap();
-        assert_eq!(streamed, reference, "seed {seed}: and the oracle");
+        assert_eq!(*streamed, reference, "seed {seed}: and the oracle");
     }
 }
 
@@ -228,7 +228,7 @@ fn incremental_and_batch_equal_the_oracle_across_parallelism() {
         let mut streamed = None;
         for epoch in &scenario.epochs {
             record_ticks(&store, &scenario, &mut clocks, epoch);
-            streamed = Some(session.update(&store.drain_delta()).unwrap());
+            streamed = Some(session.update_shared(&store.drain_delta()).unwrap());
         }
         let batch = Sieve::new(config)
             .analyze("matrix", &store, &scenario.call_graph)
@@ -241,7 +241,7 @@ fn incremental_and_batch_equal_the_oracle_across_parallelism() {
             reference.dependency_graph.edge_count() > 0,
             "the scenario must produce dependency edges"
         );
-        assert_eq!(reference, &streamed.unwrap(), "parallelism {parallelism}");
+        assert_eq!(reference, &*streamed.unwrap(), "parallelism {parallelism}");
         assert_eq!(reference, &batch, "parallelism {parallelism}");
     }
 }
@@ -270,7 +270,7 @@ fn sessions_follow_a_growing_component_set() {
         })
         .collect();
     record_ticks(&store, &scenario, &mut clocks, &first);
-    let partial = session.update(&store.drain_delta()).unwrap();
+    let partial = session.update_shared(&store.drain_delta()).unwrap();
     assert_eq!(partial.clusterings.len(), 1);
 
     // Epoch 2: every component reports, the call graph fills in.
@@ -280,12 +280,12 @@ fn sessions_follow_a_growing_component_set() {
         .collect();
     record_ticks(&store, &scenario, &mut clocks, &rest);
     session.set_call_graph(scenario.call_graph.clone());
-    let full = session.update(&store.drain_delta()).unwrap();
+    let full = session.update_shared(&store.drain_delta()).unwrap();
 
     let batch = Sieve::new(config)
         .analyze("growing", &store, &scenario.call_graph)
         .unwrap();
-    assert_eq!(full, batch);
+    assert_eq!(*full, batch);
     assert!(full.clusterings.len() > 1);
     assert_eq!(
         full.clusterings.keys().cloned().collect::<Vec<Name>>(),

@@ -354,12 +354,13 @@ impl SieveService {
     /// Drains every tenant's delta and refreshes all dirty tenants through
     /// one parallel fan-out; returns what the sweep recomputed.
     ///
-    /// A tenant is dirty when its drained
-    /// [`StoreDelta`](sieve_simulator::store::StoreDelta) is non-empty,
-    /// when its session has absorbed dirt that a (failed) earlier sweep
-    /// did not refresh, when its call graph was replaced since the last
-    /// sweep, or when it has data but never published a model (so adopted
-    /// pre-loaded stores are analysed on the first sweep). Tenants with
+    /// A tenant is dirty when its session
+    /// [`needs_refresh`](sieve_core::session::AnalysisSession::needs_refresh):
+    /// its drained [`StoreDelta`](sieve_simulator::store::StoreDelta) is
+    /// non-empty, a failed earlier refresh put its work back, its call
+    /// graph was replaced since its last successful refresh, or it has data
+    /// but never published a model (so adopted pre-loaded stores are
+    /// analysed on the first sweep). Tenants with
     /// *empty* stores are never refreshed — they stay unpublished
     /// ([`SieveService::model`] returns `None`) until their first accepted
     /// point, which keeps the published-model guarantee unconditional:

@@ -200,6 +200,35 @@ fn replacing_the_call_graph_refreshes_the_tenant_without_new_ingest() {
 }
 
 #[test]
+fn a_failed_replan_only_refresh_is_retried() {
+    let service = SieveService::new(tiny_config().with_sweep_parallelism(1)).unwrap();
+    service.create_tenant("acme", CallGraph::new()).unwrap();
+    ingest_wave(&service, "acme", 0..80, 0.0);
+    service.refresh_dirty().unwrap();
+    assert_eq!(service.last_stats("acme").unwrap().comparisons_planned, 0);
+
+    // A re-plan with no new series, whose first refresh fails: the
+    // request must outlive the failure.
+    service.set_call_graph("acme", web_db_graph()).unwrap();
+    service
+        .refresh_failpoint
+        .write()
+        .unwrap()
+        .insert("acme".to_string());
+    assert!(service.refresh_dirty().is_err());
+    service.refresh_failpoint.write().unwrap().clear();
+
+    let refreshes: usize = (0..4)
+        .map(|_| service.refresh_dirty().unwrap().tenants_refreshed)
+        .sum();
+    assert_eq!(refreshes, 1, "the lost re-plan is retried exactly once");
+    assert!(
+        service.last_stats("acme").unwrap().comparisons_planned > 0,
+        "the retried refresh planned over the new topology"
+    );
+}
+
+#[test]
 fn unknown_and_duplicate_tenants_error() {
     let service = SieveService::new(tiny_config()).unwrap();
     service.create_tenant("acme", CallGraph::new()).unwrap();

@@ -71,12 +71,10 @@ impl SieveService {
             });
         }
         let mut session = tenant.session();
-        let model = session
-            .refresh_shared()
-            .map_err(|source| ServeError::Analysis {
-                tenant: tenant.name.clone(),
-                source,
-            })?;
+        let model = session.refresh().map_err(|source| ServeError::Analysis {
+            tenant: tenant.name.clone(),
+            source,
+        })?;
         let session_stats = session.last_stats();
         // Publish while still holding the session lock: if two sweeps ever
         // race on one tenant, the lock serialises refresh+publish as a
@@ -116,29 +114,24 @@ impl SieveService {
 /// The select phase for one tenant: drains its delta (cheap: one store
 /// lock) and absorbs it into the session — so the epoch watermark stays
 /// current even for clean tenants — and returns whether the tenant needs a
-/// refresh. The session's own pending-dirt flag is the source of truth: it
-/// covers this delta, deltas absorbed by a previously *failed* refresh,
-/// and nothing else; a replaced call graph is tracked separately because
-/// it changes the comparison plan without dirtying any series.
+/// refresh. The session is the one source of truth: its
+/// `needs_refresh` covers this delta, whatever a *failed* refresh put
+/// back, a replaced call graph and a tenant that never refreshed, and only
+/// a successful refresh — which this service always publishes — clears it.
 fn absorb_delta(tenant: &Tenant, sweep: u64, force: bool) -> bool {
     // Tenants waiting out a failure backoff are skipped entirely: their
-    // delta stays in the store and their force-refresh flag stays set, so
-    // the deferred work is all still there when the backoff window ends.
+    // delta stays in the store and their session keeps its outstanding
+    // work, so the deferred work is all still there when the window ends.
     if !force && tenant.in_backoff(sweep) {
         return false;
     }
     let delta = tenant.store.drain_delta();
-    let replanned = tenant.take_refresh_request();
-    let never_published = tenant.model().is_none();
-    let pending = {
-        let mut session = tenant.session();
-        session.apply_delta(&delta);
-        if force {
-            session.mark_all_dirty();
-        }
-        session.has_pending_dirty()
-    };
+    let mut session = tenant.session();
+    session.apply_delta(&delta);
+    if force {
+        session.mark_all_dirty();
+    }
     // An empty store has nothing to analyse: the tenant stays unpublished
     // until its first accepted point arrives.
-    tenant.store.series_count() > 0 && (pending || replanned || never_published)
+    tenant.store.series_count() > 0 && session.needs_refresh()
 }

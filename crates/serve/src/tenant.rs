@@ -11,7 +11,7 @@ use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{BatchOutcome, MetricId, MetricStore};
 use sieve_wal::{IngestRef, WalEvent};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 /// Longest refresh-failure backoff, in sweeps. A tenant that keeps
@@ -126,11 +126,6 @@ pub(crate) struct Tenant {
     session: Mutex<AnalysisSession>,
     /// The last published model + stats, swapped at the end of a refresh.
     published: RwLock<Published>,
-    /// Set when something outside the store's delta stream invalidated
-    /// the published model — today: a call-graph replacement, which
-    /// changes the comparison plan without touching any series. Consumed
-    /// (reset) by the next sweep.
-    force_refresh: AtomicBool,
     /// Consecutive refresh failures (0 = healthy). Drives the capped
     /// exponential backoff: streak `n` delays the next attempt by
     /// `min(2^(n-1), MAX_BACKOFF_SWEEPS)` sweeps.
@@ -165,7 +160,6 @@ impl Tenant {
             apply_order: Mutex::new(IngestScratch::default()),
             session: Mutex::new(session),
             published: RwLock::new(Published::default()),
-            force_refresh: AtomicBool::new(false),
             failure_streak: AtomicU32::new(0),
             retry_at_sweep: AtomicU64::new(0),
         }))
@@ -199,8 +193,7 @@ impl Tenant {
             // `Tenant::open` built what the record describes.
             WalEvent::TenantCreated { .. } => {}
             WalEvent::CallGraphReplaced { call_graph, .. } => {
-                self.session().set_call_graph(call_graph);
-                self.request_refresh();
+                self.session().set_call_graph(call_graph)
             }
             WalEvent::RetentionChanged { retention, .. } => self.store.set_retention(retention),
             // Ingest is lent to replay, never owned: a batch in this form
@@ -282,16 +275,6 @@ impl Tenant {
     /// Current consecutive-failure streak (0 = healthy).
     pub(crate) fn failure_streak(&self) -> u32 {
         self.failure_streak.load(Ordering::Acquire)
-    }
-
-    /// Requests a refresh at the next sweep even if no series changes.
-    pub(crate) fn request_refresh(&self) {
-        self.force_refresh.store(true, Ordering::Release);
-    }
-
-    /// Consumes the pending force-refresh request, if any.
-    pub(crate) fn take_refresh_request(&self) -> bool {
-        self.force_refresh.swap(false, Ordering::AcqRel)
     }
 
     /// What the tenant last published, under a momentary read lock.

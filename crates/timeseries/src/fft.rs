@@ -46,14 +46,6 @@ impl Complex {
     pub fn from_real(re: f64) -> Self {
         Self { re, im: 0.0 }
     }
-
-    /// `e^{i theta}` on the unit circle.
-    pub fn from_polar_unit(theta: f64) -> Self {
-        Self {
-            re: theta.cos(),
-            im: theta.sin(),
-        }
-    }
 }
 
 impl Add for Complex {
@@ -78,6 +70,101 @@ impl Mul for Complex {
             self.re * rhs.im + self.im * rhs.re,
         )
     }
+}
+
+/// `(cos θ, sin θ)` at `θ = fl(−2π / len)` for `len = 2^1 … 2^62`, at
+/// index `log2(len) − 1`: the root of unity each butterfly stage of length
+/// `len` steps its twiddles by, correctly rounded, so no transform calls
+/// libm. The angle is exact (`fl(−2π)` over a power of two); mpmath
+/// evaluates it at 320 bits and each value is rounded once:
+///
+/// ```text
+/// from fractions import Fraction
+/// from math import pi
+/// from mpmath import mp, mpf, cos, sin
+/// mp.prec = 320
+/// def f64(x):
+///     sign, man, exp, _ = x._mpf_
+///     return float((-1) ** sign * Fraction(man) * Fraction(2) ** exp)
+/// for s in range(1, 63):
+///     theta = -2 * mpf(pi) / 2**s
+///     print(f"    ({f64(cos(theta))!r}, {f64(sin(theta))!r}),")
+/// ```
+///
+/// The entries are the generator's output verbatim: roots at `fl(θ)`,
+/// which need not equal `std`'s constants (clippy's `approx_constant`).
+#[rustfmt::skip]
+#[allow(clippy::approx_constant)]
+const STAGE_ROOTS: [(f64, f64); 62] = [
+    (-1.0, -1.2246467991473532e-16),
+    (6.123233995736766e-17, -1.0),
+    (0.7071067811865476, -0.7071067811865475),
+    (0.9238795325112867, -0.3826834323650898),
+    (0.9807852804032304, -0.19509032201612825),
+    (0.9951847266721969, -0.0980171403295606),
+    (0.9987954562051724, -0.049067674327418015),
+    (0.9996988186962042, -0.024541228522912288),
+    (0.9999247018391445, -0.012271538285719925),
+    (0.9999811752826011, -0.006135884649154475),
+    (0.9999952938095762, -0.003067956762965976),
+    (0.9999988234517019, -0.0015339801862847655),
+    (0.9999997058628822, -0.0007669903187427045),
+    (0.9999999264657179, -0.00038349518757139556),
+    (0.9999999816164293, -0.0001917475973107033),
+    (0.9999999954041073, -9.587379909597734e-05),
+    (0.9999999988510269, -4.793689960306688e-05),
+    (0.9999999997127567, -2.396844980841822e-05),
+    (0.9999999999281892, -1.1984224905069705e-05),
+    (0.9999999999820472, -5.9921124526424275e-06),
+    (0.9999999999955118, -2.996056226334661e-06),
+    (0.999999999998878, -1.4980281131690111e-06),
+    (0.9999999999997194, -7.490140565847157e-07),
+    (0.9999999999999298, -3.7450702829238413e-07),
+    (0.9999999999999825, -1.8725351414619535e-07),
+    (0.9999999999999957, -9.362675707309808e-08),
+    (0.9999999999999989, -4.681337853654909e-08),
+    (0.9999999999999998, -2.340668926827455e-08),
+    (0.9999999999999999, -1.1703344634137277e-08),
+    (1.0, -5.8516723170686385e-09),
+    (1.0, -2.9258361585343192e-09),
+    (1.0, -1.4629180792671596e-09),
+    (1.0, -7.314590396335798e-10),
+    (1.0, -3.657295198167899e-10),
+    (1.0, -1.8286475990839495e-10),
+    (1.0, -9.143237995419748e-11),
+    (1.0, -4.571618997709874e-11),
+    (1.0, -2.285809498854937e-11),
+    (1.0, -1.1429047494274685e-11),
+    (1.0, -5.714523747137342e-12),
+    (1.0, -2.857261873568671e-12),
+    (1.0, -1.4286309367843356e-12),
+    (1.0, -7.143154683921678e-13),
+    (1.0, -3.571577341960839e-13),
+    (1.0, -1.7857886709804195e-13),
+    (1.0, -8.928943354902097e-14),
+    (1.0, -4.4644716774510487e-14),
+    (1.0, -2.2322358387255243e-14),
+    (1.0, -1.1161179193627622e-14),
+    (1.0, -5.580589596813811e-15),
+    (1.0, -2.7902947984069054e-15),
+    (1.0, -1.3951473992034527e-15),
+    (1.0, -6.975736996017264e-16),
+    (1.0, -3.487868498008632e-16),
+    (1.0, -1.743934249004316e-16),
+    (1.0, -8.71967124502158e-17),
+    (1.0, -4.35983562251079e-17),
+    (1.0, -2.179917811255395e-17),
+    (1.0, -1.0899589056276974e-17),
+    (1.0, -5.449794528138487e-18),
+    (1.0, -2.7248972640692436e-18),
+    (1.0, -1.3624486320346218e-18),
+];
+
+/// `e^{−2πi/len}` for a butterfly stage of power-of-two length `len ≥ 2`,
+/// from [`STAGE_ROOTS`].
+fn stage_root(len: usize) -> Complex {
+    let (re, im) = STAGE_ROOTS[len.trailing_zeros() as usize - 1];
+    Complex::new(re, im)
 }
 
 /// Smallest power of two that is `>= n` (returns 1 for `n == 0`).
@@ -129,8 +216,7 @@ impl TwiddleTable {
         let mut len = 2;
         while len <= n {
             // Same per-stage recurrence as the seed FFT's inner loop.
-            let ang = -2.0 * std::f64::consts::PI / len as f64;
-            let wlen = Complex::from_polar_unit(ang);
+            let wlen = stage_root(len);
             let mut w = Complex::from_real(1.0);
             for _ in 0..len / 2 {
                 re.push(w.re);
@@ -445,8 +531,7 @@ pub fn fft_in_place_naive(data: &mut [Complex]) {
     // Butterfly passes.
     let mut len = 2;
     while len <= n {
-        let ang = -2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::from_polar_unit(ang);
+        let wlen = stage_root(len);
         let mut i = 0;
         while i < n {
             let mut w = Complex::from_real(1.0);
@@ -781,6 +866,20 @@ mod tests {
     }
 
     #[test]
+    fn stage_roots_are_within_one_ulp_of_libm() {
+        for (index, &(re, im)) in STAGE_ROOTS.iter().enumerate() {
+            let len = 1u64 << (index + 1);
+            let theta = -2.0 * std::f64::consts::PI / len as f64;
+            for (tabled, libm) in [(re, theta.cos()), (im, theta.sin())] {
+                assert_eq!(tabled.signum(), libm.signum(), "len=2^{}", index + 1);
+                let ulps = tabled.to_bits().abs_diff(libm.to_bits());
+                assert!(ulps <= 1, "len=2^{}: {tabled:e} vs {libm:e}", index + 1);
+            }
+            assert_eq!(stage_root(len as usize), Complex::new(re, im));
+        }
+    }
+
+    #[test]
     fn twiddle_table_matches_seed_recurrence() {
         let n = 64;
         let table = TwiddleTable::new(n);
@@ -788,8 +887,7 @@ mod tests {
         assert!(!table.is_empty());
         let mut len = 2;
         while len <= n {
-            let ang = -2.0 * std::f64::consts::PI / len as f64;
-            let wlen = Complex::from_polar_unit(ang);
+            let wlen = stage_root(len);
             let mut w = Complex::from_real(1.0);
             let (re, im) = table.stage(len);
             assert_eq!((re.len(), im.len()), (len / 2, len / 2));

@@ -14,8 +14,9 @@
 //! model's `Debug` text (every cluster, representative distance, silhouette
 //! and edge statistic, floats printed to round-trip precision) through
 //! `sieve::exec::hash`, which is the same on every host and toolchain; the
-//! *model* is not — libm's `sin`/`cos` feed the FFT twiddles — so there is no
-//! golden value to compare against, only another run on the same host.
+//! *model* is not — libm's `exp`/`ln`/`sin` shape the simulated series and
+//! the Granger p-values — so there is no golden value to compare against,
+//! only another run on the same host.
 //!
 //! Run with:
 //!

@@ -43,8 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             break;
         }
         session.set_call_graph(sim.call_graph());
-        // `update_shared` returns the session's retained snapshot without
-        // cloning the model — the right call on a per-epoch hot path.
+        // The call-graph swap queues a re-plan, the delta queues its dirty
+        // components; `update_shared` runs the one refresh over both and
+        // returns the session's retained snapshot — no model is cloned.
         let model = session.update_shared(&delta)?;
         let stats = session.last_stats();
 
