@@ -11,9 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
-pub mod ledger;
-pub mod noise;
 pub mod table3;
 
 use sieve_apps::{openstack, sharelatex, MetricRichness};

@@ -9,8 +9,8 @@
 //! [`crate::pipeline::Sieve::analyze`]; it shares only the *definition* of
 //! each stage (variance filter, short-circuits, cluster and edge assembly,
 //! comparison plan), so `==` between the two models pins the engines, the
-//! incremental session and the executor at once. Tests and benches compare
-//! against it at three granularities: the whole model, one component's
+//! incremental session and the executor at once. Tests compare against it
+//! at three granularities: the whole model, one component's
 //! reduction ([`reduce_component`]) and the dependency stage
 //! ([`identify_dependencies`]).
 

@@ -257,6 +257,7 @@ impl Sieve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sieve_apps::{openstack, MetricRichness};
     use sieve_simulator::app::{CallSpec, ComponentSpec};
     use sieve_simulator::metrics::{MetricBehavior, MetricSpec};
 
@@ -426,47 +427,66 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_pipelines_produce_identical_models() {
-        let app = small_app();
-        let (store, graph) =
-            load_application(&app, &Workload::randomized(60.0, 1), 9, 90_000, 500).unwrap();
-        let serial = Sieve::new(fast_config().with_parallelism(1))
-            .analyze("small", &store, &graph)
-            .unwrap();
-        let parallel = Sieve::new(fast_config().with_parallelism(8))
-            .analyze("small", &store, &graph)
-            .unwrap();
+        // The small app at the fast config, and OpenStack's full metric
+        // profile at the shipped config: with it both stages — per-component
+        // reduction and per-edge Granger testing — have enough independent
+        // work to spread over eight workers.
+        let cases = [
+            (
+                small_app(),
+                Workload::randomized(60.0, 1),
+                90_000,
+                fast_config(),
+            ),
+            (
+                openstack::app_spec(MetricRichness::Full),
+                Workload::randomized(60.0, 5),
+                120_000,
+                SieveConfig::default(),
+            ),
+        ];
+        for (app, workload, duration_ms, config) in cases {
+            let (store, graph) = load_application(&app, &workload, 9, duration_ms, 500).unwrap();
+            let serial = Sieve::new(config.clone().with_parallelism(1))
+                .analyze(&app.name, &store, &graph)
+                .unwrap();
+            let parallel = Sieve::new(config.with_parallelism(8))
+                .analyze(&app.name, &store, &graph)
+                .unwrap();
+            assert!(serial.dependency_graph.edge_count() > 0, "{}", app.name);
 
-        // Full structural equality: clusterings (members, representatives,
-        // scores), dependency edges with their lags and statistics — not
-        // just matching counts.
-        assert_eq!(serial, parallel);
+            // Full structural equality: clusterings (members,
+            // representatives, scores), dependency edges with their lags and
+            // statistics — not just matching counts.
+            assert_eq!(serial, parallel, "{}", app.name);
 
-        // Spell out the load-bearing pieces so a regression pinpoints
-        // itself even if `SieveModel`'s PartialEq ever loosens.
-        assert_eq!(serial.clusterings, parallel.clusterings);
-        for (s, p) in serial
-            .dependency_graph
-            .edges()
-            .iter()
-            .zip(parallel.dependency_graph.edges())
-        {
-            assert_eq!(s, p);
+            // Spell out the load-bearing pieces so a regression pinpoints
+            // itself even if `SieveModel`'s PartialEq ever loosens.
+            assert_eq!(serial.clusterings, parallel.clusterings);
+            for (s, p) in serial
+                .dependency_graph
+                .edges()
+                .iter()
+                .zip(parallel.dependency_graph.edges())
+            {
+                assert_eq!(s, p);
+            }
+            assert_eq!(
+                serial.dependency_graph.edge_count(),
+                parallel.dependency_graph.edge_count()
+            );
+            assert_eq!(
+                serial
+                    .clusterings
+                    .values()
+                    .map(|c| c.representatives())
+                    .collect::<Vec<_>>(),
+                parallel
+                    .clusterings
+                    .values()
+                    .map(|c| c.representatives())
+                    .collect::<Vec<_>>()
+            );
         }
-        assert_eq!(
-            serial.dependency_graph.edge_count(),
-            parallel.dependency_graph.edge_count()
-        );
-        assert_eq!(
-            serial
-                .clusterings
-                .values()
-                .map(|c| c.representatives())
-                .collect::<Vec<_>>(),
-            parallel
-                .clusterings
-                .values()
-                .map(|c| c.representatives())
-                .collect::<Vec<_>>()
-        );
     }
 }

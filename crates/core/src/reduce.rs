@@ -509,6 +509,31 @@ mod tests {
         });
         assert!(capped.count() >= 2, "the sweep must hit the cap");
         assert_cached_equals_naive(&PreparedComponent::from_named(&series), base, &[1, 4, 8]);
+
+        // Third fixture: thirty series of three shape families (sines,
+        // ramps, bursts) of 240 ticks, each member its family's shape shifted
+        // and given its own sawtooth wobble, swept over k = 2..=6 as one
+        // component.
+        let series: Vec<NamedSeries> = (0..30)
+            .map(|m| {
+                let family = m % 3;
+                let values = (0..240)
+                    .map(|i| {
+                        let t = (i + m / 3) as f64;
+                        let wobble = ((i * 7 + m * 13) % 11) as f64 / 11.0 - 0.5;
+                        match family {
+                            0 => 40.0 + 20.0 * (t * 0.12).sin() + 2.0 * wobble,
+                            1 => 0.5 * t + 3.0 * wobble,
+                            _ if (i + m) % 24 < 3 => 10.0 + wobble,
+                            _ => wobble,
+                        }
+                    })
+                    .collect();
+                named(&format!("family{family}_metric_{m}"), values)
+            })
+            .collect();
+        let base = SieveConfig::default().with_cluster_range(2, 6);
+        assert_cached_equals_naive(&PreparedComponent::from_named(&series), base, &[1]);
     }
 
     /// Reduces `prepared` with the direct-SBD oracle and, at each

@@ -25,11 +25,10 @@
 //! Every cache key is a *content* fingerprint, never a timestamp or an
 //! epoch number, and all recomputation funnels through the same
 //! [`crate::reduce`]/[`crate::dependencies`] code as the batch path. The
-//! result is the central guarantee of this module, asserted by tests,
-//! property tests and the `incremental` bench: a session that absorbed any
-//! sequence of deltas emits a [`SieveModel`] **bit-identical** to batch
-//! analysis of the final store — and to the stateless [`crate::oracle`] —
-//! across parallelism degrees.
+//! result is the central guarantee of this module, asserted by unit and
+//! property tests: a session that absorbed any sequence of deltas emits a
+//! [`SieveModel`] **bit-identical** to batch analysis of the final store —
+//! and to the stateless [`crate::oracle`] — across parallelism degrees.
 //!
 //! # Lifecycle
 //!
@@ -81,7 +80,7 @@ use std::sync::Arc;
 
 /// What one [`AnalysisSession::refresh`] actually recomputed — the
 /// observable behind the "only dirty work is redone" guarantee, asserted
-/// by the incremental tests and reported by the bench. The refresh's
+/// by the incremental tests and reported by the benchmark. The refresh's
 /// `record` phase is its one writer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
@@ -650,6 +649,15 @@ mod tests {
             "only comparisons touching svc3 are re-tested ({} of {})",
             stats.comparisons_tested,
             full_stats.comparisons_tested
+        );
+        // The same update plans every comparison but tests only those: the
+        // rest is reused, which is where an update's speed over a batch
+        // re-analysis comes from.
+        assert!(
+            stats.comparisons_tested < stats.comparisons_planned,
+            "the update re-tests a subset ({} of {} planned)",
+            stats.comparisons_tested,
+            stats.comparisons_planned
         );
         assert_eq!(stats.epoch, delta.epoch);
 

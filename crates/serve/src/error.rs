@@ -55,6 +55,12 @@ pub enum ServeError {
     /// Recovery met a whole, checksum-verified log frame whose event tag
     /// this build does not read: another build wrote it. The directory is
     /// left as found rather than truncated at a frame that is not corrupt.
+    ///
+    /// A directory of another format is refused by its format record
+    /// before any log is read ([`Self::FormatTooOld`],
+    /// [`Self::FormatTooNew`]), so one case is left for this guard: a build
+    /// that changed the set of event tags without bumping
+    /// [`sieve_wal::FORMAT`].
     UnknownEventTag {
         /// The shard whose log holds the frame.
         shard: usize,

@@ -503,8 +503,7 @@ fn butterfly_span_real(ar: &mut [f64], br: &mut [f64], bi: &[f64], wr: &[f64], w
 /// so that the split transform is checked against code it shares nothing
 /// with. Kept as the reference oracle: property tests assert
 /// [`fft_in_place`] is **bitwise** equal to this across every length and on
-/// hostile input, and the `analysis` bench measures the batched path against
-/// it.
+/// hostile input.
 ///
 /// # Panics
 ///
@@ -944,7 +943,7 @@ mod tests {
 
     #[test]
     fn fft_batch_is_bitwise_equal_to_per_series_ffts() {
-        for (count, n) in [(1usize, 8usize), (3, 64), (7, 128), (16, 32)] {
+        for (count, n) in [(1usize, 8usize), (3, 64), (7, 128), (16, 32), (64, 1024)] {
             let singles: Vec<(Vec<f64>, Vec<f64>)> = (0..count)
                 .map(|series| split(&random_complex(n, series as u64 * 31 + 7)))
                 .collect();

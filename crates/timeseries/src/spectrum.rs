@@ -522,9 +522,10 @@ mod tests {
     #[test]
     fn cached_path_is_bit_identical_to_direct_path() {
         // Every series length to 300: padded lengths 1, 4 (no head stages),
-        // 8 (nothing but head stages) … 1024, through one scratch.
+        // 8 (nothing but head stages) … 1024, through one scratch; and two
+        // longer series, up to a padded length of 4096.
         let mut scratch = SbdScratch::default();
-        for len in 1..=300usize {
+        for len in (1..=300usize).chain([512, 2048]) {
             for seed in 0..3u64 {
                 let x = random_series(len, seed * 2 + 1);
                 let y = random_series(len, seed * 2 + 2);

@@ -591,6 +591,22 @@ mod tests {
     }
 
     #[test]
+    fn the_tags_read_are_those_of_format_5() {
+        // A directory's format record names the layout of every frame, so
+        // a build reading another set of tags must read another format.
+        // Recovery refuses a verified frame of a tag outside this set as
+        // written by another build; that guard holds only while the set
+        // and the format number change together.
+        let read: Vec<u8> = (0..=255u8).filter(|t| reads_tag(*t)).collect();
+        assert_eq!(crate::FORMAT, 5, "a new format re-pins the tags it reads");
+        assert_eq!(
+            read,
+            [2, 3, 5, 6],
+            "a change to the event tags read needs a bump of FORMAT"
+        );
+    }
+
+    #[test]
     fn every_event_roundtrips() {
         for event in sample_events() {
             let mut buf = Vec::new();

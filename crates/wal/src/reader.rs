@@ -31,7 +31,10 @@
 //! A first bad frame that is whole and verifies its checksum but carries
 //! an event tag this build does not read is no torn write: another build
 //! wrote it. [`LogCorruption::unknown_tag`] names the tag, so recovery can
-//! refuse the log instead of truncating what it cannot judge.
+//! refuse the log instead of truncating what it cannot judge. A directory
+//! of another format is refused by its format record before its logs are
+//! read, so the one build that can have written such a frame is one that
+//! changed the set of event tags without bumping [`crate::FORMAT`].
 //!
 //! The walk lends rather than yields: an ingest frame, nearly every frame
 //! of a log, is decoded into buffers the walk reuses and handed out as a

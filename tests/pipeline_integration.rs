@@ -54,8 +54,8 @@ fn pipeline_reduces_metrics_by_a_large_factor() {
     // Every component got a clustering.
     assert_eq!(model.clusterings.len(), 15);
     // The reduction is at least ~2.5x even on the minimal model (the paper
-    // reports 10-100x on the full 889-metric deployment, which the
-    // full-richness benches reproduce).
+    // reports 10-100x on the full 889-metric deployment, which
+    // `fig4_metric_reduction` reproduces at `Full` richness).
     assert!(
         model.overall_reduction_factor() >= 2.5,
         "reduction factor {:.2}",
@@ -162,24 +162,26 @@ fn cached_granger_engine_equals_direct_path_on_a_full_model() {
     // Regression for the shared SBD engine (spectra, distance matrix,
     // memoised k-Shape), the shared causality engine (cached ADF verdicts,
     // differenced buffers, memoized restricted fits), the session's caches
-    // and the executor at once: on two full application runs the production
-    // analysis at every executor degree must equal, bit for bit, the
-    // stateless serial oracle that recomputes every distance and every
-    // Granger test directly. (The two runs are independent and the oracle
-    // is serial, so each gets a thread.)
+    // and the executor at once: on three full application runs the
+    // production analysis at every executor degree must equal, bit for bit,
+    // the stateless serial oracle that recomputes every distance and every
+    // Granger test directly. Two runs use the fast config; the third uses
+    // the shipped one (k from 2 to 7) and is also streamed into a session
+    // epoch by epoch. (The runs are independent and the oracle is serial,
+    // so each gets a thread.)
     let app = sharelatex::app_spec(MetricRichness::Minimal);
-    let check = |seed: u64| {
-        let (store, call_graph) =
-            load_application(&app, &Workload::randomized(80.0, 6), seed, 120_000, 500).unwrap();
+    let workload = Workload::randomized(80.0, 6);
+    let check = |seed: u64, base: SieveConfig, stream: bool| {
+        let (store, call_graph) = load_application(&app, &workload, seed, 120_000, 500).unwrap();
         let reference =
-            sieve::core::oracle::analyze("sharelatex", &store, &call_graph, &fast_config())
-                .unwrap();
+            sieve::core::oracle::analyze("sharelatex", &store, &call_graph, &base).unwrap();
         assert!(
             reference.dependency_graph.edge_count() > 0,
             "the run must infer dependency edges"
         );
         for parallelism in [1usize, 4, 8] {
-            let model = Sieve::new(fast_config().with_parallelism(parallelism))
+            let config = base.clone().with_parallelism(parallelism);
+            let model = Sieve::new(config.clone())
                 .analyze("sharelatex", &store, &call_graph)
                 .unwrap();
             assert_eq!(reference.clusterings, model.clusterings);
@@ -191,12 +193,47 @@ fn cached_granger_engine_equals_direct_path_on_a_full_model() {
                 reference, model,
                 "seed {seed:#x}, parallelism {parallelism}"
             );
+            if stream {
+                assert_eq!(
+                    reference,
+                    streamed_model(&app, &workload, seed, config),
+                    "streamed, seed {seed:#x}, parallelism {parallelism}"
+                );
+            }
         }
     };
     std::thread::scope(|scope| {
-        scope.spawn(|| check(0x51));
-        check(0x52);
+        scope.spawn(|| check(0x51, fast_config(), false));
+        scope.spawn(|| check(0x52, fast_config(), false));
+        check(0x53, SieveConfig::default(), true);
     });
+}
+
+/// Runs the simulation `load_application` runs for `seed` (120 s at 500 ms
+/// ticks), streaming it into an [`AnalysisSession`] 40 ticks at a time with
+/// the call graph following the simulation, and returns the last model.
+fn streamed_model(
+    app: &AppSpec,
+    workload: &Workload,
+    seed: u64,
+    config: SieveConfig,
+) -> SieveModel {
+    let sim_config = SimConfig::new(seed)
+        .with_tick_ms(500)
+        .with_duration_ms(120_000);
+    let mut sim = Simulation::new(app.clone(), workload.clone(), sim_config).unwrap();
+    let mut session =
+        AnalysisSession::new("sharelatex", sim.store().clone(), sim.call_graph(), config).unwrap();
+    let mut model = None;
+    loop {
+        let (delta, executed) = sim.step_epoch(40);
+        if executed == 0 {
+            break;
+        }
+        session.set_call_graph(sim.call_graph());
+        model = Some(session.update_shared(&delta).unwrap());
+    }
+    (*model.expect("at least one epoch ran")).clone()
 }
 
 #[test]
