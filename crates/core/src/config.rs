@@ -39,8 +39,8 @@ pub struct SieveConfig {
     pub parallelism: usize,
     /// How much raw history the metric store retains per series. Unbounded
     /// by default (the offline-experiment oracle mode); a bounded policy
-    /// keeps each series' newest points in a fixed ring window and folds
-    /// evicted points into 10x/100x mean/min/max aggregate tiers. Applied
+    /// keeps each series' newest points in a fixed ring window and forgets
+    /// the points it evicts. Applied
     /// by [`crate::pipeline::Sieve::analyze_application`] when loading an
     /// application, and by the serving layer when creating tenant stores.
     /// Analysis results are unchanged as long as the analysis window fits
@@ -166,19 +166,10 @@ mod tests {
         let bad = SieveConfig {
             retention: RetentionPolicy {
                 raw_capacity: Some(0),
-                tier_capacity: 8,
             },
             ..SieveConfig::default()
         };
         assert!(bad.validate().is_err());
-        let bad_tier = SieveConfig {
-            retention: RetentionPolicy {
-                raw_capacity: None,
-                tier_capacity: 0,
-            },
-            ..SieveConfig::default()
-        };
-        assert!(bad_tier.validate().is_err());
     }
 
     #[test]

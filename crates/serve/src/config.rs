@@ -276,7 +276,6 @@ mod tests {
         assert!(c.validate().is_ok());
         let bad = ServeConfig::default().with_retention(RetentionPolicy {
             raw_capacity: Some(0),
-            tier_capacity: 8,
         });
         assert!(bad.validate().is_err());
     }

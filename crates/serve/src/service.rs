@@ -271,18 +271,16 @@ impl SieveService {
     }
 
     /// Replaces a tenant's store retention budget at runtime. Tightening
-    /// the budget evicts each series' oldest points immediately (folding
-    /// them into the 10x/100x downsample tiers) and marks every trimmed
-    /// series touched — eviction-as-dirt — so the next
+    /// the budget evicts each series' oldest points immediately and marks
+    /// every trimmed series touched — eviction-as-dirt — so the next
     /// [`SieveService::refresh_dirty`] sweep treats the tenant like any
     /// other dirty one and republishes a model of the narrowed window.
-    /// Loosening never restores evicted points; only the aggregate tiers
-    /// remember them.
+    /// Loosening never restores evicted points.
     ///
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] when the policy is out of range (a
-    /// zero raw or tier capacity), before anything is applied or logged;
+    /// zero raw capacity), before anything is applied or logged;
     /// [`ServeError::UnknownTenant`] when `tenant` is not registered;
     /// [`ServeError::Wal`] when the durable commit fails.
     pub fn set_retention(&self, tenant: &str, retention: RetentionPolicy) -> Result<()> {

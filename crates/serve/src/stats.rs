@@ -37,8 +37,7 @@ pub struct ServiceStats {
     /// runs unbounded retention.
     pub points_retained: u64,
     /// Cumulative points evicted from ring windows across all tenants'
-    /// stores since service start (each one folded into the 10x/100x
-    /// downsample tiers before being dropped).
+    /// stores since service start.
     pub points_evicted: u64,
     /// Cumulative tenant-refresh failures since service start. A failing
     /// tenant keeps its previous snapshot and is retried with capped

@@ -7,7 +7,8 @@
 //! list), encodes its frame into the tenant's reused payload — finding
 //! each point's slot in a per-thread index that outlives the batch — and
 //! stages and commits it through the shard log's reused buffers; a
-//! windowed store with small tiers, once full, holds a bounded window. So
+//! windowed store, once its window is full, holds each series in a buffer
+//! of at most twice the window. So
 //! after a warm-up, ingesting 2N batches must cost the allocator no more
 //! calls than ingesting N, up to [`SLACK`]. A per-batch `Vec`, interned
 //! name or reference count shows up as at least N extra calls.
@@ -88,7 +89,7 @@ fn ingesting_twice_the_batches_costs_no_more_allocations() {
     let analysis = SieveConfig::default()
         .with_cluster_range(2, 2)
         .with_parallelism(1)
-        .with_retention(RetentionPolicy::windowed(32).with_tier_capacity(2));
+        .with_retention(RetentionPolicy::windowed(32));
     let config = ServeConfig::default()
         .with_shard_count(1)
         .with_sweep_parallelism(1)
@@ -102,8 +103,9 @@ fn ingesting_twice_the_batches_costs_no_more_allocations() {
     let mut graph = CallGraph::new();
     graph.record_calls("web", "db", 1);
     service.create_tenant("acme", graph).unwrap();
-    // Warm up until every series' window and both of its downsampled
-    // tiers (buckets of 10 and 100 points, two kept of each) are full.
+    // Warm up until every series' buffer has reached its largest size,
+    // twice the 32-point window, and the shard log's and the encoder's
+    // buffers have grown to fit a batch.
     const WARM: u64 = 512;
     ingest_calls(&service, 0..WARM);
 

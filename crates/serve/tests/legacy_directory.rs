@@ -1,26 +1,51 @@
-//! A durable directory written by the build before format records: a
-//! version-3 snapshot covering three events and a log tail of two tag-4
-//! ingest frames, pinned as the bytes that build wrote
-//! (`fixtures/parent-tag4-v3`). That build ran one shard under `config`,
-//! created `acme` over a `web -> db` call graph, then ingested four waves
-//! of eight ticks of four series; the third event tripped the snapshot, and
-//! waves three and four are the log tail.
+//! Durable directories written by older builds, pinned as the bytes those
+//! builds wrote. This build has no reader for their layouts, so recovery
+//! must refuse each as `FormatTooOld` before it reads anything else, and
+//! leave every file byte for byte as it was found.
 //!
-//! This build has no reader for those layouts, and the directory names no
-//! format. Recovery must refuse it as `FormatTooOld` before it reads
-//! anything else, and leave every file byte for byte as it was found.
+//! `fixtures/parent-tag4-v3` was written by the build before format
+//! records: a version-3 snapshot covering three events and a log tail of
+//! two tag-4 ingest frames, and no format record. That build ran one shard
+//! under `config`, created `acme` over a `web -> db` call graph, then
+//! ingested four waves of eight ticks of four series; the third event
+//! tripped the snapshot, and waves three and four are the log tail.
+//!
+//! `fixtures/parent-format5` was written by the last format-5 build
+//! (commit 3621356), whose windowed stores kept two 10x / 100x aggregate
+//! tiers in every snapshot and whose retention records carried their
+//! capacity. It ran one shard under `config`. A wave of ticks `a..b` there
+//! is one `ingest` of four series, a point each at `t * 500` ms for every
+//! tick `t`, with `x = 0.17 t`: `web/requests` `4 sin x`, `web/latency`
+//! `9 cos x`, `db/queries` `2 sin(x / 2)` and `db/io_wait` `cos(x / 2)`.
+//! In order, it:
+//!
+//! 1. created `acme` over a `web -> db` call graph (100 calls) with
+//!    `create_tenant_with_retention` and a window of 8;
+//! 2. ingested the wave of ticks 0..32;
+//! 3. ingested the wave of ticks 32..64. This third event tripped the
+//!    snapshot: each series had evicted 56 points, and the snapshot holds
+//!    five closed 10x tier buckets per series;
+//! 4. narrowed `acme`'s window to 6 (`set_retention`), a `RetentionChanged`
+//!    frame (tag 3);
+//! 5. ingested the wave of ticks 64..72, a slotted ingest frame (tag 6);
+//!
+//! then dropped the service. Events 4 and 5 are the log tail, and the
+//! format record names 5.
 
 use sieve_core::config::SieveConfig;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, ServeError, SieveService};
 use sieve_wal::frame::HEADER_LEN;
-use sieve_wal::{log_file_name, snapshot_file_name};
+use sieve_wal::{log_file_name, snapshot_file_name, FORMAT_FILE_NAME};
 use std::path::{Path, PathBuf};
 
 const LOG: &[u8] = include_bytes!("fixtures/parent-tag4-v3/wal-shard-0.log");
 const SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-tag4-v3/wal-shard-0.snap");
+const FORMAT5_RECORD: &[u8] = include_bytes!("fixtures/parent-format5/wal-format");
+const FORMAT5_LOG: &[u8] = include_bytes!("fixtures/parent-format5/wal-shard-0.log");
+const FORMAT5_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format5/wal-shard-0.snap");
 
-/// The configuration the fixture was written under: one shard, a snapshot
-/// every three events.
+/// The configuration both fixtures were written under: one shard, a
+/// snapshot every three events.
 fn config(dir: &Path) -> ServeConfig {
     ServeConfig::default()
         .with_shard_count(1)
@@ -52,8 +77,8 @@ fn snapshot_version(snapshot: &[u8]) -> u32 {
     u32::from_le_bytes(snapshot[8..12].try_into().unwrap())
 }
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sieve-legacy-dir-{}", std::process::id()));
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sieve-legacy-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -70,25 +95,47 @@ fn dir_bytes(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
     files
 }
 
-#[test]
-fn a_directory_without_a_format_record_is_refused_untouched() {
-    assert_eq!(snapshot_version(SNAPSHOT), 3);
-    assert_eq!(frame_tags(LOG), vec![4, 4]);
-    let dir = temp_dir();
-    std::fs::write(dir.join(log_file_name(0)), LOG).unwrap();
-    std::fs::write(dir.join(snapshot_file_name(0)), SNAPSHOT).unwrap();
-    let found = dir_bytes(&dir);
+/// Writes `files` into a fresh directory and asserts that recovering it
+/// is refused as `FormatTooOld { found }`, twice, and that neither refusal
+/// changed a byte of it.
+fn assert_refused_untouched(name: &str, files: &[(String, &[u8])], found: Option<u32>) {
+    let dir = temp_dir(name);
+    for (file, bytes) in files {
+        std::fs::write(dir.join(file), bytes).unwrap();
+    }
+    let before = dir_bytes(&dir);
 
     // Refused, and refused again: the first refusal changed nothing.
     for attempt in 0..2 {
         match SieveService::recover(config(&dir)) {
-            Err(ServeError::FormatTooOld { found: None }) => {}
+            Err(ServeError::FormatTooOld { found: refused }) if refused == found => {}
             other => panic!(
-                "attempt {attempt}: expected FormatTooOld, got {:?}",
+                "attempt {attempt}: expected FormatTooOld {{ found: {found:?} }}, got {:?}",
                 other.map(|(_, report)| report.to_string())
             ),
         }
-        assert_eq!(dir_bytes(&dir), found, "attempt {attempt}");
+        assert_eq!(dir_bytes(&dir), before, "attempt {attempt}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_directory_without_a_format_record_is_refused_untouched() {
+    assert_eq!(snapshot_version(SNAPSHOT), 3);
+    assert_eq!(frame_tags(LOG), vec![4, 4]);
+    let files = [(log_file_name(0), LOG), (snapshot_file_name(0), SNAPSHOT)];
+    assert_refused_untouched("tag4-v3", &files, None);
+}
+
+#[test]
+fn a_format_5_directory_is_refused_untouched() {
+    assert_eq!(FORMAT5_RECORD[8..], 5u32.to_le_bytes());
+    assert_eq!(snapshot_version(FORMAT5_SNAPSHOT), 5);
+    assert_eq!(frame_tags(FORMAT5_LOG), vec![3, 6]);
+    let files = [
+        (FORMAT_FILE_NAME.to_string(), FORMAT5_RECORD),
+        (log_file_name(0), FORMAT5_LOG),
+        (snapshot_file_name(0), FORMAT5_SNAPSHOT),
+    ];
+    assert_refused_untouched("format5", &files, Some(5));
 }

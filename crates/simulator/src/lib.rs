@@ -19,8 +19,8 @@
 //!   factor on the engine's modelled latency);
 //! * [`store`] — the in-memory metric store: series, content
 //!   fingerprints, the epoch/delta API, and the bounded-memory retention
-//!   layer (ring windows + tiered mean/min/max downsampling) that lets
-//!   long-running services ingest forever with flat memory (Table 3's cost
+//!   layer (ring windows) that lets long-running services ingest forever
+//!   with flat memory (Table 3's cost
 //!   model is not here: `sieve_bench::table3` prices the store's point and
 //!   series counts);
 //! * [`fault`] — fault injection used by the RCA case study to produce a

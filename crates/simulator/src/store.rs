@@ -24,23 +24,16 @@
 //! under the same [`RetentionPolicy`] always carry the same fingerprint,
 //! regardless of which store recorded them.
 //!
-//! # Bounded memory: ring windows and tiered downsampling
+//! # Bounded memory: ring windows
 //!
 //! By default a store is unbounded and keeps every accepted point forever —
 //! the right mode for offline experiments, and the *oracle* that the
 //! windowed mode is property-tested against. Under a bounded
 //! [`RetentionPolicy`], each series keeps only the newest
-//! `raw_capacity` points at full resolution. The retained window lives as
-//! a contiguous suffix of a slack buffer (logical start offset + amortized
-//! compaction), so reads hand out zero-copy [`SeriesView`]s and physical
-//! memory never exceeds twice the capacity.
-//!
-//! Every evicted point is folded into two downsampled tiers before it is
-//! forgotten: tier 1 closes a mean/min/max [`AggregateBucket`] per
-//! [`TIER_FANOUT`] (10) raw points, tier 2 per 10 tier-1 buckets (100 raw
-//! points). Bucketing is count-based, so the tiers are a deterministic pure
-//! function of the accepted stream — independent of batch boundaries, drain
-//! timing, or wall-clock.
+//! `raw_capacity` points, and an evicted point is forgotten. The retained
+//! window lives as a contiguous suffix of a slack buffer (logical start
+//! offset + amortized compaction), so reads hand out zero-copy
+//! [`SeriesView`]s and physical memory never exceeds twice the capacity.
 //!
 //! Eviction participates in the epoch machinery exactly like ingestion:
 //! each evicted point advances the series fingerprint (with a dedicated
@@ -53,7 +46,7 @@
 use sieve_exec::hash::{addr_pair_hash, mix, mix_f64, FINGERPRINT_SEED};
 use sieve_exec::Name;
 use sieve_timeseries::{SeriesView, TimeSeries};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 /// Identifies one metric of one component.
@@ -81,35 +74,23 @@ impl std::fmt::Display for MetricId {
     }
 }
 
-/// Number of source units folded into one downsampled bucket: tier 1
-/// closes a bucket per 10 raw points, tier 2 per 10 tier-1 buckets
-/// (100 raw points).
-pub const TIER_FANOUT: usize = 10;
-
-/// Default number of closed buckets kept per downsampled tier when a
-/// policy does not specify one.
-pub const DEFAULT_TIER_CAPACITY: usize = 64;
-
 /// How much history each series of a store retains.
 ///
 /// The default ([`RetentionPolicy::unbounded`]) keeps every accepted point
 /// forever — the oracle mode used by offline experiments and by the
 /// property suite that validates the windowed mode. A bounded policy
 /// ([`RetentionPolicy::windowed`]) keeps the newest `raw_capacity` points
-/// per series at full resolution and folds evicted points into mean/min/max
-/// aggregate tiers at 10x and 100x granularity (see [`AggregateBucket`]).
+/// per series; an evicted point is forgotten.
 ///
 /// Eviction is count-based and happens on the ingestion path: the moment an
 /// accepted point would push a series past its capacity, exactly the oldest
-/// retained point is evicted. The retained window, the downsampled tiers
-/// and the series fingerprint are therefore deterministic pure functions of
+/// retained point is evicted. The retained window and the series
+/// fingerprint are therefore deterministic pure functions of
 /// `(policy, accepted stream)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionPolicy {
     /// Maximum raw points retained per series; `None` means unbounded.
     pub raw_capacity: Option<usize>,
-    /// Closed [`AggregateBucket`]s kept per downsampled tier.
-    pub tier_capacity: usize,
 }
 
 impl Default for RetentionPolicy {
@@ -121,15 +102,10 @@ impl Default for RetentionPolicy {
 impl RetentionPolicy {
     /// Keep everything (the default, and the determinism oracle).
     pub fn unbounded() -> Self {
-        Self {
-            raw_capacity: None,
-            tier_capacity: DEFAULT_TIER_CAPACITY,
-        }
+        Self { raw_capacity: None }
     }
 
-    /// Keep the newest `raw_capacity` raw points per series; evicted points
-    /// survive as tiered aggregates (up to `raw_capacity` buckets per
-    /// tier).
+    /// Keep the newest `raw_capacity` raw points per series.
     ///
     /// # Panics
     ///
@@ -138,19 +114,7 @@ impl RetentionPolicy {
         assert!(raw_capacity > 0, "raw_capacity must be positive");
         Self {
             raw_capacity: Some(raw_capacity),
-            tier_capacity: raw_capacity,
         }
-    }
-
-    /// Overrides how many closed buckets each downsampled tier keeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tier_capacity` is zero.
-    pub fn with_tier_capacity(mut self, tier_capacity: usize) -> Self {
-        assert!(tier_capacity > 0, "tier_capacity must be positive");
-        self.tier_capacity = tier_capacity;
-        self
     }
 
     /// Whether this policy evicts at all.
@@ -167,42 +131,8 @@ impl RetentionPolicy {
         if self.raw_capacity == Some(0) {
             return Err("retention raw_capacity must be positive when set".to_string());
         }
-        if self.tier_capacity == 0 {
-            return Err("retention tier_capacity must be positive".to_string());
-        }
         Ok(())
     }
-}
-
-/// One closed mean/min/max summary of [`TIER_FANOUT`]^tier consecutive raw
-/// points, produced when those points were evicted from the raw window.
-///
-/// Tier-1 buckets always summarize exactly 10 raw points and tier-2 buckets
-/// exactly 100 (buckets only close when full), so the tier-2 mean-of-means
-/// equals the true mean of its raw points.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AggregateBucket {
-    /// Timestamp of the first summarized point.
-    pub start_ms: u64,
-    /// Timestamp of the last summarized point.
-    pub end_ms: u64,
-    /// Number of raw points summarized.
-    pub count: u32,
-    /// Arithmetic mean of the summarized values.
-    pub mean: f64,
-    /// Minimum of the summarized values.
-    pub min: f64,
-    /// Maximum of the summarized values.
-    pub max: f64,
-}
-
-/// Selects one of the two downsampled tiers of a windowed series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DownsampleTier {
-    /// One bucket per 10 raw points.
-    TenX,
-    /// One bucket per 100 raw points.
-    HundredX,
 }
 
 /// Why the ingestion path dropped a point.
@@ -251,33 +181,8 @@ pub struct BatchOutcome {
     pub watermarks: Vec<(MetricId, u64)>,
 }
 
-/// Serializable image of one downsampled tier of a frozen series: the
-/// closed buckets plus the open accumulator, captured exactly so a
-/// restored tier continues filling the very same bucket.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TierState {
-    /// Closed buckets, oldest first.
-    pub closed: Vec<AggregateBucket>,
-    /// Source units (raw points for tier 1, child buckets for tier 2)
-    /// folded into the open bucket so far.
-    pub open_sources: u32,
-    /// Raw points folded into the open bucket so far.
-    pub open_count: u32,
-    /// Running sum of the open bucket's averaged units.
-    pub open_sum: f64,
-    /// Running minimum of the open bucket.
-    pub open_min: f64,
-    /// Running maximum of the open bucket.
-    pub open_max: f64,
-    /// Timestamp of the open bucket's first source unit.
-    pub open_start_ms: u64,
-    /// Timestamp of the open bucket's last source unit.
-    pub open_end_ms: u64,
-}
-
 /// Serializable image of one frozen series: the retained window
-/// (start-normalized), the running fingerprint, the dirty mark, and both
-/// downsample tiers.
+/// (start-normalized), the running fingerprint and the dirty mark.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesState {
     /// The series identifier.
@@ -291,18 +196,14 @@ pub struct SeriesState {
     /// Whether the series was touched (dirty since the last
     /// [`MetricStore::drain_delta`]) at freeze time.
     pub touched: bool,
-    /// 10x downsample tier image.
-    pub tier1: TierState,
-    /// 100x downsample tier image.
-    pub tier2: TierState,
 }
 
 /// A complete serializable image of a [`MetricStore`], as captured by
 /// [`MetricStore::freeze`] and revived by [`MetricStore::restore`].
 ///
 /// The image is exact: a restored store continues bit-identically to the
-/// frozen one — same fingerprints, same epoch watermark, same pending
-/// dirt, same tier contents, same written/evicted counters. This is what a
+/// frozen one — same windows, same fingerprints, same epoch watermark,
+/// same pending dirt, same written/evicted counters. This is what a
 /// durability snapshot persists per tenant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreState {
@@ -629,10 +530,6 @@ struct StoredSeries {
     /// Whether a point was accepted or evicted since the last
     /// [`MetricStore::drain_delta`].
     touched: bool,
-    /// 10x mean/min/max aggregates of evicted points.
-    tier1: TierRing,
-    /// 100x mean/min/max aggregates of evicted points.
-    tier2: TierRing,
     /// Stamp of the last detailed batch that accepted a point here
     /// (transient bookkeeping — not part of [`SeriesState`]).
     last_batch: u64,
@@ -648,8 +545,6 @@ impl StoredSeries {
             start: 0,
             fingerprint: FINGERPRINT_SEED,
             touched: false,
-            tier1: TierRing::default(),
-            tier2: TierRing::default(),
             last_batch: 0,
         }
     }
@@ -676,8 +571,7 @@ impl StoredSeries {
         else {
             return false;
         };
-        self.evict_oldest(retention.tier_capacity);
-        self.compact_if_due(cap);
+        self.evict_oldest(1, cap);
         true
     }
 
@@ -694,135 +588,17 @@ impl StoredSeries {
         )
     }
 
-    /// Evicts the oldest retained point: folds it into the downsampled
-    /// tiers and moves the window start forward. The eviction tag is
+    /// Evicts the `count` oldest retained points by moving the window
+    /// start forward, then drains the dead prefix once it has grown to the
+    /// raw capacity, so each point is moved at most once on average and
+    /// physical length stays below twice the capacity. The eviction tag is
     /// [`Head::evict`]'s to mix in.
-    fn evict_oldest(&mut self, tier_capacity: usize) {
-        let t = self.timestamps_ms[self.start];
-        let v = self.values[self.start];
-        self.start += 1;
-        if let Some(full) = self.tier1.feed(t, t, 1, v, v, v, tier_capacity) {
-            // A full tier-1 bucket fell off the ring: cascade it into
-            // tier 2. A bucket falling off tier 2 is forgotten for good.
-            let _ = self.tier2.feed(
-                full.start_ms,
-                full.end_ms,
-                full.count,
-                full.mean,
-                full.min,
-                full.max,
-                tier_capacity,
-            );
-        }
-    }
-
-    /// Drains the dead prefix once it has grown to the raw capacity, so
-    /// each point is moved at most once on average and physical length
-    /// stays below twice the capacity.
-    fn compact_if_due(&mut self, raw_capacity: usize) {
+    fn evict_oldest(&mut self, count: usize, raw_capacity: usize) {
+        self.start += count;
         if self.start >= raw_capacity.max(1) {
             self.timestamps_ms.drain(..self.start);
             self.values.drain(..self.start);
             self.start = 0;
-        }
-    }
-}
-
-/// One downsampled tier: a bounded ring of closed buckets plus the open
-/// accumulator for the bucket currently being filled. Feeding is
-/// count-based ([`TIER_FANOUT`] source units per bucket), which is what
-/// makes the tiers a pure function of the evicted point sequence.
-#[derive(Debug, Default)]
-struct TierRing {
-    closed: VecDeque<AggregateBucket>,
-    /// Source units (raw points for tier 1, child buckets for tier 2)
-    /// folded into the open bucket so far.
-    open_sources: u32,
-    open_count: u32,
-    open_sum: f64,
-    open_min: f64,
-    open_max: f64,
-    open_start_ms: u64,
-    open_end_ms: u64,
-}
-
-impl TierRing {
-    /// Folds one source unit (a raw point or a child bucket) into the open
-    /// bucket; closes the bucket after [`TIER_FANOUT`] units. Returns the
-    /// bucket that fell off the ring, if closing overflowed `capacity`.
-    ///
-    /// `unit` is the value that the tier averages: the raw value for
-    /// tier 1, the child bucket's mean for tier 2. Since buckets only close
-    /// when full, every child carries the same number of raw points and the
-    /// mean-of-units equals the true mean over raw points.
-    #[allow(clippy::too_many_arguments)]
-    fn feed(
-        &mut self,
-        start_ms: u64,
-        end_ms: u64,
-        count: u32,
-        unit: f64,
-        min: f64,
-        max: f64,
-        capacity: usize,
-    ) -> Option<AggregateBucket> {
-        if self.open_sources == 0 {
-            self.open_start_ms = start_ms;
-            self.open_count = count;
-            self.open_sum = unit;
-            self.open_min = min;
-            self.open_max = max;
-        } else {
-            self.open_count += count;
-            self.open_sum += unit;
-            self.open_min = self.open_min.min(min);
-            self.open_max = self.open_max.max(max);
-        }
-        self.open_end_ms = end_ms;
-        self.open_sources += 1;
-        if self.open_sources as usize == TIER_FANOUT {
-            let bucket = AggregateBucket {
-                start_ms: self.open_start_ms,
-                end_ms: self.open_end_ms,
-                count: self.open_count,
-                mean: self.open_sum / f64::from(self.open_sources),
-                min: self.open_min,
-                max: self.open_max,
-            };
-            self.open_sources = 0;
-            self.closed.push_back(bucket);
-            if self.closed.len() > capacity {
-                return self.closed.pop_front();
-            }
-        }
-        None
-    }
-
-    /// Captures the ring — closed buckets and open accumulator — exactly.
-    fn freeze(&self) -> TierState {
-        TierState {
-            closed: self.closed.iter().copied().collect(),
-            open_sources: self.open_sources,
-            open_count: self.open_count,
-            open_sum: self.open_sum,
-            open_min: self.open_min,
-            open_max: self.open_max,
-            open_start_ms: self.open_start_ms,
-            open_end_ms: self.open_end_ms,
-        }
-    }
-
-    /// Revives a ring from its frozen image.
-    fn thaw(state: TierState) -> Self {
-        Self {
-            closed: state.closed.into(),
-            open_sources: state.open_sources,
-            open_count: state.open_count,
-            open_sum: state.open_sum,
-            open_min: state.open_min,
-            open_max: state.open_max,
-            open_start_ms: state.open_start_ms,
-            open_end_ms: state.open_end_ms,
         }
     }
 }
@@ -873,8 +649,8 @@ impl MetricStore {
     /// Series that lose points are marked touched — to the epoch machinery
     /// a runtime trim is dirt like any other, so the next
     /// [`MetricStore::drain_delta`] reports them and the analysis session
-    /// recomputes them. Tightening is irreversible (evicted points only
-    /// survive as tier aggregates); loosening simply stops future eviction.
+    /// recomputes them. Tightening is irreversible (evicted points are
+    /// forgotten); loosening simply stops future eviction.
     pub fn set_retention(&self, policy: RetentionPolicy) {
         let mut inner = self.write();
         inner.retention = policy;
@@ -890,11 +666,10 @@ impl MetricStore {
             let mut head = series.head();
             for _ in 0..excess {
                 head.evict();
-                series.evict_oldest(policy.tier_capacity);
             }
+            series.evict_oldest(excess, cap);
             series.fingerprint = head.fingerprint;
             series.touched = true;
-            series.compact_if_due(cap);
             evicted += excess as u64;
         }
         inner.points_evicted += evicted;
@@ -910,7 +685,7 @@ impl MetricStore {
     /// fingerprint and marks the series as touched in the current epoch;
     /// dropped points leave both untouched. Under a bounded
     /// [`RetentionPolicy`], a point that overflows the window also evicts
-    /// the oldest retained point into the downsampled tiers.
+    /// the oldest retained point.
     pub fn record(&self, id: &MetricId, timestamp_ms: u64, value: f64) -> bool {
         self.write().record_one(id, timestamp_ms, value).is_ok()
     }
@@ -1184,23 +959,6 @@ impl MetricStore {
         inner.get(id).map(|s| s.window().to_series())
     }
 
-    /// The closed buckets of one downsampled tier of the series for `id`,
-    /// oldest first. Empty for an unknown series, and for any series that
-    /// has not yet evicted enough points to close a bucket.
-    pub fn downsampled(&self, id: &MetricId, tier: DownsampleTier) -> Vec<AggregateBucket> {
-        let inner = self.read();
-        match inner.get(id) {
-            None => Vec::new(),
-            Some(series) => {
-                let ring = match tier {
-                    DownsampleTier::TenX => &series.tier1,
-                    DownsampleTier::HundredX => &series.tier2,
-                };
-                ring.closed.iter().copied().collect()
-            }
-        }
-    }
-
     /// All metric identifiers currently stored, sorted.
     pub fn metric_ids(&self) -> Vec<MetricId> {
         self.read().series.iter().map(|s| s.id.clone()).collect()
@@ -1231,8 +989,7 @@ impl MetricStore {
     /// Visits the `(id, view)` pairs of one component in sorted order
     /// without copying any series. Each view observes **only the retained
     /// window** of its series — under a bounded [`RetentionPolicy`] that is
-    /// the newest `raw_capacity` points, not the full history (older points
-    /// survive only as [`MetricStore::downsampled`] aggregates). The read
+    /// the newest `raw_capacity` points, not the full history. The read
     /// lock is held for the whole traversal, so the callback must not call
     /// back into this store.
     pub fn for_each_series_of(
@@ -1311,9 +1068,8 @@ impl MetricStore {
     }
 
     /// Captures a complete serializable image of the store: every series'
-    /// retained window, fingerprint, touched mark and downsample tiers,
-    /// plus the epoch watermark, retention policy and written/evicted
-    /// counters.
+    /// retained window, fingerprint and touched mark, plus the epoch
+    /// watermark, retention policy and written/evicted counters.
     ///
     /// Freezing holds the read lock for the duration of the copy; the
     /// image is start-normalized (window offsets are not preserved, only
@@ -1334,8 +1090,6 @@ impl MetricStore {
                     values: s.values[s.start..].to_vec(),
                     fingerprint: s.fingerprint,
                     touched: s.touched,
-                    tier1: s.tier1.freeze(),
-                    tier2: s.tier2.freeze(),
                 })
                 .collect(),
         }
@@ -1343,8 +1097,8 @@ impl MetricStore {
 
     /// Revives a store from a [`StoreState`] image. The restored store
     /// continues bit-identically to the frozen one: identical
-    /// fingerprints, epoch watermark, pending dirt, tier contents and
-    /// counters under any subsequent sequence of operations.
+    /// windows, fingerprints, epoch watermark, pending dirt and counters
+    /// under any subsequent sequence of operations.
     pub fn restore(state: StoreState) -> MetricStore {
         let mut inner = StoreInner {
             series: Vec::with_capacity(state.series.len()),
@@ -1362,8 +1116,6 @@ impl MetricStore {
                 start: 0,
                 fingerprint: s.fingerprint,
                 touched: s.touched,
-                tier1: TierRing::thaw(s.tier1),
-                tier2: TierRing::thaw(s.tier2),
                 last_batch: 0,
             };
             // An image lists each id once, in order, so this appends; an id
@@ -1645,52 +1397,6 @@ mod tests {
     }
 
     #[test]
-    fn downsampled_tiers_summarize_evicted_points() {
-        let policy = RetentionPolicy::windowed(1).with_tier_capacity(16);
-        let store = MetricStore::with_retention(policy);
-        let id = MetricId::new("web", "cpu");
-        // 21 points with capacity 1: exactly 20 evictions = 2 full tier-1
-        // buckets; tier 2 needs 10 tier-1 evictions, so it is still open.
-        for t in 0..21u64 {
-            store.record(&id, t * 500, t as f64);
-        }
-        let tier1 = store.downsampled(&id, DownsampleTier::TenX);
-        assert_eq!(tier1.len(), 2);
-        assert_eq!(tier1[0].count, 10);
-        assert_eq!(tier1[0].start_ms, 0);
-        assert_eq!(tier1[0].end_ms, 9 * 500);
-        assert!((tier1[0].mean - 4.5).abs() < 1e-12);
-        assert_eq!(tier1[0].min, 0.0);
-        assert_eq!(tier1[0].max, 9.0);
-        assert!((tier1[1].mean - 14.5).abs() < 1e-12);
-        assert!(store.downsampled(&id, DownsampleTier::HundredX).is_empty());
-        assert!(store
-            .downsampled(&MetricId::new("no", "pe"), DownsampleTier::TenX)
-            .is_empty());
-    }
-
-    #[test]
-    fn tier_two_cascades_from_tier_one_overflow() {
-        // Tier capacity 1: each tier-1 close past the first pushes the
-        // previous bucket off the ring and into tier 2, which closes after
-        // 10 such cascades = 11 tier-1 closes = 110 evictions = 111 points.
-        let policy = RetentionPolicy::windowed(1).with_tier_capacity(1);
-        let store = MetricStore::with_retention(policy);
-        let id = MetricId::new("web", "cpu");
-        for t in 0..112u64 {
-            store.record(&id, t * 500, t as f64);
-        }
-        let tier2 = store.downsampled(&id, DownsampleTier::HundredX);
-        assert_eq!(tier2.len(), 1);
-        assert_eq!(tier2[0].count, 100);
-        // The first 10 tier-1 buckets cover points 0..100, so the mean of
-        // their means is the true mean of 0..=99.
-        assert!((tier2[0].mean - 49.5).abs() < 1e-12);
-        assert_eq!(tier2[0].min, 0.0);
-        assert_eq!(tier2[0].max, 99.0);
-    }
-
-    #[test]
     fn eviction_advances_fingerprint_and_marks_touched() {
         let id = MetricId::new("web", "cpu");
         let windowed = MetricStore::with_retention(RetentionPolicy::windowed(5));
@@ -1879,7 +1585,7 @@ mod tests {
         for (round, policy) in [
             RetentionPolicy::unbounded(),
             RetentionPolicy::windowed(7),
-            RetentionPolicy::windowed(1).with_tier_capacity(3),
+            RetentionPolicy::windowed(1),
         ]
         .into_iter()
         .enumerate()
@@ -2203,8 +1909,7 @@ mod tests {
     #[test]
     fn restored_store_continues_bit_identically() {
         let id = MetricId::new("web", "cpu");
-        let policy = RetentionPolicy::windowed(5).with_tier_capacity(4);
-        let live = MetricStore::with_retention(policy);
+        let live = MetricStore::with_retention(RetentionPolicy::windowed(5));
         for t in 0..37u64 {
             live.record(&id, t * 500, t as f64);
         }
@@ -2217,29 +1922,17 @@ mod tests {
         assert_eq!(restored.retained_point_count(), live.retained_point_count());
         assert_eq!(restored.evicted_point_count(), live.evicted_point_count());
         assert_eq!(restored.retention(), live.retention());
-        assert_eq!(
-            restored.downsampled(&id, DownsampleTier::TenX),
-            live.downsampled(&id, DownsampleTier::TenX)
-        );
 
         // The frozen dirty mark survives: both report the series touched.
         assert_eq!(restored.drain_delta(), live.drain_delta());
 
         // Continuing the stream on both sides stays bit-identical — the
-        // open tier accumulators were captured mid-bucket.
+        // restored window starts at offset 0, the live one mid-buffer.
         for t in 38..80u64 {
             assert!(live.record(&id, t * 500, (t % 13) as f64));
             assert!(restored.record(&id, t * 500, (t % 13) as f64));
         }
         assert_eq!(restored.fingerprint(&id), live.fingerprint(&id));
-        assert_eq!(
-            restored.downsampled(&id, DownsampleTier::TenX),
-            live.downsampled(&id, DownsampleTier::TenX)
-        );
-        assert_eq!(
-            restored.downsampled(&id, DownsampleTier::HundredX),
-            live.downsampled(&id, DownsampleTier::HundredX)
-        );
         assert_eq!(
             restored.series(&id).unwrap().values(),
             live.series(&id).unwrap().values()
@@ -2251,23 +1944,15 @@ mod tests {
     fn windowed_db_size_is_flat_under_sustained_ingest() {
         let store = MetricStore::with_retention(RetentionPolicy::windowed(16));
         let id = MetricId::new("web", "cpu");
-        // What the store holds: retained raw points plus closed buckets.
-        let held = |store: &MetricStore| {
-            (
-                store.retained_point_count(),
-                store.downsampled(&id, DownsampleTier::TenX).len(),
-                store.downsampled(&id, DownsampleTier::HundredX).len(),
-            )
-        };
         for t in 0..2_000u64 {
             store.record(&id, t, t as f64);
         }
-        let mid = held(&store);
-        assert_eq!(mid, (16, 16, 16), "window and both tier rings are full");
+        assert_eq!(store.retained_point_count(), 16, "the window is full");
         for t in 2_000..4_000u64 {
             store.record(&id, t, t as f64);
         }
-        assert_eq!(held(&store), mid, "retained + tier footprint stays flat");
+        assert_eq!(store.retained_point_count(), 16, "and stays flat");
+        assert_eq!(store.evicted_point_count(), 4_000 - 16);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! access for `proptest`): every run checks the identical pseudo-random
 //! inputs, so failures are trivially reproducible.
 
-use sieve_simulator::store::{DownsampleTier, MetricId, MetricStore, RetentionPolicy};
+use sieve_simulator::store::{MetricId, MetricStore, RetentionPolicy};
 
 /// Deterministic splitmix64 generator for test data.
 struct Rng(u64);
@@ -242,14 +242,21 @@ fn eviction_changes_the_fingerprint_iff_points_were_dropped() {
                 "seed {seed}: every eviction must advance the fingerprint"
             );
         }
-        // Two windowed stores fed the same stream always agree.
+        // Two windowed stores fed the same stream always agree, however
+        // the stream is split into batches.
         let twin = MetricStore::with_retention(RetentionPolicy::windowed(cap));
-        record_all(&twin, &id, &points);
+        let mut rest = &points[..];
+        while !rest.is_empty() {
+            let take = rng.usize_in(1, rest.len());
+            twin.record_batch(rest[..take].iter().map(|&(t, v)| (&id, t, v)));
+            rest = &rest[take..];
+        }
         assert_eq!(
             twin.fingerprint(&id),
             windowed.fingerprint(&id),
             "seed {seed}"
         );
+        assert_eq!(twin.freeze(), windowed.freeze(), "seed {seed}");
     }
 }
 
@@ -308,57 +315,5 @@ fn watermark_and_delta_invariants_hold_under_interleaved_record_and_evict() {
             model_retained as u64,
             "seed {seed}: retained counter matches the reference model"
         );
-    }
-}
-
-#[test]
-fn downsampled_tiers_are_a_deterministic_function_of_the_stream() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed.wrapping_add(4000));
-        let len = rng.usize_in(1, 400);
-        let cap = rng.usize_in(1, 8);
-        let policy = RetentionPolicy::windowed(cap).with_tier_capacity(rng.usize_in(1, 6));
-        let points = random_points(&mut rng, len);
-        let id = MetricId::new("svc", "metric");
-
-        // One store fed point by point, one fed in random batch splits:
-        // the tiers (and everything else) must be bit-identical.
-        let one_by_one = MetricStore::with_retention(policy);
-        record_all(&one_by_one, &id, &points);
-        let batched = MetricStore::with_retention(policy);
-        let mut rest = &points[..];
-        while !rest.is_empty() {
-            let take = rng.usize_in(1, rest.len());
-            batched.record_batch(rest[..take].iter().map(|&(t, v)| (&id, t, v)));
-            rest = &rest[take..];
-        }
-
-        for tier in [DownsampleTier::TenX, DownsampleTier::HundredX] {
-            let a = one_by_one.downsampled(&id, tier);
-            let b = batched.downsampled(&id, tier);
-            assert_eq!(a, b, "seed {seed}: tiers are stream-determined");
-        }
-        assert_eq!(
-            one_by_one.fingerprint(&id),
-            batched.fingerprint(&id),
-            "seed {seed}"
-        );
-        // Every closed bucket summarizes exactly TIER_FANOUT sources and
-        // its extremes bracket its mean.
-        for bucket in one_by_one.downsampled(&id, DownsampleTier::TenX) {
-            assert_eq!(bucket.count, 10, "seed {seed}");
-            assert!(
-                bucket.min <= bucket.mean && bucket.mean <= bucket.max,
-                "seed {seed}"
-            );
-            assert!(bucket.start_ms <= bucket.end_ms, "seed {seed}");
-        }
-        for bucket in one_by_one.downsampled(&id, DownsampleTier::HundredX) {
-            assert_eq!(bucket.count, 100, "seed {seed}");
-            assert!(
-                bucket.min <= bucket.mean && bucket.mean <= bucket.max,
-                "seed {seed}"
-            );
-        }
     }
 }

@@ -91,11 +91,6 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Mutable access to the observation values (timestamps are fixed).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Consumes the series and returns `(timestamps, values)`.
     pub fn into_parts(self) -> (Vec<u64>, Vec<f64>) {
         (self.timestamps_ms, self.values)

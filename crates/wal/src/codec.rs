@@ -15,9 +15,7 @@
 use sieve_core::config::{GrangerConfig, SieveConfig};
 use sieve_exec::hash::splitmix64;
 use sieve_graph::CallGraph;
-use sieve_simulator::store::{
-    AggregateBucket, MetricId, RetentionPolicy, SeriesState, StoreState, TierState,
-};
+use sieve_simulator::store::{MetricId, RetentionPolicy, SeriesState, StoreState};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -369,7 +367,6 @@ pub fn put_retention(buf: &mut Vec<u8>, policy: &RetentionPolicy) {
             put_usize(buf, cap);
         }
     }
-    put_usize(buf, policy.tier_capacity);
 }
 
 /// Reads a [`RetentionPolicy`].
@@ -379,11 +376,7 @@ pub fn take_retention(cur: &mut Cursor<'_>) -> DecodeResult<RetentionPolicy> {
         1 => Some(cur.take_usize("retention raw capacity")?),
         other => return Err(format!("retention tag: invalid byte {other}")),
     };
-    let tier_capacity = cur.take_usize("retention tier capacity")?;
-    Ok(RetentionPolicy {
-        raw_capacity,
-        tier_capacity,
-    })
+    Ok(RetentionPolicy { raw_capacity })
 }
 
 /// Appends a full [`SieveConfig`], every result-affecting and
@@ -470,58 +463,6 @@ pub fn take_call_graph(cur: &mut Cursor<'_>) -> DecodeResult<CallGraph> {
     Ok(graph)
 }
 
-fn put_bucket(buf: &mut Vec<u8>, bucket: &AggregateBucket) {
-    put_u64(buf, bucket.start_ms);
-    put_u64(buf, bucket.end_ms);
-    put_u32(buf, bucket.count);
-    put_f64(buf, bucket.mean);
-    put_f64(buf, bucket.min);
-    put_f64(buf, bucket.max);
-}
-
-fn take_bucket(cur: &mut Cursor<'_>) -> DecodeResult<AggregateBucket> {
-    Ok(AggregateBucket {
-        start_ms: cur.take_u64("bucket start_ms")?,
-        end_ms: cur.take_u64("bucket end_ms")?,
-        count: cur.take_u32("bucket count")?,
-        mean: cur.take_f64("bucket mean")?,
-        min: cur.take_f64("bucket min")?,
-        max: cur.take_f64("bucket max")?,
-    })
-}
-
-fn put_tier(buf: &mut Vec<u8>, tier: &TierState) {
-    put_usize(buf, tier.closed.len());
-    for bucket in &tier.closed {
-        put_bucket(buf, bucket);
-    }
-    put_u32(buf, tier.open_sources);
-    put_u32(buf, tier.open_count);
-    put_f64(buf, tier.open_sum);
-    put_f64(buf, tier.open_min);
-    put_f64(buf, tier.open_max);
-    put_u64(buf, tier.open_start_ms);
-    put_u64(buf, tier.open_end_ms);
-}
-
-fn take_tier(cur: &mut Cursor<'_>) -> DecodeResult<TierState> {
-    let closed_len = cur.take_usize("tier bucket count")?;
-    let mut closed = Vec::with_capacity(closed_len.min(1024));
-    for _ in 0..closed_len {
-        closed.push(take_bucket(cur)?);
-    }
-    Ok(TierState {
-        closed,
-        open_sources: cur.take_u32("tier open_sources")?,
-        open_count: cur.take_u32("tier open_count")?,
-        open_sum: cur.take_f64("tier open_sum")?,
-        open_min: cur.take_f64("tier open_min")?,
-        open_max: cur.take_f64("tier open_max")?,
-        open_start_ms: cur.take_u64("tier open_start_ms")?,
-        open_end_ms: cur.take_u64("tier open_end_ms")?,
-    })
-}
-
 fn put_series(buf: &mut Vec<u8>, series: &SeriesState) {
     put_metric_id(buf, &series.id);
     put_usize(buf, series.timestamps_ms.len());
@@ -533,8 +474,6 @@ fn put_series(buf: &mut Vec<u8>, series: &SeriesState) {
     }
     put_u64(buf, series.fingerprint);
     put_bool(buf, series.touched);
-    put_tier(buf, &series.tier1);
-    put_tier(buf, &series.tier2);
 }
 
 fn take_series(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<SeriesState> {
@@ -554,8 +493,6 @@ fn take_series(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<SeriesSt
         values,
         fingerprint: cur.take_u64("series fingerprint")?,
         touched: cur.take_bool("series touched")?,
-        tier1: take_tier(cur)?,
-        tier2: take_tier(cur)?,
     })
 }
 
@@ -692,7 +629,7 @@ mod tests {
                 significance: 0.01,
             },
             parallelism: SieveConfig::default().parallelism + 1,
-            retention: RetentionPolicy::windowed(128).with_tier_capacity(32),
+            retention: RetentionPolicy::windowed(128),
         };
         let mut buf = Vec::new();
         put_sieve_config(&mut buf, &config);
@@ -711,7 +648,7 @@ mod tests {
 
     #[test]
     fn frozen_store_roundtrips_bit_identically() {
-        let store = MetricStore::with_retention(RetentionPolicy::windowed(5).with_tier_capacity(3));
+        let store = MetricStore::with_retention(RetentionPolicy::windowed(5));
         let id = MetricId::new("web", "cpu");
         for t in 0..37u64 {
             store.record(&id, t * 500, (t as f64 * 0.37).sin());

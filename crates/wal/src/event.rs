@@ -591,14 +591,14 @@ mod tests {
     }
 
     #[test]
-    fn the_tags_read_are_those_of_format_5() {
+    fn the_tags_read_are_those_of_this_format() {
         // A directory's format record names the layout of every frame, so
         // a build reading another set of tags must read another format.
         // Recovery refuses a verified frame of a tag outside this set as
         // written by another build; that guard holds only while the set
         // and the format number change together.
         let read: Vec<u8> = (0..=255u8).filter(|t| reads_tag(*t)).collect();
-        assert_eq!(crate::FORMAT, 5, "a new format re-pins the tags it reads");
+        assert_eq!(crate::FORMAT, 6, "a new format re-pins the tags it reads");
         assert_eq!(
             read,
             [2, 3, 5, 6],

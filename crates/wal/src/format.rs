@@ -21,8 +21,9 @@ use std::fs::File;
 use std::io::{ErrorKind, Read, Write};
 use std::path::Path;
 
-/// The format this build writes and reads.
-pub const FORMAT: u32 = 5;
+/// The format this build writes and reads. Format 6 dropped the downsampled
+/// tiers: a snapshot series and a retention policy no longer carry them.
+pub const FORMAT: u32 = 6;
 
 /// File name of the format record inside a durability directory.
 pub const FORMAT_FILE_NAME: &str = "wal-format";
@@ -100,13 +101,13 @@ mod tests {
         assert_eq!(read_format(&dir).unwrap(), Some(FORMAT));
         let path = dir.join(FORMAT_FILE_NAME);
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes, b"SIEVEFMT\x05\x00\x00\x00");
+        assert_eq!(bytes, b"SIEVEFMT\x06\x00\x00\x00");
         let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(files.len(), 1, "the temp file was renamed away");
 
         for (bytes, reason) in [
             (&bytes[..RECORD_LEN - 1], "torn format record"),
-            (&b"SIEVEFMX\x05\x00\x00\x00"[..], "bad format record magic"),
+            (&b"SIEVEFMX\x06\x00\x00\x00"[..], "bad format record magic"),
         ] {
             std::fs::write(&path, bytes).unwrap();
             match read_format(&dir) {

@@ -328,21 +328,21 @@ mod tests {
     }
 
     /// The admin frames of [`golden_events`], sequence numbers 1..=3, as
-    /// this build writes them. The call-graph (tag 2) and retention (tag 3)
-    /// frames are the bytes every build since the decoder was rewritten
-    /// around borrowed strings (commit 8310c95) wrote; the tenant-created
-    /// frame (tag 5) is format 5's, its configuration without the two
-    /// Granger constants. A change that makes one of them stop decoding to
-    /// its event, or encode differently, strands the directories holding
-    /// them.
+    /// this build writes them. The call-graph frame (tag 2) is the bytes
+    /// every build since the decoder was rewritten around borrowed strings
+    /// (commit 8310c95) wrote. The tenant-created (tag 5) and retention
+    /// (tag 3) frames are format 6's: each retention policy without the
+    /// tier capacity that format 5 wrote after it, 8 bytes shorter. A
+    /// change that makes one of them stop decoding to its event, or encode
+    /// differently, strands the directories holding them.
     const GOLDEN_FRAMES: [&str; 3] = [
-        "960000000100000000000000b2f0e68cfc03fe34050400000061636d65fa000000000000007b14ae47e17a843f03\
+        "8e0000000100000000000000fdf1d737d1c08fcd050400000061636d65fa000000000000007b14ae47e17a843f03\
          000000000000000400000000000000110000000000000005000000000000007b14ae47e17a843f03000000000000\
-         0001800000000000000020000000000000000300000000000000020000006462060000006c6f6e656c7903000000\
-         7765620100000000000000030000007765620200000064620c00000000000000",
+         000180000000000000000300000000000000020000006462060000006c6f6e656c79030000007765620100000000\
+         000000030000007765620200000064620c00000000000000",
         "4500000002000000000000005c55f27383411102020400000061636d650300000000000000020000006462060000\
          006c6f6e656c79030000007765620100000000000000030000007765620200000064620c00000000000000",
-        "1a0000000300000000000000000ad867bc2c8396030400000061636d650140000000000000000800000000000000",
+        "120000000300000000000000a3f74cc913de0346030400000061636d65014000000000000000",
     ];
 
     /// The events [`GOLDEN_FRAMES`] and [`GOLDEN_SLOTTED_FRAME`] encode.
@@ -363,7 +363,7 @@ mod tests {
                 significance: 0.01,
             },
             parallelism: 3,
-            retention: RetentionPolicy::windowed(128).with_tier_capacity(32),
+            retention: RetentionPolicy::windowed(128),
         };
         [
             WalEvent::TenantCreated {
@@ -377,7 +377,7 @@ mod tests {
             },
             WalEvent::RetentionChanged {
                 tenant: "acme".into(),
-                retention: RetentionPolicy::windowed(64).with_tier_capacity(8),
+                retention: RetentionPolicy::windowed(64),
             },
             WalEvent::IngestBatch {
                 tenant: "acme".into(),

@@ -72,8 +72,8 @@ pub struct TenantSnapshot {
     pub config: Box<SieveConfig>,
     /// The call graph the tenant's session plans comparisons over.
     pub call_graph: CallGraph,
-    /// The frozen metric store (retained windows, tiers, fingerprints,
-    /// epoch watermark, written/evicted counters).
+    /// The frozen metric store (retained windows, fingerprints, epoch
+    /// watermark, written/evicted counters).
     pub store: StoreState,
 }
 
@@ -198,7 +198,7 @@ impl ShardSnapshot {
 mod tests {
     use super::*;
     use crate::codec::unhex;
-    use sieve_simulator::store::{DownsampleTier, MetricId, MetricStore, RetentionPolicy};
+    use sieve_simulator::store::{MetricId, MetricStore, RetentionPolicy};
 
     fn sample() -> ShardSnapshot {
         let store = MetricStore::with_retention(RetentionPolicy::windowed(4));
@@ -247,7 +247,7 @@ mod tests {
         }
         // A file of any other version, older or newer: the layout is not
         // this build's, whatever the checksum says.
-        for other in [1, 2, 3, 4, FORMAT + 1] {
+        for other in [1, 2, 3, 4, 5, FORMAT + 1] {
             let mut stale = bytes.clone();
             stale[8..12].copy_from_slice(&other.to_le_bytes());
             assert_eq!(
@@ -258,11 +258,11 @@ mod tests {
     }
 
     /// What every golden snapshot below encodes, with the live store behind
-    /// it: a window of 3 that has evicted 12 points of `web/cpu` (one closed
-    /// 10x bucket, two points in the open one), one drained epoch, and a
-    /// point accepted since — so `web/cpu` is frozen dirty.
+    /// it: a window of 3 that has evicted 12 points of `web/cpu`, one
+    /// drained epoch, and a point accepted since — so `web/cpu` is frozen
+    /// dirty.
     fn golden_snapshot() -> (ShardSnapshot, MetricStore) {
-        let policy = RetentionPolicy::windowed(3).with_tier_capacity(2);
+        let policy = RetentionPolicy::windowed(3);
         let store = MetricStore::with_retention(policy);
         let (cpu, mem) = (MetricId::new("web", "cpu"), MetricId::new("db", "mem"));
         for t in 0..14u64 {
@@ -302,9 +302,23 @@ mod tests {
         (snapshot, store)
     }
 
-    /// `ShardSnapshot::encode` of [`golden_snapshot`] today, format 5: the
+    /// `ShardSnapshot::encode` of [`golden_snapshot`] today, format 6: the
     /// bytes a directory written today holds.
     const GOLDEN_SNAPSHOT: &str =
+        "50414e5356454953060000003f0caf3371e6c53a01000000000000000700000000000000010000000000000004000000\
+         61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
+         000000007b14ae47e17a843f030000000000000001030000000000000002000000000000000200000064620300000077\
+         656201000000000000000300000077656202000000646203000000000000000103000000000000000100000000000000\
+         11000000000000000c000000000000000200000000000000020000006462030000006d656d0200000000000000000000\
+         0000000000f401000000000000000000000000f43f00000000000004c00d131ea9e317bdb20003000000776562030000\
+         00637075030000000000000070170000000000006419000000000000581b000000000000000000000000004000000000\
+         000002400000000000000440fe4082463203469f01";
+
+    /// The same snapshot as the build before format 6 wrote it, version 5:
+    /// the retention policy, in the configuration and in the store, one
+    /// tier capacity (8 bytes) longer, and each series followed by its two
+    /// tier images.
+    const GOLDEN_V5_SNAPSHOT: &str =
         "50414e53564549530500000033e0d92fa451486701000000000000000700000000000000010000000000000004000000\
          61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
          000000007b14ae47e17a843f030000000000000001030000000000000002000000000000000200000000000000020000\
@@ -321,12 +335,12 @@ mod tests {
          0000000000000000000000000000000000";
 
     #[test]
-    fn a_format_5_snapshot_matches_its_golden_and_its_store_continues() {
+    fn a_snapshot_of_this_format_matches_its_golden_and_its_store_continues() {
         let (snapshot, live) = golden_snapshot();
         let golden = unhex(GOLDEN_SNAPSHOT);
         assert_eq!(snapshot.encode(), golden);
         let decoded = ShardSnapshot::decode(&golden).unwrap();
-        assert_eq!(decoded, snapshot, "series, tiers, dirt, epoch, counters");
+        assert_eq!(decoded, snapshot, "series, dirt, epoch, counters");
         assert_eq!(golden[8..12], FORMAT.to_le_bytes());
 
         // The same facts as the build that wrote the version-2 golden
@@ -339,7 +353,6 @@ mod tests {
         assert_eq!(restored.evicted_point_count(), 12);
         assert_eq!(restored.fingerprint(&cpu), Some(0x9f46_0332_4682_40fe));
         assert_eq!(restored.fingerprint(&mem), Some(0xb2bd_17e3_a91e_130d));
-        assert_eq!(restored.downsampled(&cpu, DownsampleTier::TenX).len(), 1);
 
         // The frozen dirty mark survives, and the stream continues on the
         // restored store exactly as it does on the live one.
@@ -356,12 +369,21 @@ mod tests {
         assert_eq!(restored.fingerprint(&mem), Some(0x4907_5a54_4892_c63d));
         assert_eq!(restored.freeze(), live.freeze());
 
-        // Against the version-4 body, the tenant configuration lost its two
-        // Granger constants: a flag byte and a `u64`, after the significance
-        // level at body offset 88.
-        let v4 = unhex(GOLDEN_V4_SNAPSHOT);
-        let at = 20 + 88;
-        assert_eq!(golden[20..], [&v4[20..at], &v4[at + 9..]].concat());
+        // Against the version-5 body, each retention policy lost its tier
+        // capacity (a `u64` after the raw capacity: the configuration's at
+        // body offset 105, the store's at 172) and each series its two tier
+        // images (`db/mem`'s two empty ones, 112 bytes at 274; `web/cpu`'s,
+        // one closed 10x bucket among them, 156 bytes at 465).
+        let v5 = unhex(GOLDEN_V5_SNAPSHOT);
+        let body = &v5[20..];
+        let kept = [
+            &body[..105],
+            &body[113..172],
+            &body[180..274],
+            &body[386..465],
+            &body[621..],
+        ];
+        assert_eq!(golden[20..], kept.concat());
     }
 
     /// `ShardSnapshot::encode` of [`golden_snapshot`]'s store as commit
@@ -441,6 +463,11 @@ mod tests {
     #[test]
     fn a_version_4_snapshot_is_refused_as_unsupported() {
         assert_refused_as_unsupported(GOLDEN_V4_SNAPSHOT, 4);
+    }
+
+    #[test]
+    fn a_version_5_snapshot_is_refused_as_unsupported() {
+        assert_refused_as_unsupported(GOLDEN_V5_SNAPSHOT, 5);
     }
 
     #[test]

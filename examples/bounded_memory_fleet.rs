@@ -4,11 +4,10 @@
 //! Every store in the pipeline carries a [`RetentionPolicy`]: the
 //! per-tenant simulations keep only a short ring of recent points (the
 //! collector side), and the serving layer keeps a one-minute analysis
-//! window per tenant (the server side). Evicted points are folded into
-//! 10x/100x downsampled tiers before they are dropped, and every eviction
-//! is *dirt* — it advances the series fingerprint and marks the series
-//! touched, so the next `refresh_dirty()` sweep re-analyses exactly the
-//! series whose retained window changed.
+//! window per tenant (the server side). An evicted point is forgotten, and
+//! every eviction is *dirt* — it advances the series fingerprint and marks
+//! the series touched, so the next `refresh_dirty()` sweep re-analyses
+//! exactly the series whose retained window changed.
 //!
 //! Each observation round advances every simulation one epoch
 //! ([`Simulation::step_epoch`]), forwards the new tail points of the
@@ -17,6 +16,9 @@
 //! demonstrate: the fleet's retained-point count pins to
 //! `series x window` and stays there, and process RSS stops growing once
 //! every ring is full — while the evicted counter climbs without bound.
+//! Once every window is full, the example asserts the first and the last:
+//! the retained count stays the same from round to round, and the evicted
+//! count grows every round.
 //!
 //! Run with:
 //!
@@ -75,6 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SERVE_WINDOW / 2
     );
 
+    // `(retained, evicted)` of the previous round, from the first round
+    // that found every window full.
+    let mut full: Option<(u64, u64)> = None;
     for round in 0usize..12 {
         let mut forwarded = 0usize;
         for (name, sim, last_forwarded_ms) in &mut simulations {
@@ -110,7 +115,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "round {round:>2}: {forwarded:>6} points in | retained {:>6}, evicted {:>6} | rss {rss}",
             stats.points_retained, stats.points_evicted
         );
+
+        if let Some((retained, evicted)) = full {
+            assert_eq!(
+                stats.points_retained, retained,
+                "round {round}: a full fleet's retained count stays flat"
+            );
+            assert!(
+                stats.points_evicted > evicted,
+                "round {round}: a full fleet evicts every round"
+            );
+        }
+        if full.is_some() || stats.points_retained == windows_capacity(&service)? {
+            full = Some((stats.points_retained, stats.points_evicted));
+        }
     }
+    assert!(full.is_some(), "every window fills within the run");
 
     // Read side: the published models only ever see the retained window,
     // and each one is bit-identical to a batch analysis of that window.
@@ -130,4 +150,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\nFleet aggregate: {}", service.stats());
     Ok(())
+}
+
+/// Points the fleet retains once every window is full: each tenant's series
+/// count times its window.
+fn windows_capacity(service: &SieveService) -> Result<u64, Box<dyn std::error::Error>> {
+    let mut capacity = 0;
+    for tenant in service.tenants() {
+        let window = service.retention(tenant.as_str())?.raw_capacity;
+        let series = service.store(tenant.as_str())?.series_count();
+        capacity += (series * window.expect("every tenant is windowed")) as u64;
+    }
+    Ok(capacity)
 }
