@@ -30,6 +30,21 @@
 //! [`SieveModel`] **bit-identical** to batch analysis of the final store —
 //! and to the stateless [`crate::oracle`] — across parallelism degrees.
 //!
+//! # Seeding
+//!
+//! Because the keys name only content, the caches are valid in any process
+//! whose store holds the same content. [`AnalysisSession::cache`] exports
+//! them as a [`SessionCache`] and [`AnalysisSession::seed`] takes one back
+//! — a durable service checkpoints its tenants' caches and seeds the
+//! sessions recovery opens, so the first refresh after a crash re-prepares
+//! every component but re-clusters and re-tests only what changed since
+//! the checkpoint. The configuration fingerprint in every key mixes in the
+//! analysis code's identity, a digest of the `timeseries`, `cluster`,
+//! `causality`, `core` and `exec` sources taken at build time: every key is
+//! build-specific, so an entry another build computed misses here like any
+//! stale one, and a seeded session's model is the one a cold session
+//! publishes.
+//!
 //! # Lifecycle
 //!
 //! [`AnalysisSession::apply_delta`] and [`AnalysisSession::set_call_graph`]
@@ -98,6 +113,85 @@ pub struct SessionStats {
     pub comparisons_tested: usize,
 }
 
+/// A session's content-keyed caches, as [`AnalysisSession::cache`] exports
+/// them and [`AnalysisSession::seed`] takes them back: the unit a durable
+/// service checkpoints per tenant. Every key names the content it was
+/// computed from and `config_fp`, so an entry is valid wherever its key
+/// matches and never matches anywhere else.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SessionCache {
+    /// The configuration fingerprint every key below carries: the
+    /// result-affecting fields of [`SieveConfig`] mixed with the analysis
+    /// code's identity.
+    pub config_fp: u64,
+    /// Cached clusterings, in component order.
+    pub clusterings: Vec<CachedClustering>,
+    /// Cached Granger verdicts, in comparison order.
+    pub verdicts: Vec<CachedVerdict>,
+}
+
+impl SessionCache {
+    /// Entries held: clusterings plus verdicts.
+    pub fn len(&self) -> usize {
+        self.clusterings.len() + self.verdicts.len()
+    }
+
+    /// Whether the cache holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// One cached clustering: valid while its component's prepared content
+/// fingerprints to `key`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CachedClustering {
+    /// Fingerprint of the component's prepared series (names and values)
+    /// and of the configuration.
+    pub key: u64,
+    /// The clustering that content produced; its `component` names the
+    /// component it belongs to.
+    pub clustering: ComponentClustering,
+}
+
+/// One cached comparison: the candidate edges a Granger test of the source
+/// series against the target series produced, valid while both series'
+/// prepared content fingerprints to `source_fp` and `target_fp`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CachedVerdict {
+    /// Component of the causing series.
+    pub source_component: Name,
+    /// The causing (representative) metric.
+    pub source_metric: Name,
+    /// Component of the affected series.
+    pub target_component: Name,
+    /// The affected (representative) metric.
+    pub target_metric: Name,
+    /// Content fingerprint of the prepared source series.
+    pub source_fp: u64,
+    /// Content fingerprint of the prepared target series.
+    pub target_fp: u64,
+    /// The candidate edges the test produced (possibly none).
+    pub edges: Vec<DependencyEdge>,
+}
+
+/// The order [`AnalysisSession::cache`] lists verdicts in: by comparison.
+fn verdict_order(v: &CachedVerdict) -> [&Name; 4] {
+    let CachedVerdict {
+        source_component,
+        source_metric,
+        target_component,
+        target_metric,
+        ..
+    } = v;
+    [
+        source_component,
+        source_metric,
+        target_component,
+        target_metric,
+    ]
+}
+
 /// Cached per-component preparation state.
 #[derive(Debug, Clone)]
 struct PreparedEntry {
@@ -138,11 +232,17 @@ struct Tested {
     comparisons_tested: usize,
 }
 
+/// The analysis code's identity: a digest of the sources of every crate
+/// whose code decides a clustering or a verdict, taken by the build script.
+const ANALYSIS_IDENTITY: &str = env!("SIEVE_ANALYSIS_IDENTITY");
+
 /// Fingerprint of the statistical configuration: every field that can
-/// change an analysis result. Parallelism is deliberately excluded — it is
-/// proven result-invariant.
+/// change an analysis result, mixed with [`ANALYSIS_IDENTITY`] — the code
+/// that computes a result can change it too. Parallelism is deliberately
+/// excluded — it is proven result-invariant.
 fn config_fingerprint(config: &SieveConfig) -> u64 {
-    let mut fp = mix(FINGERPRINT_SEED, config.interval_ms);
+    let mut fp = mix_str(FINGERPRINT_SEED, ANALYSIS_IDENTITY);
+    fp = mix(fp, config.interval_ms);
     fp = mix_f64(fp, config.variance_threshold);
     fp = mix(fp, config.min_clusters as u64);
     fp = mix(fp, config.max_clusters as u64);
@@ -312,6 +412,81 @@ impl AnalysisSession {
         });
     }
 
+    /// Exports the session's content-keyed caches — every clustering with
+    /// its key and every verdict the last refresh's plan reached — for
+    /// [`AnalysisSession::seed`] to take back, here or in another process.
+    pub fn cache(&self) -> SessionCache {
+        let clusterings = self
+            .clusterings
+            .iter()
+            .filter_map(|(component, clustering)| {
+                let key = *self.clustering_keys.get(component)?;
+                let clustering = clustering.clone();
+                Some(CachedClustering { key, clustering })
+            })
+            .collect();
+        let mut verdicts: Vec<CachedVerdict> = self
+            .edge_cache
+            .iter()
+            .map(|(key, (_, edges))| CachedVerdict {
+                source_component: key.comparison.source_component.clone(),
+                source_metric: key.comparison.source_metric.clone(),
+                target_component: key.comparison.target_component.clone(),
+                target_metric: key.comparison.target_metric.clone(),
+                source_fp: key.source_fp,
+                target_fp: key.target_fp,
+                edges: edges.clone(),
+            })
+            .collect();
+        verdicts.sort_unstable_by(|a, b| verdict_order(a).cmp(&verdict_order(b)));
+        SessionCache {
+            config_fp: self.config_fp,
+            clusterings,
+            verdicts,
+        }
+    }
+
+    /// Seeds the session's caches with `cache` — the one way entries enter
+    /// them other than a refresh computing them — and returns how many it
+    /// took; `None`, taking nothing, when `cache` was computed under
+    /// another configuration fingerprint (another statistical configuration
+    /// or another analysis build). Entries the session already holds win.
+    ///
+    /// Seeding changes no result: the next refresh re-prepares what it
+    /// would have anyway and reuses a seeded entry only where its content
+    /// key matches, so a seeded session publishes the model an unseeded one
+    /// does, with less work. A clustering of a component the store does not
+    /// hold is dropped by that refresh, never published.
+    pub fn seed(&mut self, cache: SessionCache) -> Option<usize> {
+        if cache.config_fp != self.config_fp {
+            return None;
+        }
+        let seeded = cache.len();
+        for CachedClustering { key, clustering } in cache.clusterings {
+            let component = clustering.component.clone();
+            if !self.clusterings.contains_key(&component) {
+                self.clustering_keys.insert(component.clone(), key);
+                self.clusterings.insert(component, clustering);
+            }
+        }
+        for verdict in cache.verdicts {
+            let key = EdgeKey {
+                comparison: Comparison {
+                    source_component: verdict.source_component,
+                    source_metric: verdict.source_metric,
+                    target_component: verdict.target_component,
+                    target_metric: verdict.target_metric,
+                },
+                source_fp: verdict.source_fp,
+                target_fp: verdict.target_fp,
+                config_fp: cache.config_fp,
+            };
+            let stamped = (self.generation, verdict.edges);
+            self.edge_cache.entry(key).or_insert(stamped);
+        }
+        Some(seeded)
+    }
+
     /// [`AnalysisSession::apply_delta`], then [`AnalysisSession::refresh`]:
     /// the streaming counterpart of one `Sieve::analyze` pass, bit-identical
     /// to batch-analysing the store whatever sequence of deltas led here.
@@ -430,6 +605,11 @@ impl AnalysisSession {
         if let Some(error) = self.reduce_failpoint.take() {
             return Err(error);
         }
+        // Only components the store holds are the session's to publish: a
+        // seeded clustering of any other one goes.
+        let prepared = &self.prepared;
+        self.clusterings.retain(|c, _| prepared.contains_key(c));
+        self.clustering_keys.retain(|c, _| prepared.contains_key(c));
         let to_recluster: Vec<(&Name, &PreparedEntry)> = self
             .prepared
             .iter()
@@ -873,6 +1053,119 @@ mod tests {
             assert!(session.last_stats().comparisons_planned > 0);
             assert!(!session.needs_refresh());
         }
+    }
+
+    #[test]
+    fn a_seeded_session_publishes_the_cold_model_and_recomputes_only_what_changed() {
+        let app = chain_app(4);
+        let (store, graph) =
+            load_application(&app, &Workload::randomized(60.0, 2), 23, 60_000, 500).unwrap();
+        let mut live =
+            AnalysisSession::new("chain", store.clone(), graph.clone(), fast_config()).unwrap();
+        let live_model = live.update_shared(&store.drain_delta()).unwrap();
+        let cache = live.cache();
+        assert_eq!(cache, live.cache(), "the export is deterministic");
+        assert_eq!(cache.clusterings.len(), 4);
+        assert!(!cache.verdicts.is_empty());
+
+        // A current cache: the same content in another session, at another
+        // parallelism, re-prepares everything and recomputes nothing.
+        let open = |store: &MetricStore, parallelism: usize| {
+            let config = fast_config().with_parallelism(parallelism);
+            AnalysisSession::new("chain", store.clone(), graph.clone(), config).unwrap()
+        };
+        for parallelism in [1, 4, 8] {
+            let revived = MetricStore::restore(store.freeze());
+            let mut seeded = open(&revived, parallelism);
+            assert_eq!(seeded.seed(cache.clone()), Some(cache.len()));
+            assert_eq!(*seeded.refresh().unwrap(), *live_model);
+            let stats = seeded.last_stats();
+            assert_eq!(stats.components_prepared, 4);
+            assert_eq!(
+                (stats.components_reclustered, stats.comparisons_tested),
+                (0, 0)
+            );
+        }
+
+        // A stale cache: svc2 moved on since it was taken, so only svc2 is
+        // re-clustered and only its comparisons are re-tested — and the
+        // model is the batch one.
+        for metric in [
+            "svc2_requests_per_second",
+            "svc2_latency_ms",
+            "svc2_threads_max",
+        ] {
+            let id = sieve_simulator::store::MetricId::new("svc2", metric);
+            let last = store.series(&id).unwrap().end_ms().unwrap();
+            store.record(&id, last + 500, 3.0);
+        }
+        let mut cold = open(&store, 2);
+        let cold_model = cold.refresh().unwrap();
+        let mut stale = open(&store, 2);
+        assert!(stale.seed(cache.clone()).is_some());
+        assert_eq!(*stale.refresh().unwrap(), *cold_model);
+        let stats = stale.last_stats();
+        assert_eq!(stats.components_reclustered, 1);
+        assert!(stats.comparisons_tested > 0);
+        assert!(stats.comparisons_tested < cold.last_stats().comparisons_tested);
+    }
+
+    #[test]
+    fn a_foreign_or_mismatched_cache_changes_no_model() {
+        let app = chain_app(3);
+        let (store, graph) =
+            load_application(&app, &Workload::randomized(50.0, 5), 29, 60_000, 500).unwrap();
+        let batch = Sieve::new(fast_config())
+            .analyze("chain", &store, &graph)
+            .unwrap();
+        let mut live =
+            AnalysisSession::new("chain", store.clone(), graph.clone(), fast_config()).unwrap();
+        live.refresh().unwrap();
+        let open =
+            || AnalysisSession::new("chain", store.clone(), graph.clone(), fast_config()).unwrap();
+
+        // Another configuration: nothing is taken.
+        let other_config = fast_config().with_cluster_range(2, 4);
+        let mut other =
+            AnalysisSession::new("chain", store.clone(), graph.clone(), other_config).unwrap();
+        other.refresh().unwrap();
+        let mut session = open();
+        assert_eq!(session.seed(other.cache()), None);
+        assert_eq!(*session.refresh().unwrap(), batch);
+        assert_eq!(session.last_stats().components_reclustered, 3);
+
+        // Another build of the analysis code: its fingerprint differs, so
+        // nothing is taken either.
+        let mut foreign = live.cache();
+        foreign.config_fp ^= 1;
+        let mut session = open();
+        assert_eq!(session.seed(foreign), None);
+        assert_eq!(*session.refresh().unwrap(), batch);
+
+        // Entries whose keys match no content, and a clustering of a
+        // component the store does not hold: taken, then never used or
+        // published.
+        let mut mismatched = live.cache();
+        for entry in &mut mismatched.clusterings {
+            entry.key ^= 1;
+        }
+        for verdict in &mut mismatched.verdicts {
+            verdict.source_fp ^= 1;
+        }
+        let mut ghost = mismatched.clusterings[0].clone();
+        ghost.clustering.component = Name::new("ghost");
+        mismatched.clusterings.push(ghost);
+        let mut session = open();
+        assert_eq!(session.seed(mismatched.clone()), Some(mismatched.len()));
+        assert_eq!(*session.refresh().unwrap(), batch);
+        let stats = session.last_stats();
+        assert_eq!(stats.components_reclustered, 3);
+        assert_eq!(stats.comparisons_tested, stats.comparisons_planned);
+        assert!(session
+            .cache()
+            .clusterings
+            .iter()
+            .all(|c| c.clustering.component != "ghost"));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! staged outside the apply-order lock, or a cadence bump with `admin`
 //! still held, cannot be written.
 
+use crate::checkpoint::Checkpoints;
 use crate::config::DurabilityConfig;
 use crate::registry::ShardedRegistry;
 use crate::service::SieveService;
@@ -50,6 +51,9 @@ struct DurableShard {
 pub(crate) struct DurableLog {
     config: DurabilityConfig,
     shards: Vec<DurableShard>,
+    /// The shards' analysis checkpoints: a cache beside the durable state,
+    /// written after sweeps, never on this module's mutation path.
+    pub(crate) checkpoints: Checkpoints,
 }
 
 impl SieveService {
@@ -125,12 +129,14 @@ const ADMIN_POISONED: &str = "shard admin lock poisoned";
 
 impl DurableLog {
     /// Creates a fresh durable directory for a *new* service: every shard
-    /// file of a previous incarnation is wiped, whatever shard count wrote
-    /// it (a new service must not inherit a predecessor's tenants — that's
-    /// what [`SieveService::recover`] is for).
+    /// file of a previous incarnation is wiped, its analysis checkpoints
+    /// included, whatever shard count wrote it (a new service must not
+    /// inherit a predecessor's tenants — that's what
+    /// [`SieveService::recover`] is for).
     pub(crate) fn create(durability: &DurabilityConfig, shard_count: usize) -> Result<Self> {
         std::fs::create_dir_all(&durability.dir).map_err(WalError::from)?;
-        for (_, path) in shard_files(&durability.dir)? {
+        let wiped = [DURABLE_EXTENSIONS, CHECKPOINT_EXTENSIONS].concat();
+        for (_, path) in shard_files(&durability.dir, &wiped)? {
             std::fs::remove_file(path).map_err(WalError::from)?;
         }
         write_format(&durability.dir)?;
@@ -178,6 +184,7 @@ impl DurableLog {
             });
         }
         Ok(Self {
+            checkpoints: Checkpoints::new(&durability.dir, shards.len()),
             config: durability.clone(),
             shards,
         })
@@ -272,7 +279,8 @@ impl DurableLog {
         Ok(())
     }
 
-    /// Folds the shard logs' group-commit counters into `stats`.
+    /// Folds the shard logs' group-commit counters and the checkpoint
+    /// writer's counters into `stats`.
     pub(crate) fn absorb_commit_stats(&self, stats: &mut ServiceStats) {
         for shard in &self.shards {
             let log = shard.log.stats();
@@ -280,18 +288,28 @@ impl DurableLog {
             stats.fsync_calls += log.fsync_calls;
             stats.commit_wait_ns_total += log.commit_wait_ns_total;
         }
+        self.checkpoints.absorb_stats(stats);
     }
 }
 
-/// Every shard file (`wal-shard-<i>.log`, `.snap` or `.snap.tmp`) directly
-/// inside `dir`, with the shard index `i` its name carries.
-fn shard_files(dir: &Path) -> Result<Vec<(usize, PathBuf)>> {
+/// The extensions of a shard's durable files: its log and its snapshot.
+const DURABLE_EXTENSIONS: &[&str] = &["log", "snap", "snap.tmp"];
+
+/// The extensions of a shard's analysis checkpoint, a cache: no durable
+/// state, so it never makes a directory written.
+const CHECKPOINT_EXTENSIONS: &[&str] = &["ckpt", "ckpt.tmp"];
+
+/// Every shard file (`wal-shard-<i>.<extension>`, for one of `extensions`)
+/// directly inside `dir`, with the shard index `i` its name carries.
+fn shard_files(dir: &Path, extensions: &[&str]) -> Result<Vec<(usize, PathBuf)>> {
     let mut files = Vec::new();
     for entry in std::fs::read_dir(dir).map_err(WalError::from)? {
         let path = entry.map_err(WalError::from)?.path();
         let index = path.file_name().and_then(|name| {
             let (index, extension) = name.to_str()?.strip_prefix("wal-shard-")?.split_once('.')?;
-            matches!(extension, "log" | "snap" | "snap.tmp").then(|| index.parse().ok())?
+            extensions
+                .contains(&extension)
+                .then(|| index.parse().ok())?
         });
         if let Some(index) = index {
             files.push((index, path));
@@ -310,7 +328,7 @@ fn shard_files(dir: &Path) -> Result<Vec<(usize, PathBuf)>> {
 /// index is `usize::MAX`: no shard count is one past it.
 pub(crate) fn written_shard_count(dir: &Path) -> Result<usize> {
     let mut count = 0;
-    for (index, path) in shard_files(dir)? {
+    for (index, path) in shard_files(dir, DURABLE_EXTENSIONS)? {
         let Some(past) = index.checked_add(1) else {
             let reason = format!("{} names a shard past any shard count", path.display());
             return Err(ServeError::InvalidConfig { reason });

@@ -42,14 +42,20 @@
 //!   torn or bit-flipped log tail degrades exactly the affected tenants
 //!   with a precisely accounted lost suffix
 //!   ([`recovery::RecoveryReport`]).
+//! * **Warm restart**: after a sweep that computed something new, each
+//!   affected shard's analysis caches are checkpointed beside its log (a
+//!   cache, with no fsync), and recovery seeds every tenant's session from
+//!   it, so the first sweep after a crash re-clusters and re-tests only
+//!   what changed since — with the model a cold restart publishes.
 //!
 //! Each of the service's protocols has one home: `service` holds
 //! [`SieveService`] itself — construction, tenant admin, ingest and the
 //! read accessors; `durable` the path every tenant mutation takes to
 //! become durable (the lock order, as code), the snapshot cadence and the
 //! one snapshot writer; `sweep` the one refresh sweep and the fleet
-//! gauges; [`recovery`] the replay of one shard next to the report it
-//! produces; `registry` the sharded name→tenant map; `tenant` the
+//! gauges; `checkpoint` the analysis checkpoint a sweep writes and the
+//! seeds recovery reads from it; [`recovery`] the replay of one shard next
+//! to the report it produces; `registry` the sharded name→tenant map; `tenant` the
 //! per-tenant state with its locks behind accessors.
 //!
 //! # Example
@@ -83,6 +89,7 @@ pub mod recovery;
 pub mod service;
 pub mod stats;
 
+mod checkpoint;
 mod durable;
 mod error;
 mod registry;
@@ -91,7 +98,7 @@ mod tenant;
 
 pub use config::{DurabilityConfig, ServeConfig};
 pub use error::ServeError;
-pub use recovery::{LostSuffix, RecoveryReport, TenantRecovery};
+pub use recovery::{CheckpointSeeding, LostSuffix, RecoveryReport, TenantRecovery};
 pub use service::SieveService;
 pub use stats::ServiceStats;
 pub use tenant::MetricPoint;

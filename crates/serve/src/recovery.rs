@@ -15,11 +15,14 @@
 //! [`ShardRecovery`] and the tenants it could restore, without changing a
 //! byte on disk.
 
+use crate::checkpoint::Seeds;
 use crate::registry::ShardedRegistry;
 use crate::tenant::{Mutation, Tenant};
 use crate::{Result, ServeError};
+use sieve_core::config::SieveConfig;
 use sieve_exec::hash::shard_index;
 use sieve_exec::Name;
+use sieve_graph::CallGraph;
 use sieve_simulator::store::MetricStore;
 use sieve_wal::{
     log_file_name, snapshot_file_name, Frame, LogFrames, ShardSnapshot, WalError, WalEvent,
@@ -101,6 +104,43 @@ pub struct CorruptionSummary {
     pub lost_bytes: u64,
 }
 
+/// What a shard's analysis checkpoint gave the tenants recovery opened.
+/// Every opened tenant is counted once: seeded, or a miss for one reason.
+/// A seeded tenant's first sweep still recomputes each entry whose content
+/// key no longer matches (a checkpoint older than the crash), and its
+/// `SessionStats` count those.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CheckpointSeeding {
+    /// Tenants whose session was seeded from their record.
+    pub tenants_seeded: usize,
+    /// Cache entries — clusterings plus Granger verdicts — seeded into them.
+    pub entries_seeded: u64,
+    /// Tenants with no record: there was no checkpoint, or it held none
+    /// for them.
+    pub missing: usize,
+    /// Tenants with no record in a checkpoint that was unreadable, or that
+    /// held a damaged record (theirs may have been it).
+    pub corrupt: usize,
+    /// Tenants of a shard whose checkpoint is of another on-disk format.
+    pub other_format: usize,
+    /// Tenants whose record was computed under another configuration
+    /// fingerprint: another analysis configuration or another build's
+    /// analysis code.
+    pub key_mismatch: usize,
+}
+
+impl CheckpointSeeding {
+    /// Adds `other`'s counts to these.
+    fn add(&mut self, other: &Self) {
+        self.tenants_seeded += other.tenants_seeded;
+        self.entries_seeded += other.entries_seeded;
+        self.missing += other.missing;
+        self.corrupt += other.corrupt;
+        self.other_format += other.other_format;
+        self.key_mismatch += other.key_mismatch;
+    }
+}
+
 /// The recovery outcome of one shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRecovery {
@@ -134,6 +174,12 @@ pub struct ShardRecovery {
     /// did not predict them (first sights included); the rest were
     /// predicted.
     pub ids_hashed: u64,
+    /// Wall time spent reading and decoding the shard's analysis
+    /// checkpoint, in nanoseconds (seeding a session happens when the
+    /// snapshot or a creation record opens its tenant).
+    pub checkpoint_ns: u64,
+    /// What the checkpoint gave the tenants this shard opened.
+    pub checkpoint: CheckpointSeeding,
     /// Wall time spent reading the snapshot and restoring its tenants —
     /// stores and sessions — in nanoseconds.
     pub snapshot_ns: u64,
@@ -191,6 +237,15 @@ impl RecoveryReport {
             .sum()
     }
 
+    /// What the shards' checkpoints gave the recovered tenants, summed.
+    pub fn checkpoint(&self) -> CheckpointSeeding {
+        let mut total = CheckpointSeeding::default();
+        for shard in &self.shards {
+            total.add(&shard.checkpoint);
+        }
+        total
+    }
+
     /// Total accounted loss across all shards.
     pub fn lost(&self) -> LostSuffix {
         let mut total = LostSuffix::default();
@@ -224,11 +279,13 @@ impl std::fmt::Display for RecoveryReport {
         let lost = self.lost();
         write!(
             f,
-            "recovered {} tenants from {} shards: {} frames, {} points replayed",
+            "recovered {} tenants from {} shards: {} frames, {} points replayed, \
+             {} cache entries seeded",
             tenants,
             self.shards.len(),
             frames,
-            self.points_replayed()
+            self.points_replayed(),
+            self.checkpoint().entries_seeded
         )?;
         if self.is_clean() {
             write!(f, "; clean")
@@ -321,7 +378,11 @@ impl Replaying {
 ///
 /// [`ServeError::Analysis`] when a creation record's session cannot be
 /// built.
-fn replay(replaying: &mut BTreeMap<String, Replaying>, frame: Frame<'_>) -> Result<()> {
+fn replay(
+    replaying: &mut BTreeMap<String, Replaying>,
+    seeds: &mut Seeds,
+    frame: Frame<'_>,
+) -> Result<()> {
     let points = frame.point_count();
     let Some(replayed) = replaying.get_mut(frame.tenant()) else {
         // Only an intact creation record may introduce a name; any other
@@ -336,7 +397,7 @@ fn replay(replaying: &mut BTreeMap<String, Replaying>, frame: Frame<'_>) -> Resu
                 call_graph,
             }) => {
                 let store = MetricStore::with_retention(config.retention);
-                introduced.tenant = Some(Tenant::open(tenant, store, call_graph, *config)?);
+                introduced.tenant = Some(open(seeds, tenant, store, call_graph, *config)?);
             }
             _ => introduced.lose(points),
         }
@@ -367,19 +428,79 @@ fn lose(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent) {
     tenant.lose(event.point_count());
 }
 
+/// Opens a recovered tenant through [`Tenant::open`], seeded with its
+/// checkpoint record if `seeds` holds one, and counts what it got.
+fn open(
+    seeds: &mut Seeds,
+    name: Name,
+    store: MetricStore,
+    call_graph: CallGraph,
+    config: SieveConfig,
+) -> Result<Arc<Tenant>> {
+    let cache = seeds.take(name.as_str());
+    let offered = cache.is_some();
+    let (tenant, seeded) = Tenant::open(name, store, call_graph, config, cache)?;
+    seeds.count(offered, seeded);
+    Ok(tenant)
+}
+
 /// Nanoseconds since `start`.
 pub(crate) fn ns_since(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Reads shard `shard` of the durable directory `dir`: the snapshot's
-/// tenants are opened, the log's intact prefix past the snapshot watermark
-/// is replayed through [`Tenant::apply`], the fold the live service
-/// applies, and every tenant whose creation record survived enters
-/// `registry`. Nothing on disk changes — re-anchoring the directory is the
-/// caller's second step, taken only once every shard has been read. Each
-/// of the four stages the report times reads the clock twice; the log walk
-/// reads it twice more per refill of its window, not per frame.
+/// Opens the tenants of shard `shard`'s snapshot in `dir`, seeded from
+/// `seeds`. Returns the log watermark the snapshot covers (0 without one),
+/// whether a snapshot file failed verification (recovery then falls back
+/// to the log alone) and the opened tenants by name.
+///
+/// # Errors
+///
+/// [`ServeError::InvalidConfig`] for a snapshot of another shard,
+/// [`ServeError::Wal`] on I/O failures, [`ServeError::Analysis`] when a
+/// tenant's session cannot be rebuilt.
+fn restore_snapshot(
+    dir: &Path,
+    shard: usize,
+    shard_count: usize,
+    seeds: &mut Seeds,
+) -> Result<(u64, bool, BTreeMap<String, Replaying>)> {
+    let mut replaying = BTreeMap::new();
+    let snapshot = match ShardSnapshot::read(&dir.join(snapshot_file_name(shard))) {
+        Ok(Some(snapshot)) => snapshot,
+        Ok(None) => return Ok((0, false, replaying)),
+        Err(WalError::Corrupt { .. }) => return Ok((0, true, replaying)),
+        Err(error) => return Err(error.into()),
+    };
+    if snapshot.shard != shard {
+        let found = format!(
+            "a snapshot of shard {} in shard {shard}'s file",
+            snapshot.shard
+        );
+        return Err(shard_count_mismatch(shard_count, found));
+    }
+    for tenant in snapshot.tenants {
+        let store = MetricStore::restore(tenant.store);
+        let name = Name::new(&tenant.tenant);
+        let opened = open(seeds, name, store, tenant.call_graph, *tenant.config)?;
+        let restored = Replaying {
+            tenant: Some(opened),
+            ..Replaying::default()
+        };
+        replaying.insert(tenant.tenant, restored);
+    }
+    Ok((snapshot.last_seq, false, replaying))
+}
+
+/// Reads shard `shard` of the durable directory `dir`: its analysis
+/// checkpoint is read first, so that each tenant is seeded as it opens;
+/// the snapshot's tenants are opened, the log's intact prefix past the
+/// snapshot watermark is replayed through [`Tenant::apply`], the fold the
+/// live service applies, and every tenant whose creation record survived
+/// enters `registry`. Nothing on disk changes — re-anchoring the directory
+/// is the caller's second step, taken only once every shard has been read.
+/// Each of the five stages the report times reads the clock twice; the log
+/// walk reads it twice more per refill of its window, not per frame.
 ///
 /// # Errors
 ///
@@ -393,35 +514,15 @@ pub(crate) fn recover_shard(
     shard_count: usize,
     registry: &ShardedRegistry,
 ) -> Result<ShardRecovery> {
+    // A checkpoint is a cache: reading it cannot fail, and whatever it
+    // lacks is a miss.
     let started = Instant::now();
-    let (snapshot, snapshot_corrupt) =
-        match ShardSnapshot::read(&dir.join(snapshot_file_name(shard))) {
-            Ok(snapshot) => (snapshot, false),
-            Err(WalError::Corrupt { .. }) => (None, true),
-            Err(error) => return Err(error.into()),
-        };
-    let mut snapshot_last_seq = 0;
-    let mut replaying: BTreeMap<String, Replaying> = BTreeMap::new();
-    if let Some(snapshot) = snapshot {
-        if snapshot.shard != shard {
-            let found = format!(
-                "a snapshot of shard {} in shard {shard}'s file",
-                snapshot.shard
-            );
-            return Err(shard_count_mismatch(shard_count, found));
-        }
-        snapshot_last_seq = snapshot.last_seq;
-        for tenant in snapshot.tenants {
-            let store = MetricStore::restore(tenant.store);
-            let name = Name::new(&tenant.tenant);
-            let opened = Tenant::open(name, store, tenant.call_graph, *tenant.config)?;
-            let restored = Replaying {
-                tenant: Some(opened),
-                ..Replaying::default()
-            };
-            replaying.insert(tenant.tenant, restored);
-        }
-    }
+    let mut seeds = Seeds::read(dir, shard);
+    let checkpoint_ns = ns_since(started);
+
+    let started = Instant::now();
+    let (snapshot_last_seq, snapshot_corrupt, mut replaying) =
+        restore_snapshot(dir, shard, shard_count, &mut seeds)?;
     let snapshot_ns = ns_since(started);
 
     // The log is read through the walk's window: each intact frame is
@@ -440,7 +541,7 @@ pub(crate) fn recover_shard(
         if seq > snapshot_last_seq {
             frames_replayed += 1;
             recovered_through_seq = seq;
-            replay(&mut replaying, frame)?;
+            replay(&mut replaying, &mut seeds, frame)?;
         }
     }
     let ids = frames.ids();
@@ -491,6 +592,8 @@ pub(crate) fn recover_shard(
         ids_decoded,
         ids_interned,
         ids_hashed,
+        checkpoint_ns,
+        checkpoint: seeds.tally(),
         snapshot_ns,
         log_read_ns,
         replay_ns,
@@ -537,6 +640,13 @@ mod tests {
                 ids_decoded: 0,
                 ids_interned: 0,
                 ids_hashed: 0,
+                checkpoint_ns: 0,
+                checkpoint: CheckpointSeeding {
+                    tenants_seeded: 1,
+                    entries_seeded: 7,
+                    missing: 1,
+                    ..CheckpointSeeding::default()
+                },
                 snapshot_ns: 0,
                 log_read_ns: 0,
                 replay_ns: 0,
@@ -565,6 +675,8 @@ mod tests {
         assert!(report.tenant("ghost").is_none());
         let text = report.to_string();
         assert!(text.contains("lost 3 events (9 points)"), "{text}");
+        assert!(text.contains("7 cache entries seeded"), "{text}");
+        assert_eq!(report.checkpoint().missing, 1);
 
         let clean = RecoveryReport {
             shards: vec![],

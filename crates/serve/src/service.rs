@@ -71,8 +71,9 @@ impl SieveService {
     /// Creates a service with the given configuration.
     ///
     /// When [`ServeConfig::durability`] is set, the durable directory is
-    /// created (if absent) and **wiped of any previous service's logs and
-    /// snapshots** — every shard file in it, whatever shard count the
+    /// created (if absent) and **wiped of any previous service's logs,
+    /// snapshots and analysis checkpoints** — every shard file in it,
+    /// whatever shard count the
     /// previous service ran with: a new service starts empty by
     /// definition. It then names this build's on-disk format in its
     /// format record. To resume a previous incarnation's tenants from its
@@ -198,7 +199,7 @@ impl SieveService {
             config: Box::new(config.clone().with_retention(store.retention())),
             call_graph: call_graph.clone(),
         };
-        let tenant = Tenant::open(name, store, call_graph, config)?;
+        let (tenant, _) = Tenant::open(name, store, call_graph, config, None)?;
         self.mutate(&tenant, Mutation::Admin(created)).map(drop)
     }
 
@@ -397,6 +398,17 @@ impl SieveService {
     /// snapshot, and its absorbed dirt stays pending in its session, so
     /// a later sweep retries exactly the outstanding work.
     ///
+    /// # Analysis checkpoints
+    ///
+    /// On a durable service, a sweep in which some tenant re-clustered a
+    /// component or ran a Granger test ends by rewriting the analysis
+    /// checkpoint of each shard such a tenant lives in — its tenants'
+    /// content-keyed caches, through a temp file and a rename, with no
+    /// fsync — so a checkpoint is never more than one sweep behind the
+    /// published models, and [`SieveService::recover`] can seed the
+    /// sessions it opens. A failed write is counted
+    /// ([`ServiceStats::checkpoint_failures`]), never returned.
+    ///
     /// # Example
     ///
     /// ```
@@ -436,11 +448,15 @@ impl SieveService {
     }
 
     /// Marks every component of every tenant dirty and refreshes the whole
-    /// fleet — the batch special case of [`SieveService::refresh_dirty`],
-    /// used as the reference sweep in benchmarks. Content-keyed session
-    /// caches still apply (unchanged prepared content keeps its clustering
-    /// and verdicts), so this is *not* equivalent to re-analysing from
-    /// scratch in cost — only in result.
+    /// fleet, ignoring failure backoff — the batch special case of
+    /// [`SieveService::refresh_dirty`]. It is the sweep to run when every
+    /// tenant's model must be current whatever its dirt says: the scenario
+    /// runner publishes one model per epoch through it, and the recovery
+    /// property test compares recovered, live and oracle services after
+    /// it. Content-keyed session caches still apply (unchanged prepared
+    /// content keeps its clustering and verdicts, seeded ones included), so
+    /// this is *not* equivalent to re-analysing from scratch in cost — only
+    /// in result.
     ///
     /// # Errors
     ///
@@ -467,6 +483,14 @@ impl SieveService {
     /// back to pure log replay. After recovery the directory is
     /// re-snapshotted and the logs are truncated, so the corrupt tail is
     /// physically gone and a second recovery is clean by construction.
+    ///
+    /// The restart is warm: each shard's analysis checkpoint, when there is
+    /// one, seeds the sessions of the tenants it opens, so the first sweep
+    /// re-clusters and re-tests only what changed since the checkpoint was
+    /// written ([`crate::recovery::ShardRecovery::checkpoint`] counts what
+    /// it gave). A checkpoint is a cache: one that is missing, damaged, of
+    /// another format, configuration or build, or stale costs work, never
+    /// a different model or a failed recovery.
     ///
     /// The directory must be of this build's on-disk format
     /// ([`sieve_wal::FORMAT`]), which its format record names: each

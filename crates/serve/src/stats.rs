@@ -61,6 +61,16 @@ pub struct ServiceStats {
     /// thread's leader write. Divided by `commits_coalesced` this is the
     /// mean price a rider pays for a free fsync.
     pub commit_wait_ns_total: u64,
+    /// Analysis checkpoints written since service start: one per shard
+    /// whose tenants added a cache entry in a sweep (zero on a non-durable
+    /// service).
+    pub checkpoint_writes: u64,
+    /// Bytes those checkpoints held, summed.
+    pub checkpoint_bytes: u64,
+    /// Checkpoint writes that failed since service start. A failed write
+    /// leaves the shard's previous checkpoint, which only costs the next
+    /// recovery work.
+    pub checkpoint_failures: u64,
     /// Worker threads the process-wide executor pool has ever spawned.
     /// Flat across sweeps once the pool is warm — the observable that
     /// refreshes stopped paying per-sweep thread-spawn cost.
@@ -101,6 +111,7 @@ impl std::fmt::Display for ServiceStats {
              {} points retained, {} evicted; \
              {} degraded, {} refresh failures to date; \
              {} commits coalesced, {} fsyncs, {} ns commit wait; \
+             {} checkpoints written ({} bytes, {} failed); \
              pool: {} workers spawned, {} tasks run",
             self.tenants_refreshed,
             self.tenants_total,
@@ -116,6 +127,9 @@ impl std::fmt::Display for ServiceStats {
             self.commits_coalesced,
             self.fsync_calls,
             self.commit_wait_ns_total,
+            self.checkpoint_writes,
+            self.checkpoint_bytes,
+            self.checkpoint_failures,
             self.pool_workers_spawned,
             self.pool_tasks_executed
         )

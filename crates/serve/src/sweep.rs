@@ -6,13 +6,15 @@ use crate::stats::ServiceStats;
 use crate::tenant::Tenant;
 use crate::{Result, ServeError};
 use sieve_core::session::SessionStats;
+use sieve_exec::hash::shard_index;
 use sieve_exec::par_map_chunks;
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 impl SieveService {
     /// One sweep: *count → select → refresh + publish → record outcomes →
-    /// gauges → earliest error*. `force` is what
+    /// checkpoint → gauges → earliest error*. `force` is what
     /// [`SieveService::refresh_all`] adds: no tenant is skipped for
     /// backoff and every component of every tenant is marked dirty.
     ///
@@ -36,11 +38,16 @@ impl SieveService {
         });
         let mut stats = ServiceStats::default();
         let mut first_error = None;
+        let mut to_checkpoint = BTreeSet::new();
         for (tenant, outcome) in work.iter().zip(outcomes) {
             match outcome {
                 Ok(session_stats) => {
                     tenant.record_refresh_success();
                     stats.absorb(&session_stats);
+                    if session_stats.components_reclustered + session_stats.comparisons_tested > 0 {
+                        let shard = shard_index(tenant.name.as_str(), self.config.shard_count);
+                        to_checkpoint.insert(shard);
+                    }
                 }
                 Err(error) => {
                     self.refresh_failures.fetch_add(1, Ordering::Relaxed);
@@ -48,6 +55,12 @@ impl SieveService {
                     first_error.get_or_insert(error);
                 }
             }
+        }
+        // The analysis checkpoints: each shard whose tenants added a cache
+        // entry is rewritten, so a checkpoint is never more than one sweep
+        // behind the published models.
+        if let Some(durable) = &self.durable {
+            durable.checkpoints.write(&self.registry, to_checkpoint);
         }
         self.fleet_gauges(&tenants, &mut stats);
         first_error.map_or(Ok(stats), Err)

@@ -6,7 +6,7 @@
 use crate::{Result, ServeError};
 use sieve_core::config::SieveConfig;
 use sieve_core::model::SieveModel;
-use sieve_core::session::{AnalysisSession, SessionStats};
+use sieve_core::session::{AnalysisSession, SessionCache, SessionStats};
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{BatchOutcome, MetricId, MetricStore};
@@ -136,9 +136,12 @@ pub(crate) struct Tenant {
 
 impl Tenant {
     /// The one constructor: a tenant over `store`, with a session that
-    /// plans comparisons over `call_graph` under `config`. Live creation
-    /// and adoption, a restored snapshot and a replayed creation record
-    /// all build their tenant here.
+    /// plans comparisons over `call_graph` under `config`, seeded with
+    /// `cache` when recovery found one for it in a checkpoint. Live
+    /// creation and adoption, a restored snapshot and a replayed creation
+    /// record all build their tenant here. Returns the tenant and what its
+    /// session took of `cache` ([`AnalysisSession::seed`]): `None` when
+    /// there was none or it was computed under another fingerprint.
     ///
     /// # Errors
     ///
@@ -148,13 +151,15 @@ impl Tenant {
         store: MetricStore,
         call_graph: CallGraph,
         config: SieveConfig,
-    ) -> Result<Arc<Self>> {
-        let session = AnalysisSession::new(name.as_str(), store.clone(), call_graph, config)
+        cache: Option<SessionCache>,
+    ) -> Result<(Arc<Self>, Option<usize>)> {
+        let mut session = AnalysisSession::new(name.as_str(), store.clone(), call_graph, config)
             .map_err(|source| ServeError::Analysis {
                 tenant: name.clone(),
                 source,
             })?;
-        Ok(Arc::new(Self {
+        let seeded = cache.and_then(|cache| session.seed(cache));
+        let tenant = Arc::new(Self {
             name,
             store,
             apply_order: Mutex::new(IngestScratch::default()),
@@ -162,7 +167,8 @@ impl Tenant {
             published: RwLock::new(Published::default()),
             failure_streak: AtomicU32::new(0),
             retry_at_sweep: AtomicU64::new(0),
-        }))
+        });
+        Ok((tenant, seeded))
     }
 
     /// Applies `mutation` and returns the ingest points it accepted (0 for

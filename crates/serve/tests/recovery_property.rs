@@ -20,6 +20,11 @@
 //!   three recoveries publish identical models.
 //! * Degraded tenants re-converge: after recovery, resumed ingest brings
 //!   the recovered service and the oracle to identical models again.
+//! * The analysis checkpoint is a cache: the live service sweeps at random
+//!   points of the interleaving, so the checkpoint it leaves is of a random
+//!   age, and each scenario recovers with the newest one, an older one or
+//!   none — the models are the same, and a clean recovery with the newest
+//!   one re-clusters and re-tests nothing.
 
 use sieve_core::config::{RetentionPolicy, SieveConfig};
 use sieve_exec::hash::shard_index;
@@ -164,14 +169,20 @@ fn issue(service: &SieveService, tenant: &str, op: &Op) -> u64 {
 
 /// Runs the randomized phase: mostly ingest, with about one operation in
 /// four a call-graph swap or a retention change, recording what each
-/// tenant's operations did.
+/// tenant's operations did. About one operation in four is followed by a
+/// sweep (drawn from a stream of its own, so the operations are those of
+/// `seed` whatever the sweeps), each of which may rewrite a checkpoint.
 fn run_ops(service: &SieveService, dir: &Path, seed: u64, rounds: usize) -> History {
     let mut history = History {
         ops: BTreeMap::new(),
         next_tick: TENANTS.iter().map(|t| (*t, 0u64)).collect(),
     };
     let mut rng = seed;
+    let mut sweeps = seed ^ 0x5EE9_5EE9;
     for _ in 0..rounds {
+        if splitmix64(&mut sweeps) % 4 == 0 {
+            service.refresh_dirty().unwrap();
+        }
         let tenant = TENANTS[(splitmix64(&mut rng) % TENANTS.len() as u64) as usize];
         let op = match splitmix64(&mut rng) % 8 {
             0 if splitmix64(&mut rng) % 2 == 0 => Op::CallGraph(graph_v1()),
@@ -278,6 +289,7 @@ fn untimed(report: &sieve_serve::RecoveryReport) -> sieve_serve::RecoveryReport 
     let mut report = report.clone();
     report.reanchor_ns = 0;
     for shard in &mut report.shards {
+        shard.checkpoint_ns = 0;
         shard.snapshot_ns = 0;
         shard.log_read_ns = 0;
         shard.replay_ns = 0;
@@ -299,6 +311,45 @@ enum Corruption {
     None,
     TruncateTail,
     BitFlip,
+}
+
+/// Which analysis checkpoint a scenario recovers with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CheckpointAge {
+    /// The one the live service left.
+    Newest,
+    /// The one its last sweep before the final one left (none if there
+    /// was no such sweep).
+    Older,
+    /// None at all: a cold restart.
+    Absent,
+}
+
+/// The checkpoint files in `dir`, by name.
+fn checkpoints(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "ckpt"))
+        .map(|path| {
+            (
+                path.file_name().unwrap().to_owned(),
+                std::fs::read(&path).unwrap(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Replaces the checkpoint files in `dir` with `files`.
+fn put_checkpoints(dir: &Path, files: &[(std::ffi::OsString, Vec<u8>)]) {
+    for (name, _) in checkpoints(dir) {
+        std::fs::remove_file(dir.join(name)).unwrap();
+    }
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
 }
 
 /// Corrupts one shard log at a random offset strictly after the setup
@@ -355,6 +406,7 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
         })
         .collect();
     let mut history = run_ops(&service, &dir, seed, 16);
+    let older = checkpoints(&dir);
     service.refresh_all().unwrap();
     let live = models_of(&service);
     drop(service);
@@ -363,6 +415,16 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
     // snapshots) — still a valid clean-recovery scenario.
     let mut rng = seed ^ 0xC0FF_EE00;
     let cut = corrupt(&dir, &setup_sizes, &corruption, &mut rng);
+    let age = [
+        CheckpointAge::Newest,
+        CheckpointAge::Older,
+        CheckpointAge::Absent,
+    ][(splitmix64(&mut rng) % 3) as usize];
+    match age {
+        CheckpointAge::Newest => {}
+        CheckpointAge::Older => put_checkpoints(&dir, &older),
+        CheckpointAge::Absent => put_checkpoints(&dir, &[]),
+    }
 
     // Recover the same crashed directory at every parallelism degree.
     // `recover` re-anchors the directory (fresh snapshot, truncated log),
@@ -373,12 +435,29 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
         copy_dir(&dir, &copy);
         let (recovered, report) =
             SieveService::recover(serve_config(&copy, snapshot_every, parallelism)).unwrap();
-        recovered.refresh_all().unwrap();
+        let first = recovered.refresh_all().unwrap();
+        if age == CheckpointAge::Newest && matches!(corruption, Corruption::None) {
+            assert_eq!(
+                (first.components_reclustered, first.comparisons_tested),
+                (0, 0),
+                "scenario {index}: the newest checkpoint covers the final content ({report})"
+            );
+        }
         per_parallelism.push((recovered, report, copy));
     }
 
     let (recovered, report, _) = &per_parallelism[0];
     let survived = surviving_ops(&history, cut);
+    let seeding = report.checkpoint();
+    let opened = seeding.tenants_seeded + seeding.missing + seeding.corrupt;
+    assert_eq!(
+        opened,
+        TENANTS.len(),
+        "scenario {index} ({age:?}): {seeding:?}"
+    );
+    if age == CheckpointAge::Absent {
+        assert_eq!(seeding.missing, TENANTS.len(), "scenario {index}");
+    }
     if matches!(corruption, Corruption::None) {
         assert!(report.is_clean(), "scenario {index}: {report}");
     } else {

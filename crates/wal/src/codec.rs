@@ -66,6 +66,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Reads `n` raw bytes, borrowed from the input.
+    pub(crate) fn take_bytes(&mut self, n: usize, what: &str) -> DecodeResult<&'a [u8]> {
+        self.take(n, what)
+    }
+
     /// Reads one byte.
     pub fn take_u8(&mut self, what: &str) -> DecodeResult<u8> {
         Ok(self.take(1, what)?[0])

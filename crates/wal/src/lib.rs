@@ -20,6 +20,11 @@
 //! it covers. Snapshots are written atomically (temp file + fsync +
 //! rename) and let the log be truncated, bounding replay work.
 //!
+//! A shard may also hold an analysis checkpoint (`wal-shard-<i>.ckpt`,
+//! [`checkpoint`]): its tenants' content-keyed analysis caches, which
+//! recovery seeds sessions from. It is a cache, not state — written with no
+//! fsync, and read as a miss whenever it is absent, damaged or stale.
+//!
 //! Beside them sits one format record (`wal-format`, [`mod@format`]) naming
 //! the directory's format number: every structure in the directory has
 //! that number's layout and one decoder, and a directory of another number
@@ -46,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod checkpoint;
 pub mod codec;
 pub mod error;
 pub mod event;
@@ -57,6 +63,7 @@ pub mod reader;
 pub mod snapshot;
 pub mod writer;
 
+pub use checkpoint::{CheckpointRead, ShardCheckpoint, TenantCheckpoint};
 pub use error::WalError;
 pub use event::{IngestRef, WalEvent};
 pub use failpoint::FailpointFs;
@@ -80,6 +87,12 @@ pub fn snapshot_file_name(shard: usize) -> String {
     format!("wal-shard-{shard}.snap")
 }
 
+/// File name of shard `i`'s analysis checkpoint inside a durability
+/// directory.
+pub fn checkpoint_file_name(shard: usize) -> String {
+    format!("wal-shard-{shard}.ckpt")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,5 +101,6 @@ mod tests {
     fn file_names_are_stable() {
         assert_eq!(log_file_name(3), "wal-shard-3.log");
         assert_eq!(snapshot_file_name(0), "wal-shard-0.snap");
+        assert_eq!(checkpoint_file_name(1), "wal-shard-1.ckpt");
     }
 }

@@ -42,15 +42,21 @@ use std::path::Path;
 /// Magic prefix of a snapshot file ("SIEVSNAP" in ASCII).
 const MAGIC: u64 = 0x5349_4556_534E_4150;
 
-/// The header checksum of a snapshot body.
+/// The header checksum of a snapshot body: [`lane_checksum`] seeded with
+/// the magic and the format.
+fn body_checksum(body: &[u8]) -> u64 {
+    lane_checksum(MAGIC ^ u64::from(FORMAT), body)
+}
+
+/// The checksum of a whole-file body under `seed`, for a snapshot and for
+/// each tenant record of a checkpoint.
 ///
 /// The body is cut into quarters at multiples of eight bytes (the last
 /// quarter takes the remainder) and checksummed as four frames are, with
 /// [`checksums`]: four mix chains in lockstep, each seeded with its lane,
 /// so equal quarters sum apart. The four sums are then folded, in lane
 /// order, into one word.
-fn body_checksum(body: &[u8]) -> u64 {
-    let seed = MAGIC ^ u64::from(FORMAT);
+pub(crate) fn lane_checksum(seed: u64, body: &[u8]) -> u64 {
     let quarter = body.len() / 32 * 8;
     let lanes = std::array::from_fn(|lane| {
         let end = if lane == 3 {
@@ -183,14 +189,28 @@ impl ShardSnapshot {
     ///
     /// I/O failures other than not-found, and corruption.
     pub fn read(path: &Path) -> Result<Option<Self>> {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(bytes) = read_whole(path)? else {
+            return Ok(None);
         };
         Self::decode(&bytes)
             .map(Some)
             .map_err(|reason| WalError::Corrupt { offset: 0, reason })
+    }
+}
+
+/// Reads the file at `path` whole: `Ok(None)` if it does not exist. The
+/// durable directory's one whole-file read, shared by the snapshot and the
+/// checkpoint ([`crate::checkpoint`]) — both are read once, at recovery, and
+/// verified as a whole; the logs are streamed through a bounded window.
+///
+/// # Errors
+///
+/// I/O failures other than not-found.
+pub(crate) fn read_whole(path: &Path) -> std::io::Result<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
     }
 }
 

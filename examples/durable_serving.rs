@@ -9,6 +9,12 @@
 //! ordinary store machinery and the recovered service publishes models
 //! bit-identical to the pre-crash live ones.
 //!
+//! The recovery is warm: every sweep that computed something new also
+//! checkpointed each affected shard's analysis caches (a cache beside the
+//! logs, with no fsync), and recovery seeds each tenant's session from it.
+//! The first sweep after the crash re-prepares every component but has
+//! nothing to re-cluster or re-test, and the example asserts that.
+//!
 //! The second half corrupts the log tail on purpose (a torn write, as a
 //! crashing kernel would leave behind) and shows recovery degrading
 //! gracefully: the corrupt suffix is detected by checksum and dropped,
@@ -83,7 +89,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     drop(service);
     let (recovered, report) = SieveService::recover(config.clone())?;
     println!("recovery:     {report}");
-    recovered.refresh_dirty()?;
+    let seeding = report.checkpoint();
+    println!(
+        "checkpoints:  {} cache entries seeded into {} of {} tenants",
+        seeding.entries_seeded,
+        seeding.tenants_seeded,
+        tenants.len()
+    );
+    let first = recovered.refresh_dirty()?;
+    println!("first sweep:  {first}");
+    assert_eq!(
+        (first.components_reclustered, first.comparisons_tested),
+        (0, 0),
+        "the warm restart re-clusters and re-tests nothing the crashed service had"
+    );
     for (name, live_model) in tenants.iter().zip(&live) {
         let model = recovered.model(name)?.expect("tenant republished");
         assert_eq!(
