@@ -64,6 +64,31 @@ impl PreparedComponent {
         }
     }
 
+    /// Packs rows written end to end into `buffer`, row `i` holding
+    /// `lens[i]` samples, truncating every row to the shortest in place
+    /// (the rule of [`PreparedComponent::from_rows`]): the form preparation
+    /// writes, so its buffer becomes the arena with no row copied out.
+    pub(crate) fn from_ragged(names: Vec<Name>, lens: &[usize], mut buffer: Vec<f64>) -> Self {
+        debug_assert_eq!(names.len(), lens.len());
+        debug_assert_eq!(buffer.len(), lens.iter().sum::<usize>());
+        let series_len = lens.iter().copied().min().unwrap_or(0);
+        let mut start = 0;
+        for (i, &len) in lens.iter().enumerate() {
+            // Row `i` moves down to `i * series_len <= start`, once a longer
+            // row before it was cut.
+            if start != i * series_len {
+                buffer.copy_within(start..start + series_len, i * series_len);
+            }
+            start += len;
+        }
+        buffer.truncate(names.len() * series_len);
+        Self {
+            names,
+            series_len,
+            buffer: Arc::from(buffer),
+        }
+    }
+
     /// Packs already-prepared [`NamedSeries`] into columnar form (truncating
     /// to the shortest series, like [`PreparedComponent::from_rows`]).
     pub fn from_named(series: &[NamedSeries]) -> Self {
@@ -166,6 +191,31 @@ mod tests {
                 assert_eq!(*name, &rows[i].0);
                 assert_eq!(view.len(), len);
             }
+        }
+    }
+
+    #[test]
+    fn ragged_rows_pack_as_from_rows_packs_them() {
+        for lens in [
+            vec![],
+            vec![5],
+            vec![0, 3],
+            vec![4, 2, 7],
+            vec![9, 9, 9],
+            vec![3, 11, 1, 6, 3],
+        ] {
+            let rows: Vec<(Name, Vec<f64>)> = lens
+                .iter()
+                .enumerate()
+                .map(|(c, &len)| {
+                    let values = (0..len).map(|i| noise(i, c as u64 + 7)).collect();
+                    (Name::new(&format!("m{c}")), values)
+                })
+                .collect();
+            let names = rows.iter().map(|(name, _)| name.clone()).collect();
+            let buffer = rows.iter().flat_map(|(_, v)| v.iter().copied()).collect();
+            let ragged = PreparedComponent::from_ragged(names, &lens, buffer);
+            assert_eq!(ragged, PreparedComponent::from_rows(rows), "{lens:?}");
         }
     }
 

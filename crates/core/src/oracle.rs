@@ -53,7 +53,7 @@ pub fn analyze(
         .components()
         .into_iter()
         .map(|component| {
-            let series = prepare_component(store, &component, config.interval_ms);
+            let (series, _) = prepare_component(store, &component, config.interval_ms);
             (component, series)
         })
         .collect();

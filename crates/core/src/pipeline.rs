@@ -22,7 +22,7 @@ use sieve_simulator::app::AppSpec;
 use sieve_simulator::engine::{SimConfig, Simulation};
 use sieve_simulator::store::{MetricStore, RetentionPolicy};
 use sieve_simulator::workload::Workload;
-use sieve_timeseries::resample::resample_view;
+use sieve_timeseries::resample::resample_values_into;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -83,40 +83,49 @@ pub fn load_application_with_retention(
 }
 
 /// Prepares the series of the given components (in parallel through the
-/// shared executor, output index-aligned with `components`). Shared by
-/// [`Sieve::prepare`] (all components) and the incremental session (the
-/// dirty subset): preparation is per-component, so preparing a subset
-/// yields bit-identical series to preparing everything.
+/// shared executor, output index-aligned with `components`), each with the
+/// grid points its resampling interpolated. Shared by [`Sieve::prepare`]
+/// (all components) and the incremental session (the dirty subset):
+/// preparation is per-component, so preparing a subset yields
+/// bit-identical series to preparing everything.
 pub(crate) fn prepare_components(
     store: &MetricStore,
     components: &[Name],
     config: &SieveConfig,
-) -> Vec<PreparedComponent> {
+) -> Vec<(PreparedComponent, usize)> {
     par_map_chunks(config.parallelism, components, |component| {
         prepare_component(store, component, config.interval_ms)
     })
 }
 
-/// Prepares one component's series: each is resampled onto the common grid
-/// straight off the store's zero-copy window view — no per-series clone
-/// between the store and the resampler — and the rows are packed,
-/// truncated to the shortest, into one columnar arena. Series too short to
-/// resample (fewer than two points) are skipped.
+/// Prepares one component's series and counts the grid points that fell
+/// between observations. Each series is resampled straight off the store's
+/// zero-copy window view into one buffer, with no grid of timestamps and no
+/// row of its own, and the rows are truncated to the shortest in place: the
+/// buffer becomes the component's columnar arena. Series too short to
+/// resample (fewer than two points) or malformed are skipped.
 pub(crate) fn prepare_component(
     store: &MetricStore,
     component: &Name,
     interval_ms: u64,
-) -> PreparedComponent {
-    let mut rows: Vec<(Name, Vec<f64>)> = Vec::new();
+) -> (PreparedComponent, usize) {
+    let (mut names, mut lens, mut buffer) = (Vec::new(), Vec::new(), Vec::new());
+    let mut interpolated = 0;
     store.for_each_series_of(component.as_str(), |id, view| {
         if view.len() < 2 {
             return;
         }
-        if let Ok(resampled) = resample_view(view, interval_ms) {
-            rows.push((id.metric.clone(), resampled.into_parts().1));
+        let before = buffer.len();
+        if let Ok(count) = resample_values_into(view, interval_ms, &mut buffer) {
+            names.push(id.metric.clone());
+            lens.push(buffer.len() - before);
+            interpolated += count;
         }
     });
-    PreparedComponent::from_rows(rows)
+    (
+        PreparedComponent::from_ragged(names, &lens, buffer),
+        interpolated,
+    )
 }
 
 /// The Sieve analysis pipeline.
@@ -144,7 +153,11 @@ impl Sieve {
     pub fn prepare(&self, store: &MetricStore) -> BTreeMap<Name, PreparedComponent> {
         let components = store.components();
         let prepared = prepare_components(store, &components, &self.config);
-        components.into_iter().zip(prepared).collect()
+        components
+            .into_iter()
+            .zip(prepared)
+            .map(|(component, (prepared, _))| (component, prepared))
+            .collect()
     }
 
     /// Steps 2 and 3 on already-recorded data: a fresh

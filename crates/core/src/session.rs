@@ -111,6 +111,11 @@ pub struct SessionStats {
     pub comparisons_planned: usize,
     /// Comparisons actually Granger-tested (cache misses) in this refresh.
     pub comparisons_tested: usize,
+    /// Grid points the re-preparation of this refresh interpolated: those
+    /// that fell on no observation, so the spline or the linear fallback
+    /// computed them. Zero for windows sampled on the grid, whose every
+    /// grid point is an observation (see `sieve_timeseries::resample`).
+    pub grid_points_interpolated: usize,
 }
 
 /// A session's content-keyed caches, as [`AnalysisSession::cache`] exports
@@ -544,7 +549,7 @@ impl AnalysisSession {
     /// Propagates clustering and causality errors, like the batch path.
     pub fn refresh(&mut self) -> Result<Arc<SieveModel>> {
         let absorbed = self.absorb();
-        self.prepare(&absorbed.dirty);
+        let grid_points_interpolated = self.prepare(&absorbed.dirty);
         let components_reclustered = self.reduce().inspect_err(|_| {
             // The one rollback. Re-preparation is idempotent and `reduce`
             // compares content keys, so the retry reaches the state and the
@@ -554,7 +559,12 @@ impl AnalysisSession {
         })?;
         let (dependency_graph, tested) = self.plan_and_test();
         let model = self.publish(dependency_graph);
-        self.record(&absorbed, components_reclustered, tested);
+        self.record(
+            &absorbed,
+            grid_points_interpolated,
+            components_reclustered,
+            tested,
+        );
         Ok(model)
     }
 
@@ -576,10 +586,13 @@ impl AnalysisSession {
     }
 
     /// Re-prepares the `dirty` components (in parallel, component order
-    /// preserved by the executor) and fingerprints what came out.
-    fn prepare(&mut self, dirty: &[Name]) {
+    /// preserved by the executor), fingerprints what came out, and returns
+    /// the grid points their resampling interpolated.
+    fn prepare(&mut self, dirty: &[Name]) -> usize {
         let freshly_prepared = prepare_components(&self.store, dirty, &self.config);
-        for (component, prepared) in dirty.iter().zip(freshly_prepared) {
+        let mut interpolated = 0;
+        for (component, (prepared, grid_points)) in dirty.iter().zip(freshly_prepared) {
+            interpolated += grid_points;
             let series_fps: Vec<u64> = (0..prepared.len())
                 .map(|i| fingerprint_f64s(prepared.series(i)))
                 .collect();
@@ -594,6 +607,7 @@ impl AnalysisSession {
             };
             self.prepared.insert(component.clone(), entry);
         }
+        interpolated
     }
 
     /// Re-clusters (in parallel, order preserved) and counts every
@@ -705,7 +719,13 @@ impl AnalysisSession {
     }
 
     /// Records what this refresh recomputed: the one write of the stats.
-    fn record(&mut self, absorbed: &Absorbed, components_reclustered: usize, tested: Tested) {
+    fn record(
+        &mut self,
+        absorbed: &Absorbed,
+        grid_points_interpolated: usize,
+        components_reclustered: usize,
+        tested: Tested,
+    ) {
         self.stats = SessionStats {
             epoch: absorbed.epoch,
             components_total: self.prepared.len(),
@@ -713,6 +733,7 @@ impl AnalysisSession {
             components_reclustered,
             comparisons_planned: tested.comparisons_planned,
             comparisons_tested: tested.comparisons_tested,
+            grid_points_interpolated,
         };
     }
 }
@@ -804,6 +825,8 @@ mod tests {
         assert_eq!(full_stats.components_prepared, 6);
         assert_eq!(full_stats.components_reclustered, 6);
         assert!(full_stats.comparisons_tested > 0);
+        // The simulator samples on the grid: resampling copies every value.
+        assert_eq!(full_stats.grid_points_interpolated, 0);
 
         // Touch exactly one mid-chain component: one more tick for every
         // svc3 metric, so its prepared (truncated-to-common-length) view
@@ -855,6 +878,38 @@ mod tests {
         assert_eq!(noop_stats.comparisons_tested, 0);
         assert_eq!(noop, updated);
         assert_eq!(full.application, "chain");
+    }
+
+    #[test]
+    fn a_refresh_counts_the_grid_points_it_interpolated() {
+        use sieve_simulator::store::MetricId;
+        let store = MetricStore::new();
+        for i in 0..10u64 {
+            let x = (i as f64 * 0.7).sin();
+            // On the grid from an origin off 0: every grid point is a sample.
+            store.record(&MetricId::new("web", "requests"), 250 + i * 500, 10.0 + x);
+            // Ticks 1500 and 3000 missing: two gaps.
+            if i != 3 && i != 6 {
+                store.record(&MetricId::new("web", "latency"), i * 500, 5.0 - x);
+            }
+            // Every odd sample 30 ms late: the odd grid points fall between
+            // samples, and the grid overhangs the last one (4530) by a point.
+            store.record(&MetricId::new("db", "queries"), i * 500 + 30 * (i % 2), x);
+        }
+        let mut session =
+            AnalysisSession::new("shop", store.clone(), CallGraph::new(), fast_config()).unwrap();
+        store.drain_delta();
+        session.refresh().unwrap();
+        // web: the two gaps; db: 500, 1500, 2500, 3500, 4500 and 5000.
+        assert_eq!(session.last_stats().grid_points_interpolated, 8);
+
+        // Only the re-prepared component is counted again.
+        store.record(&MetricId::new("web", "requests"), 250 + 10 * 500, 10.0);
+        session.update_shared(&store.drain_delta()).unwrap();
+        assert_eq!(session.last_stats().components_prepared, 1);
+        assert_eq!(session.last_stats().grid_points_interpolated, 2);
+        session.update_shared(&store.drain_delta()).unwrap();
+        assert_eq!(session.last_stats().grid_points_interpolated, 0);
     }
 
     #[test]

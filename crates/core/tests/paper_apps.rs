@@ -6,31 +6,51 @@
 //! spectral bound ruled out — as one `reduce_k_sweep/paper_apps:` line;
 //! `cargo test --release -p sieve-core --test paper_apps -- --nocapture`
 //! shows it.
+//!
+//! The same inputs, with a `ManySmall` fleet's windows, also pin that the
+//! benchmark's gated workloads are sampled on the grid: resampling copies
+//! them and their analysis interpolates no grid point.
 
+use sieve_apps::tenants::{tenant_fleet, TenantMix};
 use sieve_apps::{openstack, sharelatex, MetricRichness};
 use sieve_cluster::jaro::NameGroups;
 use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeSeriesCache};
 use sieve_core::config::SieveConfig;
 use sieve_core::pipeline::{load_application, Sieve};
 use sieve_core::reduce::is_unvarying;
+use sieve_core::session::AnalysisSession;
+use sieve_graph::CallGraph;
+use sieve_simulator::engine::{SimConfig, Simulation};
+use sieve_simulator::store::{MetricStore, RetentionPolicy};
 use sieve_simulator::workload::Workload;
+use sieve_timeseries::resample::resample_values_into;
 
 /// One component's kept series and their metric names, as the k sweep
 /// receives them.
 type SweepInput = (Vec<Vec<f64>>, Vec<String>);
 
-/// The kept series of every component of ShareLatex and OpenStack that
-/// reaches the k sweep: `Full` metric richness, data seed 7, one 240-tick
-/// window — the `batch-analyze` benchmark's inputs.
+/// ShareLatex and OpenStack at `Full` metric richness, data seed 7, one
+/// 240-tick window — the `batch-analyze` benchmark's inputs.
+fn paper_application_stores() -> Vec<(String, MetricStore, CallGraph)> {
+    [
+        sharelatex::app_spec(MetricRichness::Full),
+        openstack::app_spec(MetricRichness::Full),
+    ]
+    .into_iter()
+    .map(|app| {
+        let (store, graph) =
+            load_application(&app, &Workload::randomized(60.0, 7), 7, 120_000, 500).unwrap();
+        (app.name, store, graph)
+    })
+    .collect()
+}
+
+/// The kept series of every component of the paper applications that
+/// reaches the k sweep.
 fn paper_application_sweeps(config: &SieveConfig) -> Vec<SweepInput> {
     let sieve = Sieve::new(config.clone());
     let mut components = Vec::new();
-    for app in [
-        sharelatex::app_spec(MetricRichness::Full),
-        openstack::app_spec(MetricRichness::Full),
-    ] {
-        let (store, _) =
-            load_application(&app, &Workload::randomized(60.0, 7), 7, 120_000, 500).unwrap();
+    for (_, store, _) in paper_application_stores() {
         for prepared in sieve.prepare(&store).values() {
             let (names, data): (Vec<String>, Vec<Vec<f64>>) = prepared
                 .iter()
@@ -142,4 +162,70 @@ fn paper_app_sweeps_rule_cells_out_by_the_spectral_bound() {
          on the paper applications; {:.3} of them were still issued",
         traffic.evaluated_share
     );
+}
+
+/// Four tenants of a `ManySmall` fleet, as the `crash-recover` benchmark
+/// serves them: 600 ticks from an origin off the epoch, kept in 240-tick
+/// windows.
+fn many_small_fleet_windows() -> Vec<MetricStore> {
+    tenant_fleet(TenantMix::ManySmall, 4, 11)
+        .into_iter()
+        .map(|tenant| {
+            let config = SimConfig::new(tenant.seed)
+                .with_tick_ms(500)
+                .with_duration_ms(600 * 500);
+            let mut sim = Simulation::new(tenant.spec, tenant.workload, config).unwrap();
+            let store = MetricStore::with_retention(RetentionPolicy::windowed(240));
+            let record = |id: &_, t, value| {
+                store.record(id, 1_700_000_000_250 + t, value);
+            };
+            while sim.step_observed(record).is_some() {}
+            assert!(store.evicted_point_count() > 0, "the window slides");
+            store
+        })
+        .collect()
+}
+
+#[test]
+fn the_gated_inputs_resample_to_their_own_values() {
+    // Every series both gated workloads analyse is sampled on the grid, so
+    // resampling is a copy: no grid point needs the spline.
+    let stores = paper_application_stores()
+        .into_iter()
+        .map(|(_, store, _)| store)
+        .chain(many_small_fleet_windows());
+    let mut series = 0;
+    for store in stores {
+        for component in store.components() {
+            store.for_each_series_of(component.as_str(), |id, view| {
+                let mut values = Vec::new();
+                let interpolated = resample_values_into(view, 500, &mut values);
+                assert_eq!(interpolated, Ok(0), "{id:?}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&values), bits(view.values()), "{id:?}");
+                series += 1;
+            });
+        }
+    }
+    assert!(series > 900, "{series} series");
+}
+
+#[test]
+fn the_paper_applications_are_analysed_without_interpolation() {
+    // What `Sieve::analyze` runs — one refresh of a fresh session — at
+    // every executor degree: no grid point is interpolated, and the model
+    // is the one every degree publishes.
+    for (name, store, graph) in paper_application_stores() {
+        let mut reference = None;
+        for parallelism in [1, 4, 8] {
+            let config = SieveConfig::default().with_parallelism(parallelism);
+            let mut session =
+                AnalysisSession::new(&name, store.clone(), graph.clone(), config).unwrap();
+            let model = session.refresh().unwrap();
+            let stats = session.last_stats();
+            assert!(stats.components_prepared > 0, "{name}");
+            assert_eq!(stats.grid_points_interpolated, 0, "{name} at {parallelism}");
+            assert_eq!(*reference.get_or_insert(model.clone()), model, "{name}");
+        }
+    }
 }

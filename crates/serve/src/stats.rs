@@ -31,6 +31,9 @@ pub struct ServiceStats {
     pub comparisons_planned: usize,
     /// Sum of [`SessionStats::comparisons_tested`] over refreshed tenants.
     pub comparisons_tested: usize,
+    /// Sum of [`SessionStats::grid_points_interpolated`] over refreshed
+    /// tenants.
+    pub grid_points_interpolated: usize,
     /// Raw points currently retained across *all* tenants' stores (not just
     /// refreshed ones) — the live memory footprint of the fleet's ring
     /// windows, in points. Equals total accepted points when every tenant
@@ -91,6 +94,7 @@ impl ServiceStats {
         self.components_reclustered += stats.components_reclustered;
         self.comparisons_planned += stats.comparisons_planned;
         self.comparisons_tested += stats.comparisons_tested;
+        self.grid_points_interpolated += stats.grid_points_interpolated;
     }
 
     /// Folds one tenant store's retention counters into the aggregate.
@@ -106,8 +110,8 @@ impl std::fmt::Display for ServiceStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} of {} tenants refreshed (epoch {}): prepared {} components, \
-             re-clustered {}, re-tested {}/{} comparisons; \
+            "{} of {} tenants refreshed (epoch {}): prepared {} components \
+             ({} grid points interpolated), re-clustered {}, re-tested {}/{} comparisons; \
              {} points retained, {} evicted; \
              {} degraded, {} refresh failures to date; \
              {} commits coalesced, {} fsyncs, {} ns commit wait; \
@@ -117,6 +121,7 @@ impl std::fmt::Display for ServiceStats {
             self.tenants_total,
             self.epoch_high_watermark,
             self.components_prepared,
+            self.grid_points_interpolated,
             self.components_reclustered,
             self.comparisons_tested,
             self.comparisons_planned,
@@ -153,6 +158,7 @@ mod tests {
             components_reclustered: 1,
             comparisons_planned: 10,
             comparisons_tested: 3,
+            grid_points_interpolated: 7,
         });
         agg.absorb(&SessionStats {
             epoch: 2,
@@ -161,6 +167,7 @@ mod tests {
             components_reclustered: 4,
             comparisons_planned: 6,
             comparisons_tested: 6,
+            grid_points_interpolated: 0,
         });
         assert_eq!(agg.tenants_refreshed, 2);
         assert_eq!(agg.epoch_high_watermark, 4);
@@ -169,8 +176,10 @@ mod tests {
         assert_eq!(agg.components_reclustered, 5);
         assert_eq!(agg.comparisons_planned, 16);
         assert_eq!(agg.comparisons_tested, 9);
+        assert_eq!(agg.grid_points_interpolated, 7);
         let text = agg.to_string();
         assert!(text.contains("2 of 3 tenants"));
+        assert!(text.contains("prepared 6 components (7 grid points interpolated)"));
     }
 
     #[test]

@@ -310,6 +310,8 @@ fn every_kind_of_checkpoint_recovers_the_live_models() {
                 assert!(report.is_clean(), "{kind:?}: {report}");
                 let first = recovered.refresh_dirty().unwrap();
                 assert_eq!(first.tenants_refreshed, TENANTS.len());
+                // Every window is on the grid: preparation copies it.
+                assert_eq!(first.grid_points_interpolated, 0, "{kind:?}");
                 assert_eq!(
                     models(&recovered),
                     live,

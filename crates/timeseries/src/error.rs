@@ -44,6 +44,27 @@ pub enum TimeSeriesError {
         /// Index of the offending value.
         index: usize,
     },
+    /// Timestamps `index - 1` and `index` are strictly increasing as
+    /// integers but equal as `f64` (possible from 2⁵³ ms on), so a spline
+    /// through them has no segment between them.
+    IndistinctTimestamps {
+        /// Index of the second of the two timestamps.
+        index: usize,
+    },
+    /// The grid of `interval_ms` that covers an observation at `last_ms`
+    /// would need a grid point past `u64::MAX`.
+    GridOverflow {
+        /// The last observation's timestamp.
+        last_ms: u64,
+        /// The grid interval.
+        interval_ms: u64,
+    },
+    /// The grid covering a window has more points than can be allocated
+    /// (two observations far apart on a fine grid).
+    GridTooLarge {
+        /// Points in the grid.
+        points: usize,
+    },
 }
 
 impl fmt::Display for TimeSeriesError {
@@ -68,6 +89,20 @@ impl fmt::Display for TimeSeriesError {
             }
             TimeSeriesError::NonFiniteValue { index } => {
                 write!(f, "non-finite value at index {index}")
+            }
+            TimeSeriesError::IndistinctTimestamps { index } => write!(
+                f,
+                "the timestamp at index {index} equals its predecessor as f64"
+            ),
+            TimeSeriesError::GridOverflow {
+                last_ms,
+                interval_ms,
+            } => write!(
+                f,
+                "a {interval_ms} ms grid covering the observation at {last_ms} ms passes u64::MAX"
+            ),
+            TimeSeriesError::GridTooLarge { points } => {
+                write!(f, "a grid of {points} points cannot be allocated")
             }
         }
     }
@@ -98,6 +133,12 @@ mod tests {
                 reason: "must be positive".to_string(),
             },
             TimeSeriesError::NonFiniteValue { index: 0 },
+            TimeSeriesError::IndistinctTimestamps { index: 1 },
+            TimeSeriesError::GridOverflow {
+                last_ms: u64::MAX,
+                interval_ms: 500,
+            },
+            TimeSeriesError::GridTooLarge { points: usize::MAX },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

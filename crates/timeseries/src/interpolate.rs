@@ -5,6 +5,20 @@
 //! (cubic)" (§3.2). This module implements natural cubic splines (with a
 //! tridiagonal solver) plus a simpler linear interpolator used as a fallback
 //! when fewer than three knots are available.
+//!
+//! # The knot rule
+//!
+//! Where the resampler uses them, both interpolants return a knot's own
+//! value at the knot, bit for bit. [`CubicSpline::evaluate`] returns
+//! `ys[i]` when its search finds `x` among the knots; only a point strictly
+//! between knots, or past the last one, runs the cubic.
+//! [`linear_interpolate`] returns a boundary value at or past either end,
+//! and the resampler gives it two knots at most, so every knot is an end
+//! (at an interior knot its blend `ys[i-1] * 0.0 + ys[i]` is not bitwise
+//! `ys[i]` for every input: an infinite `ys[i-1]`, or a `ys[i]` of −0.0).
+//! [`crate::resample`] leans on exactly that: it copies the value of every
+//! grid point that is a knot and fits an interpolant only for a window with
+//! a grid point no knot sits on.
 
 use crate::{Result, TimeSeriesError};
 
@@ -103,16 +117,26 @@ impl CubicSpline {
     /// Values outside the knot range are linearly extrapolated from the
     /// boundary segments.
     pub fn evaluate(&self, x: f64) -> f64 {
-        let n = self.xs.len();
-        // Locate the segment via binary search.
-        let i = match self
+        match self
             .xs
             .binary_search_by(|probe| probe.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Less))
         {
-            Ok(idx) => return self.ys[idx],
-            Err(0) => 0,
-            Err(idx) if idx >= n => n - 2,
-            Err(idx) => idx - 1,
+            Ok(idx) => self.ys[idx],
+            Err(below) => self.evaluate_between(below, x),
+        }
+    }
+
+    /// Evaluates the spline at an `x` that is no knot, given `below`, the
+    /// number of knots less than `x` — the insertion point
+    /// [`CubicSpline::evaluate`]'s binary search finds, and the knot cursor
+    /// of the resampler's merge walk. Both callers run this one body, so a
+    /// point costs the same arithmetic whichever way its segment was found.
+    pub(crate) fn evaluate_between(&self, below: usize, x: f64) -> f64 {
+        let n = self.xs.len();
+        let i = match below {
+            0 => 0,
+            idx if idx >= n => n - 2,
+            idx => idx - 1,
         };
         let h = self.xs[i + 1] - self.xs[i];
         let a = (self.xs[i + 1] - x) / h;

@@ -6,7 +6,8 @@
 //! pseudo-random inputs, which also makes failures trivially reproducible.
 
 use sieve_timeseries::{
-    diff, fft, interpolate, normalize, resample, sbd, spectrum, stats, TimeSeries,
+    diff, fft, interpolate, normalize, resample, sbd, spectrum, stats, SeriesView, TimeSeries,
+    TimeSeriesError,
 };
 
 /// Deterministic splitmix64 generator for test data.
@@ -242,6 +243,181 @@ fn resample_is_exact_at_grid_aligned_knots() {
             );
         }
     }
+}
+
+/// The resampler as it was before the knot-hit walk, kept as its oracle:
+/// fit the interpolant over the whole window and evaluate it at every grid
+/// point, each one found by the spline's own binary search.
+fn resample_at_every_grid_point(
+    ts: &[u64],
+    ys: &[f64],
+    interval_ms: u64,
+) -> Result<TimeSeries, TimeSeriesError> {
+    let (start, end) = (ts[0], ts[ts.len() - 1]);
+    let xs: Vec<f64> = ts.iter().map(|&t| t as f64).collect();
+    let n_points = (end - start).div_ceil(interval_ms) as usize + 1;
+    let grid: Vec<u64> = (0..n_points as u64)
+        .map(|i| start + i * interval_ms)
+        .collect();
+    let values: Vec<f64> = if xs.len() >= 3 {
+        let spline = interpolate::CubicSpline::fit(&xs, ys)?;
+        grid.iter().map(|&t| spline.evaluate(t as f64)).collect()
+    } else {
+        grid.iter()
+            .map(|&t| interpolate::linear_interpolate(&xs, ys, t as f64).unwrap_or(ys[0]))
+            .collect()
+    };
+    TimeSeries::from_parts(grid, values)
+}
+
+/// The window shapes the differential test draws.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    OnGrid,
+    Gaps,
+    Jitter,
+    Overhang,
+    TwoKnots,
+    ThreeKnots,
+}
+
+/// Timestamps of one window of `shape` on the grid of `interval`, from an
+/// origin that may be off any multiple of it, large, or past 2^53 (where
+/// grid points and knots round as `f64`).
+fn window_timestamps(rng: &mut Rng, shape: Shape, interval: u64) -> Vec<u64> {
+    let origin = match rng.usize_in(0, 3) {
+        0 => 0,
+        1 => rng.next_u64() % 1_000_000_000_000,
+        2 => (1 << 53) + rng.next_u64() % (1 << 20),
+        _ => (1 << 53) + rng.next_u64() % (1 << 60),
+    };
+    let ticks = |rng: &mut Rng, lo, hi| -> Vec<u64> {
+        (0..rng.usize_in(lo, hi) as u64)
+            .map(|i| origin + i * interval)
+            .collect()
+    };
+    match shape {
+        Shape::OnGrid => ticks(rng, 1, 60),
+        Shape::Gaps => {
+            let all = ticks(rng, 3, 80);
+            // One gap at least, most often several.
+            let forced = rng.usize_in(1, all.len() - 2);
+            let odds = rng.usize_in(0, 4);
+            all.into_iter()
+                .enumerate()
+                .filter(|&(i, _)| i != forced && (odds == 0 || rng.usize_in(0, odds) != 0))
+                .map(|(_, t)| t)
+                .collect()
+        }
+        Shape::Jitter => ticks(rng, 2, 60)
+            .into_iter()
+            .map(|t| match rng.usize_in(0, 2) {
+                0 => t + rng.next_u64() % interval.div_ceil(2),
+                _ => t,
+            })
+            .collect(),
+        Shape::Overhang => {
+            let mut ts = ticks(rng, 2, 60);
+            let last = ts.pop().expect("two ticks at least");
+            ts.push(last + 1 + rng.next_u64() % (interval - 1).max(1));
+            ts
+        }
+        Shape::TwoKnots | Shape::ThreeKnots => {
+            let knots = if matches!(shape, Shape::TwoKnots) {
+                2
+            } else {
+                3
+            };
+            let mut t = origin;
+            (0..knots)
+                .map(|_| {
+                    let at = t;
+                    t += 1 + rng.next_u64() % (3 * interval);
+                    at
+                })
+                .collect()
+        }
+    }
+}
+
+/// A value that is finite most of the time, and otherwise NaN, ±∞, −0.0 or
+/// subnormal.
+fn hostile_value(rng: &mut Rng) -> f64 {
+    match rng.usize_in(0, 11) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => f64::MIN_POSITIVE / 3.0,
+        5 => -f64::from_bits(1),
+        _ => rng.range(-1.0e3, 1.0e3),
+    }
+}
+
+#[test]
+fn resample_is_bit_identical_to_evaluating_every_grid_point() {
+    let shapes = [
+        Shape::OnGrid,
+        Shape::Gaps,
+        Shape::Jitter,
+        Shape::Overhang,
+        Shape::TwoKnots,
+        Shape::ThreeKnots,
+    ];
+    let (mut hits, mut misses, mut refused) = (0usize, 0usize, 0usize);
+    for seed in 0..400 {
+        for shape in shapes {
+            let mut rng = Rng::new(seed * 31 + shape as u64);
+            let interval = match rng.usize_in(0, 2) {
+                0 => 500,
+                _ => rng.usize_in(1, 3000) as u64,
+            };
+            let ts = window_timestamps(&mut rng, shape, interval);
+            let hostile = seed % 2 == 1;
+            let ys: Vec<f64> = (0..ts.len())
+                .map(|_| match hostile {
+                    true => hostile_value(&mut rng),
+                    false => rng.range(-1.0e3, 1.0e3),
+                })
+                .collect();
+            let case = format!("seed {seed} {shape:?} interval {interval} window {ts:?}");
+            let view = SeriesView::new(&ts, &ys);
+            let mut appended = vec![7.0];
+            let walk = resample::resample_view(view, interval);
+            let count = resample::resample_values_into(view, interval, &mut appended);
+            let Ok(oracle) = resample_at_every_grid_point(&ts, &ys, interval) else {
+                // Three knots equal as f64: refused by both, with the
+                // walk's own error, before anything is appended.
+                assert!(
+                    matches!(walk, Err(TimeSeriesError::IndistinctTimestamps { .. })),
+                    "{case}"
+                );
+                assert_eq!(appended, [7.0], "{case}");
+                refused += 1;
+                continue;
+            };
+            let walk = walk.unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert_eq!(walk.timestamps(), oracle.timestamps(), "{case}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(walk.values()), bits(oracle.values()), "{case}");
+            assert_eq!(bits(&appended[1..]), bits(oracle.values()), "{case}");
+            let knots: Vec<f64> = ts.iter().map(|&t| t as f64).collect();
+            let off_knot = oracle
+                .timestamps()
+                .iter()
+                .filter(|&&t| !knots.contains(&(t as f64)))
+                .count();
+            assert_eq!(count, Ok(off_knot), "{case}");
+            hits += oracle.len() - off_knot;
+            misses += off_knot;
+        }
+    }
+    // Every path is taken, many times over.
+    assert!(
+        hits > 10_000 && misses > 10_000,
+        "{hits} hits, {misses} misses"
+    );
+    assert!(refused > 10, "{refused} refused");
 }
 
 #[test]

@@ -103,6 +103,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (0, 0),
         "the warm restart re-clusters and re-tests nothing the crashed service had"
     );
+    assert_eq!(
+        first.grid_points_interpolated, 0,
+        "windows sampled on the grid are resampled without interpolation"
+    );
     for (name, live_model) in tenants.iter().zip(&live) {
         let model = recovered.model(name)?.expect("tenant republished");
         assert_eq!(
