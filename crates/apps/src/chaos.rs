@@ -11,13 +11,13 @@
 //! comparison must rank first.
 
 use crate::profiles::MetricRichness;
-use sieve_simulator::app::{AppSpec, CallSpec, ComponentSpec};
-use sieve_simulator::fault::{Fault, FaultScenario};
-use sieve_simulator::metrics::{MetricBehavior, MetricSpec};
+use sieve_simulator::{
+    AppSpec, CallSpec, ComponentSpec, Fault, FaultScenario, MetricBehavior, MetricSpec,
+};
 use std::collections::BTreeMap;
 
 /// Entry point of the chaos application.
-pub const ENTRYPOINT: &str = "gateway";
+pub(crate) const ENTRYPOINT: &str = "gateway";
 /// Middle-tier service A (the default root-cause injection target).
 pub const SVC_A: &str = "svc-a";
 /// Middle-tier service B.
@@ -29,9 +29,9 @@ pub const DB: &str = "db";
 pub const WORKER: &str = "worker";
 
 /// The metric removed by [`root_cause_fault`].
-pub const FAULT_REMOVED_METRIC: &str = "req_rate";
+pub(crate) const FAULT_REMOVED_METRIC: &str = "req_rate";
 /// The metric added by [`root_cause_fault`].
-pub const FAULT_ADDED_METRIC: &str = "req_errors";
+pub(crate) const FAULT_ADDED_METRIC: &str = "req_errors";
 
 /// A chaos application plus its ground-truth cluster structure.
 #[derive(Debug, Clone)]
@@ -57,7 +57,7 @@ pub struct ChaosApp {
 ///
 /// `Full` richness adds one redundant member to each varying family; the
 /// family count — the true `k` — stays 3 either way.
-pub fn chaos_component_metrics(
+pub(crate) fn chaos_component_metrics(
     load_gain: f64,
     capacity: f64,
     periodic_ticks: usize,

@@ -23,19 +23,21 @@
 //!
 //! The [`tenants`] module additionally generates deterministic
 //! *multi-tenant fleets* (many small applications vs few large ones) for
-//! the serving-layer benchmarks and examples, and the [`chaos`] module
-//! provides the adversarial profile with a built-in answer sheet (true
+//! the serving-layer benchmarks and examples, and the `chaos` module
+//! ([`chaos_app`]) provides the adversarial profile with a built-in answer sheet (true
 //! cluster counts, flippable call edges, a canonical root-cause fault)
 //! that the `sieve-scenario` engine scores the pipeline against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
-pub mod chaos;
+mod chaos;
 pub mod openstack;
-pub mod profiles;
+mod profiles;
 pub mod sharelatex;
 pub mod tenants;
 
+pub use chaos::{chaos_app, root_cause_fault, ChaosApp, DB, SVC_A, SVC_B, WORKER};
 pub use profiles::MetricRichness;
-pub use tenants::{tenant_fleet, TenantMix, TenantWorkload};

@@ -10,23 +10,24 @@
 //! `neutron_ports_in_status_DOWN`.
 //!
 //! The model below mirrors the 16 components of Table 5, the metric families
-//! they export, and — in [`ovs_agent_crash_scenario`] — the *observable*
-//! consequences of the bug: agent metrics freeze, ACTIVE-state gauges go
-//! flat, ERROR/DOWN gauges start following load, RabbitMQ retry traffic
-//! changes shape and some call edges change latency or disappear.
+//! they export, and — in the fault scenario [`faulty_app_spec`] applies —
+//! the *observable* consequences of the bug: agent metrics freeze,
+//! ACTIVE-state gauges go flat, ERROR/DOWN gauges start following load,
+//! RabbitMQ retry traffic changes shape and some call edges change latency
+//! or disappear.
 
 use crate::profiles::{
     datastore_metrics, http_service_metrics, message_queue_metrics, system_metrics, MetricRichness,
 };
-use sieve_simulator::app::{AppSpec, CallSpec, ComponentSpec};
-use sieve_simulator::fault::{Fault, FaultScenario};
-use sieve_simulator::metrics::{MetricBehavior, MetricSpec};
+use sieve_simulator::{
+    AppSpec, CallSpec, ComponentSpec, Fault, FaultScenario, MetricBehavior, MetricSpec,
+};
 
 /// Name of the application.
-pub const APP_NAME: &str = "openstack";
+pub(crate) const APP_NAME: &str = "openstack";
 
 /// The entrypoint component (the API load balancer Rally talks to).
-pub const ENTRYPOINT: &str = "haproxy";
+pub(crate) const ENTRYPOINT: &str = "haproxy";
 
 /// The metric whose appearance signals the anomaly (VM launches failing).
 pub const ERROR_METRIC: &str = "nova_instances_in_state_ERROR";
@@ -335,7 +336,7 @@ pub fn app_spec(richness: MetricRichness) -> AppSpec {
 /// The fault scenario reproducing the observable consequences of Launchpad
 /// bug #1533942 (Neutron Open vSwitch agent crash caused by a Kolla
 /// deployment misconfiguration).
-pub fn ovs_agent_crash_scenario() -> FaultScenario {
+pub(crate) fn ovs_agent_crash_scenario() -> FaultScenario {
     FaultScenario::new("neutron-ovs-agent-crash")
         // The agent itself dies: its activity metrics freeze at zero and the
         // components that used to push work to it stop reaching it.
@@ -482,9 +483,8 @@ pub fn faulty_app_spec(richness: MetricRichness) -> AppSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sieve_simulator::engine::{SimConfig, Simulation};
     use sieve_simulator::store::MetricId;
-    use sieve_simulator::workload::Workload;
+    use sieve_simulator::{SimConfig, Simulation, Workload};
 
     #[test]
     fn spec_is_valid_in_both_richness_modes() {
@@ -549,7 +549,7 @@ mod tests {
             .store()
             .series(&MetricId::new("nova-api", ERROR_METRIC))
             .unwrap();
-        assert!(sieve_timeseries::stats::variance(correct_errors.values()) < 1e-9);
+        assert!(sieve_timeseries::variance(correct_errors.values()) < 1e-9);
 
         let mut faulty =
             Simulation::new(faulty_app_spec(MetricRichness::Minimal), workload, config).unwrap();
@@ -558,11 +558,11 @@ mod tests {
             .store()
             .series(&MetricId::new("nova-api", ERROR_METRIC))
             .unwrap();
-        assert!(sieve_timeseries::stats::variance(faulty_errors.values()) > 1.0);
+        assert!(sieve_timeseries::variance(faulty_errors.values()) > 1.0);
         let faulty_ports = faulty
             .store()
             .series(&MetricId::new("neutron-server", ROOT_CAUSE_METRIC))
             .unwrap();
-        assert!(sieve_timeseries::stats::variance(faulty_ports.values()) > 1.0);
+        assert!(sieve_timeseries::variance(faulty_ports.values()) > 1.0);
     }
 }

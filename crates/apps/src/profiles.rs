@@ -7,7 +7,7 @@
 //! the Sieve pipeline cares about: load-following gauges, saturating
 //! latencies, monotone counters, constants (to be filtered) and pure noise.
 
-use sieve_simulator::metrics::{MetricBehavior, MetricSpec};
+use sieve_simulator::{MetricBehavior, MetricSpec};
 
 /// How many metrics each component exports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +23,7 @@ pub enum MetricRichness {
 /// network, disk, plus a few constants and noise metrics). `load_gain`
 /// scales how strongly resource usage follows the component's load; `extra`
 /// adds redundant percentile/average variants in `Full` mode.
-pub fn system_metrics(load_gain: f64, richness: MetricRichness) -> Vec<MetricSpec> {
+pub(crate) fn system_metrics(load_gain: f64, richness: MetricRichness) -> Vec<MetricSpec> {
     let mut metrics = vec![
         MetricSpec::gauge("cpu_usage", MetricBehavior::cpu_like(load_gain)),
         MetricSpec::gauge(
@@ -126,7 +126,7 @@ pub fn system_metrics(load_gain: f64, richness: MetricRichness) -> Vec<MetricSpe
 
 /// HTTP-service metrics (request rate, latency mean and percentiles, error
 /// counters). The latency metrics saturate against `capacity`.
-pub fn http_service_metrics(
+pub(crate) fn http_service_metrics(
     prefix: &str,
     capacity: f64,
     richness: MetricRichness,
@@ -186,7 +186,11 @@ pub fn http_service_metrics(
 
 /// Database/KV-store metrics (query rate, query latency, connections, cache
 /// statistics).
-pub fn datastore_metrics(prefix: &str, capacity: f64, richness: MetricRichness) -> Vec<MetricSpec> {
+pub(crate) fn datastore_metrics(
+    prefix: &str,
+    capacity: f64,
+    richness: MetricRichness,
+) -> Vec<MetricSpec> {
     let mut metrics = vec![
         MetricSpec::gauge(
             format!("{prefix}_queries_per_second"),
@@ -243,7 +247,7 @@ pub fn datastore_metrics(prefix: &str, capacity: f64, richness: MetricRichness) 
 
 /// Message-queue metrics (RabbitMQ-like: published/acked message counters,
 /// queue depths, consumer counts).
-pub fn message_queue_metrics(richness: MetricRichness) -> Vec<MetricSpec> {
+pub(crate) fn message_queue_metrics(richness: MetricRichness) -> Vec<MetricSpec> {
     let mut metrics = vec![
         MetricSpec::gauge("messages", MetricBehavior::load_proportional(3.0)),
         MetricSpec::gauge(

@@ -14,14 +14,13 @@
 //! as a saturating latency metric.
 
 use crate::profiles::{datastore_metrics, http_service_metrics, system_metrics, MetricRichness};
-use sieve_simulator::app::{AppSpec, CallSpec, ComponentSpec};
-use sieve_simulator::metrics::{MetricBehavior, MetricSpec};
+use sieve_simulator::{AppSpec, CallSpec, ComponentSpec, MetricBehavior, MetricSpec};
 
 /// Name of the application.
-pub const APP_NAME: &str = "sharelatex";
+pub(crate) const APP_NAME: &str = "sharelatex";
 
 /// The entrypoint component (the load balancer).
-pub const ENTRYPOINT: &str = "haproxy";
+pub(crate) const ENTRYPOINT: &str = "haproxy";
 
 /// The application metric Sieve identifies as the best autoscaling trigger
 /// in the paper's case study (§6.2).
@@ -240,9 +239,8 @@ pub fn app_spec(richness: MetricRichness) -> AppSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sieve_simulator::engine::{SimConfig, Simulation};
     use sieve_simulator::store::MetricId;
-    use sieve_simulator::workload::Workload;
+    use sieve_simulator::{SimConfig, Simulation, Workload};
 
     #[test]
     fn spec_is_valid_in_both_richness_modes() {

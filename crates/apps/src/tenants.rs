@@ -15,8 +15,7 @@
 use crate::profiles::{datastore_metrics, http_service_metrics, system_metrics, MetricRichness};
 use crate::sharelatex;
 use sieve_exec::hash::splitmix64;
-use sieve_simulator::app::{AppSpec, CallSpec, ComponentSpec};
-use sieve_simulator::workload::Workload;
+use sieve_simulator::{AppSpec, CallSpec, ComponentSpec, Workload};
 
 /// The shape of a multi-tenant fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

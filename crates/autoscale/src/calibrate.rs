@@ -15,14 +15,11 @@
 //! which latency is comfortably below it).
 
 use crate::rules::{ScalingRule, SlaCondition};
-use sieve_simulator::app::AppSpec;
-use sieve_simulator::engine::{SimConfig, Simulation};
 use sieve_simulator::store::MetricId;
-use sieve_simulator::workload::Workload;
-use sieve_simulator::{Result, SimulatorError};
+use sieve_simulator::{AppSpec, Result, SimConfig, Simulation, SimulatorError, Workload};
 
 /// Duration of the calibration sample (5 minutes, as in §6.2).
-pub const CALIBRATION_DURATION_MS: u64 = 300_000;
+pub(crate) const CALIBRATION_DURATION_MS: u64 = 300_000;
 
 /// Calibrated thresholds for one guiding metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,8 +155,7 @@ pub fn calibrated_rule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sieve_simulator::app::{CallSpec, ComponentSpec};
-    use sieve_simulator::metrics::{MetricBehavior, MetricSpec};
+    use sieve_simulator::{CallSpec, ComponentSpec, MetricBehavior, MetricSpec};
 
     fn app() -> AppSpec {
         let mut app = AppSpec::new("cal", "front");

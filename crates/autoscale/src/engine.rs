@@ -8,11 +8,8 @@
 //! and the number of scaling actions.
 
 use crate::rules::{ScalingRule, SlaCondition};
-use sieve_simulator::app::AppSpec;
-use sieve_simulator::engine::{SimConfig, Simulation};
 use sieve_simulator::store::MetricId;
-use sieve_simulator::workload::Workload;
-use sieve_simulator::{Result, SimulatorError};
+use sieve_simulator::{AppSpec, Result, SimConfig, Simulation, SimulatorError, Workload};
 use std::collections::BTreeMap;
 
 /// One executed scaling action, timestamped in ticks — the record a
@@ -91,11 +88,6 @@ impl AutoscaleEngine {
             });
         }
         Ok(Self { rule, sla })
-    }
-
-    /// The rule this engine applies.
-    pub fn rule(&self) -> &ScalingRule {
-        &self.rule
     }
 
     /// Runs `spec` under `workload` with autoscaling enabled and reports the
@@ -197,8 +189,7 @@ impl AutoscaleEngine {
         }
 
         let mean_cpu = mean_cpu_usage_per_component(&sim);
-        let latency_p90 =
-            sieve_timeseries::stats::percentile(sim.latency_samples(), 90.0).unwrap_or(0.0);
+        let latency_p90 = sieve_timeseries::percentile(sim.latency_samples(), 90.0).unwrap_or(0.0);
         let final_instances = self
             .rule
             .target_components
@@ -248,8 +239,7 @@ pub fn run_without_scaling(
         scaling_actions: 0,
         actions: Vec::new(),
         final_instances: BTreeMap::new(),
-        latency_p90_ms: sieve_timeseries::stats::percentile(sim.latency_samples(), 90.0)
-            .unwrap_or(0.0),
+        latency_p90_ms: sieve_timeseries::percentile(sim.latency_samples(), 90.0).unwrap_or(0.0),
     })
 }
 
@@ -270,21 +260,20 @@ fn mean_cpu_usage_per_component(sim: &Simulation) -> f64 {
     // retained window.
     store.for_each_series_named("cpu_usage", |_, window| {
         if !window.is_empty() {
-            component_means.push(sieve_timeseries::stats::mean(window.values()));
+            component_means.push(sieve_timeseries::mean(window.values()));
         }
     });
     if component_means.is_empty() {
         return 0.0;
     }
-    sieve_timeseries::stats::mean(&component_means)
+    sieve_timeseries::mean(&component_means)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::calibrate::calibrated_rule;
-    use sieve_apps::sharelatex;
-    use sieve_apps::MetricRichness;
+    use sieve_apps::{sharelatex, MetricRichness};
 
     fn spike_workload() -> Workload {
         Workload::spike(20.0, 320.0, 60, 180)

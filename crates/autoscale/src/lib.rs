@@ -6,22 +6,25 @@
 //! of the traditional CPU-usage trigger. This crate implements the three
 //! ingredients of the case study:
 //!
-//! * [`rules`] — scaling rules (guiding metric, scale-in/out thresholds,
-//!   ±1-instance actions) and their synthesis from a [`sieve_core::model::SieveModel`];
-//! * [`calibrate`] — iterative threshold refinement against an SLA
+//! * [`ScalingRule`] — scaling rules (guiding metric, scale-in/out thresholds,
+//!   ±1-instance actions) and their synthesis from a [`sieve_core::SieveModel`];
+//! * [`calibrate_thresholds`] — iterative threshold refinement against an SLA
 //!   condition ("90% of all request latencies below 1000 ms") using a short
 //!   peak-load sample, mirroring §4.1 step 3;
-//! * [`engine`] — the runtime engine that streams metric values from the
+//! * [`AutoscaleEngine`] — the runtime engine that streams metric values from the
 //!   simulation (the reproduction's Kapacitor stand-in), applies the rule
 //!   with a cooldown and records the quantities reported in Table 4: mean
 //!   CPU usage per component, SLA violations and number of scaling actions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
-pub mod calibrate;
-pub mod engine;
-pub mod rules;
+mod calibrate;
+mod engine;
+mod rules;
 
-pub use engine::{AutoscaleEngine, AutoscalingReport, ScalingAction};
-pub use rules::{ScalingRule, SlaCondition};
+pub use calibrate::{calibrate_thresholds, calibrated_rule, CalibratedThresholds};
+pub use engine::{run_without_scaling, AutoscaleEngine, AutoscalingReport, ScalingAction};
+pub use rules::{select_guiding_metric, ScalingRule, SlaCondition};

@@ -1,6 +1,6 @@
 //! Scaling rules and SLA conditions.
 
-use sieve_core::model::SieveModel;
+use sieve_core::SieveModel;
 use sieve_simulator::store::MetricId;
 
 /// A service-level agreement on end-to-end request latency, e.g. "90% of all
@@ -24,7 +24,7 @@ impl Default for SlaCondition {
 
 impl SlaCondition {
     /// Whether a single latency sample violates the bound.
-    pub fn is_violated_by(&self, latency_ms: f64) -> bool {
+    pub(crate) fn is_violated_by(&self, latency_ms: f64) -> bool {
         latency_ms > self.threshold_ms
     }
 }
@@ -55,7 +55,7 @@ pub struct ScalingRule {
 impl ScalingRule {
     /// Creates a rule with sensible defaults (1–10 instances, 20-tick
     /// cooldown).
-    pub fn new(
+    pub(crate) fn new(
         guiding_metric: MetricId,
         scale_out_threshold: f64,
         scale_in_threshold: f64,
@@ -87,7 +87,7 @@ impl ScalingRule {
 
     /// The action the rule takes for a metric observation: `+1`, `-1` or `0`
     /// instances per target component.
-    pub fn decide(&self, metric_value: f64) -> i32 {
+    pub(crate) fn decide(&self, metric_value: f64) -> i32 {
         if metric_value > self.scale_out_threshold {
             1
         } else if metric_value < self.scale_in_threshold {
@@ -99,7 +99,7 @@ impl ScalingRule {
 
     /// Whether the thresholds are consistent (scale-in strictly below
     /// scale-out).
-    pub fn is_consistent(&self) -> bool {
+    pub(crate) fn is_consistent(&self) -> bool {
         self.scale_in_threshold < self.scale_out_threshold
             && !self.target_components.is_empty()
             && self.min_instances <= self.max_instances

@@ -15,11 +15,11 @@
 use sieve_apps::{sharelatex, MetricRichness};
 use sieve_bench::{experiment_config, load_sharelatex, print_header};
 use sieve_cluster::jaro::pre_cluster_names;
-use sieve_cluster::kshape::{KShape, KShapeConfig};
 use sieve_cluster::silhouette::silhouette_score_sbd;
+use sieve_cluster::{KShape, KShapeConfig};
 use sieve_core::dependencies::{naive_comparison_count, planned_comparison_count};
-use sieve_core::pipeline::Sieve;
 use sieve_core::reduce::is_unvarying;
+use sieve_core::Sieve;
 
 fn main() {
     print_header("Ablations: warm start, k selection, variance filter, call-graph restriction");

@@ -9,8 +9,8 @@
 
 use sieve_apps::MetricRichness;
 use sieve_bench::{print_header, sharelatex_clusterings};
-use sieve_cluster::ami::adjusted_mutual_information;
-use sieve_core::model::ComponentClustering;
+use sieve_cluster::adjusted_mutual_information;
+use sieve_core::ComponentClustering;
 use sieve_exec::Name;
 use std::collections::BTreeMap;
 

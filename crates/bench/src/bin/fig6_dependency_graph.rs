@@ -9,7 +9,7 @@
 
 use sieve_apps::MetricRichness;
 use sieve_bench::{print_header, sharelatex_model};
-use sieve_graph::dot::dependency_graph_to_dot;
+use sieve_graph::dependency_graph_to_dot;
 
 fn main() {
     print_header("Figure 6: ShareLatex dependency graph (Granger causality relations)");

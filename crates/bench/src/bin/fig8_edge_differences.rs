@@ -11,8 +11,7 @@
 
 use sieve_apps::MetricRichness;
 use sieve_bench::{openstack_models, print_header};
-use sieve_rca::edges::EdgeChangeKind;
-use sieve_rca::{RcaConfig, RcaEngine};
+use sieve_rca::{EdgeChangeKind, RcaConfig, RcaEngine};
 use std::collections::BTreeSet;
 
 fn main() {

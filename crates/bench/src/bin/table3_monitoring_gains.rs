@@ -9,9 +9,10 @@
 //! Run with: `cargo run --release -p sieve-bench --bin table3_monitoring_gains`
 
 use sieve_apps::MetricRichness;
-use sieve_bench::table3::monitoring_overhead;
-use sieve_bench::{experiment_config, load_sharelatex, percent_reduction, print_header};
-use sieve_core::pipeline::Sieve;
+use sieve_bench::{
+    experiment_config, load_sharelatex, monitoring_overhead, percent_reduction, print_header,
+};
+use sieve_core::Sieve;
 use sieve_simulator::store::MetricId;
 
 fn main() {

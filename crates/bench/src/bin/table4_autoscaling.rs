@@ -10,13 +10,10 @@
 //! Run with: `cargo run --release -p sieve-bench --bin table4_autoscaling`
 
 use sieve_apps::{sharelatex, MetricRichness};
-use sieve_autoscale::calibrate::calibrated_rule;
-use sieve_autoscale::engine::AutoscaleEngine;
-use sieve_autoscale::rules::SlaCondition;
+use sieve_autoscale::{calibrated_rule, AutoscaleEngine, SlaCondition};
 use sieve_bench::{percent_change, print_header};
-use sieve_simulator::engine::SimConfig;
 use sieve_simulator::store::MetricId;
-use sieve_simulator::workload::Workload;
+use sieve_simulator::{SimConfig, Workload};
 
 fn main() {
     print_header("Table 4: CPU-usage trigger vs Sieve's metric selection for autoscaling");

@@ -10,18 +10,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
-pub mod table3;
+mod table3;
+
+pub use table3::monitoring_overhead;
 
 use sieve_apps::{openstack, sharelatex, MetricRichness};
-use sieve_core::config::SieveConfig;
-use sieve_core::model::{ComponentClustering, SieveModel};
-use sieve_core::pipeline::{load_application, Sieve};
 use sieve_core::reduce::reduce_component;
+use sieve_core::{load_application, ComponentClustering, Sieve, SieveConfig, SieveModel};
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::MetricStore;
-use sieve_simulator::workload::Workload;
+use sieve_simulator::Workload;
 use std::collections::BTreeMap;
 
 /// Duration of the offline loading phase used by the experiments (2.5 min).

@@ -15,16 +15,16 @@
 
 use crate::ols::{self, Design};
 use crate::{CausalityError, Result};
-use sieve_timeseries::diff::first_difference;
+use sieve_timeseries::first_difference;
 
 /// MacKinnon's approximate 5% critical value of the ADF t-statistic for the
 /// model with a constant (no trend), asymptotic (large-n) case — the level
 /// Sieve tests at.
-pub const CRITICAL_5PCT: f64 = -2.86;
+pub(crate) const CRITICAL_5PCT: f64 = -2.86;
 
 /// Outcome of an ADF test.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdfResult {
+pub(crate) struct AdfResult {
     /// The ADF t-statistic of the lagged-level coefficient.
     pub statistic: f64,
     /// Number of lagged difference terms included.
@@ -36,7 +36,7 @@ pub struct AdfResult {
 impl AdfResult {
     /// Whether the unit-root null hypothesis is rejected at the 5% level
     /// (i.e. the series is considered stationary).
-    pub fn is_stationary(&self) -> bool {
+    pub(crate) fn is_stationary(&self) -> bool {
         self.statistic < CRITICAL_5PCT
     }
 }
@@ -47,7 +47,7 @@ impl AdfResult {
 /// The fourth root is two square roots: `sqrt` is correctly rounded on
 /// every IEEE host, where `powf` is the platform libm's. The floored lag
 /// agrees with the `powf` form for every `n` up to 2^24 (tested).
-pub fn default_lag_order(n: usize) -> usize {
+pub(crate) fn default_lag_order(n: usize) -> usize {
     if n < 10 {
         return 0;
     }
@@ -63,7 +63,7 @@ pub fn default_lag_order(n: usize) -> usize {
 ///   the requested lag order.
 /// * [`CausalityError::SingularMatrix`] when the regression is degenerate
 ///   (e.g. a constant series).
-pub fn adf_test(series: &[f64], lags: usize) -> Result<AdfResult> {
+pub(crate) fn adf_test(series: &[f64], lags: usize) -> Result<AdfResult> {
     let n = series.len();
     // Need at least lags + a handful of usable rows and more rows than
     // parameters (constant + level + lags).
@@ -103,7 +103,7 @@ pub fn adf_test(series: &[f64], lags: usize) -> Result<AdfResult> {
 /// # Errors
 ///
 /// Same as [`adf_test`]; very short series fall back to lag order 0.
-pub fn adf_test_auto(series: &[f64]) -> Result<AdfResult> {
+pub(crate) fn adf_test_auto(series: &[f64]) -> Result<AdfResult> {
     let lags = default_lag_order(series.len());
     // If the series is too short for the Schwert order, retry with fewer lags.
     let mut order = lags;
@@ -128,7 +128,7 @@ pub fn adf_test_auto(series: &[f64]) -> Result<AdfResult> {
 /// Convenience helper: whether `series` is stationary at the 5% level. A
 /// series that is too short or degenerate (constant) is reported as
 /// non-stationary, matching Sieve's conservative first-difference fallback.
-pub fn is_stationary(series: &[f64]) -> bool {
+pub(crate) fn is_stationary(series: &[f64]) -> bool {
     adf_test_auto(series).is_ok_and(|r| r.is_stationary())
 }
 

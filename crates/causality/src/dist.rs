@@ -10,7 +10,7 @@
 /// Natural logarithm of the gamma function (Lanczos approximation, g = 7).
 ///
 /// Accurate to roughly 1e-13 over the positive real axis.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Lanczos coefficients (g=7, n=9).
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -38,7 +38,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Natural logarithm of the beta function `B(a, b)`.
-pub fn ln_beta(a: f64, b: f64) -> f64 {
+pub(crate) fn ln_beta(a: f64, b: f64) -> f64 {
     ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 }
 
@@ -134,7 +134,7 @@ pub fn f_cdf(f: f64, d1: f64, d2: f64) -> f64 {
 }
 
 /// Survival function (upper tail probability) of the F distribution.
-pub fn f_sf(f: f64, d1: f64, d2: f64) -> f64 {
+pub(crate) fn f_sf(f: f64, d1: f64, d2: f64) -> f64 {
     1.0 - f_cdf(f, d1, d2)
 }
 

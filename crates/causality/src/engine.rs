@@ -30,8 +30,7 @@ use crate::granger::{
 };
 use crate::ols::{Design, OlsFit};
 use crate::Result;
-use sieve_timeseries::diff::first_difference;
-use sieve_timeseries::stats::variance;
+use sieve_timeseries::{first_difference, variance};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -84,35 +83,36 @@ impl PreparedGrangerSeries {
     }
 
     /// The raw series values.
-    pub fn values(&self) -> &[f64] {
+    pub(crate) fn values(&self) -> &[f64] {
         &self.values
     }
 
     /// Number of observations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
     }
 
     /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
 
     /// Population variance of the raw series (cached).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         self.variance
     }
 
     /// The cached ADF verdict: whether the raw series is stationary at the
     /// 5% level (short or degenerate series report `false`, matching
-    /// [`crate::adf::is_stationary`]).
-    pub fn is_stationary(&self) -> bool {
+    /// `adf::is_stationary`).
+    pub(crate) fn is_stationary(&self) -> bool {
         self.stationary
     }
 
     /// The first-differenced series and its variance, computed on first use
     /// and cached for every later test.
-    pub fn differenced(&self) -> (&[f64], f64) {
+    pub(crate) fn differenced(&self) -> (&[f64], f64) {
         let (buffer, var) = self.diff.get_or_init(|| {
             let d = first_difference(&self.values);
             let v = variance(&d);

@@ -12,7 +12,7 @@ use crate::{CausalityError, Result};
 
 /// Outcome of an F-test between a restricted and an unrestricted model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FTestResult {
+pub(crate) struct FTestResult {
     /// The F statistic.
     pub f_statistic: f64,
     /// The p-value (upper-tail probability under the null hypothesis that
@@ -34,7 +34,7 @@ pub struct FTestResult {
 ///   (parameter counts not strictly increasing), were fitted on different
 ///   numbers of observations, or when the unrestricted model has no residual
 ///   degrees of freedom.
-pub fn f_test(restricted: &OlsFit, unrestricted: &OlsFit) -> Result<FTestResult> {
+pub(crate) fn f_test(restricted: &OlsFit, unrestricted: &OlsFit) -> Result<FTestResult> {
     if restricted.n_observations != unrestricted.n_observations {
         return Err(CausalityError::InvalidParameter {
             name: "n_observations",

@@ -15,8 +15,7 @@ use crate::adf::is_stationary;
 use crate::ftest::f_test;
 use crate::ols::{self, Design};
 use crate::{CausalityError, Result};
-use sieve_timeseries::diff::first_difference;
-use sieve_timeseries::stats::variance;
+use sieve_timeseries::{first_difference, variance};
 use std::borrow::{Borrow, Cow};
 
 /// Configuration of a Granger causality test.
@@ -30,7 +29,7 @@ pub struct GrangerConfig {
 }
 
 /// Minimum number of observations a test needs before it is attempted.
-pub const MIN_OBSERVATIONS: usize = 30;
+pub(crate) const MIN_OBSERVATIONS: usize = 30;
 
 impl Default for GrangerConfig {
     fn default() -> Self {
@@ -116,7 +115,7 @@ impl GrangerResult {
 ///
 /// * [`CausalityError::LengthMismatch`] when the series differ in length.
 /// * [`CausalityError::TooFewObservations`] when fewer than
-///   [`MIN_OBSERVATIONS`] samples are available.
+///   30 samples (`MIN_OBSERVATIONS`) are available.
 /// * [`CausalityError::InvalidParameter`] when `max_lag` is zero or the
 ///   significance level is outside `(0, 1)`.
 pub fn granger_causes(x: &[f64], y: &[f64], config: &GrangerConfig) -> Result<GrangerResult> {
@@ -174,7 +173,7 @@ pub(crate) fn validate_inputs(x_len: usize, y_len: usize, config: &GrangerConfig
 /// The lagged pair set at lag `l` is just the sub-slice pair
 /// `(x[..n-l], y[l..])`, so no per-lag buffers are materialized.
 fn strongest_lag(x: &[f64], y: &[f64], max_lag: usize) -> usize {
-    use sieve_timeseries::stats::pearson;
+    use sieve_timeseries::pearson;
     let n = x.len().min(y.len());
     let mut best_lag = 1;
     let mut best_corr = f64::NEG_INFINITY;

@@ -12,16 +12,16 @@
 //! Everything is implemented from first principles, and every regression
 //! runs through one path:
 //!
-//! * a Gaussian-elimination solver for the normal equations ([`linalg`]),
+//! * a Gaussian-elimination solver for the normal equations ([`solve_with`]),
 //! * least squares on a column-major design of contiguous slices, whose
-//!   Gram matrix is formed in exactly one place ([`ols`]),
-//! * the gamma/beta special functions and the F distribution ([`dist`]),
-//! * the F-test for nested models ([`ftest`]),
+//!   Gram matrix is formed in exactly one place ([`fit_design`]),
+//! * the gamma/beta special functions and the F distribution ([`f_cdf`]),
+//! * the F-test for nested models (`ftest`),
 //! * the Augmented Dickey-Fuller unit-root test at the 5% level, regressed
-//!   on the same kind of design ([`adf`]),
+//!   on the same kind of design (`adf`),
 //! * the Granger causality test itself and its one lag-order reduction
-//!   loop ([`granger`]), and
-//! * the shared causality engine ([`engine`]): per-series prepared state
+//!   loop ([`granger_causes`]), and
+//! * the shared causality engine ([`PreparedGrangerSeries`]): per-series prepared state
 //!   (cached ADF verdict, lazily differenced buffer, memoized restricted
 //!   fits) that lets a pipeline test one series against many others without
 //!   redoing the per-series work — bit-identical to the direct path.
@@ -29,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use sieve_causality::granger::{granger_causes, GrangerConfig};
+//! use sieve_causality::{granger_causes, GrangerConfig};
 //!
 //! // y follows x with a delay of one step, plus a deterministic wobble.
 //! let x: Vec<f64> = (0..200).map(|i| ((i as f64) * 0.35).sin()).collect();
@@ -42,18 +42,25 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
-pub mod adf;
-pub mod dist;
-pub mod engine;
-pub mod ftest;
-pub mod granger;
-pub mod linalg;
-pub mod ols;
+mod adf;
+mod dist;
+mod engine;
+mod ftest;
+mod granger;
+mod linalg;
+mod ols;
 
 mod error;
 
+pub use dist::{f_cdf, incomplete_beta};
+pub use engine::{granger_causes_prepared, PreparedGrangerSeries};
 pub use error::CausalityError;
+pub use granger::{granger_causes, GrangerConfig, GrangerResult};
+pub use linalg::{solve_with, Matrix, SolveScratch};
+pub use ols::{fit_design, Design, OlsFit};
 
 /// Convenient result alias for causality operations.
 pub type Result<T> = std::result::Result<T, CausalityError>;

@@ -23,12 +23,12 @@ impl Matrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -56,7 +56,7 @@ impl Matrix {
     /// but keeping the backing allocation — the OLS scratch arena resets its
     /// normal-equations matrix this way on every fit instead of allocating a
     /// fresh one.
-    pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();

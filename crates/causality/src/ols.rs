@@ -13,7 +13,7 @@
 
 use crate::linalg::{solve_with, Matrix, SolveScratch};
 use crate::{CausalityError, Result};
-use sieve_timeseries::stats;
+use sieve_timeseries::{centered_sum_of_squares, dot, mean, sum_of_squares};
 use std::cell::RefCell;
 
 /// The result of an OLS fit.
@@ -34,12 +34,12 @@ pub struct OlsFit {
 
 impl OlsFit {
     /// Residual degrees of freedom, `n - k`.
-    pub fn degrees_of_freedom(&self) -> usize {
+    pub(crate) fn degrees_of_freedom(&self) -> usize {
         self.n_observations.saturating_sub(self.n_parameters)
     }
 
     /// Estimate of the residual variance `RSS / (n - k)`.
-    pub fn residual_variance(&self) -> f64 {
+    pub(crate) fn residual_variance(&self) -> f64 {
         let df = self.degrees_of_freedom();
         if df == 0 {
             return 0.0;
@@ -77,12 +77,12 @@ impl Design {
     }
 
     /// Number of observations (rows).
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.n_rows
     }
 
     /// Number of columns appended so far.
-    pub fn n_cols(&self) -> usize {
+    pub(crate) fn n_cols(&self) -> usize {
         self.data.len().checked_div(self.n_rows).unwrap_or(0)
     }
 
@@ -97,7 +97,7 @@ impl Design {
     /// # Errors
     ///
     /// Returns [`CausalityError::DimensionMismatch`] when `column` does not
-    /// have exactly [`Design::n_rows`] entries.
+    /// have exactly one entry per row of the design.
     pub fn push_column(&mut self, column: &[f64]) -> Result<()> {
         if column.len() != self.n_rows {
             return Err(CausalityError::DimensionMismatch {
@@ -117,7 +117,7 @@ impl Design {
     /// # Panics
     ///
     /// Panics when `c` is out of bounds.
-    pub fn column(&self, c: usize) -> &[f64] {
+    pub(crate) fn column(&self, c: usize) -> &[f64] {
         &self.data[c * self.n_rows..(c + 1) * self.n_rows]
     }
 }
@@ -150,7 +150,7 @@ thread_local! {
 /// all share it, so their float operations are identical.
 ///
 /// The normal equations accumulate through the chunked
-/// [`sieve_timeseries::stats::dot`] kernel (4-lane blocked summation, the
+/// [`sieve_timeseries::dot`] kernel (4-lane blocked summation, the
 /// documented epsilon tier relative to the seed's sequential folds), and
 /// all intermediate buffers come from a per-thread scratch arena.
 ///
@@ -239,8 +239,8 @@ fn fit_in(scratch: &mut FitScratch, design: &Design, y: &[f64]) -> Result<OlsFit
     for (slot, target) in residual.iter_mut().zip(y.iter()) {
         *slot = target - *slot;
     }
-    let rss = stats::sum_of_squares(residual);
-    let tss = stats::centered_sum_of_squares(y, stats::mean(y));
+    let rss = sum_of_squares(residual);
+    let tss = centered_sum_of_squares(y, mean(y));
 
     Ok(OlsFit {
         coefficients: beta,
@@ -262,13 +262,13 @@ fn normal_equations(design: &Design, y: &[f64], xtx: &mut Matrix, xty: &mut Vec<
     for (i, xty_slot) in xty.iter_mut().enumerate() {
         let ci = design.column(i);
         for j in i..k {
-            let dot = stats::dot(ci, design.column(j));
-            xtx.set(i, j, dot);
+            let cell = dot(ci, design.column(j));
+            xtx.set(i, j, cell);
             if i != j {
-                xtx.set(j, i, dot);
+                xtx.set(j, i, cell);
             }
         }
-        *xty_slot = stats::dot(ci, y);
+        *xty_slot = dot(ci, y);
     }
 }
 

@@ -5,11 +5,10 @@
 //! splitmix64 case generator — every run checks the identical set of
 //! pseudo-random inputs, which also makes failures trivially reproducible.
 
-use sieve_causality::dist::{f_cdf, incomplete_beta};
-use sieve_causality::engine::{granger_causes_prepared, PreparedGrangerSeries};
-use sieve_causality::granger::{granger_causes, GrangerConfig, GrangerResult};
-use sieve_causality::linalg::{solve_with, Matrix, SolveScratch};
-use sieve_causality::ols::{fit_design, Design};
+use sieve_causality::{
+    f_cdf, fit_design, granger_causes, granger_causes_prepared, incomplete_beta, solve_with,
+    Design, GrangerConfig, GrangerResult, Matrix, PreparedGrangerSeries, SolveScratch,
+};
 
 /// Deterministic splitmix64 generator for test data.
 struct Rng(u64);

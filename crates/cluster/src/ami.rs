@@ -88,7 +88,7 @@ fn entropy(marginals: &[usize], n: usize) -> f64 {
 ///
 /// * [`ClusterError::LabelLengthMismatch`] when the labelings differ in length.
 /// * [`ClusterError::NoData`] when the labelings are empty.
-pub fn mutual_information(u: &[usize], v: &[usize]) -> Result<f64> {
+pub(crate) fn mutual_information(u: &[usize], v: &[usize]) -> Result<f64> {
     let c = contingency(u, v)?;
     let n = c.n as f64;
     let mut mi = 0.0;
@@ -157,7 +157,7 @@ fn expected_mutual_information(c: &Contingency) -> f64 {
 /// # Example
 ///
 /// ```
-/// use sieve_cluster::ami::adjusted_mutual_information;
+/// use sieve_cluster::adjusted_mutual_information;
 ///
 /// let a = vec![0, 0, 1, 1, 2, 2];
 /// let b = vec![5, 5, 9, 9, 7, 7]; // same partition, renamed labels

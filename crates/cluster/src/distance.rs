@@ -7,7 +7,7 @@
 //! (from cached [`SeriesSpectrum`]s, fanned out through
 //! [`sieve_exec::par_map_chunks`]) and every k in the sweep reads the same
 //! matrix. The entries are bit-identical to what
-//! [`sieve_timeseries::sbd::sbd`] returns on the raw series, so a
+//! [`sieve_timeseries::sbd`] returns on the raw series, so a
 //! matrix-backed silhouette equals the direct-SBD silhouette exactly.
 
 use crate::{ClusterError, Result};
@@ -69,18 +69,19 @@ impl DistanceMatrix {
     ///   differ (pairwise SBD caching requires a rectangular input, exactly
     ///   like k-Shape).
     /// * [`ClusterError::TimeSeries`] for empty member series.
-    pub fn compute<S: AsRef<[f64]>>(series: &[S], workers: usize) -> Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn compute<S: AsRef<[f64]>>(series: &[S], workers: usize) -> Result<Self> {
         let spectra = compute_spectra(series, workers)?;
         Self::from_spectra(&spectra, workers)
     }
 
     /// Number of series the matrix covers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
     /// Whether the matrix covers zero series.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.n == 0
     }
 
@@ -89,7 +90,7 @@ impl DistanceMatrix {
     /// # Panics
     ///
     /// Panics when an index is out of range.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n && j < self.n, "distance index out of range");
         self.data[i * self.n + j]
     }
@@ -139,7 +140,7 @@ pub fn compute_spectra<S: AsRef<[f64]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sieve_timeseries::sbd::sbd;
+    use sieve_timeseries::sbd;
 
     fn family(count: usize, len: usize) -> Vec<Vec<f64>> {
         (0..count)

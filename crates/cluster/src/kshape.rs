@@ -19,10 +19,11 @@
 
 use crate::distance::compute_spectra;
 use crate::{ClusterError, Result};
-use sieve_timeseries::normalize::{z_normalize, z_normalize_into};
-use sieve_timeseries::sbd::{align_to, apply_shift, shape_based_distance};
 use sieve_timeseries::spectrum::{
     sbd_lower_bound, sbd_oriented, OrientedSbd, SbdScratch, SeriesSpectrum,
+};
+use sieve_timeseries::{
+    align_to, apply_shift, shape_based_distance, z_normalize, z_normalize_into,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -337,17 +338,18 @@ impl KShapeSeriesCache {
     }
 
     /// Number of cached series.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.count
     }
 
     /// Whether the cache holds zero series.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
     /// Length of each (rectangular) series.
-    pub fn series_len(&self) -> usize {
+    pub(crate) fn series_len(&self) -> usize {
         self.series_len
     }
 
@@ -357,7 +359,8 @@ impl KShapeSeriesCache {
     /// # Panics
     ///
     /// Panics when `i` is out of range.
-    pub fn series(&self, i: usize) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn series(&self, i: usize) -> &[f64] {
         let start = i * self.series_len;
         &self.z_buffer[start..start + self.series_len]
     }

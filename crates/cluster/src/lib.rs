@@ -15,19 +15,19 @@
 //! one `k` to the next or around a cycle, re-refines the same clusters — for
 //! every candidate `k`, the hot path runs on a shared SBD engine: per-series
 //! spectra ([`sieve_timeseries::spectrum`]) and a memo of every cluster
-//! refinement performed, both held by one [`kshape::KShapeSeriesCache`] per
+//! refinement performed, both held by one [`KShapeSeriesCache`] per
 //! sweep, and a pairwise [`distance::DistanceMatrix`] computed once and read
 //! by every silhouette evaluation — bit-identical to the direct path, just
 //! without the redundant FFTs and power iterations.
 //!
 //! The robustness evaluation of the paper (Figure 3) compares cluster
 //! assignments across measurement runs with the Adjusted Mutual Information
-//! score, implemented in [`ami`].
+//! score, implemented in [`adjusted_mutual_information`].
 //!
 //! # Example
 //!
 //! ```
-//! use sieve_cluster::kshape::{KShape, KShapeConfig};
+//! use sieve_cluster::{KShape, KShapeConfig};
 //!
 //! // Two obvious groups of shapes: rising ramps and single spikes.
 //! let series: Vec<Vec<f64>> = vec![
@@ -44,16 +44,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
-pub mod ami;
+mod ami;
 pub mod distance;
 pub mod jaro;
-pub mod kshape;
+mod kshape;
 pub mod silhouette;
 
 mod error;
 
+pub use ami::adjusted_mutual_information;
 pub use error::ClusterError;
+pub use kshape::{KShape, KShapeConfig, KShapeResult, KShapeSeriesCache};
 
 /// Convenient result alias for clustering operations.
 pub type Result<T> = std::result::Result<T, ClusterError>;

@@ -14,7 +14,7 @@
 
 use crate::distance::DistanceMatrix;
 use crate::{ClusterError, Result};
-use sieve_timeseries::sbd::sbd;
+use sieve_timeseries::sbd;
 
 /// The scoring core shared by every silhouette entry point: mean silhouette
 /// of `labels` given any pairwise lookup `dist(i, j)`. Returns `0.0` when

@@ -5,10 +5,10 @@
 //! splitmix64 case generator — every run checks the identical set of
 //! pseudo-random inputs, which also makes failures trivially reproducible.
 
-use sieve_cluster::ami::adjusted_mutual_information;
+use sieve_cluster::adjusted_mutual_information;
 use sieve_cluster::jaro::{jaro_similarity, pre_cluster_names};
-use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeResult, KShapeSeriesCache};
 use sieve_cluster::silhouette::try_silhouette_score_with;
+use sieve_cluster::{KShape, KShapeConfig, KShapeResult, KShapeSeriesCache};
 
 /// Deterministic splitmix64 generator for test data.
 struct Rng(u64);

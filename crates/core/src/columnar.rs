@@ -44,7 +44,7 @@ impl PreparedComponent {
     /// Packs `(name, values)` rows into a columnar component, truncating
     /// every row to the shortest row's length (the same rectangularisation
     /// rule preparation applies).
-    pub fn from_rows<S: AsRef<[f64]>>(rows: impl IntoIterator<Item = (Name, S)>) -> Self {
+    pub(crate) fn from_rows<S: AsRef<[f64]>>(rows: impl IntoIterator<Item = (Name, S)>) -> Self {
         let rows: Vec<(Name, S)> = rows.into_iter().collect();
         let series_len = rows
             .iter()
@@ -90,7 +90,7 @@ impl PreparedComponent {
     }
 
     /// Packs already-prepared [`NamedSeries`] into columnar form (truncating
-    /// to the shortest series, like [`PreparedComponent::from_rows`]).
+    /// to the shortest series).
     pub fn from_named(series: &[NamedSeries]) -> Self {
         Self::from_rows(
             series
@@ -110,7 +110,8 @@ impl PreparedComponent {
     }
 
     /// Number of samples of every (rectangular) series.
-    pub fn series_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn series_len(&self) -> usize {
         self.series_len
     }
 
@@ -146,7 +147,8 @@ impl PreparedComponent {
     }
 
     /// The shared backing buffer (all series packed end to end).
-    pub fn buffer(&self) -> &Arc<[f64]> {
+    #[cfg(test)]
+    pub(crate) fn buffer(&self) -> &Arc<[f64]> {
         &self.buffer
     }
 }

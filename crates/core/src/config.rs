@@ -1,6 +1,6 @@
 //! Pipeline configuration.
 
-pub use sieve_causality::granger::GrangerConfig;
+pub use sieve_causality::GrangerConfig;
 pub use sieve_simulator::store::RetentionPolicy;
 
 /// Configuration of the Sieve pipeline, defaulting to the values used in the

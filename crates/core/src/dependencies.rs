@@ -24,14 +24,13 @@
 //! demand — and every edge test (both directions, including the pairs the
 //! bidirectional filter later drops) reuses that state instead of redoing
 //! the per-series work per pair. The per-pair path it must stay
-//! bit-identical to is [`crate::oracle::identify_dependencies`].
+//! bit-identical to is `oracle::identify_dependencies`.
 
 use crate::columnar::PreparedComponent;
 use crate::config::SieveConfig;
 use crate::model::ComponentClustering;
 use crate::Result;
-use sieve_causality::engine::{granger_causes_prepared, PreparedGrangerSeries};
-use sieve_causality::granger::GrangerResult;
+use sieve_causality::{granger_causes_prepared, GrangerResult, PreparedGrangerSeries};
 use sieve_exec::{par_map_chunks, Name};
 use sieve_graph::{CallGraph, DependencyEdge, DependencyGraph};
 use std::collections::{BTreeMap, BTreeSet, HashMap};

@@ -3,7 +3,7 @@
 //! This crate implements the paper's primary contribution — the three-step
 //! pipeline of §3:
 //!
-//! 1. **Load the application** ([`pipeline::load_application`]): run the
+//! 1. **Load the application** ([`load_application`]): run the
 //!    application under a workload, record every exported metric as a time
 //!    series and capture the component call graph.
 //! 2. **Reduce metrics** ([`reduce`]): per component, drop unvarying metrics
@@ -18,27 +18,25 @@
 //!    significant directed edges, dropping bidirectional (likely spurious)
 //!    relations.
 //!
-//! The result is a [`model::SieveModel`]: per-component clusterings plus a
+//! The result is a [`SieveModel`]: per-component clusterings plus a
 //! metric dependency graph, which the autoscaling (`sieve-autoscale`) and
 //! RCA (`sieve-rca`) engines consume.
 //!
 //! Steps 2 and 3 run inside an epoch-based incremental engine, the
-//! [`session::AnalysisSession`]: long-lived per-series state absorbs store
+//! [`AnalysisSession`]: long-lived per-series state absorbs store
 //! deltas and recomputes only what a delta dirties, while
-//! [`pipeline::Sieve::analyze`] is the batch special case (a fresh session
+//! [`Sieve::analyze`] is the batch special case (a fresh session
 //! with everything dirty) — so streaming and batch share one code path and
 //! emit bit-identical models. What "identical" is measured against lives in
-//! [`oracle`]: the same analysis written serially and statelessly on the
+//! [`oracle_analyze`] (module `oracle`): the same analysis written serially and statelessly on the
 //! recomputing reference kernels.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use sieve_core::config::SieveConfig;
-//! use sieve_core::pipeline::Sieve;
-//! use sieve_apps::sharelatex;
-//! use sieve_apps::MetricRichness;
-//! use sieve_simulator::workload::Workload;
+//! use sieve_apps::{sharelatex, MetricRichness};
+//! use sieve_core::{Sieve, SieveConfig};
+//! use sieve_simulator::Workload;
 //!
 //! let app = sharelatex::app_spec(MetricRichness::Minimal);
 //! let sieve = Sieve::new(SieveConfig::default());
@@ -54,19 +52,26 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
 pub mod columnar;
-pub mod config;
+mod config;
 pub mod dependencies;
-pub mod model;
-pub mod oracle;
-pub mod pipeline;
+mod model;
+mod oracle;
+mod pipeline;
 pub mod reduce;
-pub mod session;
+mod session;
 
 mod error;
 
+pub use config::{GrangerConfig, RetentionPolicy, SieveConfig};
 pub use error::SieveError;
+pub use model::{ComponentClustering, MetricCluster, SieveModel};
+pub use oracle::analyze as oracle_analyze;
+pub use pipeline::{load_application, load_application_with_retention, Sieve};
+pub use session::{AnalysisSession, CachedClustering, CachedVerdict, SessionCache, SessionStats};
 
 /// Convenient result alias for pipeline operations.
 pub type Result<T> = std::result::Result<T, SieveError>;

@@ -23,7 +23,8 @@ pub struct MetricCluster {
 
 impl MetricCluster {
     /// Number of metrics in the cluster.
-    pub fn size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn size(&self) -> usize {
         self.members.len()
     }
 
@@ -65,20 +66,6 @@ impl ComponentClustering {
             .iter()
             .flat_map(|c| c.members.iter().cloned())
             .collect()
-    }
-
-    /// The cluster containing `metric`, if any.
-    pub fn cluster_of(&self, metric: &str) -> Option<&MetricCluster> {
-        self.clusters.iter().find(|c| c.contains(metric))
-    }
-
-    /// Metric-count reduction factor of this component
-    /// (`total_metrics / number_of_representatives`).
-    pub fn reduction_factor(&self) -> f64 {
-        if self.clusters.is_empty() {
-            return 1.0;
-        }
-        self.total_metrics as f64 / self.clusters.len() as f64
     }
 }
 
@@ -162,9 +149,6 @@ mod tests {
         let c = clustering("web", 10, vec![vec!["cpu", "mem"], vec!["latency"]]);
         assert_eq!(c.representatives(), vec!["cpu", "latency"]);
         assert_eq!(c.clustered_metrics().len(), 3);
-        assert!(c.cluster_of("mem").unwrap().contains("cpu"));
-        assert!(c.cluster_of("missing").is_none());
-        assert!((c.reduction_factor() - 5.0).abs() < 1e-12);
         assert_eq!(c.clusters[0].size(), 2);
     }
 
@@ -193,15 +177,6 @@ mod tests {
     fn empty_model_has_factor_one() {
         let model = SieveModel::default();
         assert_eq!(model.overall_reduction_factor(), 1.0);
-        let empty_clustering = ComponentClustering {
-            component: "x".into(),
-            total_metrics: 5,
-            filtered_metrics: vec![],
-            clusters: vec![],
-            silhouette: 0.0,
-            chosen_k: 0,
-        };
-        assert_eq!(empty_clustering.reduction_factor(), 1.0);
     }
 
     #[test]

@@ -21,14 +21,14 @@ use crate::model::{ComponentClustering, SieveModel};
 use crate::pipeline::prepare_component;
 use crate::reduce::{build_clusters, reduce_component_with, SweepOutcome};
 use crate::{Result, SieveError};
-use sieve_causality::granger::granger_causes;
+use sieve_causality::granger_causes;
 use sieve_cluster::jaro::pre_cluster_names;
-use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeResult};
 use sieve_cluster::silhouette::silhouette_score_sbd;
+use sieve_cluster::{KShape, KShapeConfig, KShapeResult};
 use sieve_exec::Name;
 use sieve_graph::{CallGraph, DependencyGraph};
 use sieve_simulator::store::MetricStore;
-use sieve_timeseries::sbd::shape_based_distance;
+use sieve_timeseries::shape_based_distance;
 use std::collections::BTreeMap;
 
 /// Reference twin of [`crate::pipeline::Sieve::analyze`].
@@ -76,7 +76,7 @@ pub fn analyze(
 /// # Errors
 ///
 /// Propagates clustering failures.
-pub fn reduce_component(
+pub(crate) fn reduce_component(
     component: impl Into<Name>,
     prepared: &PreparedComponent,
     config: &SieveConfig,
@@ -132,7 +132,7 @@ fn sweep(
 /// # Errors
 ///
 /// Rejects an invalid Granger configuration.
-pub fn identify_dependencies(
+pub(crate) fn identify_dependencies(
     series: &BTreeMap<Name, PreparedComponent>,
     clusterings: &BTreeMap<Name, ComponentClustering>,
     call_graph: &CallGraph,

@@ -18,16 +18,14 @@ use crate::session::AnalysisSession;
 use crate::{Result, SieveError};
 use sieve_exec::{par_map_chunks, Name};
 use sieve_graph::CallGraph;
-use sieve_simulator::app::AppSpec;
-use sieve_simulator::engine::{SimConfig, Simulation};
 use sieve_simulator::store::{MetricStore, RetentionPolicy};
-use sieve_simulator::workload::Workload;
+use sieve_simulator::{AppSpec, SimConfig, Simulation, Workload};
 use sieve_timeseries::resample::resample_values_into;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Default duration of the offline loading phase (step 1), in milliseconds.
-pub const DEFAULT_LOAD_DURATION_MS: u64 = 150_000;
+pub(crate) const DEFAULT_LOAD_DURATION_MS: u64 = 150_000;
 
 /// Step 1: loads the application under the given workload and records every
 /// exported metric plus the component call graph.
@@ -140,11 +138,6 @@ impl Sieve {
         Self { config }
     }
 
-    /// The pipeline configuration.
-    pub fn config(&self) -> &SieveConfig {
-        &self.config
-    }
-
     /// Prepares (resamples and truncates) the series of every component in
     /// the store, in parallel through the shared executor (component order
     /// is preserved). Each component's series come back packed into one
@@ -173,8 +166,7 @@ impl Sieve {
     /// # Example
     ///
     /// ```
-    /// use sieve_core::config::SieveConfig;
-    /// use sieve_core::pipeline::Sieve;
+    /// use sieve_core::{Sieve, SieveConfig};
     /// use sieve_graph::CallGraph;
     /// use sieve_simulator::store::{MetricId, MetricStore};
     ///
@@ -227,8 +219,8 @@ impl Sieve {
         Ok(Arc::try_unwrap(model).unwrap_or_else(|shared| (*shared).clone()))
     }
 
-    /// Runs all three steps: loads `spec` under `workload` (for
-    /// [`DEFAULT_LOAD_DURATION_MS`]) and analyses the recorded data.
+    /// Runs all three steps: loads `spec` under `workload` (for 150 s of
+    /// simulated time) and analyses the recorded data.
     ///
     /// # Errors
     ///
@@ -271,8 +263,7 @@ impl Sieve {
 mod tests {
     use super::*;
     use sieve_apps::{openstack, MetricRichness};
-    use sieve_simulator::app::{CallSpec, ComponentSpec};
-    use sieve_simulator::metrics::{MetricBehavior, MetricSpec};
+    use sieve_simulator::{CallSpec, ComponentSpec, MetricBehavior, MetricSpec};
 
     /// A small three-component app with clear metric families.
     fn small_app() -> AppSpec {

@@ -52,10 +52,8 @@
 //! phases over it, and [`AnalysisSession::update_shared`] does both:
 //!
 //! ```no_run
-//! use sieve_core::config::SieveConfig;
-//! use sieve_core::session::AnalysisSession;
-//! use sieve_simulator::engine::{SimConfig, Simulation};
-//! use sieve_simulator::workload::Workload;
+//! use sieve_core::{AnalysisSession, SieveConfig};
+//! use sieve_simulator::{SimConfig, Simulation, Workload};
 //! # let spec = sieve_apps::sharelatex::app_spec(sieve_apps::MetricRichness::Minimal);
 //!
 //! let mut sim = Simulation::new(spec, Workload::constant(40.0), SimConfig::new(7)).unwrap();
@@ -137,13 +135,8 @@ pub struct SessionCache {
 
 impl SessionCache {
     /// Entries held: clusterings plus verdicts.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.clusterings.len() + self.verdicts.len()
-    }
-
-    /// Whether the cache holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -262,8 +255,9 @@ fn config_fingerprint(config: &SieveConfig) -> u64 {
 /// and absorbs [`StoreDelta`]s: [`AnalysisSession::refresh`] re-prepares
 /// only touched components, re-clusters only components whose prepared
 /// content changed, re-tests only comparisons with a changed endpoint, and
-/// assembles a full [`SieveModel`] from cached plus fresh state. See the
-/// [module docs](self) for the cache keys and the equality guarantee.
+/// assembles a full [`SieveModel`] from cached plus fresh state. The
+/// `session` module's documentation gives the cache keys and the equality
+/// guarantee.
 #[derive(Debug)]
 pub struct AnalysisSession {
     config: SieveConfig,
@@ -347,13 +341,9 @@ impl AnalysisSession {
         &self.config
     }
 
-    /// The analysed application's name.
-    pub fn application(&self) -> &str {
-        &self.application
-    }
-
     /// The store handle this session analyses.
-    pub fn store(&self) -> &MetricStore {
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &MetricStore {
         &self.store
     }
 
@@ -368,7 +358,8 @@ impl AnalysisSession {
     /// snapshot to concurrent readers while the session keeps absorbing
     /// deltas: a later refresh swaps in a *new* `Arc` and never mutates a
     /// model that was already handed out.
-    pub fn snapshot(&self) -> Option<Arc<SieveModel>> {
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Option<Arc<SieveModel>> {
         self.last_model.clone()
     }
 
@@ -503,9 +494,7 @@ impl AnalysisSession {
     /// # Example
     ///
     /// ```
-    /// use sieve_core::config::SieveConfig;
-    /// use sieve_core::pipeline::Sieve;
-    /// use sieve_core::session::AnalysisSession;
+    /// use sieve_core::{AnalysisSession, Sieve, SieveConfig};
     /// use sieve_graph::CallGraph;
     /// use sieve_simulator::store::{MetricId, MetricStore};
     ///
@@ -538,9 +527,8 @@ impl AnalysisSession {
     }
 
     /// Recomputes everything outstanding and publishes the model as a
-    /// shared [`Arc`] snapshot — the same one [`AnalysisSession::snapshot`]
-    /// returns until the next refresh; a caller that wants an owned model
-    /// clones it. The phases run in order: *absorb → prepare → reduce →
+    /// shared [`Arc`] snapshot; a caller that wants an owned model clones
+    /// it. The phases run in order: *absorb → prepare → reduce →
     /// plan and test → publish → record*. On error everything `absorb`
     /// took is put back and the previous snapshot and stats stay in place.
     ///
@@ -742,10 +730,10 @@ impl AnalysisSession {
 mod tests {
     use super::*;
     use crate::pipeline::{load_application, Sieve};
-    use sieve_simulator::app::{AppSpec, CallSpec, ComponentSpec};
-    use sieve_simulator::engine::{SimConfig, Simulation};
-    use sieve_simulator::metrics::{MetricBehavior, MetricSpec};
-    use sieve_simulator::workload::Workload;
+    use sieve_simulator::{
+        AppSpec, CallSpec, ComponentSpec, MetricBehavior, MetricSpec, SimConfig, Simulation,
+        Workload,
+    };
 
     /// Six components in a chain, three metrics each — enough structure
     /// for real clusters and Granger edges while staying fast.

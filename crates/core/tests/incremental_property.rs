@@ -7,9 +7,7 @@
 //! access for `proptest`): every run checks the identical pseudo-random
 //! inputs, so failures are trivially reproducible.
 
-use sieve_core::config::SieveConfig;
-use sieve_core::pipeline::Sieve;
-use sieve_core::session::AnalysisSession;
+use sieve_core::{AnalysisSession, Sieve, SieveConfig};
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricId, MetricStore};
@@ -200,7 +198,7 @@ fn random_delta_sequences_converge_to_the_batch_model() {
             "seed {seed}: streamed session must match batch analysis"
         );
         let reference =
-            sieve_core::oracle::analyze("random", &store, &scenario.call_graph, &config).unwrap();
+            sieve_core::oracle_analyze("random", &store, &scenario.call_graph, &config).unwrap();
         assert_eq!(*streamed, reference, "seed {seed}: and the oracle");
     }
 }
@@ -235,7 +233,7 @@ fn incremental_and_batch_equal_the_oracle_across_parallelism() {
             .unwrap();
 
         let reference = reference.get_or_insert_with(|| {
-            sieve_core::oracle::analyze("matrix", &store, &scenario.call_graph, &base).unwrap()
+            sieve_core::oracle_analyze("matrix", &store, &scenario.call_graph, &base).unwrap()
         });
         assert!(
             reference.dependency_graph.edge_count() > 0,

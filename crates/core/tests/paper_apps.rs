@@ -14,15 +14,12 @@
 use sieve_apps::tenants::{tenant_fleet, TenantMix};
 use sieve_apps::{openstack, sharelatex, MetricRichness};
 use sieve_cluster::jaro::NameGroups;
-use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeSeriesCache};
-use sieve_core::config::SieveConfig;
-use sieve_core::pipeline::{load_application, Sieve};
+use sieve_cluster::{KShape, KShapeConfig, KShapeSeriesCache};
 use sieve_core::reduce::is_unvarying;
-use sieve_core::session::AnalysisSession;
+use sieve_core::{load_application, AnalysisSession, Sieve, SieveConfig};
 use sieve_graph::CallGraph;
-use sieve_simulator::engine::{SimConfig, Simulation};
 use sieve_simulator::store::{MetricStore, RetentionPolicy};
-use sieve_simulator::workload::Workload;
+use sieve_simulator::{SimConfig, Simulation, Workload};
 use sieve_timeseries::resample::resample_values_into;
 
 /// One component's kept series and their metric names, as the k sweep

@@ -17,9 +17,8 @@
 //! property suites (no `proptest` in the container).
 
 use sieve_apps::{sharelatex, MetricRichness};
-use sieve_core::config::{RetentionPolicy, SieveConfig};
-use sieve_core::pipeline::{load_application_with_retention, Sieve};
-use sieve_simulator::workload::Workload;
+use sieve_core::{load_application_with_retention, RetentionPolicy, Sieve, SieveConfig};
+use sieve_simulator::Workload;
 
 const DURATION_MS: u64 = 40_000;
 const INTERVAL_MS: u64 = 500;
@@ -33,10 +32,7 @@ fn config(parallelism: usize) -> SieveConfig {
 }
 
 /// Loads ShareLatex under the given retention and analyzes it.
-fn model_with_retention(
-    retention: RetentionPolicy,
-    parallelism: usize,
-) -> sieve_core::model::SieveModel {
+fn model_with_retention(retention: RetentionPolicy, parallelism: usize) -> sieve_core::SieveModel {
     let app = sharelatex::app_spec(MetricRichness::Minimal);
     let workload = Workload::randomized(80.0, 11);
     let (store, call_graph) =

@@ -3,7 +3,7 @@
 //! Two concerns live here because every other crate needs them and they
 //! must not depend on anything else:
 //!
-//! * [`intern`] — [`Name`], the interned identifier type used for
+//! * `intern` — [`Name`], the interned identifier type used for
 //!   component and metric names across the store, the graphs and the
 //!   analysis model. Cloning is a reference-count bump and comparisons hit
 //!   a pointer-identity fast path, so hot loops never clone or compare
@@ -13,7 +13,7 @@
 //!   Results always come back in input order, which is what makes
 //!   `parallelism = 1` and `parallelism = N` runs produce identical
 //!   models.
-//! * [`pool`] — the persistent [`pool::WorkerPool`] the executor runs on:
+//! * [`pool`] — the persistent `WorkerPool` the executor runs on:
 //!   long-lived workers spawned lazily and reused across calls, so sweeps
 //!   and per-stage fan-outs stop paying per-call thread-spawn cost.
 //! * [`hash`] — the deterministic splitmix64-based content-fingerprint
@@ -27,13 +27,14 @@
 // everything else in the crate stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
 pub mod hash;
-pub mod intern;
+mod intern;
 pub mod mem;
 pub mod par;
 pub mod pool;
 
 pub use intern::Name;
 pub use par::{par_map_chunks, try_par_map_chunks};
-pub use pool::PoolStats;

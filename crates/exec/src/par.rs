@@ -6,7 +6,7 @@
 //! is the single policy layer that replaces them: callers describe *what*
 //! to compute per item and the executor decides *how* (serial below the
 //! parallelism threshold, chunked across the persistent
-//! [`crate::pool::WorkerPool`] above it), always returning results in
+//! `WorkerPool` above it), always returning results in
 //! input order so that serial and parallel runs are bit-for-bit
 //! identical. Chunk boundaries are a pure function of `(workers,
 //! items.len())` — the pool only decides which thread runs a chunk — so
@@ -38,7 +38,7 @@ pub fn hardware_parallelism() -> usize {
 /// * An effective degree of 1 (or fewer than two items) runs serially on
 ///   the calling thread — no thread is ever spawned for degenerate inputs.
 /// * Otherwise the items are split into contiguous chunks, each chunk runs
-///   on the persistent [`crate::pool::WorkerPool`] (the calling thread
+///   on the persistent `WorkerPool` (the calling thread
 ///   participates), and the per-chunk results are concatenated in chunk
 ///   order. Because chunks are contiguous and joined in order,
 ///   `par_map_chunks(w, items, f)[i] == f(&items[i])` for every `w` —

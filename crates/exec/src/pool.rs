@@ -139,7 +139,7 @@ struct Shared {
 /// spawns nothing. Workers live until the pool is dropped (the global
 /// pool behind [`crate::par_map_chunks`] lives for the process).
 /// Dropping a pool wakes every worker and joins them all.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     max_workers: usize,
@@ -163,13 +163,13 @@ impl Default for WorkerPool {
 
 impl WorkerPool {
     /// Creates an empty pool; workers spawn on demand.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_max_workers(MAX_WORKERS)
     }
 
     /// Creates a pool that will never hold more than `max_workers`
     /// threads (jobs still complete — callers participate).
-    pub fn with_max_workers(max_workers: usize) -> Self {
+    pub(crate) fn with_max_workers(max_workers: usize) -> Self {
         Self {
             shared: Arc::new(Shared {
                 queue: Mutex::new(QueueState {
@@ -197,7 +197,7 @@ impl WorkerPool {
     /// Re-raises the first chunk panic on the calling thread — after
     /// every other chunk has finished, so borrowed data stays valid for
     /// stragglers.
-    pub fn execute(&self, total: usize, run: &(dyn Fn(usize) + Sync)) {
+    pub(crate) fn execute(&self, total: usize, run: &(dyn Fn(usize) + Sync)) {
         if total == 0 {
             return;
         }
@@ -265,7 +265,7 @@ impl WorkerPool {
     }
 
     /// Snapshot of the pool's lifetime counters.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         PoolStats {
             workers_spawned: self.shared.workers_spawned.load(Ordering::Relaxed),
             tasks_executed: self.shared.tasks_executed.load(Ordering::Relaxed),
@@ -313,12 +313,12 @@ fn worker_loop(shared: &Shared) {
 /// The process-wide pool behind [`crate::par_map_chunks`]. Lives for the
 /// process; workers accumulate up to the demanded degree and are reused
 /// by every subsequent parallel call.
-pub fn global_pool() -> &'static WorkerPool {
+pub(crate) fn global_pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(WorkerPool::new)
 }
 
-/// Lifetime counters of the [`global_pool`] — surfaced by the serving
+/// Lifetime counters of the process-wide pool — surfaced by the serving
 /// layer's `ServiceStats`.
 pub fn pool_stats() -> PoolStats {
     global_pool().stats()

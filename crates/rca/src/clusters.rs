@@ -10,7 +10,7 @@
 //! that new metrics added in the faulty cluster do not penalise the match.
 
 use crate::metrics::MetricDiff;
-use sieve_core::model::{ComponentClustering, SieveModel};
+use sieve_core::{ComponentClustering, SieveModel};
 use sieve_exec::Name;
 use std::collections::BTreeSet;
 
@@ -93,7 +93,7 @@ pub fn assess_component_clusters(
     faulty: Option<&ComponentClustering>,
     diff: &MetricDiff,
 ) -> Vec<ClusterAssessment> {
-    let empty: Vec<sieve_core::model::MetricCluster> = Vec::new();
+    let empty: Vec<sieve_core::MetricCluster> = Vec::new();
     let correct_clusters = correct.map(|c| c.clusters.as_slice()).unwrap_or(&empty);
     let faulty_clusters = faulty.map(|c| c.clusters.as_slice()).unwrap_or(&empty);
 
@@ -180,7 +180,7 @@ pub fn assess_all_clusters(
 }
 
 /// Aggregates cluster assessments into the Figure 7a counts.
-pub fn novelty_counts(assessments: &[ClusterAssessment]) -> ClusterNoveltyCounts {
+pub(crate) fn novelty_counts(assessments: &[ClusterAssessment]) -> ClusterNoveltyCounts {
     let mut counts = ClusterNoveltyCounts {
         total: assessments.len(),
         ..Default::default()
@@ -206,7 +206,7 @@ pub fn novelty_counts(assessments: &[ClusterAssessment]) -> ClusterNoveltyCounts
 mod tests {
     use super::*;
     use crate::metrics::metric_diffs;
-    use sieve_core::model::MetricCluster;
+    use sieve_core::MetricCluster;
 
     fn clustering(component: &str, clusters: Vec<Vec<&str>>) -> ComponentClustering {
         ComponentClustering {

@@ -12,7 +12,7 @@
 
 use crate::clusters::ClusterAssessment;
 use crate::config::RcaConfig;
-use sieve_core::model::SieveModel;
+use sieve_core::SieveModel;
 use sieve_exec::Name;
 use sieve_graph::DependencyEdge;
 use std::collections::BTreeSet;
@@ -76,7 +76,8 @@ pub struct EdgeNoveltyCounts {
 
 impl EdgeNoveltyCounts {
     /// Total number of classified edges.
-    pub fn total(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> usize {
         self.new + self.discarded + self.lag_changed + self.unchanged
     }
 }
@@ -180,7 +181,7 @@ pub fn diff_edges(
 /// Aggregates edge diffs into the Figure 7b counts, considering only edges
 /// whose endpoint similarity is at least `similarity_threshold` (or which
 /// touch a novel cluster).
-pub fn edge_novelty_counts(diffs: &[EdgeDiff], config: &RcaConfig) -> EdgeNoveltyCounts {
+pub(crate) fn edge_novelty_counts(diffs: &[EdgeDiff], config: &RcaConfig) -> EdgeNoveltyCounts {
     let mut counts = EdgeNoveltyCounts::default();
     for d in diffs {
         let admitted =
@@ -200,7 +201,7 @@ pub fn edge_novelty_counts(diffs: &[EdgeDiff], config: &RcaConfig) -> EdgeNovelt
 
 /// The `(components, clusters, metrics)` touched by the interesting edges —
 /// the quantities plotted in Figure 7c.
-pub fn surviving_scope(
+pub(crate) fn surviving_scope(
     diffs: &[EdgeDiff],
     assessments: &[ClusterAssessment],
     config: &RcaConfig,
@@ -233,7 +234,7 @@ mod tests {
     use super::*;
     use crate::clusters::assess_all_clusters;
     use crate::metrics::metric_diffs;
-    use sieve_core::model::{ComponentClustering, MetricCluster};
+    use sieve_core::{ComponentClustering, MetricCluster};
     use sieve_graph::DependencyGraph;
 
     fn clustering(component: &str, clusters: Vec<Vec<&str>>) -> ComponentClustering {

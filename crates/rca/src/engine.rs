@@ -10,7 +10,7 @@ use crate::clusters::{
 use crate::config::RcaConfig;
 use crate::edges::{diff_edges, edge_novelty_counts, surviving_scope, EdgeDiff, EdgeNoveltyCounts};
 use crate::metrics::{metric_diffs, rank_components, ComponentRanking, MetricDiff};
-use sieve_core::model::SieveModel;
+use sieve_core::SieveModel;
 use sieve_exec::Name;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -90,11 +90,6 @@ impl RcaEngine {
     /// Creates an engine with the given configuration.
     pub fn new(config: RcaConfig) -> Self {
         Self { config }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &RcaConfig {
-        &self.config
     }
 
     /// Compares the Sieve models of the correct and faulty versions and
@@ -180,7 +175,7 @@ impl RcaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sieve_core::model::{ComponentClustering, MetricCluster};
+    use sieve_core::{ComponentClustering, MetricCluster};
     use sieve_graph::{DependencyEdge, DependencyGraph};
 
     fn clustering(component: &str, clusters: Vec<Vec<&str>>) -> ComponentClustering {

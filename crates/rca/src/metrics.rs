@@ -12,7 +12,7 @@
 //! technically exports it, which matches how the paper's OpenStack agent
 //! crash manifests.
 
-use sieve_core::model::SieveModel;
+use sieve_core::SieveModel;
 use sieve_exec::Name;
 use std::collections::BTreeSet;
 
@@ -101,7 +101,7 @@ pub fn metric_diffs(correct: &SieveModel, faulty: &SieveModel) -> Vec<MetricDiff
 
 /// Ranks components by novelty score (step 2). Ties are broken by component
 /// name for determinism.
-pub fn rank_components(diffs: &[MetricDiff]) -> Vec<ComponentRanking> {
+pub(crate) fn rank_components(diffs: &[MetricDiff]) -> Vec<ComponentRanking> {
     let mut rankings: Vec<ComponentRanking> = diffs
         .iter()
         .map(|d| ComponentRanking {
@@ -123,7 +123,7 @@ pub fn rank_components(diffs: &[MetricDiff]) -> Vec<ComponentRanking> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sieve_core::model::{ComponentClustering, MetricCluster};
+    use sieve_core::{ComponentClustering, MetricCluster};
 
     fn model_with(component: &str, metrics: Vec<&str>) -> SieveModel {
         let mut model = SieveModel::default();

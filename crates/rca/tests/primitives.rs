@@ -3,13 +3,13 @@
 //! `rank_of`, `diff_edges` or `assess_component_clusters` is pinned to
 //! the primitive rather than to a scenario score.
 
-use sieve_core::model::{ComponentClustering, MetricCluster, SieveModel};
+use sieve_core::{ComponentClustering, MetricCluster, SieveModel};
 use sieve_exec::Name;
 use sieve_graph::{DependencyEdge, DependencyGraph};
-use sieve_rca::clusters::{assess_all_clusters, assess_component_clusters, cluster_similarity};
-use sieve_rca::edges::{diff_edges, EdgeChangeKind};
-use sieve_rca::metrics::{metric_diffs, MetricDiff};
-use sieve_rca::{RcaConfig, RcaEngine};
+use sieve_rca::{
+    assess_all_clusters, assess_component_clusters, cluster_similarity, diff_edges, metric_diffs,
+    EdgeChangeKind, MetricDiff, RcaConfig, RcaEngine,
+};
 
 fn clustering(component: &str, clusters: &[&[&str]]) -> ComponentClustering {
     let total: usize = clusters.iter().map(|c| c.len()).sum();

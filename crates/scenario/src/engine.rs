@@ -16,8 +16,8 @@ use crate::Result;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_serve::MetricPoint;
-use sieve_simulator::engine::{SimConfig, Simulation};
 use sieve_simulator::store::{MetricId, RetentionPolicy};
+use sieve_simulator::{SimConfig, Simulation};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything one analysis epoch consumes, plus its slice of the truth.
@@ -66,7 +66,7 @@ impl ScenarioData {
     }
 
     /// The call graph of the final epoch.
-    pub fn final_call_graph(&self) -> &CallGraph {
+    pub(crate) fn final_call_graph(&self) -> &CallGraph {
         &self
             .epochs
             .last()
@@ -274,8 +274,7 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> Result<ScenarioData> {
 mod tests {
     use super::*;
     use crate::spec::{ScriptedEvent, WorkloadPlan};
-    use sieve_apps::chaos::{chaos_app, SVC_A, SVC_B, WORKER};
-    use sieve_apps::MetricRichness;
+    use sieve_apps::{chaos_app, MetricRichness, SVC_A, SVC_B, WORKER};
 
     fn drift_spec() -> ScenarioSpec {
         let chaos = chaos_app(MetricRichness::Minimal);

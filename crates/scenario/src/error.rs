@@ -64,7 +64,7 @@ impl From<ServeError> for ScenarioError {
 
 impl ScenarioError {
     /// Shorthand for an [`ScenarioError::InvalidSpec`].
-    pub fn invalid(reason: impl Into<String>) -> Self {
+    pub(crate) fn invalid(reason: impl Into<String>) -> Self {
         ScenarioError::InvalidSpec {
             reason: reason.into(),
         }

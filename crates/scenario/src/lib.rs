@@ -12,16 +12,16 @@
 //! from. Scoring harnesses then grade the pipeline's answers against that
 //! truth:
 //!
-//! * [`score::score_rca`] — is the injected root cause ranked in the top-k
+//! * [`score_rca`] — is the injected root cause ranked in the top-k
 //!   of the five-step RCA comparison?
-//! * [`score::score_drift`] — does an incremental [`sieve_core::session::AnalysisSession`]
+//! * [`score_drift`] — does an incremental [`sieve_core::AnalysisSession`]
 //!   track every scripted edge flip within a bounded number of epochs?
-//! * [`score::score_autoscale`] — does the autoscaling engine react to each
+//! * [`score_autoscale`] — does the autoscaling engine react to each
 //!   scripted burst within a bounded tick lag?
-//! * [`score::score_clusters`] — how close is the chosen `k` to the true
+//! * [`score_clusters`] — how close is the chosen `k` to the true
 //!   per-component family count?
 //!
-//! The [`matrix`] module names a small catalogue of scenarios (steady
+//! The `matrix` module ([`scenario_matrix`]) names a small catalogue of scenarios (steady
 //! diurnal, Poisson regime change, edge drift, root cause, dropout+skew,
 //! kitchen sink) that the regression suite runs across seeds, asserting
 //! score thresholds plus streamed==batch and parallelism-invariance
@@ -30,19 +30,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
-pub mod engine;
-pub mod matrix;
-pub mod runner;
-pub mod score;
-pub mod spec;
-pub mod truth;
+mod engine;
+mod matrix;
+mod runner;
+mod score;
+mod spec;
+mod truth;
 
 mod error;
 
 pub use engine::{generate, EpochData, ScenarioData};
 pub use error::ScenarioError;
-pub use matrix::{scenario_matrix, smoke_matrix, ScenarioCase};
+pub use matrix::{
+    edge_drift, root_cause, scenario_matrix, smoke_matrix, steady_diurnal, ScenarioCase,
+    DRIFT_WINDOW_EPOCHS, RCA_TOP_K,
+};
 pub use runner::{run_autoscale, run_batch, run_served, run_streamed};
 pub use score::{
     score_autoscale, score_clusters, score_drift, score_rca, AutoscaleScore, ClusterScore,

@@ -1,30 +1,29 @@
 //! The named scenario catalogue and the regression matrix built from it.
 //!
 //! Each scenario is a [`ScenarioSpec`] over the chaos application
-//! ([`sieve_apps::chaos`]) plus the seeds it is run with and the score
+//! ([`sieve_apps::chaos_app`]) plus the seeds it is run with and the score
 //! thresholds it is graded against. [`scenario_matrix`] is the full
 //! regression matrix; [`smoke_matrix`] is the one-seed CI subset.
 
 use crate::spec::{ScenarioAction, ScenarioSpec, ScriptedEvent, WorkloadPlan};
-use sieve_apps::chaos::{chaos_app, root_cause_fault, DB, SVC_A, SVC_B, WORKER};
-use sieve_apps::MetricRichness;
-use sieve_simulator::workload::Burst;
+use sieve_apps::{chaos_app, root_cause_fault, MetricRichness, DB, SVC_A, SVC_B, WORKER};
+use sieve_simulator::Burst;
 
 /// Epochs per scenario run.
-pub const EPOCHS: usize = 8;
+pub(crate) const EPOCHS: usize = 8;
 /// Simulation ticks per epoch.
-pub const TICKS_PER_EPOCH: usize = 24;
+pub(crate) const TICKS_PER_EPOCH: usize = 24;
 /// Milliseconds per tick.
-pub const TICK_MS: u64 = 500;
+pub(crate) const TICK_MS: u64 = 500;
 /// Ring-window retention in epochs.
-pub const WINDOW_EPOCHS: usize = 2;
+pub(crate) const WINDOW_EPOCHS: usize = 2;
 /// Top-k bound for the RCA score: the injected root cause must rank in
 /// the top 3.
 pub const RCA_TOP_K: usize = 3;
 /// Drift bound: every scripted edge flip must be tracked within 3 epochs.
 pub const DRIFT_WINDOW_EPOCHS: usize = 3;
 /// Autoscale bound: a scale-out within 40 ticks of each scripted burst.
-pub const AUTOSCALE_MAX_LAG_TICKS: usize = 40;
+pub(crate) const AUTOSCALE_MAX_LAG_TICKS: usize = 40;
 
 /// One named scenario plus its seeds and grading thresholds.
 #[derive(Debug, Clone)]
@@ -86,7 +85,7 @@ pub fn steady_diurnal() -> ScenarioSpec {
 
 /// Bursty Poisson arrivals with a mid-run load-regime change (the offered
 /// rate nearly doubles at epoch 4).
-pub fn poisson_regime() -> ScenarioSpec {
+pub(crate) fn poisson_regime() -> ScenarioSpec {
     base_spec(
         "poisson-regime",
         WorkloadPlan::Poisson {
@@ -150,7 +149,7 @@ pub fn root_cause() -> ScenarioSpec {
 /// reversal makes the store drop reports until time catches up). Nothing
 /// is scored beyond the run completing with the equality invariants —
 /// the faults target a component off every scored path.
-pub fn dropout_skew() -> ScenarioSpec {
+pub(crate) fn dropout_skew() -> ScenarioSpec {
     base_spec(
         "dropout-skew",
         oscillating(),
@@ -191,7 +190,7 @@ pub fn dropout_skew() -> ScenarioSpec {
 /// Everything at once: Poisson arrivals, an edge disappearing, a regime
 /// change, a root-cause fault on `svc-b` and a crash+restore of the
 /// datastore — RCA and drift must both survive the noise.
-pub fn kitchen_sink() -> ScenarioSpec {
+pub(crate) fn kitchen_sink() -> ScenarioSpec {
     base_spec(
         "kitchen-sink",
         WorkloadPlan::Poisson {
@@ -233,7 +232,7 @@ pub fn kitchen_sink() -> ScenarioSpec {
 /// A diurnal curve with one scripted load burst — the autoscaling ground
 /// truth: the engine must scale out within
 /// [`AUTOSCALE_MAX_LAG_TICKS`] of the burst's onset.
-pub fn burst_autoscale() -> ScenarioSpec {
+pub(crate) fn burst_autoscale() -> ScenarioSpec {
     base_spec(
         "burst-autoscale",
         WorkloadPlan::DiurnalBursts {

@@ -15,16 +15,13 @@
 use crate::engine::ScenarioData;
 use crate::spec::ScenarioSpec;
 use crate::{Result, ScenarioError};
-use sieve_autoscale::calibrate::calibrated_rule;
-use sieve_autoscale::rules::select_guiding_metric;
-use sieve_autoscale::{AutoscaleEngine, AutoscalingReport, SlaCondition};
-use sieve_core::config::SieveConfig;
-use sieve_core::model::SieveModel;
-use sieve_core::pipeline::Sieve;
-use sieve_core::session::AnalysisSession;
+use sieve_autoscale::{
+    calibrated_rule, select_guiding_metric, AutoscaleEngine, AutoscalingReport, SlaCondition,
+};
+use sieve_core::{AnalysisSession, Sieve, SieveConfig, SieveModel};
 use sieve_serve::{ServeConfig, SieveService};
-use sieve_simulator::engine::SimConfig;
 use sieve_simulator::store::MetricStore;
+use sieve_simulator::SimConfig;
 use std::sync::Arc;
 
 /// Runs the scenario through an incremental [`AnalysisSession`]: one

@@ -2,10 +2,10 @@
 
 use crate::truth::GroundTruth;
 use sieve_autoscale::AutoscalingReport;
-use sieve_core::model::SieveModel;
+use sieve_core::SieveModel;
 use sieve_exec::Name;
 use sieve_rca::{RcaConfig, RcaEngine, RcaReport};
-use sieve_simulator::workload::Burst;
+use sieve_simulator::Burst;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -229,7 +229,7 @@ pub fn score_clusters(model: &SieveModel, truth: &GroundTruth) -> ClusterScore {
 mod tests {
     use super::*;
     use crate::truth::EpochTruth;
-    use sieve_core::model::{ComponentClustering, MetricCluster};
+    use sieve_core::{ComponentClustering, MetricCluster};
     use sieve_graph::{DependencyEdge, DependencyGraph};
     use std::collections::{BTreeMap, BTreeSet};
 

@@ -6,11 +6,9 @@
 //! deterministic runs.
 
 use crate::{Result, ScenarioError};
-use sieve_core::config::SieveConfig;
-use sieve_simulator::app::AppSpec;
-use sieve_simulator::fault::FaultScenario;
+use sieve_core::SieveConfig;
 use sieve_simulator::store::RetentionPolicy;
-use sieve_simulator::workload::{Burst, Workload};
+use sieve_simulator::{AppSpec, Burst, FaultScenario, Workload};
 use std::collections::BTreeMap;
 
 /// A seed-free workload plan, instantiated into a concrete
@@ -50,7 +48,7 @@ pub enum WorkloadPlan {
 
 impl WorkloadPlan {
     /// Instantiates the plan into a concrete workload for one seeded run.
-    pub fn instantiate(&self, total_ticks: usize, seed: u64) -> Workload {
+    pub(crate) fn instantiate(&self, total_ticks: usize, seed: u64) -> Workload {
         match self {
             WorkloadPlan::Oscillating {
                 base,
@@ -82,7 +80,7 @@ impl WorkloadPlan {
     }
 
     /// The scripted bursts, if the plan has any.
-    pub fn bursts(&self) -> &[Burst] {
+    pub(crate) fn bursts(&self) -> &[Burst] {
         match self {
             WorkloadPlan::DiurnalBursts { bursts, .. } => bursts,
             _ => &[],
@@ -166,7 +164,7 @@ pub struct ScriptedEvent {
 
 impl ScriptedEvent {
     /// Creates a scheduled event.
-    pub fn at(epoch: usize, action: ScenarioAction) -> Self {
+    pub(crate) fn at(epoch: usize, action: ScenarioAction) -> Self {
         Self { epoch, action }
     }
 }
@@ -199,17 +197,17 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// Total simulated ticks.
-    pub fn total_ticks(&self) -> usize {
+    pub(crate) fn total_ticks(&self) -> usize {
         self.epochs * self.ticks_per_epoch
     }
 
     /// Total simulated duration in milliseconds.
-    pub fn duration_ms(&self) -> u64 {
+    pub(crate) fn duration_ms(&self) -> u64 {
         self.total_ticks() as u64 * self.tick_ms
     }
 
     /// The ring-window retention policy of the run.
-    pub fn retention(&self) -> RetentionPolicy {
+    pub(crate) fn retention(&self) -> RetentionPolicy {
         RetentionPolicy::windowed(self.window_epochs.max(1) * self.ticks_per_epoch)
     }
 
@@ -228,7 +226,8 @@ impl ScenarioSpec {
 
     /// The scripted root cause: `(component, epoch)` of the first
     /// [`ScenarioAction::InjectFault`], if the script has one.
-    pub fn root_cause(&self) -> Option<(&str, usize)> {
+    #[cfg(test)]
+    pub(crate) fn root_cause(&self) -> Option<(&str, usize)> {
         self.events.iter().find_map(|e| match &e.action {
             ScenarioAction::InjectFault { component, .. } => Some((component.as_str(), e.epoch)),
             _ => None,
@@ -236,7 +235,7 @@ impl ScenarioSpec {
     }
 
     /// The actions scheduled at `epoch`, in script order.
-    pub fn events_at(&self, epoch: usize) -> impl Iterator<Item = &ScenarioAction> {
+    pub(crate) fn events_at(&self, epoch: usize) -> impl Iterator<Item = &ScenarioAction> {
         self.events
             .iter()
             .filter(move |e| e.epoch == epoch)
@@ -250,7 +249,7 @@ impl ScenarioSpec {
     /// Returns [`ScenarioError::InvalidSpec`] when the shape is degenerate,
     /// an event references an unknown component/metric/edge, or a fault is
     /// injected at epoch 0 (no pre-fault baseline would exist).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.epochs == 0 || self.ticks_per_epoch < 2 || self.tick_ms == 0 {
             return Err(ScenarioError::invalid(
                 "scenario needs at least one epoch, two ticks per epoch and a nonzero tick",
@@ -312,7 +311,7 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    fn require_component(&self, name: &str) -> Result<&sieve_simulator::app::ComponentSpec> {
+    fn require_component(&self, name: &str) -> Result<&sieve_simulator::ComponentSpec> {
         self.app
             .component(name)
             .ok_or_else(|| ScenarioError::invalid(format!("unknown component {name}")))
@@ -337,8 +336,7 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sieve_apps::chaos::{chaos_app, root_cause_fault, SVC_A, SVC_B, WORKER};
-    use sieve_apps::MetricRichness;
+    use sieve_apps::{chaos_app, root_cause_fault, MetricRichness, SVC_A, SVC_B, WORKER};
 
     fn base_spec() -> ScenarioSpec {
         let chaos = chaos_app(MetricRichness::Minimal);

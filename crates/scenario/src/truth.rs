@@ -57,7 +57,7 @@ pub struct GroundTruth {
 impl GroundTruth {
     /// The scripted edge flips: differences between consecutive epochs'
     /// `active_edges` sets (the initial epoch-0 state is not a flip).
-    pub fn edge_flips(&self) -> Vec<EdgeFlip> {
+    pub(crate) fn edge_flips(&self) -> Vec<EdgeFlip> {
         let mut flips = Vec::new();
         for window in self.epochs.windows(2) {
             let (prev, next) = (&window[0], &window[1]);
@@ -82,7 +82,8 @@ impl GroundTruth {
     }
 
     /// The truth for one epoch, if in range.
-    pub fn epoch(&self, epoch: usize) -> Option<&EpochTruth> {
+    #[cfg(test)]
+    pub(crate) fn epoch(&self, epoch: usize) -> Option<&EpochTruth> {
         self.epochs.get(epoch)
     }
 }

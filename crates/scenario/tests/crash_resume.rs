@@ -15,7 +15,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn durable_config(dir: &Path, analysis: sieve_core::config::SieveConfig) -> ServeConfig {
+fn durable_config(dir: &Path, analysis: sieve_core::SieveConfig) -> ServeConfig {
     ServeConfig {
         shard_count: 2,
         sweep_parallelism: 1,
@@ -30,7 +30,7 @@ fn durable_config(dir: &Path, analysis: sieve_core::config::SieveConfig) -> Serv
 
 #[test]
 fn crash_and_recovery_mid_scenario_changes_no_score() {
-    let spec = sieve_scenario::matrix::root_cause();
+    let spec = sieve_scenario::root_cause();
     let seed = 41;
     let data = generate(&spec, seed).unwrap();
     let analysis = spec.analysis_config(1);

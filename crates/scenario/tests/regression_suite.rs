@@ -12,10 +12,9 @@
 //!   across the direct-session and serving-layer ingestion paths.
 
 use sieve_rca::RcaConfig;
-use sieve_scenario::matrix::DRIFT_WINDOW_EPOCHS;
 use sieve_scenario::{
     generate, run_autoscale, run_batch, run_served, run_streamed, scenario_matrix, score_autoscale,
-    score_clusters, score_drift, score_rca, smoke_matrix, ScenarioCase,
+    score_clusters, score_drift, score_rca, smoke_matrix, ScenarioCase, DRIFT_WINDOW_EPOCHS,
 };
 use sieve_serve::ServeConfig;
 
@@ -138,8 +137,8 @@ fn full_matrix_meets_every_threshold() {
 #[test]
 fn scores_are_identical_across_parallelism_1_4_8() {
     for spec in [
-        sieve_scenario::matrix::steady_diurnal(),
-        sieve_scenario::matrix::root_cause(),
+        sieve_scenario::steady_diurnal(),
+        sieve_scenario::root_cause(),
     ] {
         let data = generate(&spec, 97).unwrap();
         let baseline = run_streamed(&data, &spec.analysis_config(1)).unwrap();
@@ -173,7 +172,7 @@ fn scores_are_identical_across_parallelism_1_4_8() {
 /// publishes the same per-epoch models as the direct session runner.
 #[test]
 fn served_ingestion_matches_the_streamed_run() {
-    let spec = sieve_scenario::matrix::edge_drift();
+    let spec = sieve_scenario::edge_drift();
     let data = generate(&spec, 31).unwrap();
     let analysis = spec.analysis_config(1);
     let streamed = run_streamed(&data, &analysis).unwrap();

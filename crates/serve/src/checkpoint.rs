@@ -15,7 +15,7 @@ use crate::recovery::CheckpointSeeding;
 use crate::registry::ShardedRegistry;
 use crate::stats::ServiceStats;
 use crate::Result;
-use sieve_core::session::SessionCache;
+use sieve_core::SessionCache;
 use sieve_wal::{checkpoint_file_name, CheckpointRead, ShardCheckpoint, TenantCheckpoint};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

@@ -1,12 +1,12 @@
 //! Serving-layer configuration.
 
-use sieve_core::config::SieveConfig;
+use sieve_core::SieveConfig;
 use sieve_wal::FsyncPolicy;
 use std::path::PathBuf;
 
 /// Default number of registry shards (a power of two, see
 /// [`ServeConfig::shard_count`]).
-pub const DEFAULT_SHARD_COUNT: usize = 16;
+pub(crate) const DEFAULT_SHARD_COUNT: usize = 16;
 
 /// Configuration of a [`crate::service::SieveService`].
 ///
@@ -14,7 +14,7 @@ pub const DEFAULT_SHARD_COUNT: usize = 16;
 /// separate knobs: `sweep_parallelism` fans the *cross-tenant* refresh
 /// sweep out over worker threads (one tenant is one work item), while
 /// `analysis.parallelism` is the degree each tenant's own
-/// [`sieve_core::session::AnalysisSession`] uses *inside* its refresh.
+/// [`sieve_core::AnalysisSession`] uses *inside* its refresh.
 /// Neither affects results: the sweep runs through the deterministic
 /// [`sieve_exec::par_map_chunks`] executor in sorted-tenant order, and the
 /// per-tenant session is serial==parallel bit-identical by construction.
@@ -118,7 +118,7 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Builder-style setter for the registry shard count (must be a power
-    /// of two; validated by [`ServeConfig::validate`]).
+    /// of two; validated when the service is built).
     pub fn with_shard_count(mut self, shard_count: usize) -> Self {
         self.shard_count = shard_count;
         self
@@ -142,10 +142,10 @@ impl ServeConfig {
     /// budget — shorthand for replacing `analysis.retention`. Tenants
     /// created after this point get a store that keeps each series' newest
     /// points in a bounded ring window (see
-    /// [`sieve_core::config::RetentionPolicy`]); per-tenant overrides go
+    /// [`sieve_core::RetentionPolicy`]); per-tenant overrides go
     /// through [`crate::service::SieveService::create_tenant_with_retention`]
     /// or [`crate::service::SieveService::set_retention`].
-    pub fn with_retention(mut self, retention: sieve_core::config::RetentionPolicy) -> Self {
+    pub fn with_retention(mut self, retention: sieve_core::RetentionPolicy) -> Self {
         self.analysis.retention = retention;
         self
     }
@@ -165,7 +165,7 @@ impl ServeConfig {
     /// zero or not a power of two, when the durability settings are
     /// inconsistent, or when the default analysis configuration is itself
     /// invalid.
-    pub fn validate(&self) -> crate::Result<()> {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         if !self.shard_count.is_power_of_two() {
             return Err(crate::ServeError::InvalidConfig {
                 reason: format!(
@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn retention_shorthand_sets_the_analysis_policy() {
-        use sieve_core::config::RetentionPolicy;
+        use sieve_core::RetentionPolicy;
         let c = ServeConfig::default().with_retention(RetentionPolicy::windowed(128));
         assert_eq!(c.analysis.retention, RetentionPolicy::windowed(128));
         assert!(c.validate().is_ok());

@@ -114,12 +114,9 @@ impl SieveService {
         };
         if let Some(seq) = staged {
             dshard.log.commit_through(seq)?;
-            // A creation record does not carry store content, so an adopted
-            // pre-loaded store is only durable once snapshotted.
-            let preloaded = creating && tenant.store.series_count() > 0;
             // The cadence takes `admin` for write when it trips.
             drop((shared, exclusive));
-            durable.note_logged_event(&self.registry, shard, preloaded)?;
+            durable.note_logged_event(&self.registry, shard)?;
         }
         Ok(accepted)
     }
@@ -191,18 +188,12 @@ impl DurableLog {
     }
 
     /// Counts one committed event towards the shard's snapshot cadence
-    /// and snapshots the shard when it trips, or regardless when `force`d.
-    /// Must be called with no shard admin guard held: tripping acquires
-    /// the admin lock for *write* to quiesce the shard first.
-    fn note_logged_event(
-        &self,
-        registry: &ShardedRegistry,
-        shard: usize,
-        force: bool,
-    ) -> Result<()> {
+    /// and snapshots the shard when it trips. Must be called with no shard
+    /// admin guard held: tripping acquires the admin lock for *write* to
+    /// quiesce the shard first.
+    fn note_logged_event(&self, registry: &ShardedRegistry, shard: usize) -> Result<()> {
         let dshard = &self.shards[shard];
-        let due =
-            |since_snapshot: u64| force || since_snapshot >= self.config.snapshot_every_events;
+        let due = |since_snapshot: u64| since_snapshot >= self.config.snapshot_every_events;
         let counter = &dshard.events_since_snapshot;
         if due(counter.fetch_add(1, Ordering::AcqRel) + 1) {
             let _quiesced = dshard.admin.write().expect(ADMIN_POISONED);

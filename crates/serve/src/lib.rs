@@ -4,7 +4,7 @@
 //! ShareLatex autoscaling polls it for the guiding metric, OpenStack RCA
 //! asks it for dependency graphs of two deployments. This crate is the
 //! layer that serves many such consumers at once: a
-//! [`service::SieveService`] owns N tenants — each an isolated
+//! [`SieveService`] owns N tenants — each an isolated
 //! `(MetricStore, AnalysisSession)` pair — behind a sharded registry, and
 //! multiplexes their refreshes over the shared deterministic executor.
 //!
@@ -16,32 +16,32 @@
 //!   shard. Shard locks guard only the name→tenant lookup; all per-tenant
 //!   state carries finer locks, so ingest on tenant A never contends with
 //!   analysis on tenant B.
-//! * **Batched ingestion** ([`service::SieveService::ingest`]): appends
+//! * **Batched ingestion** ([`SieveService::ingest`]): appends
 //!   [`MetricPoint`]s through the store's append/delta API — every
 //!   accepted point advances a content fingerprint and marks its series
 //!   touched.
-//! * **Dirty sweep** ([`service::SieveService::refresh_dirty`]): drains
+//! * **Dirty sweep** ([`SieveService::refresh_dirty`]): drains
 //!   every tenant's [`sieve_simulator::store::StoreDelta`] and refreshes
 //!   exactly the dirty tenants through one
 //!   [`sieve_exec::par_map_chunks`] fan-out in sorted tenant order —
 //!   deterministic across sweep parallelism degrees, and bit-identical to
 //!   per-tenant batch analysis (the incremental-session guarantee,
 //!   asserted by the `service_property` test and the unit tests).
-//! * **Model snapshots** ([`service::SieveService::model`]): each refresh
+//! * **Model snapshots** ([`SieveService::model`]): each refresh
 //!   publishes an `Arc<SieveModel>` swap; readers clone the `Arc` under a
 //!   momentary read lock and never block (or get blocked by) writers.
-//! * **Aggregated stats** ([`stats::ServiceStats`]): per-tenant
-//!   [`sieve_core::session::SessionStats`] summed across the fleet, so
+//! * **Aggregated stats** ([`ServiceStats`]): per-tenant
+//!   [`sieve_core::SessionStats`] summed across the fleet, so
 //!   "only dirty work was redone" stays observable at service scale.
-//! * **Crash safety** (opt-in via [`config::DurabilityConfig`]): every
+//! * **Crash safety** (opt-in via [`DurabilityConfig`]): every
 //!   accepted ingest batch and tenant-admin event is group-committed to a
 //!   per-shard write-ahead log with periodic atomic snapshots, and
-//!   [`service::SieveService::recover`] replays snapshot + log tail on
+//!   [`SieveService::recover`] replays snapshot + log tail on
 //!   boot through the ordinary store machinery — the recovered service
 //!   publishes models bit-identical to the pre-crash live ones, and a
 //!   torn or bit-flipped log tail degrades exactly the affected tenants
 //!   with a precisely accounted lost suffix
-//!   ([`recovery::RecoveryReport`]).
+//!   ([`RecoveryReport`]).
 //! * **Warm restart**: after a sweep that computed something new, each
 //!   affected shard's analysis caches are checkpointed beside its log (a
 //!   cache, with no fsync), and recovery seeds every tenant's session from
@@ -54,14 +54,14 @@
 //! become durable (the lock order, as code), the snapshot cadence and the
 //! one snapshot writer; `sweep` the one refresh sweep and the fleet
 //! gauges; `checkpoint` the analysis checkpoint a sweep writes and the
-//! seeds recovery reads from it; [`recovery`] the replay of one shard next
+//! seeds recovery reads from it; `recovery` the replay of one shard next
 //! to the report it produces; `registry` the sharded name→tenant map; `tenant` the
 //! per-tenant state with its locks behind accessors.
 //!
 //! # Example
 //!
 //! ```
-//! use sieve_core::config::SieveConfig;
+//! use sieve_core::SieveConfig;
 //! use sieve_graph::CallGraph;
 //! use sieve_serve::{MetricPoint, ServeConfig, SieveService};
 //!
@@ -80,25 +80,28 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 // A function over the default threshold (100 lines) is several functions;
 // CI runs clippy with `-D warnings`, so none can accrete here.
 #![warn(clippy::too_many_lines)]
 
-pub mod config;
-pub mod recovery;
-pub mod service;
-pub mod stats;
-
 mod checkpoint;
+mod config;
 mod durable;
 mod error;
+mod recovery;
 mod registry;
+mod service;
+mod stats;
 mod sweep;
 mod tenant;
 
 pub use config::{DurabilityConfig, ServeConfig};
 pub use error::ServeError;
-pub use recovery::{CheckpointSeeding, LostSuffix, RecoveryReport, TenantRecovery};
+pub use recovery::{
+    CheckpointSeeding, CorruptionSummary, LostSuffix, RecoveryReport, ShardRecovery, TenantRecovery,
+};
 pub use service::SieveService;
 pub use stats::ServiceStats;
 pub use tenant::MetricPoint;

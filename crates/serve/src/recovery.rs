@@ -19,7 +19,7 @@ use crate::checkpoint::Seeds;
 use crate::registry::ShardedRegistry;
 use crate::tenant::{Mutation, Tenant};
 use crate::{Result, ServeError};
-use sieve_core::config::SieveConfig;
+use sieve_core::SieveConfig;
 use sieve_exec::hash::shard_index;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
@@ -70,12 +70,12 @@ impl TenantRecovery {
     }
 
     /// Whether the tenant lost nothing.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         matches!(self, Self::Clean { .. })
     }
 
     /// The lost suffix, if any.
-    pub fn lost_suffix(&self) -> Option<&LostSuffix> {
+    pub(crate) fn lost_suffix(&self) -> Option<&LostSuffix> {
         match self {
             Self::Clean { .. } => None,
             Self::Recovered { lost_suffix, .. } => Some(lost_suffix),
@@ -247,7 +247,7 @@ impl RecoveryReport {
     }
 
     /// Total accounted loss across all shards.
-    pub fn lost(&self) -> LostSuffix {
+    pub(crate) fn lost(&self) -> LostSuffix {
         let mut total = LostSuffix::default();
         for recovery in self.shards.iter().flat_map(|shard| shard.tenants.values()) {
             if let Some(lost) = recovery.lost_suffix() {
@@ -259,7 +259,7 @@ impl RecoveryReport {
     }
 
     /// Tenants that did not recover cleanly, sorted by name.
-    pub fn degraded_tenants(&self) -> Vec<&str> {
+    pub(crate) fn degraded_tenants(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self
             .shards
             .iter()

@@ -7,9 +7,7 @@ use crate::registry::ShardedRegistry;
 use crate::stats::ServiceStats;
 use crate::tenant::{MetricPoint, Mutation, Tenant};
 use crate::{Result, ServeError};
-use sieve_core::config::SieveConfig;
-use sieve_core::model::SieveModel;
-use sieve_core::session::SessionStats;
+use sieve_core::SieveModel;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricStore, RetentionPolicy};
@@ -42,7 +40,7 @@ use std::sync::Arc;
 ///    never observe a half-updated model.
 ///
 /// Every published model is bit-identical to a from-scratch
-/// [`sieve_core::pipeline::Sieve::analyze`] of the same tenant's store —
+/// [`sieve_core::Sieve::analyze`] of the same tenant's store —
 /// the incremental-session guarantee, asserted across sweep parallelism
 /// degrees by the `service_property` test and the unit tests.
 #[derive(Debug)]
@@ -147,58 +145,14 @@ impl SieveService {
         call_graph: CallGraph,
         retention: RetentionPolicy,
     ) -> Result<()> {
-        let config = self.config.analysis.clone().with_retention(retention);
-        let store = MetricStore::with_retention(retention);
-        self.adopt_tenant_with_config(name, store, call_graph, config)
-    }
-
-    /// Registers a new tenant over an existing store handle (for example
-    /// one a simulation run recorded into).
-    ///
-    /// The service takes over the store's single-consumer delta stream:
-    /// after adoption, nothing else may call
-    /// [`MetricStore::drain_delta`] on this store (or on clones of it) —
-    /// points drained elsewhere would be invisible to
-    /// [`SieveService::refresh_dirty`]. Pre-existing, never-drained
-    /// content is picked up by the first sweep.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SieveService::create_tenant`].
-    pub fn adopt_tenant(
-        &self,
-        name: impl Into<Name>,
-        store: MetricStore,
-        call_graph: CallGraph,
-    ) -> Result<()> {
-        let config = self.config.analysis.clone();
-        self.adopt_tenant_with_config(name, store, call_graph, config)
-    }
-
-    /// Like [`SieveService::adopt_tenant`] with a per-tenant analysis
-    /// configuration overriding the service default.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SieveService::create_tenant`].
-    pub fn adopt_tenant_with_config(
-        &self,
-        name: impl Into<Name>,
-        store: MetricStore,
-        call_graph: CallGraph,
-        config: SieveConfig,
-    ) -> Result<()> {
         let name = name.into();
-        // The creation record must reproduce the store being adopted: its
-        // retention governs future evictions (and therefore the
-        // fingerprint chains replay verifies against), so the logged config
-        // carries the store's actual policy even when the session config
-        // was built from the service default.
+        let config = self.config.analysis.clone().with_retention(retention);
         let created = WalEvent::TenantCreated {
             tenant: name.clone(),
-            config: Box::new(config.clone().with_retention(store.retention())),
+            config: Box::new(config.clone()),
             call_graph: call_graph.clone(),
         };
+        let store = MetricStore::with_retention(retention);
         let (tenant, _) = Tenant::open(name, store, call_graph, config, None)?;
         self.mutate(&tenant, Mutation::Admin(created)).map(drop)
     }
@@ -333,7 +287,8 @@ impl SieveService {
     /// # Errors
     ///
     /// [`ServeError::UnknownTenant`] when `tenant` is not registered.
-    pub fn last_stats(&self, tenant: &str) -> Result<SessionStats> {
+    #[cfg(test)]
+    pub(crate) fn last_stats(&self, tenant: &str) -> Result<sieve_core::SessionStats> {
         Ok(self.registry.get(tenant)?.last_stats())
     }
 
@@ -354,12 +309,12 @@ impl SieveService {
     /// one parallel fan-out; returns what the sweep recomputed.
     ///
     /// A tenant is dirty when its session
-    /// [`needs_refresh`](sieve_core::session::AnalysisSession::needs_refresh):
+    /// [`needs_refresh`](sieve_core::AnalysisSession::needs_refresh):
     /// its drained [`StoreDelta`](sieve_simulator::store::StoreDelta) is
     /// non-empty, a failed earlier refresh put its work back, its call
     /// graph was replaced since its last successful refresh, or it has data
-    /// but never published a model (so adopted pre-loaded stores are
-    /// analysed on the first sweep). Tenants with
+    /// but never published a model (so a tenant recovered from a snapshot
+    /// is analysed on the first sweep). Tenants with
     /// *empty* stores are never refreshed — they stay unpublished
     /// ([`SieveService::model`] returns `None`) until their first accepted
     /// point, which keeps the published-model guarantee unconditional:
@@ -412,7 +367,7 @@ impl SieveService {
     /// # Example
     ///
     /// ```
-    /// use sieve_core::config::SieveConfig;
+    /// use sieve_core::SieveConfig;
     /// use sieve_graph::CallGraph;
     /// use sieve_serve::{MetricPoint, ServeConfig, SieveService};
     ///
@@ -487,7 +442,7 @@ impl SieveService {
     /// The restart is warm: each shard's analysis checkpoint, when there is
     /// one, seeds the sessions of the tenants it opens, so the first sweep
     /// re-clusters and re-tests only what changed since the checkpoint was
-    /// written ([`crate::recovery::ShardRecovery::checkpoint`] counts what
+    /// written ([`crate::ShardRecovery::checkpoint`] counts what
     /// it gave). A checkpoint is a cache: one that is missing, damaged, of
     /// another format, configuration or build, or stale costs work, never
     /// a different model or a failed recovery.

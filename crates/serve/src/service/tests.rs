@@ -5,7 +5,7 @@
 
 use super::*;
 use crate::TenantRecovery;
-use sieve_core::pipeline::Sieve;
+use sieve_core::{Sieve, SieveConfig};
 use sieve_wal::WalEvent;
 
 fn tiny_config() -> ServeConfig {
@@ -117,48 +117,6 @@ fn model_snapshots_survive_later_refreshes() {
     let second = service.model("acme").unwrap().unwrap();
     assert!(!Arc::ptr_eq(&first, &second), "a refresh swaps the Arc");
     assert_eq!(*first, first_copy, "old snapshots are never mutated");
-}
-
-#[test]
-fn adopt_tenant_analyses_preloaded_stores_on_the_first_sweep() {
-    let dir = temp_dir("adopt-preloaded");
-    // Memory-only, then durable: there the creation record does not carry
-    // the store's content, so adoption must snapshot the shard at once.
-    for config in [tiny_config(), durable_config(&dir)] {
-        let service = SieveService::new(config.clone()).unwrap();
-        let store = MetricStore::new();
-        for t in 0..80u64 {
-            let x = t as f64 * 0.2;
-            store.record(
-                &sieve_simulator::store::MetricId::new("web", "requests"),
-                t * 500,
-                x.sin(),
-            );
-            store.record(
-                &sieve_simulator::store::MetricId::new("web", "latency"),
-                t * 500,
-                x.cos(),
-            );
-        }
-        service
-            .adopt_tenant("legacy", store.clone(), CallGraph::new())
-            .unwrap();
-        let stats = service.refresh_dirty().unwrap();
-        assert_eq!(stats.tenants_refreshed, 1);
-        let model = service.model("legacy").unwrap().unwrap();
-        assert_eq!(model.total_metric_count(), 2);
-        if config.durability.is_none() {
-            continue;
-        }
-        drop(service);
-        let (recovered, report) = SieveService::recover(config).unwrap();
-        assert!(report.is_clean(), "{report}");
-        let shard = sieve_exec::hash::shard_index("legacy", 4);
-        assert_eq!(report.shards[shard].snapshot_last_seq, 1, "{report}");
-        recovered.refresh_dirty().unwrap();
-        assert_eq!(*recovered.model("legacy").unwrap().unwrap(), *model);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -424,6 +382,44 @@ fn set_retention_refuses_an_out_of_range_policy() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_refused_creation_leaves_no_tenant_and_no_record() {
+    let dir = temp_dir("refused-creation");
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000));
+    let service = SieveService::new(config.clone()).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap();
+    ingest_wave(&service, "acme", 0..40, 0.0);
+    let log_len = |name: &str| {
+        let shard = sieve_exec::hash::shard_index(name, 4);
+        std::fs::metadata(dir.join(sieve_wal::log_file_name(shard)))
+            .unwrap()
+            .len()
+    };
+    let logged = [log_len("acme"), log_len("zero")];
+
+    let zero_window = RetentionPolicy {
+        raw_capacity: Some(0),
+    };
+    assert!(matches!(
+        service.create_tenant_with_retention("zero", web_db_graph(), zero_window),
+        Err(ServeError::Analysis { .. })
+    ));
+    assert!(matches!(
+        service.create_tenant("acme", CallGraph::new()),
+        Err(ServeError::DuplicateTenant { .. })
+    ));
+    assert_eq!(service.tenant_count(), 1);
+    assert_eq!([log_len("acme"), log_len("zero")], logged);
+    drop(service);
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(recovered.tenants(), vec!["acme"]);
+    assert_eq!(recovered.store("acme").unwrap().point_count(), 4 * 40);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A unique temp directory per test (tests run in parallel).
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sieve-serve-{tag}-{}", std::process::id()));
@@ -642,7 +638,7 @@ fn a_batch_whose_watermark_list_repeats_a_series_degrades_only_its_tenant() {
         points: vec![(0, 40 * 500, 1.0), (1, 41 * 500, 2.0), (0, 42 * 500, 3.0)],
         watermarks: vec![(requests.clone(), 1), (requests, 2)],
     };
-    bytes.extend_from_slice(&sieve_wal::frame::encode(last_seq + 1, &batch));
+    bytes.extend_from_slice(&sieve_wal::encode(last_seq + 1, &batch));
     std::fs::write(&log_path, &bytes).unwrap();
 
     let (recovered, report) = SieveService::recover(config).unwrap();
@@ -780,7 +776,7 @@ fn append_verified_frame(
     tenant: &str,
     payload: &[u8],
 ) -> (usize, u64) {
-    use sieve_wal::codec::{put_u32, put_u64};
+    use sieve_wal::{put_u32, put_u64};
     let shard = sieve_exec::hash::shard_index(tenant, config.shard_count);
     let log_path = dir.join(sieve_wal::log_file_name(shard));
     let mut bytes = std::fs::read(&log_path).unwrap();
@@ -788,7 +784,7 @@ fn append_verified_frame(
     let seq = sieve_wal::scan_log(&bytes).last_seq().unwrap() + 1;
     put_u32(&mut bytes, payload.len() as u32);
     put_u64(&mut bytes, seq);
-    put_u64(&mut bytes, sieve_wal::frame::checksum(seq, payload));
+    put_u64(&mut bytes, sieve_wal::checksum(seq, payload));
     bytes.extend_from_slice(payload);
     std::fs::write(&log_path, &bytes).unwrap();
     (shard, offset)
@@ -851,10 +847,10 @@ fn a_verified_frame_of_the_retired_tag_1_is_refused_not_truncated() {
     // A tenant-created record in tag 1's framing: a configuration with
     // two bytes more.
     let mut payload = vec![1];
-    sieve_wal::codec::put_str(&mut payload, "gamma");
-    sieve_wal::codec::put_sieve_config(&mut payload, &config.analysis);
+    sieve_wal::put_str(&mut payload, "gamma");
+    sieve_wal::put_sieve_config(&mut payload, &config.analysis);
     payload.extend_from_slice(&[0, 0]);
-    sieve_wal::codec::put_call_graph(&mut payload, &web_db_graph());
+    sieve_wal::put_call_graph(&mut payload, &web_db_graph());
     let at = append_verified_frame(&dir, &config, "alpha", &payload);
     assert_recover_refuses_tag(&dir, config, at, 1);
     let _ = std::fs::remove_dir_all(&dir);

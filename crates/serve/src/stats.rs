@@ -1,6 +1,6 @@
 //! Aggregated service statistics.
 
-use sieve_core::session::SessionStats;
+use sieve_core::SessionStats;
 
 /// What one cross-tenant sweep (or the tenants' last refreshes, via
 /// [`crate::service::SieveService::stats`]) recomputed, aggregated over
@@ -86,7 +86,7 @@ pub struct ServiceStats {
 impl ServiceStats {
     /// Folds one tenant's refresh statistics into the aggregate (counts the
     /// tenant as refreshed).
-    pub fn absorb(&mut self, stats: &SessionStats) {
+    pub(crate) fn absorb(&mut self, stats: &SessionStats) {
         self.tenants_refreshed += 1;
         self.epoch_high_watermark = self.epoch_high_watermark.max(stats.epoch);
         self.components_total += stats.components_total;
@@ -100,7 +100,7 @@ impl ServiceStats {
     /// Folds one tenant store's retention counters into the aggregate.
     /// Called for every registered tenant (refreshed or not): retention is
     /// a property of the fleet's stores, not of any particular sweep.
-    pub fn absorb_retention(&mut self, store: &sieve_simulator::store::MetricStore) {
+    pub(crate) fn absorb_retention(&mut self, store: &sieve_simulator::store::MetricStore) {
         self.points_retained += store.retained_point_count();
         self.points_evicted += store.evicted_point_count();
     }

@@ -5,7 +5,7 @@ use crate::service::SieveService;
 use crate::stats::ServiceStats;
 use crate::tenant::Tenant;
 use crate::{Result, ServeError};
-use sieve_core::session::SessionStats;
+use sieve_core::SessionStats;
 use sieve_exec::hash::shard_index;
 use sieve_exec::par_map_chunks;
 use std::collections::BTreeSet;

@@ -4,9 +4,7 @@
 //! applies each later mutation to it.
 
 use crate::{Result, ServeError};
-use sieve_core::config::SieveConfig;
-use sieve_core::model::SieveModel;
-use sieve_core::session::{AnalysisSession, SessionCache, SessionStats};
+use sieve_core::{AnalysisSession, SessionCache, SessionStats, SieveConfig, SieveModel};
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{BatchOutcome, MetricId, MetricStore};
@@ -138,8 +136,8 @@ impl Tenant {
     /// The one constructor: a tenant over `store`, with a session that
     /// plans comparisons over `call_graph` under `config`, seeded with
     /// `cache` when recovery found one for it in a checkpoint. Live
-    /// creation and adoption, a restored snapshot and a replayed creation
-    /// record all build their tenant here. Returns the tenant and what its
+    /// creation, a restored snapshot and a replayed creation record all
+    /// build their tenant here. Returns the tenant and what its
     /// session took of `cache` ([`AnalysisSession::seed`]): `None` when
     /// there was none or it was computed under another fingerprint.
     ///

@@ -19,7 +19,7 @@
 //! Deterministic splitmix64 data generation, like the sibling property
 //! suites (the container has no registry access for `proptest`).
 
-use sieve_core::config::SieveConfig;
+use sieve_core::SieveConfig;
 use sieve_graph::CallGraph;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, MetricPoint, ServeConfig, SieveService};
 use std::path::{Path, PathBuf};
@@ -193,7 +193,7 @@ fn concurrent_admin_and_ingest_keep_per_tenant_apply_order() {
     // and loosening retention concurrently: whatever the interleaving,
     // recovery must replay to exactly the live store (the per-tenant
     // apply-order lock is what makes the logged order match).
-    use sieve_core::config::RetentionPolicy;
+    use sieve_core::RetentionPolicy;
     let dir = temp_dir("admin-race");
     let service = Arc::new(SieveService::new(config(&dir)).unwrap());
     service.create_tenant("acme", graph()).unwrap();

@@ -32,10 +32,9 @@
 //! then dropped the service. Events 4 and 5 are the log tail, and the
 //! format record names 5.
 
-use sieve_core::config::SieveConfig;
+use sieve_core::SieveConfig;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, ServeError, SieveService};
-use sieve_wal::frame::HEADER_LEN;
-use sieve_wal::{log_file_name, snapshot_file_name, FORMAT_FILE_NAME};
+use sieve_wal::{log_file_name, snapshot_file_name, FORMAT_FILE_NAME, HEADER_LEN};
 use std::path::{Path, PathBuf};
 
 const LOG: &[u8] = include_bytes!("fixtures/parent-tag4-v3/wal-shard-0.log");

@@ -11,7 +11,7 @@
 //! The counting allocator sees every thread of this test binary, which is
 //! why the file holds one test.
 
-use sieve_core::config::{RetentionPolicy, SieveConfig};
+use sieve_core::{RetentionPolicy, SieveConfig};
 use sieve_graph::CallGraph;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, MetricPoint, ServeConfig, SieveService};
 use std::alloc::{GlobalAlloc, Layout, System};

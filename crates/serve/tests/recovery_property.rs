@@ -26,7 +26,7 @@
 //!   none — the models are the same, and a clean recovery with the newest
 //!   one re-clusters and re-tests nothing.
 
-use sieve_core::config::{RetentionPolicy, SieveConfig};
+use sieve_core::{RetentionPolicy, SieveConfig};
 use sieve_exec::hash::shard_index;
 use sieve_graph::CallGraph;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, MetricPoint, ServeConfig, SieveService};
@@ -298,9 +298,7 @@ fn untimed(report: &sieve_serve::RecoveryReport) -> sieve_serve::RecoveryReport 
     report
 }
 
-fn models_of(
-    service: &SieveService,
-) -> BTreeMap<&'static str, Option<sieve_core::model::SieveModel>> {
+fn models_of(service: &SieveService) -> BTreeMap<&'static str, Option<sieve_core::SieveModel>> {
     TENANTS
         .iter()
         .map(|t| (*t, service.model(t).unwrap().map(|m| (*m).clone())))

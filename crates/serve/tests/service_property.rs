@@ -7,8 +7,7 @@
 //! access for `proptest`): every run checks the identical pseudo-random
 //! inputs, so failures are trivially reproducible.
 
-use sieve_core::config::SieveConfig;
-use sieve_core::pipeline::Sieve;
+use sieve_core::{Sieve, SieveConfig};
 use sieve_graph::CallGraph;
 use sieve_serve::{MetricPoint, ServeConfig, SieveService};
 
@@ -83,7 +82,7 @@ fn wave(rng: &mut Rng, tenant_index: usize, from_tick: u64, ticks: u64) -> Vec<M
 
 /// Runs the full interleaved-ingest scenario on a service with the given
 /// sweep parallelism and returns the final per-tenant models.
-fn run_scenario(sweep_parallelism: usize) -> Vec<sieve_core::model::SieveModel> {
+fn run_scenario(sweep_parallelism: usize) -> Vec<sieve_core::SieveModel> {
     // Same seed for every parallelism degree: identical ingest streams.
     let mut rng = Rng::new(0x5EEDED);
     let service = SieveService::new(

@@ -10,7 +10,7 @@
 //! the `Missing` kind). The counts say what each kind saved: the current
 //! checkpoint leaves the first sweep nothing to re-cluster or re-test.
 
-use sieve_core::config::SieveConfig;
+use sieve_core::SieveConfig;
 use sieve_graph::CallGraph;
 use sieve_serve::{
     CheckpointSeeding, DurabilityConfig, FsyncPolicy, MetricPoint, ServeConfig, ServiceStats,
@@ -77,7 +77,7 @@ fn graph() -> CallGraph {
 /// Runs the service that crashes: a first sweep, more ingest for two
 /// tenants, a second sweep that publishes the final content, then the
 /// crash. Returns the live models.
-fn run_and_crash(dir: &Path, analysis: SieveConfig) -> Vec<sieve_core::model::SieveModel> {
+fn run_and_crash(dir: &Path, analysis: SieveConfig) -> Vec<sieve_core::SieveModel> {
     let service = SieveService::new(config(dir, analysis, 1)).unwrap();
     for (i, tenant) in TENANTS.iter().enumerate() {
         service.create_tenant(*tenant, graph()).unwrap();
@@ -93,7 +93,7 @@ fn run_and_crash(dir: &Path, analysis: SieveConfig) -> Vec<sieve_core::model::Si
     models
 }
 
-fn models(service: &SieveService) -> Vec<sieve_core::model::SieveModel> {
+fn models(service: &SieveService) -> Vec<sieve_core::SieveModel> {
     TENANTS
         .iter()
         .map(|t| (*service.model(t).unwrap().expect("published")).clone())

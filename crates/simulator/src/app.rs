@@ -49,12 +49,6 @@ impl ComponentSpec {
         self
     }
 
-    /// Sets the initial instance count (builder style).
-    pub fn with_instances(mut self, instances: usize) -> Self {
-        self.instances = instances.max(1);
-        self
-    }
-
     /// Sets the per-instance capacity (builder style).
     pub fn with_capacity(mut self, capacity: f64) -> Self {
         self.capacity_per_instance = capacity.max(1e-6);
@@ -150,7 +144,7 @@ impl AppSpec {
     }
 
     /// Mutable access to a component (used by fault injection).
-    pub fn component_mut(&mut self, name: &str) -> Option<&mut ComponentSpec> {
+    pub(crate) fn component_mut(&mut self, name: &str) -> Option<&mut ComponentSpec> {
         self.components.get_mut(name)
     }
 
@@ -160,7 +154,7 @@ impl AppSpec {
     }
 
     /// Mutable access to the call edges (used by fault injection).
-    pub fn calls_mut(&mut self) -> &mut Vec<CallSpec> {
+    pub(crate) fn calls_mut(&mut self) -> &mut Vec<CallSpec> {
         &mut self.calls
     }
 
@@ -243,7 +237,6 @@ mod tests {
         app.add_component(
             ComponentSpec::new("backend")
                 .with_metric(metric("queries"))
-                .with_instances(2)
                 .with_capacity(50.0),
         );
         app.add_call(
@@ -267,7 +260,6 @@ mod tests {
     fn builders_apply_settings() {
         let app = valid_app();
         let backend = app.component("backend").unwrap();
-        assert_eq!(backend.instances, 2);
         assert_eq!(backend.capacity_per_instance, 50.0);
         let call = &app.calls()[0];
         assert_eq!(call.fanout, 2.0);
@@ -325,11 +317,5 @@ mod tests {
             app.validate(),
             Err(SimulatorError::InvalidSpec { .. })
         ));
-    }
-
-    #[test]
-    fn instances_are_clamped_to_at_least_one() {
-        let c = ComponentSpec::new("c").with_instances(0);
-        assert_eq!(c.instances, 1);
     }
 }

@@ -85,7 +85,7 @@ impl SimConfig {
     }
 
     /// Number of ticks in a full run.
-    pub fn total_ticks(&self) -> usize {
+    pub(crate) fn total_ticks(&self) -> usize {
         (self.duration_ms / self.tick_ms.max(1)) as usize
     }
 }
@@ -224,13 +224,9 @@ impl Simulation {
         })
     }
 
-    /// The simulation configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// The application specification being simulated.
-    pub fn spec(&self) -> &AppSpec {
+    #[cfg(test)]
+    pub(crate) fn spec(&self) -> &AppSpec {
         &self.spec
     }
 
@@ -378,11 +374,6 @@ impl Simulation {
         };
     }
 
-    /// The current external-workload multiplier.
-    pub fn rate_multiplier(&self) -> f64 {
-        self.rate_multiplier
-    }
-
     /// Applies a [`FaultScenario`](crate::fault::FaultScenario) to the *running* simulation — the
     /// mid-stream counterpart of building a faulty [`AppSpec`] up front.
     /// Metric states whose specification is unchanged keep their internal
@@ -394,8 +385,8 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Propagates [`FaultScenario::apply`](crate::fault::FaultScenario::apply) and [`AppSpec::validate`]
-    /// failures; on error the simulation is unchanged.
+    /// Propagates the failures of applying the scenario and of
+    /// [`AppSpec::validate`]; on error the simulation is unchanged.
     pub fn apply_faults(&mut self, scenario: &crate::fault::FaultScenario) -> Result<()> {
         let new_spec = scenario.applied_to(&self.spec)?;
         new_spec.validate()?;
@@ -454,7 +445,7 @@ impl Simulation {
     }
 
     /// Whether the simulation has processed all ticks.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.current_tick >= self.total_ticks
     }
 
@@ -627,7 +618,7 @@ impl Simulation {
     /// [`Simulation::run_to_completion`]: a driver alternates
     /// [`Simulation::step`] calls with `drain_delta` and feeds each delta
     /// to an incremental analysis session.
-    pub fn drain_delta(&self) -> crate::store::StoreDelta {
+    pub(crate) fn drain_delta(&self) -> crate::store::StoreDelta {
         self.store.drain_delta()
     }
 
@@ -805,8 +796,8 @@ mod tests {
     fn latency_increases_under_overload() {
         let light = run_sim(Workload::constant(5.0), 30_000, 4);
         let heavy = run_sim(Workload::constant(500.0), 30_000, 4);
-        let light_p90 = sieve_timeseries::stats::percentile(light.latency_samples(), 90.0).unwrap();
-        let heavy_p90 = sieve_timeseries::stats::percentile(heavy.latency_samples(), 90.0).unwrap();
+        let light_p90 = sieve_timeseries::percentile(light.latency_samples(), 90.0).unwrap();
+        let heavy_p90 = sieve_timeseries::percentile(heavy.latency_samples(), 90.0).unwrap();
         assert!(
             heavy_p90 > 3.0 * light_p90,
             "p90 {heavy_p90} vs {light_p90}"
@@ -1093,7 +1084,7 @@ mod tests {
             sim.step();
         }
         sim.set_rate_multiplier(3.0);
-        assert_eq!(sim.rate_multiplier(), 3.0);
+        assert_eq!(sim.rate_multiplier, 3.0);
         sim.run_to_completion();
         let lb = sim
             .store()
@@ -1106,9 +1097,9 @@ mod tests {
             "regime shift visible at the entrypoint: {before} -> {after}"
         );
         sim.set_rate_multiplier(f64::NAN);
-        assert_eq!(sim.rate_multiplier(), 1.0);
+        assert_eq!(sim.rate_multiplier, 1.0);
         sim.set_rate_multiplier(-2.0);
-        assert_eq!(sim.rate_multiplier(), 0.0);
+        assert_eq!(sim.rate_multiplier, 0.0);
     }
 
     #[test]
@@ -1205,7 +1196,7 @@ mod tests {
             observed.len() as u64 > replay.point_count(),
             "some points dropped"
         );
-        for id in sim.store().metric_ids() {
+        for id in sim.store().export().into_keys() {
             assert_eq!(sim.store().series(&id), replay.series(&id));
         }
     }

@@ -97,7 +97,7 @@ impl FaultScenario {
     ///   component that does not exist.
     /// * [`SimulatorError::InvalidSpec`] when a referenced metric or call
     ///   edge does not exist, or a capacity factor is out of range.
-    pub fn apply(&self, spec: &mut AppSpec) -> Result<()> {
+    pub(crate) fn apply(&self, spec: &mut AppSpec) -> Result<()> {
         for fault in &self.faults {
             apply_fault(spec, fault)?;
         }
@@ -109,7 +109,10 @@ impl FaultScenario {
     ///
     /// # Errors
     ///
-    /// Same as [`FaultScenario::apply`].
+    /// * [`SimulatorError::UnknownComponent`] when a fault references a
+    ///   component that does not exist.
+    /// * [`SimulatorError::InvalidSpec`] when a referenced metric or call
+    ///   edge does not exist, or a capacity factor is out of range.
     pub fn applied_to(&self, spec: &AppSpec) -> Result<AppSpec> {
         let mut faulty = spec.clone();
         self.apply(&mut faulty)?;

@@ -6,33 +6,33 @@
 //! infrastructure is available to a library reproduction, so this crate
 //! provides the behaviour-preserving substitute (`docs/ARCHITECTURE.md`):
 //!
-//! * [`app`] — declarative application models: components, their metrics and
+//! * [`AppSpec`] — declarative application models: components, their metrics and
 //!   the RPC topology connecting them;
-//! * [`metrics`] — metric behaviours (load-proportional gauges, saturating
+//! * [`MetricBehavior`] — metric behaviours (load-proportional gauges, saturating
 //!   latencies, counters, constants, periodic and random-walk signals);
-//! * [`workload`] — load generators: constant, ramp, spike, sessions and a
+//! * [`Workload`] — load generators: constant, ramp, spike, sessions and a
 //!   WorldCup-98-like one-hour trace;
-//! * [`engine`] — the discrete-time simulation that propagates load along
+//! * [`Simulation`] — the discrete-time simulation that propagates load along
 //!   the call graph (with per-edge lag) and emits every metric as a time
 //!   series;
-//! * [`tracer`] — the call-graph recorder (sysdig's overhead is a constant
+//! * `tracer` — the call-graph recorder (sysdig's overhead is a constant
 //!   factor on the engine's modelled latency);
 //! * [`store`] — the in-memory metric store: series, content
 //!   fingerprints, the epoch/delta API, and the bounded-memory retention
 //!   layer (ring windows) that lets long-running services ingest forever
 //!   with flat memory (Table 3's cost
-//!   model is not here: `sieve_bench::table3` prices the store's point and
+//!   model is not here: `sieve_bench::monitoring_overhead` prices the store's point and
 //!   series counts);
-//! * [`fault`] — fault injection used by the RCA case study to produce a
+//! * [`FaultScenario`] — fault injection used by the RCA case study to produce a
 //!   "faulty version" of an application.
 //!
 //! # Example
 //!
 //! ```
-//! use sieve_simulator::app::{AppSpec, CallSpec, ComponentSpec};
-//! use sieve_simulator::engine::{SimConfig, Simulation};
-//! use sieve_simulator::metrics::{MetricBehavior, MetricSpec};
-//! use sieve_simulator::workload::Workload;
+//! use sieve_simulator::{
+//!     AppSpec, CallSpec, ComponentSpec, MetricBehavior, MetricSpec, SimConfig, Simulation,
+//!     Workload,
+//! };
 //!
 //! let mut app = AppSpec::new("demo", "frontend");
 //! app.add_component(
@@ -55,18 +55,25 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
-pub mod app;
-pub mod engine;
-pub mod fault;
-pub mod metrics;
+mod app;
+mod engine;
+mod fault;
+mod metrics;
 pub mod store;
-pub mod tracer;
-pub mod workload;
+mod tracer;
+mod workload;
 
 mod error;
 
+pub use app::{AppSpec, CallSpec, ComponentSpec};
+pub use engine::{SimConfig, Simulation, TickSnapshot};
 pub use error::SimulatorError;
+pub use fault::{Fault, FaultScenario};
+pub use metrics::{MetricBehavior, MetricKind, MetricSpec};
+pub use workload::{Burst, Workload};
 
 /// Convenient result alias for simulator operations.
 pub type Result<T> = std::result::Result<T, SimulatorError>;

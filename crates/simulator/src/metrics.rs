@@ -170,7 +170,7 @@ impl MetricSpec {
 /// Deterministic pseudo-noise in `[-0.5, 0.5]`, parameterised by a seed and a
 /// step index, so that simulation runs are reproducible for a given seed and
 /// differ across seeds.
-pub fn deterministic_noise(seed: u64, step: u64) -> f64 {
+pub(crate) fn deterministic_noise(seed: u64, step: u64) -> f64 {
     let mut s = seed
         .wrapping_mul(0x9E3779B97F4A7C15)
         .wrapping_add(step.wrapping_mul(0xBF58476D1CE4E5B9));
@@ -184,7 +184,7 @@ pub fn deterministic_noise(seed: u64, step: u64) -> f64 {
 
 /// Internal evaluation state for one metric instance in a running simulation.
 #[derive(Debug, Clone)]
-pub struct MetricState {
+pub(crate) struct MetricState {
     spec: MetricSpec,
     counter_value: f64,
     walk_value: f64,
@@ -193,7 +193,7 @@ pub struct MetricState {
 
 impl MetricState {
     /// Creates the evaluation state for a metric.
-    pub fn new(spec: MetricSpec, noise_seed: u64) -> Self {
+    pub(crate) fn new(spec: MetricSpec, noise_seed: u64) -> Self {
         Self {
             spec,
             counter_value: 0.0,
@@ -203,7 +203,7 @@ impl MetricState {
     }
 
     /// The metric specification.
-    pub fn spec(&self) -> &MetricSpec {
+    pub(crate) fn spec(&self) -> &MetricSpec {
         &self.spec
     }
 
@@ -211,7 +211,7 @@ impl MetricState {
     ///
     /// `load_history` must contain the component's per-instance load for all
     /// ticks up to and including the current one (index = tick).
-    pub fn sample(&mut self, tick: usize, load_history: &[f64]) -> f64 {
+    pub(crate) fn sample(&mut self, tick: usize, load_history: &[f64]) -> f64 {
         let noise = deterministic_noise(self.noise_seed, tick as u64);
         let current_load = load_history.last().copied().unwrap_or(0.0);
         match &self.spec.behavior {

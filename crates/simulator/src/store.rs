@@ -959,11 +959,6 @@ impl MetricStore {
         inner.get(id).map(|s| s.window().to_series())
     }
 
-    /// All metric identifiers currently stored, sorted.
-    pub fn metric_ids(&self) -> Vec<MetricId> {
-        self.read().series.iter().map(|s| s.id.clone()).collect()
-    }
-
     /// Names of all components that have at least one stored series.
     pub fn components(&self) -> Vec<Name> {
         let mut names = Vec::new();
@@ -1245,13 +1240,11 @@ mod tests {
     #[test]
     fn metric_ids_are_filtered_by_component() {
         let store = populated();
-        let web = store
-            .metric_ids()
-            .into_iter()
-            .filter(|id| id.component == "web");
+        let ids = store.export().into_keys().collect::<Vec<_>>();
+        let web = ids.iter().filter(|id| id.component == "web");
         assert_eq!(web.count(), 3);
         assert_eq!(store.components(), vec!["db", "web"]);
-        assert_eq!(store.metric_ids().len(), 6);
+        assert_eq!(ids.len(), 6);
     }
 
     #[test]
@@ -1854,8 +1847,8 @@ mod tests {
             assert_eq!(outcome.accepted, 12, "round {round}");
             assert_eq!(store.series_count(), 12, "round {round}");
             let live: Vec<(MetricId, u64)> = store
-                .metric_ids()
-                .into_iter()
+                .export()
+                .into_keys()
                 .map(|id| {
                     let fingerprint = store.fingerprint(&id).unwrap();
                     (id, fingerprint)

@@ -11,20 +11,20 @@ use sieve_graph::CallGraph;
 
 /// Records component-to-component calls during a simulation run.
 #[derive(Debug, Clone, Default)]
-pub struct Tracer {
+pub(crate) struct Tracer {
     graph: CallGraph,
 }
 
 impl Tracer {
     /// Creates an idle tracer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records `count` calls from `caller` to `callee`. Accepts anything
     /// that interns to a [`Name`]; passing `&Name`s (as the simulation
     /// engine does every tick) skips the interner entirely.
-    pub fn record(&mut self, caller: impl Into<Name>, callee: impl Into<Name>, count: u64) {
+    pub(crate) fn record(&mut self, caller: impl Into<Name>, callee: impl Into<Name>, count: u64) {
         if count == 0 {
             return;
         }
@@ -32,17 +32,17 @@ impl Tracer {
     }
 
     /// Registers a component that may never communicate.
-    pub fn register_component(&mut self, name: impl Into<Name>) {
+    pub(crate) fn register_component(&mut self, name: impl Into<Name>) {
         self.graph.add_component(name);
     }
 
     /// The call graph observed so far.
-    pub fn call_graph(&self) -> &CallGraph {
+    pub(crate) fn call_graph(&self) -> &CallGraph {
         &self.graph
     }
 
     /// Consumes the tracer and returns the call graph.
-    pub fn into_call_graph(self) -> CallGraph {
+    pub(crate) fn into_call_graph(self) -> CallGraph {
         self.graph
     }
 }

@@ -94,12 +94,12 @@ impl Burst {
     }
 
     /// First tick after the burst.
-    pub fn end_tick(&self) -> usize {
+    pub(crate) fn end_tick(&self) -> usize {
         self.start_tick + self.duration_ticks
     }
 
     /// Whether `tick` falls inside the burst window.
-    pub fn contains(&self, tick: usize) -> bool {
+    pub(crate) fn contains(&self, tick: usize) -> bool {
         (self.start_tick..self.end_tick()).contains(&tick)
     }
 }
@@ -108,7 +108,7 @@ impl Burst {
 /// `(seed, step)`: Knuth's product-of-uniforms algorithm over the same
 /// splitmix-style stream as [`deterministic_noise`]. `lambda` is clamped to
 /// `[0, 600]` so `exp(-lambda)` stays above `f64::MIN_POSITIVE`.
-pub fn poisson_sample(seed: u64, step: u64, lambda: f64) -> f64 {
+pub(crate) fn poisson_sample(seed: u64, step: u64, lambda: f64) -> f64 {
     let lambda = if lambda.is_finite() {
         lambda.clamp(0.0, 600.0)
     } else {
@@ -282,27 +282,28 @@ impl Workload {
     }
 
     /// Peak rate over a run of `total_ticks` ticks.
-    pub fn peak_rate(&self, total_ticks: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn peak_rate(&self, total_ticks: usize) -> f64 {
         (0..total_ticks)
             .map(|t| self.rate_at(t, total_ticks))
             .fold(0.0, f64::max)
-    }
-
-    /// Mean rate over a run of `total_ticks` ticks.
-    pub fn mean_rate(&self, total_ticks: usize) -> f64 {
-        if total_ticks == 0 {
-            return 0.0;
-        }
-        (0..total_ticks)
-            .map(|t| self.rate_at(t, total_ticks))
-            .sum::<f64>()
-            / total_ticks as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean rate over a run of `total_ticks` ticks.
+    fn mean_rate(workload: &Workload, total_ticks: usize) -> f64 {
+        if total_ticks == 0 {
+            return 0.0;
+        }
+        (0..total_ticks)
+            .map(|t| workload.rate_at(t, total_ticks))
+            .sum::<f64>()
+            / total_ticks as f64
+    }
 
     #[test]
     fn constant_workload_is_flat() {
@@ -353,7 +354,7 @@ mod tests {
     fn worldcup_like_has_a_spike_above_the_baseline() {
         let w = Workload::worldcup_like(720, 100.0, 3);
         let peak = w.peak_rate(720);
-        let mean = w.mean_rate(720);
+        let mean = mean_rate(&w, 720);
         assert!(peak > 1.5 * mean, "peak {peak} vs mean {mean}");
         // The spike is located around 65% of the trace.
         let spike_region_max = (0..720)
@@ -377,7 +378,7 @@ mod tests {
     fn poisson_arrivals_have_the_right_mean_and_are_bursty() {
         let w = Workload::poisson(40.0, 11);
         let total = 400;
-        let mean = w.mean_rate(total);
+        let mean = mean_rate(&w, total);
         assert!(
             (mean - 40.0).abs() < 4.0,
             "empirical mean {mean} should be near lambda"
@@ -446,7 +447,7 @@ mod tests {
     fn mean_and_peak_are_consistent() {
         let w = Workload::spike(10.0, 100.0, 0, 50);
         assert_eq!(w.peak_rate(100), 100.0);
-        assert!((w.mean_rate(100) - 55.0).abs() < 1e-9);
-        assert_eq!(w.mean_rate(0), 0.0);
+        assert!((mean_rate(&w, 100) - 55.0).abs() < 1e-9);
+        assert_eq!(mean_rate(&w, 0), 0.0);
     }
 }

@@ -9,7 +9,7 @@
 /// The result has length `data.len() - 1` (empty for inputs shorter than 2).
 ///
 /// ```
-/// assert_eq!(sieve_timeseries::diff::first_difference(&[1.0, 4.0, 9.0]), vec![3.0, 5.0]);
+/// assert_eq!(sieve_timeseries::first_difference(&[1.0, 4.0, 9.0]), vec![3.0, 5.0]);
 /// ```
 pub fn first_difference(data: &[f64]) -> Vec<f64> {
     if data.len() < 2 {

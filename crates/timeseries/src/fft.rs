@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 
 /// A complex number with `f64` components.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Complex {
+pub(crate) struct Complex {
     /// Real part.
     pub re: f64,
     /// Imaginary part.
@@ -38,12 +38,12 @@ pub struct Complex {
 
 impl Complex {
     /// Creates a complex number from real and imaginary parts.
-    pub fn new(re: f64, im: f64) -> Self {
+    pub(crate) fn new(re: f64, im: f64) -> Self {
         Self { re, im }
     }
 
     /// The purely real complex number `re + 0i`.
-    pub fn from_real(re: f64) -> Self {
+    pub(crate) fn from_real(re: f64) -> Self {
         Self { re, im: 0.0 }
     }
 }
@@ -168,7 +168,7 @@ fn stage_root(len: usize) -> Complex {
 }
 
 /// Smallest power of two that is `>= n` (returns 1 for `n == 0`).
-pub fn next_power_of_two(n: usize) -> usize {
+pub(crate) fn next_power_of_two(n: usize) -> usize {
     if n <= 1 {
         return 1;
     }
@@ -195,7 +195,7 @@ pub fn next_power_of_two(n: usize) -> usize {
 /// built by the very carry-chain loop [`fft_in_place_naive`] runs per
 /// transform, so the two cannot disagree.
 #[derive(Debug)]
-pub struct TwiddleTable {
+pub(crate) struct TwiddleTable {
     n: usize,
     re: Vec<f64>,
     im: Vec<f64>,
@@ -209,7 +209,7 @@ impl TwiddleTable {
     /// # Panics
     ///
     /// Panics if `n` is not a power of two.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n.is_power_of_two(), "FFT length must be a power of two");
         let mut re = Vec::with_capacity(n.saturating_sub(1));
         let mut im = Vec::with_capacity(n.saturating_sub(1));
@@ -246,14 +246,8 @@ impl TwiddleTable {
     }
 
     /// The FFT length this table serves.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// Whether the table is for the trivial length-1 transform (which has no
-    /// twiddle factors at all).
-    pub fn is_empty(&self) -> bool {
-        self.re.is_empty()
     }
 
     /// The twiddles of the stage with butterfly span `len` (a power of two
@@ -284,7 +278,7 @@ impl TwiddleTable {
 /// # Panics
 ///
 /// Panics if `n` is not a power of two.
-pub fn twiddle_table(n: usize) -> Arc<TwiddleTable> {
+pub(crate) fn twiddle_table(n: usize) -> Arc<TwiddleTable> {
     const SLOTS: usize = usize::BITS as usize;
     static TABLES: [OnceLock<Arc<TwiddleTable>>; SLOTS] = [const { OnceLock::new() }; SLOTS];
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
@@ -306,7 +300,7 @@ pub fn twiddle_table(n: usize) -> Arc<TwiddleTable> {
 ///
 /// Panics if the slices differ in length or the length is not a power of
 /// two (use [`next_power_of_two`] and zero-padding to prepare inputs).
-pub fn fft_in_place(re: &mut [f64], im: &mut [f64]) {
+pub(crate) fn fft_in_place(re: &mut [f64], im: &mut [f64]) {
     let n = re.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
     fft_in_place_with(re, im, &twiddle_table(n));
@@ -318,7 +312,7 @@ pub fn fft_in_place(re: &mut [f64], im: &mut [f64]) {
 /// # Panics
 ///
 /// Panics if `re.len()` or `im.len()` differs from the table's length.
-pub fn fft_in_place_with(re: &mut [f64], im: &mut [f64], table: &TwiddleTable) {
+pub(crate) fn fft_in_place_with(re: &mut [f64], im: &mut [f64], table: &TwiddleTable) {
     let first_len = head_stages(re, im, table);
     // Bit-reversal permutation, read off the table.
     for (i, &j) in table.bit_reversal().iter().enumerate() {
@@ -508,7 +502,8 @@ fn butterfly_span_real(ar: &mut [f64], br: &mut [f64], bi: &[f64], wr: &[f64], w
 /// # Panics
 ///
 /// Panics if `data.len()` is not a power of two.
-pub fn fft_in_place_naive(data: &mut [Complex]) {
+#[cfg(test)]
+pub(crate) fn fft_in_place_naive(data: &mut [Complex]) {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
     if n <= 1 {
@@ -547,39 +542,13 @@ pub fn fft_in_place_naive(data: &mut [Complex]) {
     }
 }
 
-/// Batched in-place FFT: transforms every consecutive `n`-chunk of
-/// `re[] + i·im[]` with a single twiddle-table fetch, streaming two
-/// contiguous buffers.
-///
-/// Bit-identical to running [`fft_in_place`] on each chunk separately — the
-/// batch shares the table and the memory layout, not the summation order —
-/// so batched spectra can feed every bitwise model-equality assert.
-///
-/// # Panics
-///
-/// Panics if `n` is not a power of two, the slices differ in length, or
-/// their length is not a multiple of `n`.
-pub fn fft_batch(re: &mut [f64], im: &mut [f64], n: usize) {
-    assert!(n.is_power_of_two(), "FFT length must be a power of two");
-    assert_eq!(re.len(), im.len(), "one imaginary part per real part");
-    assert_eq!(
-        re.len() % n,
-        0,
-        "batch buffer must be a whole number of length-{n} transforms"
-    );
-    let table = twiddle_table(n);
-    for (re, im) in re.chunks_exact_mut(n).zip(im.chunks_exact_mut(n)) {
-        fft_in_place_with(re, im, &table);
-    }
-}
-
 /// In-place inverse FFT (including the `1/n` scaling), as conjugate →
 /// forward transform → conjugate.
 ///
 /// # Panics
 ///
 /// Same as [`fft_in_place`].
-pub fn ifft_in_place(re: &mut [f64], im: &mut [f64]) {
+pub(crate) fn ifft_in_place(re: &mut [f64], im: &mut [f64]) {
     for v in im.iter_mut() {
         *v = -*v;
     }
@@ -598,7 +567,7 @@ pub fn ifft_in_place(re: &mut [f64], im: &mut [f64]) {
 ///
 /// Panics if `padded_len` is smaller than `signal.len()` or not a power of
 /// two.
-pub fn fft_real(signal: &[f64], padded_len: usize) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn fft_real(signal: &[f64], padded_len: usize) -> (Vec<f64>, Vec<f64>) {
     assert!(padded_len >= signal.len(), "padded length too small");
     let mut re = signal.to_vec();
     re.resize(padded_len, 0.0);
@@ -883,7 +852,6 @@ mod tests {
         let n = 64;
         let table = TwiddleTable::new(n);
         assert_eq!(table.len(), n);
-        assert!(!table.is_empty());
         let mut len = 2;
         while len <= n {
             let wlen = stage_root(len);
@@ -939,32 +907,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same length must share one table");
         let c = twiddle_table(512);
         assert!(!Arc::ptr_eq(&a, &c));
-    }
-
-    #[test]
-    fn fft_batch_is_bitwise_equal_to_per_series_ffts() {
-        for (count, n) in [(1usize, 8usize), (3, 64), (7, 128), (16, 32), (64, 1024)] {
-            let singles: Vec<(Vec<f64>, Vec<f64>)> = (0..count)
-                .map(|series| split(&random_complex(n, series as u64 * 31 + 7)))
-                .collect();
-            let mut batch_re: Vec<f64> = singles.iter().flat_map(|s| s.0.clone()).collect();
-            let mut batch_im: Vec<f64> = singles.iter().flat_map(|s| s.1.clone()).collect();
-            fft_batch(&mut batch_re, &mut batch_im, n);
-            for (series, (mut re, mut im)) in singles.into_iter().enumerate() {
-                fft_in_place(&mut re, &mut im);
-                let chunk = series * n..(series + 1) * n;
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                let ctx = format!("count={count} n={n} series={series}");
-                assert_eq!(bits(&batch_re[chunk.clone()]), bits(&re), "{ctx}: re");
-                assert_eq!(bits(&batch_im[chunk]), bits(&im), "{ctx}: im");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "whole number")]
-    fn fft_batch_rejects_ragged_buffers() {
-        fft_batch(&mut [0.0; 12], &mut [0.0; 12], 8);
     }
 
     #[test]

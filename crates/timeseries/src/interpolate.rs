@@ -27,7 +27,7 @@ use crate::{Result, TimeSeriesError};
 /// # Example
 ///
 /// ```
-/// use sieve_timeseries::interpolate::CubicSpline;
+/// use sieve_timeseries::CubicSpline;
 ///
 /// # fn main() -> Result<(), sieve_timeseries::TimeSeriesError> {
 /// let xs = [0.0, 1.0, 2.0, 3.0];
@@ -152,7 +152,7 @@ impl CubicSpline {
 /// Outside the knot range the boundary values are returned (constant
 /// extrapolation). Returns `None` when no knots are provided or the slices
 /// have different lengths.
-pub fn linear_interpolate(xs: &[f64], ys: &[f64], x: f64) -> Option<f64> {
+pub(crate) fn linear_interpolate(xs: &[f64], ys: &[f64], x: f64) -> Option<f64> {
     if xs.is_empty() || xs.len() != ys.len() {
         return None;
     }

@@ -13,7 +13,7 @@ use crate::stats;
 /// the conventional behaviour in the k-Shape reference implementation.
 ///
 /// ```
-/// let z = sieve_timeseries::normalize::z_normalize(&[2.0, 4.0, 6.0]);
+/// let z = sieve_timeseries::z_normalize(&[2.0, 4.0, 6.0]);
 /// assert!(z[1].abs() < 1e-12);
 /// ```
 pub fn z_normalize(data: &[f64]) -> Vec<f64> {

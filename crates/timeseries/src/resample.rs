@@ -12,7 +12,7 @@
 //! Resampling is one merge walk over the grid and the observations, which
 //! are the interpolant's knots. A grid point that is a knot takes the
 //! knot's value. That is exact, not an approximation: both interpolants
-//! return a knot's own value at the knot (see [`crate::interpolate`]).
+//! return a knot's own value at the knot (see [`crate::CubicSpline`]).
 //! Only a grid point no knot sits on — in a gap, under jitter, or the
 //! overhang past the last observation — is interpolated. It is evaluated on
 //! the segment the walk stands on, and the interpolant is fitted once, at

@@ -43,7 +43,7 @@ pub struct SbdResult {
 /// # Errors
 ///
 /// * [`TimeSeriesError::Empty`] if either input is empty.
-pub fn ncc_sequence(x: &[f64], y: &[f64]) -> Result<Vec<f64>> {
+pub(crate) fn ncc_sequence(x: &[f64], y: &[f64]) -> Result<Vec<f64>> {
     if x.is_empty() || y.is_empty() {
         return Err(TimeSeriesError::Empty);
     }
@@ -73,7 +73,7 @@ pub fn ncc_sequence(x: &[f64], y: &[f64]) -> Result<Vec<f64>> {
 /// # Example
 ///
 /// ```
-/// use sieve_timeseries::sbd::shape_based_distance;
+/// use sieve_timeseries::shape_based_distance;
 ///
 /// # fn main() -> Result<(), sieve_timeseries::TimeSeriesError> {
 /// let a = vec![0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0];

@@ -25,7 +25,7 @@ pub struct TimeSeries {
 
 impl TimeSeries {
     /// Creates an empty series.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -102,7 +102,7 @@ impl TimeSeries {
     ///
     /// Returns [`TimeSeriesError::UnsortedTimestamps`] if `timestamp_ms` is
     /// not greater than the last timestamp already in the series.
-    pub fn push(&mut self, timestamp_ms: u64, value: f64) -> Result<()> {
+    pub(crate) fn push(&mut self, timestamp_ms: u64, value: f64) -> Result<()> {
         if let Some(&last) = self.timestamps_ms.last() {
             if timestamp_ms <= last {
                 return Err(TimeSeriesError::UnsortedTimestamps {
@@ -134,7 +134,8 @@ impl TimeSeries {
     }
 
     /// Total covered duration in milliseconds (zero for < 2 points).
-    pub fn duration_ms(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn duration_ms(&self) -> u64 {
         match (self.start_ms(), self.end_ms()) {
             (Some(s), Some(e)) => e - s,
             _ => 0,
@@ -142,7 +143,8 @@ impl TimeSeries {
     }
 
     /// Returns the sub-series with timestamps in `[from_ms, to_ms)`.
-    pub fn window(&self, from_ms: u64, to_ms: u64) -> TimeSeries {
+    #[cfg(test)]
+    pub(crate) fn window(&self, from_ms: u64, to_ms: u64) -> TimeSeries {
         let mut timestamps = Vec::new();
         let mut values = Vec::new();
         for (t, v) in self.iter() {
@@ -159,7 +161,8 @@ impl TimeSeries {
 
     /// Returns a new series with the same timestamps and values transformed
     /// by `f`.
-    pub fn map<F: FnMut(f64) -> f64>(&self, mut f: F) -> TimeSeries {
+    #[cfg(test)]
+    pub(crate) fn map<F: FnMut(f64) -> f64>(&self, mut f: F) -> TimeSeries {
         TimeSeries {
             timestamps_ms: self.timestamps_ms.clone(),
             values: self.values.iter().map(|&v| f(v)).collect(),
@@ -216,7 +219,7 @@ impl<'a> SeriesView<'a> {
     }
 
     /// The viewed timestamps in milliseconds.
-    pub fn timestamps(&self) -> &'a [u64] {
+    pub(crate) fn timestamps(&self) -> &'a [u64] {
         self.timestamps_ms
     }
 
@@ -234,7 +237,7 @@ impl<'a> SeriesView<'a> {
     }
 
     /// First timestamp, if any.
-    pub fn start_ms(&self) -> Option<u64> {
+    pub(crate) fn start_ms(&self) -> Option<u64> {
         self.timestamps_ms.first().copied()
     }
 
@@ -254,7 +257,7 @@ impl<'a> SeriesView<'a> {
 
 impl TimeSeries {
     /// A zero-copy view of the whole series.
-    pub fn view(&self) -> SeriesView<'_> {
+    pub(crate) fn view(&self) -> SeriesView<'_> {
         SeriesView {
             timestamps_ms: &self.timestamps_ms,
             values: &self.values,

@@ -3,7 +3,7 @@
 //! Every shape-based distance evaluation needs the same two ingredients
 //! per series — the L2 norm of its z-normalized values and the forward FFT
 //! of the z-normalized signal at the padded power-of-two length. The naive
-//! [`crate::sbd::shape_based_distance`] recomputes them for *both*
+//! [`crate::shape_based_distance`] recomputes them for *both*
 //! operands on every call; k-Shape fit, centroid refinement and
 //! silhouette-based k selection together issue O(n²·k·iterations) such
 //! calls per component. A [`SeriesSpectrum`] computes the ingredients once
@@ -13,10 +13,10 @@
 //!
 //! The cached path is **bit-identical** to the naive one: the kernel
 //! ([`sbd_oriented`]) performs, per output value, the float operations of
-//! [`crate::fft::cross_correlation`] followed by the division and
-//! first-maximum scan of [`crate::sbd::shape_based_distance`] — it only
+//! [`crate::cross_correlation`] followed by the division and
+//! first-maximum scan of [`crate::shape_based_distance`] — it only
 //! stops materialising the intermediate vectors — and the cached forward
-//! FFT is the transform [`crate::fft::fft_real`] runs for the direct path.
+//! FFT is the transform `fft::fft_real` runs for the direct path.
 //! The pipeline's cached/naive model equality tests rely on this.
 //!
 //! Everything here is in the transform's split-complex layout — real parts
@@ -137,23 +137,27 @@ impl SeriesSpectrum {
     }
 
     /// Original series length.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the underlying series is empty (never true for a constructed
     /// spectrum; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// L2 norm of the z-normalized values (0 for a constant series).
-    pub fn norm(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn norm(&self) -> f64 {
         self.norm
     }
 
     /// The padded FFT length.
-    pub fn padded_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn padded_len(&self) -> usize {
         self.padded_len
     }
 
@@ -240,12 +244,14 @@ impl SpectrumBatch {
     }
 
     /// Number of spectra in the batch.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.spectra.len()
     }
 
     /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.spectra.is_empty()
     }
 

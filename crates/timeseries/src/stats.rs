@@ -92,7 +92,7 @@ pub fn centered_sum_of_squares(data: &[f64], center: f64) -> f64 {
 /// Arithmetic mean of `data`. Returns `0.0` for an empty slice.
 ///
 /// ```
-/// assert_eq!(sieve_timeseries::stats::mean(&[1.0, 2.0, 3.0]), 2.0);
+/// assert_eq!(sieve_timeseries::mean(&[1.0, 2.0, 3.0]), 2.0);
 /// ```
 pub fn mean(data: &[f64]) -> f64 {
     if data.is_empty() {
@@ -112,7 +112,7 @@ pub fn variance(data: &[f64]) -> f64 {
 }
 
 /// Population standard deviation.
-pub fn std_dev(data: &[f64]) -> f64 {
+pub(crate) fn std_dev(data: &[f64]) -> f64 {
     variance(data).sqrt()
 }
 
@@ -152,11 +152,6 @@ pub fn percentile(data: &[f64], p: f64) -> Option<f64> {
     }
     let frac = rank - lo as f64;
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Median (50th percentile).
-pub fn median(data: &[f64]) -> Option<f64> {
-    percentile(data, 50.0)
 }
 
 /// Pearson correlation coefficient; `0.0` when either series is constant or
@@ -258,7 +253,6 @@ mod tests {
     #[test]
     fn percentile_of_empty_is_none() {
         assert_eq!(percentile(&[], 50.0), None);
-        assert_eq!(median(&[]), None);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! pseudo-random inputs, which also makes failures trivially reproducible.
 
 use sieve_timeseries::{
-    diff, fft, interpolate, normalize, resample, sbd, spectrum, stats, SeriesView, TimeSeries,
-    TimeSeriesError,
+    align_to, apply_shift, cross_correlation, cross_correlation_naive, first_difference, max, mean,
+    min, pearson, percentile, resample, sbd, shape_based_distance, spectrum, variance, z_normalize,
+    CubicSpline, SeriesView, TimeSeries, TimeSeriesError,
 };
 
 /// Deterministic splitmix64 generator for test data.
@@ -54,8 +55,8 @@ const CASES: u64 = 50;
 fn z_normalization_yields_zero_mean() {
     for seed in 0..CASES {
         let data = Rng::new(seed).finite_vec(2, 200);
-        let z = normalize::z_normalize(&data);
-        assert!(stats::mean(&z).abs() < 1e-6, "seed {seed}");
+        let z = z_normalize(&data);
+        assert!(mean(&z).abs() < 1e-6, "seed {seed}");
     }
 }
 
@@ -63,8 +64,8 @@ fn z_normalization_yields_zero_mean() {
 fn z_normalization_yields_unit_variance_or_zero() {
     for seed in 0..CASES {
         let data = Rng::new(seed).finite_vec(2, 200);
-        let z = normalize::z_normalize(&data);
-        let var = stats::variance(&z);
+        let z = z_normalize(&data);
+        let var = variance(&z);
         // Either the input was (numerically) constant, or variance is 1.
         assert!(var.abs() < 1e-6 || (var - 1.0).abs() < 1e-6, "seed {seed}");
     }
@@ -74,7 +75,7 @@ fn z_normalization_yields_unit_variance_or_zero() {
 fn variance_is_non_negative() {
     for seed in 0..CASES {
         let data = Rng::new(seed).finite_vec(0, 100);
-        assert!(stats::variance(&data) >= 0.0, "seed {seed}");
+        assert!(variance(&data) >= 0.0, "seed {seed}");
     }
 }
 
@@ -84,9 +85,9 @@ fn percentile_is_within_min_max() {
         let mut rng = Rng::new(seed);
         let data = rng.finite_vec(1, 100);
         let p = rng.range(0.0, 100.0);
-        let v = stats::percentile(&data, p).unwrap();
-        let lo = stats::min(&data).unwrap();
-        let hi = stats::max(&data).unwrap();
+        let v = percentile(&data, p).unwrap();
+        let lo = min(&data).unwrap();
+        let hi = max(&data).unwrap();
         assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "seed {seed}");
     }
 }
@@ -98,7 +99,7 @@ fn pearson_is_bounded() {
         let x = rng.finite_vec(2, 100);
         let y = rng.finite_vec(2, 100);
         let n = x.len().min(y.len());
-        let r = stats::pearson(&x[..n], &y[..n]);
+        let r = pearson(&x[..n], &y[..n]);
         assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "seed {seed}");
     }
 }
@@ -109,8 +110,8 @@ fn fft_cross_correlation_matches_naive() {
         let mut rng = Rng::new(seed);
         let x = rng.finite_vec(1, 40);
         let y = rng.finite_vec(1, 40);
-        let fast = fft::cross_correlation(&x, &y);
-        let slow = fft::cross_correlation_naive(&x, &y);
+        let fast = cross_correlation(&x, &y);
+        let slow = cross_correlation_naive(&x, &y);
         assert_eq!(fast.len(), slow.len(), "seed {seed}");
         let scale = 1.0 + slow.iter().map(|v| v.abs()).fold(0.0, f64::max);
         for (a, b) in fast.iter().zip(slow.iter()) {
@@ -125,7 +126,7 @@ fn sbd_is_in_valid_range() {
         let mut rng = Rng::new(seed);
         let x = rng.finite_vec(2, 100);
         let y = rng.finite_vec(2, 100);
-        let d = sbd::sbd(&x, &y).unwrap();
+        let d = sbd(&x, &y).unwrap();
         assert!(
             (-1e-9..=2.0 + 1e-9).contains(&d),
             "seed {seed}: sbd out of range: {d}"
@@ -137,10 +138,10 @@ fn sbd_is_in_valid_range() {
 fn sbd_of_series_with_itself_is_zero() {
     for seed in 0..CASES {
         let x = Rng::new(seed).finite_vec(2, 100);
-        let d = sbd::sbd(&x, &x).unwrap();
+        let d = sbd(&x, &x).unwrap();
         // Constant series have SBD 1 against everything including themselves
         // (defined that way); otherwise the self-distance must vanish.
-        if stats::variance(&x) > 1e-12 {
+        if variance(&x) > 1e-12 {
             assert!(d.abs() < 1e-6, "seed {seed}: self distance {d}");
         }
     }
@@ -152,8 +153,8 @@ fn sbd_is_symmetric() {
         let mut rng = Rng::new(seed);
         let x = rng.finite_vec(2, 60);
         let y = rng.finite_vec(2, 60);
-        let dxy = sbd::sbd(&x, &y).unwrap();
-        let dyx = sbd::sbd(&y, &x).unwrap();
+        let dxy = sbd(&x, &y).unwrap();
+        let dyx = sbd(&y, &x).unwrap();
         assert!((dxy - dyx).abs() < 1e-6, "seed {seed}");
     }
 }
@@ -168,7 +169,7 @@ fn align_to_never_panics_and_preserves_length() {
         let mut rng = Rng::new(seed);
         let x = rng.finite_vec(1, 120);
         let y = rng.finite_vec(1, 120);
-        let aligned = sbd::align_to(&x, &y).unwrap();
+        let aligned = align_to(&x, &y).unwrap();
         assert_eq!(aligned.len(), y.len(), "seed {seed}");
         assert!(aligned.iter().all(|v| v.is_finite()), "seed {seed}");
     }
@@ -177,8 +178,8 @@ fn align_to_never_panics_and_preserves_length() {
     for len in 1..=12usize {
         let x: Vec<f64> = (0..128).map(|i| if i == 120 { 1.0 } else { 0.0 }).collect();
         let y: Vec<f64> = (0..len).map(|i| if i == 0 { 1.0 } else { 0.0 }).collect();
-        assert_eq!(sbd::align_to(&x, &y).unwrap().len(), len);
-        assert_eq!(sbd::align_to(&y, &x).unwrap().len(), x.len());
+        assert_eq!(align_to(&x, &y).unwrap().len(), len);
+        assert_eq!(align_to(&y, &x).unwrap().len(), x.len());
     }
 }
 
@@ -189,7 +190,7 @@ fn apply_shift_is_total_over_the_full_shift_range() {
         let y = rng.finite_vec(0, 60);
         let n = y.len() as isize;
         for shift in [-3 * n - 7, -n, -1, 0, 1, n, 3 * n + 7] {
-            let out = sbd::apply_shift(&y, shift);
+            let out = apply_shift(&y, shift);
             assert_eq!(out.len(), y.len(), "seed {seed} shift {shift}");
             if shift.unsigned_abs() >= y.len() {
                 assert!(out.iter().all(|&v| v == 0.0), "seed {seed} shift {shift}");
@@ -260,14 +261,28 @@ fn resample_at_every_grid_point(
         .map(|i| start + i * interval_ms)
         .collect();
     let values: Vec<f64> = if xs.len() >= 3 {
-        let spline = interpolate::CubicSpline::fit(&xs, ys)?;
+        let spline = CubicSpline::fit(&xs, ys)?;
         grid.iter().map(|&t| spline.evaluate(t as f64)).collect()
     } else {
-        grid.iter()
-            .map(|&t| interpolate::linear_interpolate(&xs, ys, t as f64).unwrap_or(ys[0]))
-            .collect()
+        grid.iter().map(|&t| linear_at(&xs, ys, t as f64)).collect()
     };
     TimeSeries::from_parts(grid, values)
+}
+
+/// Piecewise-linear interpolation of one or two knots at `x`, with the
+/// boundary values held outside them: the oracle's own copy of the
+/// fallback the resampler takes below three samples.
+fn linear_at(xs: &[f64], ys: &[f64], x: f64) -> f64 {
+    let last = xs.len() - 1;
+    if x <= xs[0] {
+        return ys[0];
+    }
+    if x >= xs[last] {
+        return ys[last];
+    }
+    let i = xs.iter().position(|&k| x <= k).unwrap();
+    let t = (x - xs[i - 1]) / (xs[i] - xs[i - 1]);
+    ys[i - 1] * (1.0 - t) + ys[i] * t
 }
 
 /// The window shapes the differential test draws.
@@ -427,7 +442,7 @@ fn spectrum_sbd_matches_direct_sbd_bitwise() {
         let len = rng.usize_in(1, 100);
         let x: Vec<f64> = (0..len).map(|_| rng.range(-1.0e3, 1.0e3)).collect();
         let y: Vec<f64> = (0..len).map(|_| rng.range(-1.0e3, 1.0e3)).collect();
-        let direct = sbd::shape_based_distance(&x, &y).unwrap();
+        let direct = shape_based_distance(&x, &y).unwrap();
         let sx = spectrum::SeriesSpectrum::compute(&x).unwrap();
         let sy = spectrum::SeriesSpectrum::compute(&y).unwrap();
         let cached = spectrum::sbd_from_spectra(&sx, &sy).unwrap();
@@ -444,11 +459,7 @@ fn spectrum_sbd_matches_direct_sbd_bitwise() {
 fn first_difference_reduces_length_by_one() {
     for seed in 0..CASES {
         let data = Rng::new(seed).finite_vec(2, 100);
-        assert_eq!(
-            diff::first_difference(&data).len(),
-            data.len() - 1,
-            "seed {seed}"
-        );
+        assert_eq!(first_difference(&data).len(), data.len() - 1, "seed {seed}");
     }
 }
 
@@ -463,7 +474,7 @@ fn differencing_a_cumulative_sum_recovers_the_signal() {
             acc += v;
             cumsum.push(acc);
         }
-        let recovered = diff::first_difference(&cumsum);
+        let recovered = first_difference(&cumsum);
         for (a, b) in recovered.iter().zip(data.iter()) {
             assert!((a - b).abs() < 1e-6, "seed {seed}");
         }
@@ -475,7 +486,7 @@ fn spline_passes_through_all_knots() {
     for seed in 0..CASES {
         let ys = Rng::new(seed).finite_vec(3, 30);
         let xs: Vec<f64> = (0..ys.len()).map(|i| i as f64).collect();
-        let spline = interpolate::CubicSpline::fit(&xs, &ys).unwrap();
+        let spline = CubicSpline::fit(&xs, &ys).unwrap();
         let scale = 1.0 + ys.iter().map(|v| v.abs()).fold(0.0, f64::max);
         for (x, y) in xs.iter().zip(ys.iter()) {
             assert!(

@@ -30,8 +30,9 @@ use crate::codec::{put_f64, put_str, put_u32, put_u64, put_usize, Cursor, Decode
 use crate::format::FORMAT;
 use crate::snapshot::{lane_checksum, read_whole};
 use crate::Result;
-use sieve_core::model::{ComponentClustering, MetricCluster};
-use sieve_core::session::{CachedClustering, CachedVerdict, SessionCache};
+use sieve_core::{
+    CachedClustering, CachedVerdict, ComponentClustering, MetricCluster, SessionCache,
+};
 use sieve_exec::Name;
 use sieve_graph::DependencyEdge;
 use std::io::Write;

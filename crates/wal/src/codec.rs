@@ -12,7 +12,7 @@
 //! descriptive `Err(String)` that the frame/snapshot layers convert into
 //! checksummed-corruption accounting.
 
-use sieve_core::config::{GrangerConfig, SieveConfig};
+use sieve_core::{GrangerConfig, SieveConfig};
 use sieve_exec::hash::splitmix64;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricId, RetentionPolicy, SeriesState, StoreState};
@@ -21,32 +21,32 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// Decode-side cursor over an immutable byte slice.
 #[derive(Debug)]
-pub struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 /// Shorthand for decode results: the error is a human-readable reason.
-pub type DecodeResult<T> = std::result::Result<T, String>;
+pub(crate) type DecodeResult<T> = std::result::Result<T, String>;
 
 impl<'a> Cursor<'a> {
     /// Starts a cursor at the beginning of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
     }
 
     /// Current byte position.
-    pub fn position(&self) -> usize {
+    pub(crate) fn position(&self) -> usize {
         self.pos
     }
 
     /// Whether every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pos == self.bytes.len()
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
@@ -72,18 +72,18 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads one byte.
-    pub fn take_u8(&mut self, what: &str) -> DecodeResult<u8> {
+    pub(crate) fn take_u8(&mut self, what: &str) -> DecodeResult<u8> {
         Ok(self.take(1, what)?[0])
     }
 
     /// Reads a little-endian `u32`.
-    pub fn take_u32(&mut self, what: &str) -> DecodeResult<u32> {
+    pub(crate) fn take_u32(&mut self, what: &str) -> DecodeResult<u32> {
         let b = self.take(4, what)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
     /// Reads a little-endian `u64`.
-    pub fn take_u64(&mut self, what: &str) -> DecodeResult<u64> {
+    pub(crate) fn take_u64(&mut self, what: &str) -> DecodeResult<u64> {
         let b = self.take(8, what)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
@@ -92,7 +92,7 @@ impl<'a> Cursor<'a> {
     /// encoding is accepted — an overlong one (a zero last byte after the
     /// first) or one past `u32::MAX` is an error — so every value has
     /// exactly one spelling on disk.
-    pub fn take_varint(&mut self, what: &str) -> DecodeResult<u32> {
+    pub(crate) fn take_varint(&mut self, what: &str) -> DecodeResult<u32> {
         let (mut value, mut shift) = (0u32, 0);
         loop {
             let byte = self.take_u8(what)?;
@@ -112,18 +112,18 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a `usize` persisted as a little-endian `u64`.
-    pub fn take_usize(&mut self, what: &str) -> DecodeResult<usize> {
+    pub(crate) fn take_usize(&mut self, what: &str) -> DecodeResult<usize> {
         let v = self.take_u64(what)?;
         usize::try_from(v).map_err(|_| format!("{what}: {v} overflows usize"))
     }
 
     /// Reads an `f64` persisted via [`f64::to_bits`].
-    pub fn take_f64(&mut self, what: &str) -> DecodeResult<f64> {
+    pub(crate) fn take_f64(&mut self, what: &str) -> DecodeResult<f64> {
         Ok(f64::from_bits(self.take_u64(what)?))
     }
 
     /// Reads a `bool` persisted as one byte (0 or 1).
-    pub fn take_bool(&mut self, what: &str) -> DecodeResult<bool> {
+    pub(crate) fn take_bool(&mut self, what: &str) -> DecodeResult<bool> {
         match self.take_u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -139,7 +139,7 @@ impl<'a> Cursor<'a> {
 
     /// Reads a `u32`-length-prefixed UTF-8 string, validated and borrowed
     /// from the input: a caller that keeps it interns or copies it.
-    pub fn take_str(&mut self, what: &str) -> DecodeResult<&'a str> {
+    pub(crate) fn take_str(&mut self, what: &str) -> DecodeResult<&'a str> {
         utf8(self.take_prefixed(what)?, what)
     }
 }
@@ -208,8 +208,7 @@ impl Hasher for WordHasher {
 ///
 /// Owning its keys, one memo outlives the bytes it read: a
 /// [`crate::reader::LogFrames`] owns the one for its whole log across every
-/// refill of its window, [`crate::ShardSnapshot::decode`] makes one per
-/// snapshot.
+/// refill of its window, and a snapshot's decode makes one per snapshot.
 #[derive(Debug, Default)]
 pub struct IdMemo {
     index: HashMap<Box<[u8]>, u32, BuildHasherDefault<WordHasher>>,
@@ -303,7 +302,7 @@ impl IdMemo {
 }
 
 /// Appends one byte.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
+pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
@@ -320,7 +319,7 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 /// Appends a `u32` as a canonical LEB128 varint: seven bits a byte, low
 /// bits first, the high bit set on every byte but the last, in the fewest
 /// bytes — one byte below 128, two below 16,384.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
+pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
     while v >= 0x80 {
         buf.push(v as u8 | 0x80);
         v >>= 7;
@@ -329,17 +328,17 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
 }
 
 /// Appends a `usize` as a little-endian `u64`.
-pub fn put_usize(buf: &mut Vec<u8>, v: usize) {
+pub(crate) fn put_usize(buf: &mut Vec<u8>, v: usize) {
     put_u64(buf, v as u64);
 }
 
 /// Appends an `f64` via [`f64::to_bits`] (bit-exact, NaN-safe).
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
 /// Appends a `bool` as one byte.
-pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
+pub(crate) fn put_bool(buf: &mut Vec<u8>, v: bool) {
     put_u8(buf, u8::from(v));
 }
 
@@ -350,7 +349,7 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 /// Appends a [`MetricId`] (component, metric).
-pub fn put_metric_id(buf: &mut Vec<u8>, id: &MetricId) {
+pub(crate) fn put_metric_id(buf: &mut Vec<u8>, id: &MetricId) {
     put_str(buf, id.component.as_str());
     put_str(buf, id.metric.as_str());
 }
@@ -358,13 +357,13 @@ pub fn put_metric_id(buf: &mut Vec<u8>, id: &MetricId) {
 /// Reads a [`MetricId`], interning it only if `memo` has not seen its
 /// encoded bytes before. A frozen store lists its series in id order, as a
 /// batch lists its watermarks.
-pub fn take_metric_id(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<MetricId> {
+pub(crate) fn take_metric_id(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<MetricId> {
     let entry = memo.sight(cur)?;
     Ok(memo.id(entry).clone())
 }
 
 /// Appends a [`RetentionPolicy`].
-pub fn put_retention(buf: &mut Vec<u8>, policy: &RetentionPolicy) {
+pub(crate) fn put_retention(buf: &mut Vec<u8>, policy: &RetentionPolicy) {
     match policy.raw_capacity {
         None => put_u8(buf, 0),
         Some(cap) => {
@@ -375,7 +374,7 @@ pub fn put_retention(buf: &mut Vec<u8>, policy: &RetentionPolicy) {
 }
 
 /// Reads a [`RetentionPolicy`].
-pub fn take_retention(cur: &mut Cursor<'_>) -> DecodeResult<RetentionPolicy> {
+pub(crate) fn take_retention(cur: &mut Cursor<'_>) -> DecodeResult<RetentionPolicy> {
     let raw_capacity = match cur.take_u8("retention tag")? {
         0 => None,
         1 => Some(cur.take_usize("retention raw capacity")?),
@@ -418,7 +417,7 @@ pub fn put_sieve_config(buf: &mut Vec<u8>, config: &SieveConfig) {
 
 /// Reads a full [`SieveConfig`], in the field order of
 /// [`put_sieve_config`].
-pub fn take_sieve_config(cur: &mut Cursor<'_>) -> DecodeResult<SieveConfig> {
+pub(crate) fn take_sieve_config(cur: &mut Cursor<'_>) -> DecodeResult<SieveConfig> {
     Ok(SieveConfig {
         interval_ms: cur.take_u64("interval_ms")?,
         variance_threshold: cur.take_f64("variance_threshold")?,
@@ -452,7 +451,7 @@ pub fn put_call_graph(buf: &mut Vec<u8>, graph: &CallGraph) {
 }
 
 /// Reads a [`CallGraph`].
-pub fn take_call_graph(cur: &mut Cursor<'_>) -> DecodeResult<CallGraph> {
+pub(crate) fn take_call_graph(cur: &mut Cursor<'_>) -> DecodeResult<CallGraph> {
     let mut graph = CallGraph::new();
     let components = cur.take_usize("call graph component count")?;
     for _ in 0..components {
@@ -502,7 +501,7 @@ fn take_series(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<SeriesSt
 }
 
 /// Appends a complete frozen store image.
-pub fn put_store_state(buf: &mut Vec<u8>, state: &StoreState) {
+pub(crate) fn put_store_state(buf: &mut Vec<u8>, state: &StoreState) {
     put_retention(buf, &state.retention);
     put_u64(buf, state.epoch);
     put_u64(buf, state.points_written);
@@ -514,7 +513,10 @@ pub fn put_store_state(buf: &mut Vec<u8>, state: &StoreState) {
 }
 
 /// Reads a complete frozen store image.
-pub fn take_store_state(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<StoreState> {
+pub(crate) fn take_store_state(
+    cur: &mut Cursor<'_>,
+    memo: &mut IdMemo,
+) -> DecodeResult<StoreState> {
     let retention = take_retention(cur)?;
     let epoch = cur.take_u64("store epoch")?;
     let points_written = cur.take_u64("store points_written")?;

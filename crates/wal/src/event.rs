@@ -46,7 +46,7 @@ use crate::codec::{
     put_usize, put_varint, take_call_graph, take_retention, take_sieve_config, Cursor,
     DecodeResult, IdMemo,
 };
-use sieve_core::config::SieveConfig;
+use sieve_core::SieveConfig;
 use sieve_exec::hash::addr_pair_hash;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
@@ -56,7 +56,7 @@ use std::cell::Cell;
 /// One durable, replayable mutation of one tenant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEvent {
-    /// A tenant was created (or adopted) with this configuration and
+    /// A tenant was created with this configuration and
     /// initial call graph. Replay recreates the tenant before any of its
     /// later events apply.
     TenantCreated {
@@ -234,7 +234,7 @@ impl WalEvent {
     ///
     /// Returns a descriptive reason for truncated, malformed, or
     /// trailing-garbage input (the frame layer attaches the file offset).
-    pub fn decode(bytes: &[u8], memo: &mut IdMemo) -> DecodeResult<Self> {
+    pub(crate) fn decode(bytes: &[u8], memo: &mut IdMemo) -> DecodeResult<Self> {
         let mut ingest = IngestBuf::default();
         Ok(match Self::decode_into(bytes, memo, &mut ingest)? {
             Decoded::Admin(event) => event,
@@ -501,7 +501,7 @@ impl<'f> IngestRef<'f> {
     }
 
     /// The tenant the batch was ingested for.
-    pub fn tenant(&self) -> &'f str {
+    pub(crate) fn tenant(&self) -> &'f str {
         self.tenant
     }
 
@@ -521,7 +521,7 @@ impl<'f> IngestRef<'f> {
     }
 
     /// The owned [`WalEvent::IngestBatch`] this batch decodes to.
-    pub fn to_event(&self) -> WalEvent {
+    pub(crate) fn to_event(self) -> WalEvent {
         WalEvent::IngestBatch {
             tenant: Name::new(self.tenant),
             points: self.points.to_vec(),

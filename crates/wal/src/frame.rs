@@ -31,7 +31,7 @@ pub const HEADER_LEN: usize = 4 + 8 + 8;
 /// Upper bound on a plausible payload length. Real frames are kilobytes;
 /// the cap exists so a corrupted length prefix cannot make the resync
 /// scanner treat half the file as one giant torn frame.
-pub const MAX_PAYLOAD: usize = 1 << 28;
+pub(crate) const MAX_PAYLOAD: usize = 1 << 28;
 
 /// Seed of the frame checksum chain ("SIEVWALF" in ASCII).
 const CHECKSUM_SEED: u64 = 0x5349_4556_5741_4C46;
@@ -46,7 +46,7 @@ pub fn checksum(seq: u64, payload: &[u8]) -> u64 {
 
 /// [`checksum`] of `N` frames at once: the `N` chains step in lockstep
 /// over the words every payload has, then each folds its own tail.
-pub fn checksums<const N: usize>(frames: [(u64, &[u8]); N]) -> [u64; N] {
+pub(crate) fn checksums<const N: usize>(frames: [(u64, &[u8]); N]) -> [u64; N] {
     let mut fps = frames.map(|(seq, payload)| mix(mix(CHECKSUM_SEED, seq), payload.len() as u64));
     let common = frames
         .iter()
@@ -91,7 +91,7 @@ pub(crate) fn frame_payload(seq: u64, payload: &[u8]) -> Vec<u8> {
 /// What [`parse_at`] found at a given byte offset; `E` is what the payload
 /// decoded to.
 #[derive(Debug)]
-pub enum Parsed<E = WalEvent> {
+pub(crate) enum Parsed<E = WalEvent> {
     /// A complete, checksum-verified, fully-decoded frame ending at `end`.
     Frame {
         /// The frame's sequence number.
@@ -230,7 +230,7 @@ pub(crate) fn unknown_tag_at(bytes: &[u8], offset: usize) -> Option<u8> {
 /// Never panics on any input; every malformation — torn header, torn
 /// payload, implausible length, checksum mismatch, undecodable payload —
 /// comes back as [`Parsed::Bad`].
-pub fn parse_at(bytes: &[u8], offset: usize, memo: &mut IdMemo) -> Parsed {
+pub(crate) fn parse_at(bytes: &[u8], offset: usize, memo: &mut IdMemo) -> Parsed {
     judge_at(bytes, offset, |payload| WalEvent::decode(payload, memo))
 }
 
@@ -238,7 +238,7 @@ pub fn parse_at(bytes: &[u8], offset: usize, memo: &mut IdMemo) -> Parsed {
 mod tests {
     use super::*;
     use crate::codec::unhex;
-    use sieve_core::config::{GrangerConfig, SieveConfig};
+    use sieve_core::{GrangerConfig, SieveConfig};
     use sieve_exec::hash::splitmix64;
     use sieve_graph::CallGraph;
     use sieve_simulator::store::{MetricId, RetentionPolicy};

@@ -35,7 +35,6 @@
 //!
 //! [`FsyncPolicy`]: crate::writer::FsyncPolicy
 
-use crate::event::WalEvent;
 use crate::frame;
 use crate::writer::{FileMedia, FsyncPolicy, WalMedia};
 use crate::Result;
@@ -136,7 +135,7 @@ pub struct GroupCommitLog {
 impl GroupCommitLog {
     /// Wraps `media`, continuing the sequence at `next_seq` (1 for a
     /// fresh log; recovery passes one past the last replayed frame).
-    pub fn new(media: Box<dyn WalMedia>, next_seq: u64, fsync: FsyncPolicy) -> Self {
+    pub(crate) fn new(media: Box<dyn WalMedia>, next_seq: u64, fsync: FsyncPolicy) -> Self {
         let next_seq = next_seq.max(1);
         Self {
             staging: Mutex::new(Staging {
@@ -180,7 +179,8 @@ impl GroupCommitLog {
     /// Encodes `event` and stages it. Convenience wrapper over
     /// [`GroupCommitLog::stage_encoded`] for admin-path events; the
     /// ingest hot path encodes into a pooled scratch buffer instead.
-    pub fn stage(&self, event: &WalEvent) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn stage(&self, event: &crate::WalEvent) -> u64 {
         let mut payload = Vec::new();
         event.encode(&mut payload);
         self.stage_encoded(&payload)
@@ -360,7 +360,8 @@ impl GroupCommitLog {
     }
 
     /// Sequence number the next staged event will receive.
-    pub fn next_seq(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn next_seq(&self) -> u64 {
         self.staging.lock().expect("wal staging poisoned").next_seq
     }
 
@@ -383,6 +384,7 @@ mod tests {
     use super::*;
     use crate::reader::scan_log;
     use crate::writer::testing::{ingest, MemMedia};
+    use crate::WalEvent;
     use std::sync::{Arc, Barrier};
 
     #[test]

@@ -8,24 +8,24 @@
 //! *persisting the event stream* and replaying it on boot. No model bytes
 //! are ever written; recovery re-derives them bit-identically.
 //!
-//! [`SieveModel`]: sieve_core::model::SieveModel
+//! [`SieveModel`]: sieve_core::SieveModel
 //!
 //! # Layout on disk
 //!
 //! One directory holds the whole service: per shard, an append-only log
-//! (`wal-shard-<i>.log`) of [`event::WalEvent`]s in length-prefixed,
-//! checksummed [`frame`]s, and at most one snapshot
+//! (`wal-shard-<i>.log`) of [`WalEvent`]s in length-prefixed,
+//! checksummed frames, and at most one snapshot
 //! (`wal-shard-<i>.snap`) capturing every tenant of the shard (frozen
 //! store image, configuration, call graph) plus the log sequence number
 //! it covers. Snapshots are written atomically (temp file + fsync +
 //! rename) and let the log be truncated, bounding replay work.
 //!
 //! A shard may also hold an analysis checkpoint (`wal-shard-<i>.ckpt`,
-//! [`checkpoint`]): its tenants' content-keyed analysis caches, which
+//! [`ShardCheckpoint`]): its tenants' content-keyed analysis caches, which
 //! recovery seeds sessions from. It is a cache, not state — written with no
 //! fsync, and read as a miss whenever it is absent, damaged or stale.
 //!
-//! Beside them sits one format record (`wal-format`, [`mod@format`]) naming
+//! Beside them sits one format record (`wal-format`, [`FORMAT`]) naming
 //! the directory's format number: every structure in the directory has
 //! that number's layout and one decoder, and a directory of another number
 //! is refused rather than read.
@@ -34,44 +34,46 @@
 //!
 //! A crash can tear the last frame, and disks can flip bits. Every frame
 //! carries a [`hash::splitmix64`]-mixed checksum over its sequence number
-//! and payload; [`reader::LogFrames`] stops at the first frame that fails
+//! and payload; [`LogFrames`] stops at the first frame that fails
 //! verification and then *resynchronizes* — scanning forward for valid
 //! frame headers — so the events lost to a mid-file corruption are
 //! counted per tenant instead of silently discarded. Recovery applies
 //! only the intact prefix and reports the exact lost suffix.
 //!
-//! The [`failpoint::FailpointFs`] media wrapper makes all of this
-//! testable deterministically: it kills the writer at a chosen byte
-//! offset and flips chosen bits in flight, so the crash/torn-write
-//! property suite can replay thousands of failure scenarios without a
-//! real power cut.
+//! The serving layer's crash/torn-write property suite
+//! (`crates/serve/tests/recovery_property.rs`) tests all of this
+//! deterministically without a real power cut: it truncates a written log
+//! at seeded offsets and flips bits in the files themselves, then checks
+//! that recovery applies exactly the intact prefix.
 //!
 //! [`hash::splitmix64`]: sieve_exec::hash::splitmix64
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
-pub mod checkpoint;
-pub mod codec;
-pub mod error;
-pub mod event;
-pub mod failpoint;
-pub mod format;
-pub mod frame;
-pub mod group;
-pub mod reader;
-pub mod snapshot;
-pub mod writer;
+mod checkpoint;
+mod codec;
+mod error;
+mod event;
+mod format;
+mod frame;
+mod group;
+mod reader;
+mod snapshot;
+mod writer;
 
 pub use checkpoint::{CheckpointRead, ShardCheckpoint, TenantCheckpoint};
+pub use codec::{put_call_graph, put_sieve_config, put_str, put_u32, put_u64, IdMemo};
 pub use error::WalError;
 pub use event::{IngestRef, WalEvent};
-pub use failpoint::FailpointFs;
 pub use format::{read_format, write_format, FORMAT, FORMAT_FILE_NAME};
+pub use frame::{checksum, encode, HEADER_LEN};
 pub use group::{GroupCommitLog, GroupCommitStats};
 pub use reader::{scan_log, Frame, LogCorruption, LogFrames, ScannedLog};
 pub use snapshot::{ShardSnapshot, TenantSnapshot};
-pub use writer::{FsyncPolicy, WalMedia};
+pub use writer::FsyncPolicy;
 
 /// Convenience alias for fallible WAL operations.
 pub type Result<T> = std::result::Result<T, WalError>;

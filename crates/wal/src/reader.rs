@@ -241,7 +241,7 @@ impl Frame<'_> {
     }
 
     /// The owned event the frame decodes to.
-    pub fn into_event(self) -> WalEvent {
+    pub(crate) fn into_event(self) -> WalEvent {
         match self {
             Self::Admin(event) => event,
             Self::Ingest(batch) => batch.to_event(),

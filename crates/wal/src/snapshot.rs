@@ -32,7 +32,7 @@ use crate::codec::{
 use crate::format::FORMAT;
 use crate::frame::checksums;
 use crate::{Result, WalError};
-use sieve_core::config::SieveConfig;
+use sieve_core::SieveConfig;
 use sieve_exec::hash::mix;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::StoreState;
@@ -100,7 +100,7 @@ impl ShardSnapshot {
     /// Encodes the snapshot: magic, version, checksum over the body, body.
     /// The body is written in place behind the header, whose checksum is
     /// filled in last.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
         put_u64(&mut bytes, MAGIC);
         put_u32(&mut bytes, FORMAT);
@@ -127,7 +127,7 @@ impl ShardSnapshot {
     /// Returns a descriptive reason if the magic, version, checksum or
     /// body is wrong — the caller treats any of these as "snapshot
     /// absent" and falls back to log replay.
-    pub fn decode(bytes: &[u8]) -> DecodeResult<Self> {
+    pub(crate) fn decode(bytes: &[u8]) -> DecodeResult<Self> {
         let mut cur = Cursor::new(bytes);
         let magic = cur.take_u64("snapshot magic")?;
         if magic != MAGIC {
@@ -302,7 +302,7 @@ mod tests {
             min_clusters: 3,
             max_clusters: 4,
             kshape_max_iterations: 17,
-            granger: sieve_core::config::GrangerConfig {
+            granger: sieve_core::GrangerConfig {
                 max_lag: 5,
                 significance: 0.01,
             },

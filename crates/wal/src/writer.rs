@@ -6,10 +6,8 @@
 //! never (leaving flushing to the OS — crash-unsafe but fast, fine for
 //! tests and benchmarks).
 //!
-//! All byte traffic goes through the [`WalMedia`] trait so the
-//! fault-injection harness ([`crate::failpoint::FailpointFs`]) can sit
-//! between the writer and the file and kill or corrupt the stream at a
-//! deterministic byte offset.
+//! All byte traffic goes through the [`WalMedia`] trait so the group
+//! commit's tests can substitute an in-memory media for the file.
 
 use crate::Result;
 use std::fs::{File, OpenOptions};
@@ -33,8 +31,8 @@ pub enum FsyncPolicy {
 }
 
 /// Destination of a shard log's bytes. `File` is the real thing; the
-/// fault-injection wrapper and in-memory test media implement it too.
-pub trait WalMedia: Send + std::fmt::Debug {
+/// in-memory test media implements it too.
+pub(crate) trait WalMedia: Send + std::fmt::Debug {
     /// Appends bytes at the end of the media.
     fn append(&mut self, bytes: &[u8]) -> std::io::Result<()>;
     /// Forces everything appended so far to stable storage.
@@ -43,7 +41,7 @@ pub trait WalMedia: Send + std::fmt::Debug {
 
 /// File-backed media: appends via `write_all`, syncs via `sync_data`.
 #[derive(Debug)]
-pub struct FileMedia {
+pub(crate) struct FileMedia {
     file: File,
 }
 
@@ -53,7 +51,7 @@ impl FileMedia {
     /// # Errors
     ///
     /// Propagates the underlying open failure.
-    pub fn open_append(path: &Path) -> Result<Self> {
+    pub(crate) fn open_append(path: &Path) -> Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(Self { file })
     }

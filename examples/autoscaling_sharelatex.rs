@@ -18,11 +18,8 @@
 //! cargo run --release --example autoscaling_sharelatex
 //! ```
 
-use sieve::autoscale::calibrate::calibrated_rule;
-use sieve::autoscale::engine::AutoscaleEngine;
-use sieve::autoscale::rules::{select_guiding_metric, SlaCondition};
-use sieve::core::config::SieveConfig;
-use sieve::core::pipeline::Sieve;
+use sieve::autoscale::{calibrated_rule, select_guiding_metric, AutoscaleEngine, SlaCondition};
+use sieve::core::{Sieve, SieveConfig};
 use sieve::prelude::*;
 use sieve_apps::sharelatex;
 

@@ -19,8 +19,7 @@
 //! ```
 
 use sieve::prelude::*;
-use sieve::scenario::matrix::{edge_drift, root_cause, DRIFT_WINDOW_EPOCHS, RCA_TOP_K};
-use sieve::scenario::run_streamed;
+use sieve::scenario::{edge_drift, root_cause, run_streamed, DRIFT_WINDOW_EPOCHS, RCA_TOP_K};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for spec in [root_cause(), edge_drift()] {

@@ -3,7 +3,7 @@
 //! randomized workload, and print the Granger-inferred dependency edges
 //! (step 3 of the paper, §3.3).
 //!
-//! The example also runs the reference analysis (`sieve::core::oracle`,
+//! The example also runs the reference analysis (`sieve::core::oracle_analyze`,
 //! every Granger test re-run per pair) and verifies that the engine changed
 //! nothing but the work schedule — the inferred model is bit-identical.
 //!
@@ -13,10 +13,8 @@
 //! cargo run --release --example dependency_inference
 //! ```
 
-use sieve::core::config::SieveConfig;
 use sieve::core::dependencies::planned_comparison_count;
-use sieve::core::oracle;
-use sieve::core::pipeline::{load_application, Sieve};
+use sieve::core::{load_application, Sieve, SieveConfig};
 use sieve::prelude::*;
 
 /// A small load balancer -> api -> db topology with per-tier metric
@@ -92,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // full Granger test per pair and direction.
     let config = SieveConfig::default();
     let cached = Sieve::new(config.clone()).analyze(&app.name, &store, &call_graph)?;
-    let naive = oracle::analyze(&app.name, &store, &call_graph, &config)?;
+    let naive = sieve::core::oracle_analyze(&app.name, &store, &call_graph, &config)?;
     assert_eq!(
         cached, naive,
         "the engines must not change the inferred model"

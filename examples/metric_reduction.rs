@@ -13,9 +13,9 @@
 //! ```
 
 use sieve::core::columnar::PreparedComponent;
-use sieve::core::config::SieveConfig;
 use sieve::core::reduce::{reduce_component, NamedSeries};
-use sieve::timeseries::sbd::sbd;
+use sieve::core::SieveConfig;
+use sieve::timeseries::sbd;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let len = 120;

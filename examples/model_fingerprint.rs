@@ -25,10 +25,9 @@
 //! ```
 
 use sieve::apps::{openstack, sharelatex, MetricRichness};
-use sieve::core::config::SieveConfig;
-use sieve::core::pipeline::{load_application, Sieve};
+use sieve::core::{load_application, Sieve, SieveConfig};
 use sieve::exec::hash::{mix_str, FINGERPRINT_SEED};
-use sieve::simulator::workload::Workload;
+use sieve::simulator::Workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let apps = [

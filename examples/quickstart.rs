@@ -8,9 +8,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sieve::core::config::SieveConfig;
-use sieve::core::pipeline::Sieve;
-use sieve::graph::dot::dependency_graph_to_dot;
+use sieve::core::{Sieve, SieveConfig};
+use sieve::graph::dependency_graph_to_dot;
 use sieve::prelude::*;
 use sieve_apps::sharelatex;
 

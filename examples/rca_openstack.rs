@@ -13,8 +13,7 @@
 //! cargo run --release --example rca_openstack
 //! ```
 
-use sieve::core::config::SieveConfig;
-use sieve::core::pipeline::Sieve;
+use sieve::core::{Sieve, SieveConfig};
 use sieve::prelude::*;
 use sieve::rca::{RcaConfig, RcaEngine};
 use sieve_apps::openstack;

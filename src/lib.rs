@@ -25,7 +25,7 @@
 //! applications' incremental analysis sessions behind a sharded registry,
 //! refreshing only what each observation round actually changed —
 //! optionally crash-safe through a per-shard write-ahead log with model
-//! snapshots and replay-on-boot ([`wal`], [`serve::service::SieveService::recover`]).
+//! snapshots and replay-on-boot ([`wal`], [`serve::SieveService::recover`]).
 //! The whole stack is graded against adversarial workloads with scripted
 //! ground truth by the chaos-scenario engine ([`scenario`]): seeded
 //! scenarios inject faults, bursts and dependency drift, and scoring
@@ -36,9 +36,8 @@
 //!
 //! ```no_run
 //! use sieve::apps::{sharelatex, MetricRichness};
-//! use sieve::core::config::SieveConfig;
-//! use sieve::core::pipeline::Sieve;
-//! use sieve::simulator::workload::Workload;
+//! use sieve::core::{Sieve, SieveConfig};
+//! use sieve::simulator::Workload;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // 1. Model the application (here: the ShareLatex-like deployment).
@@ -65,6 +64,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(unnameable_types)]
 
 pub use sieve_apps as apps;
 pub use sieve_autoscale as autoscale;
@@ -84,13 +85,15 @@ pub use sieve_wal as wal;
 pub mod prelude {
     pub use sieve_apps::MetricRichness;
     pub use sieve_autoscale::{AutoscaleEngine, AutoscalingReport, ScalingRule, SlaCondition};
-    pub use sieve_causality::engine::{granger_causes_prepared, PreparedGrangerSeries};
-    pub use sieve_causality::granger::{granger_causes, GrangerConfig, GrangerResult};
-    pub use sieve_cluster::kshape::{KShape, KShapeConfig, KShapeResult};
-    pub use sieve_core::config::{RetentionPolicy, SieveConfig};
-    pub use sieve_core::model::{ComponentClustering, MetricCluster, SieveModel};
-    pub use sieve_core::pipeline::{load_application, Sieve};
-    pub use sieve_core::session::{AnalysisSession, SessionStats};
+    pub use sieve_causality::{
+        granger_causes, granger_causes_prepared, GrangerConfig, GrangerResult,
+        PreparedGrangerSeries,
+    };
+    pub use sieve_cluster::{KShape, KShapeConfig, KShapeResult};
+    pub use sieve_core::{
+        load_application, AnalysisSession, ComponentClustering, MetricCluster, RetentionPolicy,
+        SessionStats, Sieve, SieveConfig, SieveModel,
+    };
     pub use sieve_exec::{par_map_chunks, Name};
     pub use sieve_graph::{CallGraph, DependencyEdge, DependencyGraph};
     pub use sieve_rca::{RcaConfig, RcaEngine, RcaReport};
@@ -102,10 +105,10 @@ pub mod prelude {
         DurabilityConfig, FsyncPolicy, MetricPoint, RecoveryReport, ServeConfig, ServiceStats,
         SieveService,
     };
-    pub use sieve_simulator::app::{AppSpec, CallSpec, ComponentSpec};
-    pub use sieve_simulator::engine::{SimConfig, Simulation};
-    pub use sieve_simulator::metrics::{MetricBehavior, MetricSpec};
     pub use sieve_simulator::store::{MetricId, MetricStore, StoreDelta};
-    pub use sieve_simulator::workload::Workload;
+    pub use sieve_simulator::{
+        AppSpec, CallSpec, ComponentSpec, MetricBehavior, MetricSpec, SimConfig, Simulation,
+        Workload,
+    };
     pub use sieve_timeseries::TimeSeries;
 }

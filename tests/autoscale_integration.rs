@@ -1,11 +1,11 @@
 //! Cross-crate integration test: the autoscaling case study wiring
 //! (Sieve model -> guiding metric -> calibrated rule -> scaling engine).
 
-use sieve::autoscale::calibrate::{calibrate_thresholds, calibrated_rule};
-use sieve::autoscale::engine::{run_without_scaling, AutoscaleEngine};
-use sieve::autoscale::rules::{select_guiding_metric, SlaCondition};
-use sieve::core::config::SieveConfig;
-use sieve::core::pipeline::Sieve;
+use sieve::autoscale::{
+    calibrate_thresholds, calibrated_rule, run_without_scaling, select_guiding_metric,
+    AutoscaleEngine, SlaCondition,
+};
+use sieve::core::{Sieve, SieveConfig};
 use sieve::prelude::*;
 use sieve_apps::sharelatex;
 

@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the full Sieve pipeline on the ShareLatex
 //! application model (steps 1–3 of the paper).
 
-use sieve::core::config::SieveConfig;
-use sieve::core::pipeline::{load_application, Sieve};
+use sieve::core::{load_application, Sieve, SieveConfig};
 use sieve::prelude::*;
 use sieve_apps::sharelatex;
 
@@ -116,7 +115,7 @@ fn clustering_is_consistent_across_independent_runs() {
     // Two runs with different workload seeds and measurement seeds — the
     // cluster assignments should still agree well above chance (Figure 3 of
     // the paper; its reported average AMI is 0.597).
-    use sieve::cluster::ami::adjusted_mutual_information;
+    use sieve::cluster::adjusted_mutual_information;
 
     let run_a = analyzed_model(0x01, 10);
     let run_b = analyzed_model(0x02, 20);
@@ -174,7 +173,7 @@ fn cached_granger_engine_equals_direct_path_on_a_full_model() {
     let check = |seed: u64, base: SieveConfig, stream: bool| {
         let (store, call_graph) = load_application(&app, &workload, seed, 120_000, 500).unwrap();
         let reference =
-            sieve::core::oracle::analyze("sharelatex", &store, &call_graph, &base).unwrap();
+            sieve::core::oracle_analyze("sharelatex", &store, &call_graph, &base).unwrap();
         assert!(
             reference.dependency_graph.edge_count() > 0,
             "the run must infer dependency edges"

@@ -1,8 +1,7 @@
 //! Cross-crate integration test: the OpenStack RCA case study end to end
 //! (§6.3 of the paper, Launchpad bug #1533942).
 
-use sieve::core::config::SieveConfig;
-use sieve::core::pipeline::Sieve;
+use sieve::core::{Sieve, SieveConfig};
 use sieve::prelude::*;
 use sieve::rca::{RcaConfig, RcaEngine};
 use sieve_apps::openstack;
