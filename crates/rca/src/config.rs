@@ -1,5 +1,13 @@
 //! RCA engine configuration.
 
+/// Minimum cluster novelty score (number of new + discarded metrics) for a
+/// cluster to count as "novel": one changed metric makes a cluster novel.
+pub(crate) const NOVELTY_THRESHOLD: usize = 1;
+
+/// Lag changes of at most this many milliseconds — one step of the
+/// pipeline's default 500 ms interval (§3.2) — are ignored.
+pub(crate) const LAG_TOLERANCE_MS: u64 = 500;
+
 /// Thresholds steering the edge-filtering step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RcaConfig {
@@ -7,19 +15,12 @@ pub struct RcaConfig {
     /// between "maintained" clusters to be considered interesting. The
     /// paper's evaluation uses 0.50.
     pub similarity_threshold: f64,
-    /// Minimum cluster novelty score (number of new + discarded metrics) for
-    /// a cluster to count as "novel".
-    pub novelty_threshold: usize,
-    /// Lag changes smaller than this (milliseconds) are ignored.
-    pub lag_tolerance_ms: u64,
 }
 
 impl Default for RcaConfig {
     fn default() -> Self {
         Self {
             similarity_threshold: 0.5,
-            novelty_threshold: 1,
-            lag_tolerance_ms: 500,
         }
     }
 }
@@ -40,8 +41,8 @@ mod tests {
     fn defaults_match_the_papers_evaluation() {
         let c = RcaConfig::default();
         assert_eq!(c.similarity_threshold, 0.5);
-        assert_eq!(c.novelty_threshold, 1);
-        assert_eq!(c.lag_tolerance_ms, 500);
+        assert_eq!(NOVELTY_THRESHOLD, 1);
+        assert_eq!(LAG_TOLERANCE_MS, 500);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    similar clusters).
 
 use crate::clusters::ClusterAssessment;
-use crate::config::RcaConfig;
+use crate::config::{RcaConfig, LAG_TOLERANCE_MS, NOVELTY_THRESHOLD};
 use sieve_core::SieveModel;
 use sieve_exec::Name;
 use sieve_graph::DependencyEdge;
@@ -106,7 +106,6 @@ pub fn diff_edges(
     correct: &SieveModel,
     faulty: &SieveModel,
     assessments: &[ClusterAssessment],
-    config: &RcaConfig,
 ) -> Vec<EdgeDiff> {
     let correct_edges = correct.dependency_graph.edges();
     let faulty_edges = faulty.dependency_graph.edges();
@@ -123,10 +122,10 @@ pub fn diff_edges(
         let source = assessment_for(assessments, &edge.source_component, &edge.source_metric);
         let target = assessment_for(assessments, &edge.target_component, &edge.target_metric);
         let involves_novel_cluster = source
-            .map(|a| a.is_novel(config.novelty_threshold))
+            .map(|a| a.is_novel(NOVELTY_THRESHOLD))
             .unwrap_or(false)
             || target
-                .map(|a| a.is_novel(config.novelty_threshold))
+                .map(|a| a.is_novel(NOVELTY_THRESHOLD))
                 .unwrap_or(false);
         let min_endpoint_similarity = source
             .map(|a| a.similarity)
@@ -149,7 +148,7 @@ pub fn diff_edges(
                 .iter()
                 .find(|e| e.metric_key() == edge.metric_key())
                 .expect("key present");
-            let change = if edge.lag_ms.abs_diff(correct_edge.lag_ms) > config.lag_tolerance_ms {
+            let change = if edge.lag_ms.abs_diff(correct_edge.lag_ms) > LAG_TOLERANCE_MS {
                 EdgeChangeKind::LagChanged
             } else {
                 EdgeChangeKind::Unchanged
@@ -303,11 +302,7 @@ mod tests {
         let (correct, faulty) = models();
         let diffs = metric_diffs(&correct, &faulty);
         let assessments = assess_all_clusters(&correct, &faulty, &diffs);
-        let config = RcaConfig::default();
-        (
-            diff_edges(&correct, &faulty, &assessments, &config),
-            assessments,
-        )
+        (diff_edges(&correct, &faulty, &assessments), assessments)
     }
 
     #[test]
@@ -364,7 +359,7 @@ mod tests {
         let diffs = metric_diffs(&correct, &correct.clone());
         let assessments = assess_all_clusters(&correct, &correct.clone(), &diffs);
         let config = RcaConfig::default();
-        let edge_diffs = diff_edges(&correct, &correct.clone(), &assessments, &config);
+        let edge_diffs = diff_edges(&correct, &correct.clone(), &assessments);
         assert!(edge_diffs
             .iter()
             .all(|d| d.change == EdgeChangeKind::Unchanged));

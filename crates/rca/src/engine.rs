@@ -7,7 +7,7 @@
 use crate::clusters::{
     assess_all_clusters, novelty_counts, ClusterAssessment, ClusterNoveltyCounts,
 };
-use crate::config::RcaConfig;
+use crate::config::{RcaConfig, NOVELTY_THRESHOLD};
 use crate::edges::{diff_edges, edge_novelty_counts, surviving_scope, EdgeDiff, EdgeNoveltyCounts};
 use crate::metrics::{metric_diffs, rank_components, ComponentRanking, MetricDiff};
 use sieve_core::SieveModel;
@@ -104,7 +104,7 @@ impl RcaEngine {
         let cluster_novelty = novelty_counts(&assessments);
 
         // Step 4.
-        let edge_diffs = diff_edges(correct, faulty, &assessments, &self.config);
+        let edge_diffs = diff_edges(correct, faulty, &assessments);
         let edge_novelty = edge_novelty_counts(&edge_diffs, &self.config);
         let scope = surviving_scope(&edge_diffs, &assessments, &self.config);
 
@@ -132,7 +132,7 @@ impl RcaEngine {
             if !surviving_components.contains(&a.component) {
                 continue;
             }
-            if a.is_novel(self.config.novelty_threshold) {
+            if a.is_novel(NOVELTY_THRESHOLD) {
                 let entry = metric_lists.entry(a.component.clone()).or_default();
                 for m in a.new_metrics.iter().chain(a.discarded_metrics.iter()) {
                     entry.insert(m.clone());

@@ -167,7 +167,7 @@ fn diff_edges_classifies_every_change_kind_and_filters() {
     let faulty = faulty_model();
     let diffs = metric_diffs(&correct, &faulty);
     let assessments = assess_all_clusters(&correct, &faulty, &diffs);
-    let edge_diffs = diff_edges(&correct, &faulty, &assessments, &config);
+    let edge_diffs = diff_edges(&correct, &faulty, &assessments);
 
     // cpu->q lag grew 500 -> 1500 (beyond the 500 ms tolerance).
     let lag_changed = edge_diffs
@@ -201,7 +201,7 @@ fn diff_edges_classifies_every_change_kind_and_filters() {
     );
     let no_diffs = metric_diffs(&correct, &same);
     let no_assessments = assess_all_clusters(&correct, &same, &no_diffs);
-    let unchanged = diff_edges(&correct, &same, &no_assessments, &config);
+    let unchanged = diff_edges(&correct, &same, &no_assessments);
     assert_eq!(unchanged.len(), 1);
     assert_eq!(unchanged[0].change, EdgeChangeKind::Unchanged);
     assert!(!unchanged[0].is_interesting(&config));

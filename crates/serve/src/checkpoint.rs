@@ -1,7 +1,7 @@
 //! The analysis checkpoints of a durable service: the write after a sweep
 //! and the seeds recovery hands to the tenants it opens.
 //!
-//! A checkpoint (`wal-shard-<i>.ckpt`, [`sieve_wal::ShardCheckpoint`]) is a
+//! A checkpoint ([`sieve_wal::ShardCheckpoint`], one per shard) is a
 //! cache of every tenant's content-keyed analysis, never state. A sweep
 //! that added a cache entry rewrites the checkpoint of each shard whose
 //! tenants added one, synchronously, through a temp file and a rename: no
@@ -16,9 +16,8 @@ use crate::registry::ShardedRegistry;
 use crate::stats::ServiceStats;
 use crate::Result;
 use sieve_core::SessionCache;
-use sieve_wal::{checkpoint_file_name, CheckpointRead, ShardCheckpoint, TenantCheckpoint};
+use sieve_wal::{CheckpointRead, ShardCheckpoint, ShardDir, TenantCheckpoint};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -26,7 +25,6 @@ use std::sync::Mutex;
 /// sweeps never interleave one shard's temp file, and the write counters.
 #[derive(Debug)]
 pub(crate) struct Checkpoints {
-    dir: PathBuf,
     turns: Vec<Mutex<()>>,
     writes: AtomicU64,
     bytes: AtomicU64,
@@ -34,10 +32,9 @@ pub(crate) struct Checkpoints {
 }
 
 impl Checkpoints {
-    /// The writer of `shard_count` shards' checkpoints in `dir`.
-    pub(crate) fn new(dir: &Path, shard_count: usize) -> Self {
+    /// The writer of `shard_count` shards' checkpoints.
+    pub(crate) fn new(shard_count: usize) -> Self {
         Self {
-            dir: dir.to_path_buf(),
             turns: (0..shard_count).map(|_| Mutex::new(())).collect(),
             writes: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -45,18 +42,19 @@ impl Checkpoints {
         }
     }
 
-    /// Rewrites the checkpoint of every shard in `shards` from its tenants'
-    /// sessions. A failed write leaves the shard's previous checkpoint, or
-    /// none, and is counted, not returned: the sweep that asked for it has
-    /// published its models, and a stale or missing checkpoint only costs
-    /// work.
+    /// Rewrites the checkpoint in `dir` of every shard in `shards` from its
+    /// tenants' sessions. A failed write leaves the shard's previous
+    /// checkpoint, or none, and is counted, not returned: the sweep that
+    /// asked for it has published its models, and a stale or missing
+    /// checkpoint only costs work.
     pub(crate) fn write(
         &self,
+        dir: &ShardDir,
         registry: &ShardedRegistry,
         shards: impl IntoIterator<Item = usize>,
     ) {
         for shard in shards {
-            match self.write_shard(registry, shard) {
+            match self.write_shard(dir, registry, shard) {
                 Ok(bytes) => {
                     self.writes.fetch_add(1, Ordering::Relaxed);
                     self.bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -68,7 +66,7 @@ impl Checkpoints {
         }
     }
 
-    fn write_shard(&self, registry: &ShardedRegistry, shard: usize) -> Result<u64> {
+    fn write_shard(&self, dir: &ShardDir, registry: &ShardedRegistry, shard: usize) -> Result<u64> {
         let _turn = self.turns[shard].lock().expect("checkpoint lock poisoned");
         let tenants = registry
             .all_in_shard(shard)
@@ -78,8 +76,7 @@ impl Checkpoints {
                 cache: tenant.session().cache(),
             })
             .collect();
-        let path = self.dir.join(checkpoint_file_name(shard));
-        Ok(ShardCheckpoint { tenants }.write(&path)?)
+        Ok(dir.write_checkpoint(shard, &ShardCheckpoint { tenants })?)
     }
 
     /// Folds the write counters into `stats`.
@@ -110,9 +107,8 @@ enum Absent {
 impl Seeds {
     /// Reads shard `shard`'s checkpoint in `dir`. Never fails: whatever
     /// cannot be read is a miss.
-    pub(crate) fn read(dir: &Path, shard: usize) -> Self {
-        let (absent, tenants) = match ShardCheckpoint::read(&dir.join(checkpoint_file_name(shard)))
-        {
+    pub(crate) fn read(dir: &ShardDir, shard: usize) -> Self {
+        let (absent, tenants) = match dir.read_checkpoint(shard) {
             CheckpointRead::Missing => (Absent::Missing, Vec::new()),
             CheckpointRead::Corrupt { .. } => (Absent::Corrupt, Vec::new()),
             CheckpointRead::OtherFormat { .. } => (Absent::OtherFormat, Vec::new()),

@@ -15,13 +15,9 @@ use crate::registry::ShardedRegistry;
 use crate::service::SieveService;
 use crate::stats::ServiceStats;
 use crate::tenant::{Mutation, Tenant};
-use crate::{Result, ServeError};
+use crate::Result;
 use sieve_exec::hash::shard_index;
-use sieve_wal::{
-    log_file_name, read_format, snapshot_file_name, write_format, GroupCommitLog, ShardSnapshot,
-    TenantSnapshot, WalError, WalEvent, FORMAT,
-};
-use std::path::{Path, PathBuf};
+use sieve_wal::{FsyncPolicy, GroupCommitLog, ShardDir, ShardSnapshot, TenantSnapshot, WalEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -49,7 +45,9 @@ struct DurableShard {
 /// are the same partition of the tenant space).
 #[derive(Debug)]
 pub(crate) struct DurableLog {
-    config: DurabilityConfig,
+    /// The durable directory: every file operation goes through it.
+    pub(crate) dir: ShardDir,
+    snapshot_every_events: u64,
     shards: Vec<DurableShard>,
     /// The shards' analysis checkpoints: a cache beside the durable state,
     /// written after sweeps, never on this module's mutation path.
@@ -125,75 +123,63 @@ impl SieveService {
 const ADMIN_POISONED: &str = "shard admin lock poisoned";
 
 impl DurableLog {
-    /// Creates a fresh durable directory for a *new* service: every shard
-    /// file of a previous incarnation is wiped, its analysis checkpoints
-    /// included, whatever shard count wrote it (a new service must not
-    /// inherit a predecessor's tenants — that's what
-    /// [`SieveService::recover`] is for).
+    /// Creates a fresh durable directory for a *new* service, which must
+    /// not inherit a predecessor's tenants ([`SieveService::recover`]
+    /// does that).
     pub(crate) fn create(durability: &DurabilityConfig, shard_count: usize) -> Result<Self> {
-        std::fs::create_dir_all(&durability.dir).map_err(WalError::from)?;
-        let wiped = [DURABLE_EXTENSIONS, CHECKPOINT_EXTENSIONS].concat();
-        for (_, path) in shard_files(&durability.dir, &wiped)? {
-            std::fs::remove_file(path).map_err(WalError::from)?;
-        }
-        write_format(&durability.dir)?;
-        let durable = Self::open(durability, std::iter::repeat(1).take(shard_count))?;
-        // The format record's and the fresh logs' entries are on disk
-        // before a frame is committed into them.
-        sync_dir(&durability.dir)?;
-        Ok(durable)
+        let (dir, logs) = ShardDir::create(&durability.dir, shard_count, durability.fsync)?;
+        Ok(Self::assemble(dir, logs, durability.snapshot_every_events))
     }
 
-    /// Re-anchors a recovered directory at the tenants in `registry`: per
-    /// shard a writer continuing at the recovered sequence, one fresh
-    /// snapshot and an empty log — a corrupt tail is physically gone. Every
-    /// snapshot is renamed into place and the directory synced once before
-    /// any log is truncated.
+    /// Re-anchors the recovered directory `dir` at the tenants in
+    /// `registry`: per shard a writer continuing at the recovered sequence,
+    /// one fresh snapshot and an empty log, so a corrupt tail is physically
+    /// gone.
     pub(crate) fn reanchor(
-        durability: &DurabilityConfig,
+        mut dir: ShardDir,
+        fsync: FsyncPolicy,
+        snapshot_every_events: u64,
         registry: &ShardedRegistry,
         next_seqs: impl IntoIterator<Item = u64>,
     ) -> Result<Self> {
-        let durable = Self::open(durability, next_seqs)?;
+        let logs = dir.reopen_logs(next_seqs, fsync)?;
+        let durable = Self::assemble(dir, logs, snapshot_every_events);
         // Nothing else can reach `durable` yet: every shard is quiesced.
-        for shard in 0..durable.shards.len() {
-            durable.write_snapshot(registry, shard)?;
-        }
-        sync_dir(&durability.dir)?;
-        for shard in 0..durable.shards.len() {
-            durable.truncate_log(shard)?;
-        }
+        let shards = 0..durable.shards.len();
+        durable
+            .dir
+            .anchor(shards, |shard| durable.snapshot(registry, shard))?;
         Ok(durable)
     }
 
-    /// Opens shard `i`'s log for appending at the `i`-th sequence number.
-    fn open(
-        durability: &DurabilityConfig,
-        next_seqs: impl IntoIterator<Item = u64>,
-    ) -> Result<Self> {
-        let mut shards = Vec::new();
-        for (shard, next_seq) in next_seqs.into_iter().enumerate() {
-            let path = durability.dir.join(log_file_name(shard));
-            shards.push(DurableShard {
-                log: GroupCommitLog::open(&path, next_seq, durability.fsync)?,
+    /// The durable half of a service over `dir` and its open shard logs.
+    fn assemble(dir: ShardDir, logs: Vec<GroupCommitLog>, snapshot_every_events: u64) -> Self {
+        let shards: Vec<_> = logs
+            .into_iter()
+            .map(|log| DurableShard {
+                log,
                 admin: RwLock::new(()),
                 events_since_snapshot: AtomicU64::new(0),
-            });
-        }
-        Ok(Self {
-            checkpoints: Checkpoints::new(&durability.dir, shards.len()),
-            config: durability.clone(),
+            })
+            .collect();
+        Self {
+            checkpoints: Checkpoints::new(shards.len()),
+            dir,
+            snapshot_every_events,
             shards,
-        })
+        }
     }
 
     /// Counts one committed event towards the shard's snapshot cadence
-    /// and snapshots the shard when it trips. Must be called with no shard
-    /// admin guard held: tripping acquires the admin lock for *write* to
-    /// quiesce the shard first.
+    /// and, when it trips, anchors the shard at a fresh snapshot
+    /// ([`ShardDir::anchor`]), so replay work after a crash is bounded by
+    /// the cadence, not by uptime. Must be called with no shard admin guard
+    /// held: tripping takes the admin lock for *write*, so no mutation is
+    /// mid-flight between a store and the log and the snapshot covers
+    /// exactly the log prefix it claims to.
     fn note_logged_event(&self, registry: &ShardedRegistry, shard: usize) -> Result<()> {
         let dshard = &self.shards[shard];
-        let due = |since_snapshot: u64| since_snapshot >= self.config.snapshot_every_events;
+        let due = |since_snapshot: u64| since_snapshot >= self.snapshot_every_events;
         let counter = &dshard.events_since_snapshot;
         if due(counter.fetch_add(1, Ordering::AcqRel) + 1) {
             let _quiesced = dshard.admin.write().expect(ADMIN_POISONED);
@@ -201,39 +187,28 @@ impl DurableLog {
             // the write lock first snapshots (resetting the counter), the
             // rest find the counter already settled and do nothing.
             if due(counter.load(Ordering::Acquire)) {
-                self.snapshot_quiesced_shard(registry, shard)?;
+                let anchored = std::iter::once(shard);
+                self.dir
+                    .anchor(anchored, |shard| self.snapshot(registry, shard))?;
+                counter.store(0, Ordering::Release);
             }
         }
         Ok(())
     }
 
-    /// Writes an atomic snapshot of every tenant of `shard`, syncs the
-    /// directory so the snapshot's rename is durable, then truncates the
-    /// shard log — replay work after a crash is bounded by the snapshot
-    /// cadence, not by service uptime. Without the directory sync, a crash
-    /// could persist the truncation but not the rename, leaving the old
-    /// snapshot (or none) beside an empty log.
-    ///
-    /// The caller holds the shard's admin lock for *write*: no ingest or
-    /// admin mutation is mid-flight between a store and the log, so after
-    /// the quiesce in [`DurableLog::write_snapshot`] the snapshot is
-    /// consistent with exactly the log prefix it claims to cover.
-    fn snapshot_quiesced_shard(&self, registry: &ShardedRegistry, shard: usize) -> Result<()> {
-        self.write_snapshot(registry, shard)?;
-        sync_dir(&self.config.dir)?;
-        self.truncate_log(shard)
-    }
-
-    /// Writes an atomic snapshot of every tenant of the quiesced `shard`
-    /// (frozen store image, session config, call graph, covering the log
-    /// watermark `last_seq`): it is renamed into place, but its directory
-    /// entry is durable only once the directory is synced.
-    fn write_snapshot(&self, registry: &ShardedRegistry, shard: usize) -> Result<()> {
+    /// The snapshot of every tenant of the quiesced `shard` (frozen store
+    /// image, session config, call graph), covering the log watermark
+    /// `last_seq`.
+    fn snapshot(
+        &self,
+        registry: &ShardedRegistry,
+        shard: usize,
+    ) -> sieve_wal::Result<ShardSnapshot> {
         let dshard = &self.shards[shard];
         // Quiesce the log: every staged frame is on media (or reported
         // failed to its writer) before the snapshot claims to cover it.
         dshard.log.commit_all()?;
-        let snapshot = ShardSnapshot {
+        Ok(ShardSnapshot {
             shard,
             last_seq: dshard.log.last_seq(),
             tenants: registry
@@ -249,25 +224,7 @@ impl DurableLog {
                     }
                 })
                 .collect(),
-        };
-        snapshot.write_atomic(&self.config.dir.join(snapshot_file_name(shard)))?;
-        Ok(())
-    }
-
-    /// Empties `shard`'s log, whose frames a snapshot made durable covers.
-    /// (A crash between the snapshot's directory sync and this truncation
-    /// is benign — the leftover frames carry sequence numbers at or below
-    /// the snapshot's `last_seq` and recovery skips them.) `create`
-    /// truncates the file in place, and the shard's append-mode log handle
-    /// keeps working: `O_APPEND` writes land at the new end of file.
-    fn truncate_log(&self, shard: usize) -> Result<()> {
-        std::fs::File::create(self.config.dir.join(log_file_name(shard)))
-            .and_then(|log| log.sync_data())
-            .map_err(WalError::from)?;
-        self.shards[shard]
-            .events_since_snapshot
-            .store(0, Ordering::Release);
-        Ok(())
+        })
     }
 
     /// Folds the shard logs' group-commit counters and the checkpoint
@@ -281,76 +238,4 @@ impl DurableLog {
         }
         self.checkpoints.absorb_stats(stats);
     }
-}
-
-/// The extensions of a shard's durable files: its log and its snapshot.
-const DURABLE_EXTENSIONS: &[&str] = &["log", "snap", "snap.tmp"];
-
-/// The extensions of a shard's analysis checkpoint, a cache: no durable
-/// state, so it never makes a directory written.
-const CHECKPOINT_EXTENSIONS: &[&str] = &["ckpt", "ckpt.tmp"];
-
-/// Every shard file (`wal-shard-<i>.<extension>`, for one of `extensions`)
-/// directly inside `dir`, with the shard index `i` its name carries.
-fn shard_files(dir: &Path, extensions: &[&str]) -> Result<Vec<(usize, PathBuf)>> {
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(dir).map_err(WalError::from)? {
-        let path = entry.map_err(WalError::from)?.path();
-        let index = path.file_name().and_then(|name| {
-            let (index, extension) = name.to_str()?.strip_prefix("wal-shard-")?.split_once('.')?;
-            extensions
-                .contains(&extension)
-                .then(|| index.parse().ok())?
-        });
-        if let Some(index) = index {
-            files.push((index, path));
-        }
-    }
-    Ok(files)
-}
-
-/// The shard count that wrote the durable directory `dir` (0 for an empty
-/// one): every shard's log exists from the moment a service runs, so it
-/// is one past the highest shard index a file in `dir` carries.
-///
-/// # Errors
-///
-/// [`ServeError::InvalidConfig`], naming the file, when a shard file's
-/// index is `usize::MAX`: no shard count is one past it.
-pub(crate) fn written_shard_count(dir: &Path) -> Result<usize> {
-    let mut count = 0;
-    for (index, path) in shard_files(dir, DURABLE_EXTENSIONS)? {
-        let Some(past) = index.checked_add(1) else {
-            let reason = format!("{} names a shard past any shard count", path.display());
-            return Err(ServeError::InvalidConfig { reason });
-        };
-        count = count.max(past);
-    }
-    Ok(count)
-}
-
-/// Refuses the durable directory `dir`, which holds shard files, unless its
-/// format record names this build's format. Reads the record's fixed-size
-/// header and changes nothing.
-///
-/// # Errors
-///
-/// [`ServeError::FormatTooOld`] when there is no record or it names an
-/// older format, [`ServeError::FormatTooNew`] when it names a newer one,
-/// [`ServeError::Wal`] when it cannot be read or is not a format record.
-pub(crate) fn check_format(dir: &Path) -> Result<()> {
-    match read_format(dir)? {
-        Some(FORMAT) => Ok(()),
-        Some(found) if found > FORMAT => Err(ServeError::FormatTooNew { found }),
-        found => Err(ServeError::FormatTooOld { found }),
-    }
-}
-
-/// Syncs the directory `dir` itself, so the entries created, renamed or
-/// removed in it so far survive a crash.
-fn sync_dir(dir: &Path) -> Result<()> {
-    std::fs::File::open(dir)
-        .and_then(|dir| dir.sync_all())
-        .map_err(WalError::from)?;
-    Ok(())
 }

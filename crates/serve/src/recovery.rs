@@ -24,13 +24,8 @@ use sieve_exec::hash::shard_index;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::MetricStore;
-use sieve_wal::{
-    log_file_name, snapshot_file_name, Frame, LogFrames, ShardSnapshot, WalError, WalEvent,
-};
+use sieve_wal::{Frame, ShardDir, WalError, WalEvent};
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::Read;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -460,13 +455,13 @@ pub(crate) fn ns_since(start: Instant) -> u64 {
 /// [`ServeError::Wal`] on I/O failures, [`ServeError::Analysis`] when a
 /// tenant's session cannot be rebuilt.
 fn restore_snapshot(
-    dir: &Path,
+    dir: &ShardDir,
     shard: usize,
     shard_count: usize,
     seeds: &mut Seeds,
 ) -> Result<(u64, bool, BTreeMap<String, Replaying>)> {
     let mut replaying = BTreeMap::new();
-    let snapshot = match ShardSnapshot::read(&dir.join(snapshot_file_name(shard))) {
+    let snapshot = match dir.read_snapshot(shard) {
         Ok(Some(snapshot)) => snapshot,
         Ok(None) => return Ok((0, false, replaying)),
         Err(WalError::Corrupt { .. }) => return Ok((0, true, replaying)),
@@ -509,7 +504,7 @@ fn restore_snapshot(
 /// holds a frame another build wrote, [`ServeError::Wal`] on I/O failures,
 /// [`ServeError::Analysis`] when a tenant's session cannot be rebuilt.
 pub(crate) fn recover_shard(
-    dir: &Path,
+    dir: &ShardDir,
     shard: usize,
     shard_count: usize,
     registry: &ShardedRegistry,
@@ -529,12 +524,7 @@ pub(crate) fn recover_shard(
     // decoded into the walk's buffers, applied and released in turn, so
     // neither the log nor its decoded events are ever resident whole.
     let started = Instant::now();
-    let log: Box<dyn Read> = match File::open(dir.join(log_file_name(shard))) {
-        Ok(file) => Box::new(file),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Box::new(std::io::empty()),
-        Err(e) => return Err(WalError::from(e).into()),
-    };
-    let mut frames = LogFrames::new(log);
+    let mut frames = dir.log_frames(shard)?;
     let mut frames_replayed = 0u64;
     let mut recovered_through_seq = snapshot_last_seq;
     while let Some((seq, frame)) = frames.next() {

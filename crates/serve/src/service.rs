@@ -1,7 +1,7 @@
 //! The multi-tenant analysis service.
 
-use crate::config::ServeConfig;
-use crate::durable::{check_format, written_shard_count, DurableLog};
+use crate::config::{DurabilityConfig, ServeConfig};
+use crate::durable::DurableLog;
 use crate::recovery::{ns_since, recover_shard, shard_count_mismatch, RecoveryReport};
 use crate::registry::ShardedRegistry;
 use crate::stats::ServiceStats;
@@ -11,7 +11,7 @@ use sieve_core::SieveModel;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricStore, RetentionPolicy};
-use sieve_wal::{write_format, WalError, WalEvent};
+use sieve_wal::{ShardDir, WalError, WalEvent, FORMAT};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -479,16 +479,30 @@ impl SieveService {
     pub fn recover(config: ServeConfig) -> Result<(Self, RecoveryReport)> {
         config.validate()?;
         let shard_count = config.shard_count;
-        let Some(durability) = config.durability.clone() else {
+        let Some(DurabilityConfig {
+            dir,
+            fsync,
+            snapshot_every_events,
+        }) = config.durability.clone()
+        else {
             return Err(ServeError::InvalidConfig {
                 reason: "recover requires a durability configuration".to_string(),
             });
         };
-        let dir = &durability.dir;
-        std::fs::create_dir_all(dir).map_err(WalError::from)?;
-        let written = written_shard_count(dir)?;
+        let dir = ShardDir::open(dir).map_err(|error| match error {
+            // A shard file whose index no shard count is one past.
+            WalError::Corrupt { reason, .. } => ServeError::InvalidConfig { reason },
+            error => error.into(),
+        })?;
+        let written = dir.written_shards();
+        // A directory with shard files must name this build's format; the
+        // record is read and nothing changes.
         if written > 0 {
-            check_format(dir)?;
+            match dir.format()? {
+                Some(FORMAT) => {}
+                Some(found) if found > FORMAT => return Err(ServeError::FormatTooNew { found }),
+                found => return Err(ServeError::FormatTooOld { found }),
+            }
         }
         if written > shard_count {
             let found = format!("the files of {written} shards");
@@ -500,17 +514,15 @@ impl SieveService {
         let mut shards = Vec::with_capacity(shard_count);
         let registry = ShardedRegistry::new(shard_count);
         for shard in 0..shard_count {
-            shards.push(recover_shard(dir, shard, shard_count, &registry)?);
+            shards.push(recover_shard(&dir, shard, shard_count, &registry)?);
         }
         let next_seqs = shards.iter().map(|shard| shard.recovered_through_seq + 1);
         let started = std::time::Instant::now();
         // A directory that held no shard file is stamped with this build's
-        // format before its re-anchor creates some (the re-anchor's
-        // directory sync covers the record); any other already names it.
-        if written == 0 {
-            write_format(dir)?;
-        }
-        let durable = DurableLog::reanchor(&durability, &registry, next_seqs)?;
+        // format as its re-anchor creates some (the re-anchor's directory
+        // sync covers the record); any other already names it.
+        let durable =
+            DurableLog::reanchor(dir, fsync, snapshot_every_events, &registry, next_seqs)?;
         let reanchor_ns = ns_since(started);
         let service = Self::assemble(config, registry, Some(durable));
         let report = RecoveryReport {

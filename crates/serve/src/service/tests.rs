@@ -629,17 +629,15 @@ fn a_batch_whose_watermark_list_repeats_a_series_degrades_only_its_tenant() {
     // decodes (every slot is within the list), but the watermark list
     // names `web/requests` twice.
     let shard = sieve_exec::hash::shard_index("beta", config.shard_count);
-    let log_path = dir.join(sieve_wal::log_file_name(shard));
-    let mut bytes = std::fs::read(&log_path).unwrap();
-    let last_seq = sieve_wal::scan_log(&bytes).last_seq().unwrap();
     let requests = sieve_simulator::store::MetricId::new("web", "requests");
     let batch = WalEvent::IngestBatch {
         tenant: "beta".into(),
         points: vec![(0, 40 * 500, 1.0), (1, 41 * 500, 2.0), (0, 42 * 500, 3.0)],
         watermarks: vec![(requests.clone(), 1), (requests, 2)],
     };
-    bytes.extend_from_slice(&sieve_wal::encode(last_seq + 1, &batch));
-    std::fs::write(&log_path, &bytes).unwrap();
+    let mut payload = Vec::new();
+    batch.encode(&mut payload);
+    append_verified_frame(&dir, &config, "beta", &payload);
 
     let (recovered, report) = SieveService::recover(config).unwrap();
     let shard_report = report.shards.iter().find(|s| s.shard == shard).unwrap();
@@ -776,18 +774,13 @@ fn append_verified_frame(
     tenant: &str,
     payload: &[u8],
 ) -> (usize, u64) {
-    use sieve_wal::{put_u32, put_u64};
     let shard = sieve_exec::hash::shard_index(tenant, config.shard_count);
     let log_path = dir.join(sieve_wal::log_file_name(shard));
-    let mut bytes = std::fs::read(&log_path).unwrap();
-    let offset = bytes.len() as u64;
+    let bytes = std::fs::read(&log_path).unwrap();
     let seq = sieve_wal::scan_log(&bytes).last_seq().unwrap() + 1;
-    put_u32(&mut bytes, payload.len() as u32);
-    put_u64(&mut bytes, seq);
-    put_u64(&mut bytes, sieve_wal::checksum(seq, payload));
-    bytes.extend_from_slice(payload);
-    std::fs::write(&log_path, &bytes).unwrap();
-    (shard, offset)
+    let log = sieve_wal::GroupCommitLog::open(&log_path, seq, crate::FsyncPolicy::Never).unwrap();
+    log.commit_through(log.stage_encoded(payload)).unwrap();
+    (shard, bytes.len() as u64)
 }
 
 /// Asserts that recovering `dir` is refused as another build's frame of
@@ -844,13 +837,22 @@ fn a_verified_frame_of_an_unknown_tag_is_refused_not_truncated() {
 fn a_verified_frame_of_the_retired_tag_1_is_refused_not_truncated() {
     let dir = temp_dir("unknown-tag-1");
     let config = directory_to_extend(&dir);
-    // A tenant-created record in tag 1's framing: a configuration with
-    // two bytes more.
-    let mut payload = vec![1];
-    sieve_wal::put_str(&mut payload, "gamma");
-    sieve_wal::put_sieve_config(&mut payload, &config.analysis);
-    payload.extend_from_slice(&[0, 0]);
-    sieve_wal::put_call_graph(&mut payload, &web_db_graph());
+    // A tenant-created record in tag 1's framing: tag 5's, with two bytes
+    // more after the configuration. A call-graph record ends in the same
+    // graph bytes, after its tag and the name.
+    let (mut payload, mut graph) = (Vec::new(), Vec::new());
+    let tenant = Name::new("gamma");
+    let call_graph = web_db_graph();
+    WalEvent::TenantCreated {
+        tenant: tenant.clone(),
+        config: Box::new(config.analysis.clone()),
+        call_graph: call_graph.clone(),
+    }
+    .encode(&mut payload);
+    WalEvent::CallGraphReplaced { tenant, call_graph }.encode(&mut graph);
+    let configured = payload.len() - (graph.len() - (1 + 4 + "gamma".len()));
+    payload[0] = 1;
+    payload.splice(configured..configured, [0, 0]);
     let at = append_verified_frame(&dir, &config, "alpha", &payload);
     assert_recover_refuses_tag(&dir, config, at, 1);
     let _ = std::fs::remove_dir_all(&dir);
@@ -1116,6 +1118,84 @@ fn a_new_durable_service_wipes_the_previous_incarnation() {
         assert_eq!(recovered.tenant_count(), 0, "under {shard_count} shards");
         assert!(report.is_clean());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts that `dir` holds the format record and, per `(shard, kinds)`,
+/// the shard's files of those kinds (`log`, `snap`, `ckpt`) — nothing else,
+/// no temp file in particular.
+fn assert_layout(dir: &std::path::Path, step: &str, shards: &[(usize, &[&str])]) {
+    let mut expected = vec![sieve_wal::FORMAT_FILE_NAME.to_string()];
+    for &(shard, kinds) in shards {
+        for kind in kinds {
+            expected.push(match *kind {
+                "log" => sieve_wal::log_file_name(shard),
+                "snap" => sieve_wal::snapshot_file_name(shard),
+                _ => sieve_wal::checkpoint_file_name(shard),
+            });
+        }
+    }
+    expected.sort();
+    let mut found: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    found.sort();
+    assert!(
+        !found.iter().any(|name| name.ends_with(".tmp")),
+        "{step}: {found:?}"
+    );
+    assert_eq!(found, expected, "after {step}");
+}
+
+#[test]
+fn a_clean_lifecycle_leaves_only_the_layout_s_files() {
+    let dir = temp_dir("layout");
+    let config = |shard_count| {
+        tiny_config().with_shard_count(shard_count).with_durability(
+            crate::DurabilityConfig::new(&dir)
+                .with_fsync(crate::FsyncPolicy::Never)
+                .with_snapshot_every_events(3),
+        )
+    };
+    let route = |tenant| sieve_exec::hash::shard_index(tenant, 2);
+    let (a, b) = (route("alpha"), route("gamma"));
+    assert_ne!(a, b, "the two tenants live in different shards");
+
+    let service = SieveService::new(config(2)).unwrap();
+    assert_layout(&dir, "create", &[(0, &["log"]), (1, &["log"])]);
+
+    // alpha's creation and two ingests are its shard's third event: a
+    // cadence snapshot. gamma's creation is its shard's first.
+    service.create_tenant("alpha", web_db_graph()).unwrap();
+    ingest_wave(&service, "alpha", 0..30, 0.0);
+    ingest_wave(&service, "alpha", 30..60, 0.0);
+    service.create_tenant("gamma", web_db_graph()).unwrap();
+    assert_layout(
+        &dir,
+        "a cadence snapshot",
+        &[(a, &["log", "snap"]), (b, &["log"])],
+    );
+
+    // Only alpha has data, so only its shard's checkpoint is written.
+    assert_eq!(service.refresh_dirty().unwrap().checkpoint_writes, 1);
+    let swept: &[(usize, &[&str])] = &[(a, &["log", "snap", "ckpt"]), (b, &["log"])];
+    assert_layout(&dir, "a checkpointing sweep", swept);
+    drop(service);
+    assert_layout(&dir, "drop", swept);
+
+    // The re-anchor snapshots every shard.
+    let (recovered, report) = SieveService::recover(config(2)).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(recovered.tenant_count(), 2);
+    let anchored: &[(usize, &[&str])] = &[(a, &["log", "snap", "ckpt"]), (b, &["log", "snap"])];
+    assert_layout(&dir, "recover", anchored);
+    drop(recovered);
+    assert_layout(&dir, "drop", anchored);
+
+    let fewer = SieveService::new(config(1)).unwrap();
+    assert_layout(&dir, "new with fewer shards", &[(0, &["log"])]);
+    drop(fewer);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -60,7 +60,9 @@ impl SieveService {
         // entry is rewritten, so a checkpoint is never more than one sweep
         // behind the published models.
         if let Some(durable) = &self.durable {
-            durable.checkpoints.write(&self.registry, to_checkpoint);
+            durable
+                .checkpoints
+                .write(&durable.dir, &self.registry, to_checkpoint);
         }
         self.fleet_gauges(&tenants, &mut stats);
         first_error.map_or(Ok(stats), Err)

@@ -34,8 +34,12 @@
 
 use sieve_core::SieveConfig;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, ServeError, SieveService};
-use sieve_wal::{log_file_name, snapshot_file_name, FORMAT_FILE_NAME, HEADER_LEN};
+use sieve_wal::{log_file_name, snapshot_file_name, FORMAT_FILE_NAME};
 use std::path::{Path, PathBuf};
+
+/// Bytes of a frame header: the payload length (u32), the sequence number
+/// and the checksum (u64 each).
+const HEADER_LEN: usize = 4 + 8 + 8;
 
 const LOG: &[u8] = include_bytes!("fixtures/parent-tag4-v3/wal-shard-0.log");
 const SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-tag4-v3/wal-shard-0.snap");

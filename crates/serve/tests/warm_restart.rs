@@ -414,7 +414,8 @@ fn concurrent_sweeps_leave_whole_checkpoints() {
     let live = models(&service);
     drop(service);
     for shard in 0..SHARDS {
-        let read = ShardCheckpoint::read(&dir.join(checkpoint_file_name(shard)));
+        let read =
+            ShardCheckpoint::decode(&std::fs::read(dir.join(checkpoint_file_name(shard))).unwrap());
         assert!(
             matches!(read, CheckpointRead::Read { damaged: 0, .. }),
             "shard {shard}: {read:?}"

@@ -13,8 +13,9 @@
 //! or misses. A checkpoint that is missing, torn, bit-flipped, of another
 //! format or stale therefore costs work, never correctness — reading one
 //! never fails ([`CheckpointRead`]). Writing one takes a temp file and a
-//! rename, and no `fsync`: a crash can lose the latest checkpoint, and then
-//! the one before it, or none, serves.
+//! rename, and no `fsync` ([`crate::ShardDir::write_checkpoint`]): a crash
+//! can lose the latest checkpoint, and then the one before it, or none,
+//! serves.
 //!
 //! ```text
 //! [magic: u64 LE][format: u32 LE]
@@ -28,15 +29,12 @@
 
 use crate::codec::{put_f64, put_str, put_u32, put_u64, put_usize, Cursor, DecodeResult};
 use crate::format::FORMAT;
-use crate::snapshot::{lane_checksum, read_whole};
-use crate::Result;
+use crate::snapshot::lane_checksum;
 use sieve_core::{
     CachedClustering, CachedVerdict, ComponentClustering, MetricCluster, SessionCache,
 };
 use sieve_exec::Name;
 use sieve_graph::DependencyEdge;
-use std::io::Write;
-use std::path::Path;
 
 /// Magic prefix of a checkpoint file ("SIEVCKPT" in ASCII).
 const MAGIC: u64 = 0x5349_4556_434B_5054;
@@ -136,46 +134,6 @@ impl ShardCheckpoint {
         CheckpointRead::Read {
             checkpoint,
             damaged,
-        }
-    }
-
-    /// Writes the checkpoint to `path` through `<path>.tmp` and a rename,
-    /// with no `fsync` — it is a cache — and returns the bytes written. A
-    /// reader finds the previous checkpoint, this one or none, never a mix,
-    /// as long as writers of one path take turns.
-    ///
-    /// The previous checkpoint is removed before the rename: renaming over
-    /// an existing file makes ext4 (`auto_da_alloc`) start the new file's
-    /// writeback inside the `rename` — 0.3–0.5 ms for an 80 KB file on a
-    /// 2-vCPU ext4 host, against ~40 µs for the temp file, the removal and a
-    /// rename onto a free name — and a crash between the two costs only a
-    /// cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures; on error the previous checkpoint, or
-    /// none, is in place.
-    pub fn write(&self, path: &Path) -> Result<u64> {
-        let tmp = path.with_extension("ckpt.tmp");
-        let bytes = self.encode();
-        std::fs::File::create(&tmp)?.write_all(&bytes)?;
-        match std::fs::remove_file(path) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
-            _ => {}
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Reads the checkpoint at `path`. Never fails: an unreadable file is
-    /// [`CheckpointRead::Corrupt`].
-    pub fn read(path: &Path) -> CheckpointRead {
-        match read_whole(path) {
-            Ok(Some(bytes)) => Self::decode(&bytes),
-            Ok(None) => CheckpointRead::Missing,
-            Err(e) => CheckpointRead::Corrupt {
-                reason: e.to_string(),
-            },
         }
     }
 }
@@ -469,12 +427,12 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("sieve-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let shards = crate::dir::ShardDir::open(&dir).unwrap();
+        assert_eq!(shards.read_checkpoint(3), CheckpointRead::Missing);
+        let written = shards.write_checkpoint(3, &checkpoint).unwrap();
         let path = dir.join("wal-shard-3.ckpt");
-        assert_eq!(ShardCheckpoint::read(&path), CheckpointRead::Missing);
-        let written = checkpoint.write(&path).unwrap();
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-        let read_back = ShardCheckpoint::read(&path);
+        let read_back = shards.read_checkpoint(3);
         assert_eq!(
             read_back,
             CheckpointRead::Read {

@@ -307,12 +307,12 @@ pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
 }
 
 /// Appends a little-endian `u32`.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u64`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -343,7 +343,7 @@ pub(crate) fn put_bool(buf: &mut Vec<u8>, v: bool) {
 }
 
 /// Appends a `u32`-length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
@@ -386,7 +386,7 @@ pub(crate) fn take_retention(cur: &mut Cursor<'_>) -> DecodeResult<RetentionPoli
 /// Appends a full [`SieveConfig`], every result-affecting and
 /// result-invariant field alike, so a recovered tenant analyses exactly
 /// as configured.
-pub fn put_sieve_config(buf: &mut Vec<u8>, config: &SieveConfig) {
+pub(crate) fn put_sieve_config(buf: &mut Vec<u8>, config: &SieveConfig) {
     // Destructured without `..`, and rebuilt from struct literals in
     // `take_sieve_config`: a field added to either type and not persisted
     // here fails to compile instead of resetting to its default on recovery.
@@ -435,7 +435,7 @@ pub(crate) fn take_sieve_config(cur: &mut Cursor<'_>) -> DecodeResult<SieveConfi
 
 /// Appends a [`CallGraph`] as its component list plus per-caller edge
 /// lists with call counts.
-pub fn put_call_graph(buf: &mut Vec<u8>, graph: &CallGraph) {
+pub(crate) fn put_call_graph(buf: &mut Vec<u8>, graph: &CallGraph) {
     let components = graph.components();
     put_usize(buf, components.len());
     for component in &components {

@@ -21,12 +21,12 @@
 //! the processor's multipliers busy where one chain would wait on its own
 //! previous step.
 
-use crate::codec::{le_words, put_u32, put_u64, DecodeResult, IdMemo};
+use crate::codec::{le_words, DecodeResult, IdMemo};
 use crate::event::{reads_tag, WalEvent};
 use sieve_exec::hash::mix;
 
 /// Fixed byte length of a frame header (length + sequence + checksum).
-pub const HEADER_LEN: usize = 4 + 8 + 8;
+pub(crate) const HEADER_LEN: usize = 4 + 8 + 8;
 
 /// Upper bound on a plausible payload length. Real frames are kilobytes;
 /// the cap exists so a corrupted length prefix cannot make the resync
@@ -39,7 +39,7 @@ const CHECKSUM_SEED: u64 = 0x5349_4556_5741_4C46;
 /// Checksum of one frame: seeded with the sequence number and payload
 /// length, folded over the payload in 8-byte LE chunks (the final partial
 /// chunk zero-padded).
-pub fn checksum(seq: u64, payload: &[u8]) -> u64 {
+pub(crate) fn checksum(seq: u64, payload: &[u8]) -> u64 {
     let [fp] = checksums([(seq, payload)]);
     fp
 }
@@ -67,14 +67,17 @@ pub(crate) fn checksums<const N: usize>(frames: [(u64, &[u8]); N]) -> [u64; N] {
 }
 
 /// Encodes one event as a complete frame with sequence number `seq`.
-pub fn encode(seq: u64, event: &WalEvent) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn encode(seq: u64, event: &WalEvent) -> Vec<u8> {
     let mut payload = Vec::new();
     event.encode(&mut payload);
     frame_payload(seq, &payload)
 }
 
 /// Wraps an encoded event in a frame with sequence number `seq`.
+#[cfg(test)]
 pub(crate) fn frame_payload(seq: u64, payload: &[u8]) -> Vec<u8> {
+    use crate::codec::{put_u32, put_u64};
     assert!(
         payload.len() <= MAX_PAYLOAD,
         "event payload of {} bytes exceeds the frame cap",

@@ -21,7 +21,7 @@
 //!    the leader's write — zero syscalls on their thread.
 //!
 //! Whatever the interleaving, the byte stream on the media is the
-//! concatenation of [`frame::encode`]`(seq, event)` in sequence order
+//! concatenation of `frame::encode(seq, event)` in sequence order
 //! (asserted by unit test) — exactly what [`crate::reader::scan_log`]
 //! reads back.
 //!
@@ -35,8 +35,9 @@
 //!
 //! [`FsyncPolicy`]: crate::writer::FsyncPolicy
 
+use crate::dir::FileMedia;
 use crate::frame;
-use crate::writer::{FileMedia, FsyncPolicy, WalMedia};
+use crate::writer::{FsyncPolicy, WalMedia};
 use crate::Result;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -12,23 +12,14 @@
 //!
 //! # Layout on disk
 //!
-//! One directory holds the whole service: per shard, an append-only log
-//! (`wal-shard-<i>.log`) of [`WalEvent`]s in length-prefixed,
-//! checksummed frames, and at most one snapshot
-//! (`wal-shard-<i>.snap`) capturing every tenant of the shard (frozen
-//! store image, configuration, call graph) plus the log sequence number
-//! it covers. Snapshots are written atomically (temp file + fsync +
-//! rename) and let the log be truncated, bounding replay work.
-//!
-//! A shard may also hold an analysis checkpoint (`wal-shard-<i>.ckpt`,
-//! [`ShardCheckpoint`]): its tenants' content-keyed analysis caches, which
-//! recovery seeds sessions from. It is a cache, not state — written with no
-//! fsync, and read as a miss whenever it is absent, damaged or stale.
-//!
-//! Beside them sits one format record (`wal-format`, [`FORMAT`]) naming
-//! the directory's format number: every structure in the directory has
-//! that number's layout and one decoder, and a directory of another number
-//! is refused rather than read.
+//! One directory holds the whole service: per shard, an append-only log of
+//! [`WalEvent`]s in length-prefixed, checksummed frames, at most one
+//! snapshot ([`ShardSnapshot`]: every tenant of the shard plus the log
+//! sequence number it covers, which lets the log be truncated) and at most
+//! one analysis checkpoint ([`ShardCheckpoint`], a cache recovery seeds
+//! sessions from); beside them, one format record naming the directory's
+//! [`FORMAT`], whose layouts alone this build reads. [`ShardDir`] is the
+//! one door to it: every file, its name and the order of its writes.
 //!
 //! # Torn writes and corruption
 //!
@@ -55,6 +46,7 @@
 
 mod checkpoint;
 mod codec;
+mod dir;
 mod error;
 mod event;
 mod format;
@@ -65,11 +57,13 @@ mod snapshot;
 mod writer;
 
 pub use checkpoint::{CheckpointRead, ShardCheckpoint, TenantCheckpoint};
-pub use codec::{put_call_graph, put_sieve_config, put_str, put_u32, put_u64, IdMemo};
+pub use codec::IdMemo;
+pub use dir::{
+    checkpoint_file_name, log_file_name, snapshot_file_name, ShardDir, FORMAT_FILE_NAME,
+};
 pub use error::WalError;
 pub use event::{IngestRef, WalEvent};
-pub use format::{read_format, write_format, FORMAT, FORMAT_FILE_NAME};
-pub use frame::{checksum, encode, HEADER_LEN};
+pub use format::FORMAT;
 pub use group::{GroupCommitLog, GroupCommitStats};
 pub use reader::{scan_log, Frame, LogCorruption, LogFrames, ScannedLog};
 pub use snapshot::{ShardSnapshot, TenantSnapshot};
@@ -77,23 +71,6 @@ pub use writer::FsyncPolicy;
 
 /// Convenience alias for fallible WAL operations.
 pub type Result<T> = std::result::Result<T, WalError>;
-
-/// File name of shard `i`'s append-only log inside a durability
-/// directory.
-pub fn log_file_name(shard: usize) -> String {
-    format!("wal-shard-{shard}.log")
-}
-
-/// File name of shard `i`'s snapshot inside a durability directory.
-pub fn snapshot_file_name(shard: usize) -> String {
-    format!("wal-shard-{shard}.snap")
-}
-
-/// File name of shard `i`'s analysis checkpoint inside a durability
-/// directory.
-pub fn checkpoint_file_name(shard: usize) -> String {
-    format!("wal-shard-{shard}.ckpt")
-}
 
 #[cfg(test)]
 mod tests {

@@ -7,11 +7,10 @@
 //! log can be truncated whenever a snapshot lands and replay work stays
 //! bounded no matter how long the service runs.
 //!
-//! Snapshots are written atomically: encode to `<path>.tmp`, `fsync`,
-//! then `rename` over the final path. A crash mid-write leaves either the
-//! old snapshot or none — never a half-written one — and the header
-//! carries a checksum of the body so a bit-flipped snapshot is detected and
-//! treated as absent (recovery then falls back to pure log replay).
+//! Snapshots are written atomically (temp file, `fsync`, rename:
+//! [`crate::ShardDir::anchor`]), so a crash leaves the old snapshot or
+//! none, and the header's body checksum makes a bit-flipped one read as
+//! absent (recovery then falls back to pure log replay).
 //!
 //! ```text
 //! [magic: u64 LE][version: u32 LE][body checksum: u64 LE][body]
@@ -29,6 +28,7 @@ use crate::codec::{
     put_call_graph, put_sieve_config, put_store_state, put_str, put_u32, put_u64, put_usize,
     take_call_graph, take_sieve_config, take_store_state, Cursor, DecodeResult, IdMemo,
 };
+use crate::dir::{read_whole, write_durable};
 use crate::format::FORMAT;
 use crate::frame::checksums;
 use crate::{Result, WalError};
@@ -36,7 +36,6 @@ use sieve_core::SieveConfig;
 use sieve_exec::hash::mix;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::StoreState;
-use std::io::Write;
 use std::path::Path;
 
 /// Magic prefix of a snapshot file ("SIEVSNAP" in ASCII).
@@ -172,14 +171,7 @@ impl ShardSnapshot {
     /// Propagates filesystem failures; on error the previous snapshot (if
     /// any) is still in place.
     pub fn write_atomic(&self, path: &Path) -> Result<()> {
-        let tmp = path.with_extension("snap.tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(&self.encode())?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        write_durable(path, &self.encode())
     }
 
     /// Reads a snapshot from `path`: `Ok(None)` if the file does not
@@ -195,22 +187,6 @@ impl ShardSnapshot {
         Self::decode(&bytes)
             .map(Some)
             .map_err(|reason| WalError::Corrupt { offset: 0, reason })
-    }
-}
-
-/// Reads the file at `path` whole: `Ok(None)` if it does not exist. The
-/// durable directory's one whole-file read, shared by the snapshot and the
-/// checkpoint ([`crate::checkpoint`]) — both are read once, at recovery, and
-/// verified as a whole; the logs are streamed through a bounded window.
-///
-/// # Errors
-///
-/// I/O failures other than not-found.
-pub(crate) fn read_whole(path: &Path) -> std::io::Result<Option<Vec<u8>>> {
-    match std::fs::read(path) {
-        Ok(bytes) => Ok(Some(bytes)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
     }
 }
 

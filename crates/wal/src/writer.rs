@@ -7,12 +7,8 @@
 //! tests and benchmarks).
 //!
 //! All byte traffic goes through the [`WalMedia`] trait so the group
-//! commit's tests can substitute an in-memory media for the file.
-
-use crate::Result;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::Path;
+//! commit's tests can substitute an in-memory media for the file, whose
+//! media lives behind the directory's door ([`crate::dir`]).
 
 /// When a shard log issues `fsync` after flushing buffered frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,41 +26,14 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// Destination of a shard log's bytes. `File` is the real thing; the
-/// in-memory test media implements it too.
+/// Destination of a shard log's bytes. The file media behind the
+/// directory's door is the real thing; the in-memory test media implements
+/// it too.
 pub(crate) trait WalMedia: Send + std::fmt::Debug {
     /// Appends bytes at the end of the media.
     fn append(&mut self, bytes: &[u8]) -> std::io::Result<()>;
     /// Forces everything appended so far to stable storage.
     fn sync(&mut self) -> std::io::Result<()>;
-}
-
-/// File-backed media: appends via `write_all`, syncs via `sync_data`.
-#[derive(Debug)]
-pub(crate) struct FileMedia {
-    file: File,
-}
-
-impl FileMedia {
-    /// Opens (creating if absent) `path` for appending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying open failure.
-    pub(crate) fn open_append(path: &Path) -> Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self { file })
-    }
-}
-
-impl WalMedia for FileMedia {
-    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.file.write_all(bytes)
-    }
-
-    fn sync(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()
-    }
 }
 
 #[cfg(test)]
