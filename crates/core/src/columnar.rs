@@ -147,7 +147,6 @@ impl PreparedComponent {
     }
 
     /// The shared backing buffer (all series packed end to end).
-    #[cfg(test)]
     pub(crate) fn buffer(&self) -> &Arc<[f64]> {
         &self.buffer
     }

@@ -84,7 +84,7 @@ use crate::model::{ComponentClustering, SieveModel};
 use crate::pipeline::prepare_components;
 use crate::reduce::reduce_component;
 use crate::Result;
-use sieve_exec::hash::{fingerprint_f64s, mix, mix_f64, mix_str, FINGERPRINT_SEED};
+use sieve_exec::hash::{fingerprint_f64_rows, mix, mix_f64, mix_str, FINGERPRINT_SEED};
 use sieve_exec::{try_par_map_chunks, Name};
 use sieve_graph::{CallGraph, DependencyEdge, DependencyGraph};
 use sieve_simulator::store::{MetricStore, StoreDelta};
@@ -581,9 +581,7 @@ impl AnalysisSession {
         let mut interpolated = 0;
         for (component, (prepared, grid_points)) in dirty.iter().zip(freshly_prepared) {
             interpolated += grid_points;
-            let series_fps: Vec<u64> = (0..prepared.len())
-                .map(|i| fingerprint_f64s(prepared.series(i)))
-                .collect();
+            let series_fps = fingerprint_f64_rows(prepared.buffer(), prepared.len());
             let clustering_key = prepared.names().iter().zip(&series_fps).fold(
                 mix(self.config_fp, prepared.len() as u64),
                 |acc, (name, &fp)| mix(mix_str(acc, name.as_str()), fp),

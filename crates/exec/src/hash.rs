@@ -100,6 +100,43 @@ pub fn fingerprint_f64s(values: &[f64]) -> u64 {
         })
 }
 
+/// Fingerprints each of the `rows` equal-length rows `arena` holds end to
+/// end, as [`fingerprint_f64s`] would one by one. Four rows at a time run
+/// their chains in lockstep: each value's `mix` waits on the one before it
+/// in its own row only, so the four chains overlap in the pipeline.
+///
+/// # Panics
+///
+/// Panics when `arena` does not split into `rows` rows of one length.
+pub fn fingerprint_f64_rows(arena: &[f64], rows: usize) -> Vec<u64> {
+    let row_len = arena.len().checked_div(rows).unwrap_or(0);
+    assert_eq!(arena.len(), rows * row_len, "{rows} rows of one length");
+    let seed = mix(FINGERPRINT_SEED, row_len as u64);
+    if row_len == 0 {
+        return vec![seed; rows];
+    }
+    let mut fingerprints = Vec::with_capacity(rows);
+    let mut quads = arena.chunks_exact(4 * row_len);
+    for quad in &mut quads {
+        let (r0, rest) = quad.split_at(row_len);
+        let (r1, rest) = rest.split_at(row_len);
+        let (r2, r3) = rest.split_at(row_len);
+        let mut acc = [seed; 4];
+        for (((&a, &b), &c), &d) in r0.iter().zip(r1).zip(r2).zip(r3) {
+            acc = [
+                mix_f64(acc[0], a),
+                mix_f64(acc[1], b),
+                mix_f64(acc[2], c),
+                mix_f64(acc[3], d),
+            ];
+        }
+        fingerprints.extend(acc);
+    }
+    let rest = quads.remainder().chunks_exact(row_len);
+    fingerprints.extend(rest.map(fingerprint_f64s));
+    fingerprints
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +189,32 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn shard_index_rejects_non_power_of_two_counts() {
         shard_index("tenant", 6);
+    }
+
+    #[test]
+    fn lockstep_rows_fingerprint_as_each_row_alone() {
+        let mut state = FINGERPRINT_SEED;
+        for rows in 0..=9 {
+            for row_len in (0..=40).chain([63, 64, 65, 127, 128, 129, 255, 256, 300]) {
+                let arena: Vec<f64> = (0..rows * row_len)
+                    .map(|_| {
+                        state = splitmix64(state);
+                        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                    })
+                    .collect();
+                let expected: Vec<u64> = (0..rows)
+                    .map(|row| fingerprint_f64s(&arena[row * row_len..(row + 1) * row_len]))
+                    .collect();
+                let found = fingerprint_f64_rows(&arena, rows);
+                assert_eq!(found, expected, "{rows} rows of {row_len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows of one length")]
+    fn lockstep_rows_refuse_a_ragged_arena() {
+        fingerprint_f64_rows(&[1.0, 2.0, 3.0], 2);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::checkpoint::Checkpoints;
 use crate::config::DurabilityConfig;
+use crate::recovery::ShardRecovery;
 use crate::registry::ShardedRegistry;
 use crate::service::SieveService;
 use crate::stats::ServiceStats;
@@ -132,23 +133,37 @@ impl DurableLog {
     }
 
     /// Re-anchors the recovered directory `dir` at the tenants in
-    /// `registry`: per shard a writer continuing at the recovered sequence,
-    /// one fresh snapshot and an empty log, so a corrupt tail is physically
-    /// gone.
+    /// `registry`, per shard as `recovered` found it: a writer continuing
+    /// at the recovered sequence, and, for each [`ShardRecovery::anchored`]
+    /// shard, one fresh snapshot and an empty log, so a corrupt tail is
+    /// physically gone. Every other shard keeps its snapshot and log as
+    /// found, and its cadence counter starts at the frames it replayed, so
+    /// its next snapshot falls where its predecessor's would have and a
+    /// second crash still replays less than one cadence.
     pub(crate) fn reanchor(
         mut dir: ShardDir,
         fsync: FsyncPolicy,
         snapshot_every_events: u64,
         registry: &ShardedRegistry,
-        next_seqs: impl IntoIterator<Item = u64>,
+        recovered: &[ShardRecovery],
     ) -> Result<Self> {
+        let next_seqs = recovered
+            .iter()
+            .map(|shard| shard.recovered_through_seq + 1);
         let logs = dir.reopen_logs(next_seqs, fsync)?;
-        let durable = Self::assemble(dir, logs, snapshot_every_events);
+        let mut durable = Self::assemble(dir, logs, snapshot_every_events);
+        for (dshard, shard) in durable.shards.iter_mut().zip(recovered) {
+            if !shard.anchored {
+                *dshard.events_since_snapshot.get_mut() = shard.frames_replayed;
+            }
+        }
         // Nothing else can reach `durable` yet: every shard is quiesced.
-        let shards = 0..durable.shards.len();
+        let anchored = recovered.iter().filter(|shard| shard.anchored);
         durable
             .dir
-            .anchor(shards, |shard| durable.snapshot(registry, shard))?;
+            .anchor(anchored.map(|shard| shard.shard), |shard| {
+                durable.snapshot(registry, shard)
+            })?;
         Ok(durable)
     }
 

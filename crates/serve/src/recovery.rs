@@ -13,7 +13,8 @@
 //! The read half of recovery lives here next to its report:
 //! `recover_shard` turns one shard's snapshot and log into a
 //! [`ShardRecovery`] and the tenants it could restore, without changing a
-//! byte on disk.
+//! byte on disk, and decides whether the shard's files must be re-anchored
+//! ([`ShardRecovery::anchored`]).
 
 use crate::checkpoint::Seeds;
 use crate::registry::ShardedRegistry;
@@ -155,6 +156,11 @@ pub struct ShardRecovery {
     /// Log frames replayed (frames at or below the snapshot watermark
     /// are skipped, not replayed).
     pub frames_replayed: u64,
+    /// Points the tenants' retention windows evicted while replay appended
+    /// to them — replayed points, and snapshot points they pushed out: the
+    /// growth of each tenant store's evicted count from the moment
+    /// recovery opened it, summed.
+    pub points_evicted: u64,
     /// The corrupt region of the log, if the log did not end cleanly.
     pub corruption: Option<CorruptionSummary>,
     /// Bytes of log read: the length of the shard's log file (0 when there
@@ -195,6 +201,22 @@ pub struct ShardRecovery {
     /// creation record entirely (corrupt snapshot plus truncated log) and
     /// must be re-created to resume.
     pub tenants: BTreeMap<String, TenantRecovery>,
+    /// Whether recovery re-anchored the shard: wrote a fresh snapshot and
+    /// emptied its log. A shard keeps its files as found when its log
+    /// existed, it recovered clean, every frame read was past the
+    /// snapshot's watermark and it replayed fewer frames than one snapshot
+    /// cadence; its writer then appends after the log's last frame.
+    pub anchored: bool,
+}
+
+impl ShardRecovery {
+    /// Whether the shard lost nothing: its log ended cleanly, its snapshot
+    /// (if any) verified, and every tenant replayed every logged event.
+    fn is_clean(&self) -> bool {
+        self.corruption.is_none()
+            && !self.snapshot_corrupt
+            && self.tenants.values().all(TenantRecovery::is_clean)
+    }
 }
 
 /// The complete outcome of a [`crate::service::SieveService::recover`].
@@ -203,19 +225,15 @@ pub struct RecoveryReport {
     /// One entry per registry shard, in shard order.
     pub shards: Vec<ShardRecovery>,
     /// Wall time spent re-anchoring the directory once every shard was
-    /// read — one fresh snapshot and an emptied log per shard — in
-    /// nanoseconds.
+    /// read — reopening the logs, then one fresh snapshot and an emptied
+    /// log per [`ShardRecovery::anchored`] shard — in nanoseconds.
     pub reanchor_ns: u64,
 }
 
 impl RecoveryReport {
     /// Whether every tenant of every shard recovered cleanly.
     pub fn is_clean(&self) -> bool {
-        self.shards.iter().all(|shard| {
-            shard.corruption.is_none()
-                && !shard.snapshot_corrupt
-                && shard.tenants.values().all(TenantRecovery::is_clean)
-        })
+        self.shards.iter().all(ShardRecovery::is_clean)
     }
 
     /// The outcome of one tenant, if it appears in any shard.
@@ -271,13 +289,15 @@ impl std::fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let tenants: usize = self.shards.iter().map(|s| s.tenants.len()).sum();
         let frames: u64 = self.shards.iter().map(|s| s.frames_replayed).sum();
+        let anchored = self.shards.iter().filter(|s| s.anchored).count();
         let lost = self.lost();
         write!(
             f,
-            "recovered {} tenants from {} shards: {} frames, {} points replayed, \
-             {} cache entries seeded",
+            "recovered {} tenants from {} shards ({} anchored): {} frames, \
+             {} points replayed, {} cache entries seeded",
             tenants,
             self.shards.len(),
+            anchored,
             frames,
             self.points_replayed(),
             self.checkpoint().entries_seeded
@@ -329,6 +349,8 @@ struct Replaying {
     /// The tenant, `None` when it is known only by name from orphaned
     /// frames (its creation record was lost).
     tenant: Option<Arc<Tenant>>,
+    /// The tenant store's evicted count when recovery opened it.
+    evicted_at_open: u64,
     points_replayed: u64,
     /// Once anything is lost the tenant is degraded: no further event of
     /// it is applied — every later one joins the lost suffix (applying
@@ -338,6 +360,15 @@ struct Replaying {
 }
 
 impl Replaying {
+    /// A tenant recovery just opened.
+    fn opened(tenant: Arc<Tenant>) -> Self {
+        Self {
+            evicted_at_open: tenant.store.evicted_point_count(),
+            tenant: Some(tenant),
+            ..Self::default()
+        }
+    }
+
     /// An event of `points` points cannot be applied: it joins the lost
     /// suffix.
     fn lose(&mut self, points: usize) {
@@ -392,7 +423,7 @@ fn replay(
                 call_graph,
             }) => {
                 let store = MetricStore::with_retention(config.retention);
-                introduced.tenant = Some(open(seeds, tenant, store, call_graph, *config)?);
+                introduced = Replaying::opened(open(seeds, tenant, store, call_graph, *config)?);
             }
             _ => introduced.lose(points),
         }
@@ -478,11 +509,7 @@ fn restore_snapshot(
         let store = MetricStore::restore(tenant.store);
         let name = Name::new(&tenant.tenant);
         let opened = open(seeds, name, store, tenant.call_graph, *tenant.config)?;
-        let restored = Replaying {
-            tenant: Some(opened),
-            ..Replaying::default()
-        };
-        replaying.insert(tenant.tenant, restored);
+        replaying.insert(tenant.tenant, Replaying::opened(opened));
     }
     Ok((snapshot.last_seq, false, replaying))
 }
@@ -492,10 +519,12 @@ fn restore_snapshot(
 /// the snapshot's tenants are opened, the log's intact prefix past the
 /// snapshot watermark is replayed through [`Tenant::apply`], the fold the
 /// live service applies, and every tenant whose creation record survived
-/// enters `registry`. Nothing on disk changes — re-anchoring the directory
-/// is the caller's second step, taken only once every shard has been read.
-/// Each of the five stages the report times reads the clock twice; the log
-/// walk reads it twice more per refill of its window, not per frame.
+/// enters `registry`. Nothing on disk changes — re-anchoring the shards
+/// whose files need it ([`ShardRecovery::anchored`], against the snapshot
+/// cadence `snapshot_every_events`) is the caller's second step, taken only
+/// once every shard has been read. Each of the five stages the report times
+/// reads the clock twice; the log walk reads it twice more per refill of
+/// its window, not per frame.
 ///
 /// # Errors
 ///
@@ -507,6 +536,7 @@ pub(crate) fn recover_shard(
     dir: &ShardDir,
     shard: usize,
     shard_count: usize,
+    snapshot_every_events: u64,
     registry: &ShardedRegistry,
 ) -> Result<ShardRecovery> {
     // A checkpoint is a cache: reading it cannot fail, and whatever it
@@ -525,9 +555,10 @@ pub(crate) fn recover_shard(
     // neither the log nor its decoded events are ever resident whole.
     let started = Instant::now();
     let mut frames = dir.log_frames(shard)?;
-    let mut frames_replayed = 0u64;
+    let (mut frames_read, mut frames_replayed) = (0u64, 0u64);
     let mut recovered_through_seq = snapshot_last_seq;
     while let Some((seq, frame)) = frames.next() {
+        frames_read += 1;
         if seq > snapshot_last_seq {
             frames_replayed += 1;
             recovered_through_seq = seq;
@@ -552,6 +583,7 @@ pub(crate) fn recover_shard(
 
     let started = Instant::now();
     let mut report_tenants = BTreeMap::new();
+    let mut points_evicted = 0;
     for (name, replayed) in replaying {
         let routed = shard_index(&name, shard_count);
         if routed != shard {
@@ -563,16 +595,18 @@ pub(crate) fn recover_shard(
         // Without its creation record (corrupt snapshot plus truncated
         // log) a tenant is reported but cannot be re-registered.
         if let Some(tenant) = replayed.tenant {
+            points_evicted += tenant.store.evicted_point_count() - replayed.evicted_at_open;
             registry.insert(tenant)?;
         }
     }
     let rehydrate_ns = ns_since(started);
-    Ok(ShardRecovery {
+    let mut recovery = ShardRecovery {
         shard,
         snapshot_last_seq,
         snapshot_corrupt,
         recovered_through_seq,
         frames_replayed,
+        points_evicted,
         corruption: corruption.map(|corruption| CorruptionSummary {
             offset: corruption.offset,
             reason: corruption.reason,
@@ -589,7 +623,16 @@ pub(crate) fn recover_shard(
         replay_ns,
         rehydrate_ns,
         tenants: report_tenants,
-    })
+        anchored: true,
+    };
+    // The files describe exactly the recovered state, and the writer can
+    // append after the last frame without a second crash replaying more
+    // than one cadence: nothing to re-anchor.
+    recovery.anchored = !(dir.has_log(shard)
+        && recovery.is_clean()
+        && frames_read == frames_replayed
+        && frames_replayed < snapshot_every_events);
+    Ok(recovery)
 }
 
 #[cfg(test)]
@@ -621,6 +664,7 @@ mod tests {
                 snapshot_corrupt: false,
                 recovered_through_seq: 17,
                 frames_replayed: 12,
+                points_evicted: 0,
                 corruption: Some(CorruptionSummary {
                     offset: 4096,
                     reason: "checksum mismatch in frame seq 18".to_string(),
@@ -642,6 +686,7 @@ mod tests {
                 replay_ns: 0,
                 rehydrate_ns: 0,
                 tenants,
+                anchored: true,
             }],
             reanchor_ns: 0,
         }
@@ -666,6 +711,7 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("lost 3 events (9 points)"), "{text}");
         assert!(text.contains("7 cache entries seeded"), "{text}");
+        assert!(text.contains("from 1 shards (1 anchored)"), "{text}");
         assert_eq!(report.checkpoint().missing, 1);
 
         let clean = RecoveryReport {

@@ -435,9 +435,14 @@ impl SieveService {
     /// (resynchronized later frames are counted, never applied), and a
     /// replayed batch whose fingerprint watermarks do not reproduce the
     /// logged ones degrades just that tenant. A corrupt snapshot falls
-    /// back to pure log replay. After recovery the directory is
-    /// re-snapshotted and the logs are truncated, so the corrupt tail is
-    /// physically gone and a second recovery is clean by construction.
+    /// back to pure log replay. After recovery each shard whose files need
+    /// it is re-anchored — re-snapshotted and its log truncated — so a
+    /// corrupt tail is physically gone and a second recovery is clean by
+    /// construction: a shard whose log was missing or not clean, held a
+    /// frame its snapshot covers, or replayed a whole snapshot cadence
+    /// ([`crate::ShardRecovery::anchored`]). Every other shard keeps its
+    /// snapshot and log as found and goes on appending after its last
+    /// frame; a directory of clean shards is written nothing.
     ///
     /// The restart is warm: each shard's analysis checkpoint, when there is
     /// one, seeds the sessions of the tenants it opens, so the first sweep
@@ -514,15 +519,16 @@ impl SieveService {
         let mut shards = Vec::with_capacity(shard_count);
         let registry = ShardedRegistry::new(shard_count);
         for shard in 0..shard_count {
-            shards.push(recover_shard(&dir, shard, shard_count, &registry)?);
+            let recovered =
+                recover_shard(&dir, shard, shard_count, snapshot_every_events, &registry)?;
+            shards.push(recovered);
         }
-        let next_seqs = shards.iter().map(|shard| shard.recovered_through_seq + 1);
         let started = std::time::Instant::now();
         // A directory that held no shard file is stamped with this build's
-        // format as its re-anchor creates some (the re-anchor's directory
-        // sync covers the record); any other already names it.
-        let durable =
-            DurableLog::reanchor(dir, fsync, snapshot_every_events, &registry, next_seqs)?;
+        // format as its re-anchor creates some (every shard is anchored, and
+        // the anchor's directory sync covers the record); any other already
+        // names it.
+        let durable = DurableLog::reanchor(dir, fsync, snapshot_every_events, &registry, &shards)?;
         let reanchor_ns = ns_since(started);
         let service = Self::assemble(config, registry, Some(durable));
         let report = RecoveryReport {

@@ -7,6 +7,7 @@ use super::*;
 use crate::TenantRecovery;
 use sieve_core::{Sieve, SieveConfig};
 use sieve_wal::WalEvent;
+use std::collections::BTreeMap;
 
 fn tiny_config() -> ServeConfig {
     ServeConfig::default()
@@ -962,7 +963,8 @@ fn a_snapshot_version_other_than_the_directory_s_format_is_corruption() {
             "version {version}: the tail wave of a tenant no record introduces"
         );
         drop(recovered);
-        // Recovery re-anchored the directory; put the crashed one back.
+        // Recovery re-anchored the shard whose snapshot was corrupt; put the
+        // crashed files back.
         for (name, bytes) in &crashed {
             std::fs::write(dir.join(name), bytes).unwrap();
         }
@@ -1076,14 +1078,36 @@ fn assert_recover_refuses(dir: &std::path::Path, config: ServeConfig, expected: 
 #[test]
 fn a_new_durable_service_wipes_the_previous_incarnation() {
     let dir = temp_dir("wipe");
-    let with_shards = |shard_count: usize| durable_config(&dir).with_shard_count(shard_count);
+    // Each tenant's creation and wave are two events: every shard holding a
+    // tenant snapshots, and its log ends empty.
+    let with_shards = |shard_count: usize| {
+        tiny_config()
+            .with_shard_count(shard_count)
+            .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(2))
+    };
     let first = SieveService::new(with_shards(8)).unwrap();
-    for i in 0..16 {
-        let name = format!("tenant-{i}");
+    let names: Vec<String> = (0..16).map(|i| format!("tenant-{i}")).collect();
+    for name in &names {
         first.create_tenant(name.as_str(), web_db_graph()).unwrap();
-        ingest_wave(&first, &name, 0..40, 0.0);
+        ingest_wave(&first, name, 0..40, 0.0);
     }
     drop(first);
+    let populated: Vec<usize> = names
+        .iter()
+        .map(|name| sieve_exec::hash::shard_index(name, 8))
+        .collect();
+    assert!(populated.contains(&0) && populated.contains(&1));
+    let layout: Vec<(usize, &[&str])> = (0..8)
+        .map(|shard| {
+            let kinds: &[&str] = if populated.contains(&shard) {
+                &["log", "snap"]
+            } else {
+                &["log"]
+            };
+            (shard, kinds)
+        })
+        .collect();
+    assert_layout(&dir, "the first service", &layout);
 
     // A directory is recovered under the shard count that wrote it, or
     // not at all. A smaller count would leave the shard files beyond it
@@ -1096,8 +1120,8 @@ fn a_new_durable_service_wipes_the_previous_incarnation() {
     assert_eq!(same.tenant_count(), 16);
     assert!(report.is_clean(), "{report}");
     drop(same);
-    // That recovery re-anchored every shard with a snapshot; one sitting
-    // in another shard's file is refused too.
+    assert_layout(&dir, "a clean recovery", &layout);
+    // A snapshot sitting in another shard's file is refused too.
     let misplaced = dir.join(sieve_wal::snapshot_file_name(1));
     let own = std::fs::read(&misplaced).unwrap();
     std::fs::copy(dir.join(sieve_wal::snapshot_file_name(0)), &misplaced).unwrap();
@@ -1184,18 +1208,250 @@ fn a_clean_lifecycle_leaves_only_the_layout_s_files() {
     drop(service);
     assert_layout(&dir, "drop", swept);
 
-    // The re-anchor snapshots every shard.
+    // A clean recovery keeps every shard's files as found.
     let (recovered, report) = SieveService::recover(config(2)).unwrap();
     assert!(report.is_clean(), "{report}");
+    assert!(
+        report.shards.iter().all(|shard| !shard.anchored),
+        "{report}"
+    );
     assert_eq!(recovered.tenant_count(), 2);
-    let anchored: &[(usize, &[&str])] = &[(a, &["log", "snap", "ckpt"]), (b, &["log", "snap"])];
-    assert_layout(&dir, "recover", anchored);
+    assert_layout(&dir, "recover", swept);
     drop(recovered);
-    assert_layout(&dir, "drop", anchored);
+    assert_layout(&dir, "drop", swept);
 
     let fewer = SieveService::new(config(1)).unwrap();
     assert_layout(&dir, "new with fewer shards", &[(0, &["log"])]);
     drop(fewer);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_clean_recovery_leaves_the_directory_byte_for_byte_as_found() {
+    let dir = temp_dir("clean-untouched");
+    // A cadence of 3: some shards recover from a snapshot plus a tail, some
+    // from the log alone.
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(3));
+    let service = SieveService::new(config.clone()).unwrap();
+    for (bias, name) in ["alpha", "beta", "gamma", "delta"].into_iter().enumerate() {
+        service.create_tenant(name, web_db_graph()).unwrap();
+        for round in 0..=bias as u64 {
+            ingest_wave(&service, name, round * 10..(round + 1) * 10, bias as f64);
+        }
+    }
+    service.refresh_dirty().unwrap();
+    drop(service);
+    let found = dir_bytes(&dir);
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert!(report
+        .shards
+        .iter()
+        .any(|shard| shard.snapshot_last_seq > 0));
+    assert!(report.shards.iter().any(|shard| shard.frames_replayed > 0));
+    assert_eq!(
+        report.shards.iter().filter(|shard| shard.anchored).count(),
+        0,
+        "{report}"
+    );
+    assert!(report.to_string().contains("(0 anchored)"), "{report}");
+    assert!(
+        dir_bytes(&dir) == found,
+        "recover wrote to a clean directory"
+    );
+    drop(recovered);
+    assert!(
+        dir_bytes(&dir) == found,
+        "the recovered service's drop wrote"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn only_the_shard_with_a_torn_tail_is_anchored() {
+    let dir = temp_dir("torn-one-shard");
+    let config = tiny_config()
+        .with_shard_count(2)
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000));
+    let route = |tenant| sieve_exec::hash::shard_index(tenant, 2);
+    let (torn, kept) = (route("alpha"), route("gamma"));
+    assert_ne!(torn, kept, "the two tenants live in different shards");
+    let service = SieveService::new(config.clone()).unwrap();
+    for name in ["alpha", "gamma"] {
+        service.create_tenant(name, web_db_graph()).unwrap();
+        ingest_wave(&service, name, 0..10, 0.0);
+        ingest_wave(&service, name, 10..20, 0.0);
+    }
+    drop(service);
+    let log = dir.join(sieve_wal::log_file_name(torn));
+    let bytes = std::fs::read(&log).unwrap();
+    std::fs::write(&log, &bytes[..bytes.len() - 3]).unwrap();
+    let files = || -> BTreeMap<String, Vec<u8>> {
+        let named = dir_bytes(&dir).into_iter();
+        named
+            .map(|(name, bytes)| (name.into_string().unwrap(), bytes))
+            .collect()
+    };
+    let mut found = files();
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    let anchored: Vec<usize> = report
+        .shards
+        .iter()
+        .filter(|shard| shard.anchored)
+        .map(|shard| shard.shard)
+        .collect();
+    assert_eq!(anchored, [torn], "{report}");
+    assert!(report.shards[torn].corruption.is_some());
+    // The torn shard: its log emptied, a snapshot where there was none.
+    let mut now = files();
+    assert_eq!(
+        now.remove(&sieve_wal::log_file_name(torn)),
+        Some(Vec::new())
+    );
+    assert!(now.remove(&sieve_wal::snapshot_file_name(torn)).is_some());
+    assert!(found.remove(&sieve_wal::log_file_name(torn)).is_some());
+    assert_eq!(found.remove(&sieve_wal::snapshot_file_name(torn)), None);
+    // Every other file, the kept shard's log and the format record among
+    // them, is byte for byte as found.
+    assert!(!now[&sieve_wal::log_file_name(kept)].is_empty());
+    assert!(now == found, "a file besides the torn shard's changed");
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_clean_shard_is_anchored_when_its_files_need_it() {
+    let dir = temp_dir("needs-anchor");
+    let config = |every| {
+        tiny_config()
+            .with_shard_count(1)
+            .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(every))
+    };
+    let write = |every| {
+        let service = SieveService::new(config(every)).unwrap();
+        service.create_tenant("acme", web_db_graph()).unwrap();
+        ingest_wave(&service, "acme", 0..10, 0.0);
+        ingest_wave(&service, "acme", 10..20, 0.0);
+        service.refresh_dirty().unwrap();
+        service.model("acme").unwrap().unwrap()
+    };
+    let log = dir.join(sieve_wal::log_file_name(0));
+    let snapshot = dir.join(sieve_wal::snapshot_file_name(0));
+    let recover = |every| {
+        let (recovered, report) = SieveService::recover(config(every)).unwrap();
+        assert!(report.is_clean(), "{report}");
+        recovered.refresh_dirty().unwrap();
+        let model = recovered.model("acme").unwrap().unwrap();
+        (report.shards[0].clone(), model)
+    };
+
+    // Three frames in the log and no snapshot, recovered under a cadence
+    // of three: a second crash would replay a whole cadence.
+    let live = write(1_000_000);
+    let logged = std::fs::read(&log).unwrap();
+    let (shard, model) = recover(3);
+    assert_eq!((shard.frames_replayed, shard.anchored), (3, true));
+    assert_eq!(*model, *live);
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), 0);
+
+    // A crash between a snapshot's rename and its log's truncation: every
+    // frame of the log is at or below the snapshot's watermark.
+    let live = write(3);
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), 0);
+    std::fs::write(&log, &logged).unwrap();
+    let (shard, model) = recover(1_000_000);
+    assert_eq!(
+        (
+            shard.snapshot_last_seq,
+            shard.frames_replayed,
+            shard.anchored
+        ),
+        (3, 0, true)
+    );
+    assert_eq!(*model, *live);
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), 0);
+
+    // A snapshot without its log: the log is created, and the directory
+    // synced, by the anchor.
+    std::fs::remove_file(&log).unwrap();
+    let (shard, model) = recover(1_000_000);
+    assert_eq!((shard.frames_replayed, shard.anchored), (0, true));
+    assert_eq!(*model, *live);
+    assert!(log.exists() && snapshot.exists());
+
+    // And with log and snapshot in order, the same shard keeps its files.
+    let (shard, _) = recover(1_000_000);
+    assert!(!shard.anchored);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_clean_recovery_keeps_the_snapshot_cadence_of_its_predecessor() {
+    let dir = temp_dir("kept-cadence");
+    const EVERY: u64 = 6;
+    let config = tiny_config()
+        .with_shard_count(1)
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(EVERY));
+    let service = SieveService::new(config.clone()).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap();
+    ingest_wave(&service, "acme", 0..10, 0.0);
+    ingest_wave(&service, "acme", 10..20, 0.0);
+    drop(service);
+
+    let (recovered, report) = SieveService::recover(config.clone()).unwrap();
+    let replayed = report.shards[0].frames_replayed;
+    assert_eq!((replayed, report.shards[0].anchored), (3, false));
+    let snapshot = dir.join(sieve_wal::snapshot_file_name(0));
+    let log = dir.join(sieve_wal::log_file_name(0));
+    // The predecessor's three events count towards the cadence: the shard
+    // anchors on the `EVERY - 3`-th event after recovery, not before.
+    for tick in 0..EVERY - replayed {
+        assert!(!snapshot.exists(), "anchored after {tick} events");
+        ingest_wave(&recovered, "acme", 20 + tick * 10..30 + tick * 10, 0.0);
+    }
+    assert!(snapshot.exists());
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), 0);
+    recovered.refresh_dirty().unwrap();
+    let live = recovered.model("acme").unwrap().unwrap();
+    drop(recovered);
+
+    let (again, report) = SieveService::recover(config).unwrap();
+    assert!(report.is_clean(), "{report}");
+    let shard = &report.shards[0];
+    assert_eq!((shard.snapshot_last_seq, shard.frames_replayed), (EVERY, 0));
+    again.refresh_dirty().unwrap();
+    assert_eq!(*again.model("acme").unwrap().unwrap(), *live);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_counts_the_points_replay_appended_and_retention_evicted() {
+    let dir = temp_dir("replay-evictions");
+    // One shard snapshotted after its second event: acme's creation and
+    // first wave are in the snapshot, the second wave is the log tail.
+    let config = tiny_config()
+        .with_shard_count(1)
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(2));
+    let service = SieveService::new(config.clone()).unwrap();
+    service
+        .create_tenant_with_retention("acme", web_db_graph(), RetentionPolicy::windowed(20))
+        .unwrap();
+    // 30 ticks of 4 series into windows of 20: 40 points evicted before
+    // the snapshot, then 10 ticks more evict 40 more.
+    ingest_wave(&service, "acme", 0..30, 0.0);
+    ingest_wave(&service, "acme", 30..40, 0.0);
+    assert_eq!(service.store("acme").unwrap().evicted_point_count(), 80);
+    drop(service);
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    let shard = &report.shards[0];
+    assert_eq!((shard.snapshot_last_seq, shard.frames_replayed), (2, 1));
+    assert_eq!(report.tenant("acme").unwrap().points_replayed(), 40);
+    assert_eq!(shard.points_evicted, 40, "only the tail's evictions count");
+    assert_eq!(recovered.store("acme").unwrap().evicted_point_count(), 80);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

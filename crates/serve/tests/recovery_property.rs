@@ -20,6 +20,14 @@
 //!   three recoveries publish identical models.
 //! * Degraded tenants re-converge: after recovery, resumed ingest brings
 //!   the recovered service and the oracle to identical models again.
+//! * A recovered directory survives a second crash: each recovered service
+//!   runs a second random interleaving, crashes with a random truncation
+//!   or bit flip of a log past what the first recovery left, and recovers
+//!   again at the same sweep parallelism — bit-identical to the oracle of
+//!   both generations' surviving prefixes. A shard the first recovery kept
+//!   as found carries the first generation's frames into the second, so
+//!   this is where a log outlives a recovery. Each recovery anchors exactly
+//!   the shards that did not recover clean.
 //! * The analysis checkpoint is a cache: the live service sweeps at random
 //!   points of the interleaving, so the checkpoint it leaves is of a random
 //!   age, and each scenario recovers with the newest one, an older one or
@@ -123,10 +131,13 @@ enum Op {
     Retention(RetentionPolicy),
 }
 
-/// An issued operation with what it did: the points the live service
-/// accepted (0 for admin operations) and the length of the tenant's shard
-/// log once it returned — the end of the frame that recorded it.
+/// An issued operation with what it did: its round in the interleaving,
+/// the points the live service accepted (0 for admin operations) and the
+/// length of the tenant's shard log once it returned — the end of the
+/// frame that recorded it, or 0 when the snapshot cadence tripped on it and
+/// anchored the shard.
 struct Issued {
+    round: usize,
     op: Op,
     accepted: u64,
     log_end: u64,
@@ -172,14 +183,21 @@ fn issue(service: &SieveService, tenant: &str, op: &Op) -> u64 {
 /// tenant's operations did. About one operation in four is followed by a
 /// sweep (drawn from a stream of its own, so the operations are those of
 /// `seed` whatever the sweeps), each of which may rewrite a checkpoint.
-fn run_ops(service: &SieveService, dir: &Path, seed: u64, rounds: usize) -> History {
+/// Each tenant's ticks continue from `next_tick`.
+fn run_ops(
+    service: &SieveService,
+    dir: &Path,
+    seed: u64,
+    rounds: usize,
+    next_tick: BTreeMap<&'static str, u64>,
+) -> History {
     let mut history = History {
         ops: BTreeMap::new(),
-        next_tick: TENANTS.iter().map(|t| (*t, 0u64)).collect(),
+        next_tick,
     };
     let mut rng = seed;
     let mut sweeps = seed ^ 0x5EE9_5EE9;
-    for _ in 0..rounds {
+    for round in 0..rounds {
         if splitmix64(&mut sweeps) % 4 == 0 {
             service.refresh_dirty().unwrap();
         }
@@ -201,6 +219,7 @@ fn run_ops(service: &SieveService, dir: &Path, seed: u64, rounds: usize) -> Hist
         let log = dir.join(sieve_wal::log_file_name(shard_index(tenant, 4)));
         let log_end = std::fs::metadata(log).unwrap().len();
         history.ops.entry(tenant).or_default().push(Issued {
+            round,
             op,
             accepted,
             log_end,
@@ -209,35 +228,54 @@ fn run_ops(service: &SieveService, dir: &Path, seed: u64, rounds: usize) -> Hist
     history
 }
 
+/// Each tenant's surviving operation prefix of one generation.
+type Survived = BTreeMap<&'static str, usize>;
+
 /// Builds the uncrashed oracle: a purely in-memory service fed the setup
-/// phase plus each tenant's surviving operation prefix.
-fn oracle_for(history: &History, survived: &BTreeMap<&str, usize>) -> SieveService {
+/// phase plus, generation by generation, each tenant's surviving operation
+/// prefix.
+fn oracle_for(generations: &[(&History, &Survived)]) -> SieveService {
     let config = ServeConfig::default()
         .with_shard_count(4)
         .with_sweep_parallelism(1)
         .with_analysis(analysis_config());
     let oracle = SieveService::new(config).unwrap();
     run_setup(&oracle);
-    for (tenant, ops) in &history.ops {
-        for issued in ops.iter().take(survived[tenant]) {
-            issue(&oracle, tenant, &issued.op);
+    for (history, survived) in generations {
+        for (tenant, ops) in &history.ops {
+            for issued in ops.iter().take(survived[tenant]) {
+                issue(&oracle, tenant, &issued.op);
+            }
         }
     }
     oracle.refresh_all().unwrap();
     oracle
 }
 
-/// Each tenant's surviving operation prefix: the operations whose frames
-/// end at or before the first corrupt byte of the corrupted shard (all of
-/// them in other shards, or when nothing was corrupted).
-fn surviving_ops(history: &History, cut: Option<(usize, u64)>) -> BTreeMap<&'static str, usize> {
+/// Each tenant's surviving operation prefix: in the corrupted shard, the
+/// operations a later anchor of the shard snapshotted and those whose
+/// frames end at or before the first corrupt byte; all of them in other
+/// shards, or when nothing was corrupted.
+fn surviving_ops(history: &History, cut: Option<(usize, u64)>) -> Survived {
     let mut survived = BTreeMap::new();
     for (tenant, ops) in &history.ops {
         let count = match cut {
-            Some((shard, cut)) if shard == shard_index(tenant, 4) => ops
-                .iter()
-                .take_while(|issued| issued.log_end <= cut)
-                .count(),
+            Some((shard, cut)) if shard == shard_index(tenant, 4) => {
+                let anchored_through = history
+                    .ops
+                    .iter()
+                    .filter(|(other, _)| shard_index(other, 4) == shard)
+                    .flat_map(|(_, ops)| ops)
+                    .filter(|issued| issued.log_end == 0)
+                    .map(|issued| issued.round)
+                    .max();
+                ops.iter()
+                    .take_while(|issued| {
+                        anchored_through.is_some_and(|round| issued.round <= round)
+                            || issued.log_end <= cut
+                    })
+                    .count()
+            }
             _ => ops.len(),
         };
         survived.insert(*tenant, count);
@@ -296,6 +334,25 @@ fn untimed(report: &sieve_serve::RecoveryReport) -> sieve_serve::RecoveryReport 
         shard.rehydrate_ns = 0;
     }
     report
+}
+
+/// Asserts that `report` anchored exactly the shards that did not recover
+/// clean: every shard's log existed, no crash came between a snapshot and
+/// its log's truncation, and no shard replays a whole cadence.
+fn assert_anchored_unclean(index: u64, report: &sieve_serve::RecoveryReport) {
+    for shard in &report.shards {
+        let clean = shard.corruption.is_none()
+            && !shard.snapshot_corrupt
+            && shard
+                .tenants
+                .values()
+                .all(|tenant| matches!(tenant, sieve_serve::TenantRecovery::Clean { .. }));
+        assert_eq!(
+            shard.anchored, !clean,
+            "scenario {index}, shard {}: {report}",
+            shard.shard
+        );
+    }
 }
 
 fn models_of(service: &SieveService) -> BTreeMap<&'static str, Option<sieve_core::SieveModel>> {
@@ -389,6 +446,56 @@ fn corrupt(
     Some((shard, cut))
 }
 
+/// The log length of each of the four shards in `dir` (0 without a log).
+fn log_sizes(dir: &Path) -> Vec<u64> {
+    (0..4)
+        .map(|shard| {
+            std::fs::metadata(dir.join(sieve_wal::log_file_name(shard)))
+                .map(|m| m.len())
+                .unwrap_or(0)
+        })
+        .collect()
+}
+
+/// The second generation on `recovered`, whose directory is `dir`: a
+/// random interleaving continuing from `next_tick`, a crash with a random
+/// truncation or bit flip past the log lengths the generation started
+/// from (anywhere in a log a cadence snapshot emptied meanwhile), and a
+/// recovery at `parallelism`. Returns the twice-recovered service's models
+/// after a full sweep and the oracle's of `earlier` plus this generation's
+/// surviving prefixes.
+fn second_generation(
+    index: u64,
+    recovered: &SieveService,
+    dir: &Path,
+    (parallelism, snapshot_every): (usize, u64),
+    earlier: &[(&History, &Survived)],
+    next_tick: BTreeMap<&'static str, u64>,
+) -> [BTreeMap<&'static str, Option<sieve_core::SieveModel>>; 2] {
+    let seed = 0x2EED_0000 + index;
+    let mut floors = log_sizes(dir);
+    let history = run_ops(recovered, dir, seed, 16, next_tick);
+    for (tenant, ops) in &history.ops {
+        if ops.iter().any(|issued| issued.log_end == 0) {
+            floors[shard_index(tenant, 4)] = 0;
+        }
+    }
+    let mut rng = seed ^ 0xC0FF_EE00;
+    let corruption = if splitmix64(&mut rng) % 2 == 0 {
+        Corruption::TruncateTail
+    } else {
+        Corruption::BitFlip
+    };
+    let cut = corrupt(dir, &floors, &corruption, &mut rng);
+    let (again, report) =
+        SieveService::recover(serve_config(dir, snapshot_every, parallelism)).unwrap();
+    assert_anchored_unclean(index, &report);
+    again.refresh_all().unwrap();
+    let survived = surviving_ops(&history, cut);
+    let generations = [earlier, &[(&history, &survived)]].concat();
+    [models_of(&again), models_of(&oracle_for(&generations))]
+}
+
 fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
     let tag = format!("s{index}");
     let dir = temp_dir(&tag);
@@ -403,7 +510,8 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
                 .unwrap_or(0)
         })
         .collect();
-    let mut history = run_ops(&service, &dir, seed, 16);
+    let ticks = TENANTS.iter().map(|t| (*t, 0u64)).collect();
+    let history = run_ops(&service, &dir, seed, 16, ticks);
     let older = checkpoints(&dir);
     service.refresh_all().unwrap();
     let live = models_of(&service);
@@ -425,8 +533,9 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
     }
 
     // Recover the same crashed directory at every parallelism degree.
-    // `recover` re-anchors the directory (fresh snapshot, truncated log),
-    // so each degree works on its own copy.
+    // `recover` re-anchors the shards that did not recover clean (fresh
+    // snapshot, truncated log), and each recovered service runs on, so each
+    // degree works on its own copy.
     let mut per_parallelism = Vec::new();
     for (i, &parallelism) in PARALLELISMS.iter().enumerate() {
         let copy = temp_dir(&format!("{tag}-p{i}"));
@@ -441,6 +550,7 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
                 "scenario {index}: the newest checkpoint covers the final content ({report})"
             );
         }
+        assert_anchored_unclean(index, &report);
         per_parallelism.push((recovered, report, copy));
     }
 
@@ -465,7 +575,7 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
     // Property 1: bit-identical to the uncrashed oracle of the surviving
     // prefix (for clean scenarios that oracle saw everything, so this also
     // proves recovered == live).
-    let oracle = oracle_for(&history, &survived);
+    let oracle = oracle_for(&[(&history, &survived)]);
     let oracle_models = models_of(&oracle);
     let recovered_models = models_of(recovered);
     assert_eq!(
@@ -489,23 +599,57 @@ fn run_scenario(index: u64, corruption: Corruption, snapshot_every: u64) {
         );
     }
 
-    // Property 3: the recovered service re-converges once ingest resumes —
-    // feed both sides the same fresh batches and compare again.
+    // Property 3: every recovered service re-converges once ingest resumes
+    // — feed all sides the same fresh batches and compare again.
+    let mut resumed = History {
+        ops: BTreeMap::new(),
+        next_tick: history.next_tick.clone(),
+    };
     let mut resume_rng = seed ^ 0x0DD5_EED5;
-    for tenant in TENANTS {
+    for (round, tenant) in TENANTS.into_iter().enumerate() {
         let bias = tenant.len() as f64 * 0.7;
-        let tick = history.next_tick.get_mut(tenant).unwrap();
+        let tick = resumed.next_tick.get_mut(tenant).unwrap();
         let points = batch(bias, tick, &mut resume_rng);
-        recovered.ingest(tenant, &points).unwrap();
-        oracle.ingest(tenant, &points).unwrap();
+        let accepted = oracle.ingest(tenant, &points).unwrap();
+        for (recovered, _, _) in &per_parallelism {
+            assert_eq!(recovered.ingest(tenant, &points).unwrap(), accepted);
+        }
+        resumed.ops.entry(tenant).or_default().push(Issued {
+            round,
+            op: Op::Ingest(points),
+            accepted: accepted as u64,
+            // Never cut: the second generation corrupts only what follows.
+            log_end: u64::MAX,
+        });
     }
-    recovered.refresh_all().unwrap();
     oracle.refresh_all().unwrap();
-    assert_eq!(
-        models_of(recovered),
-        models_of(&oracle),
-        "scenario {index}: no re-convergence after resumed ingest"
-    );
+    for (recovered, _, _) in &per_parallelism {
+        recovered.refresh_all().unwrap();
+        assert_eq!(
+            models_of(recovered),
+            models_of(&oracle),
+            "scenario {index}: no re-convergence after resumed ingest"
+        );
+    }
+
+    // Property 4: a second crash of each recovered directory, and a second
+    // recovery at the same parallelism, equal the oracle of both
+    // generations — and each other.
+    let resumed_all = surviving_ops(&resumed, None);
+    let earlier = [(&history, &survived), (&resumed, &resumed_all)];
+    let mut second = Vec::new();
+    for (&parallelism, (recovered, _, copy)) in PARALLELISMS.iter().zip(&per_parallelism) {
+        let next_tick = resumed.next_tick.clone();
+        let setting = (parallelism, snapshot_every);
+        let [models, oracle] =
+            second_generation(index, recovered, copy, setting, &earlier, next_tick);
+        assert_eq!(
+            models, oracle,
+            "scenario {index}, parallelism {parallelism}: the second recovery diverges"
+        );
+        second.push(models);
+    }
+    assert!(second.windows(2).all(|pair| pair[0] == pair[1]));
 
     let _ = std::fs::remove_dir_all(&dir);
     for (_, _, copy) in &per_parallelism {

@@ -10,9 +10,9 @@
 //! ([`fft_in_place`] and the functions built on it) reads its twiddles and
 //! its bit-reversal from a cached [`TwiddleTable`] and works on
 //! *split-complex* data: real parts in one `f64` slice, imaginary parts in
-//! another. The oracle ([`fft_in_place_naive`]) is the seed's, on interleaved
-//! [`Complex`] values. Both perform the same IEEE operations on every value
-//! in the same order, so they agree bit for bit.
+//! another. The oracle (`fft_in_place_naive`, test code) is the seed's, on
+//! interleaved [`Complex`] values. Both perform the same IEEE operations on
+//! every value in the same order, so they agree bit for bit.
 //!
 //! What differs is *where in memory* a stage finds its operands. The oracle
 //! permutes first and then runs every stage on bit-reversed data, where the
@@ -182,7 +182,7 @@ pub(crate) fn next_power_of_two(n: usize) -> usize {
 /// via the recurrence `w_{k+1} = w_k * wlen`. The table is built with the
 /// **exact same recurrence** (not `e^{-2πik/len}` closed-form calls), so an
 /// FFT driven by the table performs bit-for-bit the same float operations as
-/// the recomputing oracle [`fft_in_place_naive`] — which is what keeps every
+/// the recomputing oracle `fft_in_place_naive` — which is what keeps every
 /// cached==naive model-equality assert in the workspace bitwise.
 ///
 /// All stages are flattened into one buffer per part — the factors are
@@ -192,7 +192,7 @@ pub(crate) fn next_power_of_two(n: usize) -> usize {
 ///
 /// Beside the twiddles the table holds the other thing that depends on `n`
 /// alone: the bit-reversal permutation of `0..n` the transform opens with,
-/// built by the very carry-chain loop [`fft_in_place_naive`] runs per
+/// built by the very carry-chain loop `fft_in_place_naive` runs per
 /// transform, so the two cannot disagree.
 #[derive(Debug)]
 pub(crate) struct TwiddleTable {
@@ -288,7 +288,7 @@ pub(crate) fn twiddle_table(n: usize) -> Arc<TwiddleTable> {
 /// In-place iterative radix-2 FFT of the split-complex signal `re[] + i·im[]`,
 /// driven by the process-wide twiddle cache.
 ///
-/// Bit-identical to the recomputing oracle [`fft_in_place_naive`] on the same
+/// Bit-identical to the recomputing oracle `fft_in_place_naive` on the same
 /// values interleaved: the cached table is produced by the same recurrence
 /// the oracle evaluates inline, and a butterfly performs the oracle's float
 /// operations in the oracle's order. The layout is the only difference — with
@@ -387,7 +387,7 @@ pub(crate) enum Parts {
 /// s mod 2^(t-1)`, here splits the data into `2^(t-1)` chunks and pairs
 /// each chunk's two halves, value by value, under *one* twiddle —
 /// `k` being the chunk's index bit-reversed. The same butterflies as
-/// [`fft_in_place_naive`] runs after its permutation, each on the same two
+/// `fft_in_place_naive` runs after its permutation, each on the same two
 /// operands; only the loop over them is long and contiguous instead of
 /// one, two or four values at a time.
 fn head_stages(re: &mut [f64], im: &mut [f64], table: &TwiddleTable) -> usize {

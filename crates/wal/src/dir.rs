@@ -26,8 +26,15 @@
 //!   crash after it leaves frames the snapshot covers, which replay skips.
 //! - **re-anchor** (recovery): [`ShardDir::reopen_logs`] writes the format
 //!   record as create does if the directory held no shard file, then opens
-//!   each log for appending; an anchor of every shard follows, and its
-//!   directory sync covers the record.
+//!   each log for appending; an anchor of the shards whose files need it
+//!   follows. A shard keeps its snapshot and log as found, and its writer
+//!   appends after the log's last frame, when its log existed, recovery
+//!   found it clean (no corrupt frame or snapshot, no tenant that lost an
+//!   event), every frame it read was past the snapshot's watermark, and it
+//!   replayed fewer frames than one snapshot cadence. Every other shard is
+//!   anchored, every shard of a directory that held no shard file among
+//!   them, so that anchor's directory sync covers the record. When every
+//!   shard keeps its files, recovery writes and syncs nothing.
 //! - **checkpoint** ([`ShardDir::write_checkpoint`]): `wal-shard-<i>.ckpt.tmp`
 //!   create and write, remove `wal-shard-<i>.ckpt`, rename. No sync: it is
 //!   a cache.
@@ -79,6 +86,9 @@ pub struct ShardDir {
     path: PathBuf,
     /// One past the highest shard index a durable file carried when opened.
     written: usize,
+    /// Per shard index, whether its log exists: found when opened, or
+    /// opened since.
+    logs: Vec<bool>,
 }
 
 impl ShardDir {
@@ -95,12 +105,13 @@ impl ShardDir {
     ) -> Result<(Self, Vec<GroupCommitLog>)> {
         let path = path.into();
         std::fs::create_dir_all(&path)?;
-        for (_, file) in shard_files(&path, &[DURABLE, CACHE].concat())? {
+        for (_, _, file) in shard_files(&path, &[DURABLE, CACHE].concat())? {
             std::fs::remove_file(file)?;
         }
         let dir = Self {
             path,
             written: shard_count,
+            logs: vec![true; shard_count],
         };
         dir.stamp_format()?;
         let logs = dir.open_logs(std::iter::repeat(1).take(shard_count), fsync)?;
@@ -118,21 +129,36 @@ impl ShardDir {
     pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
         let path = path.into();
         std::fs::create_dir_all(&path)?;
+        let files = shard_files(&path, DURABLE)?;
         let mut written = 0;
-        for (index, file) in shard_files(&path, DURABLE)? {
+        for (index, _, file) in &files {
             let Some(past) = index.checked_add(1) else {
                 let reason = format!("{} names a shard past any shard count", file.display());
                 return Err(WalError::Corrupt { offset: 0, reason });
             };
             written = written.max(past);
         }
-        Ok(Self { path, written })
+        let mut logs = vec![false; written];
+        for (index, extension, _) in files {
+            logs[index] |= extension == "log";
+        }
+        Ok(Self {
+            path,
+            written,
+            logs,
+        })
     }
 
     /// The shard count that wrote the directory, 0 for one with no shard
     /// file: every shard has a log from the moment a service runs.
     pub fn written_shards(&self) -> usize {
         self.written
+    }
+
+    /// Whether shard `shard`'s log exists: it did when the directory was
+    /// opened, or it was opened since.
+    pub fn has_log(&self, shard: usize) -> bool {
+        self.logs.get(shard).copied().unwrap_or(false)
     }
 
     /// The format number the record names, `None` without a record.
@@ -184,7 +210,10 @@ impl ShardDir {
 
     /// A re-anchor's first half: stamps the format record if the directory
     /// held no shard file, then opens shard `i`'s log at the `i`-th
-    /// sequence number. An [`ShardDir::anchor`] of every shard must follow.
+    /// sequence number, appending after the frames it holds. An
+    /// [`ShardDir::anchor`] of the shards whose files need it (the module
+    /// docs' rule) must follow; for a directory that held no shard file
+    /// that is every shard, and its directory sync covers the record.
     ///
     /// # Errors
     ///
@@ -199,11 +228,13 @@ impl ShardDir {
         }
         let logs = self.open_logs(next_seqs, fsync)?;
         self.written = logs.len();
+        self.logs = vec![true; logs.len()];
         Ok(logs)
     }
 
     /// Anchors each of the quiesced `shards` at the snapshot `snapshot(i)`
-    /// returns and empties its log, in the module docs' order.
+    /// returns and empties its log, in the module docs' order. No shard is
+    /// no write, not even the directory sync.
     ///
     /// # Errors
     ///
@@ -214,6 +245,9 @@ impl ShardDir {
         shards: impl Iterator<Item = usize> + Clone,
         mut snapshot: impl FnMut(usize) -> Result<ShardSnapshot>,
     ) -> Result<()> {
+        if shards.clone().next().is_none() {
+            return Ok(());
+        }
         for shard in shards.clone() {
             let path = self.path.join(snapshot_file_name(shard));
             write_durable(&path, &snapshot(shard)?.encode())?;
@@ -255,19 +289,18 @@ impl ShardDir {
 }
 
 /// Every `wal-shard-<i>.<extension>` in `dir`, for one of `extensions`,
-/// with its `i`.
-fn shard_files(dir: &Path, extensions: &[&str]) -> Result<Vec<(usize, PathBuf)>> {
+/// with its `i` and its extension.
+fn shard_files<'e>(dir: &Path, extensions: &[&'e str]) -> Result<Vec<(usize, &'e str, PathBuf)>> {
     let mut files = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
-        let index = path.file_name().and_then(|name| {
+        let found = path.file_name().and_then(|name| {
             let (index, extension) = name.to_str()?.strip_prefix("wal-shard-")?.split_once('.')?;
-            extensions
-                .contains(&extension)
-                .then(|| index.parse().ok())?
+            let extension = extensions.iter().find(|known| **known == extension)?;
+            Some((index.parse().ok()?, *extension))
         });
-        if let Some(index) = index {
-            files.push((index, path));
+        if let Some((index, extension)) = found {
+            files.push((index, extension, path));
         }
     }
     Ok(files)
@@ -383,7 +416,10 @@ mod tests {
             }
         }
         std::fs::write(path.join("notes.txt"), b"kept").unwrap();
-        assert_eq!(ShardDir::open(&path).unwrap().written_shards(), 6);
+        let found = ShardDir::open(&path).unwrap();
+        assert_eq!(found.written_shards(), 6);
+        let logs: Vec<bool> = (0..7).map(|shard| found.has_log(shard)).collect();
+        assert_eq!(logs, [true, false, false, false, false, true, false]);
 
         let (dir, logs) = ShardDir::create(&path, 2, FsyncPolicy::Never).unwrap();
         assert_eq!((dir.written_shards(), logs.len()), (2, 2));
