@@ -166,8 +166,9 @@ pub struct ShardRecovery {
     /// Bytes of log read: the length of the shard's log file (0 when there
     /// was none).
     pub log_bytes: u64,
-    /// Metric ids read from the log: one per watermark of every ingest
-    /// frame decoded, resynchronized frames included.
+    /// Metric ids read from the log: one per spelled watermark — a series
+    /// its batch created — of every ingest frame decoded, resynchronized
+    /// frames included.
     pub ids_decoded: u64,
     /// Of those, the distinct ids, each interned once.
     pub ids_interned: u64,
@@ -175,6 +176,9 @@ pub struct ShardRecovery {
     /// did not predict them (first sights included); the rest were
     /// predicted.
     pub ids_hashed: u64,
+    /// Watermarks read as a place in their tenant's store, with no id to
+    /// decode: every other watermark of the same frames.
+    pub watermarks_placed: u64,
     /// Wall time spent reading and decoding the shard's analysis
     /// checkpoint, in nanoseconds (seeding a session happens when the
     /// snapshot or a creation record opens its tenant).
@@ -567,6 +571,7 @@ pub(crate) fn recover_shard(
     }
     let ids = frames.ids();
     let (ids_decoded, ids_interned, ids_hashed) = (ids.decoded(), ids.interned(), ids.hashed());
+    let watermarks_placed = ids.placed();
     let (log_bytes, log_read_ns) = (frames.bytes_read(), frames.read_ns());
     let corruption = frames.finish().map_err(WalError::from)?;
     if let Some(corruption) = &corruption {
@@ -616,6 +621,7 @@ pub(crate) fn recover_shard(
         ids_decoded,
         ids_interned,
         ids_hashed,
+        watermarks_placed,
         checkpoint_ns,
         checkpoint: seeds.tally(),
         snapshot_ns,
@@ -674,6 +680,7 @@ mod tests {
                 ids_decoded: 0,
                 ids_interned: 0,
                 ids_hashed: 0,
+                watermarks_placed: 0,
                 checkpoint_ns: 0,
                 checkpoint: CheckpointSeeding {
                     tenants_seeded: 1,

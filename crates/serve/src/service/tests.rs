@@ -631,10 +631,15 @@ fn a_batch_whose_watermark_list_repeats_a_series_degrades_only_its_tenant() {
     // names `web/requests` twice.
     let shard = sieve_exec::hash::shard_index("beta", config.shard_count);
     let requests = sieve_simulator::store::MetricId::new("web", "requests");
+    use sieve_simulator::store::Named;
     let batch = WalEvent::IngestBatch {
         tenant: "beta".into(),
         points: vec![(0, 40 * 500, 1.0), (1, 41 * 500, 2.0), (0, 42 * 500, 3.0)],
-        watermarks: vec![(requests.clone(), 1), (requests, 2)],
+        series_before: None,
+        watermarks: vec![
+            (Named::Spelled(requests.clone()), 1),
+            (Named::Spelled(requests), 2),
+        ],
     };
     let mut payload = Vec::new();
     batch.encode(&mut payload);
@@ -754,15 +759,104 @@ fn recovery_counts_the_metric_ids_it_decodes_interns_and_hashes() {
     assert!(report.is_clean(), "{report}");
     let shard = &report.shards[0];
     assert_eq!(shard.log_bytes, log_len, "the whole log was read");
-    // Nine batches of 40 points and 4 watermarks over the same 4 series:
-    // one id per watermark, none per point, which names its series by
-    // slot.
-    assert_eq!(shard.ids_decoded, 9 * 4);
+    // Nine batches of 40 points and 4 watermarks over the same 4 series,
+    // none per point, which names its series by slot. Each tenant's first
+    // batch creates its 4 series and spells their ids; the other six name
+    // them by place.
+    assert_eq!(shard.ids_decoded, 3 * 4);
+    assert_eq!(shard.watermarks_placed, 6 * 4);
     assert_eq!(shard.ids_interned, 4);
-    // Every list names the series in one order, so only the first list's
-    // 4 sights and the first sight of the second (whose predecessor has no
-    // successor yet) are hashed.
+    // Every spelled list names the series in one order, so only the first
+    // list's 4 sights and the first sight of the second (whose predecessor
+    // has no successor yet) are hashed.
     assert_eq!(shard.ids_hashed, 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_log_tail_spells_only_the_series_created_after_its_snapshot() {
+    let dir = temp_dir("tail-bytes");
+    // One shard whose fourth event trips the snapshot and empties its log.
+    let config = tiny_config()
+        .with_shard_count(1)
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(4));
+    let service = SieveService::new(config.clone()).unwrap();
+    service.create_tenant("alpha", web_db_graph()).unwrap();
+    for ticks in [0..10, 10..20, 20..30] {
+        ingest_wave(&service, "alpha", ticks, 0.0);
+    }
+    // The tail: ten ticks of `cache/hits`, which they create, a wave of the
+    // four snapshot series, and ten more ticks of `cache/hits`.
+    let hits = |ticks: std::ops::Range<u64>| -> Vec<MetricPoint> {
+        ticks
+            .map(|t| MetricPoint::new("cache", "hits", t * 500, (t % 7) as f64))
+            .collect()
+    };
+    service.ingest("alpha", &hits(30..40)).unwrap();
+    ingest_wave(&service, "alpha", 30..40, 0.0);
+    service.ingest("alpha", &hits(40..50)).unwrap();
+    drop(service);
+
+    let (_, report) = SieveService::recover(config).unwrap();
+    assert!(report.is_clean(), "{report}");
+    let shard = &report.shards[0];
+    assert_eq!(shard.frames_replayed, 3);
+    // `cache/hits` is spelled once, where it was created; every other
+    // watermark of the tail is a place.
+    assert_eq!(shard.ids_decoded, 1);
+    assert_eq!(shard.watermarks_placed, 4 + 1);
+    // Each frame is a 20-byte header and a payload of the tag, the tenant
+    // (4 + 5), the one-byte series count, the watermark and point counts
+    // (8 each), its watermarks — a one-byte place or a spelled id (1 + 4 +
+    // 5 + 4 + 4), and a fingerprint — and 17 bytes a point.
+    let frame = |watermarks: usize, spelled: usize, points: usize| {
+        20 + 1 + 9 + 1 + 8 + watermarks * 9 + spelled * 17 + 8 + 17 * points
+    };
+    let tail = frame(1, 1, 10) + frame(4, 0, 40) + frame(1, 0, 10);
+    assert_eq!(tail, 1232);
+    assert_eq!(shard.log_bytes, tail as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_series_written_past_the_log_refuses_its_tenant_s_later_batches() {
+    let dir = temp_dir("unlogged-series");
+    let config = tiny_config()
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000));
+    let service = SieveService::new(config.clone()).unwrap();
+    service.create_tenant("alpha", web_db_graph()).unwrap();
+    service.create_tenant("beta", web_db_graph()).unwrap();
+    ingest_wave(&service, "alpha", 0..40, 0.0);
+    ingest_wave(&service, "beta", 0..40, 1.3);
+    // A series no log record creates. It sorts before every logged one, so
+    // each place beta's later batches log is one past the series that
+    // held it when replay reaches them.
+    let unlogged = sieve_simulator::store::MetricId::new("app", "boot");
+    service.store("beta").unwrap().record(&unlogged, 0, 1.0);
+    ingest_wave(&service, "beta", 40..50, 1.3);
+    ingest_wave(&service, "alpha", 40..60, 0.0);
+    ingest_wave(&service, "beta", 50..60, 1.3);
+    service.refresh_dirty().unwrap();
+    let live_alpha = service.model("alpha").unwrap().unwrap();
+    drop(service);
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    assert!(report.tenant("alpha").unwrap().is_clean());
+    assert_eq!(
+        report.tenant("beta"),
+        Some(&TenantRecovery::Recovered {
+            points_replayed: 160,
+            lost_suffix: crate::LostSuffix {
+                events: 2,
+                points: 80
+            },
+        })
+    );
+    // Beta holds its logged prefix, on its own series, and nothing else.
+    let beta = recovered.store("beta").unwrap();
+    assert_eq!((beta.series_count(), beta.point_count()), (4, 160));
+    recovered.refresh_dirty().unwrap();
+    assert_eq!(*recovered.model("alpha").unwrap().unwrap(), *live_alpha);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -894,11 +988,11 @@ fn a_directory_of_another_format_is_refused_and_left_untouched() {
     std::fs::remove_file(&record).unwrap();
     assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: None }");
     std::fs::write(&record, naming(sieve_wal::FORMAT - 1)).unwrap();
-    assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: Some(5) }");
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: Some(6) }");
     // The next format: a later build wrote the directory, and rolling back
     // to this one refuses it rather than reading its snapshots as corrupt.
     std::fs::write(&record, naming(sieve_wal::FORMAT + 1)).unwrap();
-    assert_recover_refuses_format(&dir, config.clone(), "FormatTooNew { found: 7 }");
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooNew { found: 8 }");
 
     // Named right again, the same directory recovers clean.
     std::fs::write(&record, &ours).unwrap();

@@ -185,9 +185,12 @@ impl Tenant {
             Mutation::Admin(event) => event,
             Mutation::Ingest(points) => return Some(self.ingest(points, log)),
             Mutation::Replay(batch) => {
-                return self
-                    .store
-                    .record_batch_verified(batch.points(), batch.watermarks())
+                let series_before = batch.series_before().map(|count| count as usize);
+                return self.store.record_batch_verified(
+                    batch.points(),
+                    series_before,
+                    batch.watermarks(),
+                );
             }
         };
         if let Some(log) = log {

@@ -31,6 +31,13 @@
 //!
 //! then dropped the service. Events 4 and 5 are the log tail, and the
 //! format record names 5.
+//!
+//! `fixtures/parent-format6` was written by the last format-6 build
+//! (commit 1bf4620), whose ingest frames spelled out the id of every
+//! series they touched. It ran the same five steps under the same `config`
+//! and the same waves; there the stores kept no tiers, so its snapshot
+//! holds each series' window of 8 alone. Events 4 and 5 are the log tail,
+//! and the format record names 6.
 
 use sieve_core::SieveConfig;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, ServeError, SieveService};
@@ -46,8 +53,11 @@ const SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-tag4-v3/wal-shard-0.snap
 const FORMAT5_RECORD: &[u8] = include_bytes!("fixtures/parent-format5/wal-format");
 const FORMAT5_LOG: &[u8] = include_bytes!("fixtures/parent-format5/wal-shard-0.log");
 const FORMAT5_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format5/wal-shard-0.snap");
+const FORMAT6_RECORD: &[u8] = include_bytes!("fixtures/parent-format6/wal-format");
+const FORMAT6_LOG: &[u8] = include_bytes!("fixtures/parent-format6/wal-shard-0.log");
+const FORMAT6_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format6/wal-shard-0.snap");
 
-/// The configuration both fixtures were written under: one shard, a
+/// The configuration every fixture was written under: one shard, a
 /// snapshot every three events.
 fn config(dir: &Path) -> ServeConfig {
     ServeConfig::default()
@@ -141,4 +151,17 @@ fn a_format_5_directory_is_refused_untouched() {
         (snapshot_file_name(0), FORMAT5_SNAPSHOT),
     ];
     assert_refused_untouched("format5", &files, Some(5));
+}
+
+#[test]
+fn a_format_6_directory_is_refused_untouched() {
+    assert_eq!(FORMAT6_RECORD[8..], 6u32.to_le_bytes());
+    assert_eq!(snapshot_version(FORMAT6_SNAPSHOT), 6);
+    assert_eq!(frame_tags(FORMAT6_LOG), vec![3, 6]);
+    let files = [
+        (FORMAT_FILE_NAME.to_string(), FORMAT6_RECORD),
+        (log_file_name(0), FORMAT6_LOG),
+        (snapshot_file_name(0), FORMAT6_SNAPSHOT),
+    ];
+    assert_refused_untouched("format6", &files, Some(6));
 }

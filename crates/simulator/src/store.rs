@@ -177,8 +177,75 @@ pub struct BatchOutcome {
     /// `(batch index, reason)` of every rejected point, in batch order.
     pub rejected: Vec<(usize, RejectReason)>,
     /// Post-apply fingerprint of every series that accepted at least one
-    /// point in this batch, sorted by [`MetricId`].
-    pub watermarks: Vec<(MetricId, u64)>,
+    /// point in this batch, and the store's series count before it.
+    pub watermarks: Watermarks,
+}
+
+/// The watermark list of one detailed batch, with the series count that
+/// makes its places meaningful.
+///
+/// Series are never removed from a store, and a log spells the id of every
+/// series a batch creates, so two stores that hold as many series after
+/// replaying the same log hold the same series, in the same order: a place
+/// names one series in both.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Watermarks {
+    /// Series the store held before the batch.
+    pub series_before: usize,
+    /// One entry per series that accepted a point, sorted by [`MetricId`].
+    pub list: Vec<Watermark>,
+}
+
+/// One series' watermark: its post-apply fingerprint, and its place in the
+/// store before the batch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Watermark {
+    /// The series.
+    pub id: MetricId,
+    /// The series' index in the store's id order before the batch; `None`
+    /// for a series the batch created, or one whose index does not fit a
+    /// `u32`.
+    pub place: Option<u32>,
+    /// The series' fingerprint after the batch.
+    pub fingerprint: u64,
+}
+
+impl Watermark {
+    fn of(series: &StoredSeries, place: Option<u32>) -> Self {
+        Self {
+            id: series.id.clone(),
+            place,
+            fingerprint: series.fingerprint,
+        }
+    }
+}
+
+/// How a logged watermark names its series: by its place in the store
+/// the batch applied to (see [`Watermarks`]), or spelled out by id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Named<Id> {
+    /// The series' index in the store's id order before the batch.
+    Placed(u32),
+    /// The series' id.
+    Spelled(Id),
+}
+
+impl<Id> Named<Id> {
+    /// The same name, with the id borrowed.
+    pub fn as_ref(&self) -> Named<&Id> {
+        match self {
+            Self::Placed(place) => Named::Placed(*place),
+            Self::Spelled(id) => Named::Spelled(id),
+        }
+    }
+
+    /// The same name, with the id mapped through `f`.
+    pub fn map<To>(self, f: impl FnOnce(Id) -> To) -> Named<To> {
+        match self {
+            Self::Placed(place) => Named::Placed(place),
+            Self::Spelled(id) => Named::Spelled(f(id)),
+        }
+    }
 }
 
 /// Serializable image of one frozen series: the retained window
@@ -533,6 +600,9 @@ struct StoredSeries {
     /// Stamp of the last detailed batch that accepted a point here
     /// (transient bookkeeping — not part of [`SeriesState`]).
     last_batch: u64,
+    /// Stamp of the detailed batch that created the series, 0 if none did
+    /// (transient bookkeeping — not part of [`SeriesState`]).
+    born_in_batch: u64,
 }
 
 impl StoredSeries {
@@ -546,6 +616,7 @@ impl StoredSeries {
             fingerprint: FINGERPRINT_SEED,
             touched: false,
             last_batch: 0,
+            born_in_batch: 0,
         }
     }
 
@@ -738,6 +809,10 @@ impl MetricStore {
     /// An id is cloned only for an entry whose place held another series in
     /// the outcome's previous list, so a batch naming the series its
     /// predecessor named moves no reference count.
+    ///
+    /// The same lock hold reports the store's series count before the batch
+    /// and each listed series' place in it: its position less the series
+    /// the batch created before it in id order.
     pub fn record_batch_detailed_into<'a>(
         &self,
         outcome: &mut BatchOutcome,
@@ -749,14 +824,20 @@ impl MetricStore {
         let inner = &mut *guard;
         inner.batch_stamp += 1;
         let stamp = inner.batch_stamp;
+        let series_before = inner.series.len();
         for (index, (id, timestamp_ms, value)) in points.into_iter().enumerate() {
+            let held = inner.series.len();
             match inner.record_one(id, timestamp_ms, value) {
                 Ok(at) => {
                     outcome.accepted += 1;
+                    let created = inner.series.len() != held;
                     let series = &mut inner.series[at];
                     if series.last_batch != stamp {
                         series.last_batch = stamp;
                         inner.batch_touched.push(at);
+                    }
+                    if created {
+                        series.born_in_batch = stamp;
                     }
                 }
                 Err(reason) => outcome.rejected.push((index, reason)),
@@ -766,15 +847,27 @@ impl MetricStore {
         // The list is rewritten in place: an entry that names the same
         // series as the previous outcome's entry in its place keeps its id.
         let watermarks = &mut outcome.watermarks;
-        watermarks.truncate(inner.batch_touched.len());
+        watermarks.series_before = series_before;
+        let list = &mut watermarks.list;
+        list.truncate(inner.batch_touched.len());
+        // Every series the batch created is listed, so the ones before an
+        // entry are the created entries before it.
+        let mut created = 0;
         for (entry, at) in inner.batch_touched.drain(..).enumerate() {
             let series = &inner.series[at];
-            match watermarks.get_mut(entry) {
-                Some((id, fingerprint)) if SeriesIndex::key(id) == SeriesIndex::key(&series.id) => {
-                    *fingerprint = series.fingerprint;
+            let place = if series.born_in_batch == stamp {
+                created += 1;
+                None
+            } else {
+                u32::try_from(at - created).ok()
+            };
+            match list.get_mut(entry) {
+                Some(kept) if SeriesIndex::key(&kept.id) == SeriesIndex::key(&series.id) => {
+                    kept.place = place;
+                    kept.fingerprint = series.fingerprint;
                 }
-                Some(stale) => *stale = (series.id.clone(), series.fingerprint),
-                None => watermarks.push((series.id.clone(), series.fingerprint)),
+                Some(stale) => *stale = Watermark::of(series, place),
+                None => list.push(Watermark::of(series, place)),
             }
         }
     }
@@ -785,49 +878,70 @@ impl MetricStore {
     /// accepted; `None`, with the store untouched, if it would not.
     ///
     /// The batch is in the log's form: each point is `(slot, timestamp,
-    /// value)`, and its series is the id of the `slot`-th entry of
-    /// `expected`. Recovery replays every logged batch through this call:
-    /// if the watermarks logged next to a batch cannot be reproduced, this
-    /// store has diverged from the one the log was written against, and
-    /// applying the batch would silently corrupt the tenant instead of
-    /// loudly degrading it.
+    /// value)`, and its series is the one the `slot`-th entry of `expected`
+    /// names — by its place in this store, which holds `series_before`
+    /// series if the store is the one the batch was logged against, or by
+    /// id. Recovery replays every logged batch through this call: if the
+    /// watermarks logged next to a batch cannot be reproduced, this store
+    /// has diverged from the one the log was written against, and applying
+    /// the batch would silently corrupt the tenant instead of loudly
+    /// degrading it.
     ///
-    /// Everything runs under one write-lock hold. Each listed id finds its
-    /// series by one probe of the store's address index, which loads the
-    /// series' head. One pass over the points runs the acceptance step live
-    /// ingest runs — the non-finite and monotone-timestamp gates, the
-    /// fingerprint chain, and the eviction tags the current retention
-    /// policy would mix in — on those heads, and chains each slot's
-    /// accepted points. A slot out of range, a listed series that accepts
+    /// Everything runs under one write-lock hold. A placed entry finds its
+    /// series by index; a spelled one by one probe of the store's address
+    /// index. Either loads the series' head. One pass over the points runs
+    /// the acceptance step live ingest runs — the non-finite and
+    /// monotone-timestamp gates, the fingerprint chain, and the eviction
+    /// tags the current retention policy would mix in — on those heads, and
+    /// chains each slot's accepted points. A series count other than
+    /// `series_before`, a placed entry with no `series_before` or past the
+    /// store's series, a slot out of range, a listed series that accepts
     /// nothing or ends on another fingerprint, or an `expected` not
     /// strictly ascending by [`MetricId`] is a mismatch. Only when every
     /// slot matches does the apply walk each slot's chain, pushing and
     /// evicting exactly as [`MetricStore::record_batch`] would, and store
     /// the fingerprint the simulation reached. `Some` is returned precisely
-    /// when `record_batch_detailed_into` on `(expected[slot].0, timestamp,
-    /// value)` reports `expected` (property-tested against a copy of the
-    /// store).
+    /// when the count matches and `record_batch_detailed_into` on the
+    /// triples `(id of expected[slot], timestamp, value)` reports each
+    /// listed series in order, at the place a placed entry names, with the
+    /// listed fingerprint (property-tested against a copy of the store).
+    ///
+    /// The count is what makes a place safe: equal counts mean equal series
+    /// (see [`Watermarks`]), so a series written here but never logged
+    /// refuses the batch instead of shifting its places onto neighbours.
     ///
     /// # Cost
     ///
     /// O(p + s) for `p` points and `s` listed series, whatever else the
-    /// store holds: one probe per listed id, and no name compared between
-    /// two listed series the store already holds. A listed series the store
-    /// does not hold yet also pays to be placed — a binary search over the
-    /// stored ids and a move of every series after it.
+    /// store holds: one index or one probe per listed series, and no name
+    /// compared between two listed series the store already holds. A listed
+    /// series the store does not hold yet also pays to be placed — a binary
+    /// search over the stored ids and a move of every series after it.
     pub fn record_batch_verified<'a>(
         &self,
         points: &[(u32, u64, f64)],
-        expected: impl IntoIterator<Item = (&'a MetricId, u64), IntoIter: Clone>,
+        series_before: Option<usize>,
+        expected: impl IntoIterator<Item = (Named<&'a MetricId>, u64), IntoIter: Clone>,
     ) -> Option<usize> {
         let expected = expected.into_iter();
         let mut guard = self.write();
         let inner = &mut *guard;
+        if series_before.is_some_and(|count| count != inner.series.len()) {
+            return None;
+        }
         let retention = inner.retention;
         inner.verify.slots.clear();
         let mut previous: Option<(&MetricId, Option<usize>)> = None;
-        for (id, _) in expected.clone() {
-            let at = inner.index.get(id);
+        for (name, _) in expected.clone() {
+            let (id, at) = match name {
+                Named::Placed(place) => {
+                    let place = place as usize;
+                    // A place without the count that guards it names nothing.
+                    series_before?;
+                    (&inner.series.get(place)?.id, Some(place))
+                }
+                Named::Spelled(id) => (id, inner.index.get(id)),
+            };
             if let Some((before, before_at)) = previous {
                 let ascending = match (before_at, at) {
                     (Some(before_at), Some(at)) => before_at < at,
@@ -878,17 +992,21 @@ impl MetricStore {
         // before the listed series that come after it.
         let mut created = 0;
         let mut accepted = 0;
-        for (slot, (id, _)) in expected.enumerate() {
+        for (slot, (name, _)) in expected.enumerate() {
             let sim = inner.verify.slots[slot];
-            let at = match sim.at {
-                Some(at) => at + created,
-                None => {
+            let at = match (sim.at, name) {
+                (Some(at), _) => at + created,
+                (None, Named::Spelled(id)) => {
                     created += 1;
                     inner.insert(StoredSeries::new(id.clone()))
                 }
+                (None, Named::Placed(_)) => unreachable!("a placed entry resolved to a series"),
             };
             let stored = &mut inner.series[at];
-            debug_assert!(stored.id == *id, "slot {slot} resolved to another series");
+            debug_assert!(
+                !matches!(name, Named::Spelled(id) if stored.id != *id),
+                "slot {slot} resolved to another series"
+            );
             let mut chain = sim.first;
             while let Some(point) = chain {
                 let (_, timestamp_ms, value) = points[point];
@@ -1112,6 +1230,7 @@ impl MetricStore {
                 fingerprint: s.fingerprint,
                 touched: s.touched,
                 last_batch: 0,
+                born_in_batch: 0,
             };
             // An image lists each id once, in order, so this appends; an id
             // listed twice keeps its last image.
@@ -1165,11 +1284,18 @@ mod tests {
         points: impl IntoIterator<Item = (&'a MetricId, u64, f64)>,
     ) -> BatchOutcome {
         // An outcome a previous batch used: the call rewrites all of it.
-        let stale = (MetricId::new("stale", "entry"), 1);
+        let stale = Watermark {
+            id: MetricId::new("stale", "entry"),
+            place: Some(9),
+            fingerprint: 1,
+        };
         let mut outcome = BatchOutcome {
             accepted: 7,
             rejected: vec![(0, RejectReason::NonFiniteValue)],
-            watermarks: vec![stale; 3],
+            watermarks: Watermarks {
+                series_before: 99,
+                list: vec![stale; 3],
+            },
         };
         store.record_batch_detailed_into(&mut outcome, points);
         outcome
@@ -1502,41 +1628,135 @@ mod tests {
                 (4, RejectReason::NonMonotoneTimestamp),
             ]
         );
-        // Watermarks are the live post-apply fingerprints, sorted by id.
+        // Watermarks are the live post-apply fingerprints, sorted by id,
+        // with each series' place before the batch: `db/mem` is new, and
+        // `web/cpu` was the store's only series.
         assert_eq!(
             outcome.watermarks,
-            vec![
-                (b.clone(), store.fingerprint(&b).unwrap()),
-                (a.clone(), store.fingerprint(&a).unwrap()),
-            ]
+            Watermarks {
+                series_before: 1,
+                list: vec![
+                    Watermark {
+                        id: b.clone(),
+                        place: None,
+                        fingerprint: store.fingerprint(&b).unwrap(),
+                    },
+                    Watermark {
+                        id: a.clone(),
+                        place: Some(0),
+                        fingerprint: store.fingerprint(&a).unwrap(),
+                    },
+                ],
+            }
         );
 
         // A batch with no accepted points reports no watermarks.
         let empty = detailed(&store, [(&a, 100, 1.0)]);
         assert_eq!(empty.accepted, 0);
-        assert!(empty.watermarks.is_empty());
+        assert_eq!(empty.watermarks.series_before, 2);
+        assert!(empty.watermarks.list.is_empty());
     }
 
-    /// `record_batch_verified` with `expected` as a list.
+    #[test]
+    fn places_count_the_series_a_batch_creates_before_them() {
+        // Stored: b, d, f. The batch creates a, c, e, g around them.
+        let store = MetricStore::new();
+        let id = |m: &str| MetricId::new("web", m);
+        for m in ["b", "d", "f"] {
+            store.record(&id(m), 0, 1.0);
+        }
+        let ids: Vec<MetricId> = ["g", "f", "e", "d", "c", "b", "a"].map(id).into();
+        let outcome = detailed(&store, ids.iter().map(|id| (id, 500, 2.0)));
+        let places: Vec<(&str, Option<u32>)> = outcome
+            .watermarks
+            .list
+            .iter()
+            .map(|w| (w.id.metric.as_str(), w.place))
+            .collect();
+        assert_eq!(outcome.watermarks.series_before, 3);
+        assert_eq!(
+            places,
+            [
+                ("a", None),
+                ("b", Some(0)),
+                ("c", None),
+                ("d", Some(1)),
+                ("e", None),
+                ("f", Some(2)),
+                ("g", None),
+            ]
+        );
+    }
+
+    /// A watermark list as a log holds it: the store's series count before
+    /// the batch, if logged, and each entry's name and fingerprint.
+    type Logged = (Option<usize>, Vec<(Named<MetricId>, u64)>);
+
+    /// `record_batch_verified` with `logged` as a list.
     fn verified(
         store: &MetricStore,
         points: &[(u32, u64, f64)],
-        expected: &[(MetricId, u64)],
+        (series_before, expected): &Logged,
     ) -> Option<usize> {
-        store.record_batch_verified(points, expected.iter().map(|(id, fp)| (id, *fp)))
+        let expected = expected.iter().map(|(name, fp)| (name.as_ref(), *fp));
+        store.record_batch_verified(points, *series_before, expected)
     }
 
-    /// `batch` in the log's form against `listed`: each point names the
-    /// first slot listing its series. A point of an unlisted series is left
-    /// out (a log holds none).
-    fn slotted(
-        batch: &[(&MetricId, u64, f64)],
-        listed: &[(MetricId, u64)],
-    ) -> Vec<(u32, u64, f64)> {
+    /// `watermarks` as live ingest logs them: the series count, each series
+    /// the store held by its place, the others by id.
+    fn placed(watermarks: &Watermarks) -> Logged {
+        let list = watermarks.list.iter().map(|w| {
+            let name = w
+                .place
+                .map_or_else(|| Named::Spelled(w.id.clone()), Named::Placed);
+            (name, w.fingerprint)
+        });
+        (Some(watermarks.series_before), list.collect())
+    }
+
+    /// `watermarks` with every id spelled and no series count.
+    fn spelled(watermarks: &Watermarks) -> Logged {
+        let list = watermarks.list.iter();
+        let list = list.map(|w| (Named::Spelled(w.id.clone()), w.fingerprint));
+        (None, list.collect())
+    }
+
+    /// The id each entry of `expected` names in a store frozen as `state`.
+    fn resolved(state: &StoreState, expected: &[(Named<MetricId>, u64)]) -> Vec<MetricId> {
+        let id = |name: &Named<MetricId>| match name {
+            Named::Placed(place) => state.series[*place as usize].id.clone(),
+            Named::Spelled(id) => id.clone(),
+        };
+        expected.iter().map(|(name, _)| id(name)).collect()
+    }
+
+    /// Whether a detailed batch `reported` what `logged` lists: the logged
+    /// series count, if any, and entry by entry the same series with the
+    /// same fingerprint, at the place a placed entry names.
+    fn lists((series_before, expected): &Logged, reported: &Watermarks) -> bool {
+        let entry = |(name, fingerprint): &(Named<MetricId>, u64), w: &Watermark| {
+            *fingerprint == w.fingerprint
+                && match name {
+                    Named::Placed(place) => w.place == Some(*place),
+                    Named::Spelled(id) => *id == w.id,
+                }
+        };
+        series_before.map_or(true, |count| count == reported.series_before)
+            && expected.len() == reported.list.len()
+            && expected
+                .iter()
+                .zip(&reported.list)
+                .all(|(e, w)| entry(e, w))
+    }
+
+    /// `batch` in the log's form against the series `listed`: each point
+    /// names the first slot listing its series. A point of an unlisted
+    /// series is left out (a log holds none).
+    fn slotted(batch: &[(&MetricId, u64, f64)], listed: &[MetricId]) -> Vec<(u32, u64, f64)> {
         batch
             .iter()
             .filter_map(|&(id, timestamp_ms, value)| {
-                let slot = listed.iter().position(|(listed, _)| listed == id)?;
+                let slot = listed.iter().position(|listed| listed == id)?;
                 Some((slot as u32, timestamp_ms, value))
             })
             .collect()
@@ -1567,13 +1787,15 @@ mod tests {
     #[test]
     fn verified_apply_agrees_with_the_detailed_oracle_for_any_expected_list() {
         use sieve_exec::hash::splitmix64;
-        // Property: `record_batch_verified(points, expected)` applies iff
-        // `record_batch_detailed_into` of the triples `(expected[slot].0,
-        // timestamp, value)`, on a copy of the store, reports exactly
-        // `expected` — across retention policies, repeated series, stale
-        // timestamps, non-finite values and eviction boundaries, for the
-        // true list and five kinds of wrong one.
-        const KINDS: usize = 6;
+        // Property: `record_batch_verified(points, series_before, expected)`
+        // applies iff `record_batch_detailed_into` of the triples `(the id
+        // expected[slot] names, timestamp, value)`, on a copy of the store,
+        // reports what `expected` lists — across retention policies,
+        // repeated series, stale timestamps, non-finite values, eviction
+        // boundaries and series created between stored ones, for lists
+        // logged as live ingest logs them (placed) and all spelled, the true
+        // one and seven kinds of wrong one.
+        const KINDS: usize = 8;
         let (mut applied, mut refused) = ([0usize; KINDS], [0usize; KINDS]);
         for (round, policy) in [
             RetentionPolicy::unbounded(),
@@ -1584,11 +1806,18 @@ mod tests {
         .enumerate()
         {
             let store = MetricStore::with_retention(policy);
+            // Batches draw from the first four ids, then six, then all
+            // eight: the later ones sort between and around the first, so
+            // their creation moves stored series on.
             let ids = [
                 MetricId::new("web", "cpu"),
                 MetricId::new("web", "mem"),
                 MetricId::new("db", "cpu"),
                 MetricId::new("db", "mem"),
+                MetricId::new("db", "disk"),
+                MetricId::new("web", "io"),
+                MetricId::new("app", "x"),
+                MetricId::new("zz", "y"),
             ];
             let mut state = 0x9E37_79B9 + round as u64;
             let mut rand = move || {
@@ -1596,10 +1825,11 @@ mod tests {
                 splitmix64(state)
             };
             let mut heads = BTreeMap::new();
-            for step in 0..120 {
+            for step in 0..160 {
+                let drawn = (4 + 2 * (step / 40) as usize).min(ids.len());
                 let mut batch = Vec::new();
                 for _ in 0..(rand() % 20) {
-                    let id = &ids[(rand() % 4) as usize];
+                    let id = &ids[(rand() % drawn as u64) as usize];
                     // Half a batch's span overlaps the previous batch's.
                     let t = (step * 5 + rand() % 10) * 500;
                     let v = match rand() % 11 {
@@ -1612,23 +1842,31 @@ mod tests {
                 let before = store.freeze();
                 let live = MetricStore::restore(before.clone());
                 let truth = detailed(&live, batch.iter().copied());
-                let true_points = slotted(&batch, &truth.watermarks);
-
                 let kind = (step % KINDS as u64) as usize;
+                // Every other run of the kinds spells every id, but for the
+                // one that moves a place.
+                let spell = kind != 7 && (step / KINDS as u64) % 2 == 1;
+                let log = |w: &Watermarks| if spell { spelled(w) } else { placed(w) };
+                let true_list = log(&truth.watermarks);
+                let true_ids: Vec<MetricId> =
+                    truth.watermarks.list.iter().map(|w| w.id.clone()).collect();
+                let true_points = slotted(&batch, &true_ids);
+
                 let at = |r: u64, len: usize| (r % len.max(1) as u64) as usize;
-                let (mut expected, mut points) = (truth.watermarks.clone(), true_points.clone());
+                let (mut expected, mut points) = (true_list.clone(), true_points.clone());
+                let entries = expected.1.len();
                 match kind {
                     0 => {}
-                    1 if !expected.is_empty() => {
-                        let entry = at(rand(), expected.len());
-                        expected[entry].1 ^= 1 << (rand() % 64);
+                    1 if entries > 0 => {
+                        let entry = at(rand(), entries);
+                        expected.1[entry].1 ^= 1 << (rand() % 64);
                     }
-                    2 if expected.len() > 1 => {
+                    2 if entries > 1 => {
                         // A point the store accepts, re-slotted to another
                         // listed series.
-                        let mut last: Vec<Option<u64>> = expected
+                        let mut last: Vec<Option<u64>> = true_ids
                             .iter()
-                            .map(|(id, _)| store.last_value(id).map(|(t, _)| t))
+                            .map(|id| store.last_value(id).map(|(t, _)| t))
                             .collect();
                         let accepted: Vec<usize> = (0..points.len())
                             .filter(|&point| {
@@ -1642,34 +1880,68 @@ mod tests {
                             })
                             .collect();
                         if let Some(&point) = accepted.get(at(rand(), accepted.len())) {
-                            let shift = 1 + at(rand(), expected.len() - 1) as u32;
-                            points[point].0 = (points[point].0 + shift) % expected.len() as u32;
+                            let shift = 1 + at(rand(), entries - 1) as u32;
+                            points[point].0 = (points[point].0 + shift) % entries as u32;
                         }
                     }
                     3 => {
                         // A series the batch leaves alone, in sorted place
-                        // with its live fingerprint.
-                        let listed = &truth.watermarks;
-                        let unlisted = ids.iter().find(|id| listed.iter().all(|(t, _)| t != *id));
+                        // with its live fingerprint, named as the list names
+                        // the series the store holds.
+                        let unlisted = ids.iter().find(|id| !true_ids.contains(id));
                         if let Some(id) = unlisted {
                             let fingerprint = store.fingerprint(id).unwrap_or(FINGERPRINT_SEED);
-                            expected.push((id.clone(), fingerprint));
-                            expected.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                            let place = before.series.iter().position(|s| s.id == *id);
+                            let name = match place {
+                                Some(place) if !spell => Named::Placed(place as u32),
+                                _ => Named::Spelled(id.clone()),
+                            };
+                            let mut named: Vec<_> = true_ids.iter().zip(expected.1).collect();
+                            named.push((id, (name, fingerprint)));
+                            named.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                            expected.1 = named.into_iter().map(|(_, entry)| entry).collect();
                         }
                     }
-                    4 if expected.len() > 1 => {
-                        let entry = at(rand(), expected.len() - 1);
-                        expected.swap(entry, entry + 1);
+                    4 if entries > 1 => {
+                        let entry = at(rand(), entries - 1);
+                        expected.1.swap(entry, entry + 1);
                     }
-                    5 if !expected.is_empty() => {
-                        let entry = at(rand(), expected.len());
-                        expected.insert(entry, expected[entry].clone());
+                    5 if entries > 0 => {
+                        let entry = at(rand(), entries);
+                        expected.1.insert(entry, expected.1[entry].clone());
+                    }
+                    6 => {
+                        // Another series count: a series written to one
+                        // store and not the other.
+                        let held = before.series.len();
+                        expected.0 = Some(match rand() % 2 {
+                            0 if held > 0 => held - 1,
+                            _ => held + 1,
+                        });
+                    }
+                    7 => {
+                        // A place one off, onto a stored neighbour: the
+                        // points stay in their slot.
+                        let held = before.series.len() as u32;
+                        let placed: Vec<usize> = (0..entries)
+                            .filter(|&e| matches!(expected.1[e].0, Named::Placed(_)))
+                            .collect();
+                        if let Some(&entry) = placed.get(at(rand(), placed.len())) {
+                            if let Named::Placed(place) = &mut expected.1[entry].0 {
+                                *place = match rand() % 2 {
+                                    0 if *place > 0 => *place - 1,
+                                    _ if *place + 1 < held => *place + 1,
+                                    _ => place.saturating_sub(1),
+                                };
+                            }
+                        }
                     }
                     _ => {}
                 }
+                let named = resolved(&before, &expected.1);
                 if matches!(kind, 3..=5) {
                     // The points still name their own series.
-                    points = slotted(&batch, &expected);
+                    points = slotted(&batch, &named);
                 }
 
                 let oracle_store = MetricStore::restore(before.clone());
@@ -1677,12 +1949,12 @@ mod tests {
                     &oracle_store,
                     points
                         .iter()
-                        .map(|&(slot, t, v)| (&expected[slot as usize].0, t, v)),
+                        .map(|&(slot, t, v)| (&named[slot as usize], t, v)),
                 );
                 let verdict = verified(&store, &points, &expected);
                 assert_eq!(
                     verdict.is_some(),
-                    expected == oracle.watermarks,
+                    lists(&expected, &oracle.watermarks),
                     "round {round} step {step} kind {kind}: {expected:?} vs {:?}",
                     oracle.watermarks
                 );
@@ -1694,14 +1966,14 @@ mod tests {
                         assert_eq!(store.freeze(), oracle, "verified apply == detailed");
                         let triples = points
                             .iter()
-                            .map(|&(slot, t, v)| (&expected[slot as usize].0, t, v));
+                            .map(|&(slot, t, v)| (&named[slot as usize], t, v));
                         reference_heads(&mut heads, policy, triples);
                     }
                     None => {
                         refused[kind] += 1;
                         assert_eq!(store.freeze(), before, "a refusal leaves no trace");
                         // Keep the stream moving: the true list applies.
-                        let accepted = verified(&store, &true_points, &truth.watermarks);
+                        let accepted = verified(&store, &true_points, &true_list);
                         assert_eq!(accepted, Some(truth.accepted));
                         assert_eq!(store.freeze(), live.freeze(), "verified apply == detailed");
                         reference_heads(&mut heads, policy, batch.iter().copied());
@@ -1734,7 +2006,6 @@ mod tests {
         // mid-store; and the store's first and last series.
         let named: [&[&MetricId]; 3] = [&[&ids[2049]], &[&new], &[&ids[0], &ids[4095]]];
         for (case, named) in named.into_iter().enumerate() {
-            let before = store.freeze();
             let batch: Vec<(&MetricId, u64, f64)> = named
                 .iter()
                 .flat_map(|&id| {
@@ -1746,21 +2017,30 @@ mod tests {
                     ]
                 })
                 .collect();
+            let before = store.freeze();
             let copy = MetricStore::restore(before.clone());
             let outcome = detailed(&copy, batch.iter().copied());
-            assert_eq!(outcome.watermarks.len(), named.len(), "case {case}");
-
-            // A slot past the listed series names nothing.
-            let past = named.len() as u32;
-            assert_eq!(
-                verified(&store, &[(past, 3500, 1.0)], &outcome.watermarks),
-                None
-            );
-            assert_eq!(store.freeze(), before, "case {case}");
-            let points = slotted(&batch, &outcome.watermarks);
-            let accepted = verified(&store, &points, &outcome.watermarks);
-            assert_eq!(accepted, Some(outcome.accepted), "case {case}");
-            assert_eq!(store.freeze(), copy.freeze(), "case {case}");
+            assert_eq!(outcome.watermarks.list.len(), named.len(), "case {case}");
+            let listed: Vec<MetricId> = named.iter().map(|&id| id.clone()).collect();
+            let points = slotted(&batch, &listed);
+            // Spelled, against a copy of the store as the case found it;
+            // then placed, as live ingest logs it, against the store.
+            for (log, target) in [
+                (
+                    spelled as fn(&Watermarks) -> Logged,
+                    MetricStore::restore(before.clone()),
+                ),
+                (placed, store.clone()),
+            ] {
+                let logged = log(&outcome.watermarks);
+                // A slot past the listed series names nothing.
+                let past = named.len() as u32;
+                assert_eq!(verified(&target, &[(past, 3500, 1.0)], &logged), None);
+                assert_eq!(target.freeze(), before, "case {case}");
+                let accepted = verified(&target, &points, &logged);
+                assert_eq!(accepted, Some(outcome.accepted), "case {case}");
+                assert_eq!(target.freeze(), copy.freeze(), "case {case}");
+            }
         }
     }
 
@@ -1778,19 +2058,65 @@ mod tests {
                 copy.record(&id, t, v);
                 copy.fingerprint(&id).unwrap()
             };
-            let expected = [
-                (id.clone(), alone(500, 1.0)),
-                (id.clone(), alone(1000, 2.0)),
-            ];
+            let twice = |name: Named<MetricId>| -> Logged {
+                let count = Some(store.series_count());
+                let list = vec![(name.clone(), alone(500, 1.0)), (name, alone(1000, 2.0))];
+                (count, list)
+            };
+            let mut lists = vec![twice(Named::Spelled(id.clone()))];
+            if stored {
+                lists.push(twice(Named::Placed(0)));
+            }
             let before = store.freeze();
             let points = [(0, 500, 1.0), (1, 1000, 2.0)];
-            assert_eq!(
-                verified(&store, &points, &expected),
-                None,
-                "stored {stored}"
-            );
-            assert_eq!(store.freeze(), before);
+            for logged in lists {
+                assert_eq!(verified(&store, &points, &logged), None, "{logged:?}");
+                assert_eq!(store.freeze(), before);
+            }
         }
+    }
+
+    #[test]
+    fn a_place_in_a_store_holding_an_unlogged_series_is_refused_not_misapplied() {
+        // The logged store holds `web/b` and `web/c`, of equal content; the
+        // batch appends to `web/c`, its place 1.
+        let (a, b, c) = (
+            MetricId::new("web", "a"),
+            MetricId::new("web", "b"),
+            MetricId::new("web", "c"),
+        );
+        let store = MetricStore::new();
+        for id in [&b, &c] {
+            store.record_batch((0..4u64).map(|t| (id, t * 500, t as f64)));
+        }
+        let copy = MetricStore::restore(store.freeze());
+        let outcome = detailed(&store, [(&c, 2000, 9.0)]);
+        let logged = placed(&outcome.watermarks);
+        assert_eq!(
+            logged,
+            (
+                Some(2),
+                vec![(Named::Placed(1), outcome.watermarks.list[0].fingerprint)]
+            )
+        );
+
+        // The copy also holds `web/a`, written and never logged: it sorts
+        // first, so place 1 there is `web/b`, whose head is `web/c`'s.
+        copy.record_batch((0..4u64).map(|t| (&a, t * 500, t as f64)));
+        let before = copy.freeze();
+        assert_eq!(verified(&copy, &[(0, 2000, 9.0)], &logged), None);
+        assert_eq!(copy.freeze(), before, "the store is untouched");
+        // Nor does a place without the count that guards it name anything.
+        let unguarded = (None, logged.1.clone());
+        assert_eq!(verified(&copy, &[(0, 2000, 9.0)], &unguarded), None);
+        assert_eq!(copy.freeze(), before, "the store is untouched");
+
+        // The count is what refuses it: the same places under the copy's own
+        // count reproduce every fingerprint, on the wrong series.
+        let misplaced = (Some(3), logged.1.clone());
+        assert_eq!(verified(&copy, &[(0, 2000, 9.0)], &misplaced), Some(1));
+        assert_eq!(copy.fingerprint(&b), store.fingerprint(&c));
+        assert_ne!(copy.fingerprint(&c), store.fingerprint(&c));
     }
 
     /// One batch of `round` as owned strings: a point of each of `series`
@@ -1846,15 +2172,17 @@ mod tests {
             );
             assert_eq!(outcome.accepted, 12, "round {round}");
             assert_eq!(store.series_count(), 12, "round {round}");
-            let live: Vec<(MetricId, u64)> = store
-                .export()
-                .into_keys()
-                .map(|id| {
-                    let fingerprint = store.fingerprint(&id).unwrap();
-                    (id, fingerprint)
+            // The first round creates every series; the later ones find
+            // each in its place.
+            let live: Vec<Watermark> = (0u32..)
+                .zip(store.export().into_keys())
+                .map(|(place, id)| Watermark {
+                    fingerprint: store.fingerprint(&id).unwrap(),
+                    id,
+                    place: (round > 0).then_some(place),
                 })
                 .collect();
-            assert_eq!(outcome.watermarks, live, "round {round}");
+            assert_eq!(outcome.watermarks.list, live, "round {round}");
             fed.extend(batch);
         }
         assert_eq!(store.freeze(), reference_store(retention, &fed).freeze());

@@ -66,6 +66,18 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// The next `N` bytes, borrowed from the input and not consumed, if
+    /// that many are left.
+    pub(crate) fn peek<const N: usize>(&self) -> Option<&'a [u8; N]> {
+        self.bytes[self.pos..].first_chunk()
+    }
+
+    /// Consumes `n` bytes [`Cursor::peek`] showed.
+    pub(crate) fn skip(&mut self, n: usize) {
+        debug_assert!(n <= self.remaining());
+        self.pos += n;
+    }
+
     /// Reads `n` raw bytes, borrowed from the input.
     pub(crate) fn take_bytes(&mut self, n: usize, what: &str) -> DecodeResult<&'a [u8]> {
         self.take(n, what)
@@ -185,8 +197,9 @@ impl Hasher for WordHasher {
 /// The [`MetricId`]s one decode pass has already seen, keyed by their
 /// encoded bytes.
 ///
-/// A shard log names the same few hundred series once per watermark of
-/// every batch. Without the memo every one of those sights copies two
+/// A shard log spells out a series' id in the batch that creates it — the
+/// same few hundred ids once per tenant — and a snapshot names every series
+/// it holds. Without the memo every one of those sights copies two
 /// strings and takes the process-wide interner lock twice; with it the
 /// first sight of an id validates its UTF-8 and interns it through
 /// [`MetricId::new`], and every later sight resolves to the entry holding
@@ -204,7 +217,7 @@ impl Hasher for WordHasher {
 /// scraper's, tick after tick — are predicted at nearly every sight; a miss
 /// (the first batch, a new series, a reordered batch) falls back to the map
 /// and re-links the predecessor. Every sight runs through this one lane: a
-/// batch's watermarks, and a frozen store's series.
+/// batch's spelled watermarks, and a frozen store's series.
 ///
 /// Owning its keys, one memo outlives the bytes it read: a
 /// [`crate::reader::LogFrames`] owns the one for its whole log across every
@@ -217,6 +230,7 @@ pub struct IdMemo {
     last: Option<u32>,
     decoded: u64,
     hashed: u64,
+    placed: u64,
 }
 
 /// One distinct id of an [`IdMemo`].
@@ -244,6 +258,17 @@ impl IdMemo {
     /// id's successor link did not predict, first sights included.
     pub fn hashed(&self) -> u64 {
         self.hashed
+    }
+
+    /// Watermarks the same decode pass read as a place in their tenant's
+    /// store instead of an id: no sight, no entry, no hash.
+    pub fn placed(&self) -> u64 {
+        self.placed
+    }
+
+    /// Counts one placed watermark.
+    pub(crate) fn count_placed(&mut self) {
+        self.placed += 1;
     }
 
     /// Reads one encoded [`MetricId`] and returns the index of its entry,

@@ -17,27 +17,39 @@
 //!
 //! Every accepted point's series has a watermark, so a batch names each
 //! series once, in memory and on disk: a point holds the *slot* of its
-//! series in the watermark list. An ingest payload (event tag 6) is
+//! series in the watermark list. A watermark names a series the batch did
+//! not create by its *place* — its index in the tenant store's id order
+//! before the batch — and spells out only the series the batch creates; the
+//! store's series count before the batch, logged beside the places, is
+//! what makes them safe (see [`Watermarks`]). An ingest payload (event
+//! tag 6) is
 //!
 //! ```text
-//! [6][tenant: u32 len + UTF-8][watermark count: u64]
-//!    watermark count × [component: u32 len + UTF-8][metric: u32 len + UTF-8][fingerprint: u64]
+//! [6][tenant: u32 len + UTF-8][series before + 1: varint][watermark count: u64]
+//!    watermark count × [name][fingerprint: u64]
 //!    [point count: u64]
-//!    point count × [slot: LEB128 varint][timestamp: u64][value bits: u64]
+//!    point count × [slot: varint][timestamp: u64][value bits: u64]
+//!
+//! name = [place + 1: varint]                                        a placed series
+//!      | [0][component: u32 len + UTF-8][metric: u32 len + UTF-8]   a spelled one
 //! ```
 //!
-//! every integer little-endian, the watermarks sorted by [`MetricId`]. A
-//! slot takes one byte below 128 watermarks and two below 16,384. Decoding
-//! refuses a slot at or past the watermark count, a varint that is not the
-//! shortest spelling of its value, and a point count the bytes left cannot
-//! hold.
+//! every varint LEB128, every other integer little-endian, the watermarks
+//! sorted by [`MetricId`]. A series count of 0 stands for none, and is
+//! allowed only when no watermark is placed: a store of more series than a
+//! `u32` counts is logged with none, every id spelled. A slot or place
+//! takes one byte below 128 and two below 16,384. Decoding refuses a slot
+//! at or past the watermark count, a place at or past the series count, a
+//! varint that is not the shortest spelling of its value, and a point count
+//! the bytes left cannot hold. Replay refuses the batch when the store's
+//! series count is not the logged one (the store's `record_batch_verified`).
 //!
 //! Each event kind has one layout, the one of the directory's format
 //! number ([`crate::format::FORMAT`]): a layout change bumps that number,
 //! not the tag, and tags only name event kinds. An ingest body decodes into
 //! reused buffers, in the `(slot, timestamp, value)` form.
 //! [`WalEvent::decode`] materialises it as an owned event; the log reader
-//! lends it instead, as an [`IngestRef`] whose watermark ids are read
+//! lends it instead, as an [`IngestRef`] whose spelled ids are read
 //! through the log's id memo, so replaying a batch allocates, interns and
 //! reference-counts nothing.
 
@@ -50,7 +62,7 @@ use sieve_core::SieveConfig;
 use sieve_exec::hash::addr_pair_hash;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
-use sieve_simulator::store::{MetricId, RetentionPolicy};
+use sieve_simulator::store::{MetricId, Named, RetentionPolicy, Watermarks};
 use std::cell::Cell;
 
 /// One durable, replayable mutation of one tenant.
@@ -91,12 +103,15 @@ pub enum WalEvent {
         /// string).
         tenant: Name,
         /// The accepted `(slot, timestamp, value)` points, in apply order;
-        /// the point's series is `watermarks[slot].0`.
+        /// the point's series is the one `watermarks[slot].0` names.
         points: Vec<(u32, u64, f64)>,
+        /// The tenant store's series count before the batch: what a placed
+        /// watermark's place indexes. `None` when no watermark is placed.
+        series_before: Option<u32>,
         /// Post-apply content fingerprint of every series the batch
         /// touched, sorted by [`MetricId`] — the replay verification
-        /// anchor.
-        watermarks: Vec<(MetricId, u64)>,
+        /// anchor — each series named by place or by id.
+        watermarks: Vec<(Named<MetricId>, u64)>,
     },
 }
 
@@ -167,6 +182,7 @@ impl WalEvent {
             Self::IngestBatch {
                 tenant,
                 points,
+                series_before,
                 watermarks,
             } => {
                 debug_assert!(
@@ -175,10 +191,12 @@ impl WalEvent {
                         .all(|&(slot, ..)| (slot as usize) < watermarks.len()),
                     "every point's slot indexes the watermark list"
                 );
+                let names = watermarks.iter().map(|(name, fp)| (name.as_ref(), *fp));
                 put_ingest(
                     buf,
                     tenant,
-                    watermarks,
+                    *series_before,
+                    names,
                     points.len(),
                     points.iter().copied(),
                 );
@@ -192,8 +210,10 @@ impl WalEvent {
     /// caller's point buffer (skipping rejected indices) instead of
     /// cloning them into a `Vec`.
     ///
-    /// Each point is written as the slot of its id in `watermarks`, the
-    /// bytes [`WalEvent::encode`] writes for the equivalent `IngestBatch`.
+    /// Each listed series the store held before the batch is written as its
+    /// place, each one the batch created by its id, and each point as the
+    /// slot of its id in the list: the bytes [`WalEvent::encode`] writes for
+    /// the equivalent `IngestBatch`.
     /// The slot is found without a search: the list is indexed by the
     /// addresses of its ids' interned names, which a point's id shares
     /// because the store's watermarks are clones of the ids it was given.
@@ -211,18 +231,30 @@ impl WalEvent {
         tenant: &str,
         accepted: usize,
         points: I,
-        watermarks: &[(MetricId, u64)],
+        watermarks: &Watermarks,
     ) where
         I: IntoIterator<Item = (&'a MetricId, u64, f64)>,
     {
+        // A count whose successor does not fit a `u32` is logged as none,
+        // and then nothing is placed.
+        let series_before = u32::try_from(watermarks.series_before)
+            .ok()
+            .filter(|&count| count < u32::MAX);
+        let names = watermarks.list.iter().map(|watermark| {
+            let name = match (series_before, watermark.place) {
+                (Some(_), Some(place)) => Named::Placed(place),
+                _ => Named::Spelled(&watermark.id),
+            };
+            (name, watermark.fingerprint)
+        });
         // Taken rather than borrowed: nothing the caller's iterator does can
         // make this panic, and the table goes back warm.
         let mut index = SLOT_INDEX.take();
-        index.build(watermarks);
+        index.build(watermarks.list.iter().map(|watermark| &watermark.id));
         let points = points
             .into_iter()
             .map(|(id, timestamp_ms, value)| (index.slot(id), timestamp_ms, value));
-        put_ingest(buf, tenant, watermarks, accepted, points);
+        put_ingest(buf, tenant, series_before, names, accepted, points);
         SLOT_INDEX.set(index);
     }
 
@@ -299,26 +331,44 @@ pub(crate) struct IngestBuf {
     /// `(slot, timestamp, value)` of every point, as in
     /// [`WalEvent::IngestBatch`].
     points: Vec<(u32, u64, f64)>,
-    /// `(memo entry, fingerprint)` of every watermark, in log order.
-    watermarks: Vec<(u32, u64)>,
+    /// The logged series count, as in [`WalEvent::IngestBatch`].
+    series_before: Option<u32>,
+    /// `(name, fingerprint)` of every watermark, in log order; a spelled
+    /// name is its memo entry.
+    watermarks: Vec<(Named<u32>, u64)>,
 }
 
 /// Appends an ingest payload (tag 6): the one ingest encoder, fed
-/// `(slot, timestamp, value)` points by both [`WalEvent::encode`] and
-/// [`WalEvent::encode_ingest_batch_into`].
-fn put_ingest(
+/// `(slot, timestamp, value)` points and named watermarks by both
+/// [`WalEvent::encode`] and [`WalEvent::encode_ingest_batch_into`].
+fn put_ingest<'a>(
     buf: &mut Vec<u8>,
     tenant: &str,
-    watermarks: &[(MetricId, u64)],
+    series_before: Option<u32>,
+    watermarks: impl ExactSizeIterator<Item = (Named<&'a MetricId>, u64)>,
     accepted: usize,
     points: impl Iterator<Item = (u32, u64, f64)>,
 ) {
     put_u8(buf, TAG_INGEST_BATCH);
     put_str(buf, tenant);
+    debug_assert!(
+        series_before != Some(u32::MAX),
+        "the count is logged plus one"
+    );
+    put_varint(buf, series_before.map_or(0, |count| count + 1));
     put_usize(buf, watermarks.len());
-    for (id, fingerprint) in watermarks {
-        put_metric_id(buf, id);
-        put_u64(buf, *fingerprint);
+    for (name, fingerprint) in watermarks {
+        match name {
+            Named::Placed(place) => {
+                debug_assert!(series_before.is_some_and(|count| place < count));
+                put_varint(buf, place + 1);
+            }
+            Named::Spelled(id) => {
+                put_u8(buf, 0);
+                put_metric_id(buf, id);
+            }
+        }
+        put_u64(buf, fingerprint);
     }
     put_usize(buf, accepted);
     buf.reserve(accepted * MIN_POINT_LEN);
@@ -388,9 +438,9 @@ impl SlotIndex {
         (addr_pair_hash(component, metric) >> self.shift) as usize & self.mask
     }
 
-    /// Indexes `watermarks`; an id listed twice keeps its first slot.
-    fn build(&mut self, watermarks: &[(MetricId, u64)]) {
-        let cells = (2 * watermarks.len()).next_power_of_two().max(8);
+    /// Indexes the listed `ids`; an id listed twice keeps its first slot.
+    fn build<'a>(&mut self, ids: impl ExactSizeIterator<Item = &'a MetricId>) {
+        let cells = (2 * ids.len()).next_power_of_two().max(8);
         if self.cells.len() < cells {
             self.cells.resize(cells, SlotCell::default());
         }
@@ -402,8 +452,8 @@ impl SlotIndex {
         }
         self.mask = cells - 1;
         self.shift = 64 - cells.trailing_zeros();
-        self.listed = watermarks.len() as u32;
-        for (slot, (id, _)) in (0u32..).zip(watermarks) {
+        self.listed = ids.len() as u32;
+        for (slot, id) in (0u32..).zip(ids) {
             let key = Self::key(id);
             let mut at = self.home(key);
             loop {
@@ -449,14 +499,30 @@ fn decode_ingest(cur: &mut Cursor<'_>, memo: &mut IdMemo, buf: &mut IngestBuf) -
     let tenant = cur.take_str("tenant name")?;
     buf.tenant.clear();
     buf.tenant.push_str(tenant);
+    let series_before = cur.take_varint("series count")?.checked_sub(1);
+    buf.series_before = series_before;
     let slots = cur.take_usize("watermark count")?;
     u32::try_from(slots).map_err(|_| "watermark count overflows u32")?;
     buf.watermarks.clear();
     buf.watermarks.reserve(slots.min(65_536));
     for _ in 0..slots {
-        let entry = memo.sight(cur)?;
+        let name = match cur.take_varint("watermark place")?.checked_sub(1) {
+            None => Named::Spelled(memo.sight(cur)?),
+            Some(place) => match series_before {
+                Some(count) if place < count => {
+                    memo.count_placed();
+                    Named::Placed(place)
+                }
+                Some(count) => {
+                    return Err(format!(
+                        "watermark place {place} is past the {count} series"
+                    ))
+                }
+                None => return Err(format!("watermark place {place} with no series count")),
+            },
+        };
         let fingerprint = cur.take_u64("watermark fingerprint")?;
-        buf.watermarks.push((entry, fingerprint));
+        buf.watermarks.push((name, fingerprint));
     }
     let point_count = cur.take_usize("point count")?;
     if point_count > cur.remaining() / MIN_POINT_LEN {
@@ -468,13 +534,25 @@ fn decode_ingest(cur: &mut Cursor<'_>, memo: &mut IdMemo, buf: &mut IngestBuf) -
     buf.points.clear();
     buf.points.reserve(point_count);
     for _ in 0..point_count {
-        let slot = cur.take_varint("point slot")?;
+        // A record whose slot is one byte is read with one bounds check.
+        let point = match cur.peek::<MIN_POINT_LEN>() {
+            Some(record) if record[0] < 0x80 => {
+                cur.skip(MIN_POINT_LEN);
+                let word =
+                    |at: usize| u64::from_le_bytes(record[at..at + 8].try_into().expect("8"));
+                (u32::from(record[0]), word(1), f64::from_bits(word(9)))
+            }
+            _ => (
+                cur.take_varint("point slot")?,
+                cur.take_u64("point timestamp")?,
+                cur.take_f64("point value")?,
+            ),
+        };
+        let slot = point.0;
         if slot as usize >= slots {
             return Err(format!("point slot {slot} is past the {slots} watermarks"));
         }
-        let timestamp_ms = cur.take_u64("point timestamp")?;
-        let value = cur.take_f64("point value")?;
-        buf.points.push((slot, timestamp_ms, value));
+        buf.points.push(point);
     }
     Ok(())
 }
@@ -486,7 +564,8 @@ fn decode_ingest(cur: &mut Cursor<'_>, memo: &mut IdMemo, buf: &mut IngestBuf) -
 pub struct IngestRef<'f> {
     tenant: &'f str,
     points: &'f [(u32, u64, f64)],
-    watermarks: &'f [(u32, u64)],
+    series_before: Option<u32>,
+    watermarks: &'f [(Named<u32>, u64)],
     memo: &'f IdMemo,
 }
 
@@ -495,6 +574,7 @@ impl<'f> IngestRef<'f> {
         Self {
             tenant: &buf.tenant,
             points: &buf.points,
+            series_before: buf.series_before,
             watermarks: &buf.watermarks,
             memo,
         }
@@ -511,13 +591,22 @@ impl<'f> IngestRef<'f> {
         self.points
     }
 
-    /// The post-apply fingerprint of every series the batch touched, in
-    /// log order (sorted by [`MetricId`] when the live store wrote it).
-    pub fn watermarks(&self) -> impl ExactSizeIterator<Item = (&'f MetricId, u64)> + Clone + 'f {
+    /// The tenant store's series count before the batch, which every
+    /// placed watermark's place indexes; `None` when none is placed.
+    pub fn series_before(&self) -> Option<u32> {
+        self.series_before
+    }
+
+    /// The post-apply fingerprint of every series the batch touched, each
+    /// named by place or by id, in log order (sorted by [`MetricId`] when
+    /// the live store wrote it).
+    pub fn watermarks(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (Named<&'f MetricId>, u64)> + Clone + 'f {
         let memo = self.memo;
         self.watermarks
             .iter()
-            .map(move |&(entry, fingerprint)| (memo.id(entry), fingerprint))
+            .map(move |&(name, fingerprint)| (name.map(|entry| memo.id(entry)), fingerprint))
     }
 
     /// The owned [`WalEvent::IngestBatch`] this batch decodes to.
@@ -525,9 +614,10 @@ impl<'f> IngestRef<'f> {
         WalEvent::IngestBatch {
             tenant: Name::new(self.tenant),
             points: self.points.to_vec(),
+            series_before: self.series_before,
             watermarks: self
                 .watermarks()
-                .map(|(id, fingerprint)| (id.clone(), fingerprint))
+                .map(|(name, fingerprint)| (name.map(MetricId::clone), fingerprint))
                 .collect(),
         }
     }
@@ -538,6 +628,7 @@ impl std::fmt::Debug for IngestRef<'_> {
         f.debug_struct("IngestRef")
             .field("tenant", &self.tenant)
             .field("points", &self.points)
+            .field("series_before", &self.series_before)
             .field("watermarks", &self.watermarks().collect::<Vec<_>>())
             .finish()
     }
@@ -547,6 +638,7 @@ impl std::fmt::Debug for IngestRef<'_> {
 mod tests {
     use super::*;
     use sieve_exec::hash::splitmix64;
+    use sieve_simulator::store::Watermark;
 
     /// Decodes through a fresh memo.
     fn decode(bytes: &[u8]) -> DecodeResult<WalEvent> {
@@ -582,12 +674,29 @@ mod tests {
             WalEvent::IngestBatch {
                 tenant: "acme".into(),
                 points: vec![(1, 500, 1.5), (0, 500, -3.25)],
+                series_before: Some(2),
                 watermarks: vec![
-                    (MetricId::new("db", "mem"), 0xABCD),
-                    (MetricId::new("web", "cpu"), 0x1234),
+                    (Named::Spelled(MetricId::new("db", "mem")), 0xABCD),
+                    (Named::Placed(1), 0x1234),
                 ],
             },
         ]
+    }
+
+    /// The watermarks a store of `series_before` series reports for a
+    /// batch touching `list`: `(id, place, fingerprint)` each.
+    fn live(series_before: usize, list: &[(&MetricId, Option<u32>, u64)]) -> Watermarks {
+        Watermarks {
+            series_before,
+            list: list
+                .iter()
+                .map(|&(id, place, fingerprint)| Watermark {
+                    id: id.clone(),
+                    place,
+                    fingerprint,
+                })
+                .collect(),
+        }
     }
 
     #[test]
@@ -598,7 +707,7 @@ mod tests {
         // written by another build; that guard holds only while the set
         // and the format number change together.
         let read: Vec<u8> = (0..=255u8).filter(|t| reads_tag(*t)).collect();
-        assert_eq!(crate::FORMAT, 6, "a new format re-pins the tags it reads");
+        assert_eq!(crate::FORMAT, 7, "a new format re-pins the tags it reads");
         assert_eq!(
             read,
             [2, 3, 5, 6],
@@ -630,14 +739,22 @@ mod tests {
             (MetricId::new("web", "mem"), 500, f64::NAN), // rejected live
             (MetricId::new("db", "mem"), 1000, -3.25),
         ];
-        let watermarks = vec![
-            (MetricId::new("db", "mem"), 0xABCD),
-            (MetricId::new("web", "cpu"), 0x1234),
-        ];
+        // `db/mem` is new; `web/cpu` was the third of four series.
+        let watermarks = live(
+            4,
+            &[
+                (&points[2].0, None, 0xABCD),
+                (&points[0].0, Some(2), 0x1234),
+            ],
+        );
         let event = WalEvent::IngestBatch {
             tenant: "acme".into(),
             points: vec![(1, 500, 1.5), (0, 1000, -3.25)],
-            watermarks: watermarks.clone(),
+            series_before: Some(4),
+            watermarks: vec![
+                (Named::Spelled(MetricId::new("db", "mem")), 0xABCD),
+                (Named::Placed(2), 0x1234),
+            ],
         };
         let mut materialised = Vec::new();
         event.encode(&mut materialised);
@@ -681,13 +798,16 @@ mod tests {
         }
     }
 
-    /// A slotted payload built by hand: one watermark for each of
-    /// `watermarks` ids, the point count, then `points` verbatim.
+    /// A slotted payload built by hand: no series count, one spelled
+    /// watermark for each of `watermarks` ids, the point count, then
+    /// `points` verbatim.
     fn slotted(watermarks: usize, point_count: u64, points: &[u8]) -> Vec<u8> {
         let mut buf = vec![TAG_INGEST_BATCH];
         put_str(&mut buf, "acme");
+        put_varint(&mut buf, 0);
         put_usize(&mut buf, watermarks);
         for i in 0..watermarks {
+            put_u8(&mut buf, 0);
             put_metric_id(&mut buf, &MetricId::new("web", format!("m{i}")));
             put_u64(&mut buf, i as u64);
         }
@@ -767,18 +887,98 @@ mod tests {
         assert!(refusal(trailing).starts_with("trailing garbage after event"));
     }
 
+    /// Bytes of the shortest varint spelling of `value`.
+    fn varint_len(value: u32) -> usize {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, value);
+        buf.len()
+    }
+
+    #[test]
+    fn a_placed_watermark_is_refused_for_each_rule_it_breaks() {
+        // `[series count + 1][one watermark: place + 1][fingerprint]`, one
+        // point of slot 0: the bytes after the tenant.
+        let placed = |count: &[u8], place: &[u8]| {
+            let mut buf = vec![TAG_INGEST_BATCH];
+            put_str(&mut buf, "acme");
+            buf.extend_from_slice(count);
+            put_usize(&mut buf, 1);
+            buf.extend_from_slice(place);
+            put_u64(&mut buf, 0x1234);
+            put_usize(&mut buf, 1);
+            buf.push(0);
+            buf.extend_from_slice(&point_tail());
+            buf
+        };
+        let refusal = |bytes: Vec<u8>| decode(&bytes).unwrap_err();
+
+        // Well formed: place 2 of a store of 3 series.
+        let WalEvent::IngestBatch {
+            series_before,
+            watermarks,
+            ..
+        } = decode(&placed(&[4], &[3])).unwrap()
+        else {
+            panic!("an ingest batch");
+        };
+        assert_eq!(series_before, Some(3));
+        assert_eq!(watermarks, vec![(Named::Placed(2), 0x1234)]);
+        let mut memo = IdMemo::default();
+        WalEvent::decode(&placed(&[4], &[3]), &mut memo).unwrap();
+        assert_eq!(
+            (memo.placed(), memo.decoded()),
+            (1, 0),
+            "a place is no sight"
+        );
+
+        // A place at or past the series count, or with no count at all.
+        assert_eq!(
+            refusal(placed(&[4], &[4])),
+            "watermark place 3 is past the 3 series"
+        );
+        assert_eq!(
+            refusal(placed(&[1], &[1])),
+            "watermark place 0 is past the 0 series"
+        );
+        assert_eq!(
+            refusal(placed(&[0], &[1])),
+            "watermark place 0 with no series count"
+        );
+        // Overlong or oversized varints, in either field.
+        assert_eq!(
+            refusal(placed(&[0x84, 0x00], &[3])),
+            "series count: overlong varint"
+        );
+        assert_eq!(
+            refusal(placed(&[4], &[0x83, 0x00])),
+            "watermark place: overlong varint"
+        );
+        assert_eq!(
+            refusal(placed(&[0xFF, 0xFF, 0xFF, 0xFF, 0x1F], &[3])),
+            "series count: varint overflows u32"
+        );
+    }
+
     /// A batch of `series` distinct series, sorted as the store lists them,
-    /// whose points draw their slots at random.
-    fn random_batch(rand: &mut impl FnMut() -> u64, series: usize) -> WalEvent {
-        let mut watermarks: Vec<(MetricId, u64)> = (0..series)
-            .map(|i| {
-                (
-                    MetricId::new(format!("c{}", i % 7), format!("m{i}")),
-                    rand(),
-                )
+    /// whose points draw their slots at random, as the live store reports
+    /// it and as the log holds it: the store held `series_before` series,
+    /// about half the listed ones among them, at places that run past 128.
+    fn random_batch(rand: &mut impl FnMut() -> u64, series: usize) -> (Watermarks, WalEvent) {
+        let series_before = 2 * series + (rand() % 300) as usize;
+        let mut ids: Vec<MetricId> = (0..series)
+            .map(|i| MetricId::new(format!("c{}", i % 7), format!("m{i}")))
+            .collect();
+        ids.sort_unstable();
+        let mut place = 0;
+        let list: Vec<(&MetricId, Option<u32>, u64)> = ids
+            .iter()
+            .map(|id| {
+                place += 1 + (rand() % 2) as u32;
+                let held = rand() % 2 == 0;
+                (id, held.then_some(place), rand())
             })
             .collect();
-        watermarks.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let watermarks = live(series_before, &list);
         let points = match series {
             0 => Vec::new(),
             _ => (0..rand() % 300)
@@ -788,11 +988,19 @@ mod tests {
                 })
                 .collect(),
         };
-        WalEvent::IngestBatch {
+        let event = WalEvent::IngestBatch {
             tenant: "acme".into(),
             points,
-            watermarks,
-        }
+            series_before: Some(series_before as u32),
+            watermarks: list
+                .iter()
+                .map(|&(id, place, fingerprint)| {
+                    let name = place.map_or_else(|| Named::Spelled(id.clone()), Named::Placed);
+                    (name, fingerprint)
+                })
+                .collect(),
+        };
+        (watermarks, event)
     }
 
     #[test]
@@ -802,9 +1010,12 @@ mod tests {
         let mut sizes = vec![0, 1, 2, 127, 128, 129, 300];
         sizes.extend((0..60).map(|_| (rand() % 200) as usize));
         for series in sizes {
-            let event = random_batch(&mut rand, series);
+            let (live, event) = random_batch(&mut rand, series);
             let WalEvent::IngestBatch {
-                points, watermarks, ..
+                points,
+                series_before,
+                watermarks,
+                ..
             } = &event
             else {
                 unreachable!()
@@ -820,34 +1031,80 @@ mod tests {
 
             let mut streamed = Vec::new();
             let triples = points.iter().map(|&(slot, timestamp_ms, value)| {
-                (&watermarks[slot as usize].0, timestamp_ms, value)
+                (&live.list[slot as usize].id, timestamp_ms, value)
             });
-            WalEvent::encode_ingest_batch_into(
-                &mut streamed,
-                "acme",
-                points.len(),
-                triples,
-                watermarks,
-            );
+            WalEvent::encode_ingest_batch_into(&mut streamed, "acme", points.len(), triples, &live);
             assert_eq!(streamed, encoded, "{series} series, streamed");
 
-            // Tag, tenant, the two counts; each watermark's id and
-            // fingerprint; each point's slot, one byte below 128 and two
-            // from there, then 16 bytes.
+            // Tag, tenant, the series count, the two counts; each
+            // watermark's place or spelled id, and its fingerprint; each
+            // point's slot, one byte below 128 and two from there, then 16
+            // bytes.
             let listed: usize = watermarks
                 .iter()
-                .map(|(id, _)| 4 + id.component.len() + 4 + id.metric.len() + 8)
+                .map(|(name, _)| match name {
+                    Named::Placed(place) => varint_len(place + 1) + 8,
+                    Named::Spelled(id) => 1 + 4 + id.component.len() + 4 + id.metric.len() + 8,
+                })
                 .sum();
             let slots: usize = points
                 .iter()
                 .map(|&(slot, ..)| 1 + usize::from(slot >= 128))
                 .sum();
+            let count = varint_len(series_before.unwrap() + 1);
             assert_eq!(
                 encoded.len(),
-                1 + (4 + 4) + 8 + listed + 8 + slots + 16 * points.len(),
+                1 + (4 + 4) + count + 8 + listed + 8 + slots + 16 * points.len(),
                 "{series} series"
             );
         }
+    }
+
+    #[test]
+    fn a_batch_that_creates_no_series_logs_no_id() {
+        // Four series of a store of 40, ten ticks each: the scraper's
+        // steady state, and the bytes the log pays per batch for it.
+        let ids: Vec<MetricId> = ["cpu", "latency", "mem", "requests"]
+            .into_iter()
+            .map(|metric| MetricId::new("web", metric))
+            .collect();
+        let places = [3, 17, 18, 39];
+        let list: Vec<_> = ids
+            .iter()
+            .zip(places)
+            .map(|(id, place)| (id, Some(place), u64::from(place)))
+            .collect();
+        let triples: Vec<(&MetricId, u64, f64)> = (0..10u64)
+            .flat_map(|tick| ids.iter().map(move |id| (id, tick * 500, tick as f64)))
+            .collect();
+        let encode = |watermarks: &Watermarks| {
+            let mut buf = Vec::new();
+            WalEvent::encode_ingest_batch_into(
+                &mut buf,
+                "acme",
+                triples.len(),
+                triples.iter().copied(),
+                watermarks,
+            );
+            buf
+        };
+        let placed = encode(&live(40, &list));
+        // Tag 1, tenant 4 + 4, series count 1, watermark count 8, four
+        // watermarks of a one-byte place and a fingerprint (9 each), point
+        // count 8, forty points of 17.
+        assert_eq!(placed.len(), 1 + 8 + 1 + 8 + 4 * 9 + 8 + 40 * 17);
+        assert_eq!(placed.len(), 742);
+        assert_eq!(
+            crate::frame::encode(1, &decode(&placed).unwrap()).len(),
+            762
+        );
+        // The same batch with every id spelled: each watermark longer by
+        // its id, 4 + 3 + 4 + 3..8 bytes.
+        let unplaced: Vec<_> = list.iter().map(|&(id, _, fp)| (id, None, fp)).collect();
+        let spelled = encode(&live(40, &unplaced));
+        let ids_bytes: usize = ids.iter().map(|id| 4 + 3 + 4 + id.metric.len()).sum();
+        assert_eq!(spelled.len(), placed.len() + ids_bytes);
+        assert_eq!(decode(&placed).unwrap().point_count(), 40);
     }
 
     #[test]
@@ -860,7 +1117,7 @@ mod tests {
                 "acme",
                 2,
                 [(&listed, 500, 1.5), (&unlisted, 500, 2.5)],
-                &[(listed.clone(), 0x1234)],
+                &live(0, &[(&listed, None, 0x1234)]),
             );
             buf
         });
@@ -879,17 +1136,17 @@ mod tests {
             "acme",
             1,
             [(&listed, 500, 1.5)],
-            &[(listed.clone(), 0x1234)],
+            &live(0, &[(&listed, None, 0x1234)]),
         );
         assert_eq!(decode(&buf).unwrap().point_count(), 1);
     }
 
     #[test]
     fn the_slot_index_holds_only_the_last_list_across_its_stamp_wrapping() {
-        let list = |names: &[&str]| -> Vec<(MetricId, u64)> {
+        let list = |names: &[&str]| -> Vec<MetricId> {
             names
                 .iter()
-                .map(|name| (MetricId::new("web", *name), 0))
+                .map(|name| MetricId::new("web", *name))
                 .collect()
         };
         let (first, second) = (list(&["a", "b", "c"]), list(&["d", "b", "e", "f"]));
@@ -898,8 +1155,8 @@ mod tests {
             ..SlotIndex::default()
         };
         for (round, listed) in [&first, &second, &first, &second].into_iter().enumerate() {
-            index.build(listed);
-            for (slot, (id, _)) in (0u32..).zip(listed) {
+            index.build(listed.iter());
+            for (slot, id) in (0u32..).zip(listed) {
                 assert_eq!(index.slot(id), slot, "round {round}, {id}");
             }
             let current = index.cells.iter().filter(|c| c.stamp == index.stamp);
@@ -924,8 +1181,9 @@ mod tests {
     }
 
     /// A random event over a small pool of ids, so sequences repeat them.
-    /// A batch's watermark list may repeat an id and need not be sorted;
-    /// its points draw their slots from it in random order, so the memo's
+    /// A batch's watermark list may repeat an id and need not be sorted,
+    /// and places some of its series when it carries a series count; its
+    /// points draw their slots from it in random order, so the memo's
     /// predictions also miss.
     fn random_event(rand: &mut impl FnMut() -> u64, ids: &[MetricId]) -> WalEvent {
         let tenant: Name = ["acme", "globex", "initech"][(rand() % 3) as usize].into();
@@ -941,8 +1199,18 @@ mod tests {
             }
             _ => {
                 let pick = |r: u64| ids[(r % ids.len() as u64) as usize].clone();
-                let watermarks: Vec<(MetricId, u64)> =
-                    (0..rand() % 4).map(|_| (pick(rand()), rand())).collect();
+                let series_before = (rand() % 2 == 0).then(|| (rand() % 5) as u32 + 1);
+                let watermarks: Vec<(Named<MetricId>, u64)> = (0..rand() % 4)
+                    .map(|_| {
+                        let name = match series_before {
+                            Some(count) if rand() % 2 == 0 => {
+                                Named::Placed((rand() % u64::from(count)) as u32)
+                            }
+                            _ => Named::Spelled(pick(rand())),
+                        };
+                        (name, rand())
+                    })
+                    .collect();
                 let points = match watermarks.len() {
                     0 => Vec::new(),
                     listed => (0..rand() % 6)
@@ -955,6 +1223,7 @@ mod tests {
                 WalEvent::IngestBatch {
                     tenant,
                     points,
+                    series_before,
                     watermarks,
                 }
             }
@@ -997,7 +1266,7 @@ mod tests {
             "acme",
             1,
             [(&good, 500, 1.5)],
-            &[(good.clone(), 7)],
+            &live(0, &[(&good, None, 7)]),
         );
         let at = buf.windows(3).position(|w| w == b"web").unwrap();
         buf[at] = 0xFF;
@@ -1024,7 +1293,11 @@ mod tests {
                 points: (0..points as u32)
                     .map(|slot| (slot, tick * 500, 1.0))
                     .collect(),
-                watermarks: ids.iter().map(|id| (id.clone(), tick)).collect(),
+                series_before: None,
+                watermarks: ids
+                    .iter()
+                    .map(|id| (Named::Spelled(id.clone()), tick))
+                    .collect(),
             })
             .collect();
         let (log, ranges) = encode_log(&batches);
@@ -1032,7 +1305,7 @@ mod tests {
         for range in ranges {
             WalEvent::decode(&log[range], &mut memo).unwrap();
         }
-        // A batch reads an id per watermark.
+        // A batch reads an id per spelled watermark.
         assert_eq!(memo.decoded(), events * points);
         assert_eq!(memo.interned(), points);
         // One lane reads ids 0..P in order, once per batch. The first P

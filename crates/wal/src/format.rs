@@ -20,7 +20,9 @@ use crate::{Result, WalError};
 
 /// The format this build writes and reads. Format 6 dropped the downsampled
 /// tiers: a snapshot series and a retention policy no longer carry them.
-pub const FORMAT: u32 = 6;
+/// Format 7 names each series an ingest batch did not create by its place
+/// in the tenant's store, guarded by the store's series count.
+pub const FORMAT: u32 = 7;
 
 /// First bytes of a format record.
 const MAGIC: [u8; 8] = *b"SIEVEFMT";
@@ -73,13 +75,13 @@ mod tests {
         assert_eq!(created.format().unwrap(), Some(FORMAT));
         let path = dir.join(FORMAT_FILE_NAME);
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes, b"SIEVEFMT\x06\x00\x00\x00");
+        assert_eq!(bytes, b"SIEVEFMT\x07\x00\x00\x00");
         let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(files.len(), 1, "the temp file was renamed away");
 
         for (bytes, reason) in [
             (&bytes[..RECORD_LEN - 1], "torn format record"),
-            (&b"SIEVEFMX\x06\x00\x00\x00"[..], "bad format record magic"),
+            (&b"SIEVEFMX\x07\x00\x00\x00"[..], "bad format record magic"),
         ] {
             std::fs::write(&path, bytes).unwrap();
             match created.format() {

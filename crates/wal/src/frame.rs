@@ -244,7 +244,7 @@ mod tests {
     use sieve_core::{GrangerConfig, SieveConfig};
     use sieve_exec::hash::splitmix64;
     use sieve_graph::CallGraph;
-    use sieve_simulator::store::{MetricId, RetentionPolicy};
+    use sieve_simulator::store::{MetricId, Named, RetentionPolicy};
 
     /// Parses through a fresh memo.
     fn parse(bytes: &[u8], offset: usize) -> Parsed {
@@ -255,7 +255,8 @@ mod tests {
         WalEvent::IngestBatch {
             tenant: "acme".into(),
             points: vec![(0, 500, 1.5)],
-            watermarks: vec![(MetricId::new("web", "cpu"), 0x1234)],
+            series_before: None,
+            watermarks: vec![(Named::Spelled(MetricId::new("web", "cpu")), 0x1234)],
         }
     }
 
@@ -385,22 +386,25 @@ mod tests {
             WalEvent::IngestBatch {
                 tenant: "acme".into(),
                 points: vec![(1, 500, 1.5), (0, 500, -3.25)],
+                series_before: Some(5),
                 watermarks: vec![
-                    (MetricId::new("db", "mem"), 0xABCD),
-                    (MetricId::new("web", "cpu"), 0x1234),
+                    (Named::Spelled(MetricId::new("db", "mem")), 0xABCD),
+                    (Named::Placed(3), 0x1234),
                 ],
             },
         ]
     }
 
-    /// `encode(4, &golden_events()[3])`: the ingest batch as a slotted
-    /// frame (tag 6), each point a one-byte slot. This is what a directory
-    /// written today holds, byte for byte as the build that introduced
-    /// slots wrote it.
+    /// `encode(4, &golden_events()[3])`: the ingest batch as format 7 writes
+    /// it (tag 6) — the store held five series before it, `db/mem` is
+    /// created and spelled, the series at place 3 is named by it, and each
+    /// point is a one-byte slot. This is what a directory written today
+    /// holds; the format-6 frame of the same points spelled both ids and
+    /// had no series count (102 bytes of payload here, 91 now).
     const GOLDEN_SLOTTED_FRAME: &str =
-        "6600000004000000000000006e38267d87d701ce060400000061636d650200000000000000020000006462030000\
-         006d656dcdab00000000000003000000776562030000006370753412000000000000020000000000000001f40100\
-         0000000000000000000000f83f00f4010000000000000000000000000ac0";
+        "5b00000004000000000000008fe962b8f41b95bc060400000061636d650602000000000000000002000000646203\
+         0000006d656dcdab000000000000043412000000000000020000000000000001f401000000000000000000000000\
+         f83f00f4010000000000000000000000000ac0";
 
     /// Asserts that `golden` is one whole frame of sequence `seq` that
     /// decodes to `event`.

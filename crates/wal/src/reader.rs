@@ -431,27 +431,30 @@ pub fn scan_log(bytes: &[u8]) -> ScannedLog {
 mod tests {
     use super::*;
     use crate::frame::{encode, frame_payload};
-    use sieve_simulator::store::{MetricId, RetentionPolicy};
+    use sieve_simulator::store::{MetricId, Named, RetentionPolicy};
 
     fn ingest(tenant: &str, t: u64) -> WalEvent {
         WalEvent::IngestBatch {
             tenant: tenant.into(),
             points: vec![(0, t, t as f64)],
-            watermarks: vec![(MetricId::new("web", "cpu"), t ^ 0xABCD)],
+            series_before: None,
+            watermarks: vec![(Named::Spelled(MetricId::new("web", "cpu")), t ^ 0xABCD)],
         }
     }
 
-    /// A batch of `ticks` points over two series: a frame of another
-    /// length than the one-point batches around it.
+    /// A batch of `ticks` points over two series, one placed and one
+    /// spelled: a frame of another length than the one-point batches around
+    /// it.
     fn wide_ingest(tenant: &str, t: u64, ticks: u64) -> WalEvent {
         WalEvent::IngestBatch {
             tenant: tenant.into(),
             points: (0..ticks)
                 .map(|i| ((i % 2) as u32, t + i / 2 * 500, i as f64 * 0.5))
                 .collect(),
+            series_before: Some(1),
             watermarks: vec![
-                (MetricId::new("db", "mem"), t ^ 0x1234),
-                (MetricId::new("web", "cpu"), t ^ 0xABCD),
+                (Named::Placed(0), t ^ 0x1234),
+                (Named::Spelled(MetricId::new("web", "cpu")), t ^ 0xABCD),
             ],
         }
     }

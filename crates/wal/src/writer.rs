@@ -40,7 +40,7 @@ pub(crate) trait WalMedia: Send + std::fmt::Debug {
 pub(crate) mod testing {
     use super::WalMedia;
     use crate::event::WalEvent;
-    use sieve_simulator::store::MetricId;
+    use sieve_simulator::store::{MetricId, Named};
     use std::io;
     use std::sync::{Arc, Mutex};
 
@@ -49,7 +49,8 @@ pub(crate) mod testing {
         WalEvent::IngestBatch {
             tenant: "acme".into(),
             points: vec![(0, t, t as f64)],
-            watermarks: vec![(MetricId::new("web", "cpu"), t)],
+            series_before: None,
+            watermarks: vec![(Named::Spelled(MetricId::new("web", "cpu")), t)],
         }
     }
 
