@@ -24,8 +24,8 @@ use sieve_core::SieveConfig;
 use sieve_exec::hash::shard_index;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
-use sieve_simulator::store::MetricStore;
-use sieve_wal::{Frame, ShardDir, WalError, WalEvent};
+use sieve_simulator::store::{MetricStore, Named};
+use sieve_wal::{Frame, IngestBatch, ShardDir, WalError, WalEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -166,16 +166,10 @@ pub struct ShardRecovery {
     /// Bytes of log read: the length of the shard's log file (0 when there
     /// was none).
     pub log_bytes: u64,
-    /// Metric ids read from the log: one per spelled watermark — a series
-    /// its batch created — of every ingest frame decoded, resynchronized
-    /// frames included.
+    /// Metric ids read from the log, each interned at its sight: one per
+    /// spelled watermark — a series its batch created — of every intact
+    /// ingest frame, replayed or not, and every resynchronized one.
     pub ids_decoded: u64,
-    /// Of those, the distinct ids, each interned once.
-    pub ids_interned: u64,
-    /// Of those, the ids found by hashing because the id read before them
-    /// did not predict them (first sights included); the rest were
-    /// predicted.
-    pub ids_hashed: u64,
     /// Watermarks read as a place in their tenant's store, with no id to
     /// decode: every other watermark of the same frames.
     pub watermarks_placed: u64,
@@ -458,6 +452,26 @@ fn lose(replaying: &mut BTreeMap<String, Replaying>, event: &WalEvent) {
     tenant.lose(event.point_count());
 }
 
+/// How the watermarks of a shard log's ingest frames name their series.
+#[derive(Debug, Default)]
+struct NameCounts {
+    /// By id: [`ShardRecovery::ids_decoded`].
+    spelled: u64,
+    /// By place: [`ShardRecovery::watermarks_placed`].
+    placed: u64,
+}
+
+impl NameCounts {
+    fn count(&mut self, batch: &IngestBatch) {
+        for (name, _) in &batch.watermarks {
+            match name {
+                Named::Spelled(_) => self.spelled += 1,
+                Named::Placed(_) => self.placed += 1,
+            }
+        }
+    }
+}
+
 /// Opens a recovered tenant through [`Tenant::open`], seeded with its
 /// checkpoint record if `seeds` holds one, and counts what it got.
 fn open(
@@ -561,17 +575,18 @@ pub(crate) fn recover_shard(
     let mut frames = dir.log_frames(shard)?;
     let (mut frames_read, mut frames_replayed) = (0u64, 0u64);
     let mut recovered_through_seq = snapshot_last_seq;
+    let mut names = NameCounts::default();
     while let Some((seq, frame)) = frames.next() {
         frames_read += 1;
+        if let Frame::Ingest(batch) = &frame {
+            names.count(batch);
+        }
         if seq > snapshot_last_seq {
             frames_replayed += 1;
             recovered_through_seq = seq;
             replay(&mut replaying, &mut seeds, frame)?;
         }
     }
-    let ids = frames.ids();
-    let (ids_decoded, ids_interned, ids_hashed) = (ids.decoded(), ids.interned(), ids.hashed());
-    let watermarks_placed = ids.placed();
     let (log_bytes, log_read_ns) = (frames.bytes_read(), frames.read_ns());
     let corruption = frames.finish().map_err(WalError::from)?;
     if let Some(corruption) = &corruption {
@@ -580,9 +595,13 @@ pub(crate) fn recover_shard(
             return Err(ServeError::UnknownEventTag { shard, offset, tag });
         }
     }
-    let resynced = corruption.iter().flat_map(|c| &c.resynced);
-    for (_, event) in resynced.filter(|(seq, _)| *seq > snapshot_last_seq) {
-        lose(&mut replaying, event);
+    for (seq, event) in corruption.iter().flat_map(|c| &c.resynced) {
+        if let WalEvent::IngestBatch(batch) = event {
+            names.count(batch);
+        }
+        if *seq > snapshot_last_seq {
+            lose(&mut replaying, event);
+        }
     }
     let replay_ns = ns_since(started).saturating_sub(log_read_ns);
 
@@ -618,10 +637,8 @@ pub(crate) fn recover_shard(
             lost_bytes: corruption.lost_bytes,
         }),
         log_bytes,
-        ids_decoded,
-        ids_interned,
-        ids_hashed,
-        watermarks_placed,
+        ids_decoded: names.spelled,
+        watermarks_placed: names.placed,
         checkpoint_ns,
         checkpoint: seeds.tally(),
         snapshot_ns,
@@ -678,8 +695,6 @@ mod tests {
                 }),
                 log_bytes: 0,
                 ids_decoded: 0,
-                ids_interned: 0,
-                ids_hashed: 0,
                 watermarks_placed: 0,
                 checkpoint_ns: 0,
                 checkpoint: CheckpointSeeding {

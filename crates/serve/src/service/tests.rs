@@ -6,7 +6,7 @@
 use super::*;
 use crate::TenantRecovery;
 use sieve_core::{Sieve, SieveConfig};
-use sieve_wal::WalEvent;
+use sieve_wal::{IngestBatch, WalEvent};
 use std::collections::BTreeMap;
 
 fn tiny_config() -> ServeConfig {
@@ -632,7 +632,7 @@ fn a_batch_whose_watermark_list_repeats_a_series_degrades_only_its_tenant() {
     let shard = sieve_exec::hash::shard_index("beta", config.shard_count);
     let requests = sieve_simulator::store::MetricId::new("web", "requests");
     use sieve_simulator::store::Named;
-    let batch = WalEvent::IngestBatch {
+    let batch = WalEvent::IngestBatch(IngestBatch {
         tenant: "beta".into(),
         points: vec![(0, 40 * 500, 1.0), (1, 41 * 500, 2.0), (0, 42 * 500, 3.0)],
         series_before: None,
@@ -640,7 +640,7 @@ fn a_batch_whose_watermark_list_repeats_a_series_degrades_only_its_tenant() {
             (Named::Spelled(requests.clone()), 1),
             (Named::Spelled(requests), 2),
         ],
-    };
+    });
     let mut payload = Vec::new();
     batch.encode(&mut payload);
     append_verified_frame(&dir, &config, "beta", &payload);
@@ -734,7 +734,7 @@ fn a_torn_snapshot_costs_only_its_shard_and_names_the_tenants_it_held() {
 }
 
 #[test]
-fn recovery_counts_the_metric_ids_it_decodes_interns_and_hashes() {
+fn recovery_counts_the_metric_ids_it_decodes_and_the_watermarks_it_places() {
     let dir = temp_dir("id-counts");
     // One shard: a single log holding three tenants' batches, interleaved.
     let config = tiny_config()
@@ -765,11 +765,6 @@ fn recovery_counts_the_metric_ids_it_decodes_interns_and_hashes() {
     // them by place.
     assert_eq!(shard.ids_decoded, 3 * 4);
     assert_eq!(shard.watermarks_placed, 6 * 4);
-    assert_eq!(shard.ids_interned, 4);
-    // Every spelled list names the series in one order, so only the first
-    // list's 4 sights and the first sight of the second (whose predecessor
-    // has no successor yet) are hashed.
-    assert_eq!(shard.ids_hashed, 5);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

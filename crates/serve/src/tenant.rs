@@ -8,7 +8,7 @@ use sieve_core::{AnalysisSession, SessionCache, SessionStats, SieveConfig, Sieve
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{BatchOutcome, MetricId, MetricStore};
-use sieve_wal::{IngestRef, WalEvent};
+use sieve_wal::{IngestBatch, WalEvent};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
@@ -85,7 +85,7 @@ pub(crate) enum Mutation<'a> {
     Ingest(&'a [MetricPoint]),
     /// A logged ingest batch: the store applies it only if it reproduces
     /// the watermarks logged next to it.
-    Replay(IngestRef<'a>),
+    Replay(&'a IngestBatch),
 }
 
 /// What a tenant last published: the model snapshot and the statistics of
@@ -185,11 +185,12 @@ impl Tenant {
             Mutation::Admin(event) => event,
             Mutation::Ingest(points) => return Some(self.ingest(points, log)),
             Mutation::Replay(batch) => {
-                let series_before = batch.series_before().map(|count| count as usize);
+                let series_before = batch.series_before.map(|count| count as usize);
+                let watermarks = batch.watermarks.iter();
                 return self.store.record_batch_verified(
-                    batch.points(),
+                    &batch.points,
                     series_before,
-                    batch.watermarks(),
+                    watermarks.map(|(name, fingerprint)| (name.as_ref(), *fingerprint)),
                 );
             }
         };
@@ -205,7 +206,7 @@ impl Tenant {
             WalEvent::RetentionChanged { retention, .. } => self.store.set_retention(retention),
             // Ingest is lent to replay, never owned: a batch in this form
             // is not applied.
-            WalEvent::IngestBatch { .. } => return None,
+            WalEvent::IngestBatch(_) => return None,
         }
         Some(0)
     }

@@ -238,14 +238,6 @@ impl<Id> Named<Id> {
             Self::Spelled(id) => Named::Spelled(id),
         }
     }
-
-    /// The same name, with the id mapped through `f`.
-    pub fn map<To>(self, f: impl FnOnce(Id) -> To) -> Named<To> {
-        match self {
-            Self::Placed(place) => Named::Placed(place),
-            Self::Spelled(id) => Named::Spelled(f(id)),
-        }
-    }
 }
 
 /// Serializable image of one frozen series: the retained window

@@ -27,7 +27,9 @@
 //! version is, and it seeds every record's checksum: a checkpoint of
 //! another format is read as one, entry by entry a miss.
 
-use crate::codec::{put_f64, put_str, put_u32, put_u64, put_usize, Cursor, DecodeResult};
+use crate::codec::{
+    put_f64, put_str, put_u32, put_u64, put_usize, take_name, Cursor, DecodeResult,
+};
 use crate::format::FORMAT;
 use crate::snapshot::lane_checksum;
 use sieve_core::{
@@ -209,10 +211,6 @@ fn put_names(buf: &mut Vec<u8>, names: &[Name]) {
     for name in names {
         put_str(buf, name.as_str());
     }
-}
-
-fn take_name(cur: &mut Cursor<'_>, what: &str) -> DecodeResult<Name> {
-    Ok(Name::new(cur.take_str(what)?))
 }
 
 fn take_names(cur: &mut Cursor<'_>, what: &str) -> DecodeResult<Vec<Name>> {

@@ -11,13 +11,20 @@
 //! Decoding never panics on malformed input: every `take_*` returns a
 //! descriptive `Err(String)` that the frame/snapshot layers convert into
 //! checksummed-corruption accounting.
+//!
+//! A [`Name`] — an admin event's tenant, a metric id's component or metric,
+//! a checkpoint's cluster member — has one decode rule, [`take_name`]: it
+//! is interned through the process-wide pool ([`Name::new`]) at each sight,
+//! with no decode-side cache. Interning an existing name hands out the pool's allocation, so a
+//! decoded id keys the store's address index like the ids the store holds.
+//! A log spells an id only in the batch that creates its series and names
+//! every other by place, and a snapshot names each series once, so a
+//! recovery interns a few hundred names, not one per point.
 
 use sieve_core::{GrangerConfig, SieveConfig};
-use sieve_exec::hash::splitmix64;
+use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricId, RetentionPolicy, SeriesState, StoreState};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Decode-side cursor over an immutable byte slice.
 #[derive(Debug)]
@@ -143,21 +150,12 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Reads the bytes of a `u32`-length-prefixed string, unvalidated.
-    fn take_prefixed(&mut self, what: &str) -> DecodeResult<&'a [u8]> {
-        let len = self.take_u32(what)? as usize;
-        self.take(len, what)
-    }
-
     /// Reads a `u32`-length-prefixed UTF-8 string, validated and borrowed
     /// from the input: a caller that keeps it interns or copies it.
     pub(crate) fn take_str(&mut self, what: &str) -> DecodeResult<&'a str> {
-        utf8(self.take_prefixed(what)?, what)
+        let len = self.take_u32(what)? as usize;
+        std::str::from_utf8(self.take(len, what)?).map_err(|_| format!("{what}: invalid utf-8"))
     }
-}
-
-fn utf8<'a>(bytes: &'a [u8], what: &str) -> DecodeResult<&'a str> {
-    std::str::from_utf8(bytes).map_err(|_| format!("{what}: invalid utf-8"))
 }
 
 /// Feeds `bytes` to `fold` as little-endian 64-bit words, a short last
@@ -172,157 +170,6 @@ pub(crate) fn le_words(bytes: &[u8], mut fold: impl FnMut(u64)) {
         let mut word = [0u8; 8];
         word[..tail.len()].copy_from_slice(tail);
         fold(u64::from_le_bytes(word));
-    }
-}
-
-/// Word-wise hasher of [`IdMemo`]'s keys: one multiply-rotate step per
-/// eight bytes, finished through [`splitmix64`]. Not keyed — the memo
-/// hashes bytes of this process's own checksummed log, and whoever can
-/// forge that log can already forge the tenants in it.
-#[derive(Debug, Default, Clone, Copy)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        le_words(bytes, |word| {
-            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        });
-    }
-
-    fn finish(&self) -> u64 {
-        splitmix64(self.0)
-    }
-}
-
-/// The [`MetricId`]s one decode pass has already seen, keyed by their
-/// encoded bytes.
-///
-/// A shard log spells out a series' id in the batch that creates it — the
-/// same few hundred ids once per tenant — and a snapshot names every series
-/// it holds. Without the memo every one of those sights copies two
-/// strings and takes the process-wide interner lock twice; with it the
-/// first sight of an id validates its UTF-8 and interns it through
-/// [`MetricId::new`], and every later sight resolves to the entry holding
-/// it. The key is the id's *whole* encoded range —
-/// `[len][component][len][metric]`, copied once, on that first sight — so
-/// `("ab", "c")` and `("a", "bc")` are different keys, and an entry exists
-/// only for bytes that decoded: invalid UTF-8 is rejected at every sight.
-/// A memoised decode therefore equals a decode through a fresh memo, for
-/// any input (property-tested).
-///
-/// Most sights are answered without hashing. Each entry remembers the
-/// entry sighted right after it last time; a sight whose bytes begin with
-/// that predicted entry's key is that entry (the key is self-delimiting),
-/// and is read without parsing it. Batches that repeat one id order — a
-/// scraper's, tick after tick — are predicted at nearly every sight; a miss
-/// (the first batch, a new series, a reordered batch) falls back to the map
-/// and re-links the predecessor. Every sight runs through this one lane: a
-/// batch's spelled watermarks, and a frozen store's series.
-///
-/// Owning its keys, one memo outlives the bytes it read: a
-/// [`crate::reader::LogFrames`] owns the one for its whole log across every
-/// refill of its window, and a snapshot's decode makes one per snapshot.
-#[derive(Debug, Default)]
-pub struct IdMemo {
-    index: HashMap<Box<[u8]>, u32, BuildHasherDefault<WordHasher>>,
-    entries: Vec<MemoEntry>,
-    /// The entry sighted last.
-    last: Option<u32>,
-    decoded: u64,
-    hashed: u64,
-    placed: u64,
-}
-
-/// One distinct id of an [`IdMemo`].
-#[derive(Debug)]
-struct MemoEntry {
-    key: Box<[u8]>,
-    id: MetricId,
-    /// The entry sighted right after this one last time.
-    next: Option<u32>,
-}
-
-impl IdMemo {
-    /// Metric ids read through this memo, repeats included.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Of those, the ones interned through [`MetricId::new`]: one per
-    /// distinct id, which is also the number of entries the memo holds.
-    pub fn interned(&self) -> u64 {
-        self.entries.len() as u64
-    }
-
-    /// Of those, the sights the map answered: every sight the previous
-    /// id's successor link did not predict, first sights included.
-    pub fn hashed(&self) -> u64 {
-        self.hashed
-    }
-
-    /// Watermarks the same decode pass read as a place in their tenant's
-    /// store instead of an id: no sight, no entry, no hash.
-    pub fn placed(&self) -> u64 {
-        self.placed
-    }
-
-    /// Counts one placed watermark.
-    pub(crate) fn count_placed(&mut self) {
-        self.placed += 1;
-    }
-
-    /// Reads one encoded [`MetricId`] and returns the index of its entry,
-    /// interning it on its first sight.
-    pub(crate) fn sight(&mut self, cur: &mut Cursor<'_>) -> DecodeResult<u32> {
-        let last = self.last;
-        let predicted = last.and_then(|last| self.entries[last as usize].next);
-        // The encoding is self-delimiting, so bytes that begin with the
-        // predicted key are that key: no length prefix needs parsing.
-        if let Some(entry) = predicted {
-            let key = &self.entries[entry as usize].key;
-            if cur.bytes[cur.pos..].starts_with(key) {
-                cur.pos += key.len();
-                self.decoded += 1;
-                self.last = Some(entry);
-                return Ok(entry);
-            }
-        }
-        let start = cur.pos;
-        let component = cur.take_prefixed("metric id component")?;
-        let metric = cur.take_prefixed("metric id metric")?;
-        let key = &cur.bytes[start..cur.pos];
-        self.decoded += 1;
-        self.hashed += 1;
-        let entry = match self.index.get(key) {
-            Some(&entry) => entry,
-            None => self.intern(key, component, metric)?,
-        };
-        if let Some(last) = last {
-            self.entries[last as usize].next = Some(entry);
-        }
-        self.last = Some(entry);
-        Ok(entry)
-    }
-
-    fn intern(&mut self, key: &[u8], component: &[u8], metric: &[u8]) -> DecodeResult<u32> {
-        let id = MetricId::new(
-            utf8(component, "metric id component")?,
-            utf8(metric, "metric id metric")?,
-        );
-        let entry = u32::try_from(self.entries.len())
-            .map_err(|_| "more distinct metric ids than the memo indexes".to_string())?;
-        self.entries.push(MemoEntry {
-            key: key.into(),
-            id,
-            next: None,
-        });
-        self.index.insert(key.into(), entry);
-        Ok(entry)
-    }
-
-    /// The id of `entry`.
-    pub(crate) fn id(&self, entry: u32) -> &MetricId {
-        &self.entries[entry as usize].id
     }
 }
 
@@ -379,12 +226,18 @@ pub(crate) fn put_metric_id(buf: &mut Vec<u8>, id: &MetricId) {
     put_str(buf, id.metric.as_str());
 }
 
-/// Reads a [`MetricId`], interning it only if `memo` has not seen its
-/// encoded bytes before. A frozen store lists its series in id order, as a
-/// batch lists its watermarks.
-pub(crate) fn take_metric_id(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<MetricId> {
-    let entry = memo.sight(cur)?;
-    Ok(memo.id(entry).clone())
+/// Reads a `u32`-length-prefixed UTF-8 name and interns it: the one way
+/// this crate decodes a name.
+pub(crate) fn take_name(cur: &mut Cursor<'_>, what: &str) -> DecodeResult<Name> {
+    Ok(Name::new(cur.take_str(what)?))
+}
+
+/// Reads a [`MetricId`] (component, metric), interning both names.
+pub(crate) fn take_metric_id(cur: &mut Cursor<'_>) -> DecodeResult<MetricId> {
+    Ok(MetricId {
+        component: take_name(cur, "metric id component")?,
+        metric: take_name(cur, "metric id metric")?,
+    })
 }
 
 /// Appends a [`RetentionPolicy`].
@@ -505,8 +358,8 @@ fn put_series(buf: &mut Vec<u8>, series: &SeriesState) {
     put_bool(buf, series.touched);
 }
 
-fn take_series(cur: &mut Cursor<'_>, memo: &mut IdMemo) -> DecodeResult<SeriesState> {
-    let id = take_metric_id(cur, memo)?;
+fn take_series(cur: &mut Cursor<'_>) -> DecodeResult<SeriesState> {
+    let id = take_metric_id(cur)?;
     let len = cur.take_usize("series point count")?;
     let mut timestamps_ms = Vec::with_capacity(len.min(65_536));
     for _ in 0..len {
@@ -538,10 +391,7 @@ pub(crate) fn put_store_state(buf: &mut Vec<u8>, state: &StoreState) {
 }
 
 /// Reads a complete frozen store image.
-pub(crate) fn take_store_state(
-    cur: &mut Cursor<'_>,
-    memo: &mut IdMemo,
-) -> DecodeResult<StoreState> {
+pub(crate) fn take_store_state(cur: &mut Cursor<'_>) -> DecodeResult<StoreState> {
     let retention = take_retention(cur)?;
     let epoch = cur.take_u64("store epoch")?;
     let points_written = cur.take_u64("store points_written")?;
@@ -549,7 +399,7 @@ pub(crate) fn take_store_state(
     let series_len = cur.take_usize("store series count")?;
     let mut series = Vec::with_capacity(series_len.min(4096));
     for _ in 0..series_len {
-        series.push(take_series(cur, memo)?);
+        series.push(take_series(cur)?);
     }
     Ok(StoreState {
         retention,
@@ -691,7 +541,7 @@ mod tests {
         let state = store.freeze();
         let mut buf = Vec::new();
         put_store_state(&mut buf, &state);
-        let decoded = take_store_state(&mut Cursor::new(&buf), &mut IdMemo::default()).unwrap();
+        let decoded = take_store_state(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(decoded, state);
         assert_eq!(
             MetricStore::restore(decoded).freeze(),

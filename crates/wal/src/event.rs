@@ -47,16 +47,16 @@
 //! Each event kind has one layout, the one of the directory's format
 //! number ([`crate::format::FORMAT`]): a layout change bumps that number,
 //! not the tag, and tags only name event kinds. An ingest body decodes into
-//! reused buffers, in the `(slot, timestamp, value)` form.
-//! [`WalEvent::decode`] materialises it as an owned event; the log reader
-//! lends it instead, as an [`IngestRef`] whose spelled ids are read
-//! through the log's id memo, so replaying a batch allocates, interns and
-//! reference-counts nothing.
+//! one [`IngestBatch`], in the `(slot, timestamp, value)` form, whose
+//! buffers keep their capacity: [`WalEvent::decode`] moves it into an owned
+//! event, and the log reader keeps one for its whole log and lends it, so
+//! replaying a batch allocates nothing once the buffers are warm. A spelled
+//! id is interned as it is read, like every name this crate decodes.
 
 use crate::codec::{
     put_call_graph, put_metric_id, put_retention, put_sieve_config, put_str, put_u64, put_u8,
-    put_usize, put_varint, take_call_graph, take_retention, take_sieve_config, Cursor,
-    DecodeResult, IdMemo,
+    put_usize, put_varint, take_call_graph, take_metric_id, take_name, take_retention,
+    take_sieve_config, Cursor, DecodeResult,
 };
 use sieve_core::SieveConfig;
 use sieve_exec::hash::addr_pair_hash;
@@ -98,21 +98,28 @@ pub enum WalEvent {
         retention: RetentionPolicy,
     },
     /// An ingest batch whose points were all *accepted* live.
-    IngestBatch {
-        /// Tenant name (interned — staging an event never clones the
-        /// string).
-        tenant: Name,
-        /// The accepted `(slot, timestamp, value)` points, in apply order;
-        /// the point's series is the one `watermarks[slot].0` names.
-        points: Vec<(u32, u64, f64)>,
-        /// The tenant store's series count before the batch: what a placed
-        /// watermark's place indexes. `None` when no watermark is placed.
-        series_before: Option<u32>,
-        /// Post-apply content fingerprint of every series the batch
-        /// touched, sorted by [`MetricId`] — the replay verification
-        /// anchor — each series named by place or by id.
-        watermarks: Vec<(Named<MetricId>, u64)>,
-    },
+    IngestBatch(IngestBatch),
+}
+
+/// An ingest batch whose points were all *accepted* live: the one shape of
+/// a logged batch, owned in a [`WalEvent::IngestBatch`] and lent by the log
+/// reader, which decodes every batch of a log into one of these.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct IngestBatch {
+    /// The tenant the batch was ingested for, copied out of the bytes it
+    /// was read from: the log reader refills those before the batch is
+    /// applied, and reuses this buffer for the next batch.
+    pub tenant: String,
+    /// The accepted `(slot, timestamp, value)` points, in apply order; the
+    /// point's series is the one `watermarks[slot].0` names.
+    pub points: Vec<(u32, u64, f64)>,
+    /// The tenant store's series count before the batch: what a placed
+    /// watermark's place indexes. `None` when no watermark is placed.
+    pub series_before: Option<u32>,
+    /// Post-apply content fingerprint of every series the batch touched,
+    /// sorted by [`MetricId`] when the live store wrote it — the replay
+    /// verification anchor — each series named by place or by id.
+    pub watermarks: Vec<(Named<MetricId>, u64)>,
 }
 
 /// The event tag names an event kind; its layout is the directory's
@@ -141,8 +148,8 @@ impl WalEvent {
         match self {
             Self::TenantCreated { tenant, .. }
             | Self::CallGraphReplaced { tenant, .. }
-            | Self::RetentionChanged { tenant, .. }
-            | Self::IngestBatch { tenant, .. } => tenant,
+            | Self::RetentionChanged { tenant, .. } => tenant,
+            Self::IngestBatch(batch) => &batch.tenant,
         }
     }
 
@@ -151,7 +158,7 @@ impl WalEvent {
     /// applied.
     pub fn point_count(&self) -> usize {
         match self {
-            Self::IngestBatch { points, .. } => points.len(),
+            Self::IngestBatch(batch) => batch.points.len(),
             _ => 0,
         }
     }
@@ -179,12 +186,13 @@ impl WalEvent {
                 put_str(buf, tenant);
                 put_retention(buf, retention);
             }
-            Self::IngestBatch {
-                tenant,
-                points,
-                series_before,
-                watermarks,
-            } => {
+            Self::IngestBatch(batch) => {
+                let IngestBatch {
+                    tenant,
+                    points,
+                    series_before,
+                    watermarks,
+                } = batch;
                 debug_assert!(
                     points
                         .iter()
@@ -259,46 +267,40 @@ impl WalEvent {
     }
 
     /// Decodes one event from `bytes`; the whole slice must be consumed.
-    /// Metric ids resolve through `memo`, which may have read any other
-    /// event of the same log first.
     ///
     /// # Errors
     ///
     /// Returns a descriptive reason for truncated, malformed, or
     /// trailing-garbage input (the frame layer attaches the file offset).
-    pub(crate) fn decode(bytes: &[u8], memo: &mut IdMemo) -> DecodeResult<Self> {
-        let mut ingest = IngestBuf::default();
-        Ok(match Self::decode_into(bytes, memo, &mut ingest)? {
+    pub(crate) fn decode(bytes: &[u8]) -> DecodeResult<Self> {
+        let mut ingest = IngestBatch::default();
+        Ok(match Self::decode_into(bytes, &mut ingest)? {
             Decoded::Admin(event) => event,
-            Decoded::Ingest => IngestRef::new(&ingest, memo).to_event(),
+            Decoded::Ingest => Self::IngestBatch(ingest),
         })
     }
 
-    /// [`WalEvent::decode`] without materialising an ingest batch: its
-    /// tenant, points and watermarks land in `ingest`. An admin event is
-    /// decoded owned.
-    pub(crate) fn decode_into(
-        bytes: &[u8],
-        memo: &mut IdMemo,
-        ingest: &mut IngestBuf,
-    ) -> DecodeResult<Decoded> {
+    /// [`WalEvent::decode`] without moving an ingest batch into an event:
+    /// it lands in `ingest`, whose buffers keep their capacity. An admin
+    /// event is decoded owned.
+    pub(crate) fn decode_into(bytes: &[u8], ingest: &mut IngestBatch) -> DecodeResult<Decoded> {
         let mut cur = Cursor::new(bytes);
         let decoded = match cur.take_u8("event tag")? {
             TAG_TENANT_CREATED => Decoded::Admin(Self::TenantCreated {
-                tenant: cur.take_str("tenant name")?.into(),
+                tenant: take_name(&mut cur, "tenant name")?,
                 config: Box::new(take_sieve_config(&mut cur)?),
                 call_graph: take_call_graph(&mut cur)?,
             }),
             TAG_CALL_GRAPH_REPLACED => Decoded::Admin(Self::CallGraphReplaced {
-                tenant: cur.take_str("tenant name")?.into(),
+                tenant: take_name(&mut cur, "tenant name")?,
                 call_graph: take_call_graph(&mut cur)?,
             }),
             TAG_RETENTION_CHANGED => Decoded::Admin(Self::RetentionChanged {
-                tenant: cur.take_str("tenant name")?.into(),
+                tenant: take_name(&mut cur, "tenant name")?,
                 retention: take_retention(&mut cur)?,
             }),
             TAG_INGEST_BATCH => {
-                decode_ingest(&mut cur, memo, ingest)?;
+                decode_ingest(&mut cur, ingest)?;
                 Decoded::Ingest
             }
             other => return Err(format!("unknown event tag {other}")),
@@ -314,28 +316,11 @@ impl WalEvent {
 }
 
 /// What [`WalEvent::decode_into`] read: an admin event, or an ingest batch
-/// now in the [`IngestBuf`] it was given.
+/// now in the [`IngestBatch`] it was given.
 #[derive(Debug)]
 pub(crate) enum Decoded {
     Admin(WalEvent),
     Ingest,
-}
-
-/// The buffers an ingest body decodes into, reused from batch to batch: a
-/// warm set takes every batch of a log without allocating.
-#[derive(Debug, Default)]
-pub(crate) struct IngestBuf {
-    /// The tenant the batch was ingested for, copied out of the bytes it
-    /// was read from, which may be refilled before the batch is applied.
-    tenant: String,
-    /// `(slot, timestamp, value)` of every point, as in
-    /// [`WalEvent::IngestBatch`].
-    points: Vec<(u32, u64, f64)>,
-    /// The logged series count, as in [`WalEvent::IngestBatch`].
-    series_before: Option<u32>,
-    /// `(name, fingerprint)` of every watermark, in log order; a spelled
-    /// name is its memo entry.
-    watermarks: Vec<(Named<u32>, u64)>,
 }
 
 /// Appends an ingest payload (tag 6): the one ingest encoder, fed
@@ -495,7 +480,7 @@ impl SlotIndex {
 
 /// Reads an ingest body (everything after tag 6) into `buf`, whose
 /// buffers keep their capacity from batch to batch.
-fn decode_ingest(cur: &mut Cursor<'_>, memo: &mut IdMemo, buf: &mut IngestBuf) -> DecodeResult<()> {
+fn decode_ingest(cur: &mut Cursor<'_>, buf: &mut IngestBatch) -> DecodeResult<()> {
     let tenant = cur.take_str("tenant name")?;
     buf.tenant.clear();
     buf.tenant.push_str(tenant);
@@ -507,12 +492,9 @@ fn decode_ingest(cur: &mut Cursor<'_>, memo: &mut IdMemo, buf: &mut IngestBuf) -
     buf.watermarks.reserve(slots.min(65_536));
     for _ in 0..slots {
         let name = match cur.take_varint("watermark place")?.checked_sub(1) {
-            None => Named::Spelled(memo.sight(cur)?),
+            None => Named::Spelled(take_metric_id(cur)?),
             Some(place) => match series_before {
-                Some(count) if place < count => {
-                    memo.count_placed();
-                    Named::Placed(place)
-                }
+                Some(count) if place < count => Named::Placed(place),
                 Some(count) => {
                     return Err(format!(
                         "watermark place {place} is past the {count} series"
@@ -557,93 +539,11 @@ fn decode_ingest(cur: &mut Cursor<'_>, memo: &mut IdMemo, buf: &mut IngestBuf) -
     Ok(())
 }
 
-/// An ingest batch lent by the buffers it was decoded into: the fields of
-/// [`WalEvent::IngestBatch`], with nothing allocated, interned or
-/// reference-counted to read them.
-#[derive(Clone, Copy)]
-pub struct IngestRef<'f> {
-    tenant: &'f str,
-    points: &'f [(u32, u64, f64)],
-    series_before: Option<u32>,
-    watermarks: &'f [(Named<u32>, u64)],
-    memo: &'f IdMemo,
-}
-
-impl<'f> IngestRef<'f> {
-    pub(crate) fn new(buf: &'f IngestBuf, memo: &'f IdMemo) -> Self {
-        Self {
-            tenant: &buf.tenant,
-            points: &buf.points,
-            series_before: buf.series_before,
-            watermarks: &buf.watermarks,
-            memo,
-        }
-    }
-
-    /// The tenant the batch was ingested for.
-    pub(crate) fn tenant(&self) -> &'f str {
-        self.tenant
-    }
-
-    /// The accepted `(slot, timestamp, value)` points, in apply order; the
-    /// point's series is the `slot`-th of [`IngestRef::watermarks`].
-    pub fn points(&self) -> &'f [(u32, u64, f64)] {
-        self.points
-    }
-
-    /// The tenant store's series count before the batch, which every
-    /// placed watermark's place indexes; `None` when none is placed.
-    pub fn series_before(&self) -> Option<u32> {
-        self.series_before
-    }
-
-    /// The post-apply fingerprint of every series the batch touched, each
-    /// named by place or by id, in log order (sorted by [`MetricId`] when
-    /// the live store wrote it).
-    pub fn watermarks(
-        &self,
-    ) -> impl ExactSizeIterator<Item = (Named<&'f MetricId>, u64)> + Clone + 'f {
-        let memo = self.memo;
-        self.watermarks
-            .iter()
-            .map(move |&(name, fingerprint)| (name.map(|entry| memo.id(entry)), fingerprint))
-    }
-
-    /// The owned [`WalEvent::IngestBatch`] this batch decodes to.
-    pub(crate) fn to_event(self) -> WalEvent {
-        WalEvent::IngestBatch {
-            tenant: Name::new(self.tenant),
-            points: self.points.to_vec(),
-            series_before: self.series_before,
-            watermarks: self
-                .watermarks()
-                .map(|(name, fingerprint)| (name.map(MetricId::clone), fingerprint))
-                .collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for IngestRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IngestRef")
-            .field("tenant", &self.tenant)
-            .field("points", &self.points)
-            .field("series_before", &self.series_before)
-            .field("watermarks", &self.watermarks().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sieve_exec::hash::splitmix64;
     use sieve_simulator::store::Watermark;
-
-    /// Decodes through a fresh memo.
-    fn decode(bytes: &[u8]) -> DecodeResult<WalEvent> {
-        WalEvent::decode(bytes, &mut IdMemo::default())
-    }
 
     /// A deterministic stream of pseudo-random words.
     fn rng(seed: u64) -> impl FnMut() -> u64 {
@@ -671,7 +571,7 @@ mod tests {
                 tenant: "acme".into(),
                 retention: RetentionPolicy::windowed(64),
             },
-            WalEvent::IngestBatch {
+            WalEvent::IngestBatch(IngestBatch {
                 tenant: "acme".into(),
                 points: vec![(1, 500, 1.5), (0, 500, -3.25)],
                 series_before: Some(2),
@@ -679,7 +579,7 @@ mod tests {
                     (Named::Spelled(MetricId::new("db", "mem")), 0xABCD),
                     (Named::Placed(1), 0x1234),
                 ],
-            },
+            }),
         ]
     }
 
@@ -720,7 +620,7 @@ mod tests {
         for event in sample_events() {
             let mut buf = Vec::new();
             event.encode(&mut buf);
-            assert_eq!(decode(&buf).unwrap(), event);
+            assert_eq!(WalEvent::decode(&buf).unwrap(), event);
         }
     }
 
@@ -747,7 +647,7 @@ mod tests {
                 (&points[0].0, Some(2), 0x1234),
             ],
         );
-        let event = WalEvent::IngestBatch {
+        let event = WalEvent::IngestBatch(IngestBatch {
             tenant: "acme".into(),
             points: vec![(1, 500, 1.5), (0, 1000, -3.25)],
             series_before: Some(4),
@@ -755,7 +655,7 @@ mod tests {
                 (Named::Spelled(MetricId::new("db", "mem")), 0xABCD),
                 (Named::Placed(2), 0x1234),
             ],
-        };
+        });
         let mut materialised = Vec::new();
         event.encode(&mut materialised);
 
@@ -773,16 +673,16 @@ mod tests {
             &watermarks,
         );
         assert_eq!(streamed, materialised);
-        assert_eq!(decode(&streamed).unwrap(), event);
+        assert_eq!(WalEvent::decode(&streamed).unwrap(), event);
     }
 
     #[test]
     fn malformed_events_error_instead_of_panicking() {
-        assert!(decode(&[]).is_err(), "empty input");
-        assert!(decode(&[99]).is_err(), "unknown tag");
+        assert!(WalEvent::decode(&[]).is_err(), "empty input");
+        assert!(WalEvent::decode(&[99]).is_err(), "unknown tag");
         for retired in [1, 4] {
             assert_eq!(
-                decode(&[retired, 0, 0, 0, 0]).unwrap_err(),
+                WalEvent::decode(&[retired, 0, 0, 0, 0]).unwrap_err(),
                 format!("unknown event tag {retired}"),
                 "tags 1 and 4 are retired, never reused"
             );
@@ -791,10 +691,10 @@ mod tests {
         let mut buf = Vec::new();
         sample_events()[2].encode(&mut buf);
         buf.push(0); // trailing garbage
-        assert!(decode(&buf).unwrap_err().contains("trailing"));
+        assert!(WalEvent::decode(&buf).unwrap_err().contains("trailing"));
         // Every truncation of a valid encoding is rejected cleanly.
         for len in 0..buf.len() - 1 {
-            assert!(decode(&buf[..len]).is_err(), "truncated at {len}");
+            assert!(WalEvent::decode(&buf[..len]).is_err(), "truncated at {len}");
         }
     }
 
@@ -827,11 +727,12 @@ mod tests {
     #[test]
     fn a_slotted_batch_is_refused_for_each_rule_it_breaks() {
         let point = |slot: &[u8]| [slot, &point_tail()].concat();
-        let refusal = |bytes: Vec<u8>| decode(&bytes).unwrap_err();
+        let refusal = |bytes: Vec<u8>| WalEvent::decode(&bytes).unwrap_err();
 
         // Well formed: two watermarks, one point of slot 1.
         let good = slotted(2, 1, &point(&[1]));
-        let WalEvent::IngestBatch { points, .. } = decode(&good).unwrap() else {
+        let WalEvent::IngestBatch(IngestBatch { points, .. }) = WalEvent::decode(&good).unwrap()
+        else {
             panic!("an ingest batch");
         };
         assert_eq!(points, vec![(1, 500, 1.5)]);
@@ -910,26 +811,19 @@ mod tests {
             buf.extend_from_slice(&point_tail());
             buf
         };
-        let refusal = |bytes: Vec<u8>| decode(&bytes).unwrap_err();
+        let refusal = |bytes: Vec<u8>| WalEvent::decode(&bytes).unwrap_err();
 
         // Well formed: place 2 of a store of 3 series.
-        let WalEvent::IngestBatch {
+        let WalEvent::IngestBatch(IngestBatch {
             series_before,
             watermarks,
             ..
-        } = decode(&placed(&[4], &[3])).unwrap()
+        }) = WalEvent::decode(&placed(&[4], &[3])).unwrap()
         else {
             panic!("an ingest batch");
         };
         assert_eq!(series_before, Some(3));
         assert_eq!(watermarks, vec![(Named::Placed(2), 0x1234)]);
-        let mut memo = IdMemo::default();
-        WalEvent::decode(&placed(&[4], &[3]), &mut memo).unwrap();
-        assert_eq!(
-            (memo.placed(), memo.decoded()),
-            (1, 0),
-            "a place is no sight"
-        );
 
         // A place at or past the series count, or with no count at all.
         assert_eq!(
@@ -988,7 +882,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let event = WalEvent::IngestBatch {
+        let event = WalEvent::IngestBatch(IngestBatch {
             tenant: "acme".into(),
             points,
             series_before: Some(series_before as u32),
@@ -999,7 +893,7 @@ mod tests {
                     (name, fingerprint)
                 })
                 .collect(),
-        };
+        });
         (watermarks, event)
     }
 
@@ -1011,18 +905,18 @@ mod tests {
         sizes.extend((0..60).map(|_| (rand() % 200) as usize));
         for series in sizes {
             let (live, event) = random_batch(&mut rand, series);
-            let WalEvent::IngestBatch {
+            let WalEvent::IngestBatch(IngestBatch {
                 points,
                 series_before,
                 watermarks,
                 ..
-            } = &event
+            }) = &event
             else {
                 unreachable!()
             };
             let mut encoded = Vec::new();
             event.encode(&mut encoded);
-            let decoded = decode(&encoded).unwrap();
+            let decoded = WalEvent::decode(&encoded).unwrap();
             // Values are random bit patterns, NaNs among them: compare bits.
             let mut again = Vec::new();
             decoded.encode(&mut again);
@@ -1095,7 +989,7 @@ mod tests {
         assert_eq!(placed.len(), 1 + 8 + 1 + 8 + 4 * 9 + 8 + 40 * 17);
         assert_eq!(placed.len(), 742);
         assert_eq!(
-            crate::frame::encode(1, &decode(&placed).unwrap()).len(),
+            crate::frame::encode(1, &WalEvent::decode(&placed).unwrap()).len(),
             762
         );
         // The same batch with every id spelled: each watermark longer by
@@ -1104,7 +998,7 @@ mod tests {
         let spelled = encode(&live(40, &unplaced));
         let ids_bytes: usize = ids.iter().map(|id| 4 + 3 + 4 + id.metric.len()).sum();
         assert_eq!(spelled.len(), placed.len() + ids_bytes);
-        assert_eq!(decode(&placed).unwrap().point_count(), 40);
+        assert_eq!(WalEvent::decode(&placed).unwrap().point_count(), 40);
     }
 
     #[test]
@@ -1125,7 +1019,7 @@ mod tests {
             assert!(encoded.is_err(), "a debug build asserts");
         } else {
             assert_eq!(
-                decode(&encoded.unwrap()).unwrap_err(),
+                WalEvent::decode(&encoded.unwrap()).unwrap_err(),
                 "point slot 1 is past the 1 watermarks"
             );
         }
@@ -1138,7 +1032,7 @@ mod tests {
             [(&listed, 500, 1.5)],
             &live(0, &[(&listed, None, 0x1234)]),
         );
-        assert_eq!(decode(&buf).unwrap().point_count(), 1);
+        assert_eq!(WalEvent::decode(&buf).unwrap().point_count(), 1);
     }
 
     #[test]
@@ -1183,8 +1077,7 @@ mod tests {
     /// A random event over a small pool of ids, so sequences repeat them.
     /// A batch's watermark list may repeat an id and need not be sorted,
     /// and places some of its series when it carries a series count; its
-    /// points draw their slots from it in random order, so the memo's
-    /// predictions also miss.
+    /// points draw their slots from it in random order.
     fn random_event(rand: &mut impl FnMut() -> u64, ids: &[MetricId]) -> WalEvent {
         let tenant: Name = ["acme", "globex", "initech"][(rand() % 3) as usize].into();
         match rand() % 8 {
@@ -1220,20 +1113,20 @@ mod tests {
                         })
                         .collect(),
                 };
-                WalEvent::IngestBatch {
-                    tenant,
+                WalEvent::IngestBatch(IngestBatch {
+                    tenant: tenant.to_string(),
                     points,
                     series_before,
                     watermarks,
-                }
+                })
             }
         }
     }
 
     #[test]
-    fn memoised_decode_equals_a_fresh_memo_decode() {
-        // ("ab", "c") and ("a", "bc") concatenate to the same bytes: only a
-        // key that covers the length prefixes tells them apart.
+    fn random_logs_decode_event_by_event_to_what_was_encoded() {
+        // ("ab", "c") and ("a", "bc") concatenate to the same bytes: only
+        // the length prefixes tell them apart.
         let ids = [
             MetricId::new("ab", "c"),
             MetricId::new("a", "bc"),
@@ -1247,18 +1140,14 @@ mod tests {
                 .map(|_| random_event(&mut rand, &ids))
                 .collect();
             let (log, ranges) = encode_log(&events);
-            let mut memo = IdMemo::default();
             for (event, range) in events.iter().zip(ranges) {
-                let memoised = WalEvent::decode(&log[range.clone()], &mut memo).unwrap();
-                assert_eq!(memoised, decode(&log[range]).unwrap());
-                assert_eq!(memoised, *event);
+                assert_eq!(WalEvent::decode(&log[range]).unwrap(), *event);
             }
-            assert!(memo.interned() <= ids.len() as u64);
         }
     }
 
     #[test]
-    fn an_id_with_invalid_utf8_is_rejected_at_every_sight_and_never_memoised() {
+    fn an_id_with_invalid_utf8_is_rejected_at_every_sight() {
         let good = MetricId::new("web", "cpu");
         let mut buf = Vec::new();
         WalEvent::encode_ingest_batch_into(
@@ -1271,48 +1160,9 @@ mod tests {
         let at = buf.windows(3).position(|w| w == b"web").unwrap();
         buf[at] = 0xFF;
 
-        let mut memo = IdMemo::default();
         for sight in 0..2 {
-            let err = WalEvent::decode(&buf, &mut memo).unwrap_err();
-            assert!(err.contains("invalid utf-8"), "sight {sight}: {err}");
-            assert_eq!(memo.interned(), 0, "sight {sight}");
+            let err = WalEvent::decode(&buf).unwrap_err();
+            assert_eq!(err, "metric id component: invalid utf-8", "sight {sight}");
         }
-        assert_eq!(memo.decoded(), 2, "both sights went through the memo");
-    }
-
-    #[test]
-    fn the_memo_interns_each_id_once_however_often_it_is_read() {
-        // F events of P points and P watermarks over D = P distinct ids.
-        let (events, points) = (7u64, 5u64);
-        let ids: Vec<MetricId> = (0..points)
-            .map(|i| MetricId::new("web", format!("metric-{i}")))
-            .collect();
-        let batches: Vec<WalEvent> = (1..=events)
-            .map(|tick| WalEvent::IngestBatch {
-                tenant: "acme".into(),
-                points: (0..points as u32)
-                    .map(|slot| (slot, tick * 500, 1.0))
-                    .collect(),
-                series_before: None,
-                watermarks: ids
-                    .iter()
-                    .map(|id| (Named::Spelled(id.clone()), tick))
-                    .collect(),
-            })
-            .collect();
-        let (log, ranges) = encode_log(&batches);
-        let mut memo = IdMemo::default();
-        for range in ranges {
-            WalEvent::decode(&log[range], &mut memo).unwrap();
-        }
-        // A batch reads an id per spelled watermark.
-        assert_eq!(memo.decoded(), events * points);
-        assert_eq!(memo.interned(), points);
-        // One lane reads ids 0..P in order, once per batch. The first P
-        // sights are new and hashed. The next one (id 0 again, the second
-        // batch's) follows id P-1, which has no successor yet, so it is
-        // hashed too and links P-1 -> 0. From then on every sight is its
-        // predecessor's successor: P + 1 hashes.
-        assert_eq!(memo.hashed(), points + 1);
     }
 }

@@ -21,7 +21,7 @@
 //! the processor's multipliers busy where one chain would wait on its own
 //! previous step.
 
-use crate::codec::{le_words, DecodeResult, IdMemo};
+use crate::codec::{le_words, DecodeResult};
 use crate::event::{reads_tag, WalEvent};
 use sieve_exec::hash::mix;
 
@@ -227,43 +227,38 @@ pub(crate) fn unknown_tag_at(bytes: &[u8], offset: usize) -> Option<u8> {
     (!reads_tag(tag) && checksum(header.seq, payload) == header.stored).then_some(tag)
 }
 
-/// Attempts to parse one frame starting at `offset`, resolving metric ids
-/// through `memo` (one memo per log, whatever offsets it is asked about).
+/// Attempts to parse one frame starting at `offset`.
 ///
 /// Never panics on any input; every malformation — torn header, torn
 /// payload, implausible length, checksum mismatch, undecodable payload —
 /// comes back as [`Parsed::Bad`].
-pub(crate) fn parse_at(bytes: &[u8], offset: usize, memo: &mut IdMemo) -> Parsed {
-    judge_at(bytes, offset, |payload| WalEvent::decode(payload, memo))
+pub(crate) fn parse_at(bytes: &[u8], offset: usize) -> Parsed {
+    judge_at(bytes, offset, WalEvent::decode)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::unhex;
+    use crate::event::IngestBatch;
     use sieve_core::{GrangerConfig, SieveConfig};
     use sieve_exec::hash::splitmix64;
     use sieve_graph::CallGraph;
     use sieve_simulator::store::{MetricId, Named, RetentionPolicy};
 
-    /// Parses through a fresh memo.
-    fn parse(bytes: &[u8], offset: usize) -> Parsed {
-        parse_at(bytes, offset, &mut IdMemo::default())
-    }
-
     fn event() -> WalEvent {
-        WalEvent::IngestBatch {
+        WalEvent::IngestBatch(IngestBatch {
             tenant: "acme".into(),
             points: vec![(0, 500, 1.5)],
             series_before: None,
             watermarks: vec![(Named::Spelled(MetricId::new("web", "cpu")), 0x1234)],
-        }
+        })
     }
 
     #[test]
     fn frames_roundtrip_and_checksums_are_order_sensitive() {
         let frame = encode(7, &event());
-        match parse(&frame, 0) {
+        match parse_at(&frame, 0) {
             Parsed::Frame {
                 seq,
                 event: decoded,
@@ -279,7 +274,7 @@ mod tests {
         // different checksum — a frame cannot be replayed out of place.
         let other = encode(8, &event());
         assert_ne!(frame[12..20], other[12..20]);
-        assert!(matches!(parse(&frame, frame.len()), Parsed::Eof));
+        assert!(matches!(parse_at(&frame, frame.len()), Parsed::Eof));
     }
 
     #[test]
@@ -290,7 +285,7 @@ mod tests {
                 let mut torn = frame.clone();
                 torn[byte] ^= 1 << bit;
                 assert!(
-                    matches!(parse(&torn, 0), Parsed::Bad { .. }),
+                    matches!(parse_at(&torn, 0), Parsed::Bad { .. }),
                     "flip of byte {byte} bit {bit} must not verify"
                 );
             }
@@ -302,10 +297,10 @@ mod tests {
         let frame = encode(3, &event());
         // Truncation to zero bytes is a clean EOF (an empty log is valid);
         // every other prefix is a torn frame.
-        assert!(matches!(parse(&frame[..0], 0), Parsed::Eof));
+        assert!(matches!(parse_at(&frame[..0], 0), Parsed::Eof));
         for len in 1..frame.len() {
             assert!(
-                matches!(parse(&frame[..len], 0), Parsed::Bad { .. }),
+                matches!(parse_at(&frame[..len], 0), Parsed::Bad { .. }),
                 "truncation to {len} bytes must not verify"
             );
         }
@@ -315,7 +310,7 @@ mod tests {
     fn implausible_length_prefix_is_rejected() {
         let mut frame = encode(1, &event());
         frame[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        match parse(&frame, 0) {
+        match parse_at(&frame, 0) {
             Parsed::Bad { reason } => assert!(reason.contains("implausible"), "{reason}"),
             other => panic!("expected Bad, got {other:?}"),
         }
@@ -328,7 +323,7 @@ mod tests {
             retention: RetentionPolicy::windowed(32),
         };
         let frame = encode(1, &admin);
-        assert!(matches!(parse(&frame, 0), Parsed::Frame { seq: 1, .. }));
+        assert!(matches!(parse_at(&frame, 0), Parsed::Frame { seq: 1, .. }));
     }
 
     /// The admin frames of [`golden_events`], sequence numbers 1..=3, as
@@ -383,7 +378,7 @@ mod tests {
                 tenant: "acme".into(),
                 retention: RetentionPolicy::windowed(64),
             },
-            WalEvent::IngestBatch {
+            WalEvent::IngestBatch(IngestBatch {
                 tenant: "acme".into(),
                 points: vec![(1, 500, 1.5), (0, 500, -3.25)],
                 series_before: Some(5),
@@ -391,7 +386,7 @@ mod tests {
                     (Named::Spelled(MetricId::new("db", "mem")), 0xABCD),
                     (Named::Placed(3), 0x1234),
                 ],
-            },
+            }),
         ]
     }
 
@@ -409,7 +404,7 @@ mod tests {
     /// Asserts that `golden` is one whole frame of sequence `seq` that
     /// decodes to `event`.
     fn assert_decodes_to(golden: &[u8], seq: u64, event: &WalEvent) {
-        match parse(golden, 0) {
+        match parse_at(golden, 0) {
             Parsed::Frame {
                 seq: parsed,
                 event: decoded,

@@ -21,6 +21,12 @@
 //! [`FORMAT`], whose layouts alone this build reads. [`ShardDir`] is the
 //! one door to it: every file, its name and the order of its writes.
 //!
+//! A logged ingest batch has one shape, [`IngestBatch`]: owned inside a
+//! [`WalEvent`], or lent by [`LogFrames`], which decodes every batch of a
+//! log into one reused buffer. Every interned name the crate decodes — an
+//! admin event's tenant, a metric id's two parts, a checkpoint's members —
+//! is interned at its sight, with no decode-side cache.
+//!
 //! # Torn writes and corruption
 //!
 //! A crash can tear the last frame, and disks can flip bits. Every frame
@@ -57,12 +63,11 @@ mod snapshot;
 mod writer;
 
 pub use checkpoint::{CheckpointRead, ShardCheckpoint, TenantCheckpoint};
-pub use codec::IdMemo;
 pub use dir::{
     checkpoint_file_name, log_file_name, snapshot_file_name, ShardDir, FORMAT_FILE_NAME,
 };
 pub use error::WalError;
-pub use event::{IngestRef, WalEvent};
+pub use event::{IngestBatch, WalEvent};
 pub use format::FORMAT;
 pub use group::{GroupCommitLog, GroupCommitStats};
 pub use reader::{scan_log, Frame, LogCorruption, LogFrames, ScannedLog};

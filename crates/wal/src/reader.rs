@@ -37,13 +37,12 @@
 //! changed the set of event tags without bumping [`crate::FORMAT`].
 //!
 //! The walk lends rather than yields: an ingest frame, nearly every frame
-//! of a log, is decoded into buffers the walk reuses and handed out as a
-//! [`Frame::Ingest`] borrowing them until the next call, so replaying a log
-//! allocates nothing per batch. [`scan_log`] materialises the same walk
-//! over a log held in memory into owned events.
+//! of a log, is decoded into the one [`IngestBatch`] the walk reuses and
+//! handed out as a [`Frame::Ingest`] borrowing it until the next call, so
+//! replaying a log allocates nothing per batch. [`scan_log`] materialises
+//! the same walk over a log held in memory into owned events.
 
-use crate::codec::IdMemo;
-use crate::event::{Decoded, IngestBuf, IngestRef, WalEvent};
+use crate::event::{Decoded, IngestBatch, WalEvent};
 use crate::frame::{
     checksums, decode_verified, judge_at, parse_at, stated_len, unknown_tag_at, Header, Parsed,
     HEADER_LEN,
@@ -189,19 +188,18 @@ impl<R: Read> Window<R> {
 /// [`scan_log`] is the collector for callers that want them all at once,
 /// owned. [`LogFrames::finish`] then reports how the log ended.
 ///
-/// Every frame decodes through one [`IdMemo`], so a metric id is interned
-/// on its first sight in the log and looked up thereafter, and every
-/// ingest frame into one pair of reused buffers. Never panics: arbitrary
-/// garbage is an empty prefix with everything accounted as lost.
+/// Every ingest frame decodes into one reused [`IngestBatch`]; a spelled
+/// metric id is interned at its sight, like every name the crate decodes.
+/// Never panics: arbitrary garbage is an empty prefix with everything
+/// accounted as lost.
 #[derive(Debug)]
 pub struct LogFrames<R> {
     window: Window<R>,
     /// Log offset of the first frame not yet lent.
     offset: usize,
     last_seq: Option<u64>,
-    memo: IdMemo,
     /// What the last ingest frame decoded to.
-    ingest: IngestBuf,
+    ingest: IngestBatch,
     /// Headers of the frames from `offset` on whose checksums verified,
     /// not yet decoded. Their positions are the window's, which does not
     /// move while any is queued.
@@ -218,9 +216,9 @@ pub enum Frame<'f> {
     /// A tenant-admin event — creation, call graph, retention — decoded
     /// owned: the three kinds are rare. Never an ingest batch.
     Admin(WalEvent),
-    /// An ingest batch, borrowed from the walk's buffers until its next
+    /// An ingest batch, borrowed from the walk's buffer until its next
     /// call.
-    Ingest(IngestRef<'f>),
+    Ingest(&'f IngestBatch),
 }
 
 impl Frame<'_> {
@@ -228,7 +226,7 @@ impl Frame<'_> {
     pub fn tenant(&self) -> &str {
         match self {
             Self::Admin(event) => event.tenant(),
-            Self::Ingest(batch) => batch.tenant(),
+            Self::Ingest(batch) => &batch.tenant,
         }
     }
 
@@ -236,7 +234,7 @@ impl Frame<'_> {
     pub fn point_count(&self) -> usize {
         match self {
             Self::Admin(event) => event.point_count(),
-            Self::Ingest(batch) => batch.points().len(),
+            Self::Ingest(batch) => batch.points.len(),
         }
     }
 
@@ -244,7 +242,7 @@ impl Frame<'_> {
     pub(crate) fn into_event(self) -> WalEvent {
         match self {
             Self::Admin(event) => event,
-            Self::Ingest(batch) => batch.to_event(),
+            Self::Ingest(batch) => WalEvent::IngestBatch(batch.clone()),
         }
     }
 }
@@ -257,8 +255,7 @@ impl<R: Read> LogFrames<R> {
             window: Window::new(log, WINDOW),
             offset: 0,
             last_seq: None,
-            memo: IdMemo::default(),
-            ingest: IngestBuf::default(),
+            ingest: IngestBatch::default(),
             verified: VecDeque::with_capacity(READ_AHEAD),
             corruption: None,
             failed: None,
@@ -281,8 +278,8 @@ impl<R: Read> LogFrames<R> {
             }
         }
         let (bytes, base) = (&self.window.bytes[..], self.window.base);
-        let (memo, ingest) = (&mut self.memo, &mut self.ingest);
-        let decode = |payload| WalEvent::decode_into(payload, memo, ingest);
+        let ingest = &mut self.ingest;
+        let decode = |payload| WalEvent::decode_into(payload, ingest);
         let parsed = match self.verified.pop_front() {
             Some(header) => decode_verified(bytes, header, decode),
             None => judge_at(bytes, self.offset - base, decode),
@@ -296,7 +293,7 @@ impl<R: Read> LogFrames<R> {
                     self.offset = base + end;
                     let frame = match event {
                         Decoded::Admin(event) => Frame::Admin(event),
-                        Decoded::Ingest => Frame::Ingest(IngestRef::new(&self.ingest, &self.memo)),
+                        Decoded::Ingest => Frame::Ingest(&self.ingest),
                     };
                     return Some((seq, frame));
                 }
@@ -323,13 +320,6 @@ impl<R: Read> LogFrames<R> {
             Some(error) => Err(error),
             None => Ok(self.corruption),
         }
-    }
-
-    /// The memo the frames decode through: its counts cover every frame
-    /// decoded so far, and the whole log, resynchronized frames included,
-    /// once the walk has ended.
-    pub fn ids(&self) -> &IdMemo {
-        &self.memo
     }
 
     /// Bytes of the log read so far: its length once the walk has ended.
@@ -392,7 +382,7 @@ impl<R: Read> LogFrames<R> {
         let mut pos = corrupt_at + 1;
         while self.window.hold_frame(pos, pos, true)? && pos < self.window.end() {
             let base = self.window.base;
-            match parse_at(&self.window.bytes, pos - base, &mut self.memo) {
+            match parse_at(&self.window.bytes, pos - base) {
                 Parsed::Frame { seq, event, end } if last_seq.map_or(true, |last| seq > last) => {
                     resynced.push((seq, event));
                     resynced_bytes += base + end - pos;
@@ -431,22 +421,22 @@ pub fn scan_log(bytes: &[u8]) -> ScannedLog {
 mod tests {
     use super::*;
     use crate::frame::{encode, frame_payload};
-    use sieve_simulator::store::{MetricId, Named, RetentionPolicy};
+    use sieve_simulator::store::{BatchOutcome, MetricId, MetricStore, Named, RetentionPolicy};
 
     fn ingest(tenant: &str, t: u64) -> WalEvent {
-        WalEvent::IngestBatch {
+        WalEvent::IngestBatch(IngestBatch {
             tenant: tenant.into(),
             points: vec![(0, t, t as f64)],
             series_before: None,
             watermarks: vec![(Named::Spelled(MetricId::new("web", "cpu")), t ^ 0xABCD)],
-        }
+        })
     }
 
     /// A batch of `ticks` points over two series, one placed and one
     /// spelled: a frame of another length than the one-point batches around
     /// it.
     fn wide_ingest(tenant: &str, t: u64, ticks: u64) -> WalEvent {
-        WalEvent::IngestBatch {
+        WalEvent::IngestBatch(IngestBatch {
             tenant: tenant.into(),
             points: (0..ticks)
                 .map(|i| ((i % 2) as u32, t + i / 2 * 500, i as f64 * 0.5))
@@ -456,7 +446,7 @@ mod tests {
                 (Named::Placed(0), t ^ 0x1234),
                 (Named::Spelled(MetricId::new("web", "cpu")), t ^ 0xABCD),
             ],
-        }
+        })
     }
 
     fn log_of(events: &[(u64, WalEvent)]) -> Vec<u8> {
@@ -574,11 +564,9 @@ mod tests {
         assert_eq!(corruption.lost_bytes, 13);
     }
 
-    /// `scan_log` as it was when it materialised the log itself, verbatim
-    /// but for the memo argument: a fresh one per parse, so no id is ever
-    /// answered from memory.
+    /// `scan_log` as it was when it materialised the log itself.
     fn scan_log_reference(bytes: &[u8]) -> ScannedLog {
-        let parse = |offset| parse_at(bytes, offset, &mut IdMemo::default());
+        let parse = |offset| parse_at(bytes, offset);
         let mut applied: Vec<(u64, WalEvent)> = Vec::new();
         let mut offset = 0usize;
         let (corrupt_at, reason) = loop {
@@ -818,6 +806,64 @@ mod tests {
             let error = frames.finish().expect_err("the read failed");
             assert_eq!(error.to_string(), "the disk went away");
         }
+    }
+
+    #[test]
+    fn a_spelled_id_of_a_held_series_decodes_to_the_names_the_store_keys() {
+        // The store's index keys a series by the addresses of its interned
+        // names, so an id spelled in a log must decode to the very names a
+        // store holding the series keys it by.
+        let store = MetricStore::new();
+        for i in 0..6u64 {
+            store.record(&MetricId::new("web", format!("m{i}")), 500, i as f64);
+        }
+        let copy = MetricStore::restore(store.freeze());
+        // Three held series, one of them twice, and one the batch creates.
+        let ids: Vec<MetricId> = [("web", "m4"), ("db", "new"), ("web", "m1"), ("web", "m5")]
+            .iter()
+            .map(|&(component, metric)| MetricId::new(component, metric.to_string()))
+            .collect();
+        let triples: Vec<(&MetricId, u64, f64)> = (1..=3u64)
+            .flat_map(|tick| {
+                ids.iter()
+                    .map(move |id| (id, 500 + tick * 500, tick as f64))
+            })
+            .chain([(&ids[2], 2_500, 9.5)])
+            .collect();
+        let mut outcome = BatchOutcome::default();
+        store.record_batch_detailed_into(&mut outcome, triples.iter().copied());
+        assert!(outcome.rejected.is_empty());
+        let list = &outcome.watermarks.list;
+        assert_eq!(list.iter().filter(|w| w.place.is_some()).count(), 3);
+
+        // Logged with no series count, so every watermark is spelled.
+        let slot = |id: &MetricId| list.iter().position(|w| w.id == *id).unwrap() as u32;
+        let event = WalEvent::IngestBatch(IngestBatch {
+            tenant: "acme".into(),
+            points: triples
+                .iter()
+                .map(|&(id, timestamp_ms, value)| (slot(id), timestamp_ms, value))
+                .collect(),
+            series_before: None,
+            watermarks: list
+                .iter()
+                .map(|w| (Named::Spelled(w.id.clone()), w.fingerprint))
+                .collect(),
+        });
+        let log = encode(1, &event);
+
+        let mut frames = LogFrames::new(&log[..]);
+        let Some((1, Frame::Ingest(batch))) = frames.next() else {
+            panic!("one ingest frame");
+        };
+        let watermarks = batch
+            .watermarks
+            .iter()
+            .map(|(name, fp)| (name.as_ref(), *fp));
+        let applied = copy.record_batch_verified(&batch.points, None, watermarks);
+        assert_eq!(applied, Some(outcome.accepted));
+        assert_eq!(copy.series_count(), 7);
+        assert_eq!(copy.freeze(), store.freeze());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use crate::codec::{
     put_call_graph, put_sieve_config, put_store_state, put_str, put_u32, put_u64, put_usize,
-    take_call_graph, take_sieve_config, take_store_state, Cursor, DecodeResult, IdMemo,
+    take_call_graph, take_sieve_config, take_store_state, Cursor, DecodeResult,
 };
 use crate::dir::{read_whole, write_durable};
 use crate::format::FORMAT;
@@ -145,13 +145,12 @@ impl ShardSnapshot {
         let last_seq = cur.take_u64("snapshot last_seq")?;
         let tenant_count = cur.take_usize("snapshot tenant count")?;
         let mut tenants = Vec::with_capacity(tenant_count.min(4096));
-        let mut memo = IdMemo::default();
         for _ in 0..tenant_count {
             tenants.push(TenantSnapshot {
                 tenant: cur.take_str("tenant name")?.to_string(),
                 config: Box::new(take_sieve_config(&mut cur)?),
                 call_graph: take_call_graph(&mut cur)?,
-                store: take_store_state(&mut cur, &mut memo)?,
+                store: take_store_state(&mut cur)?,
             });
         }
         if !cur.is_empty() {

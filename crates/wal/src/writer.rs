@@ -39,19 +39,19 @@ pub(crate) trait WalMedia: Send + std::fmt::Debug {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::WalMedia;
-    use crate::event::WalEvent;
+    use crate::event::{IngestBatch, WalEvent};
     use sieve_simulator::store::{MetricId, Named};
     use std::io;
     use std::sync::{Arc, Mutex};
 
     /// A one-point ingest batch stamped `t`.
     pub(crate) fn ingest(t: u64) -> WalEvent {
-        WalEvent::IngestBatch {
+        WalEvent::IngestBatch(IngestBatch {
             tenant: "acme".into(),
             points: vec![(0, t, t as f64)],
             series_before: None,
             watermarks: vec![(Named::Spelled(MetricId::new("web", "cpu")), t)],
-        }
+        })
     }
 
     /// Shared in-memory media for unit tests: the "disk" is a `Vec` the
