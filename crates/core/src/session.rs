@@ -638,14 +638,17 @@ impl AnalysisSession {
         let generation = self.generation;
         let plan = comparison_plan(&self.call_graph, &self.clusterings);
 
-        // (fingerprint, values) per prepared series, lent by the arenas.
-        let mut lookup: HashMap<SeriesKey<'_>, (u64, &[f64])> = HashMap::new();
-        for (component, pc) in &self.prepared {
-            for ((name, values), &fp) in pc.prepared.iter().zip(&pc.series_fps) {
-                lookup.insert((component.as_str(), name.as_str()), (fp, values));
-            }
-        }
-        let fingerprint = |key| lookup.get(&key).map(|&(fp, _)| fp);
+        // (fingerprint, values) of a prepared series, lent by the arenas:
+        // its component's entry, then its place among that component's
+        // names.
+        let prepared = &self.prepared;
+        let lookup = |(component, metric): SeriesKey<'_>| {
+            let entry = prepared.get(component)?;
+            let names = entry.prepared.names();
+            let i = names.iter().position(|name| name.as_str() == metric)?;
+            Some((entry.series_fps[i], entry.prepared.series(i)))
+        };
+        let fingerprint = |key| lookup(key).map(|(fp, _)| fp);
 
         let mut per_comparison: Vec<Vec<DependencyEdge>> = vec![Vec::new(); plan.len()];
         let mut misses: Vec<(usize, EdgeKey)> = Vec::new();
@@ -674,7 +677,7 @@ impl AnalysisSession {
 
         let comparisons_tested = misses.len();
         let miss_plan: Vec<Comparison> = misses.iter().map(|(i, _)| plan[*i].clone()).collect();
-        let values = |key| lookup.get(&key).map(|&(_, values)| values);
+        let values = |key| lookup(key).map(|(_, values)| values);
         let computed = candidate_edges_per_comparison(&miss_plan, values, &self.config);
         for ((i, key), edges) in misses.into_iter().zip(computed) {
             self.edge_cache.insert(key, (generation, edges.clone()));

@@ -24,7 +24,7 @@ use sieve_core::SieveConfig;
 use sieve_exec::hash::shard_index;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
-use sieve_simulator::store::{MetricStore, Named};
+use sieve_simulator::store::MetricStore;
 use sieve_wal::{Frame, IngestBatch, ShardDir, WalError, WalEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -463,12 +463,9 @@ struct NameCounts {
 
 impl NameCounts {
     fn count(&mut self, batch: &IngestBatch) {
-        for (name, _) in &batch.watermarks {
-            match name {
-                Named::Spelled(_) => self.spelled += 1,
-                Named::Placed(_) => self.placed += 1,
-            }
-        }
+        let spelled = batch.spelled.len();
+        self.spelled += spelled as u64;
+        self.placed += (batch.watermarks.len() - spelled) as u64;
     }
 }
 

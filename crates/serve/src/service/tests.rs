@@ -636,10 +636,8 @@ fn a_batch_whose_watermark_list_repeats_a_series_degrades_only_its_tenant() {
         tenant: "beta".into(),
         points: vec![(0, 40 * 500, 1.0), (1, 41 * 500, 2.0), (0, 42 * 500, 3.0)],
         series_before: None,
-        watermarks: vec![
-            (Named::Spelled(requests.clone()), 1),
-            (Named::Spelled(requests), 2),
-        ],
+        watermarks: vec![(Named::Spelled(0), 1), (Named::Spelled(1), 2)],
+        spelled: vec![requests.clone(), requests],
     });
     let mut payload = Vec::new();
     batch.encode(&mut payload);

@@ -186,11 +186,10 @@ impl Tenant {
             Mutation::Ingest(points) => return Some(self.ingest(points, log)),
             Mutation::Replay(batch) => {
                 let series_before = batch.series_before.map(|count| count as usize);
-                let watermarks = batch.watermarks.iter();
                 return self.store.record_batch_verified(
                     &batch.points,
                     series_before,
-                    watermarks.map(|(name, fingerprint)| (name.as_ref(), *fingerprint)),
+                    batch.named_watermarks(),
                 );
             }
         };

@@ -50,8 +50,14 @@
 //! one [`IngestBatch`], in the `(slot, timestamp, value)` form, whose
 //! buffers keep their capacity: [`WalEvent::decode`] moves it into an owned
 //! event, and the log reader keeps one for its whole log and lends it, so
-//! replaying a batch allocates nothing once the buffers are warm. A spelled
-//! id is interned as it is read, like every name this crate decodes.
+//! replaying a batch allocates nothing once the buffers are warm. A
+//! decoded watermark is two words, a place or the index of its id in the
+//! batch's side list of spelled ids: a spelled id is interned as it is
+//! read, like every name this crate decodes, and lands in that list. A
+//! watermark whose place is one byte below the series count is read with
+//! one bounds check for the place and its fingerprint, as a point whose
+//! slot is one byte is; every other watermark takes the field-by-field
+//! path, which makes every refusal.
 
 use crate::codec::{
     put_call_graph, put_metric_id, put_retention, put_sieve_config, put_str, put_u64, put_u8,
@@ -104,6 +110,13 @@ pub enum WalEvent {
 /// An ingest batch whose points were all *accepted* live: the one shape of
 /// a logged batch, owned in a [`WalEvent::IngestBatch`] and lent by the log
 /// reader, which decodes every batch of a log into one of these.
+///
+/// A watermark is two words: its name is a place or an index into
+/// [`IngestBatch::spelled`], which holds the few ids a log spells (the
+/// series a batch creates), so the common placed watermark is decoded
+/// without building an id. [`IngestBatch::named_watermarks`] reads the
+/// list with the ids looked up, the form the store's verified apply and
+/// the encoder take.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestBatch {
     /// The tenant the batch was ingested for, copied out of the bytes it
@@ -118,8 +131,34 @@ pub struct IngestBatch {
     pub series_before: Option<u32>,
     /// Post-apply content fingerprint of every series the batch touched,
     /// sorted by [`MetricId`] when the live store wrote it — the replay
-    /// verification anchor — each series named by place or by id.
-    pub watermarks: Vec<(Named<MetricId>, u64)>,
+    /// verification anchor — each series named by its place, or by
+    /// `Named::Spelled(i)`: the id `spelled[i]`.
+    pub watermarks: Vec<(Named<u32>, u64)>,
+    /// The ids of the spelled watermarks, in list order: the decoder
+    /// pushes one per `Named::Spelled` it reads, so `Named::Spelled(i)` is
+    /// the `i`-th of them. Every index a watermark holds must be in range.
+    pub spelled: Vec<MetricId>,
+}
+
+impl IngestBatch {
+    /// The watermarks, each spelled one with its id borrowed from
+    /// [`IngestBatch::spelled`].
+    ///
+    /// # Panics
+    ///
+    /// When a `Named::Spelled` index is past `spelled`: a batch built by
+    /// hand that breaks the field's rule. A decoded batch keeps it.
+    pub fn named_watermarks(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (Named<&MetricId>, u64)> + Clone + '_ {
+        self.watermarks.iter().map(|&(name, fingerprint)| {
+            let name = match name {
+                Named::Placed(place) => Named::Placed(place),
+                Named::Spelled(i) => Named::Spelled(&self.spelled[i as usize]),
+            };
+            (name, fingerprint)
+        })
+    }
 }
 
 /// The event tag names an event kind; its layout is the directory's
@@ -192,6 +231,7 @@ impl WalEvent {
                     points,
                     series_before,
                     watermarks,
+                    ..
                 } = batch;
                 debug_assert!(
                     points
@@ -199,12 +239,11 @@ impl WalEvent {
                         .all(|&(slot, ..)| (slot as usize) < watermarks.len()),
                     "every point's slot indexes the watermark list"
                 );
-                let names = watermarks.iter().map(|(name, fp)| (name.as_ref(), *fp));
                 put_ingest(
                     buf,
                     tenant,
                     *series_before,
-                    names,
+                    batch.named_watermarks(),
                     points.len(),
                     points.iter().copied(),
                 );
@@ -371,6 +410,10 @@ fn put_ingest<'a>(
 /// value.
 const MIN_POINT_LEN: usize = 1 + 8 + 8;
 
+/// Bytes of the shortest placed watermark: a one-byte place and a
+/// fingerprint.
+const MIN_PLACED_LEN: usize = 1 + 8;
+
 thread_local! {
     /// The slot index [`WalEvent::encode_ingest_batch_into`] reuses.
     static SLOT_INDEX: Cell<SlotIndex> = const {
@@ -490,21 +533,42 @@ fn decode_ingest(cur: &mut Cursor<'_>, buf: &mut IngestBatch) -> DecodeResult<()
     u32::try_from(slots).map_err(|_| "watermark count overflows u32")?;
     buf.watermarks.clear();
     buf.watermarks.reserve(slots.min(65_536));
+    buf.spelled.clear();
+    // A place written in one byte (`place + 1` in 1..0x80) and below the
+    // series count, `place < one_byte_places`, is read with its
+    // fingerprint behind one bounds check. Every other watermark, each one
+    // refused among them, takes the field-by-field path.
+    let one_byte_places = series_before.map_or(0, |count| count.min(0x7F));
     for _ in 0..slots {
-        let name = match cur.take_varint("watermark place")?.checked_sub(1) {
-            None => Named::Spelled(take_metric_id(cur)?),
-            Some(place) => match series_before {
-                Some(count) if place < count => Named::Placed(place),
-                Some(count) => {
-                    return Err(format!(
-                        "watermark place {place} is past the {count} series"
-                    ))
-                }
-                None => return Err(format!("watermark place {place} with no series count")),
-            },
+        let watermark = match cur.peek::<MIN_PLACED_LEN>() {
+            Some(record) if u32::from(record[0]).wrapping_sub(1) < one_byte_places => {
+                cur.skip(MIN_PLACED_LEN);
+                let fingerprint = u64::from_le_bytes(record[1..].try_into().expect("8"));
+                (Named::Placed(u32::from(record[0]) - 1), fingerprint)
+            }
+            _ => {
+                let name = match cur.take_varint("watermark place")?.checked_sub(1) {
+                    None => {
+                        buf.spelled.push(take_metric_id(cur)?);
+                        // At most `slots` ids, and `slots` fits a `u32`.
+                        Named::Spelled(buf.spelled.len() as u32 - 1)
+                    }
+                    Some(place) => match series_before {
+                        Some(count) if place < count => Named::Placed(place),
+                        Some(count) => {
+                            return Err(format!(
+                                "watermark place {place} is past the {count} series"
+                            ))
+                        }
+                        None => {
+                            return Err(format!("watermark place {place} with no series count"))
+                        }
+                    },
+                };
+                (name, cur.take_u64("watermark fingerprint")?)
+            }
         };
-        let fingerprint = cur.take_u64("watermark fingerprint")?;
-        buf.watermarks.push((name, fingerprint));
+        buf.watermarks.push(watermark);
     }
     let point_count = cur.take_usize("point count")?;
     if point_count > cur.remaining() / MIN_POINT_LEN {
@@ -575,10 +639,8 @@ mod tests {
                 tenant: "acme".into(),
                 points: vec![(1, 500, 1.5), (0, 500, -3.25)],
                 series_before: Some(2),
-                watermarks: vec![
-                    (Named::Spelled(MetricId::new("db", "mem")), 0xABCD),
-                    (Named::Placed(1), 0x1234),
-                ],
+                watermarks: vec![(Named::Spelled(0), 0xABCD), (Named::Placed(1), 0x1234)],
+                spelled: vec![MetricId::new("db", "mem")],
             }),
         ]
     }
@@ -651,10 +713,8 @@ mod tests {
             tenant: "acme".into(),
             points: vec![(1, 500, 1.5), (0, 1000, -3.25)],
             series_before: Some(4),
-            watermarks: vec![
-                (Named::Spelled(MetricId::new("db", "mem")), 0xABCD),
-                (Named::Placed(2), 0x1234),
-            ],
+            watermarks: vec![(Named::Spelled(0), 0xABCD), (Named::Placed(2), 0x1234)],
+            spelled: vec![MetricId::new("db", "mem")],
         });
         let mut materialised = Vec::new();
         event.encode(&mut materialised);
@@ -853,6 +913,180 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_decoded_watermark_is_two_words() {
+        assert_eq!(std::mem::size_of::<(Named<u32>, u64)>(), 16);
+    }
+
+    #[test]
+    fn a_decoded_batch_holds_one_id_per_spelled_watermark() {
+        // Two spelled ids around a placed series: each index is the id's
+        // rank among the spelled ones.
+        let event = WalEvent::IngestBatch(IngestBatch {
+            tenant: "acme".into(),
+            points: vec![(2, 500, 1.5), (0, 500, -3.25), (1, 500, 0.5)],
+            series_before: Some(2),
+            watermarks: vec![
+                (Named::Spelled(0), 0xABCD),
+                (Named::Placed(1), 0x1234),
+                (Named::Spelled(1), 0x5678),
+            ],
+            spelled: vec![MetricId::new("db", "mem"), MetricId::new("web", "new")],
+        });
+        let mut buf = Vec::new();
+        event.encode(&mut buf);
+        let WalEvent::IngestBatch(batch) = WalEvent::decode(&buf).unwrap() else {
+            panic!("an ingest batch");
+        };
+        let spelled = batch
+            .watermarks
+            .iter()
+            .filter(|(name, _)| matches!(name, Named::Spelled(_)))
+            .count();
+        assert_eq!(batch.spelled.len(), spelled);
+        assert_eq!(spelled, 2);
+        assert_eq!(WalEvent::IngestBatch(batch), event);
+    }
+
+    /// The ingest decoder with no fast path: every watermark and every
+    /// point is read field by field, as the format describes it. The
+    /// production decoder must agree with it on every input.
+    fn decode_field_by_field(bytes: &[u8]) -> DecodeResult<IngestBatch> {
+        let mut cur = Cursor::new(bytes);
+        assert_eq!(cur.take_u8("event tag")?, TAG_INGEST_BATCH);
+        let mut batch = IngestBatch {
+            tenant: cur.take_str("tenant name")?.to_string(),
+            series_before: cur.take_varint("series count")?.checked_sub(1),
+            ..IngestBatch::default()
+        };
+        let slots = cur.take_usize("watermark count")?;
+        u32::try_from(slots).map_err(|_| "watermark count overflows u32")?;
+        for _ in 0..slots {
+            let name = match cur.take_varint("watermark place")?.checked_sub(1) {
+                None => {
+                    batch.spelled.push(take_metric_id(&mut cur)?);
+                    Named::Spelled(batch.spelled.len() as u32 - 1)
+                }
+                Some(place) => match batch.series_before {
+                    Some(count) if place < count => Named::Placed(place),
+                    Some(count) => {
+                        return Err(format!(
+                            "watermark place {place} is past the {count} series"
+                        ))
+                    }
+                    None => return Err(format!("watermark place {place} with no series count")),
+                },
+            };
+            let fingerprint = cur.take_u64("watermark fingerprint")?;
+            batch.watermarks.push((name, fingerprint));
+        }
+        let point_count = cur.take_usize("point count")?;
+        if point_count > cur.remaining() / MIN_POINT_LEN {
+            return Err(format!(
+                "point count {point_count} runs past the end: {} bytes left",
+                cur.remaining()
+            ));
+        }
+        for _ in 0..point_count {
+            let slot = cur.take_varint("point slot")?;
+            let point = (
+                slot,
+                cur.take_u64("point timestamp")?,
+                cur.take_f64("point value")?,
+            );
+            if slot as usize >= slots {
+                return Err(format!("point slot {slot} is past the {slots} watermarks"));
+            }
+            batch.points.push(point);
+        }
+        if !cur.is_empty() {
+            return Err(format!(
+                "trailing garbage after event at {}",
+                cur.position()
+            ));
+        }
+        Ok(batch)
+    }
+
+    /// Decodes `bytes` both ways, through one reused batch as the log
+    /// reader does, and asserts the same batch or the same refusal.
+    fn assert_both_paths_agree(bytes: &[u8], reused: &mut IngestBatch, case: &str) {
+        let decoded = WalEvent::decode_into(bytes, reused).map(|_| reused.clone());
+        assert_eq!(decoded, decode_field_by_field(bytes), "{case}");
+    }
+
+    #[test]
+    fn both_watermark_decode_paths_agree() {
+        // `[series count + 1]`, then three watermarks — a spelled id, the
+        // place under test and another spelled id — then one point of
+        // each slot.
+        let frame = |count: Option<u32>, place: &[u8]| {
+            let mut buf = vec![TAG_INGEST_BATCH];
+            put_str(&mut buf, "acme");
+            put_varint(&mut buf, count.map_or(0, |count| count + 1));
+            put_usize(&mut buf, 3);
+            for (i, name) in [None, Some(place), None].into_iter().enumerate() {
+                match name {
+                    Some(place) => buf.extend_from_slice(place),
+                    None => {
+                        put_u8(&mut buf, 0);
+                        put_metric_id(&mut buf, &MetricId::new("web", format!("m{i}")));
+                    }
+                }
+                put_u64(&mut buf, 0x0102_0304_0506_0700 + i as u64);
+            }
+            put_usize(&mut buf, 3);
+            for slot in 0..3u8 {
+                buf.push(slot);
+                buf.extend_from_slice(&point_tail());
+            }
+            buf
+        };
+        let mut reused = IngestBatch::default();
+        let mut decoded = 0;
+        let places = (0..=130).chain(16_380..=16_390);
+        for place in places {
+            let mut spelling = Vec::new();
+            put_varint(&mut spelling, place + 1);
+            for count in [None, Some(0), Some(place), Some(place + 1), Some(200)] {
+                let bytes = frame(count, &spelling);
+                let case = format!("place {place}, count {count:?}");
+                assert_both_paths_agree(&bytes, &mut reused, &case);
+                decoded += usize::from(WalEvent::decode(&bytes).is_ok());
+            }
+        }
+        // Places below 200 decode under a count of 200 as well as of
+        // `place + 1`; the rest only under `place + 1`.
+        assert_eq!(decoded, 2 * 131 + 11);
+
+        // Every cut of a frame whose place is one byte, through the place,
+        // its fingerprint and past them.
+        let whole = frame(Some(40), &[8]);
+        for len in 0..=whole.len() {
+            assert_both_paths_agree(&whole[..len], &mut reused, &format!("cut at {len}"));
+        }
+        // A one-byte place as the last watermark, followed by fewer than
+        // the 8 bytes of its fingerprint and nothing else.
+        let mut head = vec![TAG_INGEST_BATCH];
+        put_str(&mut head, "acme");
+        put_varint(&mut head, 41);
+        put_usize(&mut head, 1);
+        head.push(8);
+        for tail in 0..8 {
+            let bytes = [&head[..], &[0xEE; 8][..tail]].concat();
+            let case = format!("{tail} bytes after the place");
+            assert_both_paths_agree(&bytes, &mut reused, &case);
+            assert_eq!(
+                WalEvent::decode(&bytes).unwrap_err(),
+                format!(
+                    "truncated watermark fingerprint: need 8 bytes at offset {}, have {tail}",
+                    head.len()
+                ),
+                "{case}"
+            );
+        }
+    }
+
     /// A batch of `series` distinct series, sorted as the store lists them,
     /// whose points draw their slots at random, as the live store reports
     /// it and as the log holds it: the store held `series_before` series,
@@ -882,17 +1116,26 @@ mod tests {
                 })
                 .collect(),
         };
+        let mut spelled = Vec::new();
+        let logged = list
+            .iter()
+            .map(|&(id, place, fingerprint)| {
+                let name = place.map_or_else(
+                    || {
+                        spelled.push(id.clone());
+                        Named::Spelled(spelled.len() as u32 - 1)
+                    },
+                    Named::Placed,
+                );
+                (name, fingerprint)
+            })
+            .collect();
         let event = WalEvent::IngestBatch(IngestBatch {
             tenant: "acme".into(),
             points,
             series_before: Some(series_before as u32),
-            watermarks: list
-                .iter()
-                .map(|&(id, place, fingerprint)| {
-                    let name = place.map_or_else(|| Named::Spelled(id.clone()), Named::Placed);
-                    (name, fingerprint)
-                })
-                .collect(),
+            watermarks: logged,
+            spelled,
         });
         (watermarks, event)
     }
@@ -905,15 +1148,14 @@ mod tests {
         sizes.extend((0..60).map(|_| (rand() % 200) as usize));
         for series in sizes {
             let (live, event) = random_batch(&mut rand, series);
-            let WalEvent::IngestBatch(IngestBatch {
-                points,
-                series_before,
-                watermarks,
-                ..
-            }) = &event
-            else {
+            let WalEvent::IngestBatch(batch) = &event else {
                 unreachable!()
             };
+            let IngestBatch {
+                points,
+                series_before,
+                ..
+            } = batch;
             let mut encoded = Vec::new();
             event.encode(&mut encoded);
             let decoded = WalEvent::decode(&encoded).unwrap();
@@ -934,8 +1176,8 @@ mod tests {
             // watermark's place or spelled id, and its fingerprint; each
             // point's slot, one byte below 128 and two from there, then 16
             // bytes.
-            let listed: usize = watermarks
-                .iter()
+            let listed: usize = batch
+                .named_watermarks()
                 .map(|(name, _)| match name {
                     Named::Placed(place) => varint_len(place + 1) + 8,
                     Named::Spelled(id) => 1 + 4 + id.component.len() + 4 + id.metric.len() + 8,
@@ -1093,13 +1335,17 @@ mod tests {
             _ => {
                 let pick = |r: u64| ids[(r % ids.len() as u64) as usize].clone();
                 let series_before = (rand() % 2 == 0).then(|| (rand() % 5) as u32 + 1);
-                let watermarks: Vec<(Named<MetricId>, u64)> = (0..rand() % 4)
+                let mut spelled = Vec::new();
+                let watermarks: Vec<(Named<u32>, u64)> = (0..rand() % 4)
                     .map(|_| {
                         let name = match series_before {
                             Some(count) if rand() % 2 == 0 => {
                                 Named::Placed((rand() % u64::from(count)) as u32)
                             }
-                            _ => Named::Spelled(pick(rand())),
+                            _ => {
+                                spelled.push(pick(rand()));
+                                Named::Spelled(spelled.len() as u32 - 1)
+                            }
                         };
                         (name, rand())
                     })
@@ -1118,6 +1364,7 @@ mod tests {
                     points,
                     series_before,
                     watermarks,
+                    spelled,
                 })
             }
         }

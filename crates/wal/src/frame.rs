@@ -251,7 +251,8 @@ mod tests {
             tenant: "acme".into(),
             points: vec![(0, 500, 1.5)],
             series_before: None,
-            watermarks: vec![(Named::Spelled(MetricId::new("web", "cpu")), 0x1234)],
+            watermarks: vec![(Named::Spelled(0), 0x1234)],
+            spelled: vec![MetricId::new("web", "cpu")],
         })
     }
 
@@ -382,10 +383,8 @@ mod tests {
                 tenant: "acme".into(),
                 points: vec![(1, 500, 1.5), (0, 500, -3.25)],
                 series_before: Some(5),
-                watermarks: vec![
-                    (Named::Spelled(MetricId::new("db", "mem")), 0xABCD),
-                    (Named::Placed(3), 0x1234),
-                ],
+                watermarks: vec![(Named::Spelled(0), 0xABCD), (Named::Placed(3), 0x1234)],
+                spelled: vec![MetricId::new("db", "mem")],
             }),
         ]
     }

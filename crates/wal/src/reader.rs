@@ -428,7 +428,8 @@ mod tests {
             tenant: tenant.into(),
             points: vec![(0, t, t as f64)],
             series_before: None,
-            watermarks: vec![(Named::Spelled(MetricId::new("web", "cpu")), t ^ 0xABCD)],
+            watermarks: vec![(Named::Spelled(0), t ^ 0xABCD)],
+            spelled: vec![MetricId::new("web", "cpu")],
         })
     }
 
@@ -444,8 +445,9 @@ mod tests {
             series_before: Some(1),
             watermarks: vec![
                 (Named::Placed(0), t ^ 0x1234),
-                (Named::Spelled(MetricId::new("web", "cpu")), t ^ 0xABCD),
+                (Named::Spelled(0), t ^ 0xABCD),
             ],
+            spelled: vec![MetricId::new("web", "cpu")],
         })
     }
 
@@ -845,10 +847,11 @@ mod tests {
                 .map(|&(id, timestamp_ms, value)| (slot(id), timestamp_ms, value))
                 .collect(),
             series_before: None,
-            watermarks: list
-                .iter()
-                .map(|w| (Named::Spelled(w.id.clone()), w.fingerprint))
+            watermarks: (0u32..)
+                .zip(list)
+                .map(|(i, w)| (Named::Spelled(i), w.fingerprint))
                 .collect(),
+            spelled: list.iter().map(|w| w.id.clone()).collect(),
         });
         let log = encode(1, &event);
 
@@ -856,11 +859,7 @@ mod tests {
         let Some((1, Frame::Ingest(batch))) = frames.next() else {
             panic!("one ingest frame");
         };
-        let watermarks = batch
-            .watermarks
-            .iter()
-            .map(|(name, fp)| (name.as_ref(), *fp));
-        let applied = copy.record_batch_verified(&batch.points, None, watermarks);
+        let applied = copy.record_batch_verified(&batch.points, None, batch.named_watermarks());
         assert_eq!(applied, Some(outcome.accepted));
         assert_eq!(copy.series_count(), 7);
         assert_eq!(copy.freeze(), store.freeze());
