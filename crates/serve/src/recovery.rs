@@ -43,7 +43,7 @@ pub enum TenantRecovery {
     },
     /// The tenant came back, but a suffix of its history is gone: events
     /// after the first corrupt log frame (or events whose replay did not
-    /// reproduce the logged fingerprint watermarks) were discarded. The
+    /// reproduce the logged digest of their fingerprints) were discarded. The
     /// tenant serves its intact prefix and re-converges as ingest
     /// resumes.
     Recovered {
@@ -393,7 +393,7 @@ impl Replaying {
 /// tenant, any other frame is applied to it as the [`Mutation`] the live
 /// service applied. An ingest batch is verified *before* being applied,
 /// straight from the buffers the frame is lent from: the store writes it
-/// only if that reproduces the fingerprint watermarks logged next to it —
+/// only if that reproduces the digest of fingerprints logged with it —
 /// a mismatch means replay would diverge from what the live service
 /// applied, so the tenant degrades instead of silently rebuilding a
 /// wrong model.

@@ -636,7 +636,8 @@ fn a_batch_whose_watermark_list_repeats_a_series_degrades_only_its_tenant() {
         tenant: "beta".into(),
         points: vec![(0, 40 * 500, 1.0), (1, 41 * 500, 2.0), (0, 42 * 500, 3.0)],
         series_before: None,
-        watermarks: vec![(Named::Spelled(0), 1), (Named::Spelled(1), 2)],
+        watermarks: vec![Named::Spelled(0), Named::Spelled(1)],
+        digest: 2,
         spelled: vec![requests.clone(), requests],
     });
     let mut payload = Vec::new();
@@ -799,14 +800,17 @@ fn a_log_tail_spells_only_the_series_created_after_its_snapshot() {
     assert_eq!(shard.ids_decoded, 1);
     assert_eq!(shard.watermarks_placed, 4 + 1);
     // Each frame is a 20-byte header and a payload of the tag, the tenant
-    // (4 + 5), the one-byte series count, the watermark and point counts
-    // (8 each), its watermarks — a one-byte place or a spelled id (1 + 4 +
-    // 5 + 4 + 4), and a fingerprint — and 17 bytes a point.
-    let frame = |watermarks: usize, spelled: usize, points: usize| {
-        20 + 1 + 9 + 1 + 8 + watermarks * 9 + spelled * 17 + 8 + 17 * points
+    // (4 + 5), the one-byte series count and watermark count, its
+    // watermarks — a one-byte place, or a spelled id (1 + 4 + 5 + 4 + 4) —
+    // the digest (8), the one-byte point count, the base timestamp (8) and
+    // 10 bytes a point: a one-byte slot, its distance from the base and its
+    // value. The distance takes one byte at the base, the first tick's
+    // points, and two from 500 to 4,500 ms after it, the `later` points.
+    let frame = |watermarks: usize, spelled: usize, points: usize, later: usize| {
+        20 + 1 + 9 + 1 + 1 + watermarks + spelled * 17 + 8 + 1 + 8 + 10 * points + later
     };
-    let tail = frame(1, 1, 10) + frame(4, 0, 40) + frame(1, 0, 10);
-    assert_eq!(tail, 1232);
+    let tail = frame(1, 1, 10, 9) + frame(4, 0, 40, 36) + frame(1, 0, 10, 9);
+    assert_eq!(tail, 824);
     assert_eq!(shard.log_bytes, tail as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -981,11 +985,11 @@ fn a_directory_of_another_format_is_refused_and_left_untouched() {
     std::fs::remove_file(&record).unwrap();
     assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: None }");
     std::fs::write(&record, naming(sieve_wal::FORMAT - 1)).unwrap();
-    assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: Some(6) }");
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: Some(7) }");
     // The next format: a later build wrote the directory, and rolling back
     // to this one refuses it rather than reading its snapshots as corrupt.
     std::fs::write(&record, naming(sieve_wal::FORMAT + 1)).unwrap();
-    assert_recover_refuses_format(&dir, config.clone(), "FormatTooNew { found: 8 }");
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooNew { found: 9 }");
 
     // Named right again, the same directory recovers clean.
     std::fs::write(&record, &ours).unwrap();

@@ -189,7 +189,8 @@ impl Tenant {
                 return self.store.record_batch_verified(
                     &batch.points,
                     series_before,
-                    batch.named_watermarks(),
+                    batch.names(),
+                    batch.digest,
                 );
             }
         };

@@ -38,6 +38,14 @@
 //! and the same waves; there the stores kept no tiers, so its snapshot
 //! holds each series' window of 8 alone. Events 4 and 5 are the log tail,
 //! and the format record names 6.
+//!
+//! `fixtures/parent-format7` was written by the last format-7 build
+//! (commit 164f265), whose ingest frames carried a fingerprint per
+//! watermark and a full timestamp per point, and whose checksums stepped
+//! with two `splitmix64` calls a word. It ran the same five steps under the
+//! same `config`, each wave's points tick by tick in the order the series
+//! are listed above. Its snapshot body is format 6's; events 4 and 5 are
+//! the log tail, and the format record names 7.
 
 use sieve_core::SieveConfig;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, ServeError, SieveService};
@@ -56,6 +64,9 @@ const FORMAT5_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format5/wal-shar
 const FORMAT6_RECORD: &[u8] = include_bytes!("fixtures/parent-format6/wal-format");
 const FORMAT6_LOG: &[u8] = include_bytes!("fixtures/parent-format6/wal-shard-0.log");
 const FORMAT6_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format6/wal-shard-0.snap");
+const FORMAT7_RECORD: &[u8] = include_bytes!("fixtures/parent-format7/wal-format");
+const FORMAT7_LOG: &[u8] = include_bytes!("fixtures/parent-format7/wal-shard-0.log");
+const FORMAT7_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format7/wal-shard-0.snap");
 
 /// The configuration every fixture was written under: one shard, a
 /// snapshot every three events.
@@ -164,4 +175,20 @@ fn a_format_6_directory_is_refused_untouched() {
         (snapshot_file_name(0), FORMAT6_SNAPSHOT),
     ];
     assert_refused_untouched("format6", &files, Some(6));
+}
+
+#[test]
+fn a_format_7_directory_is_refused_untouched() {
+    assert_eq!(FORMAT7_RECORD[8..], 7u32.to_le_bytes());
+    assert_eq!(snapshot_version(FORMAT7_SNAPSHOT), 7);
+    assert_eq!(frame_tags(FORMAT7_LOG), vec![3, 6]);
+    // The snapshot body is format 6's: only the version and the checksum
+    // differ.
+    assert_eq!(FORMAT7_SNAPSHOT[20..], FORMAT6_SNAPSHOT[20..]);
+    let files = [
+        (FORMAT_FILE_NAME.to_string(), FORMAT7_RECORD),
+        (log_file_name(0), FORMAT7_LOG),
+        (snapshot_file_name(0), FORMAT7_SNAPSHOT),
+    ];
+    assert_refused_untouched("format7", &files, Some(7));
 }

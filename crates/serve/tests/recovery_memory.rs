@@ -64,9 +64,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Batches in the shorter log: about 3.5 MB of it, three and a half
-/// windows.
-const N: u64 = 768;
+/// Batches in the shorter log: about 3.4 MB of it, over three windows.
+const N: u64 = 1_152;
 /// Series per batch, and points per series per batch.
 const SERIES: u64 = 8;
 const TICKS: u64 = 32;

@@ -43,7 +43,7 @@
 //! analysis results; they diverge — deterministically — only once the
 //! analysis window no longer fits inside retention.
 
-use sieve_exec::hash::{addr_pair_hash, mix, mix_f64, FINGERPRINT_SEED};
+use sieve_exec::hash::{addr_pair_hash, fold_word, mix, mix_f64, FINGERPRINT_SEED};
 use sieve_exec::Name;
 use sieve_timeseries::{SeriesView, TimeSeries};
 use std::collections::BTreeMap;
@@ -196,6 +196,28 @@ pub struct Watermarks {
     pub list: Vec<Watermark>,
 }
 
+impl Watermarks {
+    /// The batch digest of the list: its fingerprints folded in list order,
+    /// one [`fold_word`] each from a fixed seed. A log stores this one word
+    /// for the whole list, and [`MetricStore::record_batch_verified`]
+    /// checks it.
+    pub fn digest(&self) -> u64 {
+        batch_digest(self.list.iter().map(|watermark| watermark.fingerprint))
+    }
+}
+
+/// Seed of a batch digest ("SIEVEDIG" in ASCII).
+const DIGEST_SEED: u64 = 0x5349_4556_4544_4947;
+
+/// The one batch digest: `fingerprints` folded in order, one
+/// [`fold_word`] each, from a fixed seed. Each step is a bijection of the
+/// fingerprint it takes, so a list that differs from another in one
+/// fingerprint has another digest; lists that differ in more (two swapped,
+/// say) share a digest with a chance of about 2⁻⁶⁴.
+fn batch_digest(fingerprints: impl IntoIterator<Item = u64>) -> u64 {
+    fingerprints.into_iter().fold(DIGEST_SEED, fold_word)
+}
+
 /// One series' watermark: its post-apply fingerprint, and its place in the
 /// store before the batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,16 +250,6 @@ pub enum Named<Id> {
     Placed(u32),
     /// The series' id.
     Spelled(Id),
-}
-
-impl<Id> Named<Id> {
-    /// The same name, with the id borrowed.
-    pub fn as_ref(&self) -> Named<&Id> {
-        match self {
-            Self::Placed(place) => Named::Placed(*place),
-            Self::Spelled(id) => Named::Spelled(id),
-        }
-    }
 }
 
 /// Serializable image of one frozen series: the retained window
@@ -864,13 +876,15 @@ impl MetricStore {
         }
     }
 
-    /// Applies a logged batch only if doing so reproduces `expected` — the
-    /// watermarks [`MetricStore::record_batch_detailed_into`] reported when
-    /// the batch was first applied — and returns how many points were
-    /// accepted; `None`, with the store untouched, if it would not.
+    /// Applies a logged batch only if doing so reproduces the watermarks
+    /// [`MetricStore::record_batch_detailed_into`] reported when the batch
+    /// was first applied — the series `names` lists, in order, ending on
+    /// fingerprints whose [`Watermarks::digest`] is `digest` — and returns
+    /// how many points were accepted; `None`, with the store untouched, if
+    /// it would not.
     ///
     /// The batch is in the log's form: each point is `(slot, timestamp,
-    /// value)`, and its series is the one the `slot`-th entry of `expected`
+    /// value)`, and its series is the one the `slot`-th entry of `names`
     /// names — by its place in this store, which holds `series_before`
     /// series if the store is the one the batch was logged against, or by
     /// id. Recovery replays every logged batch through this call: if the
@@ -888,15 +902,17 @@ impl MetricStore {
     /// chains each slot's accepted points. A series count other than
     /// `series_before`, a placed entry with no `series_before` or past the
     /// store's series, a slot out of range, a listed series that accepts
-    /// nothing or ends on another fingerprint, or an `expected` not
-    /// strictly ascending by [`MetricId`] is a mismatch. Only when every
-    /// slot matches does the apply walk each slot's chain, pushing and
-    /// evicting exactly as [`MetricStore::record_batch`] would, and store
-    /// the fingerprint the simulation reached. `Some` is returned precisely
-    /// when the count matches and `record_batch_detailed_into` on the
-    /// triples `(id of expected[slot], timestamp, value)` reports each
-    /// listed series in order, at the place a placed entry names, with the
-    /// listed fingerprint (property-tested against a copy of the store).
+    /// nothing, `names` not strictly ascending by [`MetricId`], or heads
+    /// whose digest is not `digest` is a mismatch. Only then does the apply
+    /// walk each slot's chain, pushing and evicting exactly as
+    /// [`MetricStore::record_batch`] would, and store the fingerprint the
+    /// simulation reached. `Some` is returned precisely when the count
+    /// matches and `record_batch_detailed_into` on the triples `(id of
+    /// names[slot], timestamp, value)` reports each listed series in order,
+    /// at the place a placed entry names, with fingerprints of the logged
+    /// digest (property-tested against a copy of the store) — which, for a
+    /// digest folded from the live fingerprints, is the live fingerprint of
+    /// every listed series but with a chance of about 2⁻⁶⁴.
     ///
     /// The count is what makes a place safe: equal counts mean equal series
     /// (see [`Watermarks`]), so a series written here but never logged
@@ -913,9 +929,10 @@ impl MetricStore {
         &self,
         points: &[(u32, u64, f64)],
         series_before: Option<usize>,
-        expected: impl IntoIterator<Item = (Named<&'a MetricId>, u64), IntoIter: Clone>,
+        names: impl IntoIterator<Item = Named<&'a MetricId>, IntoIter: Clone>,
+        digest: u64,
     ) -> Option<usize> {
-        let expected = expected.into_iter();
+        let names = names.into_iter();
         let mut guard = self.write();
         let inner = &mut *guard;
         if series_before.is_some_and(|count| count != inner.series.len()) {
@@ -924,7 +941,7 @@ impl MetricStore {
         let retention = inner.retention;
         inner.verify.slots.clear();
         let mut previous: Option<(&MetricId, Option<usize>)> = None;
-        for (name, _) in expected.clone() {
+        for name in names.clone() {
             let (id, at) = match name {
                 Named::Placed(place) => {
                     let place = place as usize;
@@ -971,12 +988,9 @@ impl MetricStore {
                 None => sim.first = Some(point),
             }
         }
-        let reproduced = verify
-            .slots
-            .iter()
-            .zip(expected.clone())
-            .all(|(sim, (_, fingerprint))| sim.accepted > 0 && sim.head.fingerprint == fingerprint);
-        if !reproduced {
+        if verify.slots.iter().any(|sim| sim.accepted == 0)
+            || batch_digest(verify.slots.iter().map(|sim| sim.head.fingerprint)) != digest
+        {
             return None;
         }
 
@@ -984,7 +998,7 @@ impl MetricStore {
         // before the listed series that come after it.
         let mut created = 0;
         let mut accepted = 0;
-        for (slot, (name, _)) in expected.enumerate() {
+        for (slot, name) in names.enumerate() {
             let sim = inner.verify.slots[slot];
             let at = match (sim.at, name) {
                 (Some(at), _) => at + created,
@@ -1680,18 +1694,24 @@ mod tests {
         );
     }
 
-    /// A watermark list as a log holds it: the store's series count before
-    /// the batch, if logged, and each entry's name and fingerprint.
+    /// A watermark list as a detailed batch reports it, in the log's
+    /// names: the store's series count before the batch, if logged, and
+    /// each entry's name and fingerprint.
     type Logged = (Option<usize>, Vec<(Named<MetricId>, u64)>);
 
-    /// `record_batch_verified` with `logged` as a list.
+    /// `record_batch_verified` with `logged` as a log holds it: the names,
+    /// and one digest of the fingerprints.
     fn verified(
         store: &MetricStore,
         points: &[(u32, u64, f64)],
         (series_before, expected): &Logged,
     ) -> Option<usize> {
-        let expected = expected.iter().map(|(name, fp)| (name.as_ref(), *fp));
-        store.record_batch_verified(points, *series_before, expected)
+        let names = expected.iter().map(|(name, _)| match name {
+            Named::Placed(place) => Named::Placed(*place),
+            Named::Spelled(id) => Named::Spelled(id),
+        });
+        let digest = batch_digest(expected.iter().map(|&(_, fingerprint)| fingerprint));
+        store.record_batch_verified(points, *series_before, names, digest)
     }
 
     /// `watermarks` as live ingest logs them: the series count, each series
@@ -1786,8 +1806,9 @@ mod tests {
         // repeated series, stale timestamps, non-finite values, eviction
         // boundaries and series created between stored ones, for lists
         // logged as live ingest logs them (placed) and all spelled, the true
-        // one and seven kinds of wrong one.
-        const KINDS: usize = 8;
+        // one and nine kinds of wrong one. The log holds one digest of the
+        // fingerprints (`verified`); the oracle compares them one by one.
+        const KINDS: usize = 10;
         let (mut applied, mut refused) = ([0usize; KINDS], [0usize; KINDS]);
         for (round, policy) in [
             RetentionPolicy::unbounded(),
@@ -1911,6 +1932,21 @@ mod tests {
                             _ => held + 1,
                         });
                     }
+                    8 if entries > 1 => {
+                        // Two listed fingerprints swapped, the names kept.
+                        let first = at(rand(), entries - 1);
+                        let second = first + 1 + at(rand(), entries - 1 - first);
+                        let (a, b) = (expected.1[first].1, expected.1[second].1);
+                        expected.1[first].1 = b;
+                        expected.1[second].1 = a;
+                    }
+                    9 if entries > 0 => {
+                        // One series logged with the fingerprint it had
+                        // before the batch, as if its points were lost.
+                        let entry = at(rand(), entries);
+                        let id = &true_ids[entry];
+                        expected.1[entry].1 = store.fingerprint(id).unwrap_or(FINGERPRINT_SEED);
+                    }
                     7 => {
                         // A place one off, onto a stored neighbour: the
                         // points stay in their slot.
@@ -1979,7 +2015,7 @@ mod tests {
         }
         // Not vacuous: the true list always applies, and every kind of wrong
         // list was refused many times.
-        assert_eq!((applied[0], refused[0]), (60, 0));
+        assert_eq!((applied[0], refused[0]), (48, 0));
         assert!(refused[1..].iter().all(|&n| n >= 30), "{refused:?}");
     }
 
@@ -2066,6 +2102,70 @@ mod tests {
                 assert_eq!(store.freeze(), before);
             }
         }
+    }
+
+    #[test]
+    fn a_digest_refuses_two_fingerprints_swapped_or_one_changed_anywhere_in_a_long_list() {
+        // A hundred stored series and a batch of one point each: the
+        // digest folds a hundred fingerprints, so a swap can pair slot 0
+        // with slot 64, where a fold keyed by the slot modulo a word's
+        // bits would see the same position twice.
+        let store = MetricStore::with_retention(RetentionPolicy::windowed(4));
+        let ids: Vec<MetricId> = (0..100)
+            .map(|i| MetricId::new(format!("c{}", i % 5), format!("m{i:03}")))
+            .collect();
+        store.record_batch(ids.iter().map(|id| (id, 500, 1.0)));
+        let batch: Vec<(&MetricId, u64, f64)> = (0u32..)
+            .zip(&ids)
+            .map(|(i, id)| (id, 1000, f64::from(i)))
+            .collect();
+        let before = store.freeze();
+        let copy = MetricStore::restore(before.clone());
+        let outcome = detailed(&copy, batch.iter().copied());
+        assert_eq!(outcome.watermarks.list.len(), 100);
+        let logged = placed(&outcome.watermarks);
+        let listed: Vec<MetricId> = outcome
+            .watermarks
+            .list
+            .iter()
+            .map(|w| w.id.clone())
+            .collect();
+        let points = slotted(&batch, &listed);
+
+        let swapped = |first: usize, second: usize| {
+            let mut wrong = logged.clone();
+            let fingerprint = wrong.1[first].1;
+            wrong.1[first].1 = wrong.1[second].1;
+            wrong.1[second].1 = fingerprint;
+            wrong
+        };
+        let changed = |entry: usize, fingerprint: u64| {
+            let mut wrong = logged.clone();
+            wrong.1[entry].1 = fingerprint;
+            wrong
+        };
+        let mut wrongs = vec![
+            swapped(0, 64),
+            swapped(0, 1),
+            swapped(63, 64),
+            swapped(98, 99),
+        ];
+        wrongs.push(swapped(0, 99));
+        for entry in [0, 64, 99] {
+            wrongs.push(changed(entry, logged.1[entry].1 ^ 1));
+            wrongs.push(changed(entry, before.series[entry].fingerprint));
+        }
+        for (case, wrong) in wrongs.iter().enumerate() {
+            assert_ne!(wrong.1, logged.1, "case {case}");
+            assert_eq!(verified(&store, &points, wrong), None, "case {case}");
+            assert_eq!(
+                store.freeze(),
+                before,
+                "case {case}: the store is untouched"
+            );
+        }
+        assert_eq!(verified(&store, &points, &logged), Some(100));
+        assert_eq!(store.freeze(), copy.freeze());
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!
 //! The format is the directory's ([`FORMAT`]), repeated as a snapshot's
 //! version is, and it seeds every record's checksum: a checkpoint of
-//! another format is read as one, entry by entry a miss.
+//! another format is read as one, entry by entry a miss. A record's
+//! checksum is a snapshot body's, `lane_checksum`: four chains of
+//! one-multiply steps ([`sieve_exec::hash::fold_word`]) in lockstep.
 
 use crate::codec::{
     put_f64, put_str, put_u32, put_u64, put_usize, take_name, Cursor, DecodeResult,

@@ -112,14 +112,26 @@ impl<'a> Cursor<'a> {
     /// first) or one past `u32::MAX` is an error — so every value has
     /// exactly one spelling on disk.
     pub(crate) fn take_varint(&mut self, what: &str) -> DecodeResult<u32> {
-        let (mut value, mut shift) = (0u32, 0);
+        // At most 32 bits were read.
+        Ok(self.take_leb128(what, 32)? as u32)
+    }
+
+    /// [`Cursor::take_varint`] for a `u64` persisted by [`put_varint64`].
+    pub(crate) fn take_varint64(&mut self, what: &str) -> DecodeResult<u64> {
+        self.take_leb128(what, 64)
+    }
+
+    /// Reads a canonical LEB128 varint of at most `bits` bits.
+    fn take_leb128(&mut self, what: &str, bits: u32) -> DecodeResult<u64> {
+        let (mut value, mut shift) = (0u64, 0);
         loop {
             let byte = self.take_u8(what)?;
-            // The fifth byte carries the top four bits and ends the varint.
-            if shift == 28 && byte > 0x0F {
-                return Err(format!("{what}: varint overflows u32"));
+            // The byte that reaches bit `bits` carries the top bits and
+            // ends the varint.
+            if shift + 7 >= bits && u32::from(byte) >> (bits - shift) != 0 {
+                return Err(format!("{what}: varint overflows u{bits}"));
             }
-            value |= u32::from(byte & 0x7F) << shift;
+            value |= u64::from(byte & 0x7F) << shift;
             if byte & 0x80 == 0 {
                 if byte == 0 && shift > 0 {
                     return Err(format!("{what}: overlong varint"));
@@ -191,7 +203,12 @@ pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
 /// Appends a `u32` as a canonical LEB128 varint: seven bits a byte, low
 /// bits first, the high bit set on every byte but the last, in the fewest
 /// bytes — one byte below 128, two below 16,384.
-pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
+pub(crate) fn put_varint(buf: &mut Vec<u8>, v: u32) {
+    put_varint64(buf, u64::from(v));
+}
+
+/// [`put_varint`] for a `u64`: ten bytes at most.
+pub(crate) fn put_varint64(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         buf.push(v as u8 | 0x80);
         v >>= 7;
@@ -478,6 +495,26 @@ mod tests {
         );
         assert!(refused(&[0x80]).starts_with("truncated slot"));
         assert!(refused(&[]).starts_with("truncated slot"));
+
+        // The same rule at 64 bits: ten bytes at most, the tenth carrying
+        // one bit.
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        for (value, bytes) in [(0, &[0x00][..]), (300, &[0xAC, 0x02]), (u64::MAX, &max)] {
+            let mut buf = Vec::new();
+            put_varint64(&mut buf, value);
+            assert_eq!(buf, bytes, "{value}");
+            let mut cur = Cursor::new(&buf);
+            assert_eq!(cur.take_varint64("delta").unwrap(), value);
+            assert!(cur.is_empty());
+        }
+        let refused = |bytes: &[u8]| Cursor::new(bytes).take_varint64("delta").unwrap_err();
+        let mut past = max;
+        past[9] = 0x02;
+        assert_eq!(refused(&past), "delta: varint overflows u64");
+        past[9] = 0x81;
+        assert_eq!(refused(&past), "delta: varint overflows u64");
+        assert_eq!(refused(&[0xAC, 0x82, 0x00]), "delta: overlong varint");
+        assert!(refused(&max[..9]).starts_with("truncated delta"));
     }
 
     #[test]

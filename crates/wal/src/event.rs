@@ -8,41 +8,52 @@
 //! stream.
 //!
 //! Ingest batches carry only the *accepted* sub-batch (the store's
-//! detailed batch API reports rejections before logging) plus the
-//! post-apply fingerprint watermark of each touched series. Replay
-//! applies a batch only if it would reproduce those watermarks (the
-//! store's `record_batch_verified` checks before it writes), so a batch
-//! logged against a store state that no longer matches degrades the tenant
-//! loudly instead of corrupting it silently.
+//! detailed batch API reports rejections before logging), the series it
+//! touched, and one *digest* of their post-apply fingerprints, folded in
+//! list order (the store's `Watermarks::digest`). Replay applies a batch
+//! only if it would reproduce that digest (the store's
+//! `record_batch_verified` checks before it writes), so a batch logged
+//! against a store state that no longer matches degrades the tenant loudly
+//! instead of corrupting it silently.
 //!
-//! Every accepted point's series has a watermark, so a batch names each
-//! series once, in memory and on disk: a point holds the *slot* of its
-//! series in the watermark list. A watermark names a series the batch did
-//! not create by its *place* — its index in the tenant store's id order
-//! before the batch — and spells out only the series the batch creates; the
-//! store's series count before the batch, logged beside the places, is
-//! what makes them safe (see [`Watermarks`]). An ingest payload (event
+//! Every accepted point's series is listed, so a batch names each series
+//! once, in memory and on disk: a point holds the *slot* of its series in
+//! the list. The list names a series the batch did not create by its
+//! *place* — its index in the tenant store's id order before the batch —
+//! and spells out only the series the batch creates; the store's series
+//! count before the batch, logged beside the places, is what makes them
+//! safe (see [`Watermarks`]). A frame carries one *base* timestamp, its
+//! first point's, and each point its timestamp's distance from it, so the
+//! points of one scrape, which share a timestamp, spend one byte on it.
+//! Nothing is carried from one frame to the next. An ingest payload (event
 //! tag 6) is
 //!
 //! ```text
-//! [6][tenant: u32 len + UTF-8][series before + 1: varint][watermark count: u64]
-//!    watermark count × [name][fingerprint: u64]
-//!    [point count: u64]
-//!    point count × [slot: varint][timestamp: u64][value bits: u64]
+//! [6][tenant: u32 len + UTF-8][series before + 1: varint][watermark count: varint]
+//!    watermark count × [name]
+//!    [digest: u64]
+//!    [point count: varint]
+//!    [base timestamp: u64]                                    only if a point follows
+//!    point count × [slot: varint][timestamp − base: zigzag varint][value bits: u64]
 //!
 //! name = [place + 1: varint]                                        a placed series
 //!      | [0][component: u32 len + UTF-8][metric: u32 len + UTF-8]   a spelled one
 //! ```
 //!
-//! every varint LEB128, every other integer little-endian, the watermarks
-//! sorted by [`MetricId`]. A series count of 0 stands for none, and is
-//! allowed only when no watermark is placed: a store of more series than a
-//! `u32` counts is logged with none, every id spelled. A slot or place
-//! takes one byte below 128 and two below 16,384. Decoding refuses a slot
-//! at or past the watermark count, a place at or past the series count, a
-//! varint that is not the shortest spelling of its value, and a point count
-//! the bytes left cannot hold. Replay refuses the batch when the store's
-//! series count is not the logged one (the store's `record_batch_verified`).
+//! every varint LEB128, every other integer little-endian, the names sorted
+//! by [`MetricId`]. A timestamp's distance is its wrapping difference from
+//! the base read as an `i64` and zigzagged (0, −1, 1, −2, … become 0, 1, 2,
+//! 3, …), so a point within 63 ms of the base takes one byte and every
+//! `u64` timestamp has a spelling. A series count of 0 stands for
+//! none, and is allowed only when no watermark is placed: a store of more
+//! series than a `u32` counts is logged with none, every id spelled. A slot
+//! or place takes one byte below 128 and two below 16,384. Decoding refuses
+//! a slot at or past the watermark count, a place at or past the series
+//! count, a varint that is not the shortest spelling of its value, a point
+//! count the bytes left cannot hold, and a first point off the base, so
+//! each batch has exactly one spelling. Replay refuses the batch when the
+//! store's series count is not the logged one (the store's
+//! `record_batch_verified`).
 //!
 //! Each event kind has one layout, the one of the directory's format
 //! number ([`crate::format::FORMAT`]): a layout change bumps that number,
@@ -51,17 +62,16 @@
 //! buffers keep their capacity: [`WalEvent::decode`] moves it into an owned
 //! event, and the log reader keeps one for its whole log and lends it, so
 //! replaying a batch allocates nothing once the buffers are warm. A
-//! decoded watermark is two words, a place or the index of its id in the
-//! batch's side list of spelled ids: a spelled id is interned as it is
-//! read, like every name this crate decodes, and lands in that list. A
-//! watermark whose place is one byte below the series count is read with
-//! one bounds check for the place and its fingerprint, as a point whose
-//! slot is one byte is; every other watermark takes the field-by-field
-//! path, which makes every refusal.
+//! decoded name is one word, a place or the index of its id in the batch's
+//! side list of spelled ids: a spelled id is interned as it is read, like
+//! every name this crate decodes, and lands in that list. A place written
+//! in one byte below the series count, and a point whose slot and distance
+//! are one byte each, are read behind one bounds check; everything else
+//! takes the field-by-field path, which makes every refusal.
 
 use crate::codec::{
     put_call_graph, put_metric_id, put_retention, put_sieve_config, put_str, put_u64, put_u8,
-    put_usize, put_varint, take_call_graph, take_metric_id, take_name, take_retention,
+    put_varint, put_varint64, take_call_graph, take_metric_id, take_name, take_retention,
     take_sieve_config, Cursor, DecodeResult,
 };
 use sieve_core::SieveConfig;
@@ -111,12 +121,13 @@ pub enum WalEvent {
 /// a logged batch, owned in a [`WalEvent::IngestBatch`] and lent by the log
 /// reader, which decodes every batch of a log into one of these.
 ///
-/// A watermark is two words: its name is a place or an index into
-/// [`IngestBatch::spelled`], which holds the few ids a log spells (the
-/// series a batch creates), so the common placed watermark is decoded
-/// without building an id. [`IngestBatch::named_watermarks`] reads the
-/// list with the ids looked up, the form the store's verified apply and
-/// the encoder take.
+/// A watermark is one word, the name of a series the batch touched: a
+/// place or an index into [`IngestBatch::spelled`], which holds the few ids
+/// a log spells (the series a batch creates), so the common placed
+/// watermark is decoded without building an id. The fingerprints the
+/// series reached are not listed one by one: [`IngestBatch::digest`] folds
+/// them. [`IngestBatch::names`] reads the list with the ids looked up, the
+/// form the store's verified apply takes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestBatch {
     /// The tenant the batch was ingested for, copied out of the bytes it
@@ -124,16 +135,19 @@ pub struct IngestBatch {
     /// applied, and reuses this buffer for the next batch.
     pub tenant: String,
     /// The accepted `(slot, timestamp, value)` points, in apply order; the
-    /// point's series is the one `watermarks[slot].0` names.
+    /// point's series is the one `watermarks[slot]` names.
     pub points: Vec<(u32, u64, f64)>,
     /// The tenant store's series count before the batch: what a placed
     /// watermark's place indexes. `None` when no watermark is placed.
     pub series_before: Option<u32>,
-    /// Post-apply content fingerprint of every series the batch touched,
-    /// sorted by [`MetricId`] when the live store wrote it — the replay
-    /// verification anchor — each series named by its place, or by
-    /// `Named::Spelled(i)`: the id `spelled[i]`.
-    pub watermarks: Vec<(Named<u32>, u64)>,
+    /// Every series the batch touched, sorted by [`MetricId`] when the live
+    /// store wrote it, each named by its place or by `Named::Spelled(i)`:
+    /// the id `spelled[i]`.
+    pub watermarks: Vec<Named<u32>>,
+    /// The listed series' post-apply content fingerprints, folded in list
+    /// order into one word (the store's `Watermarks::digest`): the replay
+    /// verification anchor.
+    pub digest: u64,
     /// The ids of the spelled watermarks, in list order: the decoder
     /// pushes one per `Named::Spelled` it reads, so `Named::Spelled(i)` is
     /// the `i`-th of them. Every index a watermark holds must be in range.
@@ -141,22 +155,17 @@ pub struct IngestBatch {
 }
 
 impl IngestBatch {
-    /// The watermarks, each spelled one with its id borrowed from
+    /// The watermarks' names, each spelled one with its id borrowed from
     /// [`IngestBatch::spelled`].
     ///
     /// # Panics
     ///
     /// When a `Named::Spelled` index is past `spelled`: a batch built by
     /// hand that breaks the field's rule. A decoded batch keeps it.
-    pub fn named_watermarks(
-        &self,
-    ) -> impl ExactSizeIterator<Item = (Named<&MetricId>, u64)> + Clone + '_ {
-        self.watermarks.iter().map(|&(name, fingerprint)| {
-            let name = match name {
-                Named::Placed(place) => Named::Placed(place),
-                Named::Spelled(i) => Named::Spelled(&self.spelled[i as usize]),
-            };
-            (name, fingerprint)
+    pub fn names(&self) -> impl ExactSizeIterator<Item = Named<&MetricId>> + Clone + '_ {
+        self.watermarks.iter().map(|&name| match name {
+            Named::Placed(place) => Named::Placed(place),
+            Named::Spelled(i) => Named::Spelled(&self.spelled[i as usize]),
         })
     }
 }
@@ -231,6 +240,7 @@ impl WalEvent {
                     points,
                     series_before,
                     watermarks,
+                    digest,
                     ..
                 } = batch;
                 debug_assert!(
@@ -243,7 +253,8 @@ impl WalEvent {
                     buf,
                     tenant,
                     *series_before,
-                    batch.named_watermarks(),
+                    batch.names(),
+                    *digest,
                     points.len(),
                     points.iter().copied(),
                 );
@@ -258,9 +269,10 @@ impl WalEvent {
     /// cloning them into a `Vec`.
     ///
     /// Each listed series the store held before the batch is written as its
-    /// place, each one the batch created by its id, and each point as the
-    /// slot of its id in the list: the bytes [`WalEvent::encode`] writes for
-    /// the equivalent `IngestBatch`.
+    /// place, each one the batch created by its id, the list's fingerprints
+    /// as their [`Watermarks::digest`], and each point as the slot of its id
+    /// in the list: the bytes [`WalEvent::encode`] writes for the equivalent
+    /// `IngestBatch`.
     /// The slot is found without a search: the list is indexed by the
     /// addresses of its ids' interned names, which a point's id shares
     /// because the store's watermarks are clones of the ids it was given.
@@ -287,13 +299,14 @@ impl WalEvent {
         let series_before = u32::try_from(watermarks.series_before)
             .ok()
             .filter(|&count| count < u32::MAX);
-        let names = watermarks.list.iter().map(|watermark| {
-            let name = match (series_before, watermark.place) {
-                (Some(_), Some(place)) => Named::Placed(place),
-                _ => Named::Spelled(&watermark.id),
-            };
-            (name, watermark.fingerprint)
-        });
+        let names =
+            watermarks
+                .list
+                .iter()
+                .map(|watermark| match (series_before, watermark.place) {
+                    (Some(_), Some(place)) => Named::Placed(place),
+                    _ => Named::Spelled(&watermark.id),
+                });
         // Taken rather than borrowed: nothing the caller's iterator does can
         // make this panic, and the table goes back warm.
         let mut index = SLOT_INDEX.take();
@@ -301,7 +314,8 @@ impl WalEvent {
         let points = points
             .into_iter()
             .map(|(id, timestamp_ms, value)| (index.slot(id), timestamp_ms, value));
-        put_ingest(buf, tenant, series_before, names, accepted, points);
+        let digest = watermarks.digest();
+        put_ingest(buf, tenant, series_before, names, digest, accepted, points);
         SLOT_INDEX.set(index);
     }
 
@@ -363,13 +377,15 @@ pub(crate) enum Decoded {
 }
 
 /// Appends an ingest payload (tag 6): the one ingest encoder, fed
-/// `(slot, timestamp, value)` points and named watermarks by both
-/// [`WalEvent::encode`] and [`WalEvent::encode_ingest_batch_into`].
+/// `(slot, timestamp, value)` points, the watermarks' names and their
+/// digest by both [`WalEvent::encode`] and
+/// [`WalEvent::encode_ingest_batch_into`].
 fn put_ingest<'a>(
     buf: &mut Vec<u8>,
     tenant: &str,
     series_before: Option<u32>,
-    watermarks: impl ExactSizeIterator<Item = (Named<&'a MetricId>, u64)>,
+    names: impl ExactSizeIterator<Item = Named<&'a MetricId>>,
+    digest: u64,
     accepted: usize,
     points: impl Iterator<Item = (u32, u64, f64)>,
 ) {
@@ -380,8 +396,8 @@ fn put_ingest<'a>(
         "the count is logged plus one"
     );
     put_varint(buf, series_before.map_or(0, |count| count + 1));
-    put_usize(buf, watermarks.len());
-    for (name, fingerprint) in watermarks {
+    put_varint(buf, logged_count(names.len()));
+    for name in names {
         match name {
             Named::Placed(place) => {
                 debug_assert!(series_before.is_some_and(|count| place < count));
@@ -392,27 +408,46 @@ fn put_ingest<'a>(
                 put_metric_id(buf, id);
             }
         }
-        put_u64(buf, fingerprint);
     }
-    put_usize(buf, accepted);
+    put_u64(buf, digest);
+    put_varint(buf, logged_count(accepted));
+    let mut points = points.peekable();
+    let Some(&(_, base, _)) = points.peek() else {
+        debug_assert_eq!(accepted, 0, "accepted count must match the stream");
+        return;
+    };
+    put_u64(buf, base);
     buf.reserve(accepted * MIN_POINT_LEN);
     let mut written = 0usize;
     for (slot, timestamp_ms, value) in points {
         put_varint(buf, slot);
-        put_u64(buf, timestamp_ms);
+        put_varint64(buf, zigzag(timestamp_ms.wrapping_sub(base)));
         put_u64(buf, value.to_bits());
         written += 1;
     }
     debug_assert_eq!(written, accepted, "accepted count must match the stream");
 }
 
-/// Bytes of the shortest slotted point: a one-byte slot, a timestamp and a
-/// value.
-const MIN_POINT_LEN: usize = 1 + 8 + 8;
+/// A list or point count as the `u32` varint it is logged as. A frame
+/// holds at most `MAX_PAYLOAD` bytes, so no loggable count is larger.
+fn logged_count(len: usize) -> u32 {
+    u32::try_from(len).expect("a logged batch counts fewer than 2^32 entries")
+}
 
-/// Bytes of the shortest placed watermark: a one-byte place and a
-/// fingerprint.
-const MIN_PLACED_LEN: usize = 1 + 8;
+/// A timestamp's wrapping distance from its frame's base, read as an `i64`
+/// and zigzagged: 0, −1, 1, −2, … become 0, 1, 2, 3, …
+fn zigzag(distance: u64) -> u64 {
+    (distance << 1) ^ ((distance as i64 >> 63) as u64)
+}
+
+/// The distance [`zigzag`] spelled.
+fn unzigzag(spelled: u64) -> u64 {
+    (spelled >> 1) ^ (spelled & 1).wrapping_neg()
+}
+
+/// Bytes of the shortest point: a one-byte slot, a one-byte distance and a
+/// value.
+const MIN_POINT_LEN: usize = 1 + 1 + 8;
 
 thread_local! {
     /// The slot index [`WalEvent::encode_ingest_batch_into`] reuses.
@@ -529,76 +564,87 @@ fn decode_ingest(cur: &mut Cursor<'_>, buf: &mut IngestBatch) -> DecodeResult<()
     buf.tenant.push_str(tenant);
     let series_before = cur.take_varint("series count")?.checked_sub(1);
     buf.series_before = series_before;
-    let slots = cur.take_usize("watermark count")?;
-    u32::try_from(slots).map_err(|_| "watermark count overflows u32")?;
+    let slots = cur.take_varint("watermark count")?;
     buf.watermarks.clear();
-    buf.watermarks.reserve(slots.min(65_536));
+    buf.watermarks.reserve((slots as usize).min(65_536));
     buf.spelled.clear();
     // A place written in one byte (`place + 1` in 1..0x80) and below the
-    // series count, `place < one_byte_places`, is read with its
-    // fingerprint behind one bounds check. Every other watermark, each one
-    // refused among them, takes the field-by-field path.
+    // series count, `place < one_byte_places`, is read behind one bounds
+    // check. Every other name, each one refused among them, takes the
+    // field-by-field path.
     let one_byte_places = series_before.map_or(0, |count| count.min(0x7F));
     for _ in 0..slots {
-        let watermark = match cur.peek::<MIN_PLACED_LEN>() {
-            Some(record) if u32::from(record[0]).wrapping_sub(1) < one_byte_places => {
-                cur.skip(MIN_PLACED_LEN);
-                let fingerprint = u64::from_le_bytes(record[1..].try_into().expect("8"));
-                (Named::Placed(u32::from(record[0]) - 1), fingerprint)
+        let name = match cur.peek::<1>() {
+            Some(&[byte]) if u32::from(byte).wrapping_sub(1) < one_byte_places => {
+                cur.skip(1);
+                Named::Placed(u32::from(byte) - 1)
             }
-            _ => {
-                let name = match cur.take_varint("watermark place")?.checked_sub(1) {
-                    None => {
-                        buf.spelled.push(take_metric_id(cur)?);
-                        // At most `slots` ids, and `slots` fits a `u32`.
-                        Named::Spelled(buf.spelled.len() as u32 - 1)
+            _ => match cur.take_varint("watermark place")?.checked_sub(1) {
+                None => {
+                    buf.spelled.push(take_metric_id(cur)?);
+                    // At most `slots` ids, and `slots` is a `u32`.
+                    Named::Spelled(buf.spelled.len() as u32 - 1)
+                }
+                Some(place) => match series_before {
+                    Some(count) if place < count => Named::Placed(place),
+                    Some(count) => {
+                        return Err(format!(
+                            "watermark place {place} is past the {count} series"
+                        ))
                     }
-                    Some(place) => match series_before {
-                        Some(count) if place < count => Named::Placed(place),
-                        Some(count) => {
-                            return Err(format!(
-                                "watermark place {place} is past the {count} series"
-                            ))
-                        }
-                        None => {
-                            return Err(format!("watermark place {place} with no series count"))
-                        }
-                    },
-                };
-                (name, cur.take_u64("watermark fingerprint")?)
-            }
+                    None => return Err(format!("watermark place {place} with no series count")),
+                },
+            },
         };
-        buf.watermarks.push(watermark);
+        buf.watermarks.push(name);
     }
-    let point_count = cur.take_usize("point count")?;
+    buf.digest = cur.take_u64("batch digest")?;
+    let point_count = cur.take_varint("point count")? as usize;
+    buf.points.clear();
+    if point_count == 0 {
+        return Ok(());
+    }
+    let base = cur.take_u64("base timestamp")?;
     if point_count > cur.remaining() / MIN_POINT_LEN {
         return Err(format!(
             "point count {point_count} runs past the end: {} bytes left",
             cur.remaining()
         ));
     }
-    buf.points.clear();
     buf.points.reserve(point_count);
     for _ in 0..point_count {
-        // A record whose slot is one byte is read with one bounds check.
+        // A record whose slot and distance are one byte each is read
+        // behind one bounds check.
         let point = match cur.peek::<MIN_POINT_LEN>() {
-            Some(record) if record[0] < 0x80 => {
+            Some(record) if record[0] < 0x80 && record[1] < 0x80 => {
                 cur.skip(MIN_POINT_LEN);
-                let word =
-                    |at: usize| u64::from_le_bytes(record[at..at + 8].try_into().expect("8"));
-                (u32::from(record[0]), word(1), f64::from_bits(word(9)))
+                let value = u64::from_le_bytes(record[2..].try_into().expect("8"));
+                let distance = unzigzag(u64::from(record[1]));
+                (
+                    u32::from(record[0]),
+                    base.wrapping_add(distance),
+                    f64::from_bits(value),
+                )
             }
             _ => (
                 cur.take_varint("point slot")?,
-                cur.take_u64("point timestamp")?,
+                base.wrapping_add(unzigzag(cur.take_varint64("point timestamp")?)),
                 cur.take_f64("point value")?,
             ),
         };
         let slot = point.0;
-        if slot as usize >= slots {
+        if slot >= slots {
             return Err(format!("point slot {slot} is past the {slots} watermarks"));
         }
         buf.points.push(point);
+    }
+    // The base is the first point's timestamp: another would spell the
+    // same batch twice.
+    let first = buf.points[0].1;
+    if first != base {
+        return Err(format!(
+            "first point timestamp {first} is off the base {base}"
+        ));
     }
     Ok(())
 }
@@ -637,9 +683,10 @@ mod tests {
             },
             WalEvent::IngestBatch(IngestBatch {
                 tenant: "acme".into(),
-                points: vec![(1, 500, 1.5), (0, 500, -3.25)],
+                points: vec![(1, 500, 1.5), (0, 440, -3.25)],
                 series_before: Some(2),
-                watermarks: vec![(Named::Spelled(0), 0xABCD), (Named::Placed(1), 0x1234)],
+                watermarks: vec![Named::Spelled(0), Named::Placed(1)],
+                digest: 0xABCD,
                 spelled: vec![MetricId::new("db", "mem")],
             }),
         ]
@@ -669,7 +716,7 @@ mod tests {
         // written by another build; that guard holds only while the set
         // and the format number change together.
         let read: Vec<u8> = (0..=255u8).filter(|t| reads_tag(*t)).collect();
-        assert_eq!(crate::FORMAT, 7, "a new format re-pins the tags it reads");
+        assert_eq!(crate::FORMAT, 8, "a new format re-pins the tags it reads");
         assert_eq!(
             read,
             [2, 3, 5, 6],
@@ -713,7 +760,8 @@ mod tests {
             tenant: "acme".into(),
             points: vec![(1, 500, 1.5), (0, 1000, -3.25)],
             series_before: Some(4),
-            watermarks: vec![(Named::Spelled(0), 0xABCD), (Named::Placed(2), 0x1234)],
+            watermarks: vec![Named::Spelled(0), Named::Placed(2)],
+            digest: watermarks.digest(),
             spelled: vec![MetricId::new("db", "mem")],
         });
         let mut materialised = Vec::new();
@@ -759,27 +807,29 @@ mod tests {
     }
 
     /// A slotted payload built by hand: no series count, one spelled
-    /// watermark for each of `watermarks` ids, the point count, then
-    /// `points` verbatim.
-    fn slotted(watermarks: usize, point_count: u64, points: &[u8]) -> Vec<u8> {
+    /// watermark for each of `watermarks` ids, a digest, the point count,
+    /// base timestamp 500 unless the count is 0, then `points` verbatim.
+    fn slotted(watermarks: u32, point_count: u32, points: &[u8]) -> Vec<u8> {
         let mut buf = vec![TAG_INGEST_BATCH];
         put_str(&mut buf, "acme");
         put_varint(&mut buf, 0);
-        put_usize(&mut buf, watermarks);
+        put_varint(&mut buf, watermarks);
         for i in 0..watermarks {
             put_u8(&mut buf, 0);
             put_metric_id(&mut buf, &MetricId::new("web", format!("m{i}")));
-            put_u64(&mut buf, i as u64);
         }
-        put_u64(&mut buf, point_count);
+        put_u64(&mut buf, 0xD16E57);
+        put_varint(&mut buf, point_count);
+        if point_count > 0 {
+            put_u64(&mut buf, 500);
+        }
         buf.extend_from_slice(points);
         buf
     }
 
-    /// A point's bytes after its slot: timestamp 500, value 1.5.
+    /// A point's bytes after its slot: at the base (distance 0), value 1.5.
     fn point_tail() -> Vec<u8> {
-        let mut tail = Vec::new();
-        put_u64(&mut tail, 500);
+        let mut tail = vec![0];
         put_u64(&mut tail, 1.5f64.to_bits());
         tail
     }
@@ -819,6 +869,10 @@ mod tests {
             refusal(slotted(2, 1, &point(&[0x80, 0x80, 0x00]))),
             "point slot: overlong varint"
         );
+        assert_eq!(
+            refusal(slotted(2, 1, &[&[1, 0x80, 0x00][..], &[0; 8]].concat())),
+            "point timestamp: overlong varint"
+        );
         // One past 32 bits.
         assert_eq!(
             refusal(slotted(2, 1, &point(&[0xFF, 0xFF, 0xFF, 0xFF, 0x10]))),
@@ -827,46 +881,65 @@ mod tests {
         // A point count the bytes left cannot hold, small or absurd.
         assert_eq!(
             refusal(slotted(2, 2, &point(&[1]))),
-            "point count 2 runs past the end: 17 bytes left"
+            "point count 2 runs past the end: 10 bytes left"
         );
         assert_eq!(
-            refusal(slotted(2, u64::MAX, &point(&[1]))),
-            "point count 18446744073709551615 runs past the end: 17 bytes left"
+            refusal(slotted(2, u32::MAX, &point(&[1]))),
+            "point count 4294967295 runs past the end: 10 bytes left"
         );
-        // A slot past the end. The count allows 17 bytes a point, but
-        // seventeen points of slot 129 take 18 bytes each: the eighteenth
-        // point's slot is where the bytes run out.
-        let wide = point(&[0x81, 0x01]).repeat(17);
-        assert!(refusal(slotted(130, 18, &wide)).starts_with("truncated point slot"));
+        // A slot past the end. The count allows 10 bytes a point, but
+        // ten points of slot 129 take 11 bytes each: the eleventh point's
+        // slot is where the bytes run out.
+        let wide = point(&[0x81, 0x01]).repeat(10);
+        assert!(refusal(slotted(130, 11, &wide)).starts_with("truncated point slot"));
         assert_eq!(
-            refusal(slotted(130, 18, &wide[..wide.len() - 1])),
-            "point count 18 runs past the end: 305 bytes left"
+            refusal(slotted(130, 11, &wide[..wide.len() - 1])),
+            "point count 11 runs past the end: 109 bytes left"
         );
-        // Trailing garbage after the last point.
+        // A first point off the base, either way: the base is the first
+        // point's timestamp, and one batch has one spelling.
+        for (distance, timestamp) in [(1, 499), (2, 501)] {
+            let off = [&[1, distance][..], &1.5f64.to_bits().to_le_bytes()].concat();
+            assert_eq!(
+                refusal(slotted(2, 1, &off)),
+                format!("first point timestamp {timestamp} is off the base 500")
+            );
+        }
+        // Trailing garbage after the last point, or after an empty batch's
+        // point count, where a base would be.
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(refusal(trailing).starts_with("trailing garbage after event"));
+        let mut based = slotted(2, 0, &[]);
+        put_u64(&mut based, 500);
+        assert!(refusal(based).starts_with("trailing garbage after event"));
     }
 
     /// Bytes of the shortest varint spelling of `value`.
     fn varint_len(value: u32) -> usize {
+        varint64_len(u64::from(value))
+    }
+
+    /// [`varint_len`] of a `u64`.
+    fn varint64_len(value: u64) -> usize {
         let mut buf = Vec::new();
-        put_varint(&mut buf, value);
+        put_varint64(&mut buf, value);
         buf.len()
     }
 
     #[test]
     fn a_placed_watermark_is_refused_for_each_rule_it_breaks() {
-        // `[series count + 1][one watermark: place + 1][fingerprint]`, one
+        // `[series count + 1][one watermark: place + 1][digest]`, one
         // point of slot 0: the bytes after the tenant.
         let placed = |count: &[u8], place: &[u8]| {
             let mut buf = vec![TAG_INGEST_BATCH];
             put_str(&mut buf, "acme");
             buf.extend_from_slice(count);
-            put_usize(&mut buf, 1);
+            put_varint(&mut buf, 1);
             buf.extend_from_slice(place);
             put_u64(&mut buf, 0x1234);
-            put_usize(&mut buf, 1);
+            put_varint(&mut buf, 1);
+            put_u64(&mut buf, 500);
             buf.push(0);
             buf.extend_from_slice(&point_tail());
             buf
@@ -877,13 +950,14 @@ mod tests {
         let WalEvent::IngestBatch(IngestBatch {
             series_before,
             watermarks,
+            digest,
             ..
         }) = WalEvent::decode(&placed(&[4], &[3])).unwrap()
         else {
             panic!("an ingest batch");
         };
         assert_eq!(series_before, Some(3));
-        assert_eq!(watermarks, vec![(Named::Placed(2), 0x1234)]);
+        assert_eq!((watermarks, digest), (vec![Named::Placed(2)], 0x1234));
 
         // A place at or past the series count, or with no count at all.
         assert_eq!(
@@ -914,8 +988,8 @@ mod tests {
     }
 
     #[test]
-    fn a_decoded_watermark_is_two_words() {
-        assert_eq!(std::mem::size_of::<(Named<u32>, u64)>(), 16);
+    fn a_decoded_watermark_is_one_word() {
+        assert_eq!(std::mem::size_of::<Named<u32>>(), 8);
     }
 
     #[test]
@@ -926,11 +1000,8 @@ mod tests {
             tenant: "acme".into(),
             points: vec![(2, 500, 1.5), (0, 500, -3.25), (1, 500, 0.5)],
             series_before: Some(2),
-            watermarks: vec![
-                (Named::Spelled(0), 0xABCD),
-                (Named::Placed(1), 0x1234),
-                (Named::Spelled(1), 0x5678),
-            ],
+            watermarks: vec![Named::Spelled(0), Named::Placed(1), Named::Spelled(1)],
+            digest: 0x5678,
             spelled: vec![MetricId::new("db", "mem"), MetricId::new("web", "new")],
         });
         let mut buf = Vec::new();
@@ -941,7 +1012,7 @@ mod tests {
         let spelled = batch
             .watermarks
             .iter()
-            .filter(|(name, _)| matches!(name, Named::Spelled(_)))
+            .filter(|name| matches!(name, Named::Spelled(_)))
             .count();
         assert_eq!(batch.spelled.len(), spelled);
         assert_eq!(spelled, 2);
@@ -959,8 +1030,7 @@ mod tests {
             series_before: cur.take_varint("series count")?.checked_sub(1),
             ..IngestBatch::default()
         };
-        let slots = cur.take_usize("watermark count")?;
-        u32::try_from(slots).map_err(|_| "watermark count overflows u32")?;
+        let slots = cur.take_varint("watermark count")?;
         for _ in 0..slots {
             let name = match cur.take_varint("watermark place")?.checked_sub(1) {
                 None => {
@@ -977,27 +1047,39 @@ mod tests {
                     None => return Err(format!("watermark place {place} with no series count")),
                 },
             };
-            let fingerprint = cur.take_u64("watermark fingerprint")?;
-            batch.watermarks.push((name, fingerprint));
+            batch.watermarks.push(name);
         }
-        let point_count = cur.take_usize("point count")?;
-        if point_count > cur.remaining() / MIN_POINT_LEN {
-            return Err(format!(
-                "point count {point_count} runs past the end: {} bytes left",
-                cur.remaining()
-            ));
-        }
-        for _ in 0..point_count {
-            let slot = cur.take_varint("point slot")?;
-            let point = (
-                slot,
-                cur.take_u64("point timestamp")?,
-                cur.take_f64("point value")?,
-            );
-            if slot as usize >= slots {
-                return Err(format!("point slot {slot} is past the {slots} watermarks"));
+        batch.digest = cur.take_u64("batch digest")?;
+        let point_count = cur.take_varint("point count")? as usize;
+        if point_count > 0 {
+            let base = cur.take_u64("base timestamp")?;
+            if point_count > cur.remaining() / MIN_POINT_LEN {
+                return Err(format!(
+                    "point count {point_count} runs past the end: {} bytes left",
+                    cur.remaining()
+                ));
             }
-            batch.points.push(point);
+            for _ in 0..point_count {
+                let slot = cur.take_varint("point slot")?;
+                let spelled = cur.take_varint64("point timestamp")?;
+                // Zigzag undone by hand: an even spelling is a distance
+                // forward, an odd one backward.
+                let timestamp = match spelled % 2 {
+                    0 => base.wrapping_add(spelled / 2),
+                    _ => base.wrapping_sub(spelled / 2 + 1),
+                };
+                let point = (slot, timestamp, cur.take_f64("point value")?);
+                if slot >= slots {
+                    return Err(format!("point slot {slot} is past the {slots} watermarks"));
+                }
+                batch.points.push(point);
+            }
+            let first = batch.points[0].1;
+            if first != base {
+                return Err(format!(
+                    "first point timestamp {first} is off the base {base}"
+                ));
+            }
         }
         if !cur.is_empty() {
             return Err(format!(
@@ -1018,13 +1100,13 @@ mod tests {
     #[test]
     fn both_watermark_decode_paths_agree() {
         // `[series count + 1]`, then three watermarks — a spelled id, the
-        // place under test and another spelled id — then one point of
-        // each slot.
+        // place under test and another spelled id — a digest, then one
+        // point of each slot.
         let frame = |count: Option<u32>, place: &[u8]| {
             let mut buf = vec![TAG_INGEST_BATCH];
             put_str(&mut buf, "acme");
             put_varint(&mut buf, count.map_or(0, |count| count + 1));
-            put_usize(&mut buf, 3);
+            put_varint(&mut buf, 3);
             for (i, name) in [None, Some(place), None].into_iter().enumerate() {
                 match name {
                     Some(place) => buf.extend_from_slice(place),
@@ -1033,9 +1115,10 @@ mod tests {
                         put_metric_id(&mut buf, &MetricId::new("web", format!("m{i}")));
                     }
                 }
-                put_u64(&mut buf, 0x0102_0304_0506_0700 + i as u64);
             }
-            put_usize(&mut buf, 3);
+            put_u64(&mut buf, 0x0102_0304_0506_0700);
+            put_varint(&mut buf, 3);
+            put_u64(&mut buf, 500);
             for slot in 0..3u8 {
                 buf.push(slot);
                 buf.extend_from_slice(&point_tail());
@@ -1060,17 +1143,17 @@ mod tests {
         assert_eq!(decoded, 2 * 131 + 11);
 
         // Every cut of a frame whose place is one byte, through the place,
-        // its fingerprint and past them.
+        // the digest and past them.
         let whole = frame(Some(40), &[8]);
         for len in 0..=whole.len() {
             assert_both_paths_agree(&whole[..len], &mut reused, &format!("cut at {len}"));
         }
         // A one-byte place as the last watermark, followed by fewer than
-        // the 8 bytes of its fingerprint and nothing else.
+        // the 8 bytes of the digest and nothing else.
         let mut head = vec![TAG_INGEST_BATCH];
         put_str(&mut head, "acme");
         put_varint(&mut head, 41);
-        put_usize(&mut head, 1);
+        put_varint(&mut head, 1);
         head.push(8);
         for tail in 0..8 {
             let bytes = [&head[..], &[0xEE; 8][..tail]].concat();
@@ -1079,11 +1162,68 @@ mod tests {
             assert_eq!(
                 WalEvent::decode(&bytes).unwrap_err(),
                 format!(
-                    "truncated watermark fingerprint: need 8 bytes at offset {}, have {tail}",
+                    "truncated batch digest: need 8 bytes at offset {}, have {tail}",
                     head.len()
                 ),
                 "{case}"
             );
+        }
+    }
+
+    #[test]
+    fn both_point_decode_paths_agree() {
+        // Three spelled watermarks, base 10,000, then the point under
+        // test — its slot and its timestamp's spelling — after a first
+        // point at the base.
+        let frame = |slot: &[u8], spelled: &[u8]| {
+            let mut buf = vec![TAG_INGEST_BATCH];
+            put_str(&mut buf, "acme");
+            put_varint(&mut buf, 0);
+            put_varint(&mut buf, 3);
+            for i in 0..3 {
+                put_u8(&mut buf, 0);
+                put_metric_id(&mut buf, &MetricId::new("web", format!("m{i}")));
+            }
+            put_u64(&mut buf, 0xD16E57);
+            put_varint(&mut buf, 2);
+            put_u64(&mut buf, 10_000);
+            buf.push(0);
+            buf.extend_from_slice(&point_tail());
+            buf.extend_from_slice(slot);
+            buf.extend_from_slice(spelled);
+            put_u64(&mut buf, (-2.5f64).to_bits());
+            buf
+        };
+        let mut reused = IngestBatch::default();
+        let distances = (-70i64..=70).chain([-8_193, 8_191, 8_192, i64::MIN, i64::MAX]);
+        for distance in distances {
+            let mut spelled = Vec::new();
+            put_varint64(&mut spelled, zigzag(distance as u64));
+            for slot in [&[0][..], &[2], &[3], &[0x7F], &[0x80, 0x00], &[0x81, 0x01]] {
+                let bytes = frame(slot, &spelled);
+                let case = format!("slot {slot:?}, distance {distance}");
+                assert_both_paths_agree(&bytes, &mut reused, &case);
+                let expected = 10_000u64.wrapping_add(distance as u64);
+                match WalEvent::decode(&bytes) {
+                    Ok(WalEvent::IngestBatch(batch)) => {
+                        assert!(slot[0] < 3, "{case}");
+                        assert_eq!(batch.points[1].1, expected, "{case}");
+                    }
+                    other => assert!(other.is_err() && slot[0] >= 3, "{case}"),
+                }
+            }
+            // One byte for a distance of −64 to 63.
+            assert_eq!(
+                spelled.len() == 1,
+                (-64..=63).contains(&distance),
+                "{distance}"
+            );
+        }
+        // Every cut of a frame, through the second point's slot, its
+        // distance and its value.
+        let whole = frame(&[1], &[0x81, 0x01]);
+        for len in 0..=whole.len() {
+            assert_both_paths_agree(&whole[..len], &mut reused, &format!("cut at {len}"));
         }
     }
 
@@ -1107,27 +1247,33 @@ mod tests {
             })
             .collect();
         let watermarks = live(series_before, &list);
+        // Timestamps near one another, a few far off and some past either
+        // end of the `u64` range from the first.
+        let near = rand();
         let points = match series {
             0 => Vec::new(),
             _ => (0..rand() % 300)
                 .map(|_| {
                     let slot = (rand() % series as u64) as u32;
-                    (slot, rand(), f64::from_bits(rand()))
+                    let timestamp = match rand() % 8 {
+                        0 => rand(),
+                        _ => near.wrapping_add(rand() % 20_000).wrapping_sub(10_000),
+                    };
+                    (slot, timestamp, f64::from_bits(rand()))
                 })
                 .collect(),
         };
         let mut spelled = Vec::new();
         let logged = list
             .iter()
-            .map(|&(id, place, fingerprint)| {
-                let name = place.map_or_else(
+            .map(|&(id, place, _)| {
+                place.map_or_else(
                     || {
                         spelled.push(id.clone());
                         Named::Spelled(spelled.len() as u32 - 1)
                     },
                     Named::Placed,
-                );
-                (name, fingerprint)
+                )
             })
             .collect();
         let event = WalEvent::IngestBatch(IngestBatch {
@@ -1135,6 +1281,7 @@ mod tests {
             points,
             series_before: Some(series_before as u32),
             watermarks: logged,
+            digest: watermarks.digest(),
             spelled,
         });
         (watermarks, event)
@@ -1172,25 +1319,38 @@ mod tests {
             WalEvent::encode_ingest_batch_into(&mut streamed, "acme", points.len(), triples, &live);
             assert_eq!(streamed, encoded, "{series} series, streamed");
 
-            // Tag, tenant, the series count, the two counts; each
-            // watermark's place or spelled id, and its fingerprint; each
-            // point's slot, one byte below 128 and two from there, then 16
-            // bytes.
+            // Tag, tenant, the series count and the watermark count; each
+            // watermark's place or spelled id; the digest, the point count
+            // and, for any point, the base; each point's slot, one byte
+            // below 128 and two from there, its distance from the base,
+            // then 8 bytes.
             let listed: usize = batch
-                .named_watermarks()
-                .map(|(name, _)| match name {
-                    Named::Placed(place) => varint_len(place + 1) + 8,
-                    Named::Spelled(id) => 1 + 4 + id.component.len() + 4 + id.metric.len() + 8,
+                .names()
+                .map(|name| match name {
+                    Named::Placed(place) => varint_len(place + 1),
+                    Named::Spelled(id) => 1 + 4 + id.component.len() + 4 + id.metric.len(),
                 })
                 .sum();
-            let slots: usize = points
+            let base = points.first().map_or(0, |&(_, timestamp, _)| timestamp);
+            let each: usize = points
                 .iter()
-                .map(|&(slot, ..)| 1 + usize::from(slot >= 128))
+                .map(|&(slot, timestamp, _)| {
+                    let distance = zigzag(timestamp.wrapping_sub(base));
+                    varint_len(slot) + varint64_len(distance) + 8
+                })
                 .sum();
             let count = varint_len(series_before.unwrap() + 1);
+            let based = if points.is_empty() { 0 } else { 8 };
             assert_eq!(
                 encoded.len(),
-                1 + (4 + 4) + count + 8 + listed + 8 + slots + 16 * points.len(),
+                1 + (4 + 4)
+                    + count
+                    + varint_len(series as u32)
+                    + listed
+                    + 8
+                    + varint_len(points.len() as u32)
+                    + based
+                    + each,
                 "{series} series"
             );
         }
@@ -1225,14 +1385,18 @@ mod tests {
             buf
         };
         let placed = encode(&live(40, &list));
-        // Tag 1, tenant 4 + 4, series count 1, watermark count 8, four
-        // watermarks of a one-byte place and a fingerprint (9 each), point
-        // count 8, forty points of 17.
-        assert_eq!(placed.len(), 1 + 8 + 1 + 8 + 4 * 9 + 8 + 40 * 17);
-        assert_eq!(placed.len(), 742);
+        // Tag 1, tenant 4 + 4, series count 1, watermark count 1, four
+        // one-byte places, digest 8, point count 1, base 8; the four
+        // points at the base of 10 bytes, the 36 later ones, 500 to 4,500
+        // ms on, of 11 (a two-byte distance).
+        assert_eq!(
+            placed.len(),
+            1 + 8 + 1 + 1 + 4 + 8 + 1 + 8 + 4 * 10 + 36 * 11
+        );
+        assert_eq!(placed.len(), 468);
         assert_eq!(
             crate::frame::encode(1, &WalEvent::decode(&placed).unwrap()).len(),
-            762
+            488
         );
         // The same batch with every id spelled: each watermark longer by
         // its id, 4 + 3 + 4 + 3..8 bytes.
@@ -1241,6 +1405,42 @@ mod tests {
         let ids_bytes: usize = ids.iter().map(|id| 4 + 3 + 4 + id.metric.len()).sum();
         assert_eq!(spelled.len(), placed.len() + ids_bytes);
         assert_eq!(WalEvent::decode(&placed).unwrap().point_count(), 40);
+    }
+
+    #[test]
+    fn a_one_tick_batch_of_placed_series_costs_its_formula_to_the_byte() {
+        // One scrape of a tenant's 231 series, all held: every point at
+        // one timestamp. Per point a slot, a one-byte distance (0) and a
+        // value; per watermark its place; per frame the fixed fields. A
+        // slot or place + 1 takes one byte below 128 and two up to 16,383.
+        let ids: Vec<MetricId> = (0..231)
+            .map(|i| MetricId::new(format!("c{}", i / 10), format!("m{i:03}")))
+            .collect();
+        let list: Vec<_> = (0u32..)
+            .zip(&ids)
+            .map(|(place, id)| (id, Some(place), u64::from(place) * 0x9E37))
+            .collect();
+        let watermarks = live(231, &list);
+        let mut payload = Vec::new();
+        WalEvent::encode_ingest_batch_into(
+            &mut payload,
+            "tenant-07",
+            ids.len(),
+            ids.iter().map(|id| (id, 1_760_000_000_000, 0.25)),
+            &watermarks,
+        );
+        let one_or_two = |value: u32| 1 + usize::from(value >= 128);
+        let points: usize = (0..231).map(|slot| one_or_two(slot) + 1 + 8).sum();
+        let places: usize = (0..231).map(|place| one_or_two(place + 1)).sum();
+        let fixed = 1 + (4 + 9) + one_or_two(232) + one_or_two(231) + 8 + one_or_two(231) + 8;
+        assert_eq!(payload.len(), fixed + places + points);
+        assert_eq!((fixed, places, points), (36, 335, 2_413));
+        assert_eq!(payload.len(), 2_784);
+        let WalEvent::IngestBatch(batch) = WalEvent::decode(&payload).unwrap() else {
+            panic!("an ingest batch");
+        };
+        assert_eq!(batch.digest, watermarks.digest());
+        assert!(batch.points.iter().all(|&(_, t, _)| t == 1_760_000_000_000));
     }
 
     #[test]
@@ -1336,18 +1536,15 @@ mod tests {
                 let pick = |r: u64| ids[(r % ids.len() as u64) as usize].clone();
                 let series_before = (rand() % 2 == 0).then(|| (rand() % 5) as u32 + 1);
                 let mut spelled = Vec::new();
-                let watermarks: Vec<(Named<u32>, u64)> = (0..rand() % 4)
-                    .map(|_| {
-                        let name = match series_before {
-                            Some(count) if rand() % 2 == 0 => {
-                                Named::Placed((rand() % u64::from(count)) as u32)
-                            }
-                            _ => {
-                                spelled.push(pick(rand()));
-                                Named::Spelled(spelled.len() as u32 - 1)
-                            }
-                        };
-                        (name, rand())
+                let watermarks: Vec<Named<u32>> = (0..rand() % 4)
+                    .map(|_| match series_before {
+                        Some(count) if rand() % 2 == 0 => {
+                            Named::Placed((rand() % u64::from(count)) as u32)
+                        }
+                        _ => {
+                            spelled.push(pick(rand()));
+                            Named::Spelled(spelled.len() as u32 - 1)
+                        }
                     })
                     .collect();
                 let points = match watermarks.len() {
@@ -1364,6 +1561,7 @@ mod tests {
                     points,
                     series_before,
                     watermarks,
+                    digest: rand(),
                     spelled,
                 })
             }

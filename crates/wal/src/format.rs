@@ -21,8 +21,12 @@ use crate::{Result, WalError};
 /// The format this build writes and reads. Format 6 dropped the downsampled
 /// tiers: a snapshot series and a retention policy no longer carry them.
 /// Format 7 names each series an ingest batch did not create by its place
-/// in the tenant's store, guarded by the store's series count.
-pub const FORMAT: u32 = 7;
+/// in the tenant's store, guarded by the store's series count. Format 8
+/// logs one digest per ingest batch in place of a fingerprint per
+/// watermark, each point's timestamp as its distance from the frame's
+/// base, and the counts as varints, and checksums frames, snapshots and
+/// checkpoints with one multiply per word.
+pub const FORMAT: u32 = 8;
 
 /// First bytes of a format record.
 const MAGIC: [u8; 8] = *b"SIEVEFMT";
@@ -75,13 +79,13 @@ mod tests {
         assert_eq!(created.format().unwrap(), Some(FORMAT));
         let path = dir.join(FORMAT_FILE_NAME);
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes, b"SIEVEFMT\x07\x00\x00\x00");
+        assert_eq!(bytes, b"SIEVEFMT\x08\x00\x00\x00");
         let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(files.len(), 1, "the temp file was renamed away");
 
         for (bytes, reason) in [
             (&bytes[..RECORD_LEN - 1], "torn format record"),
-            (&b"SIEVEFMX\x07\x00\x00\x00"[..], "bad format record magic"),
+            (&b"SIEVEFMX\x08\x00\x00\x00"[..], "bad format record magic"),
         ] {
             std::fs::write(&path, bytes).unwrap();
             match created.format() {

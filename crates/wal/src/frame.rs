@@ -6,13 +6,18 @@
 //! [payload length: u32 LE][sequence: u64 LE][checksum: u64 LE][payload]
 //! ```
 //!
-//! The checksum is a [`sieve_exec::hash::splitmix64`]-based mix chain
-//! seeded with the sequence number and payload length and folded over the
-//! payload in 8-byte little-endian chunks — the same mixing primitive the
-//! rest of the workspace uses for content fingerprints, so the WAL adds
-//! no second hashing scheme. A frame is accepted only if it is fully
-//! present, its length is plausible, its checksum verifies, *and* its
-//! payload decodes as a [`WalEvent`] with no trailing bytes.
+//! The checksum is a chain of [`sieve_exec::hash::fold_word`] steps seeded
+//! with the sequence number and payload length and folded over the payload
+//! in 8-byte little-endian chunks: one multiply per word, the product's high
+//! half folded onto its low half. Every step is a bijection of the word it
+//! takes, so any change confined to one word — every single-bit flip among
+//! them — changes the sum, and the fold-down keeps two one-bit flips in
+//! consecutive words from cancelling (the tests flip every pair of bits of
+//! a frame). The batch digest inside an ingest payload folds fingerprints
+//! with the same step, so the WAL adds no second hashing scheme. A frame is
+//! accepted only if it is fully present, its length is plausible, its
+//! checksum verifies, *and* its payload decodes as a [`WalEvent`] with no
+//! trailing bytes.
 //!
 //! Judging a frame is three steps — parse the header, verify the
 //! checksum, decode the payload — that [`parse_at`] takes in turn for one
@@ -23,7 +28,7 @@
 
 use crate::codec::{le_words, DecodeResult};
 use crate::event::{reads_tag, WalEvent};
-use sieve_exec::hash::mix;
+use sieve_exec::hash::fold_word;
 
 /// Fixed byte length of a frame header (length + sequence + checksum).
 pub(crate) const HEADER_LEN: usize = 4 + 8 + 8;
@@ -47,7 +52,8 @@ pub(crate) fn checksum(seq: u64, payload: &[u8]) -> u64 {
 /// [`checksum`] of `N` frames at once: the `N` chains step in lockstep
 /// over the words every payload has, then each folds its own tail.
 pub(crate) fn checksums<const N: usize>(frames: [(u64, &[u8]); N]) -> [u64; N] {
-    let mut fps = frames.map(|(seq, payload)| mix(mix(CHECKSUM_SEED, seq), payload.len() as u64));
+    let mut fps =
+        frames.map(|(seq, payload)| fold_word(fold_word(CHECKSUM_SEED, seq), payload.len() as u64));
     let common = frames
         .iter()
         .map(|(_, payload)| payload.len() / 8)
@@ -57,11 +63,11 @@ pub(crate) fn checksums<const N: usize>(frames: [(u64, &[u8]); N]) -> [u64; N] {
     for at in (0..common).step_by(8) {
         for (fp, (_, payload)) in fps.iter_mut().zip(&frames) {
             let word = payload[at..at + 8].try_into().expect("8 bytes");
-            *fp = mix(*fp, u64::from_le_bytes(word));
+            *fp = fold_word(*fp, u64::from_le_bytes(word));
         }
     }
     for (fp, (_, payload)) in fps.iter_mut().zip(&frames) {
-        le_words(&payload[common..], |word| *fp = mix(*fp, word));
+        le_words(&payload[common..], |word| *fp = fold_word(*fp, word));
     }
     fps
 }
@@ -251,7 +257,8 @@ mod tests {
             tenant: "acme".into(),
             points: vec![(0, 500, 1.5)],
             series_before: None,
-            watermarks: vec![(Named::Spelled(0), 0x1234)],
+            watermarks: vec![Named::Spelled(0)],
+            digest: 0x1234,
             spelled: vec![MetricId::new("web", "cpu")],
         })
     }
@@ -328,21 +335,23 @@ mod tests {
     }
 
     /// The admin frames of [`golden_events`], sequence numbers 1..=3, as
-    /// this build writes them. The call-graph frame (tag 2) is the bytes
-    /// every build since the decoder was rewritten around borrowed strings
-    /// (commit 8310c95) wrote. The tenant-created (tag 5) and retention
-    /// (tag 3) frames are format 6's: each retention policy without the
-    /// tier capacity that format 5 wrote after it, 8 bytes shorter. A
-    /// change that makes one of them stop decoding to its event, or encode
-    /// differently, strands the directories holding them.
+    /// this build writes them. Their payloads are format 7's, byte for
+    /// byte: the call-graph payload (tag 2) is what every build since the
+    /// decoder was rewritten around borrowed strings (commit 8310c95)
+    /// wrote, and the tenant-created (tag 5) and retention (tag 3) payloads
+    /// are format 6's, each retention policy without the tier capacity that
+    /// format 5 wrote after it. Format 8 changed their checksums only (the
+    /// one-multiply step). A change that makes one of them stop decoding to
+    /// its event, or encode differently, strands the directories holding
+    /// them.
     const GOLDEN_FRAMES: [&str; 3] = [
-        "8e0000000100000000000000fdf1d737d1c08fcd050400000061636d65fa000000000000007b14ae47e17a843f03\
+        "8e0000000100000000000000727ffcf95c692dfe050400000061636d65fa000000000000007b14ae47e17a843f03\
          000000000000000400000000000000110000000000000005000000000000007b14ae47e17a843f03000000000000\
          000180000000000000000300000000000000020000006462060000006c6f6e656c79030000007765620100000000\
          000000030000007765620200000064620c00000000000000",
-        "4500000002000000000000005c55f27383411102020400000061636d650300000000000000020000006462060000\
+        "450000000200000000000000785a7dc9f925a380020400000061636d650300000000000000020000006462060000\
          006c6f6e656c79030000007765620100000000000000030000007765620200000064620c00000000000000",
-        "120000000300000000000000a3f74cc913de0346030400000061636d65014000000000000000",
+        "120000000300000000000000ca105c05a8e808c8030400000061636d65014000000000000000",
     ];
 
     /// The events [`GOLDEN_FRAMES`] and [`GOLDEN_SLOTTED_FRAME`] encode.
@@ -383,22 +392,25 @@ mod tests {
                 tenant: "acme".into(),
                 points: vec![(1, 500, 1.5), (0, 500, -3.25)],
                 series_before: Some(5),
-                watermarks: vec![(Named::Spelled(0), 0xABCD), (Named::Placed(3), 0x1234)],
+                watermarks: vec![Named::Spelled(0), Named::Placed(3)],
+                digest: 0xABCD_1234,
                 spelled: vec![MetricId::new("db", "mem")],
             }),
         ]
     }
 
-    /// `encode(4, &golden_events()[3])`: the ingest batch as format 7 writes
+    /// `encode(4, &golden_events()[3])`: the ingest batch as format 8 writes
     /// it (tag 6) — the store held five series before it, `db/mem` is
-    /// created and spelled, the series at place 3 is named by it, and each
-    /// point is a one-byte slot. This is what a directory written today
-    /// holds; the format-6 frame of the same points spelled both ids and
-    /// had no series count (102 bytes of payload here, 91 now).
+    /// created and spelled, the series at place 3 is named by it, one digest
+    /// stands for both fingerprints, both points sit at the base timestamp
+    /// 500 and each point is a one-byte slot, a one-byte distance and its
+    /// value. This is what a directory written today holds: 63 bytes of
+    /// payload, where format 7 spent 91 (a fingerprint per watermark, a
+    /// timestamp per point and 8-byte counts) and format 6 102 (both ids
+    /// spelled, no series count).
     const GOLDEN_SLOTTED_FRAME: &str =
-        "5b00000004000000000000008fe962b8f41b95bc060400000061636d650602000000000000000002000000646203\
-         0000006d656dcdab000000000000043412000000000000020000000000000001f401000000000000000000000000\
-         f83f00f4010000000000000000000000000ac0";
+        "3f00000004000000000000005b99eb6726f5778d060400000061636d65060200020000006462030000006d656d04\
+         3412cdab0000000002f4010000000000000100000000000000f83f00000000000000000ac0";
 
     /// Asserts that `golden` is one whole frame of sequence `seq` that
     /// decodes to `event`.
@@ -437,14 +449,144 @@ mod tests {
         assert_decodes_to(&golden, 4, &event);
     }
 
-    /// [`checksum`] as it was before it folded whole words without a copy,
-    /// verbatim.
+    #[test]
+    fn every_one_and_two_bit_flip_of_a_frame_is_refused() {
+        // The golden ingest frame, as encoded: a 20-byte header and a
+        // 63-byte payload, 664 bits, so 664 single flips and 220,116 pairs,
+        // across the length, the sequence number, the checksum and the
+        // payload. A pair is refused by the checksum itself, not by a
+        // decode that happens to fail.
+        let frame = encode(4, &golden_events()[3]);
+        assert_eq!(frame.len(), HEADER_LEN + 63);
+        let bits = 8 * frame.len();
+        let verifies = |torn: &[u8]| match Header::at(torn, 0) {
+            Ok(Some(header)) => checksum(header.seq, header.payload(torn)) == header.stored,
+            _ => false,
+        };
+        let refused =
+            |torn: &[u8]| !verifies(torn) && matches!(parse_at(torn, 0), Parsed::Bad { .. });
+        assert!(verifies(&frame));
+        let mut torn = frame.clone();
+        let mut pairs = 0;
+        for first in 0..bits {
+            torn[first / 8] ^= 1 << (first % 8);
+            assert!(refused(&torn), "flip of bit {first}");
+            for second in first + 1..bits {
+                torn[second / 8] ^= 1 << (second % 8);
+                assert!(refused(&torn), "flips of bits {first} and {second}");
+                torn[second / 8] ^= 1 << (second % 8);
+                pairs += 1;
+            }
+            torn[first / 8] ^= 1 << (first % 8);
+        }
+        assert_eq!((torn, pairs), (frame, 220_116));
+    }
+
+    /// A deterministic stream of pseudo-random words.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            splitmix64(state)
+        }
+    }
+
+    /// `bytes` after one to four random edits: a bit flipped, a byte set
+    /// (often to a varint's or a count's edge), a cut, or a byte inserted.
+    fn mutate(bytes: &[u8], rand: &mut impl FnMut() -> u64) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for _ in 0..1 + rand() % 4 {
+            let at = |len: usize, r: u64| (r % (len as u64 + 1)) as usize;
+            match rand() % 4 {
+                0 if !out.is_empty() => {
+                    let byte = at(out.len() - 1, rand());
+                    out[byte] ^= 1 << (rand() % 8);
+                }
+                1 if !out.is_empty() => {
+                    let byte = at(out.len() - 1, rand());
+                    out[byte] = [0x00, 0x01, 0x7F, 0x80, 0xFF, rand() as u8][(rand() % 6) as usize];
+                }
+                2 => out.truncate(at(out.len(), rand())),
+                _ => {
+                    let byte = at(out.len(), rand());
+                    out.insert(byte, rand() as u8);
+                }
+            }
+        }
+        out
+    }
+
+    /// Whether `payload` decodes, asserting that an ingest batch it decodes
+    /// to re-encodes to exactly `payload`: a batch has one spelling.
+    fn decodes_to_its_one_spelling(payload: &[u8], reused: &mut IngestBatch) -> bool {
+        match WalEvent::decode_into(payload, reused) {
+            Ok(crate::event::Decoded::Ingest) => {
+                let mut again = Vec::new();
+                WalEvent::IngestBatch(reused.clone()).encode(&mut again);
+                assert_eq!(
+                    again, payload,
+                    "a decoded ingest payload re-encodes to its bytes"
+                );
+                true
+            }
+            Ok(crate::event::Decoded::Admin(_)) => true,
+            Err(_) => false,
+        }
+    }
+
+    #[test]
+    fn mutated_golden_payloads_and_frames_decode_or_are_refused_without_panicking() {
+        // 100,000 mutations of each golden payload — the ingest batch and
+        // the three admin events — and of the golden ingest frame, whose
+        // checksum is recomputed after the edit so that every mutation
+        // reaches the decoder. Run in the debug build, so every
+        // `debug_assert!` on the way counts.
+        const MUTATIONS: usize = 100_000;
+        let mut rand = rng(0x0B5E_55ED);
+        let mut reused = IngestBatch::default();
+        let payloads = GOLDEN_FRAMES
+            .iter()
+            .chain([&GOLDEN_SLOTTED_FRAME])
+            .map(|hex| unhex(hex)[HEADER_LEN..].to_vec());
+        let mut accepted = Vec::new();
+        for golden in payloads {
+            let decoded = (0..MUTATIONS)
+                .filter(|_| decodes_to_its_one_spelling(&mutate(&golden, &mut rand), &mut reused))
+                .count();
+            accepted.push(decoded);
+        }
+
+        let frame = unhex(GOLDEN_SLOTTED_FRAME);
+        let mut framed = 0;
+        for _ in 0..MUTATIONS {
+            let mut torn = mutate(&frame, &mut rand);
+            if let Ok(Some(header)) = Header::at(&torn, 0) {
+                let sum = checksum(header.seq, header.payload(&torn));
+                torn[12..20].copy_from_slice(&sum.to_le_bytes());
+            }
+            if let Parsed::Frame { event, end, .. } = parse_at(&torn, 0) {
+                if let WalEvent::IngestBatch(batch) = &event {
+                    let mut again = Vec::new();
+                    WalEvent::IngestBatch(batch.clone()).encode(&mut again);
+                    assert_eq!(again, torn[HEADER_LEN..end], "one spelling");
+                }
+                framed += 1;
+            }
+        }
+        // Not vacuous: a share of each kind decodes — a value or the
+        // digest flipped, a name's byte changed — and is held to its
+        // spelling.
+        assert!(accepted.iter().all(|&n| n > 1_000), "{accepted:?}");
+        assert!(framed > 1_000, "{framed}");
+    }
+
+    /// [`checksum`] as one chain over chunks copied out one by one.
     fn checksum_reference(seq: u64, payload: &[u8]) -> u64 {
-        let mut fp = mix(mix(CHECKSUM_SEED, seq), payload.len() as u64);
+        let mut fp = fold_word(fold_word(CHECKSUM_SEED, seq), payload.len() as u64);
         for chunk in payload.chunks(8) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            fp = mix(fp, u64::from_le_bytes(word));
+            fp = fold_word(fp, u64::from_le_bytes(word));
         }
         fp
     }

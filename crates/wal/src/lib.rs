@@ -30,8 +30,9 @@
 //! # Torn writes and corruption
 //!
 //! A crash can tear the last frame, and disks can flip bits. Every frame
-//! carries a [`hash::splitmix64`]-mixed checksum over its sequence number
-//! and payload; [`LogFrames`] stops at the first frame that fails
+//! carries a checksum over its sequence number and payload, one
+//! [`hash::fold_word`] step per word; [`LogFrames`] stops at the first
+//! frame that fails
 //! verification and then *resynchronizes* — scanning forward for valid
 //! frame headers — so the events lost to a mid-file corruption are
 //! counted per tenant instead of silently discarded. Recovery applies
@@ -43,7 +44,7 @@
 //! at seeded offsets and flips bits in the files themselves, then checks
 //! that recovery applies exactly the intact prefix.
 //!
-//! [`hash::splitmix64`]: sieve_exec::hash::splitmix64
+//! [`hash::fold_word`]: sieve_exec::hash::fold_word
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -428,7 +428,8 @@ mod tests {
             tenant: tenant.into(),
             points: vec![(0, t, t as f64)],
             series_before: None,
-            watermarks: vec![(Named::Spelled(0), t ^ 0xABCD)],
+            watermarks: vec![Named::Spelled(0)],
+            digest: t ^ 0xABCD,
             spelled: vec![MetricId::new("web", "cpu")],
         })
     }
@@ -443,10 +444,8 @@ mod tests {
                 .map(|i| ((i % 2) as u32, t + i / 2 * 500, i as f64 * 0.5))
                 .collect(),
             series_before: Some(1),
-            watermarks: vec![
-                (Named::Placed(0), t ^ 0x1234),
-                (Named::Spelled(0), t ^ 0xABCD),
-            ],
+            watermarks: vec![Named::Placed(0), Named::Spelled(0)],
+            digest: t ^ 0x1234,
             spelled: vec![MetricId::new("web", "cpu")],
         })
     }
@@ -847,10 +846,8 @@ mod tests {
                 .map(|&(id, timestamp_ms, value)| (slot(id), timestamp_ms, value))
                 .collect(),
             series_before: None,
-            watermarks: (0u32..)
-                .zip(list)
-                .map(|(i, w)| (Named::Spelled(i), w.fingerprint))
-                .collect(),
+            watermarks: (0..list.len() as u32).map(Named::Spelled).collect(),
+            digest: outcome.watermarks.digest(),
             spelled: list.iter().map(|w| w.id.clone()).collect(),
         });
         let log = encode(1, &event);
@@ -859,7 +856,7 @@ mod tests {
         let Some((1, Frame::Ingest(batch))) = frames.next() else {
             panic!("one ingest frame");
         };
-        let applied = copy.record_batch_verified(&batch.points, None, batch.named_watermarks());
+        let applied = copy.record_batch_verified(&batch.points, None, batch.names(), batch.digest);
         assert_eq!(applied, Some(outcome.accepted));
         assert_eq!(copy.series_count(), 7);
         assert_eq!(copy.freeze(), store.freeze());

@@ -52,9 +52,10 @@ fn body_checksum(body: &[u8]) -> u64 {
 ///
 /// The body is cut into quarters at multiples of eight bytes (the last
 /// quarter takes the remainder) and checksummed as four frames are, with
-/// [`checksums`]: four mix chains in lockstep, each seeded with its lane,
-/// so equal quarters sum apart. The four sums are then folded, in lane
-/// order, into one word.
+/// [`checksums`]: four chains of one-multiply steps
+/// ([`sieve_exec::hash::fold_word`]) in lockstep, each seeded with its
+/// lane, so equal quarters sum apart. The four sums are then folded, in
+/// lane order, into one word with [`mix`], once per lane.
 pub(crate) fn lane_checksum(seed: u64, body: &[u8]) -> u64 {
     let quarter = body.len() / 32 * 8;
     let lanes = std::array::from_fn(|lane| {
@@ -242,7 +243,7 @@ mod tests {
         }
         // A file of any other version, older or newer: the layout is not
         // this build's, whatever the checksum says.
-        for other in [1, 2, 3, 4, 5, 6, FORMAT + 1] {
+        for other in [1, 2, 3, 4, 5, 6, 7, FORMAT + 1] {
             let mut stale = bytes.clone();
             stale[8..12].copy_from_slice(&other.to_le_bytes());
             assert_eq!(
@@ -297,9 +298,22 @@ mod tests {
         (snapshot, store)
     }
 
-    /// `ShardSnapshot::encode` of [`golden_snapshot`] today, format 7: the
+    /// `ShardSnapshot::encode` of [`golden_snapshot`] today, format 8: the
     /// bytes a directory written today holds.
     const GOLDEN_SNAPSHOT: &str =
+        "50414e53564549530800000047a81610e32de52c01000000000000000700000000000000010000000000000004000000\
+         61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
+         000000007b14ae47e17a843f030000000000000001030000000000000002000000000000000200000064620300000077\
+         656201000000000000000300000077656202000000646203000000000000000103000000000000000100000000000000\
+         11000000000000000c000000000000000200000000000000020000006462030000006d656d0200000000000000000000\
+         0000000000f401000000000000000000000000f43f00000000000004c00d131ea9e317bdb20003000000776562030000\
+         00637075030000000000000070170000000000006419000000000000581b000000000000000000000000004000000000\
+         000002400000000000000440fe4082463203469f01";
+
+    /// The same snapshot as the format-7 build wrote it: the same body under
+    /// version 7, and under the checksum whose step was two `splitmix64`
+    /// calls.
+    const GOLDEN_V7_SNAPSHOT: &str =
         "50414e535645495307000000712e540cfb2b18dc01000000000000000700000000000000010000000000000004000000\
          61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
          000000007b14ae47e17a843f030000000000000001030000000000000002000000000000000200000064620300000077\
@@ -376,8 +390,9 @@ mod tests {
         assert_eq!(restored.fingerprint(&mem), Some(0x4907_5a54_4892_c63d));
         assert_eq!(restored.freeze(), live.freeze());
 
-        // Format 7 changed the log's ingest frames, not the snapshot: the
-        // body is the version-6 golden's.
+        // Formats 7 and 8 changed the log's ingest frames and the checksum
+        // step, not the snapshot body: it is the version-6 golden's.
+        assert_eq!(golden[20..], unhex(GOLDEN_V7_SNAPSHOT)[20..]);
         assert_eq!(golden[20..], unhex(GOLDEN_V6_SNAPSHOT)[20..]);
 
         // Against the version-5 body, each retention policy lost its tier
@@ -484,6 +499,11 @@ mod tests {
     #[test]
     fn a_version_6_snapshot_is_refused_as_unsupported() {
         assert_refused_as_unsupported(GOLDEN_V6_SNAPSHOT, 6);
+    }
+
+    #[test]
+    fn a_version_7_snapshot_is_refused_as_unsupported() {
+        assert_refused_as_unsupported(GOLDEN_V7_SNAPSHOT, 7);
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub(crate) mod testing {
             tenant: "acme".into(),
             points: vec![(0, t, t as f64)],
             series_before: None,
-            watermarks: vec![(Named::Spelled(0), t)],
+            watermarks: vec![Named::Spelled(0)],
+            digest: t,
             spelled: vec![MetricId::new("web", "cpu")],
         })
     }
