@@ -95,8 +95,9 @@ impl SieveConfig {
     ///
     /// Returns [`crate::SieveError::InvalidConfig`] when the interval is
     /// zero, the cluster range is empty, the k-Shape iteration cap is zero,
-    /// the variance threshold is negative, or the Granger or retention
-    /// settings are out of range.
+    /// the variance threshold is negative, or the Granger settings are out
+    /// of range. A retention policy is always valid: its capacity cannot be
+    /// zero.
     pub fn validate(&self) -> crate::Result<()> {
         if self.interval_ms == 0 {
             return Err(crate::SieveError::InvalidConfig {
@@ -132,9 +133,6 @@ impl SieveConfig {
                 reason: format!("granger: {e}"),
             });
         }
-        if let Err(reason) = self.retention.validate() {
-            return Err(crate::SieveError::InvalidConfig { reason });
-        }
         Ok(())
     }
 }
@@ -160,16 +158,8 @@ mod tests {
     #[test]
     fn retention_builder_and_validation() {
         let c = SieveConfig::default().with_retention(RetentionPolicy::windowed(256));
-        assert_eq!(c.retention.raw_capacity, Some(256));
+        assert_eq!(c.retention.raw_capacity(), Some(256));
         assert!(c.validate().is_ok());
-
-        let bad = SieveConfig {
-            retention: RetentionPolicy {
-                raw_capacity: Some(0),
-            },
-            ..SieveConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]

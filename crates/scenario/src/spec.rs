@@ -371,7 +371,7 @@ mod tests {
         spec.validate().unwrap();
         assert_eq!(spec.total_ticks(), 32);
         assert_eq!(spec.duration_ms(), 16_000);
-        assert_eq!(spec.retention().raw_capacity, Some(16));
+        assert_eq!(spec.retention().raw_capacity(), Some(16));
         assert_eq!(spec.root_cause(), Some((SVC_A, 2)));
         assert_eq!(spec.events_at(2).count(), 1);
         assert_eq!(spec.events_at(0).count(), 0);
@@ -379,7 +379,7 @@ mod tests {
         let config = spec.analysis_config(4);
         assert_eq!(config.interval_ms, 500);
         assert_eq!(config.parallelism, 4);
-        assert_eq!(config.retention.raw_capacity, Some(16));
+        assert_eq!(config.retention.raw_capacity(), Some(16));
     }
 
     #[test]

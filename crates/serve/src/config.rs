@@ -274,9 +274,5 @@ mod tests {
         let c = ServeConfig::default().with_retention(RetentionPolicy::windowed(128));
         assert_eq!(c.analysis.retention, RetentionPolicy::windowed(128));
         assert!(c.validate().is_ok());
-        let bad = ServeConfig::default().with_retention(RetentionPolicy {
-            raw_capacity: Some(0),
-        });
-        assert!(bad.validate().is_err());
     }
 }

@@ -18,7 +18,7 @@ use crate::stats::ServiceStats;
 use crate::tenant::{Mutation, Tenant};
 use crate::Result;
 use sieve_exec::hash::shard_index;
-use sieve_wal::{FsyncPolicy, GroupCommitLog, ShardDir, ShardSnapshot, TenantSnapshot, WalEvent};
+use sieve_wal::{AdminEvent, FsyncPolicy, GroupCommitLog, ShardDir, ShardSnapshot, TenantSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -87,7 +87,7 @@ impl SieveService {
     /// the cadence tripped) fails: the mutation *is* applied in memory but
     /// not durable.
     pub(crate) fn mutate(&self, tenant: &Arc<Tenant>, mutation: Mutation<'_>) -> Result<usize> {
-        let creating = matches!(mutation, Mutation::Admin(WalEvent::TenantCreated { .. }));
+        let creating = matches!(mutation, Mutation::Admin(AdminEvent::TenantCreated { .. }));
         // `apply` returns `None` only for a replayed batch, which never
         // comes this way.
         let Some(durable) = &self.durable else {

@@ -25,7 +25,7 @@ use sieve_exec::hash::shard_index;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::MetricStore;
-use sieve_wal::{Frame, IngestBatch, ShardDir, WalError, WalEvent};
+use sieve_wal::{AdminEvent, Frame, IngestBatch, ShardDir, WalError, WalEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -415,7 +415,7 @@ fn replay(
         let name = frame.tenant().to_string();
         let mut introduced = Replaying::default();
         match frame {
-            Frame::Admin(WalEvent::TenantCreated {
+            Frame::Admin(AdminEvent::TenantCreated {
                 tenant,
                 config,
                 call_graph,
@@ -433,7 +433,7 @@ fn replay(
         _ if replayed.lost.events > 0 => None,
         // A second creation record means the log and the snapshot
         // disagree: degrade rather than guess.
-        (_, Frame::Admin(WalEvent::TenantCreated { .. })) | (None, _) => None,
+        (_, Frame::Admin(AdminEvent::TenantCreated { .. })) | (None, _) => None,
         (Some(tenant), Frame::Admin(event)) => tenant.apply(Mutation::Admin(event), None),
         (Some(tenant), Frame::Ingest(batch)) => tenant.apply(Mutation::Replay(batch), None),
     };

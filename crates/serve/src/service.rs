@@ -11,7 +11,7 @@ use sieve_core::SieveModel;
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{MetricStore, RetentionPolicy};
-use sieve_wal::{ShardDir, WalError, WalEvent, FORMAT};
+use sieve_wal::{AdminEvent, ShardDir, WalError, FORMAT};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -147,7 +147,7 @@ impl SieveService {
     ) -> Result<()> {
         let name = name.into();
         let config = self.config.analysis.clone().with_retention(retention);
-        let created = WalEvent::TenantCreated {
+        let created = AdminEvent::TenantCreated {
             tenant: name.clone(),
             config: Box::new(config.clone()),
             call_graph: call_graph.clone(),
@@ -218,7 +218,7 @@ impl SieveService {
     /// [`ServeError::Wal`] when the durable commit fails.
     pub fn set_call_graph(&self, tenant: &str, call_graph: CallGraph) -> Result<()> {
         let tenant = self.registry.get(tenant)?;
-        let replaced = WalEvent::CallGraphReplaced {
+        let replaced = AdminEvent::CallGraphReplaced {
             tenant: tenant.name.clone(),
             call_graph,
         };
@@ -234,16 +234,11 @@ impl SieveService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] when the policy is out of range (a
-    /// zero raw capacity), before anything is applied or logged;
     /// [`ServeError::UnknownTenant`] when `tenant` is not registered;
     /// [`ServeError::Wal`] when the durable commit fails.
     pub fn set_retention(&self, tenant: &str, retention: RetentionPolicy) -> Result<()> {
-        retention
-            .validate()
-            .map_err(|reason| ServeError::InvalidConfig { reason })?;
         let tenant = self.registry.get(tenant)?;
-        let changed = WalEvent::RetentionChanged {
+        let changed = AdminEvent::RetentionChanged {
             tenant: tenant.name.clone(),
             retention,
         };
@@ -467,8 +462,18 @@ impl SieveService {
     /// count, a snapshot in another shard's file, or a tenant found in a
     /// shard its name does not route to are refused, never recovered
     /// "clean" with tenants missing or misrouted. Every shard is read
-    /// before anything is written, so a refusal (or a tenant whose session
-    /// cannot be rebuilt) leaves the directory untouched.
+    /// before anything is written, so a refusal leaves the directory
+    /// untouched.
+    ///
+    /// What a snapshot or a log hands back is held to what this build
+    /// writes before any tenant is opened over it, checksum or not. A
+    /// store image that breaks the store's rule, a zero retention capacity,
+    /// or a configuration that
+    /// [`SieveConfig::validate`](sieve_core::SieveConfig::validate)
+    /// refuses makes a snapshot read as corrupt (the shard recovers from
+    /// its log) and a frame as corrupt (its tenant's lost suffix), as a
+    /// checksum mismatch does. One bad image never keeps the other tenants
+    /// down.
     ///
     /// # Errors
     ///
@@ -478,9 +483,11 @@ impl SieveService {
     /// section (or is otherwise invalid) or the directory was written
     /// with a different shard count, [`ServeError::UnknownEventTag`] when a
     /// log holds a checksum-verified frame of an event tag this build does
-    /// not read (another build wrote it), [`ServeError::Wal`] on I/O failures,
-    /// [`ServeError::Analysis`] when a recovered tenant's session cannot
-    /// be rebuilt.
+    /// not read (another build wrote it), [`ServeError::Wal`] on I/O
+    /// failures. A session refuses only a configuration that
+    /// [`SieveConfig::validate`](sieve_core::SieveConfig::validate)
+    /// refuses, which decoding has refused already, so
+    /// [`ServeError::Analysis`] does not come out of a decoded record.
     pub fn recover(config: ServeConfig) -> Result<(Self, RecoveryReport)> {
         config.validate()?;
         let shard_count = config.shard_count;

@@ -6,7 +6,7 @@
 use super::*;
 use crate::TenantRecovery;
 use sieve_core::{Sieve, SieveConfig};
-use sieve_wal::{IngestBatch, WalEvent};
+use sieve_wal::{AdminEvent, IngestBatch, WalEvent};
 use std::collections::BTreeMap;
 
 fn tiny_config() -> ServeConfig {
@@ -343,47 +343,6 @@ fn set_retention_dirties_the_tenant_for_the_next_sweep() {
 }
 
 #[test]
-fn set_retention_refuses_an_out_of_range_policy() {
-    let dir = temp_dir("refused-retention");
-    let config = tiny_config()
-        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(1_000_000));
-    let service = SieveService::new(config.clone()).unwrap();
-    service
-        .create_tenant_with_retention("acme", web_db_graph(), RetentionPolicy::windowed(60))
-        .unwrap();
-    ingest_wave(&service, "acme", 0..40, 0.0);
-    let log = dir.join(sieve_wal::log_file_name(sieve_exec::hash::shard_index(
-        "acme", 4,
-    )));
-    let logged = std::fs::metadata(&log).unwrap().len();
-
-    // The field is public, so a policy that would evict every point it
-    // accepts can be built: neither the store nor the log may see it.
-    let zero_window = RetentionPolicy {
-        raw_capacity: Some(0),
-    };
-    assert!(matches!(
-        service.set_retention("acme", zero_window),
-        Err(ServeError::InvalidConfig { .. })
-    ));
-    assert_eq!(
-        service.retention("acme").unwrap(),
-        RetentionPolicy::windowed(60)
-    );
-    assert_eq!(service.store("acme").unwrap().point_count(), 4 * 40);
-    assert_eq!(std::fs::metadata(&log).unwrap().len(), logged);
-    drop(service);
-
-    let (recovered, report) = SieveService::recover(config).unwrap();
-    assert!(report.is_clean(), "{report}");
-    assert_eq!(
-        recovered.retention("acme").unwrap(),
-        RetentionPolicy::windowed(60)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn a_refused_creation_leaves_no_tenant_and_no_record() {
     let dir = temp_dir("refused-creation");
     let config = tiny_config()
@@ -391,27 +350,17 @@ fn a_refused_creation_leaves_no_tenant_and_no_record() {
     let service = SieveService::new(config.clone()).unwrap();
     service.create_tenant("acme", web_db_graph()).unwrap();
     ingest_wave(&service, "acme", 0..40, 0.0);
-    let log_len = |name: &str| {
-        let shard = sieve_exec::hash::shard_index(name, 4);
-        std::fs::metadata(dir.join(sieve_wal::log_file_name(shard)))
-            .unwrap()
-            .len()
-    };
-    let logged = [log_len("acme"), log_len("zero")];
+    let log = dir.join(sieve_wal::log_file_name(sieve_exec::hash::shard_index(
+        "acme", 4,
+    )));
+    let logged = std::fs::metadata(&log).unwrap().len();
 
-    let zero_window = RetentionPolicy {
-        raw_capacity: Some(0),
-    };
-    assert!(matches!(
-        service.create_tenant_with_retention("zero", web_db_graph(), zero_window),
-        Err(ServeError::Analysis { .. })
-    ));
     assert!(matches!(
         service.create_tenant("acme", CallGraph::new()),
         Err(ServeError::DuplicateTenant { .. })
     ));
     assert_eq!(service.tenant_count(), 1);
-    assert_eq!([log_len("acme"), log_len("zero")], logged);
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), logged);
     drop(service);
 
     let (recovered, report) = SieveService::recover(config).unwrap();
@@ -935,13 +884,13 @@ fn a_verified_frame_of_the_retired_tag_1_is_refused_not_truncated() {
     let (mut payload, mut graph) = (Vec::new(), Vec::new());
     let tenant = Name::new("gamma");
     let call_graph = web_db_graph();
-    WalEvent::TenantCreated {
+    AdminEvent::TenantCreated {
         tenant: tenant.clone(),
         config: Box::new(config.analysis.clone()),
         call_graph: call_graph.clone(),
     }
     .encode(&mut payload);
-    WalEvent::CallGraphReplaced { tenant, call_graph }.encode(&mut graph);
+    AdminEvent::CallGraphReplaced { tenant, call_graph }.encode(&mut graph);
     let configured = payload.len() - (graph.len() - (1 + 4 + "gamma".len()));
     payload[0] = 1;
     payload.splice(configured..configured, [0, 0]);
@@ -1060,6 +1009,121 @@ fn a_snapshot_version_other_than_the_directory_s_format_is_corruption() {
             std::fs::write(dir.join(name), bytes).unwrap();
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checksum_valid_snapshot_that_no_build_writes_is_corruption() {
+    let dir = temp_dir("snapshot-image");
+    // One shard, snapshotted after its third event, as above.
+    let config = tiny_config()
+        .with_shard_count(1)
+        .with_durability(crate::DurabilityConfig::new(&dir).with_snapshot_every_events(3));
+    let service = SieveService::new(config.clone()).unwrap();
+    service.create_tenant("acme", web_db_graph()).unwrap();
+    for round in 0..3u64 {
+        ingest_wave(&service, "acme", round * 10..(round + 1) * 10, 0.0);
+    }
+    drop(service);
+    let crashed = dir_bytes(&dir);
+    let path = dir.join(sieve_wal::snapshot_file_name(0));
+    let ours = sieve_wal::ShardSnapshot::read(&path).unwrap().unwrap();
+
+    // Each snapshot is written whole, its checksum over what it holds: a
+    // configuration the session refuses, or a store that counts one point
+    // more evicted than written. Neither keeps the service down: recovery
+    // reads the snapshot as corrupt and falls back to the log, as it does
+    // for a checksum mismatch.
+    let refused_config = |snapshot: &mut sieve_wal::ShardSnapshot| {
+        snapshot.tenants[0].config.interval_ms = 0;
+    };
+    let broken_store = |snapshot: &mut sieve_wal::ShardSnapshot| {
+        let store = &mut snapshot.tenants[0].store;
+        store.points_evicted = store.points_written + 1;
+    };
+    for (case, edit) in [
+        ("config", refused_config as fn(&mut _)),
+        ("store", broken_store),
+    ] {
+        let mut snapshot = ours.clone();
+        edit(&mut snapshot);
+        snapshot.write_atomic(&path).unwrap();
+        let (recovered, report) = SieveService::recover(config.clone()).unwrap();
+        let shard = &report.shards[0];
+        assert!(shard.snapshot_corrupt, "{case}");
+        assert_eq!(recovered.tenant_count(), 0, "{case}");
+        assert_eq!(
+            report.tenant("acme").and_then(|t| t.lost_suffix()).copied(),
+            Some(crate::LostSuffix {
+                events: 1,
+                points: 40
+            }),
+            "{case}: the tail wave of a tenant no record introduces"
+        );
+        drop(recovered);
+        for (name, bytes) in &crashed {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+    }
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(recovered.store("acme").unwrap().point_count(), 4 * 30);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_creation_record_whose_config_the_session_refuses_is_a_corrupt_frame() {
+    let dir = temp_dir("refused-config-record");
+    let config = directory_to_extend(&dir);
+    // `epsilon` shares shard 1 with `beta`. Its creation record is whole,
+    // checksum and all, but names a configuration the session refuses; a
+    // retention change of it follows.
+    let tenant = Name::new("epsilon");
+    let refused = SieveConfig {
+        interval_ms: 0,
+        ..config.analysis.clone()
+    };
+    let (mut created, mut changed) = (Vec::new(), Vec::new());
+    AdminEvent::TenantCreated {
+        tenant: tenant.clone(),
+        config: Box::new(refused),
+        call_graph: web_db_graph(),
+    }
+    .encode(&mut created);
+    AdminEvent::RetentionChanged {
+        tenant,
+        retention: RetentionPolicy::windowed(8),
+    }
+    .encode(&mut changed);
+    let (shard, offset) = append_verified_frame(&dir, &config, "epsilon", &created);
+    append_verified_frame(&dir, &config, "epsilon", &changed);
+    assert_eq!(shard, 1);
+
+    let (recovered, report) = SieveService::recover(config).unwrap();
+    let corruption = report.shards[shard].corruption.as_ref().unwrap();
+    assert_eq!(corruption.offset, offset);
+    assert!(
+        corruption.reason.contains("interval_ms"),
+        "{}",
+        corruption.reason
+    );
+    // The record is the corrupt frame, and what follows it is `epsilon`'s
+    // lost suffix; the tenants before it come back whole.
+    assert_eq!(
+        report.tenant("epsilon"),
+        Some(&TenantRecovery::Recovered {
+            points_replayed: 0,
+            lost_suffix: crate::LostSuffix {
+                events: 1,
+                points: 0
+            },
+        })
+    );
+    for name in ["alpha", "beta"] {
+        assert!(report.tenant(name).unwrap().is_clean(), "{name}");
+        assert_eq!(recovered.store(name).unwrap().point_count(), 4 * 20);
+    }
+    assert_eq!(recovered.tenants(), vec!["alpha", "beta"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,7 +8,7 @@ use sieve_core::{AnalysisSession, SessionCache, SessionStats, SieveConfig, Sieve
 use sieve_exec::Name;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::{BatchOutcome, MetricId, MetricStore};
-use sieve_wal::{IngestBatch, WalEvent};
+use sieve_wal::{AdminEvent, IngestBatch, WalEvent};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
@@ -80,7 +80,7 @@ pub(crate) enum Mutation<'a> {
     /// An admin event, applied as it is logged: a creation record (which
     /// [`Tenant::open`] already applied), a call-graph swap or a retention
     /// change.
-    Admin(WalEvent),
+    Admin(AdminEvent),
     /// A live ingest batch: the store reports the watermarks it produced.
     Ingest(&'a [MetricPoint]),
     /// A logged ingest batch: the store applies it only if it reproduces
@@ -199,14 +199,11 @@ impl Tenant {
         }
         match event {
             // `Tenant::open` built what the record describes.
-            WalEvent::TenantCreated { .. } => {}
-            WalEvent::CallGraphReplaced { call_graph, .. } => {
+            AdminEvent::TenantCreated { .. } => {}
+            AdminEvent::CallGraphReplaced { call_graph, .. } => {
                 self.session().set_call_graph(call_graph)
             }
-            WalEvent::RetentionChanged { retention, .. } => self.store.set_retention(retention),
-            // Ingest is lent to replay, never owned: a batch in this form
-            // is not applied.
-            WalEvent::IngestBatch(_) => return None,
+            AdminEvent::RetentionChanged { retention, .. } => self.store.set_retention(retention),
         }
         Some(0)
     }

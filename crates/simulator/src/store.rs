@@ -42,11 +42,24 @@
 //! retained window, windowed and unbounded stores produce bit-identical
 //! analysis results; they diverge — deterministically — only once the
 //! analysis window no longer fits inside retention.
+//!
+//! # What a store may hold
+//!
+//! A store holds what ingest could have built, and the rule for that is
+//! stated once, as [`StoreState::validate`]: ids strictly ascending, as
+//! many values as timestamps, every point past the gate ingest runs (a
+//! finite value, strictly newer than the one before), no window longer
+//! than the capacity, and windows that sum to the points written less
+//! those evicted. A capacity is never zero ([`RetentionPolicy`] cannot
+//! hold one). Ingest keeps the rule point by point; an image read back
+//! from disk is checked against it where it is decoded, so
+//! [`MetricStore::restore`] trusts its input and repairs nothing.
 
 use sieve_exec::hash::{addr_pair_hash, fold_word, mix, mix_f64, FINGERPRINT_SEED};
 use sieve_exec::Name;
 use sieve_timeseries::{SeriesView, TimeSeries};
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, RwLock};
 
 /// Identifies one metric of one component.
@@ -79,8 +92,10 @@ impl std::fmt::Display for MetricId {
 /// The default ([`RetentionPolicy::unbounded`]) keeps every accepted point
 /// forever — the oracle mode used by offline experiments and by the
 /// property suite that validates the windowed mode. A bounded policy
-/// ([`RetentionPolicy::windowed`]) keeps the newest `raw_capacity` points
-/// per series; an evicted point is forgotten.
+/// ([`RetentionPolicy::windowed`]) keeps the newest
+/// [`raw_capacity`](RetentionPolicy::raw_capacity) points per series; an
+/// evicted point is forgotten. A capacity is never zero: no policy that
+/// would evict every point it accepts can be built.
 ///
 /// Eviction is count-based and happens on the ingestion path: the moment an
 /// accepted point would push a series past its capacity, exactly the oldest
@@ -89,8 +104,7 @@ impl std::fmt::Display for MetricId {
 /// `(policy, accepted stream)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionPolicy {
-    /// Maximum raw points retained per series; `None` means unbounded.
-    pub raw_capacity: Option<usize>,
+    raw_capacity: Option<NonZeroUsize>,
 }
 
 impl Default for RetentionPolicy {
@@ -111,27 +125,20 @@ impl RetentionPolicy {
     ///
     /// Panics if `raw_capacity` is zero.
     pub fn windowed(raw_capacity: usize) -> Self {
-        assert!(raw_capacity > 0, "raw_capacity must be positive");
+        let raw_capacity = NonZeroUsize::new(raw_capacity).expect("raw_capacity must be positive");
         Self {
             raw_capacity: Some(raw_capacity),
         }
     }
 
+    /// Maximum raw points retained per series; `None` means unbounded.
+    pub fn raw_capacity(&self) -> Option<usize> {
+        self.raw_capacity.map(NonZeroUsize::get)
+    }
+
     /// Whether this policy evicts at all.
     pub fn is_bounded(&self) -> bool {
         self.raw_capacity.is_some()
-    }
-
-    /// Validates the policy's parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid parameter.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.raw_capacity == Some(0) {
-            return Err("retention raw_capacity must be positive when set".to_string());
-        }
-        Ok(())
     }
 }
 
@@ -466,21 +473,16 @@ impl Head {
 
     /// The store's one acceptance rule, which live ingest and the
     /// simulation inside [`MetricStore::record_batch_verified`] both run: a
-    /// non-finite value is refused, then a timestamp not strictly newer than
-    /// the last; an accepted point extends the fingerprint and the window,
-    /// and a window that outgrows `raw_capacity` evicts its oldest point.
+    /// point must pass [`admit`]; an accepted point extends the fingerprint
+    /// and the window, and a window that outgrows `raw_capacity` evicts its
+    /// oldest point.
     fn accept(
         &mut self,
         timestamp_ms: u64,
         value: f64,
         raw_capacity: Option<usize>,
     ) -> Result<(), RejectReason> {
-        if !value.is_finite() {
-            return Err(RejectReason::NonFiniteValue);
-        }
-        if self.last_ts.is_some_and(|last| timestamp_ms <= last) {
-            return Err(RejectReason::NonMonotoneTimestamp);
-        }
+        admit(self.last_ts, timestamp_ms, value)?;
         self.last_ts = Some(timestamp_ms);
         self.fingerprint = extend_fingerprint(self.fingerprint, timestamp_ms, value);
         self.window_len += 1;
@@ -496,6 +498,73 @@ impl Head {
     fn evict(&mut self) {
         self.fingerprint = mix(self.fingerprint, EVICTION_TAG);
         self.window_len -= 1;
+    }
+}
+
+/// The gate every stored point passes, on ingest ([`Head::accept`]) and in
+/// an image ([`StoreState::validate`]) alike: a non-finite value is
+/// refused, then a timestamp not strictly newer than its series' last,
+/// `last_ts`.
+fn admit(last_ts: Option<u64>, timestamp_ms: u64, value: f64) -> Result<(), RejectReason> {
+    if !value.is_finite() {
+        return Err(RejectReason::NonFiniteValue);
+    }
+    if last_ts.is_some_and(|last| timestamp_ms <= last) {
+        return Err(RejectReason::NonMonotoneTimestamp);
+    }
+    Ok(())
+}
+
+impl StoreState {
+    /// The one rule of what a store may hold: whether ingest could have
+    /// built this image. Every image [`MetricStore::freeze`] takes holds
+    /// it, and an image read back from disk is held to it before
+    /// [`MetricStore::restore`] trusts it:
+    ///
+    /// - the series' ids ascend strictly;
+    /// - each series holds as many values as timestamps;
+    /// - each point passes the gate ingest runs (`admit`): a finite
+    ///   value, at a timestamp strictly newer than the one before it;
+    /// - no window is longer than the retention's capacity;
+    /// - the windows hold `points_written − points_evicted` points in all.
+    ///
+    /// # Errors
+    ///
+    /// The first clause the image breaks, and where.
+    pub fn validate(&self) -> Result<(), String> {
+        let capacity = self.retention.raw_capacity();
+        let mut retained = 0u64;
+        let mut previous: Option<&MetricId> = None;
+        for series in &self.series {
+            let id = &series.id;
+            if let Some(before) = previous.filter(|&before| before >= id) {
+                return Err(format!("ids not strictly ascending: {id} after {before}"));
+            }
+            previous = Some(id);
+            let len = series.timestamps_ms.len();
+            if series.values.len() != len {
+                let values = series.values.len();
+                return Err(format!("{id}: {len} timestamps but {values} values"));
+            }
+            let mut last_ts = None;
+            for (&timestamp_ms, &value) in series.timestamps_ms.iter().zip(&series.values) {
+                if let Err(reason) = admit(last_ts, timestamp_ms, value) {
+                    return Err(format!("{id}: {reason} at {timestamp_ms}"));
+                }
+                last_ts = Some(timestamp_ms);
+            }
+            if let Some(cap) = capacity.filter(|&cap| len > cap) {
+                return Err(format!("{id}: a window of {len} past the capacity {cap}"));
+            }
+            retained += len as u64;
+        }
+        let (written, evicted) = (self.points_written, self.points_evicted);
+        if written.checked_sub(evicted) != Some(retained) {
+            return Err(format!(
+                "windows of {retained} points in all, but {written} written less {evicted} evicted"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -541,7 +610,7 @@ impl StoreInner {
         let retention = self.retention;
         let found = self.index.get(id);
         let mut head = found.map_or(Head::EMPTY, |at| self.series[at].head());
-        head.accept(timestamp_ms, value, retention.raw_capacity)?;
+        head.accept(timestamp_ms, value, retention.raw_capacity())?;
         // The id is cloned only for a series' first point.
         let at = found.unwrap_or_else(|| self.insert(StoredSeries::new(id.clone())));
         let series = &mut self.series[at];
@@ -641,7 +710,7 @@ impl StoredSeries {
         self.timestamps_ms.push(timestamp_ms);
         self.values.push(value);
         let Some(cap) = retention
-            .raw_capacity
+            .raw_capacity()
             .filter(|&cap| self.window_len() > cap)
         else {
             return false;
@@ -670,7 +739,7 @@ impl StoredSeries {
     /// [`Head::evict`]'s to mix in.
     fn evict_oldest(&mut self, count: usize, raw_capacity: usize) {
         self.start += count;
-        if self.start >= raw_capacity.max(1) {
+        if self.start >= raw_capacity {
             self.timestamps_ms.drain(..self.start);
             self.values.drain(..self.start);
             self.start = 0;
@@ -729,7 +798,7 @@ impl MetricStore {
     pub fn set_retention(&self, policy: RetentionPolicy) {
         let mut inner = self.write();
         inner.retention = policy;
-        let Some(cap) = policy.raw_capacity else {
+        let Some(cap) = policy.raw_capacity() else {
             return;
         };
         let mut evicted = 0u64;
@@ -977,7 +1046,7 @@ impl MetricStore {
             let sim = verify.slots.get_mut(slot as usize)?;
             if sim
                 .head
-                .accept(timestamp_ms, value, retention.raw_capacity)
+                .accept(timestamp_ms, value, retention.raw_capacity())
                 .is_err()
             {
                 continue;
@@ -1218,17 +1287,17 @@ impl MetricStore {
     /// continues bit-identically to the frozen one: identical
     /// windows, fingerprints, epoch watermark, pending dirt and counters
     /// under any subsequent sequence of operations.
+    ///
+    /// The image must hold [`StoreState::validate`]'s rule, as every image
+    /// [`MetricStore::freeze`] takes and every image the durable decoder
+    /// returns does; a debug build asserts it. The series move in as they
+    /// are and the index is built once.
     pub fn restore(state: StoreState) -> MetricStore {
-        let mut inner = StoreInner {
-            series: Vec::with_capacity(state.series.len()),
-            epoch: state.epoch,
-            retention: state.retention,
-            points_written: state.points_written,
-            points_evicted: state.points_evicted,
-            ..StoreInner::default()
-        };
-        for s in state.series {
-            let series = StoredSeries {
+        debug_assert_eq!(state.validate(), Ok(()), "an image ingest cannot build");
+        let series: Vec<StoredSeries> = state
+            .series
+            .into_iter()
+            .map(|s| StoredSeries {
                 id: s.id,
                 timestamps_ms: s.timestamps_ms,
                 values: s.values,
@@ -1237,16 +1306,19 @@ impl MetricStore {
                 touched: s.touched,
                 last_batch: 0,
                 born_in_batch: 0,
-            };
-            // An image lists each id once, in order, so this appends; an id
-            // listed twice keeps its last image.
-            match inner.index.get(&series.id) {
-                Some(at) => inner.series[at] = series,
-                None => {
-                    inner.insert(series);
-                }
-            }
-        }
+            })
+            .collect();
+        let mut index = SeriesIndex::default();
+        index.rebuild(&series);
+        let inner = StoreInner {
+            series,
+            index,
+            epoch: state.epoch,
+            retention: state.retention,
+            points_written: state.points_written,
+            points_evicted: state.points_evicted,
+            ..StoreInner::default()
+        };
         MetricStore {
             inner: Arc::new(RwLock::new(inner)),
         }
@@ -1789,7 +1861,7 @@ mod tests {
             }
             let (_, fingerprint, len) = head.unwrap_or((0, FINGERPRINT_SEED, 0));
             let mut next = (t, mix_f64(mix(fingerprint, t), v), len + 1);
-            if policy.raw_capacity.is_some_and(|cap| next.2 > cap) {
+            if policy.raw_capacity().is_some_and(|cap| next.2 > cap) {
                 next = (t, mix(next.1, EVICTION_TAG), next.2 - 1);
             }
             heads.insert(id.clone(), next);
@@ -2351,6 +2423,65 @@ mod tests {
             live.series(&id).unwrap().values()
         );
         assert_eq!(restored.freeze(), live.freeze());
+    }
+
+    #[test]
+    fn an_image_ingest_cannot_build_is_refused_by_the_clause_it_breaks() {
+        // Under a window of 3, `web/cpu` retains three of its five points
+        // and `db/mem` both of its two: 7 written, 2 evicted, 5 retained.
+        let store = MetricStore::with_retention(RetentionPolicy::windowed(3));
+        let (cpu, mem) = (MetricId::new("web", "cpu"), MetricId::new("db", "mem"));
+        for t in 0..5u64 {
+            store.record(&cpu, t * 500, t as f64);
+        }
+        store.record_batch([(&mem, 0, 1.0), (&mem, 500, 2.0)]);
+        let image = store.freeze();
+        assert_eq!(image.validate(), Ok(()));
+        assert_eq!(image.series[1].timestamps_ms, [1000, 1500, 2000]);
+        type Edit = fn(&mut StoreState);
+        let refused = |edit: Edit| {
+            let mut broken = image.clone();
+            edit(&mut broken);
+            broken.validate().unwrap_err()
+        };
+        let cases: [(Edit, &str); 8] = [
+            (
+                |s| s.series.swap(0, 1),
+                "ids not strictly ascending: db/mem after web/cpu",
+            ),
+            (
+                |s| s.series.insert(1, s.series[0].clone()),
+                "ids not strictly ascending: db/mem after db/mem",
+            ),
+            (
+                |s| s.series[1].values.truncate(2),
+                "web/cpu: 3 timestamps but 2 values",
+            ),
+            (
+                |s| s.series[1].timestamps_ms[2] = 1500,
+                "web/cpu: non-monotone timestamp at 1500",
+            ),
+            (
+                |s| s.series[1].values[1] = f64::NAN,
+                "web/cpu: non-finite value at 1500",
+            ),
+            (
+                |s| s.retention = RetentionPolicy::windowed(2),
+                "web/cpu: a window of 3 past the capacity 2",
+            ),
+            (
+                |s| s.points_written -= 1,
+                "windows of 5 points in all, but 6 written less 2 evicted",
+            ),
+            // Unchecked, `retained_point_count` would underflow.
+            (
+                |s| s.points_evicted = s.points_written + 1,
+                "windows of 5 points in all, but 7 written less 8 evicted",
+            ),
+        ];
+        for (edit, reason) in cases {
+            assert_eq!(refused(edit), reason);
+        }
     }
 
     #[test]

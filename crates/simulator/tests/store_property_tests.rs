@@ -53,6 +53,14 @@ fn record_all(store: &MetricStore, id: &MetricId, points: &[(u64, f64)]) {
     }
 }
 
+/// Asserts that `stores` hold the store's rule: what ingest builds, the
+/// rule a restored image is held to, admits.
+fn assert_images_hold_the_rule(seed: u64, stores: &[&MetricStore]) {
+    for store in stores {
+        assert_eq!(store.freeze().validate(), Ok(()), "seed {seed}");
+    }
+}
+
 #[test]
 fn equal_content_yields_equal_fingerprints_anywhere() {
     for seed in 0..CASES {
@@ -70,6 +78,7 @@ fn equal_content_yields_equal_fingerprints_anywhere() {
             b.fingerprint(&id),
             "seed {seed}: same accepted sequence, same fingerprint"
         );
+        assert_images_hold_the_rule(seed, &[&a, &b]);
     }
 }
 
@@ -129,6 +138,7 @@ fn any_content_change_changes_the_fingerprint() {
             Some(base_fp),
             "seed {seed}: dropped point must not change the fingerprint"
         );
+        assert_images_hold_the_rule(seed, &[&base, &m1, &m2, &m3, &m4]);
     }
 }
 
@@ -169,6 +179,7 @@ fn watermark_is_strictly_monotone_and_deltas_partition_the_writes() {
             let expected: Vec<MetricId> = touched_now.into_iter().collect();
             assert_eq!(delta.touched, expected, "seed {seed}");
             total_reported += delta.touched.len();
+            assert_images_hold_the_rule(seed, &[&store]);
         }
         // Draining again reports nothing new.
         assert!(store.drain_delta().is_empty(), "seed {seed}");
@@ -212,6 +223,7 @@ fn windowed_store_retains_exactly_the_unbounded_tail() {
         );
         // Cumulative accounting is retention-independent.
         assert_eq!(windowed.point_count(), oracle.point_count(), "seed {seed}");
+        assert_images_hold_the_rule(seed, &[&oracle, &windowed]);
     }
 }
 
@@ -250,6 +262,7 @@ fn eviction_changes_the_fingerprint_iff_points_were_dropped() {
             let take = rng.usize_in(1, rest.len());
             twin.record_batch(rest[..take].iter().map(|&(t, v)| (&id, t, v)));
             rest = &rest[take..];
+            assert_images_hold_the_rule(seed, &[&twin]);
         }
         assert_eq!(
             twin.fingerprint(&id),
@@ -272,7 +285,7 @@ fn watermark_and_delta_invariants_hold_under_interleaved_record_and_evict() {
         // Our own model of each series' retained length, kept exact so the
         // expected dirty set under tightening is computable.
         let mut retained = vec![0usize; ids.len()];
-        let mut cap = store.retention().raw_capacity.unwrap();
+        let mut cap = store.retention().raw_capacity().unwrap();
 
         let mut last_epoch = store.epoch();
         for _ in 0..rng.usize_in(1, 12) {
@@ -307,6 +320,7 @@ fn watermark_and_delta_invariants_hold_under_interleaved_record_and_evict() {
                 delta.touched, expected,
                 "seed {seed}: dirty set = written ∪ trimmed, sorted"
             );
+            assert_images_hold_the_rule(seed, &[&store]);
         }
         assert!(store.drain_delta().is_empty(), "seed {seed}");
         let model_retained: usize = retained.iter().sum();

@@ -12,6 +12,15 @@
 //! descriptive `Err(String)` that the frame/snapshot layers convert into
 //! checksummed-corruption accounting.
 //!
+//! Nor does it hand back what no build writes. A bug or a checksum
+//! collision can leave an image whose checksum verifies and which is still
+//! wrong, so what enters through here is held to the rule its type keeps
+//! elsewhere: a retention capacity of 0 ([`take_retention`], the one place
+//! a logged capacity becomes one), a configuration
+//! [`SieveConfig::validate`] refuses, and a store image that breaks the
+//! store's rule ([`StoreState::validate`]) are refused like a torn field,
+//! so such a frame reads as corrupt and such a snapshot as absent.
+//!
 //! A [`Name`] — an admin event's tenant, a metric id's component or metric,
 //! a checkpoint's cluster member — has one decode rule, [`take_name`]: it
 //! is interned through the process-wide pool ([`Name::new`]) at each sight,
@@ -259,7 +268,7 @@ pub(crate) fn take_metric_id(cur: &mut Cursor<'_>) -> DecodeResult<MetricId> {
 
 /// Appends a [`RetentionPolicy`].
 pub(crate) fn put_retention(buf: &mut Vec<u8>, policy: &RetentionPolicy) {
-    match policy.raw_capacity {
+    match policy.raw_capacity() {
         None => put_u8(buf, 0),
         Some(cap) => {
             put_u8(buf, 1);
@@ -268,14 +277,18 @@ pub(crate) fn put_retention(buf: &mut Vec<u8>, policy: &RetentionPolicy) {
     }
 }
 
-/// Reads a [`RetentionPolicy`].
+/// Reads a [`RetentionPolicy`]: the one place a logged capacity becomes
+/// one, for a snapshot's store, a creation record's configuration and a
+/// retention change alike. A capacity of 0 is refused.
 pub(crate) fn take_retention(cur: &mut Cursor<'_>) -> DecodeResult<RetentionPolicy> {
-    let raw_capacity = match cur.take_u8("retention tag")? {
-        0 => None,
-        1 => Some(cur.take_usize("retention raw capacity")?),
-        other => return Err(format!("retention tag: invalid byte {other}")),
-    };
-    Ok(RetentionPolicy { raw_capacity })
+    match cur.take_u8("retention tag")? {
+        0 => Ok(RetentionPolicy::unbounded()),
+        1 => match cur.take_usize("retention raw capacity")? {
+            0 => Err("retention raw capacity: 0".to_string()),
+            raw_capacity => Ok(RetentionPolicy::windowed(raw_capacity)),
+        },
+        other => Err(format!("retention tag: invalid byte {other}")),
+    }
 }
 
 /// Appends a full [`SieveConfig`], every result-affecting and
@@ -311,9 +324,10 @@ pub(crate) fn put_sieve_config(buf: &mut Vec<u8>, config: &SieveConfig) {
 }
 
 /// Reads a full [`SieveConfig`], in the field order of
-/// [`put_sieve_config`].
+/// [`put_sieve_config`], and refuses one [`SieveConfig::validate`] refuses:
+/// a session could not be opened over it.
 pub(crate) fn take_sieve_config(cur: &mut Cursor<'_>) -> DecodeResult<SieveConfig> {
-    Ok(SieveConfig {
+    let config = SieveConfig {
         interval_ms: cur.take_u64("interval_ms")?,
         variance_threshold: cur.take_f64("variance_threshold")?,
         min_clusters: cur.take_usize("min_clusters")?,
@@ -325,7 +339,9 @@ pub(crate) fn take_sieve_config(cur: &mut Cursor<'_>) -> DecodeResult<SieveConfi
         },
         parallelism: cur.take_usize("parallelism")?,
         retention: take_retention(cur)?,
-    })
+    };
+    config.validate().map_err(|error| error.to_string())?;
+    Ok(config)
 }
 
 /// Appends a [`CallGraph`] as its component list plus per-caller edge
@@ -407,7 +423,8 @@ pub(crate) fn put_store_state(buf: &mut Vec<u8>, state: &StoreState) {
     }
 }
 
-/// Reads a complete frozen store image.
+/// Reads a complete frozen store image, and refuses one that breaks the
+/// store's rule ([`StoreState::validate`]): ingest could not have built it.
 pub(crate) fn take_store_state(cur: &mut Cursor<'_>) -> DecodeResult<StoreState> {
     let retention = take_retention(cur)?;
     let epoch = cur.take_u64("store epoch")?;
@@ -418,13 +435,17 @@ pub(crate) fn take_store_state(cur: &mut Cursor<'_>) -> DecodeResult<StoreState>
     for _ in 0..series_len {
         series.push(take_series(cur)?);
     }
-    Ok(StoreState {
+    let state = StoreState {
         retention,
         epoch,
         points_written,
         points_evicted,
         series,
-    })
+    };
+    state
+        .validate()
+        .map_err(|reason| format!("store image: {reason}"))?;
+    Ok(state)
 }
 
 /// The bytes a golden fixture spells in hex.
@@ -563,6 +584,44 @@ mod tests {
         put_call_graph(&mut buf, &graph);
         let decoded = take_call_graph(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(decoded, graph);
+    }
+
+    #[test]
+    fn a_zero_capacity_a_refused_config_or_a_broken_image_does_not_decode() {
+        let zero = "retention raw capacity: 0";
+        let mut policy = vec![1];
+        put_usize(&mut policy, 0);
+        assert_eq!(take_retention(&mut Cursor::new(&policy)).unwrap_err(), zero);
+
+        // A configuration ends with its retention policy.
+        let config = SieveConfig::default().with_retention(RetentionPolicy::windowed(128));
+        let mut buf = Vec::new();
+        put_sieve_config(&mut buf, &config);
+        let end = buf.len();
+        buf[end - 8..].fill(0);
+        assert_eq!(take_sieve_config(&mut Cursor::new(&buf)).unwrap_err(), zero);
+        buf.clear();
+        put_sieve_config(&mut buf, &config.with_interval_ms(0));
+        let refused = take_sieve_config(&mut Cursor::new(&buf)).unwrap_err();
+        assert!(refused.contains("interval_ms"), "{refused}");
+
+        // A store image begins with its retention policy.
+        let store = MetricStore::with_retention(RetentionPolicy::windowed(2));
+        for t in 0..5u64 {
+            store.record(&MetricId::new("web", "cpu"), t * 500, 1.0);
+        }
+        let mut state = store.freeze();
+        buf.clear();
+        put_store_state(&mut buf, &state);
+        buf[1..9].fill(0);
+        assert_eq!(take_store_state(&mut Cursor::new(&buf)).unwrap_err(), zero);
+        state.points_evicted += 1;
+        buf.clear();
+        put_store_state(&mut buf, &state);
+        assert_eq!(
+            take_store_state(&mut Cursor::new(&buf)).unwrap_err(),
+            "store image: windows of 2 points in all, but 5 written less 4 evicted"
+        );
     }
 
     #[test]

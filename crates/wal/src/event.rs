@@ -2,10 +2,10 @@
 //!
 //! A [`WalEvent`] is the unit the serving layer appends to a shard's log.
 //! The set is deliberately exhaustive over tenant-mutating operations —
-//! tenant creation, call-graph replacement, retention changes, ingest
-//! batches — because the recovery guarantee ("replayed == live, bitwise")
-//! only holds if *every* input to the pure store→model function is in the
-//! stream.
+//! tenant creation, call-graph replacement and retention changes (the
+//! three kinds of [`AdminEvent`]), and ingest batches — because the
+//! recovery guarantee ("replayed == live, bitwise") only holds if *every*
+//! input to the pure store→model function is in the stream.
 //!
 //! Ingest batches carry only the *accepted* sub-batch (the store's
 //! detailed batch API reports rejections before logging), the series it
@@ -84,6 +84,17 @@ use std::cell::Cell;
 /// One durable, replayable mutation of one tenant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEvent {
+    /// A tenant-admin event: a creation, a call-graph swap or a retention
+    /// change.
+    Admin(AdminEvent),
+    /// An ingest batch whose points were all *accepted* live.
+    IngestBatch(IngestBatch),
+}
+
+/// A tenant-admin mutation: one of the three rare kinds of event, decoded
+/// owned. Never an ingest batch.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AdminEvent {
     /// A tenant was created with this configuration and
     /// initial call graph. Replay recreates the tenant before any of its
     /// later events apply.
@@ -113,8 +124,6 @@ pub enum WalEvent {
         /// The new policy.
         retention: RetentionPolicy,
     },
-    /// An ingest batch whose points were all *accepted* live.
-    IngestBatch(IngestBatch),
 }
 
 /// An ingest batch whose points were all *accepted* live: the one shape of
@@ -190,24 +199,13 @@ pub(crate) fn reads_tag(tag: u8) -> bool {
     )
 }
 
-impl WalEvent {
+impl AdminEvent {
     /// The tenant this event mutates.
     pub fn tenant(&self) -> &str {
         match self {
             Self::TenantCreated { tenant, .. }
             | Self::CallGraphReplaced { tenant, .. }
             | Self::RetentionChanged { tenant, .. } => tenant,
-            Self::IngestBatch(batch) => &batch.tenant,
-        }
-    }
-
-    /// Number of ingest points the event carries (0 for admin events) —
-    /// what recovery reports as "points lost" when an event cannot be
-    /// applied.
-    pub fn point_count(&self) -> usize {
-        match self {
-            Self::IngestBatch(batch) => batch.points.len(),
-            _ => 0,
         }
     }
 
@@ -234,6 +232,53 @@ impl WalEvent {
                 put_str(buf, tenant);
                 put_retention(buf, retention);
             }
+        }
+    }
+
+    /// Reads an admin body, everything after its `tag`.
+    fn decode(tag: u8, cur: &mut Cursor<'_>) -> DecodeResult<Self> {
+        Ok(match tag {
+            TAG_TENANT_CREATED => Self::TenantCreated {
+                tenant: take_name(cur, "tenant name")?,
+                config: Box::new(take_sieve_config(cur)?),
+                call_graph: take_call_graph(cur)?,
+            },
+            TAG_CALL_GRAPH_REPLACED => Self::CallGraphReplaced {
+                tenant: take_name(cur, "tenant name")?,
+                call_graph: take_call_graph(cur)?,
+            },
+            TAG_RETENTION_CHANGED => Self::RetentionChanged {
+                tenant: take_name(cur, "tenant name")?,
+                retention: take_retention(cur)?,
+            },
+            other => return Err(format!("unknown event tag {other}")),
+        })
+    }
+}
+
+impl WalEvent {
+    /// The tenant this event mutates.
+    pub fn tenant(&self) -> &str {
+        match self {
+            Self::Admin(event) => event.tenant(),
+            Self::IngestBatch(batch) => &batch.tenant,
+        }
+    }
+
+    /// Number of ingest points the event carries (0 for admin events) —
+    /// what recovery reports as "points lost" when an event cannot be
+    /// applied.
+    pub fn point_count(&self) -> usize {
+        match self {
+            Self::Admin(_) => 0,
+            Self::IngestBatch(batch) => batch.points.len(),
+        }
+    }
+
+    /// Appends the event's tagged byte encoding to `buf`.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Self::Admin(event) => event.encode(buf),
             Self::IngestBatch(batch) => {
                 let IngestBatch {
                     tenant,
@@ -328,7 +373,7 @@ impl WalEvent {
     pub(crate) fn decode(bytes: &[u8]) -> DecodeResult<Self> {
         let mut ingest = IngestBatch::default();
         Ok(match Self::decode_into(bytes, &mut ingest)? {
-            Decoded::Admin(event) => event,
+            Decoded::Admin(event) => Self::Admin(event),
             Decoded::Ingest => Self::IngestBatch(ingest),
         })
     }
@@ -339,24 +384,11 @@ impl WalEvent {
     pub(crate) fn decode_into(bytes: &[u8], ingest: &mut IngestBatch) -> DecodeResult<Decoded> {
         let mut cur = Cursor::new(bytes);
         let decoded = match cur.take_u8("event tag")? {
-            TAG_TENANT_CREATED => Decoded::Admin(Self::TenantCreated {
-                tenant: take_name(&mut cur, "tenant name")?,
-                config: Box::new(take_sieve_config(&mut cur)?),
-                call_graph: take_call_graph(&mut cur)?,
-            }),
-            TAG_CALL_GRAPH_REPLACED => Decoded::Admin(Self::CallGraphReplaced {
-                tenant: take_name(&mut cur, "tenant name")?,
-                call_graph: take_call_graph(&mut cur)?,
-            }),
-            TAG_RETENTION_CHANGED => Decoded::Admin(Self::RetentionChanged {
-                tenant: take_name(&mut cur, "tenant name")?,
-                retention: take_retention(&mut cur)?,
-            }),
             TAG_INGEST_BATCH => {
                 decode_ingest(&mut cur, ingest)?;
                 Decoded::Ingest
             }
-            other => return Err(format!("unknown event tag {other}")),
+            tag => Decoded::Admin(AdminEvent::decode(tag, &mut cur)?),
         };
         if !cur.is_empty() {
             return Err(format!(
@@ -372,7 +404,7 @@ impl WalEvent {
 /// now in the [`IngestBatch`] it was given.
 #[derive(Debug)]
 pub(crate) enum Decoded {
-    Admin(WalEvent),
+    Admin(AdminEvent),
     Ingest,
 }
 
@@ -652,35 +684,26 @@ fn decode_ingest(cur: &mut Cursor<'_>, buf: &mut IngestBatch) -> DecodeResult<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sieve_exec::hash::splitmix64;
+    use crate::testing::rng;
     use sieve_simulator::store::Watermark;
-
-    /// A deterministic stream of pseudo-random words.
-    fn rng(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed;
-        move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            splitmix64(state)
-        }
-    }
 
     fn sample_events() -> Vec<WalEvent> {
         let mut graph = CallGraph::new();
         graph.record_calls("web", "db", 12);
         vec![
-            WalEvent::TenantCreated {
+            WalEvent::Admin(AdminEvent::TenantCreated {
                 tenant: "acme".into(),
                 config: Box::new(SieveConfig::default().with_cluster_range(2, 3)),
                 call_graph: graph.clone(),
-            },
-            WalEvent::CallGraphReplaced {
+            }),
+            WalEvent::Admin(AdminEvent::CallGraphReplaced {
                 tenant: "acme".into(),
                 call_graph: graph,
-            },
-            WalEvent::RetentionChanged {
+            }),
+            WalEvent::Admin(AdminEvent::RetentionChanged {
                 tenant: "acme".into(),
                 retention: RetentionPolicy::windowed(64),
-            },
+            }),
             WalEvent::IngestBatch(IngestBatch {
                 tenant: "acme".into(),
                 points: vec![(1, 500, 1.5), (0, 440, -3.25)],
@@ -731,6 +754,23 @@ mod tests {
             event.encode(&mut buf);
             assert_eq!(WalEvent::decode(&buf).unwrap(), event);
         }
+    }
+
+    #[test]
+    fn a_retention_change_to_a_capacity_of_0_is_refused() {
+        let mut buf = Vec::new();
+        WalEvent::Admin(AdminEvent::RetentionChanged {
+            tenant: "acme".into(),
+            retention: RetentionPolicy::windowed(64),
+        })
+        .encode(&mut buf);
+        // The capacity is the payload's last eight bytes.
+        let end = buf.len();
+        buf[end - 8..].fill(0);
+        assert_eq!(
+            WalEvent::decode(&buf).unwrap_err(),
+            "retention raw capacity: 0"
+        );
     }
 
     #[test]
@@ -1523,14 +1563,14 @@ mod tests {
     fn random_event(rand: &mut impl FnMut() -> u64, ids: &[MetricId]) -> WalEvent {
         let tenant: Name = ["acme", "globex", "initech"][(rand() % 3) as usize].into();
         match rand() % 8 {
-            0 => WalEvent::RetentionChanged {
+            0 => WalEvent::Admin(AdminEvent::RetentionChanged {
                 tenant,
                 retention: RetentionPolicy::windowed((rand() % 64) as usize + 1),
-            },
+            }),
             1 => {
                 let mut call_graph = CallGraph::new();
                 call_graph.record_calls("ab", "a", rand() % 9 + 1);
-                WalEvent::CallGraphReplaced { tenant, call_graph }
+                WalEvent::Admin(AdminEvent::CallGraphReplaced { tenant, call_graph })
             }
             _ => {
                 let pick = |r: u64| ids[(r % ids.len() as u64) as usize].clone();

@@ -68,6 +68,32 @@ mod tests {
     use crate::writer::FsyncPolicy;
 
     #[test]
+    fn mutated_format_records_parse_or_are_refused_without_panicking() {
+        // 100,000 mutations of the record: whatever parses is read as the
+        // number after a whole magic, and nothing else parses.
+        const MUTATIONS: usize = 100_000;
+        let record = record();
+        let mut rand = crate::testing::rng(0xF0_4A77);
+        let mut parsed = 0usize;
+        for _ in 0..MUTATIONS {
+            let bytes = crate::testing::mutate(&record, &mut rand);
+            match parse(&bytes) {
+                Ok(number) => {
+                    assert_eq!(bytes[..MAGIC.len()], MAGIC);
+                    assert_eq!(number.to_le_bytes(), bytes[MAGIC.len()..RECORD_LEN]);
+                    parsed += 1;
+                }
+                Err(WalError::Corrupt { .. }) => {
+                    assert!(bytes.len() < RECORD_LEN || bytes[..MAGIC.len()] != MAGIC);
+                }
+                Err(other) => panic!("a parse is no I/O: {other:?}"),
+            }
+        }
+        // Not vacuous: an edit to the number, or past the record, parses.
+        assert!(parsed > 1_000, "{parsed}");
+    }
+
+    #[test]
     fn the_record_names_this_build_s_format_and_only_a_whole_record_reads() {
         let dir = std::env::temp_dir().join(format!("sieve-format-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -246,7 +246,8 @@ pub(crate) fn parse_at(bytes: &[u8], offset: usize) -> Parsed {
 mod tests {
     use super::*;
     use crate::codec::unhex;
-    use crate::event::IngestBatch;
+    use crate::event::{AdminEvent, IngestBatch};
+    use crate::testing::{mutate, rng};
     use sieve_core::{GrangerConfig, SieveConfig};
     use sieve_exec::hash::splitmix64;
     use sieve_graph::CallGraph;
@@ -326,10 +327,10 @@ mod tests {
 
     #[test]
     fn admin_frames_roundtrip_too() {
-        let admin = WalEvent::RetentionChanged {
+        let admin = WalEvent::Admin(AdminEvent::RetentionChanged {
             tenant: "acme".into(),
             retention: RetentionPolicy::windowed(32),
-        };
+        });
         let frame = encode(1, &admin);
         assert!(matches!(parse_at(&frame, 0), Parsed::Frame { seq: 1, .. }));
     }
@@ -375,19 +376,19 @@ mod tests {
             retention: RetentionPolicy::windowed(128),
         };
         [
-            WalEvent::TenantCreated {
+            WalEvent::Admin(AdminEvent::TenantCreated {
                 tenant: "acme".into(),
                 config: Box::new(config),
                 call_graph: graph.clone(),
-            },
-            WalEvent::CallGraphReplaced {
+            }),
+            WalEvent::Admin(AdminEvent::CallGraphReplaced {
                 tenant: "acme".into(),
                 call_graph: graph,
-            },
-            WalEvent::RetentionChanged {
+            }),
+            WalEvent::Admin(AdminEvent::RetentionChanged {
                 tenant: "acme".into(),
                 retention: RetentionPolicy::windowed(64),
-            },
+            }),
             WalEvent::IngestBatch(IngestBatch {
                 tenant: "acme".into(),
                 points: vec![(1, 500, 1.5), (0, 500, -3.25)],
@@ -480,40 +481,6 @@ mod tests {
             torn[first / 8] ^= 1 << (first % 8);
         }
         assert_eq!((torn, pairs), (frame, 220_116));
-    }
-
-    /// A deterministic stream of pseudo-random words.
-    fn rng(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed;
-        move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            splitmix64(state)
-        }
-    }
-
-    /// `bytes` after one to four random edits: a bit flipped, a byte set
-    /// (often to a varint's or a count's edge), a cut, or a byte inserted.
-    fn mutate(bytes: &[u8], rand: &mut impl FnMut() -> u64) -> Vec<u8> {
-        let mut out = bytes.to_vec();
-        for _ in 0..1 + rand() % 4 {
-            let at = |len: usize, r: u64| (r % (len as u64 + 1)) as usize;
-            match rand() % 4 {
-                0 if !out.is_empty() => {
-                    let byte = at(out.len() - 1, rand());
-                    out[byte] ^= 1 << (rand() % 8);
-                }
-                1 if !out.is_empty() => {
-                    let byte = at(out.len() - 1, rand());
-                    out[byte] = [0x00, 0x01, 0x7F, 0x80, 0xFF, rand() as u8][(rand() % 6) as usize];
-                }
-                2 => out.truncate(at(out.len(), rand())),
-                _ => {
-                    let byte = at(out.len(), rand());
-                    out.insert(byte, rand() as u8);
-                }
-            }
-        }
-        out
     }
 
     /// Whether `payload` decodes, asserting that an ingest batch it decodes

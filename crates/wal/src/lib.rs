@@ -61,6 +61,8 @@ mod frame;
 mod group;
 mod reader;
 mod snapshot;
+#[cfg(test)]
+mod testing;
 mod writer;
 
 pub use checkpoint::{CheckpointRead, ShardCheckpoint, TenantCheckpoint};
@@ -68,7 +70,7 @@ pub use dir::{
     checkpoint_file_name, log_file_name, snapshot_file_name, ShardDir, FORMAT_FILE_NAME,
 };
 pub use error::WalError;
-pub use event::{IngestBatch, WalEvent};
+pub use event::{AdminEvent, IngestBatch, WalEvent};
 pub use format::FORMAT;
 pub use group::{GroupCommitLog, GroupCommitStats};
 pub use reader::{scan_log, Frame, LogCorruption, LogFrames, ScannedLog};

@@ -42,7 +42,7 @@
 //! replaying a log allocates nothing per batch. [`scan_log`] materialises
 //! the same walk over a log held in memory into owned events.
 
-use crate::event::{Decoded, IngestBatch, WalEvent};
+use crate::event::{AdminEvent, Decoded, IngestBatch, WalEvent};
 use crate::frame::{
     checksums, decode_verified, judge_at, parse_at, stated_len, unknown_tag_at, Header, Parsed,
     HEADER_LEN,
@@ -214,8 +214,8 @@ pub struct LogFrames<R> {
 #[derive(Debug)]
 pub enum Frame<'f> {
     /// A tenant-admin event — creation, call graph, retention — decoded
-    /// owned: the three kinds are rare. Never an ingest batch.
-    Admin(WalEvent),
+    /// owned: the three kinds are rare.
+    Admin(AdminEvent),
     /// An ingest batch, borrowed from the walk's buffer until its next
     /// call.
     Ingest(&'f IngestBatch),
@@ -233,7 +233,7 @@ impl Frame<'_> {
     /// Number of ingest points the frame carries (0 for admin events).
     pub fn point_count(&self) -> usize {
         match self {
-            Self::Admin(event) => event.point_count(),
+            Self::Admin(_) => 0,
             Self::Ingest(batch) => batch.points.len(),
         }
     }
@@ -241,7 +241,7 @@ impl Frame<'_> {
     /// The owned event the frame decodes to.
     pub(crate) fn into_event(self) -> WalEvent {
         match self {
-            Self::Admin(event) => event,
+            Self::Admin(event) => WalEvent::Admin(event),
             Self::Ingest(batch) => WalEvent::IngestBatch(batch.clone()),
         }
     }
@@ -553,10 +553,10 @@ mod tests {
         let mut bytes = vec![0xFFu8; 13];
         bytes.extend_from_slice(&encode(
             5,
-            &WalEvent::RetentionChanged {
+            &WalEvent::Admin(AdminEvent::RetentionChanged {
                 tenant: "a".into(),
                 retention: RetentionPolicy::windowed(8),
-            },
+            }),
         ));
         let scanned = scan_log(&bytes);
         assert!(scanned.applied.is_empty());
@@ -694,9 +694,11 @@ mod tests {
 
     #[test]
     fn streamed_frames_equal_the_materialised_scan_under_every_truncation_and_bit_flip() {
-        let admin = |tenant: &str| WalEvent::RetentionChanged {
-            tenant: tenant.into(),
-            retention: RetentionPolicy::windowed(8),
+        let admin = |tenant: &str| {
+            WalEvent::Admin(AdminEvent::RetentionChanged {
+                tenant: tenant.into(),
+                retention: RetentionPolicy::windowed(8),
+            })
         };
         // Ten frames of several sizes, so every truncation and flip lands at
         // every position of a four-frame read-ahead window.

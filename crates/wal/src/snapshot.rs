@@ -23,6 +23,11 @@
 //! — is rejected as unsupported, like any other corruption, and recovery
 //! falls back to the log. A whole directory of another format never gets
 //! this far: its format record refuses it first.
+//!
+//! A checksum that verifies is not the last word: a body whose store image
+//! breaks the store's rule (`StoreState::validate`) or whose configuration
+//! a session would refuse is rejected as corrupt too, so every image a
+//! snapshot hands back is one ingest could have built.
 
 use crate::codec::{
     put_call_graph, put_sieve_config, put_store_state, put_str, put_u32, put_u64, put_usize,
@@ -194,6 +199,7 @@ impl ShardSnapshot {
 mod tests {
     use super::*;
     use crate::codec::unhex;
+    use crate::testing::{mutate, rng};
     use sieve_simulator::store::{MetricId, MetricStore, RetentionPolicy};
 
     fn sample() -> ShardSnapshot {
@@ -504,6 +510,68 @@ mod tests {
     #[test]
     fn a_version_7_snapshot_is_refused_as_unsupported() {
         assert_refused_as_unsupported(GOLDEN_V7_SNAPSHOT, 7);
+    }
+
+    /// The clauses of the store's rule `state` breaks, each checked here
+    /// field by field rather than through `StoreState::validate`: ids out
+    /// of order or repeated, a series with more timestamps than values or
+    /// fewer, timestamps not ascending, a non-finite value, a window past
+    /// the capacity, windows that do not sum to the written less the
+    /// evicted points.
+    fn broken_clauses(state: &StoreState) -> [bool; 6] {
+        let series = &state.series;
+        let retained: u64 = series.iter().map(|s| s.timestamps_ms.len() as u64).sum();
+        let capacity = state.retention.raw_capacity();
+        [
+            series.windows(2).any(|pair| pair[0].id >= pair[1].id),
+            series
+                .iter()
+                .any(|s| s.timestamps_ms.len() != s.values.len()),
+            series
+                .iter()
+                .any(|s| s.timestamps_ms.windows(2).any(|pair| pair[0] >= pair[1])),
+            series
+                .iter()
+                .any(|s| s.values.iter().any(|v| !v.is_finite())),
+            series
+                .iter()
+                .any(|s| capacity.is_some_and(|cap| s.values.len() > cap)),
+            state.points_written.checked_sub(state.points_evicted) != Some(retained),
+        ]
+    }
+
+    #[test]
+    fn mutated_golden_snapshot_bodies_decode_only_to_images_ingest_could_build() {
+        // 100,000 mutations of the golden snapshot's body, each under a
+        // recomputed checksum so that every one reaches the decoder. Run in
+        // the debug build, so every `debug_assert!` on the way counts —
+        // `MetricStore::restore`'s of the store's rule among them.
+        const MUTATIONS: usize = 100_000;
+        let golden = unhex(GOLDEN_SNAPSHOT);
+        let (header, body) = golden.split_at(20);
+        let mut rand = rng(0x5_4A95_0001);
+        let (mut decoded, mut broken) = (0usize, [0usize; 6]);
+        for _ in 0..MUTATIONS {
+            let mut bytes = header.to_vec();
+            let body = mutate(body, &mut rand);
+            bytes[12..20].copy_from_slice(&body_checksum(&body).to_le_bytes());
+            bytes.extend_from_slice(&body);
+            let Ok(snapshot) = ShardSnapshot::decode(&bytes) else {
+                continue;
+            };
+            decoded += 1;
+            for tenant in snapshot.tenants {
+                for (count, broke) in broken.iter_mut().zip(broken_clauses(&tenant.store)) {
+                    *count += usize::from(broke);
+                }
+                let restored = MetricStore::restore(tenant.store.clone());
+                assert_eq!(restored.freeze(), tenant.store, "restore keeps the image");
+            }
+        }
+        assert_eq!(broken, [0; 6], "of {decoded} decoded snapshots");
+        // Not vacuous: a share decodes — a value, a fingerprint, a name's
+        // byte changed — and is held to the rule.
+        assert!(decoded > 1_000, "{decoded}");
     }
 
     #[test]

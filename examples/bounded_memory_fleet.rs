@@ -142,7 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {:<12} retention {:>3?} | {:>3} metrics -> {:>2} representatives ({:.1}x)",
             tenant,
-            service.retention(tenant.as_str())?.raw_capacity,
+            service.retention(tenant.as_str())?.raw_capacity(),
             model.total_metric_count(),
             model.total_representative_count(),
             model.overall_reduction_factor(),
@@ -157,7 +157,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 fn windows_capacity(service: &SieveService) -> Result<u64, Box<dyn std::error::Error>> {
     let mut capacity = 0;
     for tenant in service.tenants() {
-        let window = service.retention(tenant.as_str())?.raw_capacity;
+        let window = service.retention(tenant.as_str())?.raw_capacity();
         let series = service.store(tenant.as_str())?.series_count();
         capacity += (series * window.expect("every tenant is windowed")) as u64;
     }
