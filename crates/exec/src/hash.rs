@@ -1,13 +1,18 @@
 //! Deterministic 64-bit content hashing shared across the workspace.
 //!
 //! The incremental-analysis layer keys its caches by *content
-//! fingerprints*: the metric store maintains a running fingerprint per
-//! recorded series, and the analysis session fingerprints prepared series,
+//! fingerprints*: the analysis session fingerprints prepared series,
 //! component series sets and the statistical configuration. All of them
 //! funnel through the splitmix64 finalizer below, so a fingerprint computed
 //! on any host, at any parallelism degree, is bit-identical — which is what
 //! lets "same fingerprint" stand in for "same content" in the
 //! incremental==batch equality guarantees.
+//!
+//! The metric store's running fingerprint per recorded series keys no
+//! cache: the session fingerprints what it prepares itself. Its one job is
+//! to let a replayed log prove it rebuilt the store the log was written
+//! against, so it steps with the cheaper [`fold_word`], like the log's
+//! checksums.
 //!
 //! These are content hashes, not cryptographic digests: collisions are
 //! possible in principle (2⁻⁶⁴ per comparison) but irrelevant in practice
@@ -48,8 +53,9 @@ const FOLD_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 /// alone, and the same flip in the next word cancels it.
 ///
 /// A quarter of [`mix`]'s multiplies, and a weaker hash: it guards bytes
-/// against corruption (the log's frame checksum, a batch's digest of
-/// fingerprints), and keys nothing.
+/// and replay against corruption and divergence (the log's frame, snapshot
+/// and checkpoint checksums, a store series' running fingerprint, a
+/// batch's digest of those fingerprints), and keys nothing.
 pub fn fold_word(acc: u64, word: u64) -> u64 {
     let product = (acc ^ word).wrapping_mul(FOLD_MULTIPLIER);
     product ^ (product >> 32)

@@ -397,16 +397,7 @@ impl Replaying {
 /// a mismatch means replay would diverge from what the live service
 /// applied, so the tenant degrades instead of silently rebuilding a
 /// wrong model.
-///
-/// # Errors
-///
-/// [`ServeError::Analysis`] when a creation record's session cannot be
-/// built.
-fn replay(
-    replaying: &mut BTreeMap<String, Replaying>,
-    seeds: &mut Seeds,
-    frame: Frame<'_>,
-) -> Result<()> {
+fn replay(replaying: &mut BTreeMap<String, Replaying>, seeds: &mut Seeds, frame: Frame<'_>) {
     let points = frame.point_count();
     let Some(replayed) = replaying.get_mut(frame.tenant()) else {
         // Only an intact creation record may introduce a name; any other
@@ -421,12 +412,12 @@ fn replay(
                 call_graph,
             }) => {
                 let store = MetricStore::with_retention(config.retention);
-                introduced = Replaying::opened(open(seeds, tenant, store, call_graph, *config)?);
+                introduced = Replaying::opened(open(seeds, tenant, store, call_graph, *config));
             }
             _ => introduced.lose(points),
         }
         replaying.insert(name, introduced);
-        return Ok(());
+        return;
     };
     let applied = match (&replayed.tenant, frame) {
         // A degraded tenant applies nothing more.
@@ -441,7 +432,6 @@ fn replay(
         Some(accepted) => replayed.points_replayed += accepted as u64,
         None => replayed.lose(points),
     }
-    Ok(())
 }
 
 /// A frame the scanner resynchronized after a corrupt region is
@@ -471,18 +461,25 @@ impl NameCounts {
 
 /// Opens a recovered tenant through [`Tenant::open`], seeded with its
 /// checkpoint record if `seeds` holds one, and counts what it got.
+///
+/// Opening a recovered tenant cannot fail. Its `config` was decoded, from
+/// a creation record or a snapshot, and the decoder refuses every
+/// configuration [`SieveConfig::validate`] refuses, as a corrupt frame or
+/// snapshot; the session refuses no other
+/// (`a_session_refuses_only_what_the_decoder_refuses` pins this).
 fn open(
     seeds: &mut Seeds,
     name: Name,
     store: MetricStore,
     call_graph: CallGraph,
     config: SieveConfig,
-) -> Result<Arc<Tenant>> {
+) -> Arc<Tenant> {
     let cache = seeds.take(name.as_str());
     let offered = cache.is_some();
-    let (tenant, seeded) = Tenant::open(name, store, call_graph, config, cache)?;
+    let (tenant, seeded) = Tenant::open(name, store, call_graph, config, cache)
+        .expect("a decoded configuration passed the only check a session makes");
     seeds.count(offered, seeded);
-    Ok(tenant)
+    tenant
 }
 
 /// Nanoseconds since `start`.
@@ -498,8 +495,7 @@ pub(crate) fn ns_since(start: Instant) -> u64 {
 /// # Errors
 ///
 /// [`ServeError::InvalidConfig`] for a snapshot of another shard,
-/// [`ServeError::Wal`] on I/O failures, [`ServeError::Analysis`] when a
-/// tenant's session cannot be rebuilt.
+/// [`ServeError::Wal`] on I/O failures.
 fn restore_snapshot(
     dir: &ShardDir,
     shard: usize,
@@ -523,7 +519,7 @@ fn restore_snapshot(
     for tenant in snapshot.tenants {
         let store = MetricStore::restore(tenant.store);
         let name = Name::new(&tenant.tenant);
-        let opened = open(seeds, name, store, tenant.call_graph, *tenant.config)?;
+        let opened = open(seeds, name, store, tenant.call_graph, *tenant.config);
         replaying.insert(tenant.tenant, Replaying::opened(opened));
     }
     Ok((snapshot.last_seq, false, replaying))
@@ -545,8 +541,7 @@ fn restore_snapshot(
 ///
 /// [`ServeError::InvalidConfig`] when the shard's files were written under
 /// a different shard count, [`ServeError::UnknownEventTag`] when its log
-/// holds a frame another build wrote, [`ServeError::Wal`] on I/O failures,
-/// [`ServeError::Analysis`] when a tenant's session cannot be rebuilt.
+/// holds a frame another build wrote, [`ServeError::Wal`] on I/O failures.
 pub(crate) fn recover_shard(
     dir: &ShardDir,
     shard: usize,
@@ -581,7 +576,7 @@ pub(crate) fn recover_shard(
         if seq > snapshot_last_seq {
             frames_replayed += 1;
             recovered_through_seq = seq;
-            replay(&mut replaying, &mut seeds, frame)?;
+            replay(&mut replaying, &mut seeds, frame);
         }
     }
     let (log_bytes, log_read_ns) = (frames.bytes_read(), frames.read_ns());
@@ -708,6 +703,61 @@ mod tests {
                 anchored: true,
             }],
             reanchor_ns: 0,
+        }
+    }
+
+    #[test]
+    fn a_session_refuses_only_what_the_decoder_refuses() {
+        // `open` expects every recovered tenant to open, because the
+        // decoder refuses what `SieveConfig::validate` refuses: each clause
+        // broken alone, and configurations it accepts.
+        let valid = SieveConfig::default();
+        let granger = || valid.granger.clone();
+        let configs = [
+            valid.clone(),
+            SieveConfig {
+                parallelism: 1,
+                retention: sieve_simulator::store::RetentionPolicy::windowed(1),
+                ..valid.clone().with_cluster_range(1, 1)
+            },
+            SieveConfig {
+                interval_ms: 0,
+                ..valid.clone()
+            },
+            valid.clone().with_cluster_range(0, 3),
+            valid.clone().with_cluster_range(4, 3),
+            SieveConfig {
+                kshape_max_iterations: 0,
+                ..valid.clone()
+            },
+            SieveConfig {
+                variance_threshold: f64::NAN,
+                ..valid.clone()
+            },
+            SieveConfig {
+                variance_threshold: -0.5,
+                ..valid.clone()
+            },
+            SieveConfig {
+                granger: sieve_core::GrangerConfig {
+                    max_lag: 0,
+                    ..granger()
+                },
+                ..valid.clone()
+            },
+            SieveConfig {
+                granger: sieve_core::GrangerConfig {
+                    significance: 1.0,
+                    ..granger()
+                },
+                ..valid.clone()
+            },
+        ];
+        for config in configs {
+            let store = MetricStore::with_retention(config.retention);
+            let graph = CallGraph::new();
+            let opened = Tenant::open(Name::new("t"), store, graph, config.clone(), None);
+            assert_eq!(opened.is_ok(), config.validate().is_ok(), "{config:?}");
         }
     }
 

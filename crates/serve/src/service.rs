@@ -484,10 +484,7 @@ impl SieveService {
     /// with a different shard count, [`ServeError::UnknownEventTag`] when a
     /// log holds a checksum-verified frame of an event tag this build does
     /// not read (another build wrote it), [`ServeError::Wal`] on I/O
-    /// failures. A session refuses only a configuration that
-    /// [`SieveConfig::validate`](sieve_core::SieveConfig::validate)
-    /// refuses, which decoding has refused already, so
-    /// [`ServeError::Analysis`] does not come out of a decoded record.
+    /// failures.
     pub fn recover(config: ServeConfig) -> Result<(Self, RecoveryReport)> {
         config.validate()?;
         let shard_count = config.shard_count;

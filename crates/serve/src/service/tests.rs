@@ -807,8 +807,9 @@ fn a_series_written_past_the_log_refuses_its_tenant_s_later_batches() {
 }
 
 /// Appends to the log of `tenant`'s shard a whole frame, checksum and all,
-/// whose payload is `payload`, numbered after the log's last frame; returns
-/// the shard and the frame's offset.
+/// whose payload is `payload`, numbered after the file's last frame as the
+/// writer numbers it — whether or not that frame decodes; returns the shard
+/// and the frame's offset.
 fn append_verified_frame(
     dir: &std::path::Path,
     config: &ServeConfig,
@@ -818,7 +819,17 @@ fn append_verified_frame(
     let shard = sieve_exec::hash::shard_index(tenant, config.shard_count);
     let log_path = dir.join(sieve_wal::log_file_name(shard));
     let bytes = std::fs::read(&log_path).unwrap();
-    let seq = sieve_wal::scan_log(&bytes).last_seq().unwrap() + 1;
+    // Every frame is `[payload length: u32][sequence: u64][checksum: u64]`
+    // and its payload; the helper only ever appends whole frames.
+    let (mut at, mut last_seq) = (0, None);
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let seq = bytes[at + 4..at + 12].try_into().unwrap();
+        last_seq = Some(u64::from_le_bytes(seq));
+        at += 20 + len;
+    }
+    assert_eq!(at, bytes.len(), "the log ends on a whole frame");
+    let seq = last_seq.unwrap() + 1;
     let log = sieve_wal::GroupCommitLog::open(&log_path, seq, crate::FsyncPolicy::Never).unwrap();
     log.commit_through(log.stage_encoded(payload)).unwrap();
     (shard, bytes.len() as u64)
@@ -934,11 +945,11 @@ fn a_directory_of_another_format_is_refused_and_left_untouched() {
     std::fs::remove_file(&record).unwrap();
     assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: None }");
     std::fs::write(&record, naming(sieve_wal::FORMAT - 1)).unwrap();
-    assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: Some(7) }");
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: Some(8) }");
     // The next format: a later build wrote the directory, and rolling back
     // to this one refuses it rather than reading its snapshots as corrupt.
     std::fs::write(&record, naming(sieve_wal::FORMAT + 1)).unwrap();
-    assert_recover_refuses_format(&dir, config.clone(), "FormatTooNew { found: 9 }");
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooNew { found: 10 }");
 
     // Named right again, the same directory recovers clean.
     std::fs::write(&record, &ours).unwrap();

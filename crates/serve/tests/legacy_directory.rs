@@ -46,6 +46,14 @@
 //! same `config`, each wave's points tick by tick in the order the series
 //! are listed above. Its snapshot body is format 6's; events 4 and 5 are
 //! the log tail, and the format record names 7.
+//!
+//! `fixtures/parent-format8` was written by the last format-8 build
+//! (commit e2a4c95), whose store fingerprints stepped with two `mix` calls
+//! a point, so every fingerprint its snapshot holds and every digest its
+//! log holds is of another chain than this build's. It ran the same five
+//! steps under the same `config`, the waves' points in format 7's order.
+//! Its frames have format 8's layout and its snapshot body is format 7's;
+//! events 4 and 5 are the log tail, and the format record names 8.
 
 use sieve_core::SieveConfig;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, ServeError, SieveService};
@@ -67,6 +75,9 @@ const FORMAT6_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format6/wal-shar
 const FORMAT7_RECORD: &[u8] = include_bytes!("fixtures/parent-format7/wal-format");
 const FORMAT7_LOG: &[u8] = include_bytes!("fixtures/parent-format7/wal-shard-0.log");
 const FORMAT7_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format7/wal-shard-0.snap");
+const FORMAT8_RECORD: &[u8] = include_bytes!("fixtures/parent-format8/wal-format");
+const FORMAT8_LOG: &[u8] = include_bytes!("fixtures/parent-format8/wal-shard-0.log");
+const FORMAT8_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format8/wal-shard-0.snap");
 
 /// The configuration every fixture was written under: one shard, a
 /// snapshot every three events.
@@ -191,4 +202,20 @@ fn a_format_7_directory_is_refused_untouched() {
         (snapshot_file_name(0), FORMAT7_SNAPSHOT),
     ];
     assert_refused_untouched("format7", &files, Some(7));
+}
+
+#[test]
+fn a_format_8_directory_is_refused_untouched() {
+    assert_eq!(FORMAT8_RECORD[8..], 8u32.to_le_bytes());
+    assert_eq!(snapshot_version(FORMAT8_SNAPSHOT), 8);
+    assert_eq!(frame_tags(FORMAT8_LOG), vec![3, 6]);
+    // The snapshot body is format 7's: only the version and the checksum
+    // differ.
+    assert_eq!(FORMAT8_SNAPSHOT[20..], FORMAT7_SNAPSHOT[20..]);
+    let files = [
+        (FORMAT_FILE_NAME.to_string(), FORMAT8_RECORD),
+        (log_file_name(0), FORMAT8_LOG),
+        (snapshot_file_name(0), FORMAT8_SNAPSHOT),
+    ];
+    assert_refused_untouched("format8", &files, Some(8));
 }

@@ -16,6 +16,12 @@
 //! every accepted point advances the series' running *content fingerprint*
 //! (a deterministic 64-bit hash of the accepted `(timestamp, value)`
 //! sequence) and marks the series as touched.
+//! The fingerprint is a chain of one-multiply [`fold_word`] steps, three
+//! per point at most (the timestamp, the value's bits and an eviction
+//! tag): it keys no cache — the analysis session fingerprints the series it
+//! prepares itself — and its one job is to let a replayed log prove it
+//! rebuilt the store it was written against (a snapshot holds each series'
+//! fingerprint, and a logged batch one digest of those it touched).
 //! [`MetricStore::drain_delta`] snapshots the touched set, clears it, and
 //! advances a monotone *epoch watermark* — so a streaming consumer (one per
 //! store) can ask "what changed since I last looked?" instead of re-reading
@@ -33,7 +39,9 @@
 //! `raw_capacity` points, and an evicted point is forgotten. The retained
 //! window lives as a contiguous suffix of a slack buffer (logical start
 //! offset + amortized compaction), so reads hand out zero-copy
-//! [`SeriesView`]s and physical memory never exceeds twice the capacity.
+//! [`SeriesView`]s and physical memory never exceeds twice the capacity
+//! between batches (a replayed batch compacts once its verdict is in, so
+//! while it applies a series may hold its points on top of that).
 //!
 //! Eviction participates in the epoch machinery exactly like ingestion:
 //! each evicted point advances the series fingerprint (with a dedicated
@@ -55,7 +63,7 @@
 //! from disk is checked against it where it is decoded, so
 //! [`MetricStore::restore`] trusts its input and repairs nothing.
 
-use sieve_exec::hash::{addr_pair_hash, fold_word, mix, mix_f64, FINGERPRINT_SEED};
+use sieve_exec::hash::{addr_pair_hash, fold_word, FINGERPRINT_SEED};
 use sieve_exec::Name;
 use sieve_timeseries::{SeriesView, TimeSeries};
 use std::collections::BTreeMap;
@@ -357,10 +365,11 @@ struct StoreInner {
     /// The positions of the series the current detailed batch touched,
     /// empty between batches (transient — never serialized).
     batch_touched: Vec<usize>,
-    /// Working space of [`MetricStore::record_batch_verified`], kept so a
+    /// One slot per listed series of the batch
+    /// [`MetricStore::record_batch_verified`] is applying, kept so a
     /// replayed batch allocates nothing once it is warm (transient — never
     /// serialized).
-    verify: VerifyScratch,
+    verify: Vec<Slot>,
 }
 
 /// The store's one lookup rule: the position of each series in the
@@ -472,7 +481,7 @@ impl Head {
     };
 
     /// The store's one acceptance rule, which live ingest and the
-    /// simulation inside [`MetricStore::record_batch_verified`] both run: a
+    /// verified apply of [`MetricStore::record_batch_verified`] both run: a
     /// point must pass [`admit`]; an accepted point extends the fingerprint
     /// and the window, and a window that outgrows `raw_capacity` evicts its
     /// oldest point.
@@ -496,7 +505,7 @@ impl Head {
     /// and on a retention trim alike: the fingerprint mixes in the eviction
     /// tag and the window shrinks by one.
     fn evict(&mut self) {
-        self.fingerprint = mix(self.fingerprint, EVICTION_TAG);
+        self.fingerprint = fold_word(self.fingerprint, EVICTION_TAG);
         self.window_len -= 1;
     }
 }
@@ -569,26 +578,23 @@ impl StoreState {
 }
 
 /// What [`MetricStore::record_batch_verified`] knows about one listed
-/// series mid-batch: its head advanced by the points accepted so far, and
-/// the chain of those points.
+/// series mid-batch: where it is, its head advanced by the points accepted
+/// so far, and what undoes the batch on it. The store's own fingerprint,
+/// touched mark and window start of the series are written only once the
+/// batch is accepted, so undoing a refused batch is cutting the series
+/// back to its length before the batch, or removing it if the batch
+/// created it.
 #[derive(Debug, Clone, Copy)]
-struct Sim {
+struct Slot {
+    /// The series' position in the store, once the batch has placed the
+    /// series it creates.
+    at: usize,
     head: Head,
     accepted: usize,
-    /// The series' position in the store, if the store holds it yet.
-    at: Option<usize>,
-    /// The first and the last accepted point (batch indices); the points
-    /// between are linked through [`VerifyScratch::next`].
-    first: Option<usize>,
-    last: Option<usize>,
-}
-
-#[derive(Debug, Default)]
-struct VerifyScratch {
-    /// One per listed series, in list order.
-    slots: Vec<Sim>,
-    /// Per point of the batch, the next accepted point of its slot.
-    next: Vec<Option<usize>>,
+    /// How many points the series' buffers held before the batch.
+    len_before: usize,
+    /// Whether the batch created the series.
+    created: bool,
 }
 
 impl StoreInner {
@@ -646,6 +652,28 @@ impl StoreInner {
         }
         at
     }
+
+    /// Undoes what a refused [`MetricStore::record_batch_verified`] wrote:
+    /// each listed series the batch created is removed, and each other one
+    /// cut back to the points it held before. The series come off last
+    /// first, so a removal moves none still to undo; the index is rebuilt
+    /// only if a series was removed.
+    fn undo_verified(&mut self) {
+        let mut removed = false;
+        for slot in self.verify.iter().rev() {
+            if slot.created {
+                self.series.remove(slot.at);
+                removed = true;
+            } else {
+                let series = &mut self.series[slot.at];
+                series.timestamps_ms.truncate(slot.len_before);
+                series.values.truncate(slot.len_before);
+            }
+        }
+        if removed {
+            self.index.rebuild(&self.series);
+        }
+    }
 }
 
 /// One stored series — its id, its points and its incremental-analysis
@@ -656,7 +684,10 @@ impl StoreInner {
 /// retained window is always the contiguous suffix `[start..]`, so reads
 /// are zero-copy slices. Eviction advances `start`; once `start` reaches
 /// the raw capacity the dead prefix is drained in one amortized-O(1)
-/// compaction, bounding physical memory at twice the capacity.
+/// compaction, bounding physical memory at twice the capacity, plus one
+/// batch: [`MetricStore::record_batch_verified`] appends a batch's points
+/// before it knows whether it keeps them, and drops the evicted prefix
+/// only then.
 #[derive(Debug)]
 struct StoredSeries {
     id: MetricId,
@@ -707,8 +738,7 @@ impl StoredSeries {
     /// the oldest retained point; returns whether it did. The fingerprint
     /// is the caller's to store: the head it reached carries it.
     fn append(&mut self, timestamp_ms: u64, value: f64, retention: RetentionPolicy) -> bool {
-        self.timestamps_ms.push(timestamp_ms);
-        self.values.push(value);
+        self.push(timestamp_ms, value);
         let Some(cap) = retention
             .raw_capacity()
             .filter(|&cap| self.window_len() > cap)
@@ -717,6 +747,12 @@ impl StoredSeries {
         };
         self.evict_oldest(1, cap);
         true
+    }
+
+    /// Appends a point to the buffers, evicting nothing.
+    fn push(&mut self, timestamp_ms: u64, value: f64) {
+        self.timestamps_ms.push(timestamp_ms);
+        self.values.push(value);
     }
 
     /// Number of retained points.
@@ -749,7 +785,7 @@ impl StoredSeries {
 
 /// Advances a series' running content fingerprint by one accepted point.
 fn extend_fingerprint(fp: u64, timestamp_ms: u64, value: f64) -> u64 {
-    mix_f64(mix(fp, timestamp_ms), value)
+    fold_word(fold_word(fp, timestamp_ms), value.to_bits())
 }
 
 /// Tag mixed into a series fingerprint for every evicted point, so two
@@ -964,24 +1000,28 @@ impl MetricStore {
     ///
     /// Everything runs under one write-lock hold. A placed entry finds its
     /// series by index; a spelled one by one probe of the store's address
-    /// index. Either loads the series' head. One pass over the points runs
-    /// the acceptance step live ingest runs — the non-finite and
-    /// monotone-timestamp gates, the fingerprint chain, and the eviction
-    /// tags the current retention policy would mix in — on those heads, and
-    /// chains each slot's accepted points. A series count other than
-    /// `series_before`, a placed entry with no `series_before` or past the
-    /// store's series, a slot out of range, a listed series that accepts
-    /// nothing, `names` not strictly ascending by [`MetricId`], or heads
-    /// whose digest is not `digest` is a mismatch. Only then does the apply
-    /// walk each slot's chain, pushing and evicting exactly as
-    /// [`MetricStore::record_batch`] would, and store the fingerprint the
-    /// simulation reached. `Some` is returned precisely when the count
-    /// matches and `record_batch_detailed_into` on the triples `(id of
-    /// names[slot], timestamp, value)` reports each listed series in order,
-    /// at the place a placed entry names, with fingerprints of the logged
-    /// digest (property-tested against a copy of the store) — which, for a
-    /// digest folded from the live fingerprints, is the live fingerprint of
-    /// every listed series but with a chance of about 2⁻⁶⁴.
+    /// index. A series count other than `series_before`, a placed entry
+    /// with no `series_before` or past the store's series, or `names` not
+    /// strictly ascending by [`MetricId`] is a mismatch found before
+    /// anything is written. Then the series the batch creates are placed,
+    /// and one pass over the points runs the acceptance step live ingest
+    /// runs — the non-finite and monotone-timestamp gates, the fingerprint
+    /// chain, and the eviction tags the current retention policy would mix
+    /// in — on each listed series' head, appending each accepted point to
+    /// its series at once. A slot out of range, a listed series that
+    /// accepts nothing, or heads whose digest is not `digest` is a
+    /// mismatch: the appended points are cut off again and the created
+    /// series removed. Only on a match are the heads' fingerprints stored,
+    /// the series marked touched and the evicted prefixes dropped (the
+    /// compaction waits for the verdict, so a window may hold one batch
+    /// past twice the capacity until then). `Some` is returned precisely
+    /// when the count matches and `record_batch_detailed_into` on the
+    /// triples `(id of names[slot], timestamp, value)` reports each listed
+    /// series in order, at the place a placed entry names, with
+    /// fingerprints of the logged digest (property-tested against a copy of
+    /// the store) — which, for a digest folded from the live fingerprints,
+    /// is the live fingerprint of every listed series but with a chance of
+    /// about 2⁻⁶⁴.
     ///
     /// The count is what makes a place safe: equal counts mean equal series
     /// (see [`Watermarks`]), so a series written here but never logged
@@ -993,7 +1033,8 @@ impl MetricStore {
     /// store holds: one index or one probe per listed series, and no name
     /// compared between two listed series the store already holds. A listed
     /// series the store does not hold yet also pays to be placed — a binary
-    /// search over the stored ids and a move of every series after it.
+    /// search over the stored ids and a move of every series after it — and
+    /// a refused batch that created one pays to rebuild the index.
     pub fn record_batch_verified<'a>(
         &self,
         points: &[(u32, u64, f64)],
@@ -1007,8 +1048,8 @@ impl MetricStore {
         if series_before.is_some_and(|count| count != inner.series.len()) {
             return None;
         }
-        let retention = inner.retention;
-        inner.verify.slots.clear();
+        inner.verify.clear();
+        let mut created = 0;
         let mut previous: Option<(&MetricId, Option<usize>)> = None;
         for name in names.clone() {
             let (id, at) = match name {
@@ -1030,71 +1071,67 @@ impl MetricStore {
                 }
             }
             previous = Some((id, at));
-            inner.verify.slots.push(Sim {
-                head: at.map_or(Head::EMPTY, |at| inner.series[at].head()),
+            created += usize::from(at.is_none());
+            let stored = at.map(|at| &inner.series[at]);
+            inner.verify.push(Slot {
+                at: at.unwrap_or(0),
+                head: stored.map_or(Head::EMPTY, StoredSeries::head),
                 accepted: 0,
-                at,
-                first: None,
-                last: None,
+                len_before: stored.map_or(0, |stored| stored.values.len()),
+                created: at.is_none(),
             });
-        }
-
-        let verify = &mut inner.verify;
-        verify.next.clear();
-        verify.next.resize(points.len(), None);
-        for (point, &(slot, timestamp_ms, value)) in points.iter().enumerate() {
-            let sim = verify.slots.get_mut(slot as usize)?;
-            if sim
-                .head
-                .accept(timestamp_ms, value, retention.raw_capacity())
-                .is_err()
-            {
-                continue;
-            }
-            sim.accepted += 1;
-            match sim.last.replace(point) {
-                Some(before) => verify.next[before] = Some(point),
-                None => sim.first = Some(point),
-            }
-        }
-        if verify.slots.iter().any(|sim| sim.accepted == 0)
-            || batch_digest(verify.slots.iter().map(|sim| sim.head.fingerprint)) != digest
-        {
-            return None;
         }
 
         // The list ascends, so every series created so far was placed
         // before the listed series that come after it.
-        let mut created = 0;
-        let mut accepted = 0;
-        for (slot, name) in names.enumerate() {
-            let sim = inner.verify.slots[slot];
-            let at = match (sim.at, name) {
-                (Some(at), _) => at + created,
-                (None, Named::Spelled(id)) => {
-                    created += 1;
-                    inner.insert(StoredSeries::new(id.clone()))
-                }
-                (None, Named::Placed(_)) => unreachable!("a placed entry resolved to a series"),
-            };
-            let stored = &mut inner.series[at];
-            debug_assert!(
-                !matches!(name, Named::Spelled(id) if stored.id != *id),
-                "slot {slot} resolved to another series"
-            );
-            let mut chain = sim.first;
-            while let Some(point) = chain {
-                let (_, timestamp_ms, value) = points[point];
-                if stored.append(timestamp_ms, value, retention) {
-                    inner.points_evicted += 1;
-                }
-                chain = inner.verify.next[point];
+        if created > 0 {
+            let mut placed = 0;
+            for (slot, name) in names.enumerate() {
+                inner.verify[slot].at = match name {
+                    Named::Spelled(id) if inner.verify[slot].created => {
+                        placed += 1;
+                        inner.insert(StoredSeries::new(id.clone()))
+                    }
+                    _ => inner.verify[slot].at + placed,
+                };
             }
-            stored.fingerprint = sim.head.fingerprint;
+        }
+
+        let capacity = inner.retention.raw_capacity();
+        let (slots, series) = (&mut inner.verify, &mut inner.series);
+        let mut in_range = true;
+        for &(slot, timestamp_ms, value) in points {
+            let Some(slot) = slots.get_mut(slot as usize) else {
+                in_range = false;
+                break;
+            };
+            if slot.head.accept(timestamp_ms, value, capacity).is_ok() {
+                slot.accepted += 1;
+                series[slot.at].push(timestamp_ms, value);
+            }
+        }
+        if !in_range
+            || slots.iter().any(|slot| slot.accepted == 0)
+            || batch_digest(slots.iter().map(|slot| slot.head.fingerprint)) != digest
+        {
+            inner.undo_verified();
+            return None;
+        }
+
+        let (mut accepted, mut evicted) = (0, 0);
+        for slot in slots.iter() {
+            let stored = &mut series[slot.at];
+            stored.fingerprint = slot.head.fingerprint;
             stored.touched = true;
-            accepted += sim.accepted;
+            let dropped = stored.window_len() - slot.head.window_len;
+            if let Some(cap) = capacity.filter(|_| dropped > 0) {
+                stored.evict_oldest(dropped, cap);
+            }
+            accepted += slot.accepted;
+            evicted += dropped;
         }
         inner.points_written += accepted as u64;
+        inner.points_evicted += evicted as u64;
         Some(accepted)
     }
 
@@ -1860,9 +1897,10 @@ mod tests {
                 continue;
             }
             let (_, fingerprint, len) = head.unwrap_or((0, FINGERPRINT_SEED, 0));
-            let mut next = (t, mix_f64(mix(fingerprint, t), v), len + 1);
+            let fingerprint = fold_word(fold_word(fingerprint, t), v.to_bits());
+            let mut next = (t, fingerprint, len + 1);
             if policy.raw_capacity().is_some_and(|cap| next.2 > cap) {
-                next = (t, mix(next.1, EVICTION_TAG), next.2 - 1);
+                next = (t, fold_word(next.1, EVICTION_TAG), next.2 - 1);
             }
             heads.insert(id.clone(), next);
         }
@@ -1878,9 +1916,13 @@ mod tests {
         // repeated series, stale timestamps, non-finite values, eviction
         // boundaries and series created between stored ones, for lists
         // logged as live ingest logs them (placed) and all spelled, the true
-        // one and nine kinds of wrong one. The log holds one digest of the
+        // one and eleven kinds of wrong one. The log holds one digest of the
         // fingerprints (`verified`); the oracle compares them one by one.
-        const KINDS: usize = 10;
+        // The last two kinds are refused only after every point was
+        // appended: one batch creates series between stored ones, the other
+        // carries a window past its compaction point, and each refusal must
+        // undo all of it.
+        const KINDS: usize = 12;
         let (mut applied, mut refused) = ([0usize; KINDS], [0usize; KINDS]);
         for (round, policy) in [
             RetentionPolicy::unbounded(),
@@ -1910,7 +1952,7 @@ mod tests {
                 splitmix64(state)
             };
             let mut heads = BTreeMap::new();
-            for step in 0..160 {
+            for step in 0..192 {
                 let drawn = (4 + 2 * (step / 40) as usize).min(ids.len());
                 let mut batch = Vec::new();
                 for _ in 0..(rand() % 20) {
@@ -2038,10 +2080,35 @@ mod tests {
                     }
                     _ => {}
                 }
+                // Two series no batch names, sorting between stored ones.
+                let fresh = [
+                    MetricId::new("db", format!("new{step}")),
+                    MetricId::new("web", format!("d{step}")),
+                ];
+                let mut extended = batch.clone();
+                match kind {
+                    10 => extended.extend(fresh.iter().map(|id| (id, step * 500, 1.0))),
+                    11 => {
+                        // Enough points on one series to evict more than a
+                        // whole window, past the previous batches' times.
+                        let id = &ids[(rand() % drawn as u64) as usize];
+                        let cap = policy.raw_capacity().unwrap_or(7) as u64;
+                        let ticks = (step * 5 + 10)..(step * 5 + 11 + 2 * cap);
+                        extended.extend(ticks.map(|t| (id, t * 500, (t % 7) as f64)));
+                    }
+                    _ => {}
+                }
+                if matches!(kind, 10 | 11) {
+                    // The list of the longer batch, one fingerprint off.
+                    let longer = detailed(&MetricStore::restore(before.clone()), extended.clone());
+                    expected = log(&longer.watermarks);
+                    let entry = at(rand(), expected.1.len());
+                    expected.1[entry].1 ^= 1 << (rand() % 64);
+                }
                 let named = resolved(&before, &expected.1);
-                if matches!(kind, 3..=5) {
+                if matches!(kind, 3..=5 | 10 | 11) {
                     // The points still name their own series.
-                    points = slotted(&batch, &named);
+                    points = slotted(&extended, &named);
                 }
 
                 let oracle_store = MetricStore::restore(before.clone());
@@ -2072,6 +2139,15 @@ mod tests {
                     None => {
                         refused[kind] += 1;
                         assert_eq!(store.freeze(), before, "a refusal leaves no trace");
+                        assert_eq!(store.series_count(), before.series.len());
+                        assert_eq!(store.point_count(), before.points_written);
+                        assert_eq!(store.evicted_point_count(), before.points_evicted);
+                        // Every id still finds its own series, or none.
+                        for id in ids.iter().chain(&fresh) {
+                            let held = before.series.iter().find(|s| s.id == *id);
+                            let fingerprint = held.map(|s| s.fingerprint);
+                            assert_eq!(store.fingerprint(id), fingerprint, "step {step}");
+                        }
                         // Keep the stream moving: the true list applies.
                         let accepted = verified(&store, &true_points, &true_list);
                         assert_eq!(accepted, Some(truth.accepted));
@@ -2088,6 +2164,7 @@ mod tests {
         // Not vacuous: the true list always applies, and every kind of wrong
         // list was refused many times.
         assert_eq!((applied[0], refused[0]), (48, 0));
+        assert_eq!(applied[10..], [0, 0]);
         assert!(refused[1..].iter().all(|&n| n >= 30), "{refused:?}");
     }
 
@@ -2174,6 +2251,54 @@ mod tests {
                 assert_eq!(store.freeze(), before);
             }
         }
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_every_id_its_own_series_and_every_window_as_it_was() {
+        // Stored under a window of 3: b, d, f, five points each, so each
+        // window starts two points short of its compaction point. The
+        // batch creates a, c, e, g between and around them and carries d
+        // past its compaction point; its list is one fingerprint off, so
+        // it is refused once every point is appended.
+        let store = MetricStore::with_retention(RetentionPolicy::windowed(3));
+        let all = ["a", "b", "c", "d", "e", "f", "g"].map(|m| MetricId::new("web", m));
+        for id in [&all[1], &all[3], &all[5]] {
+            store.record_batch((0..5u64).map(|t| (id, t * 500, t as f64)));
+        }
+        assert_eq!(store.read().get(&all[3]).unwrap().start, 2);
+        let before = store.freeze();
+        let batch: Vec<(&MetricId, u64, f64)> = all
+            .iter()
+            .map(|id| (id, 5000, 1.0))
+            .chain((6..14u64).map(|t| (&all[3], t * 1000, t as f64)))
+            .collect();
+        let outcome = detailed(&MetricStore::restore(before.clone()), batch.iter().copied());
+        let listed: Vec<MetricId> = outcome
+            .watermarks
+            .list
+            .iter()
+            .map(|w| w.id.clone())
+            .collect();
+        assert_eq!(listed, all);
+        let mut logged = placed(&outcome.watermarks);
+        logged.1[6].1 ^= 1;
+        assert_eq!(verified(&store, &slotted(&batch, &listed), &logged), None);
+        assert_eq!(store.freeze(), before, "the store is untouched");
+        let counts = (
+            store.series_count(),
+            store.point_count(),
+            store.evicted_point_count(),
+        );
+        assert_eq!(counts, (3, 15, 6));
+
+        // `record` of every id finds its own series, or creates it: the
+        // store goes on as one that never saw the batch.
+        let reference = MetricStore::restore(before);
+        for (t, id) in (20_000u64..).zip(&all) {
+            assert!(store.record(id, t, 2.0));
+            assert!(reference.record(id, t, 2.0));
+        }
+        assert_eq!(store.freeze(), reference.freeze());
     }
 
     #[test]

@@ -394,11 +394,14 @@ fn put_series(buf: &mut Vec<u8>, series: &SeriesState) {
 fn take_series(cur: &mut Cursor<'_>) -> DecodeResult<SeriesState> {
     let id = take_metric_id(cur)?;
     let len = cur.take_usize("series point count")?;
-    let mut timestamps_ms = Vec::with_capacity(len.min(65_536));
+    // A point takes 16 bytes, so a damaged count reserves no more than the
+    // bytes left could hold.
+    let reserved = len.min(cur.remaining() / 16);
+    let mut timestamps_ms = Vec::with_capacity(reserved);
     for _ in 0..len {
         timestamps_ms.push(cur.take_u64("series timestamp")?);
     }
-    let mut values = Vec::with_capacity(len.min(65_536));
+    let mut values = Vec::with_capacity(reserved);
     for _ in 0..len {
         values.push(cur.take_f64("series value")?);
     }
@@ -431,7 +434,8 @@ pub(crate) fn take_store_state(cur: &mut Cursor<'_>) -> DecodeResult<StoreState>
     let points_written = cur.take_u64("store points_written")?;
     let points_evicted = cur.take_u64("store points_evicted")?;
     let series_len = cur.take_usize("store series count")?;
-    let mut series = Vec::with_capacity(series_len.min(4096));
+    // Grown as series decode, so a damaged count reserves nothing.
+    let mut series = Vec::new();
     for _ in 0..series_len {
         series.push(take_series(cur)?);
     }

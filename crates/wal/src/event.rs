@@ -598,7 +598,10 @@ fn decode_ingest(cur: &mut Cursor<'_>, buf: &mut IngestBatch) -> DecodeResult<()
     buf.series_before = series_before;
     let slots = cur.take_varint("watermark count")?;
     buf.watermarks.clear();
-    buf.watermarks.reserve((slots as usize).min(65_536));
+    // A watermark takes at least a byte, so a damaged count reserves no
+    // more than the bytes left could hold.
+    let reserved = (slots as usize).min(cur.remaining());
+    buf.watermarks.reserve(reserved);
     buf.spelled.clear();
     // A place written in one byte (`place + 1` in 1..0x80) and below the
     // series count, `place < one_byte_places`, is read behind one bounds
@@ -739,7 +742,7 @@ mod tests {
         // written by another build; that guard holds only while the set
         // and the format number change together.
         let read: Vec<u8> = (0..=255u8).filter(|t| reads_tag(*t)).collect();
-        assert_eq!(crate::FORMAT, 8, "a new format re-pins the tags it reads");
+        assert_eq!(crate::FORMAT, 9, "a new format re-pins the tags it reads");
         assert_eq!(
             read,
             [2, 3, 5, 6],

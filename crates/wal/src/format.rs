@@ -25,8 +25,10 @@ use crate::{Result, WalError};
 /// logs one digest per ingest batch in place of a fingerprint per
 /// watermark, each point's timestamp as its distance from the frame's
 /// base, and the counts as varints, and checksums frames, snapshots and
-/// checkpoints with one multiply per word.
-pub const FORMAT: u32 = 8;
+/// checkpoints with one multiply per word. Format 9 steps each series'
+/// store fingerprint — a snapshot series holds it, and a logged batch's
+/// digest folds it — with one multiply per word too.
+pub const FORMAT: u32 = 9;
 
 /// First bytes of a format record.
 const MAGIC: [u8; 8] = *b"SIEVEFMT";
@@ -105,13 +107,13 @@ mod tests {
         assert_eq!(created.format().unwrap(), Some(FORMAT));
         let path = dir.join(FORMAT_FILE_NAME);
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes, b"SIEVEFMT\x08\x00\x00\x00");
+        assert_eq!(bytes, b"SIEVEFMT\x09\x00\x00\x00");
         let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(files.len(), 1, "the temp file was renamed away");
 
         for (bytes, reason) in [
             (&bytes[..RECORD_LEN - 1], "torn format record"),
-            (&b"SIEVEFMX\x08\x00\x00\x00"[..], "bad format record magic"),
+            (&b"SIEVEFMX\x09\x00\x00\x00"[..], "bad format record magic"),
         ] {
             std::fs::write(&path, bytes).unwrap();
             match created.format() {

@@ -342,9 +342,9 @@ mod tests {
     /// wrote, and the tenant-created (tag 5) and retention (tag 3) payloads
     /// are format 6's, each retention policy without the tier capacity that
     /// format 5 wrote after it. Format 8 changed their checksums only (the
-    /// one-multiply step). A change that makes one of them stop decoding to
-    /// its event, or encode differently, strands the directories holding
-    /// them.
+    /// one-multiply step), and format 9 nothing of them. A change that
+    /// makes one of them stop decoding to its event, or encode differently,
+    /// strands the directories holding them.
     const GOLDEN_FRAMES: [&str; 3] = [
         "8e0000000100000000000000727ffcf95c692dfe050400000061636d65fa000000000000007b14ae47e17a843f03\
          000000000000000400000000000000110000000000000005000000000000007b14ae47e17a843f03000000000000\
@@ -400,8 +400,9 @@ mod tests {
         ]
     }
 
-    /// `encode(4, &golden_events()[3])`: the ingest batch as format 8 writes
-    /// it (tag 6) — the store held five series before it, `db/mem` is
+    /// `encode(4, &golden_events()[3])`: the ingest batch as formats 8 and 9
+    /// write it (tag 6; format 9 changed the fingerprints a digest folds,
+    /// not the layout) — the store held five series before it, `db/mem` is
     /// created and spelled, the series at place 3 is named by it, one digest
     /// stands for both fingerprints, both points sit at the base timestamp
     /// 500 and each point is a one-byte slot, a one-byte distance and its

@@ -150,7 +150,8 @@ impl ShardSnapshot {
         let shard = cur.take_usize("snapshot shard")?;
         let last_seq = cur.take_u64("snapshot last_seq")?;
         let tenant_count = cur.take_usize("snapshot tenant count")?;
-        let mut tenants = Vec::with_capacity(tenant_count.min(4096));
+        // Grown as tenants decode, so a damaged count reserves nothing.
+        let mut tenants = Vec::new();
         for _ in 0..tenant_count {
             tenants.push(TenantSnapshot {
                 tenant: cur.take_str("tenant name")?.to_string(),
@@ -200,6 +201,7 @@ mod tests {
     use super::*;
     use crate::codec::unhex;
     use crate::testing::{mutate, rng};
+    use sieve_exec::hash::{fold_word, FINGERPRINT_SEED};
     use sieve_simulator::store::{MetricId, MetricStore, RetentionPolicy};
 
     fn sample() -> ShardSnapshot {
@@ -304,9 +306,22 @@ mod tests {
         (snapshot, store)
     }
 
-    /// `ShardSnapshot::encode` of [`golden_snapshot`] today, format 8: the
+    /// `ShardSnapshot::encode` of [`golden_snapshot`] today, format 9: the
     /// bytes a directory written today holds.
     const GOLDEN_SNAPSHOT: &str =
+        "50414e5356454953090000000c5df6fb59cab6a501000000000000000700000000000000010000000000000004000000\
+         61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
+         000000007b14ae47e17a843f030000000000000001030000000000000002000000000000000200000064620300000077\
+         656201000000000000000300000077656202000000646203000000000000000103000000000000000100000000000000\
+         11000000000000000c000000000000000200000000000000020000006462030000006d656d0200000000000000000000\
+         0000000000f401000000000000000000000000f43f00000000000004c0acdd56e6d9f478a40003000000776562030000\
+         00637075030000000000000070170000000000006419000000000000581b000000000000000000000000004000000000\
+         0000024000000000000004409a4382f489e38a8301";
+
+    /// The same snapshot as the format-8 build wrote it: version 8, and
+    /// each series' fingerprint stepped by two `mix` calls a point (and
+    /// one an eviction) in place of one `fold_word` a word.
+    const GOLDEN_V8_SNAPSHOT: &str =
         "50414e53564549530800000047a81610e32de52c01000000000000000700000000000000010000000000000004000000\
          61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
          000000007b14ae47e17a843f030000000000000001030000000000000002000000000000000200000064620300000077\
@@ -372,14 +387,18 @@ mod tests {
 
         // The same facts as the build that wrote the version-2 golden
         // printed them, so the equality above is not two copies of one
-        // mistake.
+        // mistake — but for the fingerprints, which format 9 steps with
+        // `fold_word`: `db/mem`'s is its two points' chain written out.
         let (cpu, mem) = (MetricId::new("web", "cpu"), MetricId::new("db", "mem"));
         let restored = MetricStore::restore(decoded.tenants[0].store.clone());
         assert_eq!(restored.epoch(), 1);
         assert_eq!(restored.point_count(), 17);
         assert_eq!(restored.evicted_point_count(), 12);
-        assert_eq!(restored.fingerprint(&cpu), Some(0x9f46_0332_4682_40fe));
-        assert_eq!(restored.fingerprint(&mem), Some(0xb2bd_17e3_a91e_130d));
+        assert_eq!(restored.fingerprint(&cpu), Some(0x838a_e389_f482_439a));
+        assert_eq!(restored.fingerprint(&mem), Some(0xa478_f4d9_e656_ddac));
+        let words = [0, 1.25f64.to_bits(), 500, (-2.5f64).to_bits()];
+        let chain = words.into_iter().fold(FINGERPRINT_SEED, fold_word);
+        assert_eq!(chain, 0xa478_f4d9_e656_ddac);
 
         // The frozen dirty mark survives, and the stream continues on the
         // restored store exactly as it does on the live one.
@@ -392,14 +411,28 @@ mod tests {
                 store.record(&mem, t * 500, (t % 5) as f64);
             }
         }
-        assert_eq!(restored.fingerprint(&cpu), Some(0xff39_ff0e_6796_481c));
-        assert_eq!(restored.fingerprint(&mem), Some(0x4907_5a54_4892_c63d));
+        assert_eq!(restored.fingerprint(&cpu), Some(0xb7ad_0eec_2bc0_209c));
+        assert_eq!(restored.fingerprint(&mem), Some(0x3754_3e21_3868_7a55));
         assert_eq!(restored.freeze(), live.freeze());
 
+        // Format 9 changed the fingerprint step: the body is format 8's
+        // with each series' fingerprint re-stepped, and nothing else.
+        let v8 = unhex(GOLDEN_V8_SNAPSHOT);
+        let mut restepped = v8[20..].to_vec();
+        for (format8, format9) in [
+            (0xb2bd_17e3_a91e_130d_u64, 0xa478_f4d9_e656_ddac_u64),
+            (0x9f46_0332_4682_40fe, 0x838a_e389_f482_439a),
+        ] {
+            let old = format8.to_le_bytes();
+            let at = restepped.windows(8).position(|word| word == old).unwrap();
+            restepped[at..at + 8].copy_from_slice(&format9.to_le_bytes());
+        }
+        assert_eq!(golden[20..], restepped);
+
         // Formats 7 and 8 changed the log's ingest frames and the checksum
-        // step, not the snapshot body: it is the version-6 golden's.
-        assert_eq!(golden[20..], unhex(GOLDEN_V7_SNAPSHOT)[20..]);
-        assert_eq!(golden[20..], unhex(GOLDEN_V6_SNAPSHOT)[20..]);
+        // step, not the snapshot body: format 8's is the version-6 golden's.
+        assert_eq!(v8[20..], unhex(GOLDEN_V7_SNAPSHOT)[20..]);
+        assert_eq!(v8[20..], unhex(GOLDEN_V6_SNAPSHOT)[20..]);
 
         // Against the version-5 body, each retention policy lost its tier
         // capacity (a `u64` after the raw capacity: the configuration's at
@@ -415,7 +448,7 @@ mod tests {
             &body[386..465],
             &body[621..],
         ];
-        assert_eq!(golden[20..], kept.concat());
+        assert_eq!(v8[20..], kept.concat());
     }
 
     /// `ShardSnapshot::encode` of [`golden_snapshot`]'s store as commit
@@ -510,6 +543,11 @@ mod tests {
     #[test]
     fn a_version_7_snapshot_is_refused_as_unsupported() {
         assert_refused_as_unsupported(GOLDEN_V7_SNAPSHOT, 7);
+    }
+
+    #[test]
+    fn a_version_8_snapshot_is_refused_as_unsupported() {
+        assert_refused_as_unsupported(GOLDEN_V8_SNAPSHOT, 8);
     }
 
     /// The clauses of the store's rule `state` breaks, each checked here
