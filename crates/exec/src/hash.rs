@@ -11,8 +11,8 @@
 //! The metric store's running fingerprint per recorded series keys no
 //! cache: the session fingerprints what it prepares itself. Its one job is
 //! to let a replayed log prove it rebuilt the store the log was written
-//! against, so it steps with the cheaper [`fold_word`], like the log's
-//! checksums.
+//! against, so it steps with the cheaper [`fold_word`], like the write-ahead
+//! log's checksum.
 //!
 //! These are content hashes, not cryptographic digests: collisions are
 //! possible in principle (2⁻⁶⁴ per comparison) but irrelevant in practice
@@ -53,9 +53,10 @@ const FOLD_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 /// alone, and the same flip in the next word cancels it.
 ///
 /// A quarter of [`mix`]'s multiplies, and a weaker hash: it guards bytes
-/// and replay against corruption and divergence (the log's frame, snapshot
-/// and checkpoint checksums, a store series' running fingerprint, a
-/// batch's digest of those fingerprints), and keys nothing.
+/// and replay against corruption and divergence (the write-ahead log's one
+/// checksum — its four lane chains and their fold — over a frame's payload,
+/// a snapshot body and a checkpoint record; a store series' running
+/// fingerprint; a batch's digest of those fingerprints), and keys nothing.
 pub fn fold_word(acc: u64, word: u64) -> u64 {
     let product = (acc ^ word).wrapping_mul(FOLD_MULTIPLIER);
     product ^ (product >> 32)

@@ -165,10 +165,10 @@ mod tests {
                 .starts_with("the durable directory has no format record, older than"),
             "{e}"
         );
-        let e = ServeError::FormatTooNew { found: 9 };
+        let e = ServeError::FormatTooNew { found: 11 };
         assert!(
             e.to_string()
-                .starts_with("the durable directory is of format 9, newer than"),
+                .starts_with("the durable directory is of format 11, newer than"),
             "{e}"
         );
     }

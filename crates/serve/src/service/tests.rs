@@ -945,11 +945,11 @@ fn a_directory_of_another_format_is_refused_and_left_untouched() {
     std::fs::remove_file(&record).unwrap();
     assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: None }");
     std::fs::write(&record, naming(sieve_wal::FORMAT - 1)).unwrap();
-    assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: Some(8) }");
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooOld { found: Some(9) }");
     // The next format: a later build wrote the directory, and rolling back
     // to this one refuses it rather than reading its snapshots as corrupt.
     std::fs::write(&record, naming(sieve_wal::FORMAT + 1)).unwrap();
-    assert_recover_refuses_format(&dir, config.clone(), "FormatTooNew { found: 10 }");
+    assert_recover_refuses_format(&dir, config.clone(), "FormatTooNew { found: 11 }");
 
     // Named right again, the same directory recovers clean.
     std::fs::write(&record, &ours).unwrap();

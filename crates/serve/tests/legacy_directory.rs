@@ -54,6 +54,14 @@
 //! steps under the same `config`, the waves' points in format 7's order.
 //! Its frames have format 8's layout and its snapshot body is format 7's;
 //! events 4 and 5 are the log tail, and the format record names 8.
+//!
+//! `fixtures/parent-format9` was written by the last format-9 build
+//! (commit cbaebc0), whose frames were checksummed by one chain over the
+//! payload and whose snapshot's four lane sums folded with `mix`. It ran
+//! the same five steps under the same `config`, the waves' points in
+//! format 7's order. Its frames have format 8's layout and its snapshot
+//! body this build's; events 4 and 5 are the log tail, and the format
+//! record names 9.
 
 use sieve_core::SieveConfig;
 use sieve_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, ServeError, SieveService};
@@ -78,6 +86,9 @@ const FORMAT7_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format7/wal-shar
 const FORMAT8_RECORD: &[u8] = include_bytes!("fixtures/parent-format8/wal-format");
 const FORMAT8_LOG: &[u8] = include_bytes!("fixtures/parent-format8/wal-shard-0.log");
 const FORMAT8_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format8/wal-shard-0.snap");
+const FORMAT9_RECORD: &[u8] = include_bytes!("fixtures/parent-format9/wal-format");
+const FORMAT9_LOG: &[u8] = include_bytes!("fixtures/parent-format9/wal-shard-0.log");
+const FORMAT9_SNAPSHOT: &[u8] = include_bytes!("fixtures/parent-format9/wal-shard-0.snap");
 
 /// The configuration every fixture was written under: one shard, a
 /// snapshot every three events.
@@ -218,4 +229,23 @@ fn a_format_8_directory_is_refused_untouched() {
         (snapshot_file_name(0), FORMAT8_SNAPSHOT),
     ];
     assert_refused_untouched("format8", &files, Some(8));
+}
+
+#[test]
+fn a_format_9_directory_is_refused_untouched() {
+    assert_eq!(FORMAT9_RECORD[8..], 9u32.to_le_bytes());
+    assert_eq!(snapshot_version(FORMAT9_SNAPSHOT), 9);
+    assert_eq!(frame_tags(FORMAT9_LOG), vec![3, 6]);
+    // Format 9 re-stepped the store fingerprints a snapshot holds, and its
+    // log frames kept format 8's layout: the files are as long as format
+    // 8's, and the snapshot bodies differ.
+    assert_eq!(FORMAT9_LOG.len(), FORMAT8_LOG.len());
+    assert_eq!(FORMAT9_SNAPSHOT.len(), FORMAT8_SNAPSHOT.len());
+    assert_ne!(FORMAT9_SNAPSHOT[20..], FORMAT8_SNAPSHOT[20..]);
+    let files = [
+        (FORMAT_FILE_NAME.to_string(), FORMAT9_RECORD),
+        (log_file_name(0), FORMAT9_LOG),
+        (snapshot_file_name(0), FORMAT9_SNAPSHOT),
+    ];
+    assert_refused_untouched("format9", &files, Some(9));
 }

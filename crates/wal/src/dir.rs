@@ -194,18 +194,20 @@ impl ShardDir {
         ShardSnapshot::read(&self.path.join(snapshot_file_name(shard)))
     }
 
-    /// The frames of shard `shard`'s log; a missing log has none.
+    /// The frames of shard `shard`'s log, read through a window no longer
+    /// than the file; a missing log has none.
     ///
     /// # Errors
     ///
     /// I/O failures other than not-found.
     pub fn log_frames(&self, shard: usize) -> Result<LogFrames<Box<dyn Read>>> {
-        let log: Box<dyn Read> = match File::open(self.path.join(log_file_name(shard))) {
-            Ok(file) => Box::new(file),
-            Err(e) if e.kind() == ErrorKind::NotFound => Box::new(std::io::empty()),
-            Err(e) => return Err(e.into()),
-        };
-        Ok(LogFrames::new(log))
+        let (len, log): (u64, Box<dyn Read>) =
+            match File::open(self.path.join(log_file_name(shard))) {
+                Ok(file) => (file.metadata()?.len(), Box::new(file)),
+                Err(e) if e.kind() == ErrorKind::NotFound => (0, Box::new(std::io::empty())),
+                Err(e) => return Err(e.into()),
+            };
+        Ok(LogFrames::new(log, len))
     }
 
     /// A re-anchor's first half: stamps the format record if the directory

@@ -742,7 +742,7 @@ mod tests {
         // written by another build; that guard holds only while the set
         // and the format number change together.
         let read: Vec<u8> = (0..=255u8).filter(|t| reads_tag(*t)).collect();
-        assert_eq!(crate::FORMAT, 9, "a new format re-pins the tags it reads");
+        assert_eq!(crate::FORMAT, 10, "a new format re-pins the tags it reads");
         assert_eq!(
             read,
             [2, 3, 5, 6],

@@ -27,8 +27,10 @@ use crate::{Result, WalError};
 /// base, and the counts as varints, and checksums frames, snapshots and
 /// checkpoints with one multiply per word. Format 9 steps each series'
 /// store fingerprint — a snapshot series holds it, and a logged batch's
-/// digest folds it — with one multiply per word too.
-pub const FORMAT: u32 = 9;
+/// digest folds it — with one multiply per word too. Format 10 checksums a
+/// frame's payload in four lanes, as a snapshot body and a checkpoint
+/// record are, and folds the four lane sums with that same step.
+pub const FORMAT: u32 = 10;
 
 /// First bytes of a format record.
 const MAGIC: [u8; 8] = *b"SIEVEFMT";
@@ -107,13 +109,13 @@ mod tests {
         assert_eq!(created.format().unwrap(), Some(FORMAT));
         let path = dir.join(FORMAT_FILE_NAME);
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes, b"SIEVEFMT\x09\x00\x00\x00");
+        assert_eq!(bytes, b"SIEVEFMT\x0a\x00\x00\x00");
         let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(files.len(), 1, "the temp file was renamed away");
 
         for (bytes, reason) in [
             (&bytes[..RECORD_LEN - 1], "torn format record"),
-            (&b"SIEVEFMX\x09\x00\x00\x00"[..], "bad format record magic"),
+            (&b"SIEVEFMX\x0a\x00\x00\x00"[..], "bad format record magic"),
         ] {
             std::fs::write(&path, bytes).unwrap();
             match created.format() {

@@ -1,4 +1,5 @@
-//! Length-prefixed, checksummed log frames.
+//! Length-prefixed, checksummed log frames, and the one checksum of a
+//! durable directory.
 //!
 //! Every event appended to a shard log is wrapped in one frame:
 //!
@@ -6,25 +7,23 @@
 //! [payload length: u32 LE][sequence: u64 LE][checksum: u64 LE][payload]
 //! ```
 //!
-//! The checksum is a chain of [`sieve_exec::hash::fold_word`] steps seeded
-//! with the sequence number and payload length and folded over the payload
-//! in 8-byte little-endian chunks: one multiply per word, the product's high
-//! half folded onto its low half. Every step is a bijection of the word it
+//! The checksum is [`lane_checksum`] of the payload under a seed of the
+//! sequence number; snapshot bodies and checkpoint records take the same
+//! function under seeds of their own. It steps four chains of
+//! [`sieve_exec::hash::fold_word`] in lockstep, one per lane of the bytes,
+//! which keeps the processor's multipliers busy where one chain would wait
+//! on its own previous step. Every step is a bijection of the word it
 //! takes, so any change confined to one word — every single-bit flip among
-//! them — changes the sum, and the fold-down keeps two one-bit flips in
-//! consecutive words from cancelling (the tests flip every pair of bits of
-//! a frame). The batch digest inside an ingest payload folds fingerprints
-//! with the same step, so the WAL adds no second hashing scheme. A frame is
-//! accepted only if it is fully present, its length is plausible, its
-//! checksum verifies, *and* its payload decodes as a [`WalEvent`] with no
-//! trailing bytes.
+//! them — changes the sum, and the step's fold-down keeps two one-bit flips
+//! in consecutive words from cancelling (the tests flip every pair of bits
+//! of a frame). The batch digest inside an ingest payload folds
+//! fingerprints with the same step, so the WAL adds no second hashing
+//! scheme.
 //!
-//! Judging a frame is three steps — parse the header, verify the
-//! checksum, decode the payload — that [`parse_at`] takes in turn for one
-//! offset. A scan of a whole log verifies a few frames at a time instead:
-//! [`checksums`] steps several independent chains in lockstep, which keeps
-//! the processor's multipliers busy where one chain would wait on its own
-//! previous step.
+//! A frame is accepted only if it is fully present, its length is
+//! plausible, its checksum verifies, *and* its payload decodes as a
+//! [`WalEvent`] with no trailing bytes: the three steps [`judge_at`] takes
+//! in turn for one offset, and the only way a frame is judged.
 
 use crate::codec::{le_words, DecodeResult};
 use crate::event::{reads_tag, WalEvent};
@@ -38,38 +37,39 @@ pub(crate) const HEADER_LEN: usize = 4 + 8 + 8;
 /// scanner treat half the file as one giant torn frame.
 pub(crate) const MAX_PAYLOAD: usize = 1 << 28;
 
-/// Seed of the frame checksum chain ("SIEVWALF" in ASCII).
-const CHECKSUM_SEED: u64 = 0x5349_4556_5741_4C46;
+/// Seed of a frame's checksum, before its sequence number ("SIEVWALF" in
+/// ASCII).
+const FRAME_SEED: u64 = 0x5349_4556_5741_4C46;
 
-/// Checksum of one frame: seeded with the sequence number and payload
-/// length, folded over the payload in 8-byte LE chunks (the final partial
-/// chunk zero-padded).
-pub(crate) fn checksum(seq: u64, payload: &[u8]) -> u64 {
-    let [fp] = checksums([(seq, payload)]);
-    fp
-}
-
-/// [`checksum`] of `N` frames at once: the `N` chains step in lockstep
-/// over the words every payload has, then each folds its own tail.
-pub(crate) fn checksums<const N: usize>(frames: [(u64, &[u8]); N]) -> [u64; N] {
-    let mut fps =
-        frames.map(|(seq, payload)| fold_word(fold_word(CHECKSUM_SEED, seq), payload.len() as u64));
-    let common = frames
-        .iter()
-        .map(|(_, payload)| payload.len() / 8)
-        .min()
-        .unwrap_or(0)
-        * 8;
-    for at in (0..common).step_by(8) {
-        for (fp, (_, payload)) in fps.iter_mut().zip(&frames) {
-            let word = payload[at..at + 8].try_into().expect("8 bytes");
-            *fp = fold_word(*fp, u64::from_le_bytes(word));
+/// The checksum of `bytes` under `seed`: a log frame's payload, a snapshot
+/// body, a checkpoint record.
+///
+/// The bytes are cut into four lanes of `len / 32 * 8` bytes, the last
+/// lane taking the remainder. Lane `i`'s chain starts at `fold_word(seed,
+/// len) + i`, so equal lanes sum apart and the length is covered (a short
+/// last word is zero-padded), and the four chains step in lockstep over the
+/// words every lane has; the last then steps on over its remainder. The
+/// four sums fold into `seed`, in lane order, with the same step.
+pub(crate) fn lane_checksum(seed: u64, bytes: &[u8]) -> u64 {
+    let start = fold_word(seed, bytes.len() as u64);
+    let quarter = bytes.len() / 32 * 8;
+    let lanes: [&[u8]; 4] = std::array::from_fn(|lane| &bytes[lane * quarter..]);
+    let mut sums: [u64; 4] = std::array::from_fn(|lane| start.wrapping_add(lane as u64));
+    for at in (0..quarter).step_by(8) {
+        for (sum, lane) in sums.iter_mut().zip(lanes) {
+            let word = lane[at..at + 8].try_into().expect("8 bytes");
+            *sum = fold_word(*sum, u64::from_le_bytes(word));
         }
     }
-    for (fp, (_, payload)) in fps.iter_mut().zip(&frames) {
-        le_words(&payload[common..], |word| *fp = fold_word(*fp, word));
-    }
-    fps
+    le_words(&lanes[3][quarter..], |word| {
+        sums[3] = fold_word(sums[3], word)
+    });
+    sums.into_iter().fold(seed, fold_word)
+}
+
+/// The checksum of the frame of sequence number `seq` around `payload`.
+pub(crate) fn checksum(seq: u64, payload: &[u8]) -> u64 {
+    lane_checksum(fold_word(FRAME_SEED, seq), payload)
 }
 
 /// Encodes one event as a complete frame with sequence number `seq`.
@@ -121,21 +121,21 @@ pub(crate) enum Parsed<E = WalEvent> {
 }
 
 /// A complete frame header with a plausible length, its payload present.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Header {
-    pub(crate) seq: u64,
+#[derive(Debug)]
+struct Header {
+    seq: u64,
     /// The checksum the frame carries.
-    pub(crate) stored: u64,
+    stored: u64,
     payload_start: usize,
     /// Byte offset one past the frame's last byte.
-    pub(crate) end: usize,
+    end: usize,
 }
 
 impl Header {
     /// Reads the frame header at `offset`: `Ok(None)` exactly at the end
     /// of the log, the reason for a torn header, an implausible length or
     /// a torn payload.
-    pub(crate) fn at(bytes: &[u8], offset: usize) -> Result<Option<Self>, String> {
+    fn at(bytes: &[u8], offset: usize) -> Result<Option<Self>, String> {
         if offset == bytes.len() {
             return Ok(None);
         }
@@ -170,7 +170,7 @@ impl Header {
 
     /// The frame's payload within `bytes`, the log the header was read
     /// from.
-    pub(crate) fn payload<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+    fn payload<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
         &bytes[self.payload_start..self.end]
     }
 }
@@ -182,25 +182,6 @@ pub(crate) fn stated_len(bytes: &[u8], offset: usize) -> Option<usize> {
     let header = bytes.get(offset..)?.get(..HEADER_LEN)?;
     let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
     (len <= MAX_PAYLOAD).then_some(len)
-}
-
-/// Decodes with `decode` the payload of the frame `header` describes, whose
-/// checksum has verified.
-pub(crate) fn decode_verified<'a, E>(
-    bytes: &'a [u8],
-    header: Header,
-    decode: impl FnOnce(&'a [u8]) -> DecodeResult<E>,
-) -> Parsed<E> {
-    match decode(header.payload(bytes)) {
-        Ok(event) => Parsed::Frame {
-            seq: header.seq,
-            event,
-            end: header.end,
-        },
-        Err(reason) => Parsed::Bad {
-            reason: format!("checksummed payload failed to decode: {reason}"),
-        },
-    }
 }
 
 /// [`parse_at`] with the payload decoder `decode`: the log reader's walk
@@ -215,12 +196,22 @@ pub(crate) fn judge_at<'a, E>(
         Ok(None) => return Parsed::Eof,
         Err(reason) => return Parsed::Bad { reason },
     };
-    if checksum(header.seq, header.payload(bytes)) != header.stored {
+    let payload = header.payload(bytes);
+    if checksum(header.seq, payload) != header.stored {
         return Parsed::Bad {
             reason: format!("checksum mismatch in frame seq {}", header.seq),
         };
     }
-    decode_verified(bytes, header, decode)
+    match decode(payload) {
+        Ok(event) => Parsed::Frame {
+            seq: header.seq,
+            event,
+            end: header.end,
+        },
+        Err(reason) => Parsed::Bad {
+            reason: format!("checksummed payload failed to decode: {reason}"),
+        },
+    }
 }
 
 /// The event tag of the frame at `offset` when the frame is whole and its
@@ -342,17 +333,18 @@ mod tests {
     /// wrote, and the tenant-created (tag 5) and retention (tag 3) payloads
     /// are format 6's, each retention policy without the tier capacity that
     /// format 5 wrote after it. Format 8 changed their checksums only (the
-    /// one-multiply step), and format 9 nothing of them. A change that
+    /// one-multiply step), format 9 nothing of them, and format 10 their
+    /// checksums again (four lanes of the payload). A change that
     /// makes one of them stop decoding to its event, or encode differently,
     /// strands the directories holding them.
     const GOLDEN_FRAMES: [&str; 3] = [
-        "8e0000000100000000000000727ffcf95c692dfe050400000061636d65fa000000000000007b14ae47e17a843f03\
+        "8e0000000100000000000000c884597e9f9a8e11050400000061636d65fa000000000000007b14ae47e17a843f03\
          000000000000000400000000000000110000000000000005000000000000007b14ae47e17a843f03000000000000\
          000180000000000000000300000000000000020000006462060000006c6f6e656c79030000007765620100000000\
          000000030000007765620200000064620c00000000000000",
-        "450000000200000000000000785a7dc9f925a380020400000061636d650300000000000000020000006462060000\
+        "450000000200000000000000673e953214f9247d020400000061636d650300000000000000020000006462060000\
          006c6f6e656c79030000007765620100000000000000030000007765620200000064620c00000000000000",
-        "120000000300000000000000ca105c05a8e808c8030400000061636d65014000000000000000",
+        "1200000003000000000000008575b40ec1b23b3a030400000061636d65014000000000000000",
     ];
 
     /// The events [`GOLDEN_FRAMES`] and [`GOLDEN_SLOTTED_FRAME`] encode.
@@ -400,9 +392,9 @@ mod tests {
         ]
     }
 
-    /// `encode(4, &golden_events()[3])`: the ingest batch as formats 8 and 9
-    /// write it (tag 6; format 9 changed the fingerprints a digest folds,
-    /// not the layout) — the store held five series before it, `db/mem` is
+    /// `encode(4, &golden_events()[3])`: the ingest batch as formats 8 to 10
+    /// write it (tag 6; format 9 changed the fingerprints a digest folds and
+    /// format 10 the checksum, not the layout) — the store held five series before it, `db/mem` is
     /// created and spelled, the series at place 3 is named by it, one digest
     /// stands for both fingerprints, both points sit at the base timestamp
     /// 500 and each point is a one-byte slot, a one-byte distance and its
@@ -411,7 +403,7 @@ mod tests {
     /// timestamp per point and 8-byte counts) and format 6 102 (both ids
     /// spelled, no series count).
     const GOLDEN_SLOTTED_FRAME: &str =
-        "3f00000004000000000000005b99eb6726f5778d060400000061636d65060200020000006462030000006d656d04\
+        "3f00000004000000000000000bd1cdb9156668d4060400000061636d65060200020000006462030000006d656d04\
          3412cdab0000000002f4010000000000000100000000000000f83f00000000000000000ac0";
 
     /// Asserts that `golden` is one whole frame of sequence `seq` that
@@ -548,61 +540,55 @@ mod tests {
         assert!(framed > 1_000, "{framed}");
     }
 
-    /// [`checksum`] as one chain over chunks copied out one by one.
-    fn checksum_reference(seq: u64, payload: &[u8]) -> u64 {
-        let mut fp = fold_word(fold_word(CHECKSUM_SEED, seq), payload.len() as u64);
-        for chunk in payload.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            fp = fold_word(fp, u64::from_le_bytes(word));
-        }
-        fp
-    }
-
-    #[test]
-    fn checksum_equals_the_chunk_copy_loop_it_replaced() {
-        let mut state = 0x5EED_u64;
-        let mut rand = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            splitmix64(state)
+    /// [`lane_checksum`] as its doc defines it, one lane after another:
+    /// each lane's chain over its words, copied out one by one (the last
+    /// zero-padded), then the four sums folded in lane order.
+    fn lane_checksum_written_out(seed: u64, bytes: &[u8]) -> u64 {
+        let start = fold_word(seed, bytes.len() as u64);
+        let quarter = bytes.len() / 32 * 8;
+        let lane_sum = |lane: usize| {
+            let end = if lane == 3 {
+                bytes.len()
+            } else {
+                (lane + 1) * quarter
+            };
+            let mut sum = start.wrapping_add(lane as u64);
+            for chunk in bytes[lane * quarter..end].chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                sum = fold_word(sum, u64::from_le_bytes(word));
+            }
+            sum
         };
-        let lengths: Vec<usize> = (0..=17)
-            .chain((0..200).map(|_| (rand() % 600) as usize))
-            .collect();
-        for len in lengths {
-            let payload: Vec<u8> = (0..len).map(|_| rand() as u8).collect();
-            let seq = rand();
-            assert_eq!(
-                checksum(seq, &payload),
-                checksum_reference(seq, &payload),
-                "payload of {len} bytes"
-            );
-        }
+        (0..4).map(lane_sum).fold(seed, fold_word)
     }
 
     #[test]
-    fn four_lane_checksums_equal_one_chain_per_frame() {
+    fn lane_checksum_equals_its_four_chains_written_out() {
         let mut state = 0x1A4E5_u64;
         let mut rand = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             splitmix64(state)
         };
-        // Unequal lanes of 0..600 bytes, then quads whose shortest lane has
-        // fewer than 8 bytes: no common word, every lane all tail.
-        for quad in 0..260 {
-            let cap = if quad < 200 { 600 } else { 8 };
-            let payloads: Vec<Vec<u8>> = (0..4)
-                .map(|_| (0..rand() % cap).map(|_| rand() as u8).collect())
-                .collect();
-            let seqs = [rand(), rand(), rand(), rand()];
-            let lanes = std::array::from_fn(|lane| (seqs[lane], payloads[lane].as_slice()));
-            let sums = checksums::<4>(lanes);
-            for (lane, sum) in sums.into_iter().enumerate() {
-                let (seq, payload) = lanes[lane];
-                let what = format!("quad {quad} lane {lane}: {} bytes", payload.len());
-                assert_eq!(sum, checksum(seq, payload), "{what}");
-                assert_eq!(sum, checksum_reference(seq, payload), "{what}");
-            }
+        // Every length from 0 to 600 bytes: every residue mod 32, empty
+        // lanes (under 32 bytes, all in the last lane's remainder) and
+        // short last words.
+        for len in 0..=600 {
+            let bytes: Vec<u8> = (0..len).map(|_| rand() as u8).collect();
+            let seed = rand();
+            assert_eq!(
+                lane_checksum(seed, &bytes),
+                lane_checksum_written_out(seed, &bytes),
+                "{len} bytes"
+            );
         }
+        // The frame's checksum is the lane checksum under its sequence
+        // number's seed.
+        let payload = unhex(GOLDEN_SLOTTED_FRAME)[HEADER_LEN..].to_vec();
+        let seed = fold_word(0x5349_4556_5741_4C46, 4);
+        assert_eq!(
+            checksum(4, &payload),
+            lane_checksum_written_out(seed, &payload)
+        );
     }
 }

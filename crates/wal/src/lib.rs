@@ -30,8 +30,10 @@
 //! # Torn writes and corruption
 //!
 //! A crash can tear the last frame, and disks can flip bits. Every frame
-//! carries a checksum over its sequence number and payload, one
-//! [`hash::fold_word`] step per word; [`LogFrames`] stops at the first
+//! carries a checksum over its sequence number and payload: the one
+//! checksum of the directory, which seals snapshot bodies and checkpoint
+//! records too, four lanes of [`hash::fold_word`] steps, one multiply per
+//! word. [`LogFrames`] judges one frame at a time, stops at the first
 //! frame that fails
 //! verification and then *resynchronizes* — scanning forward for valid
 //! frame headers — so the events lost to a mid-file corruption are

@@ -11,22 +11,16 @@
 //! so recovery can report *exactly* which tenants lost *how many* events
 //! and points, instead of a vague "the tail is gone".
 //!
-//! The walk reads the log through one reused window of 1 MiB, refilled
-//! from any [`Read`] straight into its spare capacity, so each byte is
-//! copied once and the log is never resident whole. The window grows only
-//! when a single frame does not fit in it, and then to that frame. A frame
-//! is judged only once it is held whole, or once the log is known to end
-//! inside it, so every verdict — the prefix, the corruption report — is
-//! the one a walk over the whole log in memory reaches, wherever the
-//! refills fall.
-//!
-//! The intact prefix is read four frames at a time: their headers are
-//! parsed and their checksums computed in one [`crate::frame::checksums`]
-//! call, then each verified frame is decoded as it is lent. A frame
-//! outside such a verified run — a torn or implausible header, a checksum
-//! mismatch — is judged alone by [`parse_at`]'s rules, after every frame
-//! before it has been lent, so the prefix and the corruption report are
-//! those of a frame-by-frame scan. Resynchronization stays byte-by-byte.
+//! The walk reads the log through one reused window, refilled from any
+//! [`Read`] straight into its spare capacity, so each byte is copied once
+//! and the log is never resident whole. The window is as long as the log,
+//! up to 1 MiB, and grows only when a single frame does not fit in it, and
+//! then to that frame. A frame is judged — its header, its checksum, its
+//! payload, by [`judge_at`] — only once it is held whole, or once the log
+//! is known to end inside it, so every verdict — the prefix, the
+//! corruption report — is the one a walk over the whole log in memory
+//! reaches, wherever the refills fall. The prefix is judged one frame at a
+//! time, and resynchronization one byte at a time.
 //!
 //! A first bad frame that is whole and verifies its checksum but carries
 //! an event tag this build does not read is no torn write: another build
@@ -43,19 +37,12 @@
 //! the same walk over a log held in memory into owned events.
 
 use crate::event::{AdminEvent, Decoded, IngestBatch, WalEvent};
-use crate::frame::{
-    checksums, decode_verified, judge_at, parse_at, stated_len, unknown_tag_at, Header, Parsed,
-    HEADER_LEN,
-};
-use std::collections::VecDeque;
+use crate::frame::{judge_at, parse_at, stated_len, unknown_tag_at, Parsed, HEADER_LEN};
 use std::io::{self, Read};
 use std::time::Instant;
 
-/// Frames whose checksums [`LogFrames`] computes in one call.
-const READ_AHEAD: usize = 4;
-
-/// Bytes of a log [`LogFrames`] holds and refills at once, unless a single
-/// frame is longer.
+/// Bytes of a log [`LogFrames`] holds and refills at once at most, unless a
+/// single frame is longer.
 const WINDOW: usize = 1 << 20;
 
 /// The outcome of scanning one shard log.
@@ -130,18 +117,12 @@ impl<R: Read> Window<R> {
     }
 
     /// Holds the log's bytes up to offset `end`, or all of them to the
-    /// log's end if that comes first, and answers whether it does. With
-    /// `may_move`, the bytes before offset `keep` may be dropped to make
-    /// room and the window may grow; without, it only reads into the room
-    /// it has, so every offset into it stays valid, and answers `false`
-    /// when that room is too small.
-    fn hold(&mut self, keep: usize, end: usize, may_move: bool) -> io::Result<bool> {
+    /// log's end if that comes first. The bytes before offset `keep` may be
+    /// dropped to make room, and the window may grow.
+    fn hold(&mut self, keep: usize, end: usize) -> io::Result<()> {
         while self.end() < end && !self.ended {
             let capacity = self.bytes.capacity();
             if end - self.base > capacity {
-                if !may_move {
-                    return Ok(false);
-                }
                 self.bytes.drain(..keep - self.base);
                 self.base = keep;
                 if end - keep > capacity {
@@ -160,19 +141,17 @@ impl<R: Read> Window<R> {
             self.read_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.ended = read == 0;
         }
-        Ok(true)
+        Ok(())
     }
 
     /// [`Window::hold`] for the frame at log offset `at`: its header, then
     /// the payload the header states, if the length is plausible — what
     /// judging the frame reads.
-    fn hold_frame(&mut self, keep: usize, at: usize, may_move: bool) -> io::Result<bool> {
-        if !self.hold(keep, at + HEADER_LEN, may_move)? {
-            return Ok(false);
-        }
+    fn hold_frame(&mut self, keep: usize, at: usize) -> io::Result<()> {
+        self.hold(keep, at + HEADER_LEN)?;
         match stated_len(&self.bytes, at - self.base) {
-            Some(len) => self.hold(keep, at + HEADER_LEN + len, may_move),
-            None => Ok(true),
+            Some(len) => self.hold(keep, at + HEADER_LEN + len),
+            None => Ok(()),
         }
     }
 }
@@ -200,10 +179,6 @@ pub struct LogFrames<R> {
     last_seq: Option<u64>,
     /// What the last ingest frame decoded to.
     ingest: IngestBatch,
-    /// Headers of the frames from `offset` on whose checksums verified,
-    /// not yet decoded. Their positions are the window's, which does not
-    /// move while any is queued.
-    verified: VecDeque<Header>,
     /// Set once the prefix has ended anywhere but at a clean end of file.
     corruption: Option<LogCorruption>,
     /// The read that failed, ending the walk.
@@ -249,14 +224,16 @@ impl Frame<'_> {
 
 impl<R: Read> LogFrames<R> {
     /// Starts at the first byte of a shard log, which `log` reads from the
-    /// start.
-    pub fn new(log: R) -> Self {
+    /// start and which is `len` bytes long: the window reserves no more
+    /// than that, and at most 1 MiB. A log longer than `len` is still read
+    /// to its end, by refills.
+    pub fn new(log: R, len: u64) -> Self {
+        let capacity = usize::try_from(len).map_or(WINDOW, |len| len.min(WINDOW));
         Self {
-            window: Window::new(log, WINDOW),
+            window: Window::new(log, capacity),
             offset: 0,
             last_seq: None,
             ingest: IngestBatch::default(),
-            verified: VecDeque::with_capacity(READ_AHEAD),
             corruption: None,
             failed: None,
         }
@@ -271,19 +248,15 @@ impl<R: Read> LogFrames<R> {
         if self.corruption.is_some() || self.failed.is_some() {
             return None;
         }
-        if self.verified.is_empty() {
-            if let Err(error) = self.read_ahead() {
-                self.failed = Some(error);
-                return None;
-            }
+        if let Err(error) = self.window.hold_frame(self.offset, self.offset) {
+            self.failed = Some(error);
+            return None;
         }
         let (bytes, base) = (&self.window.bytes[..], self.window.base);
         let ingest = &mut self.ingest;
-        let decode = |payload| WalEvent::decode_into(payload, ingest);
-        let parsed = match self.verified.pop_front() {
-            Some(header) => decode_verified(bytes, header, decode),
-            None => judge_at(bytes, self.offset - base, decode),
-        };
+        let parsed = judge_at(bytes, self.offset - base, |payload| {
+            WalEvent::decode_into(payload, ingest)
+        });
         let reason = match parsed {
             Parsed::Eof => return None,
             Parsed::Frame { seq, event, end } => match self.last_seq {
@@ -332,42 +305,6 @@ impl<R: Read> LogFrames<R> {
         self.window.read_ns
     }
 
-    /// Holds the frame at `offset` whole — or the log to its end — then
-    /// parses up to [`READ_AHEAD`] complete headers from `offset` on,
-    /// checksums their frames in one call, and keeps the run that verifies
-    /// up to the first that does not. Only the first frame may move the
-    /// window; the run ends at a frame that does not fit in it.
-    fn read_ahead(&mut self) -> io::Result<()> {
-        let mut headers = [Header::default(); READ_AHEAD];
-        let mut found = 0;
-        let mut at = self.offset;
-        while found < READ_AHEAD && self.window.hold_frame(self.offset, at, found == 0)? {
-            let Ok(Some(header)) = Header::at(&self.window.bytes, at - self.window.base) else {
-                break;
-            };
-            headers[found] = header;
-            at = self.window.base + header.end;
-            found += 1;
-        }
-        if found == 0 {
-            return Ok(());
-        }
-        // Lanes past the last header repeat it, so the words stepped in
-        // lockstep are still those of the shortest real frame; the repeated
-        // sums are ignored.
-        let bytes = &self.window.bytes;
-        let sums = checksums::<READ_AHEAD>(std::array::from_fn(|lane| {
-            let header = headers[lane.min(found - 1)];
-            (header.seq, header.payload(bytes))
-        }));
-        let run = headers[..found].iter().zip(sums);
-        self.verified.extend(
-            run.take_while(|(header, sum)| header.stored == *sum)
-                .map(|(header, _)| *header),
-        );
-        Ok(())
-    }
-
     /// Slides forward from one byte past the first bad frame, at `offset`
     /// and held whole, collecting every later frame that still verifies
     /// and keeps the sequence strictly monotone. The slide resumes after
@@ -380,7 +317,11 @@ impl<R: Read> LogFrames<R> {
         let mut resynced: Vec<(u64, WalEvent)> = Vec::new();
         let mut resynced_bytes = 0usize;
         let mut pos = corrupt_at + 1;
-        while self.window.hold_frame(pos, pos, true)? && pos < self.window.end() {
+        loop {
+            self.window.hold_frame(pos, pos)?;
+            if pos >= self.window.end() {
+                break;
+            }
             let base = self.window.base;
             match parse_at(&self.window.bytes, pos - base) {
                 Parsed::Frame { seq, event, end } if last_seq.map_or(true, |last| seq > last) => {
@@ -406,7 +347,7 @@ impl<R: Read> LogFrames<R> {
 /// corrupt) the accounted loss: [`LogFrames`] over the bytes, collected
 /// into owned events.
 pub fn scan_log(bytes: &[u8]) -> ScannedLog {
-    let mut frames = LogFrames::new(bytes);
+    let mut frames = LogFrames::new(bytes, bytes.len() as u64);
     let mut applied = Vec::new();
     while let Some((seq, frame)) = frames.next() {
         applied.push((seq, frame.into_event()));
@@ -636,17 +577,6 @@ mod tests {
         ))
     }
 
-    impl<R: Read> LogFrames<R> {
-        /// The walk with a window of `window` bytes instead of [`WINDOW`],
-        /// so refills fall inside headers, checksums, payloads and resync
-        /// regions of a short log.
-        fn with_window(log: R, window: usize) -> Self {
-            let mut frames = Self::new(log);
-            frames.window.bytes = Vec::with_capacity(window);
-            frames
-        }
-    }
-
     /// Walks `bytes` one lent frame at a time — each materialised and
     /// dropped before the next is decoded into the same buffers, as
     /// recovery consumes a log — through a window of each size in
@@ -656,7 +586,10 @@ mod tests {
         let reference = scan_log_reference(bytes);
         for &window in windows {
             let what = format!("{what}, window {window}");
-            let mut frames = LogFrames::with_window(Trickle(bytes), window);
+            // Told the log is `window` bytes long, the walk reserves that
+            // much, so refills fall inside headers, checksums, payloads and
+            // resync regions of a short log.
+            let mut frames = LogFrames::new(Trickle(bytes), window as u64);
             let mut streamed = 0;
             while let Some((seq, frame)) = frames.next() {
                 let lent = (seq, frame.into_event());
@@ -700,8 +633,8 @@ mod tests {
                 retention: RetentionPolicy::windowed(8),
             })
         };
-        // Ten frames of several sizes, so every truncation and flip lands at
-        // every position of a four-frame read-ahead window.
+        // Ten frames of several sizes and kinds, so that truncations and
+        // flips land in each with intact frames before and after it.
         let log = log_of(&[
             (1, ingest("a", 500)),
             (2, wide_ingest("b", 500, 3)),
@@ -800,7 +733,7 @@ mod tests {
                 bytes: &bytes,
                 left,
             };
-            let mut frames = LogFrames::with_window(log, HEADER_LEN);
+            let mut frames = LogFrames::new(log, HEADER_LEN as u64);
             assert_eq!(frames.next().map(|(seq, _)| seq), Some(1), "{left}");
             if left == bytes.len() {
                 assert_eq!(frames.next().map(|(seq, _)| seq), Some(2));
@@ -854,7 +787,7 @@ mod tests {
         });
         let log = encode(1, &event);
 
-        let mut frames = LogFrames::new(&log[..]);
+        let mut frames = LogFrames::new(&log[..], log.len() as u64);
         let Some((1, Frame::Ingest(batch))) = frames.next() else {
             panic!("one ingest frame");
         };
@@ -868,7 +801,7 @@ mod tests {
     fn finish_before_exhaustion_still_reports_how_the_log_ended() {
         let mut bytes = log_of(&[(1, ingest("a", 500)), (2, ingest("a", 1000))]);
         bytes.extend_from_slice(&[0xFF; 5]);
-        let mut frames = LogFrames::new(&bytes[..]);
+        let mut frames = LogFrames::new(&bytes[..], bytes.len() as u64);
         assert_eq!(frames.next().map(|(seq, _)| seq), Some(1));
         let corruption = frames.finish().unwrap().expect("the tail is garbage");
         assert_eq!(corruption.lost_bytes, 5);

@@ -16,6 +16,10 @@
 //! [magic: u64 LE][version: u32 LE][body checksum: u64 LE][body]
 //! ```
 //!
+//! The body checksum is the directory's one checksum, the log frames' and
+//! the checkpoint records' too ([`lane_checksum`]), seeded with the magic
+//! and the version.
+//!
 //! The version is the directory's format number ([`FORMAT`]), and this
 //! build reads no other. It sits outside what the checksum covers (it
 //! seeds it instead), so a snapshot whose version is not [`FORMAT`] — its
@@ -35,10 +39,9 @@ use crate::codec::{
 };
 use crate::dir::{read_whole, write_durable};
 use crate::format::FORMAT;
-use crate::frame::checksums;
+use crate::frame::lane_checksum;
 use crate::{Result, WalError};
 use sieve_core::SieveConfig;
-use sieve_exec::hash::mix;
 use sieve_graph::CallGraph;
 use sieve_simulator::store::StoreState;
 use std::path::Path;
@@ -50,28 +53,6 @@ const MAGIC: u64 = 0x5349_4556_534E_4150;
 /// the magic and the format.
 fn body_checksum(body: &[u8]) -> u64 {
     lane_checksum(MAGIC ^ u64::from(FORMAT), body)
-}
-
-/// The checksum of a whole-file body under `seed`, for a snapshot and for
-/// each tenant record of a checkpoint.
-///
-/// The body is cut into quarters at multiples of eight bytes (the last
-/// quarter takes the remainder) and checksummed as four frames are, with
-/// [`checksums`]: four chains of one-multiply steps
-/// ([`sieve_exec::hash::fold_word`]) in lockstep, each seeded with its
-/// lane, so equal quarters sum apart. The four sums are then folded, in
-/// lane order, into one word with [`mix`], once per lane.
-pub(crate) fn lane_checksum(seed: u64, body: &[u8]) -> u64 {
-    let quarter = body.len() / 32 * 8;
-    let lanes = std::array::from_fn(|lane| {
-        let end = if lane == 3 {
-            body.len()
-        } else {
-            (lane + 1) * quarter
-        };
-        (seed.wrapping_add(lane as u64), &body[lane * quarter..end])
-    });
-    checksums::<4>(lanes).into_iter().fold(seed, mix)
 }
 
 /// One tenant's durable image inside a shard snapshot.
@@ -251,7 +232,7 @@ mod tests {
         }
         // A file of any other version, older or newer: the layout is not
         // this build's, whatever the checksum says.
-        for other in [1, 2, 3, 4, 5, 6, 7, FORMAT + 1] {
+        for other in [1, 2, 3, 4, 5, 6, 7, 8, 9, FORMAT + 1] {
             let mut stale = bytes.clone();
             stale[8..12].copy_from_slice(&other.to_le_bytes());
             assert_eq!(
@@ -306,9 +287,22 @@ mod tests {
         (snapshot, store)
     }
 
-    /// `ShardSnapshot::encode` of [`golden_snapshot`] today, format 9: the
+    /// `ShardSnapshot::encode` of [`golden_snapshot`] today, format 10: the
     /// bytes a directory written today holds.
     const GOLDEN_SNAPSHOT: &str =
+        "50414e53564549530a00000022d55b63cd0a8f1701000000000000000700000000000000010000000000000004000000\
+         61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
+         000000007b14ae47e17a843f030000000000000001030000000000000002000000000000000200000064620300000077\
+         656201000000000000000300000077656202000000646203000000000000000103000000000000000100000000000000\
+         11000000000000000c000000000000000200000000000000020000006462030000006d656d0200000000000000000000\
+         0000000000f401000000000000000000000000f43f00000000000004c0acdd56e6d9f478a40003000000776562030000\
+         00637075030000000000000070170000000000006419000000000000581b000000000000000000000000004000000000\
+         0000024000000000000004409a4382f489e38a8301";
+
+    /// The same snapshot as the format-9 build wrote it: the same body under
+    /// version 9, and under the checksum whose four lane sums folded with
+    /// `mix`.
+    const GOLDEN_V9_SNAPSHOT: &str =
         "50414e5356454953090000000c5df6fb59cab6a501000000000000000700000000000000010000000000000004000000\
          61636d65fa000000000000007b14ae47e17a843f03000000000000000400000000000000110000000000000005000000\
          000000007b14ae47e17a843f030000000000000001030000000000000002000000000000000200000064620300000077\
@@ -414,6 +408,9 @@ mod tests {
         assert_eq!(restored.fingerprint(&cpu), Some(0xb7ad_0eec_2bc0_209c));
         assert_eq!(restored.fingerprint(&mem), Some(0x3754_3e21_3868_7a55));
         assert_eq!(restored.freeze(), live.freeze());
+
+        // Format 10 changed the checksum, not the body: it is format 9's.
+        assert_eq!(golden[20..], unhex(GOLDEN_V9_SNAPSHOT)[20..]);
 
         // Format 9 changed the fingerprint step: the body is format 8's
         // with each series' fingerprint re-stepped, and nothing else.
@@ -550,6 +547,11 @@ mod tests {
         assert_refused_as_unsupported(GOLDEN_V8_SNAPSHOT, 8);
     }
 
+    #[test]
+    fn a_version_9_snapshot_is_refused_as_unsupported() {
+        assert_refused_as_unsupported(GOLDEN_V9_SNAPSHOT, 9);
+    }
+
     /// The clauses of the store's rule `state` breaks, each checked here
     /// field by field rather than through `StoreState::validate`: ids out
     /// of order or repeated, a series with more timestamps than values or
@@ -632,12 +634,13 @@ mod tests {
         swapped[..2 * quarter].rotate_left(quarter);
         assert_ne!(swapped, body, "the first two quarters differ");
         assert_ne!(body_checksum(&swapped), stored);
-        // Bodies shorter than a lane's word, and empty, still checksum.
-        for len in 0..40 {
-            let short = vec![0xA5; len];
-            let one_chain = crate::frame::checksum(MAGIC ^ u64::from(FORMAT), &short);
-            assert_ne!(body_checksum(&short), one_chain);
-        }
+        // Bodies shorter than the four lanes, and empty, still checksum,
+        // and the length is covered: bodies of zeros sum apart, however
+        // many of them a zero-padded last word holds.
+        let mut sums: Vec<u64> = (0..40).map(|len| body_checksum(&vec![0; len])).collect();
+        sums.sort_unstable();
+        sums.dedup();
+        assert_eq!(sums.len(), 40);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use sieve_core::{
     CachedClustering, CachedVerdict, ComponentClustering, GrangerConfig, MetricCluster,
     SessionCache, SieveConfig,
 };
-use sieve_exec::hash::{fold_word, hash_str, mix, splitmix64};
+use sieve_exec::hash::{fold_word, hash_str, splitmix64};
 use sieve_exec::Name;
 use sieve_graph::{CallGraph, DependencyEdge};
 use sieve_simulator::store::{MetricId, MetricStore, Named, RetentionPolicy};
@@ -134,36 +134,37 @@ fn mutate(bytes: &[u8], rand: &mut impl FnMut() -> u64) -> Vec<u8> {
     out
 }
 
-/// The checksum of a log frame: a chain of `fold_word` steps seeded with
-/// "SIEVWALF", the sequence number and the payload length, then over the
-/// payload in 8-byte little-endian words, the last zero-padded.
-fn frame_checksum(seq: u64, payload: &[u8]) -> u64 {
-    let seeded = fold_word(fold_word(0x5349_4556_5741_4C46, seq), payload.len() as u64);
-    payload.chunks(8).fold(seeded, |sum, chunk| {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        fold_word(sum, u64::from_le_bytes(word))
+/// The checksum of a log frame's payload, a snapshot body or a checkpoint
+/// record under `seed`: the bytes cut into quarters at multiples of eight
+/// (the last takes the rest), each summed by a chain of `fold_word` steps
+/// from `fold_word(seed, length) + lane` over its 8-byte little-endian
+/// words, the last zero-padded, and the four sums folded into `seed` with
+/// `fold_word`, in lane order.
+fn lane_checksum(seed: u64, bytes: &[u8]) -> u64 {
+    let start = fold_word(seed, bytes.len() as u64);
+    let quarter = bytes.len() / 32 * 8;
+    (0..4u64).fold(seed, |sum, lane| {
+        let from = lane as usize * quarter;
+        let to = if lane == 3 {
+            bytes.len()
+        } else {
+            from + quarter
+        };
+        let chain = bytes[from..to]
+            .chunks(8)
+            .fold(start.wrapping_add(lane), |sum, chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                fold_word(sum, u64::from_le_bytes(word))
+            });
+        fold_word(sum, chain)
     })
 }
 
-/// The checksum of a snapshot body or a checkpoint record under `seed`:
-/// the bytes cut into quarters at multiples of eight (the last takes the
-/// rest), each summed as a frame of sequence `seed + lane` is, and the
-/// four sums folded into `seed` with `mix`, in lane order.
-fn lane_checksum(seed: u64, body: &[u8]) -> u64 {
-    let quarter = body.len() / 32 * 8;
-    (0..4u64).fold(seed, |sum, lane| {
-        let start = lane as usize * quarter;
-        let end = if lane == 3 {
-            body.len()
-        } else {
-            start + quarter
-        };
-        mix(
-            sum,
-            frame_checksum(seed.wrapping_add(lane), &body[start..end]),
-        )
-    })
+/// The checksum of a log frame of sequence `seq`: its payload's lane
+/// checksum under "SIEVWALF" stepped with the sequence number.
+fn frame_checksum(seq: u64, payload: &[u8]) -> u64 {
+    lane_checksum(fold_word(0x5349_4556_5741_4C46, seq), payload)
 }
 
 /// A whole log frame of sequence 1 around `payload`.
@@ -349,15 +350,16 @@ fn temp_dir(name: &str) -> PathBuf {
 /// mutations of it, and asserts that each decode peaks within the bound
 /// for the input's length. `decode` answers whether the input decoded and
 /// its [`peak_bytes`], taken around the decode alone. Returns how many
-/// inputs decoded, and the worst peak seen against its input's length.
+/// inputs decoded, and the golden input's peak and the worst peak seen
+/// against its input's length, each with that length.
 fn assert_bounded(
     what: &str,
     golden: &[u8],
     seal: impl Fn(&[u8]) -> Vec<u8>,
     mut decode: impl FnMut(&[u8]) -> (bool, usize),
-) -> (usize, (usize, usize)) {
+) -> (usize, [(usize, usize); 2]) {
     let mut rand = rng(hash_str(what));
-    let (mut decoded, mut worst) = (0, (0, 0));
+    let (mut decoded, mut first, mut worst) = (0, (0, 0), (0, 0));
     for mutation in 0..=MUTATIONS {
         let input = seal(&if mutation == 0 {
             golden.to_vec()
@@ -373,11 +375,14 @@ fn assert_bounded(
             "{what}: {peak} bytes at the peak of decoding {} bytes, past {bound}",
             input.len()
         );
+        if mutation == 0 {
+            first = (peak, input.len());
+        }
         if peak * worst.1.max(1) > worst.0 * input.len().max(1) {
             worst = (peak, input.len());
         }
     }
-    (decoded, worst)
+    (decoded, [first, worst])
 }
 
 /// Writes `bytes` to `path` and returns them: the input of a decoder that
@@ -398,14 +403,14 @@ fn every_decoder_peaks_within_a_multiple_of_its_input() {
     }
     let mut report = Vec::new();
 
-    // The log's payloads, each framed and read by the log walk, whose read
-    // window is allocated before the count starts.
+    // The log's payloads, each framed and read by the log walk, built inside
+    // the count: its read window is as long as the log.
     for (index, payload) in golden_payloads().iter().enumerate() {
         let what = ["tenant created", "call graph", "retention", "ingest batch"][index];
         let read = assert_bounded(what, payload, framed, |log| {
-            let mut frames = LogFrames::new(log);
             let mut ok = false;
             let peak = peak_bytes(|| {
+                let mut frames = LogFrames::new(log, log.len() as u64);
                 let mut read = 0;
                 while frames.next().is_some() {
                     read += 1;
@@ -464,9 +469,13 @@ fn every_decoder_peaks_within_a_multiple_of_its_input() {
     report.push(("format record", read));
     let _ = std::fs::remove_dir_all(&dir);
 
-    for (what, (decoded, (peak, len))) in &report {
+    // A walk's peak is its window, as long as the log, and what the frame
+    // decodes to: 283 B for the golden ingest frame (83 B), 38 B for the
+    // retention frame (38 B).
+    for (what, (decoded, [(golden, golden_len), (peak, len)])) in &report {
         println!(
-            "{what}: {decoded} of {} inputs decoded; worst peak {peak} B for {len} B",
+            "{what}: {decoded} of {} inputs decoded; golden input's peak {golden} B for \
+             {golden_len} B, worst peak {peak} B for {len} B",
             MUTATIONS + 1
         );
         // Not vacuous: images that decode are held to the bound too.
